@@ -38,94 +38,43 @@ func benchFrame(b *testing.B) ([]byte, frame.Rect) {
 	return payload, frame.Rect{X: 128, Y: 72, W: 64, H: 64}
 }
 
-// benchClientFrame is the gssr-client per-frame loop: decode, bilinear
-// base, RoI SR, merge — with or without the full observability path
-// (flight recorder spans, e2e age, deadline accounting, histogram, and a
-// Stats report every 60 frames). The delta is the recorder + backchannel
+// benchClientFrame is the gssr-client per-frame loop — showFrame: decode,
+// bilinear base ∥ RoI SR, merge — with or without the full observability
+// path (flight recorder spans, e2e age, deadline accounting, histogram, and
+// a Stats report every 60 frames). The delta is the recorder + backchannel
 // overhead BENCH_e2e.json records.
 func benchClientFrame(b *testing.B, instrumented bool) {
 	payload, roi := benchFrame(b)
-	dec := codec.NewDecoder()
-	engine := sr.NewFast(sr.FastConfig{})
-	const scale = 2
-
-	var rec *frametrace.Recorder // nil: every recorder call is a no-op
-	var ageHist *telemetry.Histogram
-	var wDecode, wSR, wAge []float64
+	st := newSessionState(nil) // nil registry, recorder and histogram: every call is a no-op
+	var clock stream.ClockSync
+	pkt := stream.FramePacket{Payload: payload, RoI: roi}
 	if instrumented {
-		reg := telemetry.NewRegistry()
-		rec = frametrace.New(frametrace.Config{Frames: frametrace.DefaultFrames, Metrics: reg})
-		rec.SetProcess("client")
-		rec.SetClockSync(250*time.Microsecond, 700*time.Microsecond)
-		ageHist = reg.Histogram("client_frame_age_seconds", telemetry.LatencyBuckets())
+		st.reg = telemetry.NewRegistry()
+		st.rec = frametrace.New(frametrace.Config{Frames: frametrace.DefaultFrames, Metrics: st.reg})
+		st.rec.SetProcess("client")
+		st.rec.SetClockSync(250*time.Microsecond, 700*time.Microsecond)
+		st.ageHist = st.reg.Histogram("client_frame_age_seconds", telemetry.LatencyBuckets())
+		clock = stream.ClockSync{Synced: true}
+		pkt.SendUnixMicro = time.Now().UnixMicro()
 	}
-	var latScratch [4]frametrace.StageLatency
-	sendUnix := time.Now().UnixMicro()
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tRecv := time.Now()
-		fid := rec.BeginFrameAt(uint64(i+1), i)
-		rec.Span(fid, "recv", "recv", tRecv, 0)
-		tDec := time.Now()
-		df, err := dec.Decode(payload)
-		dDec := time.Since(tDec)
-		if err != nil {
-			b.Fatal(err)
+		pkt.Index, pkt.FlightID = uint32(i), uint64(i+1)
+		if shown, err := st.showFrame(pkt, time.Now(), 0, clock, 2); err != nil || !shown {
+			b.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
 		}
-		rec.Span(fid, "decode", "decode", tDec, dDec)
-		tUp := time.Now()
-		base, err := upscale.Resize(df.Image, df.Image.W*scale, df.Image.H*scale, upscale.Bilinear)
-		dUp := time.Since(tUp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec.Span(fid, "upscale", "upscale", tUp, dUp)
-		roiRect := roi.Clamp(df.Image.W, df.Image.H)
-		tSR := time.Now()
-		roiImg, err := df.Image.SubImage(roiRect.X, roiRect.Y, roiRect.W, roiRect.H)
-		if err != nil {
-			b.Fatal(err)
-		}
-		hr, err := engine.Upscale(roiImg.Compact(), scale)
-		dSR := time.Since(tSR)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rec.Span(fid, "sr", "sr", tSR, dSR)
-		tMerge := time.Now()
-		if err := upscale.Merge(base, hr, roiRect, scale); err != nil {
-			b.Fatal(err)
-		}
-		dMerge := time.Since(tMerge)
-		rec.Span(fid, "merge", "merge", tMerge, dMerge)
-		tPresent := time.Now()
-		rec.Span(fid, "present", "present", tPresent, 0)
-
-		if instrumented {
-			age := tPresent.Sub(time.UnixMicro(sendUnix))
-			rec.SetAge(fid, age)
-			ageHist.ObserveDuration(age)
-			wAge = append(wAge, float64(age.Microseconds()))
-			latScratch[0] = frametrace.StageLatency{Name: "decode", D: dDec}
-			latScratch[1] = frametrace.StageLatency{Name: "upscale", D: dUp}
-			latScratch[2] = frametrace.StageLatency{Name: "sr", D: dSR}
-			latScratch[3] = frametrace.StageLatency{Name: "merge", D: dMerge}
-			rec.ObserveDeadline(fid, latScratch[:])
-			wDecode = append(wDecode, float64(dDec.Microseconds()))
-			wSR = append(wSR, float64(dSR.Microseconds()))
-			if (i+1)%60 == 0 {
-				st := stream.StatsPacket{
-					Seq: uint32(i / 60), WindowFrames: uint32(len(wDecode)),
-					DecodeP50: pctDur(wDecode, 50), DecodeP99: pctDur(wDecode, 99),
-					SRP50: pctDur(wSR, 50), SRP99: pctDur(wSR, 99),
-					AgeP50: pctDur(wAge, 50), AgeP99: pctDur(wAge, 99),
-				}
-				wDecode, wSR, wAge = wDecode[:0], wSR[:0], wAge[:0]
-				if err := stream.WriteStats(io.Discard, st); err != nil {
-					b.Fatal(err)
-				}
+		if instrumented && (i+1)%60 == 0 {
+			p := stream.StatsPacket{
+				Seq: uint32(i / 60), WindowFrames: uint32(len(st.wDecode)),
+				DecodeP50: pctDur(st.wDecode, 50), DecodeP99: pctDur(st.wDecode, 99),
+				SRP50: pctDur(st.wSR, 50), SRP99: pctDur(st.wSR, 99),
+				AgeP50: pctDur(st.wAge, 50), AgeP99: pctDur(st.wAge, 99),
+			}
+			st.wDecode, st.wSR, st.wAge = st.wDecode[:0], st.wSR[:0], st.wAge[:0]
+			if err := stream.WriteStats(io.Discard, p); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
@@ -133,3 +82,70 @@ func benchClientFrame(b *testing.B, instrumented bool) {
 
 func BenchmarkClientFrameBare(b *testing.B)         { benchClientFrame(b, false) }
 func BenchmarkClientFrameInstrumented(b *testing.B) { benchClientFrame(b, true) }
+
+// TestShowFrameMatchesAllocatingComposition pins the pooled, overlapped
+// frame path to the plain composition it replaced — allocating Resize,
+// compacted RoI crop, Engine.Upscale, Merge — byte for byte over a GOP with
+// motion, including a shed (zero-RoI) frame and the buffers' second and
+// later trips through the pool.
+func TestShowFrameMatchesAllocatingComposition(t *testing.T) {
+	const w, h, scale = 160, 90, 2
+	enc, err := codec.NewEncoder(codec.Config{Width: w, Height: h, GOPSize: 4, QStep: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newSessionState(nil)
+	ref := codec.NewDecoder()
+	engine := sr.NewFast(sr.FastConfig{})
+	img := frame.NewImage(w, h)
+	for i := 0; i < 9; i++ {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				p := y*img.Stride + x
+				img.R[p], img.G[p], img.B[p] = uint8((x+3*i)*3), uint8(y*5+i), uint8((x+y)*2)
+			}
+		}
+		payload, _, err := enc.Encode(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roi := frame.Rect{X: 40 + 2*i, Y: 13, W: 64, H: 64}
+		if i == 5 {
+			roi = frame.Rect{} // the shed ladder's bilinear-only rung
+		}
+		shown, err := st.showFrame(stream.FramePacket{Index: uint32(i), Payload: payload, RoI: roi}, time.Now(), 0, stream.ClockSync{}, scale)
+		if err != nil || !shown {
+			t.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
+		}
+
+		df, err := ref.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := upscale.Resize(df.Image, w*scale, h*scale, upscale.Bilinear)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := roi.Clamp(w, h); !r.Empty() {
+			hr, err := engine.Upscale(df.Image.MustSubImage(r.X, r.Y, r.W, r.H).Compact(), scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := upscale.Merge(want, hr, r, scale); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !st.lastUp.Equal(want) {
+			t.Fatalf("frame %d: pooled frame differs from the allocating composition", i)
+		}
+	}
+	if st.frames != 9 || st.dropped != 0 {
+		t.Fatalf("frames=%d dropped=%d, want 9 and 0", st.frames, st.dropped)
+	}
+	// A corrupt payload freezes the display instead of ending the session,
+	// and leaves the frame on display alone.
+	shown, err := st.showFrame(stream.FramePacket{Index: 9, Payload: []byte{1, 2, 3}}, time.Now(), 0, stream.ClockSync{}, scale)
+	if err != nil || shown || st.dropped != 1 || st.frames != 9 {
+		t.Fatalf("corrupt frame: shown=%v err=%v dropped=%d frames=%d", shown, err, st.dropped, st.frames)
+	}
+}

@@ -53,6 +53,7 @@ import (
 	"syscall"
 	"time"
 
+	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/device"
 	"gamestreamsr/internal/diag"
@@ -174,14 +175,19 @@ func fatalReject(code stream.RejectCode) bool {
 
 // sessionState is everything that survives a reconnect: the telemetry
 // registry and flight recorder (one continuous window across sessions, so
-// the drop and the resume land in the same trace), the decode/SR engines,
-// and the aggregate frame counters the final report prints.
+// the drop and the resume land in the same trace), the decode/SR engines
+// with the buffer pool their frames cycle through, and the aggregate frame
+// counters the final report prints.
 type sessionState struct {
 	reg     *telemetry.Registry
 	rec     *frametrace.Recorder
 	ageHist *telemetry.Histogram
 	dec     *codec.Decoder
 	engine  sr.Engine
+	// pool recycles the decoder's frames and side information, the RoI
+	// patch and the two output images (the one on display, lastUp, and the
+	// one being built), so a steady-state frame allocates no pixel buffers.
+	pool *bufpool.Pool
 
 	lastUp        *frame.Image
 	frames, bytes int
@@ -194,6 +200,19 @@ type sessionState struct {
 	resumeToken   string
 }
 
+// newSessionState builds the decode/SR engines around one buffer pool; reg
+// may be nil (no metrics).
+func newSessionState(reg *telemetry.Registry) *sessionState {
+	st := &sessionState{
+		reg:    reg,
+		dec:    codec.NewDecoder(),
+		engine: sr.NewFast(sr.FastConfig{}),
+		pool:   bufpool.New(),
+	}
+	st.dec.SetPool(st.pool)
+	return st
+}
+
 func run(ctx context.Context, cc clientConfig) error {
 	dev, err := device.ProfileByName(cc.devName)
 	if err != nil {
@@ -203,11 +222,7 @@ func run(ctx context.Context, cc clientConfig) error {
 	// recorder whose frame IDs are the server's flight IDs, plus an e2e
 	// frame-age histogram on the registry. Shared across reconnects — the
 	// trace shows the stall and the resume in one window.
-	st := &sessionState{
-		reg:    telemetry.NewRegistry(),
-		dec:    codec.NewDecoder(),
-		engine: sr.NewFast(sr.FastConfig{}),
-	}
+	st := newSessionState(telemetry.NewRegistry())
 	st.rec = frametrace.New(frametrace.Config{Frames: cc.flightFrames, Metrics: st.reg})
 	st.rec.SetProcess("client")
 	st.ageHist = st.reg.Histogram("client_frame_age_seconds", telemetry.LatencyBuckets())
@@ -377,8 +392,6 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		}()
 	}
 
-	deadline := st.rec.Deadline()
-
 	// Send a few demo input events (the interactive path). Spectators are
 	// receive-only: they have no say in the game.
 	if cc.spectate == "" {
@@ -389,7 +402,6 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		}
 	}
 
-	var latScratch [4]frametrace.StageLatency
 	for {
 		tRecv := time.Now()
 		pkt, err := c.RecvFrame()
@@ -408,91 +420,12 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 			}
 			break
 		}
-		// Adopt the server's flight ID (v1 servers send none; fall back to
-		// local IDs) so both processes' dumps correlate by frame identity.
-		fid := st.rec.BeginFrameAt(pkt.FlightID, int(pkt.Index))
-		st.rec.Span(fid, "recv", "recv", tRecv, dRecv)
-
-		tDec := time.Now()
-		df, err := st.dec.Decode(pkt.Payload)
-		dDec := time.Since(tDec)
-		if err != nil {
-			// A corrupt frame is dropped, not fatal: the display freezes one
-			// frame and the drop rides the next Stats report to the server.
-			logx.Warn("frame dropped", "frame", pkt.Index, "err", err)
-			st.rec.SetFrozen(fid)
-			st.dropped++
-			continue
-		}
-		st.rec.Span(fid, "decode", "decode", tDec, dDec)
-
-		// RoI-assisted upscale (Fig. 9).
-		tUp := time.Now()
-		base, err := upscale.Resize(df.Image, df.Image.W*cc.scale, df.Image.H*cc.scale, upscale.Bilinear)
-		dUp := time.Since(tUp)
+		shown, err := st.showFrame(pkt, tRecv, dRecv, clock, cc.scale)
 		if err != nil {
 			return err
 		}
-		st.rec.Span(fid, "upscale", "upscale", tUp, dUp)
-		roiRect := pkt.RoI.Clamp(df.Image.W, df.Image.H)
-		// A zero RoI is the server shedding to bilinear-only (the shed
-		// ladder, DESIGN.md §12): skip the DNN and keep the bilinear frame.
-		var dSR, dMerge time.Duration
-		if roiRect.W > 0 && roiRect.H > 0 {
-			tSR := time.Now()
-			roiImg, err := df.Image.SubImage(roiRect.X, roiRect.Y, roiRect.W, roiRect.H)
-			if err != nil {
-				return err
-			}
-			hr, err := st.engine.Upscale(roiImg.Compact(), cc.scale)
-			dSR = time.Since(tSR)
-			if err != nil {
-				return err
-			}
-			st.rec.Span(fid, "sr", "sr", tSR, dSR)
-			tMerge := time.Now()
-			if err := upscale.Merge(base, hr, roiRect, cc.scale); err != nil {
-				return err
-			}
-			dMerge = time.Since(tMerge)
-			st.rec.Span(fid, "merge", "merge", tMerge, dMerge)
-		}
-		// Present: the merged frame is ready for the display at this instant.
-		tPresent := time.Now()
-		st.rec.Span(fid, "present", "present", tPresent, 0)
-
-		// End-to-end frame age, on the server's clock via the handshake
-		// offset: how stale this frame is as the user sees it (Fig. 9's
-		// end-to-end latency, extended over the wire).
-		if pkt.SendUnixMicro != 0 && clock.Synced {
-			age := tPresent.Sub(clock.ServerTime(pkt.SendUnixMicro))
-			if age < 0 {
-				age = 0
-			}
-			st.rec.SetAge(fid, age)
-			st.ageHist.ObserveDuration(age)
-			st.wAge = append(st.wAge, float64(age.Microseconds()))
-		}
-
-		// Client-side deadline accounting: decode through merge must fit the
-		// frame budget (recv excluded — it is the server's pacing, not this
-		// device's work).
-		latScratch[0] = frametrace.StageLatency{Name: "decode", D: dDec}
-		latScratch[1] = frametrace.StageLatency{Name: "upscale", D: dUp}
-		latScratch[2] = frametrace.StageLatency{Name: "sr", D: dSR}
-		latScratch[3] = frametrace.StageLatency{Name: "merge", D: dMerge}
-		st.rec.ObserveDeadline(fid, latScratch[:])
-		if dDec+dUp+dSR+dMerge > deadline {
-			st.misses++
-		}
-		st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
-		st.wSR = append(st.wSR, float64(dSR.Microseconds()))
-
-		st.lastUp = base
-		st.frames++
-		st.bytes += len(pkt.Payload)
-		if pkt.Keyenc {
-			logx.Debug("reference frame", "frame", pkt.Index, "bytes", len(pkt.Payload), "roi", pkt.RoI)
+		if !shown {
+			continue
 		}
 
 		// The telemetry backchannel: windowed percentiles every N frames,
@@ -526,6 +459,148 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		_ = c.Bye()
 	}
 	return nil
+}
+
+// showFrame takes one received packet to a presentable frame — decode,
+// then the RoI-assisted upscale — and does the per-frame accounting: flight
+// spans, end-to-end age, deadline and the Stats windows. It reports false
+// for a frame that was dropped (and the display frozen) instead of shown.
+func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv time.Duration, clock stream.ClockSync, scale int) (bool, error) {
+	// Adopt the server's flight ID (v1 servers send none; fall back to
+	// local IDs) so both processes' dumps correlate by frame identity.
+	fid := st.rec.BeginFrameAt(pkt.FlightID, int(pkt.Index))
+	st.rec.Span(fid, "recv", "recv", tRecv, dRecv)
+
+	tDec := time.Now()
+	df, err := st.dec.Decode(pkt.Payload)
+	dDec := time.Since(tDec)
+	if err != nil {
+		// A corrupt frame is dropped, not fatal: the display freezes one
+		// frame and the drop rides the next Stats report to the server.
+		logx.Warn("frame dropped", "frame", pkt.Index, "err", err)
+		st.rec.SetFrozen(fid)
+		st.dropped++
+		return false, nil
+	}
+	st.rec.Span(fid, "decode", "decode", tDec, dDec)
+
+	// A zero RoI is the server shedding to bilinear-only (the shed ladder,
+	// DESIGN.md §12): skip the DNN and keep the bilinear frame.
+	roiRect := pkt.RoI.Clamp(df.Image.W, df.Image.H)
+	base, ut, err := st.upscale(df.Image, roiRect, scale)
+	// The decoded frame's buffers go back to the pool; its image stays the
+	// decoder's inter reference until the next Decode replaces it.
+	st.dec.Recycle(df)
+	if err != nil {
+		return false, err
+	}
+	st.rec.Span(fid, "upscale", "upscale", ut.tUp, ut.dUp)
+	if !roiRect.Empty() {
+		st.rec.Span(fid, "sr", "sr", ut.tSR, ut.dSR)
+		st.rec.Span(fid, "merge", "merge", ut.tMerge, ut.dMerge)
+	}
+	// Present: the merged frame is ready for the display at this instant.
+	tPresent := time.Now()
+	st.rec.Span(fid, "present", "present", tPresent, 0)
+
+	// End-to-end frame age, on the server's clock via the handshake
+	// offset: how stale this frame is as the user sees it (Fig. 9's
+	// end-to-end latency, extended over the wire).
+	if pkt.SendUnixMicro != 0 && clock.Synced {
+		age := tPresent.Sub(clock.ServerTime(pkt.SendUnixMicro))
+		if age < 0 {
+			age = 0
+		}
+		st.rec.SetAge(fid, age)
+		st.ageHist.ObserveDuration(age)
+		st.wAge = append(st.wAge, float64(age.Microseconds()))
+	}
+
+	// Client-side deadline accounting: decode through merge must fit the
+	// frame budget (recv excluded — it is the server's pacing, not this
+	// device's work). Bilinear and SR overlap, so the pair costs the frame
+	// its wall time, charged to whichever of the two finished last.
+	dUp, dSR := ut.dPair, time.Duration(0)
+	if ut.dSR > ut.dUp {
+		dUp, dSR = 0, ut.dPair
+	}
+	stages := [4]frametrace.StageLatency{
+		{Name: "decode", D: dDec}, {Name: "upscale", D: dUp}, {Name: "sr", D: dSR}, {Name: "merge", D: ut.dMerge},
+	}
+	st.rec.ObserveDeadline(fid, stages[:])
+	if dDec+ut.dPair+ut.dMerge > st.rec.Deadline() {
+		st.misses++
+	}
+	st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
+	st.wSR = append(st.wSR, float64(ut.dSR.Microseconds()))
+
+	// The frame that was on display is free to be drawn into again.
+	st.pool.PutImage(st.lastUp)
+	st.lastUp = base
+	st.frames++
+	st.bytes += len(pkt.Payload)
+	if pkt.Keyenc {
+		logx.Debug("reference frame", "frame", pkt.Index, "bytes", len(pkt.Payload), "roi", pkt.RoI)
+	}
+	return true, nil
+}
+
+// upscaleTimes is when each step of one frame's RoI-assisted upscale ran.
+type upscaleTimes struct {
+	tUp, tSR, tMerge time.Time
+	dUp, dSR, dMerge time.Duration
+	// dPair is the wall time of the overlapped bilinear ∥ SR section.
+	dPair time.Duration
+}
+
+// upscale is the RoI-assisted upscale as Fig. 9 draws it and the pipeline
+// engine runs it: bilinear on the full frame (the GPU path) concurrently
+// with DNN SR on the RoI view (the NPU path), then merge. Every buffer
+// comes from st.pool; the returned frame is the caller's to put back.
+func (st *sessionState) upscale(lr *frame.Image, roiRect frame.Rect, scale int) (*frame.Image, upscaleTimes, error) {
+	var ut upscaleTimes
+	pool := st.pool
+	base := pool.Image(lr.W*scale, lr.H*scale)
+	bilinear := func() error {
+		ut.tUp = time.Now()
+		err := upscale.ResizeIntoOn(nil, base, lr, upscale.Bilinear, pool)
+		ut.dUp = time.Since(ut.tUp)
+		return err
+	}
+	if roiRect.Empty() {
+		err := bilinear()
+		ut.dPair = ut.dUp
+		if err != nil {
+			pool.PutImage(base)
+			return nil, ut, err
+		}
+		return base, ut, nil
+	}
+	t0 := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- bilinear() }()
+	ut.tSR = time.Now()
+	hr := pool.Image(roiRect.W*scale, roiRect.H*scale)
+	roiImg, err := lr.SubImage(roiRect.X, roiRect.Y, roiRect.W, roiRect.H)
+	if err == nil {
+		err = sr.UpscaleTo(st.engine, hr, roiImg, scale, pool)
+	}
+	ut.dSR = time.Since(ut.tSR)
+	if berr := <-done; err == nil {
+		err = berr
+	}
+	ut.dPair = time.Since(t0)
+	if err == nil {
+		ut.tMerge = time.Now()
+		err = upscale.Merge(base, hr, roiRect, scale)
+		ut.dMerge = time.Since(ut.tMerge)
+	}
+	pool.PutImage(hr)
+	if err != nil {
+		pool.PutImage(base)
+		return nil, ut, err
+	}
+	return base, ut, nil
 }
 
 // pctDur computes the p-th percentile of a window of µs samples.

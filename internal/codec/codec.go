@@ -25,6 +25,7 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/parallel"
 )
 
 // FrameType distinguishes reference (intra) from non-reference (inter)
@@ -380,6 +381,12 @@ type Decoder struct {
 	// released frames. The decoder is single-goroutine, so plain slices do.
 	mvFree   [][]MV
 	sideFree []*SideInfo
+	// vals is the entropy decoder's output for one plane, kept across
+	// frames: it never leaves the decoder, so it needs no pool round trip.
+	vals []int32
+	// reference makes every pixel take the clamped per-pixel loops, serially
+	// — the form the row-slice loops are differentially tested against.
+	reference bool
 }
 
 // NewDecoder creates a decoder.
@@ -528,6 +535,16 @@ func (h header) qAt(x, y int) int32 {
 	return int32(h.q)
 }
 
+// roiSpan hoists qAt out of a row's inner loop: of the w pixels of row y
+// starting at column x, those at offsets [a, b) take the RoI quantizer and
+// the rest the base one (a == b when the row misses the RoI).
+func (h header) roiSpan(x, w, y int) (a, b int) {
+	if !h.hasRoI || y < h.roi.Y || y >= h.roi.Y+h.roi.H {
+		return 0, 0
+	}
+	return clampInt(h.roi.X-x, 0, w), clampInt(h.roi.X+h.roi.W-x, 0, w)
+}
+
 func appendHeader(buf []byte, t FrameType, cfg Config, roi *roiQuant) []byte {
 	buf = append(buf, magic, version, byte(t))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Width))
@@ -633,11 +650,17 @@ func parseHeader(data []byte) (header, []byte, error) {
 	return h, rest, nil
 }
 
+// planeVals returns the decoder's persistent n-value entropy scratch.
+func (d *Decoder) planeVals(n int) []int32 {
+	if cap(d.vals) < n {
+		d.vals = make([]int32, n)
+	}
+	return d.vals[:n]
+}
+
 func (d *Decoder) decodeIntra(h header, data []byte) (*frame.Image, error) {
 	im := d.pool.Image(h.w, h.h)
-	n := h.w * h.h
-	vals := d.pool.Int32s(n)
-	defer d.pool.PutInt32s(vals)
+	vals := d.planeVals(h.w * h.h)
 	for p := 0; p < 3; p++ {
 		rest, err := decodeSignedRLEInto(vals, data)
 		if err != nil {
@@ -647,12 +670,33 @@ func (d *Decoder) decodeIntra(h header, data []byte) (*frame.Image, error) {
 		data = rest
 		rp := reconPlane(im, p)
 		acc := int32(0)
-		for i, dv := range vals {
-			acc += dv
-			rp[i] = clamp8(acc * h.qAt(i%h.w, i/h.w))
+		if d.reference {
+			for i, dv := range vals {
+				acc += dv
+				rp[i] = clamp8(acc * h.qAt(i%h.w, i/h.w))
+			}
+			continue
+		}
+		for y := 0; y < h.h; y++ {
+			row := y * h.w
+			a, b := h.roiSpan(0, h.w, y)
+			acc = intraSpan(rp[row:row+a], vals[row:row+a], acc, int32(h.q))
+			acc = intraSpan(rp[row+a:row+b], vals[row+a:row+b], acc, int32(h.roiQ))
+			acc = intraSpan(rp[row+b:row+h.w], vals[row+b:row+h.w], acc, int32(h.q))
 		}
 	}
 	return im, nil
+}
+
+// intraSpan undoes the delta prediction over one constant-quantizer span,
+// returning the running level for the next span.
+func intraSpan(rp []uint8, vals []int32, acc, q int32) int32 {
+	vals = vals[:len(rp)]
+	for i, dv := range vals {
+		acc += dv
+		rp[i] = clamp8(acc * q)
+	}
+	return acc
 }
 
 func (d *Decoder) decodeInter(h header, data []byte, ref *frame.Image) (*frame.Image, *SideInfo, error) {
@@ -680,10 +724,10 @@ func (d *Decoder) decodeInter(h header, data []byte, ref *frame.Image) (*frame.I
 	im := d.pool.Image(h.w, h.h)
 	n := h.w * h.h
 	ref = ref.Compact()
-	vals := d.pool.Int32s(n)
-	defer d.pool.PutInt32s(vals)
+	pl := interPlane{h: h, bw: bw, mvs: side.MVs, vals: d.planeVals(n)}
 	for p := 0; p < 3; p++ {
-		rest, err := decodeSignedRLEInto(vals, data)
+		// Entropy decoding is serial by nature; reconstruction is not.
+		rest, err := decodeSignedRLEInto(pl.vals, data)
 		if err != nil {
 			d.pool.PutImage(im)
 			for q := 0; q < p; q++ {
@@ -693,40 +737,103 @@ func (d *Decoder) decodeInter(h header, data []byte, ref *frame.Image) (*frame.I
 			return nil, nil, err
 		}
 		data = rest
-		rp := reconPlane(im, p)
-		refp := srcPlane(ref, p)
 		// The block grid covers every pixel, so the dirty pooled planes
 		// below are fully overwritten.
-		resPlane := d.pool.Int16s(n)
-		side.Residual[p] = resPlane
-		for by := 0; by < bh; by++ {
-			for bx := 0; bx < bw; bx++ {
-				mv := side.MVs[by*bw+bx]
-				x := bx * bs
-				y := by * bs
-				w := min(bs, h.w-x)
-				hh := min(bs, h.h-y)
-				for j := 0; j < hh; j++ {
-					sy := y + j
-					ry := clampInt(sy+int(mv.DY), 0, h.h-1)
-					for i := 0; i < w; i++ {
-						sx := x + i
-						rx := clampInt(sx+int(mv.DX), 0, h.w-1)
-						var pred int32
-						if h.halfPel {
-							pred = predHalfPel(refp, h.w, h.h, sx, sy, int(mv.DX), int(mv.DY))
-						} else {
-							pred = int32(refp[ry*h.w+rx])
-						}
-						res := vals[sy*h.w+sx] * h.qAt(sx, sy)
-						resPlane[sy*h.w+sx] = int16(clampRes(res))
-						rp[sy*h.w+sx] = clamp8(pred + res)
-					}
-				}
+		pl.rp, pl.refp, pl.res = reconPlane(im, p), srcPlane(ref, p), d.pool.Int16s(n)
+		side.Residual[p] = pl.res
+		if d.reference {
+			for by := 0; by < bh; by++ {
+				pl.blockRow(by, true)
 			}
+			continue
 		}
+		// Block rows write disjoint pixel rows of im and the residual plane
+		// and only read ref and vals, so they parallelise freely.
+		parallel.For(bh, func(lo, hi int) {
+			for by := lo; by < hi; by++ {
+				pl.blockRow(by, false)
+			}
+		})
 	}
 	return im, side, nil
+}
+
+// interPlane is one colour plane of an inter frame under reconstruction:
+// the motion-compensated prediction from refp plus the dequantized residual
+// vals·q gives the pixels rp; the clamped residual is kept in res as NEMO
+// side information. All planes are packed, width h.w.
+type interPlane struct {
+	h        header
+	bw       int
+	mvs      []MV
+	rp, refp []uint8
+	res      []int16
+	vals     []int32
+}
+
+// blockRow reconstructs the blocks of block row by. A block whose displaced
+// footprint lies inside the frame (integer-pel only) needs no coordinate
+// clamp, so it runs row slice by row slice with the quantizer hoisted per
+// span; border blocks, half-pel streams and vectors pointing off the frame
+// — and, with clampedOnly, everything — keep the clamped per-pixel loop.
+// Both produce the same bytes.
+func (pl *interPlane) blockRow(by int, clampedOnly bool) {
+	h := pl.h
+	y := by * h.bs
+	hh := min(h.bs, h.h-y)
+	for bx := 0; bx < pl.bw; bx++ {
+		mv := pl.mvs[by*pl.bw+bx]
+		x := bx * h.bs
+		w := min(h.bs, h.w-x)
+		dx, dy := int(mv.DX), int(mv.DY)
+		if clampedOnly || h.halfPel || x+dx < 0 || x+w+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
+			pl.blockClamped(x, y, w, hh, mv)
+			continue
+		}
+		for sy := y; sy < y+hh; sy++ {
+			o := sy*h.w + x
+			r := (sy+dy)*h.w + x + dx
+			a, b := h.roiSpan(x, w, sy)
+			pl.span(o, r, a, int32(h.q))
+			pl.span(o+a, r+a, b-a, int32(h.roiQ))
+			pl.span(o+b, r+b, w-b, int32(h.q))
+		}
+	}
+}
+
+// span reconstructs n pixels from offset o, predicted from reference offset
+// r, at the constant quantizer q.
+func (pl *interPlane) span(o, r, n int, q int32) {
+	rp, res, vals, ref := pl.rp[o:o+n], pl.res[o:o+n], pl.vals[o:o+n], pl.refp[r:r+n]
+	for i := range rp {
+		d := vals[i] * q
+		res[i] = int16(clampRes(d))
+		rp[i] = clamp8(int32(ref[i]) + d)
+	}
+}
+
+// blockClamped is the general per-pixel loop: every reference coordinate is
+// clamped to the frame (or half-pel interpolated) and the quantizer looked
+// up per pixel.
+func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
+	h := pl.h
+	for j := 0; j < hh; j++ {
+		sy := y + j
+		ry := clampInt(sy+int(mv.DY), 0, h.h-1)
+		for i := 0; i < w; i++ {
+			sx := x + i
+			rx := clampInt(sx+int(mv.DX), 0, h.w-1)
+			var pred int32
+			if h.halfPel {
+				pred = predHalfPel(pl.refp, h.w, h.h, sx, sy, int(mv.DX), int(mv.DY))
+			} else {
+				pred = int32(pl.refp[ry*h.w+rx])
+			}
+			res := pl.vals[sy*h.w+sx] * h.qAt(sx, sy)
+			pl.res[sy*h.w+sx] = int16(clampRes(res))
+			pl.rp[sy*h.w+sx] = clamp8(pred + res)
+		}
+	}
 }
 
 // diamondSearch finds the motion vector minimising the SAD of the block at
@@ -835,9 +942,13 @@ func decodeSignedRLEInto(out []int32, data []byte) ([]byte, error) {
 		if len(data) == 0 {
 			return nil, fmt.Errorf("%w: truncated plane data", ErrCorrupt)
 		}
-		if data[0] == 0x00 {
-			run, m := binary.Uvarint(data[1:])
-			if m <= 0 {
+		b := data[0]
+		if b == 0x00 {
+			// Runs under 128 — a one-byte uvarint — are decoded in place.
+			run, m := uint64(0), 0
+			if len(data) > 1 && data[1] < 0x80 {
+				run, m = uint64(data[1]), 1
+			} else if run, m = binary.Uvarint(data[1:]); m <= 0 {
 				return nil, fmt.Errorf("%w: truncated zero run", ErrCorrupt)
 			}
 			data = data[1+m:]
@@ -845,6 +956,14 @@ func decodeSignedRLEInto(out []int32, data []byte) ([]byte, error) {
 				return nil, fmt.Errorf("%w: zero run %d overflows plane", ErrCorrupt, run)
 			}
 			i += int(run) // out already zeroed
+			continue
+		}
+		if b < 0x80 {
+			// A one-byte varint (|v| < 64, nearly every residual): undo the
+			// zigzag directly.
+			out[i] = int32(b>>1) ^ -int32(b&1)
+			data = data[1:]
+			i++
 			continue
 		}
 		v, m := binary.Varint(data)

@@ -1,0 +1,256 @@
+package codec
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"testing"
+
+	"gamestreamsr/internal/bufpool"
+	"gamestreamsr/internal/frame"
+)
+
+// referenceDecoder returns a decoder pinned to the clamped per-pixel loops.
+func referenceDecoder() *Decoder {
+	d := NewDecoder()
+	d.reference = true
+	return d
+}
+
+// sameDecode feeds data to the fast and the reference decoder and requires
+// the same outcome: the same error, or the same image, MV grid and residual
+// planes, byte for byte. It returns the decode error, if any.
+func sameDecode(t testing.TB, fast, ref *Decoder, data []byte) error {
+	t.Helper()
+	got, gerr := fast.Decode(data)
+	want, werr := ref.Decode(data)
+	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+		t.Fatalf("fast path error %v, reference error %v", gerr, werr)
+	}
+	if gerr != nil {
+		return gerr
+	}
+	if got.Type != want.Type || !got.Image.Equal(want.Image) {
+		t.Fatalf("%v frame: fast-path image differs from the reference loop", want.Type)
+	}
+	if (got.Side == nil) != (want.Side == nil) {
+		t.Fatal("side info present on one path only")
+	}
+	if got.Side != nil {
+		gs, ws := got.Side, want.Side
+		if gs.BlocksX != ws.BlocksX || gs.BlocksY != ws.BlocksY || gs.BlockSize != ws.BlockSize || gs.HalfPel != ws.HalfPel {
+			t.Fatalf("side header %+v, reference %+v", *gs, *ws)
+		}
+		if !slices.Equal(gs.MVs, ws.MVs) {
+			t.Fatal("MV grid differs from the reference loop")
+		}
+		for p := range gs.Residual {
+			if !slices.Equal(gs.Residual[p], ws.Residual[p]) {
+				t.Fatalf("residual plane %d differs from the reference loop", p)
+			}
+		}
+	}
+	// Recycling exercises the dirty-pooled-buffer side of the contract: the
+	// next frame's planes arrive poisoned under -race.
+	fast.Recycle(got)
+	return nil
+}
+
+// atProcs runs f at GOMAXPROCS 1 and 2, so the block rows are reconstructed
+// both inline and with a worker stealing them.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
+	}
+}
+
+// TestDecodeFastPathMatchesReference is the decoder differential over real
+// content: G3 GOPs at geometries that are and are not multiples of the block
+// size, uniform and RoI-quantized, integer- and half-pel.
+func TestDecodeFastPathMatchesReference(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		for _, g := range [][2]int{{96, 54}, {100, 60}, {64, 48}, {33, 17}} {
+			frames := gameFrames(t, "G3", 0, 7, g[0], g[1])
+			roi := frame.Rect{X: g[0] / 3, Y: g[1] / 4, W: g[0] / 3, H: g[1] / 2}
+			for _, halfPel := range []bool{false, true} {
+				for _, withRoI := range []bool{false, true} {
+					enc, err := NewEncoder(Config{Width: g[0], Height: g[1], GOPSize: 6, HalfPel: halfPel})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fast, ref := NewDecoder(), referenceDecoder()
+					fast.SetPool(bufpool.New())
+					for i, f := range frames {
+						var data []byte
+						if withRoI {
+							data, _, err = enc.EncodeRoI(f, roi, 2)
+						} else {
+							data, _, err = enc.Encode(f)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := sameDecode(t, fast, ref, data); err != nil {
+							t.Fatalf("%dx%d halfpel=%v roi=%v frame %d: %v", g[0], g[1], halfPel, withRoI, i, err)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// craftInter hand-assembles an inter frame: the given MV for every block
+// (cycled), random residuals, optional RoI quantizer — streams no encoder
+// would emit, which is the point.
+func craftInter(cfg Config, rq *roiQuant, mvs []MV, rng *rand.Rand) []byte {
+	cfg = cfg.withDefaults()
+	bw := (cfg.Width + cfg.BlockSize - 1) / cfg.BlockSize
+	bh := (cfg.Height + cfg.BlockSize - 1) / cfg.BlockSize
+	buf := appendHeader(nil, Inter, cfg, rq)
+	for i := 0; i < bw*bh; i++ {
+		mv := mvs[i%len(mvs)]
+		buf = binary.AppendVarint(buf, int64(mv.DX))
+		buf = binary.AppendVarint(buf, int64(mv.DY))
+	}
+	vals := make([]int32, cfg.Width*cfg.Height)
+	for p := 0; p < 3; p++ {
+		for i := range vals {
+			switch rng.Intn(8) {
+			case 0:
+				vals[i] = int32(rng.Intn(41) - 20)
+			case 1:
+				vals[i] = int32(rng.Intn(1<<20)) - 1<<19 // residuals past the int16 clamp
+			default:
+				vals[i] = 0
+			}
+		}
+		buf = appendSignedRLE(buf, vals)
+	}
+	return buf
+}
+
+// TestDecodeHostileMotionVectors points vectors off every edge and corner,
+// to the int8 extremes, and exactly onto the last in-frame position, on
+// geometries with partial edge blocks, with and without an RoI quantizer and
+// half-pel: the footprint test must route each block to the loop that is
+// valid for it, and both decoders must agree.
+func TestDecodeHostileMotionVectors(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(12))
+		for _, g := range [][2]int{{48, 32}, {50, 35}, {20, 70}, {16, 16}, {5, 3}} {
+			w, h := g[0], g[1]
+			cfg := Config{Width: w, Height: h}
+			ref0 := newTestImage(w, h, []byte{3, 250, 17, 99, 180, 42, 7})
+			intra, _, err := mustEncoder(t, cfg).Encode(ref0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edge := []MV{
+				{0, 0}, {-1, 0}, {1, 0}, {0, -1}, {0, 1}, {-128, -128}, {127, 127}, {-128, 127}, {127, -128},
+				{int8(min(w-16, 127)), 0}, {0, int8(min(h-16, 127))}, {int8(max(-w, -128)), int8(max(-h, -128))},
+				{16, 16}, {-16, -16}, {3, -5}, {-7, 2},
+			}
+			random := make([]MV, 64)
+			for i := range random {
+				random[i] = MV{DX: int8(rng.Intn(256) - 128), DY: int8(rng.Intn(256) - 128)}
+			}
+			for _, mvs := range [][]MV{edge, random, edge[1:2], edge[2:3], edge[3:4], edge[4:5]} {
+				for _, halfPel := range []bool{false, true} {
+					for _, rq := range []*roiQuant{nil, {rect: frame.Rect{X: w / 4, Y: h / 4, W: max(w/2, 1), H: max(h/2, 1)}, q: 3}} {
+						c := cfg
+						c.HalfPel = halfPel
+						data := craftInter(c, rq, mvs, rng)
+						fast, ref := NewDecoder(), referenceDecoder()
+						fast.SetPool(bufpool.New())
+						for _, d := range [][]byte{intra, data, data} { // the second inter predicts from the first
+							if err := sameDecode(t, fast, ref, d); err != nil {
+								t.Fatalf("%dx%d halfpel=%v: crafted stream rejected: %v", w, h, halfPel, err)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+func mustEncoder(t testing.TB, cfg Config) *Encoder {
+	t.Helper()
+	enc, err := NewEncoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestDecodeRLEShortFormsMatchVarint pins the in-place one-byte value and
+// run decoding to the general varint route: every one-byte code, the
+// two-byte codes around the boundary, and truncations of each.
+func TestDecodeRLEShortFormsMatchVarint(t *testing.T) {
+	for v := int32(-200); v <= 200; v++ {
+		got, rest, err := decodeSignedRLE(appendSignedRLE(nil, []int32{v, 1}), 2)
+		if err != nil || len(rest) != 0 || got[0] != v || got[1] != 1 {
+			t.Fatalf("value %d round-tripped to %v (rest %d, err %v)", v, got, len(rest), err)
+		}
+	}
+	for run := 1; run <= 300; run++ {
+		vals := make([]int32, run+1)
+		vals[run] = -3
+		got, rest, err := decodeSignedRLE(appendSignedRLE(nil, vals), run+1)
+		if err != nil || len(rest) != 0 || got[run] != -3 {
+			t.Fatalf("run %d: err %v rest %d", run, err, len(rest))
+		}
+		for i := 0; i < run; i++ {
+			if got[i] != 0 {
+				t.Fatalf("run %d: value %d is %d", run, i, got[i])
+			}
+		}
+	}
+	for _, bad := range [][]byte{{0x00}, {0x00, 0x00}, {0x00, 0x80}, {0x00, 0x05}, {0x80}} {
+		if _, _, err := decodeSignedRLE(bad, 3); err == nil {
+			t.Errorf("stream % x decoded", bad)
+		}
+	}
+}
+
+// BenchmarkDecodeInter720p is the client's per-frame decode in the form the
+// client and the engine call it: a pooled decoder whose frames are recycled.
+// The reference is re-seeded by the same intra frame outside the timer every
+// iteration, so every iteration decodes the same inter frame.
+func BenchmarkDecodeInter720p(b *testing.B) {
+	frames := gameFrames(b, "G3", 0, 2, 1280, 720)
+	enc, _ := NewEncoder(Config{Width: 1280, Height: 720})
+	intra, _, err := enc.Encode(frames[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	inter, _, err := enc.Encode(frames[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec := NewDecoder()
+	dec.SetPool(bufpool.New())
+	b.ReportAllocs()
+	b.SetBytes(int64(len(inter)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ref, err := dec.Decode(intra)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dec.Recycle(ref)
+		b.StartTimer()
+		df, err := dec.Decode(inter)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dec.Recycle(df)
+	}
+}

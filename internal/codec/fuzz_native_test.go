@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"math/rand"
 	"testing"
 
 	"gamestreamsr/internal/frame"
@@ -9,7 +10,9 @@ import (
 // Native Go fuzz targets (run in regression mode as part of `go test`;
 // `go test -fuzz=FuzzDecode ./internal/codec` explores further). The
 // invariant under fuzz is total robustness: whatever the bytes, Decode
-// returns an error or a well-formed frame — never a panic.
+// returns an error or a well-formed frame — never a panic — and the
+// row-slice fast path and the clamped reference loops agree on which, and on
+// every byte of the frame.
 
 func FuzzDecode(f *testing.F) {
 	// Seed with real bitstreams of both frame types.
@@ -35,21 +38,24 @@ func FuzzDecode(f *testing.F) {
 	f.Add(inter)
 	f.Add([]byte{magic, version, byte(Intra)})
 	f.Add([]byte{})
+	// Crafted inter frames: vectors off every edge, an RoI quantizer, half-pel.
+	rng := rand.New(rand.NewSource(1))
+	cfg := Config{Width: 32, Height: 24}
+	f.Add(craftInter(cfg, nil, []MV{{-128, 127}, {127, -128}, {16, 8}, {0, 0}}, rng))
+	f.Add(craftInter(cfg, &roiQuant{rect: frame.Rect{X: 5, Y: 3, W: 20, H: 11}, q: 2}, []MV{{3, -2}, {-40, 1}}, rng))
+	cfg.HalfPel = true
+	f.Add(craftInter(cfg, nil, []MV{{5, 3}, {-1, -1}}, rng))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := NewDecoder()
+		fast, ref := NewDecoder(), referenceDecoder()
 		// Seed a reference so inter frames have something to predict from.
-		if _, err := dec.Decode(intra); err != nil {
+		if err := sameDecode(t, fast, ref, intra); err != nil {
 			t.Fatal(err)
 		}
-		df, err := dec.Decode(data)
-		if err == nil {
-			if df == nil || df.Image == nil {
-				t.Fatal("successful decode returned nil frame")
-			}
-			if df.Image.W <= 0 || df.Image.H <= 0 {
-				t.Fatal("successful decode returned empty geometry")
-			}
+		// Either outcome is fine as long as both paths reach it; a panic
+		// (a nil frame included) fails the run.
+		if sameDecode(t, fast, ref, data) == nil && (fast.prev.W <= 0 || fast.prev.H <= 0) {
+			t.Fatal("successful decode returned empty geometry")
 		}
 	})
 }

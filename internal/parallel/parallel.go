@@ -87,13 +87,33 @@ func (s *scratchStack[S]) put(v S) {
 // Create one per kernel call site (typically a package-level or per-object
 // variable) with NewScratch; the same Scratch may back many ForWith calls,
 // including concurrent ones.
-type Scratch[S any] struct{ stack scratchStack[S] }
+type Scratch[S any] struct {
+	stack scratchStack[S]
+	// calls recycles ForWithOn's per-submission bodies, so the generic
+	// form needs no closure either.
+	calls scratchStack[*withCall[S]]
+}
+
+// withCall is one ForWithOn submission as a chunkBody: each chunk pops a
+// scratch value, runs fn and pushes the value back.
+type withCall[S any] struct {
+	s  *Scratch[S]
+	fn func(lo, hi int, scratch S)
+}
+
+func (w *withCall[S]) runChunk(_, lo, hi int) {
+	v := w.s.stack.get()
+	w.fn(lo, hi, v)
+	w.s.stack.put(v)
+}
 
 // NewScratch returns a Scratch whose values are created by alloc. Values
 // are handed to ForWith callbacks DIRTY — state left by a previous chunk —
 // so callbacks must reset or fully overwrite whatever they read.
 func NewScratch[S any](alloc func() S) *Scratch[S] {
-	return &Scratch[S]{stack: scratchStack[S]{alloc: alloc}}
+	s := &Scratch[S]{stack: scratchStack[S]{alloc: alloc}}
+	s.calls.alloc = func() *withCall[S] { return &withCall[S]{s: s} }
+	return s
 }
 
 // ForWith is For with a per-chunk scratch value drawn from s: each chunk

@@ -3,6 +3,7 @@ package parallel
 import (
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -214,4 +215,60 @@ func TestSumSteadyStateAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("Sum allocates %.1f objects per call in steady state", allocs)
 	}
+}
+
+// TestForSubmissionAllocFree pins job submission at zero allocations: the
+// header is recycled per client, For's callback rides in the header without
+// a wrapper closure and ForWith's generic body is pooled on its Scratch.
+// (A callback that captures variables is still the caller's own allocation.)
+// A multi-worker scheduler is used so the job path, not the single-CPU
+// inline shortcut, is what is measured.
+func TestForSubmissionAllocFree(t *testing.T) {
+	s := NewScheduler(2)
+	defer s.Close()
+	c := s.NewClient(ClientConfig{Name: "allocs"})
+	scratch := NewScratch(func() *int { return new(int) })
+	body := func(lo, hi int) {}
+	with := func(lo, hi int, _ *int) {}
+	c.For(64, body)
+	ForWithOn(c, 64, scratch, with)
+	if a := testing.AllocsPerRun(100, func() { c.For(64, body) }); a != 0 {
+		t.Errorf("Client.For allocates %.1f objects per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { ForWithOn(c, 64, scratch, with) }); a != 0 {
+		t.Errorf("ForWithOn allocates %.1f objects per call, want 0", a)
+	}
+}
+
+// TestJobHeaderReuseUnderContention hammers one client from several
+// goroutines with tiny jobs, so workers routinely lose the race for a job's
+// last chunk while the submitter is already re-arming a header: every chunk
+// of every job must still run exactly once (run under -race).
+func TestJobHeaderReuseUnderContention(t *testing.T) {
+	s := NewScheduler(4)
+	defer s.Close()
+	c := s.NewClient(ClientConfig{Name: "reuse"})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for it := 0; it < 2000; it++ {
+				n := 2 + (it+g)%7
+				var hits [8]int32
+				c.For(n, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i := 0; i < n; i++ {
+					if hits[i] != 1 {
+						t.Errorf("n=%d: index %d visited %d times", n, i, hits[i])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -82,6 +82,11 @@ type Client struct {
 	stolen       atomic.Int64 // chunks executed by pool workers
 	stolenWaitNs atomic.Int64 // Σ (claim time − submit time) over stolen chunks
 	runNs        atomic.Int64 // Σ wall time of run() calls
+
+	// free recycles this client's job headers, so a steady-state submission
+	// allocates nothing. A stack rather than one slot: nested and concurrent
+	// submissions through the same client each hold a header.
+	free scratchStack[*job]
 }
 
 // ClientStats is a point-in-time copy of a client's accounting.
@@ -100,18 +105,63 @@ type ClientStats struct {
 	Run time.Duration
 }
 
+// chunkBody is what a job executes per chunk. The three submission forms
+// implement it without a wrapper closure: func values are pointer-shaped,
+// so storing a rangeFn or chunkFn in the interface allocates nothing, and
+// ForWithOn's generic body is a pooled *withCall.
+type chunkBody interface {
+	runChunk(chunk, lo, hi int)
+}
+
+// rangeFn is For's callback as a chunkBody.
+type rangeFn func(lo, hi int)
+
+func (f rangeFn) runChunk(_, lo, hi int) { f(lo, hi) }
+
+// chunkFn is the reductions' callback (it needs the chunk index).
+type chunkFn func(chunk, lo, hi int)
+
+func (f chunkFn) runChunk(chunk, lo, hi int) { f(chunk, lo, hi) }
+
 // job is one For/Sum invocation: a chunk grid claimed via an atomic cursor
-// by the submitter and however many workers the scheduler assigns.
+// by the submitter and however many workers the scheduler assigns. Headers
+// are recycled through their client's free stack; refs counts the
+// goroutines still holding the pointer (the submitter plus every worker
+// that picked it), and the last one out returns it, so a worker that lost
+// the race for the final chunk never touches a header already re-armed for
+// the next submission.
 type job struct {
-	fn     func(chunk, lo, hi int)
+	body   chunkBody
 	n      int
 	c      *Client
 	t0     time.Time
 	seq    uint64
 	chunks int32
 	next   atomic.Int32
+	refs   atomic.Int32
 	queued bool // guarded by the scheduler mutex
 	wg     sync.WaitGroup
+}
+
+// getJob returns a header armed for body over [0, n), holding the
+// submitter's reference.
+func (c *Client) getJob(n int, body chunkBody, t0 time.Time) *job {
+	j := c.free.get()
+	j.body, j.n, j.t0, j.chunks = body, n, t0, int32(chunkCount(n))
+	j.next.Store(0)
+	j.refs.Store(1)
+	j.wg.Add(int(j.chunks))
+	return j
+}
+
+// release drops one reference; the last holder clears the callback (so the
+// free stack pins no caller state) and recycles the header.
+func (j *job) release() {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
+	j.body = nil
+	j.c.free.put(j)
 }
 
 // runChunk claims and executes one chunk, reporting whether one was left.
@@ -127,7 +177,7 @@ func (j *job) runChunk(stolen bool) bool {
 	}
 	j.c.vtime.Add(j.c.vdelta.Load())
 	nc := int(j.chunks)
-	j.fn(ci, ci*j.n/nc, (ci+1)*j.n/nc)
+	j.body.runChunk(ci, ci*j.n/nc, (ci+1)*j.n/nc)
 	j.wg.Done()
 	return true
 }
@@ -183,6 +233,7 @@ func (s *Scheduler) Workers() int { return s.size }
 // session ends.
 func (s *Scheduler) NewClient(cfg ClientConfig) *Client {
 	c := &Client{s: s, name: cfg.Name}
+	c.free.alloc = func() *job { return &job{c: c} }
 	name := cfg.Name
 	if name == "" {
 		name = "default"
@@ -259,7 +310,8 @@ func (s *Scheduler) dequeue(j *job) {
 
 // pickLocked returns the runnable job to serve next — highest priority
 // class first, then lowest client virtual time, then submission order —
-// pruning exhausted jobs as it scans. Caller holds s.mu.
+// pruning exhausted jobs as it scans. The job is returned with a reference
+// taken for the caller (see job.release). Caller holds s.mu.
 func (s *Scheduler) pickLocked() *job {
 	var best *job
 	for i := 0; i < len(s.runnable); {
@@ -276,6 +328,9 @@ func (s *Scheduler) pickLocked() *job {
 			best = j
 		}
 		i++
+	}
+	if best != nil {
+		best.refs.Add(1) // the picking worker's reference, dropped after its chunk
 	}
 	return best
 }
@@ -321,6 +376,7 @@ func (s *Scheduler) worker() {
 		if !j.runChunk(true) {
 			s.dequeue(j)
 		}
+		j.release()
 		s.mu.Lock()
 	}
 }
@@ -333,13 +389,12 @@ func (c *Client) norm() *Client {
 	return c
 }
 
-// run executes fn over the deterministic chunk grid of [0, n), always
+// run executes body over the deterministic chunk grid of [0, n), always
 // participating on the calling goroutine and accepting worker help as the
 // scheduler assigns it.
-func (c *Client) run(n int, fn func(chunk, lo, hi int)) {
+func (c *Client) run(n int, body chunkBody) {
 	t0 := time.Now()
-	j := &job{fn: fn, n: n, c: c, t0: t0, chunks: int32(chunkCount(n))}
-	j.wg.Add(int(j.chunks))
+	j := c.getJob(n, body, t0)
 	c.jobs.Add(1)
 	c.chunks.Add(int64(j.chunks))
 	s := c.s
@@ -353,6 +408,7 @@ func (c *Client) run(n int, fn func(chunk, lo, hi int)) {
 		s.dequeue(j)
 	}
 	j.wg.Wait()
+	j.release()
 	c.runNs.Add(int64(time.Since(t0)))
 }
 
@@ -369,7 +425,7 @@ func (c *Client) For(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	c.run(n, func(_, lo, hi int) { fn(lo, hi) })
+	c.run(n, rangeFn(fn))
 }
 
 // Sum is Sum attributed to c; the reduction order is the chunk grid's, so
@@ -380,7 +436,7 @@ func (c *Client) Sum(n int, fn func(lo, hi int) float64) float64 {
 	}
 	c = c.norm()
 	parts := getParts(chunkCount(n))
-	c.run(n, func(ch, lo, hi int) { parts[ch] = fn(lo, hi) })
+	c.run(n, chunkFn(func(ch, lo, hi int) { parts[ch] = fn(lo, hi) }))
 	total := 0.0
 	for _, p := range parts {
 		total += p
@@ -403,7 +459,7 @@ func (c *Client) SumVecInto(total []float64, n, k int, fn func(lo, hi int, acc [
 	c = c.norm()
 	nc := chunkCount(n)
 	parts := getParts(nc * k)
-	c.run(n, func(ch, lo, hi int) { fn(lo, hi, parts[ch*k:(ch+1)*k:(ch+1)*k]) })
+	c.run(n, chunkFn(func(ch, lo, hi int) { fn(lo, hi, parts[ch*k:(ch+1)*k:(ch+1)*k]) }))
 	for ch := 0; ch < nc; ch++ {
 		for i := 0; i < k; i++ {
 			total[i] += parts[ch*k+i]
@@ -428,11 +484,11 @@ func ForWithOn[S any](c *Client, n int, s *Scratch[S], fn func(lo, hi int, scrat
 		s.stack.put(v)
 		return
 	}
-	c.run(n, func(_, lo, hi int) {
-		v := s.stack.get()
-		fn(lo, hi, v)
-		s.stack.put(v)
-	})
+	w := s.calls.get()
+	w.fn = fn
+	c.run(n, w)
+	w.fn = nil
+	s.calls.put(w)
 }
 
 // Name returns the client's label ("default" for the nil client).

@@ -17,7 +17,7 @@ func TestWFQSplitDeterministic(t *testing.T) {
 	b := s.NewClient(ClientConfig{Name: "b", Weight: 4})
 
 	mkJob := func(c *Client) *job {
-		j := &job{fn: func(_, _, _ int) {}, n: maxChunks, c: c, chunks: maxChunks}
+		j := &job{body: chunkFn(func(_, _, _ int) {}), n: maxChunks, c: c, chunks: maxChunks}
 		s.enqueue(j)
 		return j
 	}
@@ -60,7 +60,7 @@ func TestPriorityPreemptsWFQ(t *testing.T) {
 
 	var jobs []*job
 	for _, c := range []*Client{bg, nm, ia} {
-		j := &job{fn: func(_, _, _ int) {}, n: 4, c: c, chunks: 4}
+		j := &job{body: chunkFn(func(_, _, _ int) {}), n: 4, c: c, chunks: 4}
 		s.enqueue(j)
 		jobs = append(jobs, j)
 	}
@@ -229,9 +229,9 @@ func TestIdleCatchUpPreventsStarvation(t *testing.T) {
 	idle := s.NewClient(ClientConfig{Name: "idle"})
 	active.vtime.Store(1 << 30) // has been running a while
 
-	ja := &job{fn: func(_, _, _ int) {}, n: maxChunks, c: active, chunks: maxChunks}
+	ja := &job{body: chunkFn(func(_, _, _ int) {}), n: maxChunks, c: active, chunks: maxChunks}
 	s.enqueue(ja)
-	ji := &job{fn: func(_, _, _ int) {}, n: maxChunks, c: idle, chunks: maxChunks}
+	ji := &job{body: chunkFn(func(_, _, _ int) {}), n: maxChunks, c: idle, chunks: maxChunks}
 	s.enqueue(ji)
 
 	if got := idle.vtime.Load(); got != 1<<30 {

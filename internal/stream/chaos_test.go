@@ -101,6 +101,7 @@ func TestPingPong(t *testing.T) {
 	if rtt < 0 || rtt > 5*time.Second {
 		t.Fatalf("implausible heartbeat RTT %v", rtt)
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -138,6 +139,7 @@ func TestResumeTokenIssued(t *testing.T) {
 				break
 			}
 		}
+		_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 		<-done
 		server.Close()
 		client.Close()
@@ -229,6 +231,7 @@ func TestIdleReaperSparesHeartbeatingClient(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatalf("heartbeating session reaped: %v", err)
 	}
@@ -270,6 +273,7 @@ func TestIdleReaperIgnoresPreV4(t *testing.T) {
 		}
 		frames++
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatalf("v3 session reaped: %v", err)
 	}

@@ -172,13 +172,15 @@ func TestRelayFanout(t *testing.T) {
 	if got := s.Counter("stream_subscribers_accepted_total"); got != nSpecs {
 		t.Errorf("subscribers_accepted_total = %d, want %d", got, nSpecs)
 	}
-	// Each spectator joined after frame 0 was cached: 3 late joins served
-	// from the keyframe cache, then 11 live frames each.
-	if got := s.Counter("stream_relay_late_joins_total"); got != nSpecs {
-		t.Errorf("late_joins_total = %d, want %d", got, nSpecs)
-	}
-	if got := s.Counter("stream_relay_frames_fanout_total"); got != nSpecs*(nFrames-1) {
-		t.Errorf("fanout_total = %d, want %d", got, nSpecs*(nFrames-1))
+	// Every spectator got every frame exactly once (checked above), each
+	// either from the keyframe cache at attach (a late join) or live from
+	// the fan-out. Frame 0 is not gated, so whether a given spectator
+	// attached before or after it reached the cache is a race the test
+	// does not control: the split is free, the sum is not.
+	late, fanout := s.Counter("stream_relay_late_joins_total"), s.Counter("stream_relay_frames_fanout_total")
+	if late > nSpecs || late+fanout != nSpecs*nFrames {
+		t.Errorf("late_joins_total = %d, fanout_total = %d: want at most %d late joins and a sum of %d",
+			late, fanout, nSpecs, nSpecs*nFrames)
 	}
 	if got := s.Counter("stream_relay_subscribers_evicted_total"); got != 0 {
 		t.Errorf("evicted_total = %d, want 0", got)

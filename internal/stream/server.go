@@ -695,6 +695,9 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 	}
 	if ch != nil {
 		opt.Tap = ch.Publish
+		// A stream sent in full ends the channel gracefully (queued tail,
+		// then Bye) right away, not after this client has hung up.
+		opt.afterBye = func() { ch.close(false) }
 	}
 	err := serveHello(conn, hello, tHello, opt) // per-session errors end that session only
 	sink.close()

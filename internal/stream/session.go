@@ -86,6 +86,40 @@ type ServerOptions struct {
 	// relay's encode-once fan-out point. The packet's payload is only
 	// valid during the call; implementations that keep it must copy.
 	Tap func(FramePacket)
+	// afterBye, if non-nil, runs once the stream has been sent in full and
+	// the Bye written, before the session waits for the client to hang up —
+	// MultiServer ends the relay channel here, so spectators are not kept
+	// waiting on the publisher's client.
+	afterBye func()
+}
+
+// byeDrainTimeout bounds how long a finished session waits for its client
+// to hang up (see awaitHangup). A client can be a socket buffer of frames
+// behind — about a second at 720p — so the bound is generous; it only
+// binds for a peer that neither reads nor closes.
+const byeDrainTimeout = 5 * time.Second
+
+// awaitHangup ends a session whose Bye is on the wire: it half-closes conn
+// (the FIN follows the Bye) and waits, for at most byeDrainTimeout, until
+// the session's read goroutine sees the client's Bye or hang-up. Without it
+// the caller's Close can find unread client bytes in the socket (a
+// heartbeat or Stats report sent after the server stopped listening); TCP
+// then answers with a RST, and a RST destroys every frame the client had
+// received but not yet read. A conn without read deadlines cannot bound
+// the wait, so it is closed as before.
+func awaitHangup(conn io.ReadWriter, readDone <-chan struct{}) {
+	rd, ok := conn.(interface{ SetReadDeadline(time.Time) error })
+	if !ok {
+		return
+	}
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite() // best effort: the Bye alone tells the client as much
+	}
+	// The reader may re-arm its idle deadline once more if it was between
+	// its check of finished and the call; the wait is then bounded by
+	// IdleTimeout instead, which is of the same order.
+	_ = rd.SetReadDeadline(time.Now().Add(byeDrainTimeout))
+	<-readDone
 }
 
 // DefaultSlowSend is the default outlier threshold for frame-send logging:
@@ -163,9 +197,11 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	// whole messages onto the socket: pong replies come from this read
 	// goroutine while frames stream from the session loop, and a message is
 	// two Writes (header, body) that must not interleave.
-	var clientBye atomic.Bool
+	// finished marks the stream as sent in full, Bye included: from then on
+	// the reader only waits for the client to hang up (awaitHangup).
+	var clientBye, finished atomic.Bool
 	var sendMu sync.Mutex
-	var wg sync.WaitGroup
+	readDone := make(chan struct{})
 	stopRead := make(chan struct{})
 	// Read-side liveness (v4): the client heartbeats, so a silent
 	// connection is a dead one. The deadline is re-armed before every read;
@@ -173,16 +209,17 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	// unblocks a frame writer stuck on a blackholed socket.
 	rd, canDeadline := conn.(interface{ SetReadDeadline(time.Time) error })
 	liveness := ver >= ProtocolV4 && opt.IdleTimeout > 0 && canDeadline
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
+		defer close(readDone)
 		for {
-			if liveness {
+			if liveness && !finished.Load() {
 				rd.SetReadDeadline(time.Now().Add(opt.IdleTimeout))
 			}
 			m, err := ReadMsg(conn)
 			if err != nil {
-				if liveness && errors.Is(err, os.ErrDeadlineExceeded) {
+				// Once the stream is over (awaitHangup) a deadline is the end
+				// of the wait for the client's hang-up, not a dead peer.
+				if liveness && !finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
 					opt.Metrics.Counter("stream_sessions_reaped_total").Inc()
 					opt.Log.Warn("stream: reaping session: no traffic (not even a heartbeat)",
 						"session", opt.Remote, "idle", opt.IdleTimeout)
@@ -208,6 +245,11 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 				opt.Metrics.Counter("stream_pings_total").Inc()
 				ping := *m.Ping
 				sendMu.Lock()
+				if finished.Load() {
+					// Nothing follows our Bye; the client is only catching up.
+					sendMu.Unlock()
+					break
+				}
 				err := controlWrite(conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "pong", func() error {
 					return WritePong(conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
 				})
@@ -304,7 +346,14 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	if sendErr == nil {
 		sendMu.Lock()
 		sendErr = WriteBye(conn)
+		finished.Store(sendErr == nil) // under sendMu: no pong can follow the Bye
 		sendMu.Unlock()
+		if sendErr == nil {
+			if opt.afterBye != nil {
+				opt.afterBye()
+			}
+			awaitHangup(conn, readDone)
+		}
 	}
 	close(stopRead)
 	// A session that dies mid-send is either the client leaving politely

@@ -223,6 +223,7 @@ func TestSessionOverPipe(t *testing.T) {
 		}
 		got = append(got, f)
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -290,6 +291,7 @@ func TestSessionOverTCP(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("received %d frames", n)
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -347,6 +349,7 @@ func TestServeMaxFrames(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("received %d frames, want 5", n)
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

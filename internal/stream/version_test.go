@@ -90,6 +90,7 @@ func TestHandshakeV2(t *testing.T) {
 		}
 		ids = append(ids, pkt.FlightID)
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -136,6 +137,7 @@ func TestV1ClientNewServer(t *testing.T) {
 			t.Fatalf("v1 frame carries v2 fields: %+v", pkt)
 		}
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -164,6 +166,7 @@ func TestFutureClientNegotiatesDown(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
 	<-done
 }
 

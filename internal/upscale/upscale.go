@@ -136,7 +136,10 @@ func Resize(src *frame.Image, dstW, dstH int, k Kind) (*frame.Image, error) {
 // ResizeInto resamples src into dst (whose W×H select the target size) with
 // kernel k. Every pixel of dst is overwritten, so dst may be a dirty pooled
 // image; dst must not alias src. The optional pool supplies the intermediate
-// buffer of the separable pass (nil allocates it).
+// buffer of the separable pass (nil allocates it). Bilinear at exactly ×2 —
+// the paper's factor, and what every frame of the client pays on every
+// pixel — takes the integer kernel of bilinear2x.go, byte-identical to the
+// generic resampler.
 func ResizeInto(dst, src *frame.Image, k Kind, pool *bufpool.Pool) error {
 	return ResizeIntoOn(nil, dst, src, k, pool)
 }
@@ -154,14 +157,24 @@ func ResizeIntoOn(c *parallel.Client, dst, src *frame.Image, k Kind, pool *bufpo
 		dst.CopyFrom(src)
 		return nil
 	}
-	// Horizontal pass into an intermediate, then vertical pass.
+	if k == Bilinear && dst.W == 2*src.W && dst.H == 2*src.H {
+		bilinear2x(c, dst, src)
+		return nil
+	}
+	resizeGeneric(c, dst, src, k, pool)
+	return nil
+}
+
+// resizeGeneric is the separable polyphase resampler for any kernel and
+// ratio: horizontal pass into a byte intermediate, then vertical pass. It is
+// also the reference the ×2 bilinear fast path is tested against.
+func resizeGeneric(c *parallel.Client, dst, src *frame.Image, k Kind, pool *bufpool.Pool) {
 	hw := cachedWeights(src.W, dst.W, k)
 	vw := cachedWeights(src.H, dst.H, k)
 	mid := pool.Image(dst.W, src.H)
 	resampleRows(c, src, mid, hw)
 	resampleCols(c, mid, dst, vw)
 	pool.PutImage(mid)
-	return nil
 }
 
 // MustResize is Resize for arguments the caller has validated.
