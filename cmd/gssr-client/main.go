@@ -518,10 +518,12 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 
 	// Client-side deadline accounting: decode through merge must fit the
 	// frame budget (recv excluded — it is the server's pacing, not this
-	// device's work). Bilinear and SR overlap, so the pair costs the frame
-	// its wall time, charged to whichever of the two finished last.
+	// device's work). The stages are summed into the frame's latency, and
+	// bilinear and SR overlap, so the pair enters once, at its wall time,
+	// under the name of the one the merge had to wait for — the stage a
+	// miss is blamed on. The spans above keep each one's own duration.
 	dUp, dSR := ut.dPair, time.Duration(0)
-	if ut.dSR > ut.dUp {
+	if ut.tSR.Add(ut.dSR).After(ut.tUp.Add(ut.dUp)) {
 		dUp, dSR = 0, ut.dPair
 	}
 	stages := [4]frametrace.StageLatency{

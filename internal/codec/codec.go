@@ -537,7 +537,8 @@ func (h header) qAt(x, y int) int32 {
 
 // roiSpan hoists qAt out of a row's inner loop: of the w pixels of row y
 // starting at column x, those at offsets [a, b) take the RoI quantizer and
-// the rest the base one (a == b when the row misses the RoI).
+// the rest the base one (a == b when the row misses the RoI). a <= b
+// because parseHeader only admits an RoI that lies inside the frame.
 func (h header) roiSpan(x, w, y int) (a, b int) {
 	if !h.hasRoI || y < h.roi.Y || y >= h.roi.Y+h.roi.H {
 		return 0, 0

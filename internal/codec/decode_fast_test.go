@@ -2,7 +2,9 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -175,6 +177,50 @@ func TestDecodeHostileMotionVectors(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	})
+}
+
+// overflowingRoIStreams crafts inter and intra frames whose RoI header passes
+// a naive X+W <= w check only because the sum wraps: the row-slice loops would
+// be handed a span that ends before it starts.
+func overflowingRoIStreams(rng *rand.Rand) [][]byte {
+	cfg := Config{Width: 32, Height: 24}
+	var out [][]byte
+	for _, r := range []frame.Rect{
+		{X: 1 << 62, Y: 0, W: 1 << 62, H: 1},
+		{X: 0, Y: 1 << 62, W: 1, H: 1 << 62},
+		{X: math.MaxInt, Y: 0, W: 1, H: 1},
+		{X: 1 << 62, Y: 1 << 62, W: 1 << 62, H: 1 << 62},
+	} {
+		rq := &roiQuant{rect: r, q: 2}
+		out = append(out, craftInter(cfg, rq, []MV{{0, 0}, {3, -2}}, rng))
+		// The same header on an intra body of three flat delta planes.
+		intra := appendHeader(nil, Intra, cfg.withDefaults(), rq)
+		for p := 0; p < 3; p++ {
+			intra = appendSignedRLE(intra, make([]int32, cfg.Width*cfg.Height))
+		}
+		out = append(out, intra)
+	}
+	return out
+}
+
+// TestDecodeOverflowingRoIRejected: both decoders refuse such a header with
+// the same error instead of reconstructing from it.
+func TestDecodeOverflowingRoIRejected(t *testing.T) {
+	atProcs(t, func(t *testing.T) {
+		intra, _, err := mustEncoder(t, Config{Width: 32, Height: 24}).Encode(newTestImage(32, 24, []byte{9, 200, 31}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, data := range overflowingRoIStreams(rand.New(rand.NewSource(5))) {
+			fast, ref := NewDecoder(), referenceDecoder()
+			if err := sameDecode(t, fast, ref, intra); err != nil {
+				t.Fatal(err)
+			}
+			if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("stream %d: err = %v, want ErrCorrupt", i, err)
 			}
 		}
 	})

@@ -45,6 +45,10 @@ func FuzzDecode(f *testing.F) {
 	f.Add(craftInter(cfg, &roiQuant{rect: frame.Rect{X: 5, Y: 3, W: 20, H: 11}, q: 2}, []MV{{3, -2}, {-40, 1}}, rng))
 	cfg.HalfPel = true
 	f.Add(craftInter(cfg, nil, []MV{{5, 3}, {-1, -1}}, rng))
+	// RoI headers whose far edge wraps when added.
+	for _, data := range overflowingRoIStreams(rng) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fast, ref := NewDecoder(), referenceDecoder()

@@ -285,9 +285,12 @@ var ErrEmptyRect = errors.New("frame: empty rectangle")
 // Empty reports whether r covers zero pixels.
 func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }
 
-// In reports whether r lies fully inside a w×h frame.
+// In reports whether r lies fully inside a w×h frame. The far edges are
+// compared by subtraction: fields read off the wire can be large enough for
+// X+W to wrap.
 func (r Rect) In(w, h int) bool {
-	return r.X >= 0 && r.Y >= 0 && r.W >= 0 && r.H >= 0 && r.X+r.W <= w && r.Y+r.H <= h
+	return r.X >= 0 && r.Y >= 0 && r.W >= 0 && r.H >= 0 &&
+		r.W <= w && r.H <= h && r.X <= w-r.W && r.Y <= h-r.H
 }
 
 // Clamp translates and, if necessary, shrinks r so it fits a w×h frame.

@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -227,6 +228,19 @@ func TestRectHelpers(t *testing.T) {
 	}
 	if (Rect{}).Area() != 0 || !(Rect{}).Empty() {
 		t.Error("empty rect handling")
+	}
+	if !r.In(40, 60) || r.In(39, 60) || r.In(40, 59) || (Rect{X: -1, W: 1, H: 1}).In(40, 60) {
+		t.Error("In disagrees with the frame bounds")
+	}
+	// Far edges that wrap when added must not pass for inside.
+	for _, big := range []Rect{
+		{X: 1 << 62, W: 1 << 62, H: 1},
+		{Y: 1 << 62, W: 1, H: 1 << 62},
+		{X: math.MaxInt, W: 1, H: 1},
+	} {
+		if big.In(40, 60) {
+			t.Errorf("%v reported inside a 40x60 frame", big)
+		}
 	}
 	s := r.Scale(2)
 	if s != (Rect{X: 20, Y: 40, W: 60, H: 80}) {

@@ -135,9 +135,16 @@ var slowSendLimit = logx.NewLimiter(1, 3)
 
 // Serve runs one server session over conn: handshake, then frames until the
 // source is exhausted, then Bye. Client input arriving during the stream is
-// dispatched to OnInput from a separate goroutine. Serve returns when the
-// stream has been fully sent (or on the first error); the caller owns the
-// connection and closes it.
+// dispatched to OnInput from a separate goroutine. The caller owns the
+// connection and closes it after Serve returns.
+//
+// Serve returns on the first error, or — the stream sent in full — once the
+// client has hung up behind the server's Bye: the client is expected to
+// answer that Bye with its own Bye or by closing. Until it does, for at most
+// byeDrainTimeout, Serve keeps the connection half-closed and reading
+// (awaitHangup has the reason), so a client that reads to the Bye and then
+// waits for the server to close first holds the session — and its admission
+// slot on a MultiServer — for that long.
 func Serve(conn io.ReadWriter, opt ServerOptions) error {
 	if opt.Source == nil {
 		return errors.New("stream: server needs a frame source")
