@@ -25,8 +25,6 @@ import (
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/parallel"
-	"gamestreamsr/internal/render"
-	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
 )
@@ -54,16 +52,7 @@ func TestDiagSmoke(t *testing.T) {
 		Deadline:     time.Nanosecond, // every frame misses; the streak trips the watchdog
 		Log:          lg,
 		NewSource: func(hello stream.Hello) (stream.FrameSource, error) {
-			det, err := roi.New(roi.Config{WindowW: hello.RoIWindow, WindowH: hello.RoIWindow})
-			if err != nil {
-				return nil, err
-			}
-			enc, err := codec.NewEncoder(codec.Config{Width: w, Height: h, GOPSize: gop, QStep: q})
-			if err != nil {
-				return nil, err
-			}
-			enc.SetPool(bufpool.New())
-			return &gameSource{game: g, enc: enc, det: det, detShrunk: det, rd: &render.Renderer{}, w: w, h: h}, nil
+			return newGameSource(g, codec.Config{Width: w, Height: h, GOPSize: gop, QStep: q}, hello.RoIWindow, bufpool.New())
 		},
 	}
 	d := diag.New(diag.Config{Metrics: reg, Flight: srv, Log: lg, Dir: dir, Cooldown: time.Hour})

@@ -144,6 +144,12 @@ func run(cfg serverConfig) error {
 	if err != nil {
 		return err
 	}
+	// A configuration no decoder would accept (-q 300, say) must stop the
+	// server here, not every client on its first frame.
+	codecCfg := codec.Config{Width: width, Height: height, GOPSize: gop, QStep: qstep}
+	if _, err := codec.NewEncoder(codecCfg); err != nil {
+		return err
+	}
 	var reg *telemetry.Registry
 	if metricsAddr != "" {
 		reg = telemetry.NewRegistry()
@@ -190,14 +196,6 @@ func run(cfg serverConfig) error {
 			if h.RoIWindow < 8 || h.RoIWindow > width || h.RoIWindow > height {
 				return nil, fmt.Errorf("RoI window %d unusable for a %dx%d stream", h.RoIWindow, width, height)
 			}
-			det, err := roi.New(roi.Config{WindowW: h.RoIWindow, WindowH: h.RoIWindow})
-			if err != nil {
-				return nil, err
-			}
-			enc, err := codec.NewEncoder(codec.Config{Width: width, Height: height, GOPSize: gop, QStep: qstep})
-			if err != nil {
-				return nil, err
-			}
 			// Per-session pool: the encoder ping-pongs its reconstruction
 			// frames through it instead of allocating two planes per frame.
 			// All sessions report under the same metric names, so hit/miss
@@ -206,19 +204,12 @@ func run(cfg serverConfig) error {
 			if reg != nil {
 				pool.Instrument(reg, "server")
 			}
-			enc.SetPool(pool)
-			// The shrunken-window detector backs shed level 1: half the RoI
-			// side keeps SR on the most salient region at a quarter of the
-			// NPU-path work. Falls back to the full window when the half
-			// window would be unusable.
-			detShrunk := det
-			if half := h.RoIWindow / 2; half >= 8 {
-				if d, err := roi.New(roi.Config{WindowW: half, WindowH: half}); err == nil {
-					detShrunk = d
-				}
+			src, err := newGameSource(g, codecCfg, h.RoIWindow, pool)
+			if err != nil {
+				return nil, err
 			}
 			logx.Info("hello", "device", h.Device, "roi_window", h.RoIWindow, "scale", h.Scale)
-			return &gameSource{game: g, enc: enc, det: det, detShrunk: detShrunk, rd: &render.Renderer{}, w: width, h: height}, nil
+			return src, nil
 		},
 	}
 	var d *diag.Diag
@@ -284,10 +275,40 @@ type gameSource struct {
 	payload   []byte
 }
 
-// SetSched (stream.SchedAware) points the session's render kernels at its
-// scheduler client, so concurrent sessions share the worker pool fairly and
-// a shed-demoted session's work yields to on-budget ones.
-func (s *gameSource) SetSched(c *parallel.Client) { s.rd.Sched = c }
+// newGameSource builds one session's source: an encoder for the stream's
+// codec configuration drawing on pool, and RoI detectors for the window the
+// client announced.
+func newGameSource(g *games.Workload, cc codec.Config, roiWindow int, pool *bufpool.Pool) (*gameSource, error) {
+	det, err := roi.New(roi.Config{WindowW: roiWindow, WindowH: roiWindow})
+	if err != nil {
+		return nil, err
+	}
+	enc, err := codec.NewEncoder(cc)
+	if err != nil {
+		return nil, err
+	}
+	enc.SetPool(pool)
+	// The shrunken-window detector backs shed level 1: half the RoI side
+	// keeps SR on the most salient region at a quarter of the NPU-path
+	// work. Falls back to the full window when the half window would be
+	// unusable.
+	detShrunk := det
+	if half := roiWindow / 2; half >= 8 {
+		if d, err := roi.New(roi.Config{WindowW: half, WindowH: half}); err == nil {
+			detShrunk = d
+		}
+	}
+	return &gameSource{game: g, enc: enc, det: det, detShrunk: detShrunk, rd: &render.Renderer{}, w: cc.Width, h: cc.Height}, nil
+}
+
+// SetSched (stream.SchedAware) points the session's kernels — render, RoI
+// detection, encode — at its scheduler client, so concurrent sessions share
+// the worker pool fairly, a shed-demoted session's work yields to on-budget
+// ones, and stolen chunks carry the session's sched_client= pprof label.
+func (s *gameSource) SetSched(c *parallel.Client) {
+	s.rd.Sched = c
+	s.enc.SetSched(c)
+}
 
 // SetShedLevel (stream.Shedder) applies the server's shed ladder: level 1
 // shrinks the RoI window, level 2 drops RoI detection entirely (the client
@@ -297,19 +318,22 @@ func (s *gameSource) SetShedLevel(level int) { s.shed.Store(int32(level)) }
 
 func (s *gameSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
 	s.game.RenderInto(&s.out, s.rd, i, s.w, s.h)
+	// Detection reads the depth map and encoding the colour plane, so the
+	// two could overlap; they run one after the other because both already
+	// spread over the session's workers (DESIGN.md §18 has the ablation).
 	var rect frame.Rect
+	det := s.det
 	switch level := int(s.shed.Load()); {
 	case level >= stream.ShedBilinearOnly:
 		// No RoI: the frame header carries a zero rect and the client
 		// upscales bilinearly — the paper's baseline path.
+		det = nil
 	case level >= stream.ShedRoIShrink:
+		det = s.detShrunk
+	}
+	if det != nil {
 		var err error
-		if rect, err = s.detShrunk.Detect(s.out.Depth); err != nil {
-			return nil, false, frame.Rect{}, err
-		}
-	default:
-		var err error
-		if rect, err = s.det.Detect(s.out.Depth); err != nil {
+		if rect, err = det.DetectOn(s.rd.Sched, s.out.Depth); err != nil {
 			return nil, false, frame.Rect{}, err
 		}
 	}

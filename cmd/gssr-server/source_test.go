@@ -1,0 +1,129 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"gamestreamsr/internal/bufpool"
+	"gamestreamsr/internal/codec"
+	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/games"
+	"gamestreamsr/internal/parallel"
+	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/roi"
+	"gamestreamsr/internal/stream"
+)
+
+// TestNextFrameMatchesSerialComposition drives the real gameSource — the
+// source run() hands every session — and requires each frame's payload,
+// keyframe flag and RoI to equal the kernels composed by hand, one after
+// the other: RenderInto, then the detector's reference pipeline (DetectDebug
+// is the one public form of it), then EncodeInto on a plain encoder with no
+// pool and no session client (internal/codec's differential tests pin that
+// encoder to its own reference loops). Two GOPs at every RoI-relevant shed
+// level, on the default client and on a session's own.
+func TestNextFrameMatchesSerialComposition(t *testing.T) {
+	const w, h, gop, q, win, nFrames = 160, 90, 6, 6, 64, 12
+	g, err := games.ByID("G3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := codec.Config{Width: w, Height: h, GOPSize: gop, QStep: q}
+	sched := parallel.NewScheduler(2)
+	defer sched.Close()
+	for _, withClient := range []bool{false, true} {
+		for _, level := range []int{stream.ShedNone, stream.ShedRoIShrink, stream.ShedBilinearOnly} {
+			t.Run(fmt.Sprintf("client=%v/shed=%d", withClient, level), func(t *testing.T) {
+				src, err := newGameSource(g, cc, win, bufpool.New())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if withClient {
+					src.SetSched(sched.NewClient(parallel.ClientConfig{Name: "session"}))
+				}
+				src.SetShedLevel(level)
+
+				window := map[int]int{stream.ShedNone: win, stream.ShedRoIShrink: win / 2}[level]
+				var det *roi.Detector
+				if window > 0 {
+					if det, err = roi.New(roi.Config{WindowW: window, WindowH: window}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				enc, err := codec.NewEncoder(cc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rd := &render.Renderer{}
+				var out render.Output
+				for i := 0; i < nFrames; i++ {
+					data, key, rect, err := src.NextFrame(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					g.RenderInto(&out, rd, i, w, h)
+					var wantRect frame.Rect
+					if det != nil {
+						if wantRect, _, err = det.DetectDebug(out.Depth); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want, ft, err := enc.EncodeInto(nil, out.Color)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rect != wantRect {
+						t.Fatalf("frame %d: RoI %v, composition %v", i, rect, wantRect)
+					}
+					if key != (ft == codec.Intra) || key != (i%gop == 0) {
+						t.Fatalf("frame %d: keyframe flag %v, composition coded %v", i, key, ft)
+					}
+					if !bytes.Equal(data, want) {
+						t.Fatalf("frame %d: payload (%d B) differs from the composition's (%d B)", i, len(data), len(want))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRunRejectsUndecodableConfig: a codec configuration past the bitstream
+// bounds stops the server before it listens, instead of every client on its
+// first frame.
+func TestRunRejectsUndecodableConfig(t *testing.T) {
+	for _, cfg := range []serverConfig{
+		{addr: "127.0.0.1:0", gameID: "G3", frames: 1, width: 320, height: 180, gop: 12, qstep: 300},
+		{addr: "127.0.0.1:0", gameID: "G3", frames: 1, width: 9000, height: 180, gop: 12, qstep: 6},
+	} {
+		err := run(cfg)
+		if err == nil || !strings.Contains(err.Error(), "codec:") {
+			t.Errorf("run(%dx%d q=%d) = %v, want a codec configuration error", cfg.width, cfg.height, cfg.qstep, err)
+		}
+	}
+}
+
+// BenchmarkNextFrame360p is the server's whole per-frame body at the
+// live_360p geometry — render, detect, encode — as a session runs it: pooled
+// encoder, persistent render targets and payload buffer. Run with -cpu 1,2.
+func BenchmarkNextFrame360p(b *testing.B) {
+	g, err := games.ByID("G3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, err := newGameSource(g, codec.Config{Width: 640, Height: 360, GOPSize: 12, QStep: 6}, 64, bufpool.New())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, _, _, err := src.NextFrame(0); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, _, err := src.NextFrame(1 + i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

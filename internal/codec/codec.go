@@ -102,9 +102,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Bitstream bounds, enforced on both sides: parseHeader rejects a header
+// past them before anything is allocated (a corrupt header must not be able
+// to demand gigabytes), and Config.validate refuses to build an encoder whose
+// every frame a decoder would reject.
+const (
+	maxDim       = 1 << 13 // either side, up to 8K
+	maxPixels    = 1 << 23 // width × height, up to 4K frames
+	maxBlockSize = 256
+	maxQStep     = 255
+)
+
+// validate checks an effective (defaults applied) configuration against the
+// bitstream bounds.
 func (c Config) validate() error {
-	if c.Width <= 0 || c.Height <= 0 {
+	if c.Width <= 0 || c.Height <= 0 || c.Width > maxDim || c.Height > maxDim || c.Width*c.Height > maxPixels {
 		return fmt.Errorf("codec: invalid dimensions %dx%d", c.Width, c.Height)
+	}
+	if c.BlockSize > maxBlockSize {
+		return fmt.Errorf("codec: block size %d above %d", c.BlockSize, maxBlockSize)
+	}
+	if c.QStep > maxQStep {
+		return fmt.Errorf("codec: quantizer %d above %d", c.QStep, maxQStep)
 	}
 	return nil
 }
@@ -158,6 +177,12 @@ type Encoder struct {
 	pool *bufpool.Pool
 	// mvs is the persistent motion-vector scratch of encodeInter.
 	mvs []MV
+	// sched is the scheduler client the row-parallel passes are attributed
+	// to; nil means the default client (see SetSched).
+	sched *parallel.Client
+	// reference makes every frame take the clamped per-pixel loops, serially
+	// — the form the row-slice loops are differentially tested against.
+	reference bool
 }
 
 // NewEncoder creates an encoder for the given configuration.
@@ -176,6 +201,12 @@ func (e *Encoder) Config() Config { return e.cfg }
 // quantization scratch from p (nil reverts to plain allocation). The pool
 // must outlive the encoder's use of it.
 func (e *Encoder) SetPool(p *bufpool.Pool) { e.pool = p }
+
+// SetSched attributes the encoder's row-parallel passes (motion search,
+// residual and reconstruction) to the scheduler client c, so a session's
+// encode shares the worker pool by its weight and priority; nil reverts to
+// the default client. The bitstream does not depend on it.
+func (e *Encoder) SetSched(c *parallel.Client) { e.sched = c }
 
 // Reset rewinds the encoder to the start of a stream.
 func (e *Encoder) Reset() {
@@ -209,7 +240,7 @@ func (e *Encoder) EncodeRoI(im *frame.Image, roi frame.Rect, roiQ int) ([]byte, 
 
 // EncodeRoIInto is EncodeRoI appending the bitstream to dst.
 func (e *Encoder) EncodeRoIInto(dst []byte, im *frame.Image, roi frame.Rect, roiQ int) ([]byte, FrameType, error) {
-	if roiQ <= 0 || roiQ > 255 {
+	if roiQ <= 0 || roiQ > maxQStep {
 		return nil, 0, fmt.Errorf("codec: invalid RoI quantizer %d", roiQ)
 	}
 	if !roi.In(e.cfg.Width, e.cfg.Height) || roi.Empty() {
@@ -222,16 +253,21 @@ func (e *Encoder) encode(dst []byte, im *frame.Image, rq *roiQuant) ([]byte, Fra
 	if im.W != e.cfg.Width || im.H != e.cfg.Height {
 		return nil, 0, fmt.Errorf("codec: frame is %dx%d, stream is %dx%d", im.W, im.H, e.cfg.Width, e.cfg.Height)
 	}
-	isIntra := e.count%e.cfg.GOPSize == 0 || e.prev == nil
+	h := header{ftype: Inter, w: e.cfg.Width, h: e.cfg.Height, bs: e.cfg.BlockSize, q: e.cfg.QStep, halfPel: e.cfg.HalfPel}
+	if e.count%e.cfg.GOPSize == 0 || e.prev == nil {
+		h.ftype = Intra
+	}
+	if rq != nil {
+		h.hasRoI, h.roi, h.roiQ = true, rq.rect, rq.q
+	}
 	e.count++
+	dst = appendHeader(dst, h.ftype, e.cfg, rq)
 	var data []byte
 	var recon *frame.Image
-	ftype := Inter
-	if isIntra {
-		data, recon = e.encodeIntra(dst, im, rq)
-		ftype = Intra
+	if h.ftype == Intra {
+		data, recon = e.encodeIntra(dst, im.Compact(), h)
 	} else {
-		data, recon = e.encodeInter(dst, im, rq)
+		data, recon = e.encodeInter(dst, im.Compact(), h)
 	}
 	// The outgoing reference is dead once the new reconstruction exists;
 	// recycling it here (not before: encodeInter reads it) lets one session
@@ -240,130 +276,7 @@ func (e *Encoder) encode(dst []byte, im *frame.Image, rq *roiQuant) ([]byte, Fra
 		e.pool.PutImage(e.prev)
 	}
 	e.prev = recon
-	return data, ftype, nil
-}
-
-// qPlan precomputes the per-pixel quantizer lookup for one frame.
-type qPlan struct {
-	base int32
-	rq   *roiQuant
-}
-
-func (p qPlan) at(x, y int) int32 {
-	if p.rq != nil && p.rq.rect.Contains(x, y) {
-		return int32(p.rq.q)
-	}
-	return p.base
-}
-
-// encodeIntra quantizes and entropy-codes the frame, appending the
-// bitstream to dst and returning it with the decoder-identical
-// reconstruction. The reconstruction is drawn from the encoder's pool; its
-// every pixel is written.
-func (e *Encoder) encodeIntra(dst []byte, im *frame.Image, rq *roiQuant) ([]byte, *frame.Image) {
-	im = im.Compact()
-	plan := qPlan{base: int32(e.cfg.QStep), rq: rq}
-	buf := appendHeader(dst, Intra, e.cfg, rq)
-	recon := e.pool.Image(im.W, im.H)
-	W := im.W
-	for p, plane := range [3][]uint8{im.R, im.G, im.B} {
-		vals := e.pool.Int32s(len(plane))
-		prev := int32(0)
-		rp := reconPlane(recon, p)
-		for i, v := range plane {
-			q := plan.at(i%W, i/W)
-			qv := (int32(v) + q/2) / q
-			vals[i] = qv - prev
-			prev = qv
-			rp[i] = clamp8(qv * q)
-		}
-		buf = appendSignedRLE(buf, vals)
-		e.pool.PutInt32s(vals)
-	}
-	return buf, recon
-}
-
-// encodeInter motion-compensates against the previous reconstruction,
-// quantizes the residual and entropy-codes MVs + residual.
-func (e *Encoder) encodeInter(dst []byte, im *frame.Image, rq *roiQuant) ([]byte, *frame.Image) {
-	im = im.Compact()
-	cfg := e.cfg
-	bs := cfg.BlockSize
-	bw := (im.W + bs - 1) / bs
-	bh := (im.H + bs - 1) / bs
-	if cap(e.mvs) < bw*bh {
-		e.mvs = make([]MV, bw*bh)
-	}
-	mvs := e.mvs[:bw*bh]
-	// Motion estimation on luma-ish green plane (cheap, standard trick).
-	for by := 0; by < bh; by++ {
-		for bx := 0; bx < bw; bx++ {
-			x := bx * bs
-			y := by * bs
-			w := min(bs, im.W-x)
-			h := min(bs, im.H-y)
-			if cfg.HalfPel {
-				mvs[by*bw+bx] = halfPelSearch(im.G, e.prev.G, im.W, im.H, x, y, w, h, cfg.SearchRange)
-			} else {
-				mvs[by*bw+bx] = diamondSearch(im.G, e.prev.G, im.W, im.H, x, y, w, h, cfg.SearchRange)
-			}
-		}
-	}
-	buf := appendHeader(dst, Inter, cfg, rq)
-	// MV grid.
-	for _, mv := range mvs {
-		buf = binary.AppendVarint(buf, int64(mv.DX))
-		buf = binary.AppendVarint(buf, int64(mv.DY))
-	}
-	// Residuals per plane. The reconstruction and residual scratch come
-	// dirty from the pool; the block grid covers every pixel, so both are
-	// fully overwritten.
-	plan := qPlan{base: int32(cfg.QStep), rq: rq}
-	dz := int32(cfg.Deadzone)
-	recon := e.pool.Image(im.W, im.H)
-	res := e.pool.Int32s(im.W * im.H)
-	for p := 0; p < 3; p++ {
-		src := srcPlane(im, p)
-		ref := srcPlane(e.prev, p)
-		rp := reconPlane(recon, p)
-		for by := 0; by < bh; by++ {
-			for bx := 0; bx < bw; bx++ {
-				mv := mvs[by*bw+bx]
-				x := bx * bs
-				y := by * bs
-				w := min(bs, im.W-x)
-				h := min(bs, im.H-y)
-				for j := 0; j < h; j++ {
-					sy := y + j
-					ry := clampInt(sy+int(mv.DY), 0, im.H-1)
-					for i := 0; i < w; i++ {
-						sx := x + i
-						rx := clampInt(sx+int(mv.DX), 0, im.W-1)
-						var pred int32
-						if cfg.HalfPel {
-							pred = predHalfPel(ref, im.W, im.H, sx, sy, int(mv.DX), int(mv.DY))
-						} else {
-							pred = int32(ref[ry*im.W+rx])
-						}
-						d := int32(src[sy*im.W+sx]) - pred
-						q := plan.at(sx, sy)
-						var qd int32
-						switch {
-						case d > dz:
-							qd = (d + q/2) / q
-						case d < -dz:
-							qd = -((-d + q/2) / q)
-						}
-						res[sy*im.W+sx] = qd
-						rp[sy*im.W+sx] = clamp8(pred + qd*q)
-					}
-				}
-			}
-		}
-		buf = appendSignedRLE(buf, res)
-	}
-	e.pool.PutInt32s(res)
-	return buf, recon
+	return data, h.ftype, nil
 }
 
 // Decoder reconstructs frames from bitstreams. Like the encoder it is
@@ -631,17 +544,17 @@ func parseHeader(data []byte) (header, []byte, error) {
 	// Bound each dimension and the total pixel count (up to 4K frames)
 	// before any allocation happens — corrupt headers must not be able to
 	// demand gigabytes.
-	if h.w <= 0 || h.h <= 0 || h.w > 1<<13 || h.h > 1<<13 || h.w*h.h > 1<<23 {
+	if h.w <= 0 || h.h <= 0 || h.w > maxDim || h.h > maxDim || h.w*h.h > maxPixels {
 		return header{}, nil, fmt.Errorf("%w: unreasonable dimensions %dx%d", ErrCorrupt, h.w, h.h)
 	}
-	if h.bs <= 0 || h.bs > 256 {
+	if h.bs <= 0 || h.bs > maxBlockSize {
 		return header{}, nil, fmt.Errorf("%w: unreasonable block size %d", ErrCorrupt, h.bs)
 	}
-	if h.q <= 0 || h.q > 255 {
+	if h.q <= 0 || h.q > maxQStep {
 		return header{}, nil, fmt.Errorf("%w: unreasonable quantizer %d", ErrCorrupt, h.q)
 	}
 	if h.hasRoI {
-		if h.roiQ <= 0 || h.roiQ > 255 {
+		if h.roiQ <= 0 || h.roiQ > maxQStep {
 			return header{}, nil, fmt.Errorf("%w: unreasonable RoI quantizer %d", ErrCorrupt, h.roiQ)
 		}
 		if !h.roi.In(h.w, h.h) || h.roi.Empty() {
@@ -835,66 +748,6 @@ func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
 			pl.rp[sy*h.w+sx] = clamp8(pred + res)
 		}
 	}
-}
-
-// diamondSearch finds the motion vector minimising the SAD of the block at
-// (x, y) of size w×h between cur and ref (both width W, height H planes),
-// searching within ±rng using a small-diamond pattern seeded at (0, 0).
-func diamondSearch(cur, ref []uint8, W, H, x, y, w, h, rng int) MV {
-	best := sad(cur, ref, W, H, x, y, w, h, 0, 0)
-	bx, by := 0, 0
-	if best == 0 {
-		return MV{}
-	}
-	// Large diamond until stable, then small diamond refinement.
-	large := [8][2]int{{0, -2}, {1, -1}, {2, 0}, {1, 1}, {0, 2}, {-1, 1}, {-2, 0}, {-1, -1}}
-	small := [4][2]int{{0, -1}, {1, 0}, {0, 1}, {-1, 0}}
-	for moved := true; moved; {
-		moved = false
-		for _, d := range large {
-			nx, ny := bx+d[0], by+d[1]
-			if nx < -rng || nx > rng || ny < -rng || ny > rng {
-				continue
-			}
-			if s := sad(cur, ref, W, H, x, y, w, h, nx, ny); s < best {
-				best, bx, by = s, nx, ny
-				moved = true
-			}
-		}
-	}
-	for _, d := range small {
-		nx, ny := bx+d[0], by+d[1]
-		if nx < -rng || nx > rng || ny < -rng || ny > rng {
-			continue
-		}
-		if s := sad(cur, ref, W, H, x, y, w, h, nx, ny); s < best {
-			best, bx, by = s, nx, ny
-		}
-	}
-	return MV{DX: int8(bx), DY: int8(by)}
-}
-
-// sad computes the sum of absolute differences between the block at (x, y)
-// in cur and the block displaced by (dx, dy) in ref, clamping at frame
-// borders.
-func sad(cur, ref []uint8, W, H, x, y, w, h, dx, dy int) int {
-	total := 0
-	for j := 0; j < h; j++ {
-		sy := y + j
-		ry := clampInt(sy+dy, 0, H-1)
-		crow := sy * W
-		rrow := ry * W
-		for i := 0; i < w; i++ {
-			sx := x + i
-			rx := clampInt(sx+dx, 0, W-1)
-			d := int(cur[crow+sx]) - int(ref[rrow+rx])
-			if d < 0 {
-				d = -d
-			}
-			total += d
-		}
-	}
-	return total
 }
 
 // --- entropy coding: zero-run + zigzag varints -------------------------------

@@ -429,22 +429,6 @@ func TestLongGOPDriftBounded(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeInter720p(b *testing.B) {
-	frames := gameFrames(b, "G3", 0, 2, 1280, 720)
-	enc, _ := NewEncoder(Config{Width: 1280, Height: 720})
-	if _, _, err := enc.Encode(frames[0]); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc2 := *enc
-		if _, _, err := enc2.Encode(frames[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDecodeIntra720p(b *testing.B) {
 	f := gameFrames(b, "G3", 0, 1, 1280, 720)[0]
 	enc, _ := NewEncoder(Config{Width: 1280, Height: 720})

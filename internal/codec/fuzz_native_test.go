@@ -64,6 +64,39 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// FuzzEncode drives the encoder with arbitrary planes, geometry, quantizers,
+// RoI and search settings: the row-slice path must emit the reference loops'
+// bytes and reconstruction, and a decoder must reproduce that reconstruction
+// (encoderPair.encode asserts all three), over an intra frame and two inter
+// frames predicted from it.
+func FuzzEncode(f *testing.F) {
+	f.Add([]byte{3, 250, 17, 99, 180, 42, 7}, uint8(32), uint8(24), uint8(6), uint8(2), uint8(12), uint8(0), false, uint8(5), uint8(3), uint8(20), uint8(11))
+	f.Add([]byte{0, 255, 0, 255, 128}, uint8(50), uint8(35), uint8(255), uint8(1), uint8(127), uint8(4), false, uint8(0), uint8(0), uint8(50), uint8(35))
+	f.Add([]byte{9, 8, 7, 200, 100}, uint8(17), uint8(5), uint8(1), uint8(9), uint8(1), uint8(0), true, uint8(16), uint8(4), uint8(1), uint8(1))
+	f.Add([]byte{}, uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, pix []byte, w, h, q, roiQ, search, dz uint8, halfPel bool, rx, ry, rw, rh uint8) {
+		W, H := int(w%64)+1, int(h%64)+1
+		p := newEncoderPair(t, Config{Width: W, Height: H, GOPSize: 3, QStep: int(q), SearchRange: int(search), Deadzone: int(dz), HalfPel: halfPel})
+		roi := frame.Rect{X: int(rx), Y: int(ry), W: int(rw), H: int(rh)}
+		if roiQ == 0 || !roi.In(W, H) {
+			roi = frame.Rect{} // uniform quality
+		}
+		for k := 0; k < 3; k++ {
+			// Each frame is the byte pattern at its own phase and stride, so
+			// consecutive frames are related but not equal.
+			im := frame.NewImage(W, H)
+			for i := range im.R {
+				if len(pix) > 0 {
+					im.R[i] = pix[(i+k)%len(pix)]
+					im.G[i] = pix[(i+3*k)%len(pix)]
+					im.B[i] = pix[(2*i+k)%len(pix)]
+				}
+			}
+			p.encode(t, im, roi, int(roiQ))
+		}
+	})
+}
+
 func FuzzSignedRLE(f *testing.F) {
 	f.Add([]byte{0x00, 0x05}, 10)
 	f.Add([]byte{0x02, 0x01, 0x03}, 3)

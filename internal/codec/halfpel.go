@@ -67,7 +67,7 @@ func sadHalfPel(cur, ref []uint8, W, H, x, y, w, h, mvx, mvy int) int {
 // vector over its eight half-pel neighbours. The result is in half-pel
 // units.
 func halfPelSearch(cur, ref []uint8, W, H, x, y, w, h, rng int) MV {
-	full := diamondSearch(cur, ref, W, H, x, y, w, h, rng)
+	full := diamondSearch(cur, ref, W, H, x, y, w, h, rng, true)
 	bx := int(full.DX) * 2
 	by := int(full.DY) * 2
 	best := sadHalfPel(cur, ref, W, H, x, y, w, h, bx, by)

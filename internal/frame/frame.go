@@ -260,17 +260,22 @@ func (d *DepthMap) NearnessInto(out []float64) []float64 {
 	for y := 0; y < d.H; y++ {
 		row := y * d.Stride
 		for x := 0; x < d.W; x++ {
-			z := d.Z[row+x]
-			if z < 0 {
-				z = 0
-			} else if z > 1 {
-				z = 1
-			}
-			out[i] = 1 - float64(z)
+			out[i] = NearnessOf(d.Z[row+x])
 			i++
 		}
 	}
 	return out
+}
+
+// NearnessOf is the nearness of one depth sample: 1 − z with z clamped to
+// [0, 1], the per-pixel map of Nearness.
+func NearnessOf(z float32) float64 {
+	if z < 0 {
+		z = 0
+	} else if z > 1 {
+		z = 1
+	}
+	return 1 - float64(z)
 }
 
 // Rect is an axis-aligned pixel rectangle, used for RoI coordinates

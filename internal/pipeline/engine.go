@@ -253,6 +253,7 @@ func RunEngine(cfg Config, opt EngineOptions, v Variant, nFrames int) (*Result, 
 	}
 	dec := codec.NewDecoder()
 	enc.SetPool(pool)
+	enc.SetSched(cfg.Sched)
 	dec.SetPool(pool)
 	e := &engineRun{
 		cfg: cfg, opt: opt, v: v,

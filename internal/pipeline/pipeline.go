@@ -296,7 +296,7 @@ func (v *gameStreamVariant) DetectRoI(lr render.Output) (frame.Rect, error) {
 	if v.tracker != nil {
 		return v.tracker.Detect(lr.Depth)
 	}
-	return v.det.Detect(lr.Depth)
+	return v.det.DetectOn(v.cfg.Sched, lr.Depth)
 }
 
 // Upscale performs the client-side RoI-assisted upscale — DNN SR on the RoI

@@ -15,6 +15,7 @@ import (
 	"math"
 
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/parallel"
 )
 
 // Config parameterises the detector.
@@ -74,10 +75,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Detector runs the RoI detection pipeline. It is stateless between frames
-// and safe for concurrent use.
+// Detector runs the RoI detection pipeline. No result depends on an earlier
+// frame, but the detector keeps its working planes between calls
+// (detect_fast.go), so a steady stream of frames allocates nothing. It is
+// safe for concurrent use.
 type Detector struct {
-	cfg Config
+	cfg     Config
+	scratch scratchPool
 }
 
 // New validates the configuration and builds a detector.
@@ -111,21 +115,48 @@ type Debug struct {
 // Detect runs the full pipeline on the depth map and returns the RoI
 // rectangle in low-resolution pixel coordinates.
 func (d *Detector) Detect(depth *frame.DepthMap) (frame.Rect, error) {
-	r, _, err := d.detect(depth, false)
-	return r, err
+	return d.DetectOn(nil, depth)
+}
+
+// DetectOn is Detect with the row-parallel passes attributed to the
+// scheduler client c (nil means the default client). The rectangle does not
+// depend on it.
+func (d *Detector) DetectOn(c *parallel.Client, depth *frame.DepthMap) (frame.Rect, error) {
+	if err := d.checkWindow(depth); err != nil {
+		return frame.Rect{}, err
+	}
+	if d.cfg.Layers > maxLayers {
+		r, _, err := d.detectReference(depth, false)
+		return r, err
+	}
+	s := d.scratch.acquire(d.cfg, depth)
+	r := s.detect(c)
+	d.scratch.release(s)
+	return r, nil
 }
 
 // DetectDebug is Detect plus the intermediate stages.
 func (d *Detector) DetectDebug(depth *frame.DepthMap) (frame.Rect, *Debug, error) {
-	return d.detect(depth, true)
+	return d.detectReference(depth, true)
 }
 
-func (d *Detector) detect(depth *frame.DepthMap, wantDebug bool) (frame.Rect, *Debug, error) {
+func (d *Detector) checkWindow(depth *frame.DepthMap) error {
+	if d.cfg.WindowW > depth.W || d.cfg.WindowH > depth.H {
+		return fmt.Errorf("roi: window %dx%d larger than depth map %dx%d", d.cfg.WindowW, d.cfg.WindowH, depth.W, depth.H)
+	}
+	return nil
+}
+
+// detectReference is the pipeline one stage at a time, each into a fresh
+// full-frame plane: the form the paper's Fig. 8 draws, the one that can show
+// its intermediate products, and the one the fused passes of detect_fast.go
+// are differentially tested against.
+func (d *Detector) detectReference(depth *frame.DepthMap, wantDebug bool) (frame.Rect, *Debug, error) {
+	if err := d.checkWindow(depth); err != nil {
+		return frame.Rect{}, nil, err
+	}
 	W, H := depth.W, depth.H
 	cfg := d.cfg
-	if cfg.WindowW > W || cfg.WindowH > H {
-		return frame.Rect{}, nil, fmt.Errorf("roi: window %dx%d larger than depth map %dx%d", cfg.WindowW, cfg.WindowH, W, H)
-	}
 	var dbg *Debug
 	if wantDebug {
 		dbg = &Debug{W: W, H: H}
@@ -151,21 +182,15 @@ func (d *Detector) detect(depth *frame.DepthMap, wantDebug bool) (frame.Rect, *D
 	}
 
 	// Step ② — spatial weighting with a center-biased Gaussian.
-	sigma := cfg.SigmaFrac * float64(min(W, H))
+	bias := newCentreBias(cfg, W, H)
 	weighted := make([]float64, len(fg))
-	cx := float64(W-1) / 2
-	cy := float64(H-1) / 2
-	inv2s2 := 1 / (2 * sigma * sigma)
 	for y := 0; y < H; y++ {
-		dy := float64(y) - cy
 		for x := 0; x < W; x++ {
 			i := y*W + x
 			if fg[i] <= 0 {
 				continue
 			}
-			dx := float64(x) - cx
-			g := cfg.GaussAmp * math.Exp(-(dx*dx+dy*dy)*inv2s2)
-			weighted[i] = fg[i] + g
+			weighted[i] = fg[i] + bias.at(x, y)
 		}
 	}
 	if dbg != nil {
@@ -198,11 +223,9 @@ func (d *Detector) detect(depth *frame.DepthMap, wantDebug bool) (frame.Rect, *D
 		// map as a single layer so detection still returns the
 		// center-biased window rather than failing.
 		for y := 0; y < H; y++ {
-			dy := float64(y) - cy
 			for x := 0; x < W; x++ {
 				i := y*W + x
-				dx := float64(x) - cx
-				weighted[i] = near[i] + cfg.GaussAmp*math.Exp(-(dx*dx+dy*dy)*inv2s2)
+				weighted[i] = near[i] + bias.at(x, y)
 				layerOf[i] = 0
 			}
 		}
@@ -263,6 +286,23 @@ func (d *Detector) detect(depth *frame.DepthMap, wantDebug bool) (frame.Rect, *D
 	return fine, dbg, nil
 }
 
+// centreBias is the spatial weight of step ②: a Gaussian of amplitude amp
+// centred on the frame.
+type centreBias struct {
+	amp, cx, cy, inv2s2 float64
+}
+
+func newCentreBias(cfg Config, W, H int) centreBias {
+	sigma := cfg.SigmaFrac * float64(min(W, H))
+	return centreBias{amp: cfg.GaussAmp, cx: float64(W-1) / 2, cy: float64(H-1) / 2, inv2s2: 1 / (2 * sigma * sigma)}
+}
+
+// at is the weight added to a foreground pixel at (x, y).
+func (b centreBias) at(x, y int) float64 {
+	dx, dy := float64(x)-b.cx, float64(y)-b.cy
+	return b.amp * math.Exp(-(dx*dx+dy*dy)*b.inv2s2)
+}
+
 // foregroundThreshold analyses the nearness histogram and returns the
 // threshold separating background (below) from foreground (at or above).
 // It looks for the deepest valley between the low-value (background) mass
@@ -272,17 +312,28 @@ func (d *Detector) detect(depth *frame.DepthMap, wantDebug bool) (frame.Rect, *D
 func foregroundThreshold(near []float64, bins int) float64 {
 	hist := make([]float64, bins)
 	for _, v := range near {
-		b := int(v * float64(bins))
-		if b >= bins {
-			b = bins - 1
-		}
-		if b < 0 {
-			b = 0
-		}
-		hist[b]++
+		hist[histBin(v, bins)]++
 	}
+	return histThreshold(hist, make([]float64, bins))
+}
+
+// histBin is the histogram bin of nearness v.
+func histBin(v float64, bins int) int {
+	b := int(v * float64(bins))
+	if b >= bins {
+		b = bins - 1
+	}
+	if b < 0 {
+		b = 0
+	}
+	return b
+}
+
+// histThreshold is foregroundThreshold from the histogram on; sm is scratch
+// of the histogram's length.
+func histThreshold(hist, sm []float64) float64 {
+	bins := len(hist)
 	// Light smoothing to suppress single-bin noise.
-	sm := make([]float64, bins)
 	for i := range hist {
 		sum, n := hist[i], 1.0
 		if i > 0 {

@@ -36,7 +36,7 @@ func (c TrackConfig) withDefaults() TrackConfig {
 // frame's RoI. Pass an empty prev (zero Rect) on the first frame.
 func (d *Detector) DetectTracked(depth *frame.DepthMap, prev frame.Rect, tc TrackConfig) (frame.Rect, error) {
 	tc = tc.withDefaults()
-	rect, dbg, err := d.detect(depth, true)
+	rect, dbg, err := d.detectReference(depth, true)
 	if err != nil {
 		return frame.Rect{}, err
 	}

@@ -99,7 +99,7 @@ type variant struct {
 func (v *variant) Name() string { return "srdecoder" }
 
 func (v *variant) DetectRoI(lr render.Output) (frame.Rect, error) {
-	return v.r.det.Detect(lr.Depth)
+	return v.r.det.DetectOn(v.r.cfg.Sched, lr.Depth)
 }
 
 // Upscale dispatches one decoded frame: reference frames take the RoI
