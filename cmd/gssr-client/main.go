@@ -6,7 +6,7 @@
 //
 // Observability (DESIGN.md §13): the client carries its own flight
 // recorder with recv/decode/upscale/sr/merge/present spans per frame,
-// adopting the server's flight IDs from v2 FramePackets so a client dump
+// adopting the server's flight IDs from its FramePackets so a client dump
 // and the server's merge into one distributed trace (`gssr trace -merge`).
 // The handshake's Cristian-style timestamp exchange yields a clock-offset
 // estimate (error ≤ RTT/2) from which every frame's end-to-end age
@@ -29,8 +29,8 @@
 // sends no input events — but keeps the full decode/upscale/SR path, the
 // flight recorder and the Stats backchannel.
 //
-// Fault tolerance (DESIGN.md §15): on v4 sessions the client heartbeats
-// (-ping) so the server can tell dead from slow, and -reconnect N redials a
+// Fault tolerance (DESIGN.md §15): the client heartbeats (-ping) so the
+// server can tell dead from slow, and -reconnect N redials a
 // dropped session up to N times with exponential backoff + jitter. A
 // publisher replays its resume token, reclaiming its parked channel so
 // spectators ride through the drop; a spectator simply re-subscribes.
@@ -82,7 +82,7 @@ func main() {
 	flag.IntVar(&cfg.reconnect, "reconnect", 0, "redial a dropped session up to N times (0 disables auto-reconnect)")
 	flag.DurationVar(&cfg.reconnectBase, "reconnect-base", 500*time.Millisecond, "initial reconnect backoff (doubles per attempt, with jitter)")
 	flag.DurationVar(&cfg.reconnectMax, "reconnect-max", 15*time.Second, "reconnect backoff ceiling")
-	flag.DurationVar(&cfg.ping, "ping", stream.DefaultPingInterval, "heartbeat interval on v4 sessions (0 disables pings)")
+	flag.DurationVar(&cfg.ping, "ping", stream.DefaultPingInterval, "heartbeat interval (0 disables pings)")
 	flag.Parse()
 	if cfg.channel != "" && cfg.spectate != "" {
 		logx.Error("-channel and -spectate are mutually exclusive: publish or spectate, not both")
@@ -111,59 +111,6 @@ type clientConfig struct {
 	reconnect                   int
 	reconnectBase, reconnectMax time.Duration
 	ping                        time.Duration
-}
-
-// connect dials addr and performs the handshake, closing the connection on
-// failure.
-func connect(addr string, h stream.Hello) (net.Conn, *stream.Client, stream.Accept, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, nil, stream.Accept{}, err
-	}
-	c := stream.NewClient(conn)
-	cfg, err := c.Handshake(h)
-	if err != nil {
-		conn.Close()
-		return nil, nil, stream.Accept{}, err
-	}
-	return conn, c, cfg, nil
-}
-
-// dialHandshake connects with the newest protocol and falls back to a v1
-// hello on a non-Reject handshake failure: a pre-versioning server parses
-// the Hello strictly and drops the connection on the trailing version
-// fields, so one redial with the original encoding keeps
-// new-client↔old-server interop. A typed Reject (busy, capacity, bad
-// hello) is final — no retry will change the server's mind.
-func dialHandshake(addr string, hello stream.Hello) (net.Conn, *stream.Client, stream.Accept, error) {
-	conn, c, cfg, err := connect(addr, hello)
-	if err == nil {
-		return conn, c, cfg, nil
-	}
-	var rej *stream.RejectedError
-	if errors.As(err, &rej) || hello.Version < stream.ProtocolV2 {
-		return nil, nil, stream.Accept{}, err
-	}
-	logx.Warn("v2 handshake failed; retrying with a v1 hello", "err", err)
-	hello.Version, hello.SendUnixMicro, hello.Channel, hello.ResumeToken = 0, 0, "", ""
-	return connect(addr, hello)
-}
-
-// dialSubscribe dials addr and joins channel as a spectator. Subscribe is a
-// v3-only message, so there is no v1 redial: a pre-relay server answers with
-// a protocol error and the session fails loudly.
-func dialSubscribe(addr string, sub stream.Subscribe) (net.Conn, *stream.Client, stream.Accept, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, nil, stream.Accept{}, err
-	}
-	c := stream.NewClient(conn)
-	cfg, err := c.Subscribe(sub)
-	if err != nil {
-		conn.Close()
-		return nil, nil, stream.Accept{}, err
-	}
-	return conn, c, cfg, nil
 }
 
 // fatalReject reports whether a typed reject can never succeed on retry:
@@ -309,45 +256,43 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 	// NPU can super-resolve in real time; it is announced in the Hello. For
 	// the small demo streams we also clamp to a fraction of the frame.
 	roiWin := dev.MaxRoIWindow(device.RealTimeDeadline)
-	var (
-		conn net.Conn
-		c    *stream.Client
-		cfg  stream.Accept
-		err  error
-	)
+	conn, err := net.Dial("tcp", cc.addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	c := stream.NewClient(conn)
+	// A typed Reject comes back as a *stream.RejectedError for the reconnect
+	// loop in run to weigh; there is no second attempt here.
+	var cfg stream.Accept
 	if cc.spectate != "" {
-		conn, c, cfg, err = dialSubscribe(cc.addr, stream.Subscribe{Channel: cc.spectate, Device: dev.Name})
+		cfg, err = c.Subscribe(stream.Subscribe{Channel: cc.spectate, Device: dev.Name})
 	} else {
-		conn, c, cfg, err = dialHandshake(cc.addr, stream.Hello{
+		cfg, err = c.Handshake(stream.Hello{
 			Device: dev.Name, RoIWindow: min(roiWin, 64), Scale: cc.scale,
-			Version: stream.ProtocolVersion, Channel: cc.channel,
-			ResumeToken: st.resumeToken,
+			Channel: cc.channel, ResumeToken: st.resumeToken,
 		})
 	}
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	v2 := cfg.Version >= stream.ProtocolV2
 	if cfg.Token != "" {
-		// The v4 resume token: replayed on the next dial, it correlates
-		// this client across reconnects and reclaims a parked channel.
+		// The resume token: replayed on the next dial, it correlates this
+		// client across reconnects and reclaims a parked channel.
 		st.resumeToken = cfg.Token
 	}
 	clock := c.Clock()
 	switch {
 	case cc.spectate != "":
-		logx.Info("spectating", "channel", cc.spectate, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", max(cfg.Version, 1))
+		logx.Info("spectating", "channel", cc.spectate, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
 	case cc.channel != "":
-		logx.Info("publishing", "channel", cc.channel, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", max(cfg.Version, 1))
+		logx.Info("publishing", "channel", cc.channel, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
 	default:
-		logx.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", max(cfg.Version, 1))
+		logx.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
 	}
 	if clock.Synced {
 		logx.Info("clock sync", "offset", clock.Offset.Round(time.Microsecond),
 			"rtt", clock.RTT.Round(time.Microsecond), "offset_err_bound", (clock.RTT / 2).Round(time.Microsecond))
-	}
-	if clock.Synced {
 		st.rec.SetClockSync(clock.Offset, clock.RTT)
 	}
 
@@ -372,10 +317,10 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		}
 	}()
 
-	// Heartbeats (v4): the liveness signal the server's reaper watches for.
-	// The loop stops with the session; a failed ping just means the
-	// connection is going down, which the receive loop will surface.
-	if cfg.Version >= stream.ProtocolV4 && cc.ping > 0 {
+	// Heartbeats: the liveness signal the server's reaper watches for. The
+	// loop stops with the session; a failed ping just means the connection
+	// is going down, which the receive loop will surface.
+	if cc.ping > 0 {
 		go func() {
 			t := time.NewTicker(cc.ping)
 			defer t.Stop()
@@ -429,9 +374,8 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		}
 
 		// The telemetry backchannel: windowed percentiles every N frames,
-		// piggybacked on the input path (v2 sessions only — a v1 server
-		// stops reading input at the first unknown message).
-		if v2 && cc.statsEvery > 0 && st.frames%cc.statsEvery == 0 {
+		// piggybacked on the input path.
+		if cc.statsEvery > 0 && st.frames%cc.statsEvery == 0 {
 			p := stream.StatsPacket{
 				Seq: st.statsSeq, WindowFrames: uint32(len(st.wDecode)),
 				Dropped: st.dropped, Misses: st.misses,
@@ -466,8 +410,9 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 // spans, end-to-end age, deadline and the Stats windows. It reports false
 // for a frame that was dropped (and the display frozen) instead of shown.
 func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv time.Duration, clock stream.ClockSync, scale int) (bool, error) {
-	// Adopt the server's flight ID (v1 servers send none; fall back to
-	// local IDs) so both processes' dumps correlate by frame identity.
+	// Adopt the server's flight ID (a server that records no flight sends
+	// none; fall back to local IDs) so both processes' dumps correlate by
+	// frame identity.
 	fid := st.rec.BeginFrameAt(pkt.FlightID, int(pkt.Index))
 	st.rec.Span(fid, "recv", "recv", tRecv, dRecv)
 

@@ -19,7 +19,7 @@ import (
 
 // The chaos harness (BENCH_chaos.json): a publisher channel with spectators
 // over real TCP, where the publisher's connection is killed mid-GOP by a
-// scripted faultnet reset and then redialled with the v4 resume token. The
+// scripted faultnet reset and then redialled with the resume token. The
 // smoke test pins the qualitative contract — the channel parks instead of
 // dying, every spectator rides through the drop with zero disconnects, and
 // post-reclaim frames are byte-identical to a fault-free run. The full run

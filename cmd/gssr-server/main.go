@@ -19,8 +19,8 @@
 // fetch /debug/flight and open it in ui.perfetto.dev (or render it with
 // `gssr trace`) to postmortem a stall.
 //
-// V2 clients (gssr-client) additionally report client-side telemetry on the
-// input path every ~60 frames; the server folds each session's latest report
+// Clients (gssr-client) report client-side telemetry on the input path
+// every ~60 frames; the server folds each session's latest report
 // into /metrics (stream_client_age_p99_us_<remote> and friends, plus
 // cumulative drop/deadline-miss counters) and pins it to the in-flight frame
 // in that session's flight recorder. Merge a session's server dump with the
@@ -88,7 +88,7 @@ func main() {
 	shed := flag.Bool("shed", false, "degrade over-budget sessions along the shed ladder (needs -flight)")
 	shedStreak := flag.Int("shed-streak", 8, "consecutive deadline misses per shed-ladder escalation")
 	shedRecover := flag.Int("shed-recover", 240, "consecutive on-budget frames per shed-ladder recovery")
-	idleTimeout := flag.Duration("idle-timeout", 0, "reap v4 sessions silent (no heartbeat) this long (0 = default, negative disables)")
+	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections silent (no heartbeat) this long (0 = default, negative disables)")
 	parkGrace := flag.Duration("park-grace", 0, "keep a dropped publisher's channel parked this long awaiting a resume reclaim (0 = default, negative disables)")
 	fault := flag.String("fault", "", "chaos script applied to every accepted connection, e.g. \"latency=5ms,jitter=2ms,reset@96KB\" (see internal/faultnet)")
 	deadline := flag.Duration("deadline", 0, "per-frame budget the flight recorders account against (0 = 60 FPS frame time)")

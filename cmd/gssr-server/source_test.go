@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"net"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/codec"
+	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/parallel"
@@ -101,6 +105,53 @@ func TestRunRejectsUndecodableConfig(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "codec:") {
 			t.Errorf("run(%dx%d q=%d) = %v, want a codec configuration error", cfg.width, cfg.height, cfg.qstep, err)
 		}
+	}
+}
+
+// TestBenchContract pins the two log lines bench/run.go reads from a
+// gssr-server run (the client's half is in cmd/gssr-client): the first line
+// carrying addr=, from which it learns where `-addr 127.0.0.1:0` landed, and
+// the `hello` line's roi_window= field. run() serves until the process ends,
+// so the test leaves its listener behind.
+func TestBenchContract(t *testing.T) {
+	var logged uint64 // the ring is the process's: look only at what this run adds
+	if old := logx.Default().Recent(1); len(old) > 0 {
+		logged = old[0].Seq
+	}
+	awaitLine := func(substr string) string {
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			for _, e := range logx.Default().Recent(0) {
+				if e.Seq > logged && strings.Contains(e.Line, substr) {
+					return e.Line
+				}
+			}
+		}
+		t.Fatalf("gssr-server logged no line with %q", substr)
+		return ""
+	}
+	go run(serverConfig{addr: "127.0.0.1:0", gameID: "G3", frames: 6, width: 64, height: 36, gop: 3, qstep: 6})
+	m := regexp.MustCompile(`\baddr=(\S+)`).FindStringSubmatch(awaitLine("addr="))
+	conn, err := net.Dial("tcp", m[1])
+	if err != nil {
+		t.Fatalf("the addr= field is not the listening address: %v", err)
+	}
+	defer conn.Close()
+	c := stream.NewClient(conn)
+	if _, err := c.Handshake(stream.Hello{Device: "contract", RoIWindow: 16, Scale: 2}); err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for ; ; frames++ {
+		if _, err := c.RecvFrame(); err != nil {
+			break
+		}
+	}
+	_ = c.Bye()
+	if frames != 6 {
+		t.Fatalf("%d frames, want 6", frames)
+	}
+	if hello := awaitLine("roi_window="); !strings.Contains(hello, "hello ") || !strings.Contains(hello, "roi_window=16") {
+		t.Fatalf("hello line %q, want roi_window=16", hello)
 	}
 }
 

@@ -629,7 +629,7 @@ func mergeTraces(serverPath, clientPath, outPath string, w io.Writer) error {
 		}
 	}
 	if total == 0 {
-		fmt.Fprintln(w, "no frames correlated (v1 capture without flight IDs?)")
+		fmt.Fprintln(w, "no frames correlated (server capture without flight IDs?)")
 	}
 	fmt.Fprintf(w, "merged trace written to %s (open in ui.perfetto.dev)\n", outPath)
 	return nil

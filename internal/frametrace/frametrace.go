@@ -195,8 +195,8 @@ func (r *Recorder) BeginFrame(index int) uint64 {
 // distributed trace adopts the server's flight ID from the FramePacket so
 // the two processes' dumps correlate by identity (DESIGN.md §13). The
 // recorder's ID counter advances to at least id so a later BeginFrame never
-// reissues it. Falls back to BeginFrame when id is 0 (a v1 server that sent
-// no flight ID). Returns 0 on a nil recorder.
+// reissues it. Falls back to BeginFrame when id is 0 (a server that records
+// no flight sends no ID). Returns 0 on a nil recorder.
 func (r *Recorder) BeginFrameAt(id uint64, index int) uint64 {
 	if r == nil {
 		return 0

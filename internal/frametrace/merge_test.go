@@ -15,7 +15,7 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
 // TestBeginFrameAt covers the client-side half of ID propagation: adopting
 // a server-assigned frame ID, advancing the local counter past it, and the
-// v1 fallback.
+// fallback for a packet without one.
 func TestBeginFrameAt(t *testing.T) {
 	r := New(Config{Frames: 8})
 	if got := r.BeginFrameAt(5, 0); got != 5 {
@@ -35,7 +35,7 @@ func TestBeginFrameAt(t *testing.T) {
 	if r.LastID() != 6 {
 		t.Fatalf("LastID = %d, want 6 after adopting an older ID", r.LastID())
 	}
-	// ID 0 (a v1 server without flight IDs) falls back to local allocation.
+	// ID 0 (a server recording no flight sends none) falls back to local allocation.
 	if got := r.BeginFrameAt(0, 3); got != 7 {
 		t.Fatalf("BeginFrameAt(0) = %d, want 7", got)
 	}

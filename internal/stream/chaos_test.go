@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -16,7 +15,7 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
-// This file is the fault-tolerance suite (DESIGN.md §15): v4 heartbeat
+// This file is the fault-tolerance suite (DESIGN.md §15): heartbeat
 // liveness, the idle reaper, resume tokens, and channel park/reclaim across
 // publisher drops — both at the relay unit level and end to end over real
 // TCP with faultnet injecting the failures.
@@ -39,7 +38,7 @@ func (s *pacedSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
 	return []byte{byte(i)}, i == 0, frame.Rect{W: 4, H: 4}, nil
 }
 
-// TestPingPong: a v4 client heartbeats mid-stream; the server pongs (counted
+// TestPingPong: a client heartbeats mid-stream; the server pongs (counted
 // in stream_pings_total), and the client's RTT estimate updates from the
 // echoed timestamp.
 func TestPingPong(t *testing.T) {
@@ -53,12 +52,8 @@ func TestPingPong(t *testing.T) {
 	})
 
 	c := NewClient(client)
-	cfg, err := c.Handshake(Hello{Device: "hb", RoIWindow: 8, Scale: 2, Version: ProtocolVersion})
-	if err != nil {
+	if _, err := c.Handshake(Hello{Device: "hb", RoIWindow: 8, Scale: 2}); err != nil {
 		t.Fatal(err)
-	}
-	if cfg.Version != ProtocolV4 {
-		t.Fatalf("negotiated v%d, want v%d", cfg.Version, ProtocolV4)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -110,43 +105,31 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
-// TestResumeTokenIssued: a v4 session's Accept carries the server's resume
-// token; a v3 client of the same server never sees one (the field does not
-// exist on its wire).
+// TestResumeTokenIssued: a session's Accept carries the server's resume
+// token.
 func TestResumeTokenIssued(t *testing.T) {
-	for _, tc := range []struct {
-		ver       int
-		wantToken bool
-	}{
-		{ProtocolV4, true},
-		{ProtocolV3, false},
-	} {
-		server, client := net.Pipe()
-		done := serveFrames(server, ServerOptions{ResumeToken: "feedc0de00112233"})
-		c := NewClient(client)
-		cfg, err := c.Handshake(Hello{Device: "rt", RoIWindow: 8, Scale: 2, Version: tc.ver})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := cfg.Token != ""; got != tc.wantToken {
-			t.Errorf("v%d accept token %q, want present=%v", tc.ver, cfg.Token, tc.wantToken)
-		}
-		if tc.wantToken && cfg.Token != "feedc0de00112233" {
-			t.Errorf("token %q, want the configured one", cfg.Token)
-		}
-		for {
-			if _, err := c.RecvFrame(); err != nil {
-				break
-			}
-		}
-		_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
-		<-done
-		server.Close()
-		client.Close()
+	server, client := net.Pipe()
+	defer server.Close()
+	defer client.Close()
+	done := serveFrames(server, ServerOptions{ResumeToken: "feedc0de00112233"})
+	c := NewClient(client)
+	cfg, err := c.Handshake(Hello{Device: "rt", RoIWindow: 8, Scale: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if cfg.Token != "feedc0de00112233" {
+		t.Errorf("token %q, want the configured one", cfg.Token)
+	}
+	for {
+		if _, err := c.RecvFrame(); err != nil {
+			break
+		}
+	}
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
+	<-done
 }
 
-// TestIdleReaperReapsSilentV4: a v4 client that goes completely silent (no
+// TestIdleReaperReapsSilentV4: a client that goes completely silent (no
 // reads, no heartbeats) is reaped once the idle window elapses — the read
 // deadline fires, the connection is closed (unblocking the stuck frame
 // writer), and the reap is counted.
@@ -240,106 +223,6 @@ func TestIdleReaperSparesHeartbeatingClient(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counter("stream_sessions_reaped_total"); n != 0 {
 		t.Fatalf("stream_sessions_reaped_total = %d, want 0", n)
-	}
-}
-
-// TestIdleReaperIgnoresPreV4: a v3 client never heartbeats, so arming the
-// idle deadline against it would reap every slow-paced stream. The reaper
-// must stay off below v4 even when IdleTimeout is configured.
-func TestIdleReaperIgnoresPreV4(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	defer client.Close()
-	reg := telemetry.NewRegistry()
-	done := serveFrames(server, ServerOptions{
-		Metrics:     reg,
-		IdleTimeout: 40 * time.Millisecond,
-		Source:      &pacedSource{n: 3, pace: 150 * time.Millisecond},
-		SlowSend:    -1,
-	})
-
-	c := NewClient(client)
-	if _, err := c.Handshake(Hello{Device: "v3", RoIWindow: 8, Scale: 2, Version: ProtocolV3}); err != nil {
-		t.Fatal(err)
-	}
-	frames := 0
-	for {
-		_, err := c.RecvFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames++
-	}
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
-	if err := <-done; err != nil {
-		t.Fatalf("v3 session reaped: %v", err)
-	}
-	if frames != 3 {
-		t.Fatalf("got %d frames, want 3", frames)
-	}
-	if n := reg.Snapshot().Counter("stream_sessions_reaped_total"); n != 0 {
-		t.Fatalf("stream_sessions_reaped_total = %d, want 0", n)
-	}
-}
-
-// TestHelloTokenAbsentLeniency: a v3 build announcing v4 (its own
-// future-client behaviour) writes a hello with a channel but no token
-// bytes. The v4 parser must treat the absent field as "no token"; only a
-// truncated token may error; and bytes beyond the token belong to v5 and
-// are ignored.
-func TestHelloTokenAbsentLeniency(t *testing.T) {
-	// v3-layout body claiming version 4: device, four uvarint fields, then
-	// the channel — nothing after.
-	body := []byte{1, 'd'}
-	for _, v := range []uint64{32, 2, 4, 12345} { // roi, scale, version, sendUS
-		body = binary.AppendUvarint(body, v)
-	}
-	body = append(binary.AppendUvarint(body, 5), "arena"...)
-	h, err := parseHello(body)
-	if err != nil {
-		t.Fatalf("v4 hello without token bytes rejected: %v", err)
-	}
-	if h.Version != 4 || h.Channel != "arena" || h.ResumeToken != "" {
-		t.Fatalf("parsed %+v, want version 4, channel arena, no token", h)
-	}
-	// A truncated token (length byte promising more than the body holds) is
-	// still an error.
-	bad := append(append([]byte(nil), body...), 9, 'a')
-	if _, err := parseHello(bad); err == nil {
-		t.Fatal("truncated resume token accepted")
-	}
-	// A well-formed token followed by v5-era trailing bytes parses; the
-	// trailer is ignored.
-	v5 := append(append([]byte(nil), body...), 2, 'a', 'b', 0xFF, 0x01)
-	h, err = parseHello(v5)
-	if err != nil {
-		t.Fatalf("v4 hello with v5 trailer rejected: %v", err)
-	}
-	if h.ResumeToken != "ab" {
-		t.Fatalf("token %q, want \"ab\"", h.ResumeToken)
-	}
-}
-
-// TestAcceptTokenAbsentLeniency: same contract on the Accept — a v2-layout
-// body claiming v4 has no token field, and that is not an error.
-func TestAcceptTokenAbsentLeniency(t *testing.T) {
-	var body []byte
-	for _, v := range []uint64{1280, 720, 60, 6, 4, 10, 20} { // w h gop q ver recv send
-		body = binary.AppendUvarint(body, v)
-	}
-	a, err := parseAccept(body)
-	if err != nil {
-		t.Fatalf("v4 accept without token bytes rejected: %v", err)
-	}
-	if a.Version != 4 || a.Token != "" {
-		t.Fatalf("parsed %+v, want version 4 with no token", a)
-	}
-	bad := append(append([]byte(nil), body...), 9, 'a')
-	if _, err := parseAccept(bad); err == nil {
-		t.Fatal("truncated resume token accepted")
 	}
 }
 
@@ -579,7 +462,7 @@ func TestRelayShutdownWhileParked(t *testing.T) {
 
 // TestRelayParkRefusals: parking is an opt-in that needs both a grace window
 // and a resume token; without either the publisher drop closes the channel
-// (the pre-v4 behaviour).
+// at once.
 func TestRelayParkRefusals(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	r := NewRelay(reg, 8, 4)
@@ -626,7 +509,7 @@ func (s *steppedSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
 	return chaosPayload(i), i%4 == 0, frame.Rect{W: 8, H: 8}, nil
 }
 
-// TestChannelSurvivesPublisherDrop is the headline chaos scenario: a v4
+// TestChannelSurvivesPublisherDrop is the headline chaos scenario: a
 // publisher feeding 4 spectators dies mid-GOP; the channel parks; a second
 // publisher Hello without the token bounces off RejectChannelTaken (with
 // the reason surfaced); the publisher reconnects with its resume token,
@@ -651,7 +534,7 @@ func TestChannelSurvivesPublisherDrop(t *testing.T) {
 		<-done
 	}()
 
-	// Publisher #1, v4 with a channel: the Accept carries the resume token.
+	// Publisher #1, with a channel: the Accept carries the resume token.
 	pubConn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -663,7 +546,7 @@ func TestChannelSurvivesPublisherDrop(t *testing.T) {
 	}
 	token := cfg.Token
 	if token == "" {
-		t.Fatal("v4 publisher got no resume token")
+		t.Fatal("publisher got no resume token")
 	}
 
 	// First frame out (the cached keyframe), then 4 spectators attach.
@@ -812,7 +695,7 @@ func TestChannelSurvivesPublisherDrop(t *testing.T) {
 	}
 }
 
-// TestBlackholedSessionReaped: a faultnet blackhole swallows a v4
+// TestBlackholedSessionReaped: a faultnet blackhole swallows a
 // publisher's traffic mid-session (its heartbeats stop arriving); the
 // server's idle reaper removes the session within a few missed ping
 // intervals and the reap is visible on /metrics.

@@ -58,7 +58,7 @@ func TestE2EDistributedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Version != ProtocolVersion {
-		t.Fatalf("negotiated v%d", cfg.Version)
+		t.Fatalf("accept version %d", cfg.Version)
 	}
 	clock := c.Clock()
 	if !clock.Synced {

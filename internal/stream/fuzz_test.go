@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,29 +13,16 @@ import (
 // FuzzReadMsg drives the wire-format parser with arbitrary bytes; the
 // invariant is no panic and a well-formed message on success.
 func FuzzReadMsg(f *testing.F) {
-	var hello, helloV2, helloV3, helloV4, accept, acceptV2, acceptV4, fr, frExt, input, st, sub, rejRA, ping, pong, bye bytes.Buffer
-	WriteHello(&hello, Hello{Device: "seed", RoIWindow: 300, Scale: 2})
-	WriteHello(&helloV2, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolV2, SendUnixMicro: 1700000000000000})
-	WriteHello(&helloV3, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolV3, SendUnixMicro: 1700000000000000, Channel: "arena"})
-	WriteHello(&helloV4, Hello{Device: "seed", RoIWindow: 300, Scale: 2, Version: ProtocolV4, SendUnixMicro: 1700000000000000, Channel: "arena", ResumeToken: "aabbccdd"})
-	WriteAccept(&accept, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6})
-	WriteAccept(&acceptV2, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6, Version: ProtocolV2, RecvUnixMicro: 1, SendUnixMicro: 2})
-	WriteAccept(&acceptV4, Accept{Width: 1280, Height: 720, GOPSize: 60, QStep: 6, Version: ProtocolV4, RecvUnixMicro: 1, SendUnixMicro: 2, Token: "aabbccdd"})
-	WriteFrame(&fr, FramePacket{Index: 7, Keyenc: true, RoI: frame.Rect{X: 1, Y: 2, W: 3, H: 4}, Payload: []byte("data")})
-	WriteFrame(&frExt, FramePacket{Index: 7, FlightID: 8, SendUnixMicro: 1700000000000000, Payload: []byte("data")})
-	WriteInput(&input, InputPacket{Seq: 9, Payload: []byte("in")})
-	WriteStats(&st, StatsPacket{Seq: 1, WindowFrames: 60, AgeP99: 20 * time.Millisecond})
-	WriteSubscribe(&sub, Subscribe{Channel: "arena", Device: "seed", Version: ProtocolV3, SendUnixMicro: 1700000000000000})
-	WriteReject(&rejRA, Reject{Code: RejectBusy, Reason: "busy", RetryAfterMs: 2000})
-	WritePing(&ping, PingPacket{Seq: 3, SendUnixMicro: 1700000000000000})
-	WritePong(&pong, PongPacket{Seq: 3, EchoUnixMicro: 1700000000000000})
-	WriteBye(&bye)
-	for _, b := range [][]byte{hello.Bytes(), helloV2.Bytes(), helloV3.Bytes(), helloV4.Bytes(),
-		accept.Bytes(), acceptV2.Bytes(), acceptV4.Bytes(),
-		fr.Bytes(), frExt.Bytes(), input.Bytes(), st.Bytes(), sub.Bytes(), rejRA.Bytes(),
-		ping.Bytes(), pong.Bytes(), bye.Bytes(), {}, {0xFF}} {
-		f.Add(b)
+	for _, g := range wireGoldens {
+		wire, err := hex.DecodeString(g.hex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
 	}
+	f.Add([]byte{})
+	f.Add([]byte{0xFF})
+	f.Add([]byte{byte(MsgHello), 0x05, 0x01, 'd', 0x20, 0x02}) // a Hello that stops after two fields
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMsg(bytes.NewReader(data))
@@ -88,16 +76,16 @@ func FuzzReadMsg(f *testing.F) {
 // --- Round-trip fuzz + property tests ----------------------------------------
 //
 // Every message type must decode back to what was encoded (after
-// normalisation: version-gated fields drop below v2, timestamps clamp at 0,
-// durations truncate to the wire's µs granularity) and re-encode to
-// identical bytes — the canonical-form property interop leans on.
+// normalisation: timestamps clamp at 0, durations truncate to the wire's µs
+// granularity) and re-encode to identical bytes — the canonical-form
+// property.
 
-// roundTrip encodes with enc, decodes via ReadMsg, asserts the decoded
-// message re-encodes byte-identically, and returns it.
-func roundTrip(t *testing.T, enc func(*bytes.Buffer) error, reenc func(*bytes.Buffer, *Msg) error) *Msg {
+// roundTrip encodes in, decodes it via ReadMsg, asserts the decoded message
+// re-encodes byte-identically, and returns it.
+func roundTrip(t *testing.T, in Msg) *Msg {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := enc(&buf); err != nil {
+	if err := writeAny(&buf, in); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	wire := append([]byte(nil), buf.Bytes()...)
@@ -106,7 +94,7 @@ func roundTrip(t *testing.T, enc func(*bytes.Buffer) error, reenc func(*bytes.Bu
 		t.Fatalf("decode: %v", err)
 	}
 	var again bytes.Buffer
-	if err := reenc(&again, &msg); err != nil {
+	if err := writeAny(&again, msg); err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
 	if !bytes.Equal(wire, again.Bytes()) {
@@ -145,22 +133,8 @@ func helloRoundTrip(t *testing.T, h Hello) {
 	h.RoIWindow, h.Scale = sanitizePos(h.RoIWindow), sanitizePos(h.Scale)
 	h.Version = sanitizeNonNeg(h.Version)
 	want := h
-	if h.Version < ProtocolV2 {
-		want.Version, want.SendUnixMicro = 0, 0
-	} else if want.SendUnixMicro < 0 {
-		want.SendUnixMicro = 0
-	}
-	if h.Version < ProtocolV3 {
-		// The channel field only exists on the v3 wire.
-		want.Channel = ""
-	}
-	if h.Version < ProtocolV4 {
-		// The resume token only exists on the v4 wire.
-		want.ResumeToken = ""
-	}
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WriteHello(b, h) },
-		func(b *bytes.Buffer, m *Msg) error { return WriteHello(b, *m.Hello) })
+	want.SendUnixMicro = max(want.SendUnixMicro, 0)
+	msg := roundTrip(t, Msg{Type: MsgHello, Hello: &h})
 	if *msg.Hello != want {
 		t.Fatalf("hello = %+v, want %+v", *msg.Hello, want)
 	}
@@ -190,9 +164,7 @@ func subscribeRoundTrip(t *testing.T, sub Subscribe) {
 	sub.Version = sanitizeNonNeg(sub.Version)
 	want := sub
 	want.SendUnixMicro = max(want.SendUnixMicro, 0)
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WriteSubscribe(b, sub) },
-		func(b *bytes.Buffer, m *Msg) error { return WriteSubscribe(b, *m.Subscribe) })
+	msg := roundTrip(t, Msg{Type: MsgSubscribe, Subscribe: &sub})
 	if *msg.Subscribe != want {
 		t.Fatalf("subscribe = %+v, want %+v", *msg.Subscribe, want)
 	}
@@ -215,19 +187,9 @@ func acceptRoundTrip(t *testing.T, a Accept) {
 		a.Token = a.Token[:255]
 	}
 	want := a
-	if a.Version < ProtocolV2 {
-		want.Version, want.RecvUnixMicro, want.SendUnixMicro = 0, 0, 0
-	} else {
-		want.RecvUnixMicro = max(want.RecvUnixMicro, 0)
-		want.SendUnixMicro = max(want.SendUnixMicro, 0)
-	}
-	if a.Version < ProtocolV4 {
-		// The resume token only exists on the v4 wire.
-		want.Token = ""
-	}
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WriteAccept(b, a) },
-		func(b *bytes.Buffer, m *Msg) error { return WriteAccept(b, *m.Accept) })
+	want.RecvUnixMicro = max(want.RecvUnixMicro, 0)
+	want.SendUnixMicro = max(want.SendUnixMicro, 0)
+	msg := roundTrip(t, Msg{Type: MsgAccept, Accept: &a})
 	if *msg.Accept != want {
 		t.Fatalf("accept = %+v, want %+v", *msg.Accept, want)
 	}
@@ -249,9 +211,7 @@ func frameRoundTrip(t *testing.T, p FramePacket) {
 	// "0 means absent", so normalise before encoding.
 	p.SendUnixMicro = max(p.SendUnixMicro, 0)
 	want := p
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WriteFrame(b, p) },
-		func(b *bytes.Buffer, m *Msg) error { return WriteFrame(b, *m.Frame) })
+	msg := roundTrip(t, Msg{Type: MsgFrame, Frame: &p})
 	got := *msg.Frame
 	if !bytes.Equal(got.Payload, want.Payload) {
 		t.Fatalf("payload = %q, want %q", got.Payload, want.Payload)
@@ -273,9 +233,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 }
 
 func inputRoundTrip(t *testing.T, in InputPacket) {
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WriteInput(b, in) },
-		func(b *bytes.Buffer, m *Msg) error { return WriteInput(b, *m.Input) })
+	msg := roundTrip(t, Msg{Type: MsgInput, Input: &in})
 	if msg.Input.Seq != in.Seq || !bytes.Equal(msg.Input.Payload, in.Payload) {
 		t.Fatalf("input = %+v, want %+v", *msg.Input, in)
 	}
@@ -302,9 +260,7 @@ func statsRoundTrip(t *testing.T, st StatsPacket) {
 	st.DecodeP50, st.DecodeP99 = sanitizeDur(int64(st.DecodeP50)), sanitizeDur(int64(st.DecodeP99))
 	st.SRP50, st.SRP99 = sanitizeDur(int64(st.SRP50)), sanitizeDur(int64(st.SRP99))
 	st.AgeP50, st.AgeP99 = sanitizeDur(int64(st.AgeP50)), sanitizeDur(int64(st.AgeP99))
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WriteStats(b, st) },
-		func(b *bytes.Buffer, m *Msg) error { return WriteStats(b, *m.Stats) })
+	msg := roundTrip(t, Msg{Type: MsgStats, Stats: &st})
 	if *msg.Stats != st {
 		t.Fatalf("stats = %+v, want %+v", *msg.Stats, st)
 	}
@@ -325,9 +281,7 @@ func rejectRoundTrip(t *testing.T, rej Reject) {
 	if len(rej.Reason) > 255 {
 		rej.Reason = rej.Reason[:255]
 	}
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WriteReject(b, rej) },
-		func(b *bytes.Buffer, m *Msg) error { return WriteReject(b, *m.Reject) })
+	msg := roundTrip(t, Msg{Type: MsgReject, Reject: &rej})
 	if *msg.Reject != rej {
 		t.Fatalf("reject = %+v, want %+v", *msg.Reject, rej)
 	}
@@ -344,9 +298,7 @@ func FuzzRejectRoundTrip(f *testing.F) {
 
 func pingRoundTrip(t *testing.T, p PingPacket) {
 	p.SendUnixMicro = max(p.SendUnixMicro, 0)
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WritePing(b, p) },
-		func(b *bytes.Buffer, m *Msg) error { return WritePing(b, *m.Ping) })
+	msg := roundTrip(t, Msg{Type: MsgPing, Ping: &p})
 	if *msg.Ping != p {
 		t.Fatalf("ping = %+v, want %+v", *msg.Ping, p)
 	}
@@ -354,9 +306,7 @@ func pingRoundTrip(t *testing.T, p PingPacket) {
 
 func pongRoundTrip(t *testing.T, p PongPacket) {
 	p.EchoUnixMicro = max(p.EchoUnixMicro, 0)
-	msg := roundTrip(t,
-		func(b *bytes.Buffer) error { return WritePong(b, p) },
-		func(b *bytes.Buffer, m *Msg) error { return WritePong(b, *m.Pong) })
+	msg := roundTrip(t, Msg{Type: MsgPong, Pong: &p})
 	if *msg.Pong != p {
 		t.Fatalf("pong = %+v, want %+v", *msg.Pong, p)
 	}

@@ -7,6 +7,9 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/telemetry"
 )
 
 // The slow-reader regression (found by the bench harness's 720p replay):
@@ -31,9 +34,11 @@ func slowReaderFrames() [][]byte {
 	return frames
 }
 
-// slowReader handshakes on addr, lets the server finish, talks, and only
-// then reads: every frame must arrive intact, followed by the Bye.
-func slowReader(t *testing.T, addr string) {
+// slowReader opens a session on addr (a player's when spectate is empty, a
+// spectator's on that channel otherwise, calling attached once it is in),
+// lets the server finish, talks, and only then reads: every frame must
+// arrive intact, followed by the Bye.
+func slowReader(t *testing.T, addr, spectate string, attached func()) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -41,7 +46,12 @@ func slowReader(t *testing.T, addr string) {
 	}
 	defer conn.Close()
 	c := NewClient(conn)
-	if _, err := c.Handshake(Hello{Device: "slow", RoIWindow: 8, Scale: 2, Version: ProtocolVersion}); err != nil {
+	if spectate == "" {
+		_, err = c.Handshake(Hello{Device: "slow", RoIWindow: 8, Scale: 2})
+	} else if _, err = c.Subscribe(Subscribe{Channel: spectate, Device: "slow"}); err == nil {
+		attached()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond) // the whole stream and the Bye are now in flight
@@ -92,7 +102,7 @@ func TestServeWaitsForSlowReader(t *testing.T) {
 		conn.Close() // what every caller of Serve does next
 		done <- err
 	}()
-	slowReader(t, l.Addr().String())
+	slowReader(t, l.Addr().String(), "", nil)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -109,7 +119,47 @@ func TestMultiServerWaitsForSlowReader(t *testing.T) {
 		NewSource: func(Hello) (FrameSource, error) { return &sliceSource{frames: slowReaderFrames()}, nil },
 	}
 	addr, done := startMulti(t, srv)
-	slowReader(t, addr)
+	slowReader(t, addr, "", nil)
+	ctx, cancel := context.WithTimeout(context.Background(), byeDrainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	<-done
+}
+
+// TestMultiServerWaitsForSlowSpectator: the same for a spectator. The
+// publisher's stream is held back until the spectator has attached, then
+// runs to its end while the spectator sits on its socket.
+func TestMultiServerWaitsForSlowSpectator(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	src := &sliceSource{frames: slowReaderFrames()}
+	gate := make(chan struct{})
+	srv := &MultiServer{
+		Accept:  Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6},
+		Metrics: reg,
+		NewSource: func(Hello) (FrameSource, error) {
+			return frameFunc(func(i int) ([]byte, bool, frame.Rect, error) {
+				<-gate
+				return src.NextFrame(i)
+			}), nil
+		},
+	}
+	addr, done := startMulti(t, srv)
+	pub, pubConn := publishClient(t, addr, "arena")
+	defer pubConn.Close()
+	go func() {
+		for {
+			if _, err := pub.RecvFrame(); err != nil {
+				_ = pub.Bye()
+				return
+			}
+		}
+	}()
+	slowReader(t, addr, "arena", func() { close(gate) })
+	if n := reg.Snapshot().Counter("stream_relay_dropped_frames_total"); n != 0 {
+		t.Fatalf("%d frames dropped on the way to the spectator: the relay queue must hold the stream", n)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), byeDrainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -126,7 +176,7 @@ func TestServeDrainIsBounded(t *testing.T) {
 	defer client.Close()
 	done := serveFrames(server, ServerOptions{})
 	c := NewClient(client)
-	if _, err := c.Handshake(Hello{Device: "idle", RoIWindow: 8, Scale: 2, Version: ProtocolVersion}); err != nil {
+	if _, err := c.Handshake(Hello{Device: "idle", RoIWindow: 8, Scale: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for {

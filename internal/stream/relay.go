@@ -83,7 +83,7 @@ type Relay struct {
 
 // SetParkGrace sets how long a publisher-dropped channel stays parked
 // awaiting a resume-token reclaim (<= 0 disables parking: a dropped
-// publisher closes its channel immediately, the pre-v4 behaviour).
+// publisher closes its channel immediately).
 func (r *Relay) SetParkGrace(d time.Duration) { r.grace = d }
 
 // NewRelay builds a relay. maxSubs bounds subscribers per channel
@@ -437,7 +437,7 @@ func (ch *Channel) Subscribe(name string) (*subscriber, error) {
 }
 
 // Accept returns the channel's cached stream geometry (version and clock
-// fields zero — those are per-subscriber).
+// fields zero — those are stamped per subscriber).
 func (ch *Channel) Accept() Accept { return ch.accept }
 
 // Subscribers returns the current subscriber count.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"runtime/pprof"
 	"sort"
 	"sync"
@@ -175,11 +174,11 @@ type MultiServer struct {
 	// dropped to the next keyframe; one that stays stalled for a further
 	// GOP is disconnected.
 	SubscriberQueue int
-	// IdleTimeout is the v4 read-liveness bound: a session (publisher or
-	// spectator) that sends nothing — not even a heartbeat — for this long
-	// is reaped as dead. The reaper only fires on v4+ sessions (older
-	// clients never ping); slow-but-alive peers stay on the shed and
-	// eviction ladders. 0 picks DefaultIdleTimeout; negative disables.
+	// IdleTimeout is the read-liveness bound: a connection (publisher or
+	// spectator) that sends nothing — not its opening message, not even a
+	// heartbeat — for this long is reaped as dead. Slow-but-alive peers
+	// stay on the shed and eviction ladders. 0 picks DefaultIdleTimeout;
+	// negative disables.
 	IdleTimeout time.Duration
 	// ParkGrace is how long a channel whose publisher dropped uncleanly
 	// stays parked awaiting a resume-token reclaim before it closes and
@@ -383,7 +382,7 @@ func (s *MultiServer) Serve(l net.Listener) error {
 // handleConn reads a connection's first message and dispatches: Hello →
 // publisher session, Subscribe → spectator session, anything else → close.
 func (s *MultiServer) handleConn(conn net.Conn) {
-	msg, err := ReadMsg(conn)
+	msg, err := readOpening(conn, s.idleTimeout())
 	tFirst := time.Now() // T1 of the client's Cristian offset estimate
 	s.mu.Lock()
 	delete(s.pending, conn)
@@ -405,7 +404,7 @@ func (s *MultiServer) handleConn(conn net.Conn) {
 	}
 }
 
-// busyRetryAfter is the server-suggested redial delay carried in v4
+// busyRetryAfter is the server-suggested redial delay carried in
 // capacity/busy rejects: long enough for a session to drain or the SLO
 // window to recover, short enough that a waiting client feels responsive.
 const busyRetryAfter = 2 * time.Second
@@ -414,30 +413,33 @@ const busyRetryAfter = 2 * time.Second
 // caller has already read the client's opening message, so the reject is
 // the only unread data in flight when the connection closes. The write is
 // bounded (controlWrite) so a peer that never reads cannot wedge the
-// goroutine; ver gates the v4 retry-after field — a pre-v4 parser treats
-// trailing bytes as a protocol error.
-func (s *MultiServer) rejectConn(conn net.Conn, ver int, rej Reject) {
+// goroutine.
+func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) {
 	defer conn.Close()
-	if ver < ProtocolV4 {
-		rej.RetryAfterMs = 0
-	}
 	controlWrite(conn, s.Metrics, s.Log, s.ControlTimeout, conn.RemoteAddr().String(), "reject", func() error {
 		return WriteReject(conn, rej)
 	})
 }
 
 // servePublisher runs a game (publisher) session whose Hello has been
-// read: session cap, admission control, optional channel registration (or
-// a resume-token reclaim of a parked one), then the frame loop with the
-// relay tap attached. A v4 publisher that drops uncleanly parks its
-// channel for the grace window instead of closing it.
+// read: version check, session cap, admission control, optional channel
+// registration (or a resume-token reclaim of a parked one), then the frame
+// loop with the relay tap attached. A publisher that drops uncleanly parks
+// its channel for the grace window instead of closing it.
 func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Time) {
 	max := s.MaxSessions
 	if max <= 0 {
 		max = 16
 	}
 	sess := &session{remote: conn.RemoteAddr().String()}
-	ver := NegotiateVersion(hello.Version)
+	if err := checkVersion(hello.Version); err != nil {
+		// Before the session cap: a peer this server cannot talk to holds
+		// no slot, token or channel.
+		s.ctrs.rejected.Inc()
+		s.Log.Warn("stream: rejecting session", "session", sess.remote, "reason", err)
+		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		return
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -453,7 +455,7 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 		s.ctrs.rejected.Inc()
 		s.ctrs.rejectedCap.Inc()
 		s.Log.Warn("stream: rejecting session: capacity", "session", sess.remote, "limit", max)
-		s.rejectConn(conn, ver, Reject{
+		s.rejectConn(conn, Reject{
 			Code:         RejectCapacity,
 			Reason:       fmt.Sprintf("session limit %d reached", max),
 			RetryAfterMs: uint32(busyRetryAfter.Milliseconds()),
@@ -476,7 +478,7 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 			// SLO — exactly the moment a postmortem bundle is worth freezing.
 			s.Diag.Trigger("admission_reject",
 				"session", sess.remote, "p99", p99, "samples", samples, "deadline", deadline)
-			s.rejectConn(conn, ver, Reject{
+			s.rejectConn(conn, Reject{
 				Code:         RejectBusy,
 				Reason:       fmt.Sprintf("no SLO headroom: p99 %v", p99.Round(time.Microsecond)),
 				RetryAfterMs: uint32(busyRetryAfter.Milliseconds()),
@@ -484,31 +486,27 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 			return
 		}
 	}
-	// v4 sessions get a resume token: a reconnecting client replays it to
-	// keep its identity (flight records, per-session metrics) and to
+	// Every session gets a resume token: a reconnecting client replays it
+	// to keep its identity (flight records, per-session metrics) and to
 	// reclaim a parked channel. A replayed token is re-issued unchanged so
 	// the identity stays stable across any number of drops.
-	var token string
-	identity := sess.remote
-	if ver >= ProtocolV4 {
-		token = hello.ResumeToken
-		if token != "" {
-			if orig, ok := s.resumeIdentity(token); ok {
-				identity = orig
-				s.Log.Info("stream: session resumed", "remote", sess.remote, "session", identity)
-			}
-		} else {
-			token = newResumeToken()
+	token, identity := hello.ResumeToken, sess.remote
+	if token != "" {
+		if orig, ok := s.resumeIdentity(token); ok {
+			identity = orig
+			s.Log.Info("stream: session resumed", "remote", sess.remote, "session", identity)
 		}
-		s.recordResume(token, identity)
+	} else {
+		token = newResumeToken()
 	}
+	s.recordResume(token, identity)
 	// A hello naming a channel registers this session as its publisher.
 	// With a resume token, a parked channel is reclaimed — spectators ride
 	// through — otherwise the name must be free.
 	var ch *Channel
 	if hello.Channel != "" {
 		resumed := false
-		if hello.ResumeToken != "" && ver >= ProtocolV4 {
+		if hello.ResumeToken != "" {
 			if got, err := s.relay.Reclaim(hello.Channel, hello.ResumeToken); err == nil {
 				ch = got
 				resumed = true
@@ -525,7 +523,7 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 				s.ctrs.rejected.Inc()
 				s.Log.Warn("stream: rejecting session: channel unavailable",
 					"session", sess.remote, "channel", hello.Channel, "err", err)
-				s.rejectConn(conn, ver, Reject{
+				s.rejectConn(conn, Reject{
 					Code:   RejectChannelTaken,
 					Reason: fmt.Sprintf("channel %q already has a publisher", hello.Channel),
 				})
@@ -548,16 +546,11 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 	var sessErr error
 	defer func() {
 		if ch != nil {
-			// An unclean v4 publisher drop parks the channel for the grace
+			// An unclean publisher drop parks the channel for the grace
 			// window — registry entry, cached keyframe and subscribers all
-			// retained, awaiting a resume-token reclaim. A clean end (or a
-			// pre-v4 client, which can never reclaim) drains gracefully:
-			// subscribers get their queued tail, then a Bye.
-			parked := false
-			if sessErr != nil && ver >= ProtocolV4 {
-				parked = ch.park()
-			}
-			if parked {
+			// retained, awaiting a resume-token reclaim. A clean end drains
+			// gracefully: subscribers get their queued tail, then a Bye.
+			if sessErr != nil && ch.park() {
 				s.Log.Warn("stream: channel parked after publisher dropped",
 					"channel", ch.Name(), "session", sess.remote, "err", sessErr)
 			} else {
@@ -630,24 +623,33 @@ func (s *MultiServer) maxShedLevel() int64 {
 // the connection it resumed, so records correlate across reconnects.
 func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tHello time.Time, ch *Channel, token, identity string) error {
 	remote := sess.remote
+	source, err := s.NewSource(hello)
+	if err != nil {
+		// Tell the client why before closing — a silent close is
+		// indistinguishable from a network fault on their side.
+		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		return fmt.Errorf("stream: rejecting client: %w", err)
+	}
+	if sa, ok := source.(SchedAware); ok && sess.client != nil {
+		sa.SetSched(sess.client)
+	}
 	channel := ""
 	if ch != nil {
 		channel = ch.Name()
 	}
-	// Label this session's goroutine (and the read goroutine serveHello
-	// spawns from it) so CPU profiles attribute frame production and sends
+	// Label this session's goroutine (and the control loop serveHello
+	// starts from it) so CPU profiles attribute frame production and sends
 	// to the session identity. The goroutine is per-connection and exits
 	// right after, so there is nothing to restore.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("session", identity, "stage", "publish", "channel", channel)))
 	rec := s.beginFlight(identity, channel, false)
 	sess.rec = rec
-	var src FrameSource
-	var source FrameSource = deferredSource{get: func() FrameSource { return src }}
 	if s.Shed != nil && rec != nil {
+		target, _ := source.(Shedder)
 		shed := &shedSource{
 			inner:       source,
-			target:      func() Shedder { t, _ := src.(Shedder); return t },
+			target:      target,
 			client:      sess.client,
 			rec:         rec,
 			pol:         s.Shed.withDefaults(),
@@ -681,17 +683,6 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 				s.OnInput(remote, in)
 			}
 		},
-		Validate: func(h Hello) error {
-			var err error
-			src, err = s.NewSource(h)
-			if err != nil {
-				return err
-			}
-			if sa, ok := src.(SchedAware); ok && sess.client != nil {
-				sa.SetSched(sess.client)
-			}
-			return nil
-		},
 	}
 	if ch != nil {
 		opt.Tap = ch.Publish
@@ -699,7 +690,7 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 		// then Bye) right away, not after this client has hung up.
 		opt.afterBye = func() { ch.close(false) }
 	}
-	err := serveHello(conn, hello, tHello, opt) // per-session errors end that session only
+	err = serveHello(conn, hello, tHello, opt) // per-session errors end that session only
 	sink.close()
 	if sess.client != nil {
 		st := sess.client.Stats()
@@ -724,114 +715,66 @@ const subscriberWriteTimeout = 10 * time.Second
 // the subscriber leaves, falls too far behind, or the channel closes.
 func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Time) {
 	remote := conn.RemoteAddr().String()
-	ver := NegotiateVersion(sub.Version)
-	var ch *Channel
-	if s.relay != nil {
-		ch = s.relay.Lookup(sub.Channel)
-	}
-	if ch == nil {
+	defer conn.Close()
+	reject := func(rej Reject) {
 		s.ctrs.subsRejected.Inc()
-		s.Log.Warn("stream: rejecting spectator: unknown channel", "session", remote, "channel", sub.Channel)
-		s.rejectConn(conn, ver, Reject{Code: RejectUnknownChannel, Reason: fmt.Sprintf("no publisher on channel %q", sub.Channel)})
+		s.Log.Warn("stream: rejecting spectator", "session", remote, "channel", sub.Channel, "reason", rej.Reason)
+		s.rejectConn(conn, rej)
+	}
+	if err := checkVersion(sub.Version); err != nil {
+		reject(Reject{Code: RejectBadHello, Reason: err.Error()})
+		return
+	}
+	ch := s.relay.Lookup(sub.Channel)
+	if ch == nil {
+		reject(Reject{Code: RejectUnknownChannel, Reason: fmt.Sprintf("no publisher on channel %q", sub.Channel)})
 		return
 	}
 	subr, err := ch.Subscribe(remote)
 	if err != nil {
-		s.ctrs.subsRejected.Inc()
-		s.Log.Warn("stream: rejecting spectator", "session", remote, "channel", sub.Channel, "err", err)
 		rej := Reject{Code: RejectUnknownChannel, Reason: err.Error()}
 		if errors.Is(err, errSubscriberCap) {
 			rej.Code = RejectCapacity
 			rej.RetryAfterMs = uint32(busyRetryAfter.Milliseconds())
 		}
-		s.rejectConn(conn, ver, rej)
+		reject(rej)
 		return
 	}
 	defer ch.detach(subr)
-	acc := ch.Accept()
-	if ver >= ProtocolV2 {
-		acc.Version = ver
-		acc.RecvUnixMicro = tSub.UnixMicro()
-		acc.SendUnixMicro = time.Now().UnixMicro()
-	} else {
-		acc.Version, acc.RecvUnixMicro, acc.SendUnixMicro = 0, 0, 0
-	}
 	conn.SetWriteDeadline(time.Now().Add(subscriberWriteTimeout))
-	if err := WriteAccept(conn, acc); err != nil {
-		conn.Close()
+	if err := WriteAccept(conn, ch.Accept().stamped(tSub)); err != nil {
 		return
 	}
 	conn.SetWriteDeadline(time.Time{})
 	s.ctrs.subsAccepted.Inc()
-	s.Log.Info("stream: spectator attached", "session", remote, "channel", sub.Channel, "protocol", ver)
-	// Label the writer goroutine (and the read goroutine spawned below) so
+	s.Log.Info("stream: spectator attached", "session", remote, "channel", sub.Channel)
+	// Label the writer goroutine (and the control loop started below) so
 	// relay fan-out CPU shows up against the spectator's identity.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("session", remote, "stage", "subscribe", "channel", sub.Channel)))
-	var client *parallel.Client
-	if s.Sched != nil {
-		// Spectators only cost relay writes today, but registering them at
-		// Background priority keeps any future per-subscriber work (e.g.
-		// transcode rungs) strictly yield-only.
-		client = s.Sched.NewClient(parallel.ClientConfig{Name: remote, Priority: parallel.Background})
-	}
-	_ = client
 	rec := s.beginFlight(remote, sub.Channel, true)
 	sink := &statsSink{metrics: s.Metrics, remote: remote, rec: rec, log: s.Log}
 	defer func() {
 		sink.close()
 		s.endFlight(remote)
-		conn.Close()
 	}()
 
-	// Read loop: spectators send no input that matters, but their Stats
-	// backchannel, heartbeats and Bye do. Reading also detects disconnects
-	// promptly, and on v4 sessions the idle deadline reaps a blackholed
+	// The control loop: spectators send no input that matters, but their
+	// Stats backchannel, heartbeats and Bye do. Reading also detects
+	// disconnects promptly, and the idle deadline reaps a blackholed
 	// spectator — the eviction ladder handles slow readers, the reaper
-	// handles gone ones. sendMu serializes pong replies against the frame
-	// writer (a message is two socket Writes that must not interleave).
-	var clientBye atomic.Bool
-	var sendMu sync.Mutex
-	idle := s.idleTimeout()
-	liveness := ver >= ProtocolV4 && idle > 0
-	readDone := make(chan struct{})
-	go func() {
-		defer close(readDone)
-		for {
-			if liveness {
-				conn.SetReadDeadline(time.Now().Add(idle))
-			}
-			msg, err := ReadMsg(conn)
-			if err != nil {
-				if liveness && errors.Is(err, os.ErrDeadlineExceeded) {
-					s.Metrics.Counter("stream_sessions_reaped_total").Inc()
-					s.Log.Warn("stream: reaping spectator: no traffic (not even a heartbeat)",
-						"session", remote, "channel", sub.Channel, "idle", idle)
-					s.Diag.Trigger("session_reaped", "session", remote, "channel", sub.Channel, "idle", idle)
-					conn.Close()
-				}
-				return
-			}
-			switch msg.Type {
-			case MsgStats:
-				sink.handle(*msg.Stats)
-			case MsgPing:
-				s.Metrics.Counter("stream_pings_total").Inc()
-				ping := *msg.Ping
-				sendMu.Lock()
-				werr := controlWrite(conn, s.Metrics, s.Log, s.ControlTimeout, remote, "pong", func() error {
-					return WritePong(conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
-				})
-				sendMu.Unlock()
-				if werr != nil {
-					return
-				}
-			case MsgBye:
-				clientBye.Store(true)
-				return
-			}
-		}
-	}()
+	// handles gone ones.
+	ctl := startControl(conn, &ServerOptions{
+		Remote:         remote,
+		IdleTimeout:    s.idleTimeout(),
+		ControlTimeout: s.ControlTimeout,
+		Metrics:        s.Metrics,
+		Log:            s.Log,
+		OnStats:        sink.handle,
+		OnReap: func(idle time.Duration) {
+			s.Diag.Trigger("session_reaped", "session", remote, "channel", sub.Channel, "idle", idle)
+		},
+	})
 
 	framesSent := s.Metrics.Counter("stream_subscriber_frames_sent_total")
 	bytesSent := s.Metrics.Counter("stream_subscriber_bytes_sent_total")
@@ -841,16 +784,11 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 	var sendErr error
 	for rf := range subr.Frames() {
 		subr.Consumed()
-		if subr.Abandoned() || clientBye.Load() {
+		if subr.Abandoned() || ctl.clientBye.Load() {
 			break
 		}
 		pkt := rf.pkt
-		if ver >= ProtocolV2 {
-			pkt.SendUnixMicro = time.Now().UnixMicro()
-		} else {
-			pkt.FlightID = 0
-			pkt.SendUnixMicro = 0
-		}
+		pkt.SendUnixMicro = time.Now().UnixMicro()
 		// Adopt the publisher's flight ID so gssr trace -merge correlates a
 		// spectator's copy of frame N with the publisher's encode of it.
 		fid := rec.BeginFrameAt(pkt.FlightID, int(pkt.Index))
@@ -858,10 +796,10 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 		rec.Span(fid, "queue", "queue", rf.at, qAge)
 		queueHist.ObserveDuration(qAge)
 		t0 := time.Now()
-		sendMu.Lock()
+		ctl.sendMu.Lock()
 		conn.SetWriteDeadline(t0.Add(subscriberWriteTimeout))
 		sendErr = WriteFrame(conn, pkt)
-		sendMu.Unlock()
+		ctl.sendMu.Unlock()
 		d := time.Since(t0)
 		if sendErr != nil {
 			break
@@ -874,21 +812,20 @@ func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Ti
 		framesSent.Inc()
 		bytesSent.Add(int64(len(pkt.Payload)))
 	}
-	if sendErr == nil && !clientBye.Load() {
-		// Clean goodbye — including to an evicted reader, whose socket may
-		// still accept one small control message even while frames back up.
-		sendMu.Lock()
-		controlWrite(conn, s.Metrics, s.Log, s.ControlTimeout, remote, "bye", func() error {
-			return WriteBye(conn)
-		})
-		sendMu.Unlock()
-	}
 	if subr.Evicted() {
 		s.Log.Warn("stream: spectator evicted (stalled past drop-to-keyframe)",
 			"session", remote, "channel", sub.Channel)
 	}
+	if sendErr == nil && !ctl.clientBye.Load() {
+		// A spectator whose channel ended may be a queue of frames behind: it
+		// gets the lingering close a player gets. One the server is dropping
+		// — evicted, or abandoned at shutdown — gets a bounded Bye (a stalled
+		// socket may still take one small control message) and no wait.
+		conn.SetWriteDeadline(time.Now().Add(subscriberWriteTimeout))
+		ctl.finish(!subr.Evicted() && !subr.Abandoned(), nil)
+	}
 	conn.Close()
-	<-readDone
+	<-ctl.done
 }
 
 // statsSink folds one session's backchannel Stats reports (DESIGN.md §13)
@@ -992,7 +929,7 @@ func metricLabel(remote string) string {
 // state except the exported level is single-goroutine.
 type shedSource struct {
 	inner  FrameSource
-	target func() Shedder // resolved lazily: the source exists only after Hello
+	target Shedder // inner, when it can degrade; else nil
 	client *parallel.Client
 	rec    *frametrace.Recorder
 	pol    ShedPolicy
@@ -1058,8 +995,8 @@ func (ss *shedSource) evaluate(i int) {
 
 func (ss *shedSource) setLevel(i, level int) {
 	old := int(ss.level.Swap(int32(level)))
-	if t := ss.target(); t != nil {
-		t.SetShedLevel(level)
+	if ss.target != nil {
+		ss.target.SetShedLevel(level)
 	}
 	if ss.client != nil {
 		if level >= ShedDemoted {
@@ -1197,25 +1134,13 @@ func (s *MultiServer) SessionLatencies() map[string][]time.Duration {
 	return out
 }
 
-// deferredSource resolves its FrameSource lazily: the real source is only
-// known after the client's Hello has been validated.
-type deferredSource struct {
-	get func() FrameSource
-}
-
-func (d deferredSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
-	src := d.get()
-	if src == nil {
-		return nil, false, frame.Rect{}, fmt.Errorf("stream: session has no source")
-	}
-	return src.NextFrame(i)
-}
-
 // Shutdown stops accepting and closes every live session, then waits for
 // the session goroutines to drain (they finish promptly — their
 // connections are closed) or for ctx to expire, whichever comes first.
 // Relay channels close first: subscriber queues end, so every spectator
-// writer sends its Bye before its connection is torn down.
+// writer sends its Bye before its connection is torn down. A spectator
+// whose channel had already ended is not cut short: Shutdown waits out its
+// hang-up (byeDrainTimeout at most) like any other session goroutine.
 func (s *MultiServer) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true

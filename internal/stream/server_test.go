@@ -392,6 +392,9 @@ func TestMultiServerFlightRetention(t *testing.T) {
 	const sessions = retiredFlights + 4
 	for i := 0; i < sessions; i++ {
 		runClient(t, addr, "client")
+		// A session retires its recorder once it has seen the client hang
+		// up; the next one must not start (and prune) before that.
+		waitFor(t, "session end", func() bool { return srv.SessionCount() == 0 })
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -674,5 +677,53 @@ func TestMultiServerShedLadder(t *testing.T) {
 	}
 	if got := s.Counter("stream_shed_recoveries_total"); got < 1 {
 		t.Errorf("shed_recoveries_total = %d, want >= 1", got)
+	}
+}
+
+// TestOpeningMessageBounded: a connection's first read is bounded in time
+// and in size. A peer that connects and says nothing used to hold a
+// goroutine and a pending entry until Shutdown; one that sent a five-byte
+// header claiming a body just under MaxBody had 14 MB allocated for it on
+// the spot. Both are now dropped, leaving nothing behind.
+func TestOpeningMessageBounded(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		idle time.Duration
+		send []byte
+	}{
+		{"silent", 100 * time.Millisecond, nil},
+		// The reaper is off, so only the size bound can end this one.
+		{"oversized", -1, []byte{byte(MsgHello), 0x80, 0x80, 0x80, 0x07}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := &MultiServer{
+				Accept:      Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6},
+				IdleTimeout: tc.idle,
+				NewSource:   func(Hello) (FrameSource, error) { return &countingSource{n: 1}, nil },
+			}
+			addr, done := startMulti(t, srv)
+			defer func() {
+				srv.Shutdown(contextWithTimeout(t))
+				<-done
+			}()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.send); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("the server kept the connection: %v", err)
+			}
+			srv.mu.Lock()
+			pending := len(srv.pending)
+			srv.mu.Unlock()
+			if pending != 0 || srv.SessionCount() != 0 {
+				t.Fatalf("%d pending connections and %d sessions left behind", pending, srv.SessionCount())
+			}
+		})
 	}
 }

@@ -35,8 +35,8 @@ type ServerOptions struct {
 	// OnInput, if non-nil, receives client input events.
 	OnInput func(InputPacket)
 	// OnStats, if non-nil, receives the client's periodic telemetry
-	// backchannel reports (v2 sessions only; see StatsPacket). Called from
-	// the session's read goroutine — keep it fast.
+	// backchannel reports (see StatsPacket). Called from the session's read
+	// goroutine — keep it fast.
 	OnStats func(StatsPacket)
 	// Validate, if non-nil, vets the client's Hello before accepting.
 	Validate func(Hello) error
@@ -59,16 +59,14 @@ type ServerOptions struct {
 	SlowSend time.Duration
 	// Remote tags this session's log lines (typically the client address).
 	Remote string
-	// ResumeToken, when non-empty, rides in the Accept of v4+ sessions: the
-	// opaque handle a reconnecting client replays in its Hello to be
-	// correlated with (and, for publishers, reclaim the parked channel of)
-	// this session.
+	// ResumeToken, when non-empty, rides in the Accept: the opaque handle a
+	// reconnecting client replays in its Hello to be correlated with (and,
+	// for publishers, reclaim the parked channel of) this session.
 	ResumeToken string
-	// IdleTimeout, when > 0, arms read-side liveness on v4+ sessions: the
-	// client heartbeats (MsgPing), the session pongs, and a connection that
-	// stays silent past the timeout is reaped as dead (the connection is
-	// closed, unblocking the frame writer). Pre-v4 clients never ping, so
-	// the deadline is only armed when the negotiated version is v4+.
+	// IdleTimeout, when > 0, arms read-side liveness: the client heartbeats
+	// (MsgPing), the session pongs, and a connection that stays silent past
+	// the timeout — from the first byte of its Hello on — is reaped as dead
+	// (the connection is closed, unblocking the frame writer).
 	IdleTimeout time.Duration
 	// ControlTimeout bounds small control writes (reject, bye, pong);
 	// <= 0 picks DefaultControlTimeout.
@@ -95,13 +93,13 @@ type ServerOptions struct {
 
 // byeDrainTimeout bounds how long a finished session waits for its client
 // to hang up (see awaitHangup). A client can be a socket buffer of frames
-// behind — about a second at 720p — so the bound is generous; it only
-// binds for a peer that neither reads nor closes.
+// behind — about a second at 720p — so the bound is generous; it only binds
+// for a peer that neither reads nor closes.
 const byeDrainTimeout = 5 * time.Second
 
 // awaitHangup ends a session whose Bye is on the wire: it half-closes conn
 // (the FIN follows the Bye) and waits, for at most byeDrainTimeout, until
-// the session's read goroutine sees the client's Bye or hang-up. Without it
+// the session's control loop sees the client's Bye or hang-up. Without it
 // the caller's Close can find unread client bytes in the socket (a
 // heartbeat or Stats report sent after the server stopped listening); TCP
 // then answers with a RST, and a RST destroys every frame the client had
@@ -149,7 +147,7 @@ func Serve(conn io.ReadWriter, opt ServerOptions) error {
 	if opt.Source == nil {
 		return errors.New("stream: server needs a frame source")
 	}
-	msg, err := ReadMsg(conn)
+	msg, err := readOpening(conn, opt.IdleTimeout)
 	tHello := time.Now() // T1 of the client's Cristian offset estimate
 	if err != nil {
 		return fmt.Errorf("stream: reading hello: %w", err)
@@ -160,124 +158,183 @@ func Serve(conn io.ReadWriter, opt ServerOptions) error {
 	return serveHello(conn, *msg.Hello, tHello, opt)
 }
 
+// readOpening reads a connection's first message. The peer has proved
+// nothing yet, so the read is bounded in size (maxOpeningBody, not the 16 MB
+// a frame may take) and, when idle > 0 and the transport has deadlines, in
+// time: a peer that connects and says nothing is dropped like any other
+// silent one. The deadline is left armed; a session's control loop re-arms
+// it before every read.
+func readOpening(conn io.Reader, idle time.Duration) (Msg, error) {
+	if rd, ok := conn.(interface{ SetReadDeadline(time.Time) error }); ok && idle > 0 {
+		rd.SetReadDeadline(time.Now().Add(idle))
+	}
+	return readMsgMax(conn, maxOpeningBody)
+}
+
+// checkVersion vets the version a Hello or Subscribe announced: this build
+// speaks ProtocolVersion and nothing else. The error text is the reason of
+// the RejectBadHello the peer is owed.
+func checkVersion(ver int) error {
+	if ver != ProtocolVersion {
+		return fmt.Errorf("protocol version %d, this server speaks %d", ver, ProtocolVersion)
+	}
+	return nil
+}
+
+// stamped returns acc as a session sends it: with the protocol version and
+// the server's clock pair — tRecv, when the client's opening message arrived
+// (T1), and now (T2).
+func (acc Accept) stamped(tRecv time.Time) Accept {
+	acc.Version = ProtocolVersion
+	acc.RecvUnixMicro = tRecv.UnixMicro()
+	acc.SendUnixMicro = time.Now().UnixMicro()
+	return acc
+}
+
+// control is the part of a session that is the same for a player and a
+// spectator: the read side, and the way a session that sent its whole
+// stream ends. run drains what the client sends (input events, Stats
+// reports, heartbeats, Bye) while the session's own goroutine streams
+// frames. Of opt it uses Remote, IdleTimeout, ControlTimeout, Metrics, Log,
+// OnInput, OnStats and OnReap.
+type control struct {
+	conn io.ReadWriter
+	opt  *ServerOptions
+	// sendMu serializes whole messages onto the socket: pong replies come
+	// from run while frames come from the session loop, and a message is
+	// two Writes (header, body) that must not interleave.
+	sendMu sync.Mutex
+	// clientBye distinguishes a clean protocol close from a network failure.
+	// finished marks the stream as sent in full, Bye included: from then on
+	// run only waits for the client to hang up (awaitHangup). stopped ends
+	// run after the message in hand.
+	clientBye, finished, stopped atomic.Bool
+	done                         chan struct{} // closed when run returns
+}
+
+// startControl starts the control loop of a session on conn.
+func startControl(conn io.ReadWriter, opt *ServerOptions) *control {
+	c := &control{conn: conn, opt: opt, done: make(chan struct{})}
+	go c.run()
+	return c
+}
+
+func (c *control) run() {
+	defer close(c.done)
+	opt := c.opt
+	// Read-side liveness: the client heartbeats, so a silent connection is a
+	// dead one. The deadline is re-armed before every read; when it fires the
+	// session is reaped — the conn is closed, which also unblocks a frame
+	// writer stuck on a blackholed socket. Slow-but-alive peers are the shed
+	// and eviction ladders' business.
+	rd, canDeadline := c.conn.(interface{ SetReadDeadline(time.Time) error })
+	liveness := opt.IdleTimeout > 0 && canDeadline
+	for !c.stopped.Load() {
+		if liveness && !c.finished.Load() {
+			rd.SetReadDeadline(time.Now().Add(opt.IdleTimeout))
+		}
+		m, err := ReadMsg(c.conn)
+		if err != nil {
+			// Once the stream is over (awaitHangup) a deadline is the end
+			// of the wait for the client's hang-up, not a dead peer.
+			if liveness && !c.finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
+				opt.Metrics.Counter("stream_sessions_reaped_total").Inc()
+				opt.Log.Warn("stream: reaping session: no traffic (not even a heartbeat)",
+					"session", opt.Remote, "idle", opt.IdleTimeout)
+				if opt.OnReap != nil {
+					opt.OnReap(opt.IdleTimeout)
+				}
+				if cl, ok := c.conn.(io.Closer); ok {
+					cl.Close()
+				}
+			}
+			return
+		}
+		switch m.Type {
+		case MsgInput:
+			if opt.OnInput != nil {
+				opt.OnInput(*m.Input)
+			}
+		case MsgStats:
+			if opt.OnStats != nil {
+				opt.OnStats(*m.Stats)
+			}
+		case MsgPing:
+			opt.Metrics.Counter("stream_pings_total").Inc()
+			ping := *m.Ping
+			c.sendMu.Lock()
+			if c.finished.Load() {
+				// Nothing follows our Bye; the client is only catching up.
+				c.sendMu.Unlock()
+				break
+			}
+			err := controlWrite(c.conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "pong", func() error {
+				return WritePong(c.conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
+			})
+			c.sendMu.Unlock()
+			if err != nil {
+				return
+			}
+		case MsgBye:
+			c.clientBye.Store(true)
+			opt.Metrics.Counter("stream_client_bye_total").Inc()
+			return
+		default:
+			return // protocol violation: stop reading
+		}
+	}
+}
+
+// finish ends a session from the server's side with a Bye, written under
+// sendMu so that no pong can follow it. With linger — the stream went out in
+// full and the client may be a socket buffer behind — the Bye takes its turn
+// behind the frames, afterBye runs, and the conn is half-closed and read
+// until the client hangs up (awaitHangup). Without, the peer is being
+// dropped: the Bye is one bounded control write and nothing waits.
+func (c *control) finish(linger bool, afterBye func()) error {
+	bye := func() error { return WriteBye(c.conn) }
+	c.sendMu.Lock()
+	var err error
+	if linger {
+		err = bye()
+		c.finished.Store(err == nil)
+	} else {
+		err = controlWrite(c.conn, c.opt.Metrics, c.opt.Log, c.opt.ControlTimeout, c.opt.Remote, "bye", bye)
+	}
+	c.sendMu.Unlock()
+	if err != nil || !linger {
+		return err
+	}
+	if afterBye != nil {
+		afterBye()
+	}
+	awaitHangup(c.conn, c.done)
+	return nil
+}
+
 // serveHello runs a server session whose opening Hello has already been
 // read (tHello is its arrival time, T1 of the client's clock estimate) —
 // the entry point for callers that dispatch on the first message
 // themselves, like MultiServer's publisher/subscriber split.
 func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOptions) error {
-	if opt.Source == nil {
-		return errors.New("stream: server needs a frame source")
+	err := checkVersion(hello.Version)
+	if err == nil && opt.Validate != nil {
+		err = opt.Validate(hello)
 	}
-	if opt.Validate != nil {
-		if err := opt.Validate(hello); err != nil {
-			// Tell the client why before closing — a silent close is
-			// indistinguishable from a network fault on their side.
-			controlWrite(conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "reject", func() error {
-				return WriteReject(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
-			})
-			return fmt.Errorf("stream: rejecting client: %w", err)
-		}
+	if err != nil {
+		// Tell the client why before closing — a silent close is
+		// indistinguishable from a network fault on their side.
+		controlWrite(conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "reject", func() error {
+			return WriteReject(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		})
+		return fmt.Errorf("stream: rejecting client: %w", err)
 	}
-	// Version negotiation: min of what both sides speak. A v1 client gets
-	// an Accept (and frames) in the original unversioned encoding.
-	ver := NegotiateVersion(hello.Version)
-	acc := opt.Accept
-	if ver >= ProtocolV2 {
-		acc.Version = ver
-		acc.RecvUnixMicro = tHello.UnixMicro()
-		acc.SendUnixMicro = time.Now().UnixMicro()
-	} else {
-		acc.Version, acc.RecvUnixMicro, acc.SendUnixMicro = 0, 0, 0
-	}
-	if ver >= ProtocolV4 {
-		acc.Token = opt.ResumeToken
-	} else {
-		acc.Token = ""
-	}
+	acc := opt.Accept.stamped(tHello)
+	acc.Token = opt.ResumeToken
 	if err := WriteAccept(conn, acc); err != nil {
 		return fmt.Errorf("stream: writing accept: %w", err)
 	}
-
-	// Drain client messages (input events, stats reports, heartbeats, bye)
-	// concurrently. clientBye distinguishes a clean protocol close from a
-	// network failure in the session's closing log line. sendMu serializes
-	// whole messages onto the socket: pong replies come from this read
-	// goroutine while frames stream from the session loop, and a message is
-	// two Writes (header, body) that must not interleave.
-	// finished marks the stream as sent in full, Bye included: from then on
-	// the reader only waits for the client to hang up (awaitHangup).
-	var clientBye, finished atomic.Bool
-	var sendMu sync.Mutex
-	readDone := make(chan struct{})
-	stopRead := make(chan struct{})
-	// Read-side liveness (v4): the client heartbeats, so a silent
-	// connection is a dead one. The deadline is re-armed before every read;
-	// when it fires the session is reaped — the conn is closed, which also
-	// unblocks a frame writer stuck on a blackholed socket.
-	rd, canDeadline := conn.(interface{ SetReadDeadline(time.Time) error })
-	liveness := ver >= ProtocolV4 && opt.IdleTimeout > 0 && canDeadline
-	go func() {
-		defer close(readDone)
-		for {
-			if liveness && !finished.Load() {
-				rd.SetReadDeadline(time.Now().Add(opt.IdleTimeout))
-			}
-			m, err := ReadMsg(conn)
-			if err != nil {
-				// Once the stream is over (awaitHangup) a deadline is the end
-				// of the wait for the client's hang-up, not a dead peer.
-				if liveness && !finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
-					opt.Metrics.Counter("stream_sessions_reaped_total").Inc()
-					opt.Log.Warn("stream: reaping session: no traffic (not even a heartbeat)",
-						"session", opt.Remote, "idle", opt.IdleTimeout)
-					if opt.OnReap != nil {
-						opt.OnReap(opt.IdleTimeout)
-					}
-					if c, ok := conn.(io.Closer); ok {
-						c.Close()
-					}
-				}
-				return
-			}
-			switch m.Type {
-			case MsgInput:
-				if opt.OnInput != nil {
-					opt.OnInput(*m.Input)
-				}
-			case MsgStats:
-				if opt.OnStats != nil {
-					opt.OnStats(*m.Stats)
-				}
-			case MsgPing:
-				opt.Metrics.Counter("stream_pings_total").Inc()
-				ping := *m.Ping
-				sendMu.Lock()
-				if finished.Load() {
-					// Nothing follows our Bye; the client is only catching up.
-					sendMu.Unlock()
-					break
-				}
-				err := controlWrite(conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "pong", func() error {
-					return WritePong(conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
-				})
-				sendMu.Unlock()
-				if err != nil {
-					return
-				}
-			case MsgBye:
-				clientBye.Store(true)
-				opt.Metrics.Counter("stream_client_bye_total").Inc()
-				return
-			default:
-				return // protocol violation: stop reading
-			}
-			select {
-			case <-stopRead:
-				return
-			default:
-			}
-		}
-	}()
+	ctl := startControl(conn, &opt)
 
 	framesSent := opt.Metrics.Counter("stream_frames_sent_total")
 	bytesSent := opt.Metrics.Counter("stream_bytes_sent_total")
@@ -306,22 +363,20 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 		opt.Flight.SetEncode(fid, roi, len(payload), len(payload))
 		opt.Flight.Span(fid, "source", "source", tSrc, dSrc)
 		t0 := time.Now()
-		if ver >= ProtocolV2 {
-			// The frame's wire identity: the server's flight ID (the
-			// client recorder adopts it, so both dumps correlate) and the
-			// server clock at send, from which the client computes the
-			// clock-corrected end-to-end frame age.
-			pkt.FlightID = fid
-			pkt.SendUnixMicro = t0.UnixMicro()
-		}
+		// The frame's wire identity: the server's flight ID (the client
+		// recorder adopts it, so both dumps correlate) and the server clock
+		// at send, from which the client computes the clock-corrected
+		// end-to-end frame age.
+		pkt.FlightID = fid
+		pkt.SendUnixMicro = t0.UnixMicro()
 		if opt.Tap != nil {
 			// The relay fan-out point: subscribers see the exact packet the
 			// player gets (same index, flight ID, RoI), encoded once.
 			opt.Tap(pkt)
 		}
-		sendMu.Lock()
+		ctl.sendMu.Lock()
 		err = WriteFrame(conn, pkt)
-		sendMu.Unlock()
+		ctl.sendMu.Unlock()
 		if err != nil {
 			sendErr = fmt.Errorf("stream: writing frame %d: %w", i, err)
 			break
@@ -351,23 +406,14 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 		bytesSent.Add(int64(len(payload)))
 	}
 	if sendErr == nil {
-		sendMu.Lock()
-		sendErr = WriteBye(conn)
-		finished.Store(sendErr == nil) // under sendMu: no pong can follow the Bye
-		sendMu.Unlock()
-		if sendErr == nil {
-			if opt.afterBye != nil {
-				opt.afterBye()
-			}
-			awaitHangup(conn, readDone)
-		}
+		sendErr = ctl.finish(true, opt.afterBye)
 	}
-	close(stopRead)
+	ctl.stopped.Store(true)
 	// A session that dies mid-send is either the client leaving politely
 	// (its Bye raced our next frame) or the network failing; the closing
 	// log line tells them apart so session logs are diagnosable.
 	if opt.Remote != "" && sendErr != nil {
-		if clientBye.Load() {
+		if ctl.clientBye.Load() {
 			opt.Log.Info("stream: client closed cleanly (bye received)", "session", opt.Remote)
 		} else {
 			opt.Log.Warn("stream: session ended without bye", "session", opt.Remote, "err", sendErr)
@@ -378,18 +424,8 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	return sendErr
 }
 
-// NegotiateVersion returns the protocol version a server session runs at
-// for a client that announced clientVer: the minimum of both sides, with 0
-// (an unversioned v1 hello) mapping to v1.
-func NegotiateVersion(clientVer int) int {
-	if clientVer < ProtocolV2 {
-		return ProtocolV1
-	}
-	return min(ProtocolVersion, clientVer)
-}
-
 // ClockSync is the client's Cristian-style estimate of the server clock,
-// taken from the v2 handshake's timestamp exchange: Offset estimates
+// taken from the handshake's timestamp exchange: Offset estimates
 // serverClock − clientClock, and the estimate's error is bounded by RTT/2
 // (the classic bound — the true offset lies within ±RTT/2 of the
 // estimate, since the request and reply legs split the round trip
@@ -400,13 +436,13 @@ type ClockSync struct {
 	// RTT is the handshake round trip minus the server's hold time — the
 	// network component only, which bounds the offset estimate's error.
 	RTT time.Duration
-	// Synced reports whether a v2 timestamp exchange happened (false on
-	// v1 sessions, where no correction is available).
+	// Synced reports whether the timestamp exchange happened (false before
+	// the handshake, and when the server's Accept carried no clock).
 	Synced bool
 }
 
 // ServerTime converts a server-clock timestamp (µs since the Unix epoch,
-// as carried by v2 FramePackets) into the client's clock.
+// as carried by FramePackets) into the client's clock.
 func (cs ClockSync) ServerTime(unixMicro int64) time.Time {
 	return time.UnixMicro(unixMicro).Add(-cs.Offset)
 }
@@ -430,15 +466,17 @@ type Client struct {
 func NewClient(conn io.ReadWriter) *Client { return &Client{conn: conn} }
 
 // Handshake sends the Hello (the device's capability probe result) and
-// returns the server's stream geometry. When the Hello announces v2 or
-// later, the handshake also performs the clock exchange: the client's send
-// time rides in the Hello, the server's receive/send pair rides back in
-// the Accept, and the resulting offset + RTT estimate is available from
-// Clock.
+// returns the server's stream geometry. It also performs the clock
+// exchange: the client's send time rides in the Hello, the server's
+// receive/send pair rides back in the Accept, and the resulting offset +
+// RTT estimate is available from Clock. A zero Version or SendUnixMicro is
+// filled in (ProtocolVersion, now).
 func (c *Client) Handshake(h Hello) (Accept, error) {
-	t0 := time.Now()
-	if h.Version >= ProtocolV2 && h.SendUnixMicro == 0 {
-		h.SendUnixMicro = t0.UnixMicro()
+	if h.Version == 0 {
+		h.Version = ProtocolVersion
+	}
+	if h.SendUnixMicro == 0 {
+		h.SendUnixMicro = time.Now().UnixMicro()
 	}
 	c.writeMu.Lock()
 	err := WriteHello(c.conn, h)
@@ -446,26 +484,21 @@ func (c *Client) Handshake(h Hello) (Accept, error) {
 	if err != nil {
 		return Accept{}, fmt.Errorf("stream: writing hello: %w", err)
 	}
-	sendUS := int64(0)
-	if h.Version >= ProtocolV2 {
-		sendUS = h.SendUnixMicro
-	}
-	return c.awaitAccept(sendUS)
+	return c.awaitAccept(h.SendUnixMicro)
 }
 
 // Subscribe attaches this client to an existing publish channel as a
-// spectator (v3): instead of a Hello opening a game session, the Subscribe
+// spectator: instead of a Hello opening a game session, the Subscribe
 // asks for the channel's cached geometry, the cached keyframe and the live
 // GOP tail. The timestamp exchange is the same as Handshake's, so
 // spectators get clock sync too. A missing channel comes back as a
 // RejectedError with code RejectUnknownChannel.
 func (c *Client) Subscribe(sub Subscribe) (Accept, error) {
-	t0 := time.Now()
 	if sub.Version == 0 {
 		sub.Version = ProtocolVersion
 	}
 	if sub.SendUnixMicro == 0 {
-		sub.SendUnixMicro = t0.UnixMicro()
+		sub.SendUnixMicro = time.Now().UnixMicro()
 	}
 	c.writeMu.Lock()
 	err := WriteSubscribe(c.conn, sub)
@@ -477,9 +510,9 @@ func (c *Client) Subscribe(sub Subscribe) (Accept, error) {
 }
 
 // awaitAccept reads the server's Accept (or Reject) and stores the stream
-// geometry. When sendUS is non-zero (the client-clock send time of the
-// opening message) and the server answered with a v2+ clock pair, it also
-// completes the Cristian offset + RTT estimate.
+// geometry. sendUS is the client-clock send time of the opening message;
+// with the server's clock pair it completes the Cristian offset + RTT
+// estimate.
 func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 	msg, err := ReadMsg(c.conn)
 	t3 := time.Now()
@@ -497,7 +530,7 @@ func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 		return Accept{}, fmt.Errorf("%w: expected accept, got %v", ErrProtocol, msg.Type)
 	}
 	c.cfg = *msg.Accept
-	if sendUS > 0 && c.cfg.Version >= ProtocolV2 && c.cfg.RecvUnixMicro > 0 {
+	if sendUS > 0 && c.cfg.RecvUnixMicro > 0 {
 		// NTP-style two-sample estimate: T0/T3 on the client clock, T1/T2
 		// on the server's.
 		t1 := c.cfg.RecvUnixMicro
@@ -516,11 +549,12 @@ func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 	return c.cfg, nil
 }
 
-// Config returns the negotiated stream geometry (zero before Handshake).
+// Config returns the stream geometry the server announced (zero before
+// Handshake).
 func (c *Client) Config() Accept { return c.cfg }
 
-// Clock returns the handshake's clock-sync estimate (Synced false on v1
-// sessions or before Handshake).
+// Clock returns the handshake's clock-sync estimate (Synced false before
+// Handshake).
 func (c *Client) Clock() ClockSync { return c.sync }
 
 // RecvFrame returns the next frame packet, or io.EOF after the server's
@@ -552,10 +586,8 @@ func (c *Client) RecvFrame() (FramePacket, error) {
 	}
 }
 
-// SendPing ships a liveness heartbeat (v4+ sessions): the server echoes the
-// timestamp in a Pong, which RecvFrame consumes into PingRTT. Callers gate
-// on Config().Version >= ProtocolV4 — a pre-v4 server stops reading its
-// input path at the first message it does not understand.
+// SendPing ships a liveness heartbeat: the server echoes the timestamp in a
+// Pong, which RecvFrame consumes into PingRTT.
 func (c *Client) SendPing() error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
@@ -576,10 +608,7 @@ func (c *Client) SendInput(in InputPacket) error {
 	return WriteInput(c.conn, in)
 }
 
-// SendStats ships a telemetry backchannel report to the server. Only
-// meaningful on v2 sessions — a v1 server stops reading its input path at
-// the first message it does not understand, so callers should gate on
-// Config().Version.
+// SendStats ships a telemetry backchannel report to the server.
 func (c *Client) SendStats(st StatsPacket) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()

@@ -3,56 +3,34 @@
 // protocol) play in the paper's software setup (§V-A). It is a small
 // length-prefixed message protocol over any reliable byte stream:
 //
-//	client → server  Hello     (device name, negotiated RoI window, scale,
-//	                            protocol version + client clock, v2;
-//	                            publish-channel name, v3)
+//	client → server  Hello     (device name, RoI window, scale, protocol
+//	                            version, client clock, publish-channel name,
+//	                            resume token)
 //	client → server  Subscribe (spectate an existing publish channel instead
-//	                            of opening a game session, v3)
-//	server → client  Accept    (stream geometry: resolution, GOP, quantizer,
-//	                            negotiated version + server clock pair, v2)
-//	server → client  Reject    (refusal: reason code + detail, then close)
-//	server → client  Frame     (index, codec frame type, RoI coords, payload;
-//	                            v2 adds the server's flight ID + send time)
+//	                            of opening a game session)
+//	server → client  Accept    (stream geometry, protocol version, server
+//	                            clock pair, resume token)
+//	server → client  Reject    (refusal: reason code + detail, optional
+//	                            retry-after hint, then close)
+//	server → client  Frame     (index, codec frame type, flight ID + send
+//	                            time, RoI coords, payload)
 //	client → server  Input     (sequence number, opaque input event payload)
 //	client → server  Stats     (periodic client-side latency/age percentiles
 //	                            and drop counts — the telemetry backchannel)
+//	either direction Ping/Pong (liveness heartbeat; the pong echoes the
+//	                            ping's sequence number and timestamp)
 //	either direction Bye       (clean shutdown)
 //
 // The RoI coordinates riding alongside each frame are the paper's Fig. 6
 // step ❺: the depth-guided RoI is computed on the server and shipped with
 // the compressed frame so the client knows which region to route to the NPU.
 //
-// # Versioning (DESIGN.md §13)
-//
-// The handshake negotiates a protocol version. A v2 client appends its
-// version and a send timestamp to the Hello as trailing uvarints; a v2
-// server answers with the negotiated version (min of both sides) plus a
-// receive/send server-clock pair, giving the client a Cristian-style
-// clock-offset + RTT estimate in a single round trip. The v1 encodings are
-// byte-identical to the pre-versioning wire format, and the v2 parsers
-// accept (and ignore) unknown trailing fields, so a v1 peer on either side
-// of a v2 peer negotiates down to a pure-v1 session. Frame extensions
-// (flight ID, send timestamp) are flagged in the frame's flags byte and
-// only sent on sessions that negotiated v2, so a v1 client never sees
-// bytes it cannot parse.
-//
-// Version 3 adds the publish/subscribe relay (DESIGN.md §14): a Hello may
-// carry a channel name (registering its session as the channel's
-// publisher), and a Subscribe message opens a spectator session on an
-// existing channel instead of a game session. The channel field rides
-// after the v2 extension, so a v3 Hello without a channel is one length
-// byte longer than a v2 one and a v1/v2 Hello is byte-identical to before.
-//
-// Version 4 adds liveness and resume (DESIGN.md §15): MsgPing/MsgPong
-// heartbeats (either direction; the receiver echoes the ping's sequence
-// number and timestamp so the pinger gets an RTT sample from its own
-// clock), an opaque resume token issued in the Accept and replayed in a
-// reconnecting Hello so the server correlates the two connections as one
-// logical session — and, for a publisher, reclaims its parked relay
-// channel — and an optional retry-after hint on Busy rejects. The token
-// fields ride after the v3 extension with the same absent-field leniency:
-// a v4 Hello without a token is one length byte longer than a v3 one, and
-// a v3 peer on either side negotiates the whole extension away.
+// There is one wire format (DESIGN.md §13 has the field-by-field table) and
+// one version number, ProtocolVersion. A Hello or Subscribe announcing any
+// other version is refused with a typed Reject. Hello, Accept, Subscribe and
+// Reject ignore bytes after their last known field, so a later format can
+// append fields and still be understood well enough to be refused by name;
+// every other message is parsed exactly.
 package stream
 
 import (
@@ -65,19 +43,10 @@ import (
 	"gamestreamsr/internal/frame"
 )
 
-// Protocol versions. Version 1 is the original unversioned wire format;
-// version 2 adds handshake clock exchange, per-frame flight IDs + send
-// timestamps, and the Stats backchannel; version 3 adds the
-// publish/subscribe relay (channel field in Hello, Subscribe message);
-// version 4 adds Ping/Pong heartbeats, resume tokens and Busy retry-after.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	ProtocolV3 = 3
-	ProtocolV4 = 4
-	// ProtocolVersion is the highest version this build speaks.
-	ProtocolVersion = ProtocolV4
-)
+// ProtocolVersion is the one protocol version this build speaks: the number
+// a Hello or Subscribe announces and an Accept echoes. A peer announcing any
+// other number is refused (RejectBadHello).
+const ProtocolVersion = 4
 
 // MsgType identifies a protocol message.
 type MsgType uint8
@@ -126,31 +95,37 @@ func (t MsgType) String() string {
 // MaxBody bounds a message body; anything larger is rejected as corrupt.
 const MaxBody = 16 << 20
 
+// maxOpeningBody bounds the body of a connection's first message, read before
+// the peer is known to be a client at all: a Hello or a Subscribe is at most
+// three 255-byte strings with their length prefixes plus four uvarints (well
+// under 900 bytes), and the remainder is room for fields a later format
+// appends.
+const maxOpeningBody = 1024
+
 // ErrProtocol wraps all wire-format violations.
 var ErrProtocol = errors.New("stream: protocol error")
 
 // Hello is the client's opening message: its identity and the §IV-B1
-// capability probe result (Fig. 6 step ❶). Version ≤ 1 produces the
-// original wire encoding; version ≥ 2 appends the version and the client's
-// send timestamp, which the server echoes into the Accept's clock pair.
+// capability probe result (Fig. 6 step ❶), plus the client's send timestamp,
+// which the server answers with the Accept's clock pair.
 type Hello struct {
 	Device    string
 	RoIWindow int
 	Scale     int
-	// Version is the highest protocol version the client speaks (0 and 1
-	// both mean the original unversioned format).
+	// Version is the protocol version the client speaks. Client.Handshake
+	// fills in ProtocolVersion when it is zero; WriteHello writes what it
+	// is given.
 	Version int
 	// SendUnixMicro is the client's clock (µs since the Unix epoch) when
 	// the Hello was written — T0 of the Cristian offset estimate. Filled
-	// by Client.Handshake on v2 handshakes; 0 on v1.
+	// by Client.Handshake when zero.
 	SendUnixMicro int64
-	// Channel, when non-empty on a v3+ hello, registers this session as
-	// the publisher of the named relay channel: spectators can then attach
-	// to the same encoded GOP stream with a Subscribe. Empty means a solo
-	// session (the pre-v3 behaviour).
+	// Channel, when non-empty, registers this session as the publisher of
+	// the named relay channel: spectators can then attach to the same
+	// encoded GOP stream with a Subscribe. Empty means a solo session.
 	Channel string
-	// ResumeToken, when non-empty on a v4+ hello, replays the opaque token
-	// a previous Accept issued: the server correlates this connection with
+	// ResumeToken, when non-empty, replays the opaque token a previous
+	// Accept issued: the server correlates this connection with
 	// the earlier session (flight records, per-session metrics) and, if the
 	// session published a channel that is still parked within its grace
 	// window, hands the channel back with its subscribers intact. Empty
@@ -199,10 +174,9 @@ func (c RejectCode) String() string {
 type Reject struct {
 	Code   RejectCode
 	Reason string
-	// RetryAfterMs, when non-zero on a Busy reject, is the server's hint
-	// for how long the client should back off before redialling
-	// (milliseconds). Only encoded to peers that announced v4+ — older
-	// parsers treat trailing bytes on a Reject as corruption.
+	// RetryAfterMs, when non-zero on a Busy or Capacity reject, is the
+	// server's hint for how long the client should back off before
+	// redialling (milliseconds). Zero is not encoded.
 	RetryAfterMs uint32
 }
 
@@ -229,41 +203,41 @@ func (e *RejectedError) Error() string {
 	return s
 }
 
-// Accept is the server's handshake reply describing the stream. Version 0
-// produces the original wire encoding (what a v1 session uses); version ≥ 2
-// appends the negotiated version and the server's receive/send clock pair
-// (T1, T2), completing the client's offset + RTT estimate.
+// Accept is the server's handshake reply describing the stream, with the
+// server's receive/send clock pair (T1, T2) that completes the client's
+// offset + RTT estimate.
 type Accept struct {
 	Width, Height int
 	GOPSize       int
 	QStep         int
-	// Version is the negotiated protocol version (0 on v1 sessions).
+	// Version is the protocol version the server speaks; the session fills
+	// it in, callers configuring a server leave it zero.
 	Version int
 	// RecvUnixMicro is the server's clock when the Hello arrived (T1).
 	RecvUnixMicro int64
 	// SendUnixMicro is the server's clock when the Accept was written (T2).
 	SendUnixMicro int64
-	// Token is the opaque resume token (v4+): a reconnecting client
-	// replays it in its Hello so the server correlates the connections as
-	// one logical session and a publisher can reclaim its parked channel.
-	// Empty on pre-v4 sessions or when the server issues none.
+	// Token is the opaque resume token: a reconnecting client replays it
+	// in its Hello so the server correlates the connections as one logical
+	// session and a publisher can reclaim its parked channel. Empty when
+	// the server issues none (spectators get none).
 	Token string
 }
 
-// FramePacket carries one coded frame plus its RoI coordinates. On v2
-// sessions it also carries the server's flight-recorder frame ID and the
-// server clock at send time, so the frame keeps one identity from the
-// server's encode spans to the client's present span and the client can
-// compute a clock-corrected end-to-end frame age.
+// FramePacket carries one coded frame plus its RoI coordinates, the
+// server's flight-recorder frame ID and the server clock at send time, so
+// the frame keeps one identity from the server's encode spans to the
+// client's present span and the client can compute a clock-corrected
+// end-to-end frame age.
 type FramePacket struct {
 	Index  uint32
 	Keyenc bool // reference (intra) frame
 	// FlightID is the server flight recorder's ID for this frame (0 when
-	// the server records no flight, or on v1 sessions). The client's
-	// recorder adopts it, so the two processes' dumps correlate by ID.
+	// the server records no flight). The client's recorder adopts it, so
+	// the two processes' dumps correlate by ID.
 	FlightID uint64
 	// SendUnixMicro is the server's clock (µs since the Unix epoch) just
-	// before the frame hit the socket; 0 on v1 sessions.
+	// before the frame hit the socket.
 	SendUnixMicro int64
 	RoI           frame.Rect
 	Payload       []byte
@@ -299,25 +273,25 @@ type StatsPacket struct {
 	AgeP50, AgeP99 time.Duration
 }
 
-// Subscribe is a v3 client's request to spectate an existing publish
-// channel instead of opening a game session: the server replies with the
-// channel's cached Accept geometry, replays the cached keyframe and fans
-// the live GOP tail out to the subscriber. Like a v3 Hello it carries the
-// client's version and send timestamp, so spectators get the same clock
-// sync as players.
+// Subscribe is a client's request to spectate an existing publish channel
+// instead of opening a game session: the server replies with the channel's
+// cached Accept geometry, replays the cached keyframe and fans the live GOP
+// tail out to the subscriber. Like a Hello it carries the client's version
+// and send timestamp, so spectators get the same clock sync as players.
 type Subscribe struct {
 	// Channel names the publish channel to attach to (required).
 	Channel string
 	// Device identifies the spectator (shows up in logs and flight dumps).
 	Device string
-	// Version is the highest protocol version the subscriber speaks.
+	// Version is the protocol version the subscriber speaks
+	// (Client.Subscribe fills in ProtocolVersion when it is zero).
 	Version int
 	// SendUnixMicro is the subscriber's clock when the Subscribe was
 	// written — T0 of its Cristian offset estimate.
 	SendUnixMicro int64
 }
 
-// PingPacket is a v4 liveness probe. Either endpoint may send one at any
+// PingPacket is a liveness probe. Either endpoint may send one at any
 // point after the handshake; the receiver must answer with a Pong echoing
 // Seq and SendUnixMicro. The timestamp is the *pinger's* clock — the
 // responder never interprets it, so RTT sampling needs no clock sync.
@@ -354,8 +328,8 @@ func writeMsg(w io.Writer, t MsgType, body []byte) error {
 	return err
 }
 
-// readMsg reads one framed message.
-func readMsg(r io.Reader) (MsgType, []byte, error) {
+// readMsg reads one framed message whose body is at most limit bytes.
+func readMsg(r io.Reader, limit int) (MsgType, []byte, error) {
 	var tb [1]byte
 	if _, err := io.ReadFull(r, tb[:]); err != nil {
 		return 0, nil, err
@@ -365,8 +339,8 @@ func readMsg(r io.Reader) (MsgType, []byte, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("%w: bad length: %v", ErrProtocol, err)
 	}
-	if n > MaxBody {
-		return 0, nil, fmt.Errorf("%w: body %d exceeds limit", ErrProtocol, n)
+	if n > uint64(limit) {
+		return 0, nil, fmt.Errorf("%w: body %d exceeds limit %d", ErrProtocol, n, limit)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -385,12 +359,10 @@ func (b *byteReader) ReadByte() (byte, error) {
 
 // --- message bodies -----------------------------------------------------------
 
-// WriteHello sends a Hello message. Version ≤ 1 emits the original v1
-// encoding (exactly the pre-versioning bytes); version ≥ 2 appends the
-// version and send timestamp as trailing uvarints, which v1-era parsers of
-// this package reject but the v2 parser accepts from either era; version
-// ≥ 3 additionally appends the publish-channel name (length + raw bytes);
-// version ≥ 4 appends the resume token the same way.
+// WriteHello sends a Hello message: the device name (one length byte + raw
+// bytes), four uvarints (RoI window, scale, version, send timestamp), then
+// the channel name and the resume token (uvarint length + raw bytes each,
+// empty when unset).
 func WriteHello(w io.Writer, h Hello) error {
 	if len(h.Device) > 255 {
 		return fmt.Errorf("%w: device name too long", ErrProtocol)
@@ -405,79 +377,33 @@ func WriteHello(w io.Writer, h Hello) error {
 	body = append(body, h.Device...)
 	body = binary.AppendUvarint(body, uint64(h.RoIWindow))
 	body = binary.AppendUvarint(body, uint64(h.Scale))
-	if h.Version >= ProtocolV2 {
-		body = binary.AppendUvarint(body, uint64(h.Version))
-		body = binary.AppendUvarint(body, clampMicro(h.SendUnixMicro))
-	}
-	if h.Version >= ProtocolV3 {
-		body = binary.AppendUvarint(body, uint64(len(h.Channel)))
-		body = append(body, h.Channel...)
-	}
-	if h.Version >= ProtocolV4 {
-		body = binary.AppendUvarint(body, uint64(len(h.ResumeToken)))
-		body = append(body, h.ResumeToken...)
-	}
+	body = binary.AppendUvarint(body, uint64(h.Version))
+	body = binary.AppendUvarint(body, clampMicro(h.SendUnixMicro))
+	body = binary.AppendUvarint(body, uint64(len(h.Channel)))
+	body = append(body, h.Channel...)
+	body = binary.AppendUvarint(body, uint64(len(h.ResumeToken)))
+	body = append(body, h.ResumeToken...)
 	return writeMsg(w, MsgHello, body)
 }
 
 func parseHello(body []byte) (Hello, error) {
 	var h Hello
-	if len(body) < 1 {
-		return h, fmt.Errorf("%w: empty hello", ErrProtocol)
-	}
-	n := int(body[0])
-	body = body[1:]
-	if len(body) < n {
+	var ok bool
+	if h.Device, body, ok = readByteLenString(body); !ok {
 		return h, fmt.Errorf("%w: truncated device name", ErrProtocol)
 	}
-	h.Device = string(body[:n])
-	body = body[n:]
-	// The first two uvarints are required; the next two are the v2
-	// extension: version, then the client's send timestamp (a v1 hello
-	// leaves Version 0, meaning unversioned).
-	vals, rest, err := readUvarintsUpTo(body, 4)
+	vals, rest, err := readUvarintsRest(body, 4)
 	if err != nil {
 		return h, err
 	}
-	if len(vals) < 2 {
-		return h, fmt.Errorf("%w: %d hello fields, want at least 2", ErrProtocol, len(vals))
+	h.RoIWindow, h.Scale = int(vals[0]), int(vals[1])
+	h.Version, h.SendUnixMicro = int(vals[2]), int64(vals[3])
+	if h.Channel, rest, ok = readLenBytes(rest); !ok {
+		return h, fmt.Errorf("%w: truncated channel name", ErrProtocol)
 	}
-	h.RoIWindow = int(vals[0])
-	h.Scale = int(vals[1])
-	if len(vals) >= 3 {
-		h.Version = int(vals[2])
-	}
-	if len(vals) >= 4 {
-		h.SendUnixMicro = int64(vals[3])
-	}
-	switch {
-	case h.Version >= ProtocolV3 && len(rest) > 0:
-		// The v3 extension: channel name as uvarint length + raw bytes.
-		// Absent means no channel (an older build announcing a future
-		// version never wrote one).
-		var m int
-		h.Channel, rest, m = readLenBytes(rest)
-		if m <= 0 {
-			return h, fmt.Errorf("%w: truncated channel name", ErrProtocol)
-		}
-		if h.Version >= ProtocolV4 && len(rest) > 0 {
-			// The v4 extension: resume token, same length + raw-bytes
-			// shape. Absent means no token (a v3 build announcing a
-			// future version never wrote one). Bytes beyond the token
-			// belong to a future version — ignored, the leniency v5 will
-			// rely on.
-			h.ResumeToken, rest, m = readLenBytes(rest)
-			if m <= 0 {
-				return h, fmt.Errorf("%w: truncated resume token", ErrProtocol)
-			}
-		}
-		_ = rest
-	case len(rest) > 0:
-		// Pre-v3 leniency: trailing fields must still be well-formed
-		// uvarints (newer versions append fields, not arbitrary bytes).
-		if _, err := readUvarintsAll(rest, 0); err != nil {
-			return h, err
-		}
+	// Bytes after the token belong to a later format and are ignored.
+	if h.ResumeToken, _, ok = readLenBytes(rest); !ok {
+		return h, fmt.Errorf("%w: truncated resume token", ErrProtocol)
 	}
 	if h.RoIWindow <= 0 || h.Scale <= 0 {
 		return h, fmt.Errorf("%w: non-positive hello fields", ErrProtocol)
@@ -486,23 +412,29 @@ func parseHello(body []byte) (Hello, error) {
 }
 
 // readLenBytes reads one uvarint-length-prefixed byte string, returning it
-// plus the unread remainder. m <= 0 signals truncation (a length promising
-// more bytes than the body holds, or a malformed length varint).
-func readLenBytes(body []byte) (s string, rest []byte, m int) {
+// plus the unread remainder. ok is false on truncation (a length promising
+// more bytes than the body holds, or a missing or malformed length varint).
+func readLenBytes(body []byte) (s string, rest []byte, ok bool) {
 	n, m := binary.Uvarint(body)
-	if m <= 0 {
-		return "", nil, -1
+	if m <= 0 || uint64(len(body)-m) < n {
+		return "", nil, false
 	}
 	body = body[m:]
-	if uint64(len(body)) < n {
-		return "", nil, -1
-	}
-	return string(body[:n]), body[n:], m
+	return string(body[:n]), body[n:], true
 }
 
-// WriteSubscribe sends a Subscribe message (v3): channel + device as
-// length-prefixed strings, then version + send timestamp as uvarints, with
-// the same trailing-field leniency the versioned Hello has.
+// readByteLenString is readLenBytes for the fields whose length prefix is a
+// single byte (device names, a Subscribe's channel, a Reject's reason).
+func readByteLenString(body []byte) (s string, rest []byte, ok bool) {
+	if len(body) < 1 || len(body)-1 < int(body[0]) {
+		return "", nil, false
+	}
+	n := 1 + int(body[0])
+	return string(body[1:n]), body[n:], true
+}
+
+// WriteSubscribe sends a Subscribe message: channel + device as
+// length-prefixed strings, then version + send timestamp as uvarints.
 func WriteSubscribe(w io.Writer, s Subscribe) error {
 	if s.Channel == "" {
 		return fmt.Errorf("%w: subscribe without channel", ErrProtocol)
@@ -524,30 +456,18 @@ func WriteSubscribe(w io.Writer, s Subscribe) error {
 
 func parseSubscribe(body []byte) (Subscribe, error) {
 	var s Subscribe
-	if len(body) < 1 {
-		return s, fmt.Errorf("%w: empty subscribe", ErrProtocol)
-	}
-	n := int(body[0])
-	body = body[1:]
-	if len(body) < n {
+	var ok bool
+	if s.Channel, body, ok = readByteLenString(body); !ok {
 		return s, fmt.Errorf("%w: truncated channel name", ErrProtocol)
 	}
-	s.Channel = string(body[:n])
-	body = body[n:]
 	if s.Channel == "" {
 		return s, fmt.Errorf("%w: subscribe without channel", ErrProtocol)
 	}
-	if len(body) < 1 {
-		return s, fmt.Errorf("%w: truncated subscribe", ErrProtocol)
-	}
-	n = int(body[0])
-	body = body[1:]
-	if len(body) < n {
+	if s.Device, body, ok = readByteLenString(body); !ok {
 		return s, fmt.Errorf("%w: truncated device name", ErrProtocol)
 	}
-	s.Device = string(body[:n])
-	body = body[n:]
-	vals, err := readUvarintsAll(body, 2)
+	// Bytes after the timestamp belong to a later format and are ignored.
+	vals, _, err := readUvarintsRest(body, 2)
 	if err != nil {
 		return s, err
 	}
@@ -556,61 +476,37 @@ func parseSubscribe(body []byte) (Subscribe, error) {
 	return s, nil
 }
 
-// WriteAccept sends an Accept message. Version 0 (and 1) emits the
-// original v1 encoding; version ≥ 2 appends the negotiated version and the
-// server's receive/send clock pair; version ≥ 4 appends the resume token
-// (length + raw bytes).
+// WriteAccept sends an Accept message: seven uvarints (width, height, GOP
+// size, quantizer, version, receive and send timestamps), then the resume
+// token (uvarint length + raw bytes, empty when none is issued).
 func WriteAccept(w io.Writer, a Accept) error {
 	if len(a.Token) > 255 {
 		return fmt.Errorf("%w: resume token too long", ErrProtocol)
 	}
 	var body []byte
-	for _, v := range []int{a.Width, a.Height, a.GOPSize, a.QStep} {
+	for _, v := range []int{a.Width, a.Height, a.GOPSize, a.QStep, a.Version} {
 		body = binary.AppendUvarint(body, uint64(v))
 	}
-	if a.Version >= ProtocolV2 {
-		body = binary.AppendUvarint(body, uint64(a.Version))
-		body = binary.AppendUvarint(body, clampMicro(a.RecvUnixMicro))
-		body = binary.AppendUvarint(body, clampMicro(a.SendUnixMicro))
-	}
-	if a.Version >= ProtocolV4 {
-		body = binary.AppendUvarint(body, uint64(len(a.Token)))
-		body = append(body, a.Token...)
-	}
+	body = binary.AppendUvarint(body, clampMicro(a.RecvUnixMicro))
+	body = binary.AppendUvarint(body, clampMicro(a.SendUnixMicro))
+	body = binary.AppendUvarint(body, uint64(len(a.Token)))
+	body = append(body, a.Token...)
 	return writeMsg(w, MsgAccept, body)
 }
 
 func parseAccept(body []byte) (Accept, error) {
-	vals, rest, err := readUvarintsUpTo(body, 7)
+	vals, rest, err := readUvarintsRest(body, 7)
 	if err != nil {
 		return Accept{}, err
 	}
-	if len(vals) < 4 {
-		return Accept{}, fmt.Errorf("%w: %d accept fields, want at least 4", ErrProtocol, len(vals))
+	a := Accept{
+		Width: int(vals[0]), Height: int(vals[1]), GOPSize: int(vals[2]), QStep: int(vals[3]),
+		Version: int(vals[4]), RecvUnixMicro: int64(vals[5]), SendUnixMicro: int64(vals[6]),
 	}
-	a := Accept{Width: int(vals[0]), Height: int(vals[1]), GOPSize: int(vals[2]), QStep: int(vals[3])}
-	if len(vals) >= 5 {
-		a.Version = int(vals[4])
-	}
-	if len(vals) >= 7 {
-		a.RecvUnixMicro = int64(vals[5])
-		a.SendUnixMicro = int64(vals[6])
-	}
-	switch {
-	case a.Version >= ProtocolV4 && len(rest) > 0:
-		// The v4 extension: resume token. Absent means none issued; bytes
-		// beyond it belong to a future version and are ignored.
-		var m int
-		a.Token, _, m = readLenBytes(rest)
-		if m <= 0 {
-			return Accept{}, fmt.Errorf("%w: truncated resume token", ErrProtocol)
-		}
-	case len(rest) > 0:
-		// Pre-v4 leniency: trailing fields must still be well-formed
-		// uvarints (newer versions append fields, not arbitrary bytes).
-		if _, err := readUvarintsAll(rest, 0); err != nil {
-			return Accept{}, err
-		}
+	// Bytes after the token belong to a later format and are ignored.
+	var ok bool
+	if a.Token, _, ok = readLenBytes(rest); !ok {
+		return Accept{}, fmt.Errorf("%w: truncated resume token", ErrProtocol)
 	}
 	if a.Width <= 0 || a.Height <= 0 || a.GOPSize <= 0 || a.QStep <= 0 {
 		return Accept{}, fmt.Errorf("%w: non-positive accept fields", ErrProtocol)
@@ -628,8 +524,7 @@ func clampMicro(v int64) uint64 {
 }
 
 // WriteReject sends a Reject message. A non-zero RetryAfterMs rides as a
-// trailing uvarint; callers must only set it for peers that announced v4+
-// (older parsers reject trailing bytes as corruption).
+// trailing uvarint.
 func WriteReject(w io.Writer, rej Reject) error {
 	if len(rej.Reason) > 255 {
 		rej.Reason = rej.Reason[:255]
@@ -643,18 +538,19 @@ func WriteReject(w io.Writer, rej Reject) error {
 }
 
 func parseReject(body []byte) (Reject, error) {
-	if len(body) < 2 {
-		return Reject{}, fmt.Errorf("%w: truncated reject", ErrProtocol)
+	if len(body) < 1 {
+		return Reject{}, fmt.Errorf("%w: empty reject", ErrProtocol)
 	}
 	rej := Reject{Code: RejectCode(body[0])}
-	n := int(body[1])
-	if len(body) < 2+n {
-		return Reject{}, fmt.Errorf("%w: reject reason length %d > %d", ErrProtocol, n, len(body)-2)
+	var rest []byte
+	var ok bool
+	if rej.Reason, rest, ok = readByteLenString(body[1:]); !ok {
+		return Reject{}, fmt.Errorf("%w: truncated reject reason", ErrProtocol)
 	}
-	rej.Reason = string(body[2 : 2+n])
-	if rest := body[2+n:]; len(rest) > 0 {
-		// The v4 extension: retry-after hint, then future-version leniency.
-		vals, err := readUvarintsAll(rest, 1)
+	if len(rest) > 0 {
+		// The retry-after hint; bytes after it belong to a later format and
+		// are ignored.
+		vals, _, err := readUvarintsRest(rest, 1)
 		if err != nil {
 			return Reject{}, err
 		}
@@ -663,7 +559,7 @@ func parseReject(body []byte) (Reject, error) {
 	return rej, nil
 }
 
-// WritePing sends a liveness probe (v4).
+// WritePing sends a liveness probe.
 func WritePing(w io.Writer, p PingPacket) error {
 	body := binary.AppendUvarint(nil, uint64(p.Seq))
 	body = binary.AppendUvarint(body, clampMicro(p.SendUnixMicro))
@@ -671,15 +567,14 @@ func WritePing(w io.Writer, p PingPacket) error {
 }
 
 func parsePing(body []byte) (PingPacket, error) {
-	vals, err := readUvarintsAll(body, 2)
+	vals, err := readUvarints(body, 2)
 	if err != nil {
 		return PingPacket{}, err
 	}
 	return PingPacket{Seq: uint32(vals[0]), SendUnixMicro: int64(vals[1])}, nil
 }
 
-// WritePong answers a Ping (v4), echoing its sequence number and
-// timestamp.
+// WritePong answers a Ping, echoing its sequence number and timestamp.
 func WritePong(w io.Writer, p PongPacket) error {
 	body := binary.AppendUvarint(nil, uint64(p.Seq))
 	body = binary.AppendUvarint(body, clampMicro(p.EchoUnixMicro))
@@ -687,7 +582,7 @@ func WritePong(w io.Writer, p PongPacket) error {
 }
 
 func parsePong(body []byte) (PongPacket, error) {
-	vals, err := readUvarintsAll(body, 2)
+	vals, err := readUvarints(body, 2)
 	if err != nil {
 		return PongPacket{}, err
 	}
@@ -695,9 +590,9 @@ func parsePong(body []byte) (PongPacket, error) {
 }
 
 // WriteFrame sends a FramePacket. When the packet carries trace identity
-// (a flight ID or send timestamp — set only on v2 sessions), the flags
-// byte's extension bit is set and the two fields ride between the flags
-// and the RoI; a plain packet is byte-identical to the v1 encoding.
+// (a flight ID or send timestamp — every frame a session sends does), the
+// flags byte's extension bit is set and the two fields ride between the
+// flags and the RoI; a packet with neither leaves both out.
 func WriteFrame(w io.Writer, f FramePacket) error {
 	body := binary.AppendUvarint(nil, uint64(f.Index))
 	extended := f.FlightID != 0 || f.SendUnixMicro != 0
@@ -822,41 +717,8 @@ func readUvarints(body []byte, n int) ([]uint64, error) {
 	return vals, nil
 }
 
-// readUvarintsAll reads at least min uvarints and then as many more as the
-// body holds — the lenient shape versioned messages use, where trailing
-// fields belong to newer versions and must parse cleanly, not fatally.
-func readUvarintsAll(body []byte, min int) ([]uint64, error) {
-	var vals []uint64
-	for len(body) > 0 {
-		v, m := binary.Uvarint(body)
-		if m <= 0 {
-			return nil, fmt.Errorf("%w: truncated varint field %d", ErrProtocol, len(vals))
-		}
-		vals = append(vals, v)
-		body = body[m:]
-	}
-	if len(vals) < min {
-		return nil, fmt.Errorf("%w: %d fields, want at least %d", ErrProtocol, len(vals), min)
-	}
-	return vals, nil
-}
-
-// readUvarintsUpTo reads up to max uvarints, stopping early when the body
-// runs out, and returns them plus the unread remainder — the shape of a
-// versioned message whose tail switches from uvarints to raw bytes.
-func readUvarintsUpTo(body []byte, max int) ([]uint64, []byte, error) {
-	vals := make([]uint64, 0, max)
-	for len(vals) < max && len(body) > 0 {
-		v, m := binary.Uvarint(body)
-		if m <= 0 {
-			return nil, nil, fmt.Errorf("%w: truncated varint field %d", ErrProtocol, len(vals))
-		}
-		vals = append(vals, v)
-		body = body[m:]
-	}
-	return vals, body, nil
-}
-
+// readUvarintsRest reads n uvarints and returns them with the unread
+// remainder of body.
 func readUvarintsRest(body []byte, n int) ([]uint64, []byte, error) {
 	vals := make([]uint64, n)
 	for i := 0; i < n; i++ {
@@ -885,70 +747,43 @@ type Msg struct {
 }
 
 // ReadMsg reads and decodes the next message from r.
-func ReadMsg(r io.Reader) (Msg, error) {
-	t, body, err := readMsg(r)
+func ReadMsg(r io.Reader) (Msg, error) { return readMsgMax(r, MaxBody) }
+
+// readMsgMax is ReadMsg with the body bounded by limit instead of MaxBody.
+func readMsgMax(r io.Reader, limit int) (Msg, error) {
+	t, body, err := readMsg(r, limit)
 	if err != nil {
 		return Msg{}, err
 	}
 	out := Msg{Type: t}
 	switch t {
 	case MsgHello:
-		h, err := parseHello(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Hello = &h
+		out.Hello, err = parsed(parseHello(body))
 	case MsgAccept:
-		a, err := parseAccept(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Accept = &a
+		out.Accept, err = parsed(parseAccept(body))
 	case MsgFrame:
-		f, err := parseFrame(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Frame = &f
+		out.Frame, err = parsed(parseFrame(body))
 	case MsgInput:
-		in, err := parseInput(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Input = &in
+		out.Input, err = parsed(parseInput(body))
 	case MsgBye:
 	case MsgReject:
-		rej, err := parseReject(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Reject = &rej
+		out.Reject, err = parsed(parseReject(body))
 	case MsgStats:
-		st, err := parseStats(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Stats = &st
+		out.Stats, err = parsed(parseStats(body))
 	case MsgSubscribe:
-		sub, err := parseSubscribe(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Subscribe = &sub
+		out.Subscribe, err = parsed(parseSubscribe(body))
 	case MsgPing:
-		p, err := parsePing(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Ping = &p
+		out.Ping, err = parsed(parsePing(body))
 	case MsgPong:
-		p, err := parsePong(body)
-		if err != nil {
-			return Msg{}, err
-		}
-		out.Pong = &p
+		out.Pong, err = parsed(parsePong(body))
 	default:
-		return Msg{}, fmt.Errorf("%w: unknown message type %d", ErrProtocol, t)
+		err = fmt.Errorf("%w: unknown message type %d", ErrProtocol, t)
+	}
+	if err != nil {
+		return Msg{}, err
 	}
 	return out, nil
 }
+
+// parsed adapts a parser's (value, error) to the pointer a Msg field holds.
+func parsed[T any](v T, err error) (*T, error) { return &v, err }

@@ -134,6 +134,12 @@ func TestReadMsgRejectsGarbage(t *testing.T) {
 		{0x63, 0x00},                        // unknown type
 		{byte(MsgFrame), 0x01, 0xFF},        // truncated frame body
 		{byte(MsgAccept), 0x02, 0x00, 0x00}, // zero accept fields
+		// Every field of the one format is required: a Hello that stops
+		// before its token, one whose token is cut short, an Accept
+		// without a token field.
+		{byte(MsgHello), 12, 1, 'd', 32, 2, 4, 1, 5, 'a', 'r', 'e', 'n', 'a'},
+		{byte(MsgHello), 14, 1, 'd', 32, 2, 4, 1, 5, 'a', 'r', 'e', 'n', 'a', 9, 'a'},
+		{byte(MsgAccept), 7, 64, 36, 4, 6, 4, 1, 2},
 	}
 	for i, c := range cases {
 		if _, err := ReadMsg(bytes.NewReader(c)); err == nil {
