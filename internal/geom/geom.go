@@ -346,6 +346,95 @@ func (c Camera) RayThrough(u, v float64) Ray {
 	return Ray{O: c.Eye, D: dir}
 }
 
+// ColumnTerm and RowTerm split RayThrough's direction into the part that
+// depends on u alone and the part that depends on v alone, so a renderer can
+// compute each once per image column and row:
+// RayThrough(u, v).D == ColumnTerm(u).Add(RowTerm(v)).Normalize(), operation
+// for operation (TestRayTermsMatchRayThrough).
+func (c Camera) ColumnTerm(u float64) Vec3 {
+	dx := (2*u - 1) * c.halfW
+	return c.forward.Add(c.right.Mul(dx))
+}
+
+// RowTerm is the v-dependent part of RayThrough's direction; see ColumnTerm.
+func (c Camera) RowTerm(v float64) Vec3 {
+	dy := (1 - 2*v) * c.halfH
+	return c.up.Mul(dy)
+}
+
+// eyePlaneMargin is how far in front of the eye plane, relative to its
+// distance from the eye, a box corner must lie before ProjectBounds trusts
+// its projection: nearer than that, the rounding error of the view depth is
+// no longer small against the depth it divides by.
+const eyePlaneMargin = 1e-6
+
+// ProjectBounds returns a half-open pixel rectangle [x0,x1)×[y0,y1) of a w×h
+// image that contains every pixel whose primary ray (RayThrough at the pixel
+// centre) can meet a point of b at a positive ray parameter; x0 == x1 means
+// no pixel can. It is conservative, never tight: the eight corners are
+// projected and their bounding rectangle widened by a pixel; a box with a
+// corner on or behind the eye plane (or a corner, camera or projection that
+// is not finite) takes the whole image, and only a box wholly behind the eye
+// plane or wholly off the image is dropped.
+func (c Camera) ProjectBounds(b AABB, w, h int) (x0, y0, x1, y1 int) {
+	minX, maxX := math.Inf(1), math.Inf(-1)
+	minY, maxY := minX, maxX
+	behind, whole := 0, false
+	for i := 0; i < 8; i++ {
+		p := b.Min
+		if i&1 != 0 {
+			p.X = b.Max.X
+		}
+		if i&2 != 0 {
+			p.Y = b.Max.Y
+		}
+		if i&4 != 0 {
+			p.Z = b.Max.Z
+		}
+		d := p.Sub(c.Eye)
+		z := d.Dot(c.forward)
+		lim := eyePlaneMargin * (math.Abs(d.X) + math.Abs(d.Y) + math.Abs(d.Z))
+		if z < -lim {
+			behind++
+			continue
+		}
+		// The inverse of RayThrough: the continuous pixel coordinates whose
+		// ray passes through p.
+		px := (d.Dot(c.right)/z/c.halfW+1)*0.5*float64(w) - 0.5
+		py := (1-d.Dot(c.up)/z/c.halfH)*0.5*float64(h) - 0.5
+		if !(z > lim) || math.IsNaN(px) || math.IsNaN(py) {
+			whole = true
+			continue
+		}
+		minX, maxX = math.Min(minX, px), math.Max(maxX, px)
+		minY, maxY = math.Min(minY, py), math.Max(maxY, py)
+	}
+	if behind == 8 {
+		return 0, 0, 0, 0
+	}
+	if whole || behind > 0 {
+		return 0, 0, w, h
+	}
+	x0, x1 = pixelSpan(minX, maxX, w)
+	y0, y1 = pixelSpan(minY, maxY, h)
+	if x0 >= x1 || y0 >= y1 {
+		return 0, 0, 0, 0
+	}
+	return x0, y0, x1, y1
+}
+
+// pixelSpan returns the pixels of [0, n) within one pixel of [lo, hi], as a
+// half-open range. The clamp is done in floating point: lo and hi may be
+// infinite or far outside what an int holds.
+func pixelSpan(lo, hi float64, n int) (int, int) {
+	lo, hi = math.Ceil(lo-1), math.Floor(hi+1)+1
+	lo, hi = math.Max(lo, 0), math.Min(hi, float64(n))
+	if !(lo < hi) {
+		return 0, 0
+	}
+	return int(lo), int(hi)
+}
+
 // Forward returns the camera's unit view direction. The renderer uses it to
 // convert hit distances into view-space depth (distance along the view axis,
 // not the ray), which is what a hardware Z-buffer stores.

@@ -266,3 +266,142 @@ func TestTriangleBarycentricCoverage(t *testing.T) {
 		}
 	}
 }
+
+func TestRayTermsMatchRayThrough(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		rv := func() Vec3 { return Vec3{rng.NormFloat64() * 10, rng.NormFloat64() * 10, rng.NormFloat64() * 10} }
+		c := NewCamera(rv(), rv(), 1+rng.Float64()*178, 0.3+rng.Float64()*3)
+		for i := 0; i < 50; i++ {
+			u, v := rng.Float64(), rng.Float64()
+			want := c.RayThrough(u, v).D
+			if got := c.ColumnTerm(u).Add(c.RowTerm(v)).Normalize(); got != want {
+				t.Fatalf("camera %+v (u,v)=(%v,%v): terms give %v, RayThrough %v", c, u, v, got, want)
+			}
+		}
+	}
+}
+
+func TestProjectBounds(t *testing.T) {
+	cam := NewCamera(Vec3{Y: 2}, Vec3{Y: 2, Z: 10}, 60, 16.0/9)
+	const w, h = 320, 180
+	unit := func(c Vec3) AABB { return AABB{Min: c.Sub(Vec3{1, 1, 1}), Max: c.Add(Vec3{1, 1, 1})} }
+
+	x0, y0, x1, y1 := cam.ProjectBounds(unit(Vec3{Y: 2, Z: 20}), w, h)
+	if !(x0 > 100 && x1 < 220 && y0 > 50 && y1 < 130 && x0 <= 160 && x1 > 160 && y0 <= 90 && y1 > 90) {
+		t.Errorf("box ahead: rect [%d,%d)x[%d,%d) should sit tightly around the image centre", x0, x1, y0, y1)
+	}
+	// Tight to within the pixel of widening: the box's near face spans
+	// ±1/19 of view depth, half the image height is tan 30°.
+	if wantH := 2.0 / 19 / math.Tan(math.Pi/6) * h / 2; float64(y1-y0) > wantH+3 {
+		t.Errorf("box ahead: rect is %d rows tall, the box about %.1f", y1-y0, wantH)
+	}
+	if x0, _, x1, _ := cam.ProjectBounds(unit(Vec3{Y: 2, Z: -20}), w, h); x0 != x1 {
+		t.Error("a box behind the eye should be dropped")
+	}
+	if x0, _, x1, _ := cam.ProjectBounds(unit(Vec3{X: -60, Y: 2, Z: 20}), w, h); x0 != x1 {
+		t.Error("a box off the side of the image should be dropped")
+	}
+	if _, y0, _, y1 := cam.ProjectBounds(unit(Vec3{Y: 60, Z: 20}), w, h); y0 != y1 {
+		t.Error("a box above the top edge should be dropped")
+	}
+	for name, b := range map[string]AABB{
+		"around the eye":            unit(Vec3{Y: 2}),
+		"across the eye plane":      {Min: Vec3{X: 5, Y: 1, Z: -3}, Max: Vec3{X: 6, Y: 3, Z: 30}},
+		"a corner on the plane":     {Min: Vec3{X: 5, Y: 1, Z: 0}, Max: Vec3{X: 6, Y: 3, Z: 30}},
+		"a NaN corner":              {Min: Vec3{X: math.NaN(), Y: 1, Z: 5}, Max: Vec3{X: 6, Y: 3, Z: 30}},
+		"an infinite extent":        {Min: Vec3{X: math.Inf(-1), Y: 1, Z: 5}, Max: Vec3{X: 6, Y: 3, Z: 30}},
+		"beyond float64 when dot'd": {Min: Vec3{X: -1e308, Y: -1e308, Z: 5}, Max: Vec3{X: 1e308, Y: 1e308, Z: 1e308}},
+	} {
+		if x0, y0, x1, y1 := cam.ProjectBounds(b, w, h); x0 != 0 || y0 != 0 || x1 != w || y1 != h {
+			t.Errorf("%s: rect [%d,%d)x[%d,%d), want the whole image", name, x0, x1, y0, y1)
+		}
+	}
+	// A partly visible box is clipped to the image (this camera's right is
+	// the world's −x).
+	x0, y0, x1, y1 = cam.ProjectBounds(unit(Vec3{X: -16, Y: 2, Z: 16}), w, h)
+	if x0 < 280 || x0 >= x1 || x1 != w || y0 >= y1 {
+		t.Errorf("box over the right edge: rect [%d,%d)x[%d,%d)", x0, x1, y0, y1)
+	}
+}
+
+// boundedShape is what the renderer bins: a shape with a box around it.
+type boundedShape interface {
+	Bounded
+	Intersect(Ray, float64, float64) Hit
+}
+
+// fuzzShapes returns the box itself and shapes of the other kinds inside it.
+func fuzzShapes(b AABB) []boundedShape {
+	c := b.Center()
+	r := math.Min(math.Abs(b.Max.X-b.Min.X), math.Min(math.Abs(b.Max.Y-b.Min.Y), math.Abs(b.Max.Z-b.Min.Z))) / 2
+	return []boundedShape{
+		b,
+		Sphere{C: c, R: r},
+		Triangle{A: b.Min, B: Vec3{b.Max.X, b.Min.Y, b.Max.Z}, C: b.Max},
+		Triangle{A: Vec3{b.Min.X, b.Max.Y, b.Min.Z}, B: c, C: Vec3{b.Max.X, b.Max.Y, b.Min.Z}},
+	}
+}
+
+// The conservativeness the renderer's candidate rectangles rest on: whatever
+// the camera and the box, a pixel whose primary ray hits a shape lies inside
+// the rectangle its bounds project to.
+//
+// "Whatever" stops where the intersection tests themselves stop meaning
+// anything. Their rounding error moves a silhouette by up to ~1e-7 rad
+// (Sphere.Intersect's b²−c cancels to about √ε of the distance; O−C cancels
+// to ε·|O|/|O−C|), and the rectangle's margin is one pixel: so finite
+// coordinates are folded into ±1e6, hits nearer than a near plane of 1e-3
+// do not count, and a lens whose pixels are narrower than 1e-6 of the view
+// depth — a zero aspect ratio, a field of view of a millionth of a degree —
+// is skipped. Non-finite values are kept as they are.
+func FuzzProjectBounds(f *testing.F) {
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(0.0, 2.0, 0.0, 0.0, 1.0, 10.0, 60.0, 1.78, -1.0, 0.0, 7.0, 1.0, 2.0, 9.0, uint8(32), uint8(18))
+	f.Add(0.0, 2.0, 0.0, 0.0, 1.0, 10.0, 60.0, 1.78, -1.0, 0.0, -2.0, 1.0, 4.0, 3.0, uint8(32), uint8(18))    // around the eye
+	f.Add(0.0, 2.0, 0.0, 0.0, 1.0, 10.0, 60.0, 1.78, 3.0, 0.0, -9.0, 4.0, 4.0, 40.0, uint8(40), uint8(9))     // across the eye plane
+	f.Add(0.0, 2.0, 0.0, 0.0, 1.0, 10.0, 60.0, 1.78, -1.0, 0.0, -9.0, 1.0, 2.0, -7.0, uint8(16), uint8(16))   // behind
+	f.Add(0.0, 2.0, 0.0, 0.0, 3.0, 0.0, 90.0, 1.0, -5.0, 6.0, -5.0, 5.0, 6.0, 5.0, uint8(24), uint8(24))      // straight up at a flat box
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 60.0, 1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, uint8(8), uint8(8))       // no view direction
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 179.9, 1.0, -1.0, -1.0, 0.001, 1.0, 1.0, 0.002, uint8(20), uint8(20)) // a sliver at the eye plane, wide lens
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 180.0, 0.0, -1.0, -1.0, 3.0, 1.0, 1.0, 4.0, uint8(20), uint8(20))
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 270.0, 2.0, -1.0, -1.0, 3.0, 1.0, 1.0, 4.0, uint8(20), uint8(20)) // a lens past the half-turn
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0, 1.0, nan, -1.0, 3.0, 1.0, 1.0, 4.0, uint8(12), uint8(12))
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0, 1.0, -inf, -1.0, 3.0, 1.0, inf, 4.0, uint8(12), uint8(12))
+	f.Add(nan, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0, 1.0, -1.0, -1.0, 3.0, 1.0, 1.0, 4.0, uint8(12), uint8(12))
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0, 1.0, 1.0, 1.0, 4.0, -1.0, -1.0, 3.0, uint8(12), uint8(12)) // Min and Max exchanged
+	f.Add(0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0, 1.0, 0.5, 0.5, 3.0, 0.5, 0.5, 3.0, uint8(12), uint8(12))   // a point
+	f.Add(1e15, 0.0, 0.0, 1e15, 0.0, 5.0, 1.0, 1.0, 1e15, -1.0, 1e6, 1e15+1, 1.0, 2e6, uint8(30), uint8(30))
+	f.Fuzz(func(t *testing.T, ex, ey, ez, tx, ty, tz, fov, aspect, x0, y0, z0, x1, y1, z1 float64, w8, h8 uint8) {
+		w, h := int(w8%48), int(h8%48)
+		fold := func(v float64) float64 {
+			if math.IsInf(v, 0) {
+				return v
+			}
+			return math.Mod(v, 1e6)
+		}
+		cam := NewCamera(Vec3{fold(ex), fold(ey), fold(ez)}, Vec3{fold(tx), fold(ty), fold(tz)}, fov, aspect)
+		if 2*math.Abs(cam.halfW) < 1e-6*float64(w) || 2*math.Abs(cam.halfH) < 1e-6*float64(h) {
+			t.Skip("pixels narrower than the intersection tests resolve")
+		}
+		box := AABB{Min: Vec3{fold(x0), fold(y0), fold(z0)}, Max: Vec3{fold(x1), fold(y1), fold(z1)}}
+		for _, s := range fuzzShapes(box) {
+			rx0, ry0, rx1, ry1 := cam.ProjectBounds(s.Bounds(), w, h)
+			if rx0 < 0 || ry0 < 0 || rx1 > w || ry1 > h || rx0 > rx1 || ry0 > ry1 {
+				t.Fatalf("%T %+v: rect [%d,%d)x[%d,%d) is not inside %dx%d", s, s, rx0, rx1, ry0, ry1, w, h)
+			}
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					if x >= rx0 && x < rx1 && y >= ry0 && y < ry1 {
+						continue
+					}
+					r := cam.RayThrough((float64(x)+0.5)/float64(w), (float64(y)+0.5)/float64(h))
+					if hit := s.Intersect(r, 1e-3, math.Inf(1)); hit.OK {
+						t.Fatalf("camera %+v, %T %+v: the ray of pixel (%d,%d) of %dx%d hits at t=%v, outside the rect [%d,%d)x[%d,%d)",
+							cam, s, s, x, y, w, h, hit.T, rx0, rx1, ry0, ry1)
+					}
+				}
+			}
+		}
+	})
+}

@@ -1,21 +1,23 @@
 package render
 
 import (
-	"sort"
+	"slices"
 
 	"gamestreamsr/internal/geom"
 )
 
-// Bounding volume hierarchy over the scene's bounded objects. The
-// raycaster's inner loop tests every primary ray against every object;
-// game scenes here carry 20–60 objects, so a median-split BVH turns that
-// linear scan into a few box tests. The traversal computes *exactly* the
-// same nearest hit as the linear scan (pruning only discards objects whose
-// bounds cannot beat the current best t), which the equivalence property
-// test pins down.
+// Bounding volume hierarchy over the scene's bounded objects: a median-split
+// tree whose traversal computes *exactly* the same nearest hit as a linear
+// scan in leaf order (pruning only discards objects whose bounds cannot beat
+// the current best t), which the equivalence property test pins down.
+//
+// The shipped renderer no longer walks it per pixel (see raster.go); it is
+// built every frame because its leaf order, objIdx, is the order in which
+// objects are visited, and so decides the winner among hits of equal t. The
+// walk itself, nearest, is the reference the binned path is tested against.
 //
 // Objects whose Shape does not implement geom.Bounded (user-supplied custom
-// shapes) fall back to the linear path.
+// shapes) are visited after the tree, in scene order.
 
 // bvhNode is one node of the flattened tree. Leaves hold an index range
 // into the object permutation; interior nodes hold a child offset.
@@ -28,7 +30,8 @@ type bvhNode struct {
 	right        int
 }
 
-// bvh accelerates nearest-hit queries over a fixed set of objects.
+// bvh accelerates nearest-hit queries over a fixed set of objects. Its
+// slices are reused from one rebuild to the next.
 type bvh struct {
 	nodes  []bvhNode
 	objIdx []int // permutation of bounded-object indices
@@ -43,14 +46,13 @@ type buildItem struct {
 
 const bvhLeafSize = 2
 
-// newBVH builds a hierarchy over the given items (nil if empty).
-func newBVH(items []buildItem) *bvh {
-	if len(items) == 0 {
-		return nil
+// rebuild replaces the hierarchy with one over the given items, which it
+// reorders.
+func (b *bvh) rebuild(items []buildItem) {
+	b.nodes, b.objIdx = b.nodes[:0], b.objIdx[:0]
+	if len(items) > 0 {
+		b.build(items)
 	}
-	b := &bvh{}
-	b.build(items)
-	return b
 }
 
 func (b *bvh) build(items []buildItem) int {
@@ -83,9 +85,11 @@ func (b *bvh) build(items []buildItem) int {
 	} else if ext.Z > ext.X && ext.Z > ext.Y {
 		axis = 2
 	}
-	sort.Slice(items, func(i, j int) bool {
-		return axisOf(items[i].center, axis) < axisOf(items[j].center, axis)
-	})
+	// The permutation this sort leaves among equal and near-equal centres is
+	// part of the output (it is the visit order): slices.SortFunc runs the
+	// same pdqsort as the sort.Slice it replaced, without the reflection
+	// swapper, and TestBVHBuildMatchesSortSlice holds it to that.
+	slices.SortFunc(items, byCenter[axis])
 	mid := len(items) / 2
 
 	b.build(items[:mid])
@@ -94,22 +98,26 @@ func (b *bvh) build(items []buildItem) int {
 	return self
 }
 
-func axisOf(v geom.Vec3, axis int) float64 {
-	switch axis {
-	case 0:
-		return v.X
-	case 1:
-		return v.Y
-	default:
-		return v.Z
+// byCenter orders build items along one axis. Only "less" is reported, as
+// sort.Slice's callback did, so NaN centres compare the way they used to.
+var byCenter = [3]func(a, b buildItem) int{
+	func(a, b buildItem) int { return lessInt(a.center.X < b.center.X) },
+	func(a, b buildItem) int { return lessInt(a.center.Y < b.center.Y) },
+	func(a, b buildItem) int { return lessInt(a.center.Z < b.center.Z) },
+}
+
+func lessInt(less bool) int {
+	if less {
+		return -1
 	}
+	return 0
 }
 
 // nearest traverses the hierarchy and refines (bestHit, bestIdx) with the
 // nearest intersection among the indexed objects. objs is the scene's
 // object slice; the returned index refers into it (-1 if no hit improved).
 func (b *bvh) nearest(objs []Object, r geom.Ray, tMin float64, best geom.Hit, bestIdx int) (geom.Hit, int) {
-	if b == nil {
+	if len(b.nodes) == 0 {
 		return best, bestIdx
 	}
 	// Manual stack of node indices; node 0 is the root. Nodes are laid

@@ -8,15 +8,30 @@
 // axis-aligned boxes, triangles and a ground plane, shaded with Lambertian
 // lighting and procedural value-noise textures whose high-frequency octaves
 // attenuate with distance (the mipmapping/LOD analogue that motivates
-// depth-guided RoI detection). A median-split BVH accelerates primary-ray
-// intersection (provably hit-identical to the linear scan), and optional
-// N×N supersampling (Renderer.SSAA) provides anti-aliased reference
-// renders.
+// depth-guided RoI detection). Optional N×N supersampling (Renderer.SSAA)
+// provides anti-aliased reference renders.
+//
+// Primary rays do not search for their objects. Once a frame, every bounded
+// object's box is projected through the camera into a pixel rectangle
+// (geom.Camera.ProjectBounds, conservative by construction); a row visits
+// the objects whose rectangle covers it and a pixel tests those whose
+// columns cover it, computing only the ray parameter t per candidate and
+// the hit point and normal for the winner (raster.go, DESIGN.md §19). The
+// visit order is the leaf order of a median-split BVH built per frame, then
+// the unbounded shapes, then the ground — the order in which the per-pixel
+// BVH walk this replaced met them, which is what decides between hits of
+// equal t. That walk is kept, unexported, as the reference every frame of
+// the fast path is tested against byte for byte (reference.go); nothing
+// selects it outside the tests.
+//
+// All working state of a render — the BVH arrays, the candidate list, the
+// per-column ray terms, the supersampled target — lives in the caller's
+// Output and is reused from frame to frame, so a steady-state RenderInto
+// allocates nothing and a Renderer stays stateless.
 package render
 
 import (
 	"math"
-	"sync"
 
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/geom"
@@ -69,10 +84,14 @@ type Scene struct {
 	LODBias float64
 }
 
-// Output bundles the two render targets.
+// Output bundles the two render targets. An Output that is rendered into
+// repeatedly (RenderInto) also carries the renderer's working state between
+// frames; it must not be the target of two renders at once.
 type Output struct {
 	Color *frame.Image
 	Depth *frame.DepthMap
+
+	scratch *frameScratch
 }
 
 // ensure makes the output buffers w×h compact planes, reusing them when the
@@ -85,85 +104,100 @@ func (out *Output) ensure(w, h int) {
 	if out.Depth == nil || out.Depth.W != w || out.Depth.H != h {
 		out.Depth = frame.NewDepthMap(w, h)
 	}
+	if out.scratch == nil {
+		out.scratch = newFrameScratch()
+	}
 }
 
-// Renderer renders a Scene through a Camera. A Renderer is safe for
-// sequential reuse across frames; Render itself parallelises internally.
+// Renderer renders a Scene through a Camera. It holds no per-frame state, so
+// one Renderer may serve several stages at once, each with its own Output.
 type Renderer struct {
-	// Workers bounds render parallelism with a private per-frame goroutine
-	// crew; 0 delegates row dispatch to the shared parallel scheduler (see
-	// Sched), which is the default and lets concurrent sessions share cores
-	// fairly instead of oversubscribing them.
-	Workers int
-	// Sched attributes scheduler-dispatched render work to a client (nil
-	// means the default client). Ignored when Workers > 0.
+	// Sched attributes the render's row work to a scheduler client (nil
+	// means the default client), so concurrent sessions share cores fairly
+	// instead of oversubscribing them.
 	Sched *parallel.Client
 	// SSAA supersamples by N×N per output pixel (1 or 0 = off). Color is
 	// box-filtered; depth keeps the per-tile minimum (nearest surviving
 	// surface), matching how a resolved Z-buffer is consumed downstream.
 	SSAA int
+
+	// reference makes every pixel walk the BVH and go through
+	// Shape.Intersect, serially per candidate as the renderer did before
+	// the binned path: the form the fast path is tested against.
+	reference bool
 }
 
-// Render rasterises the scene into a w×h color frame and depth map.
+// Render rasterises the scene into a fresh w×h color frame and depth map.
 func (rd *Renderer) Render(sc *Scene, cam geom.Camera, w, h int) Output {
 	var out Output
 	rd.RenderInto(&out, sc, cam, w, h)
+	out.scratch = nil // the caller keeps two planes, not a renderer's workspace
 	return out
 }
 
 // RenderInto rasterises the scene into out, reusing out's buffers when they
 // already have the w×h geometry (and replacing them otherwise), so a stage
 // that renders every frame can recycle one Output instead of allocating two
-// full planes per frame. The Renderer itself stays stateless and safe for
-// concurrent use from multiple stages, each with its own Output.
+// full planes per frame — with SSAA, the supersampled planes too. The
+// Renderer itself stays stateless and safe for concurrent use from multiple
+// stages, each with its own Output.
 func (rd *Renderer) RenderInto(out *Output, sc *Scene, cam geom.Camera, w, h int) {
-	if rd.SSAA > 1 {
-		hi := rd.renderDirect(sc, cam, w*rd.SSAA, h*rd.SSAA)
-		resolveSSAA(out, hi, w, h, rd.SSAA)
+	out.ensure(w, h)
+	if n := rd.SSAA; n > 1 {
+		hi := &out.scratch.hi
+		hi.ensure(w*n, h*n)
+		rd.renderDirect(hi, sc, cam)
+		rd.Sched.For(h, func(y0, y1 int) { resolveRows(out, hi, n, y0, y1) })
 		return
 	}
-	out.ensure(w, h)
-	rd.renderDirectInto(*out, sc, cam, w, h)
+	rd.renderDirect(out, sc, cam)
 }
 
-// resolveSSAA box-filters color and min-reduces depth from an N× render.
-func resolveSSAA(out *Output, hi Output, w, h, n int) {
-	out.ensure(w, h)
-	n2 := n * n
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			var r, g, b int
-			minZ := float32(1)
-			for dy := 0; dy < n; dy++ {
-				for dx := 0; dx < n; dx++ {
-					pr, pg, pb := hi.Color.At(x*n+dx, y*n+dy)
-					r += int(pr)
-					g += int(pg)
-					b += int(pb)
-					if z := hi.Depth.At(x*n+dx, y*n+dy); z < minZ {
-						minZ = z
-					}
-				}
-			}
-			out.Color.Set(x, y, uint8((r+n2/2)/n2), uint8((g+n2/2)/n2), uint8((b+n2/2)/n2))
-			out.Depth.Set(x, y, minZ)
-		}
-	}
+// frameScratch is the state one Output keeps between renders.
+type frameScratch struct {
+	// frame holds the running render's parameters for the row workers.
+	frame frameParams
+
+	// Acceleration state, rebuilt every frame in place.
+	items     []buildItem
+	tree      bvh
+	unbounded []int
+
+	// The binned path's visit list, per-column ray terms and per-worker row
+	// lists (raster.go). rowFn is renderRows bound once, so dispatching a
+	// frame creates no closure.
+	prims []prim
+	cols  []geom.Vec3
+	rows  *parallel.Scratch[*rowScratch]
+	rowFn func(y0, y1 int, rs *rowScratch)
+
+	// The N× target of a supersampled render.
+	hi Output
 }
 
-// renderDirect rasterises without supersampling into fresh buffers.
-func (rd *Renderer) renderDirect(sc *Scene, cam geom.Camera, w, h int) Output {
-	out := Output{
-		Color: frame.NewImagePacked(w, h),
-		Depth: frame.NewDepthMap(w, h),
-	}
-	rd.renderDirectInto(out, sc, cam, w, h)
-	return out
+func newFrameScratch() *frameScratch {
+	fs := &frameScratch{rows: parallel.NewScratch(func() *rowScratch { return &rowScratch{} })}
+	fs.rowFn = fs.renderRows
+	return fs
 }
 
-// renderDirectInto rasterises without supersampling, writing every pixel of
-// out's w×h planes.
-func (rd *Renderer) renderDirectInto(out Output, sc *Scene, cam geom.Camera, w, h int) {
+// frameParams is what every row of one render reads.
+type frameParams struct {
+	sc    *Scene
+	cam   geom.Camera
+	fwd   geom.Vec3
+	color *frame.Image
+	depth *frame.DepthMap
+	w, h  int
+	// near and far are the scene's clip planes with their defaults applied;
+	// pixScale is the world-space extent of one pixel at unit view depth,
+	// times the scene's LOD bias.
+	near, far, pixScale float64
+}
+
+// renderDirect rasterises without supersampling, writing every pixel of
+// out's planes.
+func (rd *Renderer) renderDirect(out *Output, sc *Scene, cam geom.Camera) {
 	near, far := sc.Near, sc.Far
 	if near <= 0 {
 		near = 0.1
@@ -175,118 +209,90 @@ func (rd *Renderer) renderDirectInto(out Output, sc *Scene, cam geom.Camera, w, 
 	if lodBias <= 0 {
 		lodBias = 1
 	}
-	// World-space extent of one pixel at unit view depth.
-	pixScale := cam.PixelScale(h)
-	accel := buildAccel(sc)
-	fwd := cam.Forward()
-	if rd.Workers <= 0 {
-		// Scheduler path: rows are disjoint, so row bands parallelise
-		// safely, and the per-frame goroutine churn of the legacy path
-		// disappears. Pixels are pure functions of (scene, camera, x, y),
-		// so output is identical however the bands are dispatched.
+	w, h := out.Color.W, out.Color.H
+	fs := out.scratch
+	fs.frame = frameParams{
+		sc: sc, cam: cam, fwd: cam.Forward(),
+		color: out.Color, depth: out.Depth, w: w, h: h,
+		near: near, far: far, pixScale: cam.PixelScale(h) * lodBias,
+	}
+	fs.buildAccel(sc)
+	// Rows are disjoint and pixels are pure functions of (scene, camera, x,
+	// y), so output is identical however the row bands are dispatched.
+	if rd.reference {
 		rd.Sched.For(h, func(y0, y1 int) {
 			for y := y0; y < y1; y++ {
-				renderRow(sc, accel, cam, fwd, out, y, w, h, near, far, pixScale*lodBias)
+				fs.referenceRow(y)
 			}
 		})
-		return
+	} else {
+		fs.buildPrims()
+		parallel.ForWithOn(rd.Sched, h, fs.rows, fs.rowFn)
 	}
-	workers := rd.Workers
-	if workers > h {
-		workers = h
-	}
-	var wg sync.WaitGroup
-	rows := make(chan int, h)
-	for y := 0; y < h; y++ {
-		rows <- y
-	}
-	close(rows)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for y := range rows {
-				renderRow(sc, accel, cam, fwd, out, y, w, h, near, far, pixScale*lodBias)
-			}
-		}()
-	}
-	wg.Wait()
+	fs.frame = frameParams{} // pin neither the scene nor the planes
 }
 
-func renderRow(sc *Scene, accel *sceneAccel, cam geom.Camera, fwd geom.Vec3, out Output, y, w, h int, near, far, pixScale float64) {
-	v := (float64(y) + 0.5) / float64(h)
-	for x := 0; x < w; x++ {
-		u := (float64(x) + 0.5) / float64(w)
-		ray := cam.RayThrough(u, v)
-		col, viewZ := shade(sc, accel, ray, fwd, near, far, pixScale)
-		out.Color.Set(x, y, toByte(col.X), toByte(col.Y), toByte(col.Z))
-		out.Depth.Set(x, y, normDepth(viewZ, near, far))
-	}
-}
-
-// sceneAccel holds the per-render acceleration structures: a BVH over the
-// bounded objects and a residual list of unbounded (custom) shapes.
-type sceneAccel struct {
-	tree      *bvh
-	unbounded []int
-}
-
-// buildAccel partitions the scene's objects and builds the BVH.
-func buildAccel(sc *Scene) *sceneAccel {
-	a := &sceneAccel{}
-	var items []buildItem
+// buildAccel partitions the scene's objects into the bounded ones, over
+// which it rebuilds the BVH, and the rest.
+func (fs *frameScratch) buildAccel(sc *Scene) {
+	fs.items, fs.unbounded = fs.items[:0], fs.unbounded[:0]
 	for i := range sc.Objects {
 		if bd, ok := sc.Objects[i].Shape.(geom.Bounded); ok {
 			bounds := bd.Bounds()
-			items = append(items, buildItem{idx: i, bounds: bounds, center: bounds.Center()})
+			fs.items = append(fs.items, buildItem{idx: i, bounds: bounds, center: bounds.Center()})
 		} else {
-			a.unbounded = append(a.unbounded, i)
+			fs.unbounded = append(fs.unbounded, i)
 		}
 	}
-	a.tree = newBVH(items)
-	return a
+	fs.tree.rebuild(fs.items)
 }
 
-// shade traces the primary ray and returns the shaded color (components in
-// [0,1]) plus the view-space depth of the hit (far when the ray escapes).
-func shade(sc *Scene, accel *sceneAccel, ray geom.Ray, fwd geom.Vec3, near, far, pixScale float64) (geom.Vec3, float64) {
-	best := geom.Hit{T: far}
-	bestObj := -2 // -2 none, -1 ground, ≥0 object index
-	best, bestObj = accel.tree.nearest(sc.Objects, ray, near, best, bestObj)
-	for _, i := range accel.unbounded {
-		if h := sc.Objects[i].Shape.Intersect(ray, near, best.T); h.OK {
-			best = h
-			bestObj = i
+// resolveRows box-filters color and min-reduces depth from the N× render hi
+// into rows [y0, y1) of out.
+func resolveRows(out, hi *Output, n, y0, y1 int) {
+	n2 := n * n
+	hc, hd := hi.Color, hi.Depth
+	w := out.Color.W
+	for y := y0; y < y1; y++ {
+		o := y * out.Color.Stride
+		dstR, dstG, dstB := out.Color.R[o:o+w], out.Color.G[o:o+w], out.Color.B[o:o+w]
+		dstZ := out.Depth.Z[y*out.Depth.Stride:][:w]
+		for x := range dstR {
+			var r, g, b int
+			minZ := float32(1)
+			for dy := 0; dy < n; dy++ {
+				ho := (y*n+dy)*hc.Stride + x*n
+				srcR, srcG, srcB := hc.R[ho:ho+n], hc.G[ho:ho+n], hc.B[ho:ho+n]
+				srcZ := hd.Z[(y*n+dy)*hd.Stride+x*n:][:n]
+				for dx := range srcR {
+					r += int(srcR[dx])
+					g += int(srcG[dx])
+					b += int(srcB[dx])
+					if z := srcZ[dx]; z < minZ {
+						minZ = z
+					}
+				}
+			}
+			dstR[x], dstG[x], dstB[x] = uint8((r+n2/2)/n2), uint8((g+n2/2)/n2), uint8((b+n2/2)/n2)
+			dstZ[x] = minZ
 		}
 	}
-	if sc.Ground != nil {
-		if h := sc.Ground.Shape.Intersect(ray, near, best.T); h.OK {
-			best = h
-			bestObj = -1
-		}
-	}
-	if bestObj == -2 {
-		// Sky gradient keyed off the ray's vertical component.
-		t := 0.5 * (ray.D.Y + 1)
-		return sc.SkyBottom.Lerp(sc.SkyTop, t), far
-	}
-	var obj *Object
-	if bestObj == -1 {
-		obj = sc.Ground
-	} else {
-		obj = &sc.Objects[bestObj]
-	}
-	viewZ := best.Point.Sub(ray.O).Dot(fwd)
-	if viewZ < near {
-		viewZ = near
+}
+
+// surface shades the point p of obj, whose unit normal there is n, as seen
+// along the unit direction d from the eye: the color (components in [0,1])
+// and the view-space depth.
+func (f *frameParams) surface(obj *Object, p, n, d geom.Vec3) (geom.Vec3, float64) {
+	sc := f.sc
+	viewZ := p.Sub(f.cam.Eye).Dot(f.fwd)
+	if viewZ < f.near {
+		viewZ = f.near
 	}
 	col := obj.Mat.Color
 	if obj.Mat.TexScale > 0 && obj.Mat.TexAmp > 0 {
-		p := best.Point
 		// Project onto the dominant plane of the surface normal so textures
 		// do not smear along the projection axis.
 		var tu, tv float64
-		n := best.Normal
 		ax, ay, az := math.Abs(n.X), math.Abs(n.Y), math.Abs(n.Z)
 		switch {
 		case ay >= ax && ay >= az:
@@ -303,11 +309,11 @@ func shade(sc *Scene, accel *sceneAccel, ray geom.Ray, fwd geom.Vec3, near, far,
 		// Mip selection: band-limit the texture to the Nyquist frequency of
 		// this pixel's footprint on the surface. Grazing incidence stretches
 		// the footprint, so divide by the cosine (bounded away from zero).
-		cosI := math.Abs(best.Normal.Dot(ray.D))
+		cosI := math.Abs(n.Dot(d))
 		if cosI < 0.02 {
 			cosI = 0.02
 		}
-		footprint := viewZ * pixScale / cosI * obj.Mat.TexScale
+		footprint := viewZ * f.pixScale / cosI * obj.Mat.TexScale
 		maxFreq := math.Inf(1)
 		if footprint > 0 {
 			maxFreq = 1 / (2 * footprint)
@@ -317,7 +323,7 @@ func shade(sc *Scene, accel *sceneAccel, ray geom.Ray, fwd geom.Vec3, near, far,
 		col = geom.Vec3{X: col.X * m, Y: col.Y * m, Z: col.Z * m}
 	}
 	if !obj.Emissive {
-		diff := best.Normal.Dot(sc.Light)
+		diff := n.Dot(sc.Light)
 		if diff < 0 {
 			diff = 0
 		}
@@ -325,6 +331,18 @@ func shade(sc *Scene, accel *sceneAccel, ray geom.Ray, fwd geom.Vec3, near, far,
 		col = col.Mul(l)
 	}
 	return col, viewZ
+}
+
+// sky is the color of a ray that escapes along d: a vertical gradient keyed
+// off the ray's vertical component.
+func (f *frameParams) sky(d geom.Vec3) geom.Vec3 {
+	return f.sc.SkyBottom.Lerp(f.sc.SkyTop, 0.5*(d.Y+1))
+}
+
+// store writes one shaded pixel at plane offsets ci (color) and zi (depth).
+func (f *frameParams) store(ci, zi int, col geom.Vec3, viewZ float64) {
+	f.color.R[ci], f.color.G[ci], f.color.B[ci] = toByte(col.X), toByte(col.Y), toByte(col.Z)
+	f.depth.Z[zi] = normDepth(viewZ, f.near, f.far)
 }
 
 // normDepth maps a view-space distance onto the [0,1] depth-buffer range.

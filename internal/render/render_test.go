@@ -2,9 +2,12 @@ package render
 
 import (
 	"math"
+	"slices"
 	"testing"
 
+	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/geom"
+	"gamestreamsr/internal/parallel"
 )
 
 func testScene() *Scene {
@@ -56,15 +59,21 @@ func TestRenderDeterministic(t *testing.T) {
 			t.Fatalf("depth differs at %d", i)
 		}
 	}
-	// Worker count must not change the output.
-	c := (&Renderer{Workers: 1}).Render(testScene(), testCam(16.0/9), 120, 68)
-	if !a.Color.Equal(c.Color) {
+	// Worker count must not change the output: a one-worker scheduler runs
+	// every row inline, as one chunk.
+	c := (&Renderer{Sched: oneWorker()}).Render(testScene(), testCam(16.0/9), 120, 68)
+	if !a.Color.Equal(c.Color) || !slices.Equal(a.Depth.Z, c.Depth.Z) {
 		t.Fatal("parallelism changed pixels")
 	}
 }
 
+// oneWorker returns a client of a scheduler with no pool goroutines.
+func oneWorker() *parallel.Client {
+	return parallel.NewScheduler(1).NewClient(parallel.ClientConfig{Name: "one"})
+}
+
 func TestDepthBufferSemantics(t *testing.T) {
-	rd := &Renderer{Workers: 2}
+	rd := &Renderer{}
 	out := rd.Render(testScene(), testCam(16.0/9), 160, 90)
 	// The sphere sits 8 units out, center of frame: depth there must be
 	// small (near). The sky at the top must be at the far plane (1.0).
@@ -286,8 +295,42 @@ func TestSSAADeterministic(t *testing.T) {
 	sc := testScene()
 	cam := testCam(1)
 	a := (&Renderer{SSAA: 2}).Render(sc, cam, 48, 48)
-	b := (&Renderer{SSAA: 2, Workers: 1}).Render(sc, cam, 48, 48)
-	if !a.Color.Equal(b.Color) {
+	b := (&Renderer{SSAA: 2, Sched: oneWorker()}).Render(sc, cam, 48, 48)
+	if !a.Color.Equal(b.Color) || !slices.Equal(a.Depth.Z, b.Depth.Z) {
 		t.Fatal("SSAA render not deterministic across worker counts")
+	}
+	// The resolve is what it was when it was a serial At/Set loop over a
+	// fresh N× render: same bytes from the reference path's N× render.
+	hi := (&Renderer{reference: true}).Render(sc, cam, 96, 96)
+	want := Output{Color: frame.NewImagePacked(48, 48), Depth: frame.NewDepthMap(48, 48)}
+	for y := 0; y < 48; y++ {
+		for x := 0; x < 48; x++ {
+			var r, g, bl int
+			minZ := float32(1)
+			for dy := 0; dy < 2; dy++ {
+				for dx := 0; dx < 2; dx++ {
+					pr, pg, pb := hi.Color.At(x*2+dx, y*2+dy)
+					r, g, bl = r+int(pr), g+int(pg), bl+int(pb)
+					minZ = min(minZ, hi.Depth.At(x*2+dx, y*2+dy))
+				}
+			}
+			want.Color.Set(x, y, uint8((r+2)/4), uint8((g+2)/4), uint8((bl+2)/4))
+			want.Depth.Set(x, y, minZ)
+		}
+	}
+	if !a.Color.Equal(want.Color) || !slices.Equal(a.Depth.Z, want.Depth.Z) {
+		t.Fatal("SSAA resolve differs from the serial resolve of the reference render")
+	}
+	// RenderInto keeps its contract under SSAA: a second frame into the same
+	// Output allocates no plane, the N× ones included — only the resolve
+	// pass's callback.
+	var out Output
+	rd := &Renderer{SSAA: 2}
+	rd.RenderInto(&out, sc, cam, 48, 48)
+	if n := testing.AllocsPerRun(5, func() { rd.RenderInto(&out, sc, cam, 48, 48) }); n > 1 {
+		t.Errorf("SSAA RenderInto allocates %.0f objects a frame in steady state, want at most 1", n)
+	}
+	if !out.Color.Equal(a.Color) {
+		t.Fatal("SSAA RenderInto differs from Render")
 	}
 }
