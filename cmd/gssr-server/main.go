@@ -1,7 +1,9 @@
 // Command gssr-server is the cloud-gaming host of the reproduction (the
 // Sunshine analogue): it renders a game workload, runs depth-guided RoI
 // detection on every frame, encodes it with the block codec and streams
-// frame+RoI packets to one client over TCP.
+// frame+RoI packets to one client over TCP. A session gets frames at the
+// game's own rate (games.FPS, 60 a second) where the host could go faster,
+// and as fast as the host can where it could not.
 //
 // Usage:
 //
@@ -178,6 +180,7 @@ func run(cfg serverConfig) error {
 	srv := &stream.MultiServer{
 		Accept:          stream.Accept{Width: width, Height: height, GOPSize: gop, QStep: qstep},
 		MaxFrames:       frames,
+		FrameInterval:   time.Second / games.FPS, // frame i is the game at i/FPS seconds
 		MaxSessions:     cfg.maxSessions,
 		MaxSubscribers:  cfg.maxSubs,
 		SubscriberQueue: cfg.subQueue,

@@ -131,6 +131,9 @@ type MultiServer struct {
 	NewSource SourceFactory
 	// MaxFrames bounds each session (0 = until source EOF).
 	MaxFrames int
+	// FrameInterval paces every session (see ServerOptions.FrameInterval;
+	// 0 = unpaced).
+	FrameInterval time.Duration
 	// MaxSessions bounds concurrent sessions (default 16); excess
 	// connections receive a Reject(capacity) and are closed.
 	MaxSessions int
@@ -666,6 +669,7 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 	opt := ServerOptions{
 		Accept:         s.Accept,
 		MaxFrames:      s.MaxFrames,
+		FrameInterval:  s.FrameInterval,
 		Metrics:        s.Metrics,
 		Flight:         rec,
 		Remote:         remote,

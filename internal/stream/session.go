@@ -32,6 +32,14 @@ type ServerOptions struct {
 	Source FrameSource
 	// MaxFrames bounds the session length; 0 means until Source EOF.
 	MaxFrames int
+	// FrameInterval, when > 0, paces the stream: Source is asked for frames
+	// on a schedule of one every FrameInterval — a live game ticks at its
+	// own rate however quick the host is. A frame whose turn has passed by
+	// the time the one before it is on the wire (a slow source, a stalled
+	// socket) starts at once and the schedule restarts from it; nothing is
+	// caught up with a burst. 0 streams as fast as Source and the
+	// connection allow.
+	FrameInterval time.Duration
 	// OnInput, if non-nil, receives client input events.
 	OnInput func(InputPacket)
 	// OnStats, if non-nil, receives the client's periodic telemetry
@@ -347,7 +355,18 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	var sendErr error
 	// Reused across frames so deadline accounting allocates nothing.
 	var latScratch [2]frametrace.StageLatency
+	var due time.Time // when the pacer lets the next frame start
 	for i := 0; opt.MaxFrames == 0 || i < opt.MaxFrames; i++ {
+		if opt.FrameInterval > 0 {
+			// The wait is outside the source span: it is not frame work and
+			// must not count against the deadline.
+			if now := time.Now(); due.After(now) {
+				time.Sleep(due.Sub(now))
+			} else {
+				due = now
+			}
+			due = due.Add(opt.FrameInterval)
+		}
 		tSrc := time.Now()
 		payload, key, roi, err := opt.Source.NextFrame(i)
 		dSrc := time.Since(tSrc)
