@@ -1,10 +1,9 @@
 package sr
 
-// Destination-passing variants of the tensor ops and the EDSR forward pass.
-// Each FooInto writes into a caller-supplied tensor/image whose shape it
-// validates, fully overwriting the destination so dirty pooled buffers are
-// fine, and draws transient scratch from an optional bufpool.Pool. The
-// allocating forms (Forward, Add, PixelShuffle, ...) are thin wrappers.
+// Destination-passing tensor ops. Each FooInto writes into a caller-supplied
+// tensor/image whose shape it validates, fully overwriting the destination
+// so dirty pooled buffers are fine. The allocating forms (Add, PixelShuffle,
+// FromImage, ToImage) are thin wrappers.
 
 import (
 	"fmt"
@@ -12,7 +11,6 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/parallel"
 )
 
 // tensorHeaders recycles Tensor structs so a pooled checkout is just the
@@ -52,89 +50,6 @@ func PutTensor(pool *bufpool.Pool, t *Tensor) {
 func checkShape(op string, t *Tensor, c, h, w int) {
 	if t.C != c || t.H != h || t.W != w {
 		panic(fmt.Sprintf("sr: %s destination is %dx%dx%d, want %dx%dx%d", op, t.C, t.H, t.W, c, h, w))
-	}
-}
-
-// ForwardInto applies the convolution writing into out (shape OutC×H×W).
-func (c *Conv2D) ForwardInto(out, in *Tensor) {
-	if in.C != c.InC {
-		panic(fmt.Sprintf("sr: conv expects %d channels, got %d", c.InC, in.C))
-	}
-	checkShape("conv", out, c.OutC, in.H, in.W)
-	half := c.K / 2
-	H, W := in.H, in.W
-	c.Sched.For(c.OutC, func(oc0, oc1 int) {
-		for oc := oc0; oc < oc1; oc++ {
-			c.forwardChannel(in, out, oc, half, H, W)
-		}
-	})
-}
-
-// ForwardGEMMInto is ForwardGEMM writing into out, with the im2col patch
-// matrix drawn from pool.
-func (c *Conv2D) ForwardGEMMInto(out, in *Tensor, pool *bufpool.Pool) {
-	if in.C != c.InC {
-		panic(fmt.Sprintf("sr: conv expects %d channels, got %d", c.InC, in.C))
-	}
-	H, W := in.H, in.W
-	checkShape("conv", out, c.OutC, H, W)
-	k2 := c.K * c.K
-	n := H * W
-	cols := pool.Float32s(in.C * k2 * n)
-	im2colInto(c.Sched, cols, in, c.K)
-	jTotal := c.InC * k2
-	c.Sched.For(c.OutC, func(oc0, oc1 int) {
-		for oc := oc0; oc < oc1; oc++ {
-			op := out.Plane(oc)
-			bias := c.Bias[oc]
-			for i := range op {
-				op[i] = bias
-			}
-			wrow := c.Weight[oc*jTotal : (oc+1)*jTotal]
-			for j, w := range wrow {
-				if w == 0 {
-					continue
-				}
-				col := cols[j*n : (j+1)*n]
-				axpy(op, col, w)
-			}
-		}
-	})
-	pool.PutFloat32s(cols)
-}
-
-// im2colInto unfolds in into out (length C·K²·H·W), fully overwriting it.
-func im2colInto(cl *parallel.Client, out []float32, in *Tensor, k int) {
-	H, W := in.H, in.W
-	half := k / 2
-	n := H * W
-	k2 := k * k
-	if len(out) != in.C*k2*n {
-		panic(fmt.Sprintf("sr: im2col buffer length %d, want %d", len(out), in.C*k2*n))
-	}
-	cl.For(in.C*k2, func(r0, r1 int) {
-		for row := r0; row < r1; row++ {
-			c := row / k2
-			ky := (row % k2) / k
-			kx := row % k
-			dst := out[row*n : (row+1)*n]
-			fillShifted(dst, in.Plane(c), W, H, kx-half, ky-half)
-		}
-	})
-}
-
-// ForwardFastInto picks the same strategy as ForwardFast, writing into out.
-func (c *Conv2D) ForwardFastInto(out, in *Tensor, pool *bufpool.Pool) {
-	nz := 0
-	for _, w := range c.Weight {
-		if w != 0 {
-			nz++
-		}
-	}
-	if nz*4 >= len(c.Weight) {
-		c.ForwardGEMMInto(out, in, pool)
-	} else {
-		c.ForwardInto(out, in)
 	}
 }
 
@@ -210,67 +125,4 @@ func ToImageInto(im *frame.Image, t *Tensor) {
 			plane[i] = uint8(f + 0.5)
 		}
 	}
-}
-
-// ForwardInto runs the network writing the 3×(H·scale)×(W·scale) result
-// into out, with every intermediate tensor drawn from pool. The body
-// updates its feature tensor in place (x += conv2(ReLU(conv1(x))) — the
-// same values Add produces, since IEEE addition of the identical operands
-// commutes), so the whole 16-block body reuses two C×H×W scratch tensors.
-func (n *Network) ForwardInto(out, in *Tensor, pool *bufpool.Pool) {
-	s := n.spec.Scale
-	H, W := in.H, in.W
-	checkShape("network output", out, 3, H*s, W*s)
-	ch := n.spec.Channels
-
-	h := GetTensor(pool, ch, H, W)
-	n.head.ForwardFastInto(h, in, pool)
-
-	x := GetTensor(pool, ch, H, W)
-	copy(x.Data, h.Data)
-	s1 := GetTensor(pool, ch, H, W)
-	s2 := GetTensor(pool, ch, H, W)
-	for i := range n.body {
-		b := &n.body[i]
-		b.conv1.ForwardFastInto(s1, x, pool)
-		ReLU(s1)
-		b.conv2.ForwardFastInto(s2, s1, pool)
-		AddInto(x, x, s2)
-	}
-	n.bodyEnd.ForwardFastInto(s1, x, pool)
-	AddInto(x, s1, h) // global residual
-	PutTensor(pool, s2)
-	PutTensor(pool, s1)
-	PutTensor(pool, h)
-
-	u1 := GetTensor(pool, ch*s*s, H, W)
-	n.up.ForwardFastInto(u1, x, pool)
-	PutTensor(pool, x)
-	u2 := GetTensor(pool, ch, H*s, W*s)
-	PixelShuffleInto(u2, u1, s)
-	PutTensor(pool, u1)
-	n.tail.ForwardFastInto(out, u2, pool)
-	PutTensor(pool, u2)
-}
-
-// UpscaleInto implements IntoEngine: the full EDSR inference with every
-// tensor (input, output, body scratch, im2col patches) pooled.
-func (n *Network) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
-	if scale != n.spec.Scale {
-		return fmt.Errorf("sr: network is ×%d, requested ×%d", n.spec.Scale, scale)
-	}
-	if im.W == 0 || im.H == 0 {
-		return fmt.Errorf("sr: empty input image")
-	}
-	if dst.W != im.W*scale || dst.H != im.H*scale {
-		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, scale)
-	}
-	in := GetTensor(pool, 3, im.H, im.W)
-	FromImageInto(in, im)
-	out := GetTensor(pool, 3, im.H*scale, im.W*scale)
-	n.ForwardInto(out, in, pool)
-	PutTensor(pool, in)
-	ToImageInto(dst, out)
-	PutTensor(pool, out)
-	return nil
 }

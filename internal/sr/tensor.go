@@ -1,25 +1,27 @@
 // Package sr implements the DNN super-resolution component of GameStreamSR:
-// a pure-Go CNN inference engine (conv2d, ReLU, residual blocks,
-// pixel-shuffle) instantiating the paper's EDSR ×2 topology (16 residual
-// blocks, 64 channels, §V-A), plus a fast direct kernel computing the same
-// function for full-rate pipeline runs.
+// a pure-Go CNN inference engine (one compiled convolution kernel with fused
+// ReLU/residual epilogues, pixel-shuffle) instantiating the paper's EDSR ×2
+// topology (16 residual blocks, 64 channels, §V-A), plus a fast direct
+// kernel computing the same function for full-rate pipeline runs.
 //
 // Offline training on game corpora is impossible here, so the network's
 // weights are *constructed analytically* (see weights.go): the convolution
 // stack is wired — using exact ReLU-bypass biasing — to compute a
 // high-quality polyphase 2× interpolation followed by detail restoration.
 // This preserves both things the evaluation needs from EDSR: its compute
-// profile (every MAC of the real topology is executed) and its quality
-// ordering above bilinear interpolation, measured on real pixels. DESIGN.md
-// records the substitution.
+// profile (Network.FLOPs counts every MAC of the real topology, which is
+// what the device model bills) and its quality ordering above bilinear
+// interpolation, measured on real pixels. The host does not pay for the
+// zeros: a network is compiled once into tap lists over its live channels
+// (conv.go, edsr.go) and Network.ExecutedMACs says what that costs.
+// DESIGN.md records the substitution.
 package sr
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/parallel"
 )
 
 // Tensor is a CHW float32 tensor.
@@ -50,15 +52,18 @@ func (t *Tensor) Plane(c int) []float32 {
 
 // Conv2D is a 2D convolution with square kernel K (odd), replicate padding
 // and unit stride: the standard EDSR building block.
+//
+// Weight and Bias are filled after construction and frozen by first use:
+// Forward/ForwardInto (and a Network's first inference) compile the layer
+// into its tap list once, and later writes to Weight or Bias are not seen.
 type Conv2D struct {
 	InC, OutC, K int
 	// Weight is laid out [outC][inC][K][K].
 	Weight []float32
 	Bias   []float32
-	// Sched attributes the layer's parallel work to a scheduler client;
-	// nil (the zero value) means the default client, so existing
-	// construction sites are unchanged. Set via Network.SetSched.
-	Sched *parallel.Client
+
+	once sync.Once
+	plan *convPlan // the standalone layer: every output, uncompacted tensors
 }
 
 // NewConv2D allocates a zero-initialised convolution layer.
@@ -83,62 +88,22 @@ func (c *Conv2D) WIndex(oc, ic, ky, kx int) int {
 
 // Forward applies the convolution. Input must have C == InC.
 func (c *Conv2D) Forward(in *Tensor) *Tensor {
-	if in.C != c.InC {
-		panic(fmt.Sprintf("sr: conv expects %d channels, got %d", c.InC, in.C))
-	}
 	out := NewTensor(c.OutC, in.H, in.W)
-	half := c.K / 2
-	H, W := in.H, in.W
-	// Output channels are independent (disjoint planes, unchanged
-	// within-channel order) so they parallelise deterministically.
-	c.Sched.For(c.OutC, func(oc0, oc1 int) {
-		for oc := oc0; oc < oc1; oc++ {
-			c.forwardChannel(in, out, oc, half, H, W)
-		}
-	})
+	c.ForwardInto(out, in)
 	return out
 }
 
-// forwardChannel computes one output plane of the direct convolution.
-func (c *Conv2D) forwardChannel(in, out *Tensor, oc, half, H, W int) {
-	op := out.Plane(oc)
-	bias := c.Bias[oc]
-	for i := range op {
-		op[i] = bias
-	}
-	for ic := 0; ic < c.InC; ic++ {
-		ip := in.Plane(ic)
-		wbase := (oc*c.InC + ic) * c.K * c.K
-		for ky := 0; ky < c.K; ky++ {
-			dy := ky - half
-			for kx := 0; kx < c.K; kx++ {
-				w := c.Weight[wbase+ky*c.K+kx]
-				if w == 0 {
-					continue
-				}
-				dx := kx - half
-				for y := 0; y < H; y++ {
-					sy := y + dy
-					if sy < 0 {
-						sy = 0
-					} else if sy >= H {
-						sy = H - 1
-					}
-					srow := sy * W
-					orow := y * W
-					for x := 0; x < W; x++ {
-						sx := x + dx
-						if sx < 0 {
-							sx = 0
-						} else if sx >= W {
-							sx = W - 1
-						}
-						op[orow+x] += w * ip[srow+sx]
-					}
-				}
-			}
-		}
-	}
+// ForwardInto applies the convolution writing into out (shape OutC×H×W),
+// on the default scheduler client.
+func (c *Conv2D) ForwardInto(out, in *Tensor) {
+	c.once.Do(c.compileAll)
+	r := startRun(nil)
+	r.run(c.plan, out, in)
+	r.release()
+}
+
+func (c *Conv2D) compileAll() {
+	c.plan = c.compile(nil, identity(c.OutC), c.OutC, identity(c.InC), c.InC, epiStore)
 }
 
 // ReLU applies max(0, x) in place and returns t.
@@ -153,13 +118,8 @@ func ReLU(t *Tensor) *Tensor {
 
 // Add returns a + b element-wise; shapes must match.
 func Add(a, b *Tensor) *Tensor {
-	if a.C != b.C || a.H != b.H || a.W != b.W {
-		panic(fmt.Sprintf("sr: add shape mismatch %dx%dx%d vs %dx%dx%d", a.C, a.H, a.W, b.C, b.H, b.W))
-	}
 	out := NewTensor(a.C, a.H, a.W)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
-	}
+	AddInto(out, a, b)
 	return out
 }
 
@@ -170,60 +130,23 @@ func PixelShuffle(in *Tensor, r int) *Tensor {
 	if r <= 0 || in.C%(r*r) != 0 {
 		panic(fmt.Sprintf("sr: pixel shuffle of %d channels by r=%d", in.C, r))
 	}
-	outC := in.C / (r * r)
-	out := NewTensor(outC, in.H*r, in.W*r)
-	for c := 0; c < outC; c++ {
-		for dy := 0; dy < r; dy++ {
-			for dx := 0; dx < r; dx++ {
-				ip := in.Plane(c*r*r + dy*r + dx)
-				for y := 0; y < in.H; y++ {
-					orow := (y*r + dy) * out.W
-					irow := y * in.W
-					for x := 0; x < in.W; x++ {
-						out.Data[c*out.H*out.W+orow+x*r+dx] = ip[irow+x]
-					}
-				}
-			}
-		}
-	}
+	out := NewTensor(in.C/(r*r), in.H*r, in.W*r)
+	PixelShuffleInto(out, in, r)
 	return out
 }
 
 // FromImage converts an 8-bit image to a 3×H×W tensor scaled to [0, 1].
 func FromImage(im *frame.Image) *Tensor {
 	t := NewTensor(3, im.H, im.W)
-	for p, plane := range [3][]uint8{im.R, im.G, im.B} {
-		tp := t.Plane(p)
-		for y := 0; y < im.H; y++ {
-			srow := y * im.Stride
-			drow := y * im.W
-			for x := 0; x < im.W; x++ {
-				tp[drow+x] = float32(plane[srow+x]) / 255
-			}
-		}
-	}
+	FromImageInto(t, im)
 	return t
 }
 
 // ToImage converts a 3×H×W tensor in [0, 1] back to an 8-bit image,
 // clamping out-of-range values.
 func ToImage(t *Tensor) *frame.Image {
-	if t.C != 3 {
-		panic(fmt.Sprintf("sr: ToImage needs 3 channels, got %d", t.C))
-	}
 	im := frame.NewImage(t.W, t.H)
-	for p, plane := range [3][]uint8{im.R, im.G, im.B} {
-		tp := t.Plane(p)
-		for i, v := range tp {
-			f := float64(v) * 255
-			if f < 0 {
-				f = 0
-			} else if f > 255 {
-				f = 255
-			}
-			plane[i] = uint8(f + 0.5)
-		}
-	}
+	ToImageInto(im, t)
 	return im
 }
 
@@ -232,9 +155,4 @@ func ToImage(t *Tensor) *frame.Image {
 // into NPU latency.
 func (c *Conv2D) FLOPs(h, w int) int64 {
 	return int64(c.OutC) * int64(c.InC) * int64(c.K*c.K) * int64(h) * int64(w)
-}
-
-// almostEqual is a test helper shared across the package's own tests.
-func almostEqual(a, b, tol float32) bool {
-	return float32(math.Abs(float64(a-b))) <= tol
 }
