@@ -105,7 +105,6 @@ type Pool struct {
 	f32    bucketSet[float32]
 	f64    bucketSet[float64]
 	i16    bucketSet[int16]
-	i32    bucketSet[int32]
 	images []*frame.Image
 	depths []*frame.DepthMap
 
@@ -204,12 +203,6 @@ func (p *Pool) Int16s(n int) []int16 { return getSlice(p, poolI16(p), n, 2) }
 // PutInt16s returns a buffer obtained from Int16s.
 func (p *Pool) PutInt16s(s []int16) { putSlice(p, poolI16(p), s, 2, poisonInt16s) }
 
-// Int32s checks out a []int32 of length n with unspecified contents.
-func (p *Pool) Int32s(n int) []int32 { return getSlice(p, poolI32(p), n, 4) }
-
-// PutInt32s returns a buffer obtained from Int32s.
-func (p *Pool) PutInt32s(s []int32) { putSlice(p, poolI32(p), s, 4, poisonInt32s) }
-
 // The pool* accessors exist so the generic helpers can take a nil *Pool:
 // field access on nil would panic, so they return nil bucket sets instead
 // (which getSlice/putSlice never touch when p == nil).
@@ -236,12 +229,6 @@ func poolI16(p *Pool) *bucketSet[int16] {
 		return nil
 	}
 	return &p.i16
-}
-func poolI32(p *Pool) *bucketSet[int32] {
-	if p == nil {
-		return nil
-	}
-	return &p.i32
 }
 
 // Image checks out a w×h packed image: the three planes are slices of one
@@ -380,11 +367,5 @@ func poisonFloat64s(s []float64) {
 func poisonInt16s(s []int16) {
 	for i := range s {
 		s[i] = -21931 // 0xAA55
-	}
-}
-
-func poisonInt32s(s []int32) {
-	for i := range s {
-		s[i] = -1437226411 // 0xAA55AA55
 	}
 }

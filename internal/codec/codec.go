@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
@@ -161,7 +162,20 @@ type DecodedFrame struct {
 // magic identifies GameStreamSR bitstream frames.
 const magic = 0x47 // 'G'
 
-const version = 2
+// version is the one bitstream format this package writes and reads
+// (DESIGN.md §21):
+//
+//	frame = header · table · slice₀ … sliceₙ₋₁     n = ⌈height / block size⌉
+//	table = n uvarints, the byte length of each slice
+//	slice = one block row — a band of BlockSize pixel rows — decodable alone:
+//	        inter: the row's vectors (DX, DY per block), then the band of the
+//	               R, G and B residual planes in raster order;
+//	        intra: the band of the R, G and B planes as level deltas, the
+//	               predictor restarting at 0 at the start of each band.
+//
+// Every sequence is zero-run coded on its own (appendSignedRLE), so no run
+// crosses a plane or a slice.
+const version = 3
 
 // Encoder turns raw frames into bitstream frames. Frames must be fed in
 // display order; the encoder tracks GOP position and reference state.
@@ -172,14 +186,20 @@ type Encoder struct {
 	// reconstruction rather than the source keeps encoder and decoder in
 	// lockstep and prevents drift.
 	prev *frame.Image
-	// pool recycles reconstruction images and quantized-value scratch
-	// across frames; nil means plain allocation (see SetPool).
+	// pool recycles reconstruction images across frames; nil means plain
+	// allocation (see SetPool).
 	pool *bufpool.Pool
 	// mvs is the persistent motion-vector scratch of encodeInter.
 	mvs []MV
-	// sched is the scheduler client the row-parallel passes are attributed
-	// to; nil means the default client (see SetSched).
+	// sched is the scheduler client the slice workers are attributed to; nil
+	// means the default client (see SetSched).
 	sched *parallel.Client
+	// job is the frame being coded and slices its slice loop, bound once;
+	// bands hands each worker its scratch of seqLen values.
+	job    sliceJob
+	slices func(lo, hi int, vals []int32)
+	bands  *parallel.Scratch[[]int32]
+	seqLen int
 	// reference makes every frame take the clamped per-pixel loops, serially
 	// — the form the row-slice loops are differentially tested against.
 	reference bool
@@ -191,15 +211,18 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Encoder{cfg: cfg}, nil
+	// A worker's scratch holds the longest sequence a slice codes: a band of
+	// one plane or, on a frame one pixel wide, a row of vector components.
+	n := max(min(cfg.BlockSize, cfg.Height)*cfg.Width, 2*((cfg.Width+cfg.BlockSize-1)/cfg.BlockSize))
+	return &Encoder{cfg: cfg, seqLen: n, bands: parallel.NewScratch(func() []int32 { return make([]int32, n) })}, nil
 }
 
 // Config returns the encoder's effective configuration.
 func (e *Encoder) Config() Config { return e.cfg }
 
-// SetPool makes the encoder draw its per-frame reconstruction frames and
-// quantization scratch from p (nil reverts to plain allocation). The pool
-// must outlive the encoder's use of it.
+// SetPool makes the encoder draw its per-frame reconstruction frames from p
+// (nil reverts to plain allocation). The pool must outlive the encoder's use
+// of it.
 func (e *Encoder) SetPool(p *bufpool.Pool) { e.pool = p }
 
 // SetSched attributes the encoder's row-parallel passes (motion search,
@@ -262,15 +285,9 @@ func (e *Encoder) encode(dst []byte, im *frame.Image, rq *roiQuant) ([]byte, Fra
 	}
 	e.count++
 	dst = appendHeader(dst, h.ftype, e.cfg, rq)
-	var data []byte
-	var recon *frame.Image
-	if h.ftype == Intra {
-		data, recon = e.encodeIntra(dst, im.Compact(), h)
-	} else {
-		data, recon = e.encodeInter(dst, im.Compact(), h)
-	}
+	data, recon := e.encodeSlices(dst, im.Compact(), h)
 	// The outgoing reference is dead once the new reconstruction exists;
-	// recycling it here (not before: encodeInter reads it) lets one session
+	// recycling it here (not before: an inter frame reads it) lets one session
 	// ping-pong two reconstruction buffers indefinitely.
 	if e.prev != nil {
 		e.pool.PutImage(e.prev)
@@ -287,18 +304,21 @@ type Decoder struct {
 	// prev back via Recycle; the image itself is recycled only when the next
 	// Decode replaces it (it is still the inter reference until then).
 	prevReleased bool
-	// pool recycles decoded images, residual planes and RLE scratch; nil
-	// means plain allocation (see SetPool).
+	// pool recycles decoded images and residual planes; nil means plain
+	// allocation (see SetPool).
 	pool *bufpool.Pool
 	// mvFree and sideFree recycle the MV grids and SideInfo headers of
 	// released frames. The decoder is single-goroutine, so plain slices do.
 	mvFree   [][]MV
 	sideFree []*SideInfo
-	// vals is the entropy decoder's output for one plane, kept across
-	// frames: it never leaves the decoder, so it needs no pool round trip.
-	vals []int32
-	// reference makes every pixel take the clamped per-pixel loops, serially
-	// — the form the row-slice loops are differentially tested against.
+	// job is the frame under reconstruction and runSlices its slice loop,
+	// bound once: both are kept here so a frame costs no closure, table or
+	// scratch allocation.
+	job       frameJob
+	runSlices func(lo, hi int)
+	// reference makes every slice take the two-pass form — entropy-decode the
+	// band into a value plane, then the clamped per-pixel loops — serially:
+	// what the sparse slice loops are differentially tested against.
 	reference bool
 }
 
@@ -361,7 +381,9 @@ func (d *Decoder) Recycle(df *DecodedFrame) {
 var ErrCorrupt = errors.New("codec: corrupt bitstream")
 
 // Decode parses one bitstream frame and returns its reconstruction. For
-// inter frames the result includes the NEMO side information.
+// inter frames the result includes the NEMO side information. A frame that
+// fails to decode leaves the decoder as it was: the inter reference is
+// unchanged and every buffer drawn for the frame is back in the pool.
 func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	hdr, rest, err := parseHeader(data)
 	if err != nil {
@@ -369,12 +391,6 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	}
 	switch hdr.ftype {
 	case Intra:
-		im, err := d.decodeIntra(hdr, rest)
-		if err != nil {
-			return nil, err
-		}
-		d.retire(im)
-		return &DecodedFrame{Type: Intra, Image: im}, nil
 	case Inter:
 		if d.prev == nil {
 			return nil, fmt.Errorf("%w: inter frame without reference", ErrCorrupt)
@@ -382,15 +398,46 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 		if d.prev.W != hdr.w || d.prev.H != hdr.h {
 			return nil, fmt.Errorf("%w: inter frame %dx%d but reference is %dx%d", ErrCorrupt, hdr.w, hdr.h, d.prev.W, d.prev.H)
 		}
-		im, side, err := d.decodeInter(hdr, rest, d.prev)
-		if err != nil {
-			return nil, err
-		}
-		d.retire(im)
-		return &DecodedFrame{Type: Inter, Image: im, Side: side}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown frame type %d", ErrCorrupt, hdr.ftype)
 	}
+	j := &d.job
+	bh := (hdr.h + hdr.bs - 1) / hdr.bs
+	if j.body, err = j.parseTable(bh, rest); err != nil {
+		return nil, err
+	}
+	j.h, j.bw, j.dirty, j.reference = hdr, (hdr.w+hdr.bs-1)/hdr.bs, d.pool != nil, d.reference
+	j.im = d.pool.Image(hdr.w, hdr.h)
+	if hdr.ftype == Inter {
+		j.ref = d.prev.Compact()
+		j.side = d.getSide()
+		*j.side = SideInfo{BlocksX: j.bw, BlocksY: bh, BlockSize: hdr.bs, HalfPel: hdr.halfPel, MVs: d.getMVs(j.bw * bh)}
+		for p := range j.side.Residual {
+			j.side.Residual[p] = d.pool.Int16s(hdr.w * hdr.h)
+		}
+		if cap(j.mvVals) < 2*j.bw*bh {
+			j.mvVals = make([]int32, 2*j.bw*bh)
+		}
+	}
+	// Slices write disjoint pixel rows of the image, the residual planes and
+	// the MV grid and only read the reference, so they parallelise freely.
+	if d.runSlices == nil {
+		d.runSlices = j.slices
+	}
+	if d.reference {
+		j.slices(0, bh)
+	} else {
+		parallel.For(bh, d.runSlices)
+	}
+	df := DecodedFrame{Type: hdr.ftype, Image: j.im, Side: j.side}
+	err = j.err
+	j.body, j.im, j.ref, j.side, j.err = nil, nil, nil, nil, nil
+	if err != nil {
+		d.Recycle(&df)
+		return nil, err
+	}
+	d.retire(df.Image)
+	return &df, nil
 }
 
 // retire installs im as the new inter reference, recycling the outgoing
@@ -564,173 +611,354 @@ func parseHeader(data []byte) (header, []byte, error) {
 	return h, rest, nil
 }
 
-// planeVals returns the decoder's persistent n-value entropy scratch.
-func (d *Decoder) planeVals(n int) []int32 {
-	if cap(d.vals) < n {
-		d.vals = make([]int32, n)
-	}
-	return d.vals[:n]
+// frameJob is one frame under reconstruction, shared by the slice workers.
+type frameJob struct {
+	h  header
+	bw int
+	// body holds the slices back to back; slice s is body[ends[s-1]:ends[s]].
+	body []byte
+	ends []int
+	// im is the output; ref (packed) and side are set for inter frames only.
+	im, ref *frame.Image
+	side    *SideInfo
+	// mvVals is the entropy scratch of the MV rows, 2·bw values per slice.
+	mvVals []int32
+	// dirty says the residual planes came from a pool and hold a previous
+	// frame's values; planes made for this frame are already zero.
+	dirty     bool
+	reference bool
+
+	// err is the failure of the lowest slice that failed, errSlice its index:
+	// which slice a worker reaches first depends on scheduling, the error
+	// reported must not.
+	mu       sync.Mutex
+	err      error
+	errSlice int
 }
 
-func (d *Decoder) decodeIntra(h header, data []byte) (*frame.Image, error) {
-	im := d.pool.Image(h.w, h.h)
-	vals := d.planeVals(h.w * h.h)
-	for p := 0; p < 3; p++ {
-		rest, err := decodeSignedRLEInto(vals, data)
-		if err != nil {
-			d.pool.PutImage(im)
-			return nil, err
+// parseTable reads the n slice lengths at the head of data into j.ends and
+// returns the body they describe. n comes from the bounded header; nothing is
+// allocated unless data is long enough to hold n entries, and the lengths
+// must sum to the body exactly.
+func (j *frameJob) parseTable(n int, data []byte) ([]byte, error) {
+	if len(data) < n {
+		return nil, fmt.Errorf("%w: truncated slice table", ErrCorrupt)
+	}
+	if cap(j.ends) < n {
+		j.ends = make([]int, n)
+	}
+	j.ends = j.ends[:n]
+	end := 0
+	for s := range j.ends {
+		v, m := binary.Uvarint(data)
+		if m <= 0 {
+			return nil, fmt.Errorf("%w: truncated slice table", ErrCorrupt)
 		}
-		data = rest
-		rp := reconPlane(im, p)
-		acc := int32(0)
-		if d.reference {
+		data = data[m:]
+		if v > uint64(len(data)-end) {
+			return nil, fmt.Errorf("%w: slice %d of %d bytes runs past the frame", ErrCorrupt, s, v)
+		}
+		end += int(v)
+		j.ends[s] = end
+	}
+	if end != len(data) {
+		return nil, fmt.Errorf("%w: slices cover %d of %d body bytes", ErrCorrupt, end, len(data))
+	}
+	return data, nil
+}
+
+// slices decodes slices [lo, hi), recording the lowest failure.
+func (j *frameJob) slices(lo, hi int) {
+	for s := lo; s < hi; s++ {
+		start := 0
+		if s > 0 {
+			start = j.ends[s-1]
+		}
+		var rest []byte
+		var err error
+		if j.side == nil {
+			rest, err = j.intraSlice(s, j.body[start:j.ends[s]])
+		} else {
+			rest, err = j.interSlice(s, j.body[start:j.ends[s]])
+		}
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%w: %d spare bytes", ErrCorrupt, len(rest))
+		}
+		if err == nil {
+			continue
+		}
+		j.mu.Lock()
+		if j.err == nil || s < j.errSlice {
+			j.err, j.errSlice = fmt.Errorf("slice %d: %w", s, err), s
+		}
+		j.mu.Unlock()
+	}
+}
+
+// quantSpan returns the quantiser of sample i of the n-sample band whose
+// first pixel row is y0, and the end of the run of samples that share it:
+// the whole band without an RoI, otherwise to the next RoI edge or row end.
+func (h header) quantSpan(i, y0, n int) (q int32, limit int) {
+	if !h.hasRoI {
+		return int32(h.q), n
+	}
+	row := i / h.w
+	a, b := h.roiSpan(0, h.w, y0+row)
+	switch col := i - row*h.w; {
+	case col < a:
+		return int32(h.q), row*h.w + a
+	case col < b:
+		return int32(h.roiQ), row*h.w + b
+	}
+	return int32(h.q), (row + 1) * h.w
+}
+
+// intraSlice reconstructs band by of an intra frame and returns the bytes it
+// did not consume. The shipped form walks the entropy stream once, a zero
+// run — a level that does not change — becoming a constant fill.
+func (j *frameJob) intraSlice(by int, data []byte) ([]byte, error) {
+	h := j.h
+	y := by * h.bs
+	band, n := y*h.w, min(h.bs, h.h-y)*h.w
+	var vals []int32
+	if j.reference {
+		vals = make([]int32, n)
+	}
+	for p := 0; p < 3; p++ {
+		rp := reconPlane(j.im, p)[band : band+n]
+		var err error
+		if j.reference {
+			if data, err = decodeSignedRLEInto(vals, data); err != nil {
+				return nil, err
+			}
+			acc, over := int32(0), false
 			for i, dv := range vals {
 				acc += dv
-				rp[i] = clamp8(acc * h.qAt(i%h.w, i/h.w))
+				over = over || acc < -maxLevel || acc > maxLevel
+				rp[i] = clamp8(acc * h.qAt(i%h.w, y+i/h.w))
 			}
-			continue
+			if over {
+				err = errLevel
+			}
+		} else {
+			data, err = fillIntra(rp, h, y, data)
 		}
-		for y := 0; y < h.h; y++ {
-			row := y * h.w
-			a, b := h.roiSpan(0, h.w, y)
-			acc = intraSpan(rp[row:row+a], vals[row:row+a], acc, int32(h.q))
-			acc = intraSpan(rp[row+a:row+b], vals[row+a:row+b], acc, int32(h.roiQ))
-			acc = intraSpan(rp[row+b:row+h.w], vals[row+b:row+h.w], acc, int32(h.q))
-		}
-	}
-	return im, nil
-}
-
-// intraSpan undoes the delta prediction over one constant-quantizer span,
-// returning the running level for the next span.
-func intraSpan(rp []uint8, vals []int32, acc, q int32) int32 {
-	vals = vals[:len(rp)]
-	for i, dv := range vals {
-		acc += dv
-		rp[i] = clamp8(acc * q)
-	}
-	return acc
-}
-
-func (d *Decoder) decodeInter(h header, data []byte, ref *frame.Image) (*frame.Image, *SideInfo, error) {
-	bs := h.bs
-	bw := (h.w + bs - 1) / bs
-	bh := (h.h + bs - 1) / bs
-	side := d.getSide()
-	*side = SideInfo{BlocksX: bw, BlocksY: bh, BlockSize: bs, HalfPel: h.halfPel, MVs: d.getMVs(bw * bh)}
-	for i := range side.MVs {
-		dx, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("%w: truncated MV grid", ErrCorrupt)
-		}
-		data = data[n:]
-		dy, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, nil, fmt.Errorf("%w: truncated MV grid", ErrCorrupt)
-		}
-		data = data[n:]
-		if dx < -128 || dx > 127 || dy < -128 || dy > 127 {
-			return nil, nil, fmt.Errorf("%w: MV out of range (%d,%d)", ErrCorrupt, dx, dy)
-		}
-		side.MVs[i] = MV{DX: int8(dx), DY: int8(dy)}
-	}
-	im := d.pool.Image(h.w, h.h)
-	n := h.w * h.h
-	ref = ref.Compact()
-	pl := interPlane{h: h, bw: bw, mvs: side.MVs, vals: d.planeVals(n)}
-	for p := 0; p < 3; p++ {
-		// Entropy decoding is serial by nature; reconstruction is not.
-		rest, err := decodeSignedRLEInto(pl.vals, data)
 		if err != nil {
-			d.pool.PutImage(im)
-			for q := 0; q < p; q++ {
-				d.pool.PutInt16s(side.Residual[q])
-				side.Residual[q] = nil
-			}
-			return nil, nil, err
+			return nil, err
 		}
-		data = rest
-		// The block grid covers every pixel, so the dirty pooled planes
-		// below are fully overwritten.
-		pl.rp, pl.refp, pl.res = reconPlane(im, p), srcPlane(ref, p), d.pool.Int16s(n)
-		side.Residual[p] = pl.res
-		if d.reference {
-			for by := 0; by < bh; by++ {
-				pl.blockRow(by, true)
+	}
+	return data, nil
+}
+
+// fillIntra undoes the delta prediction of one plane's band straight from
+// its entropy stream. A level outside ±maxLevel is reported once the band's
+// stream has parsed, as the two-pass reference does.
+func fillIntra(rp []uint8, h header, y int, data []byte) ([]byte, error) {
+	n := len(rp)
+	pos, zeros := 0, 0
+	acc, over := int32(0), false
+	for i := 0; i < n; {
+		q, limit := h.quantSpan(i, y, n)
+		for i < limit {
+			if zeros > 0 {
+				k := min(zeros, limit-i)
+				fill, c := rp[i:i+k], clamp8(acc*q)
+				for c8 := uint64(c) * 0x0101010101010101; len(fill) >= 8; fill = fill[8:] {
+					binary.LittleEndian.PutUint64(fill, c8)
+				}
+				for x := range fill {
+					fill[x] = c
+				}
+				i, zeros = i+k, zeros-k
+				continue
+			}
+			v, run, next, ok := shortToken(data, pos)
+			if !ok {
+				var err error
+				if v, run, next, err = longToken(data, pos); err != nil {
+					return nil, err
+				}
+			}
+			pos = next
+			if run > n-i {
+				return nil, errZeroRun(run)
+			}
+			if run > 0 {
+				zeros = run
+				continue
+			}
+			acc += v
+			over = over || acc < -maxLevel || acc > maxLevel
+			rp[i] = clamp8(acc * q)
+			i++
+		}
+	}
+	if over {
+		return nil, errLevel
+	}
+	return data[pos:], nil
+}
+
+// interSlice reconstructs block row by of an inter frame — vectors, pixels
+// and the NEMO residual band — and returns the bytes it did not consume. The
+// shipped form writes the motion-compensated prediction into the output
+// first and then walks the entropy stream once, adding only the non-zero
+// residuals onto it: the same int32 expressions as the reference's
+// clamp8(pred + v·q) and clampRes(v·q), evaluated where v ≠ 0 (elsewhere they
+// reduce to pred and 0, which is what the prediction pass and the clear left).
+func (j *frameJob) interSlice(by int, data []byte) ([]byte, error) {
+	h, bw := j.h, j.bw
+	y := by * h.bs
+	hh := min(h.bs, h.h-y)
+	band, n := y*h.w, hh*h.w
+	mvs := j.side.MVs[by*bw : (by+1)*bw]
+	data, err := decodeMVRow(mvs, j.mvVals[2*by*bw:2*(by+1)*bw], data)
+	if err != nil {
+		return nil, err
+	}
+	pl := interPlane{h: h}
+	if j.reference {
+		pl.vals = make([]int32, n)
+	}
+	for p := 0; p < 3; p++ {
+		pl.rp, pl.refp, pl.res = reconPlane(j.im, p), srcPlane(j.ref, p), j.side.Residual[p]
+		if j.reference {
+			if data, err = decodeSignedRLEInto(pl.vals, data); err != nil {
+				return nil, err
+			}
+			for bx, mv := range mvs {
+				x := bx * h.bs
+				pl.blockClamped(x, y, min(h.bs, h.w-x), hh, mv)
 			}
 			continue
 		}
-		// Block rows write disjoint pixel rows of im and the residual plane
-		// and only read ref and vals, so they parallelise freely.
-		parallel.For(bh, func(lo, hi int) {
-			for by := lo; by < hi; by++ {
-				pl.blockRow(by, false)
-			}
-		})
+		pl.predictBand(y, hh, mvs)
+		if j.dirty {
+			clear(pl.res[band : band+n])
+		}
+		if data, err = addResiduals(pl.rp[band:band+n], pl.res[band:band+n], h, y, data); err != nil {
+			return nil, err
+		}
 	}
-	return im, side, nil
+	return data, nil
+}
+
+// decodeMVRow decodes one block row's vectors — 2·len(mvs) zero-run-coded
+// values, DX then DY per block — through the scratch vals.
+func decodeMVRow(mvs []MV, vals []int32, data []byte) ([]byte, error) {
+	data, err := decodeSignedRLEInto(vals, data)
+	if err != nil {
+		return nil, err
+	}
+	for i := range mvs {
+		dx, dy := vals[2*i], vals[2*i+1]
+		if dx < -128 || dx > 127 || dy < -128 || dy > 127 {
+			return nil, fmt.Errorf("%w: MV out of range (%d,%d)", ErrCorrupt, dx, dy)
+		}
+		mvs[i] = MV{DX: int8(dx), DY: int8(dy)}
+	}
+	return data, nil
 }
 
 // interPlane is one colour plane of an inter frame under reconstruction:
 // the motion-compensated prediction from refp plus the dequantized residual
-// vals·q gives the pixels rp; the clamped residual is kept in res as NEMO
-// side information. All planes are packed, width h.w.
+// gives the pixels rp; the clamped residual is kept in res as NEMO side
+// information. rp, refp and res are whole planes, packed, width h.w; vals —
+// the reference form's entropy output — is the band being reconstructed.
 type interPlane struct {
 	h        header
-	bw       int
-	mvs      []MV
 	rp, refp []uint8
 	res      []int16
 	vals     []int32
 }
 
-// blockRow reconstructs the blocks of block row by. A block whose displaced
-// footprint lies inside the frame (integer-pel only) needs no coordinate
-// clamp, so it runs row slice by row slice with the quantizer hoisted per
-// span; border blocks, half-pel streams and vectors pointing off the frame
-// — and, with clampedOnly, everything — keep the clamped per-pixel loop.
-// Both produce the same bytes.
-func (pl *interPlane) blockRow(by int, clampedOnly bool) {
+// predictBand writes the motion-compensated prediction of the hh pixel rows
+// from y into rp. A run of neighbouring blocks that share an integer-pel
+// vector whose displaced footprint lies inside the frame is one row copy per
+// pixel row; border blocks, vectors pointing off the frame and half-pel
+// streams take the clamped (or interpolated) per-pixel form.
+func (pl *interPlane) predictBand(y, hh int, mvs []MV) {
 	h := pl.h
-	y := by * h.bs
-	hh := min(h.bs, h.h-y)
-	for bx := 0; bx < pl.bw; bx++ {
-		mv := pl.mvs[by*pl.bw+bx]
+	for bx := 0; bx < len(mvs); {
+		mv := mvs[bx]
 		x := bx * h.bs
-		w := min(h.bs, h.w-x)
 		dx, dy := int(mv.DX), int(mv.DY)
-		if clampedOnly || h.halfPel || x+dx < 0 || x+w+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
-			pl.blockClamped(x, y, w, hh, mv)
+		if h.halfPel || x+dx < 0 || min(x+h.bs, h.w)+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
+			pl.predictClamped(x, y, min(h.bs, h.w-x), hh, mv)
+			bx++
 			continue
 		}
+		// The left edge only moves inward as the run grows; the right edge is
+		// checked block by block.
+		end := bx + 1
+		for end < len(mvs) && mvs[end] == mv && min((end+1)*h.bs, h.w)+dx <= h.w {
+			end++
+		}
+		w := min(end*h.bs, h.w) - x
 		for sy := y; sy < y+hh; sy++ {
 			o := sy*h.w + x
 			r := (sy+dy)*h.w + x + dx
-			a, b := h.roiSpan(x, w, sy)
-			pl.span(o, r, a, int32(h.q))
-			pl.span(o+a, r+a, b-a, int32(h.roiQ))
-			pl.span(o+b, r+b, w-b, int32(h.q))
+			copy(pl.rp[o:o+w], pl.refp[r:r+w])
+		}
+		bx = end
+	}
+}
+
+// predictClamped is predictBand's general per-pixel form for one block.
+func (pl *interPlane) predictClamped(x, y, w, hh int, mv MV) {
+	h := pl.h
+	for sy := y; sy < y+hh; sy++ {
+		ry := clampInt(sy+int(mv.DY), 0, h.h-1)
+		for sx := x; sx < x+w; sx++ {
+			if h.halfPel {
+				pl.rp[sy*h.w+sx] = uint8(predHalfPel(pl.refp, h.w, h.h, sx, sy, int(mv.DX), int(mv.DY)))
+			} else {
+				pl.rp[sy*h.w+sx] = pl.refp[ry*h.w+clampInt(sx+int(mv.DX), 0, h.w-1)]
+			}
 		}
 	}
 }
 
-// span reconstructs n pixels from offset o, predicted from reference offset
-// r, at the constant quantizer q.
-func (pl *interPlane) span(o, r, n int, q int32) {
-	rp, res, vals, ref := pl.rp[o:o+n], pl.res[o:o+n], pl.vals[o:o+n], pl.refp[r:r+n]
-	for i := range rp {
-		d := vals[i] * q
-		res[i] = int16(clampRes(d))
-		rp[i] = clamp8(int32(ref[i]) + d)
+// addResiduals walks the entropy stream of one plane's band once and adds
+// each non-zero residual onto the prediction in rp, keeping its clamped value
+// in res (all zero on entry); zero runs are skipped, not visited.
+func addResiduals(rp []uint8, res []int16, h header, y int, data []byte) ([]byte, error) {
+	n := len(rp)
+	res = res[:n]
+	pos := 0
+	for i := 0; i < n; {
+		q, limit := h.quantSpan(i, y, n)
+		for i < limit {
+			v, run, next, ok := shortToken(data, pos)
+			if !ok {
+				var err error
+				if v, run, next, err = longToken(data, pos); err != nil {
+					return nil, err
+				}
+			}
+			pos = next
+			if run > n-i {
+				return nil, errZeroRun(run)
+			}
+			if run > 0 {
+				i += run
+				continue
+			}
+			d := v * q
+			res[i] = int16(clampRes(d))
+			rp[i] = clamp8(int32(rp[i]) + d)
+			i++
+		}
 	}
+	return data[pos:], nil
 }
 
-// blockClamped is the general per-pixel loop: every reference coordinate is
-// clamped to the frame (or half-pel interpolated) and the quantizer looked
+// blockClamped is the reference per-pixel loop: every reference coordinate
+// is clamped to the frame (or half-pel interpolated) and the quantizer looked
 // up per pixel.
 func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
 	h := pl.h
+	band := y * h.w // y is the band's first row: vals is indexed from there
 	for j := 0; j < hh; j++ {
 		sy := y + j
 		ry := clampInt(sy+int(mv.DY), 0, h.h-1)
@@ -743,7 +971,7 @@ func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
 			} else {
 				pred = int32(pl.refp[ry*h.w+rx])
 			}
-			res := pl.vals[sy*h.w+sx] * h.qAt(sx, sy)
+			res := pl.vals[sy*h.w+sx-band] * h.qAt(sx, sy)
 			pl.res[sy*h.w+sx] = int16(clampRes(res))
 			pl.rp[sy*h.w+sx] = clamp8(pred + res)
 		}
@@ -775,63 +1003,88 @@ func appendSignedRLE(buf []byte, vals []int32) []byte {
 	return buf
 }
 
-// decodeSignedRLE decodes exactly n values and returns the remaining bytes.
-func decodeSignedRLE(data []byte, n int) ([]int32, []byte, error) {
-	out := make([]int32, n)
-	rest, err := decodeSignedRLEInto(out, data)
-	if err != nil {
-		return nil, nil, err
+// maxLevel bounds the magnitude of a coded level so that its product with
+// any quantizer (≤ maxQStep), plus a pixel, fits an int32 with room to
+// spare. No encoder comes near it: a level is at most 255.
+const maxLevel = 1 << 22
+
+var errLevel = fmt.Errorf("%w: level out of range", ErrCorrupt)
+
+func errZeroRun(run int) error {
+	return fmt.Errorf("%w: zero run %d overflows its sequence", ErrCorrupt, run)
+}
+
+// shortToken decodes the token at data[pos] when it has one of the two
+// forms nearly every token takes: a one-byte level (|v| < 64, the zigzag
+// undone directly) or a zero run under 128. run is 0 for a level. Anything
+// else — longer forms, malformed or missing bytes — leaves ok false and is
+// longToken's. Kept free of calls so that it inlines into the walkers.
+func shortToken(data []byte, pos int) (v int32, run, next int, ok bool) {
+	if pos >= len(data) {
+		return 0, 0, 0, false
 	}
-	return out, rest, nil
+	b := data[pos]
+	if b-1 < 0x7f {
+		return int32(b>>1) ^ -int32(b&1), 0, pos + 1, true
+	}
+	if b == 0 && pos+1 < len(data) && data[pos+1]-1 < 0x7f {
+		return 0, int(data[pos+1]), pos + 2, true
+	}
+	return 0, 0, 0, false
+}
+
+// longToken decodes the token at data[pos] in the general form, with every
+// check: a level within ±maxLevel (run == 0) or a zero run of 1..maxPixels.
+func longToken(data []byte, pos int) (v int32, run, next int, err error) {
+	if pos >= len(data) {
+		return 0, 0, 0, fmt.Errorf("%w: truncated slice", ErrCorrupt)
+	}
+	if data[pos] == 0x00 {
+		r, m := binary.Uvarint(data[pos+1:])
+		if m <= 0 {
+			return 0, 0, 0, fmt.Errorf("%w: truncated zero run", ErrCorrupt)
+		}
+		if r == 0 || r > maxPixels {
+			return 0, 0, 0, fmt.Errorf("%w: zero run %d out of range", ErrCorrupt, r)
+		}
+		return 0, int(r), pos + 1 + m, nil
+	}
+	lv, m := binary.Varint(data[pos:])
+	if m <= 0 {
+		return 0, 0, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
+	}
+	if lv < -maxLevel || lv > maxLevel {
+		return 0, 0, 0, errLevel
+	}
+	return int32(lv), 0, pos + m, nil
 }
 
 // decodeSignedRLEInto decodes exactly len(out) values into out and returns
-// the remaining bytes. out is cleared first — zero runs are encoded by
-// skipping over already-zero elements — so a dirty pooled buffer is fine.
+// the remaining bytes. out is cleared first — zero runs are decoded by
+// skipping over already-zero elements — so a dirty buffer is fine.
 func decodeSignedRLEInto(out []int32, data []byte) ([]byte, error) {
 	clear(out)
-	n := len(out)
-	i := 0
-	for i < n {
-		if len(data) == 0 {
-			return nil, fmt.Errorf("%w: truncated plane data", ErrCorrupt)
+	pos := 0
+	for i := 0; i < len(out); {
+		v, run, next, ok := shortToken(data, pos)
+		if !ok {
+			var err error
+			if v, run, next, err = longToken(data, pos); err != nil {
+				return nil, err
+			}
 		}
-		b := data[0]
-		if b == 0x00 {
-			// Runs under 128 — a one-byte uvarint — are decoded in place.
-			run, m := uint64(0), 0
-			if len(data) > 1 && data[1] < 0x80 {
-				run, m = uint64(data[1]), 1
-			} else if run, m = binary.Uvarint(data[1:]); m <= 0 {
-				return nil, fmt.Errorf("%w: truncated zero run", ErrCorrupt)
-			}
-			data = data[1+m:]
-			if run == 0 || run > uint64(n-i) {
-				return nil, fmt.Errorf("%w: zero run %d overflows plane", ErrCorrupt, run)
-			}
-			i += int(run) // out already zeroed
+		pos = next
+		if run > len(out)-i {
+			return nil, errZeroRun(run)
+		}
+		if run > 0 {
+			i += run
 			continue
 		}
-		if b < 0x80 {
-			// A one-byte varint (|v| < 64, nearly every residual): undo the
-			// zigzag directly.
-			out[i] = int32(b>>1) ^ -int32(b&1)
-			data = data[1:]
-			i++
-			continue
-		}
-		v, m := binary.Varint(data)
-		if m <= 0 {
-			return nil, fmt.Errorf("%w: bad varint", ErrCorrupt)
-		}
-		if v < -1<<30 || v > 1<<30 {
-			return nil, fmt.Errorf("%w: value out of range", ErrCorrupt)
-		}
-		data = data[m:]
-		out[i] = int32(v)
+		out[i] = v
 		i++
 	}
-	return data, nil
+	return data[pos:], nil
 }
 
 // --- small helpers ------------------------------------------------------------

@@ -332,6 +332,16 @@ func TestDecoderDimensionSwitchRejected(t *testing.T) {
 	}
 }
 
+// decodeSignedRLE decodes exactly n values and returns the remaining bytes.
+func decodeSignedRLE(data []byte, n int) ([]int32, []byte, error) {
+	out := make([]int32, n)
+	rest, err := decodeSignedRLEInto(out, data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, rest, nil
+}
+
 func TestSignedRLERoundTrip(t *testing.T) {
 	f := func(raw []int16) bool {
 		vals := make([]int32, len(raw))

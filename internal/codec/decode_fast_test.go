@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +11,7 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/games"
 )
 
 // referenceDecoder returns a decoder pinned to the clamped per-pixel loops.
@@ -73,12 +73,13 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 
 // TestDecodeFastPathMatchesReference is the decoder differential over real
 // content: G3 GOPs at geometries that are and are not multiples of the block
-// size, uniform and RoI-quantized, integer- and half-pel.
+// size — a last band of one pixel row, a frame narrower than a block, a
+// frame of a single row — uniform and RoI-quantized, integer- and half-pel.
 func TestDecodeFastPathMatchesReference(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
-		for _, g := range [][2]int{{96, 54}, {100, 60}, {64, 48}, {33, 17}} {
+		for _, g := range [][2]int{{96, 54}, {100, 60}, {64, 48}, {33, 17}, {9, 40}, {40, 1}} {
 			frames := gameFrames(t, "G3", 0, 7, g[0], g[1])
-			roi := frame.Rect{X: g[0] / 3, Y: g[1] / 4, W: g[0] / 3, H: g[1] / 2}
+			roi := frame.Rect{X: g[0] / 3, Y: g[1] / 4, W: max(g[0]/3, 1), H: max(g[1]/2, 1)}
 			for _, halfPel := range []bool{false, true} {
 				for _, withRoI := range []bool{false, true} {
 					enc, err := NewEncoder(Config{Width: g[0], Height: g[1], GOPSize: 6, HalfPel: halfPel})
@@ -107,34 +108,136 @@ func TestDecodeFastPathMatchesReference(t *testing.T) {
 	})
 }
 
-// craftInter hand-assembles an inter frame: the given MV for every block
-// (cycled), random residuals, optional RoI quantizer — streams no encoder
-// would emit, which is the point.
-func craftInter(cfg Config, rq *roiQuant, mvs []MV, rng *rand.Rand) []byte {
-	cfg = cfg.withDefaults()
-	bw := (cfg.Width + cfg.BlockSize - 1) / cfg.BlockSize
-	bh := (cfg.Height + cfg.BlockSize - 1) / cfg.BlockSize
-	buf := appendHeader(nil, Inter, cfg, rq)
-	for i := 0; i < bw*bh; i++ {
-		mv := mvs[i%len(mvs)]
-		buf = binary.AppendVarint(buf, int64(mv.DX))
-		buf = binary.AppendVarint(buf, int64(mv.DY))
+// TestDecodeLadderMatchesReference runs the decoder differential over what
+// the system streams: G1–G10 along a ladder of script frames, each rung an
+// intra frame and two inter frames, at the two live geometries in turn and
+// with an RoI quantizer or half-pel on every third rung. The sparse path adds
+// residuals onto the prediction it wrote itself, so a pixel the prediction
+// pass missed shows as a difference (and, with -tags bufpool_debug, as a sum
+// onto poison). Run at -cpu 1,2.
+func TestDecodeLadderMatchesReference(t *testing.T) {
+	step := 485
+	if testing.Short() {
+		step = 1455
 	}
-	vals := make([]int32, cfg.Width*cfg.Height)
-	for p := 0; p < 3; p++ {
-		for i := range vals {
-			switch rng.Intn(8) {
-			case 0:
-				vals[i] = int32(rng.Intn(41) - 20)
-			case 1:
-				vals[i] = int32(rng.Intn(1<<20)) - 1<<19 // residuals past the int16 clamp
-			default:
-				vals[i] = 0
+	sizes := [][2]int{{320, 180}, {640, 360}}
+	for _, g := range games.All() {
+		fast, ref := NewDecoder(), referenceDecoder()
+		fast.SetPool(bufpool.New())
+		for rung := 0; rung*step <= 2910; rung++ {
+			size := sizes[rung%len(sizes)]
+			enc := mustEncoder(t, Config{Width: size[0], Height: size[1], GOPSize: 3, HalfPel: rung%3 == 2})
+			roi := frame.Rect{X: size[0]/3 + 1, Y: size[1] / 4, W: size[0] / 3, H: size[1]/2 + 1}
+			for i, f := range gameFrames(t, g.ID, rung*step, 3, size[0], size[1]) {
+				var data []byte
+				var err error
+				if rung%3 == 1 {
+					data, _, err = enc.EncodeRoI(f, roi, 2)
+				} else {
+					data, _, err = enc.Encode(f)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameDecode(t, fast, ref, data); err != nil {
+					t.Fatalf("%s frame %d at %dx%d: %v", g.ID, rung*step+i, size[0], size[1], err)
+				}
 			}
 		}
-		buf = appendSignedRLE(buf, vals)
 	}
-	return buf
+}
+
+// TestDecodeSteadyStateAllocs holds the pooled decode of an inter frame, as
+// the client runs it, to the frame it returns: the slice table, the MV
+// scratch, the slice loop and the error slot are the decoder's, so nothing is
+// made per frame or per slice (5 allocations a frame before the slices, 1
+// now; the gate leaves one spare).
+func TestDecodeSteadyStateAllocs(t *testing.T) {
+	frames := gameFrames(t, "G3", 0, 2, 320, 180)
+	enc := mustEncoder(t, Config{Width: 320, Height: 180})
+	intra, _, err := enc.Encode(frames[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, _, err := enc.Encode(frames[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := NewDecoder()
+	dec.SetPool(bufpool.New())
+	decode := func(data []byte) {
+		df, err := dec.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec.Recycle(df)
+	}
+	decode(intra)
+	if got := testing.AllocsPerRun(20, func() { decode(inter) }); got > 2 {
+		t.Errorf("pooled inter decode allocates %.1f times a frame, want <= 2", got)
+	}
+}
+
+// appendMVRow codes one block row's vectors: DX then DY per block.
+func appendMVRow(buf []byte, mvs []MV) []byte {
+	vals := make([]int32, 2*len(mvs))
+	for i, mv := range mvs {
+		vals[2*i], vals[2*i+1] = int32(mv.DX), int32(mv.DY)
+	}
+	return appendSignedRLE(buf, vals)
+}
+
+// craftInterSlices hand-assembles the slices of an inter frame: the given MV
+// for every block (cycled), random residuals — streams no encoder would emit,
+// which is the point.
+func craftInterSlices(cfg Config, mvs []MV, rng *rand.Rand) [][]byte {
+	cfg = cfg.withDefaults()
+	bs := cfg.BlockSize
+	bw := (cfg.Width + bs - 1) / bs
+	bh := (cfg.Height + bs - 1) / bs
+	slices := make([][]byte, bh)
+	for by := range slices {
+		row := make([]MV, bw)
+		for bx := range row {
+			row[bx] = mvs[(by*bw+bx)%len(mvs)]
+		}
+		buf := appendMVRow(nil, row)
+		vals := make([]int32, min(bs, cfg.Height-by*bs)*cfg.Width)
+		for p := 0; p < 3; p++ {
+			for i := range vals {
+				switch rng.Intn(8) {
+				case 0:
+					vals[i] = int32(rng.Intn(41) - 20)
+				case 1:
+					vals[i] = int32(rng.Intn(1<<20)) - 1<<19 // residuals past the int16 clamp
+				default:
+					vals[i] = 0
+				}
+			}
+			buf = appendSignedRLE(buf, vals)
+		}
+		slices[by] = buf
+	}
+	return slices
+}
+
+// craftInter is craftInterSlices framed as a whole frame, with an optional
+// RoI quantizer.
+func craftInter(cfg Config, rq *roiQuant, mvs []MV, rng *rand.Rand) []byte {
+	return appendSlices(appendHeader(nil, Inter, cfg.withDefaults(), rq), craftInterSlices(cfg, mvs, rng))
+}
+
+// flatIntraSlices is the body of an intra frame of constant level 0.
+func flatIntraSlices(cfg Config) [][]byte {
+	cfg = cfg.withDefaults()
+	slices := make([][]byte, (cfg.Height+cfg.BlockSize-1)/cfg.BlockSize)
+	for by := range slices {
+		band := make([]int32, min(cfg.BlockSize, cfg.Height-by*cfg.BlockSize)*cfg.Width)
+		for p := 0; p < 3; p++ {
+			slices[by] = appendSignedRLE(slices[by], band)
+		}
+	}
+	return slices
 }
 
 // TestDecodeHostileMotionVectors points vectors off every edge and corner,
@@ -196,12 +299,8 @@ func overflowingRoIStreams(rng *rand.Rand) [][]byte {
 	} {
 		rq := &roiQuant{rect: r, q: 2}
 		out = append(out, craftInter(cfg, rq, []MV{{0, 0}, {3, -2}}, rng))
-		// The same header on an intra body of three flat delta planes.
-		intra := appendHeader(nil, Intra, cfg.withDefaults(), rq)
-		for p := 0; p < 3; p++ {
-			intra = appendSignedRLE(intra, make([]int32, cfg.Width*cfg.Height))
-		}
-		out = append(out, intra)
+		// The same header on a flat intra body.
+		out = append(out, appendSlices(appendHeader(nil, Intra, cfg.withDefaults(), rq), flatIntraSlices(cfg)))
 	}
 	return out
 }

@@ -4,19 +4,20 @@ import (
 	"encoding/binary"
 
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/parallel"
 )
 
 // The encoder's frame kernels, in two forms that emit the same bytes. The
 // reference form is the per-pixel loop: every reference coordinate clamped
 // to the frame, the quantiser looked up and divided by per pixel, one block
-// after another. The shipped form runs block rows (intra: pixel rows) under
-// the encoder's scheduler client and, wherever a block's displaced footprint
-// lies inside the frame, works on row slices with the quantiser hoisted per
-// span; border blocks, vectors pointing off the frame and half-pel streams
-// fall back to the reference loop block by block. The chunk grid depends
-// only on the number of rows, and every block writes its own pixels from
-// read-only inputs, so the bitstream is the same at any GOMAXPROCS
-// (DESIGN.md §18).
+// after another, one slice after another. The shipped form hands each block
+// row to a worker under the encoder's scheduler client — search, residual,
+// reconstruction and the entropy coding of the row's slice — and, wherever a
+// block's displaced footprint lies inside the frame, works on row slices with
+// the quantiser hoisted per span; border blocks, vectors pointing off the
+// frame and half-pel streams fall back to the reference loop block by block.
+// A slice depends on nothing but its own block row and read-only inputs, so
+// the bitstream is the same at any GOMAXPROCS (DESIGN.md §18, §21).
 
 // quantize is the inter quantiser: the level of prediction difference d at
 // step q, zero inside the deadzone, rounding half away from zero.
@@ -30,75 +31,139 @@ func quantize(d, q, dz int32) int32 {
 	return 0
 }
 
-// encodeIntra quantizes and entropy-codes the packed frame im, appending the
-// planes to buf (which already holds the header) and returning it with the
-// decoder-identical reconstruction. The reconstruction is drawn from the
-// encoder's pool; its every pixel is written.
-func (e *Encoder) encodeIntra(buf []byte, im *frame.Image, h header) ([]byte, *frame.Image) {
-	recon := e.pool.Image(h.w, h.h)
-	vals := e.pool.Int32s(h.w * h.h)
-	pl := intraPlane{h: h, vals: vals}
-	rows := pl.rows // bound once: the planes below are set through pl
-	for p := 0; p < 3; p++ {
-		pl.src, pl.rp = srcPlane(im, p), reconPlane(recon, p)
-		if e.reference {
-			pl.perPixel()
-		} else {
-			e.sched.For(h.h, rows)
-		}
-		// Entropy coding is serial by nature; quantisation is not.
-		buf = appendSignedRLE(buf, vals)
-	}
-	e.pool.PutInt32s(vals)
-	return buf, recon
+// sliceJob is the frame being coded, shared by the slice workers: every
+// block row is searched, quantised, reconstructed and entropy-coded into its
+// own buffer by one worker, so nothing of a frame is serial but the final
+// concatenation. It lives in the Encoder so that a frame costs no closure.
+type sliceJob struct {
+	h       header
+	bw, rng int
+	dz      int32
+	// src is the packed frame, ref the previous reconstruction (inter only),
+	// recon the new one: pooled and dirty, every pixel of it is written.
+	src, ref, recon *frame.Image
+	mvs             []MV
+	// out[by] is slice by's bytes; the buffers keep their capacity across
+	// frames.
+	out [][]byte
+	// clampedOnly sends every candidate, block and pixel through the
+	// reference loops.
+	clampedOnly bool
 }
 
-// intraPlane is one colour plane of an intra frame being coded: src is
-// quantized into the delta-predicted levels vals and reconstructed into rp.
-// All planes are packed, width h.w.
+// encodeSlices codes the packed frame im as h.ftype says — an inter frame
+// against the previous reconstruction — appending the slice table and the
+// slices to buf (which already holds the header), and returns it with the
+// decoder-identical reconstruction, drawn from the encoder's pool.
+func (e *Encoder) encodeSlices(buf []byte, im *frame.Image, h header) ([]byte, *frame.Image) {
+	bw, bh := (h.w+h.bs-1)/h.bs, (h.h+h.bs-1)/h.bs
+	if cap(e.mvs) < bw*bh {
+		e.mvs = make([]MV, bw*bh)
+	}
+	e.mvs = e.mvs[:bw*bh]
+	recon := e.pool.Image(h.w, h.h)
+	j := &e.job
+	j.h, j.bw, j.rng, j.dz, j.clampedOnly = h, bw, e.cfg.SearchRange, int32(e.cfg.Deadzone), e.reference
+	j.src, j.ref, j.recon, j.mvs = im, e.prev, recon, e.mvs
+	for len(j.out) < bh {
+		j.out = append(j.out, nil)
+	}
+	if e.slices == nil {
+		e.slices = j.slices
+	}
+	if e.reference {
+		e.slices(0, bh, make([]int32, e.seqLen))
+	} else {
+		parallel.ForWithOn(e.sched, bh, e.bands, e.slices)
+	}
+	j.src, j.ref, j.recon = nil, nil, nil
+	return appendSlices(buf, j.out[:bh]), recon
+}
+
+// appendSlices is the framing behind the header: the table of slice lengths,
+// then the slices.
+func appendSlices(buf []byte, slices [][]byte) []byte {
+	for _, s := range slices {
+		buf = binary.AppendUvarint(buf, uint64(len(s)))
+	}
+	for _, s := range slices {
+		buf = append(buf, s...)
+	}
+	return buf
+}
+
+// slices codes block rows [lo, hi). vals is the worker's scratch for one
+// sequence: a band of one plane, or a row of vector components. A row writes
+// its own pixel rows of the reconstruction and its own buffer from read-only
+// inputs, so block rows are independent.
+func (j *sliceJob) slices(lo, hi int, vals []int32) {
+	for by := lo; by < hi; by++ {
+		if j.h.ftype == Intra {
+			j.out[by] = j.intraSlice(j.out[by][:0], by, vals)
+		} else {
+			j.out[by] = j.interSlice(j.out[by][:0], by, vals)
+		}
+	}
+}
+
+// intraSlice appends band by of an intra frame to buf.
+func (j *sliceJob) intraSlice(buf []byte, by int, vals []int32) []byte {
+	h := j.h
+	y := by * h.bs
+	hh := min(h.bs, h.h-y)
+	for p := 0; p < 3; p++ {
+		pl := intraPlane{h: h, src: srcPlane(j.src, p), rp: reconPlane(j.recon, p), vals: vals[:hh*h.w]}
+		if j.clampedOnly {
+			pl.perPixel(y)
+		} else {
+			pl.band(y, hh)
+		}
+		buf = appendSignedRLE(buf, pl.vals)
+	}
+	return buf
+}
+
+// intraPlane is one band of one colour plane of an intra frame being coded:
+// src is quantized into the delta-predicted levels vals — the band's, the
+// predictor starting from 0 — and reconstructed into rp. src and rp are whole
+// planes, packed, width h.w.
 type intraPlane struct {
 	h       header
 	src, rp []uint8
 	vals    []int32
 }
 
-// perPixel is the reference loop: one quantiser lookup and one divide per
-// pixel, in raster order.
-func (pl *intraPlane) perPixel() {
+// perPixel is the reference loop over the band from row y: one quantiser
+// lookup and one divide per pixel, in raster order.
+func (pl *intraPlane) perPixel(y int) {
+	o := y * pl.h.w
 	prev := int32(0)
-	for i, v := range pl.src {
-		q := pl.h.qAt(i%pl.h.w, i/pl.h.w)
-		qv := (int32(v) + q/2) / q
+	for i := range pl.vals {
+		q := pl.h.qAt(i%pl.h.w, y+i/pl.h.w)
+		qv := (int32(pl.src[o+i]) + q/2) / q
 		pl.vals[i] = qv - prev
 		prev = qv
-		pl.rp[i] = clamp8(qv * q)
+		pl.rp[o+i] = clamp8(qv * q)
 	}
 }
 
-// rows codes pixel rows [lo, hi) with the quantiser hoisted per span. The
-// delta chain runs across row ends, but a level depends on its own sample
-// only, so a row starts from the level of the pixel before it without
-// waiting for the row above.
-func (pl *intraPlane) rows(lo, hi int) {
+// band codes the hh pixel rows from y with the quantiser hoisted per span.
+func (pl *intraPlane) band(y, hh int) {
 	h := pl.h
-	for y := lo; y < hi; y++ {
-		row := y * h.w
-		prev := int32(0)
-		if y > 0 {
-			q := h.qAt(h.w-1, y-1)
-			prev = (int32(pl.src[row-1]) + q/2) / q
-		}
-		a, b := h.roiSpan(0, h.w, y)
-		prev = pl.span(row, a, prev, int32(h.q))
-		prev = pl.span(row+a, b-a, prev, int32(h.roiQ))
-		pl.span(row+b, h.w-b, prev, int32(h.q))
+	prev := int32(0)
+	for r := 0; r < hh; r++ {
+		o, vo := (y+r)*h.w, r*h.w
+		a, b := h.roiSpan(0, h.w, y+r)
+		prev = pl.span(o, vo, a, prev, int32(h.q))
+		prev = pl.span(o+a, vo+a, b-a, prev, int32(h.roiQ))
+		prev = pl.span(o+b, vo+b, h.w-b, prev, int32(h.q))
 	}
 }
 
-// span codes n pixels from offset o at the constant quantiser q, returning
-// the running level for the next span.
-func (pl *intraPlane) span(o, n int, prev, q int32) int32 {
-	src, rp, vals := pl.src[o:o+n], pl.rp[o:o+n], pl.vals[o:o+n]
+// span codes n pixels from plane offset o (band offset vo) at the constant
+// quantiser q, returning the running level for the next span.
+func (pl *intraPlane) span(o, vo, n int, prev, q int32) int32 {
+	src, rp, vals := pl.src[o:o+n], pl.rp[o:o+n], pl.vals[vo:vo+n]
 	for i, v := range src {
 		qv := (int32(v) + q/2) / q
 		vals[i] = qv - prev
@@ -108,123 +173,70 @@ func (pl *intraPlane) span(o, n int, prev, q int32) int32 {
 	return prev
 }
 
-// encodeInter motion-compensates the packed frame im against the previous
-// reconstruction, quantizes the residual and entropy-codes MVs + residual
-// onto buf (which already holds the header).
-func (e *Encoder) encodeInter(buf []byte, im *frame.Image, h header) ([]byte, *frame.Image) {
-	bw := (h.w + h.bs - 1) / h.bs
-	bh := (h.h + h.bs - 1) / h.bs
-	if cap(e.mvs) < bw*bh {
-		e.mvs = make([]MV, bw*bh)
-	}
-	mvs := e.mvs[:bw*bh]
-	// Motion estimation on luma-ish green plane (cheap, standard trick). A
-	// block's search starts at (0, 0) and reads nothing of its neighbours',
-	// so block rows are independent.
-	ms := motionSearch{h: h, bw: bw, rng: e.cfg.SearchRange, cur: im.G, ref: e.prev.G, mvs: mvs, clampedOnly: e.reference}
-	if e.reference {
-		ms.blockRows(0, bh)
-	} else {
-		e.sched.For(bh, ms.blockRows)
-	}
-	for _, mv := range mvs {
-		buf = binary.AppendVarint(buf, int64(mv.DX))
-		buf = binary.AppendVarint(buf, int64(mv.DY))
-	}
-	// Residuals per plane. The reconstruction and residual scratch come
-	// dirty from the pool; the block grid covers every pixel, so both are
-	// fully overwritten.
-	recon := e.pool.Image(h.w, h.h)
-	res := e.pool.Int32s(h.w * h.h)
-	pl := residualPlane{h: h, bw: bw, dz: int32(e.cfg.Deadzone), mvs: mvs, res: res, clampedOnly: e.reference}
-	blockRows := pl.blockRows // bound once: the planes below are set through pl
-	for p := 0; p < 3; p++ {
-		pl.src, pl.ref, pl.rp = srcPlane(im, p), srcPlane(e.prev, p), reconPlane(recon, p)
-		if e.reference {
-			blockRows(0, bh)
+// interSlice appends block row by of an inter frame to buf: its vectors —
+// a block's search starts at (0, 0) and reads nothing of its neighbours' —
+// then the band of each plane's quantized residual.
+func (j *sliceJob) interSlice(buf []byte, by int, vals []int32) []byte {
+	h := j.h
+	y := by * h.bs
+	hh := min(h.bs, h.h-y)
+	mvs := j.mvs[by*j.bw : (by+1)*j.bw]
+	// Motion estimation on luma-ish green plane (cheap, standard trick).
+	for bx := range mvs {
+		x := bx * h.bs
+		w := min(h.bs, h.w-x)
+		if h.halfPel {
+			mvs[bx] = halfPelSearch(j.src.G, j.ref.G, h.w, h.h, x, y, w, hh, j.rng)
 		} else {
-			// Block rows write disjoint pixel rows of recon and res and only
-			// read im and the reference, so they parallelise freely.
-			e.sched.For(bh, blockRows)
+			mvs[bx] = diamondSearch(j.src.G, j.ref.G, h.w, h.h, x, y, w, hh, j.rng, j.clampedOnly)
 		}
-		buf = appendSignedRLE(buf, res)
+		vals[2*bx], vals[2*bx+1] = int32(mvs[bx].DX), int32(mvs[bx].DY)
 	}
-	e.pool.PutInt32s(res)
-	return buf, recon
-}
-
-// motionSearch is the motion estimation of one inter frame: the vector of
-// every block of cur (packed, h.w × h.h) against ref, into mvs.
-type motionSearch struct {
-	h        header
-	bw, rng  int
-	cur, ref []uint8
-	mvs      []MV
-	// clampedOnly scores every candidate with the clamped reference sad, as
-	// the half-pel search always does.
-	clampedOnly bool
-}
-
-func (ms *motionSearch) blockRows(lo, hi int) {
-	h := ms.h
-	for by := lo; by < hi; by++ {
-		y := by * h.bs
-		hh := min(h.bs, h.h-y)
-		for bx := 0; bx < ms.bw; bx++ {
-			x := bx * h.bs
-			w := min(h.bs, h.w-x)
-			if h.halfPel {
-				ms.mvs[by*ms.bw+bx] = halfPelSearch(ms.cur, ms.ref, h.w, h.h, x, y, w, hh, ms.rng)
-			} else {
-				ms.mvs[by*ms.bw+bx] = diamondSearch(ms.cur, ms.ref, h.w, h.h, x, y, w, hh, ms.rng, ms.clampedOnly)
-			}
-		}
+	buf = appendSignedRLE(buf, vals[:2*len(mvs)])
+	for p := 0; p < 3; p++ {
+		pl := residualPlane{h: h, dz: j.dz, band: y * h.w, src: srcPlane(j.src, p), ref: srcPlane(j.ref, p), rp: reconPlane(j.recon, p), res: vals[:hh*h.w]}
+		pl.blockRow(y, hh, mvs, j.clampedOnly)
+		buf = appendSignedRLE(buf, pl.res)
 	}
+	return buf
 }
 
-// residualPlane is one colour plane of an inter frame being coded: the
-// motion-compensated prediction from ref is subtracted from src, the
-// difference quantized into res and the decoder's reconstruction written to
-// rp. All planes are packed, width h.w.
+// residualPlane is one band of one colour plane of an inter frame being
+// coded: the motion-compensated prediction from ref is subtracted from src,
+// the difference quantized into res and the decoder's reconstruction written
+// to rp. src, ref and rp are whole planes, packed, width h.w; res is the band
+// alone, so plane offset o is res[o-band].
 type residualPlane struct {
 	h            header
-	bw           int
 	dz           int32
-	mvs          []MV
+	band         int
 	src, ref, rp []uint8
 	res          []int32
-	// clampedOnly sends every block through the per-pixel loop.
-	clampedOnly bool
 }
 
-// blockRows codes block rows [lo, hi). A block whose displaced footprint
-// lies inside the frame (integer-pel only) needs no coordinate clamp, so it
-// runs row slice by row slice with the quantiser hoisted per span;
-// border blocks, half-pel streams and vectors pointing off the frame — and,
-// with clampedOnly, everything — keep the clamped per-pixel loop. Both
-// produce the same values.
-func (pl *residualPlane) blockRows(lo, hi int) {
+// blockRow codes the blocks of the hh pixel rows from y. A block whose
+// displaced footprint lies inside the frame (integer-pel only) needs no
+// coordinate clamp, so it runs row slice by row slice with the quantiser
+// hoisted per span; border blocks, half-pel streams and vectors pointing off
+// the frame — and, with clampedOnly, everything — keep the clamped per-pixel
+// loop. Both produce the same values.
+func (pl *residualPlane) blockRow(y, hh int, mvs []MV, clampedOnly bool) {
 	h := pl.h
-	for by := lo; by < hi; by++ {
-		y := by * h.bs
-		hh := min(h.bs, h.h-y)
-		for bx := 0; bx < pl.bw; bx++ {
-			mv := pl.mvs[by*pl.bw+bx]
-			x := bx * h.bs
-			w := min(h.bs, h.w-x)
-			dx, dy := int(mv.DX), int(mv.DY)
-			if pl.clampedOnly || h.halfPel || x+dx < 0 || x+w+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
-				pl.blockClamped(x, y, w, hh, mv)
-				continue
-			}
-			for sy := y; sy < y+hh; sy++ {
-				o := sy*h.w + x
-				r := (sy+dy)*h.w + x + dx
-				a, b := h.roiSpan(x, w, sy)
-				pl.span(o, r, a, int32(h.q))
-				pl.span(o+a, r+a, b-a, int32(h.roiQ))
-				pl.span(o+b, r+b, w-b, int32(h.q))
-			}
+	for bx, mv := range mvs {
+		x := bx * h.bs
+		w := min(h.bs, h.w-x)
+		dx, dy := int(mv.DX), int(mv.DY)
+		if clampedOnly || h.halfPel || x+dx < 0 || x+w+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
+			pl.blockClamped(x, y, w, hh, mv)
+			continue
+		}
+		for sy := y; sy < y+hh; sy++ {
+			o := sy*h.w + x
+			r := (sy+dy)*h.w + x + dx
+			a, b := h.roiSpan(x, w, sy)
+			pl.span(o, r, a, int32(h.q))
+			pl.span(o+a, r+a, b-a, int32(h.roiQ))
+			pl.span(o+b, r+b, w-b, int32(h.q))
 		}
 	}
 }
@@ -232,7 +244,7 @@ func (pl *residualPlane) blockRows(lo, hi int) {
 // span codes n pixels from offset o, predicted from reference offset r, at
 // the constant quantiser q.
 func (pl *residualPlane) span(o, r, n int, q int32) {
-	src, ref, rp, res := pl.src[o:o+n], pl.ref[r:r+n], pl.rp[o:o+n], pl.res[o:o+n]
+	src, ref, rp, res := pl.src[o:o+n], pl.ref[r:r+n], pl.rp[o:o+n], pl.res[o-pl.band:o-pl.band+n]
 	for i, v := range src {
 		pred := int32(ref[i])
 		qd := quantize(int32(v)-pred, q, pl.dz)
@@ -260,7 +272,7 @@ func (pl *residualPlane) blockClamped(x, y, w, hh int, mv MV) {
 			}
 			q := h.qAt(sx, sy)
 			qd := quantize(int32(pl.src[sy*h.w+sx])-pred, q, pl.dz)
-			pl.res[sy*h.w+sx] = qd
+			pl.res[sy*h.w+sx-pl.band] = qd
 			pl.rp[sy*h.w+sx] = clamp8(pred + qd*q)
 		}
 	}

@@ -245,6 +245,35 @@ func TestConfigBoundsMatchDecoder(t *testing.T) {
 	p.encode(t, im, frame.Rect{X: 1, Y: 1, W: 9, H: 9}, maxQStep)
 }
 
+// TestEncodeSteadyStateAllocs holds the pooled encode into a recycled
+// payload, as the server runs it, to no allocation but a spare one (4 an
+// inter frame before the slices): the per-slice buffers, the workers' scratch
+// and the slice loops are the encoder's and are reused from frame to frame.
+func TestEncodeSteadyStateAllocs(t *testing.T) {
+	frames := gameFrames(t, "G3", 0, 2, 320, 180)
+	enc := mustEncoder(t, Config{Width: 320, Height: 180})
+	enc.SetPool(bufpool.New())
+	var payload []byte
+	encode := func(im *frame.Image) {
+		data, _, err := enc.EncodeInto(payload[:0], im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload = data
+	}
+	for i := 0; i < 2; i++ { // grow the slice buffers to both frame types
+		enc.Reset()
+		encode(frames[0])
+		encode(frames[1])
+	}
+	if got := testing.AllocsPerRun(10, func() { enc.Reset(); encode(frames[0]) }); got > 1 {
+		t.Errorf("pooled intra encode allocates %.1f times a frame, want <= 1", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { encode(frames[1]) }); got > 1 {
+		t.Errorf("pooled inter encode allocates %.1f times a frame, want <= 1", got)
+	}
+}
+
 // encodeBenchFrames is a pooled 720p encoder and the two frames the encode
 // benchmarks feed it.
 func encodeBenchFrames(b *testing.B) (*Encoder, []*frame.Image) {

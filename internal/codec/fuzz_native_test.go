@@ -15,14 +15,14 @@ import (
 // every byte of the frame.
 
 func FuzzDecode(f *testing.F) {
-	// Seed with real bitstreams of both frame types.
-	img := frame.NewImage(32, 24)
+	// Seed with real bitstreams of both frame types, three bands each.
+	img := frame.NewImage(32, 40)
 	for i := range img.R {
 		img.R[i] = uint8(i)
 		img.G[i] = uint8(2 * i)
 		img.B[i] = uint8(3 * i)
 	}
-	enc, err := NewEncoder(Config{Width: 32, Height: 24, GOPSize: 2})
+	enc, err := NewEncoder(Config{Width: 32, Height: 40, GOPSize: 2})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -40,14 +40,21 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	// Crafted inter frames: vectors off every edge, an RoI quantizer, half-pel.
 	rng := rand.New(rand.NewSource(1))
-	cfg := Config{Width: 32, Height: 24}
+	cfg := Config{Width: 32, Height: 40}
 	f.Add(craftInter(cfg, nil, []MV{{-128, 127}, {127, -128}, {16, 8}, {0, 0}}, rng))
-	f.Add(craftInter(cfg, &roiQuant{rect: frame.Rect{X: 5, Y: 3, W: 20, H: 11}, q: 2}, []MV{{3, -2}, {-40, 1}}, rng))
+	f.Add(craftInter(cfg, &roiQuant{rect: frame.Rect{X: 5, Y: 3, W: 20, H: 21}, q: 2}, []MV{{3, -2}, {-40, 1}}, rng))
 	cfg.HalfPel = true
 	f.Add(craftInter(cfg, nil, []MV{{5, 3}, {-1, -1}}, rng))
 	// RoI headers whose far edge wraps when added.
 	for _, data := range overflowingRoIStreams(rng) {
 		f.Add(data)
+	}
+	// Both frames with the slice table and the slices broken every way the
+	// grammar allows.
+	for _, good := range [][]byte{intra, inter} {
+		for _, bad := range hostileFramings(f, good) {
+			f.Add(bad.data)
+		}
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
