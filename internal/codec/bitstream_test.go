@@ -123,6 +123,9 @@ type hostileFraming struct {
 	data       []byte
 }
 
+// wrapEntry is the table entry 2⁶⁴−10: ten bytes long, −10 as an int.
+var wrapEntry = binary.AppendUvarint(nil, 1<<64-10)
+
 // hostileFramings takes a well-formed frame of at least three slices apart
 // and breaks its framing every way the grammar allows.
 func hostileFramings(t testing.TB, good []byte) []hostileFraming {
@@ -144,6 +147,10 @@ func hostileFramings(t testing.TB, good []byte) []hostileFraming {
 		{"table entry cut mid-varint", "truncated slice table", join(f.header, []byte{0x00, 0x00, 0x80})},
 		{"length past the end", "runs past the frame", f.frameWith(lens(func(l []int) { l[0] = len(body) + 1 }), body)},
 		{"huge length", "slice 1 of", f.frameWith(lens(func(l []int) { l[1] = 1 << 62 }), body)},
+		// The first entry claims the body and the table entries after it; each of
+		// those is 10 bytes long and reads as −10 once narrowed, so the running
+		// end walks back to the body's length and the sum looks exact.
+		{"lengths wrapping back onto the body", "slice 1 of", join(f.header, binary.AppendUvarint(nil, uint64(len(body)+10*last)), bytes.Repeat(wrapEntry, last), body)},
 		{"sum short by one", "slices cover", f.frameWith(lens(func(l []int) { l[last]-- }), body)},
 		{"sum long by one", "runs past the frame", f.frameWith(lens(func(l []int) { l[last]++ }), body)},
 		{"body one byte long", "slices cover", f.frameWith(lens(func([]int) {}), join(body, []byte{0x02}))},

@@ -195,11 +195,10 @@ type Encoder struct {
 	// means the default client (see SetSched).
 	sched *parallel.Client
 	// job is the frame being coded and slices its slice loop, bound once;
-	// bands hands each worker its scratch of seqLen values.
+	// bands hands each worker its scratch for one sequence.
 	job    sliceJob
 	slices func(lo, hi int, vals []int32)
 	bands  *parallel.Scratch[[]int32]
-	seqLen int
 	// reference makes every frame take the clamped per-pixel loops, serially
 	// — the form the row-slice loops are differentially tested against.
 	reference bool
@@ -214,7 +213,7 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	// A worker's scratch holds the longest sequence a slice codes: a band of
 	// one plane or, on a frame one pixel wide, a row of vector components.
 	n := max(min(cfg.BlockSize, cfg.Height)*cfg.Width, 2*((cfg.Width+cfg.BlockSize-1)/cfg.BlockSize))
-	return &Encoder{cfg: cfg, seqLen: n, bands: parallel.NewScratch(func() []int32 { return make([]int32, n) })}, nil
+	return &Encoder{cfg: cfg, bands: parallel.NewScratch(func() []int32 { return make([]int32, n) })}, nil
 }
 
 // Config returns the encoder's effective configuration.
@@ -406,7 +405,7 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	if j.body, err = j.parseTable(bh, rest); err != nil {
 		return nil, err
 	}
-	j.h, j.bw, j.dirty, j.reference = hdr, (hdr.w+hdr.bs-1)/hdr.bs, d.pool != nil, d.reference
+	j.h, j.bw = hdr, (hdr.w+hdr.bs-1)/hdr.bs
 	j.im = d.pool.Image(hdr.w, hdr.h)
 	if hdr.ftype == Inter {
 		j.ref = d.prev.Compact()
@@ -422,10 +421,10 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	// Slices write disjoint pixel rows of the image, the residual planes and
 	// the MV grid and only read the reference, so they parallelise freely.
 	if d.runSlices == nil {
-		d.runSlices = j.slices
+		d.runSlices = d.slices
 	}
 	if d.reference {
-		j.slices(0, bh)
+		d.slices(0, bh)
 	} else {
 		parallel.For(bh, d.runSlices)
 	}
@@ -623,10 +622,6 @@ type frameJob struct {
 	side    *SideInfo
 	// mvVals is the entropy scratch of the MV rows, 2·bw values per slice.
 	mvVals []int32
-	// dirty says the residual planes came from a pool and hold a previous
-	// frame's values; planes made for this frame are already zero.
-	dirty     bool
-	reference bool
 
 	// err is the failure of the lowest slice that failed, errSlice its index:
 	// which slice a worker reaches first depends on scheduling, the error
@@ -655,7 +650,9 @@ func (j *frameJob) parseTable(n int, data []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: truncated slice table", ErrCorrupt)
 		}
 		data = data[m:]
-		if v > uint64(len(data)-end) {
+		// The entries still to come are in data too, so what is left can be
+		// short of the bytes already claimed: compare as ints before widening.
+		if left := len(data) - end; left < 0 || v > uint64(left) {
 			return nil, fmt.Errorf("%w: slice %d of %d bytes runs past the frame", ErrCorrupt, s, v)
 		}
 		end += int(v)
@@ -668,7 +665,8 @@ func (j *frameJob) parseTable(n int, data []byte) ([]byte, error) {
 }
 
 // slices decodes slices [lo, hi), recording the lowest failure.
-func (j *frameJob) slices(lo, hi int) {
+func (d *Decoder) slices(lo, hi int) {
+	j := &d.job
 	for s := lo; s < hi; s++ {
 		start := 0
 		if s > 0 {
@@ -677,9 +675,9 @@ func (j *frameJob) slices(lo, hi int) {
 		var rest []byte
 		var err error
 		if j.side == nil {
-			rest, err = j.intraSlice(s, j.body[start:j.ends[s]])
+			rest, err = d.intraSlice(s, j.body[start:j.ends[s]])
 		} else {
-			rest, err = j.interSlice(s, j.body[start:j.ends[s]])
+			rest, err = d.interSlice(s, j.body[start:j.ends[s]])
 		}
 		if err == nil && len(rest) != 0 {
 			err = fmt.Errorf("%w: %d spare bytes", ErrCorrupt, len(rest))
@@ -716,18 +714,19 @@ func (h header) quantSpan(i, y0, n int) (q int32, limit int) {
 // intraSlice reconstructs band by of an intra frame and returns the bytes it
 // did not consume. The shipped form walks the entropy stream once, a zero
 // run — a level that does not change — becoming a constant fill.
-func (j *frameJob) intraSlice(by int, data []byte) ([]byte, error) {
+func (d *Decoder) intraSlice(by int, data []byte) ([]byte, error) {
+	j := &d.job
 	h := j.h
 	y := by * h.bs
 	band, n := y*h.w, min(h.bs, h.h-y)*h.w
 	var vals []int32
-	if j.reference {
+	if d.reference {
 		vals = make([]int32, n)
 	}
 	for p := 0; p < 3; p++ {
 		rp := reconPlane(j.im, p)[band : band+n]
 		var err error
-		if j.reference {
+		if d.reference {
 			if data, err = decodeSignedRLEInto(vals, data); err != nil {
 				return nil, err
 			}
@@ -772,17 +771,14 @@ func fillIntra(rp []uint8, h header, y int, data []byte) ([]byte, error) {
 				i, zeros = i+k, zeros-k
 				continue
 			}
-			v, run, next, ok := shortToken(data, pos)
+			v, run, next, ok := shortToken(data, pos, n-i)
 			if !ok {
 				var err error
-				if v, run, next, err = longToken(data, pos); err != nil {
+				if v, run, next, err = longToken(data, pos, n-i); err != nil {
 					return nil, err
 				}
 			}
 			pos = next
-			if run > n-i {
-				return nil, errZeroRun(run)
-			}
 			if run > 0 {
 				zeros = run
 				continue
@@ -806,7 +802,8 @@ func fillIntra(rp []uint8, h header, y int, data []byte) ([]byte, error) {
 // residuals onto it: the same int32 expressions as the reference's
 // clamp8(pred + v·q) and clampRes(v·q), evaluated where v ≠ 0 (elsewhere they
 // reduce to pred and 0, which is what the prediction pass and the clear left).
-func (j *frameJob) interSlice(by int, data []byte) ([]byte, error) {
+func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
+	j := &d.job
 	h, bw := j.h, j.bw
 	y := by * h.bs
 	hh := min(h.bs, h.h-y)
@@ -817,12 +814,12 @@ func (j *frameJob) interSlice(by int, data []byte) ([]byte, error) {
 		return nil, err
 	}
 	pl := interPlane{h: h}
-	if j.reference {
+	if d.reference {
 		pl.vals = make([]int32, n)
 	}
 	for p := 0; p < 3; p++ {
 		pl.rp, pl.refp, pl.res = reconPlane(j.im, p), srcPlane(j.ref, p), j.side.Residual[p]
-		if j.reference {
+		if d.reference {
 			if data, err = decodeSignedRLEInto(pl.vals, data); err != nil {
 				return nil, err
 			}
@@ -833,7 +830,9 @@ func (j *frameJob) interSlice(by int, data []byte) ([]byte, error) {
 			continue
 		}
 		pl.predictBand(y, hh, mvs)
-		if j.dirty {
+		// Planes made for this frame are already zero; pooled ones hold a
+		// previous frame's values.
+		if d.pool != nil {
 			clear(pl.res[band : band+n])
 		}
 		if data, err = addResiduals(pl.rp[band:band+n], pl.res[band:band+n], h, y, data); err != nil {
@@ -929,17 +928,14 @@ func addResiduals(rp []uint8, res []int16, h header, y int, data []byte) ([]byte
 	for i := 0; i < n; {
 		q, limit := h.quantSpan(i, y, n)
 		for i < limit {
-			v, run, next, ok := shortToken(data, pos)
+			v, run, next, ok := shortToken(data, pos, n-i)
 			if !ok {
 				var err error
-				if v, run, next, err = longToken(data, pos); err != nil {
+				if v, run, next, err = longToken(data, pos, n-i); err != nil {
 					return nil, err
 				}
 			}
 			pos = next
-			if run > n-i {
-				return nil, errZeroRun(run)
-			}
 			if run > 0 {
 				i += run
 				continue
@@ -1010,32 +1006,30 @@ const maxLevel = 1 << 22
 
 var errLevel = fmt.Errorf("%w: level out of range", ErrCorrupt)
 
-func errZeroRun(run int) error {
-	return fmt.Errorf("%w: zero run %d overflows its sequence", ErrCorrupt, run)
-}
-
-// shortToken decodes the token at data[pos] when it has one of the two
-// forms nearly every token takes: a one-byte level (|v| < 64, the zigzag
-// undone directly) or a zero run under 128. run is 0 for a level. Anything
-// else — longer forms, malformed or missing bytes — leaves ok false and is
-// longToken's. Kept free of calls so that it inlines into the walkers.
-func shortToken(data []byte, pos int) (v int32, run, next int, ok bool) {
-	if pos >= len(data) {
-		return 0, 0, 0, false
-	}
-	b := data[pos]
-	if b-1 < 0x7f {
-		return int32(b>>1) ^ -int32(b&1), 0, pos + 1, true
-	}
-	if b == 0 && pos+1 < len(data) && data[pos+1]-1 < 0x7f {
-		return 0, int(data[pos+1]), pos + 2, true
+// shortToken decodes the token at data[pos], of a sequence with left values
+// still to come, when it has one of the two forms nearly every token takes: a
+// one-byte level (|v| < 64, the zigzag undone directly) or a zero run under
+// 128 that fits. run is 0 for a level. Anything else — longer forms,
+// malformed or missing bytes, a run past the sequence — leaves ok false and
+// is longToken's. Kept free of calls so that it inlines into the walkers.
+func shortToken(data []byte, pos, left int) (v int32, run, next int, ok bool) {
+	if pos < len(data) {
+		b := data[pos]
+		if b-1 < 0x7f {
+			return int32(b>>1) ^ -int32(b&1), 0, pos + 1, true
+		}
+		if b == 0 && pos+1 < len(data) {
+			if r := int(data[pos+1]); uint(r-1) < 0x7f && r <= left {
+				return 0, r, pos + 2, true
+			}
+		}
 	}
 	return 0, 0, 0, false
 }
 
 // longToken decodes the token at data[pos] in the general form, with every
-// check: a level within ±maxLevel (run == 0) or a zero run of 1..maxPixels.
-func longToken(data []byte, pos int) (v int32, run, next int, err error) {
+// check: a level within ±maxLevel (run == 0) or a zero run of 1..left.
+func longToken(data []byte, pos, left int) (v int32, run, next int, err error) {
 	if pos >= len(data) {
 		return 0, 0, 0, fmt.Errorf("%w: truncated slice", ErrCorrupt)
 	}
@@ -1046,6 +1040,9 @@ func longToken(data []byte, pos int) (v int32, run, next int, err error) {
 		}
 		if r == 0 || r > maxPixels {
 			return 0, 0, 0, fmt.Errorf("%w: zero run %d out of range", ErrCorrupt, r)
+		}
+		if r > uint64(left) {
+			return 0, 0, 0, fmt.Errorf("%w: zero run %d overflows its sequence", ErrCorrupt, r)
 		}
 		return 0, int(r), pos + 1 + m, nil
 	}
@@ -1066,17 +1063,14 @@ func decodeSignedRLEInto(out []int32, data []byte) ([]byte, error) {
 	clear(out)
 	pos := 0
 	for i := 0; i < len(out); {
-		v, run, next, ok := shortToken(data, pos)
+		v, run, next, ok := shortToken(data, pos, len(out)-i)
 		if !ok {
 			var err error
-			if v, run, next, err = longToken(data, pos); err != nil {
+			if v, run, next, err = longToken(data, pos, len(out)-i); err != nil {
 				return nil, err
 			}
 		}
 		pos = next
-		if run > len(out)-i {
-			return nil, errZeroRun(run)
-		}
 		if run > 0 {
 			i += run
 			continue

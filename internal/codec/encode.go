@@ -72,7 +72,8 @@ func (e *Encoder) encodeSlices(buf []byte, im *frame.Image, h header) ([]byte, *
 		e.slices = j.slices
 	}
 	if e.reference {
-		e.slices(0, bh, make([]int32, e.seqLen))
+		// One chunk, so one scratch and no second worker.
+		parallel.ForWith(1, e.bands, func(_, _ int, vals []int32) { e.slices(0, bh, vals) })
 	} else {
 		parallel.ForWithOn(e.sched, bh, e.bands, e.slices)
 	}
