@@ -16,7 +16,7 @@ import (
 
 // benchFrame builds one coded 320×180 frame with a 64×64 RoI — the demo
 // stream's shape.
-func benchFrame(b *testing.B) ([]byte, frame.Rect) {
+func benchFrame(b testing.TB) ([]byte, frame.Rect) {
 	b.Helper()
 	img := frame.NewImage(320, 180)
 	for y := 0; y < img.H; y++ {
@@ -49,6 +49,7 @@ func benchClientFrame(b *testing.B, instrumented bool) {
 	var clock stream.ClockSync
 	pkt := stream.FramePacket{Payload: payload, RoI: roi}
 	if instrumented {
+		st.stats = true
 		st.reg = telemetry.NewRegistry()
 		st.rec = frametrace.New(frametrace.Config{Frames: frametrace.DefaultFrames, Metrics: st.reg})
 		st.rec.SetProcess("client")
@@ -147,5 +148,34 @@ func TestShowFrameMatchesAllocatingComposition(t *testing.T) {
 	shown, err := st.showFrame(stream.FramePacket{Index: 9, Payload: []byte{1, 2, 3}}, time.Now(), 0, stream.ClockSync{}, scale)
 	if err != nil || shown || st.dropped != 1 || st.frames != 9 {
 		t.Fatalf("corrupt frame: shown=%v err=%v dropped=%d frames=%d", shown, err, st.dropped, st.frames)
+	}
+}
+
+// TestStatsWindowsFollowBackchannel: the per-frame samples behind the Stats
+// report are kept only while something empties them. With -stats-every 0
+// nothing does, and a session that appended anyway grew three slices for
+// the life of the process.
+func TestStatsWindowsFollowBackchannel(t *testing.T) {
+	payload, roi := benchFrame(t)
+	clock := stream.ClockSync{Synced: true}
+	for _, on := range []bool{false, true} {
+		st := newSessionState(nil)
+		st.stats = on
+		const n = 200
+		for i := 0; i < n; i++ {
+			pkt := stream.FramePacket{Index: uint32(i), Payload: payload, RoI: roi, SendUnixMicro: time.Now().UnixMicro()}
+			if shown, err := st.showFrame(pkt, time.Now(), 0, clock, 2); err != nil || !shown {
+				t.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
+			}
+		}
+		want := 0
+		if on {
+			want = n
+		}
+		for name, w := range map[string][]float64{"decode": st.wDecode, "sr": st.wSR, "age": st.wAge} {
+			if len(w) != want || !on && cap(w) != 0 {
+				t.Errorf("backchannel on=%v: %s window holds %d samples (cap %d) after %d frames, want %d", on, name, len(w), cap(w), n, want)
+			}
+		}
 	}
 }

@@ -142,9 +142,12 @@ type sessionState struct {
 	misses        uint32
 	statsSeq      uint32
 	reconnects    int
-	wDecode, wSR  []float64
-	wAge          []float64
-	resumeToken   string
+	// The Stats windows: per-frame samples since the last report, kept only
+	// while the backchannel that empties them is on.
+	stats        bool
+	wDecode, wSR []float64
+	wAge         []float64
+	resumeToken  string
 }
 
 // newSessionState builds the decode/SR engines around one buffer pool; reg
@@ -170,6 +173,7 @@ func run(ctx context.Context, cc clientConfig) error {
 	// frame-age histogram on the registry. Shared across reconnects — the
 	// trace shows the stall and the resume in one window.
 	st := newSessionState(telemetry.NewRegistry())
+	st.stats = cc.statsEvery > 0
 	st.rec = frametrace.New(frametrace.Config{Frames: cc.flightFrames, Metrics: st.reg})
 	st.rec.SetProcess("client")
 	st.ageHist = st.reg.Histogram("client_frame_age_seconds", telemetry.LatencyBuckets())
@@ -458,7 +462,9 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 		}
 		st.rec.SetAge(fid, age)
 		st.ageHist.ObserveDuration(age)
-		st.wAge = append(st.wAge, float64(age.Microseconds()))
+		if st.stats {
+			st.wAge = append(st.wAge, float64(age.Microseconds()))
+		}
 	}
 
 	// Client-side deadline accounting: decode through merge must fit the
@@ -478,8 +484,10 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	if dDec+ut.dPair+ut.dMerge > st.rec.Deadline() {
 		st.misses++
 	}
-	st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
-	st.wSR = append(st.wSR, float64(ut.dSR.Microseconds()))
+	if st.stats {
+		st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
+		st.wSR = append(st.wSR, float64(ut.dSR.Microseconds()))
+	}
 
 	// The frame that was on display is free to be drawn into again.
 	st.pool.PutImage(st.lastUp)

@@ -39,30 +39,37 @@ const maxStrips = 64
 // one at a time, and concurrent callers beyond the bound allocate their own.
 const keptScratch = 2
 
-// scratchPool keeps the working sets of a detector's finished calls.
+// scratchPool keeps the working sets of a detector's finished calls and the
+// centre-bias table of the geometry it last saw.
 type scratchPool struct {
 	mu   sync.Mutex
 	free []*scratch
+	bias *biasTable // replaced when the geometry changes, never rewritten
 }
 
 // acquire returns a working set armed for one detection of depth under cfg.
 func (p *scratchPool) acquire(cfg Config, depth *frame.DepthMap) *scratch {
 	var s *scratch
+	bias := newCentreBias(cfg, depth.W, depth.H)
 	p.mu.Lock()
 	if k := len(p.free); k > 0 {
 		s, p.free[k-1] = p.free[k-1], nil
 		p.free = p.free[:k-1]
 	}
+	if p.bias == nil || p.bias.of != bias {
+		p.bias = newBiasTable(bias, depth.W, depth.H)
+	}
+	table := p.bias
 	p.mu.Unlock()
 	if s == nil {
 		s = newScratch()
 	}
-	s.arm(cfg, depth)
+	s.arm(cfg, depth, table)
 	return s
 }
 
 func (p *scratchPool) release(s *scratch) {
-	s.depth = nil // do not pin the caller's map
+	s.depth, s.bias = nil, nil // do not pin the caller's map or a replaced table
 	p.mu.Lock()
 	if len(p.free) < keptScratch {
 		p.free = append(p.free, s)
@@ -75,7 +82,7 @@ func (p *scratchPool) release(s *scratch) {
 type scratch struct {
 	cfg   Config
 	depth *frame.DepthMap
-	bias  centreBias
+	bias  *biasTable
 
 	strips int
 	hist   []float64 // strips × Bins partial histograms, then their total in the first
@@ -103,8 +110,8 @@ func newScratch() *scratch {
 
 // arm points the set at one call's inputs, resizing what the geometry or the
 // configuration has outgrown.
-func (s *scratch) arm(cfg Config, depth *frame.DepthMap) {
-	s.cfg, s.depth, s.bias = cfg, depth, newCentreBias(cfg, depth.W, depth.H)
+func (s *scratch) arm(cfg Config, depth *frame.DepthMap, bias *biasTable) {
+	s.cfg, s.depth, s.bias = cfg, depth, bias
 	W, H := depth.W, depth.H
 	s.strips = min(H, maxStrips)
 	s.hist = grow(s.hist, s.strips*cfg.Bins)
@@ -116,6 +123,34 @@ func (s *scratch) arm(cfg Config, depth *frame.DepthMap) {
 	}
 	s.layer = s.layer[:W*H]
 	s.sat = sat{w: W, h: H, s: grow(s.sat.s, (W+1)*(H+1))}
+}
+
+// biasTable is centreBias.at over the top-left quadrant of a frame, the
+// mirror axes included: ⌈W/2⌉ × ⌈H/2⌉ values, a quarter of the frame's. The
+// centre (cx, cy) lies on half-integers, so x − cx and (W−1−x) − cx are the
+// same number with opposite signs — both exact — and at squares them: the
+// weight at (x, y) is bit for bit the one at (min(x, W−1−x), min(y, H−1−y)).
+// A table is filled once, by at itself, and only read afterwards.
+type biasTable struct {
+	of     centreBias
+	stride int
+	v      []float64
+}
+
+func newBiasTable(b centreBias, W, H int) *biasTable {
+	t := &biasTable{of: b, stride: (W + 1) / 2}
+	t.v = make([]float64, t.stride*((H+1)/2))
+	for i := range t.v {
+		t.v[i] = b.at(i%t.stride, i/t.stride)
+	}
+	return t
+}
+
+// row returns the weights of the left half of row y of an H-row frame; the
+// weight at column x of a W-column row is row[min(x, W−1−x)].
+func (t *biasTable) row(y, H int) []float64 {
+	y = min(y, H-1-y)
+	return t.v[y*t.stride : (y+1)*t.stride]
 }
 
 func grow(b []float64, n int) []float64 {
@@ -221,19 +256,21 @@ func (s *scratch) rangePass(lo, hi int) {
 // weigh writes the weighted value and the layer of every pixel and adds the
 // weighted values up per layer, in raster order.
 func (s *scratch) weigh() {
-	W, layers := s.depth.W, s.cfg.Layers
-	clear(s.sums)
-	for y := 0; y < s.depth.H; y++ {
+	W, H, layers, sums := s.depth.W, s.depth.H, s.cfg.Layers, s.sums
+	thr, lo, span, degenerate := s.thr, s.lo, s.span, s.degenerate
+	clear(sums)
+	for y := 0; y < H; y++ {
 		cells := s.sat.s[(y+1)*(W+1)+1 : (y+2)*(W+1)]
 		layer := s.layer[y*W : (y+1)*W]
+		bias := s.bias.row(y, H)
 		for x, z := range s.zRow(y) {
 			v := frame.NearnessOf(z)
 			l := 0
 			switch {
-			case s.degenerate:
-			case v >= s.thr && v > 0:
-				if s.span > 0 {
-					l = int((v - s.lo) / s.span * float64(layers))
+			case degenerate:
+			case v >= thr && v > 0:
+				if span > 0 {
+					l = int((v - lo) / span * float64(layers))
 					if l >= layers {
 						l = layers - 1
 					}
@@ -242,9 +279,9 @@ func (s *scratch) weigh() {
 				cells[x], layer[x] = 0, -1
 				continue
 			}
-			w := v + s.bias.at(x, y)
+			w := v + bias[min(x, W-1-x)]
 			cells[x], layer[x] = w, int16(l)
-			s.sums[l] += w
+			sums[l] += w
 		}
 	}
 }

@@ -289,3 +289,93 @@ func TestDetectConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestBiasTableMatchesAt is the mirror argument, tested: for odd and even
+// sizes in both axes, the quadrant table read at (min(x, W−1−x),
+// min(y, H−1−y)) holds the bits centreBias.at returns at (x, y), for every
+// pixel — and a detector with another amplitude or sigma has another table.
+func TestBiasTableMatchesAt(t *testing.T) {
+	cfgs := []Config{
+		Config{WindowW: 4, WindowH: 4}.withDefaults(),
+		Config{WindowW: 4, WindowH: 4, GaussAmp: 1.3}.withDefaults(),
+		Config{WindowW: 4, WindowH: 4, SigmaFrac: 0.4}.withDefaults(),
+	}
+	for _, g := range [][2]int{{7, 5}, {8, 6}, {320, 180}, {641, 359}, {1, 1}, {2, 1}} {
+		W, H := g[0], g[1]
+		var tables []*biasTable
+		for _, cfg := range cfgs {
+			bias := newCentreBias(cfg, W, H)
+			tab := newBiasTable(bias, W, H)
+			if want := (W + 1) / 2 * ((H + 1) / 2); len(tab.v) != want {
+				t.Fatalf("%dx%d: table of %d values, want the quadrant's %d", W, H, len(tab.v), want)
+			}
+			for y := 0; y < H; y++ {
+				row := tab.row(y, H)
+				for x := 0; x < W; x++ {
+					if got, want := row[min(x, W-1-x)], bias.at(x, y); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%dx%d amp %v sigma %v: table at (%d, %d) = %v, at = %v", W, H, cfg.GaussAmp, cfg.SigmaFrac, x, y, got, want)
+					}
+				}
+			}
+			tables = append(tables, tab)
+		}
+		for i, tab := range tables[1:] {
+			// The corner weight tells the tables apart wherever the corner is
+			// off centre.
+			if tab.of == tables[0].of || W > 2 && tab.v[0] == tables[0].v[0] {
+				t.Errorf("%dx%d: configuration %d shares the default's table", W, H, i+1)
+			}
+		}
+	}
+}
+
+// TestDetectTableFollowsGeometry: one detector given two geometries in turn
+// replaces its table each time the geometry changes, keeps it while it does
+// not, and stays equal to the reference throughout.
+func TestDetectTableFollowsGeometry(t *testing.T) {
+	det, _ := New(Config{WindowW: 16, WindowH: 16})
+	maps := craftedMaps()
+	var last *biasTable
+	for i, name := range []string{"blob", "blob", "wide", "blob", "tall", "tall", "strided", "noisy"} {
+		d := maps[name]
+		sameRect(t, det, d, name)
+		tab := det.scratch.bias
+		if tab.of != newCentreBias(det.cfg, d.W, d.H) {
+			t.Fatalf("call %d (%s): the kept table is another geometry's", i, name)
+		}
+		if (i == 1 || i == 5) && tab != last {
+			t.Errorf("call %d (%s): table rebuilt for an unchanged geometry", i, name)
+		}
+		last = tab
+	}
+}
+
+// TestDetectConcurrentSharesTable: concurrent detections of one geometry
+// read one table — the one the first call built — under the race detector.
+func TestDetectConcurrentSharesTable(t *testing.T) {
+	det, _ := New(Config{WindowW: 24, WindowH: 24})
+	depth := craftedMaps()["two blobs"]
+	want, _, err := det.detectReference(depth, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRect(t, det, depth, "first call")
+	built := det.scratch.bias
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				if got, err := det.Detect(depth); err != nil || got != want {
+					t.Errorf("Detect = %v, %v; want %v", got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if det.scratch.bias != built {
+		t.Error("the table was rebuilt although the geometry never changed")
+	}
+}

@@ -107,88 +107,18 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 	if dst.W != im.W*scale || dst.H != im.H*scale {
 		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, scale)
 	}
-	if err := upscale.ResizeIntoOn(f.cfg.Sched, dst, im, f.cfg.Kernel, pool); err != nil {
-		return err
-	}
 	if f.cfg.Sharpen == 0 || scale == 1 {
-		return nil
+		return upscale.ResizeIntoOn(f.cfg.Sched, dst, im, f.cfg.Kernel, pool)
 	}
-	sharpenInPlace(dst, f.cfg.Sharpen, pool)
-	return nil
-}
-
-// sharpenInPlace applies unsharp masking with a 3×3 binomial blur and
-// overshoot clamping to the local 3×3 extrema, which restores the
-// mid-frequency energy lost by the decimation/interpolation chain without
-// introducing ringing halos.
-func sharpenInPlace(im *frame.Image, alpha float64, pool *bufpool.Pool) {
-	for _, plane := range [][]uint8{im.R, im.G, im.B} {
-		sharpenPlane(plane, im.W, im.H, im.Stride, alpha, pool)
+	// The resample lands in an intermediate image — its pixels the pool's,
+	// its header the recycled run's — and the sharpen pass writes dst from it.
+	s := startSharpen(pool, dst.W, dst.H)
+	err := upscale.ResizeIntoOn(f.cfg.Sched, &s.up, im, f.cfg.Kernel, pool)
+	if err == nil {
+		s.sharpen(f.cfg.Sched, dst, f.cfg.Sharpen)
 	}
-}
-
-func sharpenPlane(p []uint8, w, h, stride int, alpha float64, pool *bufpool.Pool) {
-	src := pool.Bytes(len(p))
-	defer pool.PutBytes(src)
-	copy(src, p)
-	at := func(x, y int) int {
-		if x < 0 {
-			x = 0
-		} else if x >= w {
-			x = w - 1
-		}
-		if y < 0 {
-			y = 0
-		} else if y >= h {
-			y = h - 1
-		}
-		return int(src[y*stride+x])
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			c := at(x, y)
-			// 3×3 binomial blur (1 2 1 / 2 4 2 / 1 2 1)/16 and local extrema.
-			lo, hi := c, c
-			blur := 0
-			for dy := -1; dy <= 1; dy++ {
-				for dx := -1; dx <= 1; dx++ {
-					v := at(x+dx, y+dy)
-					wgt := (2 - absInt(dx)) * (2 - absInt(dy))
-					blur += wgt * v
-					if v < lo {
-						lo = v
-					}
-					if v > hi {
-						hi = v
-					}
-				}
-			}
-			out := float64(c) + alpha*(float64(c)-float64(blur)/16)
-			if out < float64(lo) {
-				out = float64(lo)
-			} else if out > float64(hi) {
-				out = float64(hi)
-			}
-			p[y*stride+x] = uint8(clampF(out, 0, 255) + 0.5)
-		}
-	}
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func clampF(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	s.release(pool)
+	return err
 }
 
 // BilinearEngine wraps plain bilinear interpolation in the Engine interface
