@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"testing"
 	"time"
@@ -88,16 +89,42 @@ func BenchmarkClientFrameInstrumented(b *testing.B) { benchClientFrame(b, true) 
 // frame path to the plain composition it replaced — allocating Resize,
 // compacted RoI crop, Engine.Upscale, Merge — byte for byte over a GOP with
 // motion, including a shed (zero-RoI) frame and the buffers' second and
-// later trips through the pool.
+// later trips through the pool. The RoI is a strided view of the decoded
+// frame, and each engine reads it its own way: sr.Fast, the client's; the
+// compiled EDSR, an IntoEngine reading the view in place; and a plain
+// Engine, which sr.UpscaleTo's fallback must hand a compact copy.
 func TestShowFrameMatchesAllocatingComposition(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine sr.Engine
+	}{
+		{"fast", sr.NewFast(sr.FastConfig{})},
+		{"edsr", sr.NewInterpEDSR(sr.Spec{}, sr.InterpConfig{})},
+		{"plain", compactOnly{sr.BilinearEngine{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { showFrameMatches(t, tc.engine) })
+	}
+}
+
+// compactOnly is a plain sr.Engine (no UpscaleInto) that refuses views.
+type compactOnly struct{ sr.Engine }
+
+func (e compactOnly) Upscale(im *frame.Image, scale int) (*frame.Image, error) {
+	if im.Stride != im.W {
+		return nil, errors.New("plain engine handed a strided view")
+	}
+	return e.Engine.Upscale(im, scale)
+}
+
+func showFrameMatches(t *testing.T, engine sr.Engine) {
 	const w, h, scale = 160, 90, 2
 	enc, err := codec.NewEncoder(codec.Config{Width: w, Height: h, GOPSize: 4, QStep: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := newSessionState(nil)
+	st.engine = engine
 	ref := codec.NewDecoder()
-	engine := sr.NewFast(sr.FastConfig{})
 	img := frame.NewImage(w, h)
 	for i := 0; i < 9; i++ {
 		for y := 0; y < h; y++ {

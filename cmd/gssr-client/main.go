@@ -47,7 +47,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -60,11 +59,11 @@ import (
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
+	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/stats"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
-	"gamestreamsr/internal/upscale"
 )
 
 func main() {
@@ -178,7 +177,7 @@ func run(ctx context.Context, cc clientConfig) error {
 	st.rec.SetProcess("client")
 	st.ageHist = st.reg.Histogram("client_frame_age_seconds", telemetry.LatencyBuckets())
 	if cc.metricsAddr != "" {
-		if err := serveMetrics(cc.metricsAddr, st.reg, st.rec); err != nil {
+		if err := diag.ServeMetrics(cc.metricsAddr, st.reg, st.rec, nil); err != nil {
 			return err
 		}
 	}
@@ -436,17 +435,19 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	// A zero RoI is the server shedding to bilinear-only (the shed ladder,
 	// DESIGN.md §12): skip the DNN and keep the bilinear frame.
 	roiRect := pkt.RoI.Clamp(df.Image.W, df.Image.H)
-	base, ut, err := st.upscale(df.Image, roiRect, scale)
+	base := st.pool.Image(df.Image.W*scale, df.Image.H*scale)
+	ut, err := pipeline.UpscaleRoI(base, df.Image, roiRect, scale, st.engine, nil, st.pool)
 	// The decoded frame's buffers go back to the pool; its image stays the
 	// decoder's inter reference until the next Decode replaces it.
 	st.dec.Recycle(df)
 	if err != nil {
+		st.pool.PutImage(base)
 		return false, err
 	}
-	st.rec.Span(fid, "upscale", "upscale", ut.tUp, ut.dUp)
+	st.rec.Span(fid, "upscale", "upscale", ut.TUp, ut.DUp)
 	if !roiRect.Empty() {
-		st.rec.Span(fid, "sr", "sr", ut.tSR, ut.dSR)
-		st.rec.Span(fid, "merge", "merge", ut.tMerge, ut.dMerge)
+		st.rec.Span(fid, "sr", "sr", ut.TSR, ut.DSR)
+		st.rec.Span(fid, "merge", "merge", ut.TMerge, ut.DMerge)
 	}
 	// Present: the merged frame is ready for the display at this instant.
 	tPresent := time.Now()
@@ -473,20 +474,20 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	// bilinear and SR overlap, so the pair enters once, at its wall time,
 	// under the name of the one the merge had to wait for — the stage a
 	// miss is blamed on. The spans above keep each one's own duration.
-	dUp, dSR := ut.dPair, time.Duration(0)
-	if ut.tSR.Add(ut.dSR).After(ut.tUp.Add(ut.dUp)) {
-		dUp, dSR = 0, ut.dPair
+	dUp, dSR := ut.DPair, time.Duration(0)
+	if ut.TSR.Add(ut.DSR).After(ut.TUp.Add(ut.DUp)) {
+		dUp, dSR = 0, ut.DPair
 	}
 	stages := [4]frametrace.StageLatency{
-		{Name: "decode", D: dDec}, {Name: "upscale", D: dUp}, {Name: "sr", D: dSR}, {Name: "merge", D: ut.dMerge},
+		{Name: "decode", D: dDec}, {Name: "upscale", D: dUp}, {Name: "sr", D: dSR}, {Name: "merge", D: ut.DMerge},
 	}
 	st.rec.ObserveDeadline(fid, stages[:])
-	if dDec+ut.dPair+ut.dMerge > st.rec.Deadline() {
+	if dDec+ut.DPair+ut.DMerge > st.rec.Deadline() {
 		st.misses++
 	}
 	if st.stats {
 		st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
-		st.wSR = append(st.wSR, float64(ut.dSR.Microseconds()))
+		st.wSR = append(st.wSR, float64(ut.DSR.Microseconds()))
 	}
 
 	// The frame that was on display is free to be drawn into again.
@@ -498,64 +499,6 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 		logx.Debug("reference frame", "frame", pkt.Index, "bytes", len(pkt.Payload), "roi", pkt.RoI)
 	}
 	return true, nil
-}
-
-// upscaleTimes is when each step of one frame's RoI-assisted upscale ran.
-type upscaleTimes struct {
-	tUp, tSR, tMerge time.Time
-	dUp, dSR, dMerge time.Duration
-	// dPair is the wall time of the overlapped bilinear ∥ SR section.
-	dPair time.Duration
-}
-
-// upscale is the RoI-assisted upscale as Fig. 9 draws it and the pipeline
-// engine runs it: bilinear on the full frame (the GPU path) concurrently
-// with DNN SR on the RoI view (the NPU path), then merge. Every buffer
-// comes from st.pool; the returned frame is the caller's to put back.
-func (st *sessionState) upscale(lr *frame.Image, roiRect frame.Rect, scale int) (*frame.Image, upscaleTimes, error) {
-	var ut upscaleTimes
-	pool := st.pool
-	base := pool.Image(lr.W*scale, lr.H*scale)
-	bilinear := func() error {
-		ut.tUp = time.Now()
-		err := upscale.ResizeIntoOn(nil, base, lr, upscale.Bilinear, pool)
-		ut.dUp = time.Since(ut.tUp)
-		return err
-	}
-	if roiRect.Empty() {
-		err := bilinear()
-		ut.dPair = ut.dUp
-		if err != nil {
-			pool.PutImage(base)
-			return nil, ut, err
-		}
-		return base, ut, nil
-	}
-	t0 := time.Now()
-	done := make(chan error, 1)
-	go func() { done <- bilinear() }()
-	ut.tSR = time.Now()
-	hr := pool.Image(roiRect.W*scale, roiRect.H*scale)
-	roiImg, err := lr.SubImage(roiRect.X, roiRect.Y, roiRect.W, roiRect.H)
-	if err == nil {
-		err = sr.UpscaleTo(st.engine, hr, roiImg, scale, pool)
-	}
-	ut.dSR = time.Since(ut.tSR)
-	if berr := <-done; err == nil {
-		err = berr
-	}
-	ut.dPair = time.Since(t0)
-	if err == nil {
-		ut.tMerge = time.Now()
-		err = upscale.Merge(base, hr, roiRect, scale)
-		ut.dMerge = time.Since(ut.tMerge)
-	}
-	pool.PutImage(hr)
-	if err != nil {
-		pool.PutImage(base)
-		return nil, ut, err
-	}
-	return base, ut, nil
 }
 
 // pctDur computes the p-th percentile of a window of µs samples.
@@ -583,23 +526,4 @@ func writeFlight(path string, rec *frametrace.Recorder) error {
 		return err
 	}
 	return f.Close()
-}
-
-// serveMetrics starts the telemetry endpoint (/metrics, /metrics.json,
-// /debug/flight, /debug/pprof) on addr — the same surface gssr-server
-// exposes, fed by the client's registry and flight recorder.
-func serveMetrics(addr string, reg *telemetry.Registry, flight telemetry.FlightDumper) error {
-	ml, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("metrics listener: %w", err)
-	}
-	diag.RegisterBuildInfo(reg)
-	logx.Info("telemetry up", "url", fmt.Sprintf("http://%s/metrics", ml.Addr()),
-		"endpoints", "/metrics.json /debug/flight /debug/pprof/")
-	go func() {
-		if err := http.Serve(ml, telemetry.Handler(reg, flight)); err != nil {
-			logx.Warn("telemetry server stopped", "err", err)
-		}
-	}()
-	return nil
 }

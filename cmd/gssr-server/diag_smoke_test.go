@@ -1,6 +1,6 @@
 package main
 
-// TestDiagSmoke is the command-level diagnostics e2e: a real gameSource
+// TestDiagSmoke is the command-level diagnostics e2e: a real pipeline.Source
 // session (render → RoI → encode, the path run() builds) streams against an
 // impossible per-frame budget, the SLO watchdog freezes a capture bundle
 // into the -diag directory, and the bundle file round-trips through
@@ -25,6 +25,7 @@ import (
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/parallel"
+	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
 )
@@ -52,7 +53,7 @@ func TestDiagSmoke(t *testing.T) {
 		Deadline:     time.Nanosecond, // every frame misses; the streak trips the watchdog
 		Log:          lg,
 		NewSource: func(hello stream.Hello) (stream.FrameSource, error) {
-			return newGameSource(g, codec.Config{Width: w, Height: h, GOPSize: gop, QStep: q}, hello.RoIWindow, bufpool.New())
+			return pipeline.NewSource(g, codec.Config{Width: w, Height: h, GOPSize: gop, QStep: q}, hello.RoIWindow, bufpool.New())
 		},
 	}
 	d := diag.New(diag.Config{Metrics: reg, Flight: srv, Log: lg, Dir: dir, Cooldown: time.Hour})

@@ -11,12 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/parallel"
-	"gamestreamsr/internal/render"
-	"gamestreamsr/internal/roi"
+	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
 )
@@ -53,7 +53,7 @@ func (s *fanSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
 	return s.payload, i%s.gop == 0, frame.Rect{}, nil
 }
 
-// timedSource wraps the real gameSource and accounts every NextFrame call
+// timedSource wraps the real pipeline.Source and accounts every NextFrame call
 // (render + RoI detect + encode): the publisher-side per-frame cost whose
 // independence from subscriber count the full benchmark asserts.
 type timedSource struct {
@@ -315,15 +315,11 @@ func newTimedGameSource(t testing.TB, w, h, gop int) *timedSource {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := roi.New(roi.Config{WindowW: 32, WindowH: 32})
+	src, err := pipeline.NewSource(g, codec.Config{Width: w, Height: h, GOPSize: gop, QStep: 6}, 32, bufpool.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := codec.NewEncoder(codec.Config{Width: w, Height: h, GOPSize: gop, QStep: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &timedSource{inner: &gameSource{game: g, enc: enc, det: det, detShrunk: det, rd: &render.Renderer{}, w: w, h: h}}
+	return &timedSource{inner: src}
 }
 
 // runFanout drives one publisher at nFrames real encoded frames with nSubs

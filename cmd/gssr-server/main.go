@@ -53,9 +53,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"sync/atomic"
 	"time"
 
 	"gamestreamsr/internal/bufpool"
@@ -63,11 +61,9 @@ import (
 	"gamestreamsr/internal/diag"
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/faultnet"
-	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/parallel"
-	"gamestreamsr/internal/render"
-	"gamestreamsr/internal/roi"
+	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
 )
@@ -196,9 +192,6 @@ func run(cfg serverConfig) error {
 			logx.Info("input", "session", remote, "seq", in.Seq, "payload", string(in.Payload))
 		},
 		NewSource: func(h stream.Hello) (stream.FrameSource, error) {
-			if h.RoIWindow < 8 || h.RoIWindow > width || h.RoIWindow > height {
-				return nil, fmt.Errorf("RoI window %d unusable for a %dx%d stream", h.RoIWindow, width, height)
-			}
 			// Per-session pool: the encoder ping-pongs its reconstruction
 			// frames through it instead of allocating two planes per frame.
 			// All sessions report under the same metric names, so hit/miss
@@ -207,7 +200,7 @@ func run(cfg serverConfig) error {
 			if reg != nil {
 				pool.Instrument(reg, "server")
 			}
-			src, err := newGameSource(g, codecCfg, h.RoIWindow, pool)
+			src, err := pipeline.NewSource(g, codecCfg, h.RoIWindow, pool)
 			if err != nil {
 				return nil, err
 			}
@@ -231,119 +224,9 @@ func run(cfg serverConfig) error {
 	if metricsAddr != "" {
 		// The MultiServer itself is the FlightDumper: /debug/flight merges
 		// every retained session's window into one Perfetto trace.
-		if err := serveMetrics(metricsAddr, reg, srv, d); err != nil {
+		if err := diag.ServeMetrics(metricsAddr, reg, srv, d); err != nil {
 			return err
 		}
 	}
 	return srv.Serve(l)
-}
-
-// serveMetrics starts the telemetry endpoint (/metrics, /metrics.json,
-// /debug/flight, /debug/pprof, and — when diagnostics are armed —
-// /debug/diag) on addr, fed by reg and the server's per-session flight
-// recorders.
-func serveMetrics(addr string, reg *telemetry.Registry, flight telemetry.FlightDumper, d *diag.Diag) error {
-	ml, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("metrics listener: %w", err)
-	}
-	diag.RegisterBuildInfo(reg)
-	mux := telemetry.Handler(reg, flight)
-	if d != nil {
-		mux.Handle("/debug/diag", d.Handler())
-	}
-	logx.Info("telemetry up", "url", fmt.Sprintf("http://%s/metrics", ml.Addr()),
-		"endpoints", "/metrics.json /debug/flight /debug/pprof/ /debug/diag")
-	go func() {
-		if err := http.Serve(ml, mux); err != nil {
-			logx.Warn("telemetry server stopped", "err", err)
-		}
-	}()
-	return nil
-}
-
-// gameSource renders, detects and encodes frames on demand. Sessions call
-// NextFrame sequentially and WriteFrame consumes the payload before the next
-// call, so the render targets and the payload buffer persist across frames
-// and the session runs with near-zero steady-state allocations.
-type gameSource struct {
-	game      *games.Workload
-	enc       *codec.Encoder
-	det       *roi.Detector // full-quality detector
-	detShrunk *roi.Detector // shed level 1: half RoI window
-	rd        *render.Renderer
-	w, h      int
-	shed      atomic.Int32
-	out       render.Output
-	payload   []byte
-}
-
-// newGameSource builds one session's source: an encoder for the stream's
-// codec configuration drawing on pool, and RoI detectors for the window the
-// client announced.
-func newGameSource(g *games.Workload, cc codec.Config, roiWindow int, pool *bufpool.Pool) (*gameSource, error) {
-	det, err := roi.New(roi.Config{WindowW: roiWindow, WindowH: roiWindow})
-	if err != nil {
-		return nil, err
-	}
-	enc, err := codec.NewEncoder(cc)
-	if err != nil {
-		return nil, err
-	}
-	enc.SetPool(pool)
-	// The shrunken-window detector backs shed level 1: half the RoI side
-	// keeps SR on the most salient region at a quarter of the NPU-path
-	// work. Falls back to the full window when the half window would be
-	// unusable.
-	detShrunk := det
-	if half := roiWindow / 2; half >= 8 {
-		if d, err := roi.New(roi.Config{WindowW: half, WindowH: half}); err == nil {
-			detShrunk = d
-		}
-	}
-	return &gameSource{game: g, enc: enc, det: det, detShrunk: detShrunk, rd: &render.Renderer{}, w: cc.Width, h: cc.Height}, nil
-}
-
-// SetSched (stream.SchedAware) points the session's kernels — render, RoI
-// detection, encode — at its scheduler client, so concurrent sessions share
-// the worker pool fairly, a shed-demoted session's work yields to on-budget
-// ones, and stolen chunks carry the session's sched_client= pprof label.
-func (s *gameSource) SetSched(c *parallel.Client) {
-	s.rd.Sched = c
-	s.enc.SetSched(c)
-}
-
-// SetShedLevel (stream.Shedder) applies the server's shed ladder: level 1
-// shrinks the RoI window, level 2 drops RoI detection entirely (the client
-// falls back to its bilinear path on a zero RoI). Level 3's priority
-// demotion is handled by the server on the scheduler client.
-func (s *gameSource) SetShedLevel(level int) { s.shed.Store(int32(level)) }
-
-func (s *gameSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
-	s.game.RenderInto(&s.out, s.rd, i, s.w, s.h)
-	// Detection reads the depth map and encoding the colour plane, so the
-	// two could overlap; they run one after the other because both already
-	// spread over the session's workers (DESIGN.md §18 has the ablation).
-	var rect frame.Rect
-	det := s.det
-	switch level := int(s.shed.Load()); {
-	case level >= stream.ShedBilinearOnly:
-		// No RoI: the frame header carries a zero rect and the client
-		// upscales bilinearly — the paper's baseline path.
-		det = nil
-	case level >= stream.ShedRoIShrink:
-		det = s.detShrunk
-	}
-	if det != nil {
-		var err error
-		if rect, err = det.DetectOn(s.rd.Sched, s.out.Depth); err != nil {
-			return nil, false, frame.Rect{}, err
-		}
-	}
-	data, ftype, err := s.enc.EncodeInto(s.payload[:0], s.out.Color)
-	if err != nil {
-		return nil, false, frame.Rect{}, err
-	}
-	s.payload = data
-	return data, ftype == codec.Intra, rect, nil
 }

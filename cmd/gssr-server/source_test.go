@@ -15,19 +15,20 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/parallel"
+	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/render"
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/stream"
 )
 
-// TestNextFrameMatchesSerialComposition drives the real gameSource — the
-// source run() hands every session — and requires each frame's payload,
+// TestNextFrameMatchesSerialComposition drives pipeline.Source, as run()
+// builds it for every session, and requires each frame's payload,
 // keyframe flag and RoI to equal the kernels composed by hand, one after
 // the other: RenderInto, then the detector's reference pipeline (DetectDebug
 // is the one public form of it), then EncodeInto on a plain encoder with no
 // pool and no session client (internal/codec's differential tests pin that
-// encoder to its own reference loops). Two GOPs at every RoI-relevant shed
-// level, on the default client and on a session's own.
+// encoder to its own reference loops). Two GOPs at every shed level, on the
+// default client and on a session's own.
 func TestNextFrameMatchesSerialComposition(t *testing.T) {
 	const w, h, gop, q, win, nFrames = 160, 90, 6, 6, 64, 12
 	g, err := games.ByID("G3")
@@ -38,9 +39,9 @@ func TestNextFrameMatchesSerialComposition(t *testing.T) {
 	sched := parallel.NewScheduler(2)
 	defer sched.Close()
 	for _, withClient := range []bool{false, true} {
-		for _, level := range []int{stream.ShedNone, stream.ShedRoIShrink, stream.ShedBilinearOnly} {
+		for _, level := range []int{stream.ShedNone, stream.ShedRoIShrink, stream.ShedBilinearOnly, stream.ShedDemoted} {
 			t.Run(fmt.Sprintf("client=%v/shed=%d", withClient, level), func(t *testing.T) {
-				src, err := newGameSource(g, cc, win, bufpool.New())
+				src, err := pipeline.NewSource(g, cc, win, bufpool.New())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -152,29 +153,5 @@ func TestBenchContract(t *testing.T) {
 	}
 	if hello := awaitLine("roi_window="); !strings.Contains(hello, "hello ") || !strings.Contains(hello, "roi_window=16") {
 		t.Fatalf("hello line %q, want roi_window=16", hello)
-	}
-}
-
-// BenchmarkNextFrame360p is the server's whole per-frame body at the
-// live_360p geometry — render, detect, encode — as a session runs it: pooled
-// encoder, persistent render targets and payload buffer. Run with -cpu 1,2.
-func BenchmarkNextFrame360p(b *testing.B) {
-	g, err := games.ByID("G3")
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := newGameSource(g, codec.Config{Width: 640, Height: 360, GOPSize: 12, QStep: 6}, 64, bufpool.New())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, _, err := src.NextFrame(0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, _, err := src.NextFrame(1 + i); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

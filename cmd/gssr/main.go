@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,7 +45,6 @@ import (
 	gssr "gamestreamsr"
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/diag"
-	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/experiments"
 	"gamestreamsr/internal/faultnet"
 	"gamestreamsr/internal/frame"
@@ -146,7 +144,7 @@ func cmdRun(args []string) error {
 		opt.Flight = frametrace.New(frametrace.Config{Metrics: opt.Metrics})
 	}
 	if *metricsAddr != "" {
-		if err := serveMetrics(*metricsAddr, opt.Metrics, opt.Flight); err != nil {
+		if err := diag.ServeMetrics(*metricsAddr, opt.Metrics, opt.Flight, nil); err != nil {
 			return err
 		}
 	}
@@ -323,7 +321,7 @@ func cmdSim(args []string) error {
 		cfg.Flight = frametrace.New(frametrace.Config{Metrics: cfg.Metrics})
 	}
 	if *metricsAddr != "" {
-		if err := serveMetrics(*metricsAddr, cfg.Metrics, cfg.Flight); err != nil {
+		if err := diag.ServeMetrics(*metricsAddr, cfg.Metrics, cfg.Flight, nil); err != nil {
 			return err
 		}
 	}
@@ -690,30 +688,6 @@ func finishFlight(rec *frametrace.Recorder, path string, w io.Writer) error {
 }
 
 func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// serveMetrics starts the telemetry endpoint (/metrics, /metrics.json,
-// /debug/flight, /debug/pprof) on addr; it stays up for the life of the
-// process, so long runs can be scraped, profiled and flight-dumped while
-// they execute. rec optionally backs /debug/flight (nil leaves it 404).
-func serveMetrics(addr string, reg *telemetry.Registry, rec *frametrace.Recorder) error {
-	ml, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("metrics listener: %w", err)
-	}
-	var fd telemetry.FlightDumper
-	if rec != nil {
-		fd = rec
-	}
-	diag.RegisterBuildInfo(reg)
-	logx.Info("telemetry up", "url", fmt.Sprintf("http://%s/metrics", ml.Addr()),
-		"endpoints", "/metrics.json /debug/flight /debug/pprof/")
-	go func() {
-		if err := http.Serve(ml, telemetry.Handler(reg, fd)); err != nil {
-			logx.Warn("telemetry server stopped", "err", err)
-		}
-	}()
-	return nil
-}
 
 // drawBox burns a 1-px red rectangle outline into im.
 func drawBox(im *gssr.Image, r gssr.Rect) {

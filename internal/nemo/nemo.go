@@ -21,7 +21,6 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
-	"gamestreamsr/internal/render"
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/upscale"
 )
@@ -70,9 +69,6 @@ type variant struct {
 }
 
 func (v *variant) Name() string { return "nemo" }
-
-// DetectRoI is a no-op: NEMO has no server-side RoI stage.
-func (v *variant) DetectRoI(render.Output) (frame.Rect, error) { return frame.Rect{}, nil }
 
 // Upscale reconstructs the HR frame: full-frame DNN SR for reference
 // frames, NEMO's motion-vector/residual reuse for non-reference frames.

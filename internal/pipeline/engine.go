@@ -17,6 +17,7 @@ import (
 	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/telemetry"
 	"gamestreamsr/internal/trace"
 )
@@ -55,7 +56,7 @@ type FrameJob struct {
 	Scene *render.Scene
 	Cam   geom.Camera
 	// Pool is the run's buffer pool. Variants draw their per-frame scratch
-	// (tensors, residual planes, RoI crops) from it; anything checked out
+	// (tensors, residual planes, RoI patches) from it; anything checked out
 	// must be returned before Upscale returns unless it travels in the job.
 	Pool *bufpool.Pool
 	// RoI is the detected region; zero for variants without a RoI stage.
@@ -85,17 +86,15 @@ type FrameJob struct {
 	data []byte // coded bitstream, consumed by the client stage
 }
 
-// Variant supplies the runner-specific stages of the frame loop. The engine
-// calls DetectRoI from the server stage, Upscale from the client stage and
-// Cost from the measure stage — each on its own goroutine, so a Variant's
-// mutable state must be touched by exactly one of them (reference frames
-// belong in Upscale, detectors in DetectRoI; Cost must be pure).
+// Variant supplies the runner-specific client and cost stages of the frame
+// loop; the server stage is the same Source for every runner, with the RoI
+// detector (or none) as data in EngineOptions. The engine calls Upscale
+// from the client stage and Cost from the measure stage — each on its own
+// goroutine, so a Variant's mutable state must be touched by exactly one of
+// them (reference frames belong in Upscale; Cost must be pure).
 type Variant interface {
 	// Name labels Result.Pipeline.
 	Name() string
-	// DetectRoI runs the server-side RoI detection; variants without a RoI
-	// stage return the zero Rect.
-	DetectRoI(lr render.Output) (frame.Rect, error)
 	// Upscale reconstructs the high-resolution frame from the decoded
 	// frame. It owns the variant's sequential client state (NEMO's
 	// reference frame, the decoder-buffer cache) and wraps its own errors
@@ -118,6 +117,10 @@ type EngineOptions struct {
 	Drops bool
 	// SimW, SimH is the simulation-resolution geometry.
 	SimW, SimH int
+	// Detector is the server stage's RoI detector, stabilised over time
+	// when Config.RoITrack is set; nil means the runner has no RoI stage
+	// (NEMO) and every frame carries the zero rectangle.
+	Detector *roi.Detector
 	// Depth is the capacity of each inter-stage channel; with S stages,
 	// up to S+Depth·(S−1) frames are in flight. Default 2.
 	Depth int
@@ -175,7 +178,9 @@ type engineRun struct {
 	opt EngineOptions
 	v   Variant
 
-	enc *codec.Encoder
+	// src is the server stage (render → RoI → encode) and dec the client
+	// stage's decoder; each is touched by its stage alone.
+	src *Source
 	dec *codec.Decoder
 
 	lrPx      int
@@ -185,10 +190,9 @@ type engineRun struct {
 	// run. Checked out and returned from different stages (the pool is
 	// mutex-guarded); every consumer fully overwrites what it draws.
 	pool *bufpool.Pool
-	// srvOut and gtOut are the per-stage persistent render targets: the
-	// server stage re-renders into srvOut every frame, the measure stage its
-	// lazy ground truth into gtOut. Each is touched by exactly one stage.
-	srvOut, gtOut render.Output
+	// gtOut is the measure stage's persistent render target for its lazy
+	// ground truth (the server stage's is the Source's).
+	gtOut render.Output
 	// jobFree recycles FrameJob headers between the measure and server
 	// stages. Non-blocking on both ends; misses just allocate.
 	jobFree chan *FrameJob
@@ -234,13 +238,6 @@ func RunEngine(cfg Config, opt EngineOptions, v Variant, nFrames int) (*Result, 
 	if nFrames <= 0 {
 		return nil, fmt.Errorf("%s: invalid frame count %d", opt.Prefix, nFrames)
 	}
-	enc, err := codec.NewEncoder(codec.Config{
-		Width: opt.SimW, Height: opt.SimH,
-		GOPSize: cfg.GOPSize, QStep: cfg.QStep, HalfPel: cfg.HalfPel,
-	})
-	if err != nil {
-		return nil, err
-	}
 	if opt.Depth <= 0 {
 		opt.Depth = 2
 	}
@@ -248,16 +245,30 @@ func RunEngine(cfg Config, opt EngineOptions, v Variant, nFrames int) (*Result, 
 	if pool == nil {
 		pool = bufpool.New()
 	}
+	src, err := newSource(cfg.Game, codec.Config{
+		Width: opt.SimW, Height: opt.SimH,
+		GOPSize: cfg.GOPSize, QStep: cfg.QStep, HalfPel: cfg.HalfPel,
+	}, opt.Detector, pool)
+	if err != nil {
+		return nil, err
+	}
+	// Each run gets fresh temporal state for RoI tracking.
+	if opt.Detector != nil && cfg.RoITrack != nil {
+		if src.tracker, err = roi.NewTracker(opt.Detector, *cfg.RoITrack); err != nil {
+			return nil, err
+		}
+	}
+	src.start, src.stride = cfg.StartFrame, cfg.FrameStride
+	src.rd, src.sched = cfg.Renderer, cfg.Sched
+	src.enc.SetSched(cfg.Sched)
 	if cfg.Metrics != nil {
 		pool.Instrument(cfg.Metrics, opt.Prefix)
 	}
 	dec := codec.NewDecoder()
-	enc.SetPool(pool)
-	enc.SetSched(cfg.Sched)
 	dec.SetPool(pool)
 	e := &engineRun{
 		cfg: cfg, opt: opt, v: v,
-		enc: enc, dec: dec,
+		src: src, dec: dec,
 		lrPx:      cfg.LRWidth * cfg.LRHeight,
 		byteScale: cfg.SimDiv * cfg.SimDiv,
 		pool:      pool,
@@ -418,33 +429,24 @@ func (e *engineRun) run(nFrames int) (*Result, error) {
 	return res, nil
 }
 
-// serverFrame runs the server stages for frame i: game simulation, render
-// at simulation resolution, RoI detection and encoding. Owns the encoder
-// and detector/tracker state.
+// serverFrame runs the server stages for frame i — the Source's render at
+// simulation resolution, RoI detection and encoding — and wraps the result
+// in a job. Owns the Source.
 func (e *engineRun) serverFrame(i int) (*FrameJob, error) {
 	cfg := e.cfg
 	// Claim the flight-recorder frame ID first so the server span and the
 	// encode attributes land inside this frame's window (0 when recording
 	// is off).
 	fid := e.flight.BeginFrame(i)
-	sc, cam := cfg.Game.Frame(cfg.StartFrame + i*cfg.FrameStride)
-	// The render targets persist across frames (every pixel is rewritten);
-	// nothing downstream references them — the color plane is consumed by
-	// the encoder and the depth map by RoI detection, both right here.
-	cfg.Renderer.RenderInto(&e.srvOut, sc, cam, e.opt.SimW, e.opt.SimH)
-	roiRect, err := e.v.DetectRoI(e.srvOut)
-	if err != nil {
-		return nil, fmt.Errorf("%s: frame %d RoI: %w", e.opt.Prefix, i, err)
-	}
 	// The bitstream buffer travels with the job; the client stage returns
 	// it to the pool after decoding, so steady state ping-pongs a few
 	// buffers instead of allocating one per frame.
 	if e.encHint == 0 {
 		e.encHint = 4096
 	}
-	data, ftype, err := e.enc.EncodeInto(e.pool.Bytes(e.encHint)[:0], e.srvOut.Color)
+	data, ftype, roiRect, err := e.src.frame(e.pool.Bytes(e.encHint)[:0], i)
 	if err != nil {
-		return nil, fmt.Errorf("%s: frame %d encode: %w", e.opt.Prefix, i, err)
+		return nil, fmt.Errorf("%s: %w", e.opt.Prefix, err)
 	}
 	if cap(data) > e.encHint {
 		e.encHint = cap(data)
@@ -458,7 +460,7 @@ func (e *engineRun) serverFrame(i int) (*FrameJob, error) {
 	*job = FrameJob{
 		Index: i,
 		ID:    fid,
-		Scene: sc, Cam: cam,
+		Scene: e.src.scene, Cam: e.src.cam,
 		Pool:         e.pool,
 		RoI:          roiRect,
 		Type:         ftype,

@@ -14,6 +14,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/codec"
@@ -258,105 +259,98 @@ func (g *GameStream) SimSize() (w, h, roiWin int) { return g.simW, g.simH, g.sim
 // Run streams nFrames frames through the staged engine and returns the
 // measurements.
 func (g *GameStream) Run(nFrames int) (*Result, error) {
-	// Each run gets fresh temporal state for RoI tracking.
-	var tracker *roi.Tracker
-	if g.cfg.RoITrack != nil {
-		var err error
-		tracker, err = roi.NewTracker(g.det, *g.cfg.RoITrack)
-		if err != nil {
-			return nil, err
-		}
-	}
-	v := &gameStreamVariant{cfg: g.cfg, det: g.det, tracker: tracker}
 	return RunEngine(g.cfg, EngineOptions{
-		Prefix: "pipeline",
-		Net:    g.net,
-		Drops:  true,
-		SimW:   g.simW, SimH: g.simH,
+		Prefix:   "pipeline",
+		Net:      g.net,
+		Drops:    true,
+		Detector: g.det,
+		SimW:     g.simW, SimH: g.simH,
 		// The variant's output frames are pool-drawn and never retained by
 		// it, so the measure stage can recycle them.
 		RecycleUp: true,
-	}, v, nFrames)
+	}, &gameStreamVariant{cfg: g.cfg}, nFrames)
 }
 
-// gameStreamVariant supplies the GameStreamSR hooks to the staged engine:
-// depth-guided RoI detection on the server, the RoI-assisted upscale on the
-// client, and the paper's latency/energy model in the measure stage.
+// gameStreamVariant supplies the GameStreamSR client and cost stages to the
+// staged engine: the RoI-assisted upscale, and the paper's latency/energy
+// model in the measure stage.
 type gameStreamVariant struct {
-	cfg     Config
-	det     *roi.Detector
-	tracker *roi.Tracker
+	cfg Config
 }
 
 func (v *gameStreamVariant) Name() string { return "gamestreamsr" }
 
-// DetectRoI runs the Fig. 8 depth pre-processing and Algorithm 1 search
-// (with optional temporal stabilisation) on the server stage.
-func (v *gameStreamVariant) DetectRoI(lr render.Output) (frame.Rect, error) {
-	if v.tracker != nil {
-		return v.tracker.Detect(lr.Depth)
+// Upscale performs the client-side RoI-assisted upscale (UpscaleRoI) into a
+// frame from the run's pool; the measure stage recycles it (RecycleUp) once
+// no later frame can reference it.
+func (v *gameStreamVariant) Upscale(df *codec.DecodedFrame, job *FrameJob) (*frame.Image, error) {
+	lr, scale := df.Image, v.cfg.Scale
+	up := job.Pool.Image(lr.W*scale, lr.H*scale)
+	if _, err := UpscaleRoI(up, lr, job.RoI, scale, v.cfg.Engine, v.cfg.Sched, job.Pool); err != nil {
+		job.Pool.PutImage(up)
+		return nil, fmt.Errorf("pipeline: frame %d upscale: %w", job.Index, err)
 	}
-	return v.det.DetectOn(v.cfg.Sched, lr.Depth)
+	return up, nil
 }
 
-// Upscale performs the client-side RoI-assisted upscale — DNN SR on the RoI
-// concurrently with bilinear on the full frame, then merge — the real
-// NPU ∥ GPU overlap of the paper's Fig. 9.
-func (v *gameStreamVariant) Upscale(df *codec.DecodedFrame, job *FrameJob) (*frame.Image, error) {
-	cfg := v.cfg
-	lr := df.Image
-	pool := job.Pool
+// UpscaleTimes is when each step of one UpscaleRoI call started and how long
+// it ran. The engine ignores it; gssr-client's flight spans and deadline
+// accounting are made of it.
+type UpscaleTimes struct {
+	// TUp/DUp is the bilinear, TSR/DSR the SR and TMerge/DMerge the merge
+	// (the last two zero for a zero RoI).
+	TUp, TSR, TMerge time.Time
+	DUp, DSR, DMerge time.Duration
+	// DPair is the wall time of the overlapped bilinear ∥ SR section.
+	DPair time.Duration
+}
 
-	// GPU path: bilinear upscale of the full frame. The destination comes
-	// from the run's pool; the measure stage recycles it (RecycleUp) once
-	// no later frame can reference it. The pool is mutex-guarded, so both
-	// overlapped paths may draw from it.
-	base := pool.Image(lr.W*cfg.Scale, lr.H*cfg.Scale)
-	var baseErr error
-	done := make(chan struct{})
+// UpscaleRoI is the client half's RoI-assisted upscale as the paper's
+// Fig. 9 draws it, and the one place that composes it: bilinear on the
+// whole of lr into dst (the GPU path) on its own goroutine while engine
+// super-resolves the RoI — read as a view of lr, not copied — on the
+// caller's (the NPU path), then the RoI patch merged over dst. A zero rect is
+// the shed ladder's bilinear-only rung: the bilinear runs alone, on the
+// caller. dst must be (lr.W·scale)×(lr.H·scale), and all of it is
+// overwritten; rect must lie inside lr. sched attributes the bilinear's
+// workers (nil: the default client). The RoI patch and every kernel's
+// scratch come from pool, which both paths share, and go back to it.
+func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engine, sched *parallel.Client, pool *bufpool.Pool) (UpscaleTimes, error) {
+	var ut UpscaleTimes
+	if rect.Empty() {
+		ut.TUp = time.Now()
+		err := upscale.ResizeIntoOn(sched, dst, lr, upscale.Bilinear, pool)
+		ut.DUp = time.Since(ut.TUp)
+		ut.DPair = ut.DUp
+		return ut, err
+	}
+	view, err := lr.SubImage(rect.X, rect.Y, rect.W, rect.H)
+	if err != nil {
+		return ut, err
+	}
+	t0 := time.Now()
+	done := make(chan error, 1)
 	go func() {
-		defer close(done)
-		baseErr = upscale.ResizeIntoOn(cfg.Sched, base, lr, upscale.Bilinear, pool)
+		ut.TUp = time.Now()
+		err := upscale.ResizeIntoOn(sched, dst, lr, upscale.Bilinear, pool)
+		ut.DUp = time.Since(ut.TUp)
+		done <- err
 	}()
-
-	// NPU path: DNN SR on the RoI, overlapped with the bilinear pass.
-	roiHR, err := func() (*frame.Image, error) {
-		roiImg, err := lr.SubImage(job.RoI.X, job.RoI.Y, job.RoI.W, job.RoI.H)
-		if err != nil {
-			return nil, err
-		}
-		src := roiImg
-		if roiImg.Stride != roiImg.W {
-			tmp := pool.Image(roiImg.W, roiImg.H)
-			tmp.CopyFrom(roiImg)
-			defer pool.PutImage(tmp)
-			src = tmp
-		}
-		hr := pool.Image(src.W*cfg.Scale, src.H*cfg.Scale)
-		if err := sr.UpscaleTo(cfg.Engine, hr, src, cfg.Scale, pool); err != nil {
-			pool.PutImage(hr)
-			return nil, err
-		}
-		return hr, nil
-	}()
-	<-done
+	ut.TSR = time.Now()
+	hr := pool.Image(rect.W*scale, rect.H*scale)
+	err = sr.UpscaleTo(engine, hr, view, scale, pool)
+	ut.DSR = time.Since(ut.TSR)
+	if berr := <-done; err == nil {
+		err = berr
+	}
+	ut.DPair = time.Since(t0)
 	if err == nil {
-		err = baseErr
+		ut.TMerge = time.Now()
+		err = upscale.Merge(dst, hr, rect, scale)
+		ut.DMerge = time.Since(ut.TMerge)
 	}
-	if err != nil {
-		if roiHR != nil {
-			pool.PutImage(roiHR)
-		}
-		pool.PutImage(base)
-		return nil, fmt.Errorf("pipeline: frame %d upscale: %w", job.Index, err)
-	}
-	err = upscale.Merge(base, roiHR, job.RoI, cfg.Scale)
-	pool.PutImage(roiHR)
-	if err != nil {
-		pool.PutImage(base)
-		return nil, fmt.Errorf("pipeline: frame %d upscale: %w", job.Index, err)
-	}
-	return base, nil
+	pool.PutImage(hr)
+	return ut, err
 }
 
 // Cost models one delivered frame's per-stage latency and per-rail energy.

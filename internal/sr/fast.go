@@ -22,21 +22,23 @@ type Engine interface {
 // IntoEngine is the destination-passing extension of Engine: UpscaleInto
 // writes the (W·scale)×(H·scale) result into dst — which must already have
 // that geometry and may hold dirty pooled pixels — drawing any internal
-// scratch from pool (nil allocates). Callers type-assert and fall back to
-// Upscale for engines that don't implement it.
+// scratch from pool (nil allocates). im may be a view (Stride > W), such as
+// a RoI of the decoded frame, and is read in place. Callers type-assert and
+// fall back to Upscale for engines that don't implement it.
 type IntoEngine interface {
 	Engine
 	UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error
 }
 
 // UpscaleTo super-resolves im into dst through e's destination-passing path
-// when it has one, falling back to Upscale plus a copy for plain Engines.
-// dst must already have the (W·scale)×(H·scale) geometry.
+// when it has one, falling back to Upscale plus a copy for plain Engines,
+// which are handed a compact copy of a view. dst must already have the
+// (W·scale)×(H·scale) geometry.
 func UpscaleTo(e Engine, dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
 	if ie, ok := e.(IntoEngine); ok {
 		return ie.UpscaleInto(dst, im, scale, pool)
 	}
-	up, err := e.Upscale(im, scale)
+	up, err := e.Upscale(im.Compact(), scale)
 	if err != nil {
 		return err
 	}

@@ -24,9 +24,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
-	"gamestreamsr/internal/render"
 	"gamestreamsr/internal/roi"
-	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -80,15 +78,16 @@ func New(cfg pipeline.Config, roiKernel upscale.Kind) (*Runner, error) {
 // the shared staged engine.
 func (r *Runner) Run(nFrames int) (*pipeline.Result, error) {
 	return pipeline.RunEngine(r.cfg, pipeline.EngineOptions{
-		Prefix: "srdecoder",
-		Net:    r.net,
-		SimW:   r.simW, SimH: r.simH,
+		Prefix:   "srdecoder",
+		Net:      r.net,
+		Detector: r.det,
+		SimW:     r.simW, SimH: r.simH,
 	}, &variant{r: r}, nFrames)
 }
 
 // variant supplies the SR-integrated-decoder hooks to the staged engine:
-// RoI detection on the server, the reference/non-reference dispatcher on
-// the client, and the fixed-function decoder cost model.
+// the reference/non-reference dispatcher on the client, and the
+// fixed-function decoder cost model.
 type variant struct {
 	r *Runner
 	// hrPrev is the decoder-buffer copy of the last reconstructed HR
@@ -98,21 +97,19 @@ type variant struct {
 
 func (v *variant) Name() string { return "srdecoder" }
 
-func (v *variant) DetectRoI(lr render.Output) (frame.Rect, error) {
-	return v.r.det.DetectOn(v.r.cfg.Sched, lr.Depth)
-}
-
-// Upscale dispatches one decoded frame: reference frames take the RoI
-// upscale engine (step ❶), non-reference frames are reconstructed at HR by
-// the SR-integrated decoder with RoI-guided interpolation (steps ❸-❼).
+// Upscale dispatches one decoded frame: reference frames take the
+// GameStreamSR RoI-assisted upscale (step ❶) into a variant-owned frame —
+// it becomes the decoder-buffer reference — and non-reference frames are
+// reconstructed at HR by the SR-integrated decoder with RoI-guided
+// interpolation (steps ❸-❼).
 func (v *variant) Upscale(df *codec.DecodedFrame, job *pipeline.FrameJob) (*frame.Image, error) {
 	cfg := v.r.cfg
 	var up *frame.Image
 	var err error
 	switch job.Type {
 	case codec.Intra:
-		up, err = v.r.upscaleReference(df.Image, job.RoI, job.Pool)
-		if err != nil {
+		up = frame.NewImagePacked(df.Image.W*cfg.Scale, df.Image.H*cfg.Scale)
+		if _, err = pipeline.UpscaleRoI(up, df.Image, job.RoI, cfg.Scale, cfg.Engine, cfg.Sched, job.Pool); err != nil {
 			return nil, fmt.Errorf("srdecoder: frame %d SR: %w", job.Index, err)
 		}
 	case codec.Inter:
@@ -170,37 +167,6 @@ func (v *variant) Cost(job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail
 		return pipeline.Stages{}, nil, fmt.Errorf("srdecoder: frame %d: unexpected type %v", job.Index, job.Type)
 	}
 	return st, em.NonZero(), nil
-}
-
-// upscaleReference runs the standard GameStreamSR RoI-assisted upscale. The
-// returned frame is variant-owned (it becomes the decoder-buffer reference);
-// the RoI crop, its upscaled patch and all kernel scratch come from pool.
-func (r *Runner) upscaleReference(lr *frame.Image, roiRect frame.Rect, pool *bufpool.Pool) (*frame.Image, error) {
-	cfg := r.cfg
-	base := frame.NewImagePacked(lr.W*cfg.Scale, lr.H*cfg.Scale)
-	if err := upscale.ResizeIntoOn(cfg.Sched, base, lr, upscale.Bilinear, pool); err != nil {
-		return nil, err
-	}
-	roiImg, err := lr.SubImage(roiRect.X, roiRect.Y, roiRect.W, roiRect.H)
-	if err != nil {
-		return nil, err
-	}
-	src := roiImg
-	if roiImg.Stride != roiImg.W {
-		tmp := pool.Image(roiImg.W, roiImg.H)
-		tmp.CopyFrom(roiImg)
-		defer pool.PutImage(tmp)
-		src = tmp
-	}
-	roiHR := pool.Image(src.W*cfg.Scale, src.H*cfg.Scale)
-	defer pool.PutImage(roiHR)
-	if err := sr.UpscaleTo(cfg.Engine, roiHR, src, cfg.Scale, pool); err != nil {
-		return nil, err
-	}
-	if err := upscale.Merge(base, roiHR, roiRect, cfg.Scale); err != nil {
-		return nil, err
-	}
-	return base, nil
 }
 
 // ReconstructRoIGuided is the §VI step-❸ reconstruction: like NEMO's HR

@@ -16,7 +16,7 @@ import (
 )
 
 // FrameSource supplies coded frames to a server session. Implementations
-// typically wrap a renderer + RoI detector + encoder (see cmd/gssr-server).
+// typically wrap a renderer + RoI detector + encoder (see pipeline.Source).
 type FrameSource interface {
 	// NextFrame returns the coded payload, whether it is a reference
 	// frame, and the RoI rectangle for frame index i. io.EOF ends the
@@ -46,8 +46,6 @@ type ServerOptions struct {
 	// backchannel reports (see StatsPacket). Called from the session's read
 	// goroutine — keep it fast.
 	OnStats func(StatsPacket)
-	// Validate, if non-nil, vets the client's Hello before accepting.
-	Validate func(Hello) error
 	// Metrics, when non-nil, receives per-session telemetry: frames and
 	// payload bytes sent, and a per-frame send-latency histogram. Nil is
 	// a no-op.
@@ -325,11 +323,7 @@ func (c *control) finish(linger bool, afterBye func()) error {
 // the entry point for callers that dispatch on the first message
 // themselves, like MultiServer's publisher/subscriber split.
 func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOptions) error {
-	err := checkVersion(hello.Version)
-	if err == nil && opt.Validate != nil {
-		err = opt.Validate(hello)
-	}
-	if err != nil {
+	if err := checkVersion(hello.Version); err != nil {
 		// Tell the client why before closing — a silent close is
 		// indistinguishable from a network fault on their side.
 		controlWrite(conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "reject", func() error {

@@ -303,24 +303,6 @@ func TestSessionOverTCP(t *testing.T) {
 	}
 }
 
-func TestServeValidateRejects(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	defer client.Close()
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(server, ServerOptions{
-			Accept:   Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6},
-			Source:   &sliceSource{},
-			Validate: func(h Hello) error { return errors.New("window too small") },
-		})
-	}()
-	go WriteHello(client, Hello{Device: "x", RoIWindow: 4, Scale: 2})
-	if err := <-done; err == nil {
-		t.Fatal("server should reject the client")
-	}
-}
-
 func TestServeMaxFrames(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
