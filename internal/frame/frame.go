@@ -154,19 +154,26 @@ func (im *Image) Luma() []float64 {
 // returns it. Every element is overwritten, so out may be a dirty pooled
 // buffer.
 func (im *Image) LumaInto(out []float64) []float64 {
+	im.LumaRowsInto(out, 0, im.H)
+	return out
+}
+
+// LumaRowsInto is LumaInto for rows [y0, y1) only: it writes those rows of
+// the luma plane into the same rows of out, which must have length W*H.
+// Disjoint row ranges touch disjoint elements, so a row-parallel loop may
+// convert one image with several calls.
+func (im *Image) LumaRowsInto(out []float64, y0, y1 int) {
 	if len(out) != im.W*im.H {
 		panic(fmt.Sprintf("frame: LumaInto buffer length %d != %dx%d", len(out), im.W, im.H))
 	}
-	i := 0
-	for y := 0; y < im.H; y++ {
+	for y := y0; y < y1; y++ {
 		row := y * im.Stride
-		for x := 0; x < im.W; x++ {
-			p := row + x
-			out[i] = 0.299*float64(im.R[p]) + 0.587*float64(im.G[p]) + 0.114*float64(im.B[p])
-			i++
+		o := out[y*im.W : (y+1)*im.W]
+		r, g, b := im.R[row:row+im.W], im.G[row:row+im.W], im.B[row:row+im.W]
+		for x := range o {
+			o[x] = 0.299*float64(r[x]) + 0.587*float64(g[x]) + 0.114*float64(b[x])
 		}
 	}
-	return out
 }
 
 // Equal reports whether the two images have identical dimensions and pixels.

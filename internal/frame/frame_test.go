@@ -146,6 +146,39 @@ func TestLuma(t *testing.T) {
 	}
 }
 
+// TestLumaRowsIntoMatchesPerPixel converts a strided view in uneven row
+// ranges, as a row-parallel caller does, and requires every element to equal
+// the per-pixel formula bit for bit.
+func TestLumaRowsIntoMatchesPerPixel(t *testing.T) {
+	parent := NewImage(23, 11)
+	for i := range parent.R {
+		parent.R[i], parent.G[i], parent.B[i] = uint8(i*37), uint8(i*91+5), uint8(i*13+200)
+	}
+	view := parent.MustSubImage(3, 2, 17, 8)
+	out := make([]float64, view.W*view.H)
+	for i := range out {
+		out[i] = -1
+	}
+	for _, r := range [][2]int{{5, 8}, {0, 1}, {1, 5}} {
+		view.LumaRowsInto(out, r[0], r[1])
+	}
+	for y := 0; y < view.H; y++ {
+		for x := 0; x < view.W; x++ {
+			p := view.Index(x, y)
+			want := 0.299*float64(view.R[p]) + 0.587*float64(view.G[p]) + 0.114*float64(view.B[p])
+			if got := out[y*view.W+x]; got != want {
+				t.Fatalf("luma (%d,%d) = %v, want %v", x, y, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("short buffer should panic")
+		}
+	}()
+	view.LumaRowsInto(out[1:], 0, 1)
+}
+
 func TestDepthMapBasics(t *testing.T) {
 	d := NewDepthMap(4, 3)
 	d.Fill(0.5)

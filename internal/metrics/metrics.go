@@ -12,6 +12,10 @@
 // structural/texture damage that bilinear error accumulation causes — the
 // property the paper's Fig. 14b argument rests on. The substitution is
 // recorded in DESIGN.md.
+//
+// Every metric works on the two images' luma planes. Measure converts each
+// image once and computes all three scores from that pair; MSE, PSNR, SSIM
+// and LPIPSProxy run one metric on the same plane functions.
 package metrics
 
 import (
@@ -24,35 +28,120 @@ import (
 	"gamestreamsr/internal/parallel"
 )
 
-// scratch recycles the luma planes, feature maps and pyramid levels of the
-// metrics across calls. Package-level because metric functions are free
-// functions; the pool is concurrency-safe, and all checkouts are returned
-// before the metric returns, so steady state pins only one frame's worth of
-// planes per concurrent caller.
+// scratch recycles the luma planes and pyramid levels of the metrics across
+// calls. Package-level because metric functions are free functions; the pool
+// is concurrency-safe, and all checkouts are returned before the metric
+// returns, so steady state pins only one luma pyramid pair per concurrent
+// caller.
 var scratch = bufpool.New()
 
 // ErrSizeMismatch is returned when the two images differ in geometry.
 var ErrSizeMismatch = errors.New("metrics: image sizes differ")
 
-// MSE returns the mean squared error between the luma planes of a and b.
-func MSE(a, b *frame.Image) (float64, error) {
-	return MSEOn(nil, a, b)
+// ssimWin is SSIM's window side, and so the smallest image Measure accepts.
+const ssimWin = 8
+
+// Scores are the quality metrics of one image against its reference.
+type Scores struct {
+	PSNR, SSIM, LPIPS float64
 }
 
-// MSEOn is MSE with the reduction attributed to the scheduler client c (nil
-// means the default client). Results are byte-identical whichever client
-// runs them — the chunk grid depends only on the plane size.
-func MSEOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrSizeMismatch, a.W, a.H, b.W, b.H)
+// Measure returns PSNR, SSIM and the LPIPS proxy of b against a, computed
+// from one luma plane per image converted row-parallel under the scheduler
+// client c (nil means the default client). Each score is bit-identical to
+// the corresponding plain function's at any worker count: every reduction's
+// chunk grid depends only on the plane size.
+func Measure(c *parallel.Client, a, b *frame.Image) (Scores, error) {
+	if err := checkMSE(a, b); err != nil {
+		return Scores{}, err
 	}
-	if a.W == 0 || a.H == 0 {
-		return 0, errors.New("metrics: empty image")
+	if err := checkSSIM(a, b); err != nil {
+		return Scores{}, err
 	}
-	la := a.LumaInto(scratch.Float64s(a.W * a.H))
-	lb := b.LumaInto(scratch.Float64s(b.W * b.H))
+	la, lb := lumaPair(c, a, b)
 	defer scratch.PutFloat64s(la)
 	defer scratch.PutFloat64s(lb)
+	return Scores{
+		PSNR:  psnr(c, la, lb, a.W, a.H),
+		SSIM:  ssim(c, la, lb, a.W, a.H),
+		LPIPS: lpips(c, la, lb, a.W, a.H),
+	}, nil
+}
+
+// lumaPair converts both images to pooled luma planes, row-parallel under c.
+// The caller returns both planes to scratch.
+func lumaPair(c *parallel.Client, a, b *frame.Image) (la, lb []float64) {
+	la, lb = scratch.Float64s(a.W*a.H), scratch.Float64s(b.W*b.H)
+	c.For(a.H, func(y0, y1 int) {
+		a.LumaRowsInto(la, y0, y1)
+		b.LumaRowsInto(lb, y0, y1)
+	})
+	return la, lb
+}
+
+// plain runs one plane metric on the default client after its own size
+// check: the body of the single-metric functions.
+func plain(a, b *frame.Image, check func(a, b *frame.Image) error,
+	metric func(c *parallel.Client, la, lb []float64, w, h int) float64) (float64, error) {
+	if err := check(a, b); err != nil {
+		return 0, err
+	}
+	la, lb := lumaPair(nil, a, b)
+	defer scratch.PutFloat64s(la)
+	defer scratch.PutFloat64s(lb)
+	return metric(nil, la, lb, a.W, a.H), nil
+}
+
+func sameSize(a, b *frame.Image) error {
+	if a.W != b.W || a.H != b.H {
+		return fmt.Errorf("%w: %dx%d vs %dx%d", ErrSizeMismatch, a.W, a.H, b.W, b.H)
+	}
+	return nil
+}
+
+func checkMSE(a, b *frame.Image) error {
+	if err := sameSize(a, b); err != nil {
+		return err
+	}
+	if a.W == 0 || a.H == 0 {
+		return errors.New("metrics: empty image")
+	}
+	return nil
+}
+
+func checkSSIM(a, b *frame.Image) error {
+	if err := sameSize(a, b); err != nil {
+		return err
+	}
+	if a.W < ssimWin || a.H < ssimWin {
+		return fmt.Errorf("metrics: image %dx%d smaller than SSIM window %d", a.W, a.H, ssimWin)
+	}
+	return nil
+}
+
+func checkLPIPS(a, b *frame.Image) error {
+	if err := sameSize(a, b); err != nil {
+		return err
+	}
+	if a.W < 4 || a.H < 4 {
+		return fmt.Errorf("metrics: image %dx%d too small for perceptual metric", a.W, a.H)
+	}
+	return nil
+}
+
+// MSE returns the mean squared error between the luma planes of a and b.
+func MSE(a, b *frame.Image) (float64, error) {
+	return plain(a, b, checkMSE, mse)
+}
+
+// PSNR returns the peak signal-to-noise ratio in dB between the luma planes
+// of a and b. Identical images return +Inf.
+func PSNR(a, b *frame.Image) (float64, error) {
+	return plain(a, b, checkMSE, psnr)
+}
+
+// mse is the mean squared difference of two luma planes of w×h.
+func mse(c *parallel.Client, la, lb []float64, _, _ int) float64 {
 	sum := c.Sum(len(la), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
@@ -61,25 +150,15 @@ func MSEOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 		}
 		return s
 	})
-	return sum / float64(len(la)), nil
+	return sum / float64(len(la))
 }
 
-// PSNR returns the peak signal-to-noise ratio in dB between the luma planes
-// of a and b. Identical images return +Inf.
-func PSNR(a, b *frame.Image) (float64, error) {
-	return PSNROn(nil, a, b)
-}
-
-// PSNROn is PSNR attributed to the scheduler client c (nil means default).
-func PSNROn(c *parallel.Client, a, b *frame.Image) (float64, error) {
-	mse, err := MSEOn(c, a, b)
-	if err != nil {
-		return 0, err
+func psnr(c *parallel.Client, la, lb []float64, w, h int) float64 {
+	m := mse(c, la, lb, w, h)
+	if m == 0 {
+		return math.Inf(1)
 	}
-	if mse == 0 {
-		return math.Inf(1), nil
-	}
-	return 10 * math.Log10(255*255/mse), nil
+	return 10 * math.Log10(255*255/m)
 }
 
 // PSNRRegion computes PSNR restricted to the given rectangle.
@@ -104,37 +183,27 @@ func PSNRRegion(a, b *frame.Image, r frame.Rect) (float64, error) {
 // SSIM returns the mean structural similarity index between the luma planes
 // of a and b, computed over 8×8 windows with the standard constants.
 func SSIM(a, b *frame.Image) (float64, error) {
-	return SSIMOn(nil, a, b)
+	return plain(a, b, checkSSIM, ssim)
 }
 
-// SSIMOn is SSIM attributed to the scheduler client c (nil means default).
-func SSIMOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrSizeMismatch, a.W, a.H, b.W, b.H)
-	}
-	const win = 8
-	if a.W < win || a.H < win {
-		return 0, fmt.Errorf("metrics: image %dx%d smaller than SSIM window %d", a.W, a.H, win)
-	}
-	la := a.LumaInto(scratch.Float64s(a.W * a.H))
-	lb := b.LumaInto(scratch.Float64s(b.W * b.H))
-	defer scratch.PutFloat64s(la)
-	defer scratch.PutFloat64s(lb)
+// ssim is the mean SSIM over the whole 8×8 windows of two w×h luma planes.
+func ssim(c *parallel.Client, la, lb []float64, w, h int) float64 {
 	const (
-		c1 = 6.5025  // (0.01*255)^2
-		c2 = 58.5225 // (0.03*255)^2
+		win = ssimWin
+		c1  = 6.5025  // (0.01*255)^2
+		c2  = 58.5225 // (0.03*255)^2
 	)
-	winRows := a.H / win
-	winCols := a.W / win
+	winRows := h / win
+	winCols := w / win
 	// One parallel band per row of windows; each window is self-contained.
 	total := c.Sum(winRows, func(r0, r1 int) float64 {
 		var band float64
 		for r := r0; r < r1; r++ {
 			y := r * win
-			for x := 0; x+win <= a.W; x += win {
+			for x := 0; x+win <= w; x += win {
 				var ma, mb float64
 				for j := 0; j < win; j++ {
-					row := (y + j) * a.W
+					row := (y + j) * w
 					for i := 0; i < win; i++ {
 						ma += la[row+x+i]
 						mb += lb[row+x+i]
@@ -145,7 +214,7 @@ func SSIMOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 				mb /= n
 				var va, vb, cov float64
 				for j := 0; j < win; j++ {
-					row := (y + j) * a.W
+					row := (y + j) * w
 					for i := 0; i < win; i++ {
 						da := la[row+x+i] - ma
 						db := lb[row+x+i] - mb
@@ -162,7 +231,7 @@ func SSIMOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 		}
 		return band
 	})
-	return total / float64(winRows*winCols), nil
+	return total / float64(winRows*winCols)
 }
 
 // TemporalStability measures quality flicker over a sequence: the mean
@@ -184,101 +253,97 @@ func TemporalStability(series []float64) (float64, error) {
 // LPIPSProxy returns a perceptual distance in [0, 1]; 0 means perceptually
 // identical. See the package comment for how it relates to LPIPS.
 func LPIPSProxy(a, b *frame.Image) (float64, error) {
-	return LPIPSProxyOn(nil, a, b)
+	return plain(a, b, checkLPIPS, lpips)
 }
 
-// LPIPSProxyOn is LPIPSProxy attributed to the scheduler client c (nil
-// means default).
-func LPIPSProxyOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
-	if a.W != b.W || a.H != b.H {
-		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrSizeMismatch, a.W, a.H, b.W, b.H)
-	}
-	if a.W < 4 || a.H < 4 {
-		return 0, fmt.Errorf("metrics: image %dx%d too small for perceptual metric", a.W, a.H)
-	}
-	la := a.LumaInto(scratch.Float64s(a.W * a.H))
-	lb := b.LumaInto(scratch.Float64s(b.W * b.H))
-	w, h := a.W, a.H
+// lpips is the perceptual distance of two w×h luma planes (w, h >= 4),
+// which it reads but does not return to the pool. Three pyramid levels,
+// four feature channels per level; a level's channel sums come from one
+// fused pass that computes the features of both planes at each index and
+// stores none of them.
+func lpips(c *parallel.Client, la, lb []float64, w, h int) float64 {
+	var accBuf [8]float64
 	var dist float64
 	levels := 0
-	// Three pyramid levels, four feature channels per level. Every plane —
-	// luma, features, downsampled pyramid levels — is pooled and returned
-	// before the next level replaces it.
-	var fa, fb [4][]float64
-	for i := range fa {
-		fa[i] = scratch.Float64s(w * h)
-		fb[i] = scratch.Float64s(w * h)
-	}
-	for level := 0; level < 3 && w >= 4 && h >= 4; level++ {
-		featureChannelsInto(c, &fa, la, w, h)
-		featureChannelsInto(c, &fb, lb, w, h)
-		for ch := range fa {
-			dist += normalisedDistance(c, fa[ch][:w*h], fb[ch][:w*h])
+	pa, pb := la, lb
+	for level := 0; ; level++ {
+		acc := c.SumVecInto(accBuf[:], w*h, 8, func(lo, hi int, acc []float64) {
+			featureSums(acc, pa, pb, w, h, lo, hi)
+		})
+		for ch := 0; ch < 4; ch++ {
+			dist += channelDistance(acc[2*ch], acc[2*ch+1])
 		}
 		levels++
-		nla, nlb := scratch.Float64s(w/2*(h/2)), scratch.Float64s(w/2*(h/2))
-		downsample2Into(c, nla, la, w, h)
-		downsample2Into(c, nlb, lb, w, h)
-		scratch.PutFloat64s(la)
-		scratch.PutFloat64s(lb)
-		la, lb = nla, nlb
+		if level == 2 || w/2 < 4 || h/2 < 4 {
+			break
+		}
+		na, nb := scratch.Float64s(w/2*(h/2)), scratch.Float64s(w/2*(h/2))
+		downsample2Into(c, na, pa, w, h)
+		downsample2Into(c, nb, pb, w, h)
+		if level > 0 {
+			scratch.PutFloat64s(pa)
+			scratch.PutFloat64s(pb)
+		}
+		pa, pb = na, nb
 		w, h = w/2, h/2
 	}
-	for i := range fa {
-		scratch.PutFloat64s(fa[i])
-		scratch.PutFloat64s(fb[i])
+	if levels > 1 {
+		scratch.PutFloat64s(pa)
+		scratch.PutFloat64s(pb)
 	}
-	scratch.PutFloat64s(la)
-	scratch.PutFloat64s(lb)
 	// Average over channels and levels; squash into [0, 1].
 	d := dist / float64(levels*4)
-	return 1 - math.Exp(-3*d), nil
+	return 1 - math.Exp(-3*d)
 }
 
-// featureChannelsInto extracts the four per-pixel feature maps at one
-// scale — local contrast, |∂x|, |∂y| and |Laplacian| — into the first w·h
-// elements of each plane of out, which must be at least that long and may
-// be dirty (every element in range is overwritten).
-func featureChannelsInto(c *parallel.Client, out *[4][]float64, l []float64, w, h int) {
-	c.For(h, func(y0, y1 int) {
-		for y := y0; y < y1; y++ {
-			for x := 0; x < w; x++ {
-				i := y*w + x
-				c := l[i]
-				left, right := c, c
-				up, down := c, c
-				if x > 0 {
-					left = l[i-1]
-				}
-				if x < w-1 {
-					right = l[i+1]
-				}
-				if y > 0 {
-					up = l[i-w]
-				}
-				if y < h-1 {
-					down = l[i+w]
-				}
-				out[0][i] = c
-				out[1][i] = math.Abs(right - left)
-				out[2][i] = math.Abs(down - up)
-				out[3][i] = math.Abs(left + right + up + down - 4*c)
-			}
+// featureSums adds, for the plane indices [lo, hi) in order, each feature
+// channel's |fa−fb| into acc[2·ch] and |fa|+|fb| into acc[2·ch+1], where fa
+// and fb are the channel's values in la and lb.
+func featureSums(acc, la, lb []float64, w, h, lo, hi int) {
+	s := [8]float64(acc)
+	y, x := lo/w, lo%w
+	for i := lo; i < hi; i++ {
+		a0, a1, a2, a3 := features(la, i, x, y, w, h)
+		b0, b1, b2, b3 := features(lb, i, x, y, w, h)
+		s[0] += math.Abs(a0 - b0)
+		s[1] += math.Abs(a0) + math.Abs(b0)
+		s[2] += math.Abs(a1 - b1)
+		s[3] += math.Abs(a1) + math.Abs(b1)
+		s[4] += math.Abs(a2 - b2)
+		s[5] += math.Abs(a2) + math.Abs(b2)
+		s[6] += math.Abs(a3 - b3)
+		s[7] += math.Abs(a3) + math.Abs(b3)
+		if x++; x == w {
+			x, y = 0, y+1
 		}
-	})
+	}
+	copy(acc, s[:])
 }
 
-// normalisedDistance is the mean absolute difference of two feature maps
-// normalised by their pooled energy, as LPIPS normalises channel activations.
-func normalisedDistance(c *parallel.Client, a, b []float64) float64 {
-	var accBuf [2]float64
-	acc := c.SumVecInto(accBuf[:], len(a), 2, func(lo, hi int, acc []float64) {
-		for i := lo; i < hi; i++ {
-			acc[0] += math.Abs(a[i] - b[i])
-			acc[1] += math.Abs(a[i]) + math.Abs(b[i])
-		}
-	})
-	diff, energy := acc[0], acc[1]
+// features returns the four feature values of plane l at index i = y·w+x:
+// local contrast, |∂x|, |∂y| and |Laplacian|, with edges replicated.
+func features(l []float64, i, x, y, w, h int) (f0, f1, f2, f3 float64) {
+	c := l[i]
+	left, right := c, c
+	up, down := c, c
+	if x > 0 {
+		left = l[i-1]
+	}
+	if x < w-1 {
+		right = l[i+1]
+	}
+	if y > 0 {
+		up = l[i-w]
+	}
+	if y < h-1 {
+		down = l[i+w]
+	}
+	return c, math.Abs(right - left), math.Abs(down - up), math.Abs(left + right + up + down - 4*c)
+}
+
+// channelDistance is one channel's mean absolute difference normalised by
+// its pooled energy, as LPIPS normalises channel activations.
+func channelDistance(diff, energy float64) float64 {
 	if energy < 1e-9 {
 		return 0
 	}

@@ -552,16 +552,7 @@ func (e *engineRun) measureFrame(job *FrameJob) (FrameResult, error) {
 	if job.Frozen {
 		return e.frozenFrame(job)
 	}
-	gt := e.renderGT(job)
-	psnr, err := metrics.PSNROn(job.Sched, gt, job.Up)
-	if err != nil {
-		return FrameResult{}, err
-	}
-	ssim, err := metrics.SSIMOn(job.Sched, gt, job.Up)
-	if err != nil {
-		return FrameResult{}, err
-	}
-	lpips, err := metrics.LPIPSProxyOn(job.Sched, gt, job.Up)
+	q, err := metrics.Measure(job.Sched, e.renderGT(job), job.Up)
 	if err != nil {
 		return FrameResult{}, err
 	}
@@ -575,7 +566,7 @@ func (e *engineRun) measureFrame(job *FrameJob) (FrameResult, error) {
 		Type:   job.Type,
 		Stages: st,
 		RoI:    job.RoI,
-		PSNR:   psnr, SSIM: ssim, LPIPS: lpips,
+		PSNR:   q.PSNR, SSIM: q.SSIM, LPIPS: q.LPIPS,
 		Bytes:      job.NominalBytes,
 		CodedBytes: job.CodedBytes,
 		Energy:     energy,
@@ -617,17 +608,11 @@ func (e *engineRun) frozenFrame(job *FrameJob) (FrameResult, error) {
 	if job.Display == nil {
 		return fr, nil // nothing on screen yet — skip the GT render entirely
 	}
-	gt := e.renderGT(job)
-	var err error
-	if fr.PSNR, err = metrics.PSNROn(job.Sched, gt, job.Display); err != nil {
+	q, err := metrics.Measure(job.Sched, e.renderGT(job), job.Display)
+	if err != nil {
 		return fr, err
 	}
-	if fr.SSIM, err = metrics.SSIMOn(job.Sched, gt, job.Display); err != nil {
-		return fr, err
-	}
-	if fr.LPIPS, err = metrics.LPIPSProxyOn(job.Sched, gt, job.Display); err != nil {
-		return fr, err
-	}
+	fr.PSNR, fr.SSIM, fr.LPIPS = q.PSNR, q.SSIM, q.LPIPS
 	if e.cfg.KeepFrames {
 		fr.Upscaled = job.Display
 	}

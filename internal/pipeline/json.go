@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"time"
 
 	"gamestreamsr/internal/codec"
@@ -28,13 +30,43 @@ type frameJSON struct {
 	Type       string             `json:"type"`
 	Stages     map[string]float64 `json:"stages_ms"`
 	RoI        frame.Rect         `json:"roi"`
-	PSNR       float64            `json:"psnr_db"`
+	PSNR       jsonFloat          `json:"psnr_db"`
 	SSIM       float64            `json:"ssim"`
 	LPIPS      float64            `json:"lpips"`
 	Bytes      int                `json:"bytes"`
 	CodedBytes int                `json:"coded_bytes"`
 	Dropped    bool               `json:"dropped,omitempty"`
 	Energy     map[string]float64 `json:"energy_j"`
+}
+
+// jsonFloat is a float64 that survives JSON when infinite: PSNR is +Inf for
+// a frame identical to its ground truth, which encoding/json refuses to
+// write. An infinity is written as the string "+Inf" or "-Inf"; every finite
+// value is written exactly as a plain float64, so finite archives are
+// unchanged.
+type jsonFloat float64
+
+func (f jsonFloat) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(f), 0) {
+		return json.Marshal(strconv.FormatFloat(float64(f), 'g', -1, 64))
+	}
+	return json.Marshal(float64(f))
+}
+
+func (f *jsonFloat) UnmarshalJSON(b []byte) error {
+	if len(b) == 0 || b[0] != '"' {
+		return json.Unmarshal(b, (*float64)(f))
+	}
+	var s string
+	if err := json.Unmarshal(b, &s); err != nil {
+		return err
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil || !math.IsInf(v, 0) {
+		return fmt.Errorf("pipeline: %q is neither a number nor an infinity", s)
+	}
+	*f = jsonFloat(v)
+	return nil
 }
 
 // WriteJSON serialises the result (without pixel data) as indented JSON.
@@ -49,7 +81,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 			Type:       f.Type.String(),
 			Stages:     map[string]float64{},
 			RoI:        f.RoI,
-			PSNR:       f.PSNR,
+			PSNR:       jsonFloat(f.PSNR),
 			SSIM:       f.SSIM,
 			LPIPS:      f.LPIPS,
 			Bytes:      f.Bytes,
@@ -92,7 +124,7 @@ func ReadResultJSON(r io.Reader) (*Result, error) {
 		fr := FrameResult{
 			Index:      fj.Index,
 			RoI:        fj.RoI,
-			PSNR:       fj.PSNR,
+			PSNR:       float64(fj.PSNR),
 			SSIM:       fj.SSIM,
 			LPIPS:      fj.LPIPS,
 			Bytes:      fj.Bytes,

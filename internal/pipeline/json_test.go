@@ -2,9 +2,12 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
+
+	"gamestreamsr/internal/codec"
 )
 
 func TestResultJSONRoundTrip(t *testing.T) {
@@ -55,6 +58,41 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := back.GOPEnergyTotal(60); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResultJSONInfinitePSNR archives a frame identical to its ground truth
+// (PSNR +Inf) beside a finite one: both round-trip, the infinity as the
+// string "+Inf", the finite value as the same number encoding/json writes
+// for a plain float64.
+func TestResultJSONInfinitePSNR(t *testing.T) {
+	const finite = 31.415926535897932
+	res := &Result{Pipeline: "x", Frames: []FrameResult{
+		{Index: 0, Type: codec.Intra, PSNR: math.Inf(1), SSIM: 1},
+		{Index: 1, Type: codec.Inter, PSNR: finite, SSIM: 0.9, LPIPS: 0.1},
+	}}
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	plain, _ := json.Marshal(float64(finite))
+	for _, want := range []string{`"psnr_db": "+Inf"`, `"psnr_db": ` + string(plain) + ","} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("archive lacks %s:\n%s", want, buf.String())
+		}
+	}
+	back, err := ReadResultJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(back.Frames) != 2 || !math.IsInf(back.Frames[0].PSNR, 1) || back.Frames[1].PSNR != finite {
+		t.Fatalf("round trip gave %+v", back.Frames)
+	}
+	for _, bad := range []string{`"NaN"`, `"12"`, `"inf dB"`} {
+		in := `{"pipeline":"x","device":"","frames":[{"index":0,"type":"intra","stages_ms":{},"roi":{},"psnr_db":` + bad + `,"ssim":0,"lpips":0,"bytes":0,"coded_bytes":0,"energy_j":{}}]}`
+		if _, err := ReadResultJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("psnr_db %s should not decode", bad)
+		}
 	}
 }
 
