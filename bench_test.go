@@ -65,12 +65,8 @@ func BenchmarkMiscServerSide(b *testing.B)         { runExperiment(b, "misc", be
 // --- extension-study benches -----------------------------------------------------
 
 func BenchmarkExtGOPSensitivity(b *testing.B) { runExperiment(b, "extgop", benchOpt()) }
-func BenchmarkExtLossRobustness(b *testing.B) { runExperiment(b, "extloss", benchOpt()) }
 func BenchmarkExtAdaptiveWindow(b *testing.B) { runExperiment(b, "extadapt", benchOpt()) }
 func BenchmarkExtEngineTimeline(b *testing.B) { runExperiment(b, "extgantt", benchOpt()) }
-func BenchmarkExtEyeTracking(b *testing.B)    { runExperiment(b, "exteye", benchOpt()) }
-func BenchmarkExtRoIQualityEnc(b *testing.B)  { runExperiment(b, "extroiq", benchOpt()) }
-func BenchmarkExtABRLadder(b *testing.B)      { runExperiment(b, "extabr", benchOpt()) }
 
 // --- end-to-end pipeline benches ------------------------------------------------
 

@@ -512,7 +512,7 @@ func cmdTrace(args []string) error {
 	}
 	for _, nd := range dumps {
 		fmt.Printf("== %s ==\n", nd.Name)
-		if err := nd.Dump.Timeline().Render(os.Stdout, *width); err != nil {
+		if err := nd.Dump.Render(os.Stdout, *width); err != nil {
 			return err
 		}
 		if err := writeFrameTable(os.Stdout, nd.Dump); err != nil {
@@ -641,7 +641,7 @@ func writeFrameTable(w io.Writer, d *frametrace.Dump) error {
 	header := false
 	for _, fr := range d.Frames {
 		if fr.ID == 0 {
-			continue // pseudo-frame wrapping a plain timeline: spans only
+			continue // pseudo-frame: spans without frame attributes
 		}
 		if !header {
 			fmt.Fprintln(tw, "frame\tindex\tRoI\tcoded(B)\tlatency(ms)\tslack(ms)\tstatus")

@@ -3,8 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"gamestreamsr/internal/experiments"
 )
 
 func TestRunDispatch(t *testing.T) {
@@ -126,5 +130,46 @@ func TestCmdReport(t *testing.T) {
 	}
 	if err := cmdReport(nil); err == nil {
 		t.Error("missing path should fail")
+	}
+}
+
+// TestDocsMatchRegistry keeps the docs in step with the experiment
+// registry: RESULTS.md's sections are experiments.IDs() in order, followed
+// by its one hand-written "bench" note, and EXPERIMENTS.md's extensions list
+// names exactly the registered ext* ids.
+func TestDocsMatchRegistry(t *testing.T) {
+	read := func(name string) string {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	var sections []string
+	for _, m := range regexp.MustCompile(`(?m)^## (\S+) — `).FindAllStringSubmatch(read("RESULTS.md"), -1) {
+		sections = append(sections, m[1])
+	}
+	if want := append(experiments.IDs(), "bench"); !slices.Equal(sections, want) {
+		t.Errorf("RESULTS.md sections = %v, want %v", sections, want)
+	}
+
+	_, list, ok := strings.Cut(read("EXPERIMENTS.md"), "\n## Extensions")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no extensions section")
+	}
+	list, _, _ = strings.Cut(list, "\n## ")
+	var listed, registered []string
+	for _, m := range regexp.MustCompile("(?m)^\\* `(ext\\w+)`").FindAllStringSubmatch(list, -1) {
+		listed = append(listed, m[1])
+	}
+	for _, id := range experiments.IDs() {
+		if strings.HasPrefix(id, "ext") {
+			registered = append(registered, id)
+		}
+	}
+	slices.Sort(listed)
+	slices.Sort(registered)
+	if !slices.Equal(listed, registered) {
+		t.Errorf("EXPERIMENTS.md lists extensions %v, the registry has %v", listed, registered)
 	}
 }

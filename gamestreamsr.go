@@ -28,7 +28,6 @@ package gamestreamsr
 import (
 	"io"
 
-	"gamestreamsr/internal/abr"
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/device"
@@ -119,7 +118,7 @@ type (
 )
 
 // Scene construction, for defining custom game workloads (see
-// examples/customgame).
+// ExampleNewWorkload).
 type (
 	// Scene is a renderable world for the software renderer.
 	Scene = render.Scene
@@ -320,23 +319,6 @@ type BufferPool = bufpool.Pool
 // NewBufferPool builds an empty pool. Call its Instrument method to expose
 // hit/miss/bytes-in-flight counters on a telemetry registry.
 func NewBufferPool() *BufferPool { return bufpool.New() }
-
-// Adaptive bitrate control (the ladder below the paper's 720p rung).
-type (
-	// ABRConfig tunes the adaptive-bitrate controller.
-	ABRConfig = abr.Config
-	// ABRController selects ladder rungs from throughput observations.
-	ABRController = abr.Controller
-	// ABRRung is one resolution/bitrate step.
-	ABRRung = abr.Rung
-)
-
-// NewABRController builds a throughput-driven ladder controller.
-func NewABRController(cfg ABRConfig) (*ABRController, error) { return abr.New(cfg) }
-
-// DefaultABRLadder returns the 360p…720p ladder with bitrates from the
-// stream model.
-func DefaultABRLadder() []ABRRung { return abr.DefaultLadder() }
 
 // ExperimentOptions tunes the experiment harness scale.
 type ExperimentOptions = experiments.Options

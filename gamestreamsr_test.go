@@ -49,7 +49,7 @@ func TestPublicAPIRegistries(t *testing.T) {
 	if gssr.DefaultServer() == nil {
 		t.Error("server profile missing")
 	}
-	if len(gssr.ExperimentIDs()) != 23 {
+	if len(gssr.ExperimentIDs()) != 19 {
 		t.Errorf("got %d experiments", len(gssr.ExperimentIDs()))
 	}
 }
@@ -160,20 +160,6 @@ func TestPublicAPIQuantizedEDSR(t *testing.T) {
 	}
 	if p, _ := gssr.PSNR(out.Color, up); p < 20 {
 		t.Errorf("int8 engine PSNR %.1f implausible", p)
-	}
-}
-
-func TestPublicAPIABR(t *testing.T) {
-	ladder := gssr.DefaultABRLadder()
-	if len(ladder) == 0 || ladder[len(ladder)-1].Name != "720p" {
-		t.Fatalf("ladder = %+v", ladder)
-	}
-	ctl, err := gssr.NewABRController(gssr.ABRConfig{EWMA: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := ctl.Observe(2); r.Name == "720p" {
-		t.Error("2 Mbps should not sustain 720p")
 	}
 }
 

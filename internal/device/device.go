@@ -118,26 +118,6 @@ type Profile struct {
 
 	// NetworkJPerMB is radio energy per received megabyte.
 	NetworkJPerMB float64
-
-	// BatteryWh is the battery capacity in watt-hours.
-	BatteryWh float64
-	// IdleWatts is the device's baseline draw (SoC idle, OS, panel at
-	// gaming brightness) on top of the streaming pipeline's rails.
-	IdleWatts float64
-}
-
-// GameplayHours projects battery life when the streaming pipeline draws
-// pipelineWatts on top of the baseline — the question a player actually
-// asks of the Fig. 11 energy numbers.
-func (p *Profile) GameplayHours(pipelineWatts float64) float64 {
-	if pipelineWatts < 0 {
-		pipelineWatts = 0
-	}
-	total := pipelineWatts + p.IdleWatts
-	if total <= 0 {
-		return 0
-	}
-	return p.BatteryWh / total
 }
 
 // TabS8 returns the Samsung Galaxy Tab S8 model (Snapdragon 8 Gen 1,
@@ -169,8 +149,6 @@ func TabS8() *Profile {
 		},
 		CPUUpscaleWatts: 1.3,
 		NetworkJPerMB:   0.24,
-		BatteryWh:       30.8, // 8000 mAh @ 3.85 V
-		IdleWatts:       2.6,  // panel at gaming brightness + SoC base
 	}
 }
 
@@ -202,8 +180,6 @@ func Pixel7Pro() *Profile {
 		},
 		CPUUpscaleWatts: 1.3,
 		NetworkJPerMB:   0.24,
-		BatteryWh:       19.2, // 5000 mAh @ 3.85 V
-		IdleWatts:       2.1,
 	}
 }
 

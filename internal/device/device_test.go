@@ -283,29 +283,3 @@ func TestRailString(t *testing.T) {
 		t.Error("rails list")
 	}
 }
-
-func TestGameplayHours(t *testing.T) {
-	for _, p := range Profiles() {
-		if p.BatteryWh <= 0 || p.IdleWatts <= 0 {
-			t.Fatalf("%s: battery model missing", p.Name)
-		}
-		// Our pipeline draws ≈4-5 J per 60-frame GOP ≈ 4-5 W: gameplay
-		// life should land in the 2-5 hour band phones actually exhibit.
-		h := p.GameplayHours(4.5)
-		if h < 2 || h > 5.5 {
-			t.Errorf("%s: gameplay projection %.1f h implausible", p.Name, h)
-		}
-		// More pipeline power → shorter life.
-		if p.GameplayHours(6) >= p.GameplayHours(4) {
-			t.Errorf("%s: battery projection not monotone", p.Name)
-		}
-		// Degenerate inputs.
-		if p.GameplayHours(-5) != p.GameplayHours(0) {
-			t.Errorf("%s: negative power should clamp", p.Name)
-		}
-	}
-	empty := &Profile{}
-	if empty.GameplayHours(0) != 0 {
-		t.Error("zero-capacity profile should project 0 hours")
-	}
-}

@@ -98,6 +98,9 @@ var registry = []struct {
 	{"fig14b", "Fig 14b: LPIPS improvement vs SOTA", Fig14b},
 	{"fig15", "Fig 15: RoI-guided SR-integrated decoder (future work)", Fig15},
 	{"misc", "§IV-B2 server-side observations", Misc},
+	{"extgop", "Extension: keyframe-interval sensitivity (§II-B)", ExtGOP},
+	{"extadapt", "Extension: adaptive RoI window under throttling", ExtAdapt},
+	{"extgantt", "Extension: upscale-engine occupancy timeline (ours)", ExtGantt},
 }
 
 // IDs returns the experiment ids in order.

@@ -7,98 +7,14 @@ import (
 
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/device"
-	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/games"
-	"gamestreamsr/internal/metrics"
 	"gamestreamsr/internal/nemo"
-	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
-	"gamestreamsr/internal/roi"
-	"gamestreamsr/internal/trace"
 )
 
 // Extension experiments beyond the paper's figures: sensitivity studies on
 // the design knobs DESIGN.md calls out. Registered under ext* ids.
-
-func init() {
-	registry = append(registry,
-		struct {
-			ID, Title string
-			Run       Runner
-		}{"extgop", "Extension: keyframe-interval sensitivity (§II-B)", ExtGOP},
-		struct {
-			ID, Title string
-			Run       Runner
-		}{"extloss", "Extension: frame-loss robustness (motivating study [8])", ExtLoss},
-		struct {
-			ID, Title string
-			Run       Runner
-		}{"extadapt", "Extension: adaptive RoI window under throttling", ExtAdapt},
-		struct {
-			ID, Title string
-			Run       Runner
-		}{"extgantt", "Extension: upscale-engine occupancy timeline (ours)", ExtGantt},
-		struct {
-			ID, Title string
-			Run       Runner
-		}{"exteye", "Extension: camera eye-tracking vs depth-guided RoI (§III-A)", ExtEye},
-		struct {
-			ID, Title string
-			Run       Runner
-		}{"extroiq", "Extension: RoI-aware encoding quality/bitrate", ExtRoIQ},
-	)
-}
-
-// ExtEye measures the trade-off behind the paper's §III-A rejection of
-// camera-based gaze tracking: the camera draws 2.8 W continuously and its
-// estimate lags/noises behind the player's attention, while depth-guided
-// detection is exact (it reads the renderer's own data) and free at the
-// client.
-func ExtEye(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	g, err := games.ByID("G10") // fast motion stresses gaze lag the most
-	if err != nil {
-		return err
-	}
-	cfg := pipeline.Config{Game: g, SimDiv: opt.SimDiv}.WithDefaults()
-	simW := cfg.LRWidth / opt.SimDiv
-	simH := cfg.LRHeight / opt.SimDiv
-	det, err := roi.New(roi.Config{WindowW: 36, WindowH: 36})
-	if err != nil {
-		return err
-	}
-	gt, err := roi.NewGazeTracker(det, roi.GazeConfig{})
-	if err != nil {
-		return err
-	}
-	var sumErr, maxErr float64
-	n := 18
-	for i := 0; i < n; i++ {
-		out := cfg.Game.Render(cfg.Renderer, i*opt.SimDiv, simW, simH)
-		gaze, ref, err := gt.Detect(out.Depth)
-		if err != nil {
-			return err
-		}
-		e := roi.CenterError(gaze, ref)
-		sumErr += e
-		if e > maxErr {
-			maxErr = e
-		}
-	}
-	dev := device.Pixel7Pro()
-	cameraJ := dev.Power[device.RailCamera] // watts ≈ J per second of gameplay
-	tw := newTab(w)
-	fmt.Fprintln(tw, "RoI source\tplacement error (px, mean/max)\textra power\textra energy per 60-frame GOP")
-	fmt.Fprintf(tw, "depth-guided (ours)\t0.0 / 0.0\t0 W\t0 J\n")
-	fmt.Fprintf(tw, "camera gaze tracking\t%.1f / %.1f\t%.1f W\t%.2f J\n",
-		sumErr/float64(n), maxErr, dev.Power[device.RailCamera], cameraJ)
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "placement error is on the %dx%d simulated LR frame (scale by %d for 720p pixels)\n",
-		simW, simH, opt.SimDiv)
-	return nil
-}
 
 // ExtGOP sweeps the keyframe interval: shorter GOPs (fast-paced games,
 // §II-B) hit the SOTA with more reference-frame peaks, while our design is
@@ -168,45 +84,6 @@ func meanUpscaleAll(r *pipeline.Result, gop int) time.Duration {
 	return (ref + time.Duration(gop-1)*non) / time.Duration(gop)
 }
 
-// ExtLoss sweeps the frame-drop rate including the motivating study's
-// measured 44% (5G mmWave) and 90% (congested WiFi) figures.
-func ExtLoss(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	g, err := games.ByID("G3")
-	if err != nil {
-		return err
-	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "loss rate\tdropped\tdelivered\tmean PSNR(dB)\tmean LPIPS")
-	for _, rate := range []float64{0, 0.1, 0.44, 0.9} {
-		cfg := pipeline.Config{
-			Game: g, SimDiv: opt.SimDiv, GOPSize: opt.GOPSize,
-			Net:     network.Config{LossRate: rate, Seed: 11},
-			Metrics: opt.Metrics,
-			Flight:  opt.Flight,
-		}
-		gs, err := pipeline.NewGameStream(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := gs.Run(3 * opt.GOPSize)
-		if err != nil {
-			return err
-		}
-		p, err := res.MeanPSNR()
-		if err != nil {
-			return err
-		}
-		l, err := res.MeanLPIPS()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%.0f%%\t%d\t%d\t%.2f\t%.3f\n",
-			rate*100, res.DropCount(), len(res.Frames)-res.DropCount(), p, l)
-	}
-	return tw.Flush()
-}
-
 // ExtAdapt demonstrates the adaptive RoI window controller under a thermal
 // throttling episode: the NPU slows to 70% mid-session and later recovers;
 // the controller keeps the upscale stage inside the deadline throughout.
@@ -247,107 +124,22 @@ func ExtAdapt(w io.Writer, _ Options) error {
 // the decoder precedes them, the display follows.
 func ExtGantt(w io.Writer, _ Options) error {
 	dev := device.TabS8()
-	lrPx := 1280 * 720
-	hrPx := 2560 * 1440
-	roiPx := 300 * 300
-	var tl trace.Timeline
-	t0 := time.Duration(0)
-	dec := dev.HWDecodeLatency(lrPx)
-	tl.Add("hwdec", "decode", t0, t0+dec)
-	t1 := t0 + dec
-	sr := dev.SRLatency(roiPx)
-	gpu := dev.GPUBilinearLatency(hrPx - 600*600)
-	tl.Add("npu", "sr-roi", t1, t1+sr)
-	tl.Add("gpu", "bilinear", t1, t1+gpu)
-	t2 := t1 + max(sr, gpu)
-	tl.Add("gpu", "merge", t2, t2+dev.MergeLatency())
+	dec := dev.HWDecodeLatency(1280 * 720)
+	sr := dev.SRLatency(300 * 300)
+	gpu := dev.GPUBilinearLatency(2560*1440 - 600*600)
+	t2 := dec + max(sr, gpu)
 	t3 := t2 + dev.MergeLatency()
-	tl.Add("display", "display", t3, t3+dev.DisplayActive())
-	if err := tl.Render(w, 72); err != nil {
+	end := t3 + dev.DisplayActive()
+	d := &frametrace.Dump{Frames: []frametrace.DumpFrame{{Spans: []frametrace.Span{
+		{Lane: "hwdec", Name: "decode", End: dec},
+		{Lane: "npu", Name: "sr-roi", Start: dec, End: dec + sr},
+		{Lane: "gpu", Name: "bilinear", Start: dec, End: dec + gpu},
+		{Lane: "gpu", Name: "merge", Start: t2, End: t3},
+		{Lane: "display", Name: "display", Start: t3, End: end},
+	}}}}
+	if err := d.Render(w, 72); err != nil {
 		return err
 	}
-	totals := tl.TotalByName()
-	fmt.Fprintf(w, "client total: %.2f ms (budget 16.66 ms per stage, pipelined)\n",
-		ms(totals["decode"]+max(totals["sr-roi"], totals["bilinear"])+totals["merge"]+totals["display"]))
+	fmt.Fprintf(w, "client total: %.2f ms (budget 16.66 ms per stage, pipelined)\n", ms(end))
 	return nil
-}
-
-// ExtRoIQ evaluates RoI-aware *encoding* (related-work §"RoI Detection in
-// Games"): spending the bit budget where the player looks. The same frame
-// is coded uniformly coarse, uniformly fine, and coarse-with-fine-RoI; the
-// table reports bytes and in/out-of-RoI quality.
-func ExtRoIQ(w io.Writer, opt Options) error {
-	opt = opt.withDefaults()
-	g, err := games.ByID("G3")
-	if err != nil {
-		return err
-	}
-	cfg := pipeline.Config{Game: g, SimDiv: opt.SimDiv}.WithDefaults()
-	simW := cfg.LRWidth / opt.SimDiv
-	simH := cfg.LRHeight / opt.SimDiv
-	out := g.Render(cfg.Renderer, 30, simW, simH)
-	det, err := roi.New(roi.Config{WindowW: 36, WindowH: 36})
-	if err != nil {
-		return err
-	}
-	rect, err := det.Detect(out.Depth)
-	if err != nil {
-		return err
-	}
-
-	type row struct {
-		name  string
-		code  func(*codec.Encoder) ([]byte, error)
-		qBase int
-	}
-	rows := []row{
-		{"uniform coarse (q=12)", func(e *codec.Encoder) ([]byte, error) {
-			d, _, err := e.Encode(out.Color)
-			return d, err
-		}, 12},
-		{"RoI-aware (q=12, RoI q=2)", func(e *codec.Encoder) ([]byte, error) {
-			d, _, err := e.EncodeRoI(out.Color, rect, 2)
-			return d, err
-		}, 12},
-		{"uniform fine (q=2)", func(e *codec.Encoder) ([]byte, error) {
-			d, _, err := e.Encode(out.Color)
-			return d, err
-		}, 2},
-	}
-	tw := newTab(w)
-	fmt.Fprintln(tw, "encoding\tbytes\tRoI PSNR(dB)\tnon-RoI PSNR(dB)")
-	for _, r := range rows {
-		enc, err := codec.NewEncoder(codec.Config{Width: simW, Height: simH, QStep: r.qBase})
-		if err != nil {
-			return err
-		}
-		data, err := r.code(enc)
-		if err != nil {
-			return err
-		}
-		df, err := codec.NewDecoder().Decode(data)
-		if err != nil {
-			return err
-		}
-		in, err := metrics.PSNRRegion(out.Color, df.Image, rect)
-		if err != nil {
-			return err
-		}
-		outRect := frameRectOutside(rect, simW, simH)
-		outP, err := metrics.PSNRRegion(out.Color, df.Image, outRect)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\n", r.name, len(data), in, outP)
-	}
-	return tw.Flush()
-}
-
-// frameRectOutside picks a probe rectangle guaranteed not to overlap r.
-func frameRectOutside(r frame.Rect, w, h int) frame.Rect {
-	probe := frame.Rect{X: 2, Y: 2, W: 24, H: 16}
-	if probe.X+probe.W > r.X && r.X+r.W > probe.X && probe.Y+probe.H > r.Y && r.Y+r.H > probe.Y {
-		probe = frame.Rect{X: w - 26, Y: h - 18, W: 24, H: 16}
-	}
-	return probe.Clamp(w, h)
 }

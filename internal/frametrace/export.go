@@ -4,19 +4,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/trace"
 )
 
 // This file is the recorder's interchange layer: Snapshot copies the live
 // ring into a Dump, Dump serialises to the Chrome trace-event JSON that
-// Perfetto (ui.perfetto.dev) and chrome://tracing open directly, and the
-// trace.Timeline converters make the ASCII Gantt renderer and the Perfetto
-// export share one event model — a Timeline can be exported to Perfetto
-// via FromTimeline, and a Dump rendered as ASCII via Dump.Timeline.
+// Perfetto (ui.perfetto.dev) and chrome://tracing open directly, and
+// Dump.Render draws the same spans as an ASCII Gantt chart.
 
 // DumpFrame is one frame of a Dump: the stable copy of a ring record.
 type DumpFrame struct {
@@ -109,36 +107,68 @@ func (r *Recorder) WriteFlight(w io.Writer) error {
 	return r.Snapshot().WriteChromeTrace(w)
 }
 
-// Timeline converts the dump to a trace.Timeline (one event per span), so
-// the existing ASCII Gantt renderer (trace.Render) draws flight windows
-// too. Spans keep their lanes; insertion order is frame order.
-func (d *Dump) Timeline() *trace.Timeline {
-	tl := &trace.Timeline{}
+// Render writes an ASCII Gantt chart of the dump's spans: one row per lane
+// in first-appearance order, width columns wide (at least 20), each span
+// drawn in the first byte of its name, then a footer with the window's
+// bounds. A span whose End precedes its Start is drawn swapped, and every
+// column is clamped into the row. It is what `gssr trace` and extgantt
+// print.
+func (d *Dump) Render(w io.Writer, width int) error {
+	width = max(width, 20)
+	var lanes []string
+	byLane := map[string][]Span{}
+	var lo, hi time.Duration
 	for _, f := range d.Frames {
 		for _, s := range f.Spans {
-			tl.Add(s.Lane, s.Name, s.Start, s.End)
+			if s.End < s.Start {
+				s.Start, s.End = s.End, s.Start
+			}
+			if len(lanes) == 0 { // the first span opens the window
+				lo, hi = s.Start, s.End
+			}
+			lo, hi = min(lo, s.Start), max(hi, s.End)
+			if _, ok := byLane[s.Lane]; !ok {
+				lanes = append(lanes, s.Lane)
+			}
+			byLane[s.Lane] = append(byLane[s.Lane], s)
 		}
 	}
-	return tl
+	if hi == lo {
+		_, err := fmt.Fprintln(w, "(empty timeline)")
+		return err
+	}
+	scale := float64(width) / float64(hi-lo)
+	col := func(t time.Duration) int { return min(max(int(float64(t-lo)*scale), 0), width-1) }
+	labelW := 0
+	for _, l := range lanes {
+		labelW = max(labelW, len(l))
+	}
+	row := make([]byte, width)
+	for _, lane := range lanes {
+		for i := range row {
+			row[i] = '.'
+		}
+		evs := byLane[lane]
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
+		for _, s := range evs {
+			mark := byte('#')
+			if s.Name != "" {
+				mark = s.Name[0]
+			}
+			last := col(s.End)
+			for i := min(col(s.Start), last); i <= last; i++ {
+				row[i] = mark
+			}
+		}
+		if _, err := fmt.Fprintf(w, "%-*s |%s|\n", labelW, lane, row); err != nil {
+			return err
+		}
+	}
+	_, err := fmt.Fprintf(w, "%-*s  %.1fms → %.1fms\n", labelW, "", msf(lo), msf(hi))
+	return err
 }
 
-// FromTimeline wraps a trace.Timeline as a single-frame Dump so live
-// timelines (pipeline.Config.Trace, the Fig. 2/10c series) export to
-// Perfetto through the same WriteChromeTrace path. The pseudo-frame has
-// ID 0, which the exporter treats as "no frame attributes".
-func FromTimeline(tl *trace.Timeline, process string) *Dump {
-	d := &Dump{Process: process}
-	evs := tl.Events()
-	if len(evs) == 0 {
-		return d
-	}
-	f := DumpFrame{ID: 0, Index: -1}
-	for _, e := range evs {
-		f.Spans = append(f.Spans, Span{Lane: e.Lane, Name: e.Name, Start: e.Start, End: e.End})
-	}
-	d.Frames = []DumpFrame{f}
-	return d
-}
+func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // --- Chrome trace-event JSON -------------------------------------------------
 
@@ -263,7 +293,9 @@ func WriteChromeTraces(w io.Writer, dumps []NamedDump) error {
 // ParseChromeTrace reads a trace produced by WriteChromeTrace(s) back into
 // dumps, one per process — what `gssr trace` uses to render a flight dump
 // offline. Spans regain their lanes from the thread_name metadata; frame
-// attributes come from the span args.
+// attributes come from the span args. A span with a non-finite or
+// out-of-range ts or dur (see maxTraceNanos), a negative dur or a frame_id
+// outside uint64 is an error.
 func ParseChromeTrace(r io.Reader) ([]NamedDump, error) {
 	var ct chromeTrace
 	if err := json.NewDecoder(r).Decode(&ct); err != nil {
@@ -305,27 +337,26 @@ func ParseChromeTrace(r io.Reader) ([]NamedDump, error) {
 			}
 		case "X":
 			proc(ev.Pid)
-			id := uint64(num(ev.Args["frame_id"]))
-			k := fkey{ev.Pid, id}
+			start, err := micros("ts", ev.Ts)
+			if err != nil {
+				return nil, err
+			}
+			dur, err := micros("dur", ev.Dur)
+			if err != nil {
+				return nil, err
+			}
+			if dur < 0 {
+				return nil, fmt.Errorf("frametrace: negative dur %g µs", ev.Dur)
+			}
+			rawID := num(ev.Args["frame_id"])
+			if !(rawID >= 0 && rawID < 1<<64) {
+				return nil, fmt.Errorf("frametrace: frame_id %g out of range", rawID)
+			}
+			k := fkey{ev.Pid, uint64(rawID)}
 			f, ok := frames[k]
 			if !ok {
-				f = &DumpFrame{ID: id, Index: -1}
-				if id != 0 {
-					f.Index = int(num(ev.Args["frame_index"]))
-					f.RoI = frame.Rect{
-						X: int(num(ev.Args["roi_x"])), Y: int(num(ev.Args["roi_y"])),
-						W: int(num(ev.Args["roi_w"])), H: int(num(ev.Args["roi_h"])),
-					}
-					f.CodedBytes = int(num(ev.Args["coded_bytes"]))
-					f.NominalBytes = int(num(ev.Args["nominal_bytes"]))
-					f.Frozen, _ = ev.Args["frozen"].(bool)
-					f.Missed, _ = ev.Args["missed"].(bool)
-					f.Latency = time.Duration(num(ev.Args["latency_us"]) * float64(time.Microsecond))
-					f.Slack = time.Duration(num(ev.Args["slack_us"]) * float64(time.Microsecond))
-					f.Age = time.Duration(num(ev.Args["age_us"]) * float64(time.Microsecond))
-					f.ClientAgeP99 = time.Duration(num(ev.Args["client_age_p99_us"]) * float64(time.Microsecond))
-					f.ClientDrops = uint32(num(ev.Args["client_drops"]))
-					f.ClientMisses = uint32(num(ev.Args["client_misses"]))
+				if f, err = parseFrame(k.id, ev.Args); err != nil {
+					return nil, err
 				}
 				frames[k] = f
 				forder = append(forder, k)
@@ -334,11 +365,7 @@ func ParseChromeTrace(r io.Reader) ([]NamedDump, error) {
 			if lane == "" {
 				lane = fmt.Sprintf("tid %d", ev.Tid)
 			}
-			start := time.Duration(ev.Ts * float64(time.Microsecond))
-			f.Spans = append(f.Spans, Span{
-				Lane: lane, Name: ev.Name,
-				Start: start, End: start + time.Duration(ev.Dur*float64(time.Microsecond)),
-			})
+			f.Spans = append(f.Spans, Span{Lane: lane, Name: ev.Name, Start: start, End: start + dur})
 		}
 	}
 	// Frames attach to their process in frame-id order (insertion order for
@@ -361,6 +388,57 @@ func ParseChromeTrace(r io.Reader) ([]NamedDump, error) {
 		out = append(out, *nd)
 	}
 	return out, nil
+}
+
+// parseFrame reads the attributes of frame id from its first span's args.
+// The pseudo-frame 0 carries none.
+func parseFrame(id uint64, args map[string]any) (*DumpFrame, error) {
+	f := &DumpFrame{ID: id, Index: -1}
+	if id == 0 {
+		return f, nil
+	}
+	f.Index = int(num(args["frame_index"]))
+	f.RoI = frame.Rect{
+		X: int(num(args["roi_x"])), Y: int(num(args["roi_y"])),
+		W: int(num(args["roi_w"])), H: int(num(args["roi_h"])),
+	}
+	f.CodedBytes = int(num(args["coded_bytes"]))
+	f.NominalBytes = int(num(args["nominal_bytes"]))
+	f.Frozen, _ = args["frozen"].(bool)
+	f.Missed, _ = args["missed"].(bool)
+	f.ClientDrops = uint32(num(args["client_drops"]))
+	f.ClientMisses = uint32(num(args["client_misses"]))
+	for _, a := range []struct {
+		key string
+		dst *time.Duration
+	}{
+		{"latency_us", &f.Latency}, {"slack_us", &f.Slack},
+		{"age_us", &f.Age}, {"client_age_p99_us", &f.ClientAgeP99},
+	} {
+		d, err := micros(a.key, num(args[a.key]))
+		if err != nil {
+			return nil, err
+		}
+		*a.dst = d
+	}
+	return f, nil
+}
+
+// maxTraceNanos bounds every time a trace may carry. Within ±2^51 ns (about
+// 26 days from the recorder's epoch) a nanosecond survives the format's
+// float64 microseconds exactly, so a parsed trace re-writes and re-parses
+// unchanged; far beyond it the conversion to time.Duration is not even
+// defined.
+const maxTraceNanos = 1 << 51
+
+// micros converts the trace field key, in float64 microseconds, to the
+// nearest nanosecond. A non-finite or out-of-range value is an error.
+func micros(key string, us float64) (time.Duration, error) {
+	ns := math.Round(us * float64(time.Microsecond))
+	if !(math.Abs(ns) <= maxTraceNanos) {
+		return 0, fmt.Errorf("frametrace: %s %g µs out of range", key, us)
+	}
+	return time.Duration(ns), nil
 }
 
 // num coerces a decoded JSON value to float64 (json numbers decode as

@@ -11,7 +11,6 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/telemetry"
-	"gamestreamsr/internal/trace"
 )
 
 // recordFrame runs the full per-frame writer path for one frame: begin,
@@ -357,49 +356,6 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 	if meta < 2 || spans != 3 {
 		t.Errorf("events: %d metadata, %d spans (want >=2, 3)", meta, spans)
-	}
-}
-
-// TestTimelineConverters round-trips both bridges to the trace package: a
-// Dump renders through trace.Timeline, and a plain Timeline exports through
-// FromTimeline as the attribute-free pseudo-frame.
-func TestTimelineConverters(t *testing.T) {
-	r := frametrace.New(frametrace.Config{})
-	lat := [1]frametrace.StageLatency{{Name: "s", D: time.Millisecond}}
-	recordFrame(r, 0, lat)
-	recordFrame(r, 1, lat)
-	tl := r.Snapshot().Timeline()
-	if got := len(tl.Events()); got != 6 {
-		t.Fatalf("timeline has %d events, want 6", got)
-	}
-	if lanes := tl.Lanes(); len(lanes) != 3 {
-		t.Fatalf("timeline lanes = %v", lanes)
-	}
-	var buf bytes.Buffer
-	if err := tl.Render(&buf, 40); err != nil {
-		t.Fatal(err)
-	}
-
-	src := &trace.Timeline{}
-	src.Add("decode", "d", 0, 2*time.Millisecond)
-	src.Add("upscale", "u", 2*time.Millisecond, 5*time.Millisecond)
-	d := frametrace.FromTimeline(src, "fig2")
-	if len(d.Frames) != 1 || d.Frames[0].ID != 0 {
-		t.Fatalf("FromTimeline dump = %+v, want one pseudo-frame with ID 0", d)
-	}
-	buf.Reset()
-	if err := d.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := frametrace.ParseChromeTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || back[0].Name != "fig2" || len(back[0].Dump.Frames) != 1 {
-		t.Fatalf("parsed = %+v", back)
-	}
-	if spans := back[0].Dump.Frames[0].Spans; len(spans) != 2 || spans[0].Lane != "decode" {
-		t.Fatalf("pseudo-frame spans = %+v", spans)
 	}
 }
 

@@ -161,25 +161,6 @@ func psnr(c *parallel.Client, la, lb []float64, w, h int) float64 {
 	return 10 * math.Log10(255*255/m)
 }
 
-// PSNRRegion computes PSNR restricted to the given rectangle.
-func PSNRRegion(a, b *frame.Image, r frame.Rect) (float64, error) {
-	if !r.In(a.W, a.H) || !r.In(b.W, b.H) {
-		return 0, fmt.Errorf("metrics: region %v outside images", r)
-	}
-	if r.Empty() {
-		return 0, frame.ErrEmptyRect
-	}
-	sa, err := a.SubImage(r.X, r.Y, r.W, r.H)
-	if err != nil {
-		return 0, err
-	}
-	sb, err := b.SubImage(r.X, r.Y, r.W, r.H)
-	if err != nil {
-		return 0, err
-	}
-	return PSNR(sa, sb)
-}
-
 // SSIM returns the mean structural similarity index between the luma planes
 // of a and b, computed over 8×8 windows with the standard constants.
 func SSIM(a, b *frame.Image) (float64, error) {

@@ -87,37 +87,6 @@ func TestPSNRSizeMismatch(t *testing.T) {
 	}
 }
 
-func TestPSNRRegion(t *testing.T) {
-	a := noisy(64, 64, 3)
-	b := a.Clone()
-	// Corrupt only the top-left 16x16.
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			b.Set(x, y, 0, 0, 0)
-		}
-	}
-	inside, err := PSNRRegion(a, b, frame.Rect{X: 0, Y: 0, W: 16, H: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outside, err := PSNRRegion(a, b, frame.Rect{X: 32, Y: 32, W: 16, H: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(outside, 1) {
-		t.Errorf("clean region PSNR = %f, want +Inf", outside)
-	}
-	if inside > 20 {
-		t.Errorf("corrupted region PSNR = %f, want low", inside)
-	}
-	if _, err := PSNRRegion(a, b, frame.Rect{X: 60, Y: 0, W: 16, H: 16}); err == nil {
-		t.Error("out-of-bounds region should fail")
-	}
-	if _, err := PSNRRegion(a, b, frame.Rect{}); err == nil {
-		t.Error("empty region should fail")
-	}
-}
-
 func TestSSIMBounds(t *testing.T) {
 	im := noisy(64, 64, 4)
 	s, err := SSIM(im, im.Clone())

@@ -10,14 +10,15 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"time"
 
+	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/nemo"
 	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/srdecoder"
 	"gamestreamsr/internal/telemetry"
-	"gamestreamsr/internal/trace"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -42,7 +43,7 @@ func detConfig(t testing.TB) pipeline.Config {
 func detConfigTelemetry(t testing.TB) pipeline.Config {
 	cfg := detConfig(t)
 	cfg.Metrics = telemetry.NewRegistry()
-	cfg.Trace = &trace.Timeline{}
+	cfg.Flight = frametrace.New(frametrace.Config{Metrics: cfg.Metrics})
 	return cfg
 }
 
@@ -120,7 +121,7 @@ func TestRunDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestRunDeterministicWithTelemetry asserts the telemetry extension of the
 // contract from two directions: instrumented runs are byte-identical to
-// each other AND to uninstrumented runs (enabling a Registry/Timeline must
+// each other AND to uninstrumented runs (enabling a Registry/Recorder must
 // not perturb results), across GOMAXPROCS settings.
 func TestRunDeterministicWithTelemetry(t *testing.T) {
 	plain := runners(t)
@@ -144,7 +145,7 @@ func TestRunDeterministicWithTelemetry(t *testing.T) {
 
 // TestEngineTelemetryCounts asserts the engine actually records what flows
 // through it: frames, freezes, per-stage spans, queue waits, RoI areas and
-// coded bytes, plus timeline lanes for a live Gantt render.
+// coded bytes, and the flight recorder's per-stage spans.
 func TestEngineTelemetryCounts(t *testing.T) {
 	cfg := detConfigTelemetry(t)
 	gs, err := pipeline.NewGameStream(cfg)
@@ -192,16 +193,20 @@ func TestEngineTelemetryCounts(t *testing.T) {
 			t.Errorf("%s negative", c)
 		}
 	}
-	lanes := cfg.Trace.Lanes()
-	if len(lanes) != 3 {
-		t.Fatalf("timeline lanes = %v, want server/client/measure", lanes)
+	// The flight recorder holds one span per stage per frame, on the
+	// server/client/measure lanes.
+	spans, totals := 0, map[string]time.Duration{}
+	for _, f := range cfg.Flight.Snapshot().Frames {
+		for _, sp := range f.Spans {
+			spans++
+			totals[sp.Lane] += sp.Duration()
+		}
 	}
-	if got := len(cfg.Trace.Events()); got != 3*n {
-		t.Errorf("timeline events = %d, want %d", got, 3*n)
+	if len(totals) != 3 || totals["server"] <= 0 || totals["client"] <= 0 || totals["measure"] <= 0 {
+		t.Errorf("flight lane totals = %v, want server/client/measure", totals)
 	}
-	totals := cfg.Trace.TotalByName()
-	if totals["server"] <= 0 || totals["client"] <= 0 || totals["measure"] <= 0 {
-		t.Errorf("timeline totals = %v", totals)
+	if spans != 3*n {
+		t.Errorf("flight spans = %d, want %d", spans, 3*n)
 	}
 	// The run's buffer pool reports on the same registry: a multi-GOP run
 	// must recycle (hits) after warming up (misses), and returns must have

@@ -19,7 +19,6 @@ import (
 	"gamestreamsr/internal/render"
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/telemetry"
-	"gamestreamsr/internal/trace"
 )
 
 // This file is the staged frame-loop engine shared by the three pipeline
@@ -214,13 +213,8 @@ type engineRun struct {
 	lastUp  *frame.Image
 	hadDrop bool
 
-	// Telemetry (all optional): mets are the pre-resolved metric handles,
-	// tl an optional live timeline whose concurrent stage writers are
-	// serialised by tlMu, start the run's wall-clock origin.
-	mets  engineMetrics
-	tl    *trace.Timeline
-	tlMu  sync.Mutex
-	start time.Time
+	// mets are the pre-resolved (optional) metric handles.
+	mets engineMetrics
 	// flight is the optional per-frame flight recorder; every method is a
 	// nil-safe no-op. latScratch is the measure stage's reusable buffer for
 	// deadline accounting, so ObserveDeadline costs no allocation per frame.
@@ -274,29 +268,19 @@ func RunEngine(cfg Config, opt EngineOptions, v Variant, nFrames int) (*Result, 
 		pool:      pool,
 		jobFree:   make(chan *FrameJob, 3+2*opt.Depth),
 		mets:      newEngineMetrics(cfg.Metrics),
-		tl:        cfg.Trace,
 		flight:    cfg.Flight,
-		start:     time.Now(),
 		stop:      make(chan struct{}),
 	}
 	return e.run(nFrames)
 }
 
-// observeSpan records one stage execution in the span histogram, in the
-// flight recorder's per-frame record, and — when a live Timeline is
-// attached — as a trace event on the stage's lane. Called concurrently
-// from every stage goroutine; the recorder locks per frame slot and the
-// Timeline writes are serialised by tlMu.
+// observeSpan records one stage execution in the span histogram and in the
+// flight recorder's per-frame record. Called concurrently from every stage
+// goroutine; the recorder locks per frame slot.
 func (e *engineRun) observeSpan(id uint64, lane string, h *telemetry.Histogram, t0 time.Time) {
 	d := time.Since(t0)
 	h.ObserveDuration(d)
 	e.flight.Span(id, lane, lane, t0, d)
-	if e.tl != nil {
-		off := t0.Sub(e.start)
-		e.tlMu.Lock()
-		e.tl.Add(lane, lane, off, off+d)
-		e.tlMu.Unlock()
-	}
 }
 
 // fail records the first error and releases every blocked stage.

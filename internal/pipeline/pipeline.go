@@ -28,7 +28,6 @@ import (
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/telemetry"
-	"gamestreamsr/internal/trace"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -116,11 +115,6 @@ type Config struct {
 	// Instrumentation is nil-safe and never alters results — the
 	// determinism tests run with it enabled.
 	Metrics *telemetry.Registry
-	// Trace, when non-nil, receives one span per stage execution on the
-	// "server"/"client"/"measure" lanes, so the Fig. 2/10c Gantt charts
-	// can be rendered from a live run. The engine serialises its own
-	// writes; don't write to the same Timeline concurrently elsewhere.
-	Trace *trace.Timeline
 
 	// Flight, when non-nil, attaches a per-frame flight recorder: every
 	// frame gets a monotonically increasing ID, per-stage wall-clock spans

@@ -470,9 +470,9 @@ func TestSustainedFPS(t *testing.T) {
 }
 
 func TestPipelineAtABRLadderGeometries(t *testing.T) {
-	// The pipeline must run at every rung of the ABR ladder, not just the
-	// paper's 720p operating point; the RoI budget then covers a growing
-	// fraction of the frame.
+	// The pipeline must run at a 360p…720p bitrate ladder's geometries, not
+	// just the paper's 720p operating point; the RoI budget then covers a
+	// growing fraction of the frame.
 	g, _ := games.ByID("G5")
 	rungs := []struct {
 		name string
