@@ -21,21 +21,24 @@ func hash2(x, y, seed int64) float64 {
 // smooth is the quintic fade used by Perlin-style noise.
 func smooth(t float64) float64 { return t * t * t * (t*(t*6-15) + 10) }
 
-// valueNoise samples smooth value noise at (x, y) for the given seed.
-// The result is in [0, 1).
-func valueNoise(x, y float64, seed int64) float64 {
-	x0 := math.Floor(x)
-	y0 := math.Floor(y)
-	fx := smooth(x - x0)
-	fy := smooth(y - y0)
-	ix, iy := int64(x0), int64(y0)
-	v00 := hash2(ix, iy, seed)
-	v10 := hash2(ix+1, iy, seed)
-	v01 := hash2(ix, iy+1, seed)
-	v11 := hash2(ix+1, iy+1, seed)
-	top := v00 + (v10-v00)*fx
-	bot := v01 + (v11-v01)*fx
-	return top + (bot-top)*fy
+// noiseCache memoises value noise's lattice hashes: slot o%noiseSlots holds
+// the four corner hashes of the cell octave o sampled last. An octave that
+// survives the band limit has a cell at least two pixels wide (four at full
+// weight), so consecutive pixels of a surface mostly sample the cell their
+// neighbour hashed: nine samples in ten on G3 and G10 (DESIGN.md §26). hash2
+// is a pure function of the cell and the octave's seed, so a hit returns the
+// bits a recomputation would, whichever object, row or frame filled the slot;
+// the cache needs no reset, and each row worker keeps one in its scratch.
+type noiseCache [noiseSlots]noiseCell
+
+const noiseSlots = 16
+
+type noiseCell struct {
+	seed, ix, iy int64
+	// filled tells a slot that holds hashes from a zero one: (0, 0) with
+	// seed 0 is a cell like any other.
+	filled             bool
+	h00, h10, h01, h11 float64
 }
 
 // fbm sums octaves of value noise with persistence 0.5, band-limited to
@@ -46,24 +49,62 @@ func valueNoise(x, y float64, seed int64) float64 {
 // graphics details: the pixel footprint of distant surfaces is large, so
 // their texture is band-limited to low frequencies and the recoverable
 // high-frequency energy concentrates on nearby (foreground) geometry.
-func fbm(x, y float64, octaves int, seed int64, maxFreq float64) float64 {
+//
+// The result is bit for bit that of the uncached kernel in noise_test.go:
+// the same operations on the same operands in the same order, less two that
+// cannot change a bit — the blend of a full-weight octave (1·v + 0·0.5 is v,
+// as v is never −0) and the weights of the octaves after the first cut one
+// (freq only grows, so they are cut too).
+func (c *noiseCache) fbm(x, y float64, octaves int, seed int64, maxFreq float64) float64 {
 	sum, amp, norm := 0.0, 1.0, 0.0
 	freq := 1.0
-	for o := 0; o < octaves; o++ {
+	o := 0
+	for ; o < octaves; o++ {
 		w := octaveWeight(freq, maxFreq)
-		// A fully attenuated octave contributes its mean (0.5) rather than
-		// vanishing, so band-limiting never shifts overall brightness —
-		// exactly like sampling a coarser mip level.
-		v := 0.5
-		if w > 0 {
-			v = w*valueNoise(x*freq, y*freq, seed+int64(o)*1013) + (1-w)*0.5
+		if !(w > 0) {
+			break
+		}
+		px, py := x*freq, y*freq
+		x0 := math.Floor(px)
+		y0 := math.Floor(py)
+		fx := smooth(px - x0)
+		fy := smooth(py - y0)
+		ix, iy, s := int64(x0), int64(y0), seed+int64(o)*1013
+		cell := &c[o%noiseSlots]
+		if !cell.filled || cell.ix != ix || cell.iy != iy || cell.seed != s {
+			cell.fill(ix, iy, s)
+		}
+		top := cell.h00 + (cell.h10-cell.h00)*fx
+		bot := cell.h01 + (cell.h11-cell.h01)*fx
+		v := top + (bot-top)*fy
+		if w != 1 {
+			v = w*v + (1-w)*0.5
 		}
 		sum += amp * v
 		norm += amp
 		amp *= 0.5
 		freq *= 2.1
 	}
+	// A fully attenuated octave contributes its mean (0.5) rather than
+	// vanishing, so band-limiting never shifts overall brightness — exactly
+	// like sampling a coarser mip level.
+	for ; o < octaves; o++ {
+		sum += amp * 0.5
+		norm += amp
+		amp *= 0.5
+	}
 	return sum / norm
+}
+
+// fill hashes the four corners of lattice cell (ix, iy) for seed.
+func (cell *noiseCell) fill(ix, iy, seed int64) {
+	*cell = noiseCell{
+		seed: seed, ix: ix, iy: iy, filled: true,
+		h00: hash2(ix, iy, seed),
+		h10: hash2(ix+1, iy, seed),
+		h01: hash2(ix, iy+1, seed),
+		h11: hash2(ix+1, iy+1, seed),
+	}
 }
 
 // octaveWeight fades an octave of frequency f as it approaches the band

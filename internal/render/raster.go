@@ -48,9 +48,10 @@ type prim struct {
 }
 
 // rowScratch is one worker's list of the prims whose rectangle covers the
-// row it is rendering.
+// row it is rendering, and its texture-noise cache.
 type rowScratch struct {
 	active []*prim
+	noise  noiseCache
 }
 
 // buildPrims fills fs.prims and fs.cols for the frame in fs.frame, after
@@ -233,7 +234,7 @@ func (fs *frameScratch) renderRows(y0, y1 int, rs *rowScratch) {
 			default:
 				pt, n = hit.Point, hit.Normal
 			}
-			col, viewZ := f.surface(best.obj, pt, n, d)
+			col, viewZ := f.surface(best.obj, pt, n, d, &rs.noise)
 			f.store(ci+x, zi+x, col, viewZ)
 		}
 	}

@@ -223,10 +223,14 @@ func benchRender(b *testing.B, rd *render.Renderer, w, h int) {
 // G3 at the live workloads' geometry, at the paper's, and in the engine's
 // ground-truth form (the measure stage renders the 2× frame of a 320×180
 // stream into an Output of its own) — each on the shipped path and on the
-// reference, so the distance between them is one command away.
-func BenchmarkRenderG3_360p(b *testing.B) { benchRender(b, &render.Renderer{}, 640, 360) }
-func BenchmarkRenderG3_720p(b *testing.B) { benchRender(b, &render.Renderer{}, 1280, 720) }
-func BenchmarkRenderGT360p(b *testing.B)  { benchRenderGT(b, &render.Renderer{}) }
+// reference, so the distance between them is one command away. 1440p is the
+// paper's display geometry, shipped path only: over 720p it is the
+// wall-clock form of §IV-B2's render-low-then-upscale premise
+// (EXPERIMENTS.md, misc).
+func BenchmarkRenderG3_360p(b *testing.B)  { benchRender(b, &render.Renderer{}, 640, 360) }
+func BenchmarkRenderG3_720p(b *testing.B)  { benchRender(b, &render.Renderer{}, 1280, 720) }
+func BenchmarkRenderG3_1440p(b *testing.B) { benchRender(b, &render.Renderer{}, 2560, 1440) }
+func BenchmarkRenderGT360p(b *testing.B)   { benchRenderGT(b, &render.Renderer{}) }
 
 func BenchmarkRenderG3_360pReference(b *testing.B) {
 	benchRender(b, render.Reference(render.Renderer{}), 640, 360)

@@ -25,9 +25,10 @@
 // selects it outside the tests.
 //
 // All working state of a render — the BVH arrays, the candidate list, the
-// per-column ray terms, the supersampled target — lives in the caller's
-// Output and is reused from frame to frame, so a steady-state RenderInto
-// allocates nothing and a Renderer stays stateless.
+// per-column ray terms, the row workers' texture-noise caches (noise.go), the
+// supersampled target — lives in the caller's Output and is reused from
+// frame to frame, so a steady-state RenderInto allocates nothing and a
+// Renderer stays stateless.
 package render
 
 import (
@@ -164,8 +165,8 @@ type frameScratch struct {
 	unbounded []int
 
 	// The binned path's visit list, per-column ray terms and per-worker row
-	// lists (raster.go). rowFn is renderRows bound once, so dispatching a
-	// frame creates no closure.
+	// lists and noise caches (raster.go). rowFn is renderRows bound once, so
+	// dispatching a frame creates no closure.
 	prims []prim
 	cols  []geom.Vec3
 	rows  *parallel.Scratch[*rowScratch]
@@ -198,6 +199,27 @@ type frameParams struct {
 // renderDirect rasterises without supersampling, writing every pixel of
 // out's planes.
 func (rd *Renderer) renderDirect(out *Output, sc *Scene, cam geom.Camera) {
+	fs := out.scratch
+	fs.begin(out, sc, cam)
+	// Rows are disjoint and pixels are pure functions of (scene, camera, x,
+	// y) — a worker's noise cache only saves recomputing them — so output is
+	// identical however the row bands are dispatched.
+	if rd.reference {
+		rd.Sched.For(fs.frame.h, func(y0, y1 int) {
+			for y := y0; y < y1; y++ {
+				fs.referenceRow(y)
+			}
+		})
+	} else {
+		fs.buildPrims()
+		parallel.ForWithOn(rd.Sched, fs.frame.h, fs.rows, fs.rowFn)
+	}
+	fs.frame = frameParams{} // pin neither the scene nor the planes
+}
+
+// begin sets up a render of sc through cam into out's planes: the frame's
+// parameters and the acceleration state.
+func (fs *frameScratch) begin(out *Output, sc *Scene, cam geom.Camera) {
 	near, far := sc.Near, sc.Far
 	if near <= 0 {
 		near = 0.1
@@ -210,26 +232,12 @@ func (rd *Renderer) renderDirect(out *Output, sc *Scene, cam geom.Camera) {
 		lodBias = 1
 	}
 	w, h := out.Color.W, out.Color.H
-	fs := out.scratch
 	fs.frame = frameParams{
 		sc: sc, cam: cam, fwd: cam.Forward(),
 		color: out.Color, depth: out.Depth, w: w, h: h,
 		near: near, far: far, pixScale: cam.PixelScale(h) * lodBias,
 	}
 	fs.buildAccel(sc)
-	// Rows are disjoint and pixels are pure functions of (scene, camera, x,
-	// y), so output is identical however the row bands are dispatched.
-	if rd.reference {
-		rd.Sched.For(h, func(y0, y1 int) {
-			for y := y0; y < y1; y++ {
-				fs.referenceRow(y)
-			}
-		})
-	} else {
-		fs.buildPrims()
-		parallel.ForWithOn(rd.Sched, h, fs.rows, fs.rowFn)
-	}
-	fs.frame = frameParams{} // pin neither the scene nor the planes
 }
 
 // buildAccel partitions the scene's objects into the bounded ones, over
@@ -280,9 +288,9 @@ func resolveRows(out, hi *Output, n, y0, y1 int) {
 }
 
 // surface shades the point p of obj, whose unit normal there is n, as seen
-// along the unit direction d from the eye: the color (components in [0,1])
-// and the view-space depth.
-func (f *frameParams) surface(obj *Object, p, n, d geom.Vec3) (geom.Vec3, float64) {
+// along the unit direction d from the eye, sampling its texture through nc:
+// the color (components in [0,1]) and the view-space depth.
+func (f *frameParams) surface(obj *Object, p, n, d geom.Vec3, nc *noiseCache) (geom.Vec3, float64) {
 	sc := f.sc
 	viewZ := p.Sub(f.cam.Eye).Dot(f.fwd)
 	if viewZ < f.near {
@@ -318,7 +326,7 @@ func (f *frameParams) surface(obj *Object, p, n, d geom.Vec3) (geom.Vec3, float6
 		if footprint > 0 {
 			maxFreq = 1 / (2 * footprint)
 		}
-		tex := fbm(tu*obj.Mat.TexScale, tv*obj.Mat.TexScale, oct, obj.Mat.Seed, maxFreq)
+		tex := nc.fbm(tu*obj.Mat.TexScale, tv*obj.Mat.TexScale, oct, obj.Mat.Seed, maxFreq)
 		m := 1 - obj.Mat.TexAmp/2 + obj.Mat.TexAmp*tex
 		col = geom.Vec3{X: col.X * m, Y: col.Y * m, Z: col.Z * m}
 	}
