@@ -267,7 +267,6 @@ func BenchmarkAblationSREngines(b *testing.B) {
 		sr.BilinearEngine{},
 		sr.NewFast(sr.FastConfig{}),
 		sr.NewInterpEDSR(sr.Spec{Blocks: 4, Channels: 8}, sr.InterpConfig{}),
-		sr.Quantize(sr.NewInterpEDSR(sr.Spec{Blocks: 4, Channels: 8}, sr.InterpConfig{})),
 	}
 	for _, e := range engines {
 		b.Run(e.Name(), func(b *testing.B) {
@@ -275,36 +274,6 @@ func BenchmarkAblationSREngines(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := e.Upscale(patch, 2); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Half-pel vs full-pel motion compensation.
-func BenchmarkAblationHalfPel(b *testing.B) {
-	g, _ := games.ByID("G10")
-	rd := &render.Renderer{}
-	frames := []*gssr.Image{
-		g.Render(rd, 0, 320, 180).Color,
-		g.Render(rd, 8, 320, 180).Color,
-	}
-	for _, hp := range []bool{false, true} {
-		name := "fullpel"
-		if hp {
-			name = "halfpel"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				enc, err := codec.NewEncoder(codec.Config{Width: 320, Height: 180, HalfPel: hp})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, f := range frames {
-					if _, _, err := enc.Encode(f); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		})

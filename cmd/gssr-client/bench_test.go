@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"io"
 	"testing"
 	"time"
@@ -90,9 +89,8 @@ func BenchmarkClientFrameInstrumented(b *testing.B) { benchClientFrame(b, true) 
 // compacted RoI crop, Engine.Upscale, Merge — byte for byte over a GOP with
 // motion, including a shed (zero-RoI) frame and the buffers' second and
 // later trips through the pool. The RoI is a strided view of the decoded
-// frame, and each engine reads it its own way: sr.Fast, the client's; the
-// compiled EDSR, an IntoEngine reading the view in place; and a plain
-// Engine, which sr.UpscaleTo's fallback must hand a compact copy.
+// frame, which each engine reads in place: sr.Fast, the client's; the
+// compiled EDSR; and plain bilinear.
 func TestShowFrameMatchesAllocatingComposition(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -100,20 +98,10 @@ func TestShowFrameMatchesAllocatingComposition(t *testing.T) {
 	}{
 		{"fast", sr.NewFast(sr.FastConfig{})},
 		{"edsr", sr.NewInterpEDSR(sr.Spec{}, sr.InterpConfig{})},
-		{"plain", compactOnly{sr.BilinearEngine{}}},
+		{"plain", sr.BilinearEngine{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { showFrameMatches(t, tc.engine) })
 	}
-}
-
-// compactOnly is a plain sr.Engine (no UpscaleInto) that refuses views.
-type compactOnly struct{ sr.Engine }
-
-func (e compactOnly) Upscale(im *frame.Image, scale int) (*frame.Image, error) {
-	if im.Stride != im.W {
-		return nil, errors.New("plain engine handed a strided view")
-	}
-	return e.Engine.Upscale(im, scale)
 }
 
 func showFrameMatches(t *testing.T, engine sr.Engine) {

@@ -218,13 +218,6 @@ func NewFastSR() SREngine { return sr.NewFast(sr.FastConfig{}) }
 // the full conv/ReLU/pixel-shuffle topology.
 func NewEDSR(spec EDSRSpec) SREngine { return sr.NewInterpEDSR(spec, sr.InterpConfig{}) }
 
-// NewQuantizedEDSR returns the int8-quantized EDSR network (per-channel
-// weight scales, asymmetric dynamic activation quantization), matching how
-// mobile NPUs actually execute the model.
-func NewQuantizedEDSR(spec EDSRSpec) SREngine {
-	return sr.Quantize(sr.NewInterpEDSR(spec, sr.InterpConfig{}))
-}
-
 // BilinearSR returns plain bilinear interpolation wrapped as an engine
 // (useful for ablations).
 func BilinearSR() SREngine { return sr.BilinearEngine{} }

@@ -143,26 +143,6 @@ func TestPublicAPIExperiment(t *testing.T) {
 	}
 }
 
-func TestPublicAPIQuantizedEDSR(t *testing.T) {
-	g, _ := gssr.GameByID("G4")
-	out := g.Render(&gssr.Renderer{}, 10, 96, 54)
-	lo, err := gssr.Resize(out.Color, 48, 27, gssr.Area)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := gssr.NewQuantizedEDSR(gssr.EDSRSpec{Blocks: 2, Channels: 8})
-	up, err := eng.Upscale(lo, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if up.W != 96 || up.H != 54 {
-		t.Fatalf("output %dx%d", up.W, up.H)
-	}
-	if p, _ := gssr.PSNR(out.Color, up); p < 20 {
-		t.Errorf("int8 engine PSNR %.1f implausible", p)
-	}
-}
-
 func TestPublicAPIRoITracking(t *testing.T) {
 	det, err := gssr.NewRoIDetector(gssr.RoIConfig{WindowW: 36, WindowH: 36})
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -15,8 +17,8 @@ import (
 
 // goldenFrame is frame k of the golden stream: flat planes on multiples of
 // the quantizers (a static pixel then codes to zero) under a shaded square
-// drifting right and down by (3, 2) a frame, so that it crosses block, band
-// and RoI edges.
+// drifting right and down by (3, 2) a frame, so that it crosses block and
+// band edges.
 func goldenFrame(k int) *frame.Image {
 	im := frame.NewImage(50, 35)
 	for y := 0; y < 35; y++ {
@@ -33,22 +35,15 @@ func goldenFrame(k int) *frame.Image {
 
 // TestBitstreamGolden holds the format to recorded bytes: an intra and two
 // inter frames at a geometry with partial edge blocks (50×35 in 16-pixel
-// blocks: three bands, the last of three rows), plain, with an RoI quantizer
-// and half-pel. A change of grammar fails here instead of at a peer; a
-// deliberate one bumps `version` and re-records (the failure prints the new
-// bytes).
+// blocks: three bands, the last of three rows). A change of grammar fails
+// here instead of at a peer; a deliberate one bumps `version` and re-records
+// (the failure prints the new bytes).
 func TestBitstreamGolden(t *testing.T) {
 	for _, g := range bitstreamGoldens {
 		enc := mustEncoder(t, g.cfg)
 		fast, ref := NewDecoder(), referenceDecoder()
 		for k, want := range g.hex {
-			var got []byte
-			var err error
-			if g.roi.Empty() {
-				got, _, err = enc.Encode(goldenFrame(k))
-			} else {
-				got, _, err = enc.EncodeRoI(goldenFrame(k), g.roi, 4)
-			}
+			got, _, err := enc.Encode(goldenFrame(k))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,6 +65,48 @@ func TestBitstreamGolden(t *testing.T) {
 			data[1] = version - 1
 			if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
 				t.Errorf("%s frame %d as version %d: err = %v, want unsupported version", g.name, k, version-1, err)
+			}
+		}
+	}
+}
+
+// TestHeaderReservedFlagsRejected sets each of the header's reserved flags —
+// where an RoI quantizer and half-pel vectors were once switched on — to 1, 2
+// and 2⁶³ on an inter and an intra frame: both decoders refuse the frame with
+// ErrCorrupt naming the flag, and keep the reference they held, so the next
+// frame of the stream still decodes.
+func TestHeaderReservedFlagsRejected(t *testing.T) {
+	cfg := Config{Width: 50, Height: 35, QStep: 24}
+	enc := mustEncoder(t, cfg)
+	intra, _, err := enc.Encode(goldenFrame(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inter, _, err := enc.Encode(goldenFrame(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, v := range []uint64{1, 2, 1 << 63} {
+		for _, c := range []struct {
+			flag    string
+			roi, hp uint64
+		}{{"RoI", v, 0}, {"half-pel", 0, v}} {
+			for _, data := range [][]byte{
+				appendSlices(flaggedHeader(Inter, cfg, c.roi, nil, c.hp), craftInterSlices(cfg, []MV{{0, 0}, {3, -2}}, rng)),
+				appendSlices(flaggedHeader(Intra, cfg, c.roi, nil, c.hp), flatIntraSlices(cfg)),
+			} {
+				fast, ref := NewDecoder(), referenceDecoder()
+				if err := sameDecode(t, fast, ref, intra); err != nil {
+					t.Fatal(err)
+				}
+				want := fmt.Sprintf("reserved %s flag %d", c.flag, v)
+				if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s flag %d: err = %v, want ErrCorrupt with %q", c.flag, v, err, want)
+				}
+				if err := sameDecode(t, fast, ref, inter); err != nil {
+					t.Errorf("%s flag %d: the next inter frame does not decode: %v", c.flag, v, err)
+				}
 			}
 		}
 	}
@@ -240,10 +277,10 @@ func TestDecodeLevelBound(t *testing.T) {
 	flat := plane()
 	inter := func(p []byte) []byte {
 		slice := appendMVRow(nil, []MV{{}})
-		return appendSlices(appendHeader(nil, Inter, cfg, nil), [][]byte{append(append(append(slice, flat...), p...), flat...)})
+		return appendSlices(appendHeader(nil, Inter, cfg), [][]byte{append(append(append(slice, flat...), p...), flat...)})
 	}
 	intraOf := func(p []byte) []byte {
-		return appendSlices(appendHeader(nil, Intra, cfg, nil), [][]byte{append(append(append([]byte(nil), flat...), flat...), p...)})
+		return appendSlices(appendHeader(nil, Intra, cfg), [][]byte{append(append(append([]byte(nil), flat...), flat...), p...)})
 	}
 	for _, c := range []struct {
 		name string
@@ -282,22 +319,11 @@ func TestDecodeLevelBound(t *testing.T) {
 var bitstreamGoldens = []struct {
 	name string
 	cfg  Config
-	roi  frame.Rect
 	hex  [3]string
 }{
 	{name: "plain", cfg: Config{Width: 50, Height: 35, QStep: 24}, hex: [3]string{
 		"470301322310180000be02420c04008102040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f00170a0081020a001109001f0a001109001f08001107001f08001107001f06001105001f06001105001f04001103001f04001103001f02001101001f0200110100490e00d7040200c701040007040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f00d3050a00390100110200d30510008f0302008f03040095010a00950112009501",
 		"470302322310180000a3017c0b05030503000400a006009b03010101010101010101010101010101010101005201010101010101010101010101010101010100520101010101010101010101010101010101010052010101010101010101010101010101010101004700d804020202020202020202020202020202020202020202020202020202020202020200120202020202020202020202020202020202020202020202020202020202020202007605030503000400a006000b0101010101010101010101010101010101010052010101010101010101010101010101010101009f0500900302020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200be020008009601009601009601",
 		"4703023223101800008d02fc010b05030703000400d20302000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202001200820402020202020202020202020202020202020200520202020202020202020202020202020202020052020202020202020202020202020202020202004400d8040202020202020202020202020202020202020202020202020202020202020202001202020202020202020202020202020202020202020202020202020202020202020076050307030004001002000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202008604000e0202020202020202020202020202020202020052020202020202020202020202020202020202005202020202020202020202020202020202020200b80400900302020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200be020008009601009601009601",
-	}},
-	{name: "roi", cfg: Config{Width: 50, Height: 35, QStep: 24}, roi: frame.Rect{X: 13, Y: 9, W: 21, H: 15}, hex: [3]string{
-		"47030132231018010d09150f0400a603ce010c04008102040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f0400010200023a0404040404040404040404045b00071300170400010200023a0404040404040404040404045b00071300170400010200023a0404040404040404040404045b00071300170400010200023a0404040404040404040404045b00071300170400010200023a0404040404040404040404045b00071300170400010200023a0404040404040404040404045b00071300170400010200023a0404040404040404040404045b000713000f0a0081020a001109001f0a001109001f08001107001f08001107001f06000450000c2300073100170600044a000c1d000731001704000446000c17000731001704000440000c1100073100170200043c000c0b000731001702000436000c05000731001c32001431000f0e00ce0346001445001c46001445001c46001445000f02000c5000144f001c5000144f001c5000144f001c5000144f000f0400070400010200023a0404040404040404040404045b00071300170400010200023a0404040404040404040404045b000713001c14001413001c14001413001c14001413001c14001413001c14001413001c14001413009f030a000c2c000c06000731001701000428000c0c000731001c32001431001c32001431001c32001431001c32001431001c32001431001c32001431009f0310000c5000144f001c5000144f001c5000144f001c5000144f001c5000144f001c5000144f001c5000144f001c5000144f000f02008f03040095010a00950112009501",
-		"47030232231018010d09150f0400d5017a0b05030503000400cf030300010403000104030001040300010403000104030022030001040300010403000104030001040300010403002203000104002f03000104002f03000104002f03000104002f030001040022009b03010101010101010101010101010101010101005201010505050505050505050505050505050500520101050505005f0101050505005400d804020202020202020202020202020c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0012020202020202020202020202020c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0076050305030004000d03000104002f03000104002f03000104002f0300010400fa04000b0101050505005f010105050500ac0500900302020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200be020008009601009601009601",
-		"47030232231018010d09150f0400ae01720b05030503000400d1030403000104030001040300010403000104030001040300210403000104030001040300010403000104030001040300210400310400310400310400310400220082040606060606060606060606060606060606060052060600620606005400d804020202020202020202020202020c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0012020202020202020202020202020c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0076050305030004000f04003104003104003104003104003104009604000e0606006206060062060600c80400900302020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200be020008009601009601009601",
-	}},
-	{name: "halfpel", cfg: Config{Width: 50, Height: 35, QStep: 24, HalfPel: true}, hex: [3]string{
-		"470301322310180001be02420c04008102040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f00170a0081020a001109001f0a001109001f08001107001f08001107001f06001105001f06001105001f04001103001f04001103001f02001101001f0200110100490e00d7040200c701040007040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f00d3050a00390100110200d30510008f0302008f03040095010a00950112009501",
-		"470302322310180001a3017e0b0b070b07000400a006009b03010101010101010101010101010101010101005201010101010101010101010101010101010100520101010101010101010101010101010101010052010101010101010101010101010101010101004700d80402020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200760b050b05000400a10102020204040404040406060606060608080800ed0400a10101010101010101010101010101010101010100ed0400900302020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200be020008009601009601009601",
-		"4703023223101800018d0285020b0b070f07000400d20302000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202001200820402020202020202020202020202020202020200520202020202020202020202020202020202020052020202020202020202020202020202020202004400d80402020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200760b070f070004001002000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202020004020200040202008804000e02020202020202020202020202020202020200e8010202020202020202020202020202020202020086040090030202020202020202020202020202020202020202020202020202020202020202001202020202020202020202020202020202020202020202020202020202020202020044010101010101010101010101010101010101010101010101010101010101010100da010008009601009601009601",
 	}},
 }

@@ -66,16 +66,6 @@ type Config struct {
 	// QStep is the quantization step for intra pixels and inter residuals
 	// (default 6). Larger means smaller bitstreams and lower quality.
 	QStep int
-	// HalfPel enables half-pixel motion estimation and compensation
-	// (production-codec behaviour). MVs are then coded in half-pel units,
-	// halving the effective search radius the int8 coding can express.
-	HalfPel bool
-	// Deadzone zeroes inter residuals with magnitude ≤ Deadzone before
-	// quantization, as production encoders do to spend no bits on noise.
-	// Off by default: with the motion these game streams carry, a deadzone
-	// lets reconstruction error accumulate inside a GOP even in the
-	// closed LR loop. Exposed for the codec ablation benches.
-	Deadzone int
 }
 
 func (c Config) withDefaults() Config {
@@ -91,14 +81,8 @@ func (c Config) withDefaults() Config {
 	if c.SearchRange > 127 {
 		c.SearchRange = 127 // MVs are coded as int8
 	}
-	if c.HalfPel && c.SearchRange > 63 {
-		c.SearchRange = 63 // half-pel units halve the int8 span
-	}
 	if c.QStep <= 0 {
 		c.QStep = 6
-	}
-	if c.Deadzone < 0 {
-		c.Deadzone = 0
 	}
 	return c
 }
@@ -142,8 +126,6 @@ type SideInfo struct {
 	BlocksX, BlocksY int
 	// BlockSize is the macroblock edge.
 	BlockSize int
-	// HalfPel marks MVs as being in half-pixel units.
-	HalfPel bool
 	// MVs is the row-major BlocksX×BlocksY motion-vector grid.
 	MVs []MV
 	// Residual holds the dequantized residual planes (R, G, B), full-frame,
@@ -165,13 +147,15 @@ const magic = 0x47 // 'G'
 // version is the one bitstream format this package writes and reads
 // (DESIGN.md §21):
 //
-//	frame = header · table · slice₀ … sliceₙ₋₁     n = ⌈height / block size⌉
-//	table = n uvarints, the byte length of each slice
-//	slice = one block row — a band of BlockSize pixel rows — decodable alone:
-//	        inter: the row's vectors (DX, DY per block), then the band of the
-//	               R, G and B residual planes in raster order;
-//	        intra: the band of the R, G and B planes as level deltas, the
-//	               predictor restarting at 0 at the start of each band.
+//	frame  = header · table · slice₀ … sliceₙ₋₁     n = ⌈height / block size⌉
+//	header = magic · version · type byte, then uvarints width, height,
+//	         block size, quantizer and two reserved flags, always 0
+//	table  = n uvarints, the byte length of each slice
+//	slice  = one block row — a band of BlockSize pixel rows — decodable alone:
+//	         inter: the row's vectors (DX, DY per block), then the band of the
+//	                R, G and B residual planes in raster order;
+//	         intra: the band of the R, G and B planes as level deltas, the
+//	                predictor restarting at 0 at the start of each band.
 //
 // Every sequence is zero-run coded on its own (appendSignedRLE), so no run
 // crosses a plane or a slice.
@@ -239,51 +223,23 @@ func (e *Encoder) Reset() {
 	e.prev = nil
 }
 
-// Encode encodes the next frame at uniform quality and returns its
-// bitstream and type.
+// Encode encodes the next frame and returns its bitstream and type.
 func (e *Encoder) Encode(im *frame.Image) ([]byte, FrameType, error) {
-	return e.encode(nil, im, nil)
+	return e.EncodeInto(nil, im)
 }
 
 // EncodeInto is Encode appending the bitstream to dst (which may be nil or
 // a recycled buffer with spare capacity) instead of allocating a fresh one.
 func (e *Encoder) EncodeInto(dst []byte, im *frame.Image) ([]byte, FrameType, error) {
-	return e.encode(dst, im, nil)
-}
-
-// EncodeRoI encodes the next frame with RoI-aware quality: pixels inside
-// roi are quantized with roiQ (typically finer than Config.QStep), the rest
-// with Config.QStep. This is the server-side "spend bits where the player
-// looks" optimisation of RoI-based encoding; the RoI rectangle and its
-// quantizer travel in the frame header so any decoder reconstructs exactly.
-func (e *Encoder) EncodeRoI(im *frame.Image, roi frame.Rect, roiQ int) ([]byte, FrameType, error) {
-	return e.EncodeRoIInto(nil, im, roi, roiQ)
-}
-
-// EncodeRoIInto is EncodeRoI appending the bitstream to dst.
-func (e *Encoder) EncodeRoIInto(dst []byte, im *frame.Image, roi frame.Rect, roiQ int) ([]byte, FrameType, error) {
-	if roiQ <= 0 || roiQ > maxQStep {
-		return nil, 0, fmt.Errorf("codec: invalid RoI quantizer %d", roiQ)
-	}
-	if !roi.In(e.cfg.Width, e.cfg.Height) || roi.Empty() {
-		return nil, 0, fmt.Errorf("codec: RoI %v outside %dx%d stream", roi, e.cfg.Width, e.cfg.Height)
-	}
-	return e.encode(dst, im, &roiQuant{rect: roi, q: roiQ})
-}
-
-func (e *Encoder) encode(dst []byte, im *frame.Image, rq *roiQuant) ([]byte, FrameType, error) {
 	if im.W != e.cfg.Width || im.H != e.cfg.Height {
 		return nil, 0, fmt.Errorf("codec: frame is %dx%d, stream is %dx%d", im.W, im.H, e.cfg.Width, e.cfg.Height)
 	}
-	h := header{ftype: Inter, w: e.cfg.Width, h: e.cfg.Height, bs: e.cfg.BlockSize, q: e.cfg.QStep, halfPel: e.cfg.HalfPel}
+	h := header{ftype: Inter, w: e.cfg.Width, h: e.cfg.Height, bs: e.cfg.BlockSize, q: e.cfg.QStep}
 	if e.count%e.cfg.GOPSize == 0 || e.prev == nil {
 		h.ftype = Intra
 	}
-	if rq != nil {
-		h.hasRoI, h.roi, h.roiQ = true, rq.rect, rq.q
-	}
 	e.count++
-	dst = appendHeader(dst, h.ftype, e.cfg, rq)
+	dst = appendHeader(dst, h.ftype, e.cfg)
 	data, recon := e.encodeSlices(dst, im.Compact(), h)
 	// The outgoing reference is dead once the new reconstruction exists;
 	// recycling it here (not before: an inter frame reads it) lets one session
@@ -410,7 +366,7 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	if hdr.ftype == Inter {
 		j.ref = d.prev.Compact()
 		j.side = d.getSide()
-		*j.side = SideInfo{BlocksX: j.bw, BlocksY: bh, BlockSize: hdr.bs, HalfPel: hdr.halfPel, MVs: d.getMVs(j.bw * bh)}
+		*j.side = SideInfo{BlocksX: j.bw, BlocksY: bh, BlockSize: hdr.bs, MVs: d.getMVs(j.bw * bh)}
 		for p := range j.side.Residual {
 			j.side.Residual[p] = d.pool.Int16s(hdr.w * hdr.h)
 		}
@@ -477,61 +433,21 @@ type header struct {
 	w, h  int
 	bs    int
 	q     int
-	// RoI-aware quality: pixels inside roi are quantized with roiQ
-	// instead of q. hasRoI is false for uniform-quality frames.
-	hasRoI bool
-	roi    frame.Rect
-	roiQ   int
-	// halfPel marks MVs as being in half-pixel units.
-	halfPel bool
 }
 
-// qAt returns the quantizer for pixel (x, y).
-func (h header) qAt(x, y int) int32 {
-	if h.hasRoI && h.roi.Contains(x, y) {
-		return int32(h.roiQ)
-	}
-	return int32(h.q)
-}
-
-// roiSpan hoists qAt out of a row's inner loop: of the w pixels of row y
-// starting at column x, those at offsets [a, b) take the RoI quantizer and
-// the rest the base one (a == b when the row misses the RoI). a <= b
-// because parseHeader only admits an RoI that lies inside the frame.
-func (h header) roiSpan(x, w, y int) (a, b int) {
-	if !h.hasRoI || y < h.roi.Y || y >= h.roi.Y+h.roi.H {
-		return 0, 0
-	}
-	return clampInt(h.roi.X-x, 0, w), clampInt(h.roi.X+h.roi.W-x, 0, w)
-}
-
-func appendHeader(buf []byte, t FrameType, cfg Config, roi *roiQuant) []byte {
+func appendHeader(buf []byte, t FrameType, cfg Config) []byte {
 	buf = append(buf, magic, version, byte(t))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Width))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Height))
 	buf = binary.AppendUvarint(buf, uint64(cfg.BlockSize))
 	buf = binary.AppendUvarint(buf, uint64(cfg.QStep))
-	if roi == nil {
-		buf = binary.AppendUvarint(buf, 0)
-	} else {
-		buf = binary.AppendUvarint(buf, 1)
-		for _, v := range []int{roi.rect.X, roi.rect.Y, roi.rect.W, roi.rect.H, roi.q} {
-			buf = binary.AppendUvarint(buf, uint64(v))
-		}
-	}
-	hp := uint64(0)
-	if cfg.HalfPel {
-		hp = 1
-	}
-	buf = binary.AppendUvarint(buf, hp)
-	return buf
+	return append(buf, 0, 0) // the reserved flags
 }
 
-// roiQuant carries the per-frame RoI quality override on the encode side.
-type roiQuant struct {
-	rect frame.Rect
-	q    int
-}
+// reservedFlags names the header's two trailing flags. They once switched
+// on an RoI quantizer and half-pel vectors; the format keeps their bytes and
+// admits only 0 (DESIGN.md §21, §27).
+var reservedFlags = [2]string{"RoI", "half-pel"}
 
 func parseHeader(data []byte) (header, []byte, error) {
 	if len(data) < 3 {
@@ -554,38 +470,15 @@ func parseHeader(data []byte) (header, []byte, error) {
 		rest = rest[n:]
 		*f = int(v)
 	}
-	roiFlag, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return header{}, nil, fmt.Errorf("%w: truncated RoI flag", ErrCorrupt)
-	}
-	rest = rest[n:]
-	switch roiFlag {
-	case 0:
-	case 1:
-		h.hasRoI = true
-		fields := []*int{&h.roi.X, &h.roi.Y, &h.roi.W, &h.roi.H, &h.roiQ}
-		for _, f := range fields {
-			v, n := binary.Uvarint(rest)
-			if n <= 0 {
-				return header{}, nil, fmt.Errorf("%w: truncated RoI header", ErrCorrupt)
-			}
-			rest = rest[n:]
-			*f = int(v)
+	for _, name := range reservedFlags {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return header{}, nil, fmt.Errorf("%w: truncated %s flag", ErrCorrupt, name)
 		}
-	default:
-		return header{}, nil, fmt.Errorf("%w: unknown RoI flag %d", ErrCorrupt, roiFlag)
-	}
-	hpFlag, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return header{}, nil, fmt.Errorf("%w: truncated half-pel flag", ErrCorrupt)
-	}
-	rest = rest[n:]
-	switch hpFlag {
-	case 0:
-	case 1:
-		h.halfPel = true
-	default:
-		return header{}, nil, fmt.Errorf("%w: unknown half-pel flag %d", ErrCorrupt, hpFlag)
+		if v != 0 {
+			return header{}, nil, fmt.Errorf("%w: reserved %s flag %d", ErrCorrupt, name, v)
+		}
+		rest = rest[n:]
 	}
 	// Bound each dimension and the total pixel count (up to 4K frames)
 	// before any allocation happens — corrupt headers must not be able to
@@ -598,14 +491,6 @@ func parseHeader(data []byte) (header, []byte, error) {
 	}
 	if h.q <= 0 || h.q > maxQStep {
 		return header{}, nil, fmt.Errorf("%w: unreasonable quantizer %d", ErrCorrupt, h.q)
-	}
-	if h.hasRoI {
-		if h.roiQ <= 0 || h.roiQ > maxQStep {
-			return header{}, nil, fmt.Errorf("%w: unreasonable RoI quantizer %d", ErrCorrupt, h.roiQ)
-		}
-		if !h.roi.In(h.w, h.h) || h.roi.Empty() {
-			return header{}, nil, fmt.Errorf("%w: RoI %v outside %dx%d frame", ErrCorrupt, h.roi, h.w, h.h)
-		}
 	}
 	return h, rest, nil
 }
@@ -693,24 +578,6 @@ func (d *Decoder) slices(lo, hi int) {
 	}
 }
 
-// quantSpan returns the quantiser of sample i of the n-sample band whose
-// first pixel row is y0, and the end of the run of samples that share it:
-// the whole band without an RoI, otherwise to the next RoI edge or row end.
-func (h header) quantSpan(i, y0, n int) (q int32, limit int) {
-	if !h.hasRoI {
-		return int32(h.q), n
-	}
-	row := i / h.w
-	a, b := h.roiSpan(0, h.w, y0+row)
-	switch col := i - row*h.w; {
-	case col < a:
-		return int32(h.q), row*h.w + a
-	case col < b:
-		return int32(h.roiQ), row*h.w + b
-	}
-	return int32(h.q), (row + 1) * h.w
-}
-
 // intraSlice reconstructs band by of an intra frame and returns the bytes it
 // did not consume. The shipped form walks the entropy stream once, a zero
 // run — a level that does not change — becoming a constant fill.
@@ -734,13 +601,13 @@ func (d *Decoder) intraSlice(by int, data []byte) ([]byte, error) {
 			for i, dv := range vals {
 				acc += dv
 				over = over || acc < -maxLevel || acc > maxLevel
-				rp[i] = clamp8(acc * h.qAt(i%h.w, y+i/h.w))
+				rp[i] = clamp8(acc * int32(h.q))
 			}
 			if over {
 				err = errLevel
 			}
 		} else {
-			data, err = fillIntra(rp, h, y, data)
+			data, err = fillIntra(rp, int32(h.q), data)
 		}
 		if err != nil {
 			return nil, err
@@ -749,45 +616,37 @@ func (d *Decoder) intraSlice(by int, data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// fillIntra undoes the delta prediction of one plane's band straight from
-// its entropy stream. A level outside ±maxLevel is reported once the band's
-// stream has parsed, as the two-pass reference does.
-func fillIntra(rp []uint8, h header, y int, data []byte) ([]byte, error) {
+// fillIntra undoes the delta prediction of one plane's band, quantized at
+// q, straight from its entropy stream. A level outside ±maxLevel is reported
+// once the band's stream has parsed, as the two-pass reference does.
+func fillIntra(rp []uint8, q int32, data []byte) ([]byte, error) {
 	n := len(rp)
-	pos, zeros := 0, 0
+	pos := 0
 	acc, over := int32(0), false
 	for i := 0; i < n; {
-		q, limit := h.quantSpan(i, y, n)
-		for i < limit {
-			if zeros > 0 {
-				k := min(zeros, limit-i)
-				fill, c := rp[i:i+k], clamp8(acc*q)
-				for c8 := uint64(c) * 0x0101010101010101; len(fill) >= 8; fill = fill[8:] {
-					binary.LittleEndian.PutUint64(fill, c8)
-				}
-				for x := range fill {
-					fill[x] = c
-				}
-				i, zeros = i+k, zeros-k
-				continue
+		v, run, next, ok := shortToken(data, pos, n-i)
+		if !ok {
+			var err error
+			if v, run, next, err = longToken(data, pos, n-i); err != nil {
+				return nil, err
 			}
-			v, run, next, ok := shortToken(data, pos, n-i)
-			if !ok {
-				var err error
-				if v, run, next, err = longToken(data, pos, n-i); err != nil {
-					return nil, err
-				}
-			}
-			pos = next
-			if run > 0 {
-				zeros = run
-				continue
-			}
-			acc += v
-			over = over || acc < -maxLevel || acc > maxLevel
-			rp[i] = clamp8(acc * q)
-			i++
 		}
+		pos = next
+		if run > 0 {
+			fill, c := rp[i:i+run], clamp8(acc*q)
+			for c8 := uint64(c) * 0x0101010101010101; len(fill) >= 8; fill = fill[8:] {
+				binary.LittleEndian.PutUint64(fill, c8)
+			}
+			for x := range fill {
+				fill[x] = c
+			}
+			i += run
+			continue
+		}
+		acc += v
+		over = over || acc < -maxLevel || acc > maxLevel
+		rp[i] = clamp8(acc * q)
+		i++
 	}
 	if over {
 		return nil, errLevel
@@ -835,7 +694,7 @@ func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
 		if d.pool != nil {
 			clear(pl.res[band : band+n])
 		}
-		if data, err = addResiduals(pl.rp[band:band+n], pl.res[band:band+n], h, y, data); err != nil {
+		if data, err = addResiduals(pl.rp[band:band+n], pl.res[band:band+n], int32(h.q), data); err != nil {
 			return nil, err
 		}
 	}
@@ -874,15 +733,15 @@ type interPlane struct {
 // predictBand writes the motion-compensated prediction of the hh pixel rows
 // from y into rp. A run of neighbouring blocks that share an integer-pel
 // vector whose displaced footprint lies inside the frame is one row copy per
-// pixel row; border blocks, vectors pointing off the frame and half-pel
-// streams take the clamped (or interpolated) per-pixel form.
+// pixel row; border blocks and vectors pointing off the frame take the
+// clamped per-pixel form.
 func (pl *interPlane) predictBand(y, hh int, mvs []MV) {
 	h := pl.h
 	for bx := 0; bx < len(mvs); {
 		mv := mvs[bx]
 		x := bx * h.bs
 		dx, dy := int(mv.DX), int(mv.DY)
-		if h.halfPel || x+dx < 0 || min(x+h.bs, h.w)+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
+		if x+dx < 0 || min(x+h.bs, h.w)+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
 			pl.predictClamped(x, y, min(h.bs, h.w-x), hh, mv)
 			bx++
 			continue
@@ -909,49 +768,42 @@ func (pl *interPlane) predictClamped(x, y, w, hh int, mv MV) {
 	for sy := y; sy < y+hh; sy++ {
 		ry := clampInt(sy+int(mv.DY), 0, h.h-1)
 		for sx := x; sx < x+w; sx++ {
-			if h.halfPel {
-				pl.rp[sy*h.w+sx] = uint8(predHalfPel(pl.refp, h.w, h.h, sx, sy, int(mv.DX), int(mv.DY)))
-			} else {
-				pl.rp[sy*h.w+sx] = pl.refp[ry*h.w+clampInt(sx+int(mv.DX), 0, h.w-1)]
-			}
+			pl.rp[sy*h.w+sx] = pl.refp[ry*h.w+clampInt(sx+int(mv.DX), 0, h.w-1)]
 		}
 	}
 }
 
 // addResiduals walks the entropy stream of one plane's band once and adds
-// each non-zero residual onto the prediction in rp, keeping its clamped value
-// in res (all zero on entry); zero runs are skipped, not visited.
-func addResiduals(rp []uint8, res []int16, h header, y int, data []byte) ([]byte, error) {
+// each non-zero residual, dequantized at q, onto the prediction in rp,
+// keeping its clamped value in res (all zero on entry); zero runs are
+// skipped, not visited.
+func addResiduals(rp []uint8, res []int16, q int32, data []byte) ([]byte, error) {
 	n := len(rp)
 	res = res[:n]
 	pos := 0
 	for i := 0; i < n; {
-		q, limit := h.quantSpan(i, y, n)
-		for i < limit {
-			v, run, next, ok := shortToken(data, pos, n-i)
-			if !ok {
-				var err error
-				if v, run, next, err = longToken(data, pos, n-i); err != nil {
-					return nil, err
-				}
+		v, run, next, ok := shortToken(data, pos, n-i)
+		if !ok {
+			var err error
+			if v, run, next, err = longToken(data, pos, n-i); err != nil {
+				return nil, err
 			}
-			pos = next
-			if run > 0 {
-				i += run
-				continue
-			}
-			d := v * q
-			res[i] = int16(clampRes(d))
-			rp[i] = clamp8(int32(rp[i]) + d)
-			i++
 		}
+		pos = next
+		if run > 0 {
+			i += run
+			continue
+		}
+		d := v * q
+		res[i] = int16(clampRes(d))
+		rp[i] = clamp8(int32(rp[i]) + d)
+		i++
 	}
 	return data[pos:], nil
 }
 
 // blockClamped is the reference per-pixel loop: every reference coordinate
-// is clamped to the frame (or half-pel interpolated) and the quantizer looked
-// up per pixel.
+// is clamped to the frame.
 func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
 	h := pl.h
 	band := y * h.w // y is the band's first row: vals is indexed from there
@@ -960,14 +812,8 @@ func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
 		ry := clampInt(sy+int(mv.DY), 0, h.h-1)
 		for i := 0; i < w; i++ {
 			sx := x + i
-			rx := clampInt(sx+int(mv.DX), 0, h.w-1)
-			var pred int32
-			if h.halfPel {
-				pred = predHalfPel(pl.refp, h.w, h.h, sx, sy, int(mv.DX), int(mv.DY))
-			} else {
-				pred = int32(pl.refp[ry*h.w+rx])
-			}
-			res := pl.vals[sy*h.w+sx-band] * h.qAt(sx, sy)
+			pred := int32(pl.refp[ry*h.w+clampInt(sx+int(mv.DX), 0, h.w-1)])
+			res := pl.vals[sy*h.w+sx-band] * int32(h.q)
 			pl.res[sy*h.w+sx] = int16(clampRes(res))
 			pl.rp[sy*h.w+sx] = clamp8(pred + res)
 		}

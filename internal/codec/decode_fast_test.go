@@ -1,16 +1,17 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"gamestreamsr/internal/bufpool"
-	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 )
 
@@ -42,7 +43,7 @@ func sameDecode(t testing.TB, fast, ref *Decoder, data []byte) error {
 	}
 	if got.Side != nil {
 		gs, ws := got.Side, want.Side
-		if gs.BlocksX != ws.BlocksX || gs.BlocksY != ws.BlocksY || gs.BlockSize != ws.BlockSize || gs.HalfPel != ws.HalfPel {
+		if gs.BlocksX != ws.BlocksX || gs.BlocksY != ws.BlocksY || gs.BlockSize != ws.BlockSize {
 			t.Fatalf("side header %+v, reference %+v", *gs, *ws)
 		}
 		if !slices.Equal(gs.MVs, ws.MVs) {
@@ -74,34 +75,20 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 // TestDecodeFastPathMatchesReference is the decoder differential over real
 // content: G3 GOPs at geometries that are and are not multiples of the block
 // size — a last band of one pixel row, a frame narrower than a block, a
-// frame of a single row — uniform and RoI-quantized, integer- and half-pel.
+// frame of a single row.
 func TestDecodeFastPathMatchesReference(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		for _, g := range [][2]int{{96, 54}, {100, 60}, {64, 48}, {33, 17}, {9, 40}, {40, 1}} {
-			frames := gameFrames(t, "G3", 0, 7, g[0], g[1])
-			roi := frame.Rect{X: g[0] / 3, Y: g[1] / 4, W: max(g[0]/3, 1), H: max(g[1]/2, 1)}
-			for _, halfPel := range []bool{false, true} {
-				for _, withRoI := range []bool{false, true} {
-					enc, err := NewEncoder(Config{Width: g[0], Height: g[1], GOPSize: 6, HalfPel: halfPel})
-					if err != nil {
-						t.Fatal(err)
-					}
-					fast, ref := NewDecoder(), referenceDecoder()
-					fast.SetPool(bufpool.New())
-					for i, f := range frames {
-						var data []byte
-						if withRoI {
-							data, _, err = enc.EncodeRoI(f, roi, 2)
-						} else {
-							data, _, err = enc.Encode(f)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := sameDecode(t, fast, ref, data); err != nil {
-							t.Fatalf("%dx%d halfpel=%v roi=%v frame %d: %v", g[0], g[1], halfPel, withRoI, i, err)
-						}
-					}
+			enc := mustEncoder(t, Config{Width: g[0], Height: g[1], GOPSize: 6})
+			fast, ref := NewDecoder(), referenceDecoder()
+			fast.SetPool(bufpool.New())
+			for i, f := range gameFrames(t, "G3", 0, 7, g[0], g[1]) {
+				data, _, err := enc.Encode(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameDecode(t, fast, ref, data); err != nil {
+					t.Fatalf("%dx%d frame %d: %v", g[0], g[1], i, err)
 				}
 			}
 		}
@@ -110,8 +97,8 @@ func TestDecodeFastPathMatchesReference(t *testing.T) {
 
 // TestDecodeLadderMatchesReference runs the decoder differential over what
 // the system streams: G1–G10 along a ladder of script frames, each rung an
-// intra frame and two inter frames, at the two live geometries in turn and
-// with an RoI quantizer or half-pel on every third rung. The sparse path adds
+// intra frame and two inter frames, at the two live geometries in turn. The
+// sparse path adds
 // residuals onto the prediction it wrote itself, so a pixel the prediction
 // pass missed shows as a difference (and, with -tags bufpool_debug, as a sum
 // onto poison). Run at -cpu 1,2.
@@ -126,16 +113,9 @@ func TestDecodeLadderMatchesReference(t *testing.T) {
 		fast.SetPool(bufpool.New())
 		for rung := 0; rung*step <= 2910; rung++ {
 			size := sizes[rung%len(sizes)]
-			enc := mustEncoder(t, Config{Width: size[0], Height: size[1], GOPSize: 3, HalfPel: rung%3 == 2})
-			roi := frame.Rect{X: size[0]/3 + 1, Y: size[1] / 4, W: size[0] / 3, H: size[1]/2 + 1}
+			enc := mustEncoder(t, Config{Width: size[0], Height: size[1], GOPSize: 3})
 			for i, f := range gameFrames(t, g.ID, rung*step, 3, size[0], size[1]) {
-				var data []byte
-				var err error
-				if rung%3 == 1 {
-					data, _, err = enc.EncodeRoI(f, roi, 2)
-				} else {
-					data, _, err = enc.Encode(f)
-				}
+				data, _, err := enc.Encode(f)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,10 +201,21 @@ func craftInterSlices(cfg Config, mvs []MV, rng *rand.Rand) [][]byte {
 	return slices
 }
 
-// craftInter is craftInterSlices framed as a whole frame, with an optional
-// RoI quantizer.
-func craftInter(cfg Config, rq *roiQuant, mvs []MV, rng *rand.Rand) []byte {
-	return appendSlices(appendHeader(nil, Inter, cfg.withDefaults(), rq), craftInterSlices(cfg, mvs, rng))
+// craftInter is craftInterSlices framed as a whole frame.
+func craftInter(cfg Config, mvs []MV, rng *rand.Rand) []byte {
+	return appendSlices(appendHeader(nil, Inter, cfg.withDefaults()), craftInterSlices(cfg, mvs, rng))
+}
+
+// flaggedHeader is a frame header with the reserved flags set: the RoI flag
+// to roi, followed by the uvarints roiFields (the rectangle and quantizer a
+// flag of 1 once announced), then the half-pel flag to hp.
+func flaggedHeader(t FrameType, cfg Config, roi uint64, roiFields []uint64, hp uint64) []byte {
+	buf := appendHeader(nil, t, cfg.withDefaults())
+	buf = binary.AppendUvarint(buf[:len(buf)-2], roi)
+	for _, v := range roiFields {
+		buf = binary.AppendUvarint(buf, v)
+	}
+	return binary.AppendUvarint(buf, hp)
 }
 
 // flatIntraSlices is the body of an intra frame of constant level 0.
@@ -242,9 +233,8 @@ func flatIntraSlices(cfg Config) [][]byte {
 
 // TestDecodeHostileMotionVectors points vectors off every edge and corner,
 // to the int8 extremes, and exactly onto the last in-frame position, on
-// geometries with partial edge blocks, with and without an RoI quantizer and
-// half-pel: the footprint test must route each block to the loop that is
-// valid for it, and both decoders must agree.
+// geometries with partial edge blocks: the footprint test must route each
+// block to the loop that is valid for it, and both decoders must agree.
 func TestDecodeHostileMotionVectors(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
@@ -266,18 +256,12 @@ func TestDecodeHostileMotionVectors(t *testing.T) {
 				random[i] = MV{DX: int8(rng.Intn(256) - 128), DY: int8(rng.Intn(256) - 128)}
 			}
 			for _, mvs := range [][]MV{edge, random, edge[1:2], edge[2:3], edge[3:4], edge[4:5]} {
-				for _, halfPel := range []bool{false, true} {
-					for _, rq := range []*roiQuant{nil, {rect: frame.Rect{X: w / 4, Y: h / 4, W: max(w/2, 1), H: max(h/2, 1)}, q: 3}} {
-						c := cfg
-						c.HalfPel = halfPel
-						data := craftInter(c, rq, mvs, rng)
-						fast, ref := NewDecoder(), referenceDecoder()
-						fast.SetPool(bufpool.New())
-						for _, d := range [][]byte{intra, data, data} { // the second inter predicts from the first
-							if err := sameDecode(t, fast, ref, d); err != nil {
-								t.Fatalf("%dx%d halfpel=%v: crafted stream rejected: %v", w, h, halfPel, err)
-							}
-						}
+				data := craftInter(cfg, mvs, rng)
+				fast, ref := NewDecoder(), referenceDecoder()
+				fast.SetPool(bufpool.New())
+				for _, d := range [][]byte{intra, data, data} { // the second inter predicts from the first
+					if err := sameDecode(t, fast, ref, d); err != nil {
+						t.Fatalf("%dx%d: crafted stream rejected: %v", w, h, err)
 					}
 				}
 			}
@@ -285,28 +269,30 @@ func TestDecodeHostileMotionVectors(t *testing.T) {
 	})
 }
 
-// overflowingRoIStreams crafts inter and intra frames whose RoI header passes
-// a naive X+W <= w check only because the sum wraps: the row-slice loops would
-// be handed a span that ends before it starts.
+// overflowingRoIStreams crafts inter and intra frames with the RoI header the
+// format once had — flag 1, then X, Y, W, H and a quantizer — whose far edge
+// passes a naive X+W <= w check only because the sum wraps: the RoI-quantized
+// loops would have been handed a span that ends before it starts.
 func overflowingRoIStreams(rng *rand.Rand) [][]byte {
 	cfg := Config{Width: 32, Height: 24}
 	var out [][]byte
-	for _, r := range []frame.Rect{
-		{X: 1 << 62, Y: 0, W: 1 << 62, H: 1},
-		{X: 0, Y: 1 << 62, W: 1, H: 1 << 62},
-		{X: math.MaxInt, Y: 0, W: 1, H: 1},
-		{X: 1 << 62, Y: 1 << 62, W: 1 << 62, H: 1 << 62},
+	for _, r := range [][4]uint64{
+		{1 << 62, 0, 1 << 62, 1},
+		{0, 1 << 62, 1, 1 << 62},
+		{math.MaxInt, 0, 1, 1},
+		{1 << 62, 1 << 62, 1 << 62, 1 << 62},
 	} {
-		rq := &roiQuant{rect: r, q: 2}
-		out = append(out, craftInter(cfg, rq, []MV{{0, 0}, {3, -2}}, rng))
+		roi := append(r[:], 2)
+		out = append(out, appendSlices(flaggedHeader(Inter, cfg, 1, roi, 0), craftInterSlices(cfg, []MV{{0, 0}, {3, -2}}, rng)))
 		// The same header on a flat intra body.
-		out = append(out, appendSlices(appendHeader(nil, Intra, cfg.withDefaults(), rq), flatIntraSlices(cfg)))
+		out = append(out, appendSlices(flaggedHeader(Intra, cfg, 1, roi, 0), flatIntraSlices(cfg)))
 	}
 	return out
 }
 
-// TestDecodeOverflowingRoIRejected: both decoders refuse such a header with
-// the same error instead of reconstructing from it.
+// TestDecodeOverflowingRoIRejected: both decoders refuse such a header, at
+// its reserved RoI flag, with the same error instead of reconstructing from
+// it.
 func TestDecodeOverflowingRoIRejected(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		intra, _, err := mustEncoder(t, Config{Width: 32, Height: 24}).Encode(newTestImage(32, 24, []byte{9, 200, 31}))
@@ -318,8 +304,8 @@ func TestDecodeOverflowingRoIRejected(t *testing.T) {
 			if err := sameDecode(t, fast, ref, intra); err != nil {
 				t.Fatal(err)
 			}
-			if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("stream %d: err = %v, want ErrCorrupt", i, err)
+			if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "reserved RoI flag 1") {
+				t.Fatalf("stream %d: err = %v, want ErrCorrupt at the reserved RoI flag", i, err)
 			}
 		}
 	})

@@ -9,23 +9,22 @@ import (
 
 // The encoder's frame kernels, in two forms that emit the same bytes. The
 // reference form is the per-pixel loop: every reference coordinate clamped
-// to the frame, the quantiser looked up and divided by per pixel, one block
-// after another, one slice after another. The shipped form hands each block
-// row to a worker under the encoder's scheduler client — search, residual,
-// reconstruction and the entropy coding of the row's slice — and, wherever a
-// block's displaced footprint lies inside the frame, works on row slices with
-// the quantiser hoisted per span; border blocks, vectors pointing off the
-// frame and half-pel streams fall back to the reference loop block by block.
-// A slice depends on nothing but its own block row and read-only inputs, so
-// the bitstream is the same at any GOMAXPROCS (DESIGN.md §18, §21).
+// to the frame, one block after another, one slice after another. The
+// shipped form hands each block row to a worker under the encoder's
+// scheduler client — search, residual, reconstruction and the entropy coding
+// of the row's slice — and, wherever a block's displaced footprint lies
+// inside the frame, works on row slices; border blocks and vectors pointing
+// off the frame fall back to the reference loop block by block. A slice
+// depends on nothing but its own block row and read-only inputs, so the
+// bitstream is the same at any GOMAXPROCS (DESIGN.md §18, §21).
 
 // quantize is the inter quantiser: the level of prediction difference d at
-// step q, zero inside the deadzone, rounding half away from zero.
-func quantize(d, q, dz int32) int32 {
+// step q, rounding half away from zero.
+func quantize(d, q int32) int32 {
 	switch {
-	case d > dz:
+	case d > 0:
 		return (d + q/2) / q
-	case d < -dz:
+	case d < 0:
 		return -((-d + q/2) / q)
 	}
 	return 0
@@ -38,7 +37,6 @@ func quantize(d, q, dz int32) int32 {
 type sliceJob struct {
 	h       header
 	bw, rng int
-	dz      int32
 	// src is the packed frame, ref the previous reconstruction (inter only),
 	// recon the new one: pooled and dirty, every pixel of it is written.
 	src, ref, recon *frame.Image
@@ -63,7 +61,7 @@ func (e *Encoder) encodeSlices(buf []byte, im *frame.Image, h header) ([]byte, *
 	e.mvs = e.mvs[:bw*bh]
 	recon := e.pool.Image(h.w, h.h)
 	j := &e.job
-	j.h, j.bw, j.rng, j.dz, j.clampedOnly = h, bw, e.cfg.SearchRange, int32(e.cfg.Deadzone), e.reference
+	j.h, j.bw, j.rng, j.clampedOnly = h, bw, e.cfg.SearchRange, e.reference
 	j.src, j.ref, j.recon, j.mvs = im, e.prev, recon, e.mvs
 	for len(j.out) < bh {
 		j.out = append(j.out, nil)
@@ -107,71 +105,26 @@ func (j *sliceJob) slices(lo, hi int, vals []int32) {
 	}
 }
 
-// intraSlice appends band by of an intra frame to buf.
+// intraSlice appends band by of an intra frame to buf: per plane, the band
+// quantized into levels delta-predicted from 0 and reconstructed.
 func (j *sliceJob) intraSlice(buf []byte, by int, vals []int32) []byte {
 	h := j.h
-	y := by * h.bs
-	hh := min(h.bs, h.h-y)
+	o := by * h.bs * h.w
+	n := min(h.bs, h.h-by*h.bs) * h.w
+	q := int32(h.q)
+	vals = vals[:n]
 	for p := 0; p < 3; p++ {
-		pl := intraPlane{h: h, src: srcPlane(j.src, p), rp: reconPlane(j.recon, p), vals: vals[:hh*h.w]}
-		if j.clampedOnly {
-			pl.perPixel(y)
-		} else {
-			pl.band(y, hh)
+		src, rp := srcPlane(j.src, p)[o:o+n], reconPlane(j.recon, p)[o:o+n]
+		prev := int32(0)
+		for i, v := range src {
+			qv := (int32(v) + q/2) / q
+			vals[i] = qv - prev
+			prev = qv
+			rp[i] = clamp8(qv * q)
 		}
-		buf = appendSignedRLE(buf, pl.vals)
+		buf = appendSignedRLE(buf, vals)
 	}
 	return buf
-}
-
-// intraPlane is one band of one colour plane of an intra frame being coded:
-// src is quantized into the delta-predicted levels vals — the band's, the
-// predictor starting from 0 — and reconstructed into rp. src and rp are whole
-// planes, packed, width h.w.
-type intraPlane struct {
-	h       header
-	src, rp []uint8
-	vals    []int32
-}
-
-// perPixel is the reference loop over the band from row y: one quantiser
-// lookup and one divide per pixel, in raster order.
-func (pl *intraPlane) perPixel(y int) {
-	o := y * pl.h.w
-	prev := int32(0)
-	for i := range pl.vals {
-		q := pl.h.qAt(i%pl.h.w, y+i/pl.h.w)
-		qv := (int32(pl.src[o+i]) + q/2) / q
-		pl.vals[i] = qv - prev
-		prev = qv
-		pl.rp[o+i] = clamp8(qv * q)
-	}
-}
-
-// band codes the hh pixel rows from y with the quantiser hoisted per span.
-func (pl *intraPlane) band(y, hh int) {
-	h := pl.h
-	prev := int32(0)
-	for r := 0; r < hh; r++ {
-		o, vo := (y+r)*h.w, r*h.w
-		a, b := h.roiSpan(0, h.w, y+r)
-		prev = pl.span(o, vo, a, prev, int32(h.q))
-		prev = pl.span(o+a, vo+a, b-a, prev, int32(h.roiQ))
-		prev = pl.span(o+b, vo+b, h.w-b, prev, int32(h.q))
-	}
-}
-
-// span codes n pixels from plane offset o (band offset vo) at the constant
-// quantiser q, returning the running level for the next span.
-func (pl *intraPlane) span(o, vo, n int, prev, q int32) int32 {
-	src, rp, vals := pl.src[o:o+n], pl.rp[o:o+n], pl.vals[vo:vo+n]
-	for i, v := range src {
-		qv := (int32(v) + q/2) / q
-		vals[i] = qv - prev
-		prev = qv
-		rp[i] = clamp8(qv * q)
-	}
-	return prev
 }
 
 // interSlice appends block row by of an inter frame to buf: its vectors —
@@ -186,16 +139,12 @@ func (j *sliceJob) interSlice(buf []byte, by int, vals []int32) []byte {
 	for bx := range mvs {
 		x := bx * h.bs
 		w := min(h.bs, h.w-x)
-		if h.halfPel {
-			mvs[bx] = halfPelSearch(j.src.G, j.ref.G, h.w, h.h, x, y, w, hh, j.rng)
-		} else {
-			mvs[bx] = diamondSearch(j.src.G, j.ref.G, h.w, h.h, x, y, w, hh, j.rng, j.clampedOnly)
-		}
+		mvs[bx] = diamondSearch(j.src.G, j.ref.G, h.w, h.h, x, y, w, hh, j.rng, j.clampedOnly)
 		vals[2*bx], vals[2*bx+1] = int32(mvs[bx].DX), int32(mvs[bx].DY)
 	}
 	buf = appendSignedRLE(buf, vals[:2*len(mvs)])
 	for p := 0; p < 3; p++ {
-		pl := residualPlane{h: h, dz: j.dz, band: y * h.w, src: srcPlane(j.src, p), ref: srcPlane(j.ref, p), rp: reconPlane(j.recon, p), res: vals[:hh*h.w]}
+		pl := residualPlane{h: h, band: y * h.w, src: srcPlane(j.src, p), ref: srcPlane(j.ref, p), rp: reconPlane(j.recon, p), res: vals[:hh*h.w]}
 		pl.blockRow(y, hh, mvs, j.clampedOnly)
 		buf = appendSignedRLE(buf, pl.res)
 	}
@@ -209,17 +158,15 @@ func (j *sliceJob) interSlice(buf []byte, by int, vals []int32) []byte {
 // alone, so plane offset o is res[o-band].
 type residualPlane struct {
 	h            header
-	dz           int32
 	band         int
 	src, ref, rp []uint8
 	res          []int32
 }
 
 // blockRow codes the blocks of the hh pixel rows from y. A block whose
-// displaced footprint lies inside the frame (integer-pel only) needs no
-// coordinate clamp, so it runs row slice by row slice with the quantiser
-// hoisted per span; border blocks, half-pel streams and vectors pointing off
-// the frame — and, with clampedOnly, everything — keep the clamped per-pixel
+// displaced footprint lies inside the frame needs no coordinate clamp, so it
+// runs row slice by row slice; border blocks and vectors pointing off the
+// frame — and, with clampedOnly, everything — keep the clamped per-pixel
 // loop. Both produce the same values.
 func (pl *residualPlane) blockRow(y, hh int, mvs []MV, clampedOnly bool) {
 	h := pl.h
@@ -227,52 +174,40 @@ func (pl *residualPlane) blockRow(y, hh int, mvs []MV, clampedOnly bool) {
 		x := bx * h.bs
 		w := min(h.bs, h.w-x)
 		dx, dy := int(mv.DX), int(mv.DY)
-		if clampedOnly || h.halfPel || x+dx < 0 || x+w+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
+		if clampedOnly || x+dx < 0 || x+w+dx > h.w || y+dy < 0 || y+hh+dy > h.h {
 			pl.blockClamped(x, y, w, hh, mv)
 			continue
 		}
 		for sy := y; sy < y+hh; sy++ {
-			o := sy*h.w + x
-			r := (sy+dy)*h.w + x + dx
-			a, b := h.roiSpan(x, w, sy)
-			pl.span(o, r, a, int32(h.q))
-			pl.span(o+a, r+a, b-a, int32(h.roiQ))
-			pl.span(o+b, r+b, w-b, int32(h.q))
+			pl.span(sy*h.w+x, (sy+dy)*h.w+x+dx, w)
 		}
 	}
 }
 
-// span codes n pixels from offset o, predicted from reference offset r, at
-// the constant quantiser q.
-func (pl *residualPlane) span(o, r, n int, q int32) {
+// span codes n pixels from offset o, predicted from reference offset r.
+func (pl *residualPlane) span(o, r, n int) {
+	q := int32(pl.h.q)
 	src, ref, rp, res := pl.src[o:o+n], pl.ref[r:r+n], pl.rp[o:o+n], pl.res[o-pl.band:o-pl.band+n]
 	for i, v := range src {
 		pred := int32(ref[i])
-		qd := quantize(int32(v)-pred, q, pl.dz)
+		qd := quantize(int32(v)-pred, q)
 		res[i] = qd
 		rp[i] = clamp8(pred + qd*q)
 	}
 }
 
 // blockClamped is the general per-pixel loop: every reference coordinate is
-// clamped to the frame (or half-pel interpolated), the quantiser looked up
-// and divided by per pixel.
+// clamped to the frame.
 func (pl *residualPlane) blockClamped(x, y, w, hh int, mv MV) {
 	h := pl.h
+	q := int32(h.q)
 	for j := 0; j < hh; j++ {
 		sy := y + j
 		ry := clampInt(sy+int(mv.DY), 0, h.h-1)
 		for i := 0; i < w; i++ {
 			sx := x + i
-			rx := clampInt(sx+int(mv.DX), 0, h.w-1)
-			var pred int32
-			if h.halfPel {
-				pred = predHalfPel(pl.ref, h.w, h.h, sx, sy, int(mv.DX), int(mv.DY))
-			} else {
-				pred = int32(pl.ref[ry*h.w+rx])
-			}
-			q := h.qAt(sx, sy)
-			qd := quantize(int32(pl.src[sy*h.w+sx])-pred, q, pl.dz)
+			pred := int32(pl.ref[ry*h.w+clampInt(sx+int(mv.DX), 0, h.w-1)])
+			qd := quantize(int32(pl.src[sy*h.w+sx])-pred, q)
 			pl.res[sy*h.w+sx-pl.band] = qd
 			pl.rp[sy*h.w+sx] = clamp8(pred + qd*q)
 		}

@@ -3,7 +3,6 @@ package codec
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -28,20 +27,13 @@ func newEncoderPair(t testing.TB, cfg Config) *encoderPair {
 	return p
 }
 
-// encode codes im on both encoders (inside roi at roiQ unless roi is empty)
-// and requires the same bitstream and the same reconstruction, byte for
-// byte, and that a decoder reproduces that reconstruction from the stream.
-func (p *encoderPair) encode(t testing.TB, im *frame.Image, roi frame.Rect, roiQ int) FrameType {
+// encode codes im on both encoders and requires the same bitstream and the
+// same reconstruction, byte for byte, and that a decoder reproduces that
+// reconstruction from the stream.
+func (p *encoderPair) encode(t testing.TB, im *frame.Image) FrameType {
 	t.Helper()
 	code := func(e *Encoder) ([]byte, FrameType) {
-		var data []byte
-		var ft FrameType
-		var err error
-		if roi.Empty() {
-			data, ft, err = e.Encode(im)
-		} else {
-			data, ft, err = e.EncodeRoI(im, roi, roiQ)
-		}
+		data, ft, err := e.Encode(im)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,51 +63,28 @@ func (p *encoderPair) encode(t testing.TB, im *frame.Image, roi frame.Rect, roiQ
 	return gt
 }
 
-// encodeVariant is one setting of the knobs that choose between the
-// encoder's loops.
-type encodeVariant struct {
-	halfPel  bool
-	deadzone int
-	search   int
-	roi      bool
-}
-
-func (v encodeVariant) String() string {
-	return fmt.Sprintf("halfpel=%v,dz=%d,search=%d,roi=%v", v.halfPel, v.deadzone, v.search, v.roi)
-}
-
 // TestEncodeFastPathMatchesReference is the encoder differential over real
 // content: G3 GOPs from the bench geometries down to one that is not a
-// multiple of the block size, uniform and RoI-quantized, integer- and
-// half-pel, with a deadzone, at the smallest, default and largest search
+// multiple of the block size, at the smallest, default and largest search
 // range (127 makes every block's window leave the frame), inline and with a
 // worker stealing block rows.
 func TestEncodeFastPathMatchesReference(t *testing.T) {
-	all := []encodeVariant{
-		{search: 12}, {search: 12, roi: true}, {search: 1}, {search: 127, roi: true}, {search: 12, deadzone: 3, roi: true},
-		{halfPel: true, search: 12}, {halfPel: true, search: 127, deadzone: 2, roi: true},
-	}
 	for _, g := range []struct {
 		w, h     int
-		variants []encodeVariant
+		searches []int
 	}{
-		{100, 60, all},
-		{320, 180, all},
-		{640, 360, all[:6]},
-		{1280, 720, []encodeVariant{all[0], all[4]}},
+		{100, 60, []int{12, 1, 127}},
+		{320, 180, []int{12, 1, 127}},
+		{640, 360, []int{12, 1, 127}},
+		{1280, 720, []int{12}},
 	} {
 		frames := gameFrames(t, "G3", 0, 5, g.w, g.h)
-		roi := frame.Rect{X: g.w/3 + 1, Y: g.h / 4, W: g.w / 3, H: g.h/2 + 1}
 		atProcs(t, func(t *testing.T) {
-			for _, v := range g.variants {
-				p := newEncoderPair(t, Config{Width: g.w, Height: g.h, GOPSize: 3, HalfPel: v.halfPel, Deadzone: v.deadzone, SearchRange: v.search})
+			for _, search := range g.searches {
+				p := newEncoderPair(t, Config{Width: g.w, Height: g.h, GOPSize: 3, SearchRange: search})
 				for i, f := range frames {
-					r := frame.Rect{}
-					if v.roi {
-						r = roi
-					}
-					if ft := p.encode(t, f, r, 2); (ft == Intra) != (i%3 == 0) {
-						t.Fatalf("%dx%d %v: frame %d coded as %v", g.w, g.h, v, i, ft)
+					if ft := p.encode(t, f); (ft == Intra) != (i%3 == 0) {
+						t.Fatalf("%dx%d search=%d: frame %d coded as %v", g.w, g.h, search, i, ft)
 					}
 				}
 			}
@@ -166,41 +135,32 @@ func TestEncodeVectorsOffEveryEdge(t *testing.T) {
 		for _, g := range [][2]int{{96, 64}, {100, 70}} {
 			w, h := g[0], g[1]
 			a, b := outwardPair(w, h)
-			for _, v := range []encodeVariant{{search: 12}, {search: 12, roi: true, deadzone: 2}, {halfPel: true, search: 12}} {
-				p := newEncoderPair(t, Config{Width: w, Height: h, HalfPel: v.halfPel, Deadzone: v.deadzone, SearchRange: v.search})
-				r := frame.Rect{}
-				if v.roi {
-					r = frame.Rect{X: 7, Y: 5, W: w / 2, H: h / 2}
+			p := newEncoderPair(t, Config{Width: w, Height: h})
+			p.encode(t, a)
+			p.encode(t, b)
+			bs := p.fast.cfg.BlockSize
+			bw := (w + bs - 1) / bs
+			seen := map[[2]int]bool{}
+			for i, mv := range p.fast.mvs {
+				x, y := i%bw*bs, i/bw*bs
+				bwid, bhgt := min(bs, w-x), min(bs, h-y)
+				var dir [2]int
+				if x+int(mv.DX) < 0 {
+					dir[0] = -1
+				} else if x+bwid+int(mv.DX) > w {
+					dir[0] = 1
 				}
-				p.encode(t, a, r, 3)
-				p.encode(t, b, r, 3)
-				if v.halfPel {
-					continue // vectors are in half-pel units; the premise check below reads full pixels
+				if y+int(mv.DY) < 0 {
+					dir[1] = -1
+				} else if y+bhgt+int(mv.DY) > h {
+					dir[1] = 1
 				}
-				bs := p.fast.cfg.BlockSize
-				bw := (w + bs - 1) / bs
-				seen := map[[2]int]bool{}
-				for i, mv := range p.fast.mvs {
-					x, y := i%bw*bs, i/bw*bs
-					bwid, bhgt := min(bs, w-x), min(bs, h-y)
-					var dir [2]int
-					if x+int(mv.DX) < 0 {
-						dir[0] = -1
-					} else if x+bwid+int(mv.DX) > w {
-						dir[0] = 1
-					}
-					if y+int(mv.DY) < 0 {
-						dir[1] = -1
-					} else if y+bhgt+int(mv.DY) > h {
-						dir[1] = 1
-					}
-					seen[dir] = true
-				}
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						if !seen[[2]int{dx, dy}] {
-							t.Errorf("%dx%d %v: no block's vector leaves the frame toward (%d,%d)", w, h, v, dx, dy)
-						}
+				seen[dir] = true
+			}
+			for dy := -1; dy <= 1; dy++ {
+				for dx := -1; dx <= 1; dx++ {
+					if !seen[[2]int{dx, dy}] {
+						t.Errorf("%dx%d: no block's vector leaves the frame toward (%d,%d)", w, h, dx, dy)
 					}
 				}
 			}
@@ -228,21 +188,21 @@ func TestConfigBoundsMatchDecoder(t *testing.T) {
 			t.Errorf("%s at the bound: NewEncoder: %v", c.name, err)
 			continue
 		}
-		if _, _, err := parseHeader(appendHeader(nil, Intra, enc.Config(), nil)); err != nil {
+		if _, _, err := parseHeader(appendHeader(nil, Intra, enc.Config())); err != nil {
 			t.Errorf("%s at the bound: decoder rejects the encoder's header: %v", c.name, err)
 		}
 		if _, err := NewEncoder(c.over); err == nil {
 			t.Errorf("%s past the bound: NewEncoder accepted %+v", c.name, c.over)
 		}
-		if _, _, err := parseHeader(appendHeader(nil, Intra, c.over.withDefaults(), nil)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := parseHeader(appendHeader(nil, Intra, c.over.withDefaults())); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s past the bound: decoder err = %v, want ErrCorrupt", c.name, err)
 		}
 	}
-	// A whole frame at the quantizer bound round-trips.
+	// Whole frames at the quantizer bound round-trip.
 	p := newEncoderPair(t, Config{Width: 32, Height: 24, QStep: maxQStep})
 	im := newTestImage(32, 24, []byte{3, 250, 17, 99, 180, 42, 7})
-	p.encode(t, im, frame.Rect{}, 0)
-	p.encode(t, im, frame.Rect{X: 1, Y: 1, W: 9, H: 9}, maxQStep)
+	p.encode(t, im)
+	p.encode(t, im)
 }
 
 // TestEncodeSteadyStateAllocs holds the pooled encode into a recycled

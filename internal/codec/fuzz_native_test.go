@@ -38,13 +38,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(inter)
 	f.Add([]byte{magic, version, byte(Intra)})
 	f.Add([]byte{})
-	// Crafted inter frames: vectors off every edge, an RoI quantizer, half-pel.
+	// Crafted inter frames: vectors off every edge; the header an RoI
+	// quantizer once had; a set half-pel flag.
 	rng := rand.New(rand.NewSource(1))
 	cfg := Config{Width: 32, Height: 40}
-	f.Add(craftInter(cfg, nil, []MV{{-128, 127}, {127, -128}, {16, 8}, {0, 0}}, rng))
-	f.Add(craftInter(cfg, &roiQuant{rect: frame.Rect{X: 5, Y: 3, W: 20, H: 21}, q: 2}, []MV{{3, -2}, {-40, 1}}, rng))
-	cfg.HalfPel = true
-	f.Add(craftInter(cfg, nil, []MV{{5, 3}, {-1, -1}}, rng))
+	f.Add(craftInter(cfg, []MV{{-128, 127}, {127, -128}, {16, 8}, {0, 0}}, rng))
+	f.Add(appendSlices(flaggedHeader(Inter, cfg, 1, []uint64{5, 3, 20, 21, 2}, 0), craftInterSlices(cfg, []MV{{3, -2}, {-40, 1}}, rng)))
+	f.Add(appendSlices(flaggedHeader(Inter, cfg, 0, nil, 1), craftInterSlices(cfg, []MV{{5, 3}, {-1, -1}}, rng)))
 	// RoI headers whose far edge wraps when added.
 	for _, data := range overflowingRoIStreams(rng) {
 		f.Add(data)
@@ -71,23 +71,19 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzEncode drives the encoder with arbitrary planes, geometry, quantizers,
-// RoI and search settings: the row-slice path must emit the reference loops'
-// bytes and reconstruction, and a decoder must reproduce that reconstruction
+// FuzzEncode drives the encoder with arbitrary planes, geometry, quantizer
+// and search range: the row-slice path must emit the reference loops' bytes
+// and reconstruction, and a decoder must reproduce that reconstruction
 // (encoderPair.encode asserts all three), over an intra frame and two inter
 // frames predicted from it.
 func FuzzEncode(f *testing.F) {
-	f.Add([]byte{3, 250, 17, 99, 180, 42, 7}, uint8(32), uint8(24), uint8(6), uint8(2), uint8(12), uint8(0), false, uint8(5), uint8(3), uint8(20), uint8(11))
-	f.Add([]byte{0, 255, 0, 255, 128}, uint8(50), uint8(35), uint8(255), uint8(1), uint8(127), uint8(4), false, uint8(0), uint8(0), uint8(50), uint8(35))
-	f.Add([]byte{9, 8, 7, 200, 100}, uint8(17), uint8(5), uint8(1), uint8(9), uint8(1), uint8(0), true, uint8(16), uint8(4), uint8(1), uint8(1))
-	f.Add([]byte{}, uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0), false, uint8(0), uint8(0), uint8(0), uint8(0))
-	f.Fuzz(func(t *testing.T, pix []byte, w, h, q, roiQ, search, dz uint8, halfPel bool, rx, ry, rw, rh uint8) {
+	f.Add([]byte{3, 250, 17, 99, 180, 42, 7}, uint8(32), uint8(24), uint8(6), uint8(12))
+	f.Add([]byte{0, 255, 0, 255, 128}, uint8(50), uint8(35), uint8(255), uint8(127))
+	f.Add([]byte{9, 8, 7, 200, 100}, uint8(17), uint8(5), uint8(1), uint8(1))
+	f.Add([]byte{}, uint8(1), uint8(1), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, pix []byte, w, h, q, search uint8) {
 		W, H := int(w%64)+1, int(h%64)+1
-		p := newEncoderPair(t, Config{Width: W, Height: H, GOPSize: 3, QStep: int(q), SearchRange: int(search), Deadzone: int(dz), HalfPel: halfPel})
-		roi := frame.Rect{X: int(rx), Y: int(ry), W: int(rw), H: int(rh)}
-		if roiQ == 0 || !roi.In(W, H) {
-			roi = frame.Rect{} // uniform quality
-		}
+		p := newEncoderPair(t, Config{Width: W, Height: H, GOPSize: 3, QStep: int(q), SearchRange: int(search)})
 		for k := 0; k < 3; k++ {
 			// Each frame is the byte pattern at its own phase and stride, so
 			// consecutive frames are related but not equal.
@@ -99,7 +95,7 @@ func FuzzEncode(f *testing.F) {
 					im.B[i] = pix[(2*i+k)%len(pix)]
 				}
 			}
-			p.encode(t, im, roi, int(roiQ))
+			p.encode(t, im)
 		}
 	})
 }

@@ -21,7 +21,6 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
-	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -82,7 +81,7 @@ func (v *variant) Upscale(df *codec.DecodedFrame, job *pipeline.FrameJob) (*fram
 		// stays variant-owned (it is the next frames' reference), but all
 		// tensor/interpolation scratch comes from the job's pool.
 		up = frame.NewImagePacked(df.Image.W*cfg.Scale, df.Image.H*cfg.Scale)
-		if err = sr.UpscaleTo(cfg.Engine, up, df.Image, cfg.Scale, job.Pool); err != nil {
+		if err = cfg.Engine.UpscaleInto(up, df.Image, cfg.Scale, job.Pool); err != nil {
 			return nil, fmt.Errorf("nemo: frame %d SR: %w", job.Index, err)
 		}
 	case codec.Inter:
@@ -136,28 +135,13 @@ func (v *variant) Cost(job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail
 	return st, em.NonZero(), nil
 }
 
-// ReconstructHR rebuilds a high-resolution non-reference frame from the
+// ReconstructHRInto rebuilds a high-resolution non-reference frame from the
 // upscaled previous frame plus the LR side information: per-block motion
 // vectors scaled by the upscale factor and residual planes bilinearly
-// upscaled — NEMO's core reuse step.
-func ReconstructHR(hrPrev *frame.Image, side *codec.SideInfo, scale int) (*frame.Image, error) {
-	if side == nil {
-		return nil, fmt.Errorf("nemo: missing side information")
-	}
-	if scale < 1 {
-		return nil, fmt.Errorf("nemo: invalid scale %d", scale)
-	}
-	out := frame.NewImagePacked(hrPrev.W, hrPrev.H)
-	if err := ReconstructHRInto(out, hrPrev, side, scale, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReconstructHRInto is ReconstructHR writing into dst, which must match
-// hrPrev's geometry and may hold dirty pooled pixels: the block grid spans
-// the whole frame, so every output pixel is overwritten. Transient residual
-// planes are drawn from pool (nil allocates).
+// upscaled — NEMO's core reuse step. dst must match hrPrev's geometry and
+// may hold dirty pooled pixels: the block grid spans the whole frame, so
+// every output pixel is overwritten. Transient residual planes are drawn
+// from pool (nil allocates).
 func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, pool *bufpool.Pool) error {
 	if side == nil {
 		return fmt.Errorf("nemo: missing side information")
@@ -217,12 +201,6 @@ func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int
 			}
 			dx := int(mv.DX) * scale
 			dy := int(mv.DY) * scale
-			if side.HalfPel {
-				// Half-pel LR vectors land on full pixels at even scales
-				// (the paper's ×2); floor like the codec's interpolator.
-				dx >>= 1
-				dy >>= 1
-			}
 			for p := 0; p < 3; p++ {
 				src := planesPrev[p]
 				dst := planesOut[p]

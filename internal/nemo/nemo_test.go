@@ -120,20 +120,21 @@ func TestNEMORecoversAtNextReference(t *testing.T) {
 
 func TestReconstructHRValidation(t *testing.T) {
 	hr := frame.NewImage(32, 32)
-	if _, err := ReconstructHR(hr, nil, 2); err == nil {
+	out := frame.NewImagePacked(32, 32)
+	if err := ReconstructHRInto(out, hr, nil, 2, nil); err == nil {
 		t.Error("nil side info should fail")
 	}
 	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, MVs: make([]codec.MV, 1)}
 	for p := 0; p < 3; p++ {
 		side.Residual[p] = make([]int16, 16*16)
 	}
-	if _, err := ReconstructHR(hr, side, 0); err == nil {
+	if err := ReconstructHRInto(out, hr, side, 0, nil); err == nil {
 		t.Error("zero scale should fail")
 	}
-	if _, err := ReconstructHR(frame.NewImage(33, 32), side, 2); err == nil {
+	if err := ReconstructHRInto(frame.NewImagePacked(33, 32), frame.NewImage(33, 32), side, 2, nil); err == nil {
 		t.Error("non-multiple HR size should fail")
 	}
-	if _, err := ReconstructHR(hr, side, 2); err != nil {
+	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
 		t.Errorf("valid reconstruction failed: %v", err)
 	}
 }
@@ -150,8 +151,8 @@ func TestReconstructHRZeroMotionZeroResidual(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		side.Residual[p] = make([]int16, 16*16)
 	}
-	out, err := ReconstructHR(hr, side, 2)
-	if err != nil {
+	out := frame.NewImagePacked(hr.W, hr.H)
+	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(hr) {
@@ -172,8 +173,8 @@ func TestReconstructHRAppliesScaledMotion(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		side.Residual[p] = make([]int16, 8*8)
 	}
-	out, err := ReconstructHR(hr, side, 2)
-	if err != nil {
+	out := frame.NewImagePacked(hr.W, hr.H)
+	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	r, _, _ := out.At(5, 5)

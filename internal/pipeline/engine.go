@@ -241,7 +241,7 @@ func RunEngine(cfg Config, opt EngineOptions, v Variant, nFrames int) (*Result, 
 	}
 	src, err := newSource(cfg.Game, codec.Config{
 		Width: opt.SimW, Height: opt.SimH,
-		GOPSize: cfg.GOPSize, QStep: cfg.QStep, HalfPel: cfg.HalfPel,
+		GOPSize: cfg.GOPSize, QStep: cfg.QStep,
 	}, opt.Detector, pool)
 	if err != nil {
 		return nil, err

@@ -66,9 +66,6 @@ type Config struct {
 	// QStep is the codec quantizer (default 6).
 	QStep int
 
-	// HalfPel enables the codec's half-pixel motion compensation.
-	HalfPel bool
-
 	// Engine performs the DNN upscaling (RoI for ours, full frame for
 	// NEMO). Default: sr.NewFast with default config.
 	Engine sr.Engine
@@ -332,7 +329,7 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 	}()
 	ut.TSR = time.Now()
 	hr := pool.Image(rect.W*scale, rect.H*scale)
-	err = sr.UpscaleTo(engine, hr, view, scale, pool)
+	err = engine.UpscaleInto(hr, view, scale, pool)
 	ut.DSR = time.Since(ut.TSR)
 	if berr := <-done; err == nil {
 		err = berr

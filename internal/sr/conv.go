@@ -297,3 +297,14 @@ func macEdges(acc, s []float32, t *tap, lo, hi int) {
 		acc[x] += float32(t.w * s[clampIdx(x+dx, W)])
 	}
 }
+
+// clampIdx clamps v to [0, n): the replicate padding of the convolutions.
+func clampIdx(v, n int) int {
+	if v < 0 {
+		return 0
+	}
+	if v >= n {
+		return n - 1
+	}
+	return v
+}

@@ -218,8 +218,8 @@ func (n *Network) Forward(in *Tensor) *Tensor {
 	return out
 }
 
-// UpscaleInto implements IntoEngine: the full EDSR inference with every
-// tensor pooled.
+// UpscaleInto implements Engine: the full EDSR inference with every tensor
+// pooled.
 func (n *Network) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
 	if scale != n.spec.Scale {
 		return fmt.Errorf("sr: network is ×%d, requested ×%d", n.spec.Scale, scale)

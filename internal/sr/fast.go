@@ -10,43 +10,25 @@ import (
 )
 
 // Engine is anything that can super-resolve an image by an integer factor.
-// Both the real EDSR network and the fast kernel implement it; the client
+// The EDSR network, the fast kernel and bilinear implement it; the client
 // pipeline is written against this interface (paper Fig. 6 step ❼).
 type Engine interface {
-	// Upscale returns a new image of size (W·scale)×(H·scale).
+	// UpscaleInto writes the (W·scale)×(H·scale) result into dst — which
+	// must already have that geometry and may hold dirty pooled pixels —
+	// drawing any internal scratch from pool (nil allocates). im may be a
+	// view (Stride > W), such as a RoI of the decoded frame, and is read in
+	// place.
+	UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error
+	// Upscale is UpscaleInto into a new image.
 	Upscale(im *frame.Image, scale int) (*frame.Image, error)
 	// Name identifies the engine in experiment output.
 	Name() string
 }
 
-// IntoEngine is the destination-passing extension of Engine: UpscaleInto
-// writes the (W·scale)×(H·scale) result into dst — which must already have
-// that geometry and may hold dirty pooled pixels — drawing any internal
-// scratch from pool (nil allocates). im may be a view (Stride > W), such as
-// a RoI of the decoded frame, and is read in place. Callers type-assert and
-// fall back to Upscale for engines that don't implement it.
-type IntoEngine interface {
-	Engine
-	UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error
-}
-
-// UpscaleTo super-resolves im into dst through e's destination-passing path
-// when it has one, falling back to Upscale plus a copy for plain Engines,
-// which are handed a compact copy of a view. dst must already have the
-// (W·scale)×(H·scale) geometry.
+// UpscaleTo is e.UpscaleInto; the benchmark harness (bench/) calls it by
+// this name.
 func UpscaleTo(e Engine, dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
-	if ie, ok := e.(IntoEngine); ok {
-		return ie.UpscaleInto(dst, im, scale, pool)
-	}
-	up, err := e.Upscale(im.Compact(), scale)
-	if err != nil {
-		return err
-	}
-	if dst.W != up.W || dst.H != up.H {
-		return fmt.Errorf("sr: destination %dx%d != upscaled %dx%d", dst.W, dst.H, up.W, up.H)
-	}
-	dst.CopyFrom(up)
-	return nil
+	return e.UpscaleInto(dst, im, scale, pool)
 }
 
 // FastConfig parameterises the fast SR kernel.
@@ -101,7 +83,7 @@ func (f *Fast) Upscale(im *frame.Image, scale int) (*frame.Image, error) {
 	return dst, nil
 }
 
-// UpscaleInto implements IntoEngine.
+// UpscaleInto implements Engine.
 func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
 	if scale < 1 {
 		return fmt.Errorf("sr: invalid scale %d", scale)
@@ -138,7 +120,7 @@ func (BilinearEngine) Upscale(im *frame.Image, scale int) (*frame.Image, error) 
 	return upscale.Resize(im, im.W*scale, im.H*scale, upscale.Bilinear)
 }
 
-// UpscaleInto implements IntoEngine.
+// UpscaleInto implements Engine.
 func (BilinearEngine) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
 	if scale < 1 {
 		return fmt.Errorf("sr: invalid scale %d", scale)

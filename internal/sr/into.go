@@ -2,8 +2,7 @@ package sr
 
 // Destination-passing tensor ops. Each FooInto writes into a caller-supplied
 // tensor/image whose shape it validates, fully overwriting the destination
-// so dirty pooled buffers are fine. The allocating forms (Add, PixelShuffle,
-// FromImage, ToImage) are thin wrappers.
+// so dirty pooled buffers are fine.
 
 import (
 	"fmt"
@@ -65,8 +64,10 @@ func AddInto(out, a, b *Tensor) {
 	}
 }
 
-// PixelShuffleInto is PixelShuffle writing into out, which must have shape
-// (C/r²)×(H·r)×(W·r) and must not alias in.
+// PixelShuffleInto rearranges a (C·r²)×H×W tensor into C×(H·r)×(W·r), the
+// sub-pixel convolution upsampler EDSR uses: channel c·r²+dy·r+dx of in
+// supplies the output phase (dy, dx) of channel c. out must have that shape
+// and must not alias in.
 func PixelShuffleInto(out, in *Tensor, r int) {
 	if r <= 0 || in.C%(r*r) != 0 {
 		panic(fmt.Sprintf("sr: pixel shuffle of %d channels by r=%d", in.C, r))
@@ -89,7 +90,8 @@ func PixelShuffleInto(out, in *Tensor, r int) {
 	}
 }
 
-// FromImageInto converts im into t, which must have shape 3×H×W.
+// FromImageInto converts an 8-bit image to a 3×H×W tensor t scaled to
+// [0, 1].
 func FromImageInto(t *Tensor, im *frame.Image) {
 	checkShape("from-image", t, 3, im.H, im.W)
 	for p, plane := range [3][]uint8{im.R, im.G, im.B} {

@@ -99,10 +99,8 @@ func TestPixelShuffle(t *testing.T) {
 			in.Plane(c)[i] = float32(c*10 + i)
 		}
 	}
-	out := PixelShuffle(in, 2)
-	if out.C != 1 || out.H != 4 || out.W != 4 {
-		t.Fatalf("shape %dx%dx%d", out.C, out.H, out.W)
-	}
+	out := NewTensor(1, 4, 4)
+	PixelShuffleInto(out, in, 2)
 	// Output (0,0) is phase (0,0) of source (0,0) = channel 0.
 	if out.At(0, 0, 0) != 0 {
 		t.Errorf("(0,0) = %f", out.At(0, 0, 0))
@@ -129,7 +127,10 @@ func TestImageTensorRoundTrip(t *testing.T) {
 		im.G[i] = uint8(rng.Intn(256))
 		im.B[i] = uint8(rng.Intn(256))
 	}
-	back := ToImage(FromImage(im))
+	tensor := NewTensor(3, 4, 5)
+	FromImageInto(tensor, im)
+	back := frame.NewImagePacked(5, 4)
+	ToImageInto(back, tensor)
 	if !im.Equal(back) {
 		t.Fatal("image->tensor->image round trip lost data")
 	}

@@ -20,8 +20,6 @@ package sr
 import (
 	"fmt"
 	"sync"
-
-	"gamestreamsr/internal/frame"
 )
 
 // Tensor is a CHW float32 tensor.
@@ -114,40 +112,6 @@ func ReLU(t *Tensor) *Tensor {
 		}
 	}
 	return t
-}
-
-// Add returns a + b element-wise; shapes must match.
-func Add(a, b *Tensor) *Tensor {
-	out := NewTensor(a.C, a.H, a.W)
-	AddInto(out, a, b)
-	return out
-}
-
-// PixelShuffle rearranges a (C·r²)×H×W tensor into C×(H·r)×(W·r), the
-// sub-pixel convolution upsampler EDSR uses. Channel c·r²+dy·r+dx of the
-// input supplies the output phase (dy, dx) of channel c.
-func PixelShuffle(in *Tensor, r int) *Tensor {
-	if r <= 0 || in.C%(r*r) != 0 {
-		panic(fmt.Sprintf("sr: pixel shuffle of %d channels by r=%d", in.C, r))
-	}
-	out := NewTensor(in.C/(r*r), in.H*r, in.W*r)
-	PixelShuffleInto(out, in, r)
-	return out
-}
-
-// FromImage converts an 8-bit image to a 3×H×W tensor scaled to [0, 1].
-func FromImage(im *frame.Image) *Tensor {
-	t := NewTensor(3, im.H, im.W)
-	FromImageInto(t, im)
-	return t
-}
-
-// ToImage converts a 3×H×W tensor in [0, 1] back to an 8-bit image,
-// clamping out-of-range values.
-func ToImage(t *Tensor) *frame.Image {
-	im := frame.NewImage(t.W, t.H)
-	ToImageInto(im, t)
-	return im
 }
 
 // FLOPs returns the multiply-accumulate count of one forward pass of conv c

@@ -169,27 +169,12 @@ func (v *variant) Cost(job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail
 	return st, em.NonZero(), nil
 }
 
-// ReconstructRoIGuided is the §VI step-❸ reconstruction: like NEMO's HR
+// ReconstructRoIGuidedInto is the §VI step-❸ reconstruction: like NEMO's HR
 // reuse, but the residual plane inside the (scaled) RoI is upscaled with
-// the quality-preserving kernel while the rest uses bilinear.
-func ReconstructRoIGuided(hrPrev *frame.Image, side *codec.SideInfo, scale int, roiLR frame.Rect, kernel upscale.Kind) (*frame.Image, error) {
-	if side == nil {
-		return nil, fmt.Errorf("srdecoder: missing side information")
-	}
-	if scale < 1 {
-		return nil, fmt.Errorf("srdecoder: invalid scale %d", scale)
-	}
-	out := frame.NewImagePacked(hrPrev.W, hrPrev.H)
-	if err := ReconstructRoIGuidedInto(out, hrPrev, side, scale, roiLR, kernel, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReconstructRoIGuidedInto is ReconstructRoIGuided writing into dst, which
-// must match hrPrev's geometry and may hold dirty pooled pixels — the block
-// grid spans the frame, so every output pixel is overwritten. Transient
-// residual planes come from pool (nil allocates).
+// the quality-preserving kernel while the rest uses bilinear. dst must match
+// hrPrev's geometry and may hold dirty pooled pixels — the block grid spans
+// the frame, so every output pixel is overwritten. Transient residual planes
+// come from pool (nil allocates).
 func ReconstructRoIGuidedInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, roiLR frame.Rect, kernel upscale.Kind, pool *bufpool.Pool) error {
 	if side == nil {
 		return fmt.Errorf("srdecoder: missing side information")
@@ -263,12 +248,6 @@ func ReconstructRoIGuidedInto(dst, hrPrev *frame.Image, side *codec.SideInfo, sc
 			}
 			dx := int(mv.DX) * scale
 			dy := int(mv.DY) * scale
-			if side.HalfPel {
-				// Half-pel LR vectors land on full pixels at even scales
-				// (the paper's ×2); floor like the codec's interpolator.
-				dx >>= 1
-				dy >>= 1
-			}
 			for p := 0; p < 3; p++ {
 				src := planesPrev[p]
 				dst := planesOut[p]

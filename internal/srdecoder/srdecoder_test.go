@@ -148,21 +148,22 @@ func TestQualityDecayBounded(t *testing.T) {
 func TestReconstructRoIGuidedValidation(t *testing.T) {
 	hr := frame.NewImage(32, 32)
 	roi := frame.Rect{X: 0, Y: 0, W: 8, H: 8}
-	if _, err := ReconstructRoIGuided(hr, nil, 2, roi, upscale.Bicubic); err == nil {
+	out := frame.NewImagePacked(32, 32)
+	if err := ReconstructRoIGuidedInto(out, hr, nil, 2, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("nil side should fail")
 	}
 	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, MVs: make([]codec.MV, 1)}
 	for p := 0; p < 3; p++ {
 		side.Residual[p] = make([]int16, 16*16)
 	}
-	if _, err := ReconstructRoIGuided(hr, side, 0, roi, upscale.Bicubic); err == nil {
+	if err := ReconstructRoIGuidedInto(out, hr, side, 0, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("zero scale should fail")
 	}
-	if _, err := ReconstructRoIGuided(frame.NewImage(31, 32), side, 2, roi, upscale.Bicubic); err == nil {
+	if err := ReconstructRoIGuidedInto(frame.NewImagePacked(31, 32), frame.NewImage(31, 32), side, 2, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("non-multiple frame should fail")
 	}
 	side.Residual[0] = make([]int16, 10)
-	if _, err := ReconstructRoIGuided(hr, side, 2, roi, upscale.Bicubic); err == nil {
+	if err := ReconstructRoIGuidedInto(out, hr, side, 2, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("mismatched residual plane should fail")
 	}
 }
@@ -176,8 +177,8 @@ func TestReconstructRoIGuidedIdentity(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		side.Residual[p] = make([]int16, 16*16)
 	}
-	out, err := ReconstructRoIGuided(hr, side, 2, frame.Rect{X: 2, Y: 2, W: 8, H: 8}, upscale.Bicubic)
-	if err != nil {
+	out := frame.NewImagePacked(hr.W, hr.H)
+	if err := ReconstructRoIGuidedInto(out, hr, side, 2, frame.Rect{X: 2, Y: 2, W: 8, H: 8}, upscale.Bicubic, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(hr) {

@@ -386,30 +386,13 @@ func Merge(base *frame.Image, roiHR *frame.Image, roiLR frame.Rect, scale int) e
 	return nil
 }
 
-// ResizePlane resamples a single float64 plane (e.g. a residual plane or a
-// motion-vector component field) — the operation NEMO applies to
-// non-reference frame data (§II-A of the paper, our §nemo baseline).
-func ResizePlane(src []float64, srcW, srcH, dstW, dstH int, k Kind) ([]float64, error) {
-	if dstW <= 0 || dstH <= 0 {
-		return nil, fmt.Errorf("upscale: invalid plane resample %dx%d -> %dx%d", srcW, srcH, dstW, dstH)
-	}
-	dst := make([]float64, dstW*dstH)
-	if err := ResizePlaneInto(dst, src, srcW, srcH, dstW, dstH, k, nil); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// ResizePlaneInto is ResizePlane writing into dst, which must have length
-// dstW*dstH and is fully overwritten (a dirty pooled buffer is fine; dst
-// must not alias src). The optional pool supplies the intermediate buffer.
+// ResizePlaneInto resamples a single float64 plane (e.g. a residual plane or
+// a motion-vector component field) — the operation NEMO applies to
+// non-reference frame data (§II-A of the paper, our §nemo baseline). dst
+// must have length dstW*dstH and is fully overwritten (a dirty pooled buffer
+// is fine; dst must not alias src). The optional pool supplies the
+// intermediate buffer.
 func ResizePlaneInto(dst, src []float64, srcW, srcH, dstW, dstH int, k Kind, pool *bufpool.Pool) error {
-	return ResizePlaneIntoOn(nil, dst, src, srcW, srcH, dstW, dstH, k, pool)
-}
-
-// ResizePlaneIntoOn is ResizePlaneInto attributed to the scheduler client c
-// (nil means the default client).
-func ResizePlaneIntoOn(c *parallel.Client, dst, src []float64, srcW, srcH, dstW, dstH int, k Kind, pool *bufpool.Pool) error {
 	if len(src) != srcW*srcH {
 		return fmt.Errorf("upscale: plane length %d != %dx%d", len(src), srcW, srcH)
 	}
@@ -422,7 +405,7 @@ func ResizePlaneIntoOn(c *parallel.Client, dst, src []float64, srcW, srcH, dstW,
 	hw := cachedWeights(srcW, dstW, k)
 	vw := cachedWeights(srcH, dstH, k)
 	mid := pool.Float64s(dstW * srcH)
-	c.For(srcH, func(y0, y1 int) {
+	parallel.For(srcH, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < dstW; x++ {
 				t := &hw[x]
@@ -434,7 +417,7 @@ func ResizePlaneIntoOn(c *parallel.Client, dst, src []float64, srcW, srcH, dstW,
 			}
 		}
 	})
-	c.For(dstH, func(y0, y1 int) {
+	parallel.For(dstH, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			t := &vw[y]
 			for x := 0; x < dstW; x++ {

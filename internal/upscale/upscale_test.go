@@ -243,12 +243,9 @@ func TestMergeProperty(t *testing.T) {
 
 func TestResizePlane(t *testing.T) {
 	src := []float64{0, 1, 2, 3}
-	out, err := ResizePlane(src, 2, 2, 4, 4, Bilinear)
-	if err != nil {
+	out := make([]float64, 16)
+	if err := ResizePlaneInto(out, src, 2, 2, 4, 4, Bilinear, nil); err != nil {
 		t.Fatal(err)
-	}
-	if len(out) != 16 {
-		t.Fatalf("plane length %d", len(out))
 	}
 	// Corners replicate source corners (clamped kernel).
 	if out[0] != 0 || out[15] != 3 {
@@ -260,10 +257,10 @@ func TestResizePlane(t *testing.T) {
 			t.Errorf("row not monotone at %d: %v", x, out[:4])
 		}
 	}
-	if _, err := ResizePlane(src, 3, 2, 4, 4, Bilinear); err == nil {
+	if err := ResizePlaneInto(out, src, 3, 2, 4, 4, Bilinear, nil); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	if _, err := ResizePlane(src, 2, 2, 0, 4, Bilinear); err == nil {
+	if err := ResizePlaneInto(nil, src, 2, 2, 0, 4, Bilinear, nil); err == nil {
 		t.Error("invalid target should fail")
 	}
 }
@@ -271,8 +268,8 @@ func TestResizePlane(t *testing.T) {
 func TestResizePlaneNegativeValues(t *testing.T) {
 	// Residual planes are signed; resampling must not clamp them.
 	src := []float64{-10, -10, -10, -10}
-	out, err := ResizePlane(src, 2, 2, 3, 3, Bilinear)
-	if err != nil {
+	out := make([]float64, 9)
+	if err := ResizePlaneInto(out, src, 2, 2, 3, 3, Bilinear, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range out {
