@@ -17,26 +17,17 @@
 //
 //	gssr-client [-addr localhost:7007] [-device s8] [-scale 2] [-save out.ppm]
 //	            [-metrics :9091] [-flight client-flight.json] [-stats-every 60]
-//	            [-channel arena | -spectate arena]
 //	            [-reconnect 5] [-reconnect-base 500ms] [-reconnect-max 15s]
 //	            [-ping 2s]
 //
-// Spectating (DESIGN.md §14): with -channel, the session publishes its
-// encoded stream under that name on the server's relay; any number of
-// spectators can then join with -spectate <name>, receiving the cached
-// keyframe immediately (no wait for the next GOP boundary) followed by the
-// live tail of the same encode. A spectator session is receive-only — it
-// sends no input events — but keeps the full decode/upscale/SR path, the
-// flight recorder and the Stats backchannel.
-//
 // Fault tolerance (DESIGN.md §15): the client heartbeats (-ping) so the
-// server can tell dead from slow, and -reconnect N redials a
-// dropped session up to N times with exponential backoff + jitter. A
-// publisher replays its resume token, reclaiming its parked channel so
-// spectators ride through the drop; a spectator simply re-subscribes.
-// Typed rejects steer the loop: busy/capacity waits (using the server's
-// suggested retry-after when present), while bad-hello, channel-taken and
-// unknown-channel are fatal — no retry will change the server's mind.
+// server can tell dead from slow, and -reconnect N redials a dropped
+// session up to N times with exponential backoff + jitter. The redial
+// replays the session's resume token, so the server keeps its identity;
+// the new session starts at a keyframe. Typed rejects steer the loop:
+// busy/capacity waits (using the server's suggested retry-after when
+// present), while bad-hello is fatal — no retry will change the server's
+// mind.
 package main
 
 import (
@@ -76,17 +67,11 @@ func main() {
 	flag.StringVar(&cfg.flightPath, "flight", "", "write the flight-recorder window to this file on exit (Chrome trace JSON)")
 	flag.IntVar(&cfg.flightFrames, "flight-frames", frametrace.DefaultFrames, "flight-recorder ring size in frames")
 	flag.IntVar(&cfg.statsEvery, "stats-every", 60, "send a Stats backchannel report every N frames (0 disables)")
-	flag.StringVar(&cfg.channel, "channel", "", "publish this session's stream under a channel name for spectators")
-	flag.StringVar(&cfg.spectate, "spectate", "", "join an existing channel as a spectator instead of opening a game session")
 	flag.IntVar(&cfg.reconnect, "reconnect", 0, "redial a dropped session up to N times (0 disables auto-reconnect)")
 	flag.DurationVar(&cfg.reconnectBase, "reconnect-base", 500*time.Millisecond, "initial reconnect backoff (doubles per attempt, with jitter)")
 	flag.DurationVar(&cfg.reconnectMax, "reconnect-max", 15*time.Second, "reconnect backoff ceiling")
 	flag.DurationVar(&cfg.ping, "ping", stream.DefaultPingInterval, "heartbeat interval (0 disables pings)")
 	flag.Parse()
-	if cfg.channel != "" && cfg.spectate != "" {
-		logx.Error("-channel and -spectate are mutually exclusive: publish or spectate, not both")
-		os.Exit(1)
-	}
 
 	// SIGINT/SIGTERM end the session cleanly: the signal context triggers a
 	// protocol Bye before the connection drops, so the server logs a clean
@@ -105,7 +90,6 @@ type clientConfig struct {
 	save                     string
 	metricsAddr, flightPath  string
 	flightFrames, statsEvery int
-	channel, spectate        string
 
 	reconnect                   int
 	reconnectBase, reconnectMax time.Duration
@@ -267,32 +251,20 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 	c := stream.NewClient(conn)
 	// A typed Reject comes back as a *stream.RejectedError for the reconnect
 	// loop in run to weigh; there is no second attempt here.
-	var cfg stream.Accept
-	if cc.spectate != "" {
-		cfg, err = c.Subscribe(stream.Subscribe{Channel: cc.spectate, Device: dev.Name})
-	} else {
-		cfg, err = c.Handshake(stream.Hello{
-			Device: dev.Name, RoIWindow: min(roiWin, 64), Scale: cc.scale,
-			Channel: cc.channel, ResumeToken: st.resumeToken,
-		})
-	}
+	cfg, err := c.Handshake(stream.Hello{
+		Device: dev.Name, RoIWindow: min(roiWin, 64), Scale: cc.scale,
+		ResumeToken: st.resumeToken,
+	})
 	if err != nil {
 		return err
 	}
 	if cfg.Token != "" {
-		// The resume token: replayed on the next dial, it correlates this
-		// client across reconnects and reclaims a parked channel.
+		// The resume token: replayed on the next dial, it keeps this
+		// client's identity on the server across reconnects.
 		st.resumeToken = cfg.Token
 	}
 	clock := c.Clock()
-	switch {
-	case cc.spectate != "":
-		logx.Info("spectating", "channel", cc.spectate, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
-	case cc.channel != "":
-		logx.Info("publishing", "channel", cc.channel, "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
-	default:
-		logx.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
-	}
+	logx.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
 	if clock.Synced {
 		logx.Info("clock sync", "offset", clock.Offset.Round(time.Microsecond),
 			"rtt", clock.RTT.Round(time.Microsecond), "offset_err_bound", (clock.RTT / 2).Round(time.Microsecond))
@@ -340,13 +312,10 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		}()
 	}
 
-	// Send a few demo input events (the interactive path). Spectators are
-	// receive-only: they have no say in the game.
-	if cc.spectate == "" {
-		for i := 0; i < 3; i++ {
-			if err := c.SendInput(stream.InputPacket{Seq: uint32(i), Payload: []byte("move-forward")}); err != nil {
-				return err
-			}
+	// Send a few demo input events (the interactive path).
+	for i := 0; i < 3; i++ {
+		if err := c.SendInput(stream.InputPacket{Seq: uint32(i), Payload: []byte("move-forward")}); err != nil {
+			return err
 		}
 	}
 

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	gssr-server [-addr :7007] [-game G3] [-frames 120] [-w 320] [-h 180] [-gop 12] [-metrics :9090] [-flight 128]
-//	            [-max-sessions 16] [-max-subscribers 16] [-sub-queue 32]
+//	            [-max-sessions 16]
 //	            [-admission] [-admission-slack 0] [-shed] [-shed-streak 8] [-shed-recover 240]
 //
 // With -metrics, a telemetry endpoint serves /metrics (Prometheus text),
@@ -39,14 +39,6 @@
 // -shed-streak consecutive deadline misses climbs a quality ladder — RoI
 // shrink, then bilinear-only (no RoI/SR), then background scheduler
 // priority — and descends one rung after -shed-recover on-budget frames.
-//
-// Spectating (DESIGN.md §14): a publisher whose Hello names a channel
-// (gssr-client -channel <name>) is fanned out 1:many — spectators join with
-// `gssr-client -spectate <name>` and get the channel's cached geometry, the
-// cached keyframe and the live GOP tail without a second encode.
-// -max-subscribers caps spectators per channel; -sub-queue sizes each
-// spectator's bounded send queue (a reader that overflows it is dropped to
-// the next keyframe, then disconnected if it makes no progress).
 package main
 
 import (
@@ -79,15 +71,12 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "telemetry listen address (e.g. :9090); empty disables")
 	flight := flag.Int("flight", 0, "frames per session in the flight recorder (0 disables /debug/flight)")
 	maxSessions := flag.Int("max-sessions", 16, "concurrent session cap (excess connections get a capacity reject)")
-	maxSubs := flag.Int("max-subscribers", 16, "spectator cap per publish channel (excess get a capacity reject)")
-	subQueue := flag.Int("sub-queue", 32, "per-spectator send-queue depth in frames (overflow drops to keyframe)")
 	admission := flag.Bool("admission", false, "refuse new sessions when live p99 slack runs out (needs -flight)")
 	admissionSlack := flag.Duration("admission-slack", 0, "minimum p99 headroom against the deadline to admit a session")
 	shed := flag.Bool("shed", false, "degrade over-budget sessions along the shed ladder (needs -flight)")
 	shedStreak := flag.Int("shed-streak", 8, "consecutive deadline misses per shed-ladder escalation")
 	shedRecover := flag.Int("shed-recover", 240, "consecutive on-budget frames per shed-ladder recovery")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections silent (no heartbeat) this long (0 = default, negative disables)")
-	parkGrace := flag.Duration("park-grace", 0, "keep a dropped publisher's channel parked this long awaiting a resume reclaim (0 = default, negative disables)")
 	fault := flag.String("fault", "", "chaos script applied to every accepted connection, e.g. \"latency=5ms,jitter=2ms,reset@96KB\" (see internal/faultnet)")
 	deadline := flag.Duration("deadline", 0, "per-frame budget the flight recorders account against (0 = 60 FPS frame time)")
 	diagDir := flag.String("diag", "", "directory for SLO-triggered diagnostic capture bundles; also arms the continuous profile ring and /debug/diag")
@@ -100,8 +89,7 @@ func main() {
 	cfg := serverConfig{
 		addr: *addr, gameID: *gameID, frames: *frames, width: *width, height: *height,
 		gop: *gop, qstep: *qstep, metricsAddr: *metricsAddr, flight: *flight,
-		maxSessions: *maxSessions, maxSubs: *maxSubs, subQueue: *subQueue,
-		idleTimeout: *idleTimeout, parkGrace: *parkGrace, fault: *fault,
+		maxSessions: *maxSessions, idleTimeout: *idleTimeout, fault: *fault,
 		deadline: *deadline, diagDir: *diagDir,
 	}
 	if *admission {
@@ -121,11 +109,10 @@ type serverConfig struct {
 	addr, gameID                    string
 	frames, width, height           int
 	gop, qstep, flight, maxSessions int
-	maxSubs, subQueue               int
 	metricsAddr                     string
 	admission                       *stream.AdmissionPolicy
 	shed                            *stream.ShedPolicy
-	idleTimeout, parkGrace          time.Duration
+	idleTimeout                     time.Duration
 	fault                           string
 	deadline                        time.Duration
 	diagDir                         string
@@ -174,20 +161,17 @@ func run(cfg serverConfig) error {
 	// window its Hello announced (Fig. 6 step ❶); sessions run
 	// concurrently.
 	srv := &stream.MultiServer{
-		Accept:          stream.Accept{Width: width, Height: height, GOPSize: gop, QStep: qstep},
-		MaxFrames:       frames,
-		FrameInterval:   time.Second / games.FPS, // frame i is the game at i/FPS seconds
-		MaxSessions:     cfg.maxSessions,
-		MaxSubscribers:  cfg.maxSubs,
-		SubscriberQueue: cfg.subQueue,
-		Metrics:         reg,
-		FlightFrames:    flight,
-		Sched:           parallel.Default(),
-		Admission:       cfg.admission,
-		Shed:            cfg.shed,
-		IdleTimeout:     cfg.idleTimeout,
-		ParkGrace:       cfg.parkGrace,
-		Deadline:        cfg.deadline,
+		Accept:        stream.Accept{Width: width, Height: height, GOPSize: gop, QStep: qstep},
+		MaxFrames:     frames,
+		FrameInterval: time.Second / games.FPS, // frame i is the game at i/FPS seconds
+		MaxSessions:   cfg.maxSessions,
+		Metrics:       reg,
+		FlightFrames:  flight,
+		Sched:         parallel.Default(),
+		Admission:     cfg.admission,
+		Shed:          cfg.shed,
+		IdleTimeout:   cfg.idleTimeout,
+		Deadline:      cfg.deadline,
 		OnInput: func(remote string, in stream.InputPacket) {
 			logx.Info("input", "session", remote, "seq", in.Seq, "payload", string(in.Payload))
 		},

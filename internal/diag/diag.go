@@ -8,7 +8,7 @@
 //
 // Three pieces:
 //
-//   - pprof goroutine labels (session/stage/channel/sched_client)
+//   - pprof goroutine labels (session/stage/sched_client)
 //     threaded through the pipeline engine, the parallel scheduler and
 //     the stream server, so any CPU or goroutine profile attributes its
 //     samples (see Labels* helpers below and DESIGN.md §16).

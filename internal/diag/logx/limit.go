@@ -6,7 +6,7 @@ import (
 )
 
 // Limiter is a per-key token bucket for repetitive log lines (slow sends,
-// shed escalations): one wedged subscriber repeating the same complaint
+// shed escalations): one wedged session repeating the same complaint
 // hundreds of times per second would otherwise wash every other line out
 // of the bounded ring that diag bundles capture. Keys are free-form —
 // the stream layer uses "kind:session" so each session gets its own

@@ -1,7 +1,7 @@
 // Package logx is the repo's structured, leveled, ring-buffered logger.
 //
 // Every line is a message plus flat key=value fields (session, frame,
-// flight, channel, …) so log output correlates with the flight recorder
+// flight, …) so log output correlates with the flight recorder
 // and /metrics without regex archaeology. Lines go to the writer (stderr
 // by default) AND into a bounded in-memory ring; the diag capture bundle
 // freezes the ring at trigger time, so the last few hundred lines of

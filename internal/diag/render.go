@@ -136,7 +136,6 @@ func RenderBundle(w io.Writer, b *Bundle, top int) error {
 				len(p.Samples), window.Round(time.Millisecond),
 				b.CPUStart.Format("15:04:05.000"), b.CPUEnd.Format("15:04:05.000"))
 			renderAttr(w, "by session/stage", p, top, "session", "stage")
-			renderAttr(w, "by channel", p, top, "channel")
 			renderAttr(w, "by scheduler client", p, top, "sched_client")
 			rows, total := topFunctions(p)
 			fmt.Fprintf(w, " top functions:\n")
@@ -165,8 +164,8 @@ func RenderBundle(w io.Writer, b *Bundle, top int) error {
 }
 
 // renderAttr prints one label-attribution table, skipping it when the
-// profile carries none of the keys (e.g. "channel" in a single-process
-// pipeline run).
+// profile carries none of the keys (e.g. "sched_client" when no session ran
+// on the parallel scheduler).
 func renderAttr(w io.Writer, title string, p *Profile, top int, keys ...string) {
 	rows, total := CPUAttribution(p, keys...)
 	if len(rows) == 0 || (len(rows) == 1 && rows[0].key == "(unlabeled)") {

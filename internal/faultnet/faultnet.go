@@ -3,7 +3,7 @@
 // jitter, caps bandwidth, splits writes, stalls, resets mid-stream and
 // blackholes — the last-mile misbehaviour a production game stream has to
 // survive (DESIGN.md §15). It exists so the fault-tolerance layer
-// (heartbeats, reconnect, channel parking) can be exercised from plain
+// (heartbeats, reaping, reconnect with resume) can be exercised from plain
 // `go test` with repeatable faults, and from the `-fault` flag on
 // gssr-server and `gssr sim` for interactive chaos experiments.
 //

@@ -345,8 +345,8 @@ func (e *engineRun) run(nFrames int) (*Result, error) {
 			e.mets.codedBytes.Observe(float64(job.CodedBytes))
 			e.mets.codedBytesTotal.Add(int64(job.CodedBytes))
 			if e.cfg.Tap != nil {
-				// Encode-once fan-out: the tap sees the bitstream here and
-				// must copy what it keeps — job.data is recycled once the
+				// The tap sees the bitstream the client stage will decode
+				// and must copy what it keeps — job.data is recycled once the
 				// client stage decodes it.
 				e.cfg.Tap.PublishFrame(job.Index, job.data, job.Type == codec.Intra, job.RoI)
 			}

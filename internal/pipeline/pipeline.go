@@ -123,12 +123,14 @@ type Config struct {
 	Flight *frametrace.Recorder
 
 	// Tap, when non-nil, observes every encoded frame as it leaves the
-	// server stage (before the simulated link), in frame order — the
-	// encode-once fan-out point a broadcast relay attaches to: one encode
-	// feeds the run and every subscriber. The payload slice is only valid
-	// during the call (it rides the job and is recycled downstream);
-	// implementations that keep it must copy. Tapping never alters
-	// results — the determinism tests run with a tap attached.
+	// server stage (before the simulated link), in frame order: the
+	// bitstream the engine's client half decodes, for a test to hold
+	// against another path (TestEncodeTap, and TestLivePathMatchesEngine,
+	// which compares the live source's payloads with it). The payload
+	// slice is only valid during the call (it rides the job and is
+	// recycled downstream); implementations that keep it must copy.
+	// Tapping never alters results — the determinism tests run with a tap
+	// attached.
 	Tap PacketTap
 
 	// Session names this run in pprof goroutine labels: every stage
@@ -140,9 +142,8 @@ type Config struct {
 	Session string
 }
 
-// PacketTap receives the server stage's encoded output, frame by frame.
-// Implemented by stream.Channel (the broadcast relay); see Config.Tap for
-// the payload-lifetime contract.
+// PacketTap receives the server stage's encoded output, frame by frame; see
+// Config.Tap for the payload-lifetime contract.
 type PacketTap interface {
 	PublishFrame(index int, payload []byte, key bool, roi frame.Rect)
 }

@@ -119,8 +119,9 @@ func TestGameStreamRun(t *testing.T) {
 	}
 }
 
-// recordingTap captures every PublishFrame call, copying payloads the way
-// real taps (the stream relay) must — the engine recycles its buffer.
+// recordingTap records every PublishFrame call's index, key flag and size;
+// a tap that kept the payload would have to copy it — the engine recycles
+// its buffer.
 type recordingTap struct {
 	mu    sync.Mutex
 	idx   []int

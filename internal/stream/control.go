@@ -15,21 +15,18 @@ import (
 // Liveness defaults (DESIGN.md §15).
 const (
 	// DefaultControlTimeout bounds small control-message writes (rejects,
-	// byes, pongs): a peer that never reads must not wedge the goroutine.
+	// pongs): a peer that never reads must not wedge the goroutine.
 	DefaultControlTimeout = time.Second
 	// DefaultPingInterval is the client heartbeat cadence.
 	DefaultPingInterval = 2 * time.Second
 	// DefaultIdleTimeout is the server's read-liveness bound: three missed
 	// ping intervals. A session silent for this long is reaped as dead —
-	// slower peers stay on the shed/eviction ladders, which handle slow;
-	// the reaper handles gone.
+	// slower peers stay on the shed ladder, which handles slow; the reaper
+	// handles gone.
 	DefaultIdleTimeout = 3 * DefaultPingInterval
-	// DefaultParkGrace is how long a publisher-dropped channel stays parked
-	// awaiting a resume-token reclaim before it closes for real.
-	DefaultParkGrace = 10 * time.Second
 )
 
-// controlWrite performs one bounded control-message write (reject, bye,
+// controlWrite performs one bounded control-message write (reject,
 // pong): it arms a write deadline when the transport has one, runs fn,
 // clears the deadline, and counts + logs deadline-exceeded drops. It
 // replaces the raw SetWriteDeadline(…time.Second) calls that used to be
@@ -59,8 +56,8 @@ func controlWrite(conn io.Writer, m *telemetry.Registry, lg *logx.Logger, timeou
 }
 
 // newResumeToken mints the opaque token an Accept carries: long enough
-// that a reclaim cannot be guessed, short enough for the wire's 255-byte
-// token bound.
+// that no other client can guess it and take over the session's identity,
+// short enough for the wire's 255-byte token bound.
 func newResumeToken() string {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {

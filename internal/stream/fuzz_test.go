@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,7 +12,9 @@ import (
 )
 
 // FuzzReadMsg drives the wire-format parser with arbitrary bytes; the
-// invariant is no panic and a well-formed message on success.
+// invariant is no panic and a well-formed message on success. Message type
+// 8, version 4's Subscribe, is unassigned: it must always be a protocol
+// error.
 func FuzzReadMsg(f *testing.F) {
 	for _, g := range wireGoldens {
 		wire, err := hex.DecodeString(g.hex)
@@ -23,9 +26,25 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Add([]byte{byte(MsgHello), 0x05, 0x01, 'd', 0x20, 0x02}) // a Hello that stops after two fields
+	for _, v4 := range []string{
+		// Version 4's Hello with a channel name: it still parses, the
+		// channel read as the token, so it can be refused by version.
+		"012d0273384002048080f9c0c1c48203056172656e6118303031313232333334343535363637373838393961616262",
+		// Version 4's Subscribe.
+		"0815056172656e6105706978656c048080f9c0c1c48203",
+	} {
+		wire, err := hex.DecodeString(v4)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMsg(bytes.NewReader(data))
+		if len(data) > 0 && data[0] == 8 && !errors.Is(err, ErrProtocol) {
+			t.Fatalf("type 8 read as %v, %v; want a protocol error", msg.Type, err)
+		}
 		if err != nil {
 			return
 		}
@@ -49,10 +68,6 @@ func FuzzReadMsg(f *testing.F) {
 		case MsgStats:
 			if msg.Stats == nil {
 				t.Fatal("stats without body")
-			}
-		case MsgSubscribe:
-			if msg.Subscribe == nil || msg.Subscribe.Channel == "" {
-				t.Fatal("malformed subscribe accepted")
 			}
 		case MsgReject:
 			if msg.Reject == nil {
@@ -124,9 +139,6 @@ func helloRoundTrip(t *testing.T, h Hello) {
 	if len(h.Device) > 255 {
 		h.Device = h.Device[:255]
 	}
-	if len(h.Channel) > 255 {
-		h.Channel = h.Channel[:255]
-	}
 	if len(h.ResumeToken) > 255 {
 		h.ResumeToken = h.ResumeToken[:255]
 	}
@@ -141,41 +153,13 @@ func helloRoundTrip(t *testing.T, h Hello) {
 }
 
 func FuzzHelloRoundTrip(f *testing.F) {
-	f.Add("s8", 64, 2, 2, int64(1700000000000000), "", "")
-	f.Add("", 1, 1, 0, int64(0), "", "")
-	f.Add("pixel", 300, 4, 7, int64(-5), "arena", "deadbeefcafe")
-	f.Add("s8", 64, 2, 3, int64(1700000000000000), "lobby/2", "")
-	f.Add("s8", 64, 2, 4, int64(1700000000000000), "arena", "00112233445566778899aabb")
-	f.Fuzz(func(t *testing.T, dev string, roi, scale, ver int, sendUS int64, channel, token string) {
-		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, Version: ver, SendUnixMicro: sendUS, Channel: channel, ResumeToken: token})
-	})
-}
-
-func subscribeRoundTrip(t *testing.T, sub Subscribe) {
-	if sub.Channel == "" {
-		sub.Channel = "c" // the writer refuses an empty channel by contract
-	}
-	if len(sub.Channel) > 255 {
-		sub.Channel = sub.Channel[:255]
-	}
-	if len(sub.Device) > 255 {
-		sub.Device = sub.Device[:255]
-	}
-	sub.Version = sanitizeNonNeg(sub.Version)
-	want := sub
-	want.SendUnixMicro = max(want.SendUnixMicro, 0)
-	msg := roundTrip(t, Msg{Type: MsgSubscribe, Subscribe: &sub})
-	if *msg.Subscribe != want {
-		t.Fatalf("subscribe = %+v, want %+v", *msg.Subscribe, want)
-	}
-}
-
-func FuzzSubscribeRoundTrip(f *testing.F) {
-	f.Add("arena", "s8", 3, int64(1700000000000000))
-	f.Add("c", "", 0, int64(0))
-	f.Add("lobby/2", "pixel", 9, int64(-4))
-	f.Fuzz(func(t *testing.T, channel, dev string, ver int, sendUS int64) {
-		subscribeRoundTrip(t, Subscribe{Channel: channel, Device: dev, Version: ver, SendUnixMicro: sendUS})
+	f.Add("s8", 64, 2, 2, int64(1700000000000000), "")
+	f.Add("", 1, 1, 0, int64(0), "")
+	f.Add("pixel", 300, 4, 7, int64(-5), "deadbeefcafe")
+	f.Add("s8", 64, 2, 4, int64(1700000000000000), "")
+	f.Add("s8", 64, 2, 5, int64(1700000000000000), "00112233445566778899aabb")
+	f.Fuzz(func(t *testing.T, dev string, roi, scale, ver int, sendUS int64, token string) {
+		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, Version: ver, SendUnixMicro: sendUS, ResumeToken: token})
 	})
 }
 
@@ -326,14 +310,8 @@ func FuzzPingPongRoundTrip(f *testing.F) {
 // testing/quick's generator — the property-test complement to the fuzz
 // corpus, run on every plain `go test`.
 func TestWireProperties(t *testing.T) {
-	if err := quick.Check(func(dev string, roi, scale, ver int, sendUS int64, channel, token string) bool {
-		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, Version: ver, SendUnixMicro: sendUS, Channel: channel, ResumeToken: token})
-		return !t.Failed()
-	}, nil); err != nil {
-		t.Error(err)
-	}
-	if err := quick.Check(func(channel, dev string, ver int, sendUS int64) bool {
-		subscribeRoundTrip(t, Subscribe{Channel: channel, Device: dev, Version: ver, SendUnixMicro: sendUS})
+	if err := quick.Check(func(dev string, roi, scale, ver int, sendUS int64, token string) bool {
+		helloRoundTrip(t, Hello{Device: dev, RoIWindow: roi, Scale: scale, Version: ver, SendUnixMicro: sendUS, ResumeToken: token})
 		return !t.Failed()
 	}, nil); err != nil {
 		t.Error(err)

@@ -18,8 +18,6 @@ func writeAny(w io.Writer, m Msg) error {
 	switch m.Type {
 	case MsgHello:
 		return WriteHello(w, *m.Hello)
-	case MsgSubscribe:
-		return WriteSubscribe(w, *m.Subscribe)
 	case MsgAccept:
 		return WriteAccept(w, *m.Accept)
 	case MsgReject:
@@ -46,33 +44,32 @@ const (
 )
 
 // wireGoldens pins the one wire format, a message of every type. The hex
-// strings were not written by this code: they were printed by the encoders
-// of commit 07310cd, the last one to carry protocol versions 1-4, from these
-// same values, version 4 being its newest (a throw-away test in a
-// `git archive` copy of that commit calling WriteHello … WriteBye and
-// printing %x). That a version-4 session puts the same bytes on the wire
-// before and after the collapse to one format is therefore checked here, not
-// asserted. tail marks the messages that must ignore bytes after their last
-// known field.
+// strings were not written by this code: all but the two Hellos were
+// printed by the encoders of commit 07310cd, the last one to carry protocol
+// versions 1-4, from these same values, version 4 being its newest (a
+// throw-away test in a `git archive` copy of that commit calling WriteHello
+// … WriteBye and printing %x). That a version-4 session puts the same bytes
+// on the wire before and after the collapse to one format is therefore
+// checked here, not asserted. Version 5 changed only the Hello: the
+// version-4 goldens lost their channel field (an empty one, and "arena"
+// with its length byte) and carry 5 in the version byte, the length prefix
+// shrinking to match — worked by hand from the version-4 bytes, which
+// FuzzReadMsg keeps as a seed. tail marks the messages that must ignore
+// bytes after their last known field.
 var wireGoldens = []struct {
 	name string
 	hex  string
 	msg  Msg
 	tail bool
 }{
-	{"hello", "01100273384002048080f9c0c1c482030000",
-		Msg{Type: MsgHello, Hello: &Hello{Device: "s8", RoIWindow: 64, Scale: 2, Version: 4, SendUnixMicro: goldenUS}}, true},
-	{"hello+channel+token", "012d0273384002048080f9c0c1c48203056172656e6118303031313232333334343535363637373838393961616262",
-		Msg{Type: MsgHello, Hello: &Hello{Device: "s8", RoIWindow: 64, Scale: 2, Version: 4, SendUnixMicro: goldenUS, Channel: "arena", ResumeToken: goldenToken}}, true},
-	{"subscribe", "0815056172656e6105706978656c048080f9c0c1c48203",
-		Msg{Type: MsgSubscribe, Subscribe: &Subscribe{Channel: "arena", Device: "pixel", Version: 4, SendUnixMicro: goldenUS}}, true},
+	{"hello", "010f0273384002058080f9c0c1c4820300",
+		Msg{Type: MsgHello, Hello: &Hello{Device: "s8", RoIWindow: 64, Scale: 2, Version: 5, SendUnixMicro: goldenUS}}, true},
+	{"hello+token", "01270273384002058080f9c0c1c4820318303031313232333334343535363637373838393961616262",
+		Msg{Type: MsgHello, Hello: &Hello{Device: "s8", RoIWindow: 64, Scale: 2, Version: 5, SendUnixMicro: goldenUS, ResumeToken: goldenToken}}, true},
 	{"accept", "0218800ad0050c0604e480f9c0c1c48203fa81f9c0c1c4820300",
 		Msg{Type: MsgAccept, Accept: &Accept{Width: 1280, Height: 720, GOPSize: 12, QStep: 6, Version: 4, RecvUnixMicro: goldenUS + 100, SendUnixMicro: goldenUS + 250}}, true},
 	{"accept+token", "0230800ad0050c0604e480f9c0c1c48203fa81f9c0c1c4820318303031313232333334343535363637373838393961616262",
 		Msg{Type: MsgAccept, Accept: &Accept{Width: 1280, Height: 720, GOPSize: 12, QStep: 6, Version: 4, RecvUnixMicro: goldenUS + 100, SendUnixMicro: goldenUS + 250, Token: goldenToken}}, true},
-	// No tail here: the first bytes after the reason ARE the next field.
-	{"reject", "062905276368616e6e656c20226172656e612220616c7265616479206861732061207075626c6973686572",
-		Msg{Type: MsgReject, Reject: &Reject{Code: RejectChannelTaken, Reason: `channel "arena" already has a publisher`}}, false},
 	{"reject+retry-after", "061d01196e6f20534c4f2068656164726f6f6d3a207039392032316d73d00f",
 		Msg{Type: MsgReject, Reject: &Reject{Code: RejectBusy, Reason: "no SLO headroom: p99 21ms", RetryAfterMs: 2000}}, true},
 	{"frame key", "031f0003018080f9c0c1c48203c002b40140400d696e7472612d7061796c6f6164",

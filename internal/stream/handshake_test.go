@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -140,70 +141,75 @@ func TestStatsBackchannel(t *testing.T) {
 	}
 }
 
-// TestVersionMismatchRejected: a Hello or a Subscribe announcing any version
-// but ProtocolVersion — older, newer, or none — is refused with a typed
-// BadHello reject naming both numbers, and leaves nothing behind on the
-// server: no session, no subscriber, no channel.
+// TestVersionMismatchRejected: a Hello announcing any version but
+// ProtocolVersion — older (4 is the last format with the spectator relay),
+// newer, or none — is refused with a typed BadHello reject naming both
+// numbers. A connection that opens with message type 8, version 4's
+// Subscribe, is closed without a reply. Neither leaves anything behind on
+// the server: no session and no resume token.
 func TestVersionMismatchRejected(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	release := make(chan struct{})
 	srv := &MultiServer{
 		Accept:    Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		Metrics:   reg,
-		NewSource: func(Hello) (FrameSource, error) { return &gatedSource{nFrames: 4, gop: 4, release: release}, nil },
+		NewSource: func(Hello) (FrameSource, error) { return &countingSource{n: 4}, nil },
 	}
 	addr, done := startMulti(t, srv)
 	defer func() {
-		close(release)
 		srv.Shutdown(contextWithTimeout(t))
 		<-done
 	}()
-	_, pubConn := publishClient(t, addr, "arena") // a live channel for the Subscribes to name
-	defer pubConn.Close()
-
-	for _, ver := range []int{0, 3, 5} {
-		for _, open := range []struct {
-			name string
-			send func(net.Conn) error
-		}{
-			{"hello", func(c net.Conn) error {
-				return WriteHello(c, Hello{Device: "old", RoIWindow: 8, Scale: 2, Version: ver, Channel: "mine"})
-			}},
-			{"subscribe", func(c net.Conn) error {
-				return WriteSubscribe(c, Subscribe{Channel: "arena", Device: "old", Version: ver})
-			}},
-		} {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := open.send(conn); err != nil {
-				t.Fatal(err)
-			}
-			_, err = NewClient(conn).awaitAccept(0)
-			var rej *RejectedError
-			if !errors.As(err, &rej) || rej.Code != RejectBadHello {
-				t.Fatalf("%s v%d: got %v, want a bad-hello reject", open.name, ver, err)
-			}
-			if want := fmt.Sprintf("protocol version %d, this server speaks %d", ver, ProtocolVersion); rej.Reason != want {
-				t.Errorf("%s v%d: reason %q, want %q", open.name, ver, rej.Reason, want)
-			}
-			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-				t.Errorf("%s v%d: conn not closed behind the reject: %v", open.name, ver, err)
-			}
-			conn.Close()
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return conn
 	}
-	if n := srv.SessionCount(); n != 1 {
-		t.Errorf("%d sessions, want only the publisher", n)
+
+	for _, ver := range []int{0, 3, 4, ProtocolVersion + 1} {
+		conn := dial()
+		if err := WriteHello(conn, Hello{Device: "old", RoIWindow: 8, Scale: 2, Version: ver}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewClient(conn).awaitAccept(0)
+		var rej *RejectedError
+		if !errors.As(err, &rej) || rej.Code != RejectBadHello {
+			t.Fatalf("v%d: got %v, want a bad-hello reject", ver, err)
+		}
+		if want := fmt.Sprintf("protocol version %d, this server speaks %d", ver, ProtocolVersion); rej.Reason != want {
+			t.Errorf("v%d: reason %q, want %q", ver, rej.Reason, want)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("v%d: conn not closed behind the reject: %v", ver, err)
+		}
+		conn.Close()
 	}
-	if n := srv.SubscriberCount(); n != 0 {
-		t.Errorf("%d subscribers, want 0", n)
+
+	// A version-4 Subscribe: type 8, channel "arena", device "pixel".
+	subscribe, err := hex.DecodeString("0815056172656e6105706978656c048080f9c0c1c48203")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if srv.relay.Lookup("mine") != nil {
-		t.Error("a rejected hello registered its channel")
+	conn := dial()
+	if _, err := conn.Write(subscribe); err != nil {
+		t.Fatal(err)
 	}
-	if n := reg.Snapshot().Counter("stream_sessions_accepted_total"); n != 1 {
-		t.Errorf("stream_sessions_accepted_total = %d, want 1", n)
+	if n, err := conn.Read(make([]byte, 64)); err != io.EOF {
+		t.Errorf("type-8 opening: read %d bytes, err %v; want the connection closed without a reply", n, err)
+	}
+	conn.Close()
+
+	if n := srv.SessionCount(); n != 0 {
+		t.Errorf("%d sessions, want none", n)
+	}
+	srv.mu.Lock()
+	tokens := len(srv.resumes)
+	srv.mu.Unlock()
+	if tokens != 0 {
+		t.Errorf("%d resume tokens issued, want none", tokens)
+	}
+	if n := reg.Snapshot().Counter("stream_sessions_accepted_total"); n != 0 {
+		t.Errorf("stream_sessions_accepted_total = %d, want 0", n)
 	}
 }

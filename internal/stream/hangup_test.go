@@ -7,9 +7,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/telemetry"
 )
 
 // The slow-reader regression (found by the bench harness's 720p replay):
@@ -34,11 +31,9 @@ func slowReaderFrames() [][]byte {
 	return frames
 }
 
-// slowReader opens a session on addr (a player's when spectate is empty, a
-// spectator's on that channel otherwise, calling attached once it is in),
-// lets the server finish, talks, and only then reads: every frame must
-// arrive intact, followed by the Bye.
-func slowReader(t *testing.T, addr, spectate string, attached func()) {
+// slowReader opens a session on addr, lets the server finish, talks, and
+// only then reads: every frame must arrive intact, followed by the Bye.
+func slowReader(t *testing.T, addr string) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -46,12 +41,7 @@ func slowReader(t *testing.T, addr, spectate string, attached func()) {
 	}
 	defer conn.Close()
 	c := NewClient(conn)
-	if spectate == "" {
-		_, err = c.Handshake(Hello{Device: "slow", RoIWindow: 8, Scale: 2})
-	} else if _, err = c.Subscribe(Subscribe{Channel: spectate, Device: "slow"}); err == nil {
-		attached()
-	}
-	if err != nil {
+	if _, err := c.Handshake(Hello{Device: "slow", RoIWindow: 8, Scale: 2}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(300 * time.Millisecond) // the whole stream and the Bye are now in flight
@@ -102,7 +92,7 @@ func TestServeWaitsForSlowReader(t *testing.T) {
 		conn.Close() // what every caller of Serve does next
 		done <- err
 	}()
-	slowReader(t, l.Addr().String(), "", nil)
+	slowReader(t, l.Addr().String())
 	select {
 	case err := <-done:
 		if err != nil {
@@ -119,47 +109,7 @@ func TestMultiServerWaitsForSlowReader(t *testing.T) {
 		NewSource: func(Hello) (FrameSource, error) { return &sliceSource{frames: slowReaderFrames()}, nil },
 	}
 	addr, done := startMulti(t, srv)
-	slowReader(t, addr, "", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), byeDrainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	<-done
-}
-
-// TestMultiServerWaitsForSlowSpectator: the same for a spectator. The
-// publisher's stream is held back until the spectator has attached, then
-// runs to its end while the spectator sits on its socket.
-func TestMultiServerWaitsForSlowSpectator(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	src := &sliceSource{frames: slowReaderFrames()}
-	gate := make(chan struct{})
-	srv := &MultiServer{
-		Accept:  Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6},
-		Metrics: reg,
-		NewSource: func(Hello) (FrameSource, error) {
-			return frameFunc(func(i int) ([]byte, bool, frame.Rect, error) {
-				<-gate
-				return src.NextFrame(i)
-			}), nil
-		},
-	}
-	addr, done := startMulti(t, srv)
-	pub, pubConn := publishClient(t, addr, "arena")
-	defer pubConn.Close()
-	go func() {
-		for {
-			if _, err := pub.RecvFrame(); err != nil {
-				_ = pub.Bye()
-				return
-			}
-		}
-	}()
-	slowReader(t, addr, "arena", func() { close(gate) })
-	if n := reg.Snapshot().Counter("stream_relay_dropped_frames_total"); n != 0 {
-		t.Fatalf("%d frames dropped on the way to the spectator: the relay queue must hold the stream", n)
-	}
+	slowReader(t, addr)
 	ctx, cancel := context.WithTimeout(context.Background(), byeDrainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

@@ -115,15 +115,9 @@ func (p AdmissionPolicy) withDefaults() AdmissionPolicy {
 // scheduler clients, SLO-keyed admission control and a per-session shed
 // ladder (see DESIGN.md §12).
 //
-// Sessions come in two kinds (DESIGN.md §14): a connection opening with a
-// Hello is a publisher — it owns a game source and encode pipeline, and
-// may register the stream under a channel name — while a connection
-// opening with a Subscribe is a spectator attached to an existing
-// channel's encoded GOP stream through the relay, costing no extra encode
-// work. Spectators have their own cap (MaxSubscribers per channel), their
-// own Background-priority scheduler clients, and bounded send queues with
-// slow-reader eviction, so they never head-of-line-block the publisher or
-// count against player admission.
+// Every session is one player's stream: a connection opens with a Hello and
+// gets its own game source and encode pipeline. There are no spectators
+// (DESIGN.md §14).
 type MultiServer struct {
 	// Accept is the stream geometry announced to every client.
 	Accept Accept
@@ -169,26 +163,12 @@ type MultiServer struct {
 	// Shed, when non-nil, enables the per-session shed ladder; it needs
 	// FlightFrames > 0 (the recorder's miss streak is the trigger signal).
 	Shed *ShedPolicy
-	// MaxSubscribers bounds spectators per publish channel (default 16);
-	// excess Subscribes receive a Reject(capacity).
-	MaxSubscribers int
-	// SubscriberQueue is the per-subscriber send-queue depth (default
-	// DefaultSubscriberQueue). A reader that falls a full queue behind is
-	// dropped to the next keyframe; one that stays stalled for a further
-	// GOP is disconnected.
-	SubscriberQueue int
-	// IdleTimeout is the read-liveness bound: a connection (publisher or
-	// spectator) that sends nothing — not its opening message, not even a
-	// heartbeat — for this long is reaped as dead. Slow-but-alive peers
-	// stay on the shed and eviction ladders. 0 picks DefaultIdleTimeout;
-	// negative disables.
+	// IdleTimeout is the read-liveness bound: a connection that sends
+	// nothing — not its Hello, not even a heartbeat — for this long is
+	// reaped as dead. Slow-but-alive peers stay on the shed ladder. 0 picks
+	// DefaultIdleTimeout; negative disables.
 	IdleTimeout time.Duration
-	// ParkGrace is how long a channel whose publisher dropped uncleanly
-	// stays parked awaiting a resume-token reclaim before it closes and
-	// its spectators get their Bye. 0 picks DefaultParkGrace; negative
-	// disables parking.
-	ParkGrace time.Duration
-	// ControlTimeout bounds small control writes (rejects, byes, pongs);
+	// ControlTimeout bounds small control writes (rejects, pongs);
 	// 0 picks DefaultControlTimeout.
 	ControlTimeout time.Duration
 	// Log receives the server's structured log lines (session lifecycle,
@@ -205,8 +185,7 @@ type MultiServer struct {
 
 	mu       sync.Mutex
 	sessions map[net.Conn]*session
-	pending  map[net.Conn]struct{} // accepted, first message not yet read
-	relay    *Relay
+	pending  map[net.Conn]struct{} // accepted, Hello not yet read
 	flights  []*sessionFlight
 	streaks  *frametrace.StreakSet
 	resumes  map[string]string // resume token -> original session identity
@@ -218,9 +197,9 @@ type MultiServer struct {
 }
 
 // maxResumeRecords caps the token -> identity correlation table; the
-// oldest records are evicted first (an evicted token can no longer rename
-// a reconnecting session, but channel reclaim is unaffected — the parked
-// channel itself holds the authoritative token).
+// oldest records are evicted first. A client replaying a token the table no
+// longer holds is served as usual and keeps its token, which is then
+// recorded against its new connection's identity.
 const maxResumeRecords = 1024
 
 // recordResume remembers which session identity a resume token belongs to.
@@ -264,47 +243,30 @@ func (s *MultiServer) idleTimeout() time.Duration {
 	return s.IdleTimeout
 }
 
-// parkGrace resolves the configured park window (0 = disabled).
-func (s *MultiServer) parkGrace() time.Duration {
-	if s.ParkGrace < 0 {
-		return 0
-	}
-	if s.ParkGrace == 0 {
-		return DefaultParkGrace
-	}
-	return s.ParkGrace
-}
-
 // serverCounters holds the accept-path telemetry handles, resolved once in
 // Serve so per-connection work never touches the registry map more than a
 // handful of times. All fields are nil-safe no-ops without a registry.
 type serverCounters struct {
-	accepted, rejected         *telemetry.Counter
-	rejectedCap, rejectedBusy  *telemetry.Counter
-	subsAccepted, subsRejected *telemetry.Counter
-	active                     *telemetry.Gauge
+	accepted, rejected        *telemetry.Counter
+	rejectedCap, rejectedBusy *telemetry.Counter
+	active                    *telemetry.Gauge
 }
 
 // session is the per-connection control-plane state.
 type session struct {
 	remote string
-	rec    *frametrace.Recorder
 	client *parallel.Client
 	shed   *shedSource
 }
 
 // sessionFlight pairs one session's flight recorder with its identity.
-// channel/spectator carry the relay identity into flight dumps (so a
-// merged trace names which channel a track was publishing or watching)
-// and let admission skip spectator recorders — a stalled spectator's
-// frame ages are its own eviction ladder's business, not a reason to turn
-// players away.
+// Successive sessions of one resumed client share the identity, and may
+// overlap: a redial can land while its predecessor is still live. The
+// session that began a flight therefore holds it and ends it by pointer.
 type sessionFlight struct {
-	remote    string
-	channel   string
-	spectator bool
-	rec       *frametrace.Recorder
-	live      bool
+	remote string
+	rec    *frametrace.Recorder
+	live   bool
 }
 
 // retiredFlights bounds how many finished sessions' recorders stay
@@ -316,9 +278,7 @@ var errServerClosed = errors.New("stream: server closed")
 
 // Serve accepts connections from l until the listener fails or Shutdown is
 // called. It blocks; run it in a goroutine and use Shutdown to stop. Each
-// connection's first message decides what it is: a Hello opens a
-// (publisher) game session, a Subscribe attaches a spectator to an
-// existing publish channel.
+// connection must open with a Hello, which starts its game session.
 func (s *MultiServer) Serve(l net.Listener) error {
 	if s.NewSource == nil {
 		return errors.New("stream: MultiServer needs a source factory")
@@ -331,10 +291,6 @@ func (s *MultiServer) Serve(l net.Listener) error {
 	s.listener = l
 	if s.streaks == nil && s.Metrics != nil && s.FlightFrames > 0 {
 		s.streaks = frametrace.NewStreakSet(s.Metrics)
-	}
-	if s.relay == nil {
-		s.relay = NewRelay(s.Metrics, s.MaxSubscribers, s.SubscriberQueue)
-		s.relay.SetParkGrace(s.parkGrace())
 	}
 	if s.sessions == nil {
 		s.sessions = make(map[net.Conn]*session)
@@ -349,8 +305,6 @@ func (s *MultiServer) Serve(l net.Listener) error {
 		rejected:     s.Metrics.Counter("stream_sessions_rejected_total"),
 		rejectedCap:  s.Metrics.Counter("stream_sessions_rejected_capacity_total"),
 		rejectedBusy: s.Metrics.Counter("stream_sessions_rejected_busy_total"),
-		subsAccepted: s.Metrics.Counter("stream_subscribers_accepted_total"),
-		subsRejected: s.Metrics.Counter("stream_subscribers_rejected_total"),
 		active:       s.Metrics.Gauge("stream_sessions_active"),
 	}
 	for {
@@ -370,8 +324,8 @@ func (s *MultiServer) Serve(l net.Listener) error {
 			conn.Close()
 			return errServerClosed
 		}
-		// The conn is tracked as pending until its first message is read,
-		// so Shutdown can unblock a handshake that never arrives.
+		// The conn is tracked as pending until its Hello is read, so
+		// Shutdown can unblock a handshake that never arrives.
 		s.pending[conn] = struct{}{}
 		s.mu.Unlock()
 		s.serveWG.Add(1)
@@ -382,11 +336,13 @@ func (s *MultiServer) Serve(l net.Listener) error {
 	}
 }
 
-// handleConn reads a connection's first message and dispatches: Hello →
-// publisher session, Subscribe → spectator session, anything else → close.
+// handleConn reads a connection's first message: a Hello starts a game
+// session; anything else — an unknown type such as the Subscribe of
+// protocol version 4 included — closes the connection, with no session
+// slot or resume token spent on it.
 func (s *MultiServer) handleConn(conn net.Conn) {
 	msg, err := readOpening(conn, s.idleTimeout())
-	tFirst := time.Now() // T1 of the client's Cristian offset estimate
+	tHello := time.Now() // T1 of the client's Cristian offset estimate
 	s.mu.Lock()
 	delete(s.pending, conn)
 	closed := s.closed
@@ -395,16 +351,13 @@ func (s *MultiServer) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	switch msg.Type {
-	case MsgHello:
-		s.servePublisher(conn, *msg.Hello, tFirst)
-	case MsgSubscribe:
-		s.serveSubscriber(conn, *msg.Subscribe, tFirst)
-	default:
-		s.Log.Warn("stream: bad opening message, want hello or subscribe",
+	if msg.Type != MsgHello {
+		s.Log.Warn("stream: bad opening message, want hello",
 			"remote", conn.RemoteAddr().String(), "type", msg.Type)
 		conn.Close()
+		return
 	}
+	s.servePlayer(conn, *msg.Hello, tHello)
 }
 
 // busyRetryAfter is the server-suggested redial delay carried in
@@ -424,12 +377,10 @@ func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) {
 	})
 }
 
-// servePublisher runs a game (publisher) session whose Hello has been
-// read: version check, session cap, admission control, optional channel
-// registration (or a resume-token reclaim of a parked one), then the frame
-// loop with the relay tap attached. A publisher that drops uncleanly parks
-// its channel for the grace window instead of closing it.
-func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Time) {
+// servePlayer runs a game session whose Hello has been read: version
+// check, session cap, admission control, resume-token identity, then the
+// frame loop.
+func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) {
 	max := s.MaxSessions
 	if max <= 0 {
 		max = 16
@@ -437,7 +388,7 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 	sess := &session{remote: conn.RemoteAddr().String()}
 	if err := checkVersion(hello.Version); err != nil {
 		// Before the session cap: a peer this server cannot talk to holds
-		// no slot, token or channel.
+		// no slot or token.
 		s.ctrs.rejected.Inc()
 		s.Log.Warn("stream: rejecting session", "session", sess.remote, "reason", err)
 		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
@@ -490,9 +441,10 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 		}
 	}
 	// Every session gets a resume token: a reconnecting client replays it
-	// to keep its identity (flight records, per-session metrics) and to
-	// reclaim a parked channel. A replayed token is re-issued unchanged so
-	// the identity stays stable across any number of drops.
+	// to keep its identity (flight records, per-session metrics); the
+	// session itself is new and starts at a keyframe. A replayed token is
+	// re-issued unchanged so the identity stays stable across any number of
+	// drops.
 	token, identity := hello.ResumeToken, sess.remote
 	if token != "" {
 		if orig, ok := s.resumeIdentity(token); ok {
@@ -503,68 +455,15 @@ func (s *MultiServer) servePublisher(conn net.Conn, hello Hello, tHello time.Tim
 		token = newResumeToken()
 	}
 	s.recordResume(token, identity)
-	// A hello naming a channel registers this session as its publisher.
-	// With a resume token, a parked channel is reclaimed — spectators ride
-	// through — otherwise the name must be free.
-	var ch *Channel
-	if hello.Channel != "" {
-		resumed := false
-		if hello.ResumeToken != "" {
-			if got, err := s.relay.Reclaim(hello.Channel, hello.ResumeToken); err == nil {
-				ch = got
-				resumed = true
-				if o := ch.Origin(); o != "" {
-					identity = o
-				}
-			}
-		}
-		if ch == nil {
-			var err error
-			ch, err = s.relay.Create(hello.Channel, s.Accept)
-			if err != nil {
-				unregister()
-				s.ctrs.rejected.Inc()
-				s.Log.Warn("stream: rejecting session: channel unavailable",
-					"session", sess.remote, "channel", hello.Channel, "err", err)
-				s.rejectConn(conn, Reject{
-					Code:   RejectChannelTaken,
-					Reason: fmt.Sprintf("channel %q already has a publisher", hello.Channel),
-				})
-				return
-			}
-		}
-		ch.setResume(token, identity)
-		if resumed {
-			s.Log.Info("stream: parked channel reclaimed",
-				"session", sess.remote, "channel", hello.Channel, "spectators", ch.Subscribers())
-		} else {
-			s.Log.Info("stream: publishing channel", "session", sess.remote, "channel", hello.Channel)
-		}
-	}
 	if s.Sched != nil {
 		sess.client = s.Sched.NewClient(parallel.ClientConfig{Name: sess.remote})
 	}
 	s.ctrs.accepted.Inc()
 	s.ctrs.active.Add(1)
-	var sessErr error
-	defer func() {
-		if ch != nil {
-			// An unclean publisher drop parks the channel for the grace
-			// window — registry entry, cached keyframe and subscribers all
-			// retained, awaiting a resume-token reclaim. A clean end drains
-			// gracefully: subscribers get their queued tail, then a Bye.
-			if sessErr != nil && ch.park() {
-				s.Log.Warn("stream: channel parked after publisher dropped",
-					"channel", ch.Name(), "session", sess.remote, "err", sessErr)
-			} else {
-				ch.close(false)
-			}
-		}
-		conn.Close()
-		unregister()
-		s.ctrs.active.Add(-1)
-	}()
-	sessErr = s.serveSession(conn, sess, hello, tHello, ch, token, identity)
+	s.serveSession(conn, sess, hello, tHello, token, identity)
+	conn.Close()
+	unregister()
+	s.ctrs.active.Add(-1)
 }
 
 // admit computes the aggregate windowed p99 across live session recorders
@@ -575,10 +474,7 @@ func (s *MultiServer) admit() (p99 time.Duration, samples int, deadline time.Dur
 	s.mu.Lock()
 	recs := make([]*frametrace.Recorder, 0, len(s.flights))
 	for _, f := range s.flights {
-		// Spectator windows don't gate player admission: a stalled
-		// spectator is the eviction ladder's problem, not evidence the
-		// encode fleet is out of headroom.
-		if f.live && !f.spectator {
+		if f.live {
 			recs = append(recs, f.rec)
 		}
 	}
@@ -619,35 +515,30 @@ func (s *MultiServer) maxShedLevel() int64 {
 	return max
 }
 
-// serveSession runs the accepted publisher's frame loop and returns its
-// terminal error (nil on a clean end — source EOF or client Bye). identity
-// is the stable session name for flight records and per-session metrics:
-// normally the remote address, but a resumed session keeps the identity of
-// the connection it resumed, so records correlate across reconnects.
-func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tHello time.Time, ch *Channel, token, identity string) error {
+// serveSession runs the accepted session's frame loop. identity is the
+// stable session name for flight records and per-session metrics: normally
+// the remote address, but a resumed session keeps the identity of the
+// connection it resumed, so records correlate across reconnects.
+func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tHello time.Time, token, identity string) {
 	remote := sess.remote
 	source, err := s.NewSource(hello)
 	if err != nil {
 		// Tell the client why before closing — a silent close is
 		// indistinguishable from a network fault on their side.
 		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
-		return fmt.Errorf("stream: rejecting client: %w", err)
+		return
 	}
 	if sa, ok := source.(SchedAware); ok && sess.client != nil {
 		sa.SetSched(sess.client)
-	}
-	channel := ""
-	if ch != nil {
-		channel = ch.Name()
 	}
 	// Label this session's goroutine (and the control loop serveHello
 	// starts from it) so CPU profiles attribute frame production and sends
 	// to the session identity. The goroutine is per-connection and exits
 	// right after, so there is nothing to restore.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("session", identity, "stage", "publish", "channel", channel)))
-	rec := s.beginFlight(identity, channel, false)
-	sess.rec = rec
+		pprof.Labels("session", identity, "stage", "publish")))
+	flight := s.beginFlight(identity)
+	rec := flight.recorder()
 	if s.Shed != nil && rec != nil {
 		target, _ := source.(Shedder)
 		shed := &shedSource{
@@ -678,7 +569,7 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 		ControlTimeout: s.ControlTimeout,
 		Log:            s.Log,
 		OnReap: func(idle time.Duration) {
-			s.Diag.Trigger("session_reaped", "session", identity, "channel", channel, "idle", idle)
+			s.Diag.Trigger("session_reaped", "session", identity, "idle", idle)
 		},
 		Source:  source,
 		OnStats: sink.handle,
@@ -688,13 +579,7 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 			}
 		},
 	}
-	if ch != nil {
-		opt.Tap = ch.Publish
-		// A stream sent in full ends the channel gracefully (queued tail,
-		// then Bye) right away, not after this client has hung up.
-		opt.afterBye = func() { ch.close(false) }
-	}
-	err = serveHello(conn, hello, tHello, opt) // per-session errors end that session only
+	serveHello(conn, hello, tHello, opt) // per-session errors end that session only
 	sink.close()
 	if sess.client != nil {
 		st := sess.client.Stats()
@@ -704,132 +589,7 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 				"queue_wait", st.StolenWait.Round(time.Microsecond))
 		}
 	}
-	s.endFlight(identity)
-	return err
-}
-
-// subscriberWriteTimeout bounds every socket write to a spectator. The
-// queue's eviction ladder handles sustained slowness; the deadline only
-// guards against a peer that stops reading entirely mid-frame.
-const subscriberWriteTimeout = 10 * time.Second
-
-// serveSubscriber runs a spectator session whose Subscribe has been read:
-// attach to the channel (cached Accept + keyframe make the first frame
-// decodable immediately), then relay the publisher's encoded frames until
-// the subscriber leaves, falls too far behind, or the channel closes.
-func (s *MultiServer) serveSubscriber(conn net.Conn, sub Subscribe, tSub time.Time) {
-	remote := conn.RemoteAddr().String()
-	defer conn.Close()
-	reject := func(rej Reject) {
-		s.ctrs.subsRejected.Inc()
-		s.Log.Warn("stream: rejecting spectator", "session", remote, "channel", sub.Channel, "reason", rej.Reason)
-		s.rejectConn(conn, rej)
-	}
-	if err := checkVersion(sub.Version); err != nil {
-		reject(Reject{Code: RejectBadHello, Reason: err.Error()})
-		return
-	}
-	ch := s.relay.Lookup(sub.Channel)
-	if ch == nil {
-		reject(Reject{Code: RejectUnknownChannel, Reason: fmt.Sprintf("no publisher on channel %q", sub.Channel)})
-		return
-	}
-	subr, err := ch.Subscribe(remote)
-	if err != nil {
-		rej := Reject{Code: RejectUnknownChannel, Reason: err.Error()}
-		if errors.Is(err, errSubscriberCap) {
-			rej.Code = RejectCapacity
-			rej.RetryAfterMs = uint32(busyRetryAfter.Milliseconds())
-		}
-		reject(rej)
-		return
-	}
-	defer ch.detach(subr)
-	conn.SetWriteDeadline(time.Now().Add(subscriberWriteTimeout))
-	if err := WriteAccept(conn, ch.Accept().stamped(tSub)); err != nil {
-		return
-	}
-	conn.SetWriteDeadline(time.Time{})
-	s.ctrs.subsAccepted.Inc()
-	s.Log.Info("stream: spectator attached", "session", remote, "channel", sub.Channel)
-	// Label the writer goroutine (and the control loop started below) so
-	// relay fan-out CPU shows up against the spectator's identity.
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("session", remote, "stage", "subscribe", "channel", sub.Channel)))
-	rec := s.beginFlight(remote, sub.Channel, true)
-	sink := &statsSink{metrics: s.Metrics, remote: remote, rec: rec, log: s.Log}
-	defer func() {
-		sink.close()
-		s.endFlight(remote)
-	}()
-
-	// The control loop: spectators send no input that matters, but their
-	// Stats backchannel, heartbeats and Bye do. Reading also detects
-	// disconnects promptly, and the idle deadline reaps a blackholed
-	// spectator — the eviction ladder handles slow readers, the reaper
-	// handles gone ones.
-	ctl := startControl(conn, &ServerOptions{
-		Remote:         remote,
-		IdleTimeout:    s.idleTimeout(),
-		ControlTimeout: s.ControlTimeout,
-		Metrics:        s.Metrics,
-		Log:            s.Log,
-		OnStats:        sink.handle,
-		OnReap: func(idle time.Duration) {
-			s.Diag.Trigger("session_reaped", "session", remote, "channel", sub.Channel, "idle", idle)
-		},
-	})
-
-	framesSent := s.Metrics.Counter("stream_subscriber_frames_sent_total")
-	bytesSent := s.Metrics.Counter("stream_subscriber_bytes_sent_total")
-	sendHist := s.Metrics.Histogram("stream_subscriber_send_seconds", telemetry.LatencyBuckets())
-	queueHist := s.Metrics.Histogram("stream_subscriber_queue_seconds", telemetry.LatencyBuckets())
-	var latScratch [2]frametrace.StageLatency
-	var sendErr error
-	for rf := range subr.Frames() {
-		subr.Consumed()
-		if subr.Abandoned() || ctl.clientBye.Load() {
-			break
-		}
-		pkt := rf.pkt
-		pkt.SendUnixMicro = time.Now().UnixMicro()
-		// Adopt the publisher's flight ID so gssr trace -merge correlates a
-		// spectator's copy of frame N with the publisher's encode of it.
-		fid := rec.BeginFrameAt(pkt.FlightID, int(pkt.Index))
-		qAge := time.Since(rf.at)
-		rec.Span(fid, "queue", "queue", rf.at, qAge)
-		queueHist.ObserveDuration(qAge)
-		t0 := time.Now()
-		ctl.sendMu.Lock()
-		conn.SetWriteDeadline(t0.Add(subscriberWriteTimeout))
-		sendErr = WriteFrame(conn, pkt)
-		ctl.sendMu.Unlock()
-		d := time.Since(t0)
-		if sendErr != nil {
-			break
-		}
-		rec.Span(fid, "send", "send", t0, d)
-		latScratch[0] = frametrace.StageLatency{Name: "queue", D: qAge}
-		latScratch[1] = frametrace.StageLatency{Name: "send", D: d}
-		rec.ObserveDeadline(fid, latScratch[:])
-		sendHist.ObserveDuration(d)
-		framesSent.Inc()
-		bytesSent.Add(int64(len(pkt.Payload)))
-	}
-	if subr.Evicted() {
-		s.Log.Warn("stream: spectator evicted (stalled past drop-to-keyframe)",
-			"session", remote, "channel", sub.Channel)
-	}
-	if sendErr == nil && !ctl.clientBye.Load() {
-		// A spectator whose channel ended may be a queue of frames behind: it
-		// gets the lingering close a player gets. One the server is dropping
-		// — evicted, or abandoned at shutdown — gets a bounded Bye (a stalled
-		// socket may still take one small control message) and no wait.
-		conn.SetWriteDeadline(time.Now().Add(subscriberWriteTimeout))
-		ctl.finish(!subr.Evicted() && !subr.Abandoned(), nil)
-	}
-	conn.Close()
-	<-ctl.done
+	s.endFlight(flight)
 }
 
 // statsSink folds one session's backchannel Stats reports (DESIGN.md §13)
@@ -1021,11 +781,12 @@ func (ss *shedSource) setLevel(i, level int) {
 
 // beginFlight attaches a flight recorder to a new session (nil when
 // FlightFrames is off), retiring the oldest finished recorders beyond the
-// retention cap. Per-session recorders keep frame IDs independent across
-// concurrent sessions; they share the server's Metrics registry, so miss
-// counters aggregate, and the streak gauges go through the server's
-// StreakSet (max across live sessions) instead of racing last-writer-wins.
-func (s *MultiServer) beginFlight(remote, channel string, spectator bool) *frametrace.Recorder {
+// retention cap; the session hands the returned flight to endFlight.
+// Per-session recorders keep frame IDs independent across concurrent
+// sessions; they share the server's Metrics registry, so miss counters
+// aggregate, and the streak gauges go through the server's StreakSet (max
+// across live sessions) instead of racing last-writer-wins.
+func (s *MultiServer) beginFlight(remote string) *sessionFlight {
 	if s.FlightFrames <= 0 {
 		return nil
 	}
@@ -1034,9 +795,9 @@ func (s *MultiServer) beginFlight(remote, channel string, spectator bool) *frame
 	s.mu.Unlock()
 	cfg := frametrace.Config{Frames: s.FlightFrames, Deadline: s.Deadline, Metrics: s.Metrics, Streaks: streaks}
 	var rec *frametrace.Recorder
-	if s.Diag != nil && !spectator {
-		// The SLO watchdog: a sustained deadline-miss streak on a player
-		// session freezes a capture bundle with the triggering frames still
+	if s.Diag != nil {
+		// The SLO watchdog: a sustained deadline-miss streak on a session
+		// freezes a capture bundle with the triggering frames still
 		// in the flight window. The threshold tracks the shed ladder's
 		// escalation streak so a bundle lands exactly when shedding starts;
 		// Diag's cooldown turns a 100-frame streak (one OnMiss per frame)
@@ -1051,7 +812,7 @@ func (s *MultiServer) beginFlight(remote, channel string, spectator bool) *frame
 			// MissStreak already counts the miss that fired this callback.
 			if streak := rec.MissStreak(); streak >= threshold {
 				s.Diag.Trigger("miss_streak",
-					"session", remote, "channel", channel, "streak", streak, "flight", id, "slack", slack)
+					"session", remote, "streak", streak, "flight", id, "slack", slack)
 			}
 		}
 	}
@@ -1062,7 +823,8 @@ func (s *MultiServer) beginFlight(remote, channel string, spectator bool) *frame
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.flights = append(s.flights, &sessionFlight{remote: remote, channel: channel, spectator: spectator, rec: rec, live: true})
+	flight := &sessionFlight{remote: remote, rec: rec, live: true}
+	s.flights = append(s.flights, flight)
 	retired := 0
 	for _, f := range s.flights {
 		if !f.live {
@@ -1077,23 +839,29 @@ func (s *MultiServer) beginFlight(remote, channel string, spectator bool) *frame
 		}
 		i++
 	}
-	return rec
+	return flight
 }
 
-// endFlight marks the most recent live recorder of remote as finished; its
-// window stays dumpable until retention evicts it. The recorder leaves the
-// streak aggregation so a dead session's final streak stops dominating the
-// gauge.
-func (s *MultiServer) endFlight(remote string) {
+// recorder returns the flight's recorder; nil (no flight) has none.
+func (f *sessionFlight) recorder() *frametrace.Recorder {
+	if f == nil {
+		return nil
+	}
+	return f.rec
+}
+
+// endFlight marks a session's flight as finished; its window stays
+// dumpable until retention evicts it. The recorder leaves the streak
+// aggregation so a dead session's final streak stops dominating the gauge.
+// A nil flight (FlightFrames off) is a no-op.
+func (s *MultiServer) endFlight(f *sessionFlight) {
+	if f == nil {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i := len(s.flights) - 1; i >= 0; i-- {
-		if f := s.flights[i]; f.live && f.remote == remote {
-			f.live = false
-			s.streaks.Remove(f.rec)
-			return
-		}
-	}
+	f.live = false
+	s.streaks.Remove(f.rec)
 }
 
 // WriteFlight merges every retained session's flight window into one
@@ -1104,13 +872,6 @@ func (s *MultiServer) WriteFlight(w io.Writer) error {
 	dumps := make([]frametrace.NamedDump, 0, len(s.flights))
 	for _, f := range s.flights {
 		name := f.remote
-		if f.channel != "" {
-			if f.spectator {
-				name += " spectating " + f.channel
-			} else {
-				name += " publishing " + f.channel
-			}
-		}
 		if !f.live {
 			name += " (closed)"
 		}
@@ -1141,22 +902,12 @@ func (s *MultiServer) SessionLatencies() map[string][]time.Duration {
 // Shutdown stops accepting and closes every live session, then waits for
 // the session goroutines to drain (they finish promptly — their
 // connections are closed) or for ctx to expire, whichever comes first.
-// Relay channels close first: subscriber queues end, so every spectator
-// writer sends its Bye before its connection is torn down. A spectator
-// whose channel had already ended is not cut short: Shutdown waits out its
-// hang-up (byeDrainTimeout at most) like any other session goroutine.
 func (s *MultiServer) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
-	relay := s.relay
 	if s.listener != nil {
 		s.listener.Close()
 	}
-	s.mu.Unlock()
-	if relay != nil {
-		relay.Shutdown()
-	}
-	s.mu.Lock()
 	for conn := range s.sessions {
 		conn.Close()
 	}
@@ -1177,31 +928,9 @@ func (s *MultiServer) Shutdown(ctx context.Context) error {
 	}
 }
 
-// SessionCount returns the number of live publisher sessions.
+// SessionCount returns the number of live sessions.
 func (s *MultiServer) SessionCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.sessions)
-}
-
-// SubscriberCount returns the number of live spectator sessions across all
-// publish channels.
-func (s *MultiServer) SubscriberCount() int {
-	s.mu.Lock()
-	relay := s.relay
-	s.mu.Unlock()
-	if relay == nil {
-		return 0
-	}
-	relay.mu.Lock()
-	chans := make([]*Channel, 0, len(relay.channels))
-	for _, ch := range relay.channels {
-		chans = append(chans, ch)
-	}
-	relay.mu.Unlock()
-	n := 0
-	for _, ch := range chans {
-		n += ch.Subscribers()
-	}
-	return n
 }

@@ -40,6 +40,18 @@ func startMulti(t *testing.T, srv *MultiServer) (addr string, done chan error) {
 	return l.Addr().String(), done
 }
 
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func runClient(t *testing.T, addr, name string) int {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -726,4 +738,121 @@ func TestOpeningMessageBounded(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestResumeOverlapRetiresOwnFlight: a redial with the resume token while
+// its predecessor is still live — the normal case for a blackholed link
+// until IdleTimeout — puts two live recorders under one identity. Each
+// session must retire its own: when the predecessor ends, its 3-frame
+// recorder is closed and the successor's 1-frame recorder stays live.
+func TestResumeOverlapRetiresOwnFlight(t *testing.T) {
+	endA, endB := make(chan struct{}), make(chan struct{})
+	type plan struct {
+		frames int
+		end    chan struct{}
+	}
+	plans := []plan{{3, endA}, {1, endB}}
+	var mu sync.Mutex
+	srv := &MultiServer{
+		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		FlightFrames: 8,
+		NewSource: func(Hello) (FrameSource, error) {
+			mu.Lock()
+			p := plans[0]
+			plans = plans[1:]
+			mu.Unlock()
+			return frameFunc(func(i int) ([]byte, bool, frame.Rect, error) {
+				if i == p.frames {
+					<-p.end
+					return nil, false, frame.Rect{}, io.EOF
+				}
+				return []byte{byte(i)}, i == 0, frame.Rect{W: 4, H: 4}, nil
+			}), nil
+		},
+	}
+	addr, done := startMulti(t, srv)
+	defer func() {
+		srv.Shutdown(contextWithTimeout(t))
+		<-done
+	}()
+	release := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		default:
+			close(ch)
+		}
+	}
+	defer release(endB)
+	defer release(endA)
+
+	// open dials, handshakes with token and reads frames frames.
+	open := func(token string, frames int) (*Client, net.Conn, string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewClient(conn)
+		acc, err := c.Handshake(Hello{Device: "p", RoIWindow: 8, Scale: 2, ResumeToken: token})
+		if err != nil {
+			conn.Close()
+			t.Fatal(err)
+		}
+		for i := 0; i < frames; i++ {
+			if _, err := c.RecvFrame(); err != nil {
+				conn.Close()
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		return c, conn, acc.Token
+	}
+	a, aConn, token := open("", 3)
+	defer aConn.Close()
+	b, bConn, _ := open(token, 1)
+	defer bConn.Close()
+
+	// The predecessor ends while its successor streams on.
+	release(endA)
+	if _, err := a.RecvFrame(); err != io.EOF {
+		t.Fatalf("first session: %v, want its Bye", err)
+	}
+	_ = a.Bye()
+	waitFor(t, "first session end", func() bool { return srv.SessionCount() == 1 })
+
+	var buf bytes.Buffer
+	if err := srv.WriteFlight(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dumps, err := frametrace.ParseChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dumps) != 2 {
+		t.Fatalf("flight dump has %d sessions, want 2", len(dumps))
+	}
+	identity := aConn.LocalAddr().String()
+	for _, nd := range dumps {
+		name, closed := strings.CutSuffix(nd.Name, " (closed)")
+		if name != identity {
+			t.Errorf("recorder %q, want both under the first connection's identity %q", nd.Name, identity)
+		}
+		switch len(nd.Dump.Frames) {
+		case 3:
+			if !closed {
+				t.Errorf("the ended session's recorder %q is still live", nd.Name)
+			}
+		case 1:
+			if closed {
+				t.Errorf("the live session's recorder %q was retired by its predecessor's end", nd.Name)
+			}
+		default:
+			t.Errorf("recorder %q holds %d frames, want 3 or 1", nd.Name, len(nd.Dump.Frames))
+		}
+	}
+
+	release(endB)
+	if _, err := b.RecvFrame(); err != io.EOF {
+		t.Fatalf("second session: %v, want its Bye", err)
+	}
+	_ = b.Bye()
 }

@@ -66,15 +66,15 @@ type ServerOptions struct {
 	// Remote tags this session's log lines (typically the client address).
 	Remote string
 	// ResumeToken, when non-empty, rides in the Accept: the opaque handle a
-	// reconnecting client replays in its Hello to be correlated with (and,
-	// for publishers, reclaim the parked channel of) this session.
+	// reconnecting client replays in its Hello to be correlated with this
+	// session.
 	ResumeToken string
 	// IdleTimeout, when > 0, arms read-side liveness: the client heartbeats
 	// (MsgPing), the session pongs, and a connection that stays silent past
 	// the timeout — from the first byte of its Hello on — is reaped as dead
 	// (the connection is closed, unblocking the frame writer).
 	IdleTimeout time.Duration
-	// ControlTimeout bounds small control writes (reject, bye, pong);
+	// ControlTimeout bounds small control writes (reject, pong);
 	// <= 0 picks DefaultControlTimeout.
 	ControlTimeout time.Duration
 	// Log receives the session's structured log lines (slow sends, reaps,
@@ -85,16 +85,6 @@ type ServerOptions struct {
 	// session (no traffic for IdleTimeout) — MultiServer wires it to the
 	// diag watchdog so a reap freezes a capture bundle.
 	OnReap func(idle time.Duration)
-	// Tap, if non-nil, observes every outgoing frame packet after its
-	// flight identity is assigned and before it hits the socket — the
-	// relay's encode-once fan-out point. The packet's payload is only
-	// valid during the call; implementations that keep it must copy.
-	Tap func(FramePacket)
-	// afterBye, if non-nil, runs once the stream has been sent in full and
-	// the Bye written, before the session waits for the client to hang up —
-	// MultiServer ends the relay channel here, so spectators are not kept
-	// waiting on the publisher's client.
-	afterBye func()
 }
 
 // byeDrainTimeout bounds how long a finished session waits for its client
@@ -177,7 +167,7 @@ func readOpening(conn io.Reader, idle time.Duration) (Msg, error) {
 	return readMsgMax(conn, maxOpeningBody)
 }
 
-// checkVersion vets the version a Hello or Subscribe announced: this build
+// checkVersion vets the version a Hello announced: this build
 // speaks ProtocolVersion and nothing else. The error text is the reason of
 // the RejectBadHello the peer is owed.
 func checkVersion(ver int) error {
@@ -188,8 +178,8 @@ func checkVersion(ver int) error {
 }
 
 // stamped returns acc as a session sends it: with the protocol version and
-// the server's clock pair — tRecv, when the client's opening message arrived
-// (T1), and now (T2).
+// the server's clock pair — tRecv, when the client's Hello arrived (T1), and
+// now (T2).
 func (acc Accept) stamped(tRecv time.Time) Accept {
 	acc.Version = ProtocolVersion
 	acc.RecvUnixMicro = tRecv.UnixMicro()
@@ -197,10 +187,9 @@ func (acc Accept) stamped(tRecv time.Time) Accept {
 	return acc
 }
 
-// control is the part of a session that is the same for a player and a
-// spectator: the read side, and the way a session that sent its whole
-// stream ends. run drains what the client sends (input events, Stats
-// reports, heartbeats, Bye) while the session's own goroutine streams
+// control is the read side of a session, and the way a session that sent
+// its whole stream ends. run drains what the client sends (input events,
+// Stats reports, heartbeats, Bye) while the session's own goroutine streams
 // frames. Of opt it uses Remote, IdleTimeout, ControlTimeout, Metrics, Log,
 // OnInput, OnStats and OnReap.
 type control struct {
@@ -232,7 +221,7 @@ func (c *control) run() {
 	// dead one. The deadline is re-armed before every read; when it fires the
 	// session is reaped — the conn is closed, which also unblocks a frame
 	// writer stuck on a blackholed socket. Slow-but-alive peers are the shed
-	// and eviction ladders' business.
+	// ladder's business.
 	rd, canDeadline := c.conn.(interface{ SetReadDeadline(time.Time) error })
 	liveness := opt.IdleTimeout > 0 && canDeadline
 	for !c.stopped.Load() {
@@ -291,28 +280,17 @@ func (c *control) run() {
 	}
 }
 
-// finish ends a session from the server's side with a Bye, written under
-// sendMu so that no pong can follow it. With linger — the stream went out in
-// full and the client may be a socket buffer behind — the Bye takes its turn
-// behind the frames, afterBye runs, and the conn is half-closed and read
-// until the client hangs up (awaitHangup). Without, the peer is being
-// dropped: the Bye is one bounded control write and nothing waits.
-func (c *control) finish(linger bool, afterBye func()) error {
-	bye := func() error { return WriteBye(c.conn) }
+// finish ends a session whose stream went out in full with a Bye, written
+// under sendMu so that no pong can follow it. The client may be a socket
+// buffer behind, so the Bye takes its turn behind the frames, and the conn
+// is then half-closed and read until the client hangs up (awaitHangup).
+func (c *control) finish() error {
 	c.sendMu.Lock()
-	var err error
-	if linger {
-		err = bye()
-		c.finished.Store(err == nil)
-	} else {
-		err = controlWrite(c.conn, c.opt.Metrics, c.opt.Log, c.opt.ControlTimeout, c.opt.Remote, "bye", bye)
-	}
+	err := WriteBye(c.conn)
+	c.finished.Store(err == nil)
 	c.sendMu.Unlock()
-	if err != nil || !linger {
+	if err != nil {
 		return err
-	}
-	if afterBye != nil {
-		afterBye()
 	}
 	awaitHangup(c.conn, c.done)
 	return nil
@@ -320,8 +298,8 @@ func (c *control) finish(linger bool, afterBye func()) error {
 
 // serveHello runs a server session whose opening Hello has already been
 // read (tHello is its arrival time, T1 of the client's clock estimate) —
-// the entry point for callers that dispatch on the first message
-// themselves, like MultiServer's publisher/subscriber split.
+// the entry point for callers that read the first message themselves, like
+// MultiServer.
 func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOptions) error {
 	if err := checkVersion(hello.Version); err != nil {
 		// Tell the client why before closing — a silent close is
@@ -382,11 +360,6 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 		// end-to-end frame age.
 		pkt.FlightID = fid
 		pkt.SendUnixMicro = t0.UnixMicro()
-		if opt.Tap != nil {
-			// The relay fan-out point: subscribers see the exact packet the
-			// player gets (same index, flight ID, RoI), encoded once.
-			opt.Tap(pkt)
-		}
 		ctl.sendMu.Lock()
 		err = WriteFrame(conn, pkt)
 		ctl.sendMu.Unlock()
@@ -419,7 +392,7 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 		bytesSent.Add(int64(len(payload)))
 	}
 	if sendErr == nil {
-		sendErr = ctl.finish(true, opt.afterBye)
+		sendErr = ctl.finish()
 	}
 	ctl.stopped.Store(true)
 	// A session that dies mid-send is either the client leaving politely
@@ -500,32 +473,9 @@ func (c *Client) Handshake(h Hello) (Accept, error) {
 	return c.awaitAccept(h.SendUnixMicro)
 }
 
-// Subscribe attaches this client to an existing publish channel as a
-// spectator: instead of a Hello opening a game session, the Subscribe
-// asks for the channel's cached geometry, the cached keyframe and the live
-// GOP tail. The timestamp exchange is the same as Handshake's, so
-// spectators get clock sync too. A missing channel comes back as a
-// RejectedError with code RejectUnknownChannel.
-func (c *Client) Subscribe(sub Subscribe) (Accept, error) {
-	if sub.Version == 0 {
-		sub.Version = ProtocolVersion
-	}
-	if sub.SendUnixMicro == 0 {
-		sub.SendUnixMicro = time.Now().UnixMicro()
-	}
-	c.writeMu.Lock()
-	err := WriteSubscribe(c.conn, sub)
-	c.writeMu.Unlock()
-	if err != nil {
-		return Accept{}, fmt.Errorf("stream: writing subscribe: %w", err)
-	}
-	return c.awaitAccept(sub.SendUnixMicro)
-}
-
 // awaitAccept reads the server's Accept (or Reject) and stores the stream
-// geometry. sendUS is the client-clock send time of the opening message;
-// with the server's clock pair it completes the Cristian offset + RTT
-// estimate.
+// geometry. sendUS is the client-clock send time of the Hello; with the
+// server's clock pair it completes the Cristian offset + RTT estimate.
 func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 	msg, err := ReadMsg(c.conn)
 	t3 := time.Now()

@@ -4,10 +4,7 @@
 // length-prefixed message protocol over any reliable byte stream:
 //
 //	client → server  Hello     (device name, RoI window, scale, protocol
-//	                            version, client clock, publish-channel name,
-//	                            resume token)
-//	client → server  Subscribe (spectate an existing publish channel instead
-//	                            of opening a game session)
+//	                            version, client clock, resume token)
 //	server → client  Accept    (stream geometry, protocol version, server
 //	                            clock pair, resume token)
 //	server → client  Reject    (refusal: reason code + detail, optional
@@ -26,11 +23,12 @@
 // the compressed frame so the client knows which region to route to the NPU.
 //
 // There is one wire format (DESIGN.md §13 has the field-by-field table) and
-// one version number, ProtocolVersion. A Hello or Subscribe announcing any
-// other version is refused with a typed Reject. Hello, Accept, Subscribe and
-// Reject ignore bytes after their last known field, so a later format can
-// append fields and still be understood well enough to be refused by name;
-// every other message is parsed exactly.
+// one version number, ProtocolVersion. A Hello announcing any other version
+// is refused with a typed Reject. Hello, Accept and Reject ignore bytes after
+// their last known field, so a later format can append fields and still be
+// understood well enough to be refused by name; every other message is
+// parsed exactly. One connection carries one player's stream: there is no
+// spectator message (DESIGN.md §14).
 package stream
 
 import (
@@ -44,9 +42,10 @@ import (
 )
 
 // ProtocolVersion is the one protocol version this build speaks: the number
-// a Hello or Subscribe announces and an Accept echoes. A peer announcing any
-// other number is refused (RejectBadHello).
-const ProtocolVersion = 4
+// a Hello announces and an Accept echoes. A peer announcing any other number
+// is refused (RejectBadHello). Version 5 dropped the spectator relay's
+// Subscribe message and Hello channel name.
+const ProtocolVersion = 5
 
 // MsgType identifies a protocol message.
 type MsgType uint8
@@ -60,7 +59,7 @@ const (
 	MsgBye
 	MsgReject
 	MsgStats
-	MsgSubscribe
+	_ // 8 was Subscribe until version 5; unassigned, so Ping and Pong keep 9 and 10
 	MsgPing
 	MsgPong
 )
@@ -81,8 +80,6 @@ func (t MsgType) String() string {
 		return "reject"
 	case MsgStats:
 		return "stats"
-	case MsgSubscribe:
-		return "subscribe"
 	case MsgPing:
 		return "ping"
 	case MsgPong:
@@ -96,10 +93,9 @@ func (t MsgType) String() string {
 const MaxBody = 16 << 20
 
 // maxOpeningBody bounds the body of a connection's first message, read before
-// the peer is known to be a client at all: a Hello or a Subscribe is at most
-// three 255-byte strings with their length prefixes plus four uvarints (well
-// under 900 bytes), and the remainder is room for fields a later format
-// appends.
+// the peer is known to be a client at all: a Hello is at most two 255-byte
+// strings with their length prefixes plus four uvarints (well under 600
+// bytes), and the remainder is room for fields a later format appends.
 const maxOpeningBody = 1024
 
 // ErrProtocol wraps all wire-format violations.
@@ -120,16 +116,10 @@ type Hello struct {
 	// the Hello was written — T0 of the Cristian offset estimate. Filled
 	// by Client.Handshake when zero.
 	SendUnixMicro int64
-	// Channel, when non-empty, registers this session as the publisher of
-	// the named relay channel: spectators can then attach to the same
-	// encoded GOP stream with a Subscribe. Empty means a solo session.
-	Channel string
 	// ResumeToken, when non-empty, replays the opaque token a previous
-	// Accept issued: the server correlates this connection with
-	// the earlier session (flight records, per-session metrics) and, if the
-	// session published a channel that is still parked within its grace
-	// window, hands the channel back with its subscribers intact. Empty
-	// means a fresh session.
+	// Accept issued: the server correlates this connection with the earlier
+	// session (flight records, per-session metrics). The session itself is
+	// fresh and starts at a keyframe. Empty means a new identity.
 	ResumeToken string
 }
 
@@ -144,12 +134,6 @@ const (
 	RejectCapacity
 	// RejectBadHello: the Hello failed validation.
 	RejectBadHello
-	// RejectUnknownChannel: a Subscribe named a channel with no live
-	// publisher.
-	RejectUnknownChannel
-	// RejectChannelTaken: a Hello tried to publish under a channel name
-	// that already has a live publisher.
-	RejectChannelTaken
 )
 
 func (c RejectCode) String() string {
@@ -160,10 +144,6 @@ func (c RejectCode) String() string {
 		return "capacity"
 	case RejectBadHello:
 		return "bad-hello"
-	case RejectUnknownChannel:
-		return "unknown-channel"
-	case RejectChannelTaken:
-		return "channel-taken"
 	default:
 		return fmt.Sprintf("RejectCode(%d)", uint8(c))
 	}
@@ -219,8 +199,7 @@ type Accept struct {
 	SendUnixMicro int64
 	// Token is the opaque resume token: a reconnecting client replays it
 	// in its Hello so the server correlates the connections as one logical
-	// session and a publisher can reclaim its parked channel. Empty when
-	// the server issues none (spectators get none).
+	// session. Empty when the server issues none.
 	Token string
 }
 
@@ -271,24 +250,6 @@ type StatsPacket struct {
 	// End-to-end frame age (server send → client present, clock-offset
 	// corrected) over the window.
 	AgeP50, AgeP99 time.Duration
-}
-
-// Subscribe is a client's request to spectate an existing publish channel
-// instead of opening a game session: the server replies with the channel's
-// cached Accept geometry, replays the cached keyframe and fans the live GOP
-// tail out to the subscriber. Like a Hello it carries the client's version
-// and send timestamp, so spectators get the same clock sync as players.
-type Subscribe struct {
-	// Channel names the publish channel to attach to (required).
-	Channel string
-	// Device identifies the spectator (shows up in logs and flight dumps).
-	Device string
-	// Version is the protocol version the subscriber speaks
-	// (Client.Subscribe fills in ProtocolVersion when it is zero).
-	Version int
-	// SendUnixMicro is the subscriber's clock when the Subscribe was
-	// written — T0 of its Cristian offset estimate.
-	SendUnixMicro int64
 }
 
 // PingPacket is a liveness probe. Either endpoint may send one at any
@@ -361,14 +322,10 @@ func (b *byteReader) ReadByte() (byte, error) {
 
 // WriteHello sends a Hello message: the device name (one length byte + raw
 // bytes), four uvarints (RoI window, scale, version, send timestamp), then
-// the channel name and the resume token (uvarint length + raw bytes each,
-// empty when unset).
+// the resume token (uvarint length + raw bytes, empty when unset).
 func WriteHello(w io.Writer, h Hello) error {
 	if len(h.Device) > 255 {
 		return fmt.Errorf("%w: device name too long", ErrProtocol)
-	}
-	if len(h.Channel) > 255 {
-		return fmt.Errorf("%w: channel name too long", ErrProtocol)
 	}
 	if len(h.ResumeToken) > 255 {
 		return fmt.Errorf("%w: resume token too long", ErrProtocol)
@@ -379,8 +336,6 @@ func WriteHello(w io.Writer, h Hello) error {
 	body = binary.AppendUvarint(body, uint64(h.Scale))
 	body = binary.AppendUvarint(body, uint64(h.Version))
 	body = binary.AppendUvarint(body, clampMicro(h.SendUnixMicro))
-	body = binary.AppendUvarint(body, uint64(len(h.Channel)))
-	body = append(body, h.Channel...)
 	body = binary.AppendUvarint(body, uint64(len(h.ResumeToken)))
 	body = append(body, h.ResumeToken...)
 	return writeMsg(w, MsgHello, body)
@@ -398,9 +353,6 @@ func parseHello(body []byte) (Hello, error) {
 	}
 	h.RoIWindow, h.Scale = int(vals[0]), int(vals[1])
 	h.Version, h.SendUnixMicro = int(vals[2]), int64(vals[3])
-	if h.Channel, rest, ok = readLenBytes(rest); !ok {
-		return h, fmt.Errorf("%w: truncated channel name", ErrProtocol)
-	}
 	// Bytes after the token belong to a later format and are ignored.
 	if h.ResumeToken, _, ok = readLenBytes(rest); !ok {
 		return h, fmt.Errorf("%w: truncated resume token", ErrProtocol)
@@ -424,56 +376,13 @@ func readLenBytes(body []byte) (s string, rest []byte, ok bool) {
 }
 
 // readByteLenString is readLenBytes for the fields whose length prefix is a
-// single byte (device names, a Subscribe's channel, a Reject's reason).
+// single byte (a Hello's device name, a Reject's reason).
 func readByteLenString(body []byte) (s string, rest []byte, ok bool) {
 	if len(body) < 1 || len(body)-1 < int(body[0]) {
 		return "", nil, false
 	}
 	n := 1 + int(body[0])
 	return string(body[1:n]), body[n:], true
-}
-
-// WriteSubscribe sends a Subscribe message: channel + device as
-// length-prefixed strings, then version + send timestamp as uvarints.
-func WriteSubscribe(w io.Writer, s Subscribe) error {
-	if s.Channel == "" {
-		return fmt.Errorf("%w: subscribe without channel", ErrProtocol)
-	}
-	if len(s.Channel) > 255 {
-		return fmt.Errorf("%w: channel name too long", ErrProtocol)
-	}
-	if len(s.Device) > 255 {
-		return fmt.Errorf("%w: device name too long", ErrProtocol)
-	}
-	body := []byte{byte(len(s.Channel))}
-	body = append(body, s.Channel...)
-	body = append(body, byte(len(s.Device)))
-	body = append(body, s.Device...)
-	body = binary.AppendUvarint(body, uint64(s.Version))
-	body = binary.AppendUvarint(body, clampMicro(s.SendUnixMicro))
-	return writeMsg(w, MsgSubscribe, body)
-}
-
-func parseSubscribe(body []byte) (Subscribe, error) {
-	var s Subscribe
-	var ok bool
-	if s.Channel, body, ok = readByteLenString(body); !ok {
-		return s, fmt.Errorf("%w: truncated channel name", ErrProtocol)
-	}
-	if s.Channel == "" {
-		return s, fmt.Errorf("%w: subscribe without channel", ErrProtocol)
-	}
-	if s.Device, body, ok = readByteLenString(body); !ok {
-		return s, fmt.Errorf("%w: truncated device name", ErrProtocol)
-	}
-	// Bytes after the timestamp belong to a later format and are ignored.
-	vals, _, err := readUvarintsRest(body, 2)
-	if err != nil {
-		return s, err
-	}
-	s.Version = int(vals[0])
-	s.SendUnixMicro = int64(vals[1])
-	return s, nil
 }
 
 // WriteAccept sends an Accept message: seven uvarints (width, height, GOP
@@ -734,16 +643,15 @@ func readUvarintsRest(body []byte, n int) ([]uint64, []byte, error) {
 
 // Msg is a decoded protocol message; exactly one field is set.
 type Msg struct {
-	Type      MsgType
-	Hello     *Hello
-	Accept    *Accept
-	Frame     *FramePacket
-	Input     *InputPacket
-	Reject    *Reject
-	Stats     *StatsPacket
-	Subscribe *Subscribe
-	Ping      *PingPacket
-	Pong      *PongPacket
+	Type   MsgType
+	Hello  *Hello
+	Accept *Accept
+	Frame  *FramePacket
+	Input  *InputPacket
+	Reject *Reject
+	Stats  *StatsPacket
+	Ping   *PingPacket
+	Pong   *PongPacket
 }
 
 // ReadMsg reads and decodes the next message from r.
@@ -770,8 +678,6 @@ func readMsgMax(r io.Reader, limit int) (Msg, error) {
 		out.Reject, err = parsed(parseReject(body))
 	case MsgStats:
 		out.Stats, err = parsed(parseStats(body))
-	case MsgSubscribe:
-		out.Subscribe, err = parsed(parseSubscribe(body))
 	case MsgPing:
 		out.Ping, err = parsed(parsePing(body))
 	case MsgPong:

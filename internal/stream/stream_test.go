@@ -137,8 +137,8 @@ func TestReadMsgRejectsGarbage(t *testing.T) {
 		// Every field of the one format is required: a Hello that stops
 		// before its token, one whose token is cut short, an Accept
 		// without a token field.
-		{byte(MsgHello), 12, 1, 'd', 32, 2, 4, 1, 5, 'a', 'r', 'e', 'n', 'a'},
-		{byte(MsgHello), 14, 1, 'd', 32, 2, 4, 1, 5, 'a', 'r', 'e', 'n', 'a', 9, 'a'},
+		{byte(MsgHello), 6, 1, 'd', 32, 2, 5, 1},
+		{byte(MsgHello), 8, 1, 'd', 32, 2, 5, 1, 9, 'a'},
 		{byte(MsgAccept), 7, 64, 36, 4, 6, 4, 1, 2},
 	}
 	for i, c := range cases {

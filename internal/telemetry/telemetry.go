@@ -233,9 +233,9 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // Unregister removes the named metric — counter, gauge, gauge func or
 // histogram — from the registry, so per-session metrics (whose names embed
-// a remote address or channel) don't accumulate without bound under
-// session churn. Handles already held keep working; their updates just no
-// longer appear in snapshots. Re-creating the name later starts a fresh
+// a remote address) don't accumulate without bound under session churn.
+// Handles already held keep working; their updates just no longer appear
+// in snapshots. Re-creating the name later starts a fresh
 // metric. No-op on a nil registry or an unknown name.
 func (r *Registry) Unregister(name string) {
 	if r == nil {
