@@ -65,13 +65,13 @@ func TestRejectIsFinal(t *testing.T) {
 // TestVersionMismatchRejected: the reject a server of another protocol
 // version sends is fatal in the reconnect loop — `-reconnect 3` dials once.
 func TestVersionMismatchRejected(t *testing.T) {
-	addr, dials := rejectingServer(t, stream.Reject{Code: stream.RejectBadHello, Reason: "protocol version 4, this server speaks 5"})
+	addr, dials := rejectingServer(t, stream.Reject{Code: stream.RejectBadHello, Reason: "protocol version 5, this server speaks 6"})
 	err := run(context.Background(), clientConfig{
 		addr: addr, devName: "s8", scale: 2, flightFrames: 8,
 		reconnect: 3, reconnectBase: time.Millisecond, reconnectMax: time.Millisecond,
 	})
 	var rej *stream.RejectedError
-	if !errors.As(err, &rej) || rej.Code != stream.RejectBadHello || !strings.Contains(err.Error(), "this server speaks 5") {
+	if !errors.As(err, &rej) || rej.Code != stream.RejectBadHello || !strings.Contains(err.Error(), "this server speaks 6") {
 		t.Fatalf("want the bad-hello reject with its reason, got %v", err)
 	}
 	if len(dials) != 1 {

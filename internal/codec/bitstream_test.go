@@ -2,10 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -37,7 +37,9 @@ func goldenFrame(k int) *frame.Image {
 // inter frames at a geometry with partial edge blocks (50×35 in 16-pixel
 // blocks: three bands, the last of three rows). A change of grammar fails
 // here instead of at a peer; a deliberate one bumps `version` and re-records
-// (the failure prints the new bytes).
+// (the failure prints the new bytes). The images are held apart from the
+// bytes: their hashes are those of the version-3 goldens' decodes, which a
+// change of entropy coding alone must not move.
 func TestBitstreamGolden(t *testing.T) {
 	for _, g := range bitstreamGoldens {
 		enc := mustEncoder(t, g.cfg)
@@ -60,6 +62,9 @@ func TestBitstreamGolden(t *testing.T) {
 			if !fast.prev.Equal(enc.prev) {
 				t.Errorf("%s frame %d: the golden decodes to something other than the encoder's reconstruction", g.name, k)
 			}
+			if got := imageSum(fast.prev); got != g.image[k] {
+				t.Errorf("%s frame %d decodes to an image of SHA-256 %s, the version-3 golden's was %s", g.name, k, got, g.image[k])
+			}
 			// There is one parser: the same frame labelled as the previous
 			// format is refused, not read.
 			data[1] = version - 1
@@ -70,12 +75,13 @@ func TestBitstreamGolden(t *testing.T) {
 	}
 }
 
-// TestHeaderReservedFlagsRejected sets each of the header's reserved flags —
-// where an RoI quantizer and half-pel vectors were once switched on — to 1, 2
-// and 2⁶³ on an inter and an intra frame: both decoders refuse the frame with
-// ErrCorrupt naming the flag, and keep the reference they held, so the next
-// frame of the stream still decodes.
-func TestHeaderReservedFlagsRejected(t *testing.T) {
+// TestHeaderV3FlagsRefused: a frame whose header still carries version 3's
+// two trailing flags — 0, or set to 1, 2 and 2⁶³, where an RoI quantizer and
+// half-pel vectors were once switched on — is refused with ErrCorrupt by both
+// decoders, inter and intra alike, and they keep the reference they held, so
+// the next frame of the stream still decodes. Version 4 reads the flags as
+// the first slice lengths.
+func TestHeaderV3FlagsRefused(t *testing.T) {
 	cfg := Config{Width: 50, Height: 35, QStep: 24}
 	enc := mustEncoder(t, cfg)
 	intra, _, err := enc.Encode(goldenFrame(0))
@@ -87,22 +93,21 @@ func TestHeaderReservedFlagsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	for _, v := range []uint64{1, 2, 1 << 63} {
+	for _, v := range []uint64{0, 1, 2, 1 << 63} {
 		for _, c := range []struct {
 			flag    string
 			roi, hp uint64
 		}{{"RoI", v, 0}, {"half-pel", 0, v}} {
 			for _, data := range [][]byte{
-				appendSlices(flaggedHeader(Inter, cfg, c.roi, nil, c.hp), craftInterSlices(cfg, []MV{{0, 0}, {3, -2}}, rng)),
-				appendSlices(flaggedHeader(Intra, cfg, c.roi, nil, c.hp), flatIntraSlices(cfg)),
+				appendSlices(v3FlagHeader(Inter, cfg, c.roi, nil, c.hp), craftInterSlices(cfg, []MV{{0, 0}, {3, -2}}, rng)),
+				appendSlices(v3FlagHeader(Intra, cfg, c.roi, nil, c.hp), flatIntraSlices(cfg)),
 			} {
 				fast, ref := NewDecoder(), referenceDecoder()
 				if err := sameDecode(t, fast, ref, intra); err != nil {
 					t.Fatal(err)
 				}
-				want := fmt.Sprintf("reserved %s flag %d", c.flag, v)
-				if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
-					t.Errorf("%s flag %d: err = %v, want ErrCorrupt with %q", c.flag, v, err, want)
+				if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) {
+					t.Errorf("%s flag %d: err = %v, want ErrCorrupt", c.flag, v, err)
 				}
 				if err := sameDecode(t, fast, ref, inter); err != nil {
 					t.Errorf("%s flag %d: the next inter frame does not decode: %v", c.flag, v, err)
@@ -193,18 +198,21 @@ func hostileFramings(t testing.TB, good []byte) []hostileFraming {
 		{"body one byte long", "slices cover", f.frameWith(lens(func([]int) {}), join(body, []byte{0x02}))},
 		{"spare byte in a slice", "slice 1: codec: corrupt bitstream: 1 spare bytes", f.withSlice(1, join(f.slices[1], []byte{0x02}))},
 		{"slice one byte short", "slice 1: ", f.withSlice(1, f.slices[1][:len(f.slices[1])-1])},
-		{"zero-length slice", "slice 0: codec: corrupt bitstream: truncated slice", f.frameWith(lens(func(l []int) { l[1] += l[0]; l[0] = 0 }), body)},
+		{"zero-length slice", "slice 0: codec: corrupt bitstream: truncated occupancy bitmap", f.frameWith(lens(func(l []int) { l[1] += l[0]; l[0] = 0 }), body)},
 		// Two bad slices: whichever a worker reaches first, the lower one is
 		// reported.
 		{"two bad slices", "slice 1: ", appendSlices(join(f.header), [][]byte{f.slices[0], f.slices[1][:1], join(f.slices[2], []byte{0x02})})},
 	}
+	// Slice 1's first sequence broken every way the layout forbids: the row's
+	// 2·bw vector components on an inter frame, the band's first plane on an
+	// intra frame (a whole band: the frame has at least three).
+	h, _, _ := parseHeader(good)
+	n := h.bs * h.w
 	if FrameType(good[2]) == Inter {
-		// A zero run one longer than the row's 2·bw vector components, in
-		// front of an otherwise intact slice.
-		h, _, _ := parseHeader(good)
-		run := uint64(2*((h.w+h.bs-1)/h.bs) + 1)
-		out = append(out, hostileFraming{"MV run overflowing the row", "slice 2: codec: corrupt bitstream: zero run",
-			f.withSlice(2, join(binary.AppendUvarint([]byte{0x00}, run), f.slices[2]))})
+		n = 2 * ((h.w + h.bs - 1) / h.bs)
+	}
+	for _, c := range hostileSigs(n) {
+		out = append(out, hostileFraming{"layout: " + c.name, "slice 1: codec: corrupt bitstream: " + c.want, f.withSlice(1, c.seq)})
 	}
 	return out
 }
@@ -272,7 +280,7 @@ func TestDecodeLevelBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	plane := func(vals ...int32) []byte {
-		return appendSignedRLE(nil, append(vals, make([]int32, 256-len(vals))...))
+		return appendSig(nil, append(vals, make([]int32, 256-len(vals))...))
 	}
 	flat := plane()
 	inter := func(p []byte) []byte {
@@ -294,9 +302,9 @@ func TestDecodeLevelBound(t *testing.T) {
 		{"intra sum at max", intraOf(plane(maxLevel-5, 0, 5, -maxLevel, -maxLevel)), ""},
 		{"intra sum past max", intraOf(plane(maxLevel-5, 0, 5, 1)), "level out of range"},
 		{"intra sum past -max", intraOf(plane(-maxLevel, 0, 0, -1, 1)), "level out of range"},
-		// Out of range and then cut short: the band's stream is parsed to
+		// Out of range and then cut short: the band's sequence is parsed to
 		// its end before its levels are judged, on both decoders.
-		{"intra past max, then cut", intraOf(plane(maxLevel, 1)[:6]), "truncated zero run"},
+		{"intra past max, then cut", intraOf(plane(maxLevel, 1)[:14]), "truncated escape list"},
 	} {
 		fast, ref := NewDecoder(), referenceDecoder()
 		if err := sameDecode(t, fast, ref, intra); err != nil {
@@ -316,14 +324,51 @@ func TestDecodeLevelBound(t *testing.T) {
 	}
 }
 
+// imageSum is the SHA-256 of an image's R, G and B planes, in hex.
+func imageSum(im *frame.Image) string {
+	h := sha256.New()
+	h.Write(im.R)
+	h.Write(im.G)
+	h.Write(im.B)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestStreamSizeG3 counts the bytes a GOP and a half of G3 cost on the wire
+// — script frames 24–47 at 320×180, GOP 12, quantizer 6, two intra frames —
+// so a change that bloats the stream fails here. Version 3 coded the same
+// frames in 1,358,893 bytes; version 4 must stay at most 0.45× of that.
+func TestStreamSizeG3(t *testing.T) {
+	const v3Total, want = 1358893, 511425
+	enc := mustEncoder(t, Config{Width: 320, Height: 180, GOPSize: 12, QStep: 6})
+	total := 0
+	for _, f := range gameFrames(t, "G3", 24, 24, 320, 180) {
+		data, _, err := enc.Encode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(data)
+	}
+	if total != want {
+		t.Errorf("G3 frames 24–47 code to %d bytes, want %d", total, want)
+	}
+	if float64(total) > 0.45*v3Total {
+		t.Errorf("G3 frames 24–47 code to %d bytes, %.3f× version 3's %d", total, float64(total)/v3Total, v3Total)
+	}
+}
+
 var bitstreamGoldens = []struct {
-	name string
-	cfg  Config
-	hex  [3]string
+	name  string
+	cfg   Config
+	hex   [3]string
+	image [3]string
 }{
-	{name: "plain", cfg: Config{Width: 50, Height: 35, QStep: 24}, hex: [3]string{
-		"470301322310180000be02420c04008102040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f00170a0081020a001109001f0a001109001f08001107001f08001107001f06001105001f06001105001f04001103001f04001103001f02001101001f0200110100490e00d7040200c701040007040001020002020002020002020002020002020f001f040001020002020002020002020002020002020f00d3050a00390100110200d30510008f0302008f03040095010a00950112009501",
-		"470302322310180000a3017c0b05030503000400a006009b03010101010101010101010101010101010101005201010101010101010101010101010101010100520101010101010101010101010101010101010052010101010101010101010101010101010101004700d804020202020202020202020202020202020202020202020202020202020202020200120202020202020202020202020202020202020202020202020202020202020202007605030503000400a006000b0101010101010101010101010101010101010052010101010101010101010101010101010101009f0500900302020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200be020008009601009601009601",
-		"4703023223101800008d02fc010b05030703000400d20302000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202001200820402020202020202020202020202020202020200520202020202020202020202020202020202020052020202020202020202020202020202020202004400d8040202020202020202020202020202020202020202020202020202020202020202001202020202020202020202020202020202020202020202020202020202020202020076050307030004001002000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202002202000202000202000202000202000202008604000e0202020202020202020202020202020202020052020202020202020202020202020202020202005202020202020202020202020202020202020200b80400900302020202020202020202020202020202020202020202020202020202020202020012020202020202020202020202020202020202020202020202020202020202020200be020008009601009601009601",
+	{name: "plain", cfg: Config{Width: 50, Height: 35, QStep: 24}, image: [3]string{
+		"95ca658773fb653bc87e1131065c981efa51c43b55cdf1f354c6643b6abdfef4",
+		"8de7e10a4d62486bfcdbbbf595990863d382880ef79c264b70f99b4cf2644d1b",
+		"81f65cdd340b75021e9c570659636dae955ae5f0181b1d998cd321ea808a2476",
+	}, hex: [3]string{
+		"4704013223101895024c27f11f0100000000000000942419000000509264000000404992010000002549060000009424190000005092640000004049920100000025490600000094241900000050926400000040499201000000000000000101010101010101010101170100820200120620001206200012062000120620001206200012062000120620001206200012062000120620001206f10f0100000000000000040010000000100040000000400000010000000100040000000400100000001000400000004000000100000001000400000004001000000010004000000000005455151101038202031203200312032002120220021202200112012001120120001200200012000102010000000000000000000001000000000001010503000125490600000094241900000000000000010105010008001206200012060300010000000000000400100000000000000201010341000100000000000000000001000000000000010106010100000000000000000101000101000000000000000001010301010000000000000000010107",
+		"47040232231018655108010f000000000000000f040101010001010100000000c00b000000f8ff1f00000000000000000080ffff01000000000000000000f8ff1f0080ffff0100000000ffffffffffffffffff000006000000ffffffff0000fcffffff030000000000000000000000010f000000000000000f040101010001010100000000070000f8ff1f00000000000000000080ffff0100000000000000ffffffff0f00c0000000ffffffff0000fcffffff030000000000000000000000000000000000000000",
+		"470402322310188901880108010f000000000000000f040101010001020100801f00002449020000009024090000004092240000000049920000000024490200000090240900000040922400000000000000000000000000000bfcff0f000000000000000000c0ffff0000fcff0f0000000000000000000000000006000000ffffffff0000fcffffff030000000000000000000000010f000000000000000f0401010100010201001f00000049920000000024490200000090240900000040922400000000499200000000244902000000000000000000000f0000c0ffff00000000000000000000fcff0f000000000000000000c0ffff0000000000000000000000c0000000ffffffff0000fcffffff030000000000000000000000000000000000000000",
 	}},
 }

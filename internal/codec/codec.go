@@ -13,7 +13,7 @@
 // CPU-software rates is the device model's concern, not the codec's.
 //
 // The design favours transparency over compression ratio: quantization +
-// delta prediction + zero-run/varint entropy coding. Bitstream sizes are
+// delta prediction + significance words (sig.go). Bitstream sizes are
 // still content-dependent and monotone in quality, which is all the
 // bandwidth experiments (§IV-B2) need.
 package codec
@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"gamestreamsr/internal/bufpool"
@@ -145,11 +146,11 @@ type DecodedFrame struct {
 const magic = 0x47 // 'G'
 
 // version is the one bitstream format this package writes and reads
-// (DESIGN.md §21):
+// (DESIGN.md §21, §28):
 //
 //	frame  = header · table · slice₀ … sliceₙ₋₁     n = ⌈height / block size⌉
 //	header = magic · version · type byte, then uvarints width, height,
-//	         block size, quantizer and two reserved flags, always 0
+//	         block size and quantizer
 //	table  = n uvarints, the byte length of each slice
 //	slice  = one block row — a band of BlockSize pixel rows — decodable alone:
 //	         inter: the row's vectors (DX, DY per block), then the band of the
@@ -157,9 +158,9 @@ const magic = 0x47 // 'G'
 //	         intra: the band of the R, G and B planes as level deltas, the
 //	                predictor restarting at 0 at the start of each band.
 //
-// Every sequence is zero-run coded on its own (appendSignedRLE), so no run
-// crosses a plane or a slice.
-const version = 3
+// Every sequence is written in the significance layout on its own
+// (appendSig), so no group crosses a plane or a slice.
+const version = 4
 
 // Encoder turns raw frames into bitstream frames. Frames must be fed in
 // display order; the encoder tracks GOP position and reference state.
@@ -440,14 +441,8 @@ func appendHeader(buf []byte, t FrameType, cfg Config) []byte {
 	buf = binary.AppendUvarint(buf, uint64(cfg.Width))
 	buf = binary.AppendUvarint(buf, uint64(cfg.Height))
 	buf = binary.AppendUvarint(buf, uint64(cfg.BlockSize))
-	buf = binary.AppendUvarint(buf, uint64(cfg.QStep))
-	return append(buf, 0, 0) // the reserved flags
+	return binary.AppendUvarint(buf, uint64(cfg.QStep))
 }
-
-// reservedFlags names the header's two trailing flags. They once switched
-// on an RoI quantizer and half-pel vectors; the format keeps their bytes and
-// admits only 0 (DESIGN.md §21, §27).
-var reservedFlags = [2]string{"RoI", "half-pel"}
 
 func parseHeader(data []byte) (header, []byte, error) {
 	if len(data) < 3 {
@@ -469,16 +464,6 @@ func parseHeader(data []byte) (header, []byte, error) {
 		}
 		rest = rest[n:]
 		*f = int(v)
-	}
-	for _, name := range reservedFlags {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return header{}, nil, fmt.Errorf("%w: truncated %s flag", ErrCorrupt, name)
-		}
-		if v != 0 {
-			return header{}, nil, fmt.Errorf("%w: reserved %s flag %d", ErrCorrupt, name, v)
-		}
-		rest = rest[n:]
 	}
 	// Bound each dimension and the total pixel count (up to 4K frames)
 	// before any allocation happens — corrupt headers must not be able to
@@ -579,8 +564,9 @@ func (d *Decoder) slices(lo, hi int) {
 }
 
 // intraSlice reconstructs band by of an intra frame and returns the bytes it
-// did not consume. The shipped form walks the entropy stream once, a zero
-// run — a level that does not change — becoming a constant fill.
+// did not consume. The shipped form walks each plane's significance words
+// once, the level changing only at a non-zero: the span up to the next one
+// is a constant fill.
 func (d *Decoder) intraSlice(by int, data []byte) ([]byte, error) {
 	j := &d.job
 	h := j.h
@@ -591,12 +577,14 @@ func (d *Decoder) intraSlice(by int, data []byte) ([]byte, error) {
 		vals = make([]int32, n)
 	}
 	for p := 0; p < 3; p++ {
-		rp := reconPlane(j.im, p)[band : band+n]
-		var err error
+		s, rest, err := parseSig(data, n)
+		if err != nil {
+			return nil, err
+		}
+		data = rest
+		rp := srcPlane(j.im, p)[band : band+n]
 		if d.reference {
-			if data, err = decodeSignedRLEInto(vals, data); err != nil {
-				return nil, err
-			}
+			s.values(vals)
 			acc, over := int32(0), false
 			for i, dv := range vals {
 				acc += dv
@@ -607,7 +595,7 @@ func (d *Decoder) intraSlice(by int, data []byte) ([]byte, error) {
 				err = errLevel
 			}
 		} else {
-			data, err = fillIntra(rp, int32(h.q), data)
+			err = fillIntra(rp, int32(h.q), &s)
 		}
 		if err != nil {
 			return nil, err
@@ -617,50 +605,58 @@ func (d *Decoder) intraSlice(by int, data []byte) ([]byte, error) {
 }
 
 // fillIntra undoes the delta prediction of one plane's band, quantized at
-// q, straight from its entropy stream. A level outside ±maxLevel is reported
-// once the band's stream has parsed, as the two-pass reference does.
-func fillIntra(rp []uint8, q int32, data []byte) ([]byte, error) {
-	n := len(rp)
-	pos := 0
+// q, straight from its significance words. A level outside ±maxLevel is
+// reported once the band is filled, as the reference reports it.
+func fillIntra(rp []uint8, q int32, s *sigSeq) error {
+	esc := s.escapes()
 	acc, over := int32(0), false
-	for i := 0; i < n; {
-		v, run, next, ok := shortToken(data, pos, n-i)
-		if !ok {
-			var err error
-			if v, run, next, err = longToken(data, pos, n-i); err != nil {
-				return nil, err
+	pos, c8, k := 0, uint64(0), 0
+	for at, g := 0, (sigGroups{occ: s.occ, bi: -1}); at < len(s.words); at += 8 {
+		base := 64 * g.next()
+		w := binary.LittleEndian.Uint64(s.words[at:])
+		sb := signBits(s.signs, k)
+		for k += bits.OnesCount64(w); w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			v := int32(1)
+			if i == esc.idx {
+				v = esc.mag
+				esc.next()
 			}
+			neg := int32(sb & 1)
+			sb >>= 1
+			fillSpan(rp, pos, i, c8)
+			acc += (v ^ -neg) + neg
+			over = over || acc < -maxLevel || acc > maxLevel
+			c8, pos = uint64(clamp8(acc*q))*0x0101010101010101, i
 		}
-		pos = next
-		if run > 0 {
-			fill, c := rp[i:i+run], clamp8(acc*q)
-			for c8 := uint64(c) * 0x0101010101010101; len(fill) >= 8; fill = fill[8:] {
-				binary.LittleEndian.PutUint64(fill, c8)
-			}
-			for x := range fill {
-				fill[x] = c
-			}
-			i += run
-			continue
-		}
-		acc += v
-		over = over || acc < -maxLevel || acc > maxLevel
-		rp[i] = clamp8(acc * q)
-		i++
 	}
+	fillSpan(rp, pos, len(rp), c8)
 	if over {
-		return nil, errLevel
+		return errLevel
 	}
-	return data[pos:], nil
+	return nil
+}
+
+// fillSpan sets rp[pos:end] to the byte c8 repeats, eight bytes a store. The
+// last store may run past end (never past rp): the spans are filled in
+// order, so the next span overwrites what it wrote there.
+func fillSpan(rp []uint8, pos, end int, c8 uint64) {
+	for ; pos < end && pos+8 <= len(rp); pos += 8 {
+		binary.LittleEndian.PutUint64(rp[pos:], c8)
+	}
+	for ; pos < end; pos++ {
+		rp[pos] = uint8(c8)
+	}
 }
 
 // interSlice reconstructs block row by of an inter frame — vectors, pixels
 // and the NEMO residual band — and returns the bytes it did not consume. The
 // shipped form writes the motion-compensated prediction into the output
-// first and then walks the entropy stream once, adding only the non-zero
-// residuals onto it: the same int32 expressions as the reference's
-// clamp8(pred + v·q) and clampRes(v·q), evaluated where v ≠ 0 (elsewhere they
-// reduce to pred and 0, which is what the prediction pass and the clear left).
+// first and then walks each plane's significance words once, adding only
+// the non-zero residuals onto it: the same int32 expressions as the
+// reference's clamp8(pred + v·q) and clampRes(v·q), evaluated where v ≠ 0
+// (elsewhere they reduce to pred and 0, which is what the prediction pass and
+// the clear left).
 func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
 	j := &d.job
 	h, bw := j.h, j.bw
@@ -677,11 +673,14 @@ func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
 		pl.vals = make([]int32, n)
 	}
 	for p := 0; p < 3; p++ {
-		pl.rp, pl.refp, pl.res = reconPlane(j.im, p), srcPlane(j.ref, p), j.side.Residual[p]
+		s, rest, err := parseSig(data, n)
+		if err != nil {
+			return nil, err
+		}
+		data = rest
+		pl.rp, pl.refp, pl.res = srcPlane(j.im, p), srcPlane(j.ref, p), j.side.Residual[p]
 		if d.reference {
-			if data, err = decodeSignedRLEInto(pl.vals, data); err != nil {
-				return nil, err
-			}
+			s.values(pl.vals)
 			for bx, mv := range mvs {
 				x := bx * h.bs
 				pl.blockClamped(x, y, min(h.bs, h.w-x), hh, mv)
@@ -694,20 +693,19 @@ func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
 		if d.pool != nil {
 			clear(pl.res[band : band+n])
 		}
-		if data, err = addResiduals(pl.rp[band:band+n], pl.res[band:band+n], int32(h.q), data); err != nil {
-			return nil, err
-		}
+		addResiduals(pl.rp[band:band+n], pl.res[band:band+n], int32(h.q), &s)
 	}
 	return data, nil
 }
 
-// decodeMVRow decodes one block row's vectors — 2·len(mvs) zero-run-coded
-// values, DX then DY per block — through the scratch vals.
+// decodeMVRow decodes one block row's vectors — 2·len(mvs) values, DX then
+// DY per block — through the scratch vals.
 func decodeMVRow(mvs []MV, vals []int32, data []byte) ([]byte, error) {
-	data, err := decodeSignedRLEInto(vals, data)
+	s, data, err := parseSig(data, len(vals))
 	if err != nil {
 		return nil, err
 	}
+	s.values(vals)
 	for i := range mvs {
 		dx, dy := vals[2*i], vals[2*i+1]
 		if dx < -128 || dx > 127 || dy < -128 || dy > 127 {
@@ -773,33 +771,32 @@ func (pl *interPlane) predictClamped(x, y, w, hh int, mv MV) {
 	}
 }
 
-// addResiduals walks the entropy stream of one plane's band once and adds
-// each non-zero residual, dequantized at q, onto the prediction in rp,
-// keeping its clamped value in res (all zero on entry); zero runs are
-// skipped, not visited.
-func addResiduals(rp []uint8, res []int16, q int32, data []byte) ([]byte, error) {
-	n := len(rp)
-	res = res[:n]
-	pos := 0
-	for i := 0; i < n; {
-		v, run, next, ok := shortToken(data, pos, n-i)
-		if !ok {
-			var err error
-			if v, run, next, err = longToken(data, pos, n-i); err != nil {
-				return nil, err
+// addResiduals walks the significance words of one plane's band once and
+// adds each non-zero residual — ±q, or an escaped level times q —
+// dequantized onto the prediction in rp, keeping its clamped value in res
+// (all zero on entry); zeros are skipped, not visited.
+func addResiduals(rp []uint8, res []int16, q int32, s *sigSeq) {
+	res = res[:len(rp)]
+	esc := s.escapes()
+	k := 0
+	for at, g := 0, (sigGroups{occ: s.occ, bi: -1}); at < len(s.words); at += 8 {
+		base := 64 * g.next()
+		w := binary.LittleEndian.Uint64(s.words[at:])
+		sb := signBits(s.signs, k)
+		for k += bits.OnesCount64(w); w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			d := q
+			if i == esc.idx {
+				d *= esc.mag
+				esc.next()
 			}
+			neg := int32(sb & 1)
+			sb >>= 1
+			d = (d ^ -neg) + neg // ±d
+			res[i] = int16(clampRes(d))
+			rp[i] = clamp8(int32(rp[i]) + d)
 		}
-		pos = next
-		if run > 0 {
-			i += run
-			continue
-		}
-		d := v * q
-		res[i] = int16(clampRes(d))
-		rp[i] = clamp8(int32(rp[i]) + d)
-		i++
 	}
-	return data[pos:], nil
 }
 
 // blockClamped is the reference per-pixel loop: every reference coordinate
@@ -820,113 +817,6 @@ func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
 	}
 }
 
-// --- entropy coding: zero-run + zigzag varints -------------------------------
-
-// appendSignedRLE encodes a signed int32 sequence: each zero run becomes the
-// marker byte 0x00 followed by a uvarint run length; every non-zero value is
-// encoded as a varint of the value itself (whose first byte can never be
-// 0x00 for non-zero values, so the marker is unambiguous).
-func appendSignedRLE(buf []byte, vals []int32) []byte {
-	i := 0
-	for i < len(vals) {
-		if vals[i] == 0 {
-			run := 0
-			for i < len(vals) && vals[i] == 0 {
-				run++
-				i++
-			}
-			buf = append(buf, 0x00)
-			buf = binary.AppendUvarint(buf, uint64(run))
-			continue
-		}
-		buf = binary.AppendVarint(buf, int64(vals[i]))
-		i++
-	}
-	return buf
-}
-
-// maxLevel bounds the magnitude of a coded level so that its product with
-// any quantizer (≤ maxQStep), plus a pixel, fits an int32 with room to
-// spare. No encoder comes near it: a level is at most 255.
-const maxLevel = 1 << 22
-
-var errLevel = fmt.Errorf("%w: level out of range", ErrCorrupt)
-
-// shortToken decodes the token at data[pos], of a sequence with left values
-// still to come, when it has one of the two forms nearly every token takes: a
-// one-byte level (|v| < 64, the zigzag undone directly) or a zero run under
-// 128 that fits. run is 0 for a level. Anything else — longer forms,
-// malformed or missing bytes, a run past the sequence — leaves ok false and
-// is longToken's. Kept free of calls so that it inlines into the walkers.
-func shortToken(data []byte, pos, left int) (v int32, run, next int, ok bool) {
-	if pos < len(data) {
-		b := data[pos]
-		if b-1 < 0x7f {
-			return int32(b>>1) ^ -int32(b&1), 0, pos + 1, true
-		}
-		if b == 0 && pos+1 < len(data) {
-			if r := int(data[pos+1]); uint(r-1) < 0x7f && r <= left {
-				return 0, r, pos + 2, true
-			}
-		}
-	}
-	return 0, 0, 0, false
-}
-
-// longToken decodes the token at data[pos] in the general form, with every
-// check: a level within ±maxLevel (run == 0) or a zero run of 1..left.
-func longToken(data []byte, pos, left int) (v int32, run, next int, err error) {
-	if pos >= len(data) {
-		return 0, 0, 0, fmt.Errorf("%w: truncated slice", ErrCorrupt)
-	}
-	if data[pos] == 0x00 {
-		r, m := binary.Uvarint(data[pos+1:])
-		if m <= 0 {
-			return 0, 0, 0, fmt.Errorf("%w: truncated zero run", ErrCorrupt)
-		}
-		if r == 0 || r > maxPixels {
-			return 0, 0, 0, fmt.Errorf("%w: zero run %d out of range", ErrCorrupt, r)
-		}
-		if r > uint64(left) {
-			return 0, 0, 0, fmt.Errorf("%w: zero run %d overflows its sequence", ErrCorrupt, r)
-		}
-		return 0, int(r), pos + 1 + m, nil
-	}
-	lv, m := binary.Varint(data[pos:])
-	if m <= 0 {
-		return 0, 0, 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
-	}
-	if lv < -maxLevel || lv > maxLevel {
-		return 0, 0, 0, errLevel
-	}
-	return int32(lv), 0, pos + m, nil
-}
-
-// decodeSignedRLEInto decodes exactly len(out) values into out and returns
-// the remaining bytes. out is cleared first — zero runs are decoded by
-// skipping over already-zero elements — so a dirty buffer is fine.
-func decodeSignedRLEInto(out []int32, data []byte) ([]byte, error) {
-	clear(out)
-	pos := 0
-	for i := 0; i < len(out); {
-		v, run, next, ok := shortToken(data, pos, len(out)-i)
-		if !ok {
-			var err error
-			if v, run, next, err = longToken(data, pos, len(out)-i); err != nil {
-				return nil, err
-			}
-		}
-		pos = next
-		if run > 0 {
-			i += run
-			continue
-		}
-		out[i] = v
-		i++
-	}
-	return data[pos:], nil
-}
-
 // --- small helpers ------------------------------------------------------------
 
 func srcPlane(im *frame.Image, p int) []uint8 {
@@ -939,8 +829,6 @@ func srcPlane(im *frame.Image, p int) []uint8 {
 		return im.B
 	}
 }
-
-func reconPlane(im *frame.Image, p int) []uint8 { return srcPlane(im, p) }
 
 func clamp8(v int32) uint8 {
 	if v < 0 {
@@ -970,11 +858,4 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
@@ -329,63 +328,6 @@ func TestDecoderDimensionSwitchRejected(t *testing.T) {
 	}
 	if _, err := dec.Decode(interSmall); err == nil {
 		t.Error("inter frame with mismatched reference dims should fail")
-	}
-}
-
-// decodeSignedRLE decodes exactly n values and returns the remaining bytes.
-func decodeSignedRLE(data []byte, n int) ([]int32, []byte, error) {
-	out := make([]int32, n)
-	rest, err := decodeSignedRLEInto(out, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rest, nil
-}
-
-func TestSignedRLERoundTrip(t *testing.T) {
-	f := func(raw []int16) bool {
-		vals := make([]int32, len(raw))
-		for i, v := range raw {
-			vals[i] = int32(v)
-		}
-		data := appendSignedRLE(nil, vals)
-		got, rest, err := decodeSignedRLE(data, len(vals))
-		if err != nil || len(rest) != 0 {
-			return false
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSignedRLEZeroHeavy(t *testing.T) {
-	vals := make([]int32, 10000)
-	vals[5000] = -3
-	data := appendSignedRLE(nil, vals)
-	if len(data) > 20 {
-		t.Errorf("zero-heavy encoding is %d bytes, want tiny", len(data))
-	}
-	got, _, err := decodeSignedRLE(data, len(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[5000] != -3 || got[4999] != 0 || got[5001] != 0 {
-		t.Error("round-trip wrong")
-	}
-}
-
-func TestDecodeRLEZeroRunOverflow(t *testing.T) {
-	var buf []byte
-	buf = append(buf, 0x00, 0xFF, 0x7F) // run of 16383 into a 10-plane
-	if _, _, err := decodeSignedRLE(buf, 10); err == nil {
-		t.Error("overflowing zero run should fail")
 	}
 }
 

@@ -164,7 +164,7 @@ func appendMVRow(buf []byte, mvs []MV) []byte {
 	for i, mv := range mvs {
 		vals[2*i], vals[2*i+1] = int32(mv.DX), int32(mv.DY)
 	}
-	return appendSignedRLE(buf, vals)
+	return appendSig(buf, vals)
 }
 
 // craftInterSlices hand-assembles the slices of an inter frame: the given MV
@@ -194,7 +194,7 @@ func craftInterSlices(cfg Config, mvs []MV, rng *rand.Rand) [][]byte {
 					vals[i] = 0
 				}
 			}
-			buf = appendSignedRLE(buf, vals)
+			buf = appendSig(buf, vals)
 		}
 		slices[by] = buf
 	}
@@ -206,12 +206,13 @@ func craftInter(cfg Config, mvs []MV, rng *rand.Rand) []byte {
 	return appendSlices(appendHeader(nil, Inter, cfg.withDefaults()), craftInterSlices(cfg, mvs, rng))
 }
 
-// flaggedHeader is a frame header with the reserved flags set: the RoI flag
-// to roi, followed by the uvarints roiFields (the rectangle and quantizer a
-// flag of 1 once announced), then the half-pel flag to hp.
-func flaggedHeader(t FrameType, cfg Config, roi uint64, roiFields []uint64, hp uint64) []byte {
-	buf := appendHeader(nil, t, cfg.withDefaults())
-	buf = binary.AppendUvarint(buf[:len(buf)-2], roi)
+// v3FlagHeader is a frame header followed by what version 3 wrote after
+// the quantizer: its RoI flag set to roi, then the uvarints roiFields (the
+// rectangle and quantizer a flag of 1 once announced), then its half-pel
+// flag set to hp. Version 4 has no flags, so a decoder reads these bytes as
+// the slice table.
+func v3FlagHeader(t FrameType, cfg Config, roi uint64, roiFields []uint64, hp uint64) []byte {
+	buf := binary.AppendUvarint(appendHeader(nil, t, cfg.withDefaults()), roi)
 	for _, v := range roiFields {
 		buf = binary.AppendUvarint(buf, v)
 	}
@@ -225,7 +226,7 @@ func flatIntraSlices(cfg Config) [][]byte {
 	for by := range slices {
 		band := make([]int32, min(cfg.BlockSize, cfg.Height-by*cfg.BlockSize)*cfg.Width)
 		for p := 0; p < 3; p++ {
-			slices[by] = appendSignedRLE(slices[by], band)
+			slices[by] = appendSig(slices[by], band)
 		}
 	}
 	return slices
@@ -283,16 +284,17 @@ func overflowingRoIStreams(rng *rand.Rand) [][]byte {
 		{1 << 62, 1 << 62, 1 << 62, 1 << 62},
 	} {
 		roi := append(r[:], 2)
-		out = append(out, appendSlices(flaggedHeader(Inter, cfg, 1, roi, 0), craftInterSlices(cfg, []MV{{0, 0}, {3, -2}}, rng)))
+		out = append(out, appendSlices(v3FlagHeader(Inter, cfg, 1, roi, 0), craftInterSlices(cfg, []MV{{0, 0}, {3, -2}}, rng)))
 		// The same header on a flat intra body.
-		out = append(out, appendSlices(flaggedHeader(Intra, cfg, 1, roi, 0), flatIntraSlices(cfg)))
+		out = append(out, appendSlices(v3FlagHeader(Intra, cfg, 1, roi, 0), flatIntraSlices(cfg)))
 	}
 	return out
 }
 
-// TestDecodeOverflowingRoIRejected: both decoders refuse such a header, at
-// its reserved RoI flag, with the same error instead of reconstructing from
-// it.
+// TestDecodeOverflowingRoIRejected: both decoders refuse such a frame with
+// the same error instead of reconstructing from it. Version 4's header ends
+// at the quantizer, so the flag and the rectangle are read as slice lengths
+// and the frame is refused at its slice table.
 func TestDecodeOverflowingRoIRejected(t *testing.T) {
 	atProcs(t, func(t *testing.T) {
 		intra, _, err := mustEncoder(t, Config{Width: 32, Height: 24}).Encode(newTestImage(32, 24, []byte{9, 200, 31}))
@@ -304,8 +306,9 @@ func TestDecodeOverflowingRoIRejected(t *testing.T) {
 			if err := sameDecode(t, fast, ref, intra); err != nil {
 				t.Fatal(err)
 			}
-			if err := sameDecode(t, fast, ref, data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "reserved RoI flag 1") {
-				t.Fatalf("stream %d: err = %v, want ErrCorrupt at the reserved RoI flag", i, err)
+			err := sameDecode(t, fast, ref, data)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "runs past the frame") && !strings.Contains(err.Error(), "slices cover") {
+				t.Fatalf("stream %d: err = %v, want ErrCorrupt at the slice table", i, err)
 			}
 		}
 	})
@@ -320,32 +323,69 @@ func mustEncoder(t testing.TB, cfg Config) *Encoder {
 	return enc
 }
 
-// TestDecodeRLEShortFormsMatchVarint pins the in-place one-byte value and
-// run decoding to the general varint route: every one-byte code, the
-// two-byte codes around the boundary, and truncations of each.
-func TestDecodeRLEShortFormsMatchVarint(t *testing.T) {
-	for v := int32(-200); v <= 200; v++ {
-		got, rest, err := decodeSignedRLE(appendSignedRLE(nil, []int32{v, 1}), 2)
-		if err != nil || len(rest) != 0 || got[0] != v || got[1] != 1 {
-			t.Fatalf("value %d round-tripped to %v (rest %d, err %v)", v, got, len(rest), err)
-		}
+// TestSigWalkMatchesReference pins the decoder's word walks — addResiduals
+// on an inter band, fillIntra on an intra band — to the layout read one value
+// at a time and put through the reference's expressions, on every level from
+// −300 to 300 after every zero run up to 130 and at every position of a
+// word, and on random sequences of every density.
+func TestSigWalkMatchesReference(t *testing.T) {
+	for v := int32(-300); v <= 300; v++ {
+		checkWalks(t, []int32{v, 1, 0, -v})
 	}
-	for run := 1; run <= 300; run++ {
-		vals := make([]int32, run+1)
-		vals[run] = -3
-		got, rest, err := decodeSignedRLE(appendSignedRLE(nil, vals), run+1)
-		if err != nil || len(rest) != 0 || got[run] != -3 {
-			t.Fatalf("run %d: err %v rest %d", run, err, len(rest))
-		}
-		for i := 0; i < run; i++ {
-			if got[i] != 0 {
-				t.Fatalf("run %d: value %d is %d", run, i, got[i])
+	for run := 0; run <= 130; run++ {
+		vals := make([]int32, run+2)
+		vals[run], vals[run+1] = -3, 1
+		checkWalks(t, vals)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		vals := make([]int32, rng.Intn(700))
+		density := rng.Intn(101)
+		for i := range vals {
+			if rng.Intn(100) < density {
+				vals[i] = int32(rng.Intn(9) - 4)
 			}
 		}
+		checkWalks(t, vals)
 	}
-	for _, bad := range [][]byte{{0x00}, {0x00, 0x00}, {0x00, 0x80}, {0x00, 0x05}, {0x80}} {
-		if _, _, err := decodeSignedRLE(bad, 3); err == nil {
-			t.Errorf("stream % x decoded", bad)
+}
+
+// checkWalks codes vals, parses them back and requires both word walks to
+// write what the reference reading gives: for addResiduals, onto a
+// prediction, clamp8(pred + v·q) and clampRes(v·q); for fillIntra the running
+// sum's clamp8(acc·q), and the level error exactly when a sum leaves
+// ±maxLevel.
+func checkWalks(t testing.TB, vals []int32) {
+	t.Helper()
+	s, rest, err := parseSig(appendSig(nil, vals), len(vals))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("%v: err %v, %d spare bytes", vals, err, len(rest))
+	}
+	got := make([]int32, len(vals))
+	s.values(got)
+	if !slices.Equal(got, vals) {
+		t.Fatalf("values read back as %v, want %v", got, vals)
+	}
+	for _, q := range []int32{1, 6, maxQStep} {
+		rp, res := make([]uint8, len(vals)), make([]int16, len(vals))
+		wantRP, wantRes := make([]uint8, len(vals)), make([]int16, len(vals))
+		for i, v := range vals {
+			rp[i] = uint8(37 * i)
+			wantRP[i], wantRes[i] = clamp8(int32(rp[i])+v*q), int16(clampRes(v*q))
+		}
+		addResiduals(rp, res, q, &s)
+		if !slices.Equal(rp, wantRP) || !slices.Equal(res, wantRes) {
+			t.Fatalf("q %d: addResiduals on %v differs from the reference", q, vals)
+		}
+		acc, over := int32(0), false
+		for i, v := range vals {
+			acc += v
+			over = over || acc < -maxLevel || acc > maxLevel
+			wantRP[i] = clamp8(acc * q)
+		}
+		err := fillIntra(rp, q, &s)
+		if over != (err != nil) || !slices.Equal(rp, wantRP) {
+			t.Fatalf("q %d: fillIntra on %v: err %v, pixels differ from the reference", q, vals, err)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func (j *sliceJob) intraSlice(buf []byte, by int, vals []int32) []byte {
 	q := int32(h.q)
 	vals = vals[:n]
 	for p := 0; p < 3; p++ {
-		src, rp := srcPlane(j.src, p)[o:o+n], reconPlane(j.recon, p)[o:o+n]
+		src, rp := srcPlane(j.src, p)[o:o+n], srcPlane(j.recon, p)[o:o+n]
 		prev := int32(0)
 		for i, v := range src {
 			qv := (int32(v) + q/2) / q
@@ -122,7 +122,7 @@ func (j *sliceJob) intraSlice(buf []byte, by int, vals []int32) []byte {
 			prev = qv
 			rp[i] = clamp8(qv * q)
 		}
-		buf = appendSignedRLE(buf, vals)
+		buf = appendSig(buf, vals)
 	}
 	return buf
 }
@@ -142,11 +142,11 @@ func (j *sliceJob) interSlice(buf []byte, by int, vals []int32) []byte {
 		mvs[bx] = diamondSearch(j.src.G, j.ref.G, h.w, h.h, x, y, w, hh, j.rng, j.clampedOnly)
 		vals[2*bx], vals[2*bx+1] = int32(mvs[bx].DX), int32(mvs[bx].DY)
 	}
-	buf = appendSignedRLE(buf, vals[:2*len(mvs)])
+	buf = appendSig(buf, vals[:2*len(mvs)])
 	for p := 0; p < 3; p++ {
-		pl := residualPlane{h: h, band: y * h.w, src: srcPlane(j.src, p), ref: srcPlane(j.ref, p), rp: reconPlane(j.recon, p), res: vals[:hh*h.w]}
+		pl := residualPlane{h: h, band: y * h.w, src: srcPlane(j.src, p), ref: srcPlane(j.ref, p), rp: srcPlane(j.recon, p), res: vals[:hh*h.w]}
 		pl.blockRow(y, hh, mvs, j.clampedOnly)
-		buf = appendSignedRLE(buf, pl.res)
+		buf = appendSig(buf, pl.res)
 	}
 	return buf
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -38,19 +39,21 @@ func FuzzDecode(f *testing.F) {
 	f.Add(inter)
 	f.Add([]byte{magic, version, byte(Intra)})
 	f.Add([]byte{})
-	// Crafted inter frames: vectors off every edge; the header an RoI
-	// quantizer once had; a set half-pel flag.
+	// Crafted inter frames: vectors off every edge; behind the header, the
+	// fields version 3 wrote after the quantizer — an RoI flag with the
+	// rectangle it once announced, a set half-pel flag — which version 4
+	// reads as slice lengths.
 	rng := rand.New(rand.NewSource(1))
 	cfg := Config{Width: 32, Height: 40}
 	f.Add(craftInter(cfg, []MV{{-128, 127}, {127, -128}, {16, 8}, {0, 0}}, rng))
-	f.Add(appendSlices(flaggedHeader(Inter, cfg, 1, []uint64{5, 3, 20, 21, 2}, 0), craftInterSlices(cfg, []MV{{3, -2}, {-40, 1}}, rng)))
-	f.Add(appendSlices(flaggedHeader(Inter, cfg, 0, nil, 1), craftInterSlices(cfg, []MV{{5, 3}, {-1, -1}}, rng)))
-	// RoI headers whose far edge wraps when added.
+	f.Add(appendSlices(v3FlagHeader(Inter, cfg, 1, []uint64{5, 3, 20, 21, 2}, 0), craftInterSlices(cfg, []MV{{3, -2}, {-40, 1}}, rng)))
+	f.Add(appendSlices(v3FlagHeader(Inter, cfg, 0, nil, 1), craftInterSlices(cfg, []MV{{5, 3}, {-1, -1}}, rng)))
+	// Version 3's RoI headers whose far edge wraps when added.
 	for _, data := range overflowingRoIStreams(rng) {
 		f.Add(data)
 	}
-	// Both frames with the slice table and the slices broken every way the
-	// grammar allows.
+	// Both frames with the slice table, the slices and the significance
+	// layout broken every way the grammar allows.
 	for _, good := range [][]byte{intra, inter} {
 		for _, bad := range hostileFramings(f, good) {
 			f.Add(bad.data)
@@ -100,32 +103,27 @@ func FuzzEncode(f *testing.F) {
 	})
 }
 
-func FuzzSignedRLE(f *testing.F) {
-	f.Add([]byte{0x00, 0x05}, 10)
-	f.Add([]byte{0x02, 0x01, 0x03}, 3)
+// FuzzSigLayout: whatever bytes the layout parser accepts for n values
+// re-encode to themselves — the form is canonical, so no two byte strings
+// carry one sequence — and the decoder's word walks agree with the value
+// reading on them.
+func FuzzSigLayout(f *testing.F) {
+	f.Add(appendSig(nil, []int32{0, 1, -1, 2, 0, -300, 0, 0, 7}), 9)
+	f.Add([]byte{0x01, 0x05, 0, 0, 0, 0, 0, 0, 0, 0x02, 0x01, 0x01, 0x00}, 10)
+	f.Add(appendSig(nil, make([]int32, 130)), 130)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
-		if n < 0 || n > 1<<16 {
+		if n < 0 || n > 1<<12 {
 			return
 		}
-		vals, rest, err := decodeSignedRLE(data, n)
+		s, rest, err := parseSig(data, n)
 		if err != nil {
 			return
 		}
-		if len(vals) != n {
-			t.Fatalf("decoded %d values, want %d", len(vals), n)
+		vals := make([]int32, n)
+		s.values(vals)
+		if re := appendSig(nil, vals); !bytes.Equal(re, data[:len(data)-len(rest)]) {
+			t.Fatalf("accepted % x re-encodes to % x", data[:len(data)-len(rest)], re)
 		}
-		// Round-trip: re-encoding the decoded values and decoding again
-		// must reproduce them (canonical-form property).
-		re := appendSignedRLE(nil, vals)
-		back, rest2, err := decodeSignedRLE(re, n)
-		if err != nil || len(rest2) != 0 {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		for i := range vals {
-			if vals[i] != back[i] {
-				t.Fatalf("value %d changed across round trip", i)
-			}
-		}
-		_ = rest
+		checkWalks(t, vals)
 	})
 }

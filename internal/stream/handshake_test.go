@@ -142,8 +142,8 @@ func TestStatsBackchannel(t *testing.T) {
 }
 
 // TestVersionMismatchRejected: a Hello announcing any version but
-// ProtocolVersion — older (4 is the last format with the spectator relay),
-// newer, or none — is refused with a typed BadHello reject naming both
+// ProtocolVersion — older (4 is the last format with the spectator relay, 5
+// the last whose frames carry codec version 3), newer, or none — is refused with a typed BadHello reject naming both
 // numbers. A connection that opens with message type 8, version 4's
 // Subscribe, is closed without a reply. Neither leaves anything behind on
 // the server: no session and no resume token.
@@ -167,7 +167,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 		return conn
 	}
 
-	for _, ver := range []int{0, 3, 4, ProtocolVersion + 1} {
+	for _, ver := range []int{0, 4, 5, ProtocolVersion + 1} {
 		conn := dial()
 		if err := WriteHello(conn, Hello{Device: "old", RoIWindow: 8, Scale: 2, Version: ver}); err != nil {
 			t.Fatal(err)

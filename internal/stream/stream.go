@@ -44,8 +44,11 @@ import (
 // ProtocolVersion is the one protocol version this build speaks: the number
 // a Hello announces and an Accept echoes. A peer announcing any other number
 // is refused (RejectBadHello). Version 5 dropped the spectator relay's
-// Subscribe message and Hello channel name.
-const ProtocolVersion = 5
+// Subscribe message and Hello channel name; version 6 changed no message,
+// only the frame payloads: they carry codec version 4's significance words
+// (DESIGN.md §28), which a version-5 peer cannot decode, so it is refused at
+// the Hello instead of dropping every frame as corrupt.
+const ProtocolVersion = 6
 
 // MsgType identifies a protocol message.
 type MsgType uint8
