@@ -22,8 +22,10 @@ import (
 // The kernel is fused: a worker keeps the horizontally expanded rows above,
 // at and below the current source row in three rolling buffers and emits the
 // two destination rows between them, so there is no W·2×H intermediate
-// image, and the vertical blend — two thirds of the arithmetic — runs eight
-// pixels per word.
+// image. Both passes run sixteen byte lanes per instruction on amd64's SSE2
+// (bilinear2x_amd64.s, the ISA baseline, so no feature detection) and
+// eight per 64-bit word elsewhere and in the tails (expandWords,
+// blendWords) — the same identity, so the same bytes.
 
 // rows2xScratch holds each worker's three rolling rows (3 planes × 2W
 // bytes each), grown to the widest frame seen.
@@ -77,12 +79,30 @@ func bilinear2x(c *parallel.Client, dst, src *frame.Image) {
 // expandRow2x is the horizontal pass of one plane row: dst (2·len(src)
 // bytes) receives (src[i−1] + 3·src[i] + 2)>>2 at 2i and
 // (3·src[i] + src[i+1] + 2)>>2 at 2i+1, with replicated edges. Interior
-// pixels go eight at a time: the words one byte to the left and right of
-// the current one are its neighbours, blend8 gives the eight even and the
-// eight odd outputs, and two byte-spreads per half interleave them.
+// pixels go sixteen at a time through the vector bulk where the GOARCH has
+// one, then through expandWords. The bulk reads src[i−1 .. i+16] for a
+// block at i, so it covers i ∈ [1, 1+m) with m = (n−2) rounded down to 16,
+// which keeps its last read at src[m+1] ≤ src[n−1] and its last write at
+// dst[2m+1] < dst[2n].
 func expandRow2x(dst, src []uint8) {
 	n := len(src)
 	dst = dst[:2*n]
+	i := 1
+	if m := (n - 2) &^ 15; haveBulk2x && m > 0 {
+		expand16(&dst[2], &src[1], m)
+		i += m
+	}
+	expandWords(dst, src, i)
+}
+
+// expandWords finishes expandRow2x from source index i ≥ 1: the replicated
+// left edge, then eight pixels at a time — the words one byte to the left
+// and right of the current one are its neighbours, blend8 gives the eight
+// even and the eight odd outputs, and two byte-spreads per half interleave
+// them — then the scalar right edge. expandWords(dst, src, 1) is the whole
+// portable pass.
+func expandWords(dst, src []uint8, i int) {
+	n := len(src)
 	scalar := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c3 := 3*uint32(src[i]) + 2
@@ -90,8 +110,7 @@ func expandRow2x(dst, src []uint8) {
 			dst[2*i+1] = uint8((c3 + uint32(src[min(i+1, n-1)])) >> 2)
 		}
 	}
-	scalar(0, 1)
-	i := 1
+	scalar(0, min(1, n))
 	for ; i+9 <= n; i += 8 {
 		c := binary.LittleEndian.Uint64(src[i:])
 		even := blend8(binary.LittleEndian.Uint64(src[i-1:]), c)
@@ -124,11 +143,24 @@ func spread4(x uint64) uint64 {
 }
 
 // blendRow2x is the vertical pass of one plane row:
-// dst[i] = (far[i] + 3·near[i] + 2)>>2.
+// dst[i] = (far[i] + 3·near[i] + 2)>>2, sixteen bytes at a time through the
+// vector bulk where the GOARCH has one, the rest through blendWords.
 func blendRow2x(dst, far, near []uint8) {
 	n := len(dst)
 	far, near = far[:n], near[:n]
 	i := 0
+	if m := n &^ 15; haveBulk2x && m > 0 {
+		blend16(&dst[0], &far[0], &near[0], m)
+		i = m
+	}
+	blendWords(dst, far, near, i)
+}
+
+// blendWords finishes blendRow2x from index i, eight bytes a word, then
+// byte by byte; blendWords(dst, far, near, 0) is the whole portable pass.
+// far and near are at least len(dst) long.
+func blendWords(dst, far, near []uint8, i int) {
+	n := len(dst)
 	for ; i+8 <= n; i += 8 {
 		binary.LittleEndian.PutUint64(dst[i:],
 			blend8(binary.LittleEndian.Uint64(far[i:]), binary.LittleEndian.Uint64(near[i:])))
