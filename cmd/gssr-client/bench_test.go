@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
+	"gamestreamsr/internal/games"
+	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
@@ -163,6 +167,52 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 	shown, err := st.showFrame(stream.FramePacket{Index: 9, Payload: []byte{1, 2, 3}}, time.Now(), 0, stream.ClockSync{}, scale)
 	if err != nil || shown || st.dropped != 1 || st.frames != 9 {
 		t.Fatalf("corrupt frame: shown=%v err=%v dropped=%d frames=%d", shown, err, st.dropped, st.frames)
+	}
+}
+
+// TestShowFrameSteadyState holds the client's frame at the paper's geometry
+// to its pooled steady state. The cycle is what gssr-server streams for G3 at
+// 1280×720 — GOP 12, q 6, the client's default 64-px RoI window — 24 frames,
+// shown round and round. Once 48 frames have warmed the pool, showFrame
+// allocates at most 10 times and under 1 KB a frame: no pixel buffer and no
+// residual plane is made per frame.
+func TestShowFrameSteadyState(t *testing.T) {
+	const cycleLen, warm, timed = 24, 48, 48
+	g, err := games.ByID("G3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := pipeline.NewSource(g, codec.Config{Width: 1280, Height: 720, GOPSize: 12, QStep: 6}, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := make([]stream.FramePacket, cycleLen)
+	for i := range cycle {
+		data, key, roi, err := src.NextFrame(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle[i] = stream.FramePacket{Index: uint32(i), Payload: bytes.Clone(data), Keyenc: key, RoI: roi}
+	}
+	st := newSessionState(nil)
+	show := func(i int) {
+		if shown, err := st.showFrame(cycle[i%cycleLen], time.Now(), 0, stream.ClockSync{}, 2); err != nil || !shown {
+			t.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
+		}
+	}
+	next := 0
+	showNext := func() { show(next); next++ }
+	for next < warm {
+		showNext()
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(timed, showNext) // one untimed frame first
+	runtime.ReadMemStats(&m1)
+	size := float64(m1.TotalAlloc-m0.TotalAlloc) / (timed + 1)
+	t.Logf("steady state: %.1f allocations, %.0f B a frame", allocs, size)
+	if allocs > 10 || size >= 1024 {
+		t.Errorf("showFrame allocates %.1f times and %.0f B a frame at 1280x720, want <= 10 and < 1 KB", allocs, size)
 	}
 }
 

@@ -104,7 +104,6 @@ type Pool struct {
 	bytes  bucketSet[uint8]
 	f32    bucketSet[float32]
 	f64    bucketSet[float64]
-	i16    bucketSet[int16]
 	images []*frame.Image
 	depths []*frame.DepthMap
 
@@ -197,12 +196,6 @@ func (p *Pool) Float64s(n int) []float64 { return getSlice(p, poolF64(p), n, 8) 
 // PutFloat64s returns a buffer obtained from Float64s.
 func (p *Pool) PutFloat64s(s []float64) { putSlice(p, poolF64(p), s, 8, poisonFloat64s) }
 
-// Int16s checks out a []int16 of length n with unspecified contents.
-func (p *Pool) Int16s(n int) []int16 { return getSlice(p, poolI16(p), n, 2) }
-
-// PutInt16s returns a buffer obtained from Int16s.
-func (p *Pool) PutInt16s(s []int16) { putSlice(p, poolI16(p), s, 2, poisonInt16s) }
-
 // The pool* accessors exist so the generic helpers can take a nil *Pool:
 // field access on nil would panic, so they return nil bucket sets instead
 // (which getSlice/putSlice never touch when p == nil).
@@ -223,12 +216,6 @@ func poolF64(p *Pool) *bucketSet[float64] {
 		return nil
 	}
 	return &p.f64
-}
-func poolI16(p *Pool) *bucketSet[int16] {
-	if p == nil {
-		return nil
-	}
-	return &p.i16
 }
 
 // Image checks out a w×h packed image: the three planes are slices of one
@@ -361,11 +348,5 @@ func poisonFloat64s(s []float64) {
 	nan := math.NaN()
 	for i := range s {
 		s[i] = nan
-	}
-}
-
-func poisonInt16s(s []int16) {
-	for i := range s {
-		s[i] = -21931 // 0xAA55
 	}
 }

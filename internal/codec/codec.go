@@ -8,9 +8,10 @@
 // vectors and residuals so non-reference frames can be reconstructed from an
 // upscaled reference (paper §II-A, §V-A). This codec plays both roles: the
 // normal Decode path reconstructs pixels like any decoder would, and the
-// decoded frame additionally surfaces its MV field and residual planes for
-// the NEMO pipeline. Whether decoding is billed at hardware-decoder or
-// CPU-software rates is the device model's concern, not the codec's.
+// decoded frame additionally surfaces its MV field and, on request, its
+// residual planes (SideInfo.ResidualInto) for the NEMO pipeline. Whether
+// decoding is billed at hardware-decoder or CPU-software rates is the device
+// model's concern, not the codec's.
 //
 // The design favours transparency over compression ratio: quantization +
 // delta prediction + significance words (sig.go). Bitstream sizes are
@@ -121,17 +122,43 @@ type MV struct {
 }
 
 // SideInfo is what a NEMO-style modified decoder extracts from an inter
-// frame: the motion-vector grid and the dequantized residual planes.
+// frame: the motion-vector grid and the residual. The residual stays in the
+// form the bitstream holds it (DESIGN.md §28) — one significance sequence per
+// block row and plane, aliasing the payload passed to Decode — and
+// ResidualInto reads a dense plane out of it, so a decode whose residual
+// nobody reads writes none. A decoded SideInfo is valid until its frame is
+// handed to Recycle; the payload must not be reused or modified before then.
+// A SideInfo built by hand carries no residual: every plane reads as zero.
 type SideInfo struct {
 	// BlocksX, BlocksY give the MV grid dimensions.
 	BlocksX, BlocksY int
 	// BlockSize is the macroblock edge.
 	BlockSize int
+	// W, H are the frame's geometry, and so each residual plane's.
+	W, H int
 	// MVs is the row-major BlocksX×BlocksY motion-vector grid.
 	MVs []MV
-	// Residual holds the dequantized residual planes (R, G, B), full-frame,
-	// row-major, in signed units.
-	Residual [3][]int16
+	// q is the frame's quantizer and bands[by][p] the levels of plane p over
+	// block row by.
+	q     int32
+	bands [][3]sigSeq
+}
+
+// ResidualInto writes residual plane p (R, G, B for 0, 1, 2) into dst,
+// row-major W×H, overwriting all of it: 0 where the coded level is 0,
+// elsewhere the level times the quantizer clamped to the int16 range — the
+// value the decoder added onto the prediction before clamping the pixel.
+// dst must hold exactly W·H samples.
+func (s *SideInfo) ResidualInto(p int, dst []float64) {
+	if len(dst) != s.W*s.H {
+		panic(fmt.Sprintf("codec: residual destination of %d samples for a %dx%d frame", len(dst), s.W, s.H))
+	}
+	clear(dst)
+	for by := range s.bands {
+		y := by * s.BlockSize
+		band := y * s.W
+		residualInto(dst[band:band+min(s.BlockSize, s.H-y)*s.W], s.q, &s.bands[by][p])
+	}
 }
 
 // DecodedFrame is the output of Decoder.Decode.
@@ -260,11 +287,12 @@ type Decoder struct {
 	// prev back via Recycle; the image itself is recycled only when the next
 	// Decode replaces it (it is still the inter reference until then).
 	prevReleased bool
-	// pool recycles decoded images and residual planes; nil means plain
-	// allocation (see SetPool).
+	// pool recycles decoded images; nil means plain allocation (see
+	// SetPool).
 	pool *bufpool.Pool
-	// mvFree and sideFree recycle the MV grids and SideInfo headers of
-	// released frames. The decoder is single-goroutine, so plain slices do.
+	// mvFree and sideFree recycle the MV grids and SideInfo headers (each
+	// with its band table) of released frames. The decoder is
+	// single-goroutine, so plain slices do.
 	mvFree   [][]MV
 	sideFree []*SideInfo
 	// job is the frame under reconstruction and runSlices its slice loop,
@@ -281,9 +309,9 @@ type Decoder struct {
 // NewDecoder creates a decoder.
 func NewDecoder() *Decoder { return &Decoder{} }
 
-// SetPool makes the decoder draw decoded images and side-info buffers from
-// p (nil reverts to plain allocation). Callers that set a pool should hand
-// finished frames back with Recycle.
+// SetPool makes the decoder draw decoded images from p (nil reverts to
+// plain allocation). Callers that set a pool should hand finished frames
+// back with Recycle.
 func (d *Decoder) SetPool(p *bufpool.Pool) { d.pool = p }
 
 // Reset clears reference state (e.g. on seek or stream restart).
@@ -296,28 +324,25 @@ func (d *Decoder) Reset() {
 }
 
 // Recycle hands a decoded frame's buffers back to the decoder's pool. The
-// caller must be done with every alias into the frame (image planes,
-// residual slices, MV grid). The current reference image is retired only
-// after the next Decode stops predicting from it; everything else is
-// reusable immediately. Safe to call with a nil pool or frame (no-op).
+// caller must be done with every alias into the frame (image planes, MV
+// grid, side info). The current reference image is retired only after the
+// next Decode stops predicting from it; everything else is reusable
+// immediately. Safe to call with a nil pool or frame (no-op).
 func (d *Decoder) Recycle(df *DecodedFrame) {
 	if d == nil || df == nil {
 		return
 	}
 	if side := df.Side; side != nil {
 		df.Side = nil
-		for p := range side.Residual {
-			if d.pool != nil {
-				d.pool.PutInt16s(side.Residual[p])
-			}
-			side.Residual[p] = nil
-		}
 		if side.MVs != nil && len(d.mvFree) < 8 {
 			d.mvFree = append(d.mvFree, side.MVs)
 		}
 		side.MVs = nil
 		if len(d.sideFree) < 8 {
-			*side = SideInfo{}
+			// The band table goes back with the header, cleared: its entries
+			// alias the payload, which is the caller's again.
+			clear(side.bands)
+			*side = SideInfo{bands: side.bands[:0]}
 			d.sideFree = append(d.sideFree, side)
 		}
 	}
@@ -367,16 +392,19 @@ func (d *Decoder) Decode(data []byte) (*DecodedFrame, error) {
 	if hdr.ftype == Inter {
 		j.ref = d.prev.Compact()
 		j.side = d.getSide()
-		*j.side = SideInfo{BlocksX: j.bw, BlocksY: bh, BlockSize: hdr.bs, MVs: d.getMVs(j.bw * bh)}
-		for p := range j.side.Residual {
-			j.side.Residual[p] = d.pool.Int16s(hdr.w * hdr.h)
+		bands := j.side.bands
+		if cap(bands) < bh {
+			bands = make([][3]sigSeq, bh)
 		}
+		*j.side = SideInfo{BlocksX: j.bw, BlocksY: bh, BlockSize: hdr.bs, W: hdr.w, H: hdr.h,
+			MVs: d.getMVs(j.bw * bh), q: int32(hdr.q), bands: bands[:bh]}
 		if cap(j.mvVals) < 2*j.bw*bh {
 			j.mvVals = make([]int32, 2*j.bw*bh)
 		}
 	}
-	// Slices write disjoint pixel rows of the image, the residual planes and
-	// the MV grid and only read the reference, so they parallelise freely.
+	// Slices write disjoint pixel rows of the image, rows of the MV grid and
+	// entries of the band table and only read the reference, so they
+	// parallelise freely.
 	if d.runSlices == nil {
 		d.runSlices = d.slices
 	}
@@ -649,14 +677,14 @@ func fillSpan(rp []uint8, pos, end int, c8 uint64) {
 	}
 }
 
-// interSlice reconstructs block row by of an inter frame — vectors, pixels
-// and the NEMO residual band — and returns the bytes it did not consume. The
-// shipped form writes the motion-compensated prediction into the output
-// first and then walks each plane's significance words once, adding only
-// the non-zero residuals onto it: the same int32 expressions as the
-// reference's clamp8(pred + v·q) and clampRes(v·q), evaluated where v ≠ 0
-// (elsewhere they reduce to pred and 0, which is what the prediction pass and
-// the clear left).
+// interSlice reconstructs block row by of an inter frame — vectors and
+// pixels — files its residual sequences in the side info's band table and
+// returns the bytes it did not consume. The shipped form writes the
+// motion-compensated prediction into the output first and then walks each
+// plane's significance words once, adding only the non-zero residuals onto
+// it: the same int32 expression as the reference's clamp8(pred + v·q),
+// evaluated where v ≠ 0 (elsewhere it reduces to pred, which is what the
+// prediction pass left).
 func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
 	j := &d.job
 	h, bw := j.h, j.bw
@@ -678,7 +706,8 @@ func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
 			return nil, err
 		}
 		data = rest
-		pl.rp, pl.refp, pl.res = srcPlane(j.im, p), srcPlane(j.ref, p), j.side.Residual[p]
+		j.side.bands[by][p] = s
+		pl.rp, pl.refp = srcPlane(j.im, p), srcPlane(j.ref, p)
 		if d.reference {
 			s.values(pl.vals)
 			for bx, mv := range mvs {
@@ -688,12 +717,7 @@ func (d *Decoder) interSlice(by int, data []byte) ([]byte, error) {
 			continue
 		}
 		pl.predictBand(y, hh, mvs)
-		// Planes made for this frame are already zero; pooled ones hold a
-		// previous frame's values.
-		if d.pool != nil {
-			clear(pl.res[band : band+n])
-		}
-		addResiduals(pl.rp[band:band+n], pl.res[band:band+n], int32(h.q), &s)
+		addResiduals(pl.rp[band:band+n], int32(h.q), &s)
 	}
 	return data, nil
 }
@@ -718,13 +742,12 @@ func decodeMVRow(mvs []MV, vals []int32, data []byte) ([]byte, error) {
 
 // interPlane is one colour plane of an inter frame under reconstruction:
 // the motion-compensated prediction from refp plus the dequantized residual
-// gives the pixels rp; the clamped residual is kept in res as NEMO side
-// information. rp, refp and res are whole planes, packed, width h.w; vals —
-// the reference form's entropy output — is the band being reconstructed.
+// gives the pixels rp. rp and refp are whole planes, packed, width h.w;
+// vals — the reference form's entropy output — is the band being
+// reconstructed.
 type interPlane struct {
 	h        header
 	rp, refp []uint8
-	res      []int16
 	vals     []int32
 }
 
@@ -773,10 +796,8 @@ func (pl *interPlane) predictClamped(x, y, w, hh int, mv MV) {
 
 // addResiduals walks the significance words of one plane's band once and
 // adds each non-zero residual — ±q, or an escaped level times q —
-// dequantized onto the prediction in rp, keeping its clamped value in res
-// (all zero on entry); zeros are skipped, not visited.
-func addResiduals(rp []uint8, res []int16, q int32, s *sigSeq) {
-	res = res[:len(rp)]
+// dequantized onto the prediction in rp; zeros are skipped, not visited.
+func addResiduals(rp []uint8, q int32, s *sigSeq) {
 	esc := s.escapes()
 	k := 0
 	for at, g := 0, (sigGroups{occ: s.occ, bi: -1}); at < len(s.words); at += 8 {
@@ -793,8 +814,31 @@ func addResiduals(rp []uint8, res []int16, q int32, s *sigSeq) {
 			neg := int32(sb & 1)
 			sb >>= 1
 			d = (d ^ -neg) + neg // ±d
-			res[i] = int16(clampRes(d))
 			rp[i] = clamp8(int32(rp[i]) + d)
+		}
+	}
+}
+
+// residualInto is addResiduals' walk for the side info: each non-zero level,
+// dequantized at q and clamped to the int16 range, lands in dst, which holds
+// zeros.
+func residualInto(dst []float64, q int32, s *sigSeq) {
+	esc := s.escapes()
+	k := 0
+	for at, g := 0, (sigGroups{occ: s.occ, bi: -1}); at < len(s.words); at += 8 {
+		base := 64 * g.next()
+		w := binary.LittleEndian.Uint64(s.words[at:])
+		sb := signBits(s.signs, k)
+		for k += bits.OnesCount64(w); w != 0; w &= w - 1 {
+			i := base + bits.TrailingZeros64(w)
+			d := q
+			if i == esc.idx {
+				d *= esc.mag
+				esc.next()
+			}
+			neg := int32(sb & 1)
+			sb >>= 1
+			dst[i] = float64(clampRes((d ^ -neg) + neg))
 		}
 	}
 }
@@ -810,9 +854,7 @@ func (pl *interPlane) blockClamped(x, y, w, hh int, mv MV) {
 		for i := 0; i < w; i++ {
 			sx := x + i
 			pred := int32(pl.refp[ry*h.w+clampInt(sx+int(mv.DX), 0, h.w-1)])
-			res := pl.vals[sy*h.w+sx-band] * int32(h.q)
-			pl.res[sy*h.w+sx] = int16(clampRes(res))
-			pl.rp[sy*h.w+sx] = clamp8(pred + res)
+			pl.rp[sy*h.w+sx] = clamp8(pred + pl.vals[sy*h.w+sx-band]*int32(h.q))
 		}
 	}
 }

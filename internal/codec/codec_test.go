@@ -149,10 +149,20 @@ func TestInterRoundTripQualityAndSide(t *testing.T) {
 		if s.BlocksX != (160+s.BlockSize-1)/s.BlockSize || len(s.MVs) != s.BlocksX*s.BlocksY {
 			t.Fatal("MV grid geometry wrong")
 		}
+		if s.W != 160 || s.H != 90 {
+			t.Fatalf("side info is for a %dx%d frame, want 160x90", s.W, s.H)
+		}
+		res, nz := make([]float64, 160*90), 0
 		for p := 0; p < 3; p++ {
-			if len(s.Residual[p]) != 160*90 {
-				t.Fatalf("residual plane %d has %d samples", p, len(s.Residual[p]))
+			s.ResidualInto(p, res)
+			for _, v := range res {
+				if v != 0 {
+					nz++
+				}
 			}
+		}
+		if nz == 0 {
+			t.Fatalf("frame %d: every residual plane reads as zero", i)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/games"
+	"gamestreamsr/internal/telemetry"
 )
 
 // referenceDecoder returns a decoder pinned to the clamped per-pixel loops.
@@ -23,8 +24,10 @@ func referenceDecoder() *Decoder {
 }
 
 // sameDecode feeds data to the fast and the reference decoder and requires
-// the same outcome: the same error, or the same image, MV grid and residual
-// planes, byte for byte. It returns the decode error, if any.
+// the same outcome: the same error, or the same image and MV grid, byte for
+// byte, and residual planes read through the fast decoder's side info equal
+// to data's residual read one value at a time (referenceResidual). It
+// returns the decode error, if any.
 func sameDecode(t testing.TB, fast, ref *Decoder, data []byte) error {
 	t.Helper()
 	got, gerr := fast.Decode(data)
@@ -43,15 +46,23 @@ func sameDecode(t testing.TB, fast, ref *Decoder, data []byte) error {
 	}
 	if got.Side != nil {
 		gs, ws := got.Side, want.Side
-		if gs.BlocksX != ws.BlocksX || gs.BlocksY != ws.BlocksY || gs.BlockSize != ws.BlockSize {
+		if gs.BlocksX != ws.BlocksX || gs.BlocksY != ws.BlocksY || gs.BlockSize != ws.BlockSize ||
+			gs.W != ws.W || gs.H != ws.H || gs.W != want.Image.W || gs.H != want.Image.H {
 			t.Fatalf("side header %+v, reference %+v", *gs, *ws)
 		}
 		if !slices.Equal(gs.MVs, ws.MVs) {
 			t.Fatal("MV grid differs from the reference loop")
 		}
-		for p := range gs.Residual {
-			if !slices.Equal(gs.Residual[p], ws.Residual[p]) {
-				t.Fatalf("residual plane %d differs from the reference loop", p)
+		// The destination starts as NaN, so a sample the reader leaves alone
+		// compares unequal.
+		res := make([]float64, gs.W*gs.H)
+		for p := 0; p < 3; p++ {
+			for i := range res {
+				res[i] = math.NaN()
+			}
+			gs.ResidualInto(p, res)
+			if !slices.Equal(res, referenceResidual(t, data, p)) {
+				t.Fatalf("residual plane %d differs from the one-value-at-a-time reading", p)
 			}
 		}
 	}
@@ -59,6 +70,46 @@ func sameDecode(t testing.TB, fast, ref *Decoder, data []byte) error {
 	// next frame's planes arrive poisoned under -race.
 	fast.Recycle(got)
 	return nil
+}
+
+// referenceResidual reads residual plane p of the inter frame data straight
+// from its bytes, independently of either decoder: every band's sequence one
+// value at a time (sigSeq.values), times the quantizer, through clampRes.
+func referenceResidual(t testing.TB, data []byte, p int) []float64 {
+	t.Helper()
+	hdr, rest, err := parseHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var j frameJob
+	bw, bh := (hdr.w+hdr.bs-1)/hdr.bs, (hdr.h+hdr.bs-1)/hdr.bs
+	body, err := j.parseTable(bh, rest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, hdr.w*hdr.h)
+	start := 0
+	for by := 0; by < bh; by++ {
+		slice := body[start:j.ends[by]]
+		start = j.ends[by]
+		y := by * hdr.bs
+		n := min(hdr.bs, hdr.h-y) * hdr.w
+		var s sigSeq
+		if _, slice, err = parseSig(slice, 2*bw); err != nil { // the vectors
+			t.Fatal(err)
+		}
+		for q := 0; q <= p; q++ {
+			if s, slice, err = parseSig(slice, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vals := make([]int32, n)
+		s.values(vals)
+		for i, v := range vals {
+			out[y*hdr.w+i] = float64(int16(clampRes(v * int32(hdr.q))))
+		}
+	}
+	return out
 }
 
 // atProcs runs f at GOMAXPROCS 1 and 2, so the block rows are reconstructed
@@ -129,9 +180,11 @@ func TestDecodeLadderMatchesReference(t *testing.T) {
 
 // TestDecodeSteadyStateAllocs holds the pooled decode of an inter frame, as
 // the client runs it, to the frame it returns: the slice table, the MV
-// scratch, the slice loop and the error slot are the decoder's, so nothing is
-// made per frame or per slice (5 allocations a frame before the slices, 1
-// now; the gate leaves one spare).
+// scratch, the band table, the slice loop and the error slot are the
+// decoder's, so nothing is made per frame or per slice (5 allocations a frame
+// before the slices, 1 now; the gate leaves one spare). The pool's counters
+// then show what a frame checks out: its image, and no other buffer — the
+// side info's residual stays in the payload.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	frames := gameFrames(t, "G3", 0, 2, 320, 180)
 	enc := mustEncoder(t, Config{Width: 320, Height: 180})
@@ -143,8 +196,9 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := telemetry.NewRegistry()
 	dec := NewDecoder()
-	dec.SetPool(bufpool.New())
+	dec.SetPool(bufpool.New().Instrument(reg, "t"))
 	decode := func(data []byte) {
 		df, err := dec.Decode(data)
 		if err != nil {
@@ -155,6 +209,25 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	decode(intra)
 	if got := testing.AllocsPerRun(20, func() { decode(inter) }); got > 2 {
 		t.Errorf("pooled inter decode allocates %.1f times a frame, want <= 2", got)
+	}
+	// The frame's image is checked out and the outgoing reference, released
+	// by the previous Recycle, goes back: one buffer each way, the same bytes.
+	counts := func() (drawn, returned, inFlight int64) {
+		s := reg.Snapshot()
+		return s.Counter("t_bufpool_hits_total") + s.Counter("t_bufpool_misses_total"),
+			s.Counter("t_bufpool_returns_total") + s.Counter("t_bufpool_discards_total"),
+			s.Gauge("t_bufpool_bytes_in_flight")
+	}
+	d0, r0, b0 := counts()
+	df, err := dec.Decode(inter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, r1, b1 := counts()
+	dec.Recycle(df)
+	if d1-d0 != 1 || r1-r0 != 1 || b1 != b0 {
+		t.Errorf("an inter decode checks out %d buffers and returns %d, in-flight bytes %+d; want one image for the retired reference",
+			d1-d0, r1-r0, b1-b0)
 	}
 }
 
@@ -324,10 +397,11 @@ func mustEncoder(t testing.TB, cfg Config) *Encoder {
 }
 
 // TestSigWalkMatchesReference pins the decoder's word walks — addResiduals
-// on an inter band, fillIntra on an intra band — to the layout read one value
-// at a time and put through the reference's expressions, on every level from
-// −300 to 300 after every zero run up to 130 and at every position of a
-// word, and on random sequences of every density.
+// on an inter band, residualInto on the side info's, fillIntra on an intra
+// band — to the layout read one value at a time and put through the
+// reference's expressions, on every level from −300 to 300 after every zero
+// run up to 130 and at every position of a word, and on random sequences of
+// every density.
 func TestSigWalkMatchesReference(t *testing.T) {
 	for v := int32(-300); v <= 300; v++ {
 		checkWalks(t, []int32{v, 1, 0, -v})
@@ -350,11 +424,11 @@ func TestSigWalkMatchesReference(t *testing.T) {
 	}
 }
 
-// checkWalks codes vals, parses them back and requires both word walks to
-// write what the reference reading gives: for addResiduals, onto a
-// prediction, clamp8(pred + v·q) and clampRes(v·q); for fillIntra the running
-// sum's clamp8(acc·q), and the level error exactly when a sum leaves
-// ±maxLevel.
+// checkWalks codes vals, parses them back and requires the three word walks
+// to write what the reference reading gives: for addResiduals, onto a
+// prediction, clamp8(pred + v·q); for residualInto, into zeros,
+// clampRes(v·q); for fillIntra the running sum's clamp8(acc·q), and the level
+// error exactly when a sum leaves ±maxLevel.
 func checkWalks(t testing.TB, vals []int32) {
 	t.Helper()
 	s, rest, err := parseSig(appendSig(nil, vals), len(vals))
@@ -367,15 +441,19 @@ func checkWalks(t testing.TB, vals []int32) {
 		t.Fatalf("values read back as %v, want %v", got, vals)
 	}
 	for _, q := range []int32{1, 6, maxQStep} {
-		rp, res := make([]uint8, len(vals)), make([]int16, len(vals))
-		wantRP, wantRes := make([]uint8, len(vals)), make([]int16, len(vals))
+		rp, res := make([]uint8, len(vals)), make([]float64, len(vals))
+		wantRP, wantRes := make([]uint8, len(vals)), make([]float64, len(vals))
 		for i, v := range vals {
 			rp[i] = uint8(37 * i)
-			wantRP[i], wantRes[i] = clamp8(int32(rp[i])+v*q), int16(clampRes(v*q))
+			wantRP[i], wantRes[i] = clamp8(int32(rp[i])+v*q), float64(int16(clampRes(v*q)))
 		}
-		addResiduals(rp, res, q, &s)
-		if !slices.Equal(rp, wantRP) || !slices.Equal(res, wantRes) {
+		addResiduals(rp, q, &s)
+		if !slices.Equal(rp, wantRP) {
 			t.Fatalf("q %d: addResiduals on %v differs from the reference", q, vals)
+		}
+		residualInto(res, q, &s)
+		if !slices.Equal(res, wantRes) {
+			t.Fatalf("q %d: residualInto on %v differs from the reference", q, vals)
 		}
 		acc, over := int32(0), false
 		for i, v := range vals {

@@ -143,27 +143,35 @@ func (v *variant) Cost(job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail
 // every output pixel is overwritten. Transient residual planes are drawn
 // from pool (nil allocates).
 func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, pool *bufpool.Pool) error {
+	if err := ReconstructInto(dst, hrPrev, side, scale, frame.Rect{}, upscale.Bilinear, pool); err != nil {
+		return fmt.Errorf("nemo: %w", err)
+	}
+	return nil
+}
+
+// ReconstructInto is ReconstructHRInto with the paper's §VI refinement
+// (srdecoder.ReconstructRoIGuidedInto): inside roiLR, scaled to HR, the
+// residual planes are upscaled with kernel instead, resampled from the full
+// plane so RoI-boundary taps see real neighbours. An empty roiLR or a
+// bilinear kernel is ReconstructHRInto. Its errors carry no package prefix.
+func ReconstructInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, roiLR frame.Rect, kernel upscale.Kind, pool *bufpool.Pool) error {
 	if side == nil {
-		return fmt.Errorf("nemo: missing side information")
+		return fmt.Errorf("missing side information")
 	}
 	if scale < 1 {
-		return fmt.Errorf("nemo: invalid scale %d", scale)
+		return fmt.Errorf("invalid scale %d", scale)
 	}
 	hrPrev = hrPrev.Compact()
 	W, H := hrPrev.W, hrPrev.H
 	if dst.W != W || dst.H != H || dst.Stride != W {
-		return fmt.Errorf("nemo: destination %dx%d stride %d, want compact %dx%d", dst.W, dst.H, dst.Stride, W, H)
+		return fmt.Errorf("destination %dx%d stride %d, want compact %dx%d", dst.W, dst.H, dst.Stride, W, H)
 	}
-	lrW := side.BlocksX * side.BlockSize
-	lrH := side.BlocksY * side.BlockSize
-	// The LR frame may not be an exact multiple of the block size; infer
-	// its true size from the HR frame instead.
-	lrW = min(lrW, W/scale)
-	lrH = min(lrH, H/scale)
+	lrW, lrH := side.W, side.H
 	if lrW*scale != W || lrH*scale != H {
-		return fmt.Errorf("nemo: HR %dx%d is not ×%d of the LR grid", W, H, scale)
+		return fmt.Errorf("HR %dx%d is not ×%d of the LR frame %dx%d", W, H, scale, lrW, lrH)
 	}
-	out := dst
+	roiHR := roiLR.Scale(scale).Clamp(W, H)
+	refine := kernel != upscale.Bilinear && !roiHR.Empty()
 	bs := side.BlockSize * scale
 
 	// Upscale the residual planes once per frame (bilinear, like NEMO).
@@ -178,17 +186,29 @@ func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int
 			pool.PutFloat64s(resHR[p])
 		}
 	}()
+	var sharp []float64
+	if refine {
+		sharp = pool.Float64s(W * H)
+		defer pool.PutFloat64s(sharp)
+	}
 	for p := 0; p < 3; p++ {
-		for i := range lrPlane {
-			lrPlane[i] = float64(side.Residual[p][i])
-		}
+		side.ResidualInto(p, lrPlane)
 		if err := upscale.ResizePlaneInto(resHR[p], lrPlane, lrW, lrH, W, H, upscale.Bilinear, pool); err != nil {
 			return err
+		}
+		if !refine {
+			continue
+		}
+		if err := upscale.ResizePlaneInto(sharp, lrPlane, lrW, lrH, W, H, kernel, pool); err != nil {
+			return err
+		}
+		for y := roiHR.Y; y < roiHR.Y+roiHR.H; y++ {
+			copy(resHR[p][y*W+roiHR.X:y*W+roiHR.X+roiHR.W], sharp[y*W+roiHR.X:y*W+roiHR.X+roiHR.W])
 		}
 	}
 
 	planesPrev := [3][]uint8{hrPrev.R, hrPrev.G, hrPrev.B}
-	planesOut := [3][]uint8{out.R, out.G, out.B}
+	planesOut := [3][]uint8{dst.R, dst.G, dst.B}
 	for by := 0; by < side.BlocksY; by++ {
 		for bx := 0; bx < side.BlocksX; bx++ {
 			mv := side.MVs[by*side.BlocksX+bx]
@@ -203,7 +223,7 @@ func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int
 			dy := int(mv.DY) * scale
 			for p := 0; p < 3; p++ {
 				src := planesPrev[p]
-				dst := planesOut[p]
+				out := planesOut[p]
 				res := resHR[p]
 				for j := 0; j < h; j++ {
 					y := y0 + j
@@ -217,7 +237,7 @@ func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int
 						} else if v > 255 {
 							v = 255
 						}
-						dst[y*W+x] = uint8(v + 0.5)
+						out[y*W+x] = uint8(v + 0.5)
 					}
 				}
 			}

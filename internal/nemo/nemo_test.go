@@ -124,10 +124,7 @@ func TestReconstructHRValidation(t *testing.T) {
 	if err := ReconstructHRInto(out, hr, nil, 2, nil); err == nil {
 		t.Error("nil side info should fail")
 	}
-	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, MVs: make([]codec.MV, 1)}
-	for p := 0; p < 3; p++ {
-		side.Residual[p] = make([]int16, 16*16)
-	}
+	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, W: 16, H: 16, MVs: make([]codec.MV, 1)}
 	if err := ReconstructHRInto(out, hr, side, 0, nil); err == nil {
 		t.Error("zero scale should fail")
 	}
@@ -136,6 +133,12 @@ func TestReconstructHRValidation(t *testing.T) {
 	}
 	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
 		t.Errorf("valid reconstruction failed: %v", err)
+	}
+	// Side info for a smaller LR frame than the HR frame is ×2 of: its
+	// residual planes would be read past their end.
+	short := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, W: 5, H: 2, MVs: make([]codec.MV, 1)}
+	if err := ReconstructHRInto(out, hr, short, 2, nil); err == nil {
+		t.Error("mismatched side geometry should fail")
 	}
 }
 
@@ -147,10 +150,7 @@ func TestReconstructHRZeroMotionZeroResidual(t *testing.T) {
 		hr.G[i] = uint8((i * 7) % 251)
 		hr.B[i] = uint8((i * 13) % 251)
 	}
-	side := &codec.SideInfo{BlocksX: 2, BlocksY: 2, BlockSize: 8, MVs: make([]codec.MV, 4)}
-	for p := 0; p < 3; p++ {
-		side.Residual[p] = make([]int16, 16*16)
-	}
+	side := &codec.SideInfo{BlocksX: 2, BlocksY: 2, BlockSize: 8, W: 16, H: 16, MVs: make([]codec.MV, 4)}
 	out := frame.NewImagePacked(hr.W, hr.H)
 	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
 		t.Fatal(err)
@@ -169,10 +169,7 @@ func TestReconstructHRAppliesScaledMotion(t *testing.T) {
 			hr.Set(x, y, uint8(x*10), 0, 0)
 		}
 	}
-	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 8, MVs: []codec.MV{{DX: 1, DY: 0}}}
-	for p := 0; p < 3; p++ {
-		side.Residual[p] = make([]int16, 8*8)
-	}
+	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 8, W: 8, H: 8, MVs: []codec.MV{{DX: 1, DY: 0}}}
 	out := frame.NewImagePacked(hr.W, hr.H)
 	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/device"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/nemo"
 	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/roi"
@@ -171,114 +172,14 @@ func (v *variant) Cost(job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail
 
 // ReconstructRoIGuidedInto is the §VI step-❸ reconstruction: like NEMO's HR
 // reuse, but the residual plane inside the (scaled) RoI is upscaled with
-// the quality-preserving kernel while the rest uses bilinear. dst must match
-// hrPrev's geometry and may hold dirty pooled pixels — the block grid spans
-// the frame, so every output pixel is overwritten. Transient residual planes
-// come from pool (nil allocates).
+// the quality-preserving kernel while the rest uses bilinear — one
+// reconstruction, nemo.ReconstructInto, with the RoI refinement on. dst must
+// match hrPrev's geometry and may hold dirty pooled pixels — the block grid
+// spans the frame, so every output pixel is overwritten. Transient residual
+// planes come from pool (nil allocates).
 func ReconstructRoIGuidedInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, roiLR frame.Rect, kernel upscale.Kind, pool *bufpool.Pool) error {
-	if side == nil {
-		return fmt.Errorf("srdecoder: missing side information")
-	}
-	if scale < 1 {
-		return fmt.Errorf("srdecoder: invalid scale %d", scale)
-	}
-	hrPrev = hrPrev.Compact()
-	W, H := hrPrev.W, hrPrev.H
-	if dst.W != W || dst.H != H || dst.Stride != W {
-		return fmt.Errorf("srdecoder: destination %dx%d stride %d, want compact %dx%d", dst.W, dst.H, dst.Stride, W, H)
-	}
-	lrW := W / scale
-	lrH := H / scale
-	if lrW*scale != W || lrH*scale != H {
-		return fmt.Errorf("srdecoder: HR %dx%d not a ×%d multiple", W, H, scale)
-	}
-	if len(side.Residual[0]) != lrW*lrH {
-		return fmt.Errorf("srdecoder: residual plane has %d samples, want %d", len(side.Residual[0]), lrW*lrH)
-	}
-	roiHR := roiLR.Scale(scale).Clamp(W, H)
-	out := dst
-	bs := side.BlockSize * scale
-
-	lrPlane := pool.Float64s(lrW * lrH)
-	defer pool.PutFloat64s(lrPlane)
-	sharp := pool.Float64s(W * H)
-	defer pool.PutFloat64s(sharp)
-	var resHR [3][]float64
-	for p := 0; p < 3; p++ {
-		resHR[p] = pool.Float64s(W * H)
-	}
-	defer func() {
-		for p := 0; p < 3; p++ {
-			pool.PutFloat64s(resHR[p])
-		}
-	}()
-	for p := 0; p < 3; p++ {
-		for i := range lrPlane {
-			lrPlane[i] = float64(side.Residual[p][i])
-		}
-		// Bilinear everywhere...
-		base := resHR[p]
-		if err := upscale.ResizePlaneInto(base, lrPlane, lrW, lrH, W, H, upscale.Bilinear, pool); err != nil {
-			return err
-		}
-		// ...then overwrite the RoI with the quality-preserving kernel,
-		// resampled from the full plane so RoI-boundary taps see real
-		// neighbours.
-		if kernel != upscale.Bilinear && !roiHR.Empty() {
-			if err := upscale.ResizePlaneInto(sharp, lrPlane, lrW, lrH, W, H, kernel, pool); err != nil {
-				return err
-			}
-			for y := roiHR.Y; y < roiHR.Y+roiHR.H; y++ {
-				copy(base[y*W+roiHR.X:y*W+roiHR.X+roiHR.W], sharp[y*W+roiHR.X:y*W+roiHR.X+roiHR.W])
-			}
-		}
-	}
-
-	planesPrev := [3][]uint8{hrPrev.R, hrPrev.G, hrPrev.B}
-	planesOut := [3][]uint8{out.R, out.G, out.B}
-	for by := 0; by < side.BlocksY; by++ {
-		for bx := 0; bx < side.BlocksX; bx++ {
-			mv := side.MVs[by*side.BlocksX+bx]
-			x0 := bx * bs
-			y0 := by * bs
-			w := min(bs, W-x0)
-			h := min(bs, H-y0)
-			if w <= 0 || h <= 0 {
-				continue
-			}
-			dx := int(mv.DX) * scale
-			dy := int(mv.DY) * scale
-			for p := 0; p < 3; p++ {
-				src := planesPrev[p]
-				dst := planesOut[p]
-				res := resHR[p]
-				for j := 0; j < h; j++ {
-					y := y0 + j
-					sy := clampInt(y+dy, 0, H-1)
-					for i := 0; i < w; i++ {
-						x := x0 + i
-						sx := clampInt(x+dx, 0, W-1)
-						v := float64(src[sy*W+sx]) + res[y*W+x]
-						if v < 0 {
-							v = 0
-						} else if v > 255 {
-							v = 255
-						}
-						dst[y*W+x] = uint8(v + 0.5)
-					}
-				}
-			}
-		}
+	if err := nemo.ReconstructInto(dst, hrPrev, side, scale, roiLR, kernel, pool); err != nil {
+		return fmt.Errorf("srdecoder: %w", err)
 	}
 	return nil
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }

@@ -152,19 +152,19 @@ func TestReconstructRoIGuidedValidation(t *testing.T) {
 	if err := ReconstructRoIGuidedInto(out, hr, nil, 2, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("nil side should fail")
 	}
-	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, MVs: make([]codec.MV, 1)}
-	for p := 0; p < 3; p++ {
-		side.Residual[p] = make([]int16, 16*16)
-	}
+	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, W: 16, H: 16, MVs: make([]codec.MV, 1)}
 	if err := ReconstructRoIGuidedInto(out, hr, side, 0, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("zero scale should fail")
 	}
 	if err := ReconstructRoIGuidedInto(frame.NewImagePacked(31, 32), frame.NewImage(31, 32), side, 2, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("non-multiple frame should fail")
 	}
-	side.Residual[0] = make([]int16, 10)
+	if err := ReconstructRoIGuidedInto(out, hr, side, 2, roi, upscale.Bicubic, nil); err != nil {
+		t.Errorf("valid reconstruction failed: %v", err)
+	}
+	side.W, side.H = 5, 2
 	if err := ReconstructRoIGuidedInto(out, hr, side, 2, roi, upscale.Bicubic, nil); err == nil {
-		t.Error("mismatched residual plane should fail")
+		t.Error("mismatched side geometry should fail")
 	}
 }
 
@@ -173,10 +173,7 @@ func TestReconstructRoIGuidedIdentity(t *testing.T) {
 	for i := range hr.R {
 		hr.R[i] = uint8(i % 250)
 	}
-	side := &codec.SideInfo{BlocksX: 2, BlocksY: 2, BlockSize: 8, MVs: make([]codec.MV, 4)}
-	for p := 0; p < 3; p++ {
-		side.Residual[p] = make([]int16, 16*16)
-	}
+	side := &codec.SideInfo{BlocksX: 2, BlocksY: 2, BlockSize: 8, W: 16, H: 16, MVs: make([]codec.MV, 4)}
 	out := frame.NewImagePacked(hr.W, hr.H)
 	if err := ReconstructRoIGuidedInto(out, hr, side, 2, frame.Rect{X: 2, Y: 2, W: 8, H: 8}, upscale.Bicubic, nil); err != nil {
 		t.Fatal(err)
