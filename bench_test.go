@@ -70,106 +70,59 @@ func BenchmarkExtEngineTimeline(b *testing.B) { runExperiment(b, "extgantt", ben
 
 // --- end-to-end pipeline benches ------------------------------------------------
 
-func benchPipelineFrame(b *testing.B, mk func(cfg pipeline.Config) (interface {
-	Run(int) (*pipeline.Result, error)
-}, error)) {
+func benchPipelineFrame(b *testing.B, v pipeline.Variant) {
 	b.Helper()
 	g, err := games.ByID("G3")
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg := pipeline.Config{Game: g, SimDiv: 8, GOPSize: 4}
-	r, err := mk(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(4); err != nil {
+		if _, err := pipeline.Run(cfg, 4, v); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkPipelineGameStreamSR(b *testing.B) {
-	benchPipelineFrame(b, func(cfg pipeline.Config) (interface {
-		Run(int) (*pipeline.Result, error)
-	}, error) {
-		return pipeline.NewGameStream(cfg)
-	})
-}
+func BenchmarkPipelineGameStreamSR(b *testing.B) { benchPipelineFrame(b, pipeline.Ours()) }
 
-func BenchmarkPipelineNEMO(b *testing.B) {
-	benchPipelineFrame(b, func(cfg pipeline.Config) (interface {
-		Run(int) (*pipeline.Result, error)
-	}, error) {
-		return nemo.New(cfg)
-	})
-}
+func BenchmarkPipelineNEMO(b *testing.B) { benchPipelineFrame(b, nemo.New()) }
 
-func BenchmarkPipelineSRDecoder(b *testing.B) {
-	benchPipelineFrame(b, func(cfg pipeline.Config) (interface {
-		Run(int) (*pipeline.Result, error)
-	}, error) {
-		return srdecoder.New(cfg, upscale.Bicubic)
-	})
-}
+func BenchmarkPipelineSRDecoder(b *testing.B) { benchPipelineFrame(b, srdecoder.New(upscale.Bicubic)) }
 
 // --- staged-engine throughput benches --------------------------------------------
 //
-// End-to-end Run throughput of the three frame-loop runners over a full
+// End-to-end Run throughput of the three frame-loop variants over a full
 // two-GOP stream: the workload the staged pipeline engine overlaps across
 // server/client/measure stages. Before/after numbers for the engine refactor
 // are recorded in BENCH_pipeline.json.
 
-func benchRun(b *testing.B, mk func() (interface {
-	Run(int) (*pipeline.Result, error)
-}, error)) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := mk()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Run(8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func runBenchConfig(b *testing.B) pipeline.Config {
+func benchRun(b *testing.B, vs ...pipeline.Variant) {
 	b.Helper()
 	g, err := games.ByID("G3")
 	if err != nil {
 		b.Fatal(err)
 	}
-	return pipeline.Config{Game: g, SimDiv: 8, GOPSize: 4}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := pipeline.Run(pipeline.Config{Game: g, SimDiv: 8, GOPSize: 4}, 8, vs...); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
-func BenchmarkGameStreamRun(b *testing.B) {
-	benchRun(b, func() (interface {
-		Run(int) (*pipeline.Result, error)
-	}, error) {
-		return pipeline.NewGameStream(runBenchConfig(b))
-	})
-}
+func BenchmarkGameStreamRun(b *testing.B) { benchRun(b, pipeline.Ours()) }
 
-func BenchmarkNEMORun(b *testing.B) {
-	benchRun(b, func() (interface {
-		Run(int) (*pipeline.Result, error)
-	}, error) {
-		return nemo.New(runBenchConfig(b))
-	})
-}
+func BenchmarkNEMORun(b *testing.B) { benchRun(b, nemo.New()) }
 
-func BenchmarkSRDecoderRun(b *testing.B) {
-	benchRun(b, func() (interface {
-		Run(int) (*pipeline.Result, error)
-	}, error) {
-		return srdecoder.New(runBenchConfig(b), upscale.Bicubic)
-	})
+func BenchmarkSRDecoderRun(b *testing.B) { benchRun(b, srdecoder.New(upscale.Bicubic)) }
+
+// BenchmarkOnePassRun is the three variants above on one server pass and
+// one ground truth: against their sum, what the shared stages save.
+func BenchmarkOnePassRun(b *testing.B) {
+	benchRun(b, pipeline.Ours(), nemo.New(), srdecoder.New(upscale.Bicubic))
 }
 
 // --- ablation benches (design choices in DESIGN.md §5) ---------------------------
@@ -219,13 +172,9 @@ func BenchmarkAblationResidualKernel(b *testing.B) {
 	g, _ := games.ByID("G3")
 	for _, k := range []upscale.Kind{upscale.Bilinear, upscale.Bicubic, upscale.Lanczos3} {
 		b.Run(k.String(), func(b *testing.B) {
-			r, err := srdecoder.New(pipeline.Config{Game: g, SimDiv: 8, GOPSize: 4}, k)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(4); err != nil {
+				if _, err := pipeline.Run(pipeline.Config{Game: g, SimDiv: 8, GOPSize: 4}, 4, srdecoder.New(k)); err != nil {
 					b.Fatal(err)
 				}
 			}

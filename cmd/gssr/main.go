@@ -325,38 +325,22 @@ func cmdSim(args []string) error {
 			return err
 		}
 	}
-	var res *gssr.Result
+	var v gssr.Variant
 	switch *pipe {
 	case "ours":
-		s, err := gssr.NewSession(cfg)
-		if err != nil {
-			return err
-		}
-		res, err = s.Run(*frames)
-		if err != nil {
-			return err
-		}
+		v = gssr.Ours()
 	case "nemo":
-		s, err := gssr.NewNEMOSession(cfg)
-		if err != nil {
-			return err
-		}
-		res, err = s.Run(*frames)
-		if err != nil {
-			return err
-		}
+		v = gssr.NEMO()
 	case "srdec":
-		s, err := gssr.NewSRDecoderSession(cfg, gssr.Bicubic)
-		if err != nil {
-			return err
-		}
-		res, err = s.Run(*frames)
-		if err != nil {
-			return err
-		}
+		v = gssr.SRDecoder(gssr.Bicubic)
 	default:
 		return fmt.Errorf("sim: unknown pipeline %q (want ours, nemo or srdec)", *pipe)
 	}
+	out, err := gssr.Run(cfg, *frames, v)
+	if err != nil {
+		return err
+	}
+	res := out[0]
 	psnr, _ := res.MeanPSNR()
 	mtp, _ := res.MeanMTP(gssr.ReferenceFrame)
 	energy, _ := res.GOPEnergyTotal(*gop)

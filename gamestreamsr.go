@@ -176,20 +176,26 @@ type Session = pipeline.GameStream
 // NewSession builds a GameStreamSR session.
 func NewSession(cfg Config) (*Session, error) { return pipeline.NewGameStream(cfg) }
 
-// NEMOSession is the SOTA baseline pipeline (NEMO ported to game streaming).
-type NEMOSession = nemo.Runner
+// Variant is one pipeline's client half — ours, NEMO or the §VI decoder —
+// as Run takes it.
+type Variant = pipeline.Variant
 
-// NewNEMOSession builds the baseline session under the same configuration.
-func NewNEMOSession(cfg Config) (*NEMOSession, error) { return nemo.New(cfg) }
-
-// SRDecoderSession is the §VI future-work SR-integrated decoder pipeline.
-type SRDecoderSession = srdecoder.Runner
-
-// NewSRDecoderSession builds the future-work session; kernel selects the
-// RoI residual-interpolation kernel (Bicubic per the paper).
-func NewSRDecoderSession(cfg Config, kernel InterpolationKind) (*SRDecoderSession, error) {
-	return srdecoder.New(cfg, kernel)
+// Run streams nFrames frames through one server pass and every variant's
+// client half, scored against one ground truth, and returns one Result per
+// variant in argument order: the paper's comparisons on the same stream.
+func Run(cfg Config, nFrames int, vs ...Variant) ([]*Result, error) {
+	return pipeline.Run(cfg, nFrames, vs...)
 }
+
+// Ours is the GameStreamSR variant (what a Session runs).
+func Ours() Variant { return pipeline.Ours() }
+
+// NEMO is the SOTA baseline variant (NEMO ported to game streaming).
+func NEMO() Variant { return nemo.New() }
+
+// SRDecoder is the §VI future-work SR-integrated decoder variant; kernel
+// selects the RoI residual-interpolation kernel (Bicubic per the paper).
+func SRDecoder(kernel InterpolationKind) Variant { return srdecoder.New(kernel) }
 
 // Games returns the ten Table I workloads.
 func Games() []*Workload { return games.All() }

@@ -116,19 +116,14 @@ func TestPublicAPIRoIDetection(t *testing.T) {
 func TestPublicAPIBaselines(t *testing.T) {
 	g, _ := gssr.GameByID("G2")
 	cfg := gssr.Config{Game: g, SimDiv: 8, GOPSize: 4}
-	nemo, err := gssr.NewNEMOSession(cfg)
+	res, err := gssr.Run(cfg, 3, gssr.Ours(), gssr.NEMO(), gssr.SRDecoder(gssr.Bicubic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nemo.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	fut, err := gssr.NewSRDecoderSession(cfg, gssr.Bicubic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fut.Run(3); err != nil {
-		t.Fatal(err)
+	for i, want := range []string{"gamestreamsr", "nemo", "srdecoder"} {
+		if res[i].Pipeline != want || len(res[i].Frames) != 3 {
+			t.Errorf("result %d = %s, %d frames; want %s, 3", i, res[i].Pipeline, len(res[i].Frames), want)
+		}
 	}
 }
 

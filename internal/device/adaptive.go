@@ -85,34 +85,3 @@ func intSqrt(a float64) int {
 	}
 	return int(x)
 }
-
-// AdaptiveWindow picks a static RoI side between the foveal minimum and the
-// capability maximum from an energy/thermal budget in [0, 1]: 0 selects the
-// smallest acceptable window (longest battery life), 1 the largest
-// real-time window (highest quality). Interpolation is done in window area,
-// since both NPU latency and energy scale with pixels, and the result is
-// 4-aligned.
-func AdaptiveWindow(minSide, maxSide int, budget float64) int {
-	if minSide < 8 {
-		minSide = 8
-	}
-	if maxSide < minSide {
-		maxSide = minSide
-	}
-	if budget < 0 {
-		budget = 0
-	} else if budget > 1 {
-		budget = 1
-	}
-	minA := float64(minSide) * float64(minSide)
-	maxA := float64(maxSide) * float64(maxSide)
-	side := intSqrt(minA + budget*(maxA-minA))
-	side &^= 3
-	if side < minSide&^3 {
-		side = minSide &^ 3
-	}
-	if side > maxSide {
-		side = maxSide
-	}
-	return side
-}

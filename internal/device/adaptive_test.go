@@ -5,43 +5,6 @@ import (
 	"time"
 )
 
-func TestAdaptiveWindowBudgetEndpoints(t *testing.T) {
-	if got := AdaptiveWindow(172, 300, 0); got != 172 {
-		t.Errorf("budget 0 = %d, want the foveal minimum (4-aligned)", got)
-	}
-	if got := AdaptiveWindow(172, 300, 1); got != 300 {
-		t.Errorf("budget 1 = %d, want the maximum", got)
-	}
-	// Monotone in budget.
-	prev := 0
-	for b := 0.0; b <= 1.0; b += 0.1 {
-		s := AdaptiveWindow(172, 300, b)
-		if s < prev {
-			t.Fatalf("window not monotone at budget %.1f: %d < %d", b, s, prev)
-		}
-		prev = s
-	}
-	// Clamping.
-	if AdaptiveWindow(172, 300, -5) != AdaptiveWindow(172, 300, 0) {
-		t.Error("negative budget should clamp")
-	}
-	if AdaptiveWindow(172, 300, 9) != 300 {
-		t.Error("over-budget should clamp")
-	}
-	if AdaptiveWindow(300, 100, 0.5) < 8 {
-		t.Error("inverted bounds should degrade gracefully")
-	}
-}
-
-func TestAdaptiveWindowAreaInterpolation(t *testing.T) {
-	// Half budget should land near the half-area point, not half-side.
-	s := AdaptiveWindow(100, 300, 0.5)
-	// Half area: sqrt((100² + 300²)/2) ≈ 223.6.
-	if s < 216 || s > 232 {
-		t.Errorf("mid-budget window = %d, want ≈224", s)
-	}
-}
-
 func TestWindowControllerConvergesUnderThrottle(t *testing.T) {
 	// Simulate an NPU that throttles to 70% of its probed speed: the
 	// static 300-px window now misses the deadline; the controller must

@@ -59,17 +59,6 @@ func (p *Profile) CPUIndex() int {
 	return len(p.SampleType) - 1
 }
 
-// TotalValue sums the sample values at index vi.
-func (p *Profile) TotalValue(vi int) int64 {
-	var total int64
-	for _, s := range p.Samples {
-		if vi >= 0 && vi < len(s.Value) {
-			total += s.Value[vi]
-		}
-	}
-	return total
-}
-
 // ParseProfile decodes a (possibly gzipped) pprof protobuf profile.
 func ParseProfile(data []byte) (*Profile, error) {
 	if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {

@@ -2,7 +2,6 @@ package diag
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"runtime/metrics"
 	"runtime/pprof"
@@ -307,19 +306,4 @@ func (s *Sampler) Stats() (captures, skips int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.captures, s.skips
-}
-
-// CaptureNow synchronously profiles for d (bounded to 5s) and returns the
-// gzipped pprof bytes. Used by triggers that find an empty ring.
-func (s *Sampler) CaptureNow(d time.Duration) ([]byte, error) {
-	if d <= 0 || d > 5*time.Second {
-		d = time.Second
-	}
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		return nil, fmt.Errorf("diag: cpu profiler busy: %w", err)
-	}
-	time.Sleep(d)
-	pprof.StopCPUProfile()
-	return buf.Bytes(), nil
 }

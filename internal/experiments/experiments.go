@@ -154,37 +154,24 @@ func newTab(w io.Writer) *tabwriter.Writer {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// runPair runs ours and NEMO under identical configurations.
+// runPair runs ours and NEMO on one stream.
 func runPair(opt Options, gameID string, dev *device.Profile) (ours, base *pipeline.Result, err error) {
 	g, err := games.ByID(gameID)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := pipeline.Config{
+	res, err := pipeline.Run(pipeline.Config{
 		Game:    g,
 		Device:  dev,
 		SimDiv:  opt.SimDiv,
 		GOPSize: opt.GOPSize,
 		Metrics: opt.Metrics,
 		Flight:  opt.Flight,
-	}
-	gs, err := pipeline.NewGameStream(cfg)
+	}, opt.Frames, pipeline.Ours(), nemo.New())
 	if err != nil {
 		return nil, nil, err
 	}
-	ours, err = gs.Run(opt.Frames)
-	if err != nil {
-		return nil, nil, err
-	}
-	nr, err := nemo.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err = nr.Run(opt.Frames)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ours, base, nil
+	return res[0], res[1], nil
 }
 
 // TableI prints the game workload table.

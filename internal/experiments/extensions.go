@@ -35,22 +35,11 @@ func ExtGOP(w io.Writer, opt Options) error {
 			simFrames = gop
 		}
 		cfg := pipeline.Config{Game: g, SimDiv: opt.SimDiv, GOPSize: gop, Metrics: opt.Metrics, Flight: opt.Flight}
-		gs, err := pipeline.NewGameStream(cfg)
+		res, err := pipeline.Run(cfg, simFrames, pipeline.Ours(), nemo.New())
 		if err != nil {
 			return err
 		}
-		ours, err := gs.Run(simFrames)
-		if err != nil {
-			return err
-		}
-		nr, err := nemo.New(cfg)
-		if err != nil {
-			return err
-		}
-		base, err := nr.Run(simFrames)
-		if err != nil {
-			return err
-		}
+		ours, base := res[0], res[1]
 		oursE, err := ours.GOPEnergyTotal(gop)
 		if err != nil {
 			return err

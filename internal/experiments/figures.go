@@ -222,22 +222,11 @@ func Fig13(w io.Writer, opt Options) error {
 	}
 	cfg := pipeline.Config{Game: g, SimDiv: opt.SimDiv, GOPSize: opt.GOPSize, Metrics: opt.Metrics, Flight: opt.Flight}
 	n := 3 * opt.GOPSize
-	gs, err := pipeline.NewGameStream(cfg)
+	res, err := pipeline.Run(cfg, n, pipeline.Ours(), nemo.New())
 	if err != nil {
 		return err
 	}
-	ours, err := gs.Run(n)
-	if err != nil {
-		return err
-	}
-	nr, err := nemo.New(cfg)
-	if err != nil {
-		return err
-	}
-	base, err := nr.Run(n)
-	if err != nil {
-		return err
-	}
+	ours, base := res[0], res[1]
 	tw := newTab(w)
 	fmt.Fprintln(tw, "frame\ttype\tours PSNR(dB)\tSOTA PSNR(dB)")
 	for i := 0; i < n; i++ {
@@ -339,23 +328,16 @@ func Fig15(w io.Writer, opt Options) error {
 		return err
 	}
 	cfg := pipeline.Config{Game: g, SimDiv: opt.SimDiv, GOPSize: opt.GOPSize, Metrics: opt.Metrics, Flight: opt.Flight}
-
-	gs, err := pipeline.NewGameStream(cfg)
+	kernels := []upscale.Kind{upscale.Bilinear, upscale.Bicubic, upscale.Lanczos3}
+	vs := []pipeline.Variant{pipeline.Ours(), nemo.New()}
+	for _, k := range kernels {
+		vs = append(vs, srdecoder.New(k))
+	}
+	res, err := pipeline.Run(cfg, opt.Frames, vs...)
 	if err != nil {
 		return err
 	}
-	ours, err := gs.Run(opt.Frames)
-	if err != nil {
-		return err
-	}
-	nr, err := nemo.New(cfg)
-	if err != nil {
-		return err
-	}
-	base, err := nr.Run(opt.Frames)
-	if err != nil {
-		return err
-	}
+	ours, base := res[0], res[1]
 
 	tw := newTab(w)
 	fmt.Fprintln(tw, "pipeline\tRoI kernel\tenergy(J/GOP)\tsaving vs SOTA\tmean PSNR(dB)")
@@ -371,20 +353,12 @@ func Fig15(w io.Writer, opt Options) error {
 	}
 	op, _ := ours.MeanPSNR()
 	fmt.Fprintf(tw, "GameStreamSR\t-\t%.2f\t%.1f%%\t%.2f\n", oe, (1-oe/be)*100, op)
-	for _, k := range []upscale.Kind{upscale.Bilinear, upscale.Bicubic, upscale.Lanczos3} {
-		r, err := srdecoder.New(cfg, k)
+	for i, k := range kernels {
+		fe, err := res[2+i].GOPEnergyTotal(60)
 		if err != nil {
 			return err
 		}
-		res, err := r.Run(opt.Frames)
-		if err != nil {
-			return err
-		}
-		fe, err := res.GOPEnergyTotal(60)
-		if err != nil {
-			return err
-		}
-		fp, _ := res.MeanPSNR()
+		fp, _ := res[2+i].MeanPSNR()
 		fmt.Fprintf(tw, "SR-integrated decoder\t%v\t%.2f\t%.1f%%\t%.2f\n", k, fe, (1-fe/be)*100, fp)
 	}
 	return tw.Flush()

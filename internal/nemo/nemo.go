@@ -19,60 +19,27 @@ import (
 	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/device"
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/upscale"
 )
 
-// Runner executes the NEMO baseline under the same Config as the
-// GameStreamSR pipeline so comparisons share every knob.
-type Runner struct {
-	cfg        pipeline.Config
-	net        *network.Model
-	simW, simH int
-}
+// New returns the NEMO variant of the frame loop: no server RoI stage,
+// full-frame DNN SR on reference frames, HR reconstruction from the upscaled
+// reference on non-reference frames, and the modified-software-decoder cost
+// model. pipeline.Run gives it the same Config and stream as the variants
+// it is compared with.
+func New() pipeline.Variant { return variant{} }
 
-// New validates the configuration and builds the baseline runner.
-func New(cfg pipeline.Config) (*Runner, error) {
-	cfg = cfg.WithDefaults()
-	simW := cfg.LRWidth / cfg.SimDiv
-	simH := cfg.LRHeight / cfg.SimDiv
-	if simW < 16 || simH < 16 {
-		return nil, fmt.Errorf("nemo: SimDiv %d leaves a %dx%d frame, too small", cfg.SimDiv, simW, simH)
-	}
-	return &Runner{cfg: cfg, net: network.New(cfg.Net), simW: simW, simH: simH}, nil
-}
+type variant struct{}
 
-// Config returns the effective configuration.
-func (r *Runner) Config() pipeline.Config { return r.cfg }
-
-// Run streams nFrames frames through the NEMO pipeline on the shared
-// staged engine.
-func (r *Runner) Run(nFrames int) (*pipeline.Result, error) {
-	return pipeline.RunEngine(r.cfg, pipeline.EngineOptions{
-		Prefix: "nemo",
-		Net:    r.net,
-		SimW:   r.simW, SimH: r.simH,
-	}, &variant{cfg: r.cfg}, nFrames)
-}
-
-// variant supplies the NEMO hooks to the staged engine: no server RoI
-// stage, full-frame DNN SR on reference frames, HR reconstruction from the
-// upscaled reference on non-reference frames, and the modified-software-
-// decoder cost model.
-type variant struct {
-	cfg pipeline.Config
-	// hrPrev is the previous reconstructed HR frame NEMO reuses.
-	// Client-stage state.
-	hrPrev *frame.Image
-}
-
-func (v *variant) Name() string { return "nemo" }
+func (variant) Name() string         { return "nemo" }
+func (variant) ReadsRoI() bool       { return false }
+func (variant) KeepsReference() bool { return true }
 
 // Upscale reconstructs the HR frame: full-frame DNN SR for reference
-// frames, NEMO's motion-vector/residual reuse for non-reference frames.
-func (v *variant) Upscale(df *codec.DecodedFrame, job *pipeline.FrameJob) (*frame.Image, error) {
-	cfg := v.cfg
+// frames, NEMO's motion-vector/residual reuse of prev for non-reference
+// frames.
+func (variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipeline.FrameJob, prev *frame.Image) (*frame.Image, error) {
 	var up *frame.Image
 	var err error
 	switch job.Type {
@@ -85,25 +52,23 @@ func (v *variant) Upscale(df *codec.DecodedFrame, job *pipeline.FrameJob) (*fram
 			return nil, fmt.Errorf("nemo: frame %d SR: %w", job.Index, err)
 		}
 	case codec.Inter:
-		if v.hrPrev == nil {
+		if prev == nil {
 			return nil, fmt.Errorf("nemo: frame %d: inter frame without reference", job.Index)
 		}
-		up = frame.NewImagePacked(v.hrPrev.W, v.hrPrev.H)
-		if err = ReconstructHRInto(up, v.hrPrev, df.Side, cfg.Scale, job.Pool); err != nil {
+		up = frame.NewImagePacked(prev.W, prev.H)
+		if err = ReconstructHRInto(up, prev, df.Side, cfg.Scale, job.Pool); err != nil {
 			return nil, fmt.Errorf("nemo: frame %d reconstruct: %w", job.Index, err)
 		}
 	default:
 		return nil, fmt.Errorf("nemo: frame %d: unexpected type %v", job.Index, job.Type)
 	}
-	v.hrPrev = up
 	return up, nil
 }
 
 // Cost bills one frame: software decode on the CPU (the modified codec
 // cannot use the hardware decoder), NPU SR for reference frames, CPU
 // reconstruction for non-reference frames.
-func (v *variant) Cost(job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail]float64, error) {
-	cfg := v.cfg
+func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail]float64, error) {
 	lrPx := cfg.LRWidth * cfg.LRHeight
 	hrPx := lrPx * cfg.Scale * cfg.Scale
 	dev := cfg.Device

@@ -21,15 +21,18 @@ func testConfig(t testing.TB) pipeline.Config {
 	return pipeline.Config{Game: g, SimDiv: 8, GOPSize: 8}
 }
 
+// run streams n frames of cfg through vs on one pass.
+func run(t testing.TB, cfg pipeline.Config, n int, vs ...pipeline.Variant) []*pipeline.Result {
+	t.Helper()
+	res, err := pipeline.Run(cfg, n, vs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestRunBasics(t *testing.T) {
-	r, err := New(testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := r.Run(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, testConfig(t), 8, New())[0]
 	if res.Pipeline != "nemo" || len(res.Frames) != 8 {
 		t.Fatalf("result = %s, %d frames", res.Pipeline, len(res.Frames))
 	}
@@ -44,11 +47,10 @@ func TestRunBasics(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(pipeline.Config{SimDiv: 500}); err == nil {
+	if _, err := pipeline.Run(pipeline.Config{SimDiv: 500}, 1, New()); err == nil {
 		t.Error("bad geometry should fail")
 	}
-	r, _ := New(testConfig(t))
-	if _, err := r.Run(0); err == nil {
+	if _, err := pipeline.Run(testConfig(t), 0, New()); err == nil {
 		t.Error("zero frames should fail")
 	}
 }
@@ -57,11 +59,7 @@ func TestReferenceFrameViolatesDeadline(t *testing.T) {
 	// The whole point of the paper's Fig. 2: NEMO's reference-frame
 	// upscaling takes ≈216 ms on the S8, far beyond 16.66 ms, while the
 	// non-reference path also misses the deadline.
-	r, _ := New(testConfig(t))
-	res, err := r.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, testConfig(t), 4, New())[0]
 	ref := res.Frames[0].Stages.Upscale
 	if ref < 200*time.Millisecond || ref > 230*time.Millisecond {
 		t.Errorf("reference upscale = %v, want ≈216 ms", ref)
@@ -80,11 +78,7 @@ func TestPSNRDecaysAcrossGOP(t *testing.T) {
 	// the GOP as bilinear reconstruction errors accumulate.
 	cfg := testConfig(t)
 	cfg.GOPSize = 10
-	r, _ := New(cfg)
-	res, err := r.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg, 10, New())[0]
 	first := res.Frames[0].PSNR
 	last := res.Frames[9].PSNR
 	if last >= first-0.5 {
@@ -102,11 +96,7 @@ func TestPSNRDecaysAcrossGOP(t *testing.T) {
 func TestNEMORecoversAtNextReference(t *testing.T) {
 	cfg := testConfig(t)
 	cfg.GOPSize = 5
-	r, _ := New(cfg)
-	res, err := r.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg, 10, New())[0]
 	// Frame 5 is a new reference: PSNR jumps back up (the sawtooth of
 	// Fig. 13).
 	if res.Frames[5].Type != codec.Intra {
@@ -182,11 +172,7 @@ func TestReconstructHRAppliesScaledMotion(t *testing.T) {
 }
 
 func TestEnergyUsesCPUNotHWDecoder(t *testing.T) {
-	r, _ := New(testConfig(t))
-	res, err := r.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, testConfig(t), 4, New())[0]
 	for _, f := range res.Frames {
 		if f.Energy[device.RailHWDecoder] != 0 {
 			t.Errorf("frame %d billed the HW decoder — NEMO cannot use it", f.Index)
@@ -211,22 +197,8 @@ func TestOursVsNEMOHeadline(t *testing.T) {
 		cfg := testConfig(t)
 		cfg.Device = dev
 		cfg.GOPSize = 6
-		ours, err := pipeline.NewGameStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oursRes, err := ours.Run(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseRes, err := base.Run(6)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, cfg, 6, pipeline.Ours(), New())
+		oursRes, baseRes := res[0], res[1]
 
 		// Fig. 10a: reference-frame upscale speedup ≈13–14×.
 		oursRef, _ := oursRes.MeanUpscale(codec.Intra)
@@ -274,16 +246,8 @@ func TestQualityOrdering(t *testing.T) {
 	// a GOP long enough for the drift to dominate is required.
 	cfg := testConfig(t)
 	cfg.GOPSize = 12
-	ours, _ := pipeline.NewGameStream(cfg)
-	oursRes, err := ours.Run(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := New(cfg)
-	baseRes, err := base.Run(12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg, 12, pipeline.Ours(), New())
+	oursRes, baseRes := res[0], res[1]
 	op, _ := oursRes.MeanPSNR()
 	bp, _ := baseRes.MeanPSNR()
 	if op <= bp {
@@ -303,16 +267,8 @@ func TestOursSteadierThanNEMO(t *testing.T) {
 	// steadier).
 	cfg := testConfig(t)
 	cfg.GOPSize = 10
-	ours, _ := pipeline.NewGameStream(cfg)
-	oursRes, err := ours.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := New(cfg)
-	baseRes, err := base.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg, 10, pipeline.Ours(), New())
+	oursRes, baseRes := res[0], res[1]
 	series := func(r *pipeline.Result) []float64 {
 		out := make([]float64, len(r.Frames))
 		for i, f := range r.Frames {

@@ -33,8 +33,10 @@ func detConfig(t testing.TB) pipeline.Config {
 		SimDiv:  8,
 		GOPSize: 4,
 		// Nonzero loss exercises the drop/freeze path in the GameStream
-		// runner; the baselines ignore it.
-		Net: network.Config{LossRate: 0.25, Seed: 7},
+		// variant; the baselines ignore it. Jitter makes every variant draw
+		// from its link model each frame, so a model shared between the
+		// variants of one pass would show.
+		Net: network.Config{LossRate: 0.25, JitterFrac: 0.1, Seed: 7},
 	}
 }
 
@@ -47,49 +49,84 @@ func detConfigTelemetry(t testing.TB) pipeline.Config {
 	return cfg
 }
 
-// runJSON builds a fresh runner (the network RNG is per-runner state) and
-// returns the serialized result of an 8-frame run.
-func runJSON(t *testing.T, run func() (*pipeline.Result, error)) []byte {
+// runJSON performs one run and returns its results serialized, in variant
+// order.
+func runJSON(t *testing.T, run func() ([]*pipeline.Result, error)) []byte {
 	t.Helper()
 	res, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+	for _, r := range res {
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }
 
-func runners(t *testing.T) map[string]func() (*pipeline.Result, error) {
+func runners(t *testing.T) map[string]func() ([]*pipeline.Result, error) {
 	return runnersWith(t, detConfig(t))
 }
 
-func runnersWith(t *testing.T, cfg pipeline.Config) map[string]func() (*pipeline.Result, error) {
+// runnersWith maps a name to an 8-frame run of cfg: each variant alone
+// ("gamestream" through the GameStream session), and "onepass", all three
+// on one server pass.
+func runnersWith(t *testing.T, cfg pipeline.Config) map[string]func() ([]*pipeline.Result, error) {
 	t.Helper()
-	return map[string]func() (*pipeline.Result, error){
-		"gamestream": func() (*pipeline.Result, error) {
+	run := func(vs ...pipeline.Variant) func() ([]*pipeline.Result, error) {
+		return func() ([]*pipeline.Result, error) { return pipeline.Run(cfg, 8, vs...) }
+	}
+	return map[string]func() ([]*pipeline.Result, error){
+		"gamestream": func() ([]*pipeline.Result, error) {
 			gs, err := pipeline.NewGameStream(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return gs.Run(8)
+			res, err := gs.Run(8)
+			return []*pipeline.Result{res}, err
 		},
-		"nemo": func() (*pipeline.Result, error) {
-			r, err := nemo.New(cfg)
-			if err != nil {
-				t.Fatal(err)
+		"nemo":      run(nemo.New()),
+		"srdecoder": run(srdecoder.New(upscale.Bicubic)),
+		"onepass":   run(pipeline.Ours(), nemo.New(), srdecoder.New(upscale.Bicubic)),
+	}
+}
+
+// TestOnePassMatchesSoloRuns asserts that one server pass feeding three
+// variants gives each the results it gets alone: per-variant decoders, link
+// models and reference frames share nothing, and the shared server stage,
+// ground truth and pool alter no pixel — with telemetry and flight
+// recording attached too.
+func TestOnePassMatchesSoloRuns(t *testing.T) {
+	for name, cfg := range map[string]pipeline.Config{"plain": detConfig(t), "telemetry": detConfigTelemetry(t)} {
+		t.Run(name, func(t *testing.T) {
+			runs := runnersWith(t, cfg)
+			var solo []byte
+			for _, v := range []string{"gamestream", "nemo", "srdecoder"} {
+				solo = append(solo, runJSON(t, runs[v])...)
 			}
-			return r.Run(8)
-		},
-		"srdecoder": func() (*pipeline.Result, error) {
-			r, err := srdecoder.New(cfg, upscale.Bicubic)
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(runJSON(t, runs["onepass"]), solo) {
+				t.Fatal("one pass over three variants differs from three solo runs")
 			}
-			return r.Run(8)
-		},
+		})
+	}
+}
+
+// TestRunTwiceOnOneSession pins the determinism contract on a reused
+// session: the link model is built when a run starts, so a second Run of
+// the same GameStream draws the same losses and latencies as the first.
+func TestRunTwiceOnOneSession(t *testing.T) {
+	gs, err := pipeline.NewGameStream(detConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() ([]*pipeline.Result, error) {
+		res, err := gs.Run(8)
+		return []*pipeline.Result{res}, err
+	}
+	if !bytes.Equal(runJSON(t, run), runJSON(t, run)) {
+		t.Fatal("second Run on the same GameStream differs")
 	}
 }
 

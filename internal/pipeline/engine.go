@@ -21,25 +21,31 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
-// This file is the staged frame-loop engine shared by the three pipeline
-// runners (GameStreamSR, the NEMO baseline, the §VI SR-integrated decoder).
-// The engine owns everything the loops used to hand-copy — the GOP loop,
-// drop/freeze handling, lazy ground-truth rendering, result assembly and
-// error propagation — while each runner supplies only its variant-specific
-// hooks through the Variant interface.
+// This file is the staged frame loop every pipeline runs on: one server
+// pass (render → RoI detect → encode) feeding the client half of each
+// variant — GameStreamSR, the NEMO baseline, the §VI SR-integrated decoder
+// — and one ground truth scoring them all. The loop owns everything the
+// variants share: the GOP loop, drop/freeze handling, lazy ground-truth
+// rendering, result assembly and error propagation; a Variant supplies its
+// reconstruction and its cost model.
 //
 // Concurrency model (the paper's Fig. 6 server/client overlap): frames flow
-// through three pipeline stages connected by bounded channels, one goroutine
-// per stage, so frame i+1's server stages (render, RoI detect, encode) run
-// while frame i is being decoded/upscaled and frame i-1 is being measured.
-// Every piece of sequential state is confined to the single stage that owns
-// it — the encoder and RoI tracker to the server stage, the decoder, the
-// network RNG and the freeze/reference frames to the client stage, result
-// ordering to the measure stage — so the output is deterministic and
-// byte-identical to the old sequential loops at any GOMAXPROCS setting
+// through three stages connected by bounded channels, one goroutine per
+// stage, so frame i+1's server stage runs while frame i is being decoded and
+// upscaled and frame i-1 is being measured. The client stage takes each
+// frame through every variant in argument order. Every piece of sequential
+// state is confined to the single stage that owns it — the encoder and RoI
+// tracker to the server stage; each variant's decoder, link model and
+// freeze/reference frame to the client stage; result ordering to the
+// measure stage — so the output is deterministic at any GOMAXPROCS setting
+// and each variant's results are the same whichever variants run beside it
 // (asserted by the determinism tests).
 
-// FrameJob carries one frame through the staged pipeline. The server stage
+// depth is the capacity of each inter-stage channel: with three stages, up
+// to 3+2·depth frames are in flight.
+const depth = 2
+
+// FrameJob is one variant's view of one frame in flight. The server stage
 // fills the coded-stream fields, the client stage the reconstruction and
 // network draws, and the measure stage consumes it into a FrameResult.
 type FrameJob struct {
@@ -58,7 +64,7 @@ type FrameJob struct {
 	// (tensors, residual planes, RoI patches) from it; anything checked out
 	// must be returned before Upscale returns unless it travels in the job.
 	Pool *bufpool.Pool
-	// RoI is the detected region; zero for variants without a RoI stage.
+	// RoI is the detected region; zero for variants that do not read it.
 	RoI frame.Rect
 	// Type is the coded frame type.
 	Type codec.FrameType
@@ -73,76 +79,73 @@ type FrameJob struct {
 	// the screen shows — Up, or the freeze frame (nil if nothing yet).
 	Up      *frame.Image
 	Display *frame.Image
-	// InputLat and TransmitLat are the network model's draws for this
-	// frame, taken in frame order on the client stage so the RNG sequence
-	// matches the sequential loops exactly.
+	// InputLat and TransmitLat are the variant's link-model draws for this
+	// frame, taken in frame order on the client stage.
 	InputLat    time.Duration
 	TransmitLat time.Duration
 	// Sched is the session's scheduler client (Config.Sched), riding the
 	// job so every stage's kernels are attributed to the same client.
 	Sched *parallel.Client
-
-	data []byte // coded bitstream, consumed by the client stage
 }
 
-// Variant supplies the runner-specific client and cost stages of the frame
-// loop; the server stage is the same Source for every runner, with the RoI
-// detector (or none) as data in EngineOptions. The engine calls Upscale
-// from the client stage and Cost from the measure stage — each on its own
-// goroutine, so a Variant's mutable state must be touched by exactly one of
-// them (reference frames belong in Upscale; Cost must be pure).
+// Variant is one pipeline's client half: how it turns the shared coded
+// stream into displayed frames, and what that costs the device. Run calls
+// Upscale from the client stage and Cost from the measure stage, each on
+// its own goroutine, with the run's defaulted Config; a Variant holds no
+// per-run state (its reference frame is the prev Run hands it), so one
+// value serves any number of runs.
 type Variant interface {
-	// Name labels Result.Pipeline.
+	// Name labels Result.Pipeline and prefixes the variant's errors.
 	Name() string
-	// Upscale reconstructs the high-resolution frame from the decoded
-	// frame. It owns the variant's sequential client state (NEMO's
-	// reference frame, the decoder-buffer cache) and wraps its own errors
-	// with the runner's prefix.
-	Upscale(df *codec.DecodedFrame, job *FrameJob) (*frame.Image, error)
+	// ReadsRoI reports whether the variant uses the server stage's RoI.
+	// One that does not gets jobs, and so results, with the zero rectangle.
+	ReadsRoI() bool
+	// KeepsReference reports whether the variant reconstructs from its last
+	// delivered frame (NEMO, the §VI decoder). Such a variant decodes every
+	// frame — a lost frame would leave it nothing to reconstruct from, so
+	// the reference-reuse baselines run on a lossless link — and its frames
+	// never go back to the pool. A variant without a reference freezes on
+	// network loss, and draws its frames from job.Pool without retaining
+	// them, so the measure stage recycles each once no later job can
+	// reference it (unless Config.KeepFrames keeps them in the results).
+	KeepsReference() bool
+	// Upscale reconstructs the high-resolution frame from the decoded one;
+	// prev is the variant's last delivered frame (nil before the first).
+	Upscale(cfg *Config, df *codec.DecodedFrame, job *FrameJob, prev *frame.Image) (*frame.Image, error)
 	// Cost models the per-stage latency and per-rail energy of a delivered
 	// frame from the job's geometry, type and network draws.
-	Cost(job *FrameJob) (Stages, map[device.Rail]float64, error)
+	Cost(cfg *Config, job *FrameJob) (Stages, map[device.Rail]float64, error)
 }
 
-// EngineOptions configures a RunEngine invocation.
-type EngineOptions struct {
-	// Prefix tags engine-level errors ("pipeline", "nemo", "srdecoder").
-	Prefix string
-	// Net is the session's link model. Its RNG is drawn only on the client
-	// stage, in frame order.
-	Net *network.Model
-	// Drops enables network-loss freeze handling (the GameStreamSR path;
-	// the reference-reuse baselines decode every frame).
-	Drops bool
-	// SimW, SimH is the simulation-resolution geometry.
-	SimW, SimH int
-	// Detector is the server stage's RoI detector, stabilised over time
-	// when Config.RoITrack is set; nil means the runner has no RoI stage
-	// (NEMO) and every frame carries the zero rectangle.
-	Detector *roi.Detector
-	// Depth is the capacity of each inter-stage channel; with S stages,
-	// up to S+Depth·(S−1) frames are in flight. Default 2.
-	Depth int
-	// RecycleUp lets the measure stage return delivered frames to the pool
-	// once no later job can reference them. Only safe for variants whose
-	// Upscale draws its output from job.Pool and retains no reference to it
-	// afterwards (the GameStreamSR variant; NEMO and the SR-decoder keep the
-	// previous HR frame as reconstruction state, so they must leave this
-	// off). Ignored when Config.KeepFrames retains frames in the results.
-	RecycleUp bool
+// frameSet is one frame in flight: the server stage's bitstream and RoI,
+// and every variant's job for it, in argument order.
+type frameSet struct {
+	jobs []FrameJob
+	data []byte     // coded bitstream, consumed by the client stage
+	roi  frame.Rect // detected RoI, whichever variants read it
 }
 
-// stage is one concurrent step of the engine: a named in-place transform of
-// a FrameJob. Stages run on their own goroutines connected by bounded
-// channels; the server stage is the generator feeding the first one.
-type stage struct {
-	name string
-	fn   func(*FrameJob) error
-	// span records the stage's execution time per frame; wait accumulates
-	// the time the stage spent blocked handing a finished job downstream
-	// (backpressure). Both are nil-safe no-ops without a Registry.
-	span *telemetry.Histogram
-	wait *telemetry.Counter
+// variantRun is one variant's state within a run.
+type variantRun struct {
+	v        Variant
+	roi, ref bool // v.ReadsRoI(), v.KeepsReference()
+	res      *Result
+
+	// dec and net are the variant's decoder and link model. lastUp is its
+	// most recent delivered frame — the freeze frame, and the reference a
+	// KeepsReference variant reconstructs from; hadDrop tracks whether the
+	// decoder's reference state may be missing entirely (keyframe lost at
+	// stream start). Client-stage state.
+	dec     *codec.Decoder
+	net     *network.Model
+	lastUp  *frame.Image
+	hadDrop bool
+	// pendingUp is the last delivered frame the measure stage has seen; a
+	// variant without a reference returns it to the pool when the next
+	// delivered frame arrives — by then the client stage has replaced it as
+	// freeze state, and FIFO ordering guarantees no later job still points
+	// at it. Measure-stage state.
+	pendingUp *frame.Image
 }
 
 // engineMetrics holds the engine's telemetry handles, resolved once per run
@@ -173,14 +176,13 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 
 // engineRun is the per-Run state of the engine.
 type engineRun struct {
-	cfg Config
-	opt EngineOptions
-	v   Variant
+	cfg        Config
+	simW, simH int
+	vs         []variantRun
 
-	// src is the server stage (render → RoI → encode) and dec the client
-	// stage's decoder; each is touched by its stage alone.
+	// src is the server stage (render → RoI → encode), touched by that
+	// stage alone.
 	src *Source
-	dec *codec.Decoder
 
 	lrPx      int
 	byteScale int
@@ -192,26 +194,14 @@ type engineRun struct {
 	// gtOut is the measure stage's persistent render target for its lazy
 	// ground truth (the server stage's is the Source's).
 	gtOut render.Output
-	// jobFree recycles FrameJob headers between the measure and server
-	// stages. Non-blocking on both ends; misses just allocate.
-	jobFree chan *FrameJob
+	// setFree recycles frame sets between the measure and server stages,
+	// sized to the most that can be in flight (3+2·depth). Non-blocking on
+	// both ends; misses just allocate.
+	setFree chan *frameSet
 	// encHint is the largest bitstream capacity seen so far, so the server
 	// stage checks out a buffer class the client's returns actually refill.
 	// Server-stage state.
 	encHint int
-	// pendingUp is the last delivered frame the measure stage has seen.
-	// With RecycleUp it goes back to the pool when the next delivered frame
-	// arrives — at that point the client stage has already replaced it as
-	// freeze/reference state, and FIFO ordering guarantees no later job
-	// still points at it. Measure-stage state.
-	pendingUp *frame.Image
-
-	// lastUp is the most recent delivered frame; a dropped frame freezes
-	// the display on it. hadDrop tracks whether the decoder's reference
-	// state may be missing entirely (keyframe lost at stream start).
-	// Client-stage state.
-	lastUp  *frame.Image
-	hadDrop bool
 
 	// mets are the pre-resolved (optional) metric handles.
 	mets engineMetrics
@@ -226,52 +216,80 @@ type engineRun struct {
 	err  error
 }
 
-// RunEngine streams nFrames frames through the staged pipeline for the
-// given variant and returns the assembled measurements.
-func RunEngine(cfg Config, opt EngineOptions, v Variant, nFrames int) (*Result, error) {
+// Run streams nFrames frames of cfg's game through one server pass and
+// every variant's client half, scoring each against one ground truth, and
+// returns one Result per variant in argument order. With more than one
+// variant, the stage spans time the whole stage (every variant), and the
+// per-frame facts a variant owns — its frozen frames and its deadline — are
+// recorded for the first variant only.
+func Run(cfg Config, nFrames int, vs ...Variant) ([]*Result, error) {
 	if nFrames <= 0 {
-		return nil, fmt.Errorf("%s: invalid frame count %d", opt.Prefix, nFrames)
+		return nil, fmt.Errorf("pipeline: invalid frame count %d", nFrames)
 	}
-	if opt.Depth <= 0 {
-		opt.Depth = 2
+	if len(vs) == 0 {
+		return nil, fmt.Errorf("pipeline: no variants")
+	}
+	cfg = cfg.WithDefaults()
+	simW, simH, simRoI, err := cfg.simGeometry()
+	if err != nil {
+		return nil, err
 	}
 	pool := cfg.Pool
 	if pool == nil {
 		pool = bufpool.New()
 	}
-	src, err := newSource(cfg.Game, codec.Config{
-		Width: opt.SimW, Height: opt.SimH,
-		GOPSize: cfg.GOPSize, QStep: cfg.QStep,
-	}, opt.Detector, pool)
-	if err != nil {
-		return nil, err
-	}
-	// Each run gets fresh temporal state for RoI tracking.
-	if opt.Detector != nil && cfg.RoITrack != nil {
-		if src.tracker, err = roi.NewTracker(opt.Detector, *cfg.RoITrack); err != nil {
-			return nil, err
-		}
-	}
-	src.start, src.stride = cfg.StartFrame, cfg.FrameStride
-	src.rd, src.sched = cfg.Renderer, cfg.Sched
-	src.enc.SetSched(cfg.Sched)
-	if cfg.Metrics != nil {
-		pool.Instrument(cfg.Metrics, opt.Prefix)
-	}
-	dec := codec.NewDecoder()
-	dec.SetPool(pool)
 	e := &engineRun{
-		cfg: cfg, opt: opt, v: v,
-		src: src, dec: dec,
+		cfg: cfg, simW: simW, simH: simH,
+		vs:        make([]variantRun, len(vs)),
 		lrPx:      cfg.LRWidth * cfg.LRHeight,
 		byteScale: cfg.SimDiv * cfg.SimDiv,
 		pool:      pool,
-		jobFree:   make(chan *FrameJob, 3+2*opt.Depth),
+		setFree:   make(chan *frameSet, 3+2*depth),
 		mets:      newEngineMetrics(cfg.Metrics),
 		flight:    cfg.Flight,
 		stop:      make(chan struct{}),
 	}
-	return e.run(nFrames)
+	var det *roi.Detector
+	for i, v := range vs {
+		dec := codec.NewDecoder()
+		dec.SetPool(pool)
+		e.vs[i] = variantRun{
+			v: v, roi: v.ReadsRoI(), ref: v.KeepsReference(),
+			res: &Result{Pipeline: v.Name(), Device: cfg.Device},
+			dec: dec, net: network.New(cfg.Net),
+		}
+		if e.vs[i].roi && det == nil {
+			if det, err = roi.New(roi.Config{WindowW: simRoI, WindowH: simRoI}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if e.src, err = newSource(cfg.Game, codec.Config{
+		Width: simW, Height: simH,
+		GOPSize: cfg.GOPSize, QStep: cfg.QStep,
+	}, det, pool); err != nil {
+		return nil, err
+	}
+	// Each run gets fresh temporal state for RoI tracking.
+	if det != nil && cfg.RoITrack != nil {
+		if e.src.tracker, err = roi.NewTracker(det, *cfg.RoITrack); err != nil {
+			return nil, err
+		}
+	}
+	e.src.start, e.src.stride = cfg.StartFrame, cfg.FrameStride
+	e.src.rd, e.src.sched = cfg.Renderer, cfg.Sched
+	e.src.enc.SetSched(cfg.Sched)
+	if cfg.Metrics != nil {
+		pool.Instrument(cfg.Metrics, "pipeline")
+	}
+	if err := e.run(nFrames); err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(e.vs))
+	for i := range e.vs {
+		out[i] = e.vs[i].res
+	}
+	return out, nil
 }
 
 // observeSpan records one stage execution in the span histogram and in the
@@ -291,138 +309,118 @@ func (e *engineRun) fail(err error) {
 	})
 }
 
-// run wires the stage pipeline and drives it to completion.
-func (e *engineRun) run(nFrames int) (*Result, error) {
-	res := &Result{Pipeline: e.v.Name(), Device: e.cfg.Device}
-	stages := []stage{
-		{name: "client", fn: e.clientFrame, span: e.mets.clientSpan, wait: e.mets.clientWait},
-		{name: "measure", span: e.mets.measureSpan, fn: func(j *FrameJob) error {
-			fr, err := e.measureFrame(j)
-			if err != nil {
-				return err
-			}
-			res.Frames = append(res.Frames, fr)
-			return nil
-		}},
+// send hands set downstream on out, adding the time it waited to wait;
+// false means the run has failed and the stage should return.
+func (e *engineRun) send(out chan<- *frameSet, set *frameSet, wait *telemetry.Counter) bool {
+	t0 := time.Now()
+	select {
+	case out <- set:
+		wait.AddDuration(time.Since(t0))
+		return true
+	case <-e.stop:
+		return false
 	}
+}
 
-	chans := make([]chan *FrameJob, len(stages))
-	for i := range chans {
-		chans[i] = make(chan *FrameJob, e.opt.Depth)
-	}
-	var wg sync.WaitGroup
-
-	// Every stage goroutine runs under pprof labels
-	// (session=<Config.Session>, stage=<name>) so CPU and goroutine
-	// profiles attribute samples to sessions and stages; goroutines a
-	// stage spawns (the SR engine's, render's) inherit them. The measure
-	// stage runs on the caller's goroutine, so it uses pprof.Do to restore
-	// the caller's labels on return.
+// run wires the three stages and drives them to completion.
+//
+// Every stage goroutine runs under pprof labels (session=<Config.Session>,
+// stage=<name>) so CPU and goroutine profiles attribute samples to sessions
+// and stages; goroutines a stage spawns (the SR engine's, render's) inherit
+// them. The measure stage runs on the caller's goroutine, so it uses
+// pprof.Do to restore the caller's labels on return.
+func (e *engineRun) run(nFrames int) error {
 	session := e.cfg.Session
 	if session == "" {
 		session = "pipeline"
 	}
-	stageLabels := func(stage string) context.Context {
-		return pprof.WithLabels(context.Background(), pprof.Labels("session", session, "stage", stage))
-	}
+	labels := func(stage string) pprof.LabelSet { return pprof.Labels("session", session, "stage", stage) }
+	encoded := make(chan *frameSet, depth)
+	decoded := make(chan *frameSet, depth)
+	var wg sync.WaitGroup
+	wg.Add(2)
 
-	// Generator: the server stage produces jobs in frame order.
-	wg.Add(1)
+	// Server stage: produces frame sets in frame order.
 	go func() {
 		defer wg.Done()
-		defer close(chans[0])
-		pprof.SetGoroutineLabels(stageLabels("server"))
+		defer close(encoded)
+		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), labels("server")))
 		for i := 0; i < nFrames; i++ {
 			t0 := time.Now()
-			job, err := e.serverFrame(i)
+			set, err := e.serverFrame(i)
 			if err != nil {
 				e.fail(err)
 				return
 			}
+			job := &set.jobs[0]
 			e.observeSpan(job.ID, "server", e.mets.serverSpan, t0)
 			e.mets.frames.Inc()
-			e.mets.roiArea.Observe(float64(job.RoI.W * job.RoI.H))
+			e.mets.roiArea.Observe(float64(set.roi.W * set.roi.H))
 			e.mets.codedBytes.Observe(float64(job.CodedBytes))
 			e.mets.codedBytesTotal.Add(int64(job.CodedBytes))
 			if e.cfg.Tap != nil {
 				// The tap sees the bitstream the client stage will decode
-				// and must copy what it keeps — job.data is recycled once the
-				// client stage decodes it.
-				e.cfg.Tap.PublishFrame(job.Index, job.data, job.Type == codec.Intra, job.RoI)
+				// and must copy what it keeps — set.data is recycled once
+				// the client stage has decoded it.
+				e.cfg.Tap.PublishFrame(job.Index, set.data, job.Type == codec.Intra, set.roi)
 			}
-			tSend := time.Now()
-			select {
-			case chans[0] <- job:
-				e.mets.serverWait.AddDuration(time.Since(tSend))
-			case <-e.stop:
+			if !e.send(encoded, set, e.mets.serverWait) {
 				return
 			}
 		}
 	}()
 
-	// Interior stages: one goroutine each, jobs forwarded in order.
-	for i := 0; i < len(stages)-1; i++ {
-		wg.Add(1)
-		go func(st stage, in <-chan *FrameJob, out chan<- *FrameJob) {
-			defer wg.Done()
-			defer close(out)
-			pprof.SetGoroutineLabels(stageLabels(st.name))
-			for job := range in {
-				t0 := time.Now()
-				if err := st.fn(job); err != nil {
-					e.fail(err)
-					return
-				}
-				e.observeSpan(job.ID, st.name, st.span, t0)
-				tSend := time.Now()
-				select {
-				case out <- job:
-					st.wait.AddDuration(time.Since(tSend))
-				case <-e.stop:
-					return
-				}
-			}
-		}(stages[i], chans[i], chans[i+1])
-	}
-
-	// The last stage runs on the caller's goroutine and assembles results
-	// in arrival order (= frame order, since every channel is FIFO and
-	// every stage is a single goroutine).
-	last := stages[len(stages)-1]
-	pprof.Do(context.Background(), pprof.Labels("session", session, "stage", last.name), func(context.Context) {
-		for job := range chans[len(chans)-1] {
+	// Client stage: every variant decodes and upscales each frame.
+	go func() {
+		defer wg.Done()
+		defer close(decoded)
+		pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), labels("client")))
+		for set := range encoded {
 			t0 := time.Now()
-			if err := last.fn(job); err != nil {
+			if err := e.clientFrame(set); err != nil {
+				e.fail(err)
+				return
+			}
+			e.observeSpan(set.jobs[0].ID, "client", e.mets.clientSpan, t0)
+			if !e.send(decoded, set, e.mets.clientWait) {
+				return
+			}
+		}
+	}()
+
+	// Measure stage, on the caller's goroutine: results are assembled in
+	// arrival order (= frame order, since every channel is FIFO and every
+	// stage is a single goroutine).
+	pprof.Do(context.Background(), labels("measure"), func(context.Context) {
+		for set := range decoded {
+			t0 := time.Now()
+			if err := e.measureFrame(set); err != nil {
 				e.fail(err)
 				break
 			}
-			e.observeSpan(job.ID, last.name, last.span, t0)
-			// The job header is fully consumed; hand it back to the server
-			// stage (results hold their own copies of anything they keep).
-			*job = FrameJob{}
+			e.observeSpan(set.jobs[0].ID, "measure", e.mets.measureSpan, t0)
+			// The set is fully consumed; hand it back to the server stage
+			// (results hold their own copies of anything they keep).
+			clear(set.jobs)
 			select {
-			case e.jobFree <- job:
+			case e.setFree <- set:
 			default:
 			}
 		}
 	})
 	wg.Wait()
-	if e.err != nil {
-		return nil, e.err
-	}
-	return res, nil
+	return e.err
 }
 
-// serverFrame runs the server stages for frame i — the Source's render at
-// simulation resolution, RoI detection and encoding — and wraps the result
-// in a job. Owns the Source.
-func (e *engineRun) serverFrame(i int) (*FrameJob, error) {
-	cfg := e.cfg
+// serverFrame runs the server stage for frame i — the Source's render at
+// simulation resolution, RoI detection and encoding — and gives every
+// variant its job for it. Owns the Source.
+func (e *engineRun) serverFrame(i int) (*frameSet, error) {
 	// Claim the flight-recorder frame ID first so the server span and the
 	// encode attributes land inside this frame's window (0 when recording
 	// is off).
 	fid := e.flight.BeginFrame(i)
-	// The bitstream buffer travels with the job; the client stage returns
+	// The bitstream buffer travels with the set; the client stage returns
 	// it to the pool after decoding, so steady state ping-pongs a few
 	// buffers instead of allocating one per frame.
 	if e.encHint == 0 {
@@ -430,18 +428,17 @@ func (e *engineRun) serverFrame(i int) (*FrameJob, error) {
 	}
 	data, ftype, roiRect, err := e.src.frame(e.pool.Bytes(e.encHint)[:0], i)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", e.opt.Prefix, err)
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
-	if cap(data) > e.encHint {
-		e.encHint = cap(data)
-	}
-	var job *FrameJob
+	e.encHint = max(e.encHint, cap(data))
+	var set *frameSet
 	select {
-	case job = <-e.jobFree:
+	case set = <-e.setFree:
 	default:
-		job = &FrameJob{}
+		set = &frameSet{jobs: make([]FrameJob, len(e.vs))}
 	}
-	*job = FrameJob{
+	set.data, set.roi = data, roiRect
+	job := FrameJob{
 		Index: i,
 		ID:    fid,
 		Scene: e.src.scene, Cam: e.src.cam,
@@ -449,116 +446,149 @@ func (e *engineRun) serverFrame(i int) (*FrameJob, error) {
 		RoI:          roiRect,
 		Type:         ftype,
 		CodedBytes:   len(data) * e.byteScale,
-		NominalBytes: ModelFrameBytes(e.lrPx, cfg.GOPSize, ftype),
-		Sched:        cfg.Sched,
-		data:         data,
+		NominalBytes: ModelFrameBytes(e.lrPx, e.cfg.GOPSize, ftype),
+		Sched:        e.cfg.Sched,
+	}
+	for k := range e.vs {
+		set.jobs[k] = job
+		if !e.vs[k].roi {
+			set.jobs[k].RoI = frame.Rect{}
+		}
 	}
 	e.flight.SetEncode(fid, roiRect, job.CodedBytes, job.NominalBytes)
-	return job, nil
+	return set, nil
 }
 
-// clientFrame runs the client stages for one frame: the network drop draw,
-// decode and the variant's upscale/reconstruction. Owns the decoder, the
-// network RNG and the freeze state, so every sequential draw happens in
-// frame order exactly as in the old single loop.
-func (e *engineRun) clientFrame(job *FrameJob) error {
+// clientFrame takes one frame through every variant's client half, then
+// returns the bitstream to the pool.
+func (e *engineRun) clientFrame(set *frameSet) error {
+	for k := range e.vs {
+		if err := e.deliver(k, &set.jobs[k], set.data); err != nil {
+			return err
+		}
+	}
+	e.pool.PutBytes(set.data)
+	set.data = nil
+	return nil
+}
+
+// deliver runs variant k's client half for one frame: the network drop
+// draw, decode and the variant's upscale/reconstruction. Owns the variant's
+// decoder, link model and freeze state, so every sequential draw happens in
+// frame order.
+func (e *engineRun) deliver(k int, job *FrameJob, data []byte) error {
+	vr := &e.vs[k]
 	// A frame lost in transit — or one that arrives after its reference
 	// was lost and therefore cannot be decoded — freezes the display on
 	// the last delivered frame while the scene moves on, exactly as with a
 	// real codec awaiting the next keyframe.
-	frozen := e.opt.Drops && e.opt.Net.Dropped()
+	frozen := !vr.ref && vr.net.Dropped()
 	if !frozen {
-		df, derr := e.dec.Decode(job.data)
+		df, derr := vr.dec.Decode(data)
 		switch {
 		case derr == nil:
-			up, err := e.v.Upscale(df, job)
+			up, err := vr.v.Upscale(&e.cfg, df, job, vr.lastUp)
 			// The decoded frame is dead once the variant has consumed it
 			// (variants copy what they keep; the decoder's own reference
 			// retention is handled inside Recycle).
-			e.dec.Recycle(df)
+			vr.dec.Recycle(df)
 			if err != nil {
 				return err
 			}
-			job.Up = up
-			job.Display = up
-			e.lastUp = up
-		case e.hadDrop:
+			job.Up, job.Display, vr.lastUp = up, up, up
+		case vr.hadDrop:
 			frozen = true
 		default:
-			return fmt.Errorf("%s: frame %d decode: %w", e.opt.Prefix, job.Index, derr)
+			return fmt.Errorf("%s: frame %d decode: %w", vr.v.Name(), job.Index, derr)
 		}
 	}
-	e.pool.PutBytes(job.data)
-	job.data = nil
 	if frozen {
-		e.hadDrop = true
+		vr.hadDrop = true
 		job.Frozen = true
-		job.Display = e.lastUp // may be nil: nothing on screen yet
-		e.mets.frozen.Inc()
-		e.flight.SetFrozen(job.ID)
+		job.Display = vr.lastUp // may be nil: nothing on screen yet
+		if k == 0 {
+			e.mets.frozen.Inc()
+			e.flight.SetFrozen(job.ID)
+		}
 		return nil
 	}
-	job.InputLat = e.opt.Net.UplinkLatency()
-	job.TransmitLat = e.opt.Net.TransmitLatency(job.NominalBytes)
+	job.InputLat = vr.net.UplinkLatency()
+	job.TransmitLat = vr.net.TransmitLatency(job.NominalBytes)
 	return nil
 }
 
 // renderGT renders the ground-truth frame at upscaled resolution into the
 // measure stage's persistent target. It is called lazily from the measure
-// stage: dropped frames with nothing on screen never pay for it. The
-// returned image is valid until the next renderGT call.
+// stage: a frame no variant has anything on screen for never pays for it.
+// The returned image is valid until the next renderGT call.
 func (e *engineRun) renderGT(job *FrameJob) *frame.Image {
 	cfg := e.cfg
-	cfg.Renderer.RenderInto(&e.gtOut, job.Scene, job.Cam, e.opt.SimW*cfg.Scale, e.opt.SimH*cfg.Scale)
+	cfg.Renderer.RenderInto(&e.gtOut, job.Scene, job.Cam, e.simW*cfg.Scale, e.simH*cfg.Scale)
 	return e.gtOut.Color
 }
 
-// retireUp recycles the previously delivered frame when a new delivered
-// frame reaches the measure stage. At that point the client stage has
-// already produced this newer frame, so its freeze/reference state no longer
-// points at the old one, and — channels being FIFO — neither does any job
-// still in flight. Only active when the variant opted in via RecycleUp and
-// results don't retain frames.
-func (e *engineRun) retireUp(job *FrameJob) {
-	if !e.opt.RecycleUp || e.cfg.KeepFrames || job.Frozen || job.Up == nil {
-		return
+// measureFrame scores every variant's view of one frame against one ground
+// truth and appends each variant's FrameResult.
+func (e *engineRun) measureFrame(set *frameSet) error {
+	var gt *frame.Image
+	for k := range e.vs {
+		job := &set.jobs[k]
+		if job.Display != nil && gt == nil {
+			gt = e.renderGT(job)
+		}
+		fr, err := e.frameResult(k, job, gt)
+		if err != nil {
+			return err
+		}
+		e.vs[k].res.Frames = append(e.vs[k].res.Frames, fr)
 	}
-	if e.pendingUp != nil {
-		e.pool.PutImage(e.pendingUp)
-	}
-	e.pendingUp = job.Up
+	return nil
 }
 
-// measureFrame computes the quality, latency and energy record of one
-// frame. Pure per-frame work plus result ordering — the only state it
-// touches is the Result it appends to.
-func (e *engineRun) measureFrame(job *FrameJob) (FrameResult, error) {
-	if job.Frozen {
-		return e.frozenFrame(job)
-	}
-	q, err := metrics.Measure(job.Sched, e.renderGT(job), job.Up)
-	if err != nil {
-		return FrameResult{}, err
-	}
-	st, energy, err := e.v.Cost(job)
-	if err != nil {
-		return FrameResult{}, err
-	}
-	e.observeDeadline(job.ID, st)
+// frameResult computes variant k's quality, latency and energy record of
+// one frame against gt (nil when the job has nothing on screen). A frozen
+// frame shows the freeze frame while the scene has moved on: no client-side
+// stages or energy are billed.
+func (e *engineRun) frameResult(k int, job *FrameJob, gt *frame.Image) (FrameResult, error) {
+	vr := &e.vs[k]
 	fr := FrameResult{
-		Index:  job.Index,
-		Type:   job.Type,
-		Stages: st,
-		RoI:    job.RoI,
-		PSNR:   q.PSNR, SSIM: q.SSIM, LPIPS: q.LPIPS,
-		Bytes:      job.NominalBytes,
-		CodedBytes: job.CodedBytes,
-		Energy:     energy,
+		Index: job.Index,
+		Type:  job.Type,
+		Bytes: job.NominalBytes,
 	}
+	if job.Frozen {
+		fr.Dropped = true
+		fr.Energy = map[device.Rail]float64{}
+	} else {
+		st, energy, err := vr.v.Cost(&e.cfg, job)
+		if err != nil {
+			return fr, err
+		}
+		if k == 0 {
+			e.observeDeadline(job.ID, st)
+		}
+		fr.Stages, fr.RoI, fr.CodedBytes, fr.Energy = st, job.RoI, job.CodedBytes, energy
+	}
+	if job.Display == nil {
+		return fr, nil // nothing on screen yet
+	}
+	q, err := metrics.Measure(job.Sched, gt, job.Display)
+	if err != nil {
+		return fr, err
+	}
+	fr.PSNR, fr.SSIM, fr.LPIPS = q.PSNR, q.SSIM, q.LPIPS
 	if e.cfg.KeepFrames {
-		fr.Upscaled = job.Up
+		fr.Upscaled = job.Display
+	} else if !vr.ref && !job.Frozen {
+		// Recycle the previously delivered frame: the client stage has
+		// already produced this newer one, so neither its freeze state nor
+		// — channels being FIFO — any job still in flight points at the
+		// old one.
+		if vr.pendingUp != nil {
+			e.pool.PutImage(vr.pendingUp)
+		}
+		vr.pendingUp = job.Up
 	}
-	e.retireUp(job)
 	return fr, nil
 }
 
@@ -576,29 +606,4 @@ func (e *engineRun) observeDeadline(id uint64, st Stages) {
 	e.latScratch[1] = frametrace.StageLatency{Name: "upscale", D: st.Upscale}
 	e.latScratch[2] = frametrace.StageLatency{Name: "display", D: st.Display}
 	e.flight.ObserveDeadline(id, e.latScratch[:])
-}
-
-// frozenFrame records a lost frame: the client shows the freeze frame while
-// the scene has moved on. No client-side stages or energy are billed, and
-// the ground truth is only rendered when there is something to compare.
-func (e *engineRun) frozenFrame(job *FrameJob) (FrameResult, error) {
-	fr := FrameResult{
-		Index:   job.Index,
-		Type:    job.Type,
-		Dropped: true,
-		Bytes:   job.NominalBytes,
-		Energy:  map[device.Rail]float64{},
-	}
-	if job.Display == nil {
-		return fr, nil // nothing on screen yet — skip the GT render entirely
-	}
-	q, err := metrics.Measure(job.Sched, e.renderGT(job), job.Display)
-	if err != nil {
-		return fr, err
-	}
-	fr.PSNR, fr.SSIM, fr.LPIPS = q.PSNR, q.SSIM, q.LPIPS
-	if e.cfg.KeepFrames {
-		fr.Upscaled = job.Display
-	}
-	return fr, nil
 }

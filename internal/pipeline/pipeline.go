@@ -215,11 +215,9 @@ func (c Config) simGeometry() (lrW, lrH, roiWin int, err error) {
 	return lrW, lrH, roiWin, nil
 }
 
-// GameStream runs the GameStreamSR pipeline (ours).
+// GameStream runs the GameStreamSR pipeline (ours) alone.
 type GameStream struct {
 	cfg                Config
-	det                *roi.Detector
-	net                *network.Model
 	simW, simH, simRoI int
 }
 
@@ -230,16 +228,7 @@ func NewGameStream(cfg Config) (*GameStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	det, err := roi.New(roi.Config{WindowW: simRoI, WindowH: simRoI})
-	if err != nil {
-		return nil, err
-	}
-	return &GameStream{
-		cfg:  cfg,
-		det:  det,
-		net:  network.New(cfg.Net),
-		simW: simW, simH: simH, simRoI: simRoI,
-	}, nil
+	return &GameStream{cfg: cfg, simW: simW, simH: simH, simRoI: simRoI}, nil
 }
 
 // Config returns the effective configuration.
@@ -251,36 +240,32 @@ func (g *GameStream) SimSize() (w, h, roiWin int) { return g.simW, g.simH, g.sim
 // Run streams nFrames frames through the staged engine and returns the
 // measurements.
 func (g *GameStream) Run(nFrames int) (*Result, error) {
-	return RunEngine(g.cfg, EngineOptions{
-		Prefix:   "pipeline",
-		Net:      g.net,
-		Drops:    true,
-		Detector: g.det,
-		SimW:     g.simW, SimH: g.simH,
-		// The variant's output frames are pool-drawn and never retained by
-		// it, so the measure stage can recycle them.
-		RecycleUp: true,
-	}, &gameStreamVariant{cfg: g.cfg}, nFrames)
+	res, err := Run(g.cfg, nFrames, Ours())
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
-// gameStreamVariant supplies the GameStreamSR client and cost stages to the
-// staged engine: the RoI-assisted upscale, and the paper's latency/energy
-// model in the measure stage.
-type gameStreamVariant struct {
-	cfg Config
-}
+// Ours returns the GameStreamSR variant: the RoI-assisted upscale on the
+// client, and the paper's latency/energy model in the measure stage.
+func Ours() Variant { return gameStreamVariant{} }
 
-func (v *gameStreamVariant) Name() string { return "gamestreamsr" }
+type gameStreamVariant struct{}
+
+func (gameStreamVariant) Name() string         { return "gamestreamsr" }
+func (gameStreamVariant) ReadsRoI() bool       { return true }
+func (gameStreamVariant) KeepsReference() bool { return false }
 
 // Upscale performs the client-side RoI-assisted upscale (UpscaleRoI) into a
-// frame from the run's pool; the measure stage recycles it (RecycleUp) once
-// no later frame can reference it.
-func (v *gameStreamVariant) Upscale(df *codec.DecodedFrame, job *FrameJob) (*frame.Image, error) {
-	lr, scale := df.Image, v.cfg.Scale
+// frame from the run's pool; the measure stage recycles it once no later
+// frame can reference it.
+func (gameStreamVariant) Upscale(cfg *Config, df *codec.DecodedFrame, job *FrameJob, _ *frame.Image) (*frame.Image, error) {
+	lr, scale := df.Image, cfg.Scale
 	up := job.Pool.Image(lr.W*scale, lr.H*scale)
-	if _, err := UpscaleRoI(up, lr, job.RoI, scale, v.cfg.Engine, v.cfg.Sched, job.Pool); err != nil {
+	if _, err := UpscaleRoI(up, lr, job.RoI, scale, cfg.Engine, cfg.Sched, job.Pool); err != nil {
 		job.Pool.PutImage(up)
-		return nil, fmt.Errorf("pipeline: frame %d upscale: %w", job.Index, err)
+		return nil, fmt.Errorf("gamestreamsr: frame %d upscale: %w", job.Index, err)
 	}
 	return up, nil
 }
@@ -346,8 +331,7 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 }
 
 // Cost models one delivered frame's per-stage latency and per-rail energy.
-func (v *gameStreamVariant) Cost(job *FrameJob) (Stages, map[device.Rail]float64, error) {
-	cfg := v.cfg
+func (gameStreamVariant) Cost(cfg *Config, job *FrameJob) (Stages, map[device.Rail]float64, error) {
 	lrPx := cfg.LRWidth * cfg.LRHeight
 	hrPx := lrPx * cfg.Scale * cfg.Scale
 	roiPx := cfg.RoIWindow * cfg.RoIWindow

@@ -107,15 +107,7 @@ func TestCPUProfileAttributesSessions(t *testing.T) {
 // continuous profile sampler armed and logging active is byte-identical
 // to a bare run of the same config.
 func TestRunDeterministicWithDiag(t *testing.T) {
-	base := func() []byte {
-		return runJSON(t, func() (*pipeline.Result, error) {
-			gs, err := pipeline.NewGameStream(detConfig(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return gs.Run(8)
-		})
-	}()
+	base := runJSON(t, runners(t)["gamestream"])
 
 	sampler := diag.NewSampler(diag.SamplerConfig{Period: 40 * time.Millisecond, Duration: 15 * time.Millisecond})
 	sampler.Start()
@@ -123,15 +115,9 @@ func TestRunDeterministicWithDiag(t *testing.T) {
 	log := logx.New(logx.Config{Out: &bytes.Buffer{}, Ring: 64})
 	log.Info("diag-on determinism run starting")
 
-	withDiag := runJSON(t, func() (*pipeline.Result, error) {
-		cfg := detConfig(t)
-		cfg.Session = "diag-on"
-		gs, err := pipeline.NewGameStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return gs.Run(8)
-	})
+	cfg := detConfig(t)
+	cfg.Session = "diag-on"
+	withDiag := runJSON(t, runnersWith(t, cfg)["gamestream"])
 	if !bytes.Equal(base, withDiag) {
 		t.Error("pipeline output with diag on differs from diag off")
 	}

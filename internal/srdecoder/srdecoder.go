@@ -23,9 +23,7 @@ import (
 	"gamestreamsr/internal/device"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/nemo"
-	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
-	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -34,77 +32,27 @@ import (
 // modules (Fig. 15 blue boxes).
 const SRIntegrationFactor = 1.25
 
-// Runner executes the SR-integrated decoder pipeline.
-type Runner struct {
-	cfg    pipeline.Config
-	det    *roi.Detector
-	net    *network.Model
-	kernel upscale.Kind
-
-	simW, simH, simRoI int
-}
-
-// New builds the runner. roiKernel selects the RoI residual-interpolation
+// New returns the SR-integrated decoder variant of the frame loop: the
+// reference/non-reference dispatcher on the client, and the fixed-function
+// decoder cost model. roiKernel selects the RoI residual-interpolation
 // kernel (Bicubic or Lanczos3 per §VI; Bilinear degrades to uniform
 // treatment and is allowed for ablations).
-func New(cfg pipeline.Config, roiKernel upscale.Kind) (*Runner, error) {
-	cfg = cfg.WithDefaults()
-	simW := cfg.LRWidth / cfg.SimDiv
-	simH := cfg.LRHeight / cfg.SimDiv
-	if simW < 16 || simH < 16 {
-		return nil, fmt.Errorf("srdecoder: SimDiv %d leaves a %dx%d frame, too small", cfg.SimDiv, simW, simH)
-	}
-	simRoI := cfg.RoIWindow / cfg.SimDiv
-	simRoI &^= 1
-	if simRoI < 8 {
-		simRoI = 8
-	}
-	if simRoI > simW {
-		simRoI = simW &^ 1
-	}
-	if simRoI > simH {
-		simRoI = simH &^ 1
-	}
-	det, err := roi.New(roi.Config{WindowW: simRoI, WindowH: simRoI})
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{
-		cfg: cfg, det: det, net: network.New(cfg.Net), kernel: roiKernel,
-		simW: simW, simH: simH, simRoI: simRoI,
-	}, nil
-}
+func New(roiKernel upscale.Kind) pipeline.Variant { return variant{kernel: roiKernel} }
 
-// Run streams nFrames frames through the SR-integrated decoder pipeline on
-// the shared staged engine.
-func (r *Runner) Run(nFrames int) (*pipeline.Result, error) {
-	return pipeline.RunEngine(r.cfg, pipeline.EngineOptions{
-		Prefix:   "srdecoder",
-		Net:      r.net,
-		Detector: r.det,
-		SimW:     r.simW, SimH: r.simH,
-	}, &variant{r: r}, nFrames)
-}
-
-// variant supplies the SR-integrated-decoder hooks to the staged engine:
-// the reference/non-reference dispatcher on the client, and the
-// fixed-function decoder cost model.
 type variant struct {
-	r *Runner
-	// hrPrev is the decoder-buffer copy of the last reconstructed HR
-	// frame (Fig. 15 step ❷). Client-stage state.
-	hrPrev *frame.Image
+	kernel upscale.Kind
 }
 
-func (v *variant) Name() string { return "srdecoder" }
+func (variant) Name() string         { return "srdecoder" }
+func (variant) ReadsRoI() bool       { return true }
+func (variant) KeepsReference() bool { return true }
 
 // Upscale dispatches one decoded frame: reference frames take the
 // GameStreamSR RoI-assisted upscale (step ❶) into a variant-owned frame —
-// it becomes the decoder-buffer reference — and non-reference frames are
-// reconstructed at HR by the SR-integrated decoder with RoI-guided
-// interpolation (steps ❸-❼).
-func (v *variant) Upscale(df *codec.DecodedFrame, job *pipeline.FrameJob) (*frame.Image, error) {
-	cfg := v.r.cfg
+// it becomes the decoder-buffer reference (Fig. 15 step ❷) — and
+// non-reference frames are reconstructed from prev at HR by the
+// SR-integrated decoder with RoI-guided interpolation (steps ❸-❼).
+func (v variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipeline.FrameJob, prev *frame.Image) (*frame.Image, error) {
 	var up *frame.Image
 	var err error
 	switch job.Type {
@@ -114,17 +62,16 @@ func (v *variant) Upscale(df *codec.DecodedFrame, job *pipeline.FrameJob) (*fram
 			return nil, fmt.Errorf("srdecoder: frame %d SR: %w", job.Index, err)
 		}
 	case codec.Inter:
-		if v.hrPrev == nil {
+		if prev == nil {
 			return nil, fmt.Errorf("srdecoder: frame %d: inter frame without reference", job.Index)
 		}
-		up = frame.NewImagePacked(v.hrPrev.W, v.hrPrev.H)
-		if err = ReconstructRoIGuidedInto(up, v.hrPrev, df.Side, cfg.Scale, job.RoI, v.r.kernel, job.Pool); err != nil {
+		up = frame.NewImagePacked(prev.W, prev.H)
+		if err = ReconstructRoIGuidedInto(up, prev, df.Side, cfg.Scale, job.RoI, v.kernel, job.Pool); err != nil {
 			return nil, fmt.Errorf("srdecoder: frame %d reconstruct: %w", job.Index, err)
 		}
 	default:
 		return nil, fmt.Errorf("srdecoder: frame %d: unexpected type %v", job.Index, job.Type)
 	}
-	v.hrPrev = up
 	return up, nil
 }
 
@@ -132,8 +79,7 @@ func (v *variant) Upscale(df *codec.DecodedFrame, job *pipeline.FrameJob) (*fram
 // NPU∥GPU RoI upscale; non-reference frames pay only a widened HW decode
 // pass at HR — no NPU, GPU or CPU involvement, which is where the §VI
 // energy saving comes from.
-func (v *variant) Cost(job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail]float64, error) {
-	cfg := v.r.cfg
+func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail]float64, error) {
 	lrPx := cfg.LRWidth * cfg.LRHeight
 	hrPx := lrPx * cfg.Scale * cfg.Scale
 	roiPx := cfg.RoIWindow * cfg.RoIWindow

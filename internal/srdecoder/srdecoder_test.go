@@ -22,25 +22,27 @@ func testConfig(t testing.TB) pipeline.Config {
 	return pipeline.Config{Game: g, SimDiv: 8, GOPSize: 8}
 }
 
-func TestValidation(t *testing.T) {
-	if _, err := New(pipeline.Config{SimDiv: 500}, upscale.Bicubic); err == nil {
-		t.Error("bad geometry should fail")
-	}
-	r, err := New(testConfig(t), upscale.Bicubic)
+// run streams n frames of cfg through vs on one pass.
+func run(t testing.TB, cfg pipeline.Config, n int, vs ...pipeline.Variant) []*pipeline.Result {
+	t.Helper()
+	res, err := pipeline.Run(cfg, n, vs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Run(0); err == nil {
+	return res
+}
+
+func TestValidation(t *testing.T) {
+	if _, err := pipeline.Run(pipeline.Config{SimDiv: 500}, 1, New(upscale.Bicubic)); err == nil {
+		t.Error("bad geometry should fail")
+	}
+	if _, err := pipeline.Run(testConfig(t), 0, New(upscale.Bicubic)); err == nil {
 		t.Error("zero frames should fail")
 	}
 }
 
 func TestRunShape(t *testing.T) {
-	r, _ := New(testConfig(t), upscale.Bicubic)
-	res, err := r.Run(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, testConfig(t), 6, New(upscale.Bicubic))[0]
 	if res.Pipeline != "srdecoder" || len(res.Frames) != 6 {
 		t.Fatalf("result = %s, %d", res.Pipeline, len(res.Frames))
 	}
@@ -68,21 +70,8 @@ func TestEnergySavingsVsBaselines(t *testing.T) {
 	// than the software pipelines — "as high as 50%" versus the SOTA.
 	cfg := testConfig(t)
 	cfg.GOPSize = 6
-	fut, _ := New(cfg, upscale.Bicubic)
-	futRes, err := fut.Run(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, _ := nemo.New(cfg)
-	baseRes, err := base.Run(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ours, _ := pipeline.NewGameStream(cfg)
-	oursRes, err := ours.Run(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg, 6, New(upscale.Bicubic), nemo.New(), pipeline.Ours())
+	futRes, baseRes, oursRes := res[0], res[1], res[2]
 	futE, _ := futRes.GOPEnergyTotal(60)
 	baseE, _ := baseRes.GOPEnergyTotal(60)
 	oursE, _ := oursRes.GOPEnergyTotal(60)
@@ -103,16 +92,8 @@ func TestRoIGuidedBeatsUniformBilinear(t *testing.T) {
 	// improve it.
 	cfg := testConfig(t)
 	cfg.GOPSize = 10
-	bicubic, _ := New(cfg, upscale.Bicubic)
-	resB, err := bicubic.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bilinear, _ := New(cfg, upscale.Bilinear)
-	resL, err := bilinear.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg, 10, New(upscale.Bicubic), New(upscale.Bilinear))
+	resB, resL := res[0], res[1]
 	pb, _ := resB.MeanPSNR()
 	pl, _ := resL.MeanPSNR()
 	if pb < pl {
@@ -127,11 +108,7 @@ func TestQualityDecayBounded(t *testing.T) {
 	// at the next reference.
 	cfg := testConfig(t)
 	cfg.GOPSize = 5
-	r, _ := New(cfg, upscale.Bicubic)
-	res, err := r.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg, 10, New(upscale.Bicubic))[0]
 	if res.Frames[5].Type != codec.Intra {
 		t.Fatal("frame 5 should be a reference")
 	}
@@ -186,11 +163,7 @@ func TestReconstructRoIGuidedIdentity(t *testing.T) {
 func TestNonRefThroughputRealTime(t *testing.T) {
 	// The bypass path must sustain well above 60 FPS so the whole design
 	// stays real-time without the NPU.
-	r, _ := New(testConfig(t), upscale.Lanczos3)
-	res, err := r.Run(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, testConfig(t), 4, New(upscale.Lanczos3))[0]
 	for _, f := range res.Frames[1:] {
 		perFrame := f.Stages.Decode + f.Stages.Upscale
 		if perFrame > 16*time.Millisecond {
