@@ -58,20 +58,13 @@ import (
 )
 
 func main() {
-	cfg := clientConfig{}
-	flag.StringVar(&cfg.addr, "addr", "localhost:7007", "server address")
-	flag.StringVar(&cfg.devName, "device", "s8", "device profile (s8 or pixel)")
-	flag.IntVar(&cfg.scale, "scale", 2, "upscale factor")
-	flag.StringVar(&cfg.save, "save", "", "save the last upscaled frame to this PPM path")
-	flag.StringVar(&cfg.metricsAddr, "metrics", "", "serve /metrics, /metrics.json and /debug/flight on this address")
-	flag.StringVar(&cfg.flightPath, "flight", "", "write the flight-recorder window to this file on exit (Chrome trace JSON)")
-	flag.IntVar(&cfg.flightFrames, "flight-frames", frametrace.DefaultFrames, "flight-recorder ring size in frames")
-	flag.IntVar(&cfg.statsEvery, "stats-every", 60, "send a Stats backchannel report every N frames (0 disables)")
-	flag.IntVar(&cfg.reconnect, "reconnect", 0, "redial a dropped session up to N times (0 disables auto-reconnect)")
-	flag.DurationVar(&cfg.reconnectBase, "reconnect-base", 500*time.Millisecond, "initial reconnect backoff (doubles per attempt, with jitter)")
-	flag.DurationVar(&cfg.reconnectMax, "reconnect-max", 15*time.Second, "reconnect backoff ceiling")
-	flag.DurationVar(&cfg.ping, "ping", stream.DefaultPingInterval, "heartbeat interval (0 disables pings)")
-	flag.Parse()
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
+	}
 
 	// SIGINT/SIGTERM end the session cleanly: the signal context triggers a
 	// protocol Bye before the connection drops, so the server logs a clean
@@ -82,6 +75,35 @@ func main() {
 		logx.Error("gssr-client exiting", "err", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags reads the command line into a clientConfig. A value the
+// reconnect loop cannot work with is refused here, once: the backoff doubles
+// from -reconnect-base and draws its jitter from half of it.
+func parseFlags(args []string) (clientConfig, error) {
+	var cfg clientConfig
+	fs := flag.NewFlagSet("gssr-client", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", "localhost:7007", "server address")
+	fs.StringVar(&cfg.devName, "device", "s8", "device profile (s8 or pixel)")
+	fs.IntVar(&cfg.scale, "scale", 2, "upscale factor")
+	fs.StringVar(&cfg.save, "save", "", "save the last upscaled frame to this PPM path")
+	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve /metrics, /metrics.json and /debug/flight on this address")
+	fs.StringVar(&cfg.flightPath, "flight", "", "write the flight-recorder window to this file on exit (Chrome trace JSON)")
+	fs.IntVar(&cfg.flightFrames, "flight-frames", frametrace.DefaultFrames, "flight-recorder ring size in frames")
+	fs.IntVar(&cfg.statsEvery, "stats-every", 60, "send a Stats backchannel report every N frames (0 disables)")
+	fs.IntVar(&cfg.reconnect, "reconnect", 0, "redial a dropped session up to N times (0 disables auto-reconnect)")
+	fs.DurationVar(&cfg.reconnectBase, "reconnect-base", 500*time.Millisecond, "initial reconnect backoff, > 0 (doubles per attempt, with jitter)")
+	fs.DurationVar(&cfg.reconnectMax, "reconnect-max", 15*time.Second, "reconnect backoff ceiling")
+	fs.DurationVar(&cfg.ping, "ping", stream.DefaultPingInterval, "heartbeat interval (0 disables pings)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if cfg.reconnectBase <= 0 {
+		err := fmt.Errorf("-reconnect-base must be positive, got %v", cfg.reconnectBase)
+		fmt.Fprintln(fs.Output(), err)
+		return cfg, err
+	}
+	return cfg, nil
 }
 
 type clientConfig struct {
@@ -169,9 +191,6 @@ func run(ctx context.Context, cc clientConfig) error {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(start.UnixNano()))
 	backoff := cc.reconnectBase
-	if backoff <= 0 {
-		backoff = 500 * time.Millisecond
-	}
 	attempt := 0
 	var sessErr error
 	for {
@@ -405,7 +424,7 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	// DESIGN.md §12): skip the DNN and keep the bilinear frame.
 	roiRect := pkt.RoI.Clamp(df.Image.W, df.Image.H)
 	base := st.pool.Image(df.Image.W*scale, df.Image.H*scale)
-	ut, err := pipeline.UpscaleRoI(base, df.Image, roiRect, scale, st.engine, nil, st.pool)
+	ut, err := pipeline.UpscaleRoI(base, df.Image, roiRect, scale, st.engine, st.pool)
 	// The decoded frame's buffers go back to the pool; its image stays the
 	// decoder's inter reference until the next Decode replaces it.
 	st.dec.Recycle(df)

@@ -79,6 +79,24 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestReconnectBaseMustBePositive: the reconnect loop doubles its backoff
+// from -reconnect-base and draws jitter from half of it, so a zero base
+// never backs off and a negative one panics the jitter draw after a
+// session that made progress. Both are refused when the flags are parsed.
+func TestReconnectBaseMustBePositive(t *testing.T) {
+	for _, v := range []string{"-1s", "0", "0s", "-1ns"} {
+		if _, err := parseFlags([]string{"-reconnect-base=" + v}); err == nil || !strings.Contains(err.Error(), "reconnect-base") {
+			t.Errorf("-reconnect-base=%s: err %v, want a refusal naming the flag", v, err)
+		}
+	}
+	for args, want := range map[string]time.Duration{"": 500 * time.Millisecond, "-reconnect-base=200ms": 200 * time.Millisecond} {
+		cfg, err := parseFlags(strings.Fields(args))
+		if err != nil || cfg.reconnectBase != want {
+			t.Errorf("parseFlags(%q): base %v, err %v; want %v", args, cfg.reconnectBase, err, want)
+		}
+	}
+}
+
 // codedSource encodes a moving gradient: real codec frames, so the client
 // runs its whole decode → upscale ∥ SR → merge path.
 type codedSource struct {

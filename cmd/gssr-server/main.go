@@ -31,7 +31,7 @@
 //
 // Scale controls (DESIGN.md §12): every session renders through its own
 // client of the shared parallel.Scheduler, so concurrent sessions share the
-// worker pool by weighted fair queueing instead of fighting over it. With
+// worker pool by fair queueing instead of fighting over it. With
 // -admission (requires -flight), a new connection is refused with a
 // protocol-level Busy reject once the live sessions' windowed p99 frame
 // latency leaves less than -admission-slack of headroom against the frame

@@ -311,8 +311,8 @@ type (
 func NewFlightRecorder(cfg FlightConfig) *FlightRecorder { return frametrace.New(cfg) }
 
 // BufferPool is the size-bucketed frame/plane recycler threaded through the
-// frame loop (Config.Pool, Encoder.SetPool, Decoder.SetPool). See DESIGN.md
-// §10 for the ownership and aliasing rules.
+// frame loop (Encoder.SetPool, Decoder.SetPool; every Run makes its own).
+// See DESIGN.md §10 for the ownership and aliasing rules.
 type BufferPool = bufpool.Pool
 
 // NewBufferPool builds an empty pool. Call its Instrument method to expose

@@ -238,7 +238,7 @@ func (e *Encoder) SetPool(p *bufpool.Pool) { e.pool = p }
 
 // SetSched attributes the encoder's row-parallel passes (motion search,
 // residual and reconstruction) to the scheduler client c, so a session's
-// encode shares the worker pool by its weight and priority; nil reverts to
+// encode shares the worker pool by its priority; nil reverts to
 // the default client. The bitstream does not depend on it.
 func (e *Encoder) SetSched(c *parallel.Client) { e.sched = c }
 

@@ -64,11 +64,10 @@ type Config struct {
 	// Cooldown is the minimum spacing between bundles (default
 	// DefaultCooldown; negative disables the cooldown — test use only).
 	Cooldown time.Duration
-	// Keep bounds the in-memory bundle ring served over HTTP (default 4).
-	Keep int
-	// Sampler configures the continuous profile ring.
-	Sampler SamplerConfig
 }
+
+// keepBundles bounds the in-memory bundle ring served over HTTP.
+const keepBundles = 4
 
 // Bundle is one frozen capture. Large payloads ([]byte) serialise as
 // base64 in JSON; FlightTrace and Metrics are embedded JSON documents.
@@ -134,7 +133,7 @@ type Diag struct {
 
 	mu      sync.Mutex
 	last    time.Time // end of the previous capture, for the cooldown
-	bundles []*Bundle // newest last, bounded to cfg.Keep
+	bundles []*Bundle // newest last, bounded to keepBundles
 
 	bundlesTotal    *telemetry.Counter
 	triggersTotal   *telemetry.Counter
@@ -146,13 +145,10 @@ func New(cfg Config) *Diag {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = DefaultCooldown
 	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = 4
-	}
 	if cfg.Log == nil {
 		cfg.Log = logx.Default()
 	}
-	d := &Diag{cfg: cfg, sampler: NewSampler(cfg.Sampler)}
+	d := &Diag{cfg: cfg, sampler: NewSampler(SamplerConfig{})}
 	d.bundlesTotal = cfg.Metrics.Counter("diag_bundles_total")
 	d.triggersTotal = cfg.Metrics.Counter("diag_triggers_total")
 	d.suppressedTotal = cfg.Metrics.Counter("diag_triggers_suppressed_total")
@@ -244,9 +240,9 @@ func (d *Diag) Trigger(reason string, detail ...any) bool {
 	d.mu.Lock()
 	d.last = time.Now()
 	d.bundles = append(d.bundles, b)
-	if len(d.bundles) > d.cfg.Keep {
-		copy(d.bundles, d.bundles[len(d.bundles)-d.cfg.Keep:])
-		d.bundles = d.bundles[:d.cfg.Keep]
+	if len(d.bundles) > keepBundles {
+		copy(d.bundles, d.bundles[len(d.bundles)-keepBundles:])
+		d.bundles = d.bundles[:keepBundles]
 	}
 	d.mu.Unlock()
 	d.bundlesTotal.Inc()

@@ -235,7 +235,7 @@ func Fig3a(w io.Writer, opt Options) error {
 	hrW := cfg.LRWidth / opt.SimDiv * 2
 	hrH := cfg.LRHeight / opt.SimDiv * 2
 	sc, cam := g.Frame(30)
-	gt := cfg.Renderer.Render(sc, cam, hrW, hrH)
+	gt := (&render.Renderer{}).Render(sc, cam, hrW, hrH)
 
 	cases := []struct {
 		label  string
@@ -326,7 +326,7 @@ func Fig8(w io.Writer, opt Options) error {
 		if err != nil {
 			return err
 		}
-		out := g.Render(cfg.Renderer, 30, simW, simH)
+		out := g.Render(&render.Renderer{}, 30, simW, simH)
 		rect, dbg, err := det.DetectDebug(out.Depth)
 		if err != nil {
 			return err

@@ -38,7 +38,7 @@ func refLuma(im *frame.Image) []float64 {
 	return out
 }
 
-func refMSEOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
+func refMSE(a, b *frame.Image) (float64, error) {
 	if a.W != b.W || a.H != b.H {
 		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrSizeMismatch, a.W, a.H, b.W, b.H)
 	}
@@ -46,7 +46,7 @@ func refMSEOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 		return 0, errors.New("metrics: empty image")
 	}
 	la, lb := refLuma(a), refLuma(b)
-	sum := c.Sum(len(la), func(lo, hi int) float64 {
+	sum := parallel.Sum(len(la), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			d := la[i] - lb[i]
@@ -57,8 +57,8 @@ func refMSEOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 	return sum / float64(len(la)), nil
 }
 
-func refPSNROn(c *parallel.Client, a, b *frame.Image) (float64, error) {
-	mse, err := refMSEOn(c, a, b)
+func refPSNR(a, b *frame.Image) (float64, error) {
+	mse, err := refMSE(a, b)
 	if err != nil {
 		return 0, err
 	}
@@ -68,7 +68,7 @@ func refPSNROn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 	return 10 * math.Log10(255*255/mse), nil
 }
 
-func refSSIMOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
+func refSSIM(a, b *frame.Image) (float64, error) {
 	if a.W != b.W || a.H != b.H {
 		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrSizeMismatch, a.W, a.H, b.W, b.H)
 	}
@@ -83,7 +83,7 @@ func refSSIMOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 	)
 	winRows := a.H / win
 	winCols := a.W / win
-	total := c.Sum(winRows, func(r0, r1 int) float64 {
+	total := parallel.Sum(winRows, func(r0, r1 int) float64 {
 		var band float64
 		for r := r0; r < r1; r++ {
 			y := r * win
@@ -121,7 +121,7 @@ func refSSIMOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 	return total / float64(winRows*winCols), nil
 }
 
-func refLPIPSProxyOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
+func refLPIPSProxy(a, b *frame.Image) (float64, error) {
 	if a.W != b.W || a.H != b.H {
 		return 0, fmt.Errorf("%w: %dx%d vs %dx%d", ErrSizeMismatch, a.W, a.H, b.W, b.H)
 	}
@@ -138,15 +138,15 @@ func refLPIPSProxyOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 		fb[i] = make([]float64, w*h)
 	}
 	for level := 0; level < 3 && w >= 4 && h >= 4; level++ {
-		refFeatureChannelsInto(c, &fa, la, w, h)
-		refFeatureChannelsInto(c, &fb, lb, w, h)
+		refFeatureChannelsInto(&fa, la, w, h)
+		refFeatureChannelsInto(&fb, lb, w, h)
 		for ch := range fa {
-			dist += refNormalisedDistance(c, fa[ch][:w*h], fb[ch][:w*h])
+			dist += refNormalisedDistance(fa[ch][:w*h], fb[ch][:w*h])
 		}
 		levels++
 		nla, nlb := make([]float64, w/2*(h/2)), make([]float64, w/2*(h/2))
-		downsample2Into(c, nla, la, w, h)
-		downsample2Into(c, nlb, lb, w, h)
+		downsample2Into(nla, la, w, h)
+		downsample2Into(nlb, lb, w, h)
 		la, lb = nla, nlb
 		w, h = w/2, h/2
 	}
@@ -154,8 +154,8 @@ func refLPIPSProxyOn(c *parallel.Client, a, b *frame.Image) (float64, error) {
 	return 1 - math.Exp(-3*d), nil
 }
 
-func refFeatureChannelsInto(c *parallel.Client, out *[4][]float64, l []float64, w, h int) {
-	c.For(h, func(y0, y1 int) {
+func refFeatureChannelsInto(out *[4][]float64, l []float64, w, h int) {
+	parallel.For(h, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < w; x++ {
 				i := y*w + x
@@ -183,9 +183,9 @@ func refFeatureChannelsInto(c *parallel.Client, out *[4][]float64, l []float64, 
 	})
 }
 
-func refNormalisedDistance(c *parallel.Client, a, b []float64) float64 {
+func refNormalisedDistance(a, b []float64) float64 {
 	var accBuf [2]float64
-	acc := c.SumVecInto(accBuf[:], len(a), 2, func(lo, hi int, acc []float64) {
+	acc := parallel.SumVecInto(accBuf[:], len(a), 2, func(lo, hi int, acc []float64) {
 		for i := lo; i < hi; i++ {
 			acc[0] += math.Abs(a[i] - b[i])
 			acc[1] += math.Abs(a[i]) + math.Abs(b[i])
@@ -269,29 +269,24 @@ func exactnessCases(tb testing.TB) []pairCase {
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // TestMeasureMatchesReference holds Measure and each single-metric function
-// to the three-call, feature-plane reference with ==, not a tolerance, on an
-// inline scheduler, a three-worker one and the default client.
+// to the three-call, feature-plane reference with ==, not a tolerance.
+// That the reductions do not depend on the number of workers is
+// parallel's TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS.
 func TestMeasureMatchesReference(t *testing.T) {
-	inline, wide := parallel.NewScheduler(1), parallel.NewScheduler(3)
-	defer inline.Close()
-	defer wide.Close()
-	clients := []*parallel.Client{nil, inline.NewClient(parallel.ClientConfig{Name: "inline"}), wide.NewClient(parallel.ClientConfig{Name: "wide"})}
 	for _, tc := range exactnessCases(t) {
-		wantP, err := refPSNROn(nil, tc.a, tc.b)
+		wantP, err := refPSNR(tc.a, tc.b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantM, _ := refMSEOn(nil, tc.a, tc.b)
-		wantS, _ := refSSIMOn(nil, tc.a, tc.b)
-		wantL, _ := refLPIPSProxyOn(nil, tc.a, tc.b)
-		for _, c := range clients {
-			got, err := Measure(c, tc.a, tc.b)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
-			if !sameBits(got.PSNR, wantP) || !sameBits(got.SSIM, wantS) || !sameBits(got.LPIPS, wantL) {
-				t.Errorf("%s on %s: Measure = %+v, reference = {%v %v %v}", tc.name, c.Name(), got, wantP, wantS, wantL)
-			}
+		wantM, _ := refMSE(tc.a, tc.b)
+		wantS, _ := refSSIM(tc.a, tc.b)
+		wantL, _ := refLPIPSProxy(tc.a, tc.b)
+		got, err := Measure(tc.a, tc.b)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !sameBits(got.PSNR, wantP) || !sameBits(got.SSIM, wantS) || !sameBits(got.LPIPS, wantL) {
+			t.Errorf("%s: Measure = %+v, reference = {%v %v %v}", tc.name, got, wantP, wantS, wantL)
 		}
 		m, _ := MSE(tc.a, tc.b)
 		p, _ := PSNR(tc.a, tc.b)
@@ -318,16 +313,16 @@ func TestMeasureValidation(t *testing.T) {
 		{noisy(7, 9, 1), noisy(7, 9, 2), "metrics: image 7x9 smaller than SSIM window 8"},
 		{noisy(4, 4, 1), noisy(4, 4, 2), "metrics: image 4x4 smaller than SSIM window 8"},
 	} {
-		_, err := Measure(nil, tc.a, tc.b)
+		_, err := Measure(tc.a, tc.b)
 		var wantErr error
-		if _, wantErr = refPSNROn(nil, tc.a, tc.b); wantErr == nil {
-			_, wantErr = refSSIMOn(nil, tc.a, tc.b)
+		if _, wantErr = refPSNR(tc.a, tc.b); wantErr == nil {
+			_, wantErr = refSSIM(tc.a, tc.b)
 		}
 		if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Measure(%dx%d, %dx%d) error %v, reference %v, want %q", tc.a.W, tc.a.H, tc.b.W, tc.b.H, err, wantErr, tc.want)
 		}
 	}
-	if _, err := Measure(nil, noisy(8, 8, 1), noisy(9, 8, 1)); !errors.Is(err, ErrSizeMismatch) {
+	if _, err := Measure(noisy(8, 8, 1), noisy(9, 8, 1)); !errors.Is(err, ErrSizeMismatch) {
 		t.Errorf("size mismatch error %v does not wrap ErrSizeMismatch", err)
 	}
 }
@@ -339,11 +334,11 @@ func TestMeasureValidation(t *testing.T) {
 // size class), so per-pixel feature planes cannot come back unnoticed.
 func TestMeasureFootprint(t *testing.T) {
 	gt, up := renderedG3(t, 640, 360)
-	if _, err := Measure(nil, gt, up); err != nil {
+	if _, err := Measure(gt, up); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Measure(nil, gt, up); err != nil {
+		if _, err := Measure(gt, up); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -360,7 +355,7 @@ func TestMeasureFootprint(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := Measure(nil, gt, up); err != nil {
+	if _, err := Measure(gt, up); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
@@ -380,7 +375,7 @@ func BenchmarkMeasure360p(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Measure(nil, gt, up); err != nil {
+		if _, err := Measure(gt, up); err != nil {
 			b.Fatal(err)
 		}
 	}

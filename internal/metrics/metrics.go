@@ -47,49 +47,48 @@ type Scores struct {
 }
 
 // Measure returns PSNR, SSIM and the LPIPS proxy of b against a, computed
-// from one luma plane per image converted row-parallel under the scheduler
-// client c (nil means the default client). Each score is bit-identical to
-// the corresponding plain function's at any worker count: every reduction's
-// chunk grid depends only on the plane size.
-func Measure(c *parallel.Client, a, b *frame.Image) (Scores, error) {
+// from one luma plane per image converted row-parallel. Each score is
+// bit-identical to the corresponding plain function's at any worker count:
+// every reduction's chunk grid depends only on the plane size.
+func Measure(a, b *frame.Image) (Scores, error) {
 	if err := checkMSE(a, b); err != nil {
 		return Scores{}, err
 	}
 	if err := checkSSIM(a, b); err != nil {
 		return Scores{}, err
 	}
-	la, lb := lumaPair(c, a, b)
+	la, lb := lumaPair(a, b)
 	defer scratch.PutFloat64s(la)
 	defer scratch.PutFloat64s(lb)
 	return Scores{
-		PSNR:  psnr(c, la, lb, a.W, a.H),
-		SSIM:  ssim(c, la, lb, a.W, a.H),
-		LPIPS: lpips(c, la, lb, a.W, a.H),
+		PSNR:  psnr(la, lb, a.W, a.H),
+		SSIM:  ssim(la, lb, a.W, a.H),
+		LPIPS: lpips(la, lb, a.W, a.H),
 	}, nil
 }
 
-// lumaPair converts both images to pooled luma planes, row-parallel under c.
-// The caller returns both planes to scratch.
-func lumaPair(c *parallel.Client, a, b *frame.Image) (la, lb []float64) {
+// lumaPair converts both images to pooled luma planes, row-parallel. The
+// caller returns both planes to scratch.
+func lumaPair(a, b *frame.Image) (la, lb []float64) {
 	la, lb = scratch.Float64s(a.W*a.H), scratch.Float64s(b.W*b.H)
-	c.For(a.H, func(y0, y1 int) {
+	parallel.For(a.H, func(y0, y1 int) {
 		a.LumaRowsInto(la, y0, y1)
 		b.LumaRowsInto(lb, y0, y1)
 	})
 	return la, lb
 }
 
-// plain runs one plane metric on the default client after its own size
-// check: the body of the single-metric functions.
+// plain runs one plane metric after its own size check: the body of the
+// single-metric functions.
 func plain(a, b *frame.Image, check func(a, b *frame.Image) error,
-	metric func(c *parallel.Client, la, lb []float64, w, h int) float64) (float64, error) {
+	metric func(la, lb []float64, w, h int) float64) (float64, error) {
 	if err := check(a, b); err != nil {
 		return 0, err
 	}
-	la, lb := lumaPair(nil, a, b)
+	la, lb := lumaPair(a, b)
 	defer scratch.PutFloat64s(la)
 	defer scratch.PutFloat64s(lb)
-	return metric(nil, la, lb, a.W, a.H), nil
+	return metric(la, lb, a.W, a.H), nil
 }
 
 func sameSize(a, b *frame.Image) error {
@@ -141,8 +140,8 @@ func PSNR(a, b *frame.Image) (float64, error) {
 }
 
 // mse is the mean squared difference of two luma planes of w×h.
-func mse(c *parallel.Client, la, lb []float64, _, _ int) float64 {
-	sum := c.Sum(len(la), func(lo, hi int) float64 {
+func mse(la, lb []float64, _, _ int) float64 {
+	sum := parallel.Sum(len(la), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
 			d := la[i] - lb[i]
@@ -153,8 +152,8 @@ func mse(c *parallel.Client, la, lb []float64, _, _ int) float64 {
 	return sum / float64(len(la))
 }
 
-func psnr(c *parallel.Client, la, lb []float64, w, h int) float64 {
-	m := mse(c, la, lb, w, h)
+func psnr(la, lb []float64, w, h int) float64 {
+	m := mse(la, lb, w, h)
 	if m == 0 {
 		return math.Inf(1)
 	}
@@ -168,7 +167,7 @@ func SSIM(a, b *frame.Image) (float64, error) {
 }
 
 // ssim is the mean SSIM over the whole 8×8 windows of two w×h luma planes.
-func ssim(c *parallel.Client, la, lb []float64, w, h int) float64 {
+func ssim(la, lb []float64, w, h int) float64 {
 	const (
 		win = ssimWin
 		c1  = 6.5025  // (0.01*255)^2
@@ -177,7 +176,7 @@ func ssim(c *parallel.Client, la, lb []float64, w, h int) float64 {
 	winRows := h / win
 	winCols := w / win
 	// One parallel band per row of windows; each window is self-contained.
-	total := c.Sum(winRows, func(r0, r1 int) float64 {
+	total := parallel.Sum(winRows, func(r0, r1 int) float64 {
 		var band float64
 		for r := r0; r < r1; r++ {
 			y := r * win
@@ -242,13 +241,13 @@ func LPIPSProxy(a, b *frame.Image) (float64, error) {
 // four feature channels per level; a level's channel sums come from one
 // fused pass that computes the features of both planes at each index and
 // stores none of them.
-func lpips(c *parallel.Client, la, lb []float64, w, h int) float64 {
+func lpips(la, lb []float64, w, h int) float64 {
 	var accBuf [8]float64
 	var dist float64
 	levels := 0
 	pa, pb := la, lb
 	for level := 0; ; level++ {
-		acc := c.SumVecInto(accBuf[:], w*h, 8, func(lo, hi int, acc []float64) {
+		acc := parallel.SumVecInto(accBuf[:], w*h, 8, func(lo, hi int, acc []float64) {
 			featureSums(acc, pa, pb, w, h, lo, hi)
 		})
 		for ch := 0; ch < 4; ch++ {
@@ -259,8 +258,8 @@ func lpips(c *parallel.Client, la, lb []float64, w, h int) float64 {
 			break
 		}
 		na, nb := scratch.Float64s(w/2*(h/2)), scratch.Float64s(w/2*(h/2))
-		downsample2Into(c, na, pa, w, h)
-		downsample2Into(c, nb, pb, w, h)
+		downsample2Into(na, pa, w, h)
+		downsample2Into(nb, pb, w, h)
 		if level > 0 {
 			scratch.PutFloat64s(pa)
 			scratch.PutFloat64s(pb)
@@ -333,9 +332,9 @@ func channelDistance(diff, energy float64) float64 {
 
 // downsample2Into halves a luma plane with 2×2 box averaging, writing the
 // (w/2)·(h/2) result into out (fully overwritten; dirty pooled is fine).
-func downsample2Into(c *parallel.Client, out, l []float64, w, h int) {
+func downsample2Into(out, l []float64, w, h int) {
 	nw, nh := w/2, h/2
-	c.For(nh, func(y0, y1 int) {
+	parallel.For(nh, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			for x := 0; x < nw; x++ {
 				i := 2*y*w + 2*x

@@ -201,7 +201,7 @@ func TestLPIPSSmallButValidImage(t *testing.T) {
 func TestDownsample2(t *testing.T) {
 	l := []float64{1, 3, 5, 7}
 	out := []float64{-99} // dirty destination must be overwritten
-	downsample2Into(nil, out, l, 2, 2)
+	downsample2Into(out, l, 2, 2)
 	if out[0] != 4 {
 		t.Errorf("downsample = %v, want [4]", out)
 	}

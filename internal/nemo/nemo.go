@@ -75,8 +75,6 @@ func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stag
 	em := device.NewEnergyMeter(dev)
 	st := pipeline.Stages{
 		Input:    job.InputLat,
-		Render:   cfg.Server.RenderLatency(lrPx),
-		Encode:   cfg.Server.EncodeLatency(lrPx),
 		Transmit: job.TransmitLat,
 		// Modified codec ⇒ software decoder on the CPU.
 		Decode:  dev.SWDecodeLatency(lrPx),

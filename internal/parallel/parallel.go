@@ -4,16 +4,16 @@
 // parallelism, plus deterministic reductions.
 //
 // The pool is owned by a session-aware Scheduler (sched.go): every
-// submission goes through a Client handle carrying a weight and a priority,
-// and workers dispatch chunks across concurrently submitted jobs by
-// weighted fair queueing. The package-level functions below are a facade
-// over Default()'s default client, so call sites that don't care about
-// attribution keep their signatures.
+// submission goes through a Client handle carrying a priority, and workers
+// dispatch chunks across concurrently submitted jobs by fair queueing. The
+// package-level functions below are a facade over Default()'s default
+// client, so call sites that don't care about attribution keep their
+// signatures.
 //
 // Determinism contract: work is split into a chunk grid that depends only on
-// the problem size n — never on GOMAXPROCS, pool occupancy, scheduling,
-// client weights or priorities. Chunks may execute in any order on any
-// worker, so plain For callbacks must write disjoint output ranges (true of
+// the problem size n — never on GOMAXPROCS, pool occupancy, scheduling or
+// client priorities. Chunks may execute in any order on any worker, so
+// plain For callbacks must write disjoint output ranges (true of
 // row-parallel kernels). Reductions (Sum, SumVec) accumulate each chunk
 // sequentially and combine the chunk partials in chunk order, so
 // floating-point results are byte-identical across GOMAXPROCS settings and
@@ -152,7 +152,7 @@ func putParts(s []float64) {
 // chunk partials in chunk order, so the floating-point result is identical
 // at any GOMAXPROCS. fn must accumulate its [lo, hi) range sequentially.
 func Sum(n int, fn func(lo, hi int) float64) float64 {
-	return (*Client)(nil).Sum(n, fn)
+	return (*Client)(nil).sum(n, fn)
 }
 
 // SumVec is Sum for k simultaneous accumulators: fn adds its [lo, hi)
@@ -160,12 +160,12 @@ func Sum(n int, fn func(lo, hi int) float64) float64 {
 // component-wise in chunk order. The result slice is freshly allocated and
 // owned by the caller; SumVecInto avoids even that allocation.
 func SumVec(n, k int, fn func(lo, hi int, acc []float64)) []float64 {
-	return (*Client)(nil).SumVec(n, k, fn)
+	return SumVecInto(make([]float64, k), n, k, fn)
 }
 
 // SumVecInto is SumVec writing the combined accumulators into total, which
 // must have length k and is returned. total is fully overwritten, so it may
 // be a dirty pooled buffer.
 func SumVecInto(total []float64, n, k int, fn func(lo, hi int, acc []float64)) []float64 {
-	return (*Client)(nil).SumVecInto(total, n, k, fn)
+	return (*Client)(nil).sumVecInto(total, n, k, fn)
 }

@@ -1,24 +1,24 @@
 package parallel
 
 // Session-aware scheduling: the worker pool is owned by a Scheduler, and
-// every submission is attributed to a Client carrying a weight and a
-// priority. Workers dispatch chunks across concurrently submitted jobs by
-// weighted fair queueing (per-client virtual time advances by 1/weight per
-// chunk; the runnable job whose client is furthest behind goes first), with
-// priority classes strictly above the WFQ order. The package-level
-// For/ForWith/Sum/SumVec API is a facade over Default()'s default client,
-// so kernels that don't care about attribution keep their signatures.
+// every submission is attributed to a Client carrying a priority. Workers
+// dispatch chunks across concurrently submitted jobs by fair queueing
+// (per-client virtual time advances by one per chunk; the runnable job
+// whose client is furthest behind goes first), with priority classes
+// strictly above the fair order. The package-level For/ForWith/Sum/SumVec
+// API is a facade over Default()'s default client, so kernels that don't
+// care about attribution keep their signatures.
 //
 // Two properties of the original pool are preserved exactly:
 //
 //   - Determinism: the chunk grid depends only on n, and reductions combine
 //     chunk partials in chunk order, so results are byte-identical no matter
-//     which client, weight or worker count executed them.
+//     which client, priority or worker count executed them.
 //   - Deadlock freedom under nesting: the submitting goroutine always works
-//     through its own job's chunks regardless of weight or priority, so a
-//     saturated (or deprioritised) client degrades to inline sequential
-//     execution instead of blocking. Weights and priorities only arbitrate
-//     *worker help*, never progress.
+//     through its own job's chunks regardless of priority, so a saturated
+//     (or deprioritised) client degrades to inline sequential execution
+//     instead of blocking. Priorities only arbitrate *worker help*, never
+//     progress.
 
 import (
 	"context"
@@ -30,40 +30,29 @@ import (
 )
 
 // Priority ranks a client's jobs for worker attention. Within a priority
-// class, chunks are dispatched by weighted fairness; across classes, the
-// higher class always wins. The zero value is Normal, so zero-configured
-// clients behave like the pre-scheduler pool.
+// class, chunks are dispatched by fairness; across classes, the higher
+// class always wins. The zero value is Normal, so new clients behave like
+// the pre-scheduler pool.
 type Priority int32
 
 const (
-	// Background clients receive worker help only when no Normal or
-	// Interactive chunks are runnable — the shed ladder's demotion rung.
+	// Background clients receive worker help only when no Normal chunks
+	// are runnable — the shed ladder's demotion rung.
 	Background Priority = -1
 	// Normal is the default class.
 	Normal Priority = 0
-	// Interactive clients preempt Normal ones in the dispatch order.
-	Interactive Priority = 1
 )
-
-// vUnit is the virtual-time advance of one chunk at weight 1. Large enough
-// that integer division by any sane weight keeps resolution.
-const vUnit = 1 << 16
 
 // ClientConfig parameterises Scheduler.NewClient.
 type ClientConfig struct {
 	// Name labels the client in stats (it has no scheduling effect).
 	Name string
-	// Weight is the client's WFQ share (default 1): with two saturating
-	// clients of weights 1 and 3, workers execute their chunks 1:3.
-	Weight int
-	// Priority is the client's dispatch class (default Normal).
-	Priority Priority
 }
 
 // Client is a scheduling handle: submissions through it are dispatched by
-// its weight/priority and accounted to it. A nil *Client is valid
-// everywhere and means Default()'s default client, so kernels can thread an
-// optional client without branching.
+// its priority and accounted to it. A nil *Client is valid everywhere and
+// means Default()'s default client, so kernels can thread an optional
+// client without branching.
 type Client struct {
 	s    *Scheduler
 	name string
@@ -73,9 +62,8 @@ type Client struct {
 	// allocation. Immutable after creation.
 	labelCtx context.Context
 
-	prio   atomic.Int32
-	vdelta atomic.Int64 // vUnit / weight
-	vtime  atomic.Int64 // WFQ virtual time, advanced per chunk
+	prio  atomic.Int32
+	vtime atomic.Int64 // fair-queueing virtual time, one per chunk
 
 	jobs         atomic.Int64
 	chunks       atomic.Int64
@@ -175,7 +163,7 @@ func (j *job) runChunk(stolen bool) bool {
 		j.c.stolen.Add(1)
 		j.c.stolenWaitNs.Add(int64(time.Since(j.t0)))
 	}
-	j.c.vtime.Add(j.c.vdelta.Load())
+	j.c.vtime.Add(1)
 	nc := int(j.chunks)
 	j.body.runChunk(ci, ci*j.n/nc, (ci+1)*j.n/nc)
 	j.wg.Done()
@@ -228,9 +216,8 @@ func Default() *Scheduler {
 // Workers returns the scheduler's worker count (including the caller's slot).
 func (s *Scheduler) Workers() int { return s.size }
 
-// NewClient returns a scheduling handle with the given weight and priority.
-// Clients are lightweight and need no teardown; drop the handle when the
-// session ends.
+// NewClient returns a Normal-priority scheduling handle. Clients are
+// lightweight and need no teardown; drop the handle when the session ends.
 func (s *Scheduler) NewClient(cfg ClientConfig) *Client {
 	c := &Client{s: s, name: cfg.Name}
 	c.free.alloc = func() *job { return &job{c: c} }
@@ -239,12 +226,6 @@ func (s *Scheduler) NewClient(cfg ClientConfig) *Client {
 		name = "default"
 	}
 	c.labelCtx = pprof.WithLabels(context.Background(), pprof.Labels("sched_client", name))
-	w := cfg.Weight
-	if w <= 0 {
-		w = 1
-	}
-	c.vdelta.Store(int64(vUnit / w))
-	c.prio.Store(int32(cfg.Priority))
 	return c
 }
 
@@ -258,9 +239,9 @@ func (s *Scheduler) Close() {
 	s.cond.Broadcast()
 }
 
-// enqueue makes j visible to workers, applying the WFQ idle catch-up: a
-// client returning from idle starts at the lagging edge of the active set
-// instead of spending banked credit.
+// enqueue makes j visible to workers, applying the fair-queueing idle
+// catch-up: a client returning from idle starts at the lagging edge of the
+// active set instead of spending banked credit.
 func (s *Scheduler) enqueue(j *job) {
 	s.mu.Lock()
 	if s.closed {
@@ -413,7 +394,7 @@ func (c *Client) run(n int, body chunkBody) {
 }
 
 // For is For attributed to c: fn runs over [0, n) split into the
-// deterministic chunk grid, dispatched by c's weight and priority.
+// deterministic chunk grid, dispatched by c's priority.
 func (c *Client) For(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -428,9 +409,9 @@ func (c *Client) For(n int, fn func(lo, hi int)) {
 	c.run(n, rangeFn(fn))
 }
 
-// Sum is Sum attributed to c; the reduction order is the chunk grid's, so
+// sum is Sum attributed to c; the reduction order is the chunk grid's, so
 // the result is byte-identical whichever client or worker count ran it.
-func (c *Client) Sum(n int, fn func(lo, hi int) float64) float64 {
+func (c *Client) sum(n int, fn func(lo, hi int) float64) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -445,13 +426,8 @@ func (c *Client) Sum(n int, fn func(lo, hi int) float64) float64 {
 	return total
 }
 
-// SumVec is SumVec attributed to c.
-func (c *Client) SumVec(n, k int, fn func(lo, hi int, acc []float64)) []float64 {
-	return c.SumVecInto(make([]float64, k), n, k, fn)
-}
-
-// SumVecInto is SumVecInto attributed to c.
-func (c *Client) SumVecInto(total []float64, n, k int, fn func(lo, hi int, acc []float64)) []float64 {
+// sumVecInto is SumVecInto attributed to c.
+func (c *Client) sumVecInto(total []float64, n, k int, fn func(lo, hi int, acc []float64)) []float64 {
 	clear(total)
 	if n <= 0 {
 		return total
@@ -491,26 +467,12 @@ func ForWithOn[S any](c *Client, n int, s *Scratch[S], fn func(lo, hi int, scrat
 	s.calls.put(w)
 }
 
-// Name returns the client's label ("default" for the nil client).
-func (c *Client) Name() string { return c.norm().name }
-
 // Priority returns the client's current dispatch class.
 func (c *Client) Priority() Priority { return Priority(c.norm().prio.Load()) }
 
 // SetPriority reclassifies the client; in-flight jobs are re-ranked on the
 // next dispatch decision. This is the shed ladder's demotion hook.
 func (c *Client) SetPriority(p Priority) { c.norm().prio.Store(int32(p)) }
-
-// SetWeight changes the client's WFQ share (values <= 0 clamp to 1).
-func (c *Client) SetWeight(w int) {
-	if w <= 0 {
-		w = 1
-	}
-	c.norm().vdelta.Store(int64(vUnit / w))
-}
-
-// Weight returns the client's current WFQ share.
-func (c *Client) Weight() int { return int(vUnit / c.norm().vdelta.Load()) }
 
 // Stats returns a point-in-time copy of the client's accounting.
 func (c *Client) Stats() ClientStats {

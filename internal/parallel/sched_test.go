@@ -1,20 +1,22 @@
 package parallel
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestWFQSplitDeterministic drives the dispatch decision directly (no
-// workers racing) and checks that two saturating clients with weights 1
-// and 4 are served 1:4 by the WFQ order.
+// workers racing) and checks that two saturating clients are served
+// alternately, 1:1, by the fair-queueing order.
 func TestWFQSplitDeterministic(t *testing.T) {
 	s := NewScheduler(1) // size 1: no worker goroutines to race the picks
-	a := s.NewClient(ClientConfig{Name: "a", Weight: 1})
-	b := s.NewClient(ClientConfig{Name: "b", Weight: 4})
+	a := s.NewClient(ClientConfig{Name: "a"})
+	b := s.NewClient(ClientConfig{Name: "b"})
 
 	mkJob := func(c *Client) *job {
 		j := &job{body: chunkFn(func(_, _, _ int) {}), n: maxChunks, c: c, chunks: maxChunks}
@@ -24,42 +26,40 @@ func TestWFQSplitDeterministic(t *testing.T) {
 	ja, jb := mkJob(a), mkJob(b)
 	_ = ja
 
-	picks := map[string]int{}
+	var order []byte
 	s.mu.Lock()
 	for i := 0; i < 50; i++ {
 		j := s.pickLocked()
 		if j == nil {
 			t.Fatalf("pick %d: no runnable job", i)
 		}
-		picks[j.c.name]++
+		order = append(order, j.c.name[0])
 		// Simulate the claim without executing: advance cursor and vtime.
 		j.next.Add(1)
-		j.c.vtime.Add(j.c.vdelta.Load())
+		j.c.vtime.Add(1)
 	}
 	s.mu.Unlock()
 	s.dequeue(ja)
 	s.dequeue(jb)
 
-	if picks["a"] < 9 || picks["a"] > 11 {
-		t.Fatalf("weight-1 client got %d/50 picks, want ~10 (weight-4 got %d)", picks["a"], picks["b"])
+	if want := strings.Repeat("ab", 25); string(order) != want {
+		t.Fatalf("dispatch order %s, want %s", order, want)
 	}
 }
 
-// TestPriorityPreemptsWFQ checks that an Interactive client's chunks are
-// dispatched before a Normal client's regardless of virtual time, and that
-// Background yields to both.
+// TestPriorityPreemptsWFQ checks that a Normal client's chunks are
+// dispatched before a Background client's regardless of virtual time.
 func TestPriorityPreemptsWFQ(t *testing.T) {
 	s := NewScheduler(1)
-	bg := s.NewClient(ClientConfig{Name: "bg", Priority: Background})
+	bg := s.NewClient(ClientConfig{Name: "bg"})
+	bg.SetPriority(Background)
 	nm := s.NewClient(ClientConfig{Name: "nm"})
-	ia := s.NewClient(ClientConfig{Name: "ia", Priority: Interactive})
 	// Give the high-priority client the worst (largest) virtual time so the
-	// test distinguishes priority from WFQ order.
-	ia.vtime.Store(1 << 40)
-	nm.vtime.Store(1 << 20)
+	// test distinguishes priority from fair-queueing order.
+	nm.vtime.Store(1 << 40)
 
 	var jobs []*job
-	for _, c := range []*Client{bg, nm, ia} {
+	for _, c := range []*Client{bg, nm} {
 		j := &job{body: chunkFn(func(_, _, _ int) {}), n: 4, c: c, chunks: 4}
 		s.enqueue(j)
 		jobs = append(jobs, j)
@@ -67,14 +67,14 @@ func TestPriorityPreemptsWFQ(t *testing.T) {
 
 	var order []string
 	s.mu.Lock()
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 8; i++ {
 		j := s.pickLocked()
 		if j == nil {
 			break
 		}
 		order = append(order, j.c.name)
 		j.next.Add(1)
-		j.c.vtime.Add(j.c.vdelta.Load())
+		j.c.vtime.Add(1)
 	}
 	s.mu.Unlock()
 	for _, j := range jobs {
@@ -82,7 +82,6 @@ func TestPriorityPreemptsWFQ(t *testing.T) {
 	}
 
 	want := []string{
-		"ia", "ia", "ia", "ia",
 		"nm", "nm", "nm", "nm",
 		"bg", "bg", "bg", "bg",
 	}
@@ -106,14 +105,14 @@ func TestNestedSubmissionFromFullPool(t *testing.T) {
 	var wg sync.WaitGroup
 	var bad atomic.Int64
 	for g := 0; g < goroutines; g++ {
-		c := s.NewClient(ClientConfig{Name: "sess", Weight: 1 + g%3})
+		c := s.NewClient(ClientConfig{Name: "sess"})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
 				c.For(32, func(lo, hi int) {
 					for i := lo; i < hi; i++ {
-						inner := c.Sum(100, func(lo, hi int) float64 {
+						inner := c.sum(100, func(lo, hi int) float64 {
 							t := 0.0
 							for k := lo; k < hi; k++ {
 								t += float64(k)
@@ -135,9 +134,11 @@ func TestNestedSubmissionFromFullPool(t *testing.T) {
 }
 
 // TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS is the determinism
-// contract under the scheduler: the same reduction through differently
-// weighted and prioritised clients, at different GOMAXPROCS, must produce
-// byte-identical float64 results.
+// contract under the scheduler: the same reduction through schedulers of
+// 1, 3 and NumCPU workers, through Normal and Background clients, at
+// different GOMAXPROCS, must produce byte-identical float64 results. Every
+// kernel's reductions (metrics.Measure's among them) go through the
+// package-level Sum and SumVecInto this compares against.
 func TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS(t *testing.T) {
 	const n = 10007
 	f := func(lo, hi int) float64 {
@@ -156,20 +157,6 @@ func TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS(t *testing.T) {
 			t.Fatalf("%s: sum bits %x != reference bits %x", label, math.Float64bits(got), refBits)
 		}
 	}
-
-	s := NewScheduler(0)
-	defer s.Close()
-	heavy := s.NewClient(ClientConfig{Name: "heavy", Weight: 7, Priority: Interactive})
-	light := s.NewClient(ClientConfig{Name: "light", Weight: 1, Priority: Background})
-	check("heavy client", heavy.Sum(n, f))
-	check("light client", light.Sum(n, f))
-
-	prev := runtime.GOMAXPROCS(1)
-	one := heavy.Sum(n, f)
-	runtime.GOMAXPROCS(prev)
-	check("GOMAXPROCS=1", one)
-
-	// SumVecInto through a client must match the package-level facade.
 	vf := func(lo, hi int, acc []float64) {
 		for i := lo; i < hi; i++ {
 			acc[0] += float64(i)
@@ -177,11 +164,28 @@ func TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS(t *testing.T) {
 		}
 	}
 	want := SumVec(n, 2, vf)
-	got := light.SumVecInto(make([]float64, 2), n, 2, vf)
-	for i := range want {
-		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-			t.Fatalf("SumVec[%d] bits differ: %x != %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+
+	for _, size := range []int{1, 3, 0} {
+		s := NewScheduler(size)
+		normal := s.NewClient(ClientConfig{Name: "normal"})
+		bg := s.NewClient(ClientConfig{Name: "bg"})
+		bg.SetPriority(Background)
+		label := fmt.Sprintf("%d workers", s.Workers())
+		check(label+", Normal client", normal.sum(n, f))
+		check(label+", Background client", bg.sum(n, f))
+
+		prev := runtime.GOMAXPROCS(1)
+		one := normal.sum(n, f)
+		runtime.GOMAXPROCS(prev)
+		check(label+", GOMAXPROCS=1", one)
+
+		got := bg.sumVecInto(make([]float64, 2), n, 2, vf)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("%s: SumVec[%d] bits differ: %x != %x", label, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
 		}
+		s.Close()
 	}
 }
 
@@ -247,7 +251,7 @@ func TestClosedSchedulerRunsInline(t *testing.T) {
 	s := NewScheduler(4)
 	c := s.NewClient(ClientConfig{Name: "sess"})
 	s.Close()
-	got := c.Sum(1000, func(lo, hi int) float64 {
+	got := c.sum(1000, func(lo, hi int) float64 {
 		t := 0.0
 		for i := lo; i < hi; i++ {
 			t += float64(i)
@@ -264,8 +268,8 @@ func TestClosedSchedulerRunsInline(t *testing.T) {
 	}
 }
 
-// TestSetPriorityAndWeightLive: knobs are safe to flip while jobs run.
-func TestSetPriorityAndWeightLive(t *testing.T) {
+// TestSetPriorityLive: the priority is safe to flip while jobs run.
+func TestSetPriorityLive(t *testing.T) {
 	s := NewScheduler(0)
 	defer s.Close()
 	c := s.NewClient(ClientConfig{Name: "sess"})
@@ -282,15 +286,10 @@ func TestSetPriorityAndWeightLive(t *testing.T) {
 	}()
 	for i := 0; i < 100; i++ {
 		c.SetPriority(Background)
-		c.SetWeight(3)
 		c.SetPriority(Normal)
-		c.SetWeight(1)
 	}
 	<-done
 	if c.Priority() != Normal {
 		t.Fatalf("Priority = %v, want Normal", c.Priority())
-	}
-	if c.Weight() != 1 {
-		t.Fatalf("Weight = %d, want 1", c.Weight())
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"gamestreamsr/internal/geom"
 	"gamestreamsr/internal/metrics"
 	"gamestreamsr/internal/network"
-	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/render"
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/telemetry"
@@ -83,9 +82,6 @@ type FrameJob struct {
 	// frame, taken in frame order on the client stage.
 	InputLat    time.Duration
 	TransmitLat time.Duration
-	// Sched is the session's scheduler client (Config.Sched), riding the
-	// job so every stage's kernels are attributed to the same client.
-	Sched *parallel.Client
 }
 
 // Variant is one pipeline's client half: how it turns the shared coded
@@ -112,10 +108,15 @@ type Variant interface {
 	// Upscale reconstructs the high-resolution frame from the decoded one;
 	// prev is the variant's last delivered frame (nil before the first).
 	Upscale(cfg *Config, df *codec.DecodedFrame, job *FrameJob, prev *frame.Image) (*frame.Image, error)
-	// Cost models the per-stage latency and per-rail energy of a delivered
-	// frame from the job's geometry, type and network draws.
+	// Cost models the client and link stages' latency and the per-rail
+	// energy of a delivered frame from the job's geometry, type and network
+	// draws; the measure stage adds the server stages (see server).
 	Cost(cfg *Config, job *FrameJob) (Stages, map[device.Rail]float64, error)
 }
+
+// server is the host the measure stage bills every variant's server stages
+// on: render and encode, and RoI detection for a variant that reads the RoI.
+var server = device.DefaultServer()
 
 // frameSet is one frame in flight: the server stage's bitstream and RoI,
 // and every variant's job for it, in argument order.
@@ -234,10 +235,7 @@ func Run(cfg Config, nFrames int, vs ...Variant) ([]*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := cfg.Pool
-	if pool == nil {
-		pool = bufpool.New()
-	}
+	pool := bufpool.New()
 	e := &engineRun{
 		cfg: cfg, simW: simW, simH: simH,
 		vs:        make([]variantRun, len(vs)),
@@ -277,8 +275,6 @@ func Run(cfg Config, nFrames int, vs ...Variant) ([]*Result, error) {
 		}
 	}
 	e.src.start, e.src.stride = cfg.StartFrame, cfg.FrameStride
-	e.src.rd, e.src.sched = cfg.Renderer, cfg.Sched
-	e.src.enc.SetSched(cfg.Sched)
 	if cfg.Metrics != nil {
 		pool.Instrument(cfg.Metrics, "pipeline")
 	}
@@ -447,7 +443,6 @@ func (e *engineRun) serverFrame(i int) (*frameSet, error) {
 		Type:         ftype,
 		CodedBytes:   len(data) * e.byteScale,
 		NominalBytes: ModelFrameBytes(e.lrPx, e.cfg.GOPSize, ftype),
-		Sched:        e.cfg.Sched,
 	}
 	for k := range e.vs {
 		set.jobs[k] = job
@@ -520,10 +515,11 @@ func (e *engineRun) deliver(k int, job *FrameJob, data []byte) error {
 // renderGT renders the ground-truth frame at upscaled resolution into the
 // measure stage's persistent target. It is called lazily from the measure
 // stage: a frame no variant has anything on screen for never pays for it.
-// The returned image is valid until the next renderGT call.
+// The returned image is valid until the next renderGT call. It shares the
+// server stage's (stateless) renderer.
 func (e *engineRun) renderGT(job *FrameJob) *frame.Image {
-	cfg := e.cfg
-	cfg.Renderer.RenderInto(&e.gtOut, job.Scene, job.Cam, e.simW*cfg.Scale, e.simH*cfg.Scale)
+	scale := e.cfg.Scale
+	e.src.rd.RenderInto(&e.gtOut, job.Scene, job.Cam, e.simW*scale, e.simH*scale)
 	return e.gtOut.Color
 }
 
@@ -564,6 +560,10 @@ func (e *engineRun) frameResult(k int, job *FrameJob, gt *frame.Image) (FrameRes
 		if err != nil {
 			return fr, err
 		}
+		st.Render, st.Encode = server.RenderLatency(e.lrPx), server.EncodeLatency(e.lrPx)
+		if vr.roi {
+			st.RoIDetect = server.RoIDetectLatency(e.lrPx)
+		}
 		if k == 0 {
 			e.observeDeadline(job.ID, st)
 		}
@@ -572,7 +572,7 @@ func (e *engineRun) frameResult(k int, job *FrameJob, gt *frame.Image) (FrameRes
 	if job.Display == nil {
 		return fr, nil // nothing on screen yet
 	}
-	q, err := metrics.Measure(job.Sched, gt, job.Display)
+	q, err := metrics.Measure(gt, job.Display)
 	if err != nil {
 		return fr, err
 	}

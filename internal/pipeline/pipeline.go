@@ -23,8 +23,6 @@ import (
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/network"
-	"gamestreamsr/internal/parallel"
-	"gamestreamsr/internal/render"
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/telemetry"
@@ -36,8 +34,6 @@ import (
 type Config struct {
 	// Device is the client profile (default Tab S8).
 	Device *device.Profile
-	// Server is the host model (default device.DefaultServer()).
-	Server *device.Server
 	// Net is the link model (default WiFi-class network.New).
 	Net network.Config
 	// Game is the workload (default G3, Witcher 3 — the paper's drill-down
@@ -89,23 +85,6 @@ type Config struct {
 	// It also disables the engine's recycling of delivered frames.
 	KeepFrames bool
 
-	// Pool, when non-nil, supplies the run's buffer pool so sessions can
-	// share (or a caller can instrument) one; nil gives the run a private
-	// pool. Pooling never alters outputs — every checkout is fully
-	// overwritten before use, and the determinism tests run pooled.
-	Pool *bufpool.Pool
-
-	// Renderer controls render parallelism; nil uses defaults.
-	Renderer *render.Renderer
-
-	// Sched attributes the session's parallel kernel work (render, upscale,
-	// SR inference, quality metrics) to a scheduler client, so concurrent
-	// sessions share the process-wide worker pool by weight and priority
-	// instead of racing for it. Nil means the default client. Scheduling
-	// never alters outputs — the chunk grid depends only on problem sizes —
-	// so the determinism tests hold for any client.
-	Sched *parallel.Client
-
 	// Metrics, when non-nil, receives the engine's runtime telemetry:
 	// per-stage span histograms, channel-wait (backpressure) totals,
 	// frame/frozen counters, RoI areas and coded bytes (see DESIGN.md §9).
@@ -153,9 +132,6 @@ func (c Config) WithDefaults() Config {
 	if c.Device == nil {
 		c.Device = device.TabS8()
 	}
-	if c.Server == nil {
-		c.Server = device.DefaultServer()
-	}
 	if c.Game == nil {
 		c.Game, _ = games.ByID("G3")
 	}
@@ -183,13 +159,10 @@ func (c Config) WithDefaults() Config {
 		c.QStep = 6
 	}
 	if c.Engine == nil {
-		c.Engine = sr.NewFast(sr.FastConfig{Sched: c.Sched})
+		c.Engine = sr.NewFast(sr.FastConfig{})
 	}
 	if c.FrameStride <= 0 {
 		c.FrameStride = c.SimDiv
-	}
-	if c.Renderer == nil {
-		c.Renderer = &render.Renderer{Sched: c.Sched}
 	}
 	return c
 }
@@ -263,7 +236,7 @@ func (gameStreamVariant) KeepsReference() bool { return false }
 func (gameStreamVariant) Upscale(cfg *Config, df *codec.DecodedFrame, job *FrameJob, _ *frame.Image) (*frame.Image, error) {
 	lr, scale := df.Image, cfg.Scale
 	up := job.Pool.Image(lr.W*scale, lr.H*scale)
-	if _, err := UpscaleRoI(up, lr, job.RoI, scale, cfg.Engine, cfg.Sched, job.Pool); err != nil {
+	if _, err := UpscaleRoI(up, lr, job.RoI, scale, cfg.Engine, job.Pool); err != nil {
 		job.Pool.PutImage(up)
 		return nil, fmt.Errorf("gamestreamsr: frame %d upscale: %w", job.Index, err)
 	}
@@ -289,14 +262,13 @@ type UpscaleTimes struct {
 // caller's (the NPU path), then the RoI patch merged over dst. A zero rect is
 // the shed ladder's bilinear-only rung: the bilinear runs alone, on the
 // caller. dst must be (lr.W·scale)×(lr.H·scale), and all of it is
-// overwritten; rect must lie inside lr. sched attributes the bilinear's
-// workers (nil: the default client). The RoI patch and every kernel's
+// overwritten; rect must lie inside lr. The RoI patch and every kernel's
 // scratch come from pool, which both paths share, and go back to it.
-func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engine, sched *parallel.Client, pool *bufpool.Pool) (UpscaleTimes, error) {
+func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engine, pool *bufpool.Pool) (UpscaleTimes, error) {
 	var ut UpscaleTimes
 	if rect.Empty() {
 		ut.TUp = time.Now()
-		err := upscale.ResizeIntoOn(sched, dst, lr, upscale.Bilinear, pool)
+		err := upscale.ResizeInto(dst, lr, upscale.Bilinear, pool)
 		ut.DUp = time.Since(ut.TUp)
 		ut.DPair = ut.DUp
 		return ut, err
@@ -309,7 +281,7 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 	done := make(chan error, 1)
 	go func() {
 		ut.TUp = time.Now()
-		err := upscale.ResizeIntoOn(sched, dst, lr, upscale.Bilinear, pool)
+		err := upscale.ResizeInto(dst, lr, upscale.Bilinear, pool)
 		ut.DUp = time.Since(ut.TUp)
 		done <- err
 	}()
@@ -330,7 +302,8 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 	return ut, err
 }
 
-// Cost models one delivered frame's per-stage latency and per-rail energy.
+// Cost models one delivered frame's client and link latency and per-rail
+// energy.
 func (gameStreamVariant) Cost(cfg *Config, job *FrameJob) (Stages, map[device.Rail]float64, error) {
 	lrPx := cfg.LRWidth * cfg.LRHeight
 	hrPx := lrPx * cfg.Scale * cfg.Scale
@@ -340,14 +313,11 @@ func (gameStreamVariant) Cost(cfg *Config, job *FrameJob) (Stages, map[device.Ra
 	srLat := dev.SRLatency(roiPx)
 	gpuLat := dev.GPUBilinearLatency(hrPx - roiHRPx)
 	st := Stages{
-		Input:     job.InputLat,
-		Render:    cfg.Server.RenderLatency(lrPx),
-		RoIDetect: cfg.Server.RoIDetectLatency(lrPx),
-		Encode:    cfg.Server.EncodeLatency(lrPx),
-		Transmit:  job.TransmitLat,
-		Decode:    dev.HWDecodeLatency(lrPx),
-		Upscale:   max(srLat, gpuLat) + dev.MergeLatency(),
-		Display:   dev.DisplayLatency(),
+		Input:    job.InputLat,
+		Transmit: job.TransmitLat,
+		Decode:   dev.HWDecodeLatency(lrPx),
+		Upscale:  max(srLat, gpuLat) + dev.MergeLatency(),
+		Display:  dev.DisplayLatency(),
 	}
 
 	em := device.NewEnergyMeter(dev)

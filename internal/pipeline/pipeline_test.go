@@ -30,7 +30,7 @@ func testConfig(t testing.TB) Config {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.WithDefaults()
-	if cfg.Device == nil || cfg.Server == nil || cfg.Game == nil || cfg.Engine == nil {
+	if cfg.Device == nil || cfg.Game == nil || cfg.Engine == nil {
 		t.Fatal("defaults not filled")
 	}
 	if cfg.LRWidth != 1280 || cfg.LRHeight != 720 || cfg.Scale != 2 || cfg.GOPSize != 60 {

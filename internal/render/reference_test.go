@@ -160,8 +160,8 @@ func randomScene(rng *rand.Rand) (*render.Scene, geom.Camera) {
 	return sc, cam
 }
 
-// The same comparison over seeded random scenes, including supersampled
-// renders and a scheduler with no pool goroutines.
+// The same comparison over seeded random scenes, including renders on a
+// scheduler with no pool goroutines.
 func TestRenderMatchesReferenceRandomScenes(t *testing.T) {
 	trials := 300
 	if testing.Short() {
@@ -174,15 +174,12 @@ func TestRenderMatchesReferenceRandomScenes(t *testing.T) {
 		sc, cam := randomScene(rng)
 		w, h := 16+rng.Intn(120), 9+rng.Intn(70)
 		rd := render.Renderer{}
-		if trial%5 == 0 {
-			rd.SSAA = 2
-		}
 		if trial%3 == 0 {
 			rd.Sched = one
 		}
 		rd.RenderInto(&got, sc, cam, w, h)
 		render.Reference(rd).RenderInto(&want, sc, cam, w, h)
-		sameFrame(t, fmt.Sprintf("trial %d (%d objects, %dx%d, ssaa %d)", trial, len(sc.Objects), w, h, rd.SSAA), got, want)
+		sameFrame(t, fmt.Sprintf("trial %d (%d objects, %dx%d)", trial, len(sc.Objects), w, h), got, want)
 	}
 }
 

@@ -8,8 +8,7 @@
 // axis-aligned boxes, triangles and a ground plane, shaded with Lambertian
 // lighting and procedural value-noise textures whose high-frequency octaves
 // attenuate with distance (the mipmapping/LOD analogue that motivates
-// depth-guided RoI detection). Optional N×N supersampling (Renderer.SSAA)
-// provides anti-aliased reference renders.
+// depth-guided RoI detection).
 //
 // Primary rays do not search for their objects. Once a frame, every bounded
 // object's box is projected through the camera into a pixel rectangle
@@ -25,10 +24,9 @@
 // selects it outside the tests.
 //
 // All working state of a render — the BVH arrays, the candidate list, the
-// per-column ray terms, the row workers' texture-noise caches (noise.go), the
-// supersampled target — lives in the caller's Output and is reused from
-// frame to frame, so a steady-state RenderInto allocates nothing and a
-// Renderer stays stateless.
+// per-column ray terms, the row workers' texture-noise caches (noise.go) —
+// lives in the caller's Output and is reused from frame to frame, so a
+// steady-state RenderInto allocates nothing and a Renderer stays stateless.
 package render
 
 import (
@@ -117,10 +115,6 @@ type Renderer struct {
 	// means the default client), so concurrent sessions share cores fairly
 	// instead of oversubscribing them.
 	Sched *parallel.Client
-	// SSAA supersamples by N×N per output pixel (1 or 0 = off). Color is
-	// box-filtered; depth keeps the per-tile minimum (nearest surviving
-	// surface), matching how a resolved Z-buffer is consumed downstream.
-	SSAA int
 
 	// reference makes every pixel walk the BVH and go through
 	// Shape.Intersect, serially per candidate as the renderer did before
@@ -139,19 +133,27 @@ func (rd *Renderer) Render(sc *Scene, cam geom.Camera, w, h int) Output {
 // RenderInto rasterises the scene into out, reusing out's buffers when they
 // already have the w×h geometry (and replacing them otherwise), so a stage
 // that renders every frame can recycle one Output instead of allocating two
-// full planes per frame — with SSAA, the supersampled planes too. The
-// Renderer itself stays stateless and safe for concurrent use from multiple
-// stages, each with its own Output.
+// full planes per frame. The Renderer itself stays stateless and safe for
+// concurrent use from multiple stages, each with its own Output. Every pixel
+// of out's planes is written.
 func (rd *Renderer) RenderInto(out *Output, sc *Scene, cam geom.Camera, w, h int) {
 	out.ensure(w, h)
-	if n := rd.SSAA; n > 1 {
-		hi := &out.scratch.hi
-		hi.ensure(w*n, h*n)
-		rd.renderDirect(hi, sc, cam)
-		rd.Sched.For(h, func(y0, y1 int) { resolveRows(out, hi, n, y0, y1) })
-		return
+	fs := out.scratch
+	fs.begin(out, sc, cam)
+	// Rows are disjoint and pixels are pure functions of (scene, camera, x,
+	// y) — a worker's noise cache only saves recomputing them — so output is
+	// identical however the row bands are dispatched.
+	if rd.reference {
+		rd.Sched.For(fs.frame.h, func(y0, y1 int) {
+			for y := y0; y < y1; y++ {
+				fs.referenceRow(y)
+			}
+		})
+	} else {
+		fs.buildPrims()
+		parallel.ForWithOn(rd.Sched, fs.frame.h, fs.rows, fs.rowFn)
 	}
-	rd.renderDirect(out, sc, cam)
+	fs.frame = frameParams{} // pin neither the scene nor the planes
 }
 
 // frameScratch is the state one Output keeps between renders.
@@ -171,9 +173,6 @@ type frameScratch struct {
 	cols  []geom.Vec3
 	rows  *parallel.Scratch[*rowScratch]
 	rowFn func(y0, y1 int, rs *rowScratch)
-
-	// The N× target of a supersampled render.
-	hi Output
 }
 
 func newFrameScratch() *frameScratch {
@@ -194,27 +193,6 @@ type frameParams struct {
 	// pixScale is the world-space extent of one pixel at unit view depth,
 	// times the scene's LOD bias.
 	near, far, pixScale float64
-}
-
-// renderDirect rasterises without supersampling, writing every pixel of
-// out's planes.
-func (rd *Renderer) renderDirect(out *Output, sc *Scene, cam geom.Camera) {
-	fs := out.scratch
-	fs.begin(out, sc, cam)
-	// Rows are disjoint and pixels are pure functions of (scene, camera, x,
-	// y) — a worker's noise cache only saves recomputing them — so output is
-	// identical however the row bands are dispatched.
-	if rd.reference {
-		rd.Sched.For(fs.frame.h, func(y0, y1 int) {
-			for y := y0; y < y1; y++ {
-				fs.referenceRow(y)
-			}
-		})
-	} else {
-		fs.buildPrims()
-		parallel.ForWithOn(rd.Sched, fs.frame.h, fs.rows, fs.rowFn)
-	}
-	fs.frame = frameParams{} // pin neither the scene nor the planes
 }
 
 // begin sets up a render of sc through cam into out's planes: the frame's
@@ -253,38 +231,6 @@ func (fs *frameScratch) buildAccel(sc *Scene) {
 		}
 	}
 	fs.tree.rebuild(fs.items)
-}
-
-// resolveRows box-filters color and min-reduces depth from the N× render hi
-// into rows [y0, y1) of out.
-func resolveRows(out, hi *Output, n, y0, y1 int) {
-	n2 := n * n
-	hc, hd := hi.Color, hi.Depth
-	w := out.Color.W
-	for y := y0; y < y1; y++ {
-		o := y * out.Color.Stride
-		dstR, dstG, dstB := out.Color.R[o:o+w], out.Color.G[o:o+w], out.Color.B[o:o+w]
-		dstZ := out.Depth.Z[y*out.Depth.Stride:][:w]
-		for x := range dstR {
-			var r, g, b int
-			minZ := float32(1)
-			for dy := 0; dy < n; dy++ {
-				ho := (y*n+dy)*hc.Stride + x*n
-				srcR, srcG, srcB := hc.R[ho:ho+n], hc.G[ho:ho+n], hc.B[ho:ho+n]
-				srcZ := hd.Z[(y*n+dy)*hd.Stride+x*n:][:n]
-				for dx := range srcR {
-					r += int(srcR[dx])
-					g += int(srcG[dx])
-					b += int(srcB[dx])
-					if z := srcZ[dx]; z < minZ {
-						minZ = z
-					}
-				}
-			}
-			dstR[x], dstG[x], dstB[x] = uint8((r+n2/2)/n2), uint8((g+n2/2)/n2), uint8((b+n2/2)/n2)
-			dstZ[x] = minZ
-		}
-	}
 }
 
 // surface shades the point p of obj, whose unit normal there is n, as seen

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/geom"
 	"gamestreamsr/internal/parallel"
 )
@@ -257,80 +256,5 @@ func BenchmarkRender360p(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rd.Render(sc, cam, 640, 360)
-	}
-}
-
-func TestSSAAGeometryAndSmoothing(t *testing.T) {
-	sc := testScene()
-	cam := testCam(16.0 / 9)
-	plain := (&Renderer{}).Render(sc, cam, 96, 54)
-	ss := (&Renderer{SSAA: 2}).Render(sc, cam, 96, 54)
-	if ss.Color.W != 96 || ss.Color.H != 54 || ss.Depth.W != 96 {
-		t.Fatalf("SSAA output geometry wrong: %dx%d", ss.Color.W, ss.Color.H)
-	}
-	// Supersampling must converge toward the high-order reference: the 2×
-	// resolve sits closer to a 4× resolve than the plain render does.
-	ref := (&Renderer{SSAA: 4}).Render(sc, cam, 96, 54)
-	mae := func(o Output) float64 {
-		sum := 0.0
-		la, lb := o.Color.Luma(), ref.Color.Luma()
-		for i := range la {
-			sum += math.Abs(la[i] - lb[i])
-		}
-		return sum / float64(len(la))
-	}
-	if e, p := mae(ss), mae(plain); e >= p {
-		t.Errorf("SSAA error vs reference %.2f not below plain %.2f", e, p)
-	}
-	// Depth semantics: nearest surface survives (sphere interior depth at
-	// center should match the plain render closely).
-	d0 := plain.Depth.At(48, 30)
-	d1 := ss.Depth.At(48, 30)
-	if d1 > d0+0.02 {
-		t.Errorf("SSAA depth %.3f farther than plain %.3f", d1, d0)
-	}
-}
-
-func TestSSAADeterministic(t *testing.T) {
-	sc := testScene()
-	cam := testCam(1)
-	a := (&Renderer{SSAA: 2}).Render(sc, cam, 48, 48)
-	b := (&Renderer{SSAA: 2, Sched: oneWorker()}).Render(sc, cam, 48, 48)
-	if !a.Color.Equal(b.Color) || !slices.Equal(a.Depth.Z, b.Depth.Z) {
-		t.Fatal("SSAA render not deterministic across worker counts")
-	}
-	// The resolve is what it was when it was a serial At/Set loop over a
-	// fresh N× render: same bytes from the reference path's N× render.
-	hi := (&Renderer{reference: true}).Render(sc, cam, 96, 96)
-	want := Output{Color: frame.NewImagePacked(48, 48), Depth: frame.NewDepthMap(48, 48)}
-	for y := 0; y < 48; y++ {
-		for x := 0; x < 48; x++ {
-			var r, g, bl int
-			minZ := float32(1)
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					pr, pg, pb := hi.Color.At(x*2+dx, y*2+dy)
-					r, g, bl = r+int(pr), g+int(pg), bl+int(pb)
-					minZ = min(minZ, hi.Depth.At(x*2+dx, y*2+dy))
-				}
-			}
-			want.Color.Set(x, y, uint8((r+2)/4), uint8((g+2)/4), uint8((bl+2)/4))
-			want.Depth.Set(x, y, minZ)
-		}
-	}
-	if !a.Color.Equal(want.Color) || !slices.Equal(a.Depth.Z, want.Depth.Z) {
-		t.Fatal("SSAA resolve differs from the serial resolve of the reference render")
-	}
-	// RenderInto keeps its contract under SSAA: a second frame into the same
-	// Output allocates no plane, the N× ones included — only the resolve
-	// pass's callback.
-	var out Output
-	rd := &Renderer{SSAA: 2}
-	rd.RenderInto(&out, sc, cam, 48, 48)
-	if n := testing.AllocsPerRun(5, func() { rd.RenderInto(&out, sc, cam, 48, 48) }); n > 1 {
-		t.Errorf("SSAA RenderInto allocates %.0f objects a frame in steady state, want at most 1", n)
-	}
-	if !out.Color.Equal(a.Color) {
-		t.Fatal("SSAA RenderInto differs from Render")
 	}
 }

@@ -149,7 +149,6 @@ func (p *convPlan) macs() int64 { return int64(len(p.taps)) }
 // one after another; fn is rows bound once, so dispatching a layer creates
 // no closure.
 type convRun struct {
-	cl       *parallel.Client
 	p        *convPlan
 	dst, src *Tensor
 	fn       func(lo, hi int, s *rowScratch)
@@ -168,15 +167,11 @@ var (
 	rowScratches = parallel.NewScratch(func() *rowScratch { return new(rowScratch) })
 )
 
-// startRun returns a convRun dispatching under scheduler client cl.
-func startRun(cl *parallel.Client) *convRun {
-	r := convRuns.Get().(*convRun)
-	r.cl = cl
-	return r
-}
+// startRun returns a convRun for one inference.
+func startRun() *convRun { return convRuns.Get().(*convRun) }
 
 func (r *convRun) release() {
-	r.cl, r.p, r.dst, r.src = nil, nil, nil, nil
+	r.p, r.dst, r.src = nil, nil, nil
 	convRuns.Put(r)
 }
 
@@ -189,7 +184,7 @@ func (r *convRun) run(p *convPlan, dst, src *Tensor) {
 	}
 	checkShape("conv", dst, p.dstC, src.H, src.W)
 	r.p, r.dst, r.src = p, dst, src
-	parallel.ForWithOn(r.cl, len(p.outs)*src.H, rowScratches, r.fn)
+	parallel.ForWith(len(p.outs)*src.H, rowScratches, r.fn)
 }
 
 func (r *convRun) rows(lo, hi int, s *rowScratch) {

@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"gamestreamsr/internal/bufpool"
-	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -147,7 +146,7 @@ func TestConvMatchesReference(t *testing.T) {
 			if epi == epiReLU {
 				ReLU(exp)
 			}
-			r := startRun(nil)
+			r := startRun()
 			r.run(c.compile(live, dstIdx, dstC, identity(inC), inC, epi), got, in)
 			r.release()
 			for oc := 0; oc < outC; oc++ {
@@ -319,21 +318,6 @@ func TestLivenessAndExecutedMACs(t *testing.T) {
 	out := z.Forward(NewTensor(3, 2, 2))
 	if z.ExecutedMACs(2, 2) != 0 || out.At(1, 3, 3) != 0.5 || out.At(0, 0, 0) != 0 {
 		t.Errorf("all-zero network: %d MACs, out %v", z.ExecutedMACs(2, 2), out.Data)
-	}
-}
-
-// TestNetworkSetSched checks that one SetSched attributes every layer of the
-// network to the given client, and that the bits do not depend on it.
-func TestNetworkSetSched(t *testing.T) {
-	sched := parallel.NewScheduler(2)
-	defer sched.Close()
-	c := sched.NewClient(parallel.ClientConfig{Name: "session"})
-	n := NewRandomEDSR(Spec{Blocks: 2, Channels: 8}, 2)
-	n.SetSched(c)
-	in := randomTensor(rand.New(rand.NewSource(9)), 3, 12, 10)
-	sameBits(t, "under a client", n.Forward(in), referenceNetwork(n, in))
-	if jobs := c.Stats().Jobs; jobs != 1+2*2+1+1+1 {
-		t.Errorf("client ran %d jobs, want one per layer (8)", jobs)
 	}
 }
 

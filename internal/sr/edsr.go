@@ -6,7 +6,6 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/parallel"
 )
 
 // Spec describes an EDSR-family network. The paper's model is the default:
@@ -63,15 +62,9 @@ type Network struct {
 	up      *Conv2D // C -> C·scale²  (pixel-shuffled to C at HR)
 	tail    *Conv2D // C -> 3 at HR
 
-	sched *parallel.Client
-	once  sync.Once
-	prog  *program
+	once sync.Once
+	prog *program
 }
-
-// SetSched attributes all of the network's layer parallelism to the
-// scheduler client c (nil reverts to the default client) — how a streaming
-// session makes its inference work schedulable against other sessions.
-func (n *Network) SetSched(c *parallel.Client) { n.sched = c }
 
 // NewNetwork allocates an EDSR network with all-zero weights; callers fill
 // the weights (see NewInterpEDSR and NewRandomEDSR) before the first
@@ -186,7 +179,7 @@ func (n *Network) ForwardInto(out, in *Tensor, pool *bufpool.Pool) {
 	H, W := in.H, in.W
 	checkShape("network output", out, 3, H*s, W*s)
 
-	r := startRun(n.sched)
+	r := startRun()
 	h := GetTensor(pool, p.head.dstC, H, W)
 	r.run(p.head, h, in)
 	x := GetTensor(pool, h.C, H, W)

@@ -5,7 +5,6 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -40,9 +39,6 @@ type FastConfig struct {
 	// calibration sweep in TestSharpenSweepDefaultNearOptimal). Negative
 	// disables restoration.
 	Sharpen float64
-	// Sched attributes the kernel's parallel work to a scheduler client
-	// (nil means the default client).
-	Sched *parallel.Client
 }
 
 // Fast computes the same function class the analytically-weighted EDSR
@@ -92,14 +88,14 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, scale)
 	}
 	if f.cfg.Sharpen == 0 || scale == 1 {
-		return upscale.ResizeIntoOn(f.cfg.Sched, dst, im, f.cfg.Kernel, pool)
+		return upscale.ResizeInto(dst, im, f.cfg.Kernel, pool)
 	}
 	// The resample lands in an intermediate image — its pixels the pool's,
 	// its header the recycled run's — and the sharpen pass writes dst from it.
 	s := startSharpen(pool, dst.W, dst.H)
-	err := upscale.ResizeIntoOn(f.cfg.Sched, &s.up, im, f.cfg.Kernel, pool)
+	err := upscale.ResizeInto(&s.up, im, f.cfg.Kernel, pool)
 	if err == nil {
-		s.sharpen(f.cfg.Sched, dst, f.cfg.Sharpen)
+		s.sharpen(dst, f.cfg.Sharpen)
 	}
 	s.release(pool)
 	return err

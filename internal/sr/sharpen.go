@@ -115,9 +115,9 @@ func (s *sharpenRun) release(pool *bufpool.Pool) {
 // sharpen writes dst = up + alpha·(up − blur(up)), clamped to the local
 // extrema of up. dst has up's geometry and shares no memory with it; either
 // may be a strided view.
-func (s *sharpenRun) sharpen(c *parallel.Client, dst *frame.Image, alpha float64) {
+func (s *sharpenRun) sharpen(dst *frame.Image, alpha float64) {
 	s.dst, s.alpha = dst, alpha
-	parallel.ForWithOn(c, (s.up.H+sharpenBand-1)/sharpenBand, sharpenScratch, s.fn)
+	parallel.ForWith((s.up.H+sharpenBand-1)/sharpenBand, sharpenScratch, s.fn)
 	s.dst = nil
 }
 

@@ -9,15 +9,14 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/upscale"
 )
 
 // sharpenInto runs the shipped kernel from up into dst.
-func sharpenInto(c *parallel.Client, dst, up *frame.Image, alpha float64) {
+func sharpenInto(dst, up *frame.Image, alpha float64) {
 	s := &sharpenRun{up: *up}
 	s.fn = s.bands
-	s.sharpen(c, dst, alpha)
+	s.sharpen(dst, alpha)
 }
 
 // sharpenInPlace is the definition sharpenInto is held to: the nine-sample
@@ -157,7 +156,7 @@ func TestSharpenIntoMatchesReference(t *testing.T) {
 				sharpenInPlace(want, alpha, nil)
 
 				got := randImage(w, h, 99) // dirty
-				sharpenInto(nil, got, up, alpha)
+				sharpenInto(got, up, alpha)
 				if !got.Equal(want) {
 					t.Fatalf("%s: packed result differs from the reference loop", what)
 				}
@@ -168,7 +167,7 @@ func TestSharpenIntoMatchesReference(t *testing.T) {
 				upView.CopyFrom(up)
 				dstParent := randImage(w+3, h+2, 8)
 				frameOf := dstParent.Clone()
-				sharpenInto(nil, dstParent.MustSubImage(3, 2, w, h), upView, alpha)
+				sharpenInto(dstParent.MustSubImage(3, 2, w, h), upView, alpha)
 				if !dstParent.MustSubImage(3, 2, w, h).Equal(want) {
 					t.Fatalf("%s: strided result differs from the reference loop", what)
 				}

@@ -91,11 +91,10 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 	return out
 }
 
-// ForwardInto applies the convolution writing into out (shape OutC×H×W),
-// on the default scheduler client.
+// ForwardInto applies the convolution writing into out (shape OutC×H×W).
 func (c *Conv2D) ForwardInto(out, in *Tensor) {
 	c.once.Do(c.compileAll)
-	r := startRun(nil)
+	r := startRun()
 	r.run(c.plan, out, in)
 	r.release()
 }

@@ -58,7 +58,7 @@ func (v variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipe
 	switch job.Type {
 	case codec.Intra:
 		up = frame.NewImagePacked(df.Image.W*cfg.Scale, df.Image.H*cfg.Scale)
-		if _, err = pipeline.UpscaleRoI(up, df.Image, job.RoI, cfg.Scale, cfg.Engine, cfg.Sched, job.Pool); err != nil {
+		if _, err = pipeline.UpscaleRoI(up, df.Image, job.RoI, cfg.Scale, cfg.Engine, job.Pool); err != nil {
 			return nil, fmt.Errorf("srdecoder: frame %d SR: %w", job.Index, err)
 		}
 	case codec.Inter:
@@ -87,12 +87,9 @@ func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stag
 	dev := cfg.Device
 	em := device.NewEnergyMeter(dev)
 	st := pipeline.Stages{
-		Input:     job.InputLat,
-		Render:    cfg.Server.RenderLatency(lrPx),
-		RoIDetect: cfg.Server.RoIDetectLatency(lrPx),
-		Encode:    cfg.Server.EncodeLatency(lrPx),
-		Transmit:  job.TransmitLat,
-		Display:   dev.DisplayLatency(),
+		Input:    job.InputLat,
+		Transmit: job.TransmitLat,
+		Display:  dev.DisplayLatency(),
 	}
 	em.AddActive(device.RailDisplay, dev.DisplayActive())
 	em.AddNetworkBytes(job.NominalBytes)

@@ -30,15 +30,12 @@ const (
 // pong): it arms a write deadline when the transport has one, runs fn,
 // clears the deadline, and counts + logs deadline-exceeded drops. It
 // replaces the raw SetWriteDeadline(…time.Second) calls that used to be
-// scattered across the server and silently discarded the error; timeout
-// <= 0 picks DefaultControlTimeout.
-func controlWrite(conn io.Writer, m *telemetry.Registry, lg *logx.Logger, timeout time.Duration, remote, what string, fn func() error) error {
-	if timeout <= 0 {
-		timeout = DefaultControlTimeout
-	}
+// scattered across the server and silently discarded the error. The
+// bound is DefaultControlTimeout.
+func controlWrite(conn io.Writer, m *telemetry.Registry, lg *logx.Logger, remote, what string, fn func() error) error {
 	d, ok := conn.(interface{ SetWriteDeadline(time.Time) error })
 	if ok {
-		d.SetWriteDeadline(time.Now().Add(timeout))
+		d.SetWriteDeadline(time.Now().Add(DefaultControlTimeout))
 	}
 	err := fn()
 	if ok {
@@ -49,7 +46,7 @@ func controlWrite(conn io.Writer, m *telemetry.Registry, lg *logx.Logger, timeou
 		if errors.Is(err, os.ErrDeadlineExceeded) {
 			m.Counter("stream_control_write_deadline_total").Inc()
 			lg.Warn("stream: control write timed out (peer not reading)",
-				"what", what, "session", remote, "timeout", timeout)
+				"what", what, "session", remote, "timeout", DefaultControlTimeout)
 		}
 	}
 	return err

@@ -27,7 +27,7 @@ type SourceFactory func(hello Hello) (FrameSource, error)
 // SchedAware is an optional FrameSource capability: sources that run
 // parallel kernels (render, detect, encode) implement it to receive the
 // session's scheduler client, so their work is dispatched by the session's
-// weight/priority instead of the default client's.
+// priority instead of the default client's.
 type SchedAware interface {
 	SetSched(c *parallel.Client)
 }
@@ -58,7 +58,8 @@ const (
 
 // ShedPolicy drives the per-session shed ladder from the session's
 // deadline-miss streak: EscalateStreak consecutive misses climb one rung,
-// RecoverFrames consecutive on-budget frames descend one.
+// RecoverFrames consecutive on-budget frames descend one. The top rung is
+// ShedDemoted.
 type ShedPolicy struct {
 	// EscalateStreak is the consecutive-miss count that triggers a climb
 	// (default 8 — half a 60 FPS GOP of sustained misses, long enough to
@@ -68,8 +69,6 @@ type ShedPolicy struct {
 	// a descent (default 240 — recovery is deliberately much slower than
 	// escalation so the ladder doesn't oscillate at the capacity edge).
 	RecoverFrames int
-	// MaxLevel caps the ladder (default ShedDemoted).
-	MaxLevel int
 }
 
 func (p ShedPolicy) withDefaults() ShedPolicy {
@@ -78,9 +77,6 @@ func (p ShedPolicy) withDefaults() ShedPolicy {
 	}
 	if p.RecoverFrames <= 0 {
 		p.RecoverFrames = 240
-	}
-	if p.MaxLevel <= 0 || p.MaxLevel > ShedDemoted {
-		p.MaxLevel = ShedDemoted
 	}
 	return p
 }
@@ -155,7 +151,7 @@ type MultiServer struct {
 	// frametrace.DefaultDeadline, the 60 FPS frame time).
 	Deadline time.Duration
 	// Sched, when non-nil, gives every session its own scheduler client
-	// (weight 1, Normal priority), threaded into SchedAware sources — the
+	// (Normal priority), threaded into SchedAware sources — the
 	// isolation that makes shedding's priority demotion meaningful.
 	Sched *parallel.Scheduler
 	// Admission, when non-nil, enables SLO-keyed admission control.
@@ -168,9 +164,6 @@ type MultiServer struct {
 	// reaped as dead. Slow-but-alive peers stay on the shed ladder. 0 picks
 	// DefaultIdleTimeout; negative disables.
 	IdleTimeout time.Duration
-	// ControlTimeout bounds small control writes (rejects, pongs);
-	// 0 picks DefaultControlTimeout.
-	ControlTimeout time.Duration
 	// Log receives the server's structured log lines (session lifecycle,
 	// shed transitions, rejects, reaps), each tagged with session / frame /
 	// flight fields. Nil uses logx.Default() — stderr, like the stdlib log
@@ -372,7 +365,7 @@ const busyRetryAfter = 2 * time.Second
 // goroutine.
 func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) {
 	defer conn.Close()
-	controlWrite(conn, s.Metrics, s.Log, s.ControlTimeout, conn.RemoteAddr().String(), "reject", func() error {
+	controlWrite(conn, s.Metrics, s.Log, conn.RemoteAddr().String(), "reject", func() error {
 		return WriteReject(conn, rej)
 	})
 }
@@ -558,16 +551,15 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 	}
 	sink := &statsSink{metrics: s.Metrics, remote: identity, rec: rec, log: s.Log}
 	opt := ServerOptions{
-		Accept:         s.Accept,
-		MaxFrames:      s.MaxFrames,
-		FrameInterval:  s.FrameInterval,
-		Metrics:        s.Metrics,
-		Flight:         rec,
-		Remote:         remote,
-		ResumeToken:    token,
-		IdleTimeout:    s.idleTimeout(),
-		ControlTimeout: s.ControlTimeout,
-		Log:            s.Log,
+		Accept:        s.Accept,
+		MaxFrames:     s.MaxFrames,
+		FrameInterval: s.FrameInterval,
+		Metrics:       s.Metrics,
+		Flight:        rec,
+		Remote:        remote,
+		ResumeToken:   token,
+		IdleTimeout:   s.idleTimeout(),
+		Log:           s.Log,
 		OnReap: func(idle time.Duration) {
 			s.Diag.Trigger("session_reaped", "session", identity, "idle", idle)
 		},
@@ -742,7 +734,7 @@ func (ss *shedSource) evaluate(i int) {
 	if ss.arm == 0 {
 		ss.arm = int64(ss.pol.EscalateStreak)
 	}
-	if streak >= ss.arm && level < ss.pol.MaxLevel {
+	if streak >= ss.arm && level < ShedDemoted {
 		ss.setLevel(i, level+1)
 		// Re-arm relative to the current streak, so a streak that keeps
 		// growing climbs one rung per EscalateStreak further misses

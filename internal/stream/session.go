@@ -74,9 +74,6 @@ type ServerOptions struct {
 	// the timeout — from the first byte of its Hello on — is reaped as dead
 	// (the connection is closed, unblocking the frame writer).
 	IdleTimeout time.Duration
-	// ControlTimeout bounds small control writes (reject, pong);
-	// <= 0 picks DefaultControlTimeout.
-	ControlTimeout time.Duration
 	// Log receives the session's structured log lines (slow sends, reaps,
 	// session-end diagnosis), tagged with session/frame/flight fields. Nil
 	// uses logx.Default().
@@ -190,7 +187,7 @@ func (acc Accept) stamped(tRecv time.Time) Accept {
 // control is the read side of a session, and the way a session that sent
 // its whole stream ends. run drains what the client sends (input events,
 // Stats reports, heartbeats, Bye) while the session's own goroutine streams
-// frames. Of opt it uses Remote, IdleTimeout, ControlTimeout, Metrics, Log,
+// frames. Of opt it uses Remote, IdleTimeout, Metrics, Log,
 // OnInput, OnStats and OnReap.
 type control struct {
 	conn io.ReadWriter
@@ -263,7 +260,7 @@ func (c *control) run() {
 				c.sendMu.Unlock()
 				break
 			}
-			err := controlWrite(c.conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "pong", func() error {
+			err := controlWrite(c.conn, opt.Metrics, opt.Log, opt.Remote, "pong", func() error {
 				return WritePong(c.conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
 			})
 			c.sendMu.Unlock()
@@ -304,7 +301,7 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	if err := checkVersion(hello.Version); err != nil {
 		// Tell the client why before closing — a silent close is
 		// indistinguishable from a network fault on their side.
-		controlWrite(conn, opt.Metrics, opt.Log, opt.ControlTimeout, opt.Remote, "reject", func() error {
+		controlWrite(conn, opt.Metrics, opt.Log, opt.Remote, "reject", func() error {
 			return WriteReject(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
 		})
 		return fmt.Errorf("stream: rejecting client: %w", err)

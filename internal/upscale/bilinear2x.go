@@ -33,11 +33,11 @@ var rows2xScratch = parallel.NewScratch(func() *[]uint8 { return new([]uint8) })
 
 // bilinear2x writes the ×2 bilinear upscale of src into dst, which must be
 // exactly 2·src.W × 2·src.H. Either image may be a strided view.
-func bilinear2x(c *parallel.Client, dst, src *frame.Image) {
+func bilinear2x(dst, src *frame.Image) {
 	w, w2 := src.W, 2*src.W
 	// Chunks own disjoint source-row ranges and therefore disjoint
 	// destination rows; a chunk re-expands one neighbour row on each side.
-	parallel.ForWithOn(c, src.H, rows2xScratch, func(y0, y1 int, sp *[]uint8) {
+	parallel.ForWith(src.H, rows2xScratch, func(y0, y1 int, sp *[]uint8) {
 		buf := *sp
 		if need := 9 * w2; cap(buf) < need {
 			buf = make([]uint8, need)

@@ -28,7 +28,7 @@ func checkBilinear2xMatchesGeneric(t *testing.T, src *frame.Image, pool *bufpool
 	if err := ResizeInto(got, src, Bilinear, pool); err != nil {
 		t.Fatal(err)
 	}
-	resizeGeneric(nil, want, src, Bilinear, pool)
+	resizeGeneric(want, src, Bilinear, pool)
 	if !got.Equal(want) {
 		for y := 0; y < got.H; y++ {
 			for x := 0; x < got.W; x++ {
@@ -81,7 +81,7 @@ func TestBilinear2xStridedDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := frame.NewImagePacked(26, 18)
-	resizeGeneric(nil, want, src, Bilinear, nil)
+	resizeGeneric(want, src, Bilinear, nil)
 	if !view.Equal(want) {
 		t.Fatal("strided destination differs from the generic resampler")
 	}
@@ -233,7 +233,7 @@ func TestOtherRatiosKeepGenericPath(t *testing.T) {
 		if err := ResizeInto(got, src, tc.k, nil); err != nil {
 			t.Fatal(err)
 		}
-		resizeGeneric(nil, want, src, tc.k, nil)
+		resizeGeneric(want, src, tc.k, nil)
 		if !got.Equal(want) {
 			t.Errorf("%v to %dx%d differs from the generic resampler", tc.k, tc.w, tc.h)
 		}

@@ -141,12 +141,6 @@ func Resize(src *frame.Image, dstW, dstH int, k Kind) (*frame.Image, error) {
 // pixel — takes the integer kernel of bilinear2x.go, byte-identical to the
 // generic resampler.
 func ResizeInto(dst, src *frame.Image, k Kind, pool *bufpool.Pool) error {
-	return ResizeIntoOn(nil, dst, src, k, pool)
-}
-
-// ResizeIntoOn is ResizeInto with the row-parallel passes attributed to the
-// scheduler client c (nil means the default client).
-func ResizeIntoOn(c *parallel.Client, dst, src *frame.Image, k Kind, pool *bufpool.Pool) error {
 	if src.W <= 0 || src.H <= 0 {
 		return fmt.Errorf("upscale: empty source image %dx%d", src.W, src.H)
 	}
@@ -158,22 +152,22 @@ func ResizeIntoOn(c *parallel.Client, dst, src *frame.Image, k Kind, pool *bufpo
 		return nil
 	}
 	if k == Bilinear && dst.W == 2*src.W && dst.H == 2*src.H {
-		bilinear2x(c, dst, src)
+		bilinear2x(dst, src)
 		return nil
 	}
-	resizeGeneric(c, dst, src, k, pool)
+	resizeGeneric(dst, src, k, pool)
 	return nil
 }
 
 // resizeGeneric is the separable polyphase resampler for any kernel and
 // ratio: horizontal pass into a byte intermediate, then vertical pass. It is
 // also the reference the ×2 bilinear fast path is tested against.
-func resizeGeneric(c *parallel.Client, dst, src *frame.Image, k Kind, pool *bufpool.Pool) {
+func resizeGeneric(dst, src *frame.Image, k Kind, pool *bufpool.Pool) {
 	hw := cachedWeights(src.W, dst.W, k)
 	vw := cachedWeights(src.H, dst.H, k)
 	mid := pool.Image(dst.W, src.H)
-	resampleRows(c, src, mid, hw)
-	resampleCols(c, mid, dst, vw)
+	resampleRows(src, mid, hw)
+	resampleCols(mid, dst, vw)
 	pool.PutImage(mid)
 }
 
@@ -282,9 +276,9 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-func resampleRows(c *parallel.Client, src, dst *frame.Image, taps []tapSet) {
+func resampleRows(src, dst *frame.Image, taps []tapSet) {
 	// Destination rows are disjoint, so row bands parallelise safely.
-	c.For(src.H, func(y0, y1 int) {
+	parallel.For(src.H, func(y0, y1 int) {
 		for y := y0; y < y1; y++ {
 			srow := y * src.Stride
 			drow := y * dst.Stride
@@ -310,8 +304,8 @@ func resampleRows(c *parallel.Client, src, dst *frame.Image, taps []tapSet) {
 // across chunks, calls and frames (the buffers grow to the largest row seen).
 var colScratch = parallel.NewScratch(func() *[]float64 { return new([]float64) })
 
-func resampleCols(c *parallel.Client, src, dst *frame.Image, taps []tapSet) {
-	parallel.ForWithOn(c, dst.H, colScratch, func(y0, y1 int, sp *[]float64) {
+func resampleCols(src, dst *frame.Image, taps []tapSet) {
+	parallel.ForWith(dst.H, colScratch, func(y0, y1 int, sp *[]float64) {
 		// Tap-outer accumulation: each contributing source row is streamed
 		// sequentially into a row accumulator, which is cache-friendlier than
 		// striding down columns. Per destination pixel the additions still
