@@ -286,3 +286,46 @@ func BenchmarkEncodeInter720p(b *testing.B) {
 		payload = data
 	}
 }
+
+// TestQuantTableExhaustive holds the quantiser table to its definition at
+// every step q the header allows: for every prediction difference d and
+// every prediction pred an inter sample can have, the level is quantize's and
+// clamp8(pred + deq) is the reconstruction clamp8(pred + level·q); for every
+// intra sample v, entry v+255 holds (v+q/2)/q and clamp8(deq) is
+// clamp8(level·q).
+func TestQuantTableExhaustive(t *testing.T) {
+	var tab quantTable
+	for q := int32(1); q <= maxQStep; q++ {
+		tab.fill(q)
+		for d := int32(-255); d <= 255; d++ {
+			e, level := tab.e[d+255], quantize(d, q)
+			if e.level != level {
+				t.Fatalf("q=%d d=%d: level %d, quantize %d", q, d, e.level, level)
+			}
+			for pred := int32(0); pred <= 255; pred++ {
+				if got, want := clamp8(pred+e.deq), clamp8(pred+level*q); got != want {
+					t.Fatalf("q=%d d=%d pred=%d: reconstruction %d, want %d", q, d, pred, got, want)
+				}
+			}
+		}
+		for v := int32(0); v <= 255; v++ {
+			e, level := tab.e[v+255], (v+q/2)/q
+			if e.level != level || clamp8(e.deq) != clamp8(level*q) {
+				t.Fatalf("q=%d intra v=%d: level %d recon %d, want %d and %d", q, v, e.level, clamp8(e.deq), level, clamp8(level*q))
+			}
+		}
+	}
+}
+
+// TestQuantTableFollowsQ changes the quantizer between frames, as the rated
+// encoder does, across both frame types: the encoder must refill its table,
+// so that its bytes stay the reference loops' and every frame decodes to its
+// reconstruction.
+func TestQuantTableFollowsQ(t *testing.T) {
+	frames := gameFrames(t, "G3", 0, 6, 100, 60)
+	p := newEncoderPair(t, Config{Width: 100, Height: 60, GOPSize: 3})
+	for i, q := range []int{6, 40, 1, 255, 17, 6} {
+		p.fast.cfg.QStep, p.ref.cfg.QStep = q, q
+		p.encode(t, frames[i])
+	}
+}

@@ -127,3 +127,36 @@ func FuzzSigLayout(f *testing.F) {
 		checkWalks(t, vals)
 	})
 }
+
+// FuzzSAD: over arbitrary planes, block sizes and vectors whose columns stay
+// inside the frame (rows may leave it), sadInside — the vector body and its
+// scalar tail — equals the clamped reference sad.
+func FuzzSAD(f *testing.F) {
+	f.Add([]byte{3, 250, 17, 99, 180, 42, 7}, []byte{0, 255, 128}, uint8(64), uint8(40), uint8(16), uint8(16), uint8(16), uint8(8), int8(-3), int8(2))
+	f.Add([]byte{1}, []byte{254, 2}, uint8(90), uint8(20), uint8(47), uint8(5), uint8(1), uint8(19), int8(40), int8(-30))
+	f.Add([]byte{9, 8, 7}, []byte{200, 100}, uint8(33), uint8(39), uint8(20), uint8(15), uint8(5), uint8(30), int8(-7), int8(5))
+	f.Add([]byte{}, []byte{}, uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), int8(0), int8(0))
+	f.Fuzz(func(t *testing.T, cpix, rpix []byte, w8, h8, bw, bh, x8, y8 uint8, dx8, dy8 int8) {
+		W, H := int(w8%96)+1, int(h8%48)+1
+		x, y := int(x8)%W, int(y8)%H
+		w, h := min(int(bw)%48+1, W-x), min(int(bh)%16+1, H-y)
+		// dx is folded into [−x, W−x−w], the vectors whose columns stay
+		// inside; dy is free.
+		dx, dy := int(dx8)%(W-w+1)-x, int(dy8)
+		if dx < -x {
+			dx += W - w + 1
+		}
+		cur, ref := make([]uint8, W*H), make([]uint8, W*H)
+		for i := range cur {
+			if len(cpix) > 0 {
+				cur[i] = cpix[i%len(cpix)] ^ uint8(i)
+			}
+			if len(rpix) > 0 {
+				ref[i] = rpix[(3*i)%len(rpix)] + uint8(i>>3)
+			}
+		}
+		if got, want := sadInside(cur, ref, W, H, x, y, w, h, dx, dy), sad(cur, ref, W, H, x, y, w, h, dx, dy); got != want {
+			t.Fatalf("%dx%d block at (%d, %d), vector (%d, %d) in a %dx%d frame: sadInside %d, sad %d", w, h, x, y, dx, dy, W, H, got, want)
+		}
+	})
+}
