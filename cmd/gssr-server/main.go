@@ -7,19 +7,18 @@
 //
 // Usage:
 //
-//	gssr-server [-addr :7007] [-game G3] [-frames 120] [-w 320] [-h 180] [-gop 12] [-metrics :9090] [-flight 128]
-//	            [-max-sessions 16]
+//	gssr-server [-addr :7007] [-game G3] [-frames 120] [-w 320] [-h 180] [-gop 12] [-metrics :9090]
+//	            [-max-sessions 16] [-deadline 16.666ms] [-diag DIR]
 //	            [-admission] [-admission-slack 0] [-shed] [-shed-streak 8] [-shed-recover 240]
 //
-// With -metrics, a telemetry endpoint serves /metrics (Prometheus text),
-// /metrics.json (JSON snapshot with per-histogram quantiles), /debug/flight
-// (the flight-recorder windows of all sessions as Chrome trace-event JSON,
-// see -flight) and the standard /debug/pprof profiles.
-//
-// With -flight N, every session records its last N frame sends — send span,
-// RoI, payload size, deadline slack — into a per-session flight recorder;
-// fetch /debug/flight and open it in ui.perfetto.dev (or render it with
-// `gssr trace`) to postmortem a stall.
+// Every session records its last 128 frame sends — send span, RoI, payload
+// size, deadline slack — into its own flight recorder, and checks each
+// frame against the -deadline budget there. With -metrics, a telemetry
+// endpoint serves /metrics (Prometheus text), /metrics.json (JSON snapshot
+// with per-histogram quantiles), /debug/flight (the flight-recorder windows
+// of all sessions as Chrome trace-event JSON; open it in ui.perfetto.dev or
+// render it with `gssr trace` to postmortem a stall) and the standard
+// /debug/pprof profiles.
 //
 // Clients (gssr-client) report client-side telemetry on the input path
 // every ~60 frames; the server folds each session's latest report
@@ -29,21 +28,22 @@
 // client's `-flight` dump via `gssr trace -merge` for one clock-aligned
 // two-process timeline (DESIGN.md §13).
 //
-// Scale controls (DESIGN.md §12): every session renders through its own
-// client of the shared parallel.Scheduler, so concurrent sessions share the
-// worker pool by fair queueing instead of fighting over it. With
-// -admission (requires -flight), a new connection is refused with a
+// Scale controls (DESIGN.md §12) read the session recorders: every session
+// renders through its own client of the shared parallel.Scheduler, so
+// concurrent sessions share the worker pool by fair queueing instead of
+// fighting over it. With -admission, a new connection is refused with a
 // protocol-level Busy reject once the live sessions' windowed p99 frame
 // latency leaves less than -admission-slack of headroom against the frame
-// deadline. With -shed (requires -flight), a session that accumulates
-// -shed-streak consecutive deadline misses climbs a quality ladder — RoI
-// shrink, then bilinear-only (no RoI/SR), then background scheduler
-// priority — and descends one rung after -shed-recover on-budget frames.
+// deadline. With -shed, a session that accumulates -shed-streak
+// consecutive deadline misses climbs a quality ladder — RoI shrink, then
+// bilinear-only (no RoI/SR), then background scheduler priority — and
+// descends one rung after -shed-recover on-budget frames. With -diag DIR,
+// a sustained miss streak, a shed escalation, an admission reject or a
+// reaped session freezes a capture bundle into DIR (DESIGN.md §16).
 package main
 
 import (
 	"flag"
-	"fmt"
 	"net"
 	"os"
 	"time"
@@ -69,11 +69,10 @@ func main() {
 	gop := flag.Int("gop", 12, "keyframe interval")
 	qstep := flag.Int("q", 6, "codec quantizer")
 	metricsAddr := flag.String("metrics", "", "telemetry listen address (e.g. :9090); empty disables")
-	flight := flag.Int("flight", 0, "frames per session in the flight recorder (0 disables /debug/flight)")
 	maxSessions := flag.Int("max-sessions", 16, "concurrent session cap (excess connections get a capacity reject)")
-	admission := flag.Bool("admission", false, "refuse new sessions when live p99 slack runs out (needs -flight)")
+	admission := flag.Bool("admission", false, "refuse new sessions when live p99 slack runs out")
 	admissionSlack := flag.Duration("admission-slack", 0, "minimum p99 headroom against the deadline to admit a session")
-	shed := flag.Bool("shed", false, "degrade over-budget sessions along the shed ladder (needs -flight)")
+	shed := flag.Bool("shed", false, "degrade over-budget sessions along the shed ladder")
 	shedStreak := flag.Int("shed-streak", 8, "consecutive deadline misses per shed-ladder escalation")
 	shedRecover := flag.Int("shed-recover", 240, "consecutive on-budget frames per shed-ladder recovery")
 	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections silent (no heartbeat) this long (0 = default, negative disables)")
@@ -88,7 +87,7 @@ func main() {
 	}
 	cfg := serverConfig{
 		addr: *addr, gameID: *gameID, frames: *frames, width: *width, height: *height,
-		gop: *gop, qstep: *qstep, metricsAddr: *metricsAddr, flight: *flight,
+		gop: *gop, qstep: *qstep, metricsAddr: *metricsAddr,
 		maxSessions: *maxSessions, idleTimeout: *idleTimeout, fault: *fault,
 		deadline: *deadline, diagDir: *diagDir,
 	}
@@ -106,25 +105,22 @@ func main() {
 
 // serverConfig carries the parsed flags into run.
 type serverConfig struct {
-	addr, gameID                    string
-	frames, width, height           int
-	gop, qstep, flight, maxSessions int
-	metricsAddr                     string
-	admission                       *stream.AdmissionPolicy
-	shed                            *stream.ShedPolicy
-	idleTimeout                     time.Duration
-	fault                           string
-	deadline                        time.Duration
-	diagDir                         string
+	addr, gameID            string
+	frames, width, height   int
+	gop, qstep, maxSessions int
+	metricsAddr             string
+	admission               *stream.AdmissionPolicy
+	shed                    *stream.ShedPolicy
+	idleTimeout             time.Duration
+	fault                   string
+	deadline                time.Duration
+	diagDir                 string
 }
 
 func run(cfg serverConfig) error {
 	addr, gameID := cfg.addr, cfg.gameID
 	frames, width, height := cfg.frames, cfg.width, cfg.height
-	gop, qstep, metricsAddr, flight := cfg.gop, cfg.qstep, cfg.metricsAddr, cfg.flight
-	if (cfg.admission != nil || cfg.shed != nil) && flight <= 0 {
-		return fmt.Errorf("-admission and -shed need -flight (the per-session latency window is the control signal)")
-	}
+	gop, qstep, metricsAddr := cfg.gop, cfg.qstep, cfg.metricsAddr
 	g, err := games.ByID(gameID)
 	if err != nil {
 		return err
@@ -166,7 +162,6 @@ func run(cfg serverConfig) error {
 		FrameInterval: time.Second / games.FPS, // frame i is the game at i/FPS seconds
 		MaxSessions:   cfg.maxSessions,
 		Metrics:       reg,
-		FlightFrames:  flight,
 		Sched:         parallel.Default(),
 		Admission:     cfg.admission,
 		Shed:          cfg.shed,

@@ -97,7 +97,7 @@ func (b *bucketSet[T]) put(s []T) bool {
 }
 
 // Pool is a set of size-bucketed free lists for the buffer types of the
-// frame loop, plus header free lists for frame.Image / frame.DepthMap
+// frame loop, plus a header free list for frame.Image
 // checkout. See the package comment for the ownership contract.
 type Pool struct {
 	mu     sync.Mutex
@@ -105,7 +105,6 @@ type Pool struct {
 	f32    bucketSet[float32]
 	f64    bucketSet[float64]
 	images []*frame.Image
-	depths []*frame.DepthMap
 
 	// Telemetry handles; all nil-safe no-ops until Instrument is called.
 	hits     *telemetry.Counter
@@ -276,48 +275,6 @@ func (p *Pool) PutImage(im *frame.Image) {
 	p.mu.Lock()
 	if len(p.images) < maxPerClass {
 		p.images = append(p.images, im)
-	}
-	p.mu.Unlock()
-}
-
-// Depth checks out a w×h depth map with unspecified contents.
-func (p *Pool) Depth(w, h int) *frame.DepthMap {
-	if p == nil {
-		return frame.NewDepthMap(w, h)
-	}
-	z := p.Float32s(w * h)
-	p.mu.Lock()
-	var d *frame.DepthMap
-	if k := len(p.depths); k > 0 {
-		d = p.depths[k-1]
-		p.depths[k-1] = nil
-		p.depths = p.depths[:k-1]
-	}
-	p.mu.Unlock()
-	if d == nil {
-		d = &frame.DepthMap{}
-	}
-	d.W, d.H, d.Stride, d.Z = w, h, w, z
-	return d
-}
-
-// PutDepth returns a depth map obtained from Depth. Strided sub-map views
-// are rejected.
-func (p *Pool) PutDepth(d *frame.DepthMap) {
-	if p == nil || d == nil {
-		return
-	}
-	if d.W*d.H == 0 || d.Stride != d.W || len(d.Z) < d.W*d.H {
-		p.countDiscard()
-		return
-	}
-	z := d.Z
-	d.Z = nil
-	d.W, d.H, d.Stride = 0, 0, 0
-	p.PutFloat32s(z)
-	p.mu.Lock()
-	if len(p.depths) < maxPerClass {
-		p.depths = append(p.depths, d)
 	}
 	p.mu.Unlock()
 }

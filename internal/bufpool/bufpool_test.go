@@ -63,11 +63,6 @@ func TestNilPoolIsFunctional(t *testing.T) {
 		t.Fatalf("nil pool Image geometry %dx%d", im.W, im.H)
 	}
 	p.PutImage(im)
-	d := p.Depth(4, 3)
-	if d.W != 4 || d.H != 3 || len(d.Z) != 12 {
-		t.Fatalf("nil pool Depth geometry %dx%d len %d", d.W, d.H, len(d.Z))
-	}
-	p.PutDepth(d)
 }
 
 func TestUnpooledSizes(t *testing.T) {
@@ -148,18 +143,6 @@ func TestPutImageRejectsViews(t *testing.T) {
 	p.PutImage(triple) // three separate allocations: must be rejected
 	if triple.R == nil {
 		t.Fatal("rejected triple-allocation image was cleared")
-	}
-}
-
-func TestDepthRoundTrip(t *testing.T) {
-	p := New()
-	d := p.Depth(10, 6)
-	d.Fill(0.5)
-	z0 := &d.Z[0]
-	p.PutDepth(d)
-	d2 := p.Depth(10, 6)
-	if &d2.Z[0] != z0 {
-		t.Error("Depth after PutDepth did not reuse the pooled plane")
 	}
 }
 

@@ -235,19 +235,6 @@ func (d *DepthMap) Clone() *DepthMap {
 	return out
 }
 
-// SubMap returns a view of the rectangle [x, x+w) × [y, y+h) sharing storage.
-func (d *DepthMap) SubMap(x, y, w, h int) (*DepthMap, error) {
-	if x < 0 || y < 0 || w < 0 || h < 0 || x+w > d.W || y+h > d.H {
-		return nil, fmt.Errorf("frame: sub-map %dx%d at (%d,%d) outside %dx%d depth map", w, h, x, y, d.W, d.H)
-	}
-	off := y*d.Stride + x
-	end := off
-	if w > 0 && h > 0 {
-		end = off + (h-1)*d.Stride + w
-	}
-	return &DepthMap{W: w, H: h, Stride: d.Stride, Z: d.Z[off:end]}, nil
-}
-
 // Nearness converts the depth map to a "darkness intensity" map as in the
 // paper's Fig. 5: nearer pixels (small z) get larger values. The result is a
 // fresh float64 plane in [0, 1] with compact stride, which is what the RoI

@@ -196,21 +196,6 @@ func TestDepthMapBasics(t *testing.T) {
 	}
 }
 
-func TestDepthSubMapAliases(t *testing.T) {
-	d := NewDepthMap(8, 8)
-	sub, err := d.SubMap(2, 2, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub.Set(0, 0, 0.9)
-	if d.At(2, 2) != 0.9 {
-		t.Fatal("sub-map write not visible in parent")
-	}
-	if _, err := d.SubMap(7, 7, 3, 3); err == nil {
-		t.Fatal("out-of-bounds sub-map should fail")
-	}
-}
-
 func TestNearnessInvertsAndClamps(t *testing.T) {
 	d := NewDepthMap(3, 1)
 	d.Set(0, 0, 0)   // nearest

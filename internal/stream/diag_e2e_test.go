@@ -200,3 +200,27 @@ func shutdownMulti(t *testing.T, srv *MultiServer) {
 		t.Errorf("shutdown: %v", err)
 	}
 }
+
+// TestMissStreakBundleWithoutFlightFrames: the diag watchdog reads the
+// session recorder, which every session has whatever FlightFrames says.
+func TestMissStreakBundleWithoutFlightFrames(t *testing.T) {
+	lg := logx.New(logx.Config{Out: io.Discard, Ring: 64})
+	srv := &MultiServer{
+		Accept:    Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		Shed:      &ShedPolicy{EscalateStreak: 2},
+		Deadline:  time.Nanosecond,
+		Log:       lg,
+		NewSource: func(Hello) (FrameSource, error) { return &countingSource{n: 8}, nil },
+	}
+	d := diag.New(diag.Config{Flight: srv, Log: lg, Dir: t.TempDir(), Cooldown: time.Hour})
+	defer d.Close()
+	srv.Diag = d
+	addr, _ := startMulti(t, srv)
+	defer shutdownMulti(t, srv)
+	if n := runClient(t, addr, "misser"); n != 8 {
+		t.Fatalf("client got %d frames, want 8", n)
+	}
+	if b := d.Latest(); b == nil || b.Reason != "miss_streak" {
+		t.Fatalf("latest bundle %+v, want a miss_streak one", b)
+	}
+}

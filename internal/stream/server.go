@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,9 +84,8 @@ func (p ShedPolicy) withDefaults() ShedPolicy {
 
 // AdmissionPolicy keys new-session admission off the live sessions' SLO
 // state: a session is admitted only while the aggregate windowed p99 frame
-// latency leaves at least MinSlack of headroom against the deadline.
-// Requires FlightFrames > 0 (the per-session rings are the latency window);
-// without recorders the policy admits everything up to MaxSessions.
+// latency leaves at least MinSlack of headroom against the deadline. The
+// per-session recorders' rings are the latency window.
 type AdmissionPolicy struct {
 	// MinSlack is the minimum (deadline − aggregate p99) required to admit
 	// (default 0: reject once p99 slack goes negative, i.e. the fleet is
@@ -134,11 +134,13 @@ type MultiServer struct {
 	// and active session counts, plus the per-session frame/byte/latency
 	// metrics (see ServerOptions.Metrics). Nil is a no-op.
 	Metrics *telemetry.Registry
-	// FlightFrames, when > 0, attaches a flight recorder of that many
-	// frames to every session (see ServerOptions.Flight). The server keeps
-	// the recorders of live sessions plus the most recently finished ones,
-	// and WriteFlight merges their windows into one Chrome trace (one
-	// Perfetto process per session) — the MultiServer itself is the
+	// FlightFrames sizes every session's flight recorder (0 picks
+	// frametrace.DefaultFrames). Every session records its frames: the
+	// recorder's miss streak and latency window are what admission, the
+	// shed ladder and the diag watchdog read. The server keeps the
+	// recorders of live sessions plus the most recently finished ones, and
+	// WriteFlight merges their windows into one Chrome trace (one Perfetto
+	// process per session) — the MultiServer itself is the
 	// telemetry.FlightDumper behind /debug/flight. Session streak gauges
 	// are aggregated max-across-sessions through a frametrace.StreakSet.
 	FlightFrames int
@@ -156,8 +158,8 @@ type MultiServer struct {
 	Sched *parallel.Scheduler
 	// Admission, when non-nil, enables SLO-keyed admission control.
 	Admission *AdmissionPolicy
-	// Shed, when non-nil, enables the per-session shed ladder; it needs
-	// FlightFrames > 0 (the recorder's miss streak is the trigger signal).
+	// Shed, when non-nil, enables the per-session shed ladder, triggered
+	// by the session recorder's miss streak.
 	Shed *ShedPolicy
 	// IdleTimeout is the read-liveness bound: a connection that sends
 	// nothing — not its Hello, not even a heartbeat — for this long is
@@ -177,9 +179,8 @@ type MultiServer struct {
 	Diag *diag.Diag
 
 	mu       sync.Mutex
-	sessions map[net.Conn]*session
+	sessions []*session            // live and retired, in start order
 	pending  map[net.Conn]struct{} // accepted, Hello not yet read
-	flights  []*sessionFlight
 	streaks  *frametrace.StreakSet
 	resumes  map[string]string // resume token -> original session identity
 	resumeQ  []string          // token issue order, for cap eviction
@@ -245,21 +246,24 @@ type serverCounters struct {
 	active                    *telemetry.Gauge
 }
 
-// session is the per-connection control-plane state.
+// session is the one record of a MultiServer session. It is made when the
+// session's Hello has been read and takes a slot under the session cap;
+// once the session ends it stays, retired, while retention keeps its
+// flight window dumpable. A session refused before its first frame leaves
+// no record.
 type session struct {
-	remote string
-	client *parallel.Client
-	shed   *shedSource
-}
-
-// sessionFlight pairs one session's flight recorder with its identity.
-// Successive sessions of one resumed client share the identity, and may
-// overlap: a redial can land while its predecessor is still live. The
-// session that began a flight therefore holds it and ends it by pointer.
-type sessionFlight struct {
-	remote string
-	rec    *frametrace.Recorder
-	live   bool
+	srv *MultiServer
+	// identity names the session's flight window and per-session metrics:
+	// the remote address, or for a resumed client the identity of the
+	// session it resumed. Successive sessions of one client share it and
+	// may overlap — a redial can land while its predecessor is still live.
+	identity string
+	remote   string // this connection's address
+	conn     net.Conn
+	client   *parallel.Client // nil without MultiServer.Sched
+	rec      *frametrace.Recorder
+	shed     atomic.Int32 // shed-ladder level (ShedNone without a ShedPolicy)
+	live     bool         // guarded by srv.mu
 }
 
 // retiredFlights bounds how many finished sessions' recorders stay
@@ -282,11 +286,8 @@ func (s *MultiServer) Serve(l net.Listener) error {
 		return errServerClosed
 	}
 	s.listener = l
-	if s.streaks == nil && s.Metrics != nil && s.FlightFrames > 0 {
+	if s.streaks == nil {
 		s.streaks = frametrace.NewStreakSet(s.Metrics)
-	}
-	if s.sessions == nil {
-		s.sessions = make(map[net.Conn]*session)
 	}
 	if s.pending == nil {
 		s.pending = make(map[net.Conn]struct{})
@@ -371,37 +372,50 @@ func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) {
 }
 
 // servePlayer runs a game session whose Hello has been read: version
-// check, session cap, admission control, resume-token identity, then the
+// check, resume-token identity, session cap, admission control, then the
 // frame loop.
 func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) {
 	max := s.MaxSessions
 	if max <= 0 {
 		max = 16
 	}
-	sess := &session{remote: conn.RemoteAddr().String()}
+	remote := conn.RemoteAddr().String()
 	if err := checkVersion(hello.Version); err != nil {
 		// Before the session cap: a peer this server cannot talk to holds
 		// no slot or token.
 		s.ctrs.rejected.Inc()
-		s.Log.Warn("stream: rejecting session", "session", sess.remote, "reason", err)
+		s.Log.Warn("stream: rejecting session", "session", remote, "reason", err)
 		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
 		return
 	}
+	// Every session gets a resume token: a reconnecting client replays it
+	// to keep its identity (flight records, per-session metrics); the
+	// session itself is new and starts at a keyframe. A replayed token is
+	// re-issued unchanged so the identity stays stable across any number of
+	// drops.
+	token := hello.ResumeToken
+	identity, resumed := s.resumeIdentity(token)
+	if !resumed {
+		identity = remote
+	}
+	sess := s.newSession(conn, remote, identity)
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed, overCap := s.closed, len(s.liveSessions()) >= max
+	if !closed && !overCap {
+		s.sessions = append(s.sessions, sess)
+	}
+	s.mu.Unlock()
+	if closed || overCap {
+		s.drop(sess)
+	}
+	if closed {
 		conn.Close()
 		return
 	}
-	overCap := len(s.sessions) >= max
-	if !overCap {
-		s.sessions[conn] = sess
-	}
-	s.mu.Unlock()
 	if overCap {
 		s.ctrs.rejected.Inc()
 		s.ctrs.rejectedCap.Inc()
-		s.Log.Warn("stream: rejecting session: capacity", "session", sess.remote, "limit", max)
+		s.Log.Warn("stream: rejecting session: capacity", "session", remote, "limit", max)
 		s.rejectConn(conn, Reject{
 			Code:         RejectCapacity,
 			Reason:       fmt.Sprintf("session limit %d reached", max),
@@ -409,22 +423,17 @@ func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) 
 		})
 		return
 	}
-	unregister := func() {
-		s.mu.Lock()
-		delete(s.sessions, conn)
-		s.mu.Unlock()
-	}
 	if s.Admission != nil {
 		if p99, samples, deadline, ok := s.admit(); !ok {
-			unregister()
+			s.drop(sess)
 			s.ctrs.rejected.Inc()
 			s.ctrs.rejectedBusy.Inc()
 			s.Log.Warn("stream: rejecting session: no SLO headroom",
-				"session", sess.remote, "p99", p99, "samples", samples, "deadline", deadline)
+				"session", remote, "p99", p99, "samples", samples, "deadline", deadline)
 			// An admission reject means the fleet is already missing its tail
 			// SLO — exactly the moment a postmortem bundle is worth freezing.
 			s.Diag.Trigger("admission_reject",
-				"session", sess.remote, "p99", p99, "samples", samples, "deadline", deadline)
+				"session", remote, "p99", p99, "samples", samples, "deadline", deadline)
 			s.rejectConn(conn, Reject{
 				Code:         RejectBusy,
 				Reason:       fmt.Sprintf("no SLO headroom: p99 %v", p99.Round(time.Microsecond)),
@@ -433,30 +442,62 @@ func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) 
 			return
 		}
 	}
-	// Every session gets a resume token: a reconnecting client replays it
-	// to keep its identity (flight records, per-session metrics); the
-	// session itself is new and starts at a keyframe. A replayed token is
-	// re-issued unchanged so the identity stays stable across any number of
-	// drops.
-	token, identity := hello.ResumeToken, sess.remote
-	if token != "" {
-		if orig, ok := s.resumeIdentity(token); ok {
-			identity = orig
-			s.Log.Info("stream: session resumed", "remote", sess.remote, "session", identity)
-		}
-	} else {
+	if resumed {
+		s.Log.Info("stream: session resumed", "remote", remote, "session", identity)
+	} else if token == "" {
 		token = newResumeToken()
 	}
 	s.recordResume(token, identity)
-	if s.Sched != nil {
-		sess.client = s.Sched.NewClient(parallel.ClientConfig{Name: sess.remote})
-	}
 	s.ctrs.accepted.Inc()
 	s.ctrs.active.Add(1)
-	s.serveSession(conn, sess, hello, tHello, token, identity)
-	conn.Close()
-	unregister()
+	s.serveSession(sess, hello, tHello, token)
 	s.ctrs.active.Add(-1)
+}
+
+// newSession builds the live record of a session on conn, its flight
+// recorder attached. Per-session recorders keep frame IDs independent
+// across concurrent sessions; they share the server's Metrics registry, so
+// miss counters aggregate, and the streak gauges go through the server's
+// StreakSet (max across live sessions) instead of racing last-writer-wins.
+func (s *MultiServer) newSession(conn net.Conn, remote, identity string) *session {
+	sess := &session{srv: s, identity: identity, remote: remote, conn: conn, live: true}
+	if s.Sched != nil {
+		sess.client = s.Sched.NewClient(parallel.ClientConfig{Name: remote})
+	}
+	cfg := frametrace.Config{Frames: s.FlightFrames, Deadline: s.Deadline, Metrics: s.Metrics, Streaks: s.streaks}
+	if s.Diag != nil {
+		// The SLO watchdog: a sustained deadline-miss streak on a session
+		// freezes a capture bundle with the triggering frames still
+		// in the flight window. The threshold tracks the shed ladder's
+		// escalation streak so a bundle lands exactly when shedding starts;
+		// Diag's cooldown turns a 100-frame streak (one OnMiss per frame)
+		// into one bundle, not a capture storm. OnMiss only fires from
+		// ObserveDeadline calls, after New has returned.
+		threshold := int64(ShedPolicy{}.withDefaults().EscalateStreak)
+		if s.Shed != nil {
+			threshold = int64(s.Shed.withDefaults().EscalateStreak)
+		}
+		cfg.OnMiss = func(id uint64, slack time.Duration) {
+			// MissStreak already counts the miss that fired this callback.
+			if streak := sess.rec.MissStreak(); streak >= threshold {
+				s.Diag.Trigger("miss_streak",
+					"session", identity, "streak", streak, "flight", id, "slack", slack)
+			}
+		}
+	}
+	sess.rec = frametrace.New(cfg)
+	return sess
+}
+
+// liveSessions returns the live records; the caller holds s.mu.
+func (s *MultiServer) liveSessions() []*session {
+	var live []*session
+	for _, sess := range s.sessions {
+		if sess.live {
+			live = append(live, sess)
+		}
+	}
+	return live
 }
 
 // admit computes the aggregate windowed p99 across live session recorders
@@ -465,23 +506,15 @@ func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) 
 func (s *MultiServer) admit() (p99 time.Duration, samples int, deadline time.Duration, ok bool) {
 	pol := s.Admission.withDefaults()
 	s.mu.Lock()
-	recs := make([]*frametrace.Recorder, 0, len(s.flights))
-	for _, f := range s.flights {
-		if f.live {
-			recs = append(recs, f.rec)
-		}
-	}
+	live := s.liveSessions()
 	s.mu.Unlock()
 	var lats []time.Duration
+	for _, sess := range live {
+		lats = sess.rec.WindowLatencies(lats)
+	}
 	deadline = s.Deadline
 	if deadline <= 0 {
 		deadline = frametrace.DefaultDeadline
-	}
-	for _, rec := range recs {
-		lats = rec.WindowLatencies(lats)
-		if d := rec.Deadline(); d > 0 {
-			deadline = d
-		}
 	}
 	if len(lats) < pol.MinSamples {
 		return 0, len(lats), deadline, true // cold server: no evidence to reject on
@@ -497,28 +530,23 @@ func (s *MultiServer) maxShedLevel() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var max int64
-	for _, sess := range s.sessions {
-		if sess.shed == nil {
-			continue
-		}
-		if v := sess.shed.Level(); int64(v) > max {
-			max = int64(v)
+	for _, sess := range s.liveSessions() {
+		if v := int64(sess.shed.Load()); v > max {
+			max = v
 		}
 	}
 	return max
 }
 
-// serveSession runs the accepted session's frame loop. identity is the
-// stable session name for flight records and per-session metrics: normally
-// the remote address, but a resumed session keeps the identity of the
-// connection it resumed, so records correlate across reconnects.
-func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tHello time.Time, token, identity string) {
-	remote := sess.remote
+// serveSession runs the admitted session's frame loop, then retires its
+// record.
+func (s *MultiServer) serveSession(sess *session, hello Hello, tHello time.Time, token string) {
 	source, err := s.NewSource(hello)
 	if err != nil {
 		// Tell the client why before closing — a silent close is
 		// indistinguishable from a network fault on their side.
-		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		s.rejectConn(sess.conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		s.drop(sess)
 		return
 	}
 	if sa, ok := source.(SchedAware); ok && sess.client != nil {
@@ -529,75 +557,102 @@ func (s *MultiServer) serveSession(conn net.Conn, sess *session, hello Hello, tH
 	// to the session identity. The goroutine is per-connection and exits
 	// right after, so there is nothing to restore.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("session", identity, "stage", "publish")))
-	flight := s.beginFlight(identity)
-	rec := flight.recorder()
-	if s.Shed != nil && rec != nil {
+		pprof.Labels("session", sess.identity, "stage", "publish")))
+	if s.Shed != nil {
 		target, _ := source.(Shedder)
-		shed := &shedSource{
+		source = &shedSource{
+			sess:        sess,
 			inner:       source,
 			target:      target,
-			client:      sess.client,
-			rec:         rec,
 			pol:         s.Shed.withDefaults(),
-			remote:      remote,
-			log:         s.Log,
-			diag:        s.Diag,
 			escalations: s.Metrics.Counter("stream_shed_escalations_total"),
 			recoveries:  s.Metrics.Counter("stream_shed_recoveries_total"),
 		}
-		sess.shed = shed
-		source = shed
 	}
-	sink := &statsSink{metrics: s.Metrics, remote: identity, rec: rec, log: s.Log}
+	sink := &statsSink{sess: sess}
 	opt := ServerOptions{
 		Accept:        s.Accept,
 		MaxFrames:     s.MaxFrames,
 		FrameInterval: s.FrameInterval,
 		Metrics:       s.Metrics,
-		Flight:        rec,
-		Remote:        remote,
+		Flight:        sess.rec,
+		Remote:        sess.remote,
 		ResumeToken:   token,
 		IdleTimeout:   s.idleTimeout(),
 		Log:           s.Log,
 		OnReap: func(idle time.Duration) {
-			s.Diag.Trigger("session_reaped", "session", identity, "idle", idle)
+			s.Diag.Trigger("session_reaped", "session", sess.identity, "idle", idle)
 		},
 		Source:  source,
 		OnStats: sink.handle,
 		OnInput: func(in InputPacket) {
 			if s.OnInput != nil {
-				s.OnInput(remote, in)
+				s.OnInput(sess.remote, in)
 			}
 		},
 	}
-	serveHello(conn, hello, tHello, opt) // per-session errors end that session only
-	sink.close()
+	serveHello(sess.conn, hello, tHello, opt) // per-session errors end that session only
+	sess.conn.Close()
 	if sess.client != nil {
 		st := sess.client.Stats()
 		if st.Jobs > 0 {
-			s.Log.Info("stream: session scheduler stats", "session", remote,
+			s.Log.Info("stream: session scheduler stats", "session", sess.remote,
 				"jobs", st.Jobs, "chunks", st.Chunks, "stolen", st.Stolen,
 				"queue_wait", st.StolenWait.Round(time.Microsecond))
 		}
 	}
-	s.endFlight(flight)
+	sink.close(s.retire(sess))
+}
+
+// retire marks a finished session's record: it leaves the live set and
+// the streak aggregation (so a dead session's final streak stops
+// dominating the gauge), and its flight window stays dumpable until more
+// than FlightRetain (default 4) later-finished sessions push it out. It
+// reports whether a live session still carries sess's identity.
+func (s *MultiServer) retire(sess *session) (shared bool) {
+	s.streaks.Remove(sess.rec)
+	retain := s.FlightRetain
+	if retain <= 0 {
+		retain = retiredFlights
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess.live = false
+	retired := 0
+	for i := len(s.sessions) - 1; i >= 0; i-- {
+		switch r := s.sessions[i]; {
+		case r.live:
+			shared = shared || r.identity == sess.identity
+		case retired == retain:
+			s.sessions = slices.Delete(s.sessions, i, i+1)
+		default:
+			retired++
+		}
+	}
+	return shared
+}
+
+// drop removes the record of a session refused before its first frame.
+func (s *MultiServer) drop(sess *session) {
+	s.streaks.Remove(sess.rec)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if i := slices.Index(s.sessions, sess); i >= 0 {
+		s.sessions = slices.Delete(s.sessions, i, i+1)
+	}
 }
 
 // statsSink folds one session's backchannel Stats reports (DESIGN.md §13)
-// into the server's telemetry and flight recorder: per-session gauges
-// expose the client-observed e2e/decode/SR percentiles on /metrics, the
-// cumulative drop/miss counts feed aggregate counters by delta, and the
-// session's flight recorder pins the report to the frame in flight so a
+// into the server's telemetry and the session's flight recorder:
+// per-session gauges expose the client-observed e2e/decode/SR percentiles
+// on /metrics, the cumulative drop/miss counts feed aggregate counters by
+// delta, and the recorder pins the report to the frame in flight so a
 // server-side dump shows what the client was experiencing. handle is
 // called from the session's read loop; close is called at session
 // teardown, possibly from a different goroutine (the read goroutine can
 // outlive the session loop briefly), hence the mutex.
 type statsSink struct {
-	metrics *telemetry.Registry
-	remote  string
-	rec     *frametrace.Recorder
-	log     *logx.Logger
+	sess *session
 
 	mu                      sync.Mutex
 	closed                  bool
@@ -606,10 +661,10 @@ type statsSink struct {
 }
 
 // perSessionGauges are the statsSink gauge-name prefixes, each suffixed
-// with the sanitised remote address. close unregisters all of them —
-// leaving them behind grew /metrics without bound under session churn
-// (every reconnecting client has a fresh ephemeral port, hence a fresh
-// suffix).
+// with the sanitised session identity. The identity's last session to end
+// unregisters all of them — leaving them behind grew /metrics without
+// bound under session churn (every fresh connection has a fresh ephemeral
+// port, hence a fresh suffix).
 var perSessionGauges = []string{
 	"stream_client_age_p50_us_",
 	"stream_client_age_p99_us_",
@@ -617,18 +672,20 @@ var perSessionGauges = []string{
 	"stream_client_sr_p99_us_",
 }
 
-// close unregisters the session's per-remote gauges and drops any late
-// stats report still in flight on the read goroutine.
-func (k *statsSink) close() {
+// close drops any late stats report still in flight on the read goroutine
+// and, unless a live session shares the identity (a resumed client's
+// redial, which writes the same gauges), unregisters the per-session
+// gauges.
+func (k *statsSink) close(shared bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.closed {
+	k.closed = true
+	if shared {
 		return
 	}
-	k.closed = true
-	suffix := metricLabel(k.remote)
+	suffix := metricLabel(k.sess.identity)
 	for _, name := range perSessionGauges {
-		k.metrics.Unregister(name + suffix)
+		k.sess.srv.Metrics.Unregister(name + suffix)
 	}
 }
 
@@ -638,9 +695,9 @@ func (k *statsSink) handle(st StatsPacket) {
 	if k.closed {
 		return
 	}
-	m := k.metrics
+	m, rec := k.sess.srv.Metrics, k.sess.rec
 	m.Counter("stream_client_stats_total").Inc()
-	suffix := metricLabel(k.remote)
+	suffix := metricLabel(k.sess.identity)
 	m.Gauge("stream_client_age_p50_us_" + suffix).Set(st.AgeP50.Microseconds())
 	m.Gauge("stream_client_age_p99_us_" + suffix).Set(st.AgeP99.Microseconds())
 	m.Gauge("stream_client_decode_p99_us_" + suffix).Set(st.DecodeP99.Microseconds())
@@ -655,10 +712,10 @@ func (k *statsSink) handle(st StatsPacket) {
 		m.Counter("stream_client_deadline_misses_total").Add(int64(st.Misses - k.lastMisses))
 	}
 	k.lastMisses = st.Misses
-	k.rec.SetClientStats(k.rec.LastID(), st.AgeP99, st.Dropped, st.Misses)
+	rec.SetClientStats(rec.LastID(), st.AgeP99, st.Dropped, st.Misses)
 	if !k.seen {
 		k.seen = true
-		k.log.Info("stream: backchannel up", "session", k.remote,
+		k.sess.srv.Log.Info("stream: backchannel up", "session", k.sess.identity,
 			"age_p50", st.AgeP50.Round(time.Microsecond), "age_p99", st.AgeP99.Round(time.Microsecond),
 			"decode_p99", st.DecodeP99.Round(time.Microsecond), "sr_p99", st.SRP99.Round(time.Microsecond),
 			"frames", st.WindowFrames)
@@ -678,22 +735,18 @@ func metricLabel(remote string) string {
 }
 
 // shedSource wraps a session's frame source with the shed-ladder
-// controller: before each frame it reads the recorder's miss streak and
-// escalates (or, after sustained recovery, descends) the shed level,
-// applying it to the source (Shedder) and the scheduler client (priority
-// demotion at ShedDemoted). Runs on the session's send goroutine, so all
-// state except the exported level is single-goroutine.
+// controller: before each frame it reads the session recorder's miss
+// streak and escalates (or, after sustained recovery, descends) the
+// session's shed level, applying it to the source (Shedder) and the
+// scheduler client (priority demotion at ShedDemoted). Runs on the
+// session's send goroutine, so all state except the session's level is
+// single-goroutine.
 type shedSource struct {
+	sess   *session
 	inner  FrameSource
 	target Shedder // inner, when it can degrade; else nil
-	client *parallel.Client
-	rec    *frametrace.Recorder
 	pol    ShedPolicy
-	remote string
-	log    *logx.Logger
-	diag   *diag.Diag
 
-	level atomic.Int32
 	arm   int64 // next escalation requires a streak >= arm
 	clean int64 // consecutive on-budget frames at the current level
 
@@ -707,17 +760,14 @@ type shedSource struct {
 // it flapped.
 var shedLogLimit = logx.NewLimiter(1, 4)
 
-// Level returns the session's current shed-ladder level.
-func (ss *shedSource) Level() int { return int(ss.level.Load()) }
-
 func (ss *shedSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
 	ss.evaluate(i)
 	return ss.inner.NextFrame(i)
 }
 
 func (ss *shedSource) evaluate(i int) {
-	streak := ss.rec.MissStreak()
-	level := int(ss.level.Load())
+	streak := ss.sess.rec.MissStreak()
+	level := int(ss.sess.shed.Load())
 	if streak == 0 {
 		ss.arm = int64(ss.pol.EscalateStreak)
 		if level > 0 {
@@ -744,116 +794,32 @@ func (ss *shedSource) evaluate(i int) {
 		// A climb means sustained misses despite the previous level's
 		// relief — worth a capture bundle (the diag cooldown dedupes the
 		// rungs of one incident into a single bundle).
-		ss.diag.Trigger("shed_escalation",
-			"session", ss.remote, "level", level+1, "frame", i, "streak", streak)
+		ss.sess.srv.Diag.Trigger("shed_escalation",
+			"session", ss.sess.remote, "level", level+1, "frame", i, "streak", streak)
 	}
 }
 
 func (ss *shedSource) setLevel(i, level int) {
-	old := int(ss.level.Swap(int32(level)))
+	sess := ss.sess
+	old := int(sess.shed.Swap(int32(level)))
 	if ss.target != nil {
 		ss.target.SetShedLevel(level)
 	}
-	if ss.client != nil {
+	if sess.client != nil {
 		if level >= ShedDemoted {
-			ss.client.SetPriority(parallel.Background)
+			sess.client.SetPriority(parallel.Background)
 		} else {
-			ss.client.SetPriority(parallel.Normal)
+			sess.client.SetPriority(parallel.Normal)
 		}
 	}
-	if ok, suppressed := shedLogLimit.Allow("shed:" + ss.remote); ok {
-		kv := []any{"session", ss.remote, "from", old, "to", level, "frame", i,
-			"flight", ss.rec.LastID(), "streak", ss.rec.MissStreak()}
+	if ok, suppressed := shedLogLimit.Allow("shed:" + sess.remote); ok {
+		kv := []any{"session", sess.remote, "from", old, "to", level, "frame", i,
+			"flight", sess.rec.LastID(), "streak", sess.rec.MissStreak()}
 		if suppressed > 0 {
 			kv = append(kv, "suppressed", suppressed)
 		}
-		ss.log.Warn("stream: shed level change", kv...)
+		sess.srv.Log.Warn("stream: shed level change", kv...)
 	}
-}
-
-// beginFlight attaches a flight recorder to a new session (nil when
-// FlightFrames is off), retiring the oldest finished recorders beyond the
-// retention cap; the session hands the returned flight to endFlight.
-// Per-session recorders keep frame IDs independent across concurrent
-// sessions; they share the server's Metrics registry, so miss counters
-// aggregate, and the streak gauges go through the server's StreakSet (max
-// across live sessions) instead of racing last-writer-wins.
-func (s *MultiServer) beginFlight(remote string) *sessionFlight {
-	if s.FlightFrames <= 0 {
-		return nil
-	}
-	s.mu.Lock()
-	streaks := s.streaks
-	s.mu.Unlock()
-	cfg := frametrace.Config{Frames: s.FlightFrames, Deadline: s.Deadline, Metrics: s.Metrics, Streaks: streaks}
-	var rec *frametrace.Recorder
-	if s.Diag != nil {
-		// The SLO watchdog: a sustained deadline-miss streak on a session
-		// freezes a capture bundle with the triggering frames still
-		// in the flight window. The threshold tracks the shed ladder's
-		// escalation streak so a bundle lands exactly when shedding starts;
-		// Diag's cooldown turns a 100-frame streak (one OnMiss per frame)
-		// into one bundle, not a capture storm. rec is captured by the
-		// closure before New assigns it; OnMiss only fires from
-		// ObserveDeadline calls on the constructed recorder.
-		threshold := int64(ShedPolicy{}.withDefaults().EscalateStreak)
-		if s.Shed != nil {
-			threshold = int64(s.Shed.withDefaults().EscalateStreak)
-		}
-		cfg.OnMiss = func(id uint64, slack time.Duration) {
-			// MissStreak already counts the miss that fired this callback.
-			if streak := rec.MissStreak(); streak >= threshold {
-				s.Diag.Trigger("miss_streak",
-					"session", remote, "streak", streak, "flight", id, "slack", slack)
-			}
-		}
-	}
-	rec = frametrace.New(cfg)
-	retain := s.FlightRetain
-	if retain <= 0 {
-		retain = retiredFlights
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	flight := &sessionFlight{remote: remote, rec: rec, live: true}
-	s.flights = append(s.flights, flight)
-	retired := 0
-	for _, f := range s.flights {
-		if !f.live {
-			retired++
-		}
-	}
-	for i := 0; retired > retain && i < len(s.flights); {
-		if !s.flights[i].live {
-			s.flights = append(s.flights[:i], s.flights[i+1:]...)
-			retired--
-			continue
-		}
-		i++
-	}
-	return flight
-}
-
-// recorder returns the flight's recorder; nil (no flight) has none.
-func (f *sessionFlight) recorder() *frametrace.Recorder {
-	if f == nil {
-		return nil
-	}
-	return f.rec
-}
-
-// endFlight marks a session's flight as finished; its window stays
-// dumpable until retention evicts it. The recorder leaves the streak
-// aggregation so a dead session's final streak stops dominating the gauge.
-// A nil flight (FlightFrames off) is a no-op.
-func (s *MultiServer) endFlight(f *sessionFlight) {
-	if f == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f.live = false
-	s.streaks.Remove(f.rec)
 }
 
 // WriteFlight merges every retained session's flight window into one
@@ -861,32 +827,32 @@ func (s *MultiServer) endFlight(f *sessionFlight) {
 // the /debug/flight implementation (telemetry.FlightDumper).
 func (s *MultiServer) WriteFlight(w io.Writer) error {
 	s.mu.Lock()
-	dumps := make([]frametrace.NamedDump, 0, len(s.flights))
-	for _, f := range s.flights {
-		name := f.remote
-		if !f.live {
+	dumps := make([]frametrace.NamedDump, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		name := sess.identity
+		if !sess.live {
 			name += " (closed)"
 		}
-		dumps = append(dumps, frametrace.NamedDump{Name: name, Dump: f.rec.Snapshot()})
+		dumps = append(dumps, frametrace.NamedDump{Name: name, Dump: sess.rec.Snapshot()})
 	}
 	s.mu.Unlock()
 	return frametrace.WriteChromeTraces(w, dumps)
 }
 
 // SessionLatencies returns the modelled frame latencies currently in every
-// retained session recorder's ring, keyed "remote#k" (k disambiguates
-// successive sessions from one address) — what the saturation benchmark
+// retained session recorder's ring, keyed "identity#k" (k disambiguates
+// successive sessions under one identity) — what the saturation benchmark
 // reads to compute per-session tail latency.
 func (s *MultiServer) SessionLatencies() map[string][]time.Duration {
 	s.mu.Lock()
-	flights := append([]*sessionFlight(nil), s.flights...)
+	sessions := slices.Clone(s.sessions)
 	s.mu.Unlock()
-	out := make(map[string][]time.Duration, len(flights))
+	out := make(map[string][]time.Duration, len(sessions))
 	seen := map[string]int{}
-	for _, f := range flights {
-		key := fmt.Sprintf("%s#%d", f.remote, seen[f.remote])
-		seen[f.remote]++
-		out[key] = f.rec.WindowLatencies(nil)
+	for _, sess := range sessions {
+		key := fmt.Sprintf("%s#%d", sess.identity, seen[sess.identity])
+		seen[sess.identity]++
+		out[key] = sess.rec.WindowLatencies(nil)
 	}
 	return out
 }
@@ -900,8 +866,8 @@ func (s *MultiServer) Shutdown(ctx context.Context) error {
 	if s.listener != nil {
 		s.listener.Close()
 	}
-	for conn := range s.sessions {
-		conn.Close()
+	for _, sess := range s.liveSessions() {
+		sess.conn.Close()
 	}
 	for conn := range s.pending {
 		conn.Close()
@@ -924,5 +890,5 @@ func (s *MultiServer) Shutdown(ctx context.Context) error {
 func (s *MultiServer) SessionCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sessions)
+	return len(s.liveSessions())
 }

@@ -414,13 +414,11 @@ func TestMultiServerFlightRetention(t *testing.T) {
 	<-done
 
 	srv.mu.Lock()
-	kept := len(srv.flights)
+	kept := len(srv.sessions)
 	srv.mu.Unlock()
-	// Pruning runs at session start, so the cap can be exceeded by the
-	// sessions that finished after the last prune — but it must not grow
-	// with the session count.
-	if kept > retiredFlights+2 {
-		t.Errorf("%d recorders retained after %d sessions, cap is ~%d", kept, sessions, retiredFlights)
+	// Pruning runs as each session retires, so the cap holds exactly.
+	if kept != retiredFlights {
+		t.Errorf("%d recorders retained after %d sessions, cap is %d", kept, sessions, retiredFlights)
 	}
 	var buf bytes.Buffer
 	if err := srv.WriteFlight(&buf); err != nil {
@@ -855,4 +853,113 @@ func TestResumeOverlapRetiresOwnFlight(t *testing.T) {
 		t.Fatalf("second session: %v, want its Bye", err)
 	}
 	_ = b.Bye()
+}
+
+// TestShedClimbsWithoutFlightFrames: the shed ladder reads the session
+// recorder's miss streak, and every session has a recorder — FlightFrames
+// only sizes its ring.
+func TestShedClimbsWithoutFlightFrames(t *testing.T) {
+	probe := &shedProbe{frames: 8}
+	srv := &MultiServer{
+		Accept:    Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		Shed:      &ShedPolicy{EscalateStreak: 2},
+		Deadline:  time.Nanosecond, // every frame misses
+		NewSource: func(Hello) (FrameSource, error) { return probe, nil },
+	}
+	addr, done := startMulti(t, srv)
+	if got := runClient(t, addr, "shed"); got != probe.frames {
+		t.Fatalf("client got %d frames, want %d", got, probe.frames)
+	}
+	shutdownMulti(t, srv)
+	<-done
+	probe.mu.Lock()
+	defer probe.mu.Unlock()
+	if len(probe.levels) == 0 || probe.levels[0] != ShedRoIShrink {
+		t.Errorf("shed levels = %v, want a climb to %d", probe.levels, ShedRoIShrink)
+	}
+}
+
+// TestResumeOverlapKeepsSuccessorGauges: the per-session client gauges are
+// named by identity, which a resumed client's redial shares with its
+// predecessor. The predecessor ending while its successor streams on must
+// leave the successor's gauges registered; the last session of the
+// identity to end removes them.
+func TestResumeOverlapKeepsSuccessorGauges(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	ends := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	var mu sync.Mutex
+	next := 0
+	srv := &MultiServer{
+		Accept:  Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		Metrics: reg,
+		NewSource: func(Hello) (FrameSource, error) {
+			mu.Lock()
+			end := ends[next]
+			next++
+			mu.Unlock()
+			return frameFunc(func(i int) ([]byte, bool, frame.Rect, error) {
+				if i == 1 {
+					<-end
+					return nil, false, frame.Rect{}, io.EOF
+				}
+				return []byte{byte(i)}, true, frame.Rect{W: 4, H: 4}, nil
+			}), nil
+		},
+	}
+	addr, done := startMulti(t, srv)
+	var once [2]sync.Once
+	release := func(k int) { once[k].Do(func() { close(ends[k]) }) }
+	defer func() {
+		release(0)
+		release(1)
+		shutdownMulti(t, srv)
+		<-done
+	}()
+	open := func(token string) (*Client, net.Conn, string) {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		c := NewClient(conn)
+		acc, err := c.Handshake(Hello{Device: "p", RoIWindow: 8, Scale: 2, ResumeToken: token})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.RecvFrame(); err != nil {
+			t.Fatal(err)
+		}
+		return c, conn, acc.Token
+	}
+	a, aConn, token := open("")
+	b, _, _ := open(token)
+	gauge := "stream_client_age_p99_us_" + metricLabel(aConn.LocalAddr().String())
+
+	if err := b.SendStats(StatsPacket{Seq: 1, WindowFrames: 1, AgeP99: 4 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the successor's report", func() bool { return reg.Snapshot().Gauge(gauge) == 4000 })
+
+	release(0)
+	if _, err := a.RecvFrame(); err != io.EOF {
+		t.Fatalf("first session: %v, want its Bye", err)
+	}
+	_ = a.Bye()
+	waitFor(t, "first session end", func() bool { return srv.SessionCount() == 1 })
+	if got := reg.Snapshot().Gauge(gauge); got != 4000 {
+		t.Errorf("%s = %d after the predecessor ended, want the successor's 4000", gauge, got)
+	}
+
+	release(1)
+	if _, err := b.RecvFrame(); err != io.EOF {
+		t.Fatalf("second session: %v, want its Bye", err)
+	}
+	_ = b.Bye()
+	waitFor(t, "second session end", func() bool { return srv.SessionCount() == 0 })
+	for _, g := range reg.Snapshot().Gauges {
+		if strings.HasPrefix(g.Name, "stream_client_") {
+			t.Errorf("gauge %s survived the identity's last session", g.Name)
+		}
+	}
 }
