@@ -85,7 +85,7 @@ func parseFlags(args []string) (clientConfig, error) {
 	fs := flag.NewFlagSet("gssr-client", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", "localhost:7007", "server address")
 	fs.StringVar(&cfg.devName, "device", "s8", "device profile (s8 or pixel)")
-	fs.IntVar(&cfg.scale, "scale", 2, "upscale factor")
+	fs.IntVar(&cfg.scale, "scale", 2, "upscale factor, ≥ 1")
 	fs.StringVar(&cfg.save, "save", "", "save the last upscaled frame to this PPM path")
 	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve /metrics, /metrics.json and /debug/flight on this address")
 	fs.StringVar(&cfg.flightPath, "flight", "", "write the flight-recorder window to this file on exit (Chrome trace JSON)")
@@ -98,12 +98,17 @@ func parseFlags(args []string) (clientConfig, error) {
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
-	if cfg.reconnectBase <= 0 {
-		err := fmt.Errorf("-reconnect-base must be positive, got %v", cfg.reconnectBase)
-		fmt.Fprintln(fs.Output(), err)
-		return cfg, err
+	var err error
+	switch {
+	case cfg.scale < 1:
+		err = fmt.Errorf("-scale must be at least 1, got %d", cfg.scale)
+	case cfg.reconnectBase <= 0:
+		err = fmt.Errorf("-reconnect-base must be positive, got %v", cfg.reconnectBase)
 	}
-	return cfg, nil
+	if err != nil {
+		fmt.Fprintln(fs.Output(), err)
+	}
+	return cfg, err
 }
 
 type clientConfig struct {

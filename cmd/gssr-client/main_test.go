@@ -97,6 +97,22 @@ func TestReconnectBaseMustBePositive(t *testing.T) {
 	}
 }
 
+// TestScaleMustBePositive: a Hello with Scale below 1 can only be refused
+// by the server, so -scale below 1 is refused when the flags are parsed.
+func TestScaleMustBePositive(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		if _, err := parseFlags([]string{"-scale=" + v}); err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale=%s: err %v, want a refusal naming the flag", v, err)
+		}
+	}
+	for args, want := range map[string]int{"": 2, "-scale=1": 1, "-scale=4": 4} {
+		cfg, err := parseFlags(strings.Fields(args))
+		if err != nil || cfg.scale != want {
+			t.Errorf("parseFlags(%q): scale %d, err %v; want %d", args, cfg.scale, err, want)
+		}
+	}
+}
+
 // codedSource encodes a moving gradient: real codec frames, so the client
 // runs its whole decode → upscale ∥ SR → merge path.
 type codedSource struct {

@@ -797,14 +797,38 @@ func (pl *interPlane) predictClamped(x, y, w, hh int, mv MV) {
 // addResiduals walks the significance words of one plane's band once and
 // adds each non-zero residual — ±q, or an escaped level times q —
 // dequantized onto the prediction in rp; zeros are skipped, not visited.
-func addResiduals(rp []uint8, q int32, s *sigSeq) {
+// Where the CPU has a fast PDEP, each whole word goes through addWord's 64
+// lanes at once (DESIGN.md §28).
+func addResiduals(rp []uint8, q int32, s *sigSeq) { addResidualsWith(rp, q, s, useAddWord) }
+
+// addResidualsWith is addResiduals with the form chosen: words sends every
+// word that lies whole inside rp through addWord, and the scalar walk takes
+// the others — all of them when words is false. The two forms write the
+// same bytes.
+func addResidualsWith(rp []uint8, q int32, s *sigSeq, words bool) {
 	esc := s.escapes()
 	k := 0
 	for at, g := 0, (sigGroups{occ: s.occ, bi: -1}); at < len(s.words); at += 8 {
 		base := 64 * g.next()
 		w := binary.LittleEndian.Uint64(s.words[at:])
 		sb := signBits(s.signs, k)
-		for k += bits.OnesCount64(w); w != 0; w &= w - 1 {
+		k += bits.OnesCount64(w)
+		if words && base+64 <= len(rp) {
+			// The word's escapes are added here and masked out of addWord's
+			// lanes. An escape on bit b is the word's r-th non-zero, r the
+			// set bits below b, so its sign is sb's bit r: the bit PDEP
+			// places on b.
+			em := uint64(0)
+			for ; uint(esc.idx-base) < 64; esc.next() {
+				b := uint(esc.idx - base)
+				em |= 1 << b
+				n := int32(sb >> bits.OnesCount64(w&(1<<b-1)) & 1)
+				rp[esc.idx] = clamp8(int32(rp[esc.idx]) + (q*esc.mag ^ -n) + n)
+			}
+			addWord(&rp[base], w, sb, em, q)
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
 			i := base + bits.TrailingZeros64(w)
 			d := q
 			if i == esc.idx {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -138,6 +139,67 @@ func TestStatsBackchannel(t *testing.T) {
 			t.Fatal("client bye never counted")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBadHelloRejected: a Hello that arrives whole but does not parse —
+// here Scale 0, what `gssr-client -scale 0` sent — is answered with a
+// BadHello reject carrying the parse reason, by MultiServer and by Serve, so
+// the client does not take the close for a network fault and redial. On a
+// MultiServer it counts as rejected and spends no session or token.
+func TestBadHelloRejected(t *testing.T) {
+	bad := Hello{Device: "zero", RoIWindow: 8, Scale: 0, Version: ProtocolVersion}
+	const reason = "non-positive hello fields"
+	reg := telemetry.NewRegistry()
+	srv := &MultiServer{
+		Accept:    Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		Metrics:   reg,
+		NewSource: func(Hello) (FrameSource, error) { return &countingSource{n: 4}, nil },
+	}
+	addr, done := startMulti(t, srv)
+	defer func() {
+		srv.Shutdown(contextWithTimeout(t))
+		<-done
+	}()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteHello(conn, bad); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewClient(conn).awaitAccept(0)
+	var rej *RejectedError
+	if !errors.As(err, &rej) || rej.Code != RejectBadHello || !strings.Contains(rej.Reason, reason) {
+		t.Fatalf("MultiServer: got %v, want a bad-hello reject naming %q", err, reason)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("MultiServer: conn not closed behind the reject: %v", err)
+	}
+	snap := reg.Snapshot()
+	if r, a := snap.Counter("stream_sessions_rejected_total"), snap.Counter("stream_sessions_accepted_total"); r != 1 || a != 0 {
+		t.Errorf("rejected %d, accepted %d; want 1 and 0", r, a)
+	}
+	srv.mu.Lock()
+	tokens := len(srv.resumes)
+	srv.mu.Unlock()
+	if n := srv.SessionCount(); n != 0 || tokens != 0 {
+		t.Errorf("%d sessions and %d resume tokens, want none", n, tokens)
+	}
+
+	server, client := net.Pipe()
+	defer server.Close()
+	defer client.Close()
+	served := serveFrames(server, ServerOptions{})
+	if err := WriteHello(client, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewClient(client).awaitAccept(0); !errors.As(err, &rej) || rej.Code != RejectBadHello || !strings.Contains(rej.Reason, reason) {
+		t.Fatalf("Serve: got %v, want a bad-hello reject naming %q", err, reason)
+	}
+	if err := <-served; !errors.Is(err, ErrProtocol) {
+		t.Errorf("Serve returned %v, want the protocol error", err)
 	}
 }
 

@@ -331,9 +331,10 @@ func (s *MultiServer) Serve(l net.Listener) error {
 }
 
 // handleConn reads a connection's first message: a Hello starts a game
-// session; anything else — an unknown type such as the Subscribe of
-// protocol version 4 included — closes the connection, with no session
-// slot or resume token spent on it.
+// session, and one that does not parse is rejected with the reason;
+// anything else — an unknown type such as the Subscribe of protocol version
+// 4 included — closes the connection. Neither spends a session slot or a
+// resume token.
 func (s *MultiServer) handleConn(conn net.Conn) {
 	msg, err := readOpening(conn, s.idleTimeout())
 	tHello := time.Now() // T1 of the client's Cristian offset estimate
@@ -341,17 +342,22 @@ func (s *MultiServer) handleConn(conn net.Conn) {
 	delete(s.pending, conn)
 	closed := s.closed
 	s.mu.Unlock()
-	if err != nil || closed {
+	switch {
+	case closed:
 		conn.Close()
-		return
-	}
-	if msg.Type != MsgHello {
+	case badHello(msg, err):
+		s.ctrs.rejected.Inc()
+		s.Log.Warn("stream: rejecting session", "session", conn.RemoteAddr().String(), "reason", err)
+		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+	case err != nil:
+		conn.Close()
+	case msg.Type != MsgHello:
 		s.Log.Warn("stream: bad opening message, want hello",
 			"remote", conn.RemoteAddr().String(), "type", msg.Type)
 		conn.Close()
-		return
+	default:
+		s.servePlayer(conn, *msg.Hello, tHello)
 	}
-	s.servePlayer(conn, *msg.Hello, tHello)
 }
 
 // busyRetryAfter is the server-suggested redial delay carried in

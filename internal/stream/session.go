@@ -142,6 +142,12 @@ func Serve(conn io.ReadWriter, opt ServerOptions) error {
 	}
 	msg, err := readOpening(conn, opt.IdleTimeout)
 	tHello := time.Now() // T1 of the client's Cristian offset estimate
+	if badHello(msg, err) {
+		controlWrite(conn, opt.Metrics, opt.Log, opt.Remote, "reject", func() error {
+			return WriteReject(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		})
+		return fmt.Errorf("stream: rejecting client: %w", err)
+	}
 	if err != nil {
 		return fmt.Errorf("stream: reading hello: %w", err)
 	}
@@ -162,6 +168,13 @@ func readOpening(conn io.Reader, idle time.Duration) (Msg, error) {
 		rd.SetReadDeadline(time.Now().Add(idle))
 	}
 	return readMsgMax(conn, maxOpeningBody)
+}
+
+// badHello reports that a connection's opening read failed on a Hello that
+// arrived whole but did not parse. The peer is owed a RejectBadHello with
+// the reason: a silent close would look like a network fault to it.
+func badHello(msg Msg, err error) bool {
+	return msg.Type == MsgHello && errors.Is(err, ErrProtocol)
 }
 
 // checkVersion vets the version a Hello announced: this build

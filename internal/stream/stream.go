@@ -657,7 +657,8 @@ type Msg struct {
 	Pong   *PongPacket
 }
 
-// ReadMsg reads and decodes the next message from r.
+// ReadMsg reads and decodes the next message from r. A message read whole
+// whose body does not parse comes back with its Type set beside the error.
 func ReadMsg(r io.Reader) (Msg, error) { return readMsgMax(r, MaxBody) }
 
 // readMsgMax is ReadMsg with the body bounded by limit instead of MaxBody.
@@ -689,7 +690,7 @@ func readMsgMax(r io.Reader, limit int) (Msg, error) {
 		err = fmt.Errorf("%w: unknown message type %d", ErrProtocol, t)
 	}
 	if err != nil {
-		return Msg{}, err
+		return Msg{Type: t}, err
 	}
 	return out, nil
 }
