@@ -121,7 +121,7 @@ func TestDiagSmoke(t *testing.T) {
 		t.Error("bundle carries no build info")
 	}
 	var out bytes.Buffer
-	if err := diag.RenderBundle(&out, b, 5); err != nil {
+	if err := diag.RenderBundle(&out, b, 5, "cpu.pb.gz"); err != nil {
 		t.Fatalf("render: %v", err)
 	}
 	for _, want := range []string{"miss_streak", "flight window", "build: go"} {

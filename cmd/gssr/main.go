@@ -9,6 +9,9 @@
 //	gssr sim [flags]                   run a pipeline; -json archives the result
 //	gssr trace [-width N] <flight>     render a flight-recorder dump offline
 //	gssr trace -merge <srv> <cli> [-o]  merge server+client dumps into one timeline
+//	gssr diag [-top N] <bundle.json>   render an SLO capture bundle; its CPU
+//	                                   profile goes to <bundle>.cpu.pb.gz
+//	                                   for `go tool pprof`
 //	gssr report <out.md> [flags]       regenerate every experiment into Markdown
 //	gssr render <game> <frame> <out>   render a game frame to PPM (+depth PGM)
 //	gssr roi <game> <frame> <out-dir>  dump RoI detection stages as PGM/PPM
@@ -509,28 +512,37 @@ func cmdTrace(args []string) error {
 
 // cmdDiag renders an SLO capture bundle (written by a `gssr-server -diag`
 // watchdog trigger, or fetched from /debug/diag) as a terminal report: the
-// trigger reason and detail, build and runtime state, per-session/per-stage
-// CPU attribution from the bundled profile, the hottest functions, the
-// flight-trace frame summary around the trigger, and the recent log lines.
+// trigger reason and detail, build and runtime state, the flight-trace
+// frame summary around the trigger and the recent log lines. The bundle's
+// CPU profile is written byte for byte beside it, BUNDLE.json →
+// BUNDLE.cpu.pb.gz, and the report names the `go tool pprof -tags` and
+// `-top` commands that attribute it by label and by function.
 func cmdDiag(args []string) error {
 	fs := flag.NewFlagSet("diag", flag.ContinueOnError)
-	top := fs.Int("top", 10, "rows per CPU attribution table")
+	top := fs.Int("top", 10, "missed frames and log lines listed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("diag: want one <bundle.json> (from -diag's bundle dir or /debug/diag)")
 	}
-	f, err := os.Open(fs.Arg(0))
+	path := fs.Arg(0)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
 	b, err := diag.ParseBundle(f)
 	if err != nil {
-		return fmt.Errorf("%s: %w", fs.Arg(0), err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	return diag.RenderBundle(os.Stdout, b, *top)
+	cpuFile := strings.TrimSuffix(path, filepath.Ext(path)) + ".cpu.pb.gz"
+	if len(b.CPUProfile) > 0 {
+		if err := os.WriteFile(cpuFile, b.CPUProfile, 0o644); err != nil {
+			return err
+		}
+	}
+	return diag.RenderBundle(os.Stdout, b, *top, cpuFile)
 }
 
 // mergeTraces fuses a server flight dump and a client flight dump into one

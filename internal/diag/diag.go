@@ -80,8 +80,8 @@ type Bundle struct {
 	CPUStart time.Time         `json:"cpu_profile_start,omitempty"`
 	CPUEnd   time.Time         `json:"cpu_profile_end,omitempty"`
 	// CPUProfile is the newest continuous-ring window (gzipped pprof
-	// protobuf); empty when the ring had no capture yet and the on-demand
-	// fallback could not run.
+	// protobuf, what `go tool pprof` reads); empty when the ring had no
+	// capture yet.
 	CPUProfile []byte `json:"cpu_profile,omitempty"`
 	// Goroutines is the debug=1 goroutine profile, which carries the
 	// pprof labels of every goroutine.
@@ -169,14 +169,6 @@ func (d *Diag) Close() {
 		return
 	}
 	d.sampler.Stop()
-}
-
-// Sampler exposes the continuous ring (nil-safe).
-func (d *Diag) Sampler() *Sampler {
-	if d == nil {
-		return nil
-	}
-	return d.sampler
 }
 
 // Trigger reports an SLO incident. Behind hysteresis — at most one

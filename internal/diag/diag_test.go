@@ -2,13 +2,11 @@ package diag
 
 import (
 	"bytes"
-	"context"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime/pprof"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -32,82 +30,6 @@ func burn(d time.Duration) {
 	}
 }
 
-// profileWithLabels captures a CPU profile of concurrent labeled burners.
-func profileWithLabels(t *testing.T, d time.Duration) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := pprof.StartCPUProfile(&buf); err != nil {
-		t.Skipf("cpu profiler busy: %v", err)
-	}
-	var wg sync.WaitGroup
-	for _, sess := range []string{"sess-a", "sess-b"} {
-		wg.Add(1)
-		go func(sess string) {
-			defer wg.Done()
-			pprof.Do(context.Background(), pprof.Labels("session", sess, "stage", "burn"), func(context.Context) {
-				burn(d)
-			})
-		}(sess)
-	}
-	wg.Wait()
-	pprof.StopCPUProfile()
-	return buf.Bytes()
-}
-
-func TestParseProfileLabelsAndStacks(t *testing.T) {
-	data := profileWithLabels(t, 300*time.Millisecond)
-	p, err := ParseProfile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.SampleType) == 0 {
-		t.Fatal("no sample types decoded")
-	}
-	vi := p.CPUIndex()
-	if st := p.SampleType[vi]; st.Type != "cpu" || st.Unit != "nanoseconds" {
-		t.Errorf("CPUIndex resolved %v, want cpu/nanoseconds", st)
-	}
-	if len(p.Samples) == 0 {
-		t.Skip("profiler returned no samples (starved CI runner)")
-	}
-	var labeled, inBurn int64
-	sessions := map[string]bool{}
-	for _, s := range p.Samples {
-		if sess, ok := s.Labels["session"]; ok {
-			labeled += s.Value[vi]
-			sessions[sess] = true
-			if s.Labels["stage"] != "burn" {
-				t.Errorf("sample with session %q carries stage %q", sess, s.Labels["stage"])
-			}
-		}
-		for _, fn := range s.Stack {
-			if strings.Contains(fn, "diag.burn") {
-				inBurn += s.Value[vi]
-				break
-			}
-		}
-	}
-	if labeled == 0 {
-		t.Error("no sample carried the session label")
-	}
-	if inBurn == 0 {
-		t.Error("no sample's stack resolved to diag.burn — symbolisation broken")
-	}
-	if !sessions["sess-a"] && !sessions["sess-b"] {
-		t.Errorf("neither session label observed: %v", sessions)
-	}
-}
-
-func TestParseProfileRejectsGarbage(t *testing.T) {
-	if _, err := ParseProfile([]byte{0x1f, 0x8b, 0xff}); err == nil {
-		t.Error("truncated gzip accepted")
-	}
-	// Non-gzip garbage: field tags that demand more bytes than exist.
-	if _, err := ParseProfile([]byte{0x0a, 0xff}); err == nil {
-		t.Error("truncated protobuf accepted")
-	}
-}
-
 func TestSamplerRings(t *testing.T) {
 	s := NewSampler(SamplerConfig{Period: 80 * time.Millisecond, Duration: 20 * time.Millisecond, Ring: 2, RuntimeRing: 3})
 	s.Start()
@@ -125,8 +47,18 @@ func TestSamplerRings(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	p, _ := s.LatestProfile()
-	if _, err := ParseProfile(p.Data); err != nil {
-		t.Errorf("ring profile unparseable: %v", err)
+	file := filepath.Join(t.TempDir(), "ring.pb.gz")
+	if err := os.WriteFile(file, p.Data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("go toolchain not on PATH: %v", err)
+	}
+	cmd := exec.Command(goBin, "tool", "pprof", "-raw", file)
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Errorf("go tool pprof -raw rejects the ring profile: %v\n%s", err, out)
 	}
 	if snaps := s.Snapshots(); len(snaps) == 0 {
 		t.Error("no runtime snapshots")
@@ -199,7 +131,7 @@ func TestTriggerHysteresis(t *testing.T) {
 		t.Errorf("parsed bundle seq %d reason %q", parsed.Seq, parsed.Reason)
 	}
 	var out bytes.Buffer
-	if err := RenderBundle(&out, parsed, 5); err != nil {
+	if err := RenderBundle(&out, parsed, 5, "cpu.pb.gz"); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"diag bundle #1", "reason: miss_streak", "session=s1", "recent log lines"} {
@@ -241,7 +173,7 @@ func TestNilDiagIsInert(t *testing.T) {
 	if d.Trigger("x") {
 		t.Error("nil diag captured")
 	}
-	if d.Latest() != nil || d.BundleCount() != 0 || d.Sampler() != nil {
+	if d.Latest() != nil || d.BundleCount() != 0 {
 		t.Error("nil diag not inert")
 	}
 	rr := httptest.NewRecorder()

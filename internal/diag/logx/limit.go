@@ -28,9 +28,9 @@ type bucket struct {
 	suppressed uint64
 }
 
-// maxBuckets bounds the key map: past it, buckets idle for over a minute
-// are evicted on the next Allow. Sessions are the key cardinality driver
-// and servers cap those far below this.
+// maxBuckets bounds the key map: a new key past it evicts the buckets idle
+// for over a minute, or the least recently used one when none is. Keys
+// carry a session's address, so reconnect churn brings a new key per port.
 const maxBuckets = 1024
 
 // NewLimiter builds a limiter allowing ~perSec lines per key sustained,
@@ -80,11 +80,20 @@ func (l *Limiter) Allow(key string) (ok bool, suppressed uint64) {
 	return true, suppressed
 }
 
-// evictLocked drops buckets idle for over a minute. Caller holds l.mu.
+// evictLocked makes room for one bucket: it drops every bucket idle for
+// over a minute, or the least recently used one when none is. Caller
+// holds l.mu.
 func (l *Limiter) evictLocked(now time.Time) {
+	var lru string
+	var lruAt time.Time
 	for k, b := range l.buckets {
 		if now.Sub(b.last) > time.Minute {
 			delete(l.buckets, k)
+		} else if lruAt.IsZero() || b.last.Before(lruAt) {
+			lru, lruAt = k, b.last
 		}
+	}
+	if len(l.buckets) >= maxBuckets {
+		delete(l.buckets, lru)
 	}
 }

@@ -138,6 +138,22 @@ func TestLimiter(t *testing.T) {
 	}
 }
 
+// TestLimiterBoundsKeysUnderChurn: keys all active within one second —
+// reconnect churn, a new port per key — must not grow the map past
+// maxBuckets, and a new key still gets its first line.
+func TestLimiterBoundsKeysUnderChurn(t *testing.T) {
+	lim := NewLimiter(1, 1)
+	for i := 0; i < 3*maxBuckets; i++ {
+		lim.Allow(fmt.Sprintf("slow_send:10.0.0.1:%d", 10000+i))
+	}
+	if n := len(lim.buckets); n > maxBuckets {
+		t.Errorf("limiter holds %d buckets, bound is %d", n, maxBuckets)
+	}
+	if ok, _ := lim.Allow("shed:10.0.0.2:9"); !ok {
+		t.Error("a new key's first line was suppressed")
+	}
+}
+
 func TestNilLimiterAllowsAll(t *testing.T) {
 	var lim *Limiter
 	if ok, sup := lim.Allow("x"); !ok || sup != 0 {

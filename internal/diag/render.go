@@ -5,99 +5,21 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"gamestreamsr/internal/frametrace"
 )
 
 // This file renders a captured bundle for humans — the `gssr diag`
-// subcommand. The headline view is CPU attribution: the bundle's ring
-// profile decoded by the in-repo pprof reader and aggregated by the
-// goroutine labels the runtime stamped on every sample, aligned against
-// the flight trace's missed frames so "session X missed its deadlines"
-// and "session X burned 71% of the CPU in stage sr" sit side by side.
+// subcommand: the trigger, the build and runtime state, the flight
+// window's missed frames and the log tail. The bundle's CPU profile is
+// left to the toolchain: the report names the `go tool pprof` commands
+// that attribute it by goroutine label and by function.
 
-// labelAttr is one aggregated attribution row.
-type labelAttr struct {
-	key   string
-	nanos int64
-}
-
-// CPUAttribution aggregates p's CPU time by the given label keys: each
-// sample lands in the row named by its joined label values ("sess-3/sr");
-// samples carrying none of the keys land in "(unlabeled)". Returns the
-// rows sorted by descending CPU time and the profile's total.
-func CPUAttribution(p *Profile, keys ...string) (rows []labelAttr, total int64) {
-	vi := p.CPUIndex()
-	if vi < 0 {
-		return nil, 0
-	}
-	acc := map[string]int64{}
-	for _, s := range p.Samples {
-		if vi >= len(s.Value) {
-			continue
-		}
-		v := s.Value[vi]
-		total += v
-		var parts []string
-		for _, k := range keys {
-			if lv, ok := s.Labels[k]; ok {
-				parts = append(parts, lv)
-			}
-		}
-		key := "(unlabeled)"
-		if len(parts) > 0 {
-			key = strings.Join(parts, "/")
-		}
-		acc[key] += v
-	}
-	for k, v := range acc {
-		rows = append(rows, labelAttr{key: k, nanos: v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].nanos != rows[j].nanos {
-			return rows[i].nanos > rows[j].nanos
-		}
-		return rows[i].key < rows[j].key
-	})
-	return rows, total
-}
-
-// topFunctions aggregates CPU time by leaf function.
-func topFunctions(p *Profile) (rows []labelAttr, total int64) {
-	vi := p.CPUIndex()
-	if vi < 0 {
-		return nil, 0
-	}
-	acc := map[string]int64{}
-	for _, s := range p.Samples {
-		if vi >= len(s.Value) {
-			continue
-		}
-		v := s.Value[vi]
-		total += v
-		name := "(unknown)"
-		if len(s.Stack) > 0 && s.Stack[0] != "" {
-			name = s.Stack[0]
-		}
-		acc[name] += v
-	}
-	for k, v := range acc {
-		rows = append(rows, labelAttr{key: k, nanos: v})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].nanos != rows[j].nanos {
-			return rows[i].nanos > rows[j].nanos
-		}
-		return rows[i].key < rows[j].key
-	})
-	return rows, total
-}
-
-// RenderBundle writes a human-readable report of b. top bounds each
-// attribution table (<= 0 means 10).
-func RenderBundle(w io.Writer, b *Bundle, top int) error {
+// RenderBundle writes a human-readable report of b. top bounds the missed
+// frames and log lines listed (<= 0 means 10). cpuFile is where the caller
+// wrote b.CPUProfile; the CPU section names it in the pprof commands.
+func RenderBundle(w io.Writer, b *Bundle, top int, cpuFile string) error {
 	if top <= 0 {
 		top = 10
 	}
@@ -127,20 +49,11 @@ func RenderBundle(w io.Writer, b *Bundle, top int) error {
 	}
 
 	if len(b.CPUProfile) > 0 {
-		p, err := ParseProfile(b.CPUProfile)
-		if err != nil {
-			fmt.Fprintf(w, "\ncpu profile: unparseable: %v\n", err)
-		} else {
-			window := b.CPUEnd.Sub(b.CPUStart)
-			fmt.Fprintf(w, "\ncpu profile: %d samples over %v (%s → %s)\n",
-				len(p.Samples), window.Round(time.Millisecond),
-				b.CPUStart.Format("15:04:05.000"), b.CPUEnd.Format("15:04:05.000"))
-			renderAttr(w, "by session/stage", p, top, "session", "stage")
-			renderAttr(w, "by scheduler client", p, top, "sched_client")
-			rows, total := topFunctions(p)
-			fmt.Fprintf(w, " top functions:\n")
-			renderRows(w, rows, total, top)
-		}
+		fmt.Fprintf(w, "\ncpu profile: %v window (%s → %s), %d bytes\n",
+			b.CPUEnd.Sub(b.CPUStart).Round(time.Millisecond),
+			b.CPUStart.Format("15:04:05.000"), b.CPUEnd.Format("15:04:05.000"), len(b.CPUProfile))
+		fmt.Fprintf(w, " by label:    go tool pprof -tags %s\n", cpuFile)
+		fmt.Fprintf(w, " by function: go tool pprof -top %s\n", cpuFile)
 	} else {
 		fmt.Fprintf(w, "\ncpu profile: none in ring at capture time\n")
 	}
@@ -161,31 +74,6 @@ func RenderBundle(w io.Writer, b *Bundle, top int) error {
 		}
 	}
 	return nil
-}
-
-// renderAttr prints one label-attribution table, skipping it when the
-// profile carries none of the keys (e.g. "sched_client" when no session ran
-// on the parallel scheduler).
-func renderAttr(w io.Writer, title string, p *Profile, top int, keys ...string) {
-	rows, total := CPUAttribution(p, keys...)
-	if len(rows) == 0 || (len(rows) == 1 && rows[0].key == "(unlabeled)") {
-		return
-	}
-	fmt.Fprintf(w, " %s:\n", title)
-	renderRows(w, rows, total, top)
-}
-
-func renderRows(w io.Writer, rows []labelAttr, total int64, top int) {
-	if total == 0 {
-		return
-	}
-	if len(rows) > top {
-		rows = rows[:top]
-	}
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %6.1f%%  %10v  %s\n",
-			100*float64(r.nanos)/float64(total), time.Duration(r.nanos).Round(10*time.Microsecond), r.key)
-	}
 }
 
 // renderFlight summarises the bundle's flight dump: per process (one per

@@ -104,7 +104,8 @@ func (r *Recorder) Snapshot() *Dump {
 // the /debug/flight payload (telemetry.FlightDumper). Safe on a nil
 // recorder (writes an empty trace).
 func (r *Recorder) WriteFlight(w io.Writer) error {
-	return r.Snapshot().WriteChromeTrace(w)
+	d := r.Snapshot()
+	return WriteChromeTraces(w, []NamedDump{{Name: d.Process, Dump: d}})
 }
 
 // Render writes an ASCII Gantt chart of the dump's spans: one row per lane
@@ -199,15 +200,6 @@ type NamedDump struct {
 
 func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
-// WriteChromeTrace serialises the dump as Chrome trace-event JSON.
-func (d *Dump) WriteChromeTrace(w io.Writer) error {
-	name := d.Process
-	if name == "" {
-		name = "flight"
-	}
-	return WriteChromeTraces(w, []NamedDump{{Name: name, Dump: d}})
-}
-
 // WriteChromeTraces serialises several dumps into one trace file, one
 // Perfetto process per dump (how a multi-session server exposes every
 // session's flight window in a single /debug/flight payload). Lanes become
@@ -290,7 +282,7 @@ func WriteChromeTraces(w io.Writer, dumps []NamedDump) error {
 	return enc.Encode(ct)
 }
 
-// ParseChromeTrace reads a trace produced by WriteChromeTrace(s) back into
+// ParseChromeTrace reads a trace produced by WriteChromeTraces back into
 // dumps, one per process — what `gssr trace` uses to render a flight dump
 // offline. Spans regain their lanes from the thread_name metadata; frame
 // attributes come from the span args. A span with a non-finite or

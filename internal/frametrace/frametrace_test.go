@@ -271,7 +271,7 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	orig.Process = "pipeline"
 
 	var buf bytes.Buffer
-	if err := orig.WriteChromeTrace(&buf); err != nil {
+	if err := frametrace.WriteChromeTraces(&buf, []frametrace.NamedDump{{Name: orig.Process, Dump: orig}}); err != nil {
 		t.Fatal(err)
 	}
 	dumps, err := frametrace.ParseChromeTrace(bytes.NewReader(buf.Bytes()))

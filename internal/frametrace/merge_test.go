@@ -76,7 +76,7 @@ func TestClientAnnotationsRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := d.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTraces(&buf, []NamedDump{{Name: d.Process, Dump: d}}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ParseChromeTrace(&buf)

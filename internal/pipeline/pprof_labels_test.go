@@ -1,15 +1,21 @@
 package pipeline_test
 
-// The diag layer's attribution contract (ISSUE 10 acceptance): a CPU
-// profile taken during a multi-session run must attribute the
-// overwhelming share of pipeline samples to the correct session/stage
-// labels (or to a scheduler client for pool-stolen chunks). The profile
-// is decoded with the in-repo pprof protobuf reader, so the assertion
-// exercises both the label threading and the parser.
+// The diag layer's attribution contract: a CPU profile taken during a
+// multi-session run must attribute the overwhelming share of pipeline
+// samples to the correct session/stage labels (or to a scheduler client
+// for pool-stolen chunks). The samples are read back through the
+// toolchain's `go tool pprof -traces`, the same reader an operator points
+// at a bundle's profile, so the assertion exercises the label threading
+// end to end.
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -55,11 +61,7 @@ func TestCPUProfileAttributesSessions(t *testing.T) {
 	wg.Wait()
 	pprof.StopCPUProfile()
 
-	p, err := diag.ParseProfile(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vi := p.CPUIndex()
+	total, samples := pprofTraces(t, buf.Bytes())
 	known := map[string]bool{}
 	for _, s := range sessions {
 		known[s] = true
@@ -67,39 +69,119 @@ func TestCPUProfileAttributesSessions(t *testing.T) {
 	// Pipeline samples are those whose stacks touch this module's code;
 	// runtime-internal samples (GC workers, the profiler itself) are the
 	// process's overhead, not pipeline-stage work.
-	var total, attributed int64
+	var pipelineNanos, attributed int64
 	var nSamples int
-	for _, s := range p.Samples {
+	for _, s := range samples {
 		inPipeline := false
-		for _, fn := range s.Stack {
+		for _, fn := range s.stack {
 			if strings.HasPrefix(fn, "gamestreamsr/") {
 				inPipeline = true
 				break
 			}
 		}
-		if !inPipeline || vi >= len(s.Value) {
+		if !inPipeline {
 			continue
 		}
-		total += s.Value[vi]
+		pipelineNanos += s.nanos
 		nSamples++
 		switch {
-		case known[s.Labels["session"]]:
-			attributed += s.Value[vi]
-		case s.Labels["sched_client"] != "":
+		case known[s.labels["session"]]:
+			attributed += s.nanos
+		case s.labels["sched_client"] != "":
 			// Pool workers executing stolen chunks carry the scheduler
 			// client's identity instead of a session.
-			attributed += s.Value[vi]
+			attributed += s.nanos
 		}
 	}
 	if nSamples < 30 {
 		t.Skipf("only %d pipeline samples captured — machine too starved to assert a ratio", nSamples)
 	}
-	ratio := float64(attributed) / float64(total)
-	t.Logf("pipeline samples: %d (%v CPU), attributed to session/sched labels: %.1f%%",
-		nSamples, time.Duration(total), 100*ratio)
+	ratio := float64(attributed) / float64(pipelineNanos)
+	t.Logf("pipeline samples: %d (%v CPU of %v profiled), attributed to session/sched labels: %.1f%%",
+		nSamples, time.Duration(pipelineNanos), time.Duration(total), 100*ratio)
 	if ratio < 0.90 {
 		t.Errorf("label attribution ratio %.1f%% < 90%%", 100*ratio)
 	}
+}
+
+// traceSample is one sample block of `go tool pprof -traces`: its labels,
+// its CPU time and its stack, leaf first.
+type traceSample struct {
+	labels map[string]string
+	nanos  int64
+	stack  []string
+}
+
+const tracesSeparator = "-----------+-------------------------------------------------------\n"
+
+var (
+	tracesTotal = regexp.MustCompile(`Total samples = (\d+)(?:ns)? `)
+	tracesLabel = regexp.MustCompile(`^ *(\S+):  (.*)$`)
+	tracesValue = regexp.MustCompile(`^ *(\d+)(?:ns)?   (\S.*)$`)
+	tracesFrame = regexp.MustCompile(`^ +(\S.*)$`)
+)
+
+// pprofTraces reads profile's samples through the local toolchain's
+// `go tool pprof -traces`, in nanoseconds, and returns the header's total
+// with every sample block. Output it cannot parse fails the test, and so
+// does a set of blocks whose values do not add up to the total: a change
+// in the toolchain's format must show, not pass as an empty profile.
+func pprofTraces(t *testing.T, profile []byte) (total int64, samples []traceSample) {
+	t.Helper()
+	file := filepath.Join(t.TempDir(), "cpu.pb.gz")
+	if err := os.WriteFile(file, profile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("go toolchain not on PATH: %v", err)
+	}
+	cmd := exec.Command(goBin, "tool", "pprof", "-traces", "-symbolize=none", "-unit=ns", file)
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local") // never download a toolchain
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go tool pprof -traces: %v\n%s", err, stderr.Bytes())
+	}
+	head, body, ok := strings.Cut(string(out), tracesSeparator)
+	m := tracesTotal.FindStringSubmatch(head)
+	if !ok || m == nil {
+		t.Fatalf("go tool pprof -traces: no separator or no Total samples header in:\n%s", out)
+	}
+	total, _ = strconv.ParseInt(m[1], 10, 64)
+	blocks := strings.Split(body, tracesSeparator)
+	if blocks[len(blocks)-1] != "" {
+		t.Fatalf("go tool pprof -traces: output does not end on a separator:\n%s", blocks[len(blocks)-1])
+	}
+	var sum int64
+	for _, blk := range blocks[:len(blocks)-1] {
+		s := traceSample{labels: map[string]string{}}
+		for _, line := range strings.Split(strings.TrimSuffix(blk, "\n"), "\n") {
+			switch {
+			case s.stack == nil && tracesValue.MatchString(line):
+				m := tracesValue.FindStringSubmatch(line)
+				s.nanos, _ = strconv.ParseInt(m[1], 10, 64)
+				s.stack = []string{m[2]}
+			case s.stack == nil && tracesLabel.MatchString(line):
+				m := tracesLabel.FindStringSubmatch(line)
+				s.labels[m[1]] = m[2]
+			case s.stack != nil && tracesFrame.MatchString(line):
+				s.stack = append(s.stack, tracesFrame.FindStringSubmatch(line)[1])
+			default:
+				t.Fatalf("go tool pprof -traces: unparseable line %q in sample block:\n%s", line, blk)
+			}
+		}
+		if s.stack == nil {
+			t.Fatalf("go tool pprof -traces: sample block without a value line:\n%s", blk)
+		}
+		sum += s.nanos
+		samples = append(samples, s)
+	}
+	if sum != total {
+		t.Fatalf("go tool pprof -traces: sample blocks add up to %dns, header says %dns", sum, total)
+	}
+	return total, samples
 }
 
 // TestRunDeterministicWithDiag pins the diag acceptance contract that
