@@ -46,6 +46,19 @@ type tapped struct {
 
 type frameTap []tapped
 
+// firstFrames ends a source after n frames.
+type firstFrames struct {
+	stream.FrameSource
+	n int
+}
+
+func (f firstFrames) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
+	if i >= f.n {
+		return nil, false, frame.Rect{}, io.EOF
+	}
+	return f.FrameSource.NextFrame(i)
+}
+
 func (t *frameTap) PublishFrame(_ int, payload []byte, key bool, roi frame.Rect) {
 	*t = append(*t, tapped{bytes.Clone(payload), key, roi})
 }
@@ -97,7 +110,7 @@ func liveVsEngine(t *testing.T, clientEngine sr.Engine) string {
 		defer conn.Close()
 		served <- stream.Serve(conn, stream.ServerOptions{
 			Accept: stream.Accept{Width: w, Height: h, GOPSize: gop, QStep: q},
-			Source: src, MaxFrames: nFrames,
+			Source: firstFrames{src, nFrames},
 		})
 	}()
 	conn, err := net.Dial("tcp", l.Addr().String())

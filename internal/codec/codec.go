@@ -314,15 +314,6 @@ func NewDecoder() *Decoder { return &Decoder{} }
 // back with Recycle.
 func (d *Decoder) SetPool(p *bufpool.Pool) { d.pool = p }
 
-// Reset clears reference state (e.g. on seek or stream restart).
-func (d *Decoder) Reset() {
-	if d.prev != nil && d.prevReleased {
-		d.pool.PutImage(d.prev)
-	}
-	d.prev = nil
-	d.prevReleased = false
-}
-
 // Recycle hands a decoded frame's buffers back to the decoder's pool. The
 // caller must be done with every alias into the frame (image planes, MV
 // grid, side info). The current reference image is retired only after the

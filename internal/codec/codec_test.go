@@ -3,8 +3,10 @@ package codec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
@@ -280,6 +282,60 @@ func TestEncoderReset(t *testing.T) {
 	enc.Reset()
 	if _, ft, _ := enc.Encode(f); ft != Intra {
 		t.Fatal("reset should force intra")
+	}
+}
+
+// TestDecoderReuseAcrossStreams: gssr-client keeps one pooled decoder across
+// reconnects and never resets it. A decoder that has decoded stream A — to
+// an inter frame, so it holds a reference — then decodes stream B, keyframe
+// first, byte-identical to a fresh decoder: frame types, images and motion
+// vectors, for a B of A's geometry and for one of another.
+func TestDecoderReuseAcrossStreams(t *testing.T) {
+	encode := func(game string, w, h int) [][]byte {
+		t.Helper()
+		enc, err := NewEncoder(Config{Width: w, Height: h, GOPSize: 4, QStep: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]byte
+		for _, f := range gameFrames(t, game, 0, 6, w, h) {
+			data, _, err := enc.Encode(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, data)
+		}
+		return out
+	}
+	reused := NewDecoder()
+	reused.SetPool(bufpool.New())
+	for _, data := range encode("G3", 96, 54) {
+		df, err := reused.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused.Recycle(df)
+	}
+	for _, b := range []struct {
+		game string
+		w, h int
+	}{{"G1", 96, 54}, {"G3", 64, 36}} {
+		fresh := NewDecoder()
+		for i, data := range encode(b.game, b.w, b.h) {
+			got, err := reused.Decode(data)
+			if err != nil {
+				t.Fatalf("%s %dx%d frame %d: reused decoder: %v", b.game, b.w, b.h, i, err)
+			}
+			want, err := fresh.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Type != want.Type || !got.Image.Equal(want.Image) ||
+				(got.Side == nil) != (want.Side == nil) || got.Side != nil && !slices.Equal(got.Side.MVs, want.Side.MVs) {
+				t.Fatalf("%s %dx%d frame %d: the reused decoder's %v frame differs from a fresh decoder's", b.game, b.w, b.h, i, got.Type)
+			}
+			reused.Recycle(got)
+		}
 	}
 }
 

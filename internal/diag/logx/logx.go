@@ -56,7 +56,7 @@ type Entry struct {
 	Seq   uint64    `json:"seq"`
 	Time  time.Time `json:"time"`
 	Level string    `json:"level"`
-	Line  string    `json:"line"`
+	Line  string    `json:"line"` // the message and its fields, without time or level
 }
 
 // Config parameterises New.
@@ -143,6 +143,7 @@ func (l *Logger) Log(v Level, msg string, kv ...any) {
 	b = append(b, ' ')
 	b = append(b, v.String()...)
 	b = append(b, ' ')
+	at := len(b) // ring entries carry Time and Level separately
 	b = append(b, msg...)
 	for i := 0; i < len(kv); i += 2 {
 		b = append(b, ' ')
@@ -154,7 +155,7 @@ func (l *Logger) Log(v Level, msg string, kv ...any) {
 		}
 		b = appendValue(b, kv[i+1])
 	}
-	line := string(b[27:]) // ring entries carry Time separately
+	line := string(b[at:])
 	if len(l.ring) > 0 {
 		slot := &l.ring[l.next%uint64(len(l.ring))]
 		l.next++

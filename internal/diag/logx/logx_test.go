@@ -79,6 +79,18 @@ func TestRingWrapAndRecent(t *testing.T) {
 	}
 }
 
+// TestRecentLineStartsWithMessage: a ring entry's Line starts at the
+// message — the level is Entry.Level's alone, so a renderer that prints
+// both shows it once.
+func TestRecentLineStartsWithMessage(t *testing.T) {
+	l := New(Config{Out: &bytes.Buffer{}, Ring: 4})
+	l.Warn("fault injection armed", "events", 2)
+	e := l.Recent(0)[0]
+	if want := "fault injection armed events=2"; e.Line != want || e.Level != "WARN" {
+		t.Errorf("entry = level %q line %q, want level WARN line %q", e.Level, e.Line, want)
+	}
+}
+
 func TestNilLoggerFallsThrough(t *testing.T) {
 	var l *Logger
 	l.Info("nil logger goes to default") // must not panic

@@ -10,7 +10,6 @@
 package frame
 
 import (
-	"errors"
 	"fmt"
 )
 
@@ -277,9 +276,6 @@ func NearnessOf(z float32) float64 {
 type Rect struct {
 	X, Y, W, H int
 }
-
-// ErrEmptyRect is returned when an operation requires a non-empty rectangle.
-var ErrEmptyRect = errors.New("frame: empty rectangle")
 
 // Empty reports whether r covers zero pixels.
 func (r Rect) Empty() bool { return r.W <= 0 || r.H <= 0 }

@@ -106,11 +106,6 @@ type Config struct {
 	// streak gauges, the frame-latency histogram). When nil the recorder
 	// keeps a private registry so Report still works.
 	Metrics *telemetry.Registry
-	// OnMiss, when non-nil, is called synchronously from ObserveDeadline
-	// for every deadline miss with the frame ID and (negative) slack. Keep
-	// it fast — it runs on the pipeline's measure stage. Dump-on-miss
-	// policies (write a flight dump, abort the session) live here.
-	OnMiss func(id uint64, slack time.Duration)
 	// Streaks, when non-nil, exports the recorder's deadline-miss streaks
 	// through the set's aggregated (max-across-members) gauges instead of
 	// per-recorder gauges on Metrics — required when several recorders
@@ -391,7 +386,4 @@ func (r *Recorder) ObserveDeadline(id uint64, stages []StageLatency) {
 		s.mu.Unlock()
 	}
 	r.slo.observe(total, missed, stages, worst)
-	if missed && r.slo.onMiss != nil {
-		r.slo.onMiss(id, slack)
-	}
 }

@@ -194,11 +194,9 @@ func TestConcurrentWriters(t *testing.T) {
 // attribution, streak bookkeeping and the histogram-derived percentiles.
 func TestSLOAccounting(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	var missed []uint64
 	r := frametrace.New(frametrace.Config{
 		Deadline: 10 * time.Millisecond,
 		Metrics:  reg,
-		OnMiss:   func(id uint64, slack time.Duration) { missed = append(missed, id) },
 	})
 	obs := func(decode, upscale time.Duration) {
 		id := r.BeginFrame(0)
@@ -230,14 +228,19 @@ func TestSLOAccounting(t *testing.T) {
 	if got := s.Counter("frametrace_deadline_miss_decode_total"); got != 1 {
 		t.Errorf("decode misses = %d, want 1", got)
 	}
-	if len(missed) != 3 {
-		t.Errorf("OnMiss fired %d times, want 3", len(missed))
-	}
-	// The dump carries the verdicts: slack sign must match the miss flag.
+	// The dump carries the verdicts: slack sign must match the miss flag,
+	// and the missed frames are the three over the deadline.
+	var missed []uint64
 	for _, f := range r.Snapshot().Frames {
 		if f.Missed != (f.Slack < 0) {
 			t.Errorf("frame %d: missed=%v but slack=%v", f.ID, f.Missed, f.Slack)
 		}
+		if f.Missed {
+			missed = append(missed, f.ID)
+		}
+	}
+	if fmt.Sprint(missed) != "[1 2 4]" {
+		t.Errorf("missed frames %v, want [1 2 4]", missed)
 	}
 }
 

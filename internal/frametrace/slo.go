@@ -17,7 +17,6 @@ import (
 type slo struct {
 	deadline time.Duration
 	reg      *telemetry.Registry
-	onMiss   func(id uint64, slack time.Duration)
 
 	frames    *telemetry.Counter
 	delivered *telemetry.Counter
@@ -47,7 +46,6 @@ func (s *slo) init(cfg Config) {
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
 	}
-	s.onMiss = cfg.OnMiss
 	s.frames = s.reg.Counter("frametrace_frames_total")
 	s.delivered = s.reg.Counter("frametrace_frames_delivered_total")
 	s.misses = s.reg.Counter("frametrace_deadline_miss_total")

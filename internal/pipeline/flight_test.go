@@ -111,15 +111,8 @@ func TestEngineFlightRecords(t *testing.T) {
 func TestFlightDumpOnDeadlineMiss(t *testing.T) {
 	cfg := detConfig(t)
 	cfg.Net = network.Config{} // no loss: every frame is delivered and accounted
-	var missedIDs []uint64
 	rec := frametrace.New(frametrace.Config{
 		Deadline: time.Microsecond, // no modelled frame can make this
-		OnMiss: func(id uint64, slack time.Duration) {
-			if slack >= 0 {
-				t.Errorf("OnMiss with non-negative slack %v", slack)
-			}
-			missedIDs = append(missedIDs, id)
-		},
 	})
 	cfg.Flight = rec
 	gs, err := pipeline.NewGameStream(cfg)
@@ -130,8 +123,17 @@ func TestFlightDumpOnDeadlineMiss(t *testing.T) {
 	if _, err := gs.Run(n); err != nil {
 		t.Fatal(err)
 	}
+	if misses := rec.Report().Misses; misses != n {
+		t.Fatalf("%d frames missed the deadline, want %d", misses, n)
+	}
+	var missedIDs []uint64
+	for _, f := range rec.Snapshot().Frames {
+		if f.Missed {
+			missedIDs = append(missedIDs, f.ID)
+		}
+	}
 	if len(missedIDs) != n {
-		t.Fatalf("OnMiss fired for %d frames, want %d", len(missedIDs), n)
+		t.Fatalf("the recorder flags %d frames missed, want %d", len(missedIDs), n)
 	}
 
 	srv := httptest.NewServer(telemetry.Handler(nil, rec))

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"encoding/hex"
 	"io"
 	"net"
 	"strings"
@@ -45,9 +46,9 @@ func TestPingPong(t *testing.T) {
 	defer server.Close()
 	defer client.Close()
 	reg := telemetry.NewRegistry()
-	done := serveFrames(server, ServerOptions{
-		Metrics: reg,
-		Source:  &pacedSource{n: 3, pace: 50 * time.Millisecond},
+	done := serveOne(server, &MultiServer{
+		Metrics:   reg,
+		NewSource: oneSource(&pacedSource{n: 3, pace: 50 * time.Millisecond}),
 	})
 
 	c := NewClient(client)
@@ -95,7 +96,7 @@ func TestPingPong(t *testing.T) {
 	if rtt < 0 || rtt > 5*time.Second {
 		t.Fatalf("implausible heartbeat RTT %v", rtt)
 	}
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (control.finish)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -104,28 +105,36 @@ func TestPingPong(t *testing.T) {
 	}
 }
 
-// TestResumeTokenIssued: a session's Accept carries the server's resume
-// token.
+// TestResumeTokenIssued: a session's Accept carries a freshly minted resume
+// token, and a client that replays it is issued the same token again.
 func TestResumeTokenIssued(t *testing.T) {
-	server, client := net.Pipe()
-	defer server.Close()
-	defer client.Close()
-	done := serveFrames(server, ServerOptions{ResumeToken: "feedc0de00112233"})
-	c := NewClient(client)
-	cfg, err := c.Handshake(Hello{Device: "rt", RoIWindow: 8, Scale: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Token != "feedc0de00112233" {
-		t.Errorf("token %q, want the configured one", cfg.Token)
-	}
-	for {
-		if _, err := c.RecvFrame(); err != nil {
-			break
+	srv := &MultiServer{}
+	session := func(replay string) string {
+		server, client := net.Pipe()
+		defer server.Close()
+		defer client.Close()
+		done := serveOne(server, srv)
+		c := NewClient(client)
+		cfg, err := c.Handshake(Hello{Device: "rt", RoIWindow: 8, Scale: 2, ResumeToken: replay})
+		if err != nil {
+			t.Fatal(err)
 		}
+		for {
+			if _, err := c.RecvFrame(); err != nil {
+				break
+			}
+		}
+		_ = c.Bye() // a client that is done hangs up; the server waits for it (control.finish)
+		<-done
+		return cfg.Token
 	}
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
-	<-done
+	token := session("")
+	if _, err := hex.DecodeString(token); err != nil || len(token) != 24 {
+		t.Fatalf("token %q, want 24 hex digits", token)
+	}
+	if again := session(token); again != token {
+		t.Errorf("replayed token re-issued as %q, want %q", again, token)
+	}
 }
 
 // TestIdleReaperReapsSilentV4: a client that goes completely silent (no
@@ -137,11 +146,10 @@ func TestIdleReaperReapsSilentV4(t *testing.T) {
 	defer server.Close()
 	defer client.Close()
 	reg := telemetry.NewRegistry()
-	done := serveFrames(server, ServerOptions{
+	done := serveOne(server, &MultiServer{
 		Metrics:     reg,
 		IdleTimeout: 80 * time.Millisecond,
-		Source:      &pacedSource{n: 100, pace: time.Millisecond},
-		SlowSend:    -1,
+		NewSource:   oneSource(&pacedSource{n: 100, pace: time.Millisecond}),
 	})
 
 	c := NewClient(client)
@@ -171,11 +179,10 @@ func TestIdleReaperSparesHeartbeatingClient(t *testing.T) {
 	defer server.Close()
 	defer client.Close()
 	reg := telemetry.NewRegistry()
-	done := serveFrames(server, ServerOptions{
+	done := serveOne(server, &MultiServer{
 		Metrics:     reg,
 		IdleTimeout: 80 * time.Millisecond,
-		Source:      &pacedSource{n: 3, pace: 200 * time.Millisecond},
-		SlowSend:    -1,
+		NewSource:   oneSource(&pacedSource{n: 3, pace: 200 * time.Millisecond}),
 	})
 
 	c := NewClient(client)
@@ -213,7 +220,7 @@ func TestIdleReaperSparesHeartbeatingClient(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (control.finish)
 	if err := <-done; err != nil {
 		t.Fatalf("heartbeating session reaped: %v", err)
 	}

@@ -4,7 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
-	"io"
+	"net"
 	"os"
 	"time"
 
@@ -27,20 +27,15 @@ const (
 )
 
 // controlWrite performs one bounded control-message write (reject,
-// pong): it arms a write deadline when the transport has one, runs fn,
-// clears the deadline, and counts + logs deadline-exceeded drops. It
-// replaces the raw SetWriteDeadline(…time.Second) calls that used to be
-// scattered across the server and silently discarded the error. The
-// bound is DefaultControlTimeout.
-func controlWrite(conn io.Writer, m *telemetry.Registry, lg *logx.Logger, remote, what string, fn func() error) error {
-	d, ok := conn.(interface{ SetWriteDeadline(time.Time) error })
-	if ok {
-		d.SetWriteDeadline(time.Now().Add(DefaultControlTimeout))
-	}
+// pong): it arms a write deadline, runs fn, clears the deadline, and
+// counts + logs deadline-exceeded drops. It replaces the raw
+// SetWriteDeadline(…time.Second) calls that used to be scattered across
+// the server and silently discarded the error. The bound is
+// DefaultControlTimeout.
+func controlWrite(conn net.Conn, m *telemetry.Registry, lg *logx.Logger, remote, what string, fn func() error) error {
+	conn.SetWriteDeadline(time.Now().Add(DefaultControlTimeout))
 	err := fn()
-	if ok {
-		d.SetWriteDeadline(time.Time{})
-	}
+	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		m.Counter("stream_control_write_errors_total").Inc()
 		if errors.Is(err, os.ErrDeadlineExceeded) {

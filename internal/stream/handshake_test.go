@@ -14,18 +14,48 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
-// serveFrames runs a 3-frame server session on conn and returns its error
-// channel.
-func serveFrames(conn io.ReadWriter, opt ServerOptions) chan error {
-	if opt.Source == nil {
-		opt.Source = &sliceSource{frames: [][]byte{[]byte("f0"), []byte("f1"), []byte("f2")}}
-	}
-	if opt.Accept == (Accept{}) {
-		opt.Accept = Accept{Width: 160, Height: 90, GOPSize: 60, QStep: 6}
-	}
+// threeFrames is the test sessions' default source.
+func threeFrames() FrameSource {
+	return &sliceSource{frames: [][]byte{[]byte("f0"), []byte("f1"), []byte("f2")}}
+}
+
+// testAccept is the test sessions' default geometry.
+var testAccept = Accept{Width: 160, Height: 90, GOPSize: 60, QStep: 6}
+
+// serveFrames runs Serve on conn with a 3-frame source and returns its
+// error channel.
+func serveFrames(conn net.Conn) chan error {
 	done := make(chan error, 1)
-	go func() { done <- Serve(conn, opt) }()
+	go func() { done <- Serve(conn, ServerOptions{Accept: testAccept, Source: threeFrames()}) }()
 	return done
+}
+
+// oneSource is a source factory that hands every session src.
+func oneSource(src FrameSource) SourceFactory {
+	return func(Hello) (FrameSource, error) { return src, nil }
+}
+
+// serveOne runs one session of srv on conn through the per-connection path
+// the accept loop runs, and returns its error channel. A server without a
+// source factory serves three frames, one without geometry testAccept.
+func serveOne(conn net.Conn, srv *MultiServer) chan error {
+	if srv.NewSource == nil {
+		srv.NewSource = func(Hello) (FrameSource, error) { return threeFrames(), nil }
+	}
+	if srv.Accept == (Accept{}) {
+		srv.Accept = testAccept
+	}
+	srv.start()
+	done := make(chan error, 1)
+	go func() { done <- srv.serveConn(conn) }()
+	return done
+}
+
+// lastRecorder returns the flight recorder of srv's most recent session.
+func lastRecorder(srv *MultiServer) *frametrace.Recorder {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return srv.sessions[len(srv.sessions)-1].rec
 }
 
 // TestHandshakeClockSync checks the handshake end to end: the Accept's
@@ -36,8 +66,7 @@ func TestHandshakeClockSync(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
 	defer client.Close()
-	rec := frametrace.New(frametrace.Config{Frames: 8})
-	done := serveFrames(server, ServerOptions{Flight: rec})
+	done := serveOne(server, &MultiServer{FlightFrames: 8})
 
 	c := NewClient(client)
 	cfg, err := c.Handshake(Hello{Device: "sync", RoIWindow: 40, Scale: 2})
@@ -74,7 +103,7 @@ func TestHandshakeClockSync(t *testing.T) {
 		}
 		ids = append(ids, pkt.FlightID)
 	}
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (control.finish)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -89,17 +118,14 @@ func TestHandshakeClockSync(t *testing.T) {
 }
 
 // TestStatsBackchannel exercises the client → server telemetry path and the
-// clean-close Bye over one session.
+// clean-close Bye over one session: the report lands in the session's
+// per-identity gauges and the aggregate drop and miss counters.
 func TestStatsBackchannel(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
 	defer client.Close()
 	reg := telemetry.NewRegistry()
-	stats := make(chan StatsPacket, 4)
-	done := serveFrames(server, ServerOptions{
-		Metrics: reg,
-		OnStats: func(st StatsPacket) { stats <- st },
-	})
+	done := serveOne(server, &MultiServer{Metrics: reg})
 
 	c := NewClient(client)
 	if _, err := c.Handshake(Hello{Device: "bc", RoIWindow: 40, Scale: 2, Version: ProtocolVersion}); err != nil {
@@ -114,13 +140,22 @@ func TestStatsBackchannel(t *testing.T) {
 	if err := c.SendStats(want); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-stats:
-		if got != want {
-			t.Fatalf("stats = %+v, want %+v", got, want)
+	waitFor(t, "the stats report", func() bool { return reg.Snapshot().Counter("stream_client_stats_total") == 1 })
+	// The session is live (its frames are unread), so its gauges are up.
+	snap := reg.Snapshot()
+	suffix := metricLabel(server.RemoteAddr().String())
+	for name, v := range map[string]time.Duration{
+		"stream_client_age_p50_us_":    want.AgeP50,
+		"stream_client_age_p99_us_":    want.AgeP99,
+		"stream_client_decode_p99_us_": want.DecodeP99,
+		"stream_client_sr_p99_us_":     want.SRP99,
+	} {
+		if got := snap.Gauge(name + suffix); got != v.Microseconds() {
+			t.Errorf("%s%s = %d, want %d", name, suffix, got, v.Microseconds())
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("stats report never delivered")
+	}
+	if d, m := snap.Counter("stream_client_dropped_total"), snap.Counter("stream_client_deadline_misses_total"); d != 2 || m != 5 {
+		t.Errorf("dropped %d, misses %d; want 2 and 5", d, m)
 	}
 	for {
 		if _, err := c.RecvFrame(); err == io.EOF {
@@ -191,7 +226,7 @@ func TestBadHelloRejected(t *testing.T) {
 	server, client := net.Pipe()
 	defer server.Close()
 	defer client.Close()
-	served := serveFrames(server, ServerOptions{})
+	served := serveFrames(server)
 	if err := WriteHello(client, bad); err != nil {
 		t.Fatal(err)
 	}

@@ -85,12 +85,10 @@ func TestServeWaitsForSlowReader(t *testing.T) {
 			done <- err
 			return
 		}
-		err = Serve(conn, ServerOptions{
+		done <- Serve(conn, ServerOptions{
 			Accept: Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6},
 			Source: &sliceSource{frames: slowReaderFrames()},
 		})
-		conn.Close() // what every caller of Serve does next
-		done <- err
 	}()
 	slowReader(t, l.Addr().String())
 	select {
@@ -124,7 +122,7 @@ func TestMultiServerWaitsForSlowReader(t *testing.T) {
 func TestServeDrainIsBounded(t *testing.T) {
 	server, client := net.Pipe()
 	defer client.Close()
-	done := serveFrames(server, ServerOptions{})
+	done := serveFrames(server)
 	c := NewClient(client)
 	if _, err := c.Handshake(Hello{Device: "idle", RoIWindow: 8, Scale: 2}); err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/frametrace"
 )
 
 // stampSource serves n instant frames, except that frame slow takes
@@ -48,8 +47,8 @@ func TestFrameInterval(t *testing.T) {
 	defer server.Close()
 	defer client.Close()
 	src := &stampSource{n: n, slow: slow, slowFor: slowFor}
-	rec := frametrace.New(frametrace.Config{Frames: n, Deadline: interval / 2})
-	done := serveFrames(server, ServerOptions{Source: src, FrameInterval: interval, Flight: rec})
+	srv := &MultiServer{NewSource: oneSource(src), FrameInterval: interval, FlightFrames: n, Deadline: interval / 2}
+	done := serveOne(server, srv)
 
 	c := NewClient(client)
 	if _, err := c.Handshake(Hello{Device: "pace", RoIWindow: 8, Scale: 2}); err != nil {
@@ -82,7 +81,7 @@ func TestFrameInterval(t *testing.T) {
 		}
 	}
 	over := 0
-	for _, f := range rec.Snapshot().Frames {
+	for _, f := range lastRecorder(srv).Snapshot().Frames {
 		if f.Missed {
 			over++
 			if f.Index != slow {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime/pprof"
 	"slices"
 	"sort"
 	"sync"
@@ -15,7 +14,6 @@ import (
 
 	"gamestreamsr/internal/diag"
 	"gamestreamsr/internal/diag/logx"
-	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/telemetry"
@@ -121,8 +119,13 @@ type MultiServer struct {
 	NewSource SourceFactory
 	// MaxFrames bounds each session (0 = until source EOF).
 	MaxFrames int
-	// FrameInterval paces every session (see ServerOptions.FrameInterval;
-	// 0 = unpaced).
+	// FrameInterval, when > 0, paces every session: its source is asked
+	// for frames on a schedule of one every FrameInterval — a live game
+	// ticks at its own rate however quick the host is. A frame whose turn
+	// has passed by the time the one before it is on the wire (a slow
+	// source, a stalled socket) starts at once and the schedule restarts
+	// from it; nothing is caught up with a burst. 0 streams as fast as the
+	// source and the connection allow.
 	FrameInterval time.Duration
 	// MaxSessions bounds concurrent sessions (default 16); excess
 	// connections receive a Reject(capacity) and are closed.
@@ -131,8 +134,8 @@ type MultiServer struct {
 	// address.
 	OnInput func(remote string, in InputPacket)
 	// Metrics, when non-nil, receives server telemetry: accepted, rejected
-	// and active session counts, plus the per-session frame/byte/latency
-	// metrics (see ServerOptions.Metrics). Nil is a no-op.
+	// and active session counts, plus the sessions' frames and payload
+	// bytes sent and a per-frame send-latency histogram. Nil is a no-op.
 	Metrics *telemetry.Registry
 	// FlightFrames sizes every session's flight recorder (0 picks
 	// frametrace.DefaultFrames). Every session records its frames: the
@@ -237,13 +240,25 @@ func (s *MultiServer) idleTimeout() time.Duration {
 	return s.IdleTimeout
 }
 
-// serverCounters holds the accept-path telemetry handles, resolved once in
-// Serve so per-connection work never touches the registry map more than a
+// shedPolicy is the shed ladder's policy with its defaults. The watchdog's
+// miss-streak threshold follows its EscalateStreak, with or without a
+// ladder.
+func (s *MultiServer) shedPolicy() ShedPolicy {
+	var p ShedPolicy
+	if s.Shed != nil {
+		p = *s.Shed
+	}
+	return p.withDefaults()
+}
+
+// serverCounters holds the server's telemetry handles, resolved once in
+// start so per-connection work never touches the registry map more than a
 // handful of times. All fields are nil-safe no-ops without a registry.
 type serverCounters struct {
 	accepted, rejected        *telemetry.Counter
 	rejectedCap, rejectedBusy *telemetry.Counter
 	active                    *telemetry.Gauge
+	escalations, recoveries   *telemetry.Counter // with a ShedPolicy only
 }
 
 // session is the one record of a MultiServer session. It is made when the
@@ -264,6 +279,17 @@ type session struct {
 	rec      *frametrace.Recorder
 	shed     atomic.Int32 // shed-ladder level (ShedNone without a ShedPolicy)
 	live     bool         // guarded by srv.mu
+
+	// The shed ladder's state (evaluate), frame loop only.
+	target Shedder // the source, when it can degrade
+	arm    int64   // next escalation requires a streak >= arm
+	clean  int64   // consecutive on-budget frames at the current level
+
+	// The backchannel's state (handleStats). The control loop can outlive
+	// the frame loop briefly, hence the mutex; closeStats ends it.
+	statsMu                 sync.Mutex
+	statsClosed, statsSeen  bool
+	lastDropped, lastMisses uint32
 }
 
 // retiredFlights bounds how many finished sessions' recorders stay
@@ -286,21 +312,8 @@ func (s *MultiServer) Serve(l net.Listener) error {
 		return errServerClosed
 	}
 	s.listener = l
-	if s.streaks == nil {
-		s.streaks = frametrace.NewStreakSet(s.Metrics)
-	}
-	if s.pending == nil {
-		s.pending = make(map[net.Conn]struct{})
-	}
 	s.mu.Unlock()
-	s.Metrics.GaugeFunc("stream_shed_level_max", s.maxShedLevel)
-	s.ctrs = serverCounters{
-		accepted:     s.Metrics.Counter("stream_sessions_accepted_total"),
-		rejected:     s.Metrics.Counter("stream_sessions_rejected_total"),
-		rejectedCap:  s.Metrics.Counter("stream_sessions_rejected_capacity_total"),
-		rejectedBusy: s.Metrics.Counter("stream_sessions_rejected_busy_total"),
-		active:       s.Metrics.Gauge("stream_sessions_active"),
-	}
+	s.start()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -325,39 +338,75 @@ func (s *MultiServer) Serve(l net.Listener) error {
 		s.serveWG.Add(1)
 		go func(conn net.Conn) {
 			defer s.serveWG.Done()
-			s.handleConn(conn)
+			s.serveConn(conn) // per-session errors end that session only
 		}(conn)
 	}
 }
 
-// handleConn reads a connection's first message: a Hello starts a game
-// session, and one that does not parse is rejected with the reason;
-// anything else — an unknown type such as the Subscribe of protocol version
-// 4 included — closes the connection. Neither spends a session slot or a
-// resume token.
-func (s *MultiServer) handleConn(conn net.Conn) {
+// start readies what every connection shares: the streak aggregation, the
+// pending set and the server's telemetry. The shed gauge and the counters
+// are registered outside s.mu: the registry calls maxShedLevel, which takes
+// s.mu, under the registry's own lock.
+func (s *MultiServer) start() {
+	s.mu.Lock()
+	if s.streaks == nil {
+		s.streaks = frametrace.NewStreakSet(s.Metrics)
+	}
+	if s.pending == nil {
+		s.pending = make(map[net.Conn]struct{})
+	}
+	s.mu.Unlock()
+	s.Metrics.GaugeFunc("stream_shed_level_max", s.maxShedLevel)
+	s.ctrs = serverCounters{
+		accepted:     s.Metrics.Counter("stream_sessions_accepted_total"),
+		rejected:     s.Metrics.Counter("stream_sessions_rejected_total"),
+		rejectedCap:  s.Metrics.Counter("stream_sessions_rejected_capacity_total"),
+		rejectedBusy: s.Metrics.Counter("stream_sessions_rejected_busy_total"),
+		active:       s.Metrics.Gauge("stream_sessions_active"),
+	}
+	if s.Shed != nil {
+		s.ctrs.escalations = s.Metrics.Counter("stream_shed_escalations_total")
+		s.ctrs.recoveries = s.Metrics.Counter("stream_shed_recoveries_total")
+	}
+}
+
+// serveConn runs one connection to its end, closes it and returns why the
+// session ended. It reads the connection's first message: a Hello of this
+// protocol version starts a game session, and one that does not parse or
+// announces another version is rejected with the reason; anything else —
+// an unknown type such as the Subscribe of protocol version 4 included —
+// closes the connection. None of these spends a session slot or a resume
+// token.
+func (s *MultiServer) serveConn(conn net.Conn) error {
 	msg, err := readOpening(conn, s.idleTimeout())
 	tHello := time.Now() // T1 of the client's Cristian offset estimate
 	s.mu.Lock()
 	delete(s.pending, conn)
 	closed := s.closed
 	s.mu.Unlock()
+	remote := conn.RemoteAddr().String()
 	switch {
 	case closed:
 		conn.Close()
-	case badHello(msg, err):
-		s.ctrs.rejected.Inc()
-		s.Log.Warn("stream: rejecting session", "session", conn.RemoteAddr().String(), "reason", err)
-		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		return errServerClosed
+	case badHello(msg, err): // refused below, with the parse reason
 	case err != nil:
 		conn.Close()
+		return fmt.Errorf("stream: reading hello: %w", err)
 	case msg.Type != MsgHello:
-		s.Log.Warn("stream: bad opening message, want hello",
-			"remote", conn.RemoteAddr().String(), "type", msg.Type)
+		s.Log.Warn("stream: bad opening message, want hello", "remote", remote, "type", msg.Type)
 		conn.Close()
+		return fmt.Errorf("%w: expected hello, got %v", ErrProtocol, msg.Type)
 	default:
-		s.servePlayer(conn, *msg.Hello, tHello)
+		err = checkVersion(msg.Hello.Version)
 	}
+	if err != nil {
+		s.ctrs.rejected.Inc()
+		s.Log.Warn("stream: rejecting session", "session", remote, "reason", err)
+		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
+		return fmt.Errorf("stream: rejecting client: %w", err) // ErrProtocol for a Hello that did not parse
+	}
+	return s.servePlayer(conn, remote, *msg.Hello, tHello)
 }
 
 // busyRetryAfter is the server-suggested redial delay carried in
@@ -365,34 +414,25 @@ func (s *MultiServer) handleConn(conn net.Conn) {
 // window to recover, short enough that a waiting client feels responsive.
 const busyRetryAfter = 2 * time.Second
 
-// rejectConn tells the client why it is being refused, then closes. The
-// caller has already read the client's opening message, so the reject is
-// the only unread data in flight when the connection closes. The write is
-// bounded (controlWrite) so a peer that never reads cannot wedge the
-// goroutine.
-func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) {
+// rejectConn tells the client why it is being refused, then closes, and
+// returns the refusal as the session's error. The caller has already read
+// the client's opening message, so the reject is the only unread data in
+// flight when the connection closes. The write is bounded (controlWrite)
+// so a peer that never reads cannot wedge the goroutine.
+func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) error {
 	defer conn.Close()
 	controlWrite(conn, s.Metrics, s.Log, conn.RemoteAddr().String(), "reject", func() error {
 		return WriteReject(conn, rej)
 	})
+	return fmt.Errorf("stream: rejecting client: %s", rej.Reason)
 }
 
-// servePlayer runs a game session whose Hello has been read: version
-// check, resume-token identity, session cap, admission control, then the
-// frame loop.
-func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) {
+// servePlayer runs a game session whose Hello has been read and vetted:
+// resume-token identity, session cap, admission control, then the session.
+func (s *MultiServer) servePlayer(conn net.Conn, remote string, hello Hello, tHello time.Time) error {
 	max := s.MaxSessions
 	if max <= 0 {
 		max = 16
-	}
-	remote := conn.RemoteAddr().String()
-	if err := checkVersion(hello.Version); err != nil {
-		// Before the session cap: a peer this server cannot talk to holds
-		// no slot or token.
-		s.ctrs.rejected.Inc()
-		s.Log.Warn("stream: rejecting session", "session", remote, "reason", err)
-		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
-		return
 	}
 	// Every session gets a resume token: a reconnecting client replays it
 	// to keep its identity (flight records, per-session metrics); the
@@ -416,18 +456,17 @@ func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) 
 	}
 	if closed {
 		conn.Close()
-		return
+		return errServerClosed
 	}
 	if overCap {
 		s.ctrs.rejected.Inc()
 		s.ctrs.rejectedCap.Inc()
 		s.Log.Warn("stream: rejecting session: capacity", "session", remote, "limit", max)
-		s.rejectConn(conn, Reject{
+		return s.rejectConn(conn, Reject{
 			Code:         RejectCapacity,
 			Reason:       fmt.Sprintf("session limit %d reached", max),
 			RetryAfterMs: uint32(busyRetryAfter.Milliseconds()),
 		})
-		return
 	}
 	if s.Admission != nil {
 		if p99, samples, deadline, ok := s.admit(); !ok {
@@ -440,12 +479,11 @@ func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) 
 			// SLO — exactly the moment a postmortem bundle is worth freezing.
 			s.Diag.Trigger("admission_reject",
 				"session", remote, "p99", p99, "samples", samples, "deadline", deadline)
-			s.rejectConn(conn, Reject{
+			return s.rejectConn(conn, Reject{
 				Code:         RejectBusy,
 				Reason:       fmt.Sprintf("no SLO headroom: p99 %v", p99.Round(time.Microsecond)),
 				RetryAfterMs: uint32(busyRetryAfter.Milliseconds()),
 			})
-			return
 		}
 	}
 	if resumed {
@@ -456,8 +494,8 @@ func (s *MultiServer) servePlayer(conn net.Conn, hello Hello, tHello time.Time) 
 	s.recordResume(token, identity)
 	s.ctrs.accepted.Inc()
 	s.ctrs.active.Add(1)
-	s.serveSession(sess, hello, tHello, token)
-	s.ctrs.active.Add(-1)
+	defer s.ctrs.active.Add(-1)
+	return sess.run(hello, tHello, token)
 }
 
 // newSession builds the live record of a session on conn, its flight
@@ -470,28 +508,7 @@ func (s *MultiServer) newSession(conn net.Conn, remote, identity string) *sessio
 	if s.Sched != nil {
 		sess.client = s.Sched.NewClient(parallel.ClientConfig{Name: remote})
 	}
-	cfg := frametrace.Config{Frames: s.FlightFrames, Deadline: s.Deadline, Metrics: s.Metrics, Streaks: s.streaks}
-	if s.Diag != nil {
-		// The SLO watchdog: a sustained deadline-miss streak on a session
-		// freezes a capture bundle with the triggering frames still
-		// in the flight window. The threshold tracks the shed ladder's
-		// escalation streak so a bundle lands exactly when shedding starts;
-		// Diag's cooldown turns a 100-frame streak (one OnMiss per frame)
-		// into one bundle, not a capture storm. OnMiss only fires from
-		// ObserveDeadline calls, after New has returned.
-		threshold := int64(ShedPolicy{}.withDefaults().EscalateStreak)
-		if s.Shed != nil {
-			threshold = int64(s.Shed.withDefaults().EscalateStreak)
-		}
-		cfg.OnMiss = func(id uint64, slack time.Duration) {
-			// MissStreak already counts the miss that fired this callback.
-			if streak := sess.rec.MissStreak(); streak >= threshold {
-				s.Diag.Trigger("miss_streak",
-					"session", identity, "streak", streak, "flight", id, "slack", slack)
-			}
-		}
-	}
-	sess.rec = frametrace.New(cfg)
+	sess.rec = frametrace.New(frametrace.Config{Frames: s.FlightFrames, Deadline: s.Deadline, Metrics: s.Metrics, Streaks: s.streaks})
 	return sess
 }
 
@@ -544,72 +561,6 @@ func (s *MultiServer) maxShedLevel() int64 {
 	return max
 }
 
-// serveSession runs the admitted session's frame loop, then retires its
-// record.
-func (s *MultiServer) serveSession(sess *session, hello Hello, tHello time.Time, token string) {
-	source, err := s.NewSource(hello)
-	if err != nil {
-		// Tell the client why before closing — a silent close is
-		// indistinguishable from a network fault on their side.
-		s.rejectConn(sess.conn, Reject{Code: RejectBadHello, Reason: err.Error()})
-		s.drop(sess)
-		return
-	}
-	if sa, ok := source.(SchedAware); ok && sess.client != nil {
-		sa.SetSched(sess.client)
-	}
-	// Label this session's goroutine (and the control loop serveHello
-	// starts from it) so CPU profiles attribute frame production and sends
-	// to the session identity. The goroutine is per-connection and exits
-	// right after, so there is nothing to restore.
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("session", sess.identity, "stage", "publish")))
-	if s.Shed != nil {
-		target, _ := source.(Shedder)
-		source = &shedSource{
-			sess:        sess,
-			inner:       source,
-			target:      target,
-			pol:         s.Shed.withDefaults(),
-			escalations: s.Metrics.Counter("stream_shed_escalations_total"),
-			recoveries:  s.Metrics.Counter("stream_shed_recoveries_total"),
-		}
-	}
-	sink := &statsSink{sess: sess}
-	opt := ServerOptions{
-		Accept:        s.Accept,
-		MaxFrames:     s.MaxFrames,
-		FrameInterval: s.FrameInterval,
-		Metrics:       s.Metrics,
-		Flight:        sess.rec,
-		Remote:        sess.remote,
-		ResumeToken:   token,
-		IdleTimeout:   s.idleTimeout(),
-		Log:           s.Log,
-		OnReap: func(idle time.Duration) {
-			s.Diag.Trigger("session_reaped", "session", sess.identity, "idle", idle)
-		},
-		Source:  source,
-		OnStats: sink.handle,
-		OnInput: func(in InputPacket) {
-			if s.OnInput != nil {
-				s.OnInput(sess.remote, in)
-			}
-		},
-	}
-	serveHello(sess.conn, hello, tHello, opt) // per-session errors end that session only
-	sess.conn.Close()
-	if sess.client != nil {
-		st := sess.client.Stats()
-		if st.Jobs > 0 {
-			s.Log.Info("stream: session scheduler stats", "session", sess.remote,
-				"jobs", st.Jobs, "chunks", st.Chunks, "stolen", st.Stolen,
-				"queue_wait", st.StolenWait.Round(time.Microsecond))
-		}
-	}
-	sink.close(s.retire(sess))
-}
-
 // retire marks a finished session's record: it leaves the live set and
 // the streak aggregation (so a dead session's final streak stops
 // dominating the gauge), and its flight window stays dumpable until more
@@ -648,25 +599,7 @@ func (s *MultiServer) drop(sess *session) {
 	}
 }
 
-// statsSink folds one session's backchannel Stats reports (DESIGN.md §13)
-// into the server's telemetry and the session's flight recorder:
-// per-session gauges expose the client-observed e2e/decode/SR percentiles
-// on /metrics, the cumulative drop/miss counts feed aggregate counters by
-// delta, and the recorder pins the report to the frame in flight so a
-// server-side dump shows what the client was experiencing. handle is
-// called from the session's read loop; close is called at session
-// teardown, possibly from a different goroutine (the read goroutine can
-// outlive the session loop briefly), hence the mutex.
-type statsSink struct {
-	sess *session
-
-	mu                      sync.Mutex
-	closed                  bool
-	seen                    bool
-	lastDropped, lastMisses uint32
-}
-
-// perSessionGauges are the statsSink gauge-name prefixes, each suffixed
+// perSessionGauges are the backchannel's gauge-name prefixes, each suffixed
 // with the sanitised session identity. The identity's last session to end
 // unregisters all of them — leaving them behind grew /metrics without
 // bound under session churn (every fresh connection has a fresh ephemeral
@@ -678,50 +611,57 @@ var perSessionGauges = []string{
 	"stream_client_sr_p99_us_",
 }
 
-// close drops any late stats report still in flight on the read goroutine
-// and, unless a live session shares the identity (a resumed client's
+// closeStats drops any late stats report still in flight on the control
+// loop and, unless a live session shares the identity (a resumed client's
 // redial, which writes the same gauges), unregisters the per-session
 // gauges.
-func (k *statsSink) close(shared bool) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.closed = true
+func (sess *session) closeStats(shared bool) {
+	sess.statsMu.Lock()
+	defer sess.statsMu.Unlock()
+	sess.statsClosed = true
 	if shared {
 		return
 	}
-	suffix := metricLabel(k.sess.identity)
+	suffix := metricLabel(sess.identity)
 	for _, name := range perSessionGauges {
-		k.sess.srv.Metrics.Unregister(name + suffix)
+		sess.srv.Metrics.Unregister(name + suffix)
 	}
 }
 
-func (k *statsSink) handle(st StatsPacket) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	if k.closed {
+// handleStats folds one backchannel Stats report (DESIGN.md §13) into the
+// server's telemetry and the session's flight recorder: per-session gauges
+// expose the client-observed e2e/decode/SR percentiles on /metrics, the
+// cumulative drop/miss counts feed aggregate counters by delta, and the
+// recorder pins the report to the frame in flight so a server-side dump
+// shows what the client was experiencing.
+func (sess *session) handleStats(st StatsPacket) {
+	sess.statsMu.Lock()
+	defer sess.statsMu.Unlock()
+	if sess.statsClosed {
 		return
 	}
-	m, rec := k.sess.srv.Metrics, k.sess.rec
-	m.Counter("stream_client_stats_total").Inc()
-	suffix := metricLabel(k.sess.identity)
+	m, rec := sess.srv.Metrics, sess.rec
+	suffix := metricLabel(sess.identity)
 	m.Gauge("stream_client_age_p50_us_" + suffix).Set(st.AgeP50.Microseconds())
 	m.Gauge("stream_client_age_p99_us_" + suffix).Set(st.AgeP99.Microseconds())
 	m.Gauge("stream_client_decode_p99_us_" + suffix).Set(st.DecodeP99.Microseconds())
 	m.Gauge("stream_client_sr_p99_us_" + suffix).Set(st.SRP99.Microseconds())
 	// Dropped/Misses are cumulative on the wire; counters get the deltas
 	// (guarded against a client restart resetting its counters).
-	if st.Dropped >= k.lastDropped {
-		m.Counter("stream_client_dropped_total").Add(int64(st.Dropped - k.lastDropped))
+	if st.Dropped >= sess.lastDropped {
+		m.Counter("stream_client_dropped_total").Add(int64(st.Dropped - sess.lastDropped))
 	}
-	k.lastDropped = st.Dropped
-	if st.Misses >= k.lastMisses {
-		m.Counter("stream_client_deadline_misses_total").Add(int64(st.Misses - k.lastMisses))
+	sess.lastDropped = st.Dropped
+	if st.Misses >= sess.lastMisses {
+		m.Counter("stream_client_deadline_misses_total").Add(int64(st.Misses - sess.lastMisses))
 	}
-	k.lastMisses = st.Misses
+	sess.lastMisses = st.Misses
 	rec.SetClientStats(rec.LastID(), st.AgeP99, st.Dropped, st.Misses)
-	if !k.seen {
-		k.seen = true
-		k.sess.srv.Log.Info("stream: backchannel up", "session", k.sess.identity,
+	// Counted once folded in: a reader that sees the count sees the gauges.
+	m.Counter("stream_client_stats_total").Inc()
+	if !sess.statsSeen {
+		sess.statsSeen = true
+		sess.srv.Log.Info("stream: backchannel up", "session", sess.identity,
 			"age_p50", st.AgeP50.Round(time.Microsecond), "age_p99", st.AgeP99.Round(time.Microsecond),
 			"decode_p99", st.DecodeP99.Round(time.Microsecond), "sr_p99", st.SRP99.Round(time.Microsecond),
 			"frames", st.WindowFrames)
@@ -738,94 +678,6 @@ func metricLabel(remote string) string {
 		}
 	}
 	return string(b)
-}
-
-// shedSource wraps a session's frame source with the shed-ladder
-// controller: before each frame it reads the session recorder's miss
-// streak and escalates (or, after sustained recovery, descends) the
-// session's shed level, applying it to the source (Shedder) and the
-// scheduler client (priority demotion at ShedDemoted). Runs on the
-// session's send goroutine, so all state except the session's level is
-// single-goroutine.
-type shedSource struct {
-	sess   *session
-	inner  FrameSource
-	target Shedder // inner, when it can degrade; else nil
-	pol    ShedPolicy
-
-	arm   int64 // next escalation requires a streak >= arm
-	clean int64 // consecutive on-budget frames at the current level
-
-	escalations, recoveries *telemetry.Counter
-}
-
-// shedLogLimit rate-limits the per-session shed-transition log lines: a
-// session oscillating at the capacity edge climbs and descends repeatedly,
-// and each transition is one line — the limiter keeps a flapping ladder
-// from flooding the log while the suppressed count still records how often
-// it flapped.
-var shedLogLimit = logx.NewLimiter(1, 4)
-
-func (ss *shedSource) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
-	ss.evaluate(i)
-	return ss.inner.NextFrame(i)
-}
-
-func (ss *shedSource) evaluate(i int) {
-	streak := ss.sess.rec.MissStreak()
-	level := int(ss.sess.shed.Load())
-	if streak == 0 {
-		ss.arm = int64(ss.pol.EscalateStreak)
-		if level > 0 {
-			ss.clean++
-			if ss.clean >= int64(ss.pol.RecoverFrames) {
-				ss.setLevel(i, level-1)
-				ss.clean = 0
-				ss.recoveries.Inc()
-			}
-		}
-		return
-	}
-	ss.clean = 0
-	if ss.arm == 0 {
-		ss.arm = int64(ss.pol.EscalateStreak)
-	}
-	if streak >= ss.arm && level < ShedDemoted {
-		ss.setLevel(i, level+1)
-		// Re-arm relative to the current streak, so a streak that keeps
-		// growing climbs one rung per EscalateStreak further misses
-		// instead of one rung per frame.
-		ss.arm = streak + int64(ss.pol.EscalateStreak)
-		ss.escalations.Inc()
-		// A climb means sustained misses despite the previous level's
-		// relief — worth a capture bundle (the diag cooldown dedupes the
-		// rungs of one incident into a single bundle).
-		ss.sess.srv.Diag.Trigger("shed_escalation",
-			"session", ss.sess.remote, "level", level+1, "frame", i, "streak", streak)
-	}
-}
-
-func (ss *shedSource) setLevel(i, level int) {
-	sess := ss.sess
-	old := int(sess.shed.Swap(int32(level)))
-	if ss.target != nil {
-		ss.target.SetShedLevel(level)
-	}
-	if sess.client != nil {
-		if level >= ShedDemoted {
-			sess.client.SetPriority(parallel.Background)
-		} else {
-			sess.client.SetPriority(parallel.Normal)
-		}
-	}
-	if ok, suppressed := shedLogLimit.Allow("shed:" + sess.remote); ok {
-		kv := []any{"session", sess.remote, "from", old, "to", level, "frame", i,
-			"flight", sess.rec.LastID(), "streak", sess.rec.MissStreak()}
-		if suppressed > 0 {
-			kv = append(kv, "suppressed", suppressed)
-		}
-		sess.srv.Log.Warn("stream: shed level change", kv...)
-	}
 }
 
 // WriteFlight merges every retained session's flight window into one

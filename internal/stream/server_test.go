@@ -429,11 +429,18 @@ func TestMultiServerFlightRetention(t *testing.T) {
 	}
 }
 
+// peerConn names the peer of a pipe end (net.Pipe calls every peer "pipe").
+type peerConn struct {
+	net.Conn
+	peer string
+}
+
+func (c peerConn) RemoteAddr() net.Addr { return &net.UnixAddr{Name: c.peer, Net: "pipe"} }
+
 // TestServeFlightAndSlowSendLog asserts the session send loop records into
-// an externally owned recorder and logs send-latency outliers with the
-// flight frame ID (the log line is the server-side correlation handle).
+// the session's recorder and logs send-latency outliers with the flight
+// frame ID (the log line is the server-side correlation handle).
 func TestServeFlightAndSlowSendLog(t *testing.T) {
-	rec := frametrace.New(frametrace.Config{Frames: 8})
 	lg := logx.New(logx.Config{Out: io.Discard, Ring: 64})
 	// The slow-send limiter buckets are keyed by remote and live for the
 	// whole process; a unique remote per run keeps -count=N runs fresh.
@@ -441,23 +448,22 @@ func TestServeFlightAndSlowSendLog(t *testing.T) {
 
 	server, client := net.Pipe()
 	defer client.Close()
-	go func() {
-		defer server.Close()
-		Serve(server, ServerOptions{
-			Accept:   Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
-			Source:   &countingSource{n: 3},
-			Flight:   rec,
-			SlowSend: time.Nanosecond, // every send is an outlier
-			Remote:   remote,
-			Log:      lg,
-		})
-	}()
+	srv := &MultiServer{
+		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		NewSource:    oneSource(&countingSource{n: 3}),
+		FlightFrames: 8,
+		Log:          lg,
+	}
+	done := serveOne(peerConn{server, remote}, srv)
 	c := NewClient(client)
 	if _, err := c.Handshake(Hello{Device: "d", RoIWindow: 8, Scale: 2}); err != nil {
 		t.Fatal(err)
 	}
 	n := 0
 	for {
+		// A pipe write waits for its read: holding each read back past
+		// slowSend makes every send an outlier.
+		time.Sleep(slowSend + 10*time.Millisecond)
 		if _, err := c.RecvFrame(); err != nil {
 			break
 		}
@@ -466,7 +472,9 @@ func TestServeFlightAndSlowSendLog(t *testing.T) {
 	if n != 3 {
 		t.Fatalf("client got %d frames", n)
 	}
-	d := rec.Snapshot()
+	_ = c.Bye()
+	<-done
+	d := lastRecorder(srv).Snapshot()
 	if len(d.Frames) != 3 {
 		t.Fatalf("recorder holds %d frames, want 3", len(d.Frames))
 	}

@@ -1,10 +1,13 @@
 package stream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +15,7 @@ import (
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
+	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/telemetry"
 )
 
@@ -24,99 +28,24 @@ type FrameSource interface {
 	NextFrame(i int) (payload []byte, key bool, roi frame.Rect, err error)
 }
 
-// ServerOptions configures a server session.
+// ServerOptions configures a one-connection server (Serve).
 type ServerOptions struct {
 	// Accept is the stream geometry announced to the client.
 	Accept Accept
-	// Source supplies frames until it returns io.EOF or MaxFrames is hit.
+	// Source supplies frames until it returns io.EOF.
 	Source FrameSource
-	// MaxFrames bounds the session length; 0 means until Source EOF.
-	MaxFrames int
-	// FrameInterval, when > 0, paces the stream: Source is asked for frames
-	// on a schedule of one every FrameInterval — a live game ticks at its
-	// own rate however quick the host is. A frame whose turn has passed by
-	// the time the one before it is on the wire (a slow source, a stalled
-	// socket) starts at once and the schedule restarts from it; nothing is
-	// caught up with a burst. 0 streams as fast as Source and the
-	// connection allow.
-	FrameInterval time.Duration
-	// OnInput, if non-nil, receives client input events.
-	OnInput func(InputPacket)
-	// OnStats, if non-nil, receives the client's periodic telemetry
-	// backchannel reports (see StatsPacket). Called from the session's read
-	// goroutine — keep it fast.
-	OnStats func(StatsPacket)
-	// Metrics, when non-nil, receives per-session telemetry: frames and
-	// payload bytes sent, and a per-frame send-latency histogram. Nil is
-	// a no-op.
-	Metrics *telemetry.Registry
-	// Flight, when non-nil, records every frame send into a flight
-	// recorder: the send span on the "send" lane plus the frame's RoI and
-	// payload size, and the send latency accounted against the recorder's
-	// deadline — so a stalled socket shows up as a deadline-miss streak and
-	// the window around it can be dumped (see internal/frametrace). The
-	// recorder's frame IDs also tag the slow-send log lines, correlating
-	// server logs with client-side traces of the same stream. Nil is a
-	// no-op.
-	Flight *frametrace.Recorder
-	// SlowSend is the send-latency threshold above which a frame's send is
-	// logged as an outlier (with its index and flight-recorder frame ID).
-	// 0 picks DefaultSlowSend; negative disables the log.
-	SlowSend time.Duration
-	// Remote tags this session's log lines (typically the client address).
-	Remote string
-	// ResumeToken, when non-empty, rides in the Accept: the opaque handle a
-	// reconnecting client replays in its Hello to be correlated with this
-	// session.
-	ResumeToken string
-	// IdleTimeout, when > 0, arms read-side liveness: the client heartbeats
-	// (MsgPing), the session pongs, and a connection that stays silent past
-	// the timeout — from the first byte of its Hello on — is reaped as dead
-	// (the connection is closed, unblocking the frame writer).
-	IdleTimeout time.Duration
-	// Log receives the session's structured log lines (slow sends, reaps,
-	// session-end diagnosis), tagged with session/frame/flight fields. Nil
-	// uses logx.Default().
-	Log *logx.Logger
-	// OnReap, if non-nil, is called when read-side liveness reaps the
-	// session (no traffic for IdleTimeout) — MultiServer wires it to the
-	// diag watchdog so a reap freezes a capture bundle.
-	OnReap func(idle time.Duration)
 }
 
 // byeDrainTimeout bounds how long a finished session waits for its client
-// to hang up (see awaitHangup). A client can be a socket buffer of frames
+// to hang up (see control.finish). A client can be a socket buffer of frames
 // behind — about a second at 720p — so the bound is generous; it only binds
 // for a peer that neither reads nor closes.
 const byeDrainTimeout = 5 * time.Second
 
-// awaitHangup ends a session whose Bye is on the wire: it half-closes conn
-// (the FIN follows the Bye) and waits, for at most byeDrainTimeout, until
-// the session's control loop sees the client's Bye or hang-up. Without it
-// the caller's Close can find unread client bytes in the socket (a
-// heartbeat or Stats report sent after the server stopped listening); TCP
-// then answers with a RST, and a RST destroys every frame the client had
-// received but not yet read. A conn without read deadlines cannot bound
-// the wait, so it is closed as before.
-func awaitHangup(conn io.ReadWriter, readDone <-chan struct{}) {
-	rd, ok := conn.(interface{ SetReadDeadline(time.Time) error })
-	if !ok {
-		return
-	}
-	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
-		_ = cw.CloseWrite() // best effort: the Bye alone tells the client as much
-	}
-	// The reader may re-arm its idle deadline once more if it was between
-	// its check of finished and the call; the wait is then bounded by
-	// IdleTimeout instead, which is of the same order.
-	_ = rd.SetReadDeadline(time.Now().Add(byeDrainTimeout))
-	<-readDone
-}
-
-// DefaultSlowSend is the default outlier threshold for frame-send logging:
-// three 60 FPS frame budgets — a send this slow means the link, not the
-// encoder, is pacing the stream.
-const DefaultSlowSend = 50 * time.Millisecond
+// slowSend is the outlier threshold for frame-send logging: three 60 FPS
+// frame budgets — a send this slow means the link, not the encoder, is
+// pacing the stream.
+const slowSend = 50 * time.Millisecond
 
 // slowSendLimit rate-limits the per-session slow-send log lines: a stalled
 // socket makes EVERY send slow, and one line per frame at 60 FPS is a log
@@ -125,47 +54,41 @@ const DefaultSlowSend = 50 * time.Millisecond
 var slowSendLimit = logx.NewLimiter(1, 3)
 
 // Serve runs one server session over conn: handshake, then frames until the
-// source is exhausted, then Bye. Client input arriving during the stream is
-// dispatched to OnInput from a separate goroutine. The caller owns the
-// connection and closes it after Serve returns.
+// source is exhausted, then Bye. It is a one-connection MultiServer — the
+// same per-connection path, resume token in the Accept included — with
+// read-side liveness off. The session closes conn before Serve returns.
 //
 // Serve returns on the first error, or — the stream sent in full — once the
 // client has hung up behind the server's Bye: the client is expected to
 // answer that Bye with its own Bye or by closing. Until it does, for at most
 // byeDrainTimeout, Serve keeps the connection half-closed and reading
-// (awaitHangup has the reason), so a client that reads to the Bye and then
-// waits for the server to close first holds the session — and its admission
-// slot on a MultiServer — for that long.
-func Serve(conn io.ReadWriter, opt ServerOptions) error {
+// (control.finish has the reason), so a client that reads to the Bye and then
+// waits for the server to close first holds the session for that long.
+func Serve(conn net.Conn, opt ServerOptions) error {
 	if opt.Source == nil {
 		return errors.New("stream: server needs a frame source")
 	}
-	msg, err := readOpening(conn, opt.IdleTimeout)
-	tHello := time.Now() // T1 of the client's Cristian offset estimate
-	if badHello(msg, err) {
-		controlWrite(conn, opt.Metrics, opt.Log, opt.Remote, "reject", func() error {
-			return WriteReject(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
-		})
-		return fmt.Errorf("stream: rejecting client: %w", err)
+	s := &MultiServer{
+		Accept:      opt.Accept,
+		NewSource:   func(Hello) (FrameSource, error) { return opt.Source, nil },
+		IdleTimeout: -1,
 	}
-	if err != nil {
-		return fmt.Errorf("stream: reading hello: %w", err)
-	}
-	if msg.Type != MsgHello {
-		return fmt.Errorf("%w: expected hello, got %v", ErrProtocol, msg.Type)
-	}
-	return serveHello(conn, *msg.Hello, tHello, opt)
+	s.start()
+	// The session labels its goroutine for CPU profiles; one of its own
+	// keeps the labels off the caller's.
+	done := make(chan error, 1)
+	go func() { done <- s.serveConn(conn) }()
+	return <-done
 }
 
 // readOpening reads a connection's first message. The peer has proved
 // nothing yet, so the read is bounded in size (maxOpeningBody, not the 16 MB
-// a frame may take) and, when idle > 0 and the transport has deadlines, in
-// time: a peer that connects and says nothing is dropped like any other
-// silent one. The deadline is left armed; a session's control loop re-arms
-// it before every read.
-func readOpening(conn io.Reader, idle time.Duration) (Msg, error) {
-	if rd, ok := conn.(interface{ SetReadDeadline(time.Time) error }); ok && idle > 0 {
-		rd.SetReadDeadline(time.Now().Add(idle))
+// a frame may take) and, when idle > 0, in time: a peer that connects and
+// says nothing is dropped like any other silent one. The deadline is left
+// armed; a session's control loop re-arms it before every read.
+func readOpening(conn net.Conn, idle time.Duration) (Msg, error) {
+	if idle > 0 {
+		conn.SetReadDeadline(time.Now().Add(idle))
 	}
 	return readMsgMax(conn, maxOpeningBody)
 }
@@ -200,72 +123,64 @@ func (acc Accept) stamped(tRecv time.Time) Accept {
 // control is the read side of a session, and the way a session that sent
 // its whole stream ends. run drains what the client sends (input events,
 // Stats reports, heartbeats, Bye) while the session's own goroutine streams
-// frames. Of opt it uses Remote, IdleTimeout, Metrics, Log,
-// OnInput, OnStats and OnReap.
+// frames.
 type control struct {
-	conn io.ReadWriter
-	opt  *ServerOptions
+	sess *session
 	// sendMu serializes whole messages onto the socket: pong replies come
 	// from run while frames come from the session loop, and a message is
 	// two Writes (header, body) that must not interleave.
 	sendMu sync.Mutex
 	// clientBye distinguishes a clean protocol close from a network failure.
 	// finished marks the stream as sent in full, Bye included: from then on
-	// run only waits for the client to hang up (awaitHangup). stopped ends
+	// run only waits for the client to hang up (finish). stopped ends
 	// run after the message in hand.
 	clientBye, finished, stopped atomic.Bool
 	done                         chan struct{} // closed when run returns
 }
 
-// startControl starts the control loop of a session on conn.
-func startControl(conn io.ReadWriter, opt *ServerOptions) *control {
-	c := &control{conn: conn, opt: opt, done: make(chan struct{})}
+// startControl starts the control loop of sess.
+func startControl(sess *session) *control {
+	c := &control{sess: sess, done: make(chan struct{})}
 	go c.run()
 	return c
 }
 
 func (c *control) run() {
 	defer close(c.done)
-	opt := c.opt
+	sess, s := c.sess, c.sess.srv
+	conn := sess.conn
 	// Read-side liveness: the client heartbeats, so a silent connection is a
 	// dead one. The deadline is re-armed before every read; when it fires the
 	// session is reaped — the conn is closed, which also unblocks a frame
 	// writer stuck on a blackholed socket. Slow-but-alive peers are the shed
 	// ladder's business.
-	rd, canDeadline := c.conn.(interface{ SetReadDeadline(time.Time) error })
-	liveness := opt.IdleTimeout > 0 && canDeadline
+	idle := s.idleTimeout()
 	for !c.stopped.Load() {
-		if liveness && !c.finished.Load() {
-			rd.SetReadDeadline(time.Now().Add(opt.IdleTimeout))
+		if idle > 0 && !c.finished.Load() {
+			conn.SetReadDeadline(time.Now().Add(idle))
 		}
-		m, err := ReadMsg(c.conn)
+		m, err := ReadMsg(conn)
 		if err != nil {
-			// Once the stream is over (awaitHangup) a deadline is the end
+			// Once the stream is over (finish) a deadline is the end
 			// of the wait for the client's hang-up, not a dead peer.
-			if liveness && !c.finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
-				opt.Metrics.Counter("stream_sessions_reaped_total").Inc()
-				opt.Log.Warn("stream: reaping session: no traffic (not even a heartbeat)",
-					"session", opt.Remote, "idle", opt.IdleTimeout)
-				if opt.OnReap != nil {
-					opt.OnReap(opt.IdleTimeout)
-				}
-				if cl, ok := c.conn.(io.Closer); ok {
-					cl.Close()
-				}
+			if idle > 0 && !c.finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
+				s.Metrics.Counter("stream_sessions_reaped_total").Inc()
+				s.Log.Warn("stream: reaping session: no traffic (not even a heartbeat)",
+					"session", sess.remote, "idle", idle)
+				s.Diag.Trigger("session_reaped", "session", sess.identity, "idle", idle)
+				conn.Close()
 			}
 			return
 		}
 		switch m.Type {
 		case MsgInput:
-			if opt.OnInput != nil {
-				opt.OnInput(*m.Input)
+			if s.OnInput != nil {
+				s.OnInput(sess.remote, *m.Input)
 			}
 		case MsgStats:
-			if opt.OnStats != nil {
-				opt.OnStats(*m.Stats)
-			}
+			sess.handleStats(*m.Stats)
 		case MsgPing:
-			opt.Metrics.Counter("stream_pings_total").Inc()
+			s.Metrics.Counter("stream_pings_total").Inc()
 			ping := *m.Ping
 			c.sendMu.Lock()
 			if c.finished.Load() {
@@ -273,8 +188,8 @@ func (c *control) run() {
 				c.sendMu.Unlock()
 				break
 			}
-			err := controlWrite(c.conn, opt.Metrics, opt.Log, opt.Remote, "pong", func() error {
-				return WritePong(c.conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
+			err := controlWrite(conn, s.Metrics, s.Log, sess.remote, "pong", func() error {
+				return WritePong(conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
 			})
 			c.sendMu.Unlock()
 			if err != nil {
@@ -282,7 +197,7 @@ func (c *control) run() {
 			}
 		case MsgBye:
 			c.clientBye.Store(true)
-			opt.Metrics.Counter("stream_client_bye_total").Inc()
+			s.Metrics.Counter("stream_client_bye_total").Inc()
 			return
 		default:
 			return // protocol violation: stop reading
@@ -292,54 +207,90 @@ func (c *control) run() {
 
 // finish ends a session whose stream went out in full with a Bye, written
 // under sendMu so that no pong can follow it. The client may be a socket
-// buffer behind, so the Bye takes its turn behind the frames, and the conn
-// is then half-closed and read until the client hangs up (awaitHangup).
+// buffer behind, so the Bye takes its turn behind the frames. The conn is
+// then half-closed (the FIN follows the Bye) and read, for at most
+// byeDrainTimeout, until the client's Bye or hang-up ends the control loop.
+// Closing at once can find unread client bytes in the socket (a heartbeat
+// or Stats report sent after the server stopped listening); TCP then
+// answers with a RST, and a RST destroys every frame the client had
+// received but not yet read.
 func (c *control) finish() error {
+	conn := c.sess.conn
 	c.sendMu.Lock()
-	err := WriteBye(c.conn)
+	err := WriteBye(conn)
 	c.finished.Store(err == nil)
 	c.sendMu.Unlock()
 	if err != nil {
 		return err
 	}
-	awaitHangup(c.conn, c.done)
+	if cw, ok := conn.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite() // best effort: the Bye alone tells the client as much
+	}
+	// The reader may re-arm its idle deadline once more if it was between
+	// its check of finished and this call; the wait is then bounded by
+	// the idle timeout instead, which is of the same order.
+	_ = conn.SetReadDeadline(time.Now().Add(byeDrainTimeout))
+	<-c.done
 	return nil
 }
 
-// serveHello runs a server session whose opening Hello has already been
-// read (tHello is its arrival time, T1 of the client's clock estimate) —
-// the entry point for callers that read the first message themselves, like
-// MultiServer.
-func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOptions) error {
-	if err := checkVersion(hello.Version); err != nil {
+// run builds the admitted session's frame source and streams it, then
+// closes the connection and retires the record.
+func (sess *session) run(hello Hello, tHello time.Time, token string) error {
+	s := sess.srv
+	source, err := s.NewSource(hello)
+	if err != nil {
 		// Tell the client why before closing — a silent close is
 		// indistinguishable from a network fault on their side.
-		controlWrite(conn, opt.Metrics, opt.Log, opt.Remote, "reject", func() error {
-			return WriteReject(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
-		})
-		return fmt.Errorf("stream: rejecting client: %w", err)
+		s.drop(sess)
+		return s.rejectConn(sess.conn, Reject{Code: RejectBadHello, Reason: err.Error()})
 	}
-	acc := opt.Accept.stamped(tHello)
-	acc.Token = opt.ResumeToken
+	if sa, ok := source.(SchedAware); ok && sess.client != nil {
+		sa.SetSched(sess.client)
+	}
+	sess.target, _ = source.(Shedder)
+	// Label this session's goroutine (and the control loop it starts) so
+	// CPU profiles attribute frame production and sends to the session
+	// identity. The goroutine is per-connection and exits right after, so
+	// there is nothing to restore.
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("session", sess.identity, "stage", "publish")))
+	err = sess.serve(source, tHello, token)
+	sess.conn.Close()
+	if sess.client != nil {
+		st := sess.client.Stats()
+		if st.Jobs > 0 {
+			s.Log.Info("stream: session scheduler stats", "session", sess.remote,
+				"jobs", st.Jobs, "chunks", st.Chunks, "stolen", st.Stolen,
+				"queue_wait", st.StolenWait.Round(time.Microsecond))
+		}
+	}
+	sess.closeStats(s.retire(sess))
+	return err
+}
+
+// serve is the session's frame loop: the Accept, then per frame the pacer,
+// the shed ladder, the source, the send and its deadline accounting with the
+// watchdog's check, then the Bye.
+func (sess *session) serve(source FrameSource, tHello time.Time, token string) error {
+	s, conn, rec := sess.srv, sess.conn, sess.rec
+	acc := s.Accept.stamped(tHello)
+	acc.Token = token
 	if err := WriteAccept(conn, acc); err != nil {
 		return fmt.Errorf("stream: writing accept: %w", err)
 	}
-	ctl := startControl(conn, &opt)
+	ctl := startControl(sess)
 
-	framesSent := opt.Metrics.Counter("stream_frames_sent_total")
-	bytesSent := opt.Metrics.Counter("stream_bytes_sent_total")
-	sendLat := opt.Metrics.Histogram("stream_frame_send_seconds", telemetry.LatencyBuckets())
-	slowSend := opt.SlowSend
-	if slowSend == 0 {
-		slowSend = DefaultSlowSend
-	}
+	framesSent := s.Metrics.Counter("stream_frames_sent_total")
+	bytesSent := s.Metrics.Counter("stream_bytes_sent_total")
+	sendLat := s.Metrics.Histogram("stream_frame_send_seconds", telemetry.LatencyBuckets())
 
 	var sendErr error
 	// Reused across frames so deadline accounting allocates nothing.
 	var latScratch [2]frametrace.StageLatency
 	var due time.Time // when the pacer lets the next frame start
-	for i := 0; opt.MaxFrames == 0 || i < opt.MaxFrames; i++ {
-		if opt.FrameInterval > 0 {
+	for i := 0; s.MaxFrames == 0 || i < s.MaxFrames; i++ {
+		if s.FrameInterval > 0 {
 			// The wait is outside the source span: it is not frame work and
 			// must not count against the deadline.
 			if now := time.Now(); due.After(now) {
@@ -347,10 +298,13 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 			} else {
 				due = now
 			}
-			due = due.Add(opt.FrameInterval)
+			due = due.Add(s.FrameInterval)
 		}
 		tSrc := time.Now()
-		payload, key, roi, err := opt.Source.NextFrame(i)
+		if s.Shed != nil {
+			sess.evaluate(i)
+		}
+		payload, key, roi, err := source.NextFrame(i)
 		dSrc := time.Since(tSrc)
 		if err == io.EOF {
 			break
@@ -360,9 +314,9 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 			break
 		}
 		pkt := FramePacket{Index: uint32(i), Keyenc: key, RoI: roi, Payload: payload}
-		fid := opt.Flight.BeginFrame(i)
-		opt.Flight.SetEncode(fid, roi, len(payload), len(payload))
-		opt.Flight.Span(fid, "source", "source", tSrc, dSrc)
+		fid := rec.BeginFrame(i)
+		rec.SetEncode(fid, roi, len(payload), len(payload))
+		rec.Span(fid, "source", "source", tSrc, dSrc)
 		t0 := time.Now()
 		// The frame's wire identity: the server's flight ID (the client
 		// recorder adopts it, so both dumps correlate) and the server clock
@@ -378,23 +332,24 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 			break
 		}
 		d := time.Since(t0)
-		opt.Flight.Span(fid, "send", "send", t0, d)
+		rec.Span(fid, "send", "send", t0, d)
 		// Frame production (render + detect + encode) plus the send are the
 		// server's whole per-frame budget; accounting both against the
 		// recorder's deadline makes an overloaded scheduler or a stalled
 		// client socket visible as a miss streak on /metrics — the signal
-		// the shed ladder and admission control key off.
+		// the shed ladder, admission control and the watchdog key off.
 		latScratch[0] = frametrace.StageLatency{Name: "source", D: dSrc}
 		latScratch[1] = frametrace.StageLatency{Name: "send", D: d}
-		opt.Flight.ObserveDeadline(fid, latScratch[:])
-		if slowSend > 0 && d > slowSend {
-			if ok, suppressed := slowSendLimit.Allow("slow_send:" + opt.Remote); ok {
-				kv := []any{"session", opt.Remote, "frame", i, "flight", fid, "took", d,
+		rec.ObserveDeadline(fid, latScratch[:])
+		sess.watch(fid, dSrc+d)
+		if d > slowSend {
+			if ok, suppressed := slowSendLimit.Allow("slow_send:" + sess.remote); ok {
+				kv := []any{"session", sess.remote, "frame", i, "flight", fid, "took", d,
 					"bytes", len(payload), "roi_w", roi.W, "roi_h", roi.H}
 				if suppressed > 0 {
 					kv = append(kv, "suppressed", suppressed)
 				}
-				opt.Log.Warn("stream: slow send", kv...)
+				s.Log.Warn("stream: slow send", kv...)
 			}
 		}
 		sendLat.ObserveDuration(d)
@@ -408,16 +363,104 @@ func serveHello(conn io.ReadWriter, hello Hello, tHello time.Time, opt ServerOpt
 	// A session that dies mid-send is either the client leaving politely
 	// (its Bye raced our next frame) or the network failing; the closing
 	// log line tells them apart so session logs are diagnosable.
-	if opt.Remote != "" && sendErr != nil {
+	if sendErr != nil {
 		if ctl.clientBye.Load() {
-			opt.Log.Info("stream: client closed cleanly (bye received)", "session", opt.Remote)
+			s.Log.Info("stream: client closed cleanly (bye received)", "session", sess.remote)
 		} else {
-			opt.Log.Warn("stream: session ended without bye", "session", opt.Remote, "err", sendErr)
+			s.Log.Warn("stream: session ended without bye", "session", sess.remote, "err", sendErr)
 		}
 	}
-	// The read goroutine exits when the client sends Bye or the caller
-	// closes the connection; do not block on it here.
+	// The read goroutine exits when the client sends Bye or the connection
+	// closes; do not block on it here.
 	return sendErr
+}
+
+// watch is the SLO watchdog's check, run after each frame's deadline
+// accounting: a sustained deadline-miss streak freezes a capture bundle
+// with the triggering frames still in the flight window. The threshold
+// tracks the shed ladder's escalation streak so a bundle lands exactly when
+// shedding starts; Diag's cooldown turns a 100-frame streak (one check per
+// missed frame) into one bundle, not a capture storm.
+func (sess *session) watch(fid uint64, latency time.Duration) {
+	s := sess.srv
+	if s.Diag == nil {
+		return
+	}
+	// The streak counts this frame's miss; a frame on budget resets it.
+	if streak := sess.rec.MissStreak(); streak >= int64(s.shedPolicy().EscalateStreak) {
+		s.Diag.Trigger("miss_streak", "session", sess.identity, "streak", streak,
+			"flight", fid, "slack", sess.rec.Deadline()-latency)
+	}
+}
+
+// shedLogLimit rate-limits the per-session shed-transition log lines: a
+// session oscillating at the capacity edge climbs and descends repeatedly,
+// and each transition is one line — the limiter keeps a flapping ladder
+// from flooding the log while the suppressed count still records how often
+// it flapped.
+var shedLogLimit = logx.NewLimiter(1, 4)
+
+// evaluate is the shed ladder's step before frame i is asked for: it reads
+// the session recorder's miss streak and escalates (or, after sustained
+// recovery, descends) the session's shed level, applying it to the source
+// (Shedder) and the scheduler client (priority demotion at ShedDemoted).
+// It runs on the frame loop, so all ladder state except the level is
+// single-goroutine.
+func (sess *session) evaluate(i int) {
+	s, pol := sess.srv, sess.srv.shedPolicy()
+	streak := sess.rec.MissStreak()
+	level := int(sess.shed.Load())
+	if streak == 0 {
+		sess.arm = int64(pol.EscalateStreak)
+		if level > 0 {
+			sess.clean++
+			if sess.clean >= int64(pol.RecoverFrames) {
+				sess.setLevel(i, level-1)
+				sess.clean = 0
+				s.ctrs.recoveries.Inc()
+			}
+		}
+		return
+	}
+	sess.clean = 0
+	if sess.arm == 0 {
+		sess.arm = int64(pol.EscalateStreak)
+	}
+	if streak >= sess.arm && level < ShedDemoted {
+		sess.setLevel(i, level+1)
+		// Re-arm relative to the current streak, so a streak that keeps
+		// growing climbs one rung per EscalateStreak further misses
+		// instead of one rung per frame.
+		sess.arm = streak + int64(pol.EscalateStreak)
+		s.ctrs.escalations.Inc()
+		// A climb means sustained misses despite the previous level's
+		// relief — worth a capture bundle (the diag cooldown dedupes the
+		// rungs of one incident into a single bundle).
+		s.Diag.Trigger("shed_escalation",
+			"session", sess.remote, "level", level+1, "frame", i, "streak", streak)
+	}
+}
+
+func (sess *session) setLevel(i, level int) {
+	old := int(sess.shed.Swap(int32(level)))
+	if sess.target != nil {
+		sess.target.SetShedLevel(level)
+	}
+	if sess.client != nil {
+		if level >= ShedDemoted {
+			sess.client.SetPriority(parallel.Background)
+		} else {
+			sess.client.SetPriority(parallel.Normal)
+		}
+	}
+	if ok, suppressed := shedLogLimit.Allow("shed:" + sess.remote); ok {
+		kv := []any{"session", sess.remote, "from", old, "to", level, "frame", i,
+			"flight", sess.rec.LastID(), "streak", sess.rec.MissStreak()}
+		if suppressed > 0 {
+			kv = append(kv, "suppressed", suppressed)
+		}
+		sess.srv.Log.Warn("stream: shed level change", kv...)
+	}
 }
 
 // ClockSync is the client's Cristian-style estimate of the server clock,

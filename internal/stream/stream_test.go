@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -195,14 +196,10 @@ func TestSessionOverPipe(t *testing.T) {
 
 	src := &sliceSource{frames: [][]byte{[]byte("frame0"), []byte("frame1"), []byte("frame2")}}
 	inputs := make(chan InputPacket, 4)
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(server, ServerOptions{
-			Accept:  Accept{Width: 160, Height: 90, GOPSize: 60, QStep: 6},
-			Source:  src,
-			OnInput: func(in InputPacket) { inputs <- in },
-		})
-	}()
+	done := serveOne(server, &MultiServer{
+		NewSource: oneSource(src),
+		OnInput:   func(_ string, in InputPacket) { inputs <- in },
+	})
 
 	c := NewClient(client)
 	cfg, err := c.Handshake(Hello{Device: "test", RoIWindow: 40, Scale: 2})
@@ -229,7 +226,7 @@ func TestSessionOverPipe(t *testing.T) {
 		}
 		got = append(got, f)
 	}
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (control.finish)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -297,7 +294,7 @@ func TestSessionOverTCP(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("received %d frames", n)
 	}
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (control.finish)
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -311,14 +308,7 @@ func TestServeMaxFrames(t *testing.T) {
 	infinite := frameFunc(func(i int) ([]byte, bool, frame.Rect, error) {
 		return []byte{byte(i)}, false, frame.Rect{}, nil
 	})
-	done := make(chan error, 1)
-	go func() {
-		done <- Serve(server, ServerOptions{
-			Accept:    Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6},
-			Source:    infinite,
-			MaxFrames: 5,
-		})
-	}()
+	done := serveOne(server, &MultiServer{NewSource: oneSource(infinite), MaxFrames: 5})
 	c := NewClient(client)
 	if _, err := c.Handshake(Hello{Device: "x", RoIWindow: 16, Scale: 2}); err != nil {
 		t.Fatal(err)
@@ -337,7 +327,7 @@ func TestServeMaxFrames(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("received %d frames, want 5", n)
 	}
-	_ = c.Bye() // a client that is done hangs up; the server waits for it (awaitHangup)
+	_ = c.Bye() // a client that is done hangs up; the server waits for it (control.finish)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -399,5 +389,106 @@ func TestRejectRoundTrip(t *testing.T) {
 	}
 	if n := len(msg.Reject.Reason); n != 255 {
 		t.Errorf("truncated reason length = %d, want 255", n)
+	}
+}
+
+// TestServeMatchesMultiServer: Serve is a one-connection MultiServer, so one
+// source served through each gives the client the same frames — index,
+// key flag, RoI and payload — followed by a Bye. Serve still answers a
+// non-Hello opener with an error wrapping ErrProtocol, and a Hello of
+// another version with a RejectBadHello.
+func TestServeMatchesMultiServer(t *testing.T) {
+	src := &sliceSource{frames: [][]byte{[]byte("k0"), []byte("p1"), []byte("p2"), []byte("p3")}}
+	acc := Accept{Width: 64, Height: 36, GOPSize: 4, QStep: 6}
+	receive := func(addr string) []FramePacket {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		c := NewClient(conn)
+		if _, err := c.Handshake(Hello{Device: "same", RoIWindow: 16, Scale: 2}); err != nil {
+			t.Fatal(err)
+		}
+		var got []FramePacket
+		for {
+			f, err := c.RecvFrame()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The flight ID and send clock are per-session stamps.
+			f.FlightID, f.SendUnixMicro = 0, 0
+			got = append(got, f)
+		}
+		_ = c.Bye()
+		return got
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// serveNext runs Serve on the next connection l accepts.
+	serveNext := func() chan error {
+		done := make(chan error, 1)
+		go func() {
+			conn, err := l.Accept()
+			if err != nil {
+				done <- err
+				return
+			}
+			done <- Serve(conn, ServerOptions{Accept: acc, Source: src})
+		}()
+		return done
+	}
+	done := serveNext()
+	viaServe := receive(l.Addr().String())
+	if err := <-done; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+
+	srv := &MultiServer{Accept: acc, NewSource: oneSource(src)}
+	addr, multiDone := startMulti(t, srv)
+	viaMulti := receive(addr)
+	shutdownMulti(t, srv)
+	<-multiDone
+
+	if len(viaServe) != len(src.frames) || !reflect.DeepEqual(viaServe, viaMulti) {
+		t.Fatalf("Serve sent %+v\nMultiServer sent %+v", viaServe, viaMulti)
+	}
+
+	// A connection that opens with a Bye.
+	done = serveNext()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBye(conn); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, ErrProtocol) {
+		t.Errorf("non-hello opener: Serve returned %v, want ErrProtocol", err)
+	}
+	conn.Close()
+
+	// A Hello of another version.
+	done = serveNext()
+	conn, err = net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, err = NewClient(conn).Handshake(Hello{Device: "old", RoIWindow: 16, Scale: 2, Version: ProtocolVersion - 1})
+	var rej *RejectedError
+	if !errors.As(err, &rej) || rej.Code != RejectBadHello {
+		t.Errorf("old version: handshake got %v, want a bad-hello reject", err)
+	}
+	if err := <-done; err == nil {
+		t.Error("old version: Serve returned nil")
 	}
 }
