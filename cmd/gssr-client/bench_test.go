@@ -116,6 +116,7 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 	}
 	st := newSessionState(nil)
 	st.engine = engine
+	st.rec = frametrace.New(frametrace.Config{})
 	ref := codec.NewDecoder()
 	img := frame.NewImage(w, h)
 	for i := 0; i < 9; i++ {
@@ -163,10 +164,24 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 		t.Fatalf("frames=%d dropped=%d, want 9 and 0", st.frames, st.dropped)
 	}
 	// A corrupt payload freezes the display instead of ending the session,
-	// and leaves the frame on display alone.
+	// and leaves the frame on display alone: the same image, the same
+	// pixels. The recorder marks the frame frozen with no latency, and the
+	// Stats window's latencies leave it out.
+	onScreen := st.lastUp
+	pixels := onScreen.Clone()
 	shown, err := st.showFrame(stream.FramePacket{Index: 9, Payload: []byte{1, 2, 3}}, time.Now(), 0, stream.ClockSync{}, scale)
 	if err != nil || shown || st.dropped != 1 || st.frames != 9 {
 		t.Fatalf("corrupt frame: shown=%v err=%v dropped=%d frames=%d", shown, err, st.dropped, st.frames)
+	}
+	if st.lastUp != onScreen || !st.lastUp.Equal(pixels) {
+		t.Fatal("corrupt frame: the frame on display changed")
+	}
+	frames := st.rec.Snapshot().Frames
+	if last := frames[len(frames)-1]; len(frames) != 10 || last.Index != 9 || !last.Frozen || last.Latency != 0 {
+		t.Fatalf("corrupt frame's record: %d records, last %+v; want the 10th frozen with no latency", len(frames), last)
+	}
+	if lat := st.rec.WindowLatencies(nil); len(lat) != 9 {
+		t.Fatalf("window latencies = %v, want the 9 shown frames'", lat)
 	}
 }
 

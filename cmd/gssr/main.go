@@ -38,7 +38,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,13 +45,10 @@ import (
 	"time"
 
 	gssr "gamestreamsr"
-	"gamestreamsr/internal/codec"
 	"gamestreamsr/internal/diag"
 	"gamestreamsr/internal/experiments"
-	"gamestreamsr/internal/faultnet"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
-	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
 )
 
@@ -304,7 +300,6 @@ func cmdSim(args []string) error {
 	jsonPath := fs.String("json", "", "write the full result as JSON to this path")
 	metricsAddr := fs.String("metrics", "", "telemetry listen address (e.g. :9090); empty disables")
 	flightPath := fs.String("flight", "", "archive the flight-recorder window to this path (Chrome trace JSON); empty disables")
-	fault := fs.String("fault", "", "after the run, replay the coded frames through a chaos-scripted link, e.g. \"latency=5ms,bw=2MB,reset@96KB\" (see internal/faultnet)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -364,101 +359,7 @@ func cmdSim(args []string) error {
 		}
 		fmt.Printf("result archived to %s\n", *jsonPath)
 	}
-	if *fault != "" {
-		if err := replayFaulted(res, *fault, os.Stdout); err != nil {
-			return err
-		}
-	}
 	return finishFlight(cfg.Flight, *flightPath, os.Stdout)
-}
-
-// replayFaulted pushes the run's coded frames through an in-memory
-// connection wrapped with a faultnet chaos script, measuring what a client
-// behind that link would actually have received. Payloads are synthesized
-// at each frame's recorded wire size (the offline pipeline never framed
-// them for the network), so the replay exercises the real stream framing
-// and the real injector — latency pacing, bandwidth caps, mid-stream
-// resets — without a server process.
-func replayFaulted(res *gssr.Result, spec string, w io.Writer) error {
-	script, err := faultnet.ParseScript(spec)
-	if err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-	server, client := net.Pipe()
-	faulty := faultnet.Wrap(server, script)
-	defer faulty.Close()
-	defer client.Close()
-
-	sent := 0
-	sendErr := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		for _, f := range res.Frames {
-			if f.Dropped {
-				continue
-			}
-			size := f.Bytes
-			if size < 1 {
-				size = 1
-			}
-			payload := make([]byte, size)
-			for i := range payload {
-				payload[i] = byte(f.Index + i)
-			}
-			pkt := stream.FramePacket{
-				Index:   uint32(f.Index),
-				Keyenc:  f.Type == codec.Intra,
-				RoI:     f.RoI,
-				Payload: payload,
-			}
-			if err := stream.WriteFrame(faulty, pkt); err != nil {
-				sendErr <- err
-				return
-			}
-			sent++
-		}
-		faulty.Close() // EOF tells the reader the replay is complete
-		sendErr <- nil
-	}()
-
-	// A blackholed or stalled link never delivers EOF, so the reader arms
-	// an idle deadline per frame — the same defence a live client uses.
-	const idle = 5 * time.Second
-	delivered, bytes := 0, 0
-	var linkErr error
-	for {
-		client.SetReadDeadline(time.Now().Add(idle))
-		msg, err := stream.ReadMsg(client)
-		if err != nil {
-			if err != io.EOF {
-				linkErr = err
-			}
-			break
-		}
-		if msg.Type == stream.MsgFrame {
-			delivered++
-			bytes += len(msg.Frame.Payload)
-		}
-	}
-	elapsed := time.Since(start)
-	client.Close()
-	faulty.Close()
-	if werr := <-sendErr; werr != nil && linkErr == nil {
-		linkErr = werr
-	}
-
-	total := 0
-	for _, f := range res.Frames {
-		if !f.Dropped {
-			total++
-		}
-	}
-	fmt.Fprintf(w, "chaos replay %q: %d/%d frames delivered (%.1f KB) in %v\n",
-		spec, delivered, total, float64(bytes)/1024, elapsed.Round(time.Millisecond))
-	if linkErr != nil {
-		fmt.Fprintf(w, "chaos replay: link fault after frame %d: %v\n", delivered, linkErr)
-	}
-	return nil
 }
 
 // cmdTrace renders a flight-recorder dump offline: the ASCII Gantt chart of

@@ -74,8 +74,6 @@ func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stag
 	dev := cfg.Device
 	em := device.NewEnergyMeter(dev)
 	st := pipeline.Stages{
-		Input:    job.InputLat,
-		Transmit: job.TransmitLat,
 		// Modified codec ⇒ software decoder on the CPU.
 		Decode:  dev.SWDecodeLatency(lrPx),
 		Display: dev.DisplayLatency(),

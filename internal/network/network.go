@@ -1,97 +1,36 @@
-// Package network models the wireless link between the cloud gaming server
-// and the mobile client — bandwidth-limited transmission, propagation delay,
-// deterministic jitter and frame loss. The paper streams over high-speed
-// WiFi (§V-A); the model's defaults match that regime, and the loss knob
-// reproduces the congestion scenarios of the motivating study ([8] in the
-// paper) for failure-injection tests.
+// Package network bills the wireless link between the cloud gaming server
+// and the mobile client as latency. The paper streams over high-speed WiFi
+// (§V-A); the link here is that regime's deterministic formula — half-RTT
+// propagation plus serialisation at the link bandwidth. Faults (latency,
+// bandwidth caps, stalls, resets) are injected on a real connection by
+// internal/faultnet, not modelled here.
 package network
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 )
 
-// Model is a deterministic network simulator. It is not safe for concurrent
-// use; each simulated session owns one.
-type Model struct {
-	cfg Config
-	rng *rand.Rand
-}
-
-// Config parameterises the link.
-type Config struct {
-	// BandwidthMbps is the downlink throughput (default 100, WiFi-class).
-	BandwidthMbps float64
+const (
+	// BandwidthMbps is the downlink throughput (WiFi-class).
+	BandwidthMbps = 100
 	// RTT is the round-trip propagation delay including access-point and
-	// stack overheads (default 16 ms, WiFi-class).
-	RTT time.Duration
-	// JitterFrac adds ±JitterFrac of the transmit latency as deterministic
-	// pseudo-random jitter (default 0.1).
-	JitterFrac float64
-	// LossRate is the probability a frame is dropped in transit
-	// (default 0).
-	LossRate float64
-	// Seed makes jitter and loss reproducible (default 1).
-	Seed int64
-}
+	// stack overheads (WiFi-class).
+	RTT = 16 * time.Millisecond
+)
 
-func (c Config) withDefaults() Config {
-	if c.BandwidthMbps <= 0 {
-		c.BandwidthMbps = 100
-	}
-	if c.RTT <= 0 {
-		c.RTT = 16 * time.Millisecond
-	}
-	if c.JitterFrac < 0 {
-		c.JitterFrac = 0
-	}
-	if c.LossRate < 0 {
-		c.LossRate = 0
-	} else if c.LossRate > 1 {
-		c.LossRate = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
-// New builds a network model.
-func New(cfg Config) *Model {
-	cfg = cfg.withDefaults()
-	return &Model{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// Config returns the effective configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// UplinkLatency is the user-input → server delay (half the RTT; input
+// Uplink is the user-input → server delay (half the RTT; input
 // packets are tiny).
-func (m *Model) UplinkLatency() time.Duration { return m.cfg.RTT / 2 }
+func Uplink() time.Duration { return RTT / 2 }
 
-// TransmitLatency returns the server → client delay for a payload of n
-// bytes: half-RTT propagation plus serialisation at the link bandwidth plus
-// jitter.
-func (m *Model) TransmitLatency(n int) time.Duration {
+// Transmit returns the server → client delay for a payload of n
+// bytes: half-RTT propagation plus serialisation at the link bandwidth.
+func Transmit(n int) time.Duration {
 	if n < 0 {
 		n = 0
 	}
-	ser := time.Duration(float64(n*8) / (m.cfg.BandwidthMbps * 1e6) * float64(time.Second))
-	base := m.cfg.RTT/2 + ser
-	if m.cfg.JitterFrac > 0 {
-		j := (m.rng.Float64()*2 - 1) * m.cfg.JitterFrac
-		base += time.Duration(float64(base) * j)
-	}
-	return base
-}
-
-// Dropped reports whether the next frame is lost in transit.
-func (m *Model) Dropped() bool {
-	if m.cfg.LossRate <= 0 {
-		return false
-	}
-	return m.rng.Float64() < m.cfg.LossRate
+	ser := time.Duration(float64(n*8) / (BandwidthMbps * 1e6) * float64(time.Second))
+	return RTT/2 + ser
 }
 
 // BandwidthSavings returns the fractional downlink saving of streaming

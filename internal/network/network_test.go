@@ -6,79 +6,23 @@ import (
 	"time"
 )
 
-func TestDefaults(t *testing.T) {
-	m := New(Config{})
-	cfg := m.Config()
-	if cfg.BandwidthMbps != 100 || cfg.RTT != 16*time.Millisecond || cfg.Seed != 1 {
-		t.Errorf("defaults = %+v", cfg)
-	}
-	if cfg.LossRate != 0 {
-		t.Error("default loss should be 0")
+func TestUplink(t *testing.T) {
+	if Uplink() != 8*time.Millisecond {
+		t.Errorf("uplink = %v", Uplink())
 	}
 }
 
-func TestUplinkLatency(t *testing.T) {
-	m := New(Config{RTT: 10 * time.Millisecond})
-	if m.UplinkLatency() != 5*time.Millisecond {
-		t.Errorf("uplink = %v", m.UplinkLatency())
-	}
-}
-
-func TestTransmitLatencySerialisation(t *testing.T) {
-	// 1 MB at 100 Mbps = 80 ms serialisation + 4 ms propagation.
-	m := New(Config{BandwidthMbps: 100, RTT: 8 * time.Millisecond, JitterFrac: -1})
-	got := m.TransmitLatency(1_000_000)
-	want := 84 * time.Millisecond
-	if math.Abs(float64(got-want)) > float64(time.Millisecond) {
-		t.Errorf("transmit(1MB) = %v, want ≈%v", got, want)
+func TestTransmitSerialisation(t *testing.T) {
+	// 1 MB at 100 Mbps = 80 ms serialisation + 8 ms propagation.
+	if got, want := Transmit(1_000_000), 88*time.Millisecond; got != want {
+		t.Errorf("transmit(1MB) = %v, want %v", got, want)
 	}
 	// Zero and negative payloads cost only propagation.
-	if m.TransmitLatency(0) != 4*time.Millisecond {
-		t.Errorf("transmit(0) = %v", m.TransmitLatency(0))
+	if Transmit(0) != 8*time.Millisecond {
+		t.Errorf("transmit(0) = %v", Transmit(0))
 	}
-	if m.TransmitLatency(-5) != 4*time.Millisecond {
+	if Transmit(-5) != 8*time.Millisecond {
 		t.Error("negative payload should clamp to 0")
-	}
-}
-
-func TestJitterBoundedAndDeterministic(t *testing.T) {
-	base := New(Config{JitterFrac: -1}).TransmitLatency(100_000)
-	a := New(Config{JitterFrac: 0.2, Seed: 42})
-	b := New(Config{JitterFrac: 0.2, Seed: 42})
-	for i := 0; i < 100; i++ {
-		la := a.TransmitLatency(100_000)
-		lb := b.TransmitLatency(100_000)
-		if la != lb {
-			t.Fatal("same seed should give same jitter")
-		}
-		lo := time.Duration(float64(base) * 0.8)
-		hi := time.Duration(float64(base) * 1.2)
-		if la < lo-time.Microsecond || la > hi+time.Microsecond {
-			t.Fatalf("jittered latency %v outside [%v, %v]", la, lo, hi)
-		}
-	}
-}
-
-func TestDropRate(t *testing.T) {
-	m := New(Config{LossRate: 0.3, Seed: 7})
-	drops := 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if m.Dropped() {
-			drops++
-		}
-	}
-	rate := float64(drops) / n
-	if math.Abs(rate-0.3) > 0.02 {
-		t.Errorf("drop rate %.3f, want ≈0.3", rate)
-	}
-	if New(Config{}).Dropped() {
-		t.Error("zero loss rate should never drop")
-	}
-	// Rate > 1 clamps.
-	m2 := New(Config{LossRate: 5})
-	if !m2.Dropped() {
-		t.Error("loss rate 1 should always drop")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/nemo"
-	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/pipeline"
 	"gamestreamsr/internal/srdecoder"
 	"gamestreamsr/internal/telemetry"
@@ -28,16 +27,7 @@ func detConfig(t testing.TB) pipeline.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pipeline.Config{
-		Game:    g,
-		SimDiv:  8,
-		GOPSize: 4,
-		// Nonzero loss exercises the drop/freeze path in the GameStream
-		// variant; the baselines ignore it. Jitter makes every variant draw
-		// from its link model each frame, so a model shared between the
-		// variants of one pass would show.
-		Net: network.Config{LossRate: 0.25, JitterFrac: 0.1, Seed: 7},
-	}
+	return pipeline.Config{Game: g, SimDiv: 8, GOPSize: 4}
 }
 
 // detConfigTelemetry is detConfig with full instrumentation attached: the
@@ -94,8 +84,8 @@ func runnersWith(t *testing.T, cfg pipeline.Config) map[string]func() ([]*pipeli
 }
 
 // TestOnePassMatchesSoloRuns asserts that one server pass feeding three
-// variants gives each the results it gets alone: per-variant decoders, link
-// models and reference frames share nothing, and the shared server stage,
+// variants gives each the results it gets alone: per-variant decoders and
+// reference frames share nothing, and the shared server stage,
 // ground truth and pool alter no pixel — with telemetry and flight
 // recording attached too.
 func TestOnePassMatchesSoloRuns(t *testing.T) {
@@ -114,8 +104,9 @@ func TestOnePassMatchesSoloRuns(t *testing.T) {
 }
 
 // TestRunTwiceOnOneSession pins the determinism contract on a reused
-// session: the link model is built when a run starts, so a second Run of
-// the same GameStream draws the same losses and latencies as the first.
+// session: the decoders and the server stage are built when a run starts,
+// so a second Run of the same GameStream gives the same results as the
+// first.
 func TestRunTwiceOnOneSession(t *testing.T) {
 	gs, err := pipeline.NewGameStream(detConfig(t))
 	if err != nil {
@@ -181,7 +172,7 @@ func TestRunDeterministicWithTelemetry(t *testing.T) {
 }
 
 // TestEngineTelemetryCounts asserts the engine actually records what flows
-// through it: frames, freezes, per-stage spans, queue waits, RoI areas and
+// through it: frames, per-stage spans, queue waits, RoI areas and
 // coded bytes, and the flight recorder's per-stage spans.
 func TestEngineTelemetryCounts(t *testing.T) {
 	cfg := detConfigTelemetry(t)
@@ -198,18 +189,17 @@ func TestEngineTelemetryCounts(t *testing.T) {
 	if got := s.Counter("pipeline_frames_total"); got != n {
 		t.Errorf("frames_total = %d, want %d", got, n)
 	}
-	if got := s.Counter("pipeline_frames_frozen_total"); got != int64(res.DropCount()) {
-		t.Errorf("frozen_total = %d, want %d", got, res.DropCount())
+	if rep := cfg.Flight.Report(); rep.Delivered != n {
+		t.Errorf("delivered = %d, want every frame (%d)", rep.Delivered, n)
 	}
-	// The server encodes every frame, including ones later lost in
-	// transit, so the counter is at least the delivered frames' bytes
-	// (frozen frames don't carry CodedBytes in the Result).
+	// Every frame the server encodes is delivered, so the counter is the
+	// result's bytes.
 	var coded int64
 	for _, f := range res.Frames {
 		coded += int64(f.CodedBytes)
 	}
-	if got := s.Counter("pipeline_coded_bytes_total"); got < coded || got == 0 {
-		t.Errorf("coded_bytes_total = %d, want >= %d", got, coded)
+	if got := s.Counter("pipeline_coded_bytes_total"); got != coded || got == 0 {
+		t.Errorf("coded_bytes_total = %d, want %d", got, coded)
 	}
 	for _, hist := range []string{
 		"pipeline_server_stage_seconds",

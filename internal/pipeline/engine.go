@@ -24,9 +24,9 @@ import (
 // pass (render → RoI detect → encode) feeding the client half of each
 // variant — GameStreamSR, the NEMO baseline, the §VI SR-integrated decoder
 // — and one ground truth scoring them all. The loop owns everything the
-// variants share: the GOP loop, drop/freeze handling, lazy ground-truth
-// rendering, result assembly and error propagation; a Variant supplies its
-// reconstruction and its cost model.
+// variants share: the GOP loop, ground-truth rendering, the server and link
+// stages' bill, result assembly and error propagation; a Variant supplies
+// its reconstruction and its client cost model.
 //
 // Concurrency model (the paper's Fig. 6 server/client overlap): frames flow
 // through three stages connected by bounded channels, one goroutine per
@@ -34,19 +34,19 @@ import (
 // upscaled and frame i-1 is being measured. The client stage takes each
 // frame through every variant in argument order. Every piece of sequential
 // state is confined to the single stage that owns it — the encoder and RoI
-// tracker to the server stage; each variant's decoder, link model and
-// freeze/reference frame to the client stage; result ordering to the
-// measure stage — so the output is deterministic at any GOMAXPROCS setting
-// and each variant's results are the same whichever variants run beside it
-// (asserted by the determinism tests).
+// tracker to the server stage; each variant's decoder and reference frame
+// to the client stage; result ordering to the measure stage — so the output
+// is deterministic at any GOMAXPROCS setting and each variant's results are
+// the same whichever variants run beside it (asserted by the determinism
+// tests).
 
 // depth is the capacity of each inter-stage channel: with three stages, up
 // to 3+2·depth frames are in flight.
 const depth = 2
 
 // FrameJob is one variant's view of one frame in flight. The server stage
-// fills the coded-stream fields, the client stage the reconstruction and
-// network draws, and the measure stage consumes it into a FrameResult.
+// fills the coded-stream fields, the client stage the reconstruction, and
+// the measure stage consumes it into a FrameResult.
 type FrameJob struct {
 	// Index is the frame number within the run.
 	Index int
@@ -55,10 +55,6 @@ type FrameJob struct {
 	// the job through every stage, so spans and attributes recorded
 	// anywhere in the pipeline attach to the same per-frame record.
 	ID uint64
-	// Scene and Cam let the measure stage render the ground truth lazily
-	// (a frozen frame with nothing on screen never needs it).
-	Scene *render.Scene
-	Cam   geom.Camera
 	// Pool is the run's buffer pool. Variants draw their per-frame scratch
 	// (tensors, residual planes, RoI patches) from it; anything checked out
 	// must be returned before Upscale returns unless it travels in the job.
@@ -71,17 +67,8 @@ type FrameJob struct {
 	// NominalBytes the modelled wire size (see ModelFrameBytes).
 	CodedBytes   int
 	NominalBytes int
-	// Frozen marks a frame lost in transit (or undecodable after a loss):
-	// the client keeps displaying the previous frame.
-	Frozen bool
-	// Up is the delivered reconstruction (nil when frozen); Display is what
-	// the screen shows — Up, or the freeze frame (nil if nothing yet).
-	Up      *frame.Image
-	Display *frame.Image
-	// InputLat and TransmitLat are the variant's link-model draws for this
-	// frame, taken in frame order on the client stage.
-	InputLat    time.Duration
-	TransmitLat time.Duration
+	// Up is the delivered reconstruction.
+	Up *frame.Image
 }
 
 // Variant is one pipeline's client half: how it turns the shared coded
@@ -97,20 +84,19 @@ type Variant interface {
 	// One that does not gets jobs, and so results, with the zero rectangle.
 	ReadsRoI() bool
 	// KeepsReference reports whether the variant reconstructs from its last
-	// delivered frame (NEMO, the §VI decoder). Such a variant decodes every
-	// frame — a lost frame would leave it nothing to reconstruct from, so
-	// the reference-reuse baselines run on a lossless link — and its frames
-	// never go back to the pool. A variant without a reference freezes on
-	// network loss, and draws its frames from job.Pool without retaining
-	// them, so the measure stage recycles each once no later job can
-	// reference it (unless Config.KeepFrames keeps them in the results).
+	// delivered frame (NEMO, the §VI decoder). Such a variant's frames never
+	// go back to the pool. A variant without a reference draws its frames
+	// from job.Pool without retaining them, so the measure stage recycles
+	// each once it is scored (unless Config.KeepFrames keeps them in the
+	// results).
 	KeepsReference() bool
 	// Upscale reconstructs the high-resolution frame from the decoded one;
-	// prev is the variant's last delivered frame (nil before the first).
+	// prev is a KeepsReference variant's last delivered frame (nil before
+	// the first, and always nil for a variant without a reference).
 	Upscale(cfg *Config, df *codec.DecodedFrame, job *FrameJob, prev *frame.Image) (*frame.Image, error)
-	// Cost models the client and link stages' latency and the per-rail
-	// energy of a delivered frame from the job's geometry, type and network
-	// draws; the measure stage adds the server stages (see server).
+	// Cost models the client stages' latency and the per-rail energy of a
+	// frame from the job's geometry and type; the measure stage adds the
+	// server stages (see server) and the link's (see internal/network).
 	Cost(cfg *Config, job *FrameJob) (Stages, map[device.Rail]float64, error)
 }
 
@@ -118,35 +104,27 @@ type Variant interface {
 // on: render and encode, and RoI detection for a variant that reads the RoI.
 var server = device.DefaultServer()
 
-// frameSet is one frame in flight: the server stage's bitstream and RoI,
-// and every variant's job for it, in argument order.
+// frameSet is one frame in flight: the server stage's bitstream, RoI and
+// the scene the measure stage renders the ground truth of, and every
+// variant's job for it, in argument order.
 type frameSet struct {
-	jobs []FrameJob
-	data []byte     // coded bitstream, consumed by the client stage
-	roi  frame.Rect // detected RoI, whichever variants read it
+	jobs  []FrameJob
+	data  []byte     // coded bitstream, consumed by the client stage
+	roi   frame.Rect // detected RoI, whichever variants read it
+	scene *render.Scene
+	cam   geom.Camera
 }
 
 // variantRun is one variant's state within a run.
 type variantRun struct {
-	v        Variant
-	roi, ref bool // v.ReadsRoI(), v.KeepsReference()
-	res      *Result
+	v         Variant
+	roi, keep bool // v.ReadsRoI(), v.KeepsReference()
+	res       *Result
 
-	// dec and net are the variant's decoder and link model. lastUp is its
-	// most recent delivered frame — the freeze frame, and the reference a
-	// KeepsReference variant reconstructs from; hadDrop tracks whether the
-	// decoder's reference state may be missing entirely (keyframe lost at
-	// stream start). Client-stage state.
-	dec     *codec.Decoder
-	net     *network.Model
-	lastUp  *frame.Image
-	hadDrop bool
-	// pendingUp is the last delivered frame the measure stage has seen; a
-	// variant without a reference returns it to the pool when the next
-	// delivered frame arrives — by then the client stage has replaced it as
-	// freeze state, and FIFO ordering guarantees no later job still points
-	// at it. Measure-stage state.
-	pendingUp *frame.Image
+	// dec is the variant's decoder, and ref its last delivered frame when
+	// it KeepsReference. Client-stage state.
+	dec *codec.Decoder
+	ref *frame.Image
 }
 
 // engineMetrics holds the engine's telemetry handles, resolved once per run
@@ -155,7 +133,7 @@ type variantRun struct {
 type engineMetrics struct {
 	serverSpan, clientSpan, measureSpan *telemetry.Histogram
 	serverWait, clientWait              *telemetry.Counter
-	frames, frozen, codedBytesTotal     *telemetry.Counter
+	frames, codedBytesTotal             *telemetry.Counter
 	roiArea, codedBytes                 *telemetry.Histogram
 }
 
@@ -168,7 +146,6 @@ func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 		serverWait:      reg.Counter("pipeline_server_queue_wait_ns_total"),
 		clientWait:      reg.Counter("pipeline_client_queue_wait_ns_total"),
 		frames:          reg.Counter("pipeline_frames_total"),
-		frozen:          reg.Counter("pipeline_frames_frozen_total"),
 		codedBytesTotal: reg.Counter("pipeline_coded_bytes_total"),
 		roiArea:         reg.Histogram("pipeline_roi_area_px", []float64{64, 256, 1024, 4096, 16384, 65536, 262144}),
 		codedBytes:      reg.Histogram("pipeline_coded_frame_bytes", telemetry.ByteBuckets()),
@@ -192,7 +169,7 @@ type engineRun struct {
 	// run. Checked out and returned from different stages (the pool is
 	// mutex-guarded); every consumer fully overwrites what it draws.
 	pool *bufpool.Pool
-	// gtOut is the measure stage's persistent render target for its lazy
+	// gtOut is the measure stage's persistent render target for the
 	// ground truth (the server stage's is the Source's).
 	gtOut render.Output
 	// setFree recycles frame sets between the measure and server stages,
@@ -221,8 +198,8 @@ type engineRun struct {
 // every variant's client half, scoring each against one ground truth, and
 // returns one Result per variant in argument order. With more than one
 // variant, the stage spans time the whole stage (every variant), and the
-// per-frame facts a variant owns — its frozen frames and its deadline — are
-// recorded for the first variant only.
+// per-frame fact a variant owns — its deadline — is recorded for the first
+// variant only.
 func Run(cfg Config, nFrames int, vs ...Variant) ([]*Result, error) {
 	if nFrames <= 0 {
 		return nil, fmt.Errorf("pipeline: invalid frame count %d", nFrames)
@@ -252,9 +229,9 @@ func Run(cfg Config, nFrames int, vs ...Variant) ([]*Result, error) {
 		dec := codec.NewDecoder()
 		dec.SetPool(pool)
 		e.vs[i] = variantRun{
-			v: v, roi: v.ReadsRoI(), ref: v.KeepsReference(),
+			v: v, roi: v.ReadsRoI(), keep: v.KeepsReference(),
 			res: &Result{Pipeline: v.Name(), Device: cfg.Device},
-			dec: dec, net: network.New(cfg.Net),
+			dec: dec,
 		}
 		if e.vs[i].roi && det == nil {
 			if det, err = roi.New(roi.Config{WindowW: simRoI, WindowH: simRoI}); err != nil {
@@ -433,11 +410,10 @@ func (e *engineRun) serverFrame(i int) (*frameSet, error) {
 	default:
 		set = &frameSet{jobs: make([]FrameJob, len(e.vs))}
 	}
-	set.data, set.roi = data, roiRect
+	set.data, set.roi, set.scene, set.cam = data, roiRect, e.src.scene, e.src.cam
 	job := FrameJob{
-		Index: i,
-		ID:    fid,
-		Scene: e.src.scene, Cam: e.src.cam,
+		Index:        i,
+		ID:           fid,
 		Pool:         e.pool,
 		RoI:          roiRect,
 		Type:         ftype,
@@ -467,72 +443,40 @@ func (e *engineRun) clientFrame(set *frameSet) error {
 	return nil
 }
 
-// deliver runs variant k's client half for one frame: the network drop
-// draw, decode and the variant's upscale/reconstruction. Owns the variant's
-// decoder, link model and freeze state, so every sequential draw happens in
-// frame order.
+// deliver runs variant k's client half for one frame: decode, the
+// variant's upscale/reconstruction, and the decoded frame's return to the
+// decoder. Owns the variant's decoder and reference frame, so every
+// sequential step happens in frame order.
 func (e *engineRun) deliver(k int, job *FrameJob, data []byte) error {
 	vr := &e.vs[k]
-	// A frame lost in transit — or one that arrives after its reference
-	// was lost and therefore cannot be decoded — freezes the display on
-	// the last delivered frame while the scene moves on, exactly as with a
-	// real codec awaiting the next keyframe.
-	frozen := !vr.ref && vr.net.Dropped()
-	if !frozen {
-		df, derr := vr.dec.Decode(data)
-		switch {
-		case derr == nil:
-			up, err := vr.v.Upscale(&e.cfg, df, job, vr.lastUp)
-			// The decoded frame is dead once the variant has consumed it
-			// (variants copy what they keep; the decoder's own reference
-			// retention is handled inside Recycle).
-			vr.dec.Recycle(df)
-			if err != nil {
-				return err
-			}
-			job.Up, job.Display, vr.lastUp = up, up, up
-		case vr.hadDrop:
-			frozen = true
-		default:
-			return fmt.Errorf("%s: frame %d decode: %w", vr.v.Name(), job.Index, derr)
-		}
+	df, err := vr.dec.Decode(data)
+	if err != nil {
+		return fmt.Errorf("%s: frame %d decode: %w", vr.v.Name(), job.Index, err)
 	}
-	if frozen {
-		vr.hadDrop = true
-		job.Frozen = true
-		job.Display = vr.lastUp // may be nil: nothing on screen yet
-		if k == 0 {
-			e.mets.frozen.Inc()
-			e.flight.SetFrozen(job.ID)
-		}
-		return nil
+	up, err := vr.v.Upscale(&e.cfg, df, job, vr.ref)
+	// The decoded frame is dead once the variant has consumed it (variants
+	// copy what they keep; the decoder's own reference retention is handled
+	// inside Recycle).
+	vr.dec.Recycle(df)
+	if err != nil {
+		return err
 	}
-	job.InputLat = vr.net.UplinkLatency()
-	job.TransmitLat = vr.net.TransmitLatency(job.NominalBytes)
+	job.Up = up
+	if vr.keep {
+		vr.ref = up
+	}
 	return nil
 }
 
-// renderGT renders the ground-truth frame at upscaled resolution into the
-// measure stage's persistent target. It is called lazily from the measure
-// stage: a frame no variant has anything on screen for never pays for it.
-// The returned image is valid until the next renderGT call. It shares the
-// server stage's (stateless) renderer.
-func (e *engineRun) renderGT(job *FrameJob) *frame.Image {
-	scale := e.cfg.Scale
-	e.src.rd.RenderInto(&e.gtOut, job.Scene, job.Cam, e.simW*scale, e.simH*scale)
-	return e.gtOut.Color
-}
-
-// measureFrame scores every variant's view of one frame against one ground
-// truth and appends each variant's FrameResult.
+// measureFrame renders the frame's ground truth at upscaled resolution into
+// the measure stage's persistent target — sharing the server stage's
+// (stateless) renderer — scores every variant's view of the frame against
+// it and appends each variant's FrameResult.
 func (e *engineRun) measureFrame(set *frameSet) error {
-	var gt *frame.Image
+	scale := e.cfg.Scale
+	e.src.rd.RenderInto(&e.gtOut, set.scene, set.cam, e.simW*scale, e.simH*scale)
 	for k := range e.vs {
-		job := &set.jobs[k]
-		if job.Display != nil && gt == nil {
-			gt = e.renderGT(job)
-		}
-		fr, err := e.frameResult(k, job, gt)
+		fr, err := e.frameResult(k, &set.jobs[k], e.gtOut.Color)
 		if err != nil {
 			return err
 		}
@@ -542,62 +486,46 @@ func (e *engineRun) measureFrame(set *frameSet) error {
 }
 
 // frameResult computes variant k's quality, latency and energy record of
-// one frame against gt (nil when the job has nothing on screen). A frozen
-// frame shows the freeze frame while the scene has moved on: no client-side
-// stages or energy are billed.
+// one frame against gt: the variant's client cost, plus the server stages
+// and the link's formula.
 func (e *engineRun) frameResult(k int, job *FrameJob, gt *frame.Image) (FrameResult, error) {
 	vr := &e.vs[k]
-	fr := FrameResult{
-		Index: job.Index,
-		Type:  job.Type,
-		Bytes: job.NominalBytes,
-	}
-	if job.Frozen {
-		fr.Dropped = true
-		fr.Energy = map[device.Rail]float64{}
-	} else {
-		st, energy, err := vr.v.Cost(&e.cfg, job)
-		if err != nil {
-			return fr, err
-		}
-		st.Render, st.Encode = server.RenderLatency(e.lrPx), server.EncodeLatency(e.lrPx)
-		if vr.roi {
-			st.RoIDetect = server.RoIDetectLatency(e.lrPx)
-		}
-		if k == 0 {
-			e.observeDeadline(job.ID, st)
-		}
-		fr.Stages, fr.RoI, fr.CodedBytes, fr.Energy = st, job.RoI, job.CodedBytes, energy
-	}
-	if job.Display == nil {
-		return fr, nil // nothing on screen yet
-	}
-	q, err := metrics.Measure(gt, job.Display)
+	st, energy, err := vr.v.Cost(&e.cfg, job)
 	if err != nil {
-		return fr, err
+		return FrameResult{}, err
 	}
-	fr.PSNR, fr.SSIM, fr.LPIPS = q.PSNR, q.SSIM, q.LPIPS
-	if e.cfg.KeepFrames {
-		fr.Upscaled = job.Display
-	} else if !vr.ref && !job.Frozen {
-		// Recycle the previously delivered frame: the client stage has
-		// already produced this newer one, so neither its freeze state nor
-		// — channels being FIFO — any job still in flight points at the
-		// old one.
-		if vr.pendingUp != nil {
-			e.pool.PutImage(vr.pendingUp)
-		}
-		vr.pendingUp = job.Up
+	st.Input, st.Transmit = network.Uplink(), network.Transmit(job.NominalBytes)
+	st.Render, st.Encode = server.RenderLatency(e.lrPx), server.EncodeLatency(e.lrPx)
+	if vr.roi {
+		st.RoIDetect = server.RoIDetectLatency(e.lrPx)
+	}
+	if k == 0 {
+		e.observeDeadline(job.ID, st)
+	}
+	q, err := metrics.Measure(gt, job.Up)
+	if err != nil {
+		return FrameResult{}, err
+	}
+	fr := FrameResult{
+		Index: job.Index, Type: job.Type, Stages: st, RoI: job.RoI,
+		PSNR: q.PSNR, SSIM: q.SSIM, LPIPS: q.LPIPS,
+		Bytes: job.NominalBytes, CodedBytes: job.CodedBytes, Energy: energy,
+	}
+	switch {
+	case e.cfg.KeepFrames:
+		fr.Upscaled = job.Up
+	case !vr.keep:
+		// Scored, and referenced by no later job: back to the pool.
+		e.pool.PutImage(job.Up)
 	}
 	return fr, nil
 }
 
-// observeDeadline accounts one delivered frame's modelled client-side
-// latency (decode + upscale + display — the work the device must finish
-// inside the 16.66 ms budget of §IV) against the flight recorder's
-// deadline. Runs on the measure stage only, in frame order, reusing the
-// engine's scratch buffer so the hot path stays allocation-free. Frozen
-// frames never reach it: they have no client-side stages.
+// observeDeadline accounts one frame's modelled client-side latency
+// (decode + upscale + display — the work the device must finish inside the
+// 16.66 ms budget of §IV) against the flight recorder's deadline. Runs on
+// the measure stage only, in frame order, reusing the engine's scratch
+// buffer so the hot path stays allocation-free.
 func (e *engineRun) observeDeadline(id uint64, st Stages) {
 	if e.flight == nil {
 		return

@@ -35,7 +35,6 @@ type frameJSON struct {
 	LPIPS      float64            `json:"lpips"`
 	Bytes      int                `json:"bytes"`
 	CodedBytes int                `json:"coded_bytes"`
-	Dropped    bool               `json:"dropped,omitempty"`
 	Energy     map[string]float64 `json:"energy_j"`
 }
 
@@ -86,7 +85,6 @@ func (r *Result) WriteJSON(w io.Writer) error {
 			LPIPS:      f.LPIPS,
 			Bytes:      f.Bytes,
 			CodedBytes: f.CodedBytes,
-			Dropped:    f.Dropped,
 			Energy:     map[string]float64{},
 		}
 		names := f.Stages.Names()
@@ -129,7 +127,6 @@ func ReadResultJSON(r io.Reader) (*Result, error) {
 			LPIPS:      fj.LPIPS,
 			Bytes:      fj.Bytes,
 			CodedBytes: fj.CodedBytes,
-			Dropped:    fj.Dropped,
 			Energy:     map[device.Rail]float64{},
 		}
 		switch fj.Type {
@@ -144,7 +141,7 @@ func ReadResultJSON(r io.Reader) (*Result, error) {
 		names := st.Names()
 		vals := make([]time.Duration, len(names))
 		for i, name := range names {
-			vals[i] = time.Duration(fj.Stages[name] * float64(time.Millisecond))
+			vals[i] = time.Duration(math.Round(fj.Stages[name] * float64(time.Millisecond)))
 		}
 		st.Input, st.Render, st.RoIDetect, st.Encode = vals[0], vals[1], vals[2], vals[3]
 		st.Transmit, st.Decode, st.Upscale, st.Display = vals[4], vals[5], vals[6], vals[7]

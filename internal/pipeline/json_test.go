@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"gamestreamsr/internal/codec"
 )
@@ -18,6 +19,16 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	res, err := gs.Run(4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Beside the run's own stages, a sweep of nanosecond durations: some
+	// (2.012561 ms, the first here) read back a nanosecond short unless the
+	// reader rounds.
+	for i := range 1000 {
+		d := func(k int) time.Duration { return time.Duration(8*i+k) * 12347 }
+		res.Frames = append(res.Frames, FrameResult{Index: 4 + i, Type: codec.Inter, Stages: Stages{
+			Input: d(0), Render: d(1), RoIDetect: d(2), Encode: d(3),
+			Transmit: d(4), Decode: d(5), Upscale: d(6), Display: d(7),
+		}})
 	}
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
@@ -41,12 +52,10 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		if math.Abs(a.PSNR-b.PSNR) > 1e-9 || math.Abs(a.SSIM-b.SSIM) > 1e-9 {
 			t.Fatalf("frame %d quality mismatch", i)
 		}
-		// Durations round-trip within a nanosecond-rounding of ms floats.
-		av, bv := a.Stages.Values(), b.Stages.Values()
-		for j := range av {
-			if d := av[j] - bv[j]; d > 1000 || d < -1000 {
-				t.Fatalf("frame %d stage %d: %v vs %v", i, j, av[j], bv[j])
-			}
+		// Durations round-trip exactly: a float millisecond carries every
+		// nanosecond of a stage, and reading rounds it back.
+		if a.Stages != b.Stages {
+			t.Fatalf("frame %d stages: %+v vs %+v", i, a.Stages, b.Stages)
 		}
 		if math.Abs(a.EnergyTotal()-b.EnergyTotal()) > 1e-9 {
 			t.Fatalf("frame %d energy mismatch", i)

@@ -22,7 +22,6 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/games"
-	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/telemetry"
@@ -34,8 +33,6 @@ import (
 type Config struct {
 	// Device is the client profile (default Tab S8).
 	Device *device.Profile
-	// Net is the link model (default WiFi-class network.New).
-	Net network.Config
 	// Game is the workload (default G3, Witcher 3 — the paper's drill-down
 	// game).
 	Game *games.Workload
@@ -87,7 +84,7 @@ type Config struct {
 
 	// Metrics, when non-nil, receives the engine's runtime telemetry:
 	// per-stage span histograms, channel-wait (backpressure) totals,
-	// frame/frozen counters, RoI areas and coded bytes (see DESIGN.md §9).
+	// frame counters, RoI areas and coded bytes (see DESIGN.md §9).
 	// Instrumentation is nil-safe and never alters results — the
 	// determinism tests run with it enabled.
 	Metrics *telemetry.Registry
@@ -302,8 +299,7 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 	return ut, err
 }
 
-// Cost models one delivered frame's client and link latency and per-rail
-// energy.
+// Cost models one frame's client latency and per-rail energy.
 func (gameStreamVariant) Cost(cfg *Config, job *FrameJob) (Stages, map[device.Rail]float64, error) {
 	lrPx := cfg.LRWidth * cfg.LRHeight
 	hrPx := lrPx * cfg.Scale * cfg.Scale
@@ -313,11 +309,9 @@ func (gameStreamVariant) Cost(cfg *Config, job *FrameJob) (Stages, map[device.Ra
 	srLat := dev.SRLatency(roiPx)
 	gpuLat := dev.GPUBilinearLatency(hrPx - roiHRPx)
 	st := Stages{
-		Input:    job.InputLat,
-		Transmit: job.TransmitLat,
-		Decode:   dev.HWDecodeLatency(lrPx),
-		Upscale:  max(srLat, gpuLat) + dev.MergeLatency(),
-		Display:  dev.DisplayLatency(),
+		Decode:  dev.HWDecodeLatency(lrPx),
+		Upscale: max(srLat, gpuLat) + dev.MergeLatency(),
+		Display: dev.DisplayLatency(),
 	}
 
 	em := device.NewEnergyMeter(dev)

@@ -57,10 +57,6 @@ type FrameResult struct {
 	// CodedBytes is the actual size our transparent block codec produced,
 	// scaled to nominal resolution — used for codec-level comparisons.
 	CodedBytes int
-	// Dropped marks a frame lost in transit: the client displayed the
-	// previous frame instead (quality is measured against the current
-	// ground truth, so drops show up as QoE loss).
-	Dropped bool
 	// Energy is the per-rail energy of this frame in joules.
 	Energy map[device.Rail]float64
 	// Upscaled is the reconstructed high-resolution frame, retained only
@@ -98,14 +94,13 @@ func (r *Result) ByType(t codec.FrameType) []FrameResult {
 	return out
 }
 
-// MeanStage returns the mean of one stage selector over delivered frames of
-// type t (or all delivered frames when t is 0). Dropped frames have no
-// client-side stages and are excluded.
+// MeanStage returns the mean of one stage selector over the frames of type
+// t (or all frames when t is 0).
 func (r *Result) MeanStage(t codec.FrameType, sel func(Stages) time.Duration) (time.Duration, error) {
 	var sum time.Duration
 	n := 0
 	for _, f := range r.Frames {
-		if (t != 0 && f.Type != t) || f.Dropped {
+		if t != 0 && f.Type != t {
 			continue
 		}
 		sum += sel(f.Stages)
@@ -117,16 +112,10 @@ func (r *Result) MeanStage(t codec.FrameType, sel func(Stages) time.Duration) (t
 	return sum / time.Duration(n), nil
 }
 
-// DropCount returns the number of frames lost in transit.
-func (r *Result) DropCount() int {
-	n := 0
-	for _, f := range r.Frames {
-		if f.Dropped {
-			n++
-		}
-	}
-	return n
-}
+// DropCount returns the number of frames lost in transit: always 0, since
+// the offline engine delivers every frame (faults are injected on a real
+// connection, by internal/faultnet). The benchmark harness still reports it.
+func (r *Result) DropCount() int { return 0 }
 
 // MeanUpscale returns the mean upscale-stage latency for frames of type t.
 func (r *Result) MeanUpscale(t codec.FrameType) (time.Duration, error) {
@@ -159,7 +148,7 @@ func (r *Result) SustainedFPS(t codec.FrameType) (float64, error) {
 	var worst time.Duration
 	n := 0
 	for _, f := range r.Frames {
-		if (t != 0 && f.Type != t) || f.Dropped {
+		if t != 0 && f.Type != t {
 			continue
 		}
 		for _, v := range f.Stages.Values() {

@@ -86,11 +86,7 @@ func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stag
 	roiHRPx := roiPx * cfg.Scale * cfg.Scale
 	dev := cfg.Device
 	em := device.NewEnergyMeter(dev)
-	st := pipeline.Stages{
-		Input:    job.InputLat,
-		Transmit: job.TransmitLat,
-		Display:  dev.DisplayLatency(),
-	}
+	st := pipeline.Stages{Display: dev.DisplayLatency()}
 	em.AddActive(device.RailDisplay, dev.DisplayActive())
 	em.AddNetworkBytes(job.NominalBytes)
 
