@@ -6,43 +6,23 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"gamestreamsr/internal/games"
-	"gamestreamsr/internal/nemo"
-	"gamestreamsr/internal/pipeline"
-	"gamestreamsr/internal/srdecoder"
-	"gamestreamsr/internal/upscale"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestRunArchiveGolden pins the JSON archives of one pass of all three
-// variants byte for byte: every pixel-derived quality figure, modelled
-// stage latency, energy rail and byte count of an 8-frame G3 run. A change
-// that claims to leave the numbers alone must leave this file alone.
-// Regenerate with `go test ./internal/pipeline -run ArchiveGolden -update`.
+// variants (detConfig's 8-frame G3 run: ours, NEMO and srdecoder with
+// Bicubic) byte for byte: every pixel-derived quality figure, modelled
+// stage latency, energy rail and byte count. A change that claims to leave
+// the numbers alone must leave the golden file alone. Regenerate with `go test ./internal/pipeline -run ArchiveGolden -update`.
 func TestRunArchiveGolden(t *testing.T) {
-	g, err := games.ByID("G3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pipeline.Config{Game: g, SimDiv: 8, GOPSize: 4}
-	res, err := pipeline.Run(cfg, 8, pipeline.Ours(), nemo.New(), srdecoder.New(upscale.Bicubic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for _, r := range res {
-		if err := r.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
+	got := runJSON(t, runners(t)["onepass"])
 	golden := filepath.Join("testdata", "run_golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,7 +30,7 @@ func TestRunArchiveGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
+	if !bytes.Equal(got, want) {
 		t.Fatalf("run archives drifted from %s (re-run with -update if intended)", golden)
 	}
 }
