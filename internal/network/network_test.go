@@ -6,13 +6,21 @@ import (
 	"time"
 )
 
-func TestUplink(t *testing.T) {
+func TestDefaults(t *testing.T) {
+	// The link is the paper's WiFi regime (§V-A); the run archives'
+	// input and transmit stages are billed at these two values.
+	if BandwidthMbps != 100 || RTT != 16*time.Millisecond {
+		t.Errorf("link = %d Mbps, RTT %v", BandwidthMbps, RTT)
+	}
+}
+
+func TestUplinkLatency(t *testing.T) {
 	if Uplink() != 8*time.Millisecond {
 		t.Errorf("uplink = %v", Uplink())
 	}
 }
 
-func TestTransmitSerialisation(t *testing.T) {
+func TestTransmitLatencySerialisation(t *testing.T) {
 	// 1 MB at 100 Mbps = 80 ms serialisation + 8 ms propagation.
 	if got, want := Transmit(1_000_000), 88*time.Millisecond; got != want {
 		t.Errorf("transmit(1MB) = %v, want %v", got, want)
