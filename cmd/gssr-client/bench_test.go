@@ -160,8 +160,8 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 			t.Fatalf("frame %d: pooled frame differs from the allocating composition", i)
 		}
 	}
-	if st.frames != 9 || st.dropped != 0 {
-		t.Fatalf("frames=%d dropped=%d, want 9 and 0", st.frames, st.dropped)
+	if rep := st.rec.Report(); rep.Delivered != 9 || rep.Frames != 9 {
+		t.Fatalf("delivered=%d of %d frames, want 9 of 9", rep.Delivered, rep.Frames)
 	}
 	// A corrupt payload freezes the display instead of ending the session,
 	// and leaves the frame on display alone: the same image, the same
@@ -170,8 +170,8 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 	onScreen := st.lastUp
 	pixels := onScreen.Clone()
 	shown, err := st.showFrame(stream.FramePacket{Index: 9, Payload: []byte{1, 2, 3}}, time.Now(), 0, stream.ClockSync{}, scale)
-	if err != nil || shown || st.dropped != 1 || st.frames != 9 {
-		t.Fatalf("corrupt frame: shown=%v err=%v dropped=%d frames=%d", shown, err, st.dropped, st.frames)
+	if rep := st.rec.Report(); err != nil || shown || rep.Frames-rep.Delivered != 1 || rep.Delivered != 9 {
+		t.Fatalf("corrupt frame: shown=%v err=%v delivered=%d of %d frames", shown, err, rep.Delivered, rep.Frames)
 	}
 	if st.lastUp != onScreen || !st.lastUp.Equal(pixels) {
 		t.Fatal("corrupt frame: the frame on display changed")

@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/rand"
 	"net"
 	"os"
@@ -58,6 +59,7 @@ import (
 )
 
 func main() {
+	slog.SetDefault(slog.New(logx.Default()))
 	cfg, err := parseFlags(os.Args[1:])
 	if errors.Is(err, flag.ErrHelp) {
 		os.Exit(0)
@@ -72,7 +74,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, cfg); err != nil {
-		logx.Error("gssr-client exiting", "err", err)
+		slog.Error("gssr-client exiting", "err", err)
 		os.Exit(1)
 	}
 }
@@ -132,9 +134,9 @@ func fatalReject(code stream.RejectCode) bool {
 
 // sessionState is everything that survives a reconnect: the telemetry
 // registry and flight recorder (one continuous window across sessions, so
-// the drop and the resume land in the same trace), the decode/SR engines
-// with the buffer pool their frames cycle through, and the aggregate frame
-// counters the final report prints.
+// the drop and the resume land in the same trace; its Report counts frames
+// shown, dropped and missed), the decode/SR engines with the buffer pool
+// their frames cycle through, and the session summary's byte count.
 type sessionState struct {
 	reg     *telemetry.Registry
 	rec     *frametrace.Recorder
@@ -146,12 +148,10 @@ type sessionState struct {
 	// one being built), so a steady-state frame allocates no pixel buffers.
 	pool *bufpool.Pool
 
-	lastUp        *frame.Image
-	frames, bytes int
-	dropped       uint32
-	misses        uint32
-	statsSeq      uint32
-	reconnects    int
+	lastUp     *frame.Image
+	bytes      int
+	statsSeq   uint32
+	reconnects int
 	// The Stats windows: per-frame samples since the last report, kept only
 	// while the backchannel that empties them is on.
 	stats        bool
@@ -199,7 +199,7 @@ func run(ctx context.Context, cc clientConfig) error {
 	attempt := 0
 	var sessErr error
 	for {
-		before := st.frames
+		before := st.rec.Report().Delivered
 		sessErr = runSession(ctx, cc, dev, st)
 		if sessErr == nil || ctx.Err() != nil {
 			sessErr = nil
@@ -207,7 +207,7 @@ func run(ctx context.Context, cc clientConfig) error {
 		}
 		// A session that made progress earns a fresh retry budget: the
 		// budget bounds consecutive failures, not total drops over hours.
-		if st.frames > before {
+		if st.rec.Report().Delivered > before {
 			attempt, backoff = 0, cc.reconnectBase
 		}
 		wait := backoff + time.Duration(rng.Int63n(int64(backoff)/2+1))
@@ -225,7 +225,7 @@ func run(ctx context.Context, cc clientConfig) error {
 		}
 		attempt++
 		st.reconnects++
-		logx.Warn("session lost; reconnecting", "err", sessErr, "attempt", attempt, "max", cc.reconnect, "wait", wait.Round(time.Millisecond))
+		slog.Warn("session lost; reconnecting", "err", sessErr, "attempt", attempt, "max", cc.reconnect, "wait", wait.Round(time.Millisecond))
 		select {
 		case <-time.After(wait):
 		case <-ctx.Done():
@@ -240,20 +240,21 @@ func run(ctx context.Context, cc clientConfig) error {
 		}
 	}
 	elapsed := time.Since(start)
-	logx.Info("session summary", "frames", st.frames, "kb", fmt.Sprintf("%.1f", float64(st.bytes)/1024),
-		"fps", fmt.Sprintf("%.1f", float64(st.frames)/elapsed.Seconds()),
-		"dropped", st.dropped, "misses", st.misses, "reconnects", st.reconnects)
+	rep := st.rec.Report()
+	slog.Info("session summary", "frames", rep.Delivered, "kb", fmt.Sprintf("%.1f", float64(st.bytes)/1024),
+		"fps", fmt.Sprintf("%.1f", float64(rep.Delivered)/elapsed.Seconds()),
+		"dropped", rep.Frames-rep.Delivered, "misses", rep.Misses, "reconnects", st.reconnects)
 	if cc.flightPath != "" {
 		if err := writeFlight(cc.flightPath, st.rec); err != nil {
 			return err
 		}
-		logx.Info("flight dump written", "path", cc.flightPath)
+		slog.Info("flight dump written", "path", cc.flightPath)
 	}
 	if cc.save != "" && st.lastUp != nil {
 		if err := st.lastUp.SavePPM(cc.save); err != nil {
 			return err
 		}
-		logx.Info("last upscaled frame saved", "path", cc.save)
+		slog.Info("last upscaled frame saved", "path", cc.save)
 	}
 	return sessErr
 }
@@ -288,9 +289,9 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 		st.resumeToken = cfg.Token
 	}
 	clock := c.Clock()
-	logx.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
+	slog.Info("stream up", "width", cfg.Width, "height", cfg.Height, "gop", cfg.GOPSize, "q", cfg.QStep, "protocol", cfg.Version)
 	if clock.Synced {
-		logx.Info("clock sync", "offset", clock.Offset.Round(time.Microsecond),
+		slog.Info("clock sync", "offset", clock.Offset.Round(time.Microsecond),
 			"rtt", clock.RTT.Round(time.Microsecond), "offset_err_bound", (clock.RTT / 2).Round(time.Microsecond))
 		st.rec.SetClockSync(clock.Offset, clock.RTT)
 	}
@@ -309,7 +310,7 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 			case <-sessionDone: // session already over; nothing to interrupt
 			default:
 				close(interrupted)
-				logx.Info("interrupted: sending bye")
+				slog.Info("interrupted: sending bye")
 				_ = c.Bye()
 				conn.Close()
 			}
@@ -369,12 +370,13 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 			continue
 		}
 
-		// The telemetry backchannel: windowed percentiles every N frames,
-		// piggybacked on the input path.
-		if cc.statsEvery > 0 && st.frames%cc.statsEvery == 0 {
+		// The telemetry backchannel: windowed percentiles every N shown
+		// frames (a full window), piggybacked on the input path.
+		if cc.statsEvery > 0 && len(st.wDecode) == cc.statsEvery {
+			rep := st.rec.Report()
 			p := stream.StatsPacket{
 				Seq: st.statsSeq, WindowFrames: uint32(len(st.wDecode)),
-				Dropped: st.dropped, Misses: st.misses,
+				Dropped: uint32(rep.Frames - rep.Delivered), Misses: uint32(rep.Misses),
 				DecodeP50: pctDur(st.wDecode, 50), DecodeP99: pctDur(st.wDecode, 99),
 				SRP50: pctDur(st.wSR, 50), SRP99: pctDur(st.wSR, 99),
 				AgeP50: pctDur(st.wAge, 50), AgeP99: pctDur(st.wAge, 99),
@@ -384,12 +386,12 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 			if err := c.SendStats(p); err != nil {
 				// Not fatal: a report can race the server's end-of-stream
 				// close. A real disconnect surfaces on the receive path.
-				logx.Warn("stats report not delivered", "seq", p.Seq, "err", err)
+				slog.Warn("stats report not delivered", "seq", p.Seq, "err", err)
 			}
 		}
 	}
 	if rtt, pongs := c.PingRTT(); pongs > 0 {
-		logx.Info("heartbeat", "pongs", pongs, "rtt", rtt.Round(time.Microsecond))
+		slog.Info("heartbeat", "pongs", pongs, "rtt", rtt.Round(time.Microsecond))
 	}
 	// Clean shutdown: say goodbye before dropping the connection (the
 	// interrupt path already did).
@@ -418,9 +420,8 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	if err != nil {
 		// A corrupt frame is dropped, not fatal: the display freezes one
 		// frame and the drop rides the next Stats report to the server.
-		logx.Warn("frame dropped", "frame", pkt.Index, "err", err)
+		slog.Warn("frame dropped", "frame", pkt.Index, "err", err)
 		st.rec.SetFrozen(fid)
-		st.dropped++
 		return false, nil
 	}
 	st.rec.Span(fid, "decode", "decode", tDec, dDec)
@@ -475,9 +476,6 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 		{Name: "decode", D: dDec}, {Name: "upscale", D: dUp}, {Name: "sr", D: dSR}, {Name: "merge", D: ut.DMerge},
 	}
 	st.rec.ObserveDeadline(fid, stages[:])
-	if dDec+ut.DPair+ut.DMerge > st.rec.Deadline() {
-		st.misses++
-	}
 	if st.stats {
 		st.wDecode = append(st.wDecode, float64(dDec.Microseconds()))
 		st.wSR = append(st.wSR, float64(ut.DSR.Microseconds()))
@@ -486,10 +484,9 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	// The frame that was on display is free to be drawn into again.
 	st.pool.PutImage(st.lastUp)
 	st.lastUp = base
-	st.frames++
 	st.bytes += len(pkt.Payload)
 	if pkt.Keyenc {
-		logx.Debug("reference frame", "frame", pkt.Index, "bytes", len(pkt.Payload), "roi", pkt.RoI)
+		slog.Debug("reference frame", "frame", pkt.Index, "bytes", len(pkt.Payload), "roi", pkt.RoI)
 	}
 	return true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -20,6 +21,13 @@ import (
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/stream"
 )
+
+// TestMain logs as main does: through slog's default onto logx.Default(),
+// whose ring TestBenchContract reads.
+func TestMain(m *testing.M) {
+	slog.SetDefault(slog.New(logx.Default()))
+	os.Exit(m.Run())
+}
 
 // rejectingServer answers every opening message with rej and closes,
 // counting the connections it saw.
@@ -142,7 +150,7 @@ func TestBenchContract(t *testing.T) {
 	srv := &stream.MultiServer{
 		Accept:    stream.Accept{Width: w, Height: h, GOPSize: 3, QStep: 6},
 		MaxFrames: nFrames,
-		Log:       logx.New(logx.Config{Out: io.Discard}),
+		Log:       slog.New(slog.NewTextHandler(io.Discard, nil)),
 		NewSource: func(stream.Hello) (stream.FrameSource, error) {
 			enc, err := codec.NewEncoder(codec.Config{Width: w, Height: h, GOPSize: 3, QStep: 6})
 			return &codedSource{enc: enc, img: frame.NewImage(w, h)}, err

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -40,7 +41,7 @@ func TestDiagSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	lg := logx.New(logx.Config{Out: io.Discard, Ring: 256})
+	lg := logx.NewRing(io.Discard, 256, nil)
 	dir := t.TempDir()
 	const w, h, gop, q = 64, 36, 6, 6
 	srv := &stream.MultiServer{
@@ -51,7 +52,7 @@ func TestDiagSmoke(t *testing.T) {
 		FlightFrames: 32,
 		Sched:        parallel.Default(),
 		Deadline:     time.Nanosecond, // every frame misses; the streak trips the watchdog
-		Log:          lg,
+		Log:          slog.New(lg),
 		NewSource: func(hello stream.Hello) (stream.FrameSource, error) {
 			return pipeline.NewSource(g, codec.Config{Width: w, Height: h, GOPSize: gop, QStep: q}, hello.RoIWindow, bufpool.New())
 		},

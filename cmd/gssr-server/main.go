@@ -44,6 +44,7 @@ package main
 
 import (
 	"flag"
+	"log/slog"
 	"net"
 	"os"
 	"time"
@@ -61,6 +62,7 @@ import (
 )
 
 func main() {
+	slog.SetDefault(slog.New(logx.Default()))
 	addr := flag.String("addr", ":7007", "listen address")
 	gameID := flag.String("game", "G3", "workload id (G1..G10)")
 	frames := flag.Int("frames", 120, "frames to stream")
@@ -83,7 +85,7 @@ func main() {
 	flag.Parse()
 
 	if *verbose {
-		logx.Default().SetLevel(logx.LevelDebug)
+		logx.SetLevel(slog.LevelDebug)
 	}
 	cfg := serverConfig{
 		addr: *addr, gameID: *gameID, frames: *frames, width: *width, height: *height,
@@ -98,7 +100,7 @@ func main() {
 		cfg.shed = &stream.ShedPolicy{EscalateStreak: *shedStreak, RecoverFrames: *shedRecover}
 	}
 	if err := run(cfg); err != nil {
-		logx.Error("gssr-server exiting", "err", err)
+		slog.Error("gssr-server exiting", "err", err)
 		os.Exit(1)
 	}
 }
@@ -149,9 +151,9 @@ func run(cfg serverConfig) error {
 			return err
 		}
 		l = faultnet.WrapListener(l, script)
-		logx.Info("fault injection armed", "script", cfg.fault)
+		slog.Info("fault injection armed", "script", cfg.fault)
 	}
-	logx.Info("serving", "game", g, "frames", frames, "width", width, "height", height, "addr", l.Addr())
+	slog.Info("serving", "game", g, "frames", frames, "width", width, "height", height, "addr", l.Addr())
 
 	// Each client gets its own encoder + RoI detector sized to the RoI
 	// window its Hello announced (Fig. 6 step ❶); sessions run
@@ -168,7 +170,7 @@ func run(cfg serverConfig) error {
 		IdleTimeout:   cfg.idleTimeout,
 		Deadline:      cfg.deadline,
 		OnInput: func(remote string, in stream.InputPacket) {
-			logx.Info("input", "session", remote, "seq", in.Seq, "payload", string(in.Payload))
+			slog.Info("input", "session", remote, "seq", in.Seq, "payload", string(in.Payload))
 		},
 		NewSource: func(h stream.Hello) (stream.FrameSource, error) {
 			// Per-session pool: the encoder ping-pongs its reconstruction
@@ -183,7 +185,7 @@ func run(cfg serverConfig) error {
 			if err != nil {
 				return nil, err
 			}
-			logx.Info("hello", "device", h.Device, "roi_window", h.RoIWindow, "scale", h.Scale)
+			slog.Info("hello", "device", h.Device, "roi_window", h.RoIWindow, "scale", h.Scale)
 			return src, nil
 		},
 	}
@@ -192,13 +194,13 @@ func run(cfg serverConfig) error {
 		// Always-on diagnostics: the continuous profile ring samples in the
 		// background, and the MultiServer's SLO watchdog (miss streaks, shed
 		// escalations, admission rejects, reaps) freezes capture bundles
-		// into the directory. The process-wide logx ring rides along in
+		// into the directory. The process-wide log ring rides along in
 		// every bundle.
 		d = diag.New(diag.Config{Metrics: reg, Flight: srv, Log: logx.Default(), Dir: cfg.diagDir})
 		d.Start()
 		defer d.Close()
 		srv.Diag = d
-		logx.Info("diagnostics armed", "dir", cfg.diagDir)
+		slog.Info("diagnostics armed", "dir", cfg.diagDir)
 	}
 	if metricsAddr != "" {
 		// The MultiServer itself is the FlightDumper: /debug/flight merges

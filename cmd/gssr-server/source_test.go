@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"net"
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -20,6 +22,13 @@ import (
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/stream"
 )
+
+// TestMain logs as main does: through slog's default onto logx.Default(),
+// whose ring TestBenchContract reads.
+func TestMain(m *testing.M) {
+	slog.SetDefault(slog.New(logx.Default()))
+	os.Exit(m.Run())
+}
 
 // TestNextFrameMatchesSerialComposition drives pipeline.Source, as run()
 // builds it for every session, and requires each frame's payload,

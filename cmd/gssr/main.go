@@ -38,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +47,7 @@ import (
 
 	gssr "gamestreamsr"
 	"gamestreamsr/internal/diag"
+	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/experiments"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
@@ -53,6 +55,7 @@ import (
 )
 
 func main() {
+	slog.SetDefault(slog.New(logx.Default()))
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "gssr:", err)
 		os.Exit(1)
@@ -129,6 +132,11 @@ func cmdRun(args []string) error {
 	flightPath := fs.String("flight", "", "archive the flight-recorder window to this path (Chrome trace JSON); empty disables")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
+	}
+	if *out != "" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			return err
+		}
 	}
 	opt := experiments.Options{
 		SimDiv:  *simdiv,

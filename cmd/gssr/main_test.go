@@ -44,6 +44,18 @@ func TestCmdRunValidation(t *testing.T) {
 	}
 }
 
+// TestCmdRunCreatesOutDir: -out names a directory the run creates, as
+// `gssr roi` does, instead of failing on the first image dump.
+func TestCmdRunCreatesOutDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "nodir", "sub")
+	if err := cmdRun([]string{"fig8", "-games", "G1", "-out", dir}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig8_G1_depth.pgm")); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestCmdRender(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "frame.ppm")

@@ -300,7 +300,7 @@ type (
 	// deadline slack into a fixed ring dumpable as a Perfetto trace.
 	FlightRecorder = frametrace.Recorder
 	// FlightConfig parameterises the recorder (ring size, deadline, metrics
-	// registry, miss callback).
+	// registry, shared streak gauges).
 	FlightConfig = frametrace.Config
 	// FlightReport is the recorder's deadline/SLO summary.
 	FlightReport = frametrace.Report

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -55,9 +56,9 @@ type Config struct {
 	// Flight, when non-nil, supplies the flight-recorder dump embedded in
 	// bundles (frametrace.Recorder or stream.MultiServer).
 	Flight telemetry.FlightDumper
-	// Log supplies the log ring embedded in bundles (default
-	// logx.Default()).
-	Log *logx.Logger
+	// Log supplies the log ring embedded in bundles, and receives the
+	// diag layer's own lines (default logx.Default()).
+	Log *logx.Ring
 	// Dir, when non-empty, receives one bundle-<seq>.json file per
 	// capture.
 	Dir string
@@ -241,10 +242,10 @@ func (d *Diag) Trigger(reason string, detail ...any) bool {
 
 	if d.cfg.Dir != "" {
 		if err := writeBundleFile(d.cfg.Dir, b); err != nil {
-			d.cfg.Log.Error("diag: bundle write failed", "err", err)
+			slog.New(d.cfg.Log).Error("diag: bundle write failed", "err", err)
 		}
 	}
-	d.cfg.Log.Warn("diag: captured bundle", "seq", b.Seq, "reason", reason)
+	slog.New(d.cfg.Log).Warn("diag: captured bundle", "seq", b.Seq, "reason", reason)
 	return true
 }
 

@@ -2,6 +2,8 @@ package diag
 
 import (
 	"bytes"
+	"io"
+	"log/slog"
 	"net/http/httptest"
 	"os"
 	"os/exec"
@@ -14,6 +16,13 @@ import (
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/telemetry"
 )
+
+// TestMain logs as the binaries do: through slog's default, onto
+// logx.Default()'s ring, where the endpoint tests look for their lines.
+func TestMain(m *testing.M) {
+	slog.SetDefault(slog.New(logx.Default()))
+	os.Exit(m.Run())
+}
 
 // burn spins real CPU so the profiler has something to sample. The sink
 // defeats dead-code elimination; burners run concurrently, so it is atomic.
@@ -79,8 +88,8 @@ func TestSamplerRings(t *testing.T) {
 
 func TestTriggerHysteresis(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	log := logx.New(logx.Config{Out: &bytes.Buffer{}, Ring: 16})
-	log.Warn("before trigger", "frame", 7)
+	log := logx.NewRing(io.Discard, 16, nil)
+	slog.New(log).Warn("before trigger", "frame", 7)
 	dir := t.TempDir()
 	d := New(Config{Metrics: reg, Log: log, Dir: dir, Cooldown: time.Hour})
 	defer d.Close()
@@ -149,7 +158,7 @@ func TestTriggerHysteresis(t *testing.T) {
 }
 
 func TestTriggerCooldownExpires(t *testing.T) {
-	d := New(Config{Cooldown: 30 * time.Millisecond, Log: logx.New(logx.Config{Out: &bytes.Buffer{}})})
+	d := New(Config{Cooldown: 30 * time.Millisecond, Log: logx.NewRing(io.Discard, 16, nil)})
 	defer d.Close()
 	if !d.Trigger("one") {
 		t.Fatal("first trigger suppressed")
@@ -184,7 +193,7 @@ func TestNilDiagIsInert(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	d := New(Config{Cooldown: time.Hour, Log: logx.New(logx.Config{Out: &bytes.Buffer{}})})
+	d := New(Config{Cooldown: time.Hour, Log: logx.NewRing(io.Discard, 16, nil)})
 	defer d.Close()
 	h := d.Handler()
 

@@ -2,11 +2,11 @@ package diag
 
 import (
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"strings"
 
-	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/telemetry"
 )
@@ -37,11 +37,11 @@ func ServeMetrics(addr string, reg *telemetry.Registry, flight telemetry.FlightD
 		mux.Handle("/debug/diag", d.Handler())
 		endpoints = append(endpoints, "/debug/diag")
 	}
-	logx.Info("telemetry up", "url", fmt.Sprintf("http://%s/metrics", ml.Addr()),
+	slog.Info("telemetry up", "url", fmt.Sprintf("http://%s/metrics", ml.Addr()),
 		"endpoints", strings.Join(endpoints, " "))
 	go func() {
 		if err := http.Serve(ml, mux); err != nil {
-			logx.Warn("telemetry server stopped", "err", err)
+			slog.Warn("telemetry server stopped", "err", err)
 		}
 	}()
 	return nil

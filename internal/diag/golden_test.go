@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -32,8 +33,8 @@ func TestBundleFieldsGolden(t *testing.T) {
 	rec := frametrace.New(frametrace.Config{Frames: 4, Metrics: reg})
 	id := rec.BeginFrame(0)
 	rec.ObserveDeadline(id, []frametrace.StageLatency{{Name: "send", D: time.Millisecond}})
-	log := logx.New(logx.Config{Out: io.Discard, Ring: 16})
-	log.Warn("before trigger", "frame", 7)
+	log := logx.NewRing(io.Discard, 16, nil)
+	slog.New(log).Warn("before trigger", "frame", 7)
 	d := New(Config{Metrics: reg, Flight: rec, Log: log, Cooldown: time.Hour})
 	// A short sampler window, so the bundle carries a CPU profile.
 	d.sampler = NewSampler(SamplerConfig{Period: 80 * time.Millisecond, Duration: 20 * time.Millisecond})

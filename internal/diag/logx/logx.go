@@ -1,54 +1,24 @@
-// Package logx is the repo's structured, leveled, ring-buffered logger.
+// Package logx holds what the repo's logging needs beyond log/slog: the
+// bounded ring of recent lines that diag bundles freeze (Ring, a
+// slog.Handler) and a per-key limiter for repetitive lines (Limiter).
 //
-// Every line is a message plus flat key=value fields (session, frame,
-// flight, …) so log output correlates with the flight recorder
-// and /metrics without regex archaeology. Lines go to the writer (stderr
-// by default) AND into a bounded in-memory ring; the diag capture bundle
-// freezes the ring at trigger time, so the last few hundred lines of
-// context travel with every postmortem.
-//
-// The API mirrors log/slog's alternating key/value convention but stays
-// dependency-free and allocation-light: levels are a plain int, fields
-// are rendered inline, and the ring stores pre-formatted lines. A nil
-// *Logger falls through to the process-wide Default() logger, so library
-// code can thread an optional logger without branching.
+// Code logs through log/slog with flat key/value fields (session, frame,
+// flight, …), so lines correlate with the flight recorder and /metrics
+// without regex archaeology. Each binary installs slog.New(Default()) as
+// slog's default at the start of main: every line goes to stderr through
+// a slog.TextHandler AND into the ring, and the diag capture bundle takes
+// the last few hundred lines of context with every postmortem.
 package logx
 
 import (
-	"fmt"
+	"bytes"
+	"context"
 	"io"
+	"log/slog"
 	"os"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Level orders log severities. The zero value is Info, so a
-// zero-configured logger behaves like the stdlib log package with Debug
-// lines suppressed.
-type Level int32
-
-const (
-	LevelDebug Level = iota - 1
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the fixed-width level tag used in rendered lines.
-func (l Level) String() string {
-	switch {
-	case l <= LevelDebug:
-		return "DEBUG"
-	case l == LevelInfo:
-		return "INFO"
-	case l == LevelWarn:
-		return "WARN"
-	default:
-		return "ERROR"
-	}
-}
 
 // Entry is one captured log line as stored in the ring and serialised
 // into diag bundles.
@@ -59,183 +29,97 @@ type Entry struct {
 	Line  string    `json:"line"` // the message and its fields, without time or level
 }
 
-// Config parameterises New.
-type Config struct {
-	// Out receives rendered lines (default os.Stderr). Set io.Discard to
-	// keep the ring without console output.
-	Out io.Writer
-	// Level is the minimum level written (default LevelInfo).
-	Level Level
-	// Ring is the line capacity of the in-memory ring (default 512;
-	// negative disables the ring).
-	Ring int
+// Ring is a slog.Handler that passes each record to a slog.TextHandler and
+// keeps the newest lines in a bounded ring. All methods are safe for
+// concurrent use; the handlers WithAttrs and WithGroup derive share the
+// ring.
+type Ring struct {
+	*ring
+	out  slog.Handler // the writer's handler
+	line slog.Handler // renders the ring's lines into ring.buf
 }
 
-// Logger is a leveled structured logger with a bounded ring of recent
-// lines. All methods are safe for concurrent use; a nil *Logger means
-// Default().
-type Logger struct {
-	min atomic.Int32
-
-	mu   sync.Mutex
-	out  io.Writer
-	ring []Entry // fixed capacity once allocated
-	next uint64  // total lines ever ringed; ring[next%len] is the oldest
-	buf  []byte  // render scratch, reused under mu
+type ring struct {
+	mu      sync.Mutex
+	entries []Entry // fixed capacity
+	next    uint64  // total lines ever ringed; entries[next%len] is the oldest
+	buf     bytes.Buffer
 }
 
-// New builds a Logger from cfg.
-func New(cfg Config) *Logger {
-	l := &Logger{out: cfg.Out}
-	if l.out == nil {
-		l.out = os.Stderr
+// NewRing returns a handler writing to w the records at level or above
+// (nil means slog.LevelInfo) and keeping the newest lines of them.
+func NewRing(w io.Writer, lines int, level slog.Leveler) *Ring {
+	r := &ring{entries: make([]Entry, max(lines, 0))}
+	return &Ring{
+		ring: r,
+		out:  slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}),
+		line: slog.NewTextHandler(&r.buf, nil),
 	}
-	n := cfg.Ring
-	if n == 0 {
-		n = 512
-	}
-	if n > 0 {
-		l.ring = make([]Entry, n)
-	}
-	l.min.Store(int32(cfg.Level))
-	return l
 }
 
 var (
-	defaultOnce sync.Once
-	defaultLog  *Logger
+	defaultLevel slog.LevelVar
+	defaultRing  = NewRing(os.Stderr, 512, &defaultLevel)
 )
 
-// Default returns the process-wide logger (stderr, Info, 512-line ring),
-// creating it on first use.
-func Default() *Logger {
-	defaultOnce.Do(func() { defaultLog = New(Config{}) })
-	return defaultLog
+// Default returns the process-wide ring: stderr, 512 lines, at the level
+// SetLevel sets (Info until then).
+func Default() *Ring { return defaultRing }
+
+// SetLevel sets the minimum level Default writes and keeps.
+func SetLevel(l slog.Level) { defaultLevel.Set(l) }
+
+// Enabled reports whether records at level l are written and kept.
+func (h *Ring) Enabled(ctx context.Context, l slog.Level) bool { return h.out.Enabled(ctx, l) }
+
+// Handle writes r and stores its line: the message, then the fields as
+// the TextHandler renders them.
+func (h *Ring) Handle(ctx context.Context, r slog.Record) error {
+	err := h.out.Handle(ctx, r)
+	if len(h.entries) == 0 {
+		return err
+	}
+	// With no time and an empty message, the line handler writes
+	// `level=L msg="" <fields>`; the fields follow that fixed prefix.
+	bare := r
+	bare.Time, bare.Message = time.Time{}, ""
+	skip := len("level=") + len(r.Level.String()) + len(` msg=""`)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.buf.Reset()
+	_ = h.line.Handle(ctx, bare)
+	fields := bytes.TrimSuffix(h.buf.Bytes()[skip:], []byte("\n"))
+	h.next++
+	h.entries[(h.next-1)%uint64(len(h.entries))] = Entry{
+		Seq: h.next, Time: r.Time, Level: r.Level.String(), Line: r.Message + string(fields),
+	}
+	return err
 }
 
-// norm resolves the nil-logger convention.
-func (l *Logger) norm() *Logger {
-	if l == nil {
-		return Default()
-	}
-	return l
+// WithAttrs returns a handler whose records carry as, sharing h's ring.
+func (h *Ring) WithAttrs(as []slog.Attr) slog.Handler {
+	return &Ring{ring: h.ring, out: h.out.WithAttrs(as), line: h.line.WithAttrs(as)}
 }
 
-// SetLevel changes the minimum level written.
-func (l *Logger) SetLevel(v Level) { l.norm().min.Store(int32(v)) }
-
-// Enabled reports whether lines at level v are currently written.
-func (l *Logger) Enabled(v Level) bool { return int32(v) >= l.norm().min.Load() }
-
-// Log writes one line at level v: msg followed by alternating key/value
-// pairs rendered as " key=value". An odd trailing key is rendered as
-// " key=?". Values are formatted with %v; strings containing spaces are
-// quoted so lines stay machine-splittable.
-func (l *Logger) Log(v Level, msg string, kv ...any) {
-	l = l.norm()
-	if int32(v) < l.min.Load() {
-		return
-	}
-	now := time.Now()
-	l.mu.Lock()
-	b := l.buf[:0]
-	b = now.AppendFormat(b, "2006/01/02 15:04:05.000000")
-	b = append(b, ' ')
-	b = append(b, v.String()...)
-	b = append(b, ' ')
-	at := len(b) // ring entries carry Time and Level separately
-	b = append(b, msg...)
-	for i := 0; i < len(kv); i += 2 {
-		b = append(b, ' ')
-		b = append(b, fmt.Sprint(kv[i])...)
-		b = append(b, '=')
-		if i+1 >= len(kv) {
-			b = append(b, '?')
-			break
-		}
-		b = appendValue(b, kv[i+1])
-	}
-	line := string(b[at:])
-	if len(l.ring) > 0 {
-		slot := &l.ring[l.next%uint64(len(l.ring))]
-		l.next++
-		*slot = Entry{Seq: l.next, Time: now, Level: v.String(), Line: line}
-	}
-	b = append(b, '\n')
-	_, _ = l.out.Write(b)
-	l.buf = b[:0]
-	l.mu.Unlock()
+// WithGroup returns a handler that qualifies later keys with name,
+// sharing h's ring.
+func (h *Ring) WithGroup(name string) slog.Handler {
+	return &Ring{ring: h.ring, out: h.out.WithGroup(name), line: h.line.WithGroup(name)}
 }
-
-// appendValue renders one field value, quoting strings with spaces.
-func appendValue(b []byte, v any) []byte {
-	switch x := v.(type) {
-	case string:
-		if needsQuote(x) {
-			return strconv.AppendQuote(b, x)
-		}
-		return append(b, x...)
-	case error:
-		return strconv.AppendQuote(b, x.Error())
-	case int:
-		return strconv.AppendInt(b, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(b, x, 10)
-	case uint64:
-		return strconv.AppendUint(b, x, 10)
-	case time.Duration:
-		return append(b, x.String()...)
-	default:
-		s := fmt.Sprint(v)
-		if needsQuote(s) {
-			return strconv.AppendQuote(b, s)
-		}
-		return append(b, s...)
-	}
-}
-
-func needsQuote(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ' ' || c == '"' || c == '=' || c < 0x20 {
-			return true
-		}
-	}
-	return false
-}
-
-// Debug, Info, Warn and Error are Log at the respective level.
-func (l *Logger) Debug(msg string, kv ...any) { l.Log(LevelDebug, msg, kv...) }
-func (l *Logger) Info(msg string, kv ...any)  { l.Log(LevelInfo, msg, kv...) }
-func (l *Logger) Warn(msg string, kv ...any)  { l.Log(LevelWarn, msg, kv...) }
-func (l *Logger) Error(msg string, kv ...any) { l.Log(LevelError, msg, kv...) }
-
-// Package-level shortcuts on Default().
-func Debug(msg string, kv ...any) { Default().Log(LevelDebug, msg, kv...) }
-func Info(msg string, kv ...any)  { Default().Log(LevelInfo, msg, kv...) }
-func Warn(msg string, kv ...any)  { Default().Log(LevelWarn, msg, kv...) }
-func Error(msg string, kv ...any) { Default().Log(LevelError, msg, kv...) }
 
 // Recent returns up to max of the newest ring entries, oldest first.
 // max <= 0 returns the whole ring. The result is a copy.
-func (l *Logger) Recent(max int) []Entry {
-	l = l.norm()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.ring)
-	if n == 0 {
-		return nil
+func (h *Ring) Recent(max int) []Entry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := uint64(len(h.entries))
+	have := min(h.next, n)
+	if max > 0 {
+		have = min(have, uint64(max))
 	}
-	have := int(l.next)
-	if have > n {
-		have = n
-	}
-	if max > 0 && have > max {
-		have = max
-	}
-	out := make([]Entry, 0, have)
-	for i := 0; i < have; i++ {
-		idx := (l.next - uint64(have) + uint64(i)) % uint64(len(l.ring))
-		out = append(out, l.ring[idx])
+	out := make([]Entry, have)
+	for i := range out {
+		out[i] = h.entries[(h.next-have+uint64(i))%n]
 	}
 	return out
 }

@@ -2,31 +2,40 @@ package logx
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// TestLogRendering: the writer gets slog's text format; the ring keeps the
+// message and the fields, without time or level.
 func TestLogRendering(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(Config{Out: &buf, Ring: 8})
-	l.Warn("stream: slow send", "session", "10.0.0.1:9", "frame", 12, "flight", uint64(7), "took", 20*time.Millisecond)
-	line := buf.String()
-	for _, want := range []string{"WARN stream: slow send", "session=10.0.0.1:9", "frame=12", "flight=7", "took=20ms"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("line %q missing %q", line, want)
+	r := NewRing(&buf, 8, nil)
+	slog.New(r).Warn("stream: slow send", "session", "10.0.0.1:9", "frame", 12, "flight", uint64(7), "took", 20*time.Millisecond)
+	out := buf.String()
+	for _, want := range []string{"level=WARN", `msg="stream: slow send"`, "session=10.0.0.1:9", "frame=12", "flight=7", "took=20ms"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output %q missing %q", out, want)
 		}
 	}
-	if !strings.HasSuffix(line, "\n") {
-		t.Errorf("line not newline-terminated: %q", line)
+	if !strings.HasSuffix(out, "\n") {
+		t.Errorf("output not newline-terminated: %q", out)
+	}
+	if e := r.Recent(0)[0]; e.Line != "stream: slow send session=10.0.0.1:9 frame=12 flight=7 took=20ms" {
+		t.Errorf("ring line = %q", e.Line)
 	}
 }
 
 func TestLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	l := New(Config{Out: &buf, Level: LevelWarn})
+	r := NewRing(&buf, 8, slog.LevelWarn)
+	l := slog.New(r)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
@@ -35,23 +44,23 @@ func TestLevelFiltering(t *testing.T) {
 	if strings.Contains(out, "DEBUG") || strings.Contains(out, "INFO") {
 		t.Errorf("sub-threshold lines written: %q", out)
 	}
-	if !strings.Contains(out, "WARN w") || !strings.Contains(out, "ERROR e") {
+	if !strings.Contains(out, "level=WARN msg=w") || !strings.Contains(out, "level=ERROR msg=e") {
 		t.Errorf("expected warn+error lines, got %q", out)
 	}
-	if got := l.Recent(0); len(got) != 2 {
+	if got := r.Recent(0); len(got) != 2 {
 		t.Errorf("ring holds %d entries, want 2", len(got))
 	}
-	l.SetLevel(LevelDebug)
-	if !l.Enabled(LevelDebug) {
-		t.Error("debug should be enabled after SetLevel")
+	SetLevel(slog.LevelDebug)
+	defer SetLevel(slog.LevelInfo)
+	if !Default().Enabled(context.Background(), slog.LevelDebug) {
+		t.Error("debug should be enabled on Default after SetLevel")
 	}
 }
 
 func TestQuoting(t *testing.T) {
-	var buf bytes.Buffer
-	l := New(Config{Out: &buf})
-	l.Info("msg", "err", fmt.Errorf("boom with spaces"), "s", "a b", "plain", "ok")
-	line := buf.String()
+	r := NewRing(io.Discard, 8, nil)
+	slog.New(r).Info("msg", "err", fmt.Errorf("boom with spaces"), "s", "a b", "plain", "ok")
+	line := r.Recent(0)[0].Line
 	for _, want := range []string{`err="boom with spaces"`, `s="a b"`, "plain=ok"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("line %q missing %q", line, want)
@@ -60,11 +69,11 @@ func TestQuoting(t *testing.T) {
 }
 
 func TestRingWrapAndRecent(t *testing.T) {
-	l := New(Config{Out: &bytes.Buffer{}, Ring: 4})
+	r := NewRing(io.Discard, 4, nil)
 	for i := 0; i < 10; i++ {
-		l.Info("line", "i", i)
+		slog.New(r).Info("line", "i", i)
 	}
-	got := l.Recent(0)
+	got := r.Recent(0)
 	if len(got) != 4 {
 		t.Fatalf("ring holds %d entries, want 4", len(got))
 	}
@@ -74,7 +83,7 @@ func TestRingWrapAndRecent(t *testing.T) {
 			t.Errorf("entry %d = %q, want suffix %q (oldest-first order)", i, e.Line, want)
 		}
 	}
-	if got2 := l.Recent(2); len(got2) != 2 || !strings.Contains(got2[1].Line, "i=9") {
+	if got2 := r.Recent(2); len(got2) != 2 || !strings.Contains(got2[1].Line, "i=9") {
 		t.Errorf("Recent(2) = %+v, want the 2 newest", got2)
 	}
 }
@@ -83,24 +92,31 @@ func TestRingWrapAndRecent(t *testing.T) {
 // message — the level is Entry.Level's alone, so a renderer that prints
 // both shows it once.
 func TestRecentLineStartsWithMessage(t *testing.T) {
-	l := New(Config{Out: &bytes.Buffer{}, Ring: 4})
-	l.Warn("fault injection armed", "events", 2)
+	l := NewRing(io.Discard, 4, nil)
+	slog.New(l).Warn("fault injection armed", "events", 2)
 	e := l.Recent(0)[0]
 	if want := "fault injection armed events=2"; e.Line != want || e.Level != "WARN" {
 		t.Errorf("entry = level %q line %q, want level WARN line %q", e.Level, e.Line, want)
 	}
 }
 
-func TestNilLoggerFallsThrough(t *testing.T) {
-	var l *Logger
-	l.Info("nil logger goes to default") // must not panic
-	if !l.Enabled(LevelInfo) {
-		t.Error("nil logger should report default's enablement")
+// TestDerivedHandlersShareRing: attributes and groups added with With and
+// WithGroup reach the line, and every derived logger fills the one ring —
+// a field named level stays a field.
+func TestDerivedHandlersShareRing(t *testing.T) {
+	r := NewRing(io.Discard, 4, nil)
+	l := slog.New(r)
+	l.With("session", "s1").Warn("shed up", "level", 2)
+	l.WithGroup("g").Info("grouped", "k", 1)
+	got := r.Recent(0)
+	if len(got) != 2 || got[0].Line != "shed up session=s1 level=2" || got[1].Line != "grouped g.k=1" {
+		t.Errorf("ring = %+v", got)
 	}
 }
 
 func TestConcurrentLogging(t *testing.T) {
-	l := New(Config{Out: &bytes.Buffer{}, Ring: 64})
+	r := NewRing(io.Discard, 64, nil)
+	l := slog.New(r)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -112,7 +128,7 @@ func TestConcurrentLogging(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := len(l.Recent(0)); got != 64 {
+	if got := len(r.Recent(0)); got != 64 {
 		t.Errorf("ring holds %d entries, want full 64", got)
 	}
 }

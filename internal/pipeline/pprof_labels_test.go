@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"gamestreamsr/internal/diag"
-	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/pipeline"
 )
 
@@ -194,8 +193,6 @@ func TestRunDeterministicWithDiag(t *testing.T) {
 	sampler := diag.NewSampler(diag.SamplerConfig{Period: 40 * time.Millisecond, Duration: 15 * time.Millisecond})
 	sampler.Start()
 	defer sampler.Stop()
-	log := logx.New(logx.Config{Out: &bytes.Buffer{}, Ring: 64})
-	log.Info("diag-on determinism run starting")
 
 	cfg := detConfig(t)
 	cfg.Session = "diag-on"

@@ -4,11 +4,11 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
+	"log/slog"
 	"net"
 	"os"
 	"time"
 
-	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/telemetry"
 )
 
@@ -32,7 +32,7 @@ const (
 // SetWriteDeadline(…time.Second) calls that used to be scattered across
 // the server and silently discarded the error. The bound is
 // DefaultControlTimeout.
-func controlWrite(conn net.Conn, m *telemetry.Registry, lg *logx.Logger, remote, what string, fn func() error) error {
+func controlWrite(conn net.Conn, m *telemetry.Registry, lg *slog.Logger, remote, what string, fn func() error) error {
 	conn.SetWriteDeadline(time.Now().Add(DefaultControlTimeout))
 	err := fn()
 	conn.SetWriteDeadline(time.Time{})

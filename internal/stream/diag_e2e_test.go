@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -24,7 +25,7 @@ import (
 
 func TestMissStreakTriggersOneBundle(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lg := logx.New(logx.Config{Out: io.Discard, Ring: 128})
+	lg := logx.NewRing(io.Discard, 128, nil)
 	dir := t.TempDir()
 	srv := &MultiServer{
 		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
@@ -35,7 +36,7 @@ func TestMissStreakTriggersOneBundle(t *testing.T) {
 		// threshold is crossed early in the session and every later frame
 		// re-triggers — the exact storm the cooldown must flatten.
 		Deadline: time.Nanosecond,
-		Log:      lg,
+		Log:      slog.New(lg),
 	}
 	d := diag.New(diag.Config{Metrics: reg, Flight: srv, Log: lg, Dir: dir, Cooldown: time.Hour})
 	defer d.Close()
@@ -101,13 +102,13 @@ func TestMissStreakTriggersOneBundle(t *testing.T) {
 // detector sees dump reads racing ring writes.
 func TestConcurrentDumpsWhileStreaming(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lg := logx.New(logx.Config{Out: io.Discard, Ring: 64})
+	lg := logx.NewRing(io.Discard, 64, nil)
 	srv := &MultiServer{
 		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		NewSource:    func(Hello) (FrameSource, error) { return &countingSource{n: 120}, nil },
 		Metrics:      reg,
 		FlightFrames: 16,
-		Log:          lg,
+		Log:          slog.New(lg),
 	}
 	// A nanosecond cooldown never suppresses, so every ?trigger=1 request
 	// exercises the full capture path concurrently with the streams.
@@ -204,12 +205,12 @@ func shutdownMulti(t *testing.T, srv *MultiServer) {
 // TestMissStreakBundleWithoutFlightFrames: the diag watchdog reads the
 // session recorder, which every session has whatever FlightFrames says.
 func TestMissStreakBundleWithoutFlightFrames(t *testing.T) {
-	lg := logx.New(logx.Config{Out: io.Discard, Ring: 64})
+	lg := logx.NewRing(io.Discard, 64, nil)
 	srv := &MultiServer{
 		Accept:    Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		Shed:      &ShedPolicy{EscalateStreak: 2},
 		Deadline:  time.Nanosecond,
-		Log:       lg,
+		Log:       slog.New(lg),
 		NewSource: func(Hello) (FrameSource, error) { return &countingSource{n: 8}, nil },
 	}
 	d := diag.New(diag.Config{Flight: srv, Log: lg, Dir: t.TempDir(), Cooldown: time.Hour})

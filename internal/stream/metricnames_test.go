@@ -2,6 +2,7 @@ package stream
 
 import (
 	"io"
+	"log/slog"
 	"net"
 	"os"
 	"path/filepath"
@@ -30,7 +31,7 @@ var remoteSuffix = regexp.MustCompile(`_127_0_0_1_[0-9]+$`)
 // per-remote suffix written as <remote>.
 func TestMetricNamesGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lg := logx.New(logx.Config{Out: io.Discard, Ring: 64})
+	lg := logx.NewRing(io.Discard, 64, nil)
 	hold := make(chan struct{})
 	const heldAt = 3
 	srv := &MultiServer{
@@ -39,7 +40,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		FlightFrames: 8,
 		Shed:         &ShedPolicy{},
 		Admission:    &AdmissionPolicy{},
-		Log:          lg,
+		Log:          slog.New(lg),
 		NewSource: func(Hello) (FrameSource, error) {
 			return frameFunc(func(i int) ([]byte, bool, frame.Rect, error) {
 				if i == heldAt {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"slices"
 	"sort"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"gamestreamsr/internal/diag"
-	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/telemetry"
@@ -148,8 +148,8 @@ type MultiServer struct {
 	// are aggregated max-across-sessions through a frametrace.StreakSet.
 	FlightFrames int
 	// FlightRetain overrides how many finished sessions' recorders stay
-	// dumpable (default 4). Benchmarks that read every session's window
-	// after the run raise it.
+	// dumpable (default 4). Tests that read every session's window after
+	// the run raise it.
 	FlightRetain int
 	// Deadline overrides the per-frame budget the session recorders (and
 	// therefore admission and shedding) account against (default
@@ -171,9 +171,8 @@ type MultiServer struct {
 	IdleTimeout time.Duration
 	// Log receives the server's structured log lines (session lifecycle,
 	// shed transitions, rejects, reaps), each tagged with session / frame /
-	// flight fields. Nil uses logx.Default() — stderr, like the stdlib log
-	// package this replaces.
-	Log *logx.Logger
+	// flight fields. Nil uses slog.Default().
+	Log *slog.Logger
 	// Diag, when non-nil, is the SLO watchdog: sustained deadline-miss
 	// streaks, shed-ladder escalations, admission rejects and session reaps
 	// each ask it to freeze a capture bundle (profile ring + goroutine dump
@@ -227,6 +226,14 @@ func (s *MultiServer) resumeIdentity(token string) (string, bool) {
 	defer s.mu.Unlock()
 	id, ok := s.resumes[token]
 	return id, ok
+}
+
+// log is the logger the server writes to: Log, or slog's default.
+func (s *MultiServer) log() *slog.Logger {
+	if s.Log == nil {
+		return slog.Default()
+	}
+	return s.Log
 }
 
 // idleTimeout resolves the configured read-liveness bound (0 = disabled).
@@ -394,7 +401,7 @@ func (s *MultiServer) serveConn(conn net.Conn) error {
 		conn.Close()
 		return fmt.Errorf("stream: reading hello: %w", err)
 	case msg.Type != MsgHello:
-		s.Log.Warn("stream: bad opening message, want hello", "remote", remote, "type", msg.Type)
+		s.log().Warn("stream: bad opening message, want hello", "remote", remote, "type", msg.Type)
 		conn.Close()
 		return fmt.Errorf("%w: expected hello, got %v", ErrProtocol, msg.Type)
 	default:
@@ -402,7 +409,7 @@ func (s *MultiServer) serveConn(conn net.Conn) error {
 	}
 	if err != nil {
 		s.ctrs.rejected.Inc()
-		s.Log.Warn("stream: rejecting session", "session", remote, "reason", err)
+		s.log().Warn("stream: rejecting session", "session", remote, "reason", err)
 		s.rejectConn(conn, Reject{Code: RejectBadHello, Reason: err.Error()})
 		return fmt.Errorf("stream: rejecting client: %w", err) // ErrProtocol for a Hello that did not parse
 	}
@@ -421,7 +428,7 @@ const busyRetryAfter = 2 * time.Second
 // so a peer that never reads cannot wedge the goroutine.
 func (s *MultiServer) rejectConn(conn net.Conn, rej Reject) error {
 	defer conn.Close()
-	controlWrite(conn, s.Metrics, s.Log, conn.RemoteAddr().String(), "reject", func() error {
+	controlWrite(conn, s.Metrics, s.log(), conn.RemoteAddr().String(), "reject", func() error {
 		return WriteReject(conn, rej)
 	})
 	return fmt.Errorf("stream: rejecting client: %s", rej.Reason)
@@ -461,7 +468,7 @@ func (s *MultiServer) servePlayer(conn net.Conn, remote string, hello Hello, tHe
 	if overCap {
 		s.ctrs.rejected.Inc()
 		s.ctrs.rejectedCap.Inc()
-		s.Log.Warn("stream: rejecting session: capacity", "session", remote, "limit", max)
+		s.log().Warn("stream: rejecting session: capacity", "session", remote, "limit", max)
 		return s.rejectConn(conn, Reject{
 			Code:         RejectCapacity,
 			Reason:       fmt.Sprintf("session limit %d reached", max),
@@ -473,7 +480,7 @@ func (s *MultiServer) servePlayer(conn net.Conn, remote string, hello Hello, tHe
 			s.drop(sess)
 			s.ctrs.rejected.Inc()
 			s.ctrs.rejectedBusy.Inc()
-			s.Log.Warn("stream: rejecting session: no SLO headroom",
+			s.log().Warn("stream: rejecting session: no SLO headroom",
 				"session", remote, "p99", p99, "samples", samples, "deadline", deadline)
 			// An admission reject means the fleet is already missing its tail
 			// SLO — exactly the moment a postmortem bundle is worth freezing.
@@ -487,7 +494,7 @@ func (s *MultiServer) servePlayer(conn net.Conn, remote string, hello Hello, tHe
 		}
 	}
 	if resumed {
-		s.Log.Info("stream: session resumed", "remote", remote, "session", identity)
+		s.log().Info("stream: session resumed", "remote", remote, "session", identity)
 	} else if token == "" {
 		token = newResumeToken()
 	}
@@ -661,7 +668,7 @@ func (sess *session) handleStats(st StatsPacket) {
 	m.Counter("stream_client_stats_total").Inc()
 	if !sess.statsSeen {
 		sess.statsSeen = true
-		sess.srv.Log.Info("stream: backchannel up", "session", sess.identity,
+		sess.srv.log().Info("stream: backchannel up", "session", sess.identity,
 			"age_p50", st.AgeP50.Round(time.Microsecond), "age_p99", st.AgeP99.Round(time.Microsecond),
 			"decode_p99", st.DecodeP99.Round(time.Microsecond), "sr_p99", st.SRP99.Round(time.Microsecond),
 			"frames", st.WindowFrames)

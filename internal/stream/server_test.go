@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"strings"
 	"sync"
@@ -441,7 +442,7 @@ func (c peerConn) RemoteAddr() net.Addr { return &net.UnixAddr{Name: c.peer, Net
 // the session's recorder and logs send-latency outliers with the flight
 // frame ID (the log line is the server-side correlation handle).
 func TestServeFlightAndSlowSendLog(t *testing.T) {
-	lg := logx.New(logx.Config{Out: io.Discard, Ring: 64})
+	lg := logx.NewRing(io.Discard, 64, nil)
 	// The slow-send limiter buckets are keyed by remote and live for the
 	// whole process; a unique remote per run keeps -count=N runs fresh.
 	remote := fmt.Sprintf("test-peer-%d", time.Now().UnixNano())
@@ -452,7 +453,7 @@ func TestServeFlightAndSlowSendLog(t *testing.T) {
 		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		NewSource:    oneSource(&countingSource{n: 3}),
 		FlightFrames: 8,
-		Log:          lg,
+		Log:          slog.New(lg),
 	}
 	done := serveOne(peerConn{server, remote}, srv)
 	c := NewClient(client)

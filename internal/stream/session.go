@@ -165,7 +165,7 @@ func (c *control) run() {
 			// of the wait for the client's hang-up, not a dead peer.
 			if idle > 0 && !c.finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
 				s.Metrics.Counter("stream_sessions_reaped_total").Inc()
-				s.Log.Warn("stream: reaping session: no traffic (not even a heartbeat)",
+				s.log().Warn("stream: reaping session: no traffic (not even a heartbeat)",
 					"session", sess.remote, "idle", idle)
 				s.Diag.Trigger("session_reaped", "session", sess.identity, "idle", idle)
 				conn.Close()
@@ -188,7 +188,7 @@ func (c *control) run() {
 				c.sendMu.Unlock()
 				break
 			}
-			err := controlWrite(conn, s.Metrics, s.Log, sess.remote, "pong", func() error {
+			err := controlWrite(conn, s.Metrics, s.log(), sess.remote, "pong", func() error {
 				return WritePong(conn, PongPacket{Seq: ping.Seq, EchoUnixMicro: ping.SendUnixMicro})
 			})
 			c.sendMu.Unlock()
@@ -260,7 +260,7 @@ func (sess *session) run(hello Hello, tHello time.Time, token string) error {
 	if sess.client != nil {
 		st := sess.client.Stats()
 		if st.Jobs > 0 {
-			s.Log.Info("stream: session scheduler stats", "session", sess.remote,
+			s.log().Info("stream: session scheduler stats", "session", sess.remote,
 				"jobs", st.Jobs, "chunks", st.Chunks, "stolen", st.Stolen,
 				"queue_wait", st.StolenWait.Round(time.Microsecond))
 		}
@@ -349,7 +349,7 @@ func (sess *session) serve(source FrameSource, tHello time.Time, token string) e
 				if suppressed > 0 {
 					kv = append(kv, "suppressed", suppressed)
 				}
-				s.Log.Warn("stream: slow send", kv...)
+				s.log().Warn("stream: slow send", kv...)
 			}
 		}
 		sendLat.ObserveDuration(d)
@@ -365,9 +365,9 @@ func (sess *session) serve(source FrameSource, tHello time.Time, token string) e
 	// log line tells them apart so session logs are diagnosable.
 	if sendErr != nil {
 		if ctl.clientBye.Load() {
-			s.Log.Info("stream: client closed cleanly (bye received)", "session", sess.remote)
+			s.log().Info("stream: client closed cleanly (bye received)", "session", sess.remote)
 		} else {
-			s.Log.Warn("stream: session ended without bye", "session", sess.remote, "err", sendErr)
+			s.log().Warn("stream: session ended without bye", "session", sess.remote, "err", sendErr)
 		}
 	}
 	// The read goroutine exits when the client sends Bye or the connection
@@ -459,7 +459,7 @@ func (sess *session) setLevel(i, level int) {
 		if suppressed > 0 {
 			kv = append(kv, "suppressed", suppressed)
 		}
-		sess.srv.Log.Warn("stream: shed level change", kv...)
+		sess.srv.log().Warn("stream: shed level change", kv...)
 	}
 }
 
