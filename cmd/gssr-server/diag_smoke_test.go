@@ -41,7 +41,7 @@ func TestDiagSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	lg := logx.NewRing(io.Discard, 256, nil)
+	lg := logx.NewRing(io.Discard)
 	dir := t.TempDir()
 	const w, h, gop, q = 64, 36, 6, 6
 	srv := &stream.MultiServer{

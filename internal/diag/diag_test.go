@@ -88,7 +88,7 @@ func TestSamplerRings(t *testing.T) {
 
 func TestTriggerHysteresis(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	log := logx.NewRing(io.Discard, 16, nil)
+	log := logx.NewRing(io.Discard)
 	slog.New(log).Warn("before trigger", "frame", 7)
 	dir := t.TempDir()
 	d := New(Config{Metrics: reg, Log: log, Dir: dir, Cooldown: time.Hour})
@@ -158,7 +158,7 @@ func TestTriggerHysteresis(t *testing.T) {
 }
 
 func TestTriggerCooldownExpires(t *testing.T) {
-	d := New(Config{Cooldown: 30 * time.Millisecond, Log: logx.NewRing(io.Discard, 16, nil)})
+	d := New(Config{Cooldown: 30 * time.Millisecond, Log: logx.NewRing(io.Discard)})
 	defer d.Close()
 	if !d.Trigger("one") {
 		t.Fatal("first trigger suppressed")
@@ -193,7 +193,7 @@ func TestNilDiagIsInert(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	d := New(Config{Cooldown: time.Hour, Log: logx.NewRing(io.Discard, 16, nil)})
+	d := New(Config{Cooldown: time.Hour, Log: logx.NewRing(io.Discard)})
 	defer d.Close()
 	h := d.Handler()
 

@@ -33,7 +33,7 @@ func TestBundleFieldsGolden(t *testing.T) {
 	rec := frametrace.New(frametrace.Config{Frames: 4, Metrics: reg})
 	id := rec.BeginFrame(0)
 	rec.ObserveDeadline(id, []frametrace.StageLatency{{Name: "send", D: time.Millisecond}})
-	log := logx.NewRing(io.Discard, 16, nil)
+	log := logx.NewRing(io.Discard)
 	slog.New(log).Warn("before trigger", "frame", 7)
 	d := New(Config{Metrics: reg, Flight: rec, Log: log, Cooldown: time.Hour})
 	// A short sampler window, so the bundle carries a CPU profile.

@@ -29,10 +29,12 @@ type Entry struct {
 	Line  string    `json:"line"` // the message and its fields, without time or level
 }
 
+// ringLines is how many of the newest lines a Ring keeps.
+const ringLines = 512
+
 // Ring is a slog.Handler that passes each record to a slog.TextHandler and
-// keeps the newest lines in a bounded ring. All methods are safe for
-// concurrent use; the handlers WithAttrs and WithGroup derive share the
-// ring.
+// keeps the newest ringLines lines. All methods are safe for concurrent
+// use; the handlers WithAttrs and WithGroup derive share the ring.
 type Ring struct {
 	*ring
 	out  slog.Handler // the writer's handler
@@ -41,33 +43,32 @@ type Ring struct {
 
 type ring struct {
 	mu      sync.Mutex
-	entries []Entry // fixed capacity
-	next    uint64  // total lines ever ringed; entries[next%len] is the oldest
+	entries [ringLines]Entry
+	next    uint64 // total lines ever ringed; entries[next%ringLines] is the oldest
 	buf     bytes.Buffer
 }
 
-// NewRing returns a handler writing to w the records at level or above
-// (nil means slog.LevelInfo) and keeping the newest lines of them.
-func NewRing(w io.Writer, lines int, level slog.Leveler) *Ring {
-	r := &ring{entries: make([]Entry, max(lines, 0))}
+// level is the process's log level: every Ring writes and keeps the
+// records at or above it.
+var level slog.LevelVar
+
+// SetLevel sets the process's log level (Info until then).
+func SetLevel(l slog.Level) { level.Set(l) }
+
+// NewRing returns a handler writing to w.
+func NewRing(w io.Writer) *Ring {
+	r := &ring{}
 	return &Ring{
 		ring: r,
-		out:  slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}),
+		out:  slog.NewTextHandler(w, &slog.HandlerOptions{Level: &level}),
 		line: slog.NewTextHandler(&r.buf, nil),
 	}
 }
 
-var (
-	defaultLevel slog.LevelVar
-	defaultRing  = NewRing(os.Stderr, 512, &defaultLevel)
-)
+var defaultRing = NewRing(os.Stderr)
 
-// Default returns the process-wide ring: stderr, 512 lines, at the level
-// SetLevel sets (Info until then).
+// Default returns the process-wide ring, writing to stderr.
 func Default() *Ring { return defaultRing }
-
-// SetLevel sets the minimum level Default writes and keeps.
-func SetLevel(l slog.Level) { defaultLevel.Set(l) }
 
 // Enabled reports whether records at level l are written and kept.
 func (h *Ring) Enabled(ctx context.Context, l slog.Level) bool { return h.out.Enabled(ctx, l) }
@@ -76,9 +77,6 @@ func (h *Ring) Enabled(ctx context.Context, l slog.Level) bool { return h.out.En
 // the TextHandler renders them.
 func (h *Ring) Handle(ctx context.Context, r slog.Record) error {
 	err := h.out.Handle(ctx, r)
-	if len(h.entries) == 0 {
-		return err
-	}
 	// With no time and an empty message, the line handler writes
 	// `level=L msg="" <fields>`; the fields follow that fixed prefix.
 	bare := r
@@ -90,7 +88,7 @@ func (h *Ring) Handle(ctx context.Context, r slog.Record) error {
 	_ = h.line.Handle(ctx, bare)
 	fields := bytes.TrimSuffix(h.buf.Bytes()[skip:], []byte("\n"))
 	h.next++
-	h.entries[(h.next-1)%uint64(len(h.entries))] = Entry{
+	h.entries[(h.next-1)%ringLines] = Entry{
 		Seq: h.next, Time: r.Time, Level: r.Level.String(), Line: r.Message + string(fields),
 	}
 	return err
@@ -112,14 +110,13 @@ func (h *Ring) WithGroup(name string) slog.Handler {
 func (h *Ring) Recent(max int) []Entry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := uint64(len(h.entries))
-	have := min(h.next, n)
+	have := min(h.next, ringLines)
 	if max > 0 {
 		have = min(have, uint64(max))
 	}
 	out := make([]Entry, have)
 	for i := range out {
-		out[i] = h.entries[(h.next-have+uint64(i))%n]
+		out[i] = h.entries[(h.next-have+uint64(i))%ringLines]
 	}
 	return out
 }

@@ -16,7 +16,7 @@ import (
 // message and the fields, without time or level.
 func TestLogRendering(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRing(&buf, 8, nil)
+	r := NewRing(&buf)
 	slog.New(r).Warn("stream: slow send", "session", "10.0.0.1:9", "frame", 12, "flight", uint64(7), "took", 20*time.Millisecond)
 	out := buf.String()
 	for _, want := range []string{"level=WARN", `msg="stream: slow send"`, "session=10.0.0.1:9", "frame=12", "flight=7", "took=20ms"} {
@@ -34,7 +34,9 @@ func TestLogRendering(t *testing.T) {
 
 func TestLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRing(&buf, 8, slog.LevelWarn)
+	SetLevel(slog.LevelWarn)
+	defer SetLevel(slog.LevelInfo)
+	r := NewRing(&buf)
 	l := slog.New(r)
 	l.Debug("d")
 	l.Info("i")
@@ -51,14 +53,13 @@ func TestLevelFiltering(t *testing.T) {
 		t.Errorf("ring holds %d entries, want 2", len(got))
 	}
 	SetLevel(slog.LevelDebug)
-	defer SetLevel(slog.LevelInfo)
 	if !Default().Enabled(context.Background(), slog.LevelDebug) {
 		t.Error("debug should be enabled on Default after SetLevel")
 	}
 }
 
 func TestQuoting(t *testing.T) {
-	r := NewRing(io.Discard, 8, nil)
+	r := NewRing(io.Discard)
 	slog.New(r).Info("msg", "err", fmt.Errorf("boom with spaces"), "s", "a b", "plain", "ok")
 	line := r.Recent(0)[0].Line
 	for _, want := range []string{`err="boom with spaces"`, `s="a b"`, "plain=ok"} {
@@ -69,21 +70,21 @@ func TestQuoting(t *testing.T) {
 }
 
 func TestRingWrapAndRecent(t *testing.T) {
-	r := NewRing(io.Discard, 4, nil)
-	for i := 0; i < 10; i++ {
+	r := NewRing(io.Discard)
+	for i := 0; i < ringLines+6; i++ {
 		slog.New(r).Info("line", "i", i)
 	}
 	got := r.Recent(0)
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d entries, want 4", len(got))
+	if len(got) != ringLines {
+		t.Fatalf("ring holds %d entries, want %d", len(got), ringLines)
 	}
 	for i, e := range got {
 		want := fmt.Sprintf("i=%d", 6+i)
-		if !strings.Contains(e.Line, want) {
+		if !strings.HasSuffix(e.Line, want) {
 			t.Errorf("entry %d = %q, want suffix %q (oldest-first order)", i, e.Line, want)
 		}
 	}
-	if got2 := r.Recent(2); len(got2) != 2 || !strings.Contains(got2[1].Line, "i=9") {
+	if got2 := r.Recent(2); len(got2) != 2 || !strings.HasSuffix(got2[1].Line, fmt.Sprintf("i=%d", ringLines+5)) {
 		t.Errorf("Recent(2) = %+v, want the 2 newest", got2)
 	}
 }
@@ -92,7 +93,7 @@ func TestRingWrapAndRecent(t *testing.T) {
 // message — the level is Entry.Level's alone, so a renderer that prints
 // both shows it once.
 func TestRecentLineStartsWithMessage(t *testing.T) {
-	l := NewRing(io.Discard, 4, nil)
+	l := NewRing(io.Discard)
 	slog.New(l).Warn("fault injection armed", "events", 2)
 	e := l.Recent(0)[0]
 	if want := "fault injection armed events=2"; e.Line != want || e.Level != "WARN" {
@@ -104,7 +105,7 @@ func TestRecentLineStartsWithMessage(t *testing.T) {
 // WithGroup reach the line, and every derived logger fills the one ring —
 // a field named level stays a field.
 func TestDerivedHandlersShareRing(t *testing.T) {
-	r := NewRing(io.Discard, 4, nil)
+	r := NewRing(io.Discard)
 	l := slog.New(r)
 	l.With("session", "s1").Warn("shed up", "level", 2)
 	l.WithGroup("g").Info("grouped", "k", 1)
@@ -115,7 +116,7 @@ func TestDerivedHandlersShareRing(t *testing.T) {
 }
 
 func TestConcurrentLogging(t *testing.T) {
-	r := NewRing(io.Discard, 64, nil)
+	r := NewRing(io.Discard)
 	l := slog.New(r)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -128,8 +129,8 @@ func TestConcurrentLogging(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := len(r.Recent(0)); got != 64 {
-		t.Errorf("ring holds %d entries, want full 64", got)
+	if got := len(r.Recent(0)); got != ringLines {
+		t.Errorf("ring holds %d entries, want full %d", got, ringLines)
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 
 func TestMissStreakTriggersOneBundle(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lg := logx.NewRing(io.Discard, 128, nil)
+	lg := logx.NewRing(io.Discard)
 	dir := t.TempDir()
 	srv := &MultiServer{
 		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
@@ -102,7 +102,7 @@ func TestMissStreakTriggersOneBundle(t *testing.T) {
 // detector sees dump reads racing ring writes.
 func TestConcurrentDumpsWhileStreaming(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lg := logx.NewRing(io.Discard, 64, nil)
+	lg := logx.NewRing(io.Discard)
 	srv := &MultiServer{
 		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		NewSource:    func(Hello) (FrameSource, error) { return &countingSource{n: 120}, nil },
@@ -205,7 +205,7 @@ func shutdownMulti(t *testing.T, srv *MultiServer) {
 // TestMissStreakBundleWithoutFlightFrames: the diag watchdog reads the
 // session recorder, which every session has whatever FlightFrames says.
 func TestMissStreakBundleWithoutFlightFrames(t *testing.T) {
-	lg := logx.NewRing(io.Discard, 64, nil)
+	lg := logx.NewRing(io.Discard)
 	srv := &MultiServer{
 		Accept:    Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		Shed:      &ShedPolicy{EscalateStreak: 2},

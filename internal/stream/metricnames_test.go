@@ -31,7 +31,7 @@ var remoteSuffix = regexp.MustCompile(`_127_0_0_1_[0-9]+$`)
 // per-remote suffix written as <remote>.
 func TestMetricNamesGolden(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	lg := logx.NewRing(io.Discard, 64, nil)
+	lg := logx.NewRing(io.Discard)
 	hold := make(chan struct{})
 	const heldAt = 3
 	srv := &MultiServer{

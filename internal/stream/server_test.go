@@ -442,7 +442,7 @@ func (c peerConn) RemoteAddr() net.Addr { return &net.UnixAddr{Name: c.peer, Net
 // the session's recorder and logs send-latency outliers with the flight
 // frame ID (the log line is the server-side correlation handle).
 func TestServeFlightAndSlowSendLog(t *testing.T) {
-	lg := logx.NewRing(io.Discard, 64, nil)
+	lg := logx.NewRing(io.Discard)
 	// The slow-send limiter buckets are keyed by remote and live for the
 	// whole process; a unique remote per run keeps -count=N runs fresh.
 	remote := fmt.Sprintf("test-peer-%d", time.Now().UnixNano())
