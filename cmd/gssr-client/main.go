@@ -485,9 +485,6 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	st.pool.PutImage(st.lastUp)
 	st.lastUp = base
 	st.bytes += len(pkt.Payload)
-	if pkt.Keyenc {
-		slog.Debug("reference frame", "frame", pkt.Index, "bytes", len(pkt.Payload), "roi", pkt.RoI)
-	}
 	return true, nil
 }
 

@@ -81,12 +81,8 @@ func main() {
 	fault := flag.String("fault", "", "chaos script applied to every accepted connection, e.g. \"latency=5ms,jitter=2ms,reset@96KB\" (see internal/faultnet)")
 	deadline := flag.Duration("deadline", 0, "per-frame budget the flight recorders account against (0 = 60 FPS frame time)")
 	diagDir := flag.String("diag", "", "directory for SLO-triggered diagnostic capture bundles; also arms the continuous profile ring and /debug/diag")
-	verbose := flag.Bool("v", false, "log at debug level")
 	flag.Parse()
 
-	if *verbose {
-		logx.SetLevel(slog.LevelDebug)
-	}
 	cfg := serverConfig{
 		addr: *addr, gameID: *gameID, frames: *frames, width: *width, height: *height,
 		gop: *gop, qstep: *qstep, metricsAddr: *metricsAddr,

@@ -768,7 +768,13 @@ func (pl *interPlane) predictBand(y, hh int, mvs []MV) {
 		for sy := y; sy < y+hh; sy++ {
 			o := sy*h.w + x
 			r := (sy+dy)*h.w + x + dx
-			copy(pl.rp[o:o+w], pl.refp[r:r+w])
+			if w == 16 {
+				// One block at the default size, most runs: a fixed-size
+				// move instead of a call to memmove.
+				*(*[16]byte)(pl.rp[o:]) = [16]byte(pl.refp[r:])
+			} else {
+				copy(pl.rp[o:o+w], pl.refp[r:r+w])
+			}
 		}
 		bx = end
 	}

@@ -90,15 +90,26 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 	if f.cfg.Sharpen == 0 || scale == 1 {
 		return upscale.ResizeInto(dst, im, f.cfg.Kernel, pool)
 	}
-	// The resample lands in an intermediate image — its pixels the pool's,
-	// its header the recycled run's — and the sharpen pass writes dst from it.
-	s := startSharpen(pool, dst.W, dst.H)
-	err := upscale.ResizeInto(&s.up, im, f.cfg.Kernel, pool)
-	if err == nil {
+	s := getRun()
+	defer putRun(s)
+	if f.cfg.Kernel == upscale.Lanczos3 && scale == 2 {
+		// The client's call: one banded pass computes the ×2 Lanczos rows
+		// and sharpens them.
+		s.lr = im
 		s.sharpen(dst, f.cfg.Sharpen)
+		return nil
 	}
-	s.release(pool)
-	return err
+	// Any other resample lands in an intermediate image — its pixels the
+	// pool's, its header the run's — and the sharpen pass writes dst from it.
+	n := dst.W * dst.H
+	buf := pool.Bytes(3 * n)
+	defer pool.PutBytes(buf)
+	s.up = frame.Image{W: dst.W, H: dst.H, Stride: dst.W, R: buf[:n], G: buf[n : 2*n], B: buf[2*n:]}
+	if err := upscale.ResizeInto(&s.up, im, f.cfg.Kernel, pool); err != nil {
+		return err
+	}
+	s.sharpen(dst, f.cfg.Sharpen)
+	return nil
 }
 
 // BilinearEngine wraps plain bilinear interpolation in the Engine interface

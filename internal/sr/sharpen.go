@@ -4,9 +4,9 @@ import (
 	"encoding/binary"
 	"sync"
 
-	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/parallel"
+	"gamestreamsr/internal/upscale"
 )
 
 // The detail-restoration kernel of Fast: unsharp masking with a 3×3 binomial
@@ -26,19 +26,33 @@ import (
 // pixels to a word: the three neighbours of eight samples are the words one
 // byte apart in an edge-replicated copy of the row, the sums ride in 16-bit
 // lanes (at most 4·255 along a row, 16·255 after the columns) and the
-// extrema in byte lanes. Only the output expression is per sample.
+// extrema in byte lanes. Only the output expression is per sample, and on
+// amd64 it takes eight samples a call in SSE2 float64 lanes (sharpen_amd64.s).
+//
+// At ×2 with Lanczos-3 — the client's call — the pass computes the rows it
+// sharpens itself (upscale.Lanczos2x), so no resampled image exists.
 
 // sharpenBand is the number of rows in one unit of parallel work. A band
-// re-derives the triples of the row on either side of it from the source —
-// it never reads another band's output — so the cost of a seam is two row
-// passes in sharpenBand+2.
-const sharpenBand = 16
+// re-derives the row on either side of it — from the resampled image, or
+// from the source through the ×2 Lanczos rows — and never reads another
+// band's output, so a seam costs two rows in sharpenBand+2 (and, fused, the
+// few horizontal rows their vertical taps read).
+const sharpenBand = 32
 
-// sharpenRows is a worker's scratch, grown to the widest image seen: the
-// padded copy of the row being reduced and three rolling rows of triples.
+// sharpenRows is a worker's scratch, grown to the widest image seen: three
+// rolling rows, each its bytes between edge copies and its triples, and the
+// ×2 Lanczos rows of the fused pass.
 type sharpenRows struct {
-	pad   []uint8
+	pads  []uint8
 	words []uint64
+	lz    upscale.Lanczos2x
+}
+
+// rollRow is one rolling row: pad holds the row's w bytes at pad[1:w+1]
+// between a copy of its first sample and copies of its last.
+type rollRow struct {
+	pad []uint8
+	t   triples
 }
 
 // triples is one row's horizontal reductions, a word per eight pixels. Of
@@ -50,25 +64,27 @@ type triples struct {
 }
 
 // rows returns the scratch cut for a width of w pixels.
-func (r *sharpenRows) rows(w int) (pad []uint8, above, cur, below triples) {
+func (r *sharpenRows) rows(w int) (above, cur, below rollRow) {
 	n := (w + 7) / 8
 	if cap(r.words) < 12*n {
 		// The last word's right-hand neighbours are read at 8(n−1)+2.
-		r.pad, r.words = make([]uint8, 8*n+2), make([]uint64, 12*n)
+		r.pads, r.words = make([]uint8, 3*(8*n+2)), make([]uint64, 12*n)
 	}
-	row := func(i int) triples {
+	row := func(i int) rollRow {
 		b := r.words[4*i*n : 4*(i+1)*n]
-		return triples{b[:n], b[n : 2*n], b[2*n : 3*n], b[3*n:]}
+		return rollRow{r.pads[i*(8*n+2) : (i+1)*(8*n+2)], triples{b[:n], b[n : 2*n], b[2*n : 3*n], b[3*n:]}}
 	}
-	return r.pad[:8*n+2], row(0), row(1), row(2)
+	return row(0), row(1), row(2)
 }
 
 // sharpenRun carries one call to the band workers. It is recycled whole: fn
-// is bands bound once, so a call creates no closure (as convRun's is), and
-// up's header is the one Fast resamples into, so the intermediate image
-// costs its pixels and nothing else.
+// is bands bound once, so a call creates no closure (as convRun's is). The
+// pass reads its rows from up — an image some resampler wrote, its pixels
+// the pool's and its header this run's — or, when lr is set, computes them
+// as the ×2 Lanczos-3 upscale of lr, so that no resampled image exists.
 type sharpenRun struct {
-	up    frame.Image // the resampled image the pass reads
+	up    frame.Image
+	lr    *frame.Image
 	dst   *frame.Image
 	alpha float64
 	fn    func(b0, b1 int, r *sharpenRows)
@@ -85,9 +101,8 @@ var sharpenRuns struct {
 
 var sharpenScratch = parallel.NewScratch(func() *sharpenRows { return new(sharpenRows) })
 
-// startSharpen checks out a run whose intermediate image is w×h, its pixels
-// from pool.
-func startSharpen(pool *bufpool.Pool, w, h int) *sharpenRun {
+// getRun checks out a run.
+func getRun() *sharpenRun {
 	var s *sharpenRun
 	sharpenRuns.mu.Lock()
 	if k := len(sharpenRuns.free); k > 0 {
@@ -98,46 +113,69 @@ func startSharpen(pool *bufpool.Pool, w, h int) *sharpenRun {
 		s = new(sharpenRun)
 		s.fn = s.bands
 	}
-	n := w * h
-	buf := pool.Bytes(3 * n)
-	s.up = frame.Image{W: w, H: h, Stride: w, R: buf[:n], G: buf[n : 2*n], B: buf[2*n:]}
 	return s
 }
 
-func (s *sharpenRun) release(pool *bufpool.Pool) {
-	pool.PutBytes(s.up.R[:3*len(s.up.R)]) // the whole checkout: R heads it
-	s.up = frame.Image{}
+// putRun returns a finished run for reuse.
+func putRun(s *sharpenRun) {
+	s.up, s.lr = frame.Image{}, nil
 	sharpenRuns.mu.Lock()
 	sharpenRuns.free = append(sharpenRuns.free, s)
 	sharpenRuns.mu.Unlock()
 }
 
 // sharpen writes dst = up + alpha·(up − blur(up)), clamped to the local
-// extrema of up. dst has up's geometry and shares no memory with it; either
-// may be a strided view.
+// extrema of up, where up is the run's resampled image, read or computed.
+// dst has up's geometry and shares no memory with its source; either may be
+// a strided view.
 func (s *sharpenRun) sharpen(dst *frame.Image, alpha float64) {
 	s.dst, s.alpha = dst, alpha
-	parallel.ForWith((s.up.H+sharpenBand-1)/sharpenBand, sharpenScratch, s.fn)
+	parallel.ForWith((dst.H+sharpenBand-1)/sharpenBand, sharpenScratch, s.fn)
 	s.dst = nil
 }
 
 // bands sharpens bands [b0, b1) of the three planes.
 func (s *sharpenRun) bands(b0, b1 int, r *sharpenRows) {
-	y0, y1 := b0*sharpenBand, min(b1*sharpenBand, s.up.H)
-	s.plane(s.dst.R, s.up.R, y0, y1, r)
-	s.plane(s.dst.G, s.up.G, y0, y1, r)
-	s.plane(s.dst.B, s.up.B, y0, y1, r)
+	y0, y1 := b0*sharpenBand, min(b1*sharpenBand, s.dst.H)
+	for p := range 3 {
+		s.plane(p, y0, y1, r)
+	}
 }
 
-// plane sharpens rows [y0, y1) of one plane.
-func (s *sharpenRun) plane(dst, src []uint8, y0, y1 int, r *sharpenRows) {
-	w, h := s.up.W, s.up.H
-	pad, above, cur, below := r.rows(w)
-	row := func(y int) []uint8 { return src[y*s.up.Stride : y*s.up.Stride+w] }
-	cur.fill(row(y0), pad)
-	if y0 > 0 {
-		above.fill(row(y0-1), pad)
+// planeOf returns plane p (R, G, B for 0, 1, 2) of im.
+func planeOf(im *frame.Image, p int) []uint8 {
+	switch p {
+	case 0:
+		return im.R
+	case 1:
+		return im.G
 	}
+	return im.B
+}
+
+// plane sharpens rows [y0, y1) of plane p.
+func (s *sharpenRun) plane(p, y0, y1 int, r *sharpenRows) {
+	w, h := s.dst.W, s.dst.H
+	dst := planeOf(s.dst, p)
+	above, cur, below := r.rows(w)
+	if s.lr != nil {
+		r.lz.Start(planeOf(s.lr, p), s.lr.W, s.lr.H, s.lr.Stride)
+	}
+	// take puts resampled row y into rr and reduces it. Rows are taken in
+	// increasing order, as the Lanczos rows require.
+	take := func(y int, rr rollRow) {
+		if s.lr != nil {
+			r.lz.Row(y, rr.pad[1:w+1])
+		} else {
+			o := y * s.up.Stride
+			copy(rr.pad[1:w+1], planeOf(&s.up, p)[o:o+w])
+		}
+		rr.t.fill(rr.pad, w)
+	}
+	if y0 > 0 {
+		take(y0-1, above)
+	}
+	take(y0, cur)
 	for y := y0; y < y1; y++ {
 		// At the top and bottom edges the missing row is the current one,
 		// replicated.
@@ -146,11 +184,11 @@ func (s *sharpenRun) plane(dst, src []uint8, y0, y1 int, r *sharpenRows) {
 			a = cur
 		}
 		if y+1 < h {
-			below.fill(row(y+1), pad)
+			take(y+1, below)
 		} else {
 			b = cur
 		}
-		sharpenRow(dst[y*s.dst.Stride:y*s.dst.Stride+w], row(y), a, cur, b, s.alpha)
+		sharpenRow(dst[y*s.dst.Stride:y*s.dst.Stride+w], cur.pad[1:w+1], a.t, cur.t, b.t, s.alpha)
 		above, cur, below = cur, below, above
 	}
 }
@@ -160,15 +198,16 @@ const (
 	topBits   = 0x8080808080808080
 )
 
-// fill takes the triples of one plane row. pad receives the row between a
-// copy of its first sample and copies of its last, so the left and right
-// neighbours of eight samples are the words at one byte less and one more;
-// lanes past the row's end reduce the replicated sample and are not read.
-func (t triples) fill(src, pad []uint8) {
-	pad[0] = src[0]
-	tail := pad[1+copy(pad[1:], src):]
+// fill takes the triples of the w-pixel row at pad[1:w+1]. It first puts a
+// copy of the row's first sample before it and copies of its last after it,
+// so the left and right neighbours of eight samples are the words at one
+// byte less and one more; lanes past the row's end reduce the replicated
+// sample and are not read.
+func (t triples) fill(pad []uint8, w int) {
+	pad[0] = pad[1]
+	tail := pad[1+w:]
 	for i := range tail {
-		tail[i] = src[len(src)-1]
+		tail[i] = pad[w]
 	}
 	even, odd, lo, hi := t.even, t.odd[:len(t.even)], t.lo[:len(t.even)], t.hi[:len(t.even)]
 	for k := range even {
@@ -217,8 +256,12 @@ func sharpenRow(dst, src []uint8, a, c, b triples, alpha float64) {
 		odd := ao[k] + 2*co[k] + bo[k]
 		los := min8(min8(al[k], cl[k]), bl[k])
 		his := max8(max8(ah[k], ch[k]), bh[k])
-		end := min(8*k+8, len(dst))
-		sharpen8(dst[8*k:end], src[8*k:end], even, odd, los, his, alpha)
+		if end := 8*k + 8; haveSharpenBulk && end <= len(dst) {
+			sharpen8x(&dst[8*k], &src[8*k], even, odd, los, his, alpha)
+		} else {
+			end = min(end, len(dst))
+			sharpen8(dst[8*k:end], src[8*k:end], even, odd, los, his, alpha)
+		}
 	}
 }
 

@@ -216,8 +216,8 @@ func TestFastMatchesResampleThenReference(t *testing.T) {
 
 // TestFastUpscaleIntoSteadyStateAllocs is the allocation gate of the live
 // client's RoI call: pooled, warm, a 64×64 patch costs what its resample
-// costs and nothing more — the intermediate image is the pool's, the
-// rolling rows are the workers' and the submission's body is recycled.
+// costs and nothing more — the rolling rows are the workers' and the
+// submission's body is recycled — and at ×2 that is nothing at all.
 func TestFastUpscaleIntoSteadyStateAllocs(t *testing.T) {
 	im := gamePatch(t, "G3", 20, 64, 64)
 	pool := bufpool.New()
@@ -239,6 +239,11 @@ func TestFastUpscaleIntoSteadyStateAllocs(t *testing.T) {
 	t.Logf("pooled 64x64: resample %.1f allocs/run, Fast.UpscaleInto %.1f", resample, whole)
 	if whole > resample {
 		t.Errorf("Fast.UpscaleInto allocates %.1f objects/run, its resample alone %.1f: the sharpen pass may add none", whole, resample)
+	}
+	// At ×2 the resample is the fused pass's: one recycled submission, rows
+	// in the workers' scratch, nothing from the pool.
+	if whole != 0 {
+		t.Errorf("Fast.UpscaleInto at ×2 allocates %.1f objects/run, want 0", whole)
 	}
 }
 
@@ -295,4 +300,130 @@ func TestFastConcurrentCalls(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSharpen8xMatchesSharpen8 holds the output expression's vector form
+// (where the GOARCH has one) to sharpen8 byte for byte on random lanes —
+// blur sums over their whole 0 … 16·255 range, lo and hi in either order —
+// at every gain the differential runs and at ones that make the sum NaN or
+// infinite, with the eight destination bytes between sentinels that must
+// survive (the race detector does not see inside assembly).
+func TestSharpen8xMatchesSharpen8(t *testing.T) {
+	if !haveSharpenBulk {
+		t.Skip("no vector form on this GOARCH")
+	}
+	rng := rand.New(rand.NewSource(52))
+	blurWord := func() uint64 {
+		var w uint64
+		for l := 0; l < 4; l++ {
+			w |= uint64(rng.Intn(16*255+1)) << (16 * l)
+		}
+		return w
+	}
+	var src, want [8]uint8
+	got := make([]uint8, 24)
+	for _, alpha := range []float64{2, 0.7, 5.3, -1.5, 0, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for i := 0; i < 20000; i++ {
+			even, odd, los, his := blurWord(), blurWord(), rng.Uint64(), rng.Uint64()
+			for j := range src {
+				src[j] = uint8(rng.Intn(256))
+			}
+			if i%4 == 0 { // flat: v − blur/16 is zero, and an infinite gain makes it NaN
+				v := uint8(i / 4)
+				for j := range src {
+					src[j] = v
+				}
+				even = 16 * uint64(v) * 0x0001000100010001
+				odd = even
+			}
+			sharpen8(want[:], src[:], even, odd, los, his, alpha)
+			for j := range got {
+				got[j] = 0xC5
+			}
+			sharpen8x(&got[8], &src[0], even, odd, los, his, alpha)
+			for j, v := range got {
+				w := uint8(0xC5)
+				if j >= 8 && j < 16 {
+					w = want[j-8]
+				}
+				if v != w {
+					t.Fatalf("α=%v even %#x odd %#x lo %#x hi %#x src %v: byte %d = %d, want %d", alpha, even, odd, los, his, src, j-8, v, w)
+				}
+			}
+		}
+	}
+}
+
+// checkFused holds Fast's fused ×2 pass on im to the resample followed by
+// the reference loop: into a dirty packed destination, and into a strided
+// view of a dirty canvas whose bytes outside the view must stay as they
+// were.
+func checkFused(t *testing.T, im *frame.Image, alpha float64) {
+	t.Helper()
+	want := upscale.MustResize(im, 2*im.W, 2*im.H, upscale.Lanczos3)
+	sharpenInPlace(want, alpha, nil)
+	f := NewFast(FastConfig{Sharpen: alpha})
+	got := randImage(2*im.W, 2*im.H, 98)
+	if err := f.UpscaleInto(got, im, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("α=%v %dx%d (stride %d): fused pass differs from resample + reference sharpen", alpha, im.W, im.H, im.Stride)
+	}
+	canvas := randImage(2*im.W+3, 2*im.H+2, 97)
+	outside := canvas.Clone()
+	if err := f.UpscaleInto(canvas.MustSubImage(3, 1, 2*im.W, 2*im.H), im, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	outside.MustSubImage(3, 1, 2*im.W, 2*im.H).CopyFrom(want)
+	if !canvas.Equal(outside) {
+		t.Fatalf("α=%v %dx%d: strided destination differs, or bytes outside it were written", alpha, im.W, im.H)
+	}
+}
+
+// TestFastFusedMatchesResampleThenReference is the fused pass's own
+// differential, on noise and the other fills: one pixel, one column, one
+// row, 2×2, sources without a Lanczos interior, an output that ends on a
+// band, outputs whose last band holds two rows, several bands, and
+// sources that are views (one flush with its parent's right and bottom
+// edges). Under -race -cpu 1,2 the bands of one call run on two workers.
+func TestFastFusedMatchesResampleThenReference(t *testing.T) {
+	geoms := [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {3, 5}, {6, 6}, {7, 7}, {13, sharpenBand / 2}, {5, sharpenBand/2 + 1}, {31, sharpenBand + 1}, {64, 64}}
+	for _, fill := range planeFills {
+		for _, alpha := range []float64{2, 0.7, 5.3, 1e300, math.Inf(1)} {
+			for gi, g := range geoms {
+				w, h := g[0], g[1]
+				checkFused(t, filledImage(w, h, int64(gi+1), fill), alpha)
+				parent := filledImage(w+4, h+3, int64(gi+50), fill)
+				checkFused(t, parent.MustSubImage(2, 1, w, h), alpha)
+				checkFused(t, parent.MustSubImage(4, 3, w, h), alpha)
+			}
+		}
+	}
+}
+
+// FuzzFastSR2x: over arbitrary pixels, sizes 1..64 × 1..64, a source that
+// is a strided view at an arbitrary offset into its parent (flush with its
+// right edge when the offset byte is odd) and gains from 1/16 to 16, Fast's
+// fused ×2 pass writes what the ×2 Lanczos-3 resample (itself held to the
+// generic resampler by FuzzLanczos2x) followed by the reference sharpen
+// writes, into dirty destinations.
+func FuzzFastSR2x(f *testing.F) {
+	f.Add([]byte{0, 255, 1, 254, 128, 127}, uint8(17), uint8(3), uint8(0), uint8(0), uint8(32))
+	f.Add([]byte{255}, uint8(63), uint8(63), uint8(15), uint8(9), uint8(255))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(1), uint8(1), uint8(1))
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}, uint8(6), uint8(16), uint8(7), uint8(2), uint8(85))
+	f.Fuzz(func(t *testing.T, data []byte, w, h, ox, oy, gain uint8) {
+		sw, sh := int(w)%64+1, int(h)%64+1
+		x0, y0 := int(ox)%16, int(oy)%16
+		parent := frame.NewImage(sw+x0+1-int(ox)%2, sh+y0)
+		if len(data) > 0 {
+			for i := range parent.R {
+				parent.R[i] = data[(3*i)%len(data)]
+				parent.G[i] = data[(3*i+1)%len(data)]
+				parent.B[i] = data[(3*i+2)%len(data)]
+			}
+		}
+		checkFused(t, parent.MustSubImage(x0, y0, sw, sh), float64(max(gain, 1))/16)
+	})
 }

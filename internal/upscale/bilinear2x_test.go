@@ -19,24 +19,24 @@ func dirtyImage(w, h int) *frame.Image {
 	return im
 }
 
-// checkBilinear2xMatchesGeneric resizes src ×2 through the public entry
-// point (which must pick the integer kernel) and through the generic
+// check2xMatchesGeneric resizes src ×2 with kernel k through the public
+// entry point (which must pick the kernel's ×2 path) and through the generic
 // resampler, both into dirty destinations, and requires identical bytes.
-func checkBilinear2xMatchesGeneric(t *testing.T, src *frame.Image, pool *bufpool.Pool) {
+func check2xMatchesGeneric(t *testing.T, k Kind, src *frame.Image, pool *bufpool.Pool) {
 	t.Helper()
 	got, want := dirtyImage(2*src.W, 2*src.H), dirtyImage(2*src.W, 2*src.H)
-	if err := ResizeInto(got, src, Bilinear, pool); err != nil {
+	if err := ResizeInto(got, src, k, pool); err != nil {
 		t.Fatal(err)
 	}
-	resizeGeneric(want, src, Bilinear, pool)
+	resizeGeneric(want, src, k, pool)
 	if !got.Equal(want) {
 		for y := 0; y < got.H; y++ {
 			for x := 0; x < got.W; x++ {
 				gr, gg, gb := got.At(x, y)
 				wr, wg, wb := want.At(x, y)
 				if gr != wr || gg != wg || gb != wb {
-					t.Fatalf("%dx%d (stride %d): pixel (%d,%d) fast %v generic %v",
-						src.W, src.H, src.Stride, x, y, [3]uint8{gr, gg, gb}, [3]uint8{wr, wg, wb})
+					t.Fatalf("%v %dx%d (stride %d): pixel (%d,%d) fast %v generic %v",
+						k, src.W, src.H, src.Stride, x, y, [3]uint8{gr, gg, gb}, [3]uint8{wr, wg, wb})
 				}
 			}
 		}
@@ -56,8 +56,8 @@ func TestBilinear2xMatchesGenericResampler(t *testing.T) {
 			parent := noiseImage(40, 40, 11)
 			for h := 1; h <= 33; h++ {
 				for w := 1; w <= 33; w++ {
-					checkBilinear2xMatchesGeneric(t, noiseImage(w, h, int64(w*64+h)), pool)
-					checkBilinear2xMatchesGeneric(t, parent.MustSubImage(3, 5, w, h), nil)
+					check2xMatchesGeneric(t, Bilinear, noiseImage(w, h, int64(w*64+h)), pool)
+					check2xMatchesGeneric(t, Bilinear, parent.MustSubImage(3, 5, w, h), nil)
 				}
 			}
 			sizes := [][2]int{{320, 180}}
@@ -65,7 +65,7 @@ func TestBilinear2xMatchesGenericResampler(t *testing.T) {
 				sizes = append(sizes, [2]int{1280, 720})
 			}
 			for _, sz := range sizes {
-				checkBilinear2xMatchesGeneric(t, noiseImage(sz[0], sz[1], 3), pool)
+				check2xMatchesGeneric(t, Bilinear, noiseImage(sz[0], sz[1], 3), pool)
 			}
 		})
 	}
@@ -216,19 +216,19 @@ func FuzzBilinear2x(f *testing.F) {
 				parent.B[i] = data[(3*i+2)%len(data)]
 			}
 		}
-		checkBilinear2xMatchesGeneric(t, parent.MustSubImage(x0, y0, sw, sh), nil)
+		check2xMatchesGeneric(t, Bilinear, parent.MustSubImage(x0, y0, sw, sh), nil)
 	})
 }
 
-// TestOtherRatiosKeepGenericPath: only Bilinear at exactly ×2 on both axes
-// is diverted; mixed ratios and other kernels at ×2 go through the
-// polyphase pair and still satisfy their own properties.
+// TestOtherRatiosKeepGenericPath: only Bilinear and Lanczos3 at exactly ×2
+// on both axes are diverted; mixed ratios and other kernels at ×2 go
+// through the polyphase pair and still satisfy their own properties.
 func TestOtherRatiosKeepGenericPath(t *testing.T) {
 	src := noiseImage(12, 10, 9)
 	for _, tc := range []struct {
 		w, h int
 		k    Kind
-	}{{24, 10, Bilinear}, {24, 30, Bilinear}, {48, 40, Bilinear}, {24, 20, Bicubic}, {24, 20, Nearest}} {
+	}{{24, 10, Bilinear}, {24, 30, Bilinear}, {48, 40, Bilinear}, {24, 30, Lanczos3}, {24, 20, Bicubic}, {24, 20, Nearest}} {
 		got, want := dirtyImage(tc.w, tc.h), dirtyImage(tc.w, tc.h)
 		if err := ResizeInto(got, src, tc.k, nil); err != nil {
 			t.Fatal(err)

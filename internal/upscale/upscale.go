@@ -138,7 +138,8 @@ func Resize(src *frame.Image, dstW, dstH int, k Kind) (*frame.Image, error) {
 // image; dst must not alias src. The optional pool supplies the intermediate
 // buffer of the separable pass (nil allocates it). Bilinear at exactly ×2 —
 // the paper's factor, and what every frame of the client pays on every
-// pixel — takes the integer kernel of bilinear2x.go, byte-identical to the
+// pixel — takes the integer kernel of bilinear2x.go, and Lanczos3 at ×2 the
+// RoI's six-tap kernel of lanczos2x.go; both are byte-identical to the
 // generic resampler.
 func ResizeInto(dst, src *frame.Image, k Kind, pool *bufpool.Pool) error {
 	if src.W <= 0 || src.H <= 0 {
@@ -151,9 +152,15 @@ func ResizeInto(dst, src *frame.Image, k Kind, pool *bufpool.Pool) error {
 		dst.CopyFrom(src)
 		return nil
 	}
-	if k == Bilinear && dst.W == 2*src.W && dst.H == 2*src.H {
-		bilinear2x(dst, src)
-		return nil
+	if dst.W == 2*src.W && dst.H == 2*src.H {
+		switch k {
+		case Bilinear:
+			bilinear2x(dst, src)
+			return nil
+		case Lanczos3:
+			lanczos2x(dst, src)
+			return nil
+		}
 	}
 	resizeGeneric(dst, src, k, pool)
 	return nil
@@ -161,7 +168,10 @@ func ResizeInto(dst, src *frame.Image, k Kind, pool *bufpool.Pool) error {
 
 // resizeGeneric is the separable polyphase resampler for any kernel and
 // ratio: horizontal pass into a byte intermediate, then vertical pass. It is
-// also the reference the ×2 bilinear fast path is tested against.
+// also the reference the ×2 fast paths are tested against. Each product is
+// rounded by an explicit conversion before it is added, which forbids the
+// compiler a fused multiply-add there (Go may fuse on arm64; on amd64 it
+// does not), so the fast paths' sums are its sums on every GOARCH.
 func resizeGeneric(dst, src *frame.Image, k Kind, pool *bufpool.Pool) {
 	hw := cachedWeights(src.W, dst.W, k)
 	vw := cachedWeights(src.H, dst.H, k)
@@ -287,9 +297,9 @@ func resampleRows(src, dst *frame.Image, taps []tapSet) {
 				var r, g, b float64
 				for i, w := range t.weights {
 					p := srow + t.first + i
-					r += w * float64(src.R[p])
-					g += w * float64(src.G[p])
-					b += w * float64(src.B[p])
+					r += float64(w * float64(src.R[p]))
+					g += float64(w * float64(src.G[p]))
+					b += float64(w * float64(src.B[p]))
 				}
 				d := drow + x
 				dst.R[d] = clampByte(r)
@@ -330,9 +340,9 @@ func resampleCols(src, dst *frame.Image, taps []tapSet) {
 				srow := (t.first + i) * src.Stride
 				for x := 0; x < dst.W; x++ {
 					p := srow + x
-					ra[x] += w * float64(src.R[p])
-					ga[x] += w * float64(src.G[p])
-					ba[x] += w * float64(src.B[p])
+					ra[x] += float64(w * float64(src.R[p]))
+					ga[x] += float64(w * float64(src.G[p]))
+					ba[x] += float64(w * float64(src.B[p]))
 				}
 			}
 			drow := y * dst.Stride
