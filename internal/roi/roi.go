@@ -125,7 +125,7 @@ func (d *Detector) DetectOn(c *parallel.Client, depth *frame.DepthMap) (frame.Re
 	if err := d.checkWindow(depth); err != nil {
 		return frame.Rect{}, err
 	}
-	if d.cfg.Layers > maxLayers {
+	if !fastForm(d.cfg) {
 		r, _, err := d.detectReference(depth, false)
 		return r, err
 	}

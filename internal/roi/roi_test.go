@@ -330,13 +330,20 @@ func absInt(v int) int {
 	return v
 }
 
-// BenchmarkDetect720p is the server's per-frame detection in steady state:
-// the first call, which sizes the kept planes, is outside the timer.
-func BenchmarkDetect720p(b *testing.B) {
+// BenchmarkDetect720p is the server's per-frame detection in steady state
+// at the paper's geometry and window: the first call, which sizes the kept
+// planes, is outside the timer.
+func BenchmarkDetect720p(b *testing.B) { benchDetect(b, 1280, 720, 300) }
+
+// BenchmarkDetect360p is live_360p's detector: G3 at 640×360 under the
+// 64-pixel window the client announces.
+func BenchmarkDetect360p(b *testing.B) { benchDetect(b, 640, 360, 64) }
+
+func benchDetect(b *testing.B, w, h, window int) {
 	rd := &render.Renderer{}
 	wl, _ := games.ByID("G3")
-	out := wl.Render(rd, 30, 1280, 720)
-	det, _ := New(Config{WindowW: 300, WindowH: 300})
+	out := wl.Render(rd, 30, w, h)
+	det, _ := New(Config{WindowW: window, WindowH: window})
 	if _, err := det.Detect(out.Depth); err != nil {
 		b.Fatal(err)
 	}

@@ -36,9 +36,18 @@ func (c TrackConfig) withDefaults() TrackConfig {
 // frame's RoI. Pass an empty prev (zero Rect) on the first frame.
 func (d *Detector) DetectTracked(depth *frame.DepthMap, prev frame.Rect, tc TrackConfig) (frame.Rect, error) {
 	tc = tc.withDefaults()
-	rect, dbg, err := d.detectReference(depth, true)
-	if err != nil {
+	if err := d.checkWindow(depth); err != nil {
 		return frame.Rect{}, err
+	}
+	var rect frame.Rect
+	var thr float64
+	if fastForm(d.cfg) {
+		s := d.scratch.acquire(d.cfg, depth)
+		rect, thr = s.detect(nil), s.k.thr
+		d.scratch.release(s)
+	} else {
+		r, dbg, _ := d.detectReference(depth, true)
+		rect, thr = r, dbg.Threshold
 	}
 	if prev.Empty() || prev.W != rect.W || prev.H != rect.H || !prev.In(depth.W, depth.H) {
 		return rect, nil
@@ -46,8 +55,9 @@ func (d *Detector) DetectTracked(depth *frame.DepthMap, prev frame.Rect, tc Trac
 	// Compare importance on the weighted map, not the layered search map:
 	// layer selection is winner-take-all, so a marginally-losing region
 	// scores zero there and hysteresis could never hold it.
-	newSum := planeSum(dbg.Weighted, dbg.W, rect)
-	prevSum := planeSum(dbg.Weighted, dbg.W, prev)
+	bias := d.scratch.table(d.cfg, depth)
+	newSum := weightedSum(depth, thr, bias, rect)
+	prevSum := weightedSum(depth, thr, bias, prev)
 	target := rect
 	if newSum <= prevSum*(1+tc.Hysteresis) {
 		// The challenger is not clearly better: the incumbent stays.
@@ -58,6 +68,27 @@ func (d *Detector) DetectTracked(depth *frame.DepthMap, prev frame.Rect, tc Trac
 		target.Y = stepToward(prev.Y, target.Y, tc.MaxStep)
 	}
 	return target.Clamp(depth.W, depth.H), nil
+}
+
+// weightedSum is the sum over r of the reference's weighted map
+// (Debug.Weighted: nearness plus the centre bias where the nearness is
+// foreground under thr, 0 elsewhere), each value re-evaluated from its
+// depth sample rather than read from a plane: the same operands added in
+// the same row order, so the same sum.
+func weightedSum(depth *frame.DepthMap, thr float64, bias *biasTable, r frame.Rect) float64 {
+	W := depth.W
+	sum := 0.0
+	for y := r.Y; y < r.Y+r.H; y++ {
+		z, b := depth.Z[y*depth.Stride:y*depth.Stride+W], bias.row(y, depth.H)
+		for x := r.X; x < r.X+r.W; x++ {
+			w := 0.0
+			if v := frame.NearnessOf(z[x]); v >= thr && v > 0 {
+				w = v + b[min(x, W-1-x)]
+			}
+			sum += w
+		}
+	}
+	return sum
 }
 
 // Tracker bundles a detector with its temporal state for streaming use.
@@ -87,17 +118,6 @@ func (t *Tracker) Detect(depth *frame.DepthMap) (frame.Rect, error) {
 
 // Reset clears the temporal state (e.g. on a scene cut).
 func (t *Tracker) Reset() { t.prev = frame.Rect{} }
-
-func planeSum(p []float64, stride int, r frame.Rect) float64 {
-	sum := 0.0
-	for y := r.Y; y < r.Y+r.H; y++ {
-		row := y * stride
-		for x := r.X; x < r.X+r.W; x++ {
-			sum += p[row+x]
-		}
-	}
-	return sum
-}
 
 func stepToward(from, to, maxStep int) int {
 	d := to - from

@@ -1,6 +1,8 @@
 package roi
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"gamestreamsr/internal/frame"
@@ -172,5 +174,117 @@ func TestTrackerOnGameStream(t *testing.T) {
 func TestNewTrackerValidation(t *testing.T) {
 	if _, err := NewTracker(nil, TrackConfig{}); err == nil {
 		t.Error("nil detector should fail")
+	}
+}
+
+// detectTrackedReference is DetectTracked as it was before the tracker ran
+// the shipped detector: the reference pipeline with its debug planes, the
+// hysteresis sums read off the weighted plane.
+func (d *Detector) detectTrackedReference(depth *frame.DepthMap, prev frame.Rect, tc TrackConfig) (frame.Rect, error) {
+	tc = tc.withDefaults()
+	rect, dbg, err := d.detectReference(depth, true)
+	if err != nil {
+		return frame.Rect{}, err
+	}
+	if prev.Empty() || prev.W != rect.W || prev.H != rect.H || !prev.In(depth.W, depth.H) {
+		return rect, nil
+	}
+	newSum := planeSum(dbg.Weighted, dbg.W, rect)
+	prevSum := planeSum(dbg.Weighted, dbg.W, prev)
+	target := rect
+	if newSum <= prevSum*(1+tc.Hysteresis) {
+		target = prev
+	}
+	if tc.MaxStep > 0 {
+		target.X = stepToward(prev.X, target.X, tc.MaxStep)
+		target.Y = stepToward(prev.Y, target.Y, tc.MaxStep)
+	}
+	return target.Clamp(depth.W, depth.H), nil
+}
+
+func planeSum(p []float64, stride int, r frame.Rect) float64 {
+	sum := 0.0
+	for y := r.Y; y < r.Y+r.H; y++ {
+		row := y * stride
+		for x := r.X; x < r.X+r.W; x++ {
+			sum += p[row+x]
+		}
+	}
+	return sum
+}
+
+// TestDetectTrackedMatchesReference is the tracker's differential: on game
+// streams and the crafted maps, with the previous RoI taken from the last
+// frame, from the reference and at random places, with hysteresis both
+// holding and letting go, DetectTracked returns what the reference-pipeline
+// form returns — and so do the hysteresis sums, compared bit for bit.
+func TestDetectTrackedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rd := &render.Renderer{}
+	type stream struct {
+		name   string
+		frames []*frame.DepthMap
+	}
+	var streams []stream
+	for _, id := range []string{"G3", "G7", "G9"} {
+		wl, _ := games.ByID(id)
+		s := stream{name: id}
+		for i := 0; i < 6; i++ {
+			s.frames = append(s.frames, wl.Render(rd, i*6, 160, 90).Depth)
+		}
+		streams = append(streams, s)
+	}
+	for name, d := range craftedMaps() {
+		streams = append(streams, stream{name, []*frame.DepthMap{d, d}})
+	}
+	for _, cfg := range []Config{{WindowW: 24, WindowH: 24}, {WindowW: 16, WindowH: 12, Bins: 16, Layers: 3}, {WindowW: 20, WindowH: 20, Bins: 7}} {
+		det, _ := New(cfg)
+		for _, tc := range []TrackConfig{{}, {Hysteresis: 0.02, MaxStep: 5}, {Hysteresis: 0.6}} {
+			for _, s := range streams {
+				var prev frame.Rect
+				for i, d := range s.frames {
+					if d.W < cfg.WindowW || d.H < cfg.WindowH {
+						break
+					}
+					for _, p := range []frame.Rect{prev, {X: rng.Intn(d.W - cfg.WindowW + 1), Y: rng.Intn(d.H - cfg.WindowH + 1), W: cfg.WindowW, H: cfg.WindowH}} {
+						got, gerr := det.DetectTracked(d, p, tc)
+						want, werr := det.detectTrackedReference(d, p, tc)
+						if got != want || (gerr == nil) != (werr == nil) {
+							t.Fatalf("%s frame %d, %+v, %+v, prev %v: DetectTracked = %v, %v; reference form %v, %v", s.name, i, cfg, tc, p, got, gerr, want, werr)
+						}
+					}
+					prev, _ = det.DetectTracked(d, prev, tc)
+				}
+			}
+		}
+		// The sums themselves, over random rectangles of one frame.
+		d := streams[0].frames[2]
+		_, dbg, _ := det.detectReference(d, true)
+		bias := det.scratch.table(det.cfg, d)
+		for i := 0; i < 20; i++ {
+			r := frame.Rect{X: rng.Intn(d.W - cfg.WindowW + 1), Y: rng.Intn(d.H - cfg.WindowH + 1), W: cfg.WindowW, H: cfg.WindowH}
+			if got, want := weightedSum(d, dbg.Threshold, bias, r), planeSum(dbg.Weighted, d.W, r); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v: weightedSum over %v = %v, the weighted plane's sum %v", cfg, r, got, want)
+			}
+		}
+	}
+}
+
+// TestDetectTrackedSteadyStateAllocs: once the detector's planes exist, a
+// detection allocates nothing, and neither does a tracked one holding a
+// previous RoI.
+func TestDetectTrackedSteadyStateAllocs(t *testing.T) {
+	wl, _ := games.ByID("G3")
+	depth := wl.Render(&render.Renderer{}, 30, 320, 180).Depth
+	det, _ := New(Config{WindowW: 64, WindowH: 64})
+	tr, _ := NewTracker(det, TrackConfig{MaxStep: 4})
+	if _, err := tr.Detect(depth); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { det.Detect(depth) }); n != 0 {
+		t.Errorf("steady-state Detect allocates %.0f objects per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { tr.Detect(depth) }); n != 0 {
+		t.Errorf("steady-state Tracker.Detect allocates %.0f objects per call, want 0", n)
 	}
 }

@@ -30,10 +30,9 @@ func UpscaleTo(e Engine, dst, im *frame.Image, scale int, pool *bufpool.Pool) er
 	return e.UpscaleInto(dst, im, scale, pool)
 }
 
-// FastConfig parameterises the fast SR kernel.
+// FastConfig parameterises the fast SR kernel, whose interpolation backbone
+// is Lanczos-3.
 type FastConfig struct {
-	// Kernel is the interpolation backbone (default Lanczos3).
-	Kernel upscale.Kind
 	// Sharpen is the detail-restoration gain α in out = up + α·(up − blur)
 	// (default 2.0; the overshoot clamp makes high gains safe — see the
 	// calibration sweep in TestSharpenSweepDefaultNearOptimal). Negative
@@ -52,9 +51,6 @@ type Fast struct {
 
 // NewFast builds a fast SR engine.
 func NewFast(cfg FastConfig) *Fast {
-	if cfg.Kernel == upscale.Nearest {
-		cfg.Kernel = upscale.Lanczos3
-	}
 	if cfg.Sharpen == 0 {
 		cfg.Sharpen = 2.0
 	}
@@ -65,7 +61,9 @@ func NewFast(cfg FastConfig) *Fast {
 }
 
 // Name implements Engine.
-func (f *Fast) Name() string { return fmt.Sprintf("fast-sr(%v,α=%.2f)", f.cfg.Kernel, f.cfg.Sharpen) }
+func (f *Fast) Name() string {
+	return fmt.Sprintf("fast-sr(%v,α=%.2f)", upscale.Lanczos3, f.cfg.Sharpen)
+}
 
 // Upscale implements Engine.
 func (f *Fast) Upscale(im *frame.Image, scale int) (*frame.Image, error) {
@@ -88,24 +86,24 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, scale)
 	}
 	if f.cfg.Sharpen == 0 || scale == 1 {
-		return upscale.ResizeInto(dst, im, f.cfg.Kernel, pool)
+		return upscale.ResizeInto(dst, im, upscale.Lanczos3, pool)
 	}
 	s := getRun()
 	defer putRun(s)
-	if f.cfg.Kernel == upscale.Lanczos3 && scale == 2 {
+	if scale == 2 {
 		// The client's call: one banded pass computes the ×2 Lanczos rows
 		// and sharpens them.
 		s.lr = im
 		s.sharpen(dst, f.cfg.Sharpen)
 		return nil
 	}
-	// Any other resample lands in an intermediate image — its pixels the
+	// Any other scale lands in an intermediate image — its pixels the
 	// pool's, its header the run's — and the sharpen pass writes dst from it.
 	n := dst.W * dst.H
 	buf := pool.Bytes(3 * n)
 	defer pool.PutBytes(buf)
 	s.up = frame.Image{W: dst.W, H: dst.H, Stride: dst.W, R: buf[:n], G: buf[n : 2*n], B: buf[2*n:]}
-	if err := upscale.ResizeInto(&s.up, im, f.cfg.Kernel, pool); err != nil {
+	if err := upscale.ResizeInto(&s.up, im, upscale.Lanczos3, pool); err != nil {
 		return err
 	}
 	s.sharpen(dst, f.cfg.Sharpen)
