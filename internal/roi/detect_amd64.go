@@ -1,7 +1,8 @@
 package roi
 
-// haveDetectBulk: the detector's three passes have SSE2 bodies here.
-const haveDetectBulk = true
+// haveDetectBulk: the detector's three passes have SSE2 bodies here. A
+// test switches it off to run the Go loops other GOARCHes run.
+var haveDetectBulk = true
 
 // scanOcts is scanRow's bulk over z[:n], n a positive multiple of 8.
 //

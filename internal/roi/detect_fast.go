@@ -321,8 +321,11 @@ func slotOf(z float32, scale float64) int {
 // depth samples (zBands), which lets the vector body count a run of samples
 // in one slot without the expression.
 func scanRow(z []float32, scale float64, bands []float32, n []uint32, least, most []float64) {
-	k := len(z) &^ 7
-	if haveDetectBulk && k > 0 {
+	k := 0
+	if haveDetectBulk {
+		k = len(z) &^ 7
+	}
+	if k > 0 {
 		scanOcts(&z[0], k, &n[0], &least[0], &most[0], scale, &bands[0])
 	}
 	scanGo(z[k:], scale, n, least, most)

@@ -263,6 +263,32 @@ func TestDetectMatchesReferenceEveryGame(t *testing.T) {
 	})
 }
 
+// TestDetectPortableMatchesReference runs the detector with its vector
+// bodies switched off — the Go loops every other GOARCH runs, through the
+// same wrappers — against the reference on the crafted maps and rendered
+// frames, and the tracker on them.
+func TestDetectPortableMatchesReference(t *testing.T) {
+	defer func(bulk bool) { haveDetectBulk = bulk }(haveDetectBulk)
+	haveDetectBulk = false
+	maps := craftedMaps()
+	rd := &render.Renderer{}
+	for _, id := range []string{"G1", "G3", "G6"} {
+		wl, _ := games.ByID(id)
+		maps[id] = wl.Render(rd, 30, 320, 180).Depth
+	}
+	for _, cfg := range []Config{{WindowW: 16, WindowH: 16}, {WindowW: 24, WindowH: 20, Bins: 16, Layers: 7}} {
+		det, _ := New(cfg)
+		for name, d := range maps {
+			sameRect(t, det, d, fmt.Sprintf("%s under %+v", name, cfg))
+			prev := frame.Rect{X: (d.W - cfg.WindowW) / 3, Y: (d.H - cfg.WindowH) / 2, W: cfg.WindowW, H: cfg.WindowH}
+			got, _ := det.DetectTracked(d, prev, TrackConfig{MaxStep: 3})
+			if want, _ := det.detectTrackedReference(d, prev, TrackConfig{MaxStep: 3}); got != want {
+				t.Fatalf("%s under %+v: DetectTracked = %v, reference form %v", name, cfg, got, want)
+			}
+		}
+	}
+}
+
 // FuzzDetect holds Detect to the reference pipeline on arbitrary depth
 // planes: the samples are the input's float32 words, the geometry (up to
 // 64×64), window, bins and layers come from its first five bytes.

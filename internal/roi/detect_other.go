@@ -4,7 +4,7 @@ package roi
 
 // haveDetectBulk: no vector bodies on this GOARCH; the wrappers never call
 // the stubs below and run the Go loops over every pixel.
-const haveDetectBulk = false
+var haveDetectBulk = false
 
 func scanOcts(z *float32, n int, cnt *uint32, least, most *float64, scale float64, bands *float32) {}
 func weighQuads(z *float32, bias, cells *float64, layer *int16, sums *float64, k *weighConsts, quads, step int, bands *float32) {
