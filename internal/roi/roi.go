@@ -317,8 +317,12 @@ func foregroundThreshold(near []float64, bins int) float64 {
 	return histThreshold(hist, make([]float64, bins))
 }
 
-// histBin is the histogram bin of nearness v.
+// histBin is the histogram bin of nearness v. NaN goes to bin 0 by the
+// first test: converting it to int gives a different integer on each GOARCH.
 func histBin(v float64, bins int) int {
+	if !(v > 0) {
+		return 0
+	}
 	b := int(v * float64(bins))
 	if b >= bins {
 		b = bins - 1
