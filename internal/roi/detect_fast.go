@@ -19,10 +19,11 @@ import (
 //
 //  1. scan — one strip-parallel read of the depth map that counts each
 //     pixel into a half-bin (2·Bins of them, plus one for nearness exactly
-//     1) and keeps each half-bin's least and greatest nearness. The half-bins give the histogram, and because every
-//     threshold histThreshold returns lies on a half-bin edge, the
-//     foreground's depth range is the extremes of the half-bins at or above
-//     the threshold: no second read of the plane.
+//     1) and keeps each half-bin's least and greatest nearness. The
+//     half-bins give the histogram, and because every threshold
+//     histThreshold returns lies on a half-bin edge, the foreground's depth
+//     range is the extremes of the half-bins at or above the threshold: no
+//     second read of the plane.
 //  2. weigh — one serial raster scan writing each pixel's weighted value and
 //     layer and adding the value to its layer's sum.
 //  3. sumTable — the summed-area table of the winning layer, two rows at a
@@ -33,9 +34,10 @@ import (
 // bit for bit (DESIGN.md §18, §30). Counts and extrema do not depend on
 // grouping, so the scan runs in strips under the caller's scheduler client;
 // the layer sums depend on their order, so weigh stays a raster scan. On
-// amd64 the bulk of each pass runs on SSE2 (detect_amd64.s), each lane
-// doing what the Go loop below does to one pixel; elsewhere, and for the
-// few pixels the vector loops leave, the Go loops run.
+// amd64 the bulk of each pass runs on SSE2 (detect_amd64.s), where a run of
+// samples inside one class's band (zBands) skips the class expression; the
+// Go loops below are what those loops are tested against, what every other
+// GOARCH runs, and what runs the few pixels the vector loops leave.
 //
 // The half-bin argument needs v·2·Bins exact, so Bins must be a power of
 // two, and at least 2 so that the threshold is above the lowest half-bin;
