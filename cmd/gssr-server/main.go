@@ -43,7 +43,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net"
 	"os"
@@ -63,31 +65,45 @@ import (
 
 func main() {
 	slog.SetDefault(slog.New(logx.Default()))
-	addr := flag.String("addr", ":7007", "listen address")
-	gameID := flag.String("game", "G3", "workload id (G1..G10)")
-	frames := flag.Int("frames", 120, "frames to stream")
-	width := flag.Int("w", 320, "stream width")
-	height := flag.Int("h", 180, "stream height")
-	gop := flag.Int("gop", 12, "keyframe interval")
-	qstep := flag.Int("q", 6, "codec quantizer")
-	metricsAddr := flag.String("metrics", "", "telemetry listen address (e.g. :9090); empty disables")
-	maxSessions := flag.Int("max-sessions", 16, "concurrent session cap (excess connections get a capacity reject)")
-	admission := flag.Bool("admission", false, "refuse new sessions when live p99 slack runs out")
-	admissionSlack := flag.Duration("admission-slack", 0, "minimum p99 headroom against the deadline to admit a session")
-	shed := flag.Bool("shed", false, "degrade over-budget sessions along the shed ladder")
-	shedStreak := flag.Int("shed-streak", 8, "consecutive deadline misses per shed-ladder escalation")
-	shedRecover := flag.Int("shed-recover", 240, "consecutive on-budget frames per shed-ladder recovery")
-	idleTimeout := flag.Duration("idle-timeout", 0, "reap connections silent (no heartbeat) this long (0 = default, negative disables)")
-	fault := flag.String("fault", "", "chaos script applied to every accepted connection, e.g. \"latency=5ms,jitter=2ms,reset@96KB\" (see internal/faultnet)")
-	deadline := flag.Duration("deadline", 0, "per-frame budget the flight recorders account against (0 = 60 FPS frame time)")
-	diagDir := flag.String("diag", "", "directory for SLO-triggered diagnostic capture bundles; also arms the continuous profile ring and /debug/diag")
-	flag.Parse()
+	cfg, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
+	}
+	if err := run(cfg); err != nil {
+		slog.Error("gssr-server exiting", "err", err)
+		os.Exit(1)
+	}
+}
 
-	cfg := serverConfig{
-		addr: *addr, gameID: *gameID, frames: *frames, width: *width, height: *height,
-		gop: *gop, qstep: *qstep, metricsAddr: *metricsAddr,
-		maxSessions: *maxSessions, idleTimeout: *idleTimeout, fault: *fault,
-		deadline: *deadline, diagDir: *diagDir,
+// parseFlags reads the command line into a serverConfig. A frame count the
+// session loop cannot work with is refused here: a negative -frames would
+// stream no frame to any client and still exit 0.
+func parseFlags(args []string) (serverConfig, error) {
+	var cfg serverConfig
+	fs := flag.NewFlagSet("gssr-server", flag.ContinueOnError)
+	fs.StringVar(&cfg.addr, "addr", ":7007", "listen address")
+	fs.StringVar(&cfg.gameID, "game", "G3", "workload id (G1..G10)")
+	fs.IntVar(&cfg.frames, "frames", 120, "frames to stream per session, ≥ 0 (0 = until the source ends)")
+	fs.IntVar(&cfg.width, "w", 320, "stream width")
+	fs.IntVar(&cfg.height, "h", 180, "stream height")
+	fs.IntVar(&cfg.gop, "gop", 12, "keyframe interval")
+	fs.IntVar(&cfg.qstep, "q", 6, "codec quantizer")
+	fs.StringVar(&cfg.metricsAddr, "metrics", "", "telemetry listen address (e.g. :9090); empty disables")
+	fs.IntVar(&cfg.maxSessions, "max-sessions", 16, "concurrent session cap (excess connections get a capacity reject)")
+	admission := fs.Bool("admission", false, "refuse new sessions when live p99 slack runs out")
+	admissionSlack := fs.Duration("admission-slack", 0, "minimum p99 headroom against the deadline to admit a session")
+	shed := fs.Bool("shed", false, "degrade over-budget sessions along the shed ladder")
+	shedStreak := fs.Int("shed-streak", 8, "consecutive deadline misses per shed-ladder escalation")
+	shedRecover := fs.Int("shed-recover", 240, "consecutive on-budget frames per shed-ladder recovery")
+	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 0, "reap connections silent (no heartbeat) this long (0 = default, negative disables)")
+	fs.StringVar(&cfg.fault, "fault", "", "chaos script applied to every accepted connection, e.g. \"latency=5ms,jitter=2ms,reset@96KB\" (see internal/faultnet)")
+	fs.DurationVar(&cfg.deadline, "deadline", 0, "per-frame budget the flight recorders account against (0 = 60 FPS frame time)")
+	fs.StringVar(&cfg.diagDir, "diag", "", "directory for SLO-triggered diagnostic capture bundles; also arms the continuous profile ring and /debug/diag")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
 	}
 	if *admission {
 		cfg.admission = &stream.AdmissionPolicy{MinSlack: *admissionSlack}
@@ -95,10 +111,12 @@ func main() {
 	if *shed {
 		cfg.shed = &stream.ShedPolicy{EscalateStreak: *shedStreak, RecoverFrames: *shedRecover}
 	}
-	if err := run(cfg); err != nil {
-		slog.Error("gssr-server exiting", "err", err)
-		os.Exit(1)
+	if cfg.frames < 0 {
+		err := fmt.Errorf("-frames must not be negative, got %d", cfg.frames)
+		fmt.Fprintln(fs.Output(), err)
+		return cfg, err
 	}
+	return cfg, nil
 }
 
 // serverConfig carries the parsed flags into run.

@@ -118,6 +118,30 @@ func TestRunRejectsUndecodableConfig(t *testing.T) {
 	}
 }
 
+// TestFramesMustNotBeNegative: a negative -frames would stream no frame to
+// any client and still exit 0, so it is refused when the flags are parsed;
+// 0 (until the source ends) and positive counts pass through, as do the
+// flags the benchmark harness passes.
+func TestFramesMustNotBeNegative(t *testing.T) {
+	for _, v := range []string{"-1", "-120"} {
+		if _, err := parseFlags([]string{"-frames=" + v}); err == nil || !strings.Contains(err.Error(), "-frames") {
+			t.Errorf("-frames=%s: err %v, want a refusal naming the flag", v, err)
+		}
+	}
+	for args, want := range map[string]int{"": 120, "-frames=0": 0, "-frames=7": 7} {
+		cfg, err := parseFlags(strings.Fields(args))
+		if err != nil || cfg.frames != want {
+			t.Errorf("parseFlags(%q): frames %d, err %v; want %d", args, cfg.frames, err, want)
+		}
+	}
+	args := "-addr 127.0.0.1:0 -game G5 -frames 600 -w 640 -h 360 -gop 12 -q 6 -admission -shed -shed-streak 3"
+	cfg, err := parseFlags(strings.Fields(args))
+	if err != nil || cfg.addr != "127.0.0.1:0" || cfg.gameID != "G5" || cfg.frames != 600 || cfg.width != 640 || cfg.height != 360 ||
+		cfg.gop != 12 || cfg.qstep != 6 || cfg.admission == nil || cfg.shed == nil || cfg.shed.EscalateStreak != 3 {
+		t.Errorf("parseFlags(%q) = %+v, %v", args, cfg, err)
+	}
+}
+
 // TestBenchContract pins the two log lines bench/run.go reads from a
 // gssr-server run (the client's half is in cmd/gssr-client): the first line
 // carrying addr=, from which it learns where `-addr 127.0.0.1:0` landed, and

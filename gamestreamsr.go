@@ -84,7 +84,11 @@ type (
 
 // RoI detection.
 type (
-	// RoIConfig parameterises the depth-guided RoI detector.
+	// RoIConfig parameterises the depth-guided RoI detector: the search
+	// window and Algorithm 1's coarse stride, fine stride and boundary. The
+	// pre-processing of Fig. 8 is fixed (64 histogram bins, 4 depth layers,
+	// the centre-bias Gaussian of amplitude 0.5 and sigma a quarter of the
+	// frame's smaller side).
 	RoIConfig = roi.Config
 	// RoIDetector runs the Fig. 8 pre-processing and Algorithm 1 search.
 	RoIDetector = roi.Detector

@@ -27,7 +27,6 @@ type Source struct {
 	start, stride int
 	w, h          int
 	rd            *render.Renderer
-	sched         *parallel.Client
 	enc           *codec.Encoder
 	// det is the RoI stage; nil means there is none (NEMO) and every frame
 	// carries the zero rectangle. tracker, when set, stabilises det's
@@ -94,13 +93,13 @@ func newSource(g *games.Workload, cc codec.Config, det *roi.Detector, pool *bufp
 	}, nil
 }
 
-// SetSched (stream.SchedAware) points the source's kernels — render, RoI
-// detection, encode — at a session's scheduler client, so concurrent
+// SetSched (stream.SchedAware) points the source's row-parallel kernels —
+// render and encode — at a session's scheduler client, so concurrent
 // sessions share the worker pool fairly, a shed-demoted session's work
 // yields to on-budget ones, and stolen chunks carry the session's
-// sched_client= pprof label.
+// sched_client= pprof label. RoI detection is serial and runs on the
+// session's own goroutine.
 func (s *Source) SetSched(c *parallel.Client) {
-	s.sched = c
 	s.rd.Sched = c
 	s.enc.SetSched(c)
 }
@@ -127,8 +126,8 @@ func (s *Source) frame(dst []byte, i int) ([]byte, codec.FrameType, frame.Rect, 
 	s.scene, s.cam = s.game.Frame(s.start + i*s.stride)
 	s.rd.RenderInto(&s.out, s.scene, s.cam, s.w, s.h)
 	// Detection reads the depth map and encoding the colour plane, so the
-	// two could overlap; they run one after the other because both already
-	// spread over the session's workers (DESIGN.md §18 has the ablation).
+	// two could overlap; they run one after the other (DESIGN.md §18 has the
+	// ablation).
 	rect, err := s.detect()
 	if err != nil {
 		return nil, 0, frame.Rect{}, fmt.Errorf("frame %d RoI: %w", i, err)
@@ -158,5 +157,5 @@ func (s *Source) detect() (frame.Rect, error) {
 	case det == s.det && s.tracker != nil:
 		return s.tracker.Detect(s.out.Depth)
 	}
-	return det.DetectOn(s.sched, s.out.Depth)
+	return det.Detect(s.out.Depth)
 }

@@ -2,178 +2,79 @@ package roi
 
 import (
 	"math"
-	"sync"
 
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/parallel"
 )
 
 // The shipped form of the detection pipeline. detectReference walks the
 // paper's stages one full-frame plane at a time — nearness, foreground,
 // weighted, layer-of, search map, summed-area table: six fresh planes in
-// all, every frame. Here the same arithmetic runs in three passes over two
-// kept planes (the layer index and the summed-area table, whose cells hold
-// the weighted map until the last pass turns them into sums), and nearness
-// is recomputed from the depth sample where it is needed instead of being
-// stored:
+// all, every frame. Here the same arithmetic runs in three serial passes
+// over two kept planes (the layer index and the summed-area table, whose
+// cells hold the weighted map until the last pass turns them into sums),
+// and nearness is recomputed from the depth sample where it is needed
+// instead of being stored:
 //
-//  1. scan — one strip-parallel read of the depth map that counts each
-//     pixel into a half-bin (2·Bins of them, plus one for nearness exactly
-//     1) and keeps each half-bin's least and greatest nearness. The
-//     half-bins give the histogram, and because every threshold
-//     histThreshold returns lies on a half-bin edge, the foreground's depth
-//     range is the extremes of the half-bins at or above the threshold: no
-//     second read of the plane.
-//  2. weigh — one serial raster scan writing each pixel's weighted value and
-//     layer and adding the value to its layer's sum.
+//  1. scan — one read of the depth map, row by row, that counts each pixel
+//     into a half-bin (2·histBins of them, plus one for nearness exactly 1)
+//     and keeps each half-bin's least and greatest nearness. The half-bins
+//     give the histogram, and because every threshold histThreshold returns
+//     lies on a half-bin edge, the foreground's depth range is the extremes
+//     of the half-bins at or above the threshold: no second read of the
+//     plane.
+//  2. weigh — one raster scan writing each pixel's weighted value and layer
+//     and adding the value to its layer's sum.
 //  3. sumTable — the summed-area table of the winning layer, two rows at a
 //     time.
 //
 // Every floating-point operation of the reference is performed on the same
 // operands, and every sum in the same order, so the rectangle is the same
-// bit for bit (DESIGN.md §18, §30). Counts and extrema do not depend on
-// grouping, so the scan runs in strips under the caller's scheduler client;
-// the layer sums depend on their order, so weigh stays a raster scan. On
-// amd64 the bulk of each pass runs on SSE2 (detect_amd64.s), where a run of
-// samples inside one class's band (zBands) skips the class expression; the
-// Go loops below are what those loops are tested against, what every other
-// GOARCH runs, and what runs the few pixels the vector loops leave.
+// bit for bit (DESIGN.md §18, §30). On amd64 the bulk of each pass runs on
+// SSE2 (detect_amd64.s), where a run of samples inside one class's band
+// (zBands) skips the class expression; the Go loops below are what those
+// loops are tested against, what every other GOARCH runs, and what runs the
+// few pixels the vector loops leave.
 //
-// The half-bin argument needs v·2·Bins exact, so Bins must be a power of
-// two, and at least 2 so that the threshold is above the lowest half-bin;
-// other histograms, and Config.Layers beyond what the int16 layer plane can
-// index, take the reference pipeline.
+// The half-bin argument needs v·2·histBins exact, which it is for 64 bins, a
+// power of two; and with more than one bin the threshold lies above the
+// lowest half-bin.
 
-// maxLayers is the largest Config.Layers the kept int16 layer plane can
-// index.
-const maxLayers = math.MaxInt16
+const (
+	scale = 2 * histBins   // half-bins per unit of nearness
+	slots = 2*histBins + 1 // the half-bins and the slot of nearness 1, see slotOf
+)
 
-// maxBins is the largest Config.Bins the scan keeps half-bins for: each
-// strip holds 2·Bins+1 of them.
-const maxBins = 1 << 12
+// slotBands holds each slot's band of depth samples (zBands): fixed by the
+// constants, so found once.
+var slotBands = func() (b [2 * slots]float32) {
+	zBands(b[:], slotOf, 0)
+	return b
+}()
 
-// maxStrips bounds the strips a frame's rows are cut into for the scan: one
-// partial result per strip.
-const maxStrips = 16
-
-// keptScratch bounds the working sets a detector holds on to; a session uses
-// one at a time, and concurrent callers beyond the bound allocate their own.
-const keptScratch = 2
-
-// fastForm reports whether Detect runs the three passes for cfg rather than
-// the reference pipeline.
-func fastForm(cfg Config) bool {
-	return cfg.Layers <= maxLayers && cfg.Bins >= 2 && cfg.Bins <= maxBins && cfg.Bins&(cfg.Bins-1) == 0
-}
-
-// scratchPool keeps the working sets of a detector's finished calls and the
-// centre-bias table of the geometry it last saw.
-type scratchPool struct {
-	mu   sync.Mutex
-	free []*scratch
-	bias *biasTable // replaced when the geometry changes, never rewritten
-}
-
-// acquire returns a working set armed for one detection of depth under cfg.
-func (p *scratchPool) acquire(cfg Config, depth *frame.DepthMap) *scratch {
-	var s *scratch
-	table := p.table(cfg, depth)
-	p.mu.Lock()
-	if k := len(p.free); k > 0 {
-		s, p.free[k-1] = p.free[k-1], nil
-		p.free = p.free[:k-1]
-	}
-	p.mu.Unlock()
-	if s == nil {
-		s = newScratch()
-	}
-	s.arm(cfg, depth, table)
-	return s
-}
-
-// table returns the centre-bias table of depth's geometry under cfg.
-func (p *scratchPool) table(cfg Config, depth *frame.DepthMap) *biasTable {
-	bias := newCentreBias(cfg, depth.W, depth.H)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.bias == nil || p.bias.of != bias {
-		p.bias = newBiasTable(bias, depth.W, depth.H)
-	}
-	return p.bias
-}
-
-func (p *scratchPool) release(s *scratch) {
-	s.depth, s.bias = nil, nil // do not pin the caller's map or a replaced table
-	p.mu.Lock()
-	if len(p.free) < keptScratch {
-		p.free = append(p.free, s)
-	}
-	p.mu.Unlock()
-}
-
-// scratch is the working set of one detection. Every plane is fully
-// rewritten by the passes that read it, so a recycled set may be dirty.
+// scratch is a detector's working set. Every plane is fully rewritten by
+// the passes that read it, so it arrives dirty from the last call.
 type scratch struct {
-	cfg   Config
 	depth *frame.DepthMap
-	bias  *biasTable
+	bias  *biasTable // replaced when the geometry changes, never rewritten
 
-	strips    int
-	slots     int       // 2·Bins+1, see slotOf
-	scale     float64   // 2·Bins
-	slotBands []float32 // the sample band of each slot, see zBands
-	bandBins  int       // the Bins slotBands were found for
-	counts    []uint32  // strips × slots partial counts
-	ranges    []float64 // strips × 2·slots: each slot's least, then greatest, nearness
-	hist      []float64 // Bins, the histogram histThreshold reads
-	smooth    []float64 // Bins, histThreshold's scratch
-	sums      []float64 // Layers
-	layer     []int16   // per-pixel layer, -1 = background
+	counts       [slots]uint32
+	least, most  [slots]float64 // each slot's least and greatest nearness
+	hist, smooth [histBins]float64
+	sums         [depthLayers]float64
+	layer        []int16 // per-pixel layer, -1 = background
 	// sat's interior cell (x+1, y+1) holds pixel (x, y)'s weighted value
 	// until sumTable turns the table into sums.
 	sat        sat
 	k          weighConsts
-	layerBands []float32 // 2·(Layers+1): the sample band of the background, then of each layer
-
-	// The scan as a func value, bound once: a method value made per call
-	// would be one allocation per frame.
-	scanFn func(lo, hi int)
+	layerBands [2 * (depthLayers + 1)]float32 // the sample band of the background, then of each layer
 }
 
-func newScratch() *scratch {
-	s := &scratch{}
-	s.scanFn = s.scanPass
-	return s
-}
-
-// arm points the set at one call's inputs, resizing what the geometry or the
-// configuration has outgrown.
-func (s *scratch) arm(cfg Config, depth *frame.DepthMap, bias *biasTable) {
-	s.cfg, s.depth, s.bias = cfg, depth, bias
-	W, H := depth.W, depth.H
-	s.strips = min(H, maxStrips)
-	s.slots, s.scale = 2*cfg.Bins+1, float64(2*cfg.Bins)
-	if s.bandBins != cfg.Bins {
-		s.slotBands = make([]float32, 2*s.slots)
-		zBands(s.slotBands, func(z float32) int { return slotOf(z, s.scale) }, 0)
-		s.bandBins = cfg.Bins
+// table returns the centre-bias table of a W×H frame.
+func (s *scratch) table(W, H int) *biasTable {
+	if b := newCentreBias(W, H); s.bias == nil || s.bias.of != b {
+		s.bias = newBiasTable(b, W, H)
 	}
-	if cap(s.counts) < s.strips*s.slots {
-		s.counts = make([]uint32, s.strips*s.slots)
-	}
-	s.counts = s.counts[:s.strips*s.slots]
-	s.ranges = grow(s.ranges, 2*s.strips*s.slots)
-	s.hist = grow(s.hist, cfg.Bins)
-	s.smooth = grow(s.smooth, cfg.Bins)
-	s.sums = grow(s.sums, cfg.Layers)
-	if cap(s.layerBands) < 2*(cfg.Layers+1) {
-		s.layerBands = make([]float32, 2*(cfg.Layers+1))
-	}
-	if cap(s.layer) < W*H {
-		s.layer = make([]int16, W*H)
-	}
-	s.layer = s.layer[:W*H]
-	s.sat = sat{w: W, h: H, s: grow(s.sat.s, (W+1)*(H+1))}
+	return s.bias
 }
 
 // biasTable is centreBias.at over the top-left quadrant of a frame, the
@@ -204,16 +105,11 @@ func (t *biasTable) row(y, H int) []float64 {
 	return t.v[y*t.stride : (y+1)*t.stride]
 }
 
-func grow(b []float64, n int) []float64 {
+func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return b[:n]
-}
-
-// rows returns the pixel rows of strips [lo, hi).
-func (s *scratch) rows(lo, hi int) (y0, y1 int) {
-	return lo * s.depth.H / s.strips, hi * s.depth.H / s.strips
 }
 
 // zRow returns row y of the depth map.
@@ -222,70 +118,63 @@ func (s *scratch) zRow(y int) []float32 {
 	return d.Z[y*d.Stride : y*d.Stride+d.W]
 }
 
-// detect runs the pipeline on the armed inputs.
-func (s *scratch) detect(c *parallel.Client) frame.Rect {
-	cfg, W, H := s.cfg, s.depth.W, s.depth.H
-	bins, slots := cfg.Bins, s.slots
+// detect runs the pipeline on depth under cfg.
+func (s *scratch) detect(cfg Config, depth *frame.DepthMap) frame.Rect {
+	W, H := depth.W, depth.H
+	s.depth = depth
+	s.table(W, H)
+	s.layer = grow(s.layer, W*H)
+	s.sat = sat{w: W, h: H, s: grow(s.sat.s, (W+1)*(H+1))}
 
-	// Pass 1 — half-bin counts and extremes, strip by strip. A strip the
-	// scheduler folds into its neighbour's call keeps the empty result set
-	// here.
-	clear(s.counts)
-	for k := 0; k < s.strips; k++ {
-		r := s.ranges[2*k*slots : 2*(k+1)*slots]
-		for i := range slots {
-			r[i], r[slots+i] = math.Inf(1), math.Inf(-1)
-		}
+	// Pass 1 — half-bin counts and extremes.
+	clear(s.counts[:])
+	for i := range slots {
+		s.least[i], s.most[i] = math.Inf(1), math.Inf(-1)
 	}
-	c.For(s.strips, s.scanFn)
+	for y := range H {
+		scanRow(s.zRow(y), s.counts[:], s.least[:], s.most[:])
+	}
 
 	// Step ① — the nearness histogram and its valley. Half-bins 2b and 2b+1
 	// are bin b (histBin puts nearness 0 and NaN in bin 0, as slotOf puts
 	// them in half-bin 0) and the slot of nearness 1 is the top bin's
 	// (histBin clamps it there). Counts are whole numbers, exact in any
 	// grouping.
-	clear(s.hist)
-	for k := 0; k < s.strips; k++ {
-		n := s.counts[k*slots : (k+1)*slots]
-		for b := range s.hist {
-			s.hist[b] += float64(n[2*b]) + float64(n[2*b+1])
-		}
-		s.hist[bins-1] += float64(n[2*bins])
+	for b := range s.hist {
+		s.hist[b] = float64(s.counts[2*b]) + float64(s.counts[2*b+1])
 	}
-	thr := histThreshold(s.hist, s.smooth)
+	s.hist[histBins-1] += float64(s.counts[2*histBins])
+	thr := histThreshold(s.hist[:], s.smooth[:])
 
 	// Step ③'s depth range of the foreground. A pixel is foreground when its
 	// nearness is positive and at or above the threshold; its weighted value
 	// (nearness plus a non-negative bias) is then positive too, which is the
-	// test the reference applies. The threshold is j/(2·Bins) for a whole
-	// j ≥ 2 (DESIGN.md §30), so v ≥ thr exactly when v's slot is j or above,
-	// and those slots hold positive nearness only.
-	j := thr * s.scale
-	if j != math.Trunc(j) || j < 1 || j > s.scale {
+	// test the reference applies. The threshold is j/(2·histBins) for a
+	// whole j ≥ 2 (DESIGN.md §30), so v ≥ thr exactly when v's slot is j or
+	// above, and those slots hold positive nearness only.
+	j := thr * scale
+	if j != math.Trunc(j) || j < 1 || j > scale {
 		panic("roi: threshold off the half-bin grid")
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
-	for k := 0; k < s.strips; k++ {
-		r := s.ranges[2*k*slots : 2*(k+1)*slots]
-		for i := int(j); i <= 2*bins; i++ {
-			lo, hi = min(lo, r[i]), max(hi, r[slots+i])
-		}
+	for i := int(j); i < slots; i++ {
+		lo, hi = min(lo, s.least[i]), max(hi, s.most[i])
 	}
 	// Nothing classified as foreground (e.g. a uniform depth map): the whole
 	// weighted-nearness map becomes one layer.
-	layers := float64(cfg.Layers)
-	s.k = weighConsts{thr: thr, lo: lo, span: hi - lo, layers: layers, top: layers - 1, degenerate: math.IsInf(lo, 1)}
+	s.k = weighConsts{thr: thr, lo: lo, span: hi - lo, layers: depthLayers, top: depthLayers - 1, degenerate: math.IsInf(lo, 1)}
 
 	// Steps ② to ④ — weighted value and layer of every pixel, the layer sums
 	// in raster order, the winning layer and its summed-area table.
 	s.weigh()
 	sel := 0
-	for l := 1; l < cfg.Layers; l++ {
+	for l := 1; l < depthLayers; l++ {
 		if s.sums[l] > s.sums[sel] {
 			sel = l
 		}
 	}
 	s.sumTable(int16(sel))
+	s.depth = nil // do not pin the caller's map
 
 	// Algorithm 1 — coarse then fine window search on the processed map.
 	coarse := searchBest(&s.sat, W, H, cfg.WindowW, cfg.WindowH,
@@ -295,21 +184,10 @@ func (s *scratch) detect(c *parallel.Client) frame.Rect {
 		coarse.Y-cfg.Boundary, coarse.Y+cfg.Boundary, cfg.FineStride)
 }
 
-// scanPass counts the rows of strips [lo, hi) into strip lo's partial
-// result.
-func (s *scratch) scanPass(lo, hi int) {
-	slots := s.slots
-	n := s.counts[lo*slots : (lo+1)*slots]
-	r := s.ranges[2*lo*slots : 2*(lo+1)*slots]
-	for y, y1 := s.rows(lo, hi); y < y1; y++ {
-		scanRow(s.zRow(y), s.scale, s.slotBands, n, r[:slots], r[slots:])
-	}
-}
-
-// slotOf is the slot of depth sample z under scale = 2·Bins: ⌊v·scale⌋ for
-// nearness v > 0 — half-bins 0 … 2·Bins−1, and 2·Bins for v = 1 — and 0
-// for nearness 0 or NaN.
-func slotOf(z float32, scale float64) int {
+// slotOf is the slot of depth sample z: ⌊v·scale⌋ for nearness v > 0 —
+// half-bins 0 … 2·histBins−1, and 2·histBins for v = 1 — and 0 for
+// nearness 0 or NaN.
+func slotOf(z float32) int {
 	if t := frame.NearnessOf(z) * scale; t > 0 {
 		return int(t)
 	}
@@ -319,25 +197,24 @@ func slotOf(z float32, scale float64) int {
 // scanRow counts z's pixels into their slots and widens each slot's
 // [least, most] nearness to cover them. Slot 0's extremes are left
 // unspecified (a NaN sample lands there): the threshold lies at least one
-// half-bin up, so they are never read. bands holds each slot's band of
-// depth samples (zBands), which lets the vector body count a run of samples
-// in one slot without the expression.
-func scanRow(z []float32, scale float64, bands []float32, n []uint32, least, most []float64) {
+// half-bin up, so they are never read. The vector body counts a run of
+// samples inside one slot's band (slotBands) without the expression.
+func scanRow(z []float32, n []uint32, least, most []float64) {
 	k := 0
 	if haveDetectBulk {
 		k = len(z) &^ 7
 	}
 	if k > 0 {
-		scanOcts(&z[0], k, &n[0], &least[0], &most[0], scale, &bands[0])
+		scanOcts(&z[0], k, &n[0], &least[0], &most[0], scale, &slotBands[0])
 	}
-	scanGo(z[k:], scale, n, least, most)
+	scanGo(z[k:], n, least, most)
 }
 
 // scanGo is the portable form of scanRow.
-func scanGo(z []float32, scale float64, n []uint32, least, most []float64) {
+func scanGo(z []float32, n []uint32, least, most []float64) {
 	least, most = least[:len(n)], most[:len(n)]
 	for _, zz := range z {
-		v, i := frame.NearnessOf(zz), slotOf(zz, scale)
+		v, i := frame.NearnessOf(zz), slotOf(zz)
 		n[i]++
 		least[i], most[i] = min(least[i], v), max(most[i], v)
 	}
@@ -390,7 +267,9 @@ func zBands(bands []float32, class func(z float32) int, first int) {
 		return lo
 	}
 	// Class c is the keys from atMost(c) up to atMost(c−1), exclusive.
-	emptyBands(bands)
+	for i := range bands {
+		bands[i] = float32(math.Inf(1 - 2*(i&1)))
+	}
 	end := atMost(first - 1)
 	for i := 0; 2*i < len(bands); i++ {
 		start := atMost(first + i)
@@ -401,18 +280,11 @@ func zBands(bands []float32, class func(z float32) int, first int) {
 	}
 }
 
-// emptyBands makes every band empty: (+Inf, −Inf).
-func emptyBands(bands []float32) {
-	for i := range bands {
-		bands[i] = float32(math.Inf(1 - 2*(i&1)))
-	}
-}
-
 // weighConsts are weigh's operands for one frame, in the order the SSE2
 // body loads them.
 type weighConsts struct {
 	thr, lo, span float64
-	layers, top   float64 // Config.Layers, and one less
+	layers, top   float64 // the layer count, and one less
 	degenerate    bool    // no foreground: every pixel is layer 0
 }
 
@@ -435,32 +307,23 @@ func (k *weighConsts) layerOf(z float32) int {
 	return -1
 }
 
-// maxBandLayers bounds the layers weigh finds sample bands for; beyond it
-// the vector body evaluates every sample.
-const maxBandLayers = 64
-
 // weigh writes the weighted value and the layer of every pixel and adds the
 // weighted values up per layer, in raster order. A row's right half reads
 // the bias table's row backwards.
 func (s *scratch) weigh() {
 	W, H := s.depth.W, s.depth.H
 	half := (W + 1) / 2
-	clear(s.sums)
+	clear(s.sums[:])
 	if s.k.vector() {
-		bands := s.layerBands[:2*(s.cfg.Layers+1)]
-		if s.cfg.Layers <= maxBandLayers {
-			zBands(bands, s.k.layerOf, -1)
-		} else {
-			emptyBands(bands)
-		}
+		zBands(s.layerBands[:], s.k.layerOf, -1)
 	}
-	for y := 0; y < H; y++ {
+	for y := range H {
 		cells := s.sat.s[(y+1)*(W+1)+1 : (y+2)*(W+1)]
 		layer := s.layer[y*W : (y+1)*W]
 		bias := s.bias.row(y, H)
 		z := s.zRow(y)
-		weighRow(z[:half], bias[:half], false, cells[:half], layer[:half], s.sums, &s.k, s.layerBands)
-		weighRow(z[half:], bias[:W-half], true, cells[half:], layer[half:], s.sums, &s.k, s.layerBands)
+		weighRow(z[:half], bias[:half], false, cells[:half], layer[:half], s.sums[:], &s.k, s.layerBands[:])
+		weighRow(z[half:], bias[:W-half], true, cells[half:], layer[half:], s.sums[:], &s.k, s.layerBands[:])
 	}
 }
 

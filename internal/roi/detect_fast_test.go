@@ -29,8 +29,8 @@ func sameRect(t testing.TB, det *Detector, depth *frame.DepthMap, what string) {
 	}
 }
 
-// atProcs runs f at GOMAXPROCS 1 and 2, so the passes run both inline and
-// with a worker stealing strips.
+// atProcs runs f at GOMAXPROCS 1 and 2: the rectangle does not depend on
+// the core count.
 func atProcs(t *testing.T, f func(t *testing.T)) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
@@ -43,7 +43,7 @@ func atProcs(t *testing.T, f func(t *testing.T)) {
 // TestDetectMatchesReference is the detector differential over real content:
 // every game's script at the three bench geometries, both client window
 // sizes, one detector per window for the whole run so its kept planes are
-// re-armed across geometries and arrive dirty. Rendering dominates the
+// resized across geometries and arrive dirty. Rendering dominates the
 // test's time (a 720p frame of the heavier games takes a fifth of a second),
 // so it samples the 48 script frames: every 4th at 320×180, every 12th at
 // 640×360, every 24th at 1280×720, and a quarter of that with -short.
@@ -78,7 +78,7 @@ func TestDetectMatchesReference(t *testing.T) {
 // craftedMaps are the depth maps rendered content does not produce: nothing
 // classified as foreground (uniform, all-far, all-near), a map whose every
 // foreground pixel has one depth (zero span), out-of-range and NaN samples,
-// a strided map, and geometries of fewer rows than strips and of one row.
+// a strided map, and tall and wide geometries.
 func craftedMaps() map[string]*frame.DepthMap {
 	m := map[string]*frame.DepthMap{
 		"blob":      blobMap(128, 96, 70, 40, 14, 14),
@@ -117,7 +117,7 @@ func craftedMaps() map[string]*frame.DepthMap {
 }
 
 // TestDetectMatchesReferenceCrafted covers the degenerate branches and the
-// configuration space: default and randomised settings of every knob on the
+// configuration space: default and randomised windows and strides on the
 // crafted maps, at GOMAXPROCS 1 and 2.
 func TestDetectMatchesReferenceCrafted(t *testing.T) {
 	maps := craftedMaps()
@@ -127,8 +127,6 @@ func TestDetectMatchesReferenceCrafted(t *testing.T) {
 		for i := 0; i < 12; i++ {
 			cfgs = append(cfgs, Config{
 				WindowW: 8 + rng.Intn(25), WindowH: 8 + rng.Intn(25),
-				Bins: []int{0, 2, 7, 64, 300}[rng.Intn(5)], Layers: []int{0, 1, 3, 9, 200, maxLayers + 1}[rng.Intn(6)],
-				GaussAmp: rng.Float64() * 2, SigmaFrac: rng.Float64(),
 				CoarseStride: rng.Intn(20), FineStride: rng.Intn(5), Boundary: rng.Intn(40),
 			})
 		}
@@ -144,25 +142,27 @@ func TestDetectMatchesReferenceCrafted(t *testing.T) {
 	})
 }
 
-// poison fills every kept plane of the detector's idle working sets with
-// values no pass may read back.
+// poison fills every kept plane of the detector's working set with values no
+// pass may read back.
 func poison(det *Detector) {
-	det.scratch.mu.Lock()
-	defer det.scratch.mu.Unlock()
-	for _, s := range det.scratch.free {
-		for _, p := range [][]float64{s.hist[:cap(s.hist)], s.smooth[:cap(s.smooth)], s.ranges[:cap(s.ranges)], s.sums[:cap(s.sums)], s.sat.s[:cap(s.sat.s)]} {
-			for i := range p {
-				p[i] = math.NaN()
-			}
+	det.mu.Lock()
+	defer det.mu.Unlock()
+	s := det.work
+	for _, p := range [][]float64{s.hist[:], s.smooth[:], s.least[:], s.most[:], s.sums[:], s.sat.s[:cap(s.sat.s)]} {
+		for i := range p {
+			p[i] = math.NaN()
 		}
-		layer := s.layer[:cap(s.layer)]
-		for i := range layer {
-			layer[i] = 1
-		}
+	}
+	for i := range s.counts {
+		s.counts[i] = 0xC5C5
+	}
+	layer := s.layer[:cap(s.layer)]
+	for i := range layer {
+		layer[i] = 1
 	}
 }
 
-// TestDetectDirtyScratch: a working set left in any state by an earlier call
+// TestDetectDirtyScratch: the working set left in any state by an earlier call
 // — here deliberately poisoned, and sized by a larger geometry — does not
 // leak into the next result.
 func TestDetectDirtyScratch(t *testing.T) {
@@ -246,9 +246,6 @@ func TestDetectSteadyStateAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { det.Detect(depth) }); n > 2 {
 		t.Errorf("steady-state Detect allocates %.0f objects per call, budget 2", n)
 	}
-	if len(det.scratch.free) != 1 {
-		t.Errorf("%d idle working sets after sequential calls, want the one they all used", len(det.scratch.free))
-	}
 }
 
 // TestDetectConcurrent hammers two detectors from several goroutines over
@@ -293,37 +290,21 @@ func TestDetectConcurrent(t *testing.T) {
 // TestBiasTableMatchesAt is the mirror argument, tested: for odd and even
 // sizes in both axes, the quadrant table read at (min(x, W−1−x),
 // min(y, H−1−y)) holds the bits centreBias.at returns at (x, y), for every
-// pixel — and a detector with another amplitude or sigma has another table.
+// pixel.
 func TestBiasTableMatchesAt(t *testing.T) {
-	cfgs := []Config{
-		Config{WindowW: 4, WindowH: 4}.withDefaults(),
-		Config{WindowW: 4, WindowH: 4, GaussAmp: 1.3}.withDefaults(),
-		Config{WindowW: 4, WindowH: 4, SigmaFrac: 0.4}.withDefaults(),
-	}
 	for _, g := range [][2]int{{7, 5}, {8, 6}, {320, 180}, {641, 359}, {1, 1}, {2, 1}} {
 		W, H := g[0], g[1]
-		var tables []*biasTable
-		for _, cfg := range cfgs {
-			bias := newCentreBias(cfg, W, H)
-			tab := newBiasTable(bias, W, H)
-			if want := (W + 1) / 2 * ((H + 1) / 2); len(tab.v) != want {
-				t.Fatalf("%dx%d: table of %d values, want the quadrant's %d", W, H, len(tab.v), want)
-			}
-			for y := 0; y < H; y++ {
-				row := tab.row(y, H)
-				for x := 0; x < W; x++ {
-					if got, want := row[min(x, W-1-x)], bias.at(x, y); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%dx%d amp %v sigma %v: table at (%d, %d) = %v, at = %v", W, H, cfg.GaussAmp, cfg.SigmaFrac, x, y, got, want)
-					}
-				}
-			}
-			tables = append(tables, tab)
+		bias := newCentreBias(W, H)
+		tab := newBiasTable(bias, W, H)
+		if want := (W + 1) / 2 * ((H + 1) / 2); len(tab.v) != want {
+			t.Fatalf("%dx%d: table of %d values, want the quadrant's %d", W, H, len(tab.v), want)
 		}
-		for i, tab := range tables[1:] {
-			// The corner weight tells the tables apart wherever the corner is
-			// off centre.
-			if tab.of == tables[0].of || W > 2 && tab.v[0] == tables[0].v[0] {
-				t.Errorf("%dx%d: configuration %d shares the default's table", W, H, i+1)
+		for y := 0; y < H; y++ {
+			row := tab.row(y, H)
+			for x := 0; x < W; x++ {
+				if got, want := row[min(x, W-1-x)], bias.at(x, y); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%dx%d: table at (%d, %d) = %v, at = %v", W, H, x, y, got, want)
+				}
 			}
 		}
 	}
@@ -339,8 +320,8 @@ func TestDetectTableFollowsGeometry(t *testing.T) {
 	for i, name := range []string{"blob", "blob", "wide", "blob", "tall", "tall", "strided", "noisy"} {
 		d := maps[name]
 		sameRect(t, det, d, name)
-		tab := det.scratch.bias
-		if tab.of != newCentreBias(det.cfg, d.W, d.H) {
+		tab := det.work.bias
+		if tab.of != newCentreBias(d.W, d.H) {
 			t.Fatalf("call %d (%s): the kept table is another geometry's", i, name)
 		}
 		if (i == 1 || i == 5) && tab != last {
@@ -351,7 +332,8 @@ func TestDetectTableFollowsGeometry(t *testing.T) {
 }
 
 // TestDetectConcurrentSharesTable: concurrent detections of one geometry
-// read one table — the one the first call built — under the race detector.
+// take turns on the one working set and read one table — the one the first
+// call built — under the race detector.
 func TestDetectConcurrentSharesTable(t *testing.T) {
 	det, _ := New(Config{WindowW: 24, WindowH: 24})
 	depth := craftedMaps()["two blobs"]
@@ -360,7 +342,7 @@ func TestDetectConcurrentSharesTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRect(t, det, depth, "first call")
-	built := det.scratch.bias
+	built := det.work.bias
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -375,7 +357,7 @@ func TestDetectConcurrentSharesTable(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if det.scratch.bias != built {
+	if det.work.bias != built {
 		t.Error("the table was rebuilt although the geometry never changed")
 	}
 }

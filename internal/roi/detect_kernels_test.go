@@ -15,8 +15,8 @@ import (
 // depthSamples returns n depth samples for the kernels' tests: runs of one
 // value and of close values (the vector bodies' runs), every special value
 // (NaN, ±Inf, ±0, subnormals, 1, values beyond [0, 1]) and samples on the
-// half-bin edges of scale and one float32 step either side.
-func depthSamples(rng *rand.Rand, n int, scale float64) []float32 {
+// half-bin edges and one float32 step either side.
+func depthSamples(rng *rand.Rand, n int) []float32 {
 	special := []float32{
 		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)),
 		1, math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 0x1p-54, 0x1p-60, 1.5, -0.25,
@@ -29,7 +29,7 @@ func depthSamples(rng *rand.Rand, n int, scale float64) []float32 {
 		case 0:
 			v = special[rng.Intn(len(special))]
 		case 1:
-			e := float32(1 - float64(rng.Intn(int(scale)+1))/scale)
+			e := float32(1 - float64(rng.Intn(scale+1))/scale)
 			v = []float32{e, math.Nextafter32(e, 2), math.Nextafter32(e, -1)}[rng.Intn(3)]
 		default:
 			v = rng.Float32()
@@ -83,14 +83,9 @@ func checkGuards(t *testing.T, what string, buf []float64, guard, off, n int) {
 }
 
 func checkScanKernel(t *testing.T, rng *rand.Rand, n, off, guard int) {
-	bins := []int{2, 4, 64, 256}[rng.Intn(4)]
-	scale := float64(2 * bins)
-	slots := 2*bins + 1
-	bands := make([]float32, 2*slots)
-	zBands(bands, func(z float32) int { return slotOf(z, scale) }, 0)
 	zbuf := make([]float32, n+8)
 	z := zbuf[off : off+n]
-	copy(z, depthSamples(rng, n, scale))
+	copy(z, depthSamples(rng, n))
 	type result struct {
 		n           []uint32
 		least, most []float64
@@ -111,31 +106,30 @@ func checkScanKernel(t *testing.T, rng *rand.Rand, n, off, guard int) {
 		f(z, r.n, r.least, r.most)
 		return r
 	}
-	got := run(func(z []float32, n []uint32, least, most []float64) { scanRow(z, scale, bands, n, least, most) })
-	want := run(func(z []float32, n []uint32, least, most []float64) { scanGo(z, scale, n, least, most) })
+	got := run(scanRow)
+	want := run(scanGo)
 	for i := range got.nbuf {
 		if inside := i >= guard && i < guard+slots; !inside && got.nbuf[i] != 0xC5C5 || got.nbuf[i] != want.nbuf[i] {
-			t.Fatalf("scan, %d bins: count word %d = %d, want %d (samples %v)", bins, i-guard, got.nbuf[i], want.nbuf[i], z)
+			t.Fatalf("scan: count word %d = %d, want %d (samples %v)", i-guard, got.nbuf[i], want.nbuf[i], z)
 		}
 	}
 	checkGuards(t, "scan least", got.lbuf, guard, 0, slots)
 	checkGuards(t, "scan most", got.mbuf, guard, 0, slots)
 	for i := 1; i < slots; i++ {
 		if got.least[i] != want.least[i] || got.most[i] != want.most[i] {
-			t.Fatalf("scan, %d bins: slot %d extremes [%v, %v], want [%v, %v] (samples %v)", bins, i, got.least[i], got.most[i], want.least[i], want.most[i], z)
+			t.Fatalf("scan: slot %d extremes [%v, %v], want [%v, %v] (samples %v)", i, got.least[i], got.most[i], want.least[i], want.most[i], z)
 		}
 	}
 }
 
 func checkWeighKernel(t *testing.T, rng *rand.Rand, n, off, guard int) {
-	layers := []int{1, 3, 4, 9, maxBandLayers + 1}[rng.Intn(5)]
-	bins := 64
+	layers := []int{1, 3, 4, 9, 65}[rng.Intn(5)]
 	zbuf := make([]float32, n+8)
 	z := zbuf[off : off+n]
-	copy(z, depthSamples(rng, n, float64(2*bins)))
+	copy(z, depthSamples(rng, n))
 	// The frame's constants, as detect derives them: a threshold on the
 	// half-bin grid and the extremes of the foreground nearness it leaves.
-	k := weighConsts{thr: float64(2+rng.Intn(2*bins-1)) / float64(2*bins), layers: float64(layers), top: float64(layers - 1)}
+	k := weighConsts{thr: float64(2+rng.Intn(scale-1)) / scale, layers: float64(layers), top: float64(layers - 1)}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, zz := range z {
 		if v := 1 - float64(min(max(zz, 0), 1)); v >= k.thr && v > 0 {
@@ -147,11 +141,7 @@ func checkWeighKernel(t *testing.T, rng *rand.Rand, n, off, guard int) {
 		k.lo, k.span = 0.25, 0.5 // no foreground spread in these samples: any span
 	}
 	bands := make([]float32, 2*(layers+1))
-	if layers <= maxBandLayers {
-		zBands(bands, k.layerOf, -1)
-	} else {
-		emptyBands(bands)
-	}
+	zBands(bands, k.layerOf, -1)
 	bias := make([]float64, n)
 	for i := range bias {
 		bias[i] = rng.Float64() * 0.5
@@ -276,7 +266,7 @@ func TestDetectPortableMatchesReference(t *testing.T) {
 		wl, _ := games.ByID(id)
 		maps[id] = wl.Render(rd, 30, 320, 180).Depth
 	}
-	for _, cfg := range []Config{{WindowW: 16, WindowH: 16}, {WindowW: 24, WindowH: 20, Bins: 16, Layers: 7}} {
+	for _, cfg := range []Config{{WindowW: 16, WindowH: 16}, {WindowW: 24, WindowH: 20, CoarseStride: 7, FineStride: 3}} {
 		det, _ := New(cfg)
 		for name, d := range maps {
 			sameRect(t, det, d, fmt.Sprintf("%s under %+v", name, cfg))
@@ -291,7 +281,7 @@ func TestDetectPortableMatchesReference(t *testing.T) {
 
 // FuzzDetect holds Detect to the reference pipeline on arbitrary depth
 // planes: the samples are the input's float32 words, the geometry (up to
-// 64×64), window, bins and layers come from its first five bytes.
+// 64×64), window and strides come from its first five bytes.
 func FuzzDetect(f *testing.F) {
 	plane := func(w, h int, z func(i int) float32) []byte {
 		b := []byte{byte(w), byte(h), 3, 5, 2}
@@ -335,7 +325,7 @@ func FuzzDetect(f *testing.F) {
 		}
 		cfg := Config{
 			WindowW: 1 + int(b[2])%w, WindowH: 1 + int(b[3])%h,
-			Bins: 1 << (b[4] % 8), Layers: 1 + int(b[4]>>3)%9,
+			CoarseStride: int(b[4] & 15), FineStride: int(b[4] >> 4 & 3), Boundary: int(b[4]>>6) * 8,
 		}
 		det, err := New(cfg)
 		if err != nil {

@@ -13,29 +13,25 @@ package roi
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gamestreamsr/internal/frame"
-	"gamestreamsr/internal/parallel"
 )
 
-// Config parameterises the detector.
+// The pre-processing constants of Fig. 8.
+const (
+	histBins    = 64   // histogram bins of the foreground extraction
+	depthLayers = 4    // depth layers the weighted map is split into
+	gaussAmp    = 0.5  // peak of the centre-bias Gaussian added to the unit-range depth map
+	sigmaFrac   = 0.25 // the Gaussian's sigma, as a fraction of the frame's smaller side
+)
+
+// Config parameterises the detector: the window and Algorithm 1's strides.
 type Config struct {
 	// WindowW, WindowH is the RoI search-window size in low-resolution
 	// pixels, i.e. the client's real-time-processable window from §IV-B1
 	// (e.g. 300×300 for the Tab S8).
 	WindowW, WindowH int
-	// Bins is the number of histogram bins used for foreground extraction
-	// (default 64).
-	Bins int
-	// Layers is the number of depth layers the weighted map is split into
-	// (default 4).
-	Layers int
-	// GaussAmp is the peak amplitude of the center-bias weight matrix that
-	// is added to the (unit-range) depth map (default 0.5).
-	GaussAmp float64
-	// SigmaFrac is the Gaussian sigma as a fraction of the frame's smaller
-	// dimension (default 0.25).
-	SigmaFrac float64
 	// CoarseStride S. Defaults to the paper's max(h, w)/2.
 	CoarseStride int
 	// FineStride s < S (default max(1, S/8)).
@@ -45,18 +41,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Bins <= 0 {
-		c.Bins = 64
-	}
-	if c.Layers <= 0 {
-		c.Layers = 4
-	}
-	if c.GaussAmp <= 0 {
-		c.GaussAmp = 0.5
-	}
-	if c.SigmaFrac <= 0 {
-		c.SigmaFrac = 0.25
-	}
 	if c.CoarseStride <= 0 {
 		c.CoarseStride = max(c.WindowW, c.WindowH) / 2
 		if c.CoarseStride < 1 {
@@ -76,12 +60,13 @@ func (c Config) withDefaults() Config {
 }
 
 // Detector runs the RoI detection pipeline. No result depends on an earlier
-// frame, but the detector keeps its working planes between calls
+// frame, but the detector keeps one working set between calls
 // (detect_fast.go), so a steady stream of frames allocates nothing. It is
-// safe for concurrent use.
+// safe for concurrent use: concurrent calls take turns on the working set.
 type Detector struct {
-	cfg     Config
-	scratch scratchPool
+	cfg  Config
+	mu   sync.Mutex
+	work *scratch
 }
 
 // New validates the configuration and builds a detector.
@@ -89,7 +74,7 @@ func New(cfg Config) (*Detector, error) {
 	if cfg.WindowW <= 0 || cfg.WindowH <= 0 {
 		return nil, fmt.Errorf("roi: invalid window %dx%d", cfg.WindowW, cfg.WindowH)
 	}
-	return &Detector{cfg: cfg.withDefaults()}, nil
+	return &Detector{cfg: cfg.withDefaults(), work: &scratch{}}, nil
 }
 
 // Config returns the effective configuration.
@@ -115,24 +100,20 @@ type Debug struct {
 // Detect runs the full pipeline on the depth map and returns the RoI
 // rectangle in low-resolution pixel coordinates.
 func (d *Detector) Detect(depth *frame.DepthMap) (frame.Rect, error) {
-	return d.DetectOn(nil, depth)
+	r, _, _, err := d.detect(depth)
+	return r, err
 }
 
-// DetectOn is Detect with the row-parallel passes attributed to the
-// scheduler client c (nil means the default client). The rectangle does not
-// depend on it.
-func (d *Detector) DetectOn(c *parallel.Client, depth *frame.DepthMap) (frame.Rect, error) {
+// detect runs the three passes of detect_fast.go on depth and returns the
+// rectangle with the threshold and the centre-bias table it used.
+func (d *Detector) detect(depth *frame.DepthMap) (frame.Rect, float64, *biasTable, error) {
 	if err := d.checkWindow(depth); err != nil {
-		return frame.Rect{}, err
+		return frame.Rect{}, 0, nil, err
 	}
-	if !fastForm(d.cfg) {
-		r, _, err := d.detectReference(depth, false)
-		return r, err
-	}
-	s := d.scratch.acquire(d.cfg, depth)
-	r := s.detect(c)
-	d.scratch.release(s)
-	return r, nil
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	r := d.work.detect(d.cfg, depth)
+	return r, d.work.k.thr, d.work.bias, nil
 }
 
 // DetectDebug is Detect plus the intermediate stages.
@@ -169,7 +150,7 @@ func (d *Detector) detectReference(depth *frame.DepthMap, wantDebug bool) (frame
 	}
 
 	// Step ① — foreground extraction via the histogram valley.
-	thr := foregroundThreshold(near, cfg.Bins)
+	thr := foregroundThreshold(near, histBins)
 	fg := make([]float64, len(near))
 	for i, v := range near {
 		if v >= thr {
@@ -182,7 +163,7 @@ func (d *Detector) detectReference(depth *frame.DepthMap, wantDebug bool) (frame
 	}
 
 	// Step ② — spatial weighting with a center-biased Gaussian.
-	bias := newCentreBias(cfg, W, H)
+	bias := newCentreBias(W, H)
 	weighted := make([]float64, len(fg))
 	for y := 0; y < H; y++ {
 		for x := 0; x < W; x++ {
@@ -216,7 +197,7 @@ func (d *Detector) detectReference(depth *frame.DepthMap, wantDebug bool) (frame
 		}
 	}
 	layerOf := make([]int, len(weighted))
-	layerSums := make([]float64, cfg.Layers)
+	layerSums := make([]float64, depthLayers)
 	if math.IsInf(lo, 1) {
 		// Degenerate: nothing classified as foreground (e.g. a uniform
 		// depth map). Fall back to treating the whole weighted-nearness
@@ -241,9 +222,9 @@ func (d *Detector) detectReference(depth *frame.DepthMap, wantDebug bool) (frame
 			}
 			l := 0
 			if span > 0 {
-				l = int((fg[i] - lo) / span * float64(cfg.Layers))
-				if l >= cfg.Layers {
-					l = cfg.Layers - 1
+				l = int((fg[i] - lo) / span * depthLayers)
+				if l >= depthLayers {
+					l = depthLayers - 1
 				}
 			}
 			layerOf[i] = l
@@ -254,7 +235,7 @@ func (d *Detector) detectReference(depth *frame.DepthMap, wantDebug bool) (frame
 	// Step ④ — depth-layer selection: the layer with the maximum overall
 	// weighted value wins; the rest are discarded.
 	sel := 0
-	for l := 1; l < cfg.Layers; l++ {
+	for l := 1; l < depthLayers; l++ {
 		if layerSums[l] > layerSums[sel] {
 			sel = l
 		}
@@ -292,9 +273,9 @@ type centreBias struct {
 	amp, cx, cy, inv2s2 float64
 }
 
-func newCentreBias(cfg Config, W, H int) centreBias {
-	sigma := cfg.SigmaFrac * float64(min(W, H))
-	return centreBias{amp: cfg.GaussAmp, cx: float64(W-1) / 2, cy: float64(H-1) / 2, inv2s2: 1 / (2 * sigma * sigma)}
+func newCentreBias(W, H int) centreBias {
+	sigma := sigmaFrac * float64(min(W, H))
+	return centreBias{amp: gaussAmp, cx: float64(W-1) / 2, cy: float64(H-1) / 2, inv2s2: 1 / (2 * sigma * sigma)}
 }
 
 // at is the weight added to a foreground pixel at (x, y).

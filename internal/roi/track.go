@@ -36,18 +36,9 @@ func (c TrackConfig) withDefaults() TrackConfig {
 // frame's RoI. Pass an empty prev (zero Rect) on the first frame.
 func (d *Detector) DetectTracked(depth *frame.DepthMap, prev frame.Rect, tc TrackConfig) (frame.Rect, error) {
 	tc = tc.withDefaults()
-	if err := d.checkWindow(depth); err != nil {
+	rect, thr, bias, err := d.detect(depth)
+	if err != nil {
 		return frame.Rect{}, err
-	}
-	var rect frame.Rect
-	var thr float64
-	if fastForm(d.cfg) {
-		s := d.scratch.acquire(d.cfg, depth)
-		rect, thr = s.detect(nil), s.k.thr
-		d.scratch.release(s)
-	} else {
-		r, dbg, _ := d.detectReference(depth, true)
-		rect, thr = r, dbg.Threshold
 	}
 	if prev.Empty() || prev.W != rect.W || prev.H != rect.H || !prev.In(depth.W, depth.H) {
 		return rect, nil
@@ -55,7 +46,6 @@ func (d *Detector) DetectTracked(depth *frame.DepthMap, prev frame.Rect, tc Trac
 	// Compare importance on the weighted map, not the layered search map:
 	// layer selection is winner-take-all, so a marginally-losing region
 	// scores zero there and hysteresis could never hold it.
-	bias := d.scratch.table(d.cfg, depth)
 	newSum := weightedSum(depth, thr, bias, rect)
 	prevSum := weightedSum(depth, thr, bias, prev)
 	target := rect

@@ -237,7 +237,7 @@ func TestDetectTrackedMatchesReference(t *testing.T) {
 	for name, d := range craftedMaps() {
 		streams = append(streams, stream{name, []*frame.DepthMap{d, d}})
 	}
-	for _, cfg := range []Config{{WindowW: 24, WindowH: 24}, {WindowW: 16, WindowH: 12, Bins: 16, Layers: 3}, {WindowW: 20, WindowH: 20, Bins: 7}} {
+	for _, cfg := range []Config{{WindowW: 24, WindowH: 24}, {WindowW: 16, WindowH: 12, CoarseStride: 5}, {WindowW: 20, WindowH: 20, FineStride: 3, Boundary: 4}} {
 		det, _ := New(cfg)
 		for _, tc := range []TrackConfig{{}, {Hysteresis: 0.02, MaxStep: 5}, {Hysteresis: 0.6}} {
 			for _, s := range streams {
@@ -260,7 +260,7 @@ func TestDetectTrackedMatchesReference(t *testing.T) {
 		// The sums themselves, over random rectangles of one frame.
 		d := streams[0].frames[2]
 		_, dbg, _ := det.detectReference(d, true)
-		bias := det.scratch.table(det.cfg, d)
+		bias := det.work.table(d.W, d.H)
 		for i := 0; i < 20; i++ {
 			r := frame.Rect{X: rng.Intn(d.W - cfg.WindowW + 1), Y: rng.Intn(d.H - cfg.WindowH + 1), W: cfg.WindowW, H: cfg.WindowH}
 			if got, want := weightedSum(d, dbg.Threshold, bias, r), planeSum(dbg.Weighted, d.W, r); math.Float64bits(got) != math.Float64bits(want) {
