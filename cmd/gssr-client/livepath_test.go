@@ -32,7 +32,7 @@ func TestLivePathMatchesEngine(t *testing.T) {
 	if diff := liveVsEngine(t, sr.NewFast(sr.FastConfig{})); diff != "" {
 		t.Fatal(diff)
 	}
-	if diff := liveVsEngine(t, sr.NewFast(sr.FastConfig{Sharpen: 1})); diff == "" {
+	if diff := liveVsEngine(t, sr.BilinearEngine{}); diff == "" {
 		t.Fatal("a client with another SR engine presented the engine's frames")
 	}
 }

@@ -30,39 +30,24 @@ func UpscaleTo(e Engine, dst, im *frame.Image, scale int, pool *bufpool.Pool) er
 	return e.UpscaleInto(dst, im, scale, pool)
 }
 
-// FastConfig parameterises the fast SR kernel, whose interpolation backbone
-// is Lanczos-3.
-type FastConfig struct {
-	// Sharpen is the detail-restoration gain α in out = up + α·(up − blur)
-	// (default 2.0; the overshoot clamp makes high gains safe — see the
-	// calibration sweep in TestSharpenSweepDefaultNearOptimal). Negative
-	// disables restoration.
-	Sharpen float64
-}
+// FastConfig is the fast SR kernel's configuration. It has no settings:
+// the backbone is Lanczos-3 and the detail-restoration gain the constant
+// sharpenGain.
+type FastConfig struct{}
 
 // Fast computes the same function class the analytically-weighted EDSR
 // network realises — polyphase interpolation plus high-frequency detail
 // restoration — as a direct kernel, so full-resolution pipeline runs don't
 // pay the cost of executing every convolution of the topology. The device
 // model bills its latency at calibrated NPU rates regardless.
-type Fast struct {
-	cfg FastConfig
-}
+type Fast struct{}
 
 // NewFast builds a fast SR engine.
-func NewFast(cfg FastConfig) *Fast {
-	if cfg.Sharpen == 0 {
-		cfg.Sharpen = 2.0
-	}
-	if cfg.Sharpen < 0 {
-		cfg.Sharpen = 0
-	}
-	return &Fast{cfg: cfg}
-}
+func NewFast(FastConfig) *Fast { return &Fast{} }
 
 // Name implements Engine.
 func (f *Fast) Name() string {
-	return fmt.Sprintf("fast-sr(%v,α=%.2f)", upscale.Lanczos3, f.cfg.Sharpen)
+	return fmt.Sprintf("fast-sr(%v,α=%.2f)", upscale.Lanczos3, float64(sharpenGain))
 }
 
 // Upscale implements Engine.
@@ -85,7 +70,7 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 	if dst.W != im.W*scale || dst.H != im.H*scale {
 		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, scale)
 	}
-	if f.cfg.Sharpen == 0 || scale == 1 {
+	if scale == 1 {
 		return upscale.ResizeInto(dst, im, upscale.Lanczos3, pool)
 	}
 	s := getRun()
@@ -94,7 +79,7 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 		// The client's call: one banded pass computes the ×2 Lanczos rows
 		// and sharpens them.
 		s.lr = im
-		s.sharpen(dst, f.cfg.Sharpen)
+		s.sharpen(dst)
 		return nil
 	}
 	// Any other scale lands in an intermediate image — its pixels the
@@ -106,7 +91,7 @@ func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) 
 	if err := upscale.ResizeInto(&s.up, im, upscale.Lanczos3, pool); err != nil {
 		return err
 	}
-	s.sharpen(dst, f.cfg.Sharpen)
+	s.sharpen(dst)
 	return nil
 }
 

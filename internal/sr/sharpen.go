@@ -9,28 +9,42 @@ import (
 	"gamestreamsr/internal/upscale"
 )
 
-// The detail-restoration kernel of Fast: unsharp masking with a 3×3 binomial
-// blur (1 2 1 / 2 4 2 / 1 2 1)/16 and the overshoot clamped to the local 3×3
-// extrema, which restores the mid-frequency energy lost by the
-// decimation/interpolation chain without introducing ringing halos.
+// The detail-restoration kernel of Fast: unsharp masking at gain α = 2 with
+// a 3×3 binomial blur (1 2 1 / 2 4 2 / 1 2 1)/16 and the overshoot clamped
+// to the local 3×3 extrema, which restores the mid-frequency energy lost by
+// the decimation/interpolation chain without introducing ringing halos.
 //
-// All three 3×3 reductions are separable over integers: with edges
-// replicated, the weighted sum is the (1 2 1) sum down the columns of the
-// (1 2 1) sums along the rows, and the minimum (maximum) of nine samples is
-// the minimum (maximum) of the three row-wise minima (maxima) — integer
-// addition and min/max are associative, so blur, lo and hi are the numbers
-// the nine-sample loop arrives at, and the floating-point expression that
-// follows sees the same operands. A worker therefore keeps the horizontal
-// triples of the rows above, at and below the current one in three rolling
-// buffers, as bilinear2x.go keeps its expanded rows, and takes them eight
-// pixels to a word: the three neighbours of eight samples are the words one
-// byte apart in an edge-replicated copy of the row, the sums ride in 16-bit
-// lanes (at most 4·255 along a row, 16·255 after the columns) and the
-// extrema in byte lanes. Only the output expression is per sample, and on
-// amd64 it takes eight samples a call in SSE2 float64 lanes (sharpen_amd64.s).
+// At α = 2 the output is an integer expression. With v the sample, blur the
+// weighted sum of its nine neighbours (at most 16·255) and lo ≤ hi their
+// extrema, the float form clamps v + 2·(v − blur/16) to [lo, hi], adds 0.5
+// and truncates. Every step is exact in float64 (blur/16 is a division by a
+// power of two, and the rest are sums of multiples of 1/16 far below 2⁵³),
+// so the clamped value is N/8 with N = 24v − blur. Rounding half up is
+// monotone and fixes integers, so it commutes with the clamp to integer
+// bounds, and ⌊N/8 + ½⌋ = (N + 4) >> 3 with an arithmetic shift: the byte
+// is clamp((24v − blur + 4) >> 3, lo, hi), with 24v − blur + 4 in
+// [−4076, 6124], inside 16-bit lanes.
+//
+// All three 3×3 reductions are separable: with edges replicated, the
+// weighted sum is the (1 2 1) sum down the columns of the (1 2 1) sums along
+// the rows, and the minimum (maximum) of nine samples is the minimum
+// (maximum) of the three row-wise minima (maxima). A worker keeps the row
+// reductions of the rows above, at and below the current one in three
+// rolling rows, as bilinear2x.go keeps its expanded rows; each row is
+// reduced once and read three times. On amd64 the row reductions and the
+// column combine with the output run in SSE2 (sharpen_amd64.s), sixteen
+// pixels a loop: the sums eight to a register in 16-bit lanes, the
+// extrema, the clamp and the output sixteen in byte lanes. reduceGo and
+// sharpenGo are their Go twins, which every other GOARCH runs.
 //
 // At ×2 with Lanczos-3 — the client's call — the pass computes the rows it
 // sharpens itself (upscale.Lanczos2x), so no resampled image exists.
+
+// sharpenGain is the detail-restoration gain α in out = up + α·(up − blur),
+// the point the calibration sweep in TestSharpenSweepDefaultNearOptimal
+// holds near the PSNR optimum on game content. The kernel's integer form is
+// exact for this value only.
+const sharpenGain = 2
 
 // sharpenBand is the number of rows in one unit of parallel work. A band
 // re-derives the row on either side of it — from the resampled image, or
@@ -40,39 +54,33 @@ import (
 const sharpenBand = 32
 
 // sharpenRows is a worker's scratch, grown to the widest image seen: three
-// rolling rows, each its bytes between edge copies and its triples, and the
-// ×2 Lanczos rows of the fused pass.
+// rolling rows and the ×2 Lanczos rows of the fused pass.
 type sharpenRows struct {
-	pads  []uint8
-	words []uint64
-	lz    upscale.Lanczos2x
+	buf []uint8
+	lz  upscale.Lanczos2x
 }
 
-// rollRow is one rolling row: pad holds the row's w bytes at pad[1:w+1]
-// between a copy of its first sample and copies of its last.
+// rollRow is one rolling row of a w-pixel image, its lanes w rounded up to
+// a multiple of 16. pad holds the row's bytes at pad[1:w+1] between a copy
+// of its first sample and copies of its last, to the end of the lanes and
+// one byte past. red holds the row's reductions, 64 bytes per 16 pixels:
+// pixels 16k … 16k+15 have their p[x−1] + 2·p[x] + p[x+1] as little-endian
+// uint16 at red[64k : 64k+32], the least of the three at red[64k+32 :
+// 64k+48] and the greatest at red[64k+48 : 64k+64] — one cache line, and
+// one 16-byte load each for the kernel.
 type rollRow struct {
-	pad []uint8
-	t   triples
-}
-
-// triples is one row's horizontal reductions, a word per eight pixels. Of
-// pixels 8k … 8k+7, even[k] holds p[x−1] + 2·p[x] + p[x+1] for the four even
-// x in its 16-bit lanes and odd[k] for the four odd x; lo[k] and hi[k] hold
-// the least and the greatest of the three in byte lane x−8k.
-type triples struct {
-	even, odd, lo, hi []uint64
+	pad, red []uint8
 }
 
 // rows returns the scratch cut for a width of w pixels.
 func (r *sharpenRows) rows(w int) (above, cur, below rollRow) {
-	n := (w + 7) / 8
-	if cap(r.words) < 12*n {
-		// The last word's right-hand neighbours are read at 8(n−1)+2.
-		r.pads, r.words = make([]uint8, 3*(8*n+2)), make([]uint64, 12*n)
+	n := (w + 15) &^ 15
+	if per := 5*n + 2; len(r.buf) < 3*per {
+		r.buf = make([]uint8, 3*per)
 	}
 	row := func(i int) rollRow {
-		b := r.words[4*i*n : 4*(i+1)*n]
-		return rollRow{r.pads[i*(8*n+2) : (i+1)*(8*n+2)], triples{b[:n], b[n : 2*n], b[2*n : 3*n], b[3*n:]}}
+		b := r.buf[i*(5*n+2):]
+		return rollRow{b[: n+2 : n+2], b[n+2 : 5*n+2 : 5*n+2]}
 	}
 	return row(0), row(1), row(2)
 }
@@ -83,11 +91,10 @@ func (r *sharpenRows) rows(w int) (above, cur, below rollRow) {
 // the pool's and its header this run's — or, when lr is set, computes them
 // as the ×2 Lanczos-3 upscale of lr, so that no resampled image exists.
 type sharpenRun struct {
-	up    frame.Image
-	lr    *frame.Image
-	dst   *frame.Image
-	alpha float64
-	fn    func(b0, b1 int, r *sharpenRows)
+	up  frame.Image
+	lr  *frame.Image
+	dst *frame.Image
+	fn  func(b0, b1 int, r *sharpenRows)
 }
 
 // sharpenRuns recycles the runs of finished calls. A mutex-guarded stack
@@ -124,12 +131,12 @@ func putRun(s *sharpenRun) {
 	sharpenRuns.mu.Unlock()
 }
 
-// sharpen writes dst = up + alpha·(up − blur(up)), clamped to the local
-// extrema of up, where up is the run's resampled image, read or computed.
-// dst has up's geometry and shares no memory with its source; either may be
-// a strided view.
-func (s *sharpenRun) sharpen(dst *frame.Image, alpha float64) {
-	s.dst, s.alpha = dst, alpha
+// sharpen writes dst = up + 2·(up − blur(up)), clamped to the local extrema
+// of up, where up is the run's resampled image, read or computed. dst has
+// up's geometry and shares no memory with its source; either may be a
+// strided view.
+func (s *sharpenRun) sharpen(dst *frame.Image) {
+	s.dst = dst
 	parallel.ForWith((dst.H+sharpenBand-1)/sharpenBand, sharpenScratch, s.fn)
 	s.dst = nil
 }
@@ -170,7 +177,7 @@ func (s *sharpenRun) plane(p, y0, y1 int, r *sharpenRows) {
 			o := y * s.up.Stride
 			copy(rr.pad[1:w+1], planeOf(&s.up, p)[o:o+w])
 		}
-		rr.t.fill(rr.pad, w)
+		rr.reduce(w)
 	}
 	if y0 > 0 {
 		take(y0-1, above)
@@ -188,97 +195,73 @@ func (s *sharpenRun) plane(p, y0, y1 int, r *sharpenRows) {
 		} else {
 			b = cur
 		}
-		sharpenRow(dst[y*s.dst.Stride:y*s.dst.Stride+w], cur.pad[1:w+1], a.t, cur.t, b.t, s.alpha)
+		sharpenRow(dst[y*s.dst.Stride:y*s.dst.Stride+w], cur.pad[1:], a.red, cur.red, b.red)
 		above, cur, below = cur, below, above
 	}
 }
 
-const (
-	evenBytes = 0x00FF00FF00FF00FF
-	topBits   = 0x8080808080808080
-)
-
-// fill takes the triples of the w-pixel row at pad[1:w+1]. It first puts a
-// copy of the row's first sample before it and copies of its last after it,
-// so the left and right neighbours of eight samples are the words at one
-// byte less and one more; lanes past the row's end reduce the replicated
-// sample and are not read.
-func (t triples) fill(pad []uint8, w int) {
+// reduce fills rr.red from the w-pixel row at rr.pad[1:w+1]. It first puts
+// a copy of the row's first sample before it and copies of its last after
+// it, so every lane has its three neighbours; lanes past the row's end
+// reduce the replicated sample and are not read.
+func (rr rollRow) reduce(w int) {
+	pad := rr.pad
 	pad[0] = pad[1]
 	tail := pad[1+w:]
 	for i := range tail {
 		tail[i] = pad[w]
 	}
-	even, odd, lo, hi := t.even, t.odd[:len(t.even)], t.lo[:len(t.even)], t.hi[:len(t.even)]
-	for k := range even {
-		l := binary.LittleEndian.Uint64(pad[8*k:])
-		m := binary.LittleEndian.Uint64(pad[8*k+1:])
-		r := binary.LittleEndian.Uint64(pad[8*k+2:])
-		even[k] = l&evenBytes + 2*(m&evenBytes) + r&evenBytes
-		odd[k] = l>>8&evenBytes + 2*(m>>8&evenBytes) + r>>8&evenBytes
-		ge := geMask8(l, m)
-		lo[k], hi[k] = min8(m&ge|l&^ge, r), max8(l&ge|m&^ge, r)
+	if haveSharpenBulk {
+		reduce16(&rr.red[0], &pad[0], len(pad)-2)
+		return
+	}
+	reduceGo(rr.red, pad)
+}
+
+// reduceGo is reduce16's Go twin: the reductions of every lane of pad.
+func reduceGo(red, pad []uint8) {
+	for x := range len(pad) - 2 {
+		l, m, r := pad[x], pad[x+1], pad[x+2]
+		o := x>>4*64 + x&15
+		binary.LittleEndian.PutUint16(red[o+x&15:], uint16(l)+2*uint16(m)+uint16(r))
+		red[o+32], red[o+48] = min(l, m, r), max(l, m, r)
 	}
 }
 
-// geMask8 returns 0xFF in every byte lane where a's byte is at least b's
-// and 0 in the others. With the top bit forced on in a and off in b the
-// lanes subtract without borrowing from each other and the difference's top
-// bit says whether a's low seven bits are at least b's; that decides when
-// the operands' top bits agree, and a's top bit decides when they do not.
-func geMask8(a, b uint64) uint64 {
-	low := (a | topBits) - (b &^ topBits)
-	ge := (a&^b | ^(a^b)&low) & topBits
-	return ge >> 7 * 0xFF
-}
-
-// min8 and max8 are the lane-wise minimum and maximum of eight bytes.
-func min8(a, b uint64) uint64 {
-	ge := geMask8(a, b)
-	return b&ge | a&^ge
-}
-
-func max8(a, b uint64) uint64 {
-	ge := geMask8(a, b)
-	return a&ge | b&^ge
-}
-
-// sharpenRow is the vertical combine and the output expression of one row.
-// The clamp to [lo, hi] also keeps the result inside [0, 255].
-func sharpenRow(dst, src []uint8, a, c, b triples, alpha float64) {
-	n := len(c.even)
-	ae, ce, be := a.even[:n], c.even, b.even[:n]
-	ao, co, bo := a.odd[:n], c.odd[:n], b.odd[:n]
-	al, cl, bl := a.lo[:n], c.lo[:n], b.lo[:n]
-	ah, ch, bh := a.hi[:n], c.hi[:n], b.hi[:n]
-	for k := range ce {
-		even := ae[k] + 2*ce[k] + be[k]
-		odd := ao[k] + 2*co[k] + bo[k]
-		los := min8(min8(al[k], cl[k]), bl[k])
-		his := max8(max8(ah[k], ch[k]), bh[k])
-		if end := 8*k + 8; haveSharpenBulk && end <= len(dst) {
-			sharpen8x(&dst[8*k], &src[8*k], even, odd, los, his, alpha)
-		} else {
-			end = min(end, len(dst))
-			sharpen8(dst[8*k:end], src[8*k:end], even, odd, los, his, alpha)
-		}
+// sharpenRow is the vertical combine and the output of one row: dst from
+// its samples at src[0:len(dst)] and the reductions of the rows above (a),
+// at (c) and below (b). src reaches to the end of the row's lanes.
+func sharpenRow(dst, src, a, c, b []uint8) {
+	if !haveSharpenBulk {
+		sharpenGo(dst, src, a, c, b)
+		return
+	}
+	n := len(dst) &^ 15
+	if n > 0 {
+		sharpen16(&dst[0], &src[0], &a[0], &c[0], &b[0], n)
+	}
+	if n < len(dst) {
+		// The last, partial group: its lanes past the row's end hold the
+		// replicated sample's reductions, so the kernel runs on all sixteen
+		// and only the row's own bytes are kept.
+		var out [16]uint8
+		k := n / 16 * 64
+		sharpen16(&out[0], &src[n], &a[k], &c[k], &b[k], 16)
+		copy(dst[n:], out[:])
 	}
 }
 
-// sharpen8 is the output expression on up to eight pixels whose reductions
-// are in the lanes of the four words. min(max(out, lo), hi) is the two-sided
-// clamp without its branches, which game content takes unpredictably (a
-// third of all samples overshoot): lo ≤ hi, so the two agree on every
-// number, and a NaN (an infinite gain on a flat patch) passes through both.
-func sharpen8(dst, src []uint8, even, odd, los, his uint64, alpha float64) {
+// sharpenGo is sharpen16's Go twin, the output expression per pixel:
+// clamp((24v − blur + 4) >> 3, lo, hi). The clamp also keeps the byte
+// inside [0, 255], since lo and hi are samples.
+func sharpenGo(dst, src, a, c, b []uint8) {
 	src = src[:len(dst)]
-	for j := range dst {
-		// Pixel j's sum is the low lane of even; the next one's is the low
-		// lane of odd, and the one after in even's second lane.
-		blur, lo, hi := even&0xFFFF, los&0xFF, his&0xFF
-		even, odd, los, his = odd, even>>16, los>>8, his>>8
-		v := float64(src[j])
-		out := v + alpha*(v-float64(blur)/16)
-		dst[j] = uint8(min(max(out, float64(lo)), float64(hi)) + 0.5)
+	for x, v := range src {
+		o := x>>4*64 + x&15
+		s := o + x&15
+		blur := int(binary.LittleEndian.Uint16(a[s:])) + 2*int(binary.LittleEndian.Uint16(c[s:])) + int(binary.LittleEndian.Uint16(b[s:]))
+		lo := min(a[o+32], c[o+32], b[o+32])
+		hi := max(a[o+48], c[o+48], b[o+48])
+		dst[x] = uint8(min(max((24*int(v)-blur+4)>>3, int(lo)), int(hi)))
 	}
 }

@@ -1,9 +1,18 @@
 package sr
 
-// haveSharpenBulk: the sharpen's output expression has an SSE2 body here.
-const haveSharpenBulk = true
+// haveSharpenBulk: the sharpen's row reductions and its output have SSE2
+// bodies here. A test switches it off to run the Go twins other GOARCHes
+// run.
+var haveSharpenBulk = true
 
-// sharpen8x is sharpen8 on eight pixels, dst[0:8] from src[0:8].
+// reduce16 is reduceGo over the n lanes of pad, n a positive multiple of
+// 16: red from pad[0 : n+2].
 //
 //go:noescape
-func sharpen8x(dst, src *uint8, even, odd, los, his uint64, alpha float64)
+func reduce16(red, pad *uint8, n int)
+
+// sharpen16 is sharpenGo on n pixels, n a positive multiple of 16: dst[0:n]
+// from src[0:n] and the reductions at a, c and b.
+//
+//go:noescape
+func sharpen16(dst, src, a, c, b *uint8, n int)

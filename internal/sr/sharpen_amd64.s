@@ -1,96 +1,130 @@
 #include "textflag.h"
 
-// The sharpen's output expression on SSE2, eight pixels a call in four
-// float64 lane pairs. Each lane does what sharpen8 does to one pixel: the
-// blur sum times 1/16 (exact, as sharpen8's /16 is), v − that, times α,
-// plus v, then max against lo and min against hi with the operands ordered
-// so that a NaN sum passes through both (MAXPD/MINPD return their second
-// operand on NaN, as Go's max and min return NaN), + 0.5 and CVTTPD2PL's
-// truncation. The results are 0 … 255, or the integer indefinite for a NaN,
-// which the saturating packs turn into 0 — the byte Go's conversion of a NaN
-// leaves on amd64.
+// The sharpen on SSE2, sixteen pixels a loop (see sharpen.go for the layout
+// of a row's reductions and the integer identity). Sums ride in 16-bit
+// lanes, eight to a register; extrema, the clamp and the output in byte
+// lanes, sixteen to a register. Every step is reduceGo's or sharpenGo's
+// integer operation, so the bytes are theirs.
 
-// HALF computes four pixels: B, L, H and V hold their blur sums, lo, hi and
-// source samples as int32 lanes; the four results end in B's low lanes as
-// int32. X8 … X10 are scratch; X11 = 1/16, X12 = α, X13 = 0.5 in both lanes.
-#define HALF(B, L, H, V) \
-	CVTPL2PD V, X8; \
-	CVTPL2PD B, X9; \
-	MULPD X11, X9; \
-	MOVAPD X8, X10; \
-	SUBPD X9, X10; \
-	MULPD X12, X10; \
-	ADDPD X8, X10; \
-	CVTPL2PD L, X9; \
-	MAXPD X10, X9; \
-	CVTPL2PD H, X10; \
-	MINPD X9, X10; \
-	ADDPD X13, X10; \
-	CVTTPD2PL X10, X10; \
-	PSHUFD $0xEE, V, V; \
-	CVTPL2PD V, V; \
-	PSHUFD $0xEE, B, B; \
-	CVTPL2PD B, B; \
-	MULPD X11, B; \
-	MOVAPD V, X8; \
-	SUBPD B, X8; \
-	MULPD X12, X8; \
-	ADDPD V, X8; \
-	PSHUFD $0xEE, L, L; \
-	CVTPL2PD L, L; \
-	MAXPD X8, L; \
-	PSHUFD $0xEE, H, H; \
-	CVTPL2PD H, H; \
-	MINPD L, H; \
-	ADDPD X13, H; \
-	CVTTPD2PL H, H; \
-	PUNPCKLQDQ H, X10; \
-	MOVO X10, B
+// func reduce16(red, pad *uint8, n int)
+TEXT ·reduce16(SB), NOSPLIT, $0-24
+	MOVQ red+0(FP), DI
+	MOVQ pad+8(FP), SI
+	MOVQ n+16(FP), CX
+	PXOR X15, X15
 
-// func sharpen8x(dst, src *uint8, even, odd, los, his uint64, alpha float64)
-TEXT ·sharpen8x(SB), NOSPLIT, $0-56
+reduceLoop:
+	// The left, centre and right neighbours of sixteen pixels.
+	MOVOU 0(SI), X0
+	MOVOU 1(SI), X1
+	MOVOU 2(SI), X2
+
+	MOVO    X0, X3
+	PMINUB  X1, X3
+	PMINUB  X2, X3
+	MOVOU   X3, 32(DI)
+	MOVO    X0, X4
+	PMAXUB  X1, X4
+	PMAXUB  X2, X4
+	MOVOU   X4, 48(DI)
+
+	// l + 2m + r, pixels 0 … 7 and 8 … 15.
+	MOVO      X0, X3
+	PUNPCKLBW X15, X3
+	PUNPCKHBW X15, X0
+	MOVO      X1, X4
+	PUNPCKLBW X15, X4
+	PUNPCKHBW X15, X1
+	MOVO      X2, X5
+	PUNPCKLBW X15, X5
+	PUNPCKHBW X15, X2
+	PADDW     X4, X4
+	PADDW     X4, X3
+	PADDW     X5, X3
+	PADDW     X1, X1
+	PADDW     X1, X0
+	PADDW     X2, X0
+	MOVOU     X3, 0(DI)
+	MOVOU     X0, 16(DI)
+
+	ADDQ $16, SI
+	ADDQ $64, DI
+	SUBQ $16, CX
+	JNZ  reduceLoop
+	RET
+
+// func sharpen16(dst, src, a, c, b *uint8, n int)
+TEXT ·sharpen16(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
-	PXOR X14, X14
+	MOVQ a+16(FP), R8
+	MOVQ c+24(FP), R9
+	MOVQ b+32(FP), R10
+	MOVQ n+40(FP), CX
+	PXOR X15, X15
+	MOVQ $0x0004000400040004, AX // the rounding 4 in every word
+	MOVQ AX, X14
+	PUNPCKLQDQ X14, X14
 
-	// Blur sums: even pixels in even's 16-bit lanes, odd ones in odd's.
-	MOVQ even+16(FP), X0
-	MOVQ odd+24(FP), X8
-	PUNPCKLWL X8, X0
-	MOVO X0, X1
-	PUNPCKLWL X14, X0
-	PUNPCKHWL X14, X1
+sharpenLoop:
+	// lo and hi: the extrema of the three rows' extrema.
+	MOVOU  32(R8), X0
+	MOVOU  32(R9), X1
+	PMINUB X1, X0
+	MOVOU  32(R10), X1
+	PMINUB X1, X0
+	MOVOU  48(R8), X1
+	MOVOU  48(R9), X2
+	PMAXUB X2, X1
+	MOVOU  48(R10), X2
+	PMAXUB X2, X1
 
-	MOVQ los+32(FP), X2
-	PUNPCKLBW X14, X2
-	MOVO X2, X3
-	PUNPCKLWL X14, X2
-	PUNPCKHWL X14, X3
+	// blur = a + 2c + b, pixels 0 … 7 in X2 and 8 … 15 in X3.
+	MOVOU 0(R9), X2
+	PADDW X2, X2
+	MOVOU 0(R8), X4
+	PADDW X4, X2
+	MOVOU 0(R10), X4
+	PADDW X4, X2
+	MOVOU 16(R9), X3
+	PADDW X3, X3
+	MOVOU 16(R8), X4
+	PADDW X4, X3
+	MOVOU 16(R10), X4
+	PADDW X4, X3
 
-	MOVQ his+40(FP), X4
-	PUNPCKLBW X14, X4
-	MOVO X4, X5
-	PUNPCKLWL X14, X4
-	PUNPCKHWL X14, X5
+	// (24v − blur + 4) >> 3 in signed words.
+	MOVOU     0(SI), X4
+	MOVO      X4, X5
+	PUNPCKLBW X15, X4
+	PUNPCKHBW X15, X5
+	PSLLW     $3, X4
+	MOVO      X4, X6
+	PADDW     X4, X4
+	PADDW     X6, X4
+	PSLLW     $3, X5
+	MOVO      X5, X6
+	PADDW     X5, X5
+	PADDW     X6, X5
+	PADDW     X14, X4
+	PSUBW     X2, X4
+	PSRAW     $3, X4
+	PADDW     X14, X5
+	PSUBW     X3, X5
+	PSRAW     $3, X5
 
-	MOVQ 0(SI), X6
-	PUNPCKLBW X14, X6
-	MOVO X6, X7
-	PUNPCKLWL X14, X6
-	PUNPCKHWL X14, X7
+	// Saturate to bytes, then clamp to [lo, hi]: lo and hi are bytes, so
+	// the saturation changes no clamped value.
+	PACKUSWB X5, X4
+	PMAXUB   X0, X4
+	PMINUB   X1, X4
+	MOVOU    X4, 0(DI)
 
-	MOVQ $0x3FB0000000000000, AX // 1/16
-	MOVQ AX, X11
-	PUNPCKLQDQ X11, X11
-	MOVSD alpha+48(FP), X12
-	UNPCKLPD X12, X12
-	MOVQ $0x3FE0000000000000, AX // 0.5
-	MOVQ AX, X13
-	PUNPCKLQDQ X13, X13
-
-	HALF(X0, X2, X4, X6)
-	HALF(X1, X3, X5, X7)
-	PACKSSLW X1, X0
-	PACKUSWB X0, X0
-	MOVQ X0, 0(DI)
+	ADDQ $16, SI
+	ADDQ $16, DI
+	ADDQ $64, R8
+	ADDQ $64, R9
+	ADDQ $64, R10
+	SUBQ $16, CX
+	JNZ  sharpenLoop
 	RET

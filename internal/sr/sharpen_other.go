@@ -2,8 +2,9 @@
 
 package sr
 
-// haveSharpenBulk: no vector body on this GOARCH; sharpenRow never calls the
-// stub below and runs sharpen8 on every word.
-const haveSharpenBulk = false
+// haveSharpenBulk: no vector bodies on this GOARCH; the wrappers never call
+// the stubs below and run the Go twins on every pixel.
+var haveSharpenBulk = false
 
-func sharpen8x(dst, src *uint8, even, odd, los, his uint64, alpha float64) {}
+func reduce16(red, pad *uint8, n int)           {}
+func sharpen16(dst, src, a, c, b *uint8, n int) {}

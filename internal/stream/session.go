@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -489,9 +490,12 @@ func (cs ClockSync) ServerTime(unixMicro int64) time.Time {
 // Client is the Moonlight-analogue session endpoint. Its write methods
 // (SendInput, SendStats, Bye) are safe to call from different goroutines —
 // a shutdown path sending Bye must not interleave bytes with a stats
-// report in flight.
+// report in flight. Handshake and RecvFrame read through one buffer over
+// the connection, so a message's type byte and length varint cost no read
+// of their own.
 type Client struct {
 	conn    io.ReadWriter
+	r       *bufio.Reader
 	writeMu sync.Mutex
 	cfg     Accept
 	sync    ClockSync
@@ -502,7 +506,9 @@ type Client struct {
 }
 
 // NewClient wraps an established connection.
-func NewClient(conn io.ReadWriter) *Client { return &Client{conn: conn} }
+func NewClient(conn io.ReadWriter) *Client {
+	return &Client{conn: conn, r: bufio.NewReader(conn)}
+}
 
 // Handshake sends the Hello (the device's capability probe result) and
 // returns the server's stream geometry. It also performs the clock
@@ -530,7 +536,7 @@ func (c *Client) Handshake(h Hello) (Accept, error) {
 // geometry. sendUS is the client-clock send time of the Hello; with the
 // server's clock pair it completes the Cristian offset + RTT estimate.
 func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
-	msg, err := ReadMsg(c.conn)
+	msg, err := ReadMsg(c.r)
 	t3 := time.Now()
 	if err != nil {
 		return Accept{}, fmt.Errorf("stream: reading accept: %w", err)
@@ -578,7 +584,7 @@ func (c *Client) Clock() ClockSync { return c.sync }
 // sample they carry updates PingRTT and the read continues.
 func (c *Client) RecvFrame() (FramePacket, error) {
 	for {
-		msg, err := ReadMsg(c.conn)
+		msg, err := ReadMsg(c.r)
 		if err != nil {
 			return FramePacket{}, err
 		}

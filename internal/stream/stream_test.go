@@ -492,3 +492,41 @@ func TestServeMatchesMultiServer(t *testing.T) {
 		t.Error("old version: Serve returned nil")
 	}
 }
+
+// readCounter counts the Read calls made on its reader.
+type readCounter struct {
+	io.ReadWriter
+	reads int
+}
+
+func (r *readCounter) Read(p []byte) (int, error) {
+	r.reads++
+	return r.ReadWriter.Read(p)
+}
+
+// TestRecvFrameReadCalls: the client reads through one buffer, so a frame
+// message costs one read of the connection when it fits the buffer and two
+// when it does not — not one for the type byte, one per length-varint byte
+// and one for the body. A connection that hands over every byte asked for
+// makes the count exact.
+func TestRecvFrameReadCalls(t *testing.T) {
+	for _, c := range []struct {
+		payload, reads int
+	}{{0, 1}, {100, 1}, {3000, 1}, {20000, 2}} {
+		var wire bytes.Buffer
+		if err := WriteFrame(&wire, FramePacket{Index: 7, Payload: bytes.Repeat([]byte{0xA5}, c.payload)}); err != nil {
+			t.Fatal(err)
+		}
+		conn := &readCounter{ReadWriter: struct {
+			io.Reader
+			io.Writer
+		}{&wire, io.Discard}}
+		f, err := NewClient(conn).RecvFrame()
+		if err != nil || f.Index != 7 || len(f.Payload) != c.payload {
+			t.Fatalf("payload %d B: frame %d with %d B, err %v", c.payload, f.Index, len(f.Payload), err)
+		}
+		if conn.reads != c.reads {
+			t.Errorf("payload %d B: RecvFrame made %d reads, want %d", c.payload, conn.reads, c.reads)
+		}
+	}
+}
