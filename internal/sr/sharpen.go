@@ -75,12 +75,13 @@ type rollRow struct {
 // rows returns the scratch cut for a width of w pixels.
 func (r *sharpenRows) rows(w int) (above, cur, below rollRow) {
 	n := (w + 15) &^ 15
-	if per := 5*n + 2; len(r.buf) < 3*per {
+	per := 5*n + 2
+	if len(r.buf) < 3*per {
 		r.buf = make([]uint8, 3*per)
 	}
 	row := func(i int) rollRow {
-		b := r.buf[i*(5*n+2):]
-		return rollRow{b[: n+2 : n+2], b[n+2 : 5*n+2 : 5*n+2]}
+		b := r.buf[i*per:]
+		return rollRow{b[: n+2 : n+2], b[n+2 : per : per]}
 	}
 	return row(0), row(1), row(2)
 }
