@@ -211,7 +211,7 @@ func BenchmarkAblationCodecQuantizer(b *testing.B) {
 // SR engine comparison on the RoI-sized patch.
 func BenchmarkAblationSREngines(b *testing.B) {
 	g, _ := games.ByID("G3")
-	patch := g.Render(&render.Renderer{}, 30, 320, 180).Color.MustSubImage(124, 72, 72, 72).Compact()
+	patch := mustSub(g.Render(&render.Renderer{}, 30, 320, 180).Color, 124, 72, 72, 72).Compact()
 	engines := []sr.Engine{
 		sr.BilinearEngine{},
 		sr.NewFast(sr.FastConfig{}),

@@ -18,6 +18,15 @@ import (
 	"gamestreamsr/internal/upscale"
 )
 
+// mustSub is SubImage for a rectangle inside im.
+func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
+	s, err := im.SubImage(x, y, w, h)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // benchFrame builds one coded 320×180 frame with a 64×64 RoI — the demo
 // stream's shape.
 func benchFrame(b testing.TB) ([]byte, frame.Rect) {
@@ -148,7 +157,7 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 			t.Fatal(err)
 		}
 		if r := roi.Clamp(w, h); !r.Empty() {
-			hr, err := engine.Upscale(df.Image.MustSubImage(r.X, r.Y, r.W, r.H).Compact(), scale)
+			hr, err := engine.Upscale(mustSub(df.Image, r.X, r.Y, r.W, r.H).Compact(), scale)
 			if err != nil {
 				t.Fatal(err)
 			}

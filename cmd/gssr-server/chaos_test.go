@@ -1,16 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"gamestreamsr/internal/faultnet"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/stream"
 )
 
@@ -174,7 +177,7 @@ func runChaos(t testing.TB, nDrops, nFrames, gop, size int, pace time.Duration, 
 		run.redials = append(run.redials, next)
 		run.reconnectTTFF = append(run.reconnectTTFF, next.ttff)
 	}
-	run.latencies = srv.SessionLatencies()
+	run.latencies = sessionLatencies(t, srv)
 	return run
 }
 
@@ -202,14 +205,44 @@ func checkChaos(t *testing.T, run chaosRun, nFrames int) {
 	// Every session is filed under the first connection's identity, one
 	// recorder each, in dial order.
 	if len(run.latencies) != len(run.redials)+1 {
-		t.Errorf("SessionLatencies holds %d sessions, want %d: %v", len(run.latencies), len(run.redials)+1, keys(run.latencies))
+		t.Errorf("the flight payload holds %d sessions, want %d: %v", len(run.latencies), len(run.redials)+1, keys(run.latencies))
 	}
 	for k := 0; k <= len(run.redials); k++ {
 		key := fmt.Sprintf("%s#%d", run.first.identity, k)
 		if len(run.latencies[key]) == 0 {
-			t.Errorf("SessionLatencies has no window for %s: %v", key, keys(run.latencies))
+			t.Errorf("the flight payload has no window for %s: %v", key, keys(run.latencies))
 		}
 	}
+}
+
+// sessionLatencies returns every retained session's delivered-frame
+// latencies keyed "identity#k" (k numbers successive sessions under one
+// identity, in admission order), read through the server's /debug/flight
+// payload.
+func sessionLatencies(t testing.TB, srv *stream.MultiServer) map[string][]time.Duration {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := srv.WriteFlight(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dumps, err := frametrace.ParseChromeTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]time.Duration, len(dumps))
+	seen := map[string]int{}
+	for _, d := range dumps {
+		id := strings.TrimSuffix(d.Name, " (closed)")
+		var lat []time.Duration
+		for _, f := range d.Dump.Frames {
+			if f.ID != 0 && !f.Frozen && f.Latency > 0 {
+				lat = append(lat, f.Latency)
+			}
+		}
+		out[fmt.Sprintf("%s#%d", id, seen[id])] = lat
+		seen[id]++
+	}
+	return out
 }
 
 func keys(m map[string][]time.Duration) []string {

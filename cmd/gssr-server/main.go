@@ -40,15 +40,22 @@
 // descends one rung after -shed-recover on-budget frames. With -diag DIR,
 // a sustained miss streak, a shed escalation, an admission reject or a
 // reaped session freezes a capture bundle into DIR (DESIGN.md §16).
+//
+// SIGINT or SIGTERM shuts the server down: it stops accepting, closes
+// every session's connection, waits up to two seconds for the sessions to
+// drain, closes the diagnostics and exits 0.
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
 	"net"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"gamestreamsr/internal/bufpool"
@@ -72,11 +79,16 @@ func main() {
 	if err != nil {
 		os.Exit(2) // the flag set has printed the error and the usage
 	}
-	if err := run(cfg); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, cfg); err != nil {
 		slog.Error("gssr-server exiting", "err", err)
 		os.Exit(1)
 	}
 }
+
+// shutdownBound is how long a shutdown waits for the sessions to drain.
+const shutdownBound = 2 * time.Second
 
 // parseFlags reads the command line into a serverConfig. A frame count the
 // session loop cannot work with is refused here: a negative -frames would
@@ -133,7 +145,9 @@ type serverConfig struct {
 	diagDir                 string
 }
 
-func run(cfg serverConfig) error {
+// run serves until ctx ends, then shuts the server down within
+// shutdownBound.
+func run(ctx context.Context, cfg serverConfig) error {
 	addr, gameID := cfg.addr, cfg.gameID
 	frames, width, height := cfg.frames, cfg.width, cfg.height
 	gop, qstep, metricsAddr := cfg.gop, cfg.qstep, cfg.metricsAddr
@@ -223,5 +237,21 @@ func run(cfg serverConfig) error {
 			return err
 		}
 	}
-	return srv.Serve(l)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	slog.Info("shutting down")
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownBound)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		return err
+	}
+	if err := <-served; !errors.Is(err, stream.ErrServerClosed) {
+		return err
+	}
+	return nil
 }

@@ -20,6 +20,16 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
+// gaugeOf returns the named gauge's value in s (0 when absent).
+func gaugeOf(s telemetry.Snapshot, name string) int64 {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	return 0
+}
+
 // The saturation harness (BENCH_scale.json): a MultiServer over real TCP,
 // fed by synthetic sessions whose per-frame cost is a calibrated CPU spin
 // routed through the session's scheduler client. Offered load is expressed
@@ -136,7 +146,6 @@ func runSaturation(t testing.TB, cfg satConfig, iterPerMs int) satResult {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	sched := parallel.NewScheduler(0)
-	defer sched.Close()
 	srv := &stream.MultiServer{
 		Accept:       stream.Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		MaxSessions:  cfg.sessions,
@@ -182,7 +191,7 @@ func runSaturation(t testing.TB, cfg satConfig, iterPerMs int) satResult {
 			case <-stopSample:
 				return
 			case <-tick.C:
-				if v := reg.Snapshot().Gauge("stream_shed_level_max"); v > maxShedSeen {
+				if v := gaugeOf(reg.Snapshot(), "stream_shed_level_max"); v > maxShedSeen {
 					maxShedSeen = v
 				}
 			}
@@ -232,7 +241,7 @@ func runSaturation(t testing.TB, cfg satConfig, iterPerMs int) satResult {
 	// Pool every admitted session's final latency window: the criterion is
 	// about the frames admitted sessions actually delivered at steady state.
 	var lats []time.Duration
-	for _, w := range srv.SessionLatencies() {
+	for _, w := range sessionLatencies(t, srv) {
 		lats = append(lats, w...)
 	}
 	res.latencies = len(lats)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -46,7 +48,6 @@ func TestNextFrameMatchesSerialComposition(t *testing.T) {
 	}
 	cc := codec.Config{Width: w, Height: h, GOPSize: gop, QStep: q}
 	sched := parallel.NewScheduler(2)
-	defer sched.Close()
 	for _, withClient := range []bool{false, true} {
 		for _, level := range []int{stream.ShedNone, stream.ShedRoIShrink, stream.ShedBilinearOnly, stream.ShedDemoted} {
 			t.Run(fmt.Sprintf("client=%v/shed=%d", withClient, level), func(t *testing.T) {
@@ -111,7 +112,7 @@ func TestRunRejectsUndecodableConfig(t *testing.T) {
 		{addr: "127.0.0.1:0", gameID: "G3", frames: 1, width: 320, height: 180, gop: 12, qstep: 300},
 		{addr: "127.0.0.1:0", gameID: "G3", frames: 1, width: 9000, height: 180, gop: 12, qstep: 6},
 	} {
-		err := run(cfg)
+		err := run(context.Background(), cfg)
 		if err == nil || !strings.Contains(err.Error(), "codec:") {
 			t.Errorf("run(%dx%d q=%d) = %v, want a codec configuration error", cfg.width, cfg.height, cfg.qstep, err)
 		}
@@ -142,17 +143,15 @@ func TestFramesMustNotBeNegative(t *testing.T) {
 	}
 }
 
-// TestBenchContract pins the two log lines bench/run.go reads from a
-// gssr-server run (the client's half is in cmd/gssr-client): the first line
-// carrying addr=, from which it learns where `-addr 127.0.0.1:0` landed, and
-// the `hello` line's roi_window= field. run() serves until the process ends,
-// so the test leaves its listener behind.
-func TestBenchContract(t *testing.T) {
-	var logged uint64 // the ring is the process's: look only at what this run adds
+// logWatch returns a function that waits up to ten seconds for a line the
+// process logs after this call containing substr, and returns it.
+func logWatch(t *testing.T) func(substr string) string {
+	var logged uint64 // the ring is the process's: look only at what is added
 	if old := logx.Default().Recent(1); len(old) > 0 {
 		logged = old[0].Seq
 	}
-	awaitLine := func(substr string) string {
+	return func(substr string) string {
+		t.Helper()
 		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 			for _, e := range logx.Default().Recent(0) {
 				if e.Seq > logged && strings.Contains(e.Line, substr) {
@@ -163,12 +162,30 @@ func TestBenchContract(t *testing.T) {
 		t.Fatalf("gssr-server logged no line with %q", substr)
 		return ""
 	}
-	go run(serverConfig{addr: "127.0.0.1:0", gameID: "G3", frames: 6, width: 64, height: 36, gop: 3, qstep: 6})
+}
+
+// startRun starts run(ctx, cfg) and dials the address it logs.
+func startRun(t *testing.T, ctx context.Context, cfg serverConfig, awaitLine func(string) string) (net.Conn, chan error) {
+	t.Helper()
+	ran := make(chan error, 1)
+	go func() { ran <- run(ctx, cfg) }()
 	m := regexp.MustCompile(`\baddr=(\S+)`).FindStringSubmatch(awaitLine("addr="))
 	conn, err := net.Dial("tcp", m[1])
 	if err != nil {
 		t.Fatalf("the addr= field is not the listening address: %v", err)
 	}
+	return conn, ran
+}
+
+// TestBenchContract pins the two log lines bench/run.go reads from a
+// gssr-server run (the client's half is in cmd/gssr-client): the first line
+// carrying addr=, from which it learns where `-addr 127.0.0.1:0` landed, and
+// the `hello` line's roi_window= field.
+func TestBenchContract(t *testing.T) {
+	awaitLine := logWatch(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	conn, _ := startRun(t, ctx, serverConfig{addr: "127.0.0.1:0", gameID: "G3", frames: 6, width: 64, height: 36, gop: 3, qstep: 6}, awaitLine)
 	defer conn.Close()
 	c := stream.NewClient(conn)
 	if _, err := c.Handshake(stream.Hello{Device: "contract", RoIWindow: 16, Scale: 2}); err != nil {
@@ -186,5 +203,45 @@ func TestBenchContract(t *testing.T) {
 	}
 	if hello := awaitLine("roi_window="); !strings.Contains(hello, "hello ") || !strings.Contains(hello, "roi_window=16") {
 		t.Fatalf("hello line %q, want roi_window=16", hello)
+	}
+}
+
+// TestRunShutsDownOnCancel: the end of run's context (SIGINT or SIGTERM in
+// main) during a live session shuts the server down — run returns nil
+// within shutdownBound and the client's connection ends.
+func TestRunShutsDownOnCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	conn, ran := startRun(t, ctx, serverConfig{addr: "127.0.0.1:0", gameID: "G3", frames: 0, width: 64, height: 36, gop: 3, qstep: 6}, logWatch(t))
+	defer conn.Close()
+	c := stream.NewClient(conn)
+	if _, err := c.Handshake(stream.Hello{Device: "shutdown", RoIWindow: 16, Scale: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RecvFrame(); err != nil {
+		t.Fatalf("no frame before the shutdown: %v", err)
+	}
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-ran:
+		if err != nil {
+			t.Fatalf("run = %v, want nil after a shutdown", err)
+		}
+		t.Logf("run returned %v after the cancel", time.Since(start))
+	case <-time.After(shutdownBound + time.Second):
+		t.Fatalf("run still serving %v after the cancel", shutdownBound+time.Second)
+	}
+	conn.SetReadDeadline(time.Now().Add(shutdownBound))
+	for {
+		_, err := c.RecvFrame()
+		if err == nil {
+			continue
+		}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("the client's connection is still open after the shutdown")
+		}
+		break
 	}
 }

@@ -56,8 +56,8 @@ func ExampleMergeRoI() {
 	roi := gssr.Rect{X: 60, Y: 30, W: 40, H: 40}
 
 	base, _ := gssr.Resize(lr.Color, 320, 180, gssr.Bilinear)
-	patch := lr.Color.MustSubImage(roi.X, roi.Y, roi.W, roi.H).Compact()
-	hr, _ := gssr.NewFastSR().Upscale(patch, 2)
+	patch, _ := lr.Color.SubImage(roi.X, roi.Y, roi.W, roi.H)
+	hr, _ := gssr.NewFastSR().Upscale(patch.Compact(), 2)
 	err := gssr.MergeRoI(base, hr, roi, 2)
 	fmt.Println("merged:", err == nil, "frame:", base.W, "x", base.H)
 	// Output:

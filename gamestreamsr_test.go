@@ -8,6 +8,15 @@ import (
 	gssr "gamestreamsr"
 )
 
+// mustSub is SubImage for a rectangle inside im.
+func mustSub(im *gssr.Image, x, y, w, h int) *gssr.Image {
+	s, err := im.SubImage(x, y, w, h)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // The facade integration test: a downstream user's happy path.
 func TestPublicAPISession(t *testing.T) {
 	g, err := gssr.GameByID("G1")
@@ -99,7 +108,7 @@ func TestPublicAPIRoIDetection(t *testing.T) {
 		t.Errorf("RoI %v out of bounds", rect)
 	}
 	// Merge path: upscale RoI and composite.
-	roiImg := out.Color.MustSubImage(rect.X, rect.Y, rect.W, rect.H).Compact()
+	roiImg := mustSub(out.Color, rect.X, rect.Y, rect.W, rect.H).Compact()
 	hr, err := gssr.NewFastSR().Upscale(roiImg, 2)
 	if err != nil {
 		t.Fatal(err)

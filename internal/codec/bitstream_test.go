@@ -250,13 +250,13 @@ func TestDecodeHostileFraming(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				held, prev := reg.Snapshot().Gauge("t_bufpool_bytes_in_flight"), fast.prev
+				held, prev := gaugeOf(reg.Snapshot(), "t_bufpool_bytes_in_flight"), fast.prev
 				err := sameDecode(t, fast, ref, bad.data)
 				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), bad.want) {
 					t.Errorf("%v frame, %s: err = %v, want ErrCorrupt with %q", FrameType(stream[target][2]), bad.name, err, bad.want)
 					continue
 				}
-				if now := reg.Snapshot().Gauge("t_bufpool_bytes_in_flight"); now != held || fast.prev != prev {
+				if now := gaugeOf(reg.Snapshot(), "t_bufpool_bytes_in_flight"); now != held || fast.prev != prev {
 					t.Errorf("%s: %d pool bytes in flight after the refusal, %d before; reference kept: %v", bad.name, now, held, fast.prev == prev)
 				}
 				for _, data := range stream[target:] {

@@ -228,9 +228,6 @@ func NewEncoder(cfg Config) (*Encoder, error) {
 	return &Encoder{cfg: cfg, bands: parallel.NewScratch(func() []int32 { return make([]int32, n) })}, nil
 }
 
-// Config returns the encoder's effective configuration.
-func (e *Encoder) Config() Config { return e.cfg }
-
 // SetPool makes the encoder draw its per-frame reconstruction frames from p
 // (nil reverts to plain allocation). The pool must outlive the encoder's use
 // of it.

@@ -12,6 +12,22 @@ import (
 	"gamestreamsr/internal/render"
 )
 
+// luma returns im's Rec.601 luma plane.
+func luma(im *frame.Image) []float64 {
+	out := make([]float64, im.W*im.H)
+	im.LumaRowsInto(out, 0, im.H)
+	return out
+}
+
+// mustSub is SubImage for a rectangle inside im.
+func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
+	s, err := im.SubImage(x, y, w, h)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func gameFrames(t testing.TB, id string, start, count, w, h int) []*frame.Image {
 	t.Helper()
 	wl, err := games.ByID(id)
@@ -31,7 +47,7 @@ func psnrOf(t testing.TB, a, b *frame.Image) float64 {
 	if a.W != b.W || a.H != b.H {
 		t.Fatal("size mismatch")
 	}
-	la, lb := a.Luma(), b.Luma()
+	la, lb := luma(a), luma(b)
 	var sum float64
 	for i := range la {
 		d := la[i] - lb[i]
@@ -180,7 +196,7 @@ func TestMotionSearchTracksTranslation(t *testing.T) {
 		base.R[i], base.G[i], base.B[i] = v, v, v
 	}
 	crop := func(dx, dy int) *frame.Image {
-		return base.MustSubImage(dx, dy, w, h).Clone()
+		return mustSub(base, dx, dy, w, h).Clone()
 	}
 	enc, _ := NewEncoder(Config{Width: w, Height: h, QStep: 4, SearchRange: 8})
 	if _, _, err := enc.Encode(crop(4, 4)); err != nil {
@@ -411,7 +427,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := enc.Config()
+	cfg := enc.cfg
 	if cfg.GOPSize != 60 || cfg.BlockSize != 16 || cfg.QStep != 6 {
 		t.Errorf("defaults = %+v", cfg)
 	}

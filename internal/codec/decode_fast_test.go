@@ -16,6 +16,26 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
+// counterOf returns the named counter's value in s (0 when absent).
+func counterOf(s telemetry.Snapshot, name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// gaugeOf returns the named gauge's value in s (0 when absent).
+func gaugeOf(s telemetry.Snapshot, name string) int64 {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	return 0
+}
+
 // referenceDecoder returns a decoder pinned to the clamped per-pixel loops.
 func referenceDecoder() *Decoder {
 	d := NewDecoder()
@@ -214,9 +234,9 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	// by the previous Recycle, goes back: one buffer each way, the same bytes.
 	counts := func() (drawn, returned, inFlight int64) {
 		s := reg.Snapshot()
-		return s.Counter("t_bufpool_hits_total") + s.Counter("t_bufpool_misses_total"),
-			s.Counter("t_bufpool_returns_total") + s.Counter("t_bufpool_discards_total"),
-			s.Gauge("t_bufpool_bytes_in_flight")
+		return counterOf(s, "t_bufpool_hits_total") + counterOf(s, "t_bufpool_misses_total"),
+			counterOf(s, "t_bufpool_returns_total") + counterOf(s, "t_bufpool_discards_total"),
+			gaugeOf(s, "t_bufpool_bytes_in_flight")
 	}
 	d0, r0, b0 := counts()
 	df, err := dec.Decode(inter)

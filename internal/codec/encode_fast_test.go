@@ -188,7 +188,7 @@ func TestConfigBoundsMatchDecoder(t *testing.T) {
 			t.Errorf("%s at the bound: NewEncoder: %v", c.name, err)
 			continue
 		}
-		if _, _, err := parseHeader(appendHeader(nil, Intra, enc.Config())); err != nil {
+		if _, _, err := parseHeader(appendHeader(nil, Intra, enc.cfg)); err != nil {
 			t.Errorf("%s at the bound: decoder rejects the encoder's header: %v", c.name, err)
 		}
 		if _, err := NewEncoder(c.over); err == nil {

@@ -54,15 +54,6 @@ func (r Rail) String() string {
 	return railNames[r]
 }
 
-// Rails lists every rail in order.
-func Rails() []Rail {
-	out := make([]Rail, railCount)
-	for i := range out {
-		out[i] = Rail(i)
-	}
-	return out
-}
-
 // Profile is a calibrated mobile client.
 type Profile struct {
 	// Name of the device.
@@ -369,23 +360,6 @@ func (m *EnergyMeter) AddNetworkBytes(n int) {
 	m.joules[RailNetwork] += m.profile.NetworkJPerMB * float64(n) / 1e6
 }
 
-// Joules returns the accumulated energy of one rail.
-func (m *EnergyMeter) Joules(r Rail) float64 {
-	if r < 0 || r >= railCount {
-		return 0
-	}
-	return m.joules[r]
-}
-
-// Total returns the total accumulated energy.
-func (m *EnergyMeter) Total() float64 {
-	t := 0.0
-	for _, j := range m.joules {
-		t += j
-	}
-	return t
-}
-
 // NonZero returns the per-rail energy in joules with zero rails omitted —
 // the form FrameResult.Energy records.
 func (m *EnergyMeter) NonZero() map[Rail]float64 {
@@ -393,21 +367,6 @@ func (m *EnergyMeter) NonZero() map[Rail]float64 {
 	for r := Rail(0); r < railCount; r++ {
 		if j := m.joules[r]; j != 0 {
 			out[r] = j
-		}
-	}
-	return out
-}
-
-// Breakdown returns the per-rail energy shares (summing to 1 when total is
-// non-zero) — the quantity of the paper's Fig. 12.
-func (m *EnergyMeter) Breakdown() map[Rail]float64 {
-	out := make(map[Rail]float64, railCount)
-	total := m.Total()
-	for r := Rail(0); r < railCount; r++ {
-		if total > 0 {
-			out[r] = m.joules[r] / total
-		} else {
-			out[r] = 0
 		}
 	}
 	return out

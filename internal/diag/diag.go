@@ -301,14 +301,6 @@ func (d *Diag) Latest() *Bundle {
 	return d.bundles[len(d.bundles)-1]
 }
 
-// BundleCount returns how many bundles have been captured in total.
-func (d *Diag) BundleCount() int64 {
-	if d == nil {
-		return 0
-	}
-	return d.seq.Load()
-}
-
 // Handler serves bundles:
 //
 //	GET /debug/diag            newest bundle as JSON (404 when none)

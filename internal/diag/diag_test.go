@@ -17,6 +17,26 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
+// counterOf returns the named counter's value in s (0 when absent).
+func counterOf(s telemetry.Snapshot, name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// gaugeOf returns the named gauge's value in s (0 when absent).
+func gaugeOf(s telemetry.Snapshot, name string) int64 {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	return 0
+}
+
 // TestMain logs as the binaries do: through slog's default, onto
 // logx.Default()'s ring, where the endpoint tests look for their lines.
 func TestMain(m *testing.M) {
@@ -50,8 +70,7 @@ func TestSamplerRings(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			captures, skips := s.Stats()
-			t.Fatalf("no profile captured in 5s (captures %d, skips %d)", captures, skips)
+			t.Fatal("no profile captured in 5s")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -102,7 +121,7 @@ func TestTriggerHysteresis(t *testing.T) {
 			t.Fatal("trigger inside cooldown captured a bundle")
 		}
 	}
-	if got := d.BundleCount(); got != 1 {
+	if got := d.seq.Load(); got != 1 {
 		t.Fatalf("bundle count = %d, want 1", got)
 	}
 	b := d.Latest()
@@ -149,10 +168,10 @@ func TestTriggerHysteresis(t *testing.T) {
 		}
 	}
 	s := reg.Snapshot()
-	if got := s.Counter("diag_bundles_total"); got != 1 {
+	if got := counterOf(s, "diag_bundles_total"); got != 1 {
 		t.Errorf("diag_bundles_total = %d, want 1", got)
 	}
-	if got := s.Counter("diag_triggers_suppressed_total"); got != 5 {
+	if got := counterOf(s, "diag_triggers_suppressed_total"); got != 5 {
 		t.Errorf("diag_triggers_suppressed_total = %d, want 5", got)
 	}
 }
@@ -170,7 +189,7 @@ func TestTriggerCooldownExpires(t *testing.T) {
 	if !d.Trigger("three") {
 		t.Fatal("trigger after cooldown suppressed")
 	}
-	if got := d.BundleCount(); got != 2 {
+	if got := d.seq.Load(); got != 2 {
 		t.Errorf("bundle count = %d, want 2", got)
 	}
 }
@@ -182,7 +201,7 @@ func TestNilDiagIsInert(t *testing.T) {
 	if d.Trigger("x") {
 		t.Error("nil diag captured")
 	}
-	if d.Latest() != nil || d.BundleCount() != 0 {
+	if d.Latest() != nil {
 		t.Error("nil diag not inert")
 	}
 	rr := httptest.NewRecorder()
@@ -216,11 +235,11 @@ func TestHandler(t *testing.T) {
 	}
 	// Cooldown holds for plain triggers; force=1 bypasses it.
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/diag?trigger=1", nil))
-	if got := d.BundleCount(); got != 1 {
+	if got := d.seq.Load(); got != 1 {
 		t.Fatalf("plain trigger bypassed cooldown: %d bundles", got)
 	}
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/diag?trigger=1&force=1", nil))
-	if got := d.BundleCount(); got != 2 {
+	if got := d.seq.Load(); got != 2 {
 		t.Errorf("forced trigger did not capture: %d bundles", got)
 	}
 }
@@ -231,10 +250,10 @@ func TestRegisterBuildInfo(t *testing.T) {
 	RegisterBuildInfo(reg) // idempotent
 	RegisterBuildInfo(nil) // nil-safe
 	s := reg.Snapshot()
-	if got := s.Gauge("gssr_build_info"); got != 1 {
+	if got := gaugeOf(s, "gssr_build_info"); got != 1 {
 		t.Errorf("gssr_build_info = %d, want 1", got)
 	}
-	if got := s.Gauge("gssr_build_gomaxprocs"); got <= 0 {
+	if got := gaugeOf(s, "gssr_build_gomaxprocs"); got <= 0 {
 		t.Errorf("gssr_build_gomaxprocs = %d, want > 0", got)
 	}
 	goInfo := false

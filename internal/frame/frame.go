@@ -57,21 +57,11 @@ func NewImagePacked(w, h int) *Image {
 	}
 }
 
-// At returns the RGB triple at (x, y). It panics if out of bounds, mirroring
-// slice indexing semantics.
-func (im *Image) At(x, y int) (r, g, b uint8) {
-	i := y*im.Stride + x
-	return im.R[i], im.G[i], im.B[i]
-}
-
 // Set writes the RGB triple at (x, y).
 func (im *Image) Set(x, y int, r, g, b uint8) {
 	i := y*im.Stride + x
 	im.R[i], im.G[i], im.B[i] = r, g, b
 }
-
-// Index returns the plane index for (x, y).
-func (im *Image) Index(x, y int) int { return y*im.Stride + x }
 
 // SubImage returns a view of the rectangle [x, x+w) × [y, y+h) that shares
 // storage with im. Mutations through the view are visible in the parent.
@@ -90,15 +80,6 @@ func (im *Image) SubImage(x, y, w, h int) (*Image, error) {
 		G: im.G[off:end],
 		B: im.B[off:end],
 	}, nil
-}
-
-// MustSubImage is SubImage for rectangles the caller has already validated.
-func (im *Image) MustSubImage(x, y, w, h int) *Image {
-	s, err := im.SubImage(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Clone returns a deep copy of im with a compact stride.
@@ -123,16 +104,6 @@ func (im *Image) CopyFrom(src *Image) {
 	}
 }
 
-// Fill sets every pixel to the given color.
-func (im *Image) Fill(r, g, b uint8) {
-	for y := 0; y < im.H; y++ {
-		row := y * im.Stride
-		for x := 0; x < im.W; x++ {
-			im.R[row+x], im.G[row+x], im.B[row+x] = r, g, b
-		}
-	}
-}
-
 // Compact returns im itself when its storage is already contiguous
 // (stride == width), otherwise a compact deep copy. Codec and SR stages use
 // it to get linear plane access.
@@ -143,27 +114,15 @@ func (im *Image) Compact() *Image {
 	return im.Clone()
 }
 
-// Luma returns the Rec.601 luma plane of the image as float64 in [0, 255].
-// Quality metrics (PSNR/SSIM) operate on luma, as is conventional.
-func (im *Image) Luma() []float64 {
-	return im.LumaInto(make([]float64, im.W*im.H))
-}
-
-// LumaInto writes the luma plane into out, which must have length W*H, and
-// returns it. Every element is overwritten, so out may be a dirty pooled
-// buffer.
-func (im *Image) LumaInto(out []float64) []float64 {
-	im.LumaRowsInto(out, 0, im.H)
-	return out
-}
-
-// LumaRowsInto is LumaInto for rows [y0, y1) only: it writes those rows of
-// the luma plane into the same rows of out, which must have length W*H.
-// Disjoint row ranges touch disjoint elements, so a row-parallel loop may
-// convert one image with several calls.
+// LumaRowsInto writes rows [y0, y1) of the image's Rec.601 luma plane, as
+// float64 in [0, 255], into the same rows of out, which must have length
+// W*H. Quality metrics (PSNR/SSIM) operate on luma, as is conventional.
+// Every element of those rows is overwritten, so out may be a dirty pooled
+// buffer, and disjoint row ranges touch disjoint elements, so a
+// row-parallel loop may convert one image with several calls.
 func (im *Image) LumaRowsInto(out []float64, y0, y1 int) {
 	if len(out) != im.W*im.H {
-		panic(fmt.Sprintf("frame: LumaInto buffer length %d != %dx%d", len(out), im.W, im.H))
+		panic(fmt.Sprintf("frame: LumaRowsInto buffer length %d != %dx%d", len(out), im.W, im.H))
 	}
 	for y := y0; y < y1; y++ {
 		row := y * im.Stride
@@ -207,31 +166,6 @@ func NewDepthMap(w, h int) *DepthMap {
 		panic(fmt.Sprintf("frame: invalid depth map size %dx%d", w, h))
 	}
 	return &DepthMap{W: w, H: h, Stride: w, Z: make([]float32, w*h)}
-}
-
-// At returns the depth at (x, y).
-func (d *DepthMap) At(x, y int) float32 { return d.Z[y*d.Stride+x] }
-
-// Set writes the depth at (x, y).
-func (d *DepthMap) Set(x, y int, z float32) { d.Z[y*d.Stride+x] = z }
-
-// Fill sets every sample to z.
-func (d *DepthMap) Fill(z float32) {
-	for y := 0; y < d.H; y++ {
-		row := y * d.Stride
-		for x := 0; x < d.W; x++ {
-			d.Z[row+x] = z
-		}
-	}
-}
-
-// Clone returns a deep copy with a compact stride.
-func (d *DepthMap) Clone() *DepthMap {
-	out := NewDepthMap(d.W, d.H)
-	for y := 0; y < d.H; y++ {
-		copy(out.Z[y*out.Stride:y*out.Stride+d.W], d.Z[y*d.Stride:y*d.Stride+d.W])
-	}
-	return out
 }
 
 // Nearness converts the depth map to a "darkness intensity" map as in the
@@ -315,19 +249,6 @@ func (r Rect) Clamp(w, h int) Rect {
 // from the low-resolution frame onto the upscaled frame).
 func (r Rect) Scale(f int) Rect {
 	return Rect{X: r.X * f, Y: r.Y * f, W: r.W * f, H: r.H * f}
-}
-
-// Contains reports whether the pixel (x, y) lies inside r.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
-}
-
-// Area returns the number of pixels covered by r.
-func (r Rect) Area() int {
-	if r.Empty() {
-		return 0
-	}
-	return r.W * r.H
 }
 
 // CenterDistance2 returns the squared distance from the center of r to the

@@ -8,6 +8,21 @@ import (
 	"testing/quick"
 )
 
+// at returns the RGB triple at (x, y).
+func at(im *Image, x, y int) (r, g, b uint8) {
+	i := y*im.Stride + x
+	return im.R[i], im.G[i], im.B[i]
+}
+
+// mustSub is SubImage for a rectangle inside im.
+func mustSub(im *Image, x, y, w, h int) *Image {
+	s, err := im.SubImage(x, y, w, h)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestNewImageZeroed(t *testing.T) {
 	im := NewImage(7, 3)
 	if im.W != 7 || im.H != 3 || im.Stride != 7 {
@@ -23,7 +38,7 @@ func TestNewImageZeroed(t *testing.T) {
 func TestImageSetAtRoundTrip(t *testing.T) {
 	im := NewImage(5, 4)
 	im.Set(3, 2, 10, 20, 30)
-	r, g, b := im.At(3, 2)
+	r, g, b := at(im, 3, 2)
 	if r != 10 || g != 20 || b != 30 {
 		t.Fatalf("got (%d,%d,%d), want (10,20,30)", r, g, b)
 	}
@@ -31,17 +46,17 @@ func TestImageSetAtRoundTrip(t *testing.T) {
 
 func TestSubImageAliasesParent(t *testing.T) {
 	im := NewImage(10, 10)
-	sub := im.MustSubImage(2, 3, 4, 5)
+	sub := mustSub(im, 2, 3, 4, 5)
 	if sub.W != 4 || sub.H != 5 {
 		t.Fatalf("sub size %dx%d", sub.W, sub.H)
 	}
 	sub.Set(0, 0, 99, 98, 97)
-	r, g, b := im.At(2, 3)
+	r, g, b := at(im, 2, 3)
 	if r != 99 || g != 98 || b != 97 {
 		t.Fatalf("parent did not observe write: (%d,%d,%d)", r, g, b)
 	}
 	im.Set(5, 7, 7, 8, 9)
-	r, g, b = sub.At(3, 4)
+	r, g, b = at(sub, 3, 4)
 	if r != 7 || g != 8 || b != 9 {
 		t.Fatalf("sub did not observe parent write: (%d,%d,%d)", r, g, b)
 	}
@@ -75,7 +90,7 @@ func TestCloneIsDeep(t *testing.T) {
 	im.Set(1, 1, 5, 6, 7)
 	cl := im.Clone()
 	cl.Set(1, 1, 50, 60, 70)
-	r, _, _ := im.At(1, 1)
+	r, _, _ := at(im, 1, 1)
 	if r != 5 {
 		t.Fatal("clone shares storage with original")
 	}
@@ -91,13 +106,13 @@ func TestCopyFromRespectsStride(t *testing.T) {
 			parent.Set(x, y, uint8(x), uint8(y), uint8(x+y))
 		}
 	}
-	sub := parent.MustSubImage(2, 2, 5, 5) // non-compact stride
+	sub := mustSub(parent, 2, 2, 5, 5) // non-compact stride
 	dst := NewImage(5, 5)
 	dst.CopyFrom(sub)
 	for y := 0; y < 5; y++ {
 		for x := 0; x < 5; x++ {
-			r, g, b := dst.At(x, y)
-			wr, wg, wb := parent.At(x+2, y+2)
+			r, g, b := at(dst, x, y)
+			wr, wg, wb := at(parent, x+2, y+2)
 			if r != wr || g != wg || b != wb {
 				t.Fatalf("pixel (%d,%d) = (%d,%d,%d), want (%d,%d,%d)", x, y, r, g, b, wr, wg, wb)
 			}
@@ -110,7 +125,7 @@ func TestCompact(t *testing.T) {
 	if im.Compact() != im {
 		t.Error("compact image should be returned as-is")
 	}
-	sub := im.MustSubImage(1, 1, 3, 3)
+	sub := mustSub(im, 1, 1, 3, 3)
 	c := sub.Compact()
 	if c == sub {
 		t.Error("strided sub-image should be copied")
@@ -120,28 +135,19 @@ func TestCompact(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	im := NewImage(3, 3)
-	im.Fill(1, 2, 3)
-	for y := 0; y < 3; y++ {
-		for x := 0; x < 3; x++ {
-			r, g, b := im.At(x, y)
-			if r != 1 || g != 2 || b != 3 {
-				t.Fatalf("pixel (%d,%d) not filled", x, y)
-			}
-		}
-	}
-}
-
 func TestLuma(t *testing.T) {
 	im := NewImage(1, 1)
+	luma := func() float64 {
+		l := []float64{-1}
+		im.LumaRowsInto(l, 0, 1)
+		return l[0]
+	}
 	im.Set(0, 0, 255, 255, 255)
-	l := im.Luma()
-	if l[0] < 254.9 || l[0] > 255.1 {
-		t.Errorf("white luma = %f, want 255", l[0])
+	if w := luma(); w < 254.9 || w > 255.1 {
+		t.Errorf("white luma = %f, want 255", w)
 	}
 	im.Set(0, 0, 0, 255, 0)
-	if g := im.Luma()[0]; g < 149 || g > 151 {
+	if g := luma(); g < 149 || g > 151 {
 		t.Errorf("green luma = %f, want ≈149.7", g)
 	}
 }
@@ -154,7 +160,7 @@ func TestLumaRowsIntoMatchesPerPixel(t *testing.T) {
 	for i := range parent.R {
 		parent.R[i], parent.G[i], parent.B[i] = uint8(i*37), uint8(i*91+5), uint8(i*13+200)
 	}
-	view := parent.MustSubImage(3, 2, 17, 8)
+	view := mustSub(parent, 3, 2, 17, 8)
 	out := make([]float64, view.W*view.H)
 	for i := range out {
 		out[i] = -1
@@ -164,7 +170,7 @@ func TestLumaRowsIntoMatchesPerPixel(t *testing.T) {
 	}
 	for y := 0; y < view.H; y++ {
 		for x := 0; x < view.W; x++ {
-			p := view.Index(x, y)
+			p := y*view.Stride + x
 			want := 0.299*float64(view.R[p]) + 0.587*float64(view.G[p]) + 0.114*float64(view.B[p])
 			if got := out[y*view.W+x]; got != want {
 				t.Fatalf("luma (%d,%d) = %v, want %v", x, y, got, want)
@@ -181,26 +187,25 @@ func TestLumaRowsIntoMatchesPerPixel(t *testing.T) {
 
 func TestDepthMapBasics(t *testing.T) {
 	d := NewDepthMap(4, 3)
-	d.Fill(0.5)
-	if d.At(2, 1) != 0.5 {
-		t.Fatal("fill failed")
+	if d.W != 4 || d.H != 3 || d.Stride != 4 || len(d.Z) != 12 {
+		t.Fatalf("geometry %dx%d stride %d, %d samples", d.W, d.H, d.Stride, len(d.Z))
 	}
-	d.Set(1, 2, 0.25)
-	if d.At(1, 2) != 0.25 {
-		t.Fatal("set/at failed")
+	for i, z := range d.Z {
+		if z != 0 {
+			t.Fatalf("sample %d = %v, want 0 (near)", i, z)
+		}
 	}
-	cl := d.Clone()
-	cl.Set(1, 2, 0.75)
-	if d.At(1, 2) != 0.25 {
-		t.Fatal("clone shares storage")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("negative size should panic")
+		}
+	}()
+	NewDepthMap(-1, 3)
 }
 
 func TestNearnessInvertsAndClamps(t *testing.T) {
 	d := NewDepthMap(3, 1)
-	d.Set(0, 0, 0)   // nearest
-	d.Set(1, 0, 1)   // farthest
-	d.Set(2, 0, 1.5) // out of range, must clamp
+	copy(d.Z, []float32{0, 1, 1.5}) // nearest, farthest, out of range (must clamp)
 	n := d.Nearness()
 	if n[0] != 1 || n[1] != 0 || n[2] != 0 {
 		t.Fatalf("nearness = %v, want [1 0 0]", n)
@@ -235,16 +240,7 @@ func TestRectClampProperty(t *testing.T) {
 
 func TestRectHelpers(t *testing.T) {
 	r := Rect{X: 10, Y: 20, W: 30, H: 40}
-	if !r.Contains(10, 20) || !r.Contains(39, 59) {
-		t.Error("corner containment failed")
-	}
-	if r.Contains(40, 20) || r.Contains(10, 60) {
-		t.Error("exclusive edge containment failed")
-	}
-	if r.Area() != 1200 {
-		t.Errorf("area = %d", r.Area())
-	}
-	if (Rect{}).Area() != 0 || !(Rect{}).Empty() {
+	if r.Empty() || !(Rect{}).Empty() {
 		t.Error("empty rect handling")
 	}
 	if !r.In(40, 60) || r.In(39, 60) || r.In(40, 59) || (Rect{X: -1, W: 1, H: 1}).In(40, 60) {
@@ -323,14 +319,16 @@ func TestReadPPMSkipsComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r, g, b := im.At(0, 0); r != 'a' || g != 'b' || b != 'c' {
+	if r, g, b := at(im, 0, 0); r != 'a' || g != 'b' || b != 'c' {
 		t.Fatalf("pixel = (%d,%d,%d)", r, g, b)
 	}
 }
 
 func TestDepthPGM(t *testing.T) {
 	d := NewDepthMap(4, 2)
-	d.Fill(0.5)
+	for i := range d.Z {
+		d.Z[i] = 0.5
+	}
 	var buf bytes.Buffer
 	if err := d.WritePGM(&buf); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ type Dump struct {
 	Frames           []DumpFrame
 }
 
-// Snapshot copies the ring's live window — the last Cap() frames, oldest
+// Snapshot copies the ring's live window — every frame it holds, oldest
 // first — locking one slot at a time so recording continues underneath.
 // Returns an empty Dump on a nil recorder.
 func (r *Recorder) Snapshot() *Dump {

@@ -154,14 +154,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Cap returns the ring capacity in frames (0 on a nil recorder).
-func (r *Recorder) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.ring)
-}
-
 // Deadline returns the per-frame budget the recorder accounts against
 // (0 on a nil recorder).
 func (r *Recorder) Deadline() time.Duration {

@@ -13,6 +13,16 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
+// counterOf returns the named counter's value in s (0 when absent).
+func counterOf(s telemetry.Snapshot, name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
 // recordFrame runs the full per-frame writer path for one frame: begin,
 // three stage spans, encode attributes and deadline accounting.
 func recordFrame(r *frametrace.Recorder, idx int, lat [1]frametrace.StageLatency) uint64 {
@@ -222,10 +232,10 @@ func TestSLOAccounting(t *testing.T) {
 		t.Errorf("percentiles not ordered: p50 %v, p99 %v, p99.9 %v", rep.P50, rep.P99, rep.P999)
 	}
 	s := reg.Snapshot()
-	if got := s.Counter("frametrace_deadline_miss_upscale_total"); got != 2 {
+	if got := counterOf(s, "frametrace_deadline_miss_upscale_total"); got != 2 {
 		t.Errorf("upscale misses = %d, want 2", got)
 	}
-	if got := s.Counter("frametrace_deadline_miss_decode_total"); got != 1 {
+	if got := counterOf(s, "frametrace_deadline_miss_decode_total"); got != 1 {
 		t.Errorf("decode misses = %d, want 1", got)
 	}
 	// The dump carries the verdicts: slack sign must match the miss flag,

@@ -4,8 +4,16 @@ import (
 	"sort"
 	"testing"
 
+	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/render"
 )
+
+// luma returns im's Rec.601 luma plane.
+func luma(im *frame.Image) []float64 {
+	out := make([]float64, im.W*im.H)
+	im.LumaRowsInto(out, 0, im.H)
+	return out
+}
 
 func TestAllReturnsTableI(t *testing.T) {
 	ws := All()
@@ -111,8 +119,8 @@ func TestTemporalCoherence(t *testing.T) {
 	rd := &render.Renderer{}
 	for _, id := range []string{"G3", "G10"} {
 		w, _ := ByID(id)
-		a := w.Render(rd, 10, 160, 90).Color.Luma()
-		b := w.Render(rd, 11, 160, 90).Color.Luma()
+		a := luma(w.Render(rd, 10, 160, 90).Color)
+		b := luma(w.Render(rd, 11, 160, 90).Color)
 		diff := 0.0
 		for i := range a {
 			d := a[i] - b[i]
@@ -144,8 +152,8 @@ func TestMotionMagnitudeOrdering(t *testing.T) {
 	rd := &render.Renderer{}
 	meanAbsDiff := func(id string) float64 {
 		w, _ := ByID(id)
-		a := w.Render(rd, 40, 160, 90).Color.Luma()
-		b := w.Render(rd, 48, 160, 90).Color.Luma()
+		a := luma(w.Render(rd, 40, 160, 90).Color)
+		b := luma(w.Render(rd, 48, 160, 90).Color)
 		sum := 0.0
 		for i := range a {
 			d := a[i] - b[i]
@@ -180,7 +188,7 @@ func TestEveryGameHasCenterBiasedForeground(t *testing.T) {
 		var all []px
 		for y := 0; y < 90; y++ {
 			for x := 0; x < 160; x++ {
-				all = append(all, px{x, y, out.Depth.At(x, y)})
+				all = append(all, px{x, y, out.Depth.Z[y*out.Depth.Stride+x]})
 			}
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].z < all[j].z })

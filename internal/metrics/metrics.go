@@ -14,8 +14,8 @@
 // recorded in DESIGN.md.
 //
 // Every metric works on the two images' luma planes. Measure converts each
-// image once and computes all three scores from that pair; MSE, PSNR, SSIM
-// and LPIPSProxy run one metric on the same plane functions.
+// image once and computes all three scores from that pair; PSNR, SSIM and
+// LPIPSProxy run one metric on the same plane functions.
 package metrics
 
 import (
@@ -128,19 +128,14 @@ func checkLPIPS(a, b *frame.Image) error {
 	return nil
 }
 
-// MSE returns the mean squared error between the luma planes of a and b.
-func MSE(a, b *frame.Image) (float64, error) {
-	return plain(a, b, checkMSE, mse)
-}
-
 // PSNR returns the peak signal-to-noise ratio in dB between the luma planes
 // of a and b. Identical images return +Inf.
 func PSNR(a, b *frame.Image) (float64, error) {
 	return plain(a, b, checkMSE, psnr)
 }
 
-// mse is the mean squared difference of two luma planes of w×h.
-func mse(la, lb []float64, _, _ int) float64 {
+// mse is the mean squared difference of two luma planes.
+func mse(la, lb []float64) float64 {
 	sum := parallel.Sum(len(la), func(lo, hi int) float64 {
 		var s float64
 		for i := lo; i < hi; i++ {
@@ -152,8 +147,8 @@ func mse(la, lb []float64, _, _ int) float64 {
 	return sum / float64(len(la))
 }
 
-func psnr(la, lb []float64, w, h int) float64 {
-	m := mse(la, lb, w, h)
+func psnr(la, lb []float64, _, _ int) float64 {
+	m := mse(la, lb)
 	if m == 0 {
 		return math.Inf(1)
 	}

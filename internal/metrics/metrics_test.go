@@ -8,6 +8,30 @@ import (
 	"gamestreamsr/internal/frame"
 )
 
+// at returns the RGB triple at (x, y).
+func at(im *frame.Image, x, y int) (r, g, b uint8) {
+	i := y*im.Stride + x
+	return im.R[i], im.G[i], im.B[i]
+}
+
+// fill sets every pixel of im to one colour.
+func fill(im *frame.Image, r, g, b uint8) {
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			im.Set(x, y, r, g, b)
+		}
+	}
+}
+
+// mustSub is SubImage for a rectangle inside im.
+func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
+	s, err := im.SubImage(x, y, w, h)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func noisy(w, h int, seed int64) *frame.Image {
 	im := frame.NewImage(w, h)
 	rng := rand.New(rand.NewSource(seed))
@@ -55,9 +79,9 @@ func TestPSNRIdentical(t *testing.T) {
 func TestPSNRKnownValue(t *testing.T) {
 	// Uniform luma difference of d gives PSNR = 20·log10(255/d).
 	a := frame.NewImage(16, 16)
-	a.Fill(100, 100, 100)
+	fill(a, 100, 100, 100)
 	b := frame.NewImage(16, 16)
-	b.Fill(110, 110, 110)
+	fill(b, 110, 110, 110)
 	p, err := PSNR(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +106,7 @@ func TestPSNRSizeMismatch(t *testing.T) {
 	if _, err := PSNR(noisy(8, 8, 1), noisy(8, 9, 1)); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	if _, err := MSE(frame.NewImage(0, 0), frame.NewImage(0, 0)); err == nil {
+	if _, err := PSNR(frame.NewImage(0, 0), frame.NewImage(0, 0)); err == nil {
 		t.Error("empty images should fail")
 	}
 }
@@ -155,7 +179,7 @@ func TestLPIPSProxyMonotoneInBlur(t *testing.T) {
 					var r, g, b int
 					for dy := -1; dy <= 1; dy++ {
 						for dx := -1; dx <= 1; dx++ {
-							pr, pg, pb := out.At(x+dx, y+dy)
+							pr, pg, pb := at(out, x+dx, y+dy)
 							r += int(pr)
 							g += int(pg)
 							b += int(pb)

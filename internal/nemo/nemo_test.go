@@ -12,6 +12,12 @@ import (
 	"gamestreamsr/internal/pipeline"
 )
 
+// at returns the RGB triple at (x, y).
+func at(im *frame.Image, x, y int) (r, g, b uint8) {
+	i := y*im.Stride + x
+	return im.R[i], im.G[i], im.B[i]
+}
+
 func testConfig(t testing.TB) pipeline.Config {
 	t.Helper()
 	g, err := games.ByID("G3")
@@ -164,8 +170,8 @@ func TestReconstructHRAppliesScaledMotion(t *testing.T) {
 	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := out.At(5, 5)
-	wr, _, _ := hr.At(7, 5)
+	r, _, _ := at(out, 5, 5)
+	wr, _, _ := at(hr, 7, 5)
 	if r != wr {
 		t.Errorf("motion not applied: got %d, want %d", r, wr)
 	}

@@ -14,7 +14,7 @@
 // the problem size n — never on GOMAXPROCS, pool occupancy, scheduling or
 // client priorities. Chunks may execute in any order on any worker, so
 // plain For callbacks must write disjoint output ranges (true of
-// row-parallel kernels). Reductions (Sum, SumVec) accumulate each chunk
+// row-parallel kernels). Reductions (Sum, SumVecInto) accumulate each chunk
 // sequentially and combine the chunk partials in chunk order, so
 // floating-point results are byte-identical across GOMAXPROCS settings and
 // runs — the property the pipeline engine's determinism tests assert.
@@ -36,12 +36,6 @@ const maxChunks = 64
 // chunkCount returns the size of the deterministic chunk grid for n items.
 func chunkCount(n int) int {
 	return min(maxChunks, n)
-}
-
-// Workers returns the size of the default scheduler's worker pool
-// (including the caller's slot).
-func Workers() int {
-	return Default().Workers()
 }
 
 // For runs fn over [0, n) split into contiguous chunks executed in
@@ -125,7 +119,7 @@ func ForWith[S any](n int, s *Scratch[S], fn func(lo, hi int, scratch S)) {
 	ForWithOn(nil, n, s, fn)
 }
 
-// partsStack recycles the per-chunk partial buffers of Sum/SumVec. Buffers
+// partsStack recycles the per-chunk partial buffers of Sum/SumVecInto. Buffers
 // are cleared on checkout (the reductions rely on zeroed accumulators) and
 // grown to the largest requested size, so every reduction in the process
 // shares a handful of max-size buffers — a mutex-guarded stack rather than
@@ -155,17 +149,11 @@ func Sum(n int, fn func(lo, hi int) float64) float64 {
 	return (*Client)(nil).sum(n, fn)
 }
 
-// SumVec is Sum for k simultaneous accumulators: fn adds its [lo, hi)
+// SumVecInto is Sum for k simultaneous accumulators: fn adds its [lo, hi)
 // range into acc (length k), and the per-chunk accumulators are combined
-// component-wise in chunk order. The result slice is freshly allocated and
-// owned by the caller; SumVecInto avoids even that allocation.
-func SumVec(n, k int, fn func(lo, hi int, acc []float64)) []float64 {
-	return SumVecInto(make([]float64, k), n, k, fn)
-}
-
-// SumVecInto is SumVec writing the combined accumulators into total, which
-// must have length k and is returned. total is fully overwritten, so it may
-// be a dirty pooled buffer.
+// component-wise in chunk order into total, which must have length k and
+// is returned. total is fully overwritten, so it may be a dirty pooled
+// buffer.
 func SumVecInto(total []float64, n, k int, fn func(lo, hi int, acc []float64)) []float64 {
 	return (*Client)(nil).sumVecInto(total, n, k, fn)
 }

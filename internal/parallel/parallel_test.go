@@ -83,17 +83,17 @@ func TestSumDeterministicAndOrderFixed(t *testing.T) {
 }
 
 func TestSumVec(t *testing.T) {
-	got := SumVec(1000, 2, func(lo, hi int, acc []float64) {
+	got := SumVecInto(make([]float64, 2), 1000, 2, func(lo, hi int, acc []float64) {
 		for i := lo; i < hi; i++ {
 			acc[0] += float64(i)
 			acc[1] += 1
 		}
 	})
 	if got[0] != 999*1000/2 || got[1] != 1000 {
-		t.Fatalf("SumVec = %v", got)
+		t.Fatalf("SumVecInto = %v", got)
 	}
-	if got := SumVec(0, 3, nil); len(got) != 3 || got[0] != 0 {
-		t.Fatalf("empty SumVec = %v", got)
+	if got := SumVecInto([]float64{7, 7, 7}, 0, 3, nil); len(got) != 3 || got[0] != 0 {
+		t.Fatalf("empty SumVecInto = %v", got)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestSumAgreesAcrossGOMAXPROCS(t *testing.T) {
 }
 
 func TestWorkers(t *testing.T) {
-	if Workers() < 1 {
-		t.Fatalf("Workers() = %d", Workers())
+	if got := Default().size; got != runtime.NumCPU() {
+		t.Fatalf("default scheduler has %d workers, want NumCPU = %d", got, runtime.NumCPU())
 	}
 }
 
@@ -153,7 +153,7 @@ func TestForWithCoversRangeAndRecyclesScratch(t *testing.T) {
 	}
 	// At most one scratch per worker can ever be live simultaneously, and
 	// scratches are reused across the 50 repetitions.
-	if got, w := int(allocs.Load()), Workers(); got > w {
+	if got, w := int(allocs.Load()), Default().size; got > w {
 		t.Errorf("allocated %d scratches for %d workers", got, w)
 	}
 }
@@ -225,7 +225,6 @@ func TestSumSteadyStateAllocs(t *testing.T) {
 // inline shortcut, is what is measured.
 func TestForSubmissionAllocFree(t *testing.T) {
 	s := NewScheduler(2)
-	defer s.Close()
 	c := s.NewClient(ClientConfig{Name: "allocs"})
 	scratch := NewScratch(func() *int { return new(int) })
 	body := func(lo, hi int) {}
@@ -246,7 +245,6 @@ func TestForSubmissionAllocFree(t *testing.T) {
 // of every job must still run exactly once (run under -race).
 func TestJobHeaderReuseUnderContention(t *testing.T) {
 	s := NewScheduler(4)
-	defer s.Close()
 	c := s.NewClient(ClientConfig{Name: "reuse"})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

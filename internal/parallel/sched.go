@@ -5,7 +5,7 @@ package parallel
 // dispatch chunks across concurrently submitted jobs by fair queueing
 // (per-client virtual time advances by one per chunk; the runnable job
 // whose client is furthest behind goes first), with priority classes
-// strictly above the fair order. The package-level For/ForWith/Sum/SumVec
+// strictly above the fair order. The package-level For/ForWith/Sum/SumVecInto
 // API is a facade over Default()'s default client, so kernels that don't
 // care about attribution keep their signatures.
 //
@@ -180,7 +180,6 @@ type Scheduler struct {
 	cond     *sync.Cond
 	runnable []*job
 	seq      uint64
-	closed   bool
 
 	defaultClient *Client
 }
@@ -213,9 +212,6 @@ func Default() *Scheduler {
 	return defaultSched
 }
 
-// Workers returns the scheduler's worker count (including the caller's slot).
-func (s *Scheduler) Workers() int { return s.size }
-
 // NewClient returns a Normal-priority scheduling handle. Clients are
 // lightweight and need no teardown; drop the handle when the session ends.
 func (s *Scheduler) NewClient(cfg ClientConfig) *Client {
@@ -229,25 +225,11 @@ func (s *Scheduler) NewClient(cfg ClientConfig) *Client {
 	return c
 }
 
-// Close stops the scheduler's workers. Jobs already submitted still finish
-// (their submitters drain them inline); later submissions run inline too.
-// The default scheduler is never closed.
-func (s *Scheduler) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cond.Broadcast()
-}
-
 // enqueue makes j visible to workers, applying the fair-queueing idle
 // catch-up: a client returning from idle starts at the lagging edge of the
 // active set instead of spending banked credit.
 func (s *Scheduler) enqueue(j *job) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	minV, found := int64(0), false
 	for _, q := range s.runnable {
 		if v := q.c.vtime.Load(); !found || v < minV {
@@ -340,10 +322,6 @@ func (s *Scheduler) worker() {
 	var labeled *Client
 	s.mu.Lock()
 	for {
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
 		j := s.pickLocked()
 		if j == nil {
 			s.cond.Wait()
@@ -466,9 +444,6 @@ func ForWithOn[S any](c *Client, n int, s *Scratch[S], fn func(lo, hi int, scrat
 	w.fn = nil
 	s.calls.put(w)
 }
-
-// Priority returns the client's current dispatch class.
-func (c *Client) Priority() Priority { return Priority(c.norm().prio.Load()) }
 
 // SetPriority reclassifies the client; in-flight jobs are re-ranked on the
 // next dispatch decision. This is the shed ladder's demotion hook.

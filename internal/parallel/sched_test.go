@@ -100,7 +100,6 @@ func TestPriorityPreemptsWFQ(t *testing.T) {
 // the inline-execution guarantee must keep every submission progressing.
 func TestNestedSubmissionFromFullPool(t *testing.T) {
 	s := NewScheduler(2)
-	defer s.Close()
 	const goroutines = 8
 	var wg sync.WaitGroup
 	var bad atomic.Int64
@@ -163,14 +162,14 @@ func TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS(t *testing.T) {
 			acc[1] += math.Sqrt(float64(i))
 		}
 	}
-	want := SumVec(n, 2, vf)
+	want := SumVecInto(make([]float64, 2), n, 2, vf)
 
 	for _, size := range []int{1, 3, 0} {
 		s := NewScheduler(size)
 		normal := s.NewClient(ClientConfig{Name: "normal"})
 		bg := s.NewClient(ClientConfig{Name: "bg"})
 		bg.SetPriority(Background)
-		label := fmt.Sprintf("%d workers", s.Workers())
+		label := fmt.Sprintf("%d workers", s.size)
 		check(label+", Normal client", normal.sum(n, f))
 		check(label+", Background client", bg.sum(n, f))
 
@@ -185,7 +184,6 @@ func TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS(t *testing.T) {
 				t.Fatalf("%s: SumVec[%d] bits differ: %x != %x", label, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
-		s.Close()
 	}
 }
 
@@ -193,7 +191,6 @@ func TestReductionBitsIdenticalAcrossClientsAndGOMAXPROCS(t *testing.T) {
 // queue-wait are attributed to the submitting client.
 func TestClientStatsAccounting(t *testing.T) {
 	s := NewScheduler(4)
-	defer s.Close()
 	c := s.NewClient(ClientConfig{Name: "sess"})
 	var work atomic.Int64
 	for iter := 0; iter < 50; iter++ {
@@ -220,8 +217,8 @@ func TestClientStatsAccounting(t *testing.T) {
 	if st.Stolen > 0 && st.StolenWait <= 0 {
 		t.Fatalf("Stolen = %d but StolenWait = %v", st.Stolen, st.StolenWait)
 	}
-	if st.Stolen == 0 && s.Workers() > 1 {
-		t.Logf("no chunks stolen on a %d-worker scheduler (legal but unusual)", s.Workers())
+	if st.Stolen == 0 && s.size > 1 {
+		t.Logf("no chunks stolen on a %d-worker scheduler (legal but unusual)", s.size)
 	}
 }
 
@@ -245,33 +242,9 @@ func TestIdleCatchUpPreventsStarvation(t *testing.T) {
 	s.dequeue(ji)
 }
 
-// TestClosedSchedulerRunsInline: after Close, submissions still complete
-// (inline) with correct results.
-func TestClosedSchedulerRunsInline(t *testing.T) {
-	s := NewScheduler(4)
-	c := s.NewClient(ClientConfig{Name: "sess"})
-	s.Close()
-	got := c.sum(1000, func(lo, hi int) float64 {
-		t := 0.0
-		for i := lo; i < hi; i++ {
-			t += float64(i)
-		}
-		return t
-	})
-	if got != 499500 {
-		t.Fatalf("Sum on closed scheduler = %v, want 499500", got)
-	}
-	var covered atomic.Int64
-	c.For(100, func(lo, hi int) { covered.Add(int64(hi - lo)) })
-	if covered.Load() != 100 {
-		t.Fatalf("For on closed scheduler covered %d, want 100", covered.Load())
-	}
-}
-
 // TestSetPriorityLive: the priority is safe to flip while jobs run.
 func TestSetPriorityLive(t *testing.T) {
 	s := NewScheduler(0)
-	defer s.Close()
 	c := s.NewClient(ClientConfig{Name: "sess"})
 	done := make(chan struct{})
 	go func() {
@@ -289,7 +262,7 @@ func TestSetPriorityLive(t *testing.T) {
 		c.SetPriority(Normal)
 	}
 	<-done
-	if c.Priority() != Normal {
-		t.Fatalf("Priority = %v, want Normal", c.Priority())
+	if p := Priority(c.prio.Load()); p != Normal {
+		t.Fatalf("Priority = %v, want Normal", p)
 	}
 }

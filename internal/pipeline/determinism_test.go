@@ -21,6 +21,16 @@ import (
 	"gamestreamsr/internal/upscale"
 )
 
+// counterOf returns the named counter's value in s (0 when absent).
+func counterOf(s telemetry.Snapshot, name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
 func detConfig(t testing.TB) pipeline.Config {
 	t.Helper()
 	g, err := games.ByID("G3")
@@ -186,7 +196,7 @@ func TestEngineTelemetryCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := cfg.Metrics.Snapshot()
-	if got := s.Counter("pipeline_frames_total"); got != n {
+	if got := counterOf(s, "pipeline_frames_total"); got != n {
 		t.Errorf("frames_total = %d, want %d", got, n)
 	}
 	if rep := cfg.Flight.Report(); rep.Delivered != n {
@@ -198,7 +208,7 @@ func TestEngineTelemetryCounts(t *testing.T) {
 	for _, f := range res.Frames {
 		coded += int64(f.CodedBytes)
 	}
-	if got := s.Counter("pipeline_coded_bytes_total"); got != coded || got == 0 {
+	if got := counterOf(s, "pipeline_coded_bytes_total"); got != coded || got == 0 {
 		t.Errorf("coded_bytes_total = %d, want %d", got, coded)
 	}
 	for _, hist := range []string{
@@ -216,7 +226,7 @@ func TestEngineTelemetryCounts(t *testing.T) {
 	// Queue-wait counters exist (they may legitimately be ~0 on a fast
 	// machine, but the metric must be registered and non-negative).
 	for _, c := range []string{"pipeline_server_queue_wait_ns_total", "pipeline_client_queue_wait_ns_total"} {
-		if s.Counter(c) < 0 {
+		if counterOf(s, c) < 0 {
 			t.Errorf("%s negative", c)
 		}
 	}
@@ -243,8 +253,8 @@ func TestEngineTelemetryCounts(t *testing.T) {
 		"pipeline_bufpool_misses_total",
 		"pipeline_bufpool_returns_total",
 	} {
-		if s.Counter(c) <= 0 {
-			t.Errorf("%s = %d, want > 0", c, s.Counter(c))
+		if counterOf(s, c) <= 0 {
+			t.Errorf("%s = %d, want > 0", c, counterOf(s, c))
 		}
 	}
 }

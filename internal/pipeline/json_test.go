@@ -34,46 +34,47 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadResultJSON(&buf)
-	if err != nil {
+	var back resultJSON
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Pipeline != res.Pipeline || back.Device == nil || back.Device.Name != res.Device.Name {
-		t.Fatalf("metadata lost: %s / %v", back.Pipeline, back.Device)
+	if back.Pipeline != res.Pipeline || back.Device != res.Device.Name {
+		t.Fatalf("metadata lost: %s / %s", back.Pipeline, back.Device)
 	}
 	if len(back.Frames) != len(res.Frames) {
 		t.Fatalf("frame count %d vs %d", len(back.Frames), len(res.Frames))
 	}
 	for i := range res.Frames {
 		a, b := res.Frames[i], back.Frames[i]
-		if a.Type != b.Type || a.RoI != b.RoI || a.Bytes != b.Bytes || a.CodedBytes != b.CodedBytes {
+		if a.Type.String() != b.Type || a.RoI != b.RoI || a.Bytes != b.Bytes || a.CodedBytes != b.CodedBytes {
 			t.Fatalf("frame %d metadata mismatch", i)
 		}
-		if math.Abs(a.PSNR-b.PSNR) > 1e-9 || math.Abs(a.SSIM-b.SSIM) > 1e-9 {
+		if a.PSNR != float64(b.PSNR) || a.SSIM != b.SSIM || a.LPIPS != b.LPIPS {
 			t.Fatalf("frame %d quality mismatch", i)
 		}
-		// Durations round-trip exactly: a float millisecond carries every
-		// nanosecond of a stage, and reading rounds it back.
-		if a.Stages != b.Stages {
-			t.Fatalf("frame %d stages: %+v vs %+v", i, a.Stages, b.Stages)
+		// A float millisecond carries every nanosecond of a stage: rounding
+		// it back gives the duration exactly.
+		names := a.Stages.Names()
+		for k, v := range a.Stages.Values() {
+			if got := time.Duration(math.Round(b.Stages[names[k]] * float64(time.Millisecond))); got != v {
+				t.Fatalf("frame %d stage %s: %v vs %v", i, names[k], got, v)
+			}
 		}
-		if math.Abs(a.EnergyTotal()-b.EnergyTotal()) > 1e-9 {
-			t.Fatalf("frame %d energy mismatch", i)
+		if len(a.Energy) != len(b.Energy) {
+			t.Fatalf("frame %d: %d rails vs %d", i, len(b.Energy), len(a.Energy))
 		}
-	}
-	// Derived metrics still work on the loaded result.
-	if _, err := back.MeanMTP(0); err != nil {
-		t.Error(err)
-	}
-	if _, err := back.GOPEnergyTotal(60); err != nil {
-		t.Error(err)
+		for rail, j := range a.Energy {
+			if b.Energy[rail.String()] != j {
+				t.Fatalf("frame %d rail %v: %v vs %v", i, rail, b.Energy[rail.String()], j)
+			}
+		}
 	}
 }
 
 // TestResultJSONInfinitePSNR archives a frame identical to its ground truth
-// (PSNR +Inf) beside a finite one: both round-trip, the infinity as the
-// string "+Inf", the finite value as the same number encoding/json writes
-// for a plain float64.
+// (PSNR +Inf) beside a finite one: the infinity is written as the string
+// "+Inf", the finite value as the same number encoding/json writes for a
+// plain float64.
 func TestResultJSONInfinitePSNR(t *testing.T) {
 	const finite = 31.415926535897932
 	res := &Result{Pipeline: "x", Frames: []FrameResult{
@@ -88,34 +89,6 @@ func TestResultJSONInfinitePSNR(t *testing.T) {
 	for _, want := range []string{`"psnr_db": "+Inf"`, `"psnr_db": ` + string(plain) + ","} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("archive lacks %s:\n%s", want, buf.String())
-		}
-	}
-	back, err := ReadResultJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Frames) != 2 || !math.IsInf(back.Frames[0].PSNR, 1) || back.Frames[1].PSNR != finite {
-		t.Fatalf("round trip gave %+v", back.Frames)
-	}
-	for _, bad := range []string{`"NaN"`, `"12"`, `"inf dB"`} {
-		in := `{"pipeline":"x","device":"","frames":[{"index":0,"type":"intra","stages_ms":{},"roi":{},"psnr_db":` + bad + `,"ssim":0,"lpips":0,"bytes":0,"coded_bytes":0,"energy_j":{}}]}`
-		if _, err := ReadResultJSON(strings.NewReader(in)); err == nil {
-			t.Errorf("psnr_db %s should not decode", bad)
-		}
-	}
-}
-
-func TestReadResultJSONErrors(t *testing.T) {
-	cases := []string{
-		``,
-		`{`,
-		`{"pipeline":"x","device":"","frames":[{"index":0,"type":"weird","stages_ms":{},"roi":{},"psnr_db":0,"ssim":0,"lpips":0,"bytes":0,"coded_bytes":0,"energy_j":{}}]}`,
-		`{"pipeline":"x","device":"","frames":[{"index":0,"type":"intra","stages_ms":{},"roi":{},"psnr_db":0,"ssim":0,"lpips":0,"bytes":0,"coded_bytes":0,"energy_j":{"warp":1}}]}`,
-		`{"pipeline":"x","unknown_field":1,"frames":[]}`,
-	}
-	for i, c := range cases {
-		if _, err := ReadResultJSON(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d should fail", i)
 		}
 	}
 }

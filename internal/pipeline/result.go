@@ -64,15 +64,6 @@ type FrameResult struct {
 	Upscaled *frame.Image
 }
 
-// EnergyTotal sums the frame's rails.
-func (f *FrameResult) EnergyTotal() float64 {
-	t := 0.0
-	for _, j := range f.Energy {
-		t += j
-	}
-	return t
-}
-
 // Result is the outcome of a pipeline run.
 type Result struct {
 	// Pipeline names the implementation ("gamestreamsr" or "nemo").
@@ -140,41 +131,9 @@ func (r *Result) UpscaleFPS(t codec.FrameType) (float64, error) {
 	return float64(time.Second) / float64(d), nil
 }
 
-// SustainedFPS returns the steady-state frame rate of the whole pipeline
-// for frames of type t: stages run pipelined (the server renders frame i+1
-// while the client upscales frame i), so throughput is limited by the
-// slowest single stage, not the MTP sum.
-func (r *Result) SustainedFPS(t codec.FrameType) (float64, error) {
-	var worst time.Duration
-	n := 0
-	for _, f := range r.Frames {
-		if t != 0 && f.Type != t {
-			continue
-		}
-		for _, v := range f.Stages.Values() {
-			if v > worst {
-				worst = v
-			}
-		}
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("pipeline: no frames of type %v", t)
-	}
-	if worst <= 0 {
-		return 0, fmt.Errorf("pipeline: zero stage latency")
-	}
-	return float64(time.Second) / float64(worst), nil
-}
-
 // MeanPSNR returns the mean PSNR across all frames.
 func (r *Result) MeanPSNR() (float64, error) {
 	return r.meanQ(func(f FrameResult) float64 { return f.PSNR })
-}
-
-// MeanSSIM returns the mean SSIM across all frames.
-func (r *Result) MeanSSIM() (float64, error) {
-	return r.meanQ(func(f FrameResult) float64 { return f.SSIM })
 }
 
 // MeanLPIPS returns the mean LPIPS-proxy distance across all frames.
@@ -255,19 +214,4 @@ func (r *Result) GOPEnergyTotal(gopSize int) (float64, error) {
 		t += j
 	}
 	return t, nil
-}
-
-// MeanBytesByType returns the mean coded frame size of type t.
-func (r *Result) MeanBytesByType(t codec.FrameType) (int, error) {
-	sum, n := 0, 0
-	for _, f := range r.Frames {
-		if f.Type == t {
-			sum += f.Bytes
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("pipeline: no frames of type %v", t)
-	}
-	return sum / n, nil
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/geom"
 	"gamestreamsr/internal/parallel"
 )
@@ -77,15 +78,15 @@ func TestDepthBufferSemantics(t *testing.T) {
 	// The sphere sits 8 units out, center of frame: depth there must be
 	// small (near). The sky at the top must be at the far plane (1.0).
 	cx, cy := 80, 50
-	if d := out.Depth.At(cx, cy); d > 0.3 {
+	if d := depthAt(out.Depth, cx, cy); d > 0.3 {
 		t.Errorf("sphere depth = %f, want near", d)
 	}
-	if d := out.Depth.At(80, 2); d < 0.99 {
+	if d := depthAt(out.Depth, 80, 2); d < 0.99 {
 		t.Errorf("sky depth = %f, want 1.0", d)
 	}
 	// Monotonicity along the ground: rows lower in the image are nearer.
-	dNear := out.Depth.At(10, 88)
-	dFar := out.Depth.At(10, 60)
+	dNear := depthAt(out.Depth, 10, 88)
+	dFar := depthAt(out.Depth, 10, 60)
 	if dNear >= dFar {
 		t.Errorf("ground depth not increasing with distance: near=%f far=%f", dNear, dFar)
 	}
@@ -96,8 +97,8 @@ func TestSkyGradient(t *testing.T) {
 	sc.Objects = nil
 	sc.Ground = nil
 	out := (&Renderer{}).Render(sc, testCam(1), 64, 64)
-	_, _, bTop := out.Color.At(32, 1)
-	_, _, bBot := out.Color.At(32, 62)
+	_, _, bTop := at(out.Color, 32, 1)
+	_, _, bBot := at(out.Color, 32, 62)
 	if bTop == bBot {
 		t.Error("sky gradient is flat")
 	}
@@ -122,13 +123,22 @@ func TestLODAttenuatesDetail(t *testing.T) {
 	}
 }
 
+// at returns the RGB triple at (x, y).
+func at(im *frame.Image, x, y int) (r, g, b uint8) {
+	i := y*im.Stride + x
+	return im.R[i], im.G[i], im.B[i]
+}
+
+// depthAt returns the depth at (x, y).
+func depthAt(d *frame.DepthMap, x, y int) float32 { return d.Z[y*d.Stride+x] }
+
 // rowDetail measures mean absolute horizontal luma gradient along a row.
 func rowDetail(out Output, y int) float64 {
 	im := out.Color
 	sum := 0.0
 	for x := 1; x < im.W; x++ {
-		r0, g0, b0 := im.At(x-1, y)
-		r1, g1, b1 := im.At(x, y)
+		r0, g0, b0 := at(im, x-1, y)
+		r1, g1, b1 := at(im, x, y)
 		l0 := 0.299*float64(r0) + 0.587*float64(g0) + 0.114*float64(b0)
 		l1 := 0.299*float64(r1) + 0.587*float64(g1) + 0.114*float64(b1)
 		sum += math.Abs(l1 - l0)
@@ -150,7 +160,7 @@ func TestEmissiveIgnoresLighting(t *testing.T) {
 	}
 	cam := geom.NewCamera(geom.Vec3{}, geom.Vec3{Z: 5}, 60, 1)
 	out := (&Renderer{}).Render(sc, cam, 32, 32)
-	r, _, _ := out.Color.At(16, 16)
+	r, _, _ := at(out.Color, 16, 16)
 	if r != 255 {
 		t.Errorf("emissive sphere should be full-bright, got %d", r)
 	}
@@ -167,7 +177,7 @@ func TestSceneDefaults(t *testing.T) {
 	}
 	cam := geom.NewCamera(geom.Vec3{}, geom.Vec3{Z: 5}, 60, 1)
 	out := (&Renderer{}).Render(sc, cam, 16, 16)
-	d := out.Depth.At(8, 8)
+	d := depthAt(out.Depth, 8, 8)
 	if math.IsNaN(float64(d)) || d <= 0 || d >= 1 {
 		t.Errorf("defaulted depth = %f, want interior value", d)
 	}

@@ -89,11 +89,12 @@ func craftedMaps() map[string]*frame.DepthMap {
 		"tall":      blobMap(40, 300, 10, 200, 20, 30),
 		"wide":      blobMap(300, 33, 200, 5, 30, 20),
 	}
-	m["uniform"].Fill(0.2)
-	m["all far"].Fill(1)
+	fillDepth(m["uniform"], 0.2)
+	fillDepth(m["all far"], 1)
+	blobs := m["two blobs"]
 	for y := 10; y < 22; y++ {
 		for x := 5; x < 17; x++ {
-			m["two blobs"].Set(x, y, 0.1)
+			blobs.Z[y*blobs.Stride+x] = 0.1
 		}
 	}
 	rng := rand.New(rand.NewSource(8))
@@ -207,7 +208,7 @@ func TestDetectDebugPlanesUnchanged(t *testing.T) {
 	wl, _ := games.ByID("G3")
 	g3 := wl.Render(&render.Renderer{}, 30, 160, 90).Depth
 	uniform := frame.NewDepthMap(96, 72)
-	uniform.Fill(0.9)
+	fillDepth(uniform, 0.9)
 	for _, c := range []struct {
 		name   string
 		window int

@@ -11,14 +11,26 @@ import (
 	"gamestreamsr/internal/render"
 )
 
+// fillDepth sets every sample of d to z.
+func fillDepth(d *frame.DepthMap, z float32) {
+	for i := range d.Z {
+		d.Z[i] = z
+	}
+}
+
+// contains reports whether the pixel (x, y) lies inside r.
+func contains(r frame.Rect, x, y int) bool {
+	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
+}
+
 // blobMap builds a depth map that is far (z≈0.9) everywhere except a near
 // blob (z≈0.1) of size bw×bh at (bx, by).
 func blobMap(w, h, bx, by, bw, bh int) *frame.DepthMap {
 	d := frame.NewDepthMap(w, h)
-	d.Fill(0.9)
+	fillDepth(d, 0.9)
 	for y := by; y < by+bh && y < h; y++ {
 		for x := bx; x < bx+bw && x < w; x++ {
-			d.Set(x, y, 0.1)
+			d.Z[y*d.Stride+x] = 0.1
 		}
 	}
 	return d
@@ -48,7 +60,7 @@ func TestDetectFindsNearBlob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The RoI window must cover the blob center.
-	if !r.Contains(77, 47) {
+	if !contains(r, 77, 47) {
 		t.Errorf("RoI %v does not cover blob center (77,47)", r)
 	}
 	if !r.In(128, 96) {
@@ -61,7 +73,7 @@ func TestDetectPrefersCenterOnTie(t *testing.T) {
 	// tie-break picks the window nearest the frame center.
 	det, _ := New(Config{WindowW: 20, WindowH: 20, FineStride: 1, Boundary: 64})
 	d := frame.NewDepthMap(100, 100)
-	d.Fill(0.2)
+	fillDepth(d, 0.2)
 	r, err := det.Detect(d)
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +91,14 @@ func TestCenterBiasBreaksSymmetry(t *testing.T) {
 	d := blobMap(160, 120, 75, 55, 12, 12) // near center
 	for y := 10; y < 22; y++ {             // identical blob top-left
 		for x := 5; x < 17; x++ {
-			d.Set(x, y, 0.1)
+			d.Z[y*d.Stride+x] = 0.1
 		}
 	}
 	r, err := det.Detect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Contains(81, 61) {
+	if !contains(r, 81, 61) {
 		t.Errorf("RoI %v picked the off-center blob", r)
 	}
 }
@@ -276,14 +288,14 @@ func TestDetectRenderedGameFrames(t *testing.T) {
 		roiMean, frameMean := 0.0, 0.0
 		for y := 0; y < 90; y++ {
 			for x := 0; x < 160; x++ {
-				z := float64(out.Depth.At(x, y))
+				z := float64(out.Depth.Z[y*out.Depth.Stride+x])
 				frameMean += z
-				if r.Contains(x, y) {
+				if contains(r, x, y) {
 					roiMean += z
 				}
 			}
 		}
-		roiMean /= float64(r.Area())
+		roiMean /= float64(r.W * r.H)
 		frameMean /= float64(160 * 90)
 		if roiMean >= frameMean {
 			t.Errorf("%s: RoI mean depth %.3f not nearer than frame mean %.3f", wl.ID, roiMean, frameMean)
@@ -372,7 +384,7 @@ func TestDetectionRobustToParameters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		if !r.Contains(blobCenterX, blobCenterY) {
+		if !contains(r, blobCenterX, blobCenterY) {
 			t.Errorf("case %d (%+v): RoI %v lost the blob", i, cfg, r)
 		}
 	}
@@ -393,7 +405,7 @@ func TestRectangularWindow(t *testing.T) {
 	if r.W != 30 || r.H != 12 {
 		t.Fatalf("window shape changed: %v", r)
 	}
-	if !r.Contains(62, 44) {
+	if !contains(r, 62, 44) {
 		t.Errorf("RoI %v missed the wide blob", r)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // slightly with phase — the flicker scenario tracking exists for.
 func twoBlobMap(w, h int, phase int) *frame.DepthMap {
 	d := frame.NewDepthMap(w, h)
-	d.Fill(0.9)
+	fillDepth(d, 0.9)
 	// Blob A left-center, blob B right-center; the stronger one (slightly
 	// nearer) alternates with phase.
 	za, zb := float32(0.10), float32(0.12)
@@ -23,10 +23,10 @@ func twoBlobMap(w, h int, phase int) *frame.DepthMap {
 	}
 	for y := h/2 - 8; y < h/2+8; y++ {
 		for x := w/2 - 24; x < w/2-8; x++ {
-			d.Set(x, y, za)
+			d.Z[y*d.Stride+x] = za
 		}
 		for x := w/2 + 8; x < w/2+24; x++ {
-			d.Set(x, y, zb)
+			d.Z[y*d.Stride+x] = zb
 		}
 	}
 	return d

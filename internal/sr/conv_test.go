@@ -88,6 +88,54 @@ func randomTensor(rng *rand.Rand, c, h, w int) *Tensor {
 	return t
 }
 
+// forwardInto runs c alone over in into out: every output channel, into an
+// uncompacted tensor.
+func forwardInto(out *Tensor, c *Conv2D, in *Tensor) {
+	r := startRun()
+	r.run(c.compile(nil, identity(c.OutC), c.OutC, identity(c.InC), c.InC, epiStore), out, in)
+	r.release()
+}
+
+// forward is forwardInto into a new tensor.
+func forward(c *Conv2D, in *Tensor) *Tensor {
+	out := NewTensor(c.OutC, in.H, in.W)
+	forwardInto(out, c, in)
+	return out
+}
+
+// netForward runs n over in into a new tensor.
+func netForward(n *Network, in *Tensor) *Tensor {
+	out := NewTensor(3, in.H*n.spec.Scale, in.W*n.spec.Scale)
+	n.ForwardInto(out, in, nil)
+	return out
+}
+
+// newRandomEDSR fills a network with small dense pseudo-random weights.
+// Its output is meaningless; it exercises the full dense topology without
+// the zero-weight shortcuts the constructed network permits.
+func newRandomEDSR(spec Spec, seed int64) *Network {
+	n := NewNetwork(spec)
+	rng := rand.New(rand.NewSource(seed))
+	fill := func(c *Conv2D) {
+		scale := float32(1 / math.Sqrt(float64(c.InC*c.K*c.K)))
+		for i := range c.Weight {
+			c.Weight[i] = (rng.Float32()*2 - 1) * scale
+		}
+		for i := range c.Bias {
+			c.Bias[i] = (rng.Float32()*2 - 1) * 0.1
+		}
+	}
+	fill(n.head)
+	for i := range n.body {
+		fill(n.body[i].conv1)
+		fill(n.body[i].conv2)
+	}
+	fill(n.bodyEnd)
+	fill(n.up)
+	fill(n.tail)
+	return n
+}
+
 // randomConvAndInput builds a dense random conv layer and matching input.
 func randomConvAndInput(seed int64, inC, outC, k, h, w int) (*Conv2D, *Tensor) {
 	rng := rand.New(rand.NewSource(seed))
@@ -188,12 +236,13 @@ func TestConvTinyImages(t *testing.T) {
 		{2, 2, 5, 2, 3}, {1, 1, 3, 1, 1}, {3, 2, 5, 1, 7}, {2, 3, 3, 6, 1}, {2, 2, 5, 4, 4},
 	} {
 		c, in := randomConvAndInput(3, s.inC, s.outC, s.k, s.h, s.w)
-		sameBits(t, "tiny conv", c.Forward(in), referenceConv(c, in))
+		sameBits(t, "tiny conv", forward(c, in), referenceConv(c, in))
 	}
 }
 
-// TestConvIntoVariantsMatch cross-checks Forward and ForwardInto (into a
-// dirty pooled tensor) against the reference on dense and sparse weights.
+// TestConvIntoVariantsMatch runs the compiled layer into a fresh tensor and
+// into a dirty pooled one against the reference on dense and sparse
+// weights: a layer overwrites every element of its destination.
 func TestConvIntoVariantsMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, density := range []float64{1.0, 0.1} {
@@ -201,46 +250,34 @@ func TestConvIntoVariantsMatch(t *testing.T) {
 		fillConv(rng, conv, density)
 		in := randomTensor(rng, 4, 9, 11)
 		want := referenceConv(conv, in)
-		sameBits(t, "Forward", conv.Forward(in), want)
+		sameBits(t, "fresh", forward(conv, in), want)
 		pool := bufpool.New()
 		out := GetTensor(pool, 6, 9, 11)
 		for i := range out.Data {
 			out.Data[i] = -1e30
 		}
-		conv.ForwardInto(out, in)
-		sameBits(t, "ForwardInto", out, want)
+		forwardInto(out, conv, in)
+		sameBits(t, "dirty", out, want)
 		PutTensor(pool, out)
 	}
 }
 
 // TestWeightsFrozenAtFirstUse holds the contract on the exported Weight and
 // Bias slices: what is filled after construction and before the first
-// forward is what the layer (and the network) computes with, and writes after
-// the first use are not seen.
+// inference is what the network computes with, and writes after the first
+// use are not seen.
 func TestWeightsFrozenAtFirstUse(t *testing.T) {
-	c := NewConv2D(1, 1, 3)
-	c.Weight[c.WIndex(0, 0, 1, 2)] = 2
-	c.Bias[0] = 1
-	in := NewTensor(1, 1, 3)
-	copy(in.Data, []float32{1, 2, 3})
-	want := []float32{5, 7, 7}
-	for i, v := range c.Forward(in).Data {
-		if v != want[i] {
-			t.Fatalf("filled conv element %d = %v, want %v", i, v, want[i])
-		}
-	}
-	c.Bias[0] = 100
-	if got := c.Forward(in).Data[0]; got != want[0] {
-		t.Errorf("bias written after first use changed the output: %v", got)
-	}
-
 	n := NewNetwork(Spec{Blocks: 1, Channels: 4})
 	rng := rand.New(rand.NewSource(1))
 	for _, l := range []*Conv2D{n.head, n.body[0].conv1, n.body[0].conv2, n.bodyEnd, n.up, n.tail} {
 		fillConv(rng, l, 0.6)
 	}
 	x := randomTensor(rng, 3, 5, 6)
-	sameBits(t, "filled network", n.Forward(x), referenceNetwork(n, x))
+	want := referenceNetwork(n, x)
+	sameBits(t, "filled network", netForward(n, x), want)
+	n.tail.Bias[0] += 100
+	n.head.Weight[0] += 1
+	sameBits(t, "weights written after first use", netForward(n, x), want)
 }
 
 // TestNetworkMatchesReference compares whole inferences bit for bit: the
@@ -268,9 +305,9 @@ func TestNetworkMatchesReference(t *testing.T) {
 	}{
 		{"interp default", NewInterpEDSR(Spec{}, InterpConfig{}), shapes},
 		{"interp lanczos", NewInterpEDSR(Spec{Blocks: 2, Channels: 5, UpK: 7}, InterpConfig{Kernel: upscale.Lanczos3}), shapes[1:]},
-		{"random 2x8", NewRandomEDSR(Spec{Blocks: 2, Channels: 8}, 3), shapes},
-		{"random default", NewRandomEDSR(Spec{}, 4), shapes[1:3]},
-		{"random x3", NewRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 3}, 6), shapes[1:]},
+		{"random 2x8", newRandomEDSR(Spec{Blocks: 2, Channels: 8}, 3), shapes},
+		{"random default", newRandomEDSR(Spec{}, 4), shapes[1:3]},
+		{"random x3", newRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 3}, 6), shapes[1:]},
 		{"sparse", sparse, shapes},
 	} {
 		for _, s := range tc.shapes {
@@ -309,14 +346,14 @@ func TestLivenessAndExecutedMACs(t *testing.T) {
 	if nominal := n.FLOPs(10, 10); nominal < 500*got {
 		t.Errorf("nominal %d MACs against %d executed: the constructed network should skip almost all", nominal, got)
 	}
-	d := NewRandomEDSR(Spec{Blocks: 2, Channels: 8}, 1)
+	d := newRandomEDSR(Spec{Blocks: 2, Channels: 8}, 1)
 	if d.ExecutedMACs(7, 9) != d.FLOPs(7, 9) {
 		t.Errorf("dense ExecutedMACs = %d, FLOPs = %d", d.ExecutedMACs(7, 9), d.FLOPs(7, 9))
 	}
 	z := NewNetwork(Spec{Blocks: 1, Channels: 4})
 	z.tail.Bias[1] = 0.5
-	out := z.Forward(NewTensor(3, 2, 2))
-	if z.ExecutedMACs(2, 2) != 0 || out.At(1, 3, 3) != 0.5 || out.At(0, 0, 0) != 0 {
+	out := netForward(z, NewTensor(3, 2, 2))
+	if z.ExecutedMACs(2, 2) != 0 || out.at(1, 3, 3) != 0.5 || out.at(0, 0, 0) != 0 {
 		t.Errorf("all-zero network: %d MACs, out %v", z.ExecutedMACs(2, 2), out.Data)
 	}
 }
@@ -329,6 +366,6 @@ func BenchmarkConvDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ForwardInto(out, in)
+		forwardInto(out, c, in)
 	}
 }

@@ -67,8 +67,7 @@ type Network struct {
 }
 
 // NewNetwork allocates an EDSR network with all-zero weights; callers fill
-// the weights (see NewInterpEDSR and NewRandomEDSR) before the first
-// inference.
+// the weights (see NewInterpEDSR) before the first inference.
 func NewNetwork(spec Spec) *Network {
 	spec = spec.withDefaults()
 	n := &Network{
@@ -86,9 +85,6 @@ func NewNetwork(spec Spec) *Network {
 	}
 	return n
 }
-
-// Spec returns the network's architecture parameters.
-func (n *Network) Spec() Spec { return n.spec }
 
 // Name implements Engine.
 func (n *Network) Name() string {
@@ -202,13 +198,6 @@ func (n *Network) ForwardInto(out, in *Tensor, pool *bufpool.Pool) {
 	r.run(p.tail, out, u2)
 	PutTensor(pool, u2)
 	r.release()
-}
-
-// Forward is ForwardInto into a new tensor.
-func (n *Network) Forward(in *Tensor) *Tensor {
-	out := NewTensor(3, in.H*n.spec.Scale, in.W*n.spec.Scale)
-	n.ForwardInto(out, in, nil)
-	return out
 }
 
 // UpscaleInto implements Engine: the full EDSR inference with every tensor

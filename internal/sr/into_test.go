@@ -76,8 +76,8 @@ func TestPixelShuffleIntoMatches(t *testing.T) {
 	for c := 0; c < out.C; c++ {
 		for y := 0; y < out.H; y++ {
 			for x := 0; x < out.W; x++ {
-				want := in.At(c*r*r+y%r*r+x%r, y/r, x/r)
-				if got := out.At(c, y, x); got != want {
+				want := in.at(c*r*r+y%r*r+x%r, y/r, x/r)
+				if got := out.at(c, y, x); got != want {
 					t.Fatalf("element (%d,%d,%d) = %v, want %v", c, y, x, got, want)
 				}
 			}
@@ -90,7 +90,7 @@ func TestPixelShuffleIntoMatches(t *testing.T) {
 // destination against the source.
 func TestImageTensorRoundTripInto(t *testing.T) {
 	parent := randImage(20, 12, 5)
-	view := parent.MustSubImage(3, 2, 10, 8)
+	view := mustSub(parent, 3, 2, 10, 8)
 	wantT := NewTensor(3, 8, 10)
 	FromImageInto(wantT, view.Compact())
 	gotT := NewTensor(3, 8, 10)

@@ -285,15 +285,15 @@ func TestSharpenIntoMatchesReference(t *testing.T) {
 
 				// The same source and destination as views into wider images.
 				upParent := randImage(w+5, h+4, 7)
-				upView := upParent.MustSubImage(2, 1, w, h)
+				upView := mustSub(upParent, 2, 1, w, h)
 				upView.CopyFrom(up)
 				dstParent := randImage(w+3, h+2, 8)
 				frameOf := dstParent.Clone()
-				sharpenInto(dstParent.MustSubImage(3, 2, w, h), upView)
-				if !dstParent.MustSubImage(3, 2, w, h).Equal(want) {
+				sharpenInto(mustSub(dstParent, 3, 2, w, h), upView)
+				if !mustSub(dstParent, 3, 2, w, h).Equal(want) {
 					t.Fatalf("%s: strided result differs from the reference loop", what)
 				}
-				frameOf.MustSubImage(3, 2, w, h).CopyFrom(want)
+				mustSub(frameOf, 3, 2, w, h).CopyFrom(want)
 				if !dstParent.Equal(frameOf) {
 					t.Fatalf("%s: bytes outside the destination view were written", what)
 				}
@@ -311,8 +311,8 @@ func TestFastMatchesResampleThenReference(t *testing.T) {
 	wl := gamePatch(t, "G3", 20, 96, 54)
 	f := NewFast(FastConfig{})
 	eachBody(func(body string) {
-		for _, view := range []*frame.Image{wl, wl.MustSubImage(17, 9, 64, 40), wl.MustSubImage(0, 0, 33, 1), wl.MustSubImage(95, 3, 1, 50)} {
-			want := upscale.MustResize(view, 2*view.W, 2*view.H, upscale.Lanczos3)
+		for _, view := range []*frame.Image{wl, mustSub(wl, 17, 9, 64, 40), mustSub(wl, 0, 0, 33, 1), mustSub(wl, 95, 3, 1, 50)} {
+			want := mustResize(view, 2*view.W, 2*view.H, upscale.Lanczos3)
 			sharpenInPlace(want, sharpenGain, nil)
 			got, err := f.Upscale(view, 2)
 			if err != nil {
@@ -373,7 +373,7 @@ func TestFastUpscaleIntoSteadyStateAllocs(t *testing.T) {
 // rendered frame, pooled, into a kept destination. Run with -cpu 1,2.
 func BenchmarkFastSRRoI64(b *testing.B) {
 	lr := gamePatch(b, "G3", 20, 160, 90)
-	benchFastRoI(b, lr.MustSubImage(48, 13, 64, 64)) // a strided view, as the client's is
+	benchFastRoI(b, mustSub(lr, 48, 13, 64, 64)) // a strided view, as the client's is
 }
 
 // BenchmarkFastSRRoI300 is the same call on the paper's RoI: a 300×300
@@ -385,7 +385,7 @@ func BenchmarkFastSRRoI300(b *testing.B) {
 		b.Fatal(err)
 	}
 	lr := wl.Render(&render.Renderer{}, 20, 1280, 720).Color
-	benchFastRoI(b, lr.MustSubImage(490, 210, 300, 300))
+	benchFastRoI(b, mustSub(lr, 490, 210, 300, 300))
 }
 
 // benchFastRoI times Fast's pooled ×2 call on im into a kept destination.
@@ -445,7 +445,7 @@ func TestFastConcurrentCalls(t *testing.T) {
 // outside the view must stay as they were.
 func checkFused(t *testing.T, im *frame.Image) {
 	t.Helper()
-	want := upscale.MustResize(im, 2*im.W, 2*im.H, upscale.Lanczos3)
+	want := mustResize(im, 2*im.W, 2*im.H, upscale.Lanczos3)
 	sharpenInPlace(want, sharpenGain, nil)
 	f := NewFast(FastConfig{})
 	eachBody(func(body string) {
@@ -458,10 +458,10 @@ func checkFused(t *testing.T, im *frame.Image) {
 		}
 		canvas := randImage(2*im.W+3, 2*im.H+2, 97)
 		outside := canvas.Clone()
-		if err := f.UpscaleInto(canvas.MustSubImage(3, 1, 2*im.W, 2*im.H), im, 2, nil); err != nil {
+		if err := f.UpscaleInto(mustSub(canvas, 3, 1, 2*im.W, 2*im.H), im, 2, nil); err != nil {
 			t.Fatal(err)
 		}
-		outside.MustSubImage(3, 1, 2*im.W, 2*im.H).CopyFrom(want)
+		mustSub(outside, 3, 1, 2*im.W, 2*im.H).CopyFrom(want)
 		if !canvas.Equal(outside) {
 			t.Fatalf("%s: %dx%d: strided destination differs, or bytes outside it were written", body, im.W, im.H)
 		}
@@ -481,8 +481,8 @@ func TestFastFusedMatchesResampleThenReference(t *testing.T) {
 			w, h := g[0], g[1]
 			checkFused(t, filledImage(w, h, int64(gi+1), fill))
 			parent := filledImage(w+4, h+3, int64(gi+50), fill)
-			checkFused(t, parent.MustSubImage(2, 1, w, h))
-			checkFused(t, parent.MustSubImage(4, 3, w, h))
+			checkFused(t, mustSub(parent, 2, 1, w, h))
+			checkFused(t, mustSub(parent, 4, 3, w, h))
 		}
 	}
 }
@@ -509,6 +509,6 @@ func FuzzFastSR2x(f *testing.F) {
 				parent.B[i] = data[(3*i+2)%len(data)]
 			}
 		}
-		checkFused(t, parent.MustSubImage(x0, y0, sw, sh))
+		checkFused(t, mustSub(parent, x0, y0, sw, sh))
 	})
 }

@@ -11,10 +11,54 @@ import (
 	"gamestreamsr/internal/upscale"
 )
 
+// at returns the RGB triple at (x, y).
+func at(im *frame.Image, x, y int) (r, g, b uint8) {
+	i := y*im.Stride + x
+	return im.R[i], im.G[i], im.B[i]
+}
+
+// mustSub is SubImage for a rectangle inside im.
+func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
+	s, err := im.SubImage(x, y, w, h)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// fill sets every pixel of im to one colour.
+func fill(im *frame.Image, r, g, b uint8) {
+	for y := 0; y < im.H; y++ {
+		for x := 0; x < im.W; x++ {
+			im.Set(x, y, r, g, b)
+		}
+	}
+}
+
+// mustResize is upscale.Resize for arguments the test has validated.
+func mustResize(src *frame.Image, w, h int, k upscale.Kind) *frame.Image {
+	out, err := upscale.Resize(src, w, h, k)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// luma returns im's Rec.601 luma plane.
+func luma(im *frame.Image) []float64 {
+	out := make([]float64, im.W*im.H)
+	im.LumaRowsInto(out, 0, im.H)
+	return out
+}
+
+// at and set address element (c, y, x) of t.
+func (t *Tensor) at(c, y, x int) float32     { return t.Data[(c*t.H+y)*t.W+x] }
+func (t *Tensor) set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
+
 func TestTensorBasics(t *testing.T) {
 	x := NewTensor(2, 3, 4)
-	x.Set(1, 2, 3, 7)
-	if x.At(1, 2, 3) != 7 {
+	x.set(1, 2, 3, 7)
+	if x.at(1, 2, 3) != 7 {
 		t.Fatal("set/at")
 	}
 	if len(x.Plane(1)) != 12 {
@@ -32,7 +76,7 @@ func TestConvIdentity(t *testing.T) {
 	for i := range in.Data {
 		in.Data[i] = float32(i)
 	}
-	out := c.Forward(in)
+	out := forward(c, in)
 	for i := range in.Data {
 		if out.Data[i] != in.Data[i] {
 			t.Fatalf("identity conv differs at %d", i)
@@ -47,7 +91,7 @@ func TestConvShiftAndReplicatePadding(t *testing.T) {
 	c.Weight[c.WIndex(0, 0, 1, 0)] = 1
 	in := NewTensor(1, 1, 4)
 	copy(in.Data, []float32{1, 2, 3, 4})
-	out := c.Forward(in)
+	out := forward(c, in)
 	want := []float32{1, 1, 2, 3}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -62,11 +106,11 @@ func TestConvBiasAndChannelMix(t *testing.T) {
 	c.Weight[c.WIndex(0, 1, 0, 0)] = 3
 	c.Bias[0] = 10
 	in := NewTensor(2, 1, 1)
-	in.Set(0, 0, 0, 5)
-	in.Set(1, 0, 0, 7)
-	out := c.Forward(in)
-	if out.At(0, 0, 0) != 2*5+3*7+10 {
-		t.Fatalf("got %f", out.At(0, 0, 0))
+	in.set(0, 0, 0, 5)
+	in.set(1, 0, 0, 7)
+	out := forward(c, in)
+	if out.at(0, 0, 0) != 2*5+3*7+10 {
+		t.Fatalf("got %f", out.at(0, 0, 0))
 	}
 }
 
@@ -76,7 +120,7 @@ func TestConvPanicsOnChannelMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewConv2D(2, 1, 3).Forward(NewTensor(3, 2, 2))
+	forward(NewConv2D(2, 1, 3), NewTensor(3, 2, 2))
 }
 
 func TestReLU(t *testing.T) {
@@ -102,20 +146,20 @@ func TestPixelShuffle(t *testing.T) {
 	out := NewTensor(1, 4, 4)
 	PixelShuffleInto(out, in, 2)
 	// Output (0,0) is phase (0,0) of source (0,0) = channel 0.
-	if out.At(0, 0, 0) != 0 {
-		t.Errorf("(0,0) = %f", out.At(0, 0, 0))
+	if out.at(0, 0, 0) != 0 {
+		t.Errorf("(0,0) = %f", out.at(0, 0, 0))
 	}
 	// Output (0,1) is phase dx=1 = channel 1.
-	if out.At(0, 0, 1) != 10 {
-		t.Errorf("(0,1) = %f", out.At(0, 0, 1))
+	if out.at(0, 0, 1) != 10 {
+		t.Errorf("(0,1) = %f", out.at(0, 0, 1))
 	}
 	// Output (1,0) is phase dy=1 = channel 2.
-	if out.At(0, 1, 0) != 20 {
-		t.Errorf("(1,0) = %f", out.At(0, 1, 0))
+	if out.at(0, 1, 0) != 20 {
+		t.Errorf("(1,0) = %f", out.at(0, 1, 0))
 	}
 	// Output (3,3): source (1,1), phase (1,1) = channel 3, element 3.
-	if out.At(0, 3, 3) != 33 {
-		t.Errorf("(3,3) = %f", out.At(0, 3, 3))
+	if out.at(0, 3, 3) != 33 {
+		t.Errorf("(3,3) = %f", out.at(0, 3, 3))
 	}
 }
 
@@ -162,7 +206,7 @@ func TestNetworkMatchesResize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := upscale.MustResize(im, 48, 48, upscale.Bicubic)
+	want := mustResize(im, 48, 48, upscale.Bicubic)
 	if got.W != 48 || got.H != 48 {
 		t.Fatalf("output size %dx%d", got.W, got.H)
 	}
@@ -170,8 +214,8 @@ func TestNetworkMatchesResize(t *testing.T) {
 	var maxDiff int
 	for y := margin; y < 48-margin; y++ {
 		for x := margin; x < 48-margin; x++ {
-			gr, gg, gb := got.At(x, y)
-			wr, wg, wb := want.At(x, y)
+			gr, gg, gb := at(got, x, y)
+			wr, wg, wb := at(want, x, y)
 			for _, d := range []int{int(gr) - int(wr), int(gg) - int(wg), int(gb) - int(wb)} {
 				if d < 0 {
 					d = -d
@@ -196,11 +240,11 @@ func gamePatch(t testing.TB, id string, fi, w, h int) *frame.Image {
 	}
 	out := wl.Render(&render.Renderer{}, fi, 4*w, 4*h)
 	// Central crop keeps foreground detail in frame.
-	return out.Color.MustSubImage((4*w-w)/2, (4*h-h)/2, w, h).Clone()
+	return mustSub(out.Color, (4*w-w)/2, (4*h-h)/2, w, h).Clone()
 }
 
 func psnr(a, b *frame.Image) float64 {
-	la, lb := a.Luma(), b.Luma()
+	la, lb := luma(a), luma(b)
 	var sum float64
 	for i := range la {
 		d := la[i] - lb[i]
@@ -218,9 +262,9 @@ func psnr(a, b *frame.Image) float64 {
 func TestSRBeatsBilinear(t *testing.T) {
 	wl, _ := games.ByID("G3")
 	hi := wl.Render(&render.Renderer{}, 20, 256, 144).Color
-	lo := upscale.MustResize(hi, 128, 72, upscale.Bilinear)
+	lo := mustResize(hi, 128, 72, upscale.Bilinear)
 
-	bilUp := upscale.MustResize(lo, 256, 144, upscale.Bilinear)
+	bilUp := mustResize(lo, 256, 144, upscale.Bilinear)
 	basePSNR := psnr(hi, bilUp)
 
 	fast := NewFast(FastConfig{})
@@ -247,7 +291,7 @@ func TestSRBeatsBilinear(t *testing.T) {
 
 func TestFastConstantImage(t *testing.T) {
 	im := frame.NewImage(16, 16)
-	im.Fill(90, 120, 33)
+	fill(im, 90, 120, 33)
 	out, err := NewFast(FastConfig{}).Upscale(im, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +376,7 @@ func TestBinomialKernel(t *testing.T) {
 }
 
 func TestRandomEDSRDense(t *testing.T) {
-	n := NewRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 2}, 1)
+	n := newRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 2}, 1)
 	zeros := 0
 	for _, w := range n.head.Weight {
 		if w == 0 {
@@ -343,7 +387,7 @@ func TestRandomEDSRDense(t *testing.T) {
 		t.Errorf("random network has %d zero weights in head", zeros)
 	}
 	// Deterministic per seed.
-	m := NewRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 2}, 1)
+	m := newRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 2}, 1)
 	for i := range n.head.Weight {
 		if n.head.Weight[i] != m.head.Weight[i] {
 			t.Fatal("same seed should give same weights")
@@ -361,7 +405,7 @@ func TestRandomEDSRDense(t *testing.T) {
 
 func TestSpecDefaults(t *testing.T) {
 	n := NewNetwork(Spec{})
-	s := n.Spec()
+	s := n.spec
 	if s.Blocks != 16 || s.Channels != 64 || s.Scale != 2 || s.K != 3 || s.UpK != 5 {
 		t.Errorf("defaults = %+v", s)
 	}
@@ -387,7 +431,7 @@ func BenchmarkEDSRTinyInference(b *testing.B) {
 func BenchmarkDenseEDSR32(b *testing.B) {
 	// Dense random weights: no zero-weight shortcuts, measures the real
 	// per-MAC cost of the pure-Go engine.
-	n := NewRandomEDSR(Spec{Blocks: 2, Channels: 16}, 7)
+	n := newRandomEDSR(Spec{Blocks: 2, Channels: 16}, 7)
 	im := frame.NewImage(32, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -405,8 +449,8 @@ func BenchmarkDenseEDSR32(b *testing.B) {
 func TestSharpenSweepDefaultNearOptimal(t *testing.T) {
 	wl, _ := games.ByID("G3")
 	hi := wl.Render(&render.Renderer{}, 20, 256, 144).Color
-	lo := upscale.MustResize(hi, 128, 72, upscale.Bilinear)
-	plain := upscale.MustResize(lo, 256, 144, upscale.Lanczos3)
+	lo := mustResize(hi, 128, 72, upscale.Bilinear)
+	plain := mustResize(lo, 256, 144, upscale.Lanczos3)
 	psnrAt := func(alpha float64) float64 {
 		up := plain.Clone()
 		sharpenInPlace(up, alpha, nil)

@@ -17,10 +17,7 @@
 // DESIGN.md records the substitution.
 package sr
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Tensor is a CHW float32 tensor.
 type Tensor struct {
@@ -36,12 +33,6 @@ func NewTensor(c, h, w int) *Tensor {
 	return &Tensor{C: c, H: h, W: w, Data: make([]float32, c*h*w)}
 }
 
-// At returns the element at (c, y, x).
-func (t *Tensor) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
-
-// Set writes the element at (c, y, x).
-func (t *Tensor) Set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
-
 // Plane returns channel c as a sub-slice.
 func (t *Tensor) Plane(c int) []float32 {
 	n := t.H * t.W
@@ -52,16 +43,13 @@ func (t *Tensor) Plane(c int) []float32 {
 // and unit stride: the standard EDSR building block.
 //
 // Weight and Bias are filled after construction and frozen by first use:
-// Forward/ForwardInto (and a Network's first inference) compile the layer
-// into its tap list once, and later writes to Weight or Bias are not seen.
+// a Network's first inference compiles its layers into tap lists once, and
+// later writes to Weight or Bias are not seen.
 type Conv2D struct {
 	InC, OutC, K int
 	// Weight is laid out [outC][inC][K][K].
 	Weight []float32
 	Bias   []float32
-
-	once sync.Once
-	plan *convPlan // the standalone layer: every output, uncompacted tensors
 }
 
 // NewConv2D allocates a zero-initialised convolution layer.
@@ -82,25 +70,6 @@ func NewConv2D(inC, outC, k int) *Conv2D {
 // WIndex returns the flat index of weight [oc][ic][ky][kx].
 func (c *Conv2D) WIndex(oc, ic, ky, kx int) int {
 	return ((oc*c.InC+ic)*c.K+ky)*c.K + kx
-}
-
-// Forward applies the convolution. Input must have C == InC.
-func (c *Conv2D) Forward(in *Tensor) *Tensor {
-	out := NewTensor(c.OutC, in.H, in.W)
-	c.ForwardInto(out, in)
-	return out
-}
-
-// ForwardInto applies the convolution writing into out (shape OutC×H×W).
-func (c *Conv2D) ForwardInto(out, in *Tensor) {
-	c.once.Do(c.compileAll)
-	r := startRun()
-	r.run(c.plan, out, in)
-	r.release()
-}
-
-func (c *Conv2D) compileAll() {
-	c.plan = c.compile(nil, identity(c.OutC), c.OutC, identity(c.InC), c.InC, epiStore)
 }
 
 // ReLU applies max(0, x) in place and returns t.

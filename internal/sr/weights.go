@@ -2,7 +2,6 @@ package sr
 
 import (
 	"math"
-	"math/rand"
 
 	"gamestreamsr/internal/upscale"
 )
@@ -216,31 +215,4 @@ func binomialKernel(k int) []float32 {
 		}
 	}
 	return out
-}
-
-// NewRandomEDSR fills a network with small dense pseudo-random weights.
-// Its output is meaningless; it exists so compute benchmarks measure the
-// full dense topology without the zero-weight shortcuts the constructed
-// network permits.
-func NewRandomEDSR(spec Spec, seed int64) *Network {
-	n := NewNetwork(spec)
-	rng := rand.New(rand.NewSource(seed))
-	fill := func(c *Conv2D) {
-		scale := float32(1 / math.Sqrt(float64(c.InC*c.K*c.K)))
-		for i := range c.Weight {
-			c.Weight[i] = (rng.Float32()*2 - 1) * scale
-		}
-		for i := range c.Bias {
-			c.Bias[i] = (rng.Float32()*2 - 1) * 0.1
-		}
-	}
-	fill(n.head)
-	for i := range n.body {
-		fill(n.body[i].conv1)
-		fill(n.body[i].conv2)
-	}
-	fill(n.bodyEnd)
-	fill(n.up)
-	fill(n.tail)
-	return n
 }

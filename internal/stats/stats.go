@@ -1,5 +1,5 @@
 // Package stats provides the small numeric summaries the experiment
-// harness reports: means, geometric means, percentiles and min/max.
+// harness and the client report: percentiles and minima.
 package stats
 
 import (
@@ -10,33 +10,6 @@ import (
 
 // ErrEmpty is returned by summaries of empty samples.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// GeoMean returns the geometric mean; all samples must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean needs positive samples")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
 // interpolation between order statistics.
@@ -52,30 +25,12 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return sortedPercentile(s, p), nil
 }
 
-// MinMax returns the smallest and largest sample.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
 // Summary is a sample summarised once: it copies and sorts the input a
-// single time, then serves Mean, GeoMean, any number of Percentiles and
-// MinMax without re-copying or re-sorting — use it instead of repeated
-// Percentile calls on the same sample.
+// single time, then serves its minimum and any number of Percentiles
+// without re-copying or re-sorting — use it instead of repeated Percentile
+// calls on the same sample.
 type Summary struct {
 	sorted []float64
-	sum    float64
 }
 
 // NewSummary builds a summary of xs. The input is copied; later mutation
@@ -86,35 +41,11 @@ func NewSummary(xs []float64) (*Summary, error) {
 	}
 	s := &Summary{sorted: append([]float64(nil), xs...)}
 	sort.Float64s(s.sorted)
-	for _, x := range s.sorted {
-		s.sum += x
-	}
 	return s, nil
-}
-
-// N returns the sample size.
-func (s *Summary) N() int { return len(s.sorted) }
-
-// Mean returns the arithmetic mean.
-func (s *Summary) Mean() float64 { return s.sum / float64(len(s.sorted)) }
-
-// GeoMean returns the geometric mean; all samples must be positive.
-func (s *Summary) GeoMean() (float64, error) {
-	if s.sorted[0] <= 0 {
-		return 0, errors.New("stats: geometric mean needs positive samples")
-	}
-	sum := 0.0
-	for _, x := range s.sorted {
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(s.sorted))), nil
 }
 
 // Min returns the smallest sample.
 func (s *Summary) Min() float64 { return s.sorted[0] }
-
-// Max returns the largest sample.
-func (s *Summary) Max() float64 { return s.sorted[len(s.sorted)-1] }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) with the same
 // linear interpolation between order statistics as the package-level

@@ -100,7 +100,7 @@ func TestPingPong(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("server: %v", err)
 	}
-	if n := reg.Snapshot().Counter("stream_pings_total"); n == 0 {
+	if n := counterOf(reg.Snapshot(), "stream_pings_total"); n == 0 {
 		t.Fatal("server counted no pings")
 	}
 }
@@ -166,7 +166,7 @@ func TestIdleReaperReapsSilentV4(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("reaper never fired")
 	}
-	if n := reg.Snapshot().Counter("stream_sessions_reaped_total"); n != 1 {
+	if n := counterOf(reg.Snapshot(), "stream_sessions_reaped_total"); n != 1 {
 		t.Fatalf("stream_sessions_reaped_total = %d, want 1", n)
 	}
 }
@@ -227,7 +227,7 @@ func TestIdleReaperSparesHeartbeatingClient(t *testing.T) {
 	if frames != 3 {
 		t.Fatalf("got %d frames, want 3", frames)
 	}
-	if n := reg.Snapshot().Counter("stream_sessions_reaped_total"); n != 0 {
+	if n := counterOf(reg.Snapshot(), "stream_sessions_reaped_total"); n != 0 {
 		t.Fatalf("stream_sessions_reaped_total = %d, want 0", n)
 	}
 }
@@ -304,7 +304,7 @@ func TestBlackholedSessionReaped(t *testing.T) {
 	}()
 
 	waitFor(t, "blackholed session reaped", func() bool {
-		return reg.Snapshot().Counter("stream_sessions_reaped_total") >= 1
+		return counterOf(reg.Snapshot(), "stream_sessions_reaped_total") >= 1
 	})
 	conn.Close() // unblocks the blackholed ping/recv goroutines
 	wg.Wait()

@@ -140,7 +140,7 @@ func TestStatsBackchannel(t *testing.T) {
 	if err := c.SendStats(want); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the stats report", func() bool { return reg.Snapshot().Counter("stream_client_stats_total") == 1 })
+	waitFor(t, "the stats report", func() bool { return counterOf(reg.Snapshot(), "stream_client_stats_total") == 1 })
 	// The session is live (its frames are unread), so its gauges are up.
 	snap := reg.Snapshot()
 	suffix := metricLabel(server.RemoteAddr().String())
@@ -150,11 +150,11 @@ func TestStatsBackchannel(t *testing.T) {
 		"stream_client_decode_p99_us_": want.DecodeP99,
 		"stream_client_sr_p99_us_":     want.SRP99,
 	} {
-		if got := snap.Gauge(name + suffix); got != v.Microseconds() {
+		if got := gaugeOf(snap, name+suffix); got != v.Microseconds() {
 			t.Errorf("%s%s = %d, want %d", name, suffix, got, v.Microseconds())
 		}
 	}
-	if d, m := snap.Counter("stream_client_dropped_total"), snap.Counter("stream_client_deadline_misses_total"); d != 2 || m != 5 {
+	if d, m := counterOf(snap, "stream_client_dropped_total"), counterOf(snap, "stream_client_deadline_misses_total"); d != 2 || m != 5 {
 		t.Errorf("dropped %d, misses %d; want 2 and 5", d, m)
 	}
 	for {
@@ -169,7 +169,7 @@ func TestStatsBackchannel(t *testing.T) {
 	}
 	<-done
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counter("stream_client_bye_total") == 0 {
+	for counterOf(reg.Snapshot(), "stream_client_bye_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("client bye never counted")
 		}
@@ -213,13 +213,13 @@ func TestBadHelloRejected(t *testing.T) {
 		t.Errorf("MultiServer: conn not closed behind the reject: %v", err)
 	}
 	snap := reg.Snapshot()
-	if r, a := snap.Counter("stream_sessions_rejected_total"), snap.Counter("stream_sessions_accepted_total"); r != 1 || a != 0 {
+	if r, a := counterOf(snap, "stream_sessions_rejected_total"), counterOf(snap, "stream_sessions_accepted_total"); r != 1 || a != 0 {
 		t.Errorf("rejected %d, accepted %d; want 1 and 0", r, a)
 	}
 	srv.mu.Lock()
 	tokens := len(srv.resumes)
 	srv.mu.Unlock()
-	if n := srv.SessionCount(); n != 0 || tokens != 0 {
+	if n := srv.sessionCount(); n != 0 || tokens != 0 {
 		t.Errorf("%d sessions and %d resume tokens, want none", n, tokens)
 	}
 
@@ -297,7 +297,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 	conn.Close()
 
-	if n := srv.SessionCount(); n != 0 {
+	if n := srv.sessionCount(); n != 0 {
 		t.Errorf("%d sessions, want none", n)
 	}
 	srv.mu.Lock()
@@ -306,7 +306,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if tokens != 0 {
 		t.Errorf("%d resume tokens issued, want none", tokens)
 	}
-	if n := reg.Snapshot().Counter("stream_sessions_accepted_total"); n != 0 {
+	if n := counterOf(reg.Snapshot(), "stream_sessions_accepted_total"); n != 0 {
 		t.Errorf("stream_sessions_accepted_total = %d, want 0", n)
 	}
 }

@@ -78,7 +78,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		clients = append(clients, c)
 	}
 	waitFor(t, "both stats reports", func() bool {
-		return reg.Snapshot().Counter("stream_client_stats_total") == 2
+		return counterOf(reg.Snapshot(), "stream_client_stats_total") == 2
 	})
 
 	s := reg.Snapshot()

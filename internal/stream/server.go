@@ -303,8 +303,8 @@ type session struct {
 // dumpable after their connection closes (unless FlightRetain raises it).
 const retiredFlights = 4
 
-// errServerClosed is returned by Serve after Shutdown.
-var errServerClosed = errors.New("stream: server closed")
+// ErrServerClosed is returned by Serve after Shutdown.
+var ErrServerClosed = errors.New("stream: server closed")
 
 // Serve accepts connections from l until the listener fails or Shutdown is
 // called. It blocks; run it in a goroutine and use Shutdown to stop. Each
@@ -316,7 +316,7 @@ func (s *MultiServer) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errServerClosed
+		return ErrServerClosed
 	}
 	s.listener = l
 	s.mu.Unlock()
@@ -328,7 +328,7 @@ func (s *MultiServer) Serve(l net.Listener) error {
 			closed := s.closed
 			s.mu.Unlock()
 			if closed {
-				return errServerClosed
+				return ErrServerClosed
 			}
 			return err
 		}
@@ -336,7 +336,7 @@ func (s *MultiServer) Serve(l net.Listener) error {
 		if s.closed {
 			s.mu.Unlock()
 			conn.Close()
-			return errServerClosed
+			return ErrServerClosed
 		}
 		// The conn is tracked as pending until its Hello is read, so
 		// Shutdown can unblock a handshake that never arrives.
@@ -395,7 +395,7 @@ func (s *MultiServer) serveConn(conn net.Conn) error {
 	switch {
 	case closed:
 		conn.Close()
-		return errServerClosed
+		return ErrServerClosed
 	case badHello(msg, err): // refused below, with the parse reason
 	case err != nil:
 		conn.Close()
@@ -463,7 +463,7 @@ func (s *MultiServer) servePlayer(conn net.Conn, remote string, hello Hello, tHe
 	}
 	if closed {
 		conn.Close()
-		return errServerClosed
+		return ErrServerClosed
 	}
 	if overCap {
 		s.ctrs.rejected.Inc()
@@ -704,24 +704,6 @@ func (s *MultiServer) WriteFlight(w io.Writer) error {
 	return frametrace.WriteChromeTraces(w, dumps)
 }
 
-// SessionLatencies returns the modelled frame latencies currently in every
-// retained session recorder's ring, keyed "identity#k" (k disambiguates
-// successive sessions under one identity) — what the saturation benchmark
-// reads to compute per-session tail latency.
-func (s *MultiServer) SessionLatencies() map[string][]time.Duration {
-	s.mu.Lock()
-	sessions := slices.Clone(s.sessions)
-	s.mu.Unlock()
-	out := make(map[string][]time.Duration, len(sessions))
-	seen := map[string]int{}
-	for _, sess := range sessions {
-		key := fmt.Sprintf("%s#%d", sess.identity, seen[sess.identity])
-		seen[sess.identity]++
-		out[key] = sess.rec.WindowLatencies(nil)
-	}
-	return out
-}
-
 // Shutdown stops accepting and closes every live session, then waits for
 // the session goroutines to drain (they finish promptly — their
 // connections are closed) or for ctx to expire, whichever comes first.
@@ -749,11 +731,4 @@ func (s *MultiServer) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// SessionCount returns the number of live sessions.
-func (s *MultiServer) SessionCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.liveSessions())
 }

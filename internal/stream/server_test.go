@@ -20,6 +20,26 @@ import (
 	"gamestreamsr/internal/telemetry"
 )
 
+// counterOf returns the named counter's value in s (0 when absent).
+func counterOf(s telemetry.Snapshot, name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// gaugeOf returns the named gauge's value in s (0 when absent).
+func gaugeOf(s telemetry.Snapshot, name string) int64 {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	return 0
+}
+
 // countingSource serves n tiny frames.
 type countingSource struct{ n int }
 
@@ -42,6 +62,13 @@ func startMulti(t *testing.T, srv *MultiServer) (addr string, done chan error) {
 }
 
 // waitFor polls cond until it holds or the deadline passes.
+// sessionCount returns the number of live sessions.
+func (s *MultiServer) sessionCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.liveSessions())
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -106,11 +133,11 @@ func TestMultiServerConcurrentClients(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; !errors.Is(err, errServerClosed) {
+	if err := <-done; !errors.Is(err, ErrServerClosed) {
 		t.Errorf("Serve returned %v, want server-closed", err)
 	}
-	if srv.SessionCount() != 0 {
-		t.Errorf("%d sessions left after shutdown", srv.SessionCount())
+	if srv.sessionCount() != 0 {
+		t.Errorf("%d sessions left after shutdown", srv.sessionCount())
 	}
 }
 
@@ -284,16 +311,16 @@ func TestMultiServerSessionCap(t *testing.T) {
 
 	// The rejection is counted, not silent.
 	s := reg.Snapshot()
-	if got := s.Counter("stream_sessions_rejected_total"); got != 1 {
+	if got := counterOf(s, "stream_sessions_rejected_total"); got != 1 {
 		t.Errorf("rejected_total = %d, want 1", got)
 	}
-	if got := s.Counter("stream_sessions_rejected_capacity_total"); got != 1 {
+	if got := counterOf(s, "stream_sessions_rejected_capacity_total"); got != 1 {
 		t.Errorf("rejected_capacity_total = %d, want 1", got)
 	}
-	if got := s.Counter("stream_sessions_accepted_total"); got != 1 {
+	if got := counterOf(s, "stream_sessions_accepted_total"); got != 1 {
 		t.Errorf("accepted_total = %d, want 1", got)
 	}
-	if got := s.Gauge("stream_sessions_active"); got != 1 {
+	if got := gaugeOf(s, "stream_sessions_active"); got != 1 {
 		t.Errorf("sessions_active = %d, want 1 while the slot is held", got)
 	}
 }
@@ -316,18 +343,18 @@ func TestMultiServerSessionTelemetry(t *testing.T) {
 	<-done
 
 	s := reg.Snapshot()
-	if got := s.Counter("stream_frames_sent_total"); got != nFrames {
+	if got := counterOf(s, "stream_frames_sent_total"); got != nFrames {
 		t.Errorf("frames_sent_total = %d, want %d", got, nFrames)
 	}
 	// countingSource payloads are 1 byte each.
-	if got := s.Counter("stream_bytes_sent_total"); got != nFrames {
+	if got := counterOf(s, "stream_bytes_sent_total"); got != nFrames {
 		t.Errorf("bytes_sent_total = %d, want %d", got, nFrames)
 	}
 	h, ok := s.Histogram("stream_frame_send_seconds")
 	if !ok || h.Count != nFrames {
 		t.Errorf("frame_send_seconds count = %d (present %v), want %d", h.Count, ok, nFrames)
 	}
-	if got := s.Gauge("stream_sessions_active"); got != 0 {
+	if got := gaugeOf(s, "stream_sessions_active"); got != 0 {
 		t.Errorf("sessions_active = %d after shutdown, want 0", got)
 	}
 }
@@ -388,7 +415,7 @@ func TestMultiServerFlightRecorders(t *testing.T) {
 		}
 	}
 	// The sessions' SLO instruments share the server registry.
-	if got := reg.Snapshot().Counter("frametrace_frames_total"); got != 2*nFrames {
+	if got := counterOf(reg.Snapshot(), "frametrace_frames_total"); got != 2*nFrames {
 		t.Errorf("frametrace_frames_total = %d, want %d", got, 2*nFrames)
 	}
 }
@@ -407,7 +434,7 @@ func TestMultiServerFlightRetention(t *testing.T) {
 		runClient(t, addr, "client")
 		// A session retires its recorder once it has seen the client hang
 		// up; the next one must not start (and prune) before that.
-		waitFor(t, "session end", func() bool { return srv.SessionCount() == 0 })
+		waitFor(t, "session end", func() bool { return srv.sessionCount() == 0 })
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -543,8 +570,8 @@ func TestMultiServerShutdownWaitsForSessions(t *testing.T) {
 		t.Fatalf("Shutdown after release = %v", err)
 	}
 	<-done
-	if srv.SessionCount() != 0 {
-		t.Errorf("%d sessions left after shutdown", srv.SessionCount())
+	if srv.sessionCount() != 0 {
+		t.Errorf("%d sessions left after shutdown", srv.sessionCount())
 	}
 }
 
@@ -608,7 +635,7 @@ func TestMultiServerAdmissionControl(t *testing.T) {
 	if rej.Code != RejectBusy || !strings.Contains(rej.Reason, "no SLO headroom") {
 		t.Errorf("reject = %+v, want busy with the headroom reason", rej)
 	}
-	if got := reg.Snapshot().Counter("stream_sessions_rejected_busy_total"); got != 1 {
+	if got := counterOf(reg.Snapshot(), "stream_sessions_rejected_busy_total"); got != 1 {
 		t.Errorf("rejected_busy_total = %d, want 1", got)
 	}
 }
@@ -650,7 +677,6 @@ func TestMultiServerShedLadder(t *testing.T) {
 	probe := &shedProbe{slowFrames: 8, sleep: 3 * time.Millisecond, frames: 16}
 	reg := telemetry.NewRegistry()
 	sched := parallel.NewScheduler(2)
-	defer sched.Close()
 	srv := &MultiServer{
 		Accept:       Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
 		Metrics:      reg,
@@ -687,14 +713,18 @@ func TestMultiServerShedLadder(t *testing.T) {
 	}
 	if probe.sched == nil {
 		t.Errorf("SchedAware source never received the session's scheduler client")
-	} else if probe.sched.Priority() != parallel.Normal {
-		t.Errorf("session client priority = %v after recovery, want Normal", probe.sched.Priority())
+	}
+	if p := shedPriority(levels[len(levels)-1]); p != parallel.Normal {
+		t.Errorf("session client priority = %v after recovery, want Normal", p)
+	}
+	if p := shedPriority(ShedDemoted); p != parallel.Background {
+		t.Errorf("session client priority = %v when demoted, want Background", p)
 	}
 	s := reg.Snapshot()
-	if got := s.Counter("stream_shed_escalations_total"); got != 3 {
+	if got := counterOf(s, "stream_shed_escalations_total"); got != 3 {
 		t.Errorf("shed_escalations_total = %d, want 3", got)
 	}
-	if got := s.Counter("stream_shed_recoveries_total"); got < 1 {
+	if got := counterOf(s, "stream_shed_recoveries_total"); got < 1 {
 		t.Errorf("shed_recoveries_total = %d, want >= 1", got)
 	}
 }
@@ -740,8 +770,8 @@ func TestOpeningMessageBounded(t *testing.T) {
 			srv.mu.Lock()
 			pending := len(srv.pending)
 			srv.mu.Unlock()
-			if pending != 0 || srv.SessionCount() != 0 {
-				t.Fatalf("%d pending connections and %d sessions left behind", pending, srv.SessionCount())
+			if pending != 0 || srv.sessionCount() != 0 {
+				t.Fatalf("%d pending connections and %d sessions left behind", pending, srv.sessionCount())
 			}
 		})
 	}
@@ -824,7 +854,7 @@ func TestResumeOverlapRetiresOwnFlight(t *testing.T) {
 		t.Fatalf("first session: %v, want its Bye", err)
 	}
 	_ = a.Bye()
-	waitFor(t, "first session end", func() bool { return srv.SessionCount() == 1 })
+	waitFor(t, "first session end", func() bool { return srv.sessionCount() == 1 })
 
 	var buf bytes.Buffer
 	if err := srv.WriteFlight(&buf); err != nil {
@@ -948,15 +978,15 @@ func TestResumeOverlapKeepsSuccessorGauges(t *testing.T) {
 	if err := b.SendStats(StatsPacket{Seq: 1, WindowFrames: 1, AgeP99: 4 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the successor's report", func() bool { return reg.Snapshot().Gauge(gauge) == 4000 })
+	waitFor(t, "the successor's report", func() bool { return gaugeOf(reg.Snapshot(), gauge) == 4000 })
 
 	release(0)
 	if _, err := a.RecvFrame(); err != io.EOF {
 		t.Fatalf("first session: %v, want its Bye", err)
 	}
 	_ = a.Bye()
-	waitFor(t, "first session end", func() bool { return srv.SessionCount() == 1 })
-	if got := reg.Snapshot().Gauge(gauge); got != 4000 {
+	waitFor(t, "first session end", func() bool { return srv.sessionCount() == 1 })
+	if got := gaugeOf(reg.Snapshot(), gauge); got != 4000 {
 		t.Errorf("%s = %d after the predecessor ended, want the successor's 4000", gauge, got)
 	}
 
@@ -965,7 +995,7 @@ func TestResumeOverlapKeepsSuccessorGauges(t *testing.T) {
 		t.Fatalf("second session: %v, want its Bye", err)
 	}
 	_ = b.Bye()
-	waitFor(t, "second session end", func() bool { return srv.SessionCount() == 0 })
+	waitFor(t, "second session end", func() bool { return srv.sessionCount() == 0 })
 	for _, g := range reg.Snapshot().Gauges {
 		if strings.HasPrefix(g.Name, "stream_client_") {
 			t.Errorf("gauge %s survived the identity's last session", g.Name)

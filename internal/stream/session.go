@@ -442,17 +442,21 @@ func (sess *session) evaluate(i int) {
 	}
 }
 
+// shedPriority is the scheduler class of a session at the given shed level.
+func shedPriority(level int) parallel.Priority {
+	if level >= ShedDemoted {
+		return parallel.Background
+	}
+	return parallel.Normal
+}
+
 func (sess *session) setLevel(i, level int) {
 	old := int(sess.shed.Swap(int32(level)))
 	if sess.target != nil {
 		sess.target.SetShedLevel(level)
 	}
 	if sess.client != nil {
-		if level >= ShedDemoted {
-			sess.client.SetPriority(parallel.Background)
-		} else {
-			sess.client.SetPriority(parallel.Normal)
-		}
+		sess.client.SetPriority(shedPriority(level))
 	}
 	if ok, suppressed := shedLogLimit.Allow("shed:" + sess.remote); ok {
 		kv := []any{"session", sess.remote, "from", old, "to", level, "frame", i,
@@ -497,7 +501,6 @@ type Client struct {
 	conn    io.ReadWriter
 	r       *bufio.Reader
 	writeMu sync.Mutex
-	cfg     Accept
 	sync    ClockSync
 
 	pingSeq  uint32       // under writeMu
@@ -551,12 +554,12 @@ func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 	if msg.Type != MsgAccept {
 		return Accept{}, fmt.Errorf("%w: expected accept, got %v", ErrProtocol, msg.Type)
 	}
-	c.cfg = *msg.Accept
-	if sendUS > 0 && c.cfg.RecvUnixMicro > 0 {
+	cfg := *msg.Accept
+	if sendUS > 0 && cfg.RecvUnixMicro > 0 {
 		// NTP-style two-sample estimate: T0/T3 on the client clock, T1/T2
 		// on the server's.
-		t1 := c.cfg.RecvUnixMicro
-		t2 := c.cfg.SendUnixMicro
+		t1 := cfg.RecvUnixMicro
+		t2 := cfg.SendUnixMicro
 		offUS := ((t1 - sendUS) + (t2 - t3.UnixMicro())) / 2
 		rttUS := (t3.UnixMicro() - sendUS) - (t2 - t1)
 		if rttUS < 0 {
@@ -568,12 +571,8 @@ func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 			Synced: true,
 		}
 	}
-	return c.cfg, nil
+	return cfg, nil
 }
-
-// Config returns the stream geometry the server announced (zero before
-// Handshake).
-func (c *Client) Config() Accept { return c.cfg }
 
 // Clock returns the handshake's clock-sync estimate (Synced false before
 // Handshake).

@@ -209,9 +209,6 @@ func TestSessionOverPipe(t *testing.T) {
 	if cfg.Width != 160 || cfg.GOPSize != 60 {
 		t.Fatalf("accept = %+v", cfg)
 	}
-	if c.Config() != cfg {
-		t.Error("client should cache the config")
-	}
 	if err := c.SendInput(InputPacket{Seq: 1, Payload: []byte("jump")}); err != nil {
 		t.Fatal(err)
 	}

@@ -314,40 +314,12 @@ func (h HistogramValue) Quantile(p float64) (float64, error) {
 	return stats.BucketPercentile(bounds, counts, h.Min, h.Max, p)
 }
 
-// Mean returns the arithmetic mean of the observations (0 when empty).
-func (h HistogramValue) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / float64(h.Count)
-}
-
 // Snapshot is a point-in-time copy of every metric, sorted by name — the
 // stable view tests and the encoders consume.
 type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Gauges     []GaugeValue     `json:"gauges"`
 	Histograms []HistogramValue `json:"histograms"`
-}
-
-// Counter returns the named counter's value (0 when absent).
-func (s Snapshot) Counter(name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// Gauge returns the named gauge's value (0 when absent).
-func (s Snapshot) Gauge(name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
 }
 
 // Histogram returns the named histogram and whether it exists.

@@ -10,6 +10,26 @@ import (
 	"time"
 )
 
+// counterOf returns the named counter's value in s (0 when absent).
+func counterOf(s Snapshot, name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// gaugeOf returns the named gauge's value in s (0 when absent).
+func gaugeOf(s Snapshot, name string) int64 {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	return 0
+}
+
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Add(3)
@@ -22,7 +42,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
-	if s.Counter("c") != 0 || s.Gauge("g") != 0 {
+	if counterOf(s, "c") != 0 || gaugeOf(s, "g") != 0 {
 		t.Error("absent metrics must read 0")
 	}
 	var sb strings.Builder
@@ -49,7 +69,7 @@ func TestUnregister(t *testing.T) {
 	}
 	// A re-registered name starts fresh — the old handle's state is gone
 	// from the registry even if a stale pointer still mutates it.
-	if r.Gauge("g").Set(1); r.Snapshot().Gauge("g") != 1 {
+	if r.Gauge("g").Set(1); gaugeOf(r.Snapshot(), "g") != 1 {
 		t.Error("re-registered gauge did not start fresh")
 	}
 	// Unknown names and nil registries are no-ops.
@@ -69,10 +89,10 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		h.Observe(v)
 	}
 	s := r.Snapshot()
-	if got := s.Counter("frames_total"); got != 6 {
+	if got := counterOf(s, "frames_total"); got != 6 {
 		t.Errorf("counter = %d", got)
 	}
-	if got := s.Gauge("sessions_active"); got != 2 {
+	if got := gaugeOf(s, "sessions_active"); got != 2 {
 		t.Errorf("gauge = %d", got)
 	}
 	hv, ok := s.Histogram("lat_seconds")
@@ -95,9 +115,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	if !math.IsInf(hv.Buckets[3].Upper, 1) {
 		t.Error("last bucket must be the overflow bucket")
-	}
-	if hv.Mean() != hv.Sum/4 {
-		t.Errorf("mean = %f", hv.Mean())
 	}
 	q, err := hv.Quantile(50)
 	if err != nil || q < hv.Min || q > hv.Max {
@@ -146,8 +163,8 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Counter("n") != writers*each {
-		t.Errorf("counter = %d", s.Counter("n"))
+	if counterOf(s, "n") != writers*each {
+		t.Errorf("counter = %d", counterOf(s, "n"))
 	}
 	hv, _ := s.Histogram("h")
 	if hv.Count != writers*each {
@@ -271,11 +288,11 @@ func TestGaugeFunc(t *testing.T) {
 	r.GaugeFunc("callback_gauge", v.Load)
 	// First registration wins; a duplicate must not replace it.
 	r.GaugeFunc("callback_gauge", func() int64 { return -1 })
-	if got := r.Snapshot().Gauge("callback_gauge"); got != 7 {
+	if got := gaugeOf(r.Snapshot(), "callback_gauge"); got != 7 {
 		t.Fatalf("callback gauge = %d, want 7", got)
 	}
 	v.Store(9)
-	if got := r.Snapshot().Gauge("callback_gauge"); got != 9 {
+	if got := gaugeOf(r.Snapshot(), "callback_gauge"); got != 9 {
 		t.Fatalf("callback gauge after update = %d, want 9", got)
 	}
 	// Nil-safe on both receiver and function.

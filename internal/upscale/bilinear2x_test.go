@@ -15,7 +15,7 @@ import (
 // destination would arrive.
 func dirtyImage(w, h int) *frame.Image {
 	im := frame.NewImagePacked(w, h)
-	im.Fill(0xA5, 0x5A, 0xC3)
+	fill(im, 0xA5, 0x5A, 0xC3)
 	return im
 }
 
@@ -32,8 +32,8 @@ func check2xMatchesGeneric(t *testing.T, k Kind, src *frame.Image, pool *bufpool
 	if !got.Equal(want) {
 		for y := 0; y < got.H; y++ {
 			for x := 0; x < got.W; x++ {
-				gr, gg, gb := got.At(x, y)
-				wr, wg, wb := want.At(x, y)
+				gr, gg, gb := at(got, x, y)
+				wr, wg, wb := at(want, x, y)
 				if gr != wr || gg != wg || gb != wb {
 					t.Fatalf("%v %dx%d (stride %d): pixel (%d,%d) fast %v generic %v",
 						k, src.W, src.H, src.Stride, x, y, [3]uint8{gr, gg, gb}, [3]uint8{wr, wg, wb})
@@ -57,7 +57,7 @@ func TestBilinear2xMatchesGenericResampler(t *testing.T) {
 			for h := 1; h <= 33; h++ {
 				for w := 1; w <= 33; w++ {
 					check2xMatchesGeneric(t, Bilinear, noiseImage(w, h, int64(w*64+h)), pool)
-					check2xMatchesGeneric(t, Bilinear, parent.MustSubImage(3, 5, w, h), nil)
+					check2xMatchesGeneric(t, Bilinear, mustSub(parent, 3, 5, w, h), nil)
 				}
 			}
 			sizes := [][2]int{{320, 180}}
@@ -76,7 +76,7 @@ func TestBilinear2xMatchesGenericResampler(t *testing.T) {
 func TestBilinear2xStridedDestination(t *testing.T) {
 	src := noiseImage(13, 9, 5)
 	canvas := dirtyImage(40, 30)
-	view := canvas.MustSubImage(7, 4, 26, 18)
+	view := mustSub(canvas, 7, 4, 26, 18)
 	if err := ResizeInto(view, src, Bilinear, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestBilinear2xStridedDestination(t *testing.T) {
 			if x >= 7 && x < 33 && y >= 4 && y < 22 {
 				continue
 			}
-			if r, g, b := canvas.At(x, y); r != 0xA5 || g != 0x5A || b != 0xC3 {
+			if r, g, b := at(canvas, x, y); r != 0xA5 || g != 0x5A || b != 0xC3 {
 				t.Fatalf("pixel (%d,%d) outside the view was written", x, y)
 			}
 		}
@@ -216,7 +216,7 @@ func FuzzBilinear2x(f *testing.F) {
 				parent.B[i] = data[(3*i+2)%len(data)]
 			}
 		}
-		check2xMatchesGeneric(t, Bilinear, parent.MustSubImage(x0, y0, sw, sh), nil)
+		check2xMatchesGeneric(t, Bilinear, mustSub(parent, x0, y0, sw, sh), nil)
 	})
 }
 

@@ -60,8 +60,8 @@ func TestLanczos2xMatchesGenericResampler(t *testing.T) {
 			for h := 1; h <= 24; h++ {
 				for w := 1; w <= 24; w++ {
 					check2xMatchesGeneric(t, Lanczos3, noiseImage(w, h, int64(w*64+h)), pool)
-					check2xMatchesGeneric(t, Lanczos3, parent.MustSubImage(3, 5, w, h), nil)
-					check2xMatchesGeneric(t, Lanczos3, parent.MustSubImage(30-w, 30-h, w, h), pool)
+					check2xMatchesGeneric(t, Lanczos3, mustSub(parent, 3, 5, w, h), nil)
+					check2xMatchesGeneric(t, Lanczos3, mustSub(parent, 30-w, 30-h, w, h), pool)
 				}
 			}
 			for _, sz := range [][2]int{{9, lanczosBand/2 + 1}, {40, lanczosBand + 1}, {13, lanczosBand}, {64, 64}, {320, 180}} {
@@ -79,7 +79,7 @@ func TestLanczos2xMatchesGenericResampler(t *testing.T) {
 func TestLanczos2xStridedDestination(t *testing.T) {
 	src := noiseImage(13, 9, 6)
 	canvas := dirtyImage(40, 30)
-	view := canvas.MustSubImage(7, 4, 26, 18)
+	view := mustSub(canvas, 7, 4, 26, 18)
 	if err := ResizeInto(view, src, Lanczos3, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLanczos2xStridedDestination(t *testing.T) {
 		t.Fatal("strided destination differs from the generic resampler")
 	}
 	outside := canvas.Clone()
-	outside.MustSubImage(7, 4, 26, 18).CopyFrom(dirtyImage(26, 18))
+	mustSub(outside, 7, 4, 26, 18).CopyFrom(dirtyImage(26, 18))
 	if !outside.Equal(dirtyImage(40, 30)) {
 		t.Fatal("pixels outside the view were written")
 	}
@@ -125,7 +125,7 @@ func fuzzView(data []byte, w, h, ox, oy uint8) *frame.Image {
 			parent.B[i] = data[(3*i+2)%len(data)]
 		}
 	}
-	return parent.MustSubImage(x0, y0, sw, sh)
+	return mustSub(parent, x0, y0, sw, sh)
 }
 
 // BenchmarkLanczos2x64 is the ×2 Lanczos-3 resample of the client's 64×64

@@ -181,15 +181,6 @@ func resizeGeneric(dst, src *frame.Image, k Kind, pool *bufpool.Pool) {
 	pool.PutImage(mid)
 }
 
-// MustResize is Resize for arguments the caller has validated.
-func MustResize(src *frame.Image, dstW, dstH int, k Kind) *frame.Image {
-	out, err := Resize(src, dstW, dstH, k)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // tapSet holds the contributing source taps for one destination coordinate.
 type tapSet struct {
 	first   int

@@ -111,7 +111,7 @@ func TestEndToEndStreamingViaPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		roiRect := pkt.RoI.Clamp(w, h)
-		patch := df.Image.MustSubImage(roiRect.X, roiRect.Y, roiRect.W, roiRect.H).Compact()
+		patch := mustSub(df.Image, roiRect.X, roiRect.Y, roiRect.W, roiRect.H).Compact()
 		hr, err := engine.Upscale(patch, scale)
 		if err != nil {
 			t.Fatal(err)
