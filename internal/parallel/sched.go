@@ -91,6 +91,8 @@ type ClientStats struct {
 	StolenWait time.Duration
 	// Run is the total wall time spent inside this client's submissions.
 	Run time.Duration
+	// Priority is the client's current dispatch class.
+	Priority Priority
 }
 
 // chunkBody is what a job executes per chunk. The three submission forms
@@ -458,5 +460,6 @@ func (c *Client) Stats() ClientStats {
 		Stolen:     c.stolen.Load(),
 		StolenWait: time.Duration(c.stolenWaitNs.Load()),
 		Run:        time.Duration(c.runNs.Load()),
+		Priority:   Priority(c.prio.Load()),
 	}
 }

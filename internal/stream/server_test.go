@@ -61,7 +61,6 @@ func startMulti(t *testing.T, srv *MultiServer) (addr string, done chan error) {
 	return l.Addr().String(), done
 }
 
-// waitFor polls cond until it holds or the deadline passes.
 // sessionCount returns the number of live sessions.
 func (s *MultiServer) sessionCount() int {
 	s.mu.Lock()
@@ -69,6 +68,7 @@ func (s *MultiServer) sessionCount() int {
 	return len(s.liveSessions())
 }
 
+// waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -641,11 +641,13 @@ func TestMultiServerAdmissionControl(t *testing.T) {
 }
 
 // shedProbe is a FrameSource implementing both optional capabilities: it
-// records shed-level transitions and the session scheduler client, and
-// sleeps past the deadline for the first slowFrames frames.
+// records shed-level transitions, the session scheduler client and that
+// client's class at each frame asked for while demoted, and sleeps past the
+// deadline for the first slowFrames frames.
 type shedProbe struct {
 	mu         sync.Mutex
 	levels     []int
+	demoted    []parallel.Priority
 	sched      *parallel.Client
 	slowFrames int
 	sleep      time.Duration
@@ -664,6 +666,11 @@ func (p *shedProbe) NextFrame(i int) ([]byte, bool, frame.Rect, error) {
 	if i >= p.frames {
 		return nil, false, frame.Rect{}, io.EOF
 	}
+	p.mu.Lock()
+	if p.sched != nil && len(p.levels) > 0 && p.levels[len(p.levels)-1] >= ShedDemoted {
+		p.demoted = append(p.demoted, p.sched.Stats().Priority)
+	}
+	p.mu.Unlock()
 	if i < p.slowFrames {
 		time.Sleep(p.sleep)
 	}
@@ -695,6 +702,7 @@ func TestMultiServerShedLadder(t *testing.T) {
 
 	probe.mu.Lock()
 	levels := append([]int(nil), probe.levels...)
+	demoted := append([]parallel.Priority(nil), probe.demoted...)
 	probe.mu.Unlock()
 	// Misses at frames 0..7 build streaks 1..8; with EscalateStreak 2 the
 	// ladder climbs at streaks 2, 4 and 6. Frames 8..15 are on budget, so
@@ -713,12 +721,16 @@ func TestMultiServerShedLadder(t *testing.T) {
 	}
 	if probe.sched == nil {
 		t.Errorf("SchedAware source never received the session's scheduler client")
-	}
-	if p := shedPriority(levels[len(levels)-1]); p != parallel.Normal {
+	} else if p := probe.sched.Stats().Priority; p != parallel.Normal {
 		t.Errorf("session client priority = %v after recovery, want Normal", p)
 	}
-	if p := shedPriority(ShedDemoted); p != parallel.Background {
-		t.Errorf("session client priority = %v when demoted, want Background", p)
+	if len(demoted) == 0 {
+		t.Errorf("no frame was asked for at ShedDemoted (levels %v)", levels)
+	}
+	for _, p := range demoted {
+		if p != parallel.Background {
+			t.Errorf("session client priority = %v while demoted, want Background", p)
+		}
 	}
 	s := reg.Snapshot()
 	if got := counterOf(s, "stream_shed_escalations_total"); got != 3 {

@@ -442,21 +442,17 @@ func (sess *session) evaluate(i int) {
 	}
 }
 
-// shedPriority is the scheduler class of a session at the given shed level.
-func shedPriority(level int) parallel.Priority {
-	if level >= ShedDemoted {
-		return parallel.Background
-	}
-	return parallel.Normal
-}
-
 func (sess *session) setLevel(i, level int) {
 	old := int(sess.shed.Swap(int32(level)))
 	if sess.target != nil {
 		sess.target.SetShedLevel(level)
 	}
 	if sess.client != nil {
-		sess.client.SetPriority(shedPriority(level))
+		if level >= ShedDemoted {
+			sess.client.SetPriority(parallel.Background)
+		} else {
+			sess.client.SetPriority(parallel.Normal)
+		}
 	}
 	if ok, suppressed := shedLogLimit.Allow("shed:" + sess.remote); ok {
 		kv := []any{"session", sess.remote, "from", old, "to", level, "frame", i,
