@@ -25,6 +25,7 @@ import (
 	"gamestreamsr/internal/roi"
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/srdecoder"
+	"gamestreamsr/internal/testkit"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -211,11 +212,11 @@ func BenchmarkAblationCodecQuantizer(b *testing.B) {
 // SR engine comparison on the RoI-sized patch.
 func BenchmarkAblationSREngines(b *testing.B) {
 	g, _ := games.ByID("G3")
-	patch := mustSub(g.Render(&render.Renderer{}, 30, 320, 180).Color, 124, 72, 72, 72).Compact()
+	patch := testkit.MustSub(g.Render(&render.Renderer{}, 30, 320, 180).Color, 124, 72, 72, 72).Compact()
 	engines := []sr.Engine{
 		sr.BilinearEngine{},
 		sr.NewFast(sr.FastConfig{}),
-		sr.NewInterpEDSR(sr.Spec{Blocks: 4, Channels: 8}, sr.InterpConfig{}),
+		sr.NewInterpEDSR(sr.Spec{Blocks: 4, Channels: 8}),
 	}
 	for _, e := range engines {
 		b.Run(e.Name(), func(b *testing.B) {

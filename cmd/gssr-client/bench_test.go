@@ -15,17 +15,9 @@ import (
 	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 	"gamestreamsr/internal/upscale"
 )
-
-// mustSub is SubImage for a rectangle inside im.
-func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
-	s, err := im.SubImage(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 // benchFrame builds one coded 320×180 frame with a 64×64 RoI — the demo
 // stream's shape.
@@ -76,7 +68,7 @@ func benchClientFrame(b *testing.B, instrumented bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt.Index, pkt.FlightID = uint32(i), uint64(i+1)
-		if shown, err := st.showFrame(pkt, time.Now(), 0, clock, 2); err != nil || !shown {
+		if shown, err := st.showFrame(pkt, time.Now(), 0, clock); err != nil || !shown {
 			b.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
 		}
 		if instrumented && (i+1)%60 == 0 {
@@ -110,7 +102,7 @@ func TestShowFrameMatchesAllocatingComposition(t *testing.T) {
 		engine sr.Engine
 	}{
 		{"fast", sr.NewFast(sr.FastConfig{})},
-		{"edsr", sr.NewInterpEDSR(sr.Spec{}, sr.InterpConfig{})},
+		{"edsr", sr.NewInterpEDSR(sr.Spec{})},
 		{"plain", sr.BilinearEngine{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { showFrameMatches(t, tc.engine) })
@@ -118,7 +110,7 @@ func TestShowFrameMatchesAllocatingComposition(t *testing.T) {
 }
 
 func showFrameMatches(t *testing.T, engine sr.Engine) {
-	const w, h, scale = 160, 90, 2
+	const w, h, scale = 160, 90, sr.Scale
 	enc, err := codec.NewEncoder(codec.Config{Width: w, Height: h, GOPSize: 4, QStep: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +135,7 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 		if i == 5 {
 			roi = frame.Rect{} // the shed ladder's bilinear-only rung
 		}
-		shown, err := st.showFrame(stream.FramePacket{Index: uint32(i), Payload: payload, RoI: roi}, time.Now(), 0, stream.ClockSync{}, scale)
+		shown, err := st.showFrame(stream.FramePacket{Index: uint32(i), Payload: payload, RoI: roi}, time.Now(), 0, stream.ClockSync{})
 		if err != nil || !shown {
 			t.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
 		}
@@ -157,7 +149,7 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 			t.Fatal(err)
 		}
 		if r := roi.Clamp(w, h); !r.Empty() {
-			hr, err := engine.Upscale(mustSub(df.Image, r.X, r.Y, r.W, r.H).Compact(), scale)
+			hr, err := engine.Upscale(testkit.MustSub(df.Image, r.X, r.Y, r.W, r.H).Compact(), scale)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +170,7 @@ func showFrameMatches(t *testing.T, engine sr.Engine) {
 	// Stats window's latencies leave it out.
 	onScreen := st.lastUp
 	pixels := onScreen.Clone()
-	shown, err := st.showFrame(stream.FramePacket{Index: 9, Payload: []byte{1, 2, 3}}, time.Now(), 0, stream.ClockSync{}, scale)
+	shown, err := st.showFrame(stream.FramePacket{Index: 9, Payload: []byte{1, 2, 3}}, time.Now(), 0, stream.ClockSync{})
 	if rep := st.rec.Report(); err != nil || shown || rep.Frames-rep.Delivered != 1 || rep.Delivered != 9 {
 		t.Fatalf("corrupt frame: shown=%v err=%v delivered=%d of %d frames", shown, err, rep.Delivered, rep.Frames)
 	}
@@ -220,7 +212,7 @@ func TestShowFrameSteadyState(t *testing.T) {
 	}
 	st := newSessionState(nil)
 	show := func(i int) {
-		if shown, err := st.showFrame(cycle[i%cycleLen], time.Now(), 0, stream.ClockSync{}, 2); err != nil || !shown {
+		if shown, err := st.showFrame(cycle[i%cycleLen], time.Now(), 0, stream.ClockSync{}); err != nil || !shown {
 			t.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
 		}
 	}
@@ -253,7 +245,7 @@ func TestStatsWindowsFollowBackchannel(t *testing.T) {
 		const n = 200
 		for i := 0; i < n; i++ {
 			pkt := stream.FramePacket{Index: uint32(i), Payload: payload, RoI: roi, SendUnixMicro: time.Now().UnixMicro()}
-			if shown, err := st.showFrame(pkt, time.Now(), 0, clock, 2); err != nil || !shown {
+			if shown, err := st.showFrame(pkt, time.Now(), 0, clock); err != nil || !shown {
 				t.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
 			}
 		}

@@ -68,14 +68,14 @@ func (t *frameTap) PublishFrame(_ int, payload []byte, key bool, roi frame.Rect)
 // none).
 func liveVsEngine(t *testing.T, clientEngine sr.Engine) string {
 	t.Helper()
-	const nFrames, gop, q, scale = 24, 12, 6, 2
+	const nFrames, gop, q = 24, 12, 6
 	g, err := games.ByID("G3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tap frameTap
 	gs, err := pipeline.NewGameStream(pipeline.Config{
-		Game: g, LRWidth: 1280, LRHeight: 720, Scale: scale, SimDiv: 4, FrameStride: 1,
+		Game: g, LRWidth: 1280, LRHeight: 720, SimDiv: 4, FrameStride: 1,
 		GOPSize: gop, QStep: q, RoIWindow: 256, KeepFrames: true, Tap: &tap,
 		Engine: sr.NewFast(sr.FastConfig{}),
 	})
@@ -119,7 +119,7 @@ func liveVsEngine(t *testing.T, clientEngine sr.Engine) string {
 	}
 	defer conn.Close()
 	c := stream.NewClient(conn)
-	if _, err := c.Handshake(stream.Hello{Device: "differential", RoIWindow: win, Scale: scale}); err != nil {
+	if _, err := c.Handshake(stream.Hello{Device: "differential", RoIWindow: win, Scale: sr.Scale}); err != nil {
 		t.Fatal(err)
 	}
 	st := newSessionState(nil)
@@ -136,7 +136,7 @@ func liveVsEngine(t *testing.T, clientEngine sr.Engine) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shown, err := st.showFrame(pkt, time.Now(), 0, stream.ClockSync{}, scale); err != nil || !shown {
+		if shown, err := st.showFrame(pkt, time.Now(), 0, stream.ClockSync{}); err != nil || !shown {
 			t.Fatalf("frame %d: shown=%v err=%v", i, shown, err)
 		}
 		want := tap[i]

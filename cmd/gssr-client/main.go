@@ -87,7 +87,7 @@ func parseFlags(args []string) (clientConfig, error) {
 	fs := flag.NewFlagSet("gssr-client", flag.ContinueOnError)
 	fs.StringVar(&cfg.addr, "addr", "localhost:7007", "server address")
 	fs.StringVar(&cfg.devName, "device", "s8", "device profile (s8 or pixel)")
-	fs.IntVar(&cfg.scale, "scale", 2, "upscale factor, ≥ 1")
+	scale := fs.Int("scale", sr.Scale, "upscale factor; the client is ×2 and refuses any other")
 	fs.StringVar(&cfg.save, "save", "", "save the last upscaled frame to this PPM path")
 	fs.StringVar(&cfg.metricsAddr, "metrics", "", "serve /metrics, /metrics.json and /debug/flight on this address")
 	fs.StringVar(&cfg.flightPath, "flight", "", "write the flight-recorder window to this file on exit (Chrome trace JSON)")
@@ -102,8 +102,8 @@ func parseFlags(args []string) (clientConfig, error) {
 	}
 	var err error
 	switch {
-	case cfg.scale < 1:
-		err = fmt.Errorf("-scale must be at least 1, got %d", cfg.scale)
+	case *scale != sr.Scale:
+		err = fmt.Errorf("-scale must be %d, got %d", sr.Scale, *scale)
 	case cfg.reconnectBase <= 0:
 		err = fmt.Errorf("-reconnect-base must be positive, got %v", cfg.reconnectBase)
 	}
@@ -115,7 +115,6 @@ func parseFlags(args []string) (clientConfig, error) {
 
 type clientConfig struct {
 	addr, devName            string
-	scale                    int
 	save                     string
 	metricsAddr, flightPath  string
 	flightFrames, statsEvery int
@@ -277,7 +276,7 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 	// A typed Reject comes back as a *stream.RejectedError for the reconnect
 	// loop in run to weigh; there is no second attempt here.
 	cfg, err := c.Handshake(stream.Hello{
-		Device: dev.Name, RoIWindow: min(roiWin, 64), Scale: cc.scale,
+		Device: dev.Name, RoIWindow: min(roiWin, 64), Scale: sr.Scale,
 		ResumeToken: st.resumeToken,
 	})
 	if err != nil {
@@ -362,7 +361,7 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 			}
 			break
 		}
-		shown, err := st.showFrame(pkt, tRecv, dRecv, clock, cc.scale)
+		shown, err := st.showFrame(pkt, tRecv, dRecv, clock)
 		if err != nil {
 			return err
 		}
@@ -407,7 +406,7 @@ func runSession(ctx context.Context, cc clientConfig, dev *device.Profile, st *s
 // then the RoI-assisted upscale — and does the per-frame accounting: flight
 // spans, end-to-end age, deadline and the Stats windows. It reports false
 // for a frame that was dropped (and the display frozen) instead of shown.
-func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv time.Duration, clock stream.ClockSync, scale int) (bool, error) {
+func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv time.Duration, clock stream.ClockSync) (bool, error) {
 	// Adopt the server's flight ID (a server that records no flight sends
 	// none; fall back to local IDs) so both processes' dumps correlate by
 	// frame identity.
@@ -429,8 +428,8 @@ func (st *sessionState) showFrame(pkt stream.FramePacket, tRecv time.Time, dRecv
 	// A zero RoI is the server shedding to bilinear-only (the shed ladder,
 	// DESIGN.md §12): skip the DNN and keep the bilinear frame.
 	roiRect := pkt.RoI.Clamp(df.Image.W, df.Image.H)
-	base := st.pool.Image(df.Image.W*scale, df.Image.H*scale)
-	ut, err := pipeline.UpscaleRoI(base, df.Image, roiRect, scale, st.engine, st.pool)
+	base := st.pool.Image(df.Image.W*sr.Scale, df.Image.H*sr.Scale)
+	ut, err := pipeline.UpscaleRoI(base, df.Image, roiRect, st.engine, st.pool)
 	// The decoded frame's buffers go back to the pool; its image stays the
 	// decoder's inter reference until the next Decode replaces it.
 	st.dec.Recycle(df)

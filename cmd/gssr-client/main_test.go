@@ -60,7 +60,7 @@ func rejectingServer(t *testing.T, rej stream.Reject) (addr string, dials chan s
 // second attempt, not even for a busy server.
 func TestRejectIsFinal(t *testing.T) {
 	addr, dials := rejectingServer(t, stream.Reject{Code: stream.RejectBusy, Reason: "no headroom"})
-	err := run(context.Background(), clientConfig{addr: addr, devName: "s8", scale: 2, flightFrames: 8})
+	err := run(context.Background(), clientConfig{addr: addr, devName: "s8", flightFrames: 8})
 	var rej *stream.RejectedError
 	if !errors.As(err, &rej) || rej.Code != stream.RejectBusy {
 		t.Fatalf("want RejectedError(busy), got %v", err)
@@ -75,7 +75,7 @@ func TestRejectIsFinal(t *testing.T) {
 func TestVersionMismatchRejected(t *testing.T) {
 	addr, dials := rejectingServer(t, stream.Reject{Code: stream.RejectBadHello, Reason: "protocol version 5, this server speaks 6"})
 	err := run(context.Background(), clientConfig{
-		addr: addr, devName: "s8", scale: 2, flightFrames: 8,
+		addr: addr, devName: "s8", flightFrames: 8,
 		reconnect: 3, reconnectBase: time.Millisecond, reconnectMax: time.Millisecond,
 	})
 	var rej *stream.RejectedError
@@ -105,19 +105,63 @@ func TestReconnectBaseMustBePositive(t *testing.T) {
 	}
 }
 
-// TestScaleMustBePositive: a Hello with Scale below 1 can only be refused
-// by the server, so -scale below 1 is refused when the flags are parsed.
-func TestScaleMustBePositive(t *testing.T) {
-	for _, v := range []string{"0", "-1"} {
+// TestScaleMustBeTwo: the client is ×2 (sr.Scale), and a Hello with any
+// other Scale is refused by the server, so -scale refuses every other value
+// when the flags are parsed.
+func TestScaleMustBeTwo(t *testing.T) {
+	for _, v := range []string{"-1", "0", "1", "4"} {
 		if _, err := parseFlags([]string{"-scale=" + v}); err == nil || !strings.Contains(err.Error(), "-scale") {
 			t.Errorf("-scale=%s: err %v, want a refusal naming the flag", v, err)
 		}
 	}
-	for args, want := range map[string]int{"": 2, "-scale=1": 1, "-scale=4": 4} {
-		cfg, err := parseFlags(strings.Fields(args))
-		if err != nil || cfg.scale != want {
-			t.Errorf("parseFlags(%q): scale %d, err %v; want %d", args, cfg.scale, err, want)
+	for _, args := range []string{"", "-scale=2"} {
+		if _, err := parseFlags(strings.Fields(args)); err != nil {
+			t.Errorf("parseFlags(%q): %v", args, err)
 		}
+	}
+}
+
+// TestCloseWithoutByeFailsRun: a server that sends two frames and closes
+// without a Bye has cut the session, and run — without -reconnect — returns
+// that as an error (gssr-client exits 1) instead of ending cleanly.
+func TestCloseWithoutByeFailsRun(t *testing.T) {
+	const w, h = 64, 36
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if _, err := stream.ReadMsg(conn); err != nil {
+			return
+		}
+		if err := stream.WriteAccept(conn, stream.Accept{Width: w, Height: h, GOPSize: 3, QStep: 6, Version: stream.ProtocolVersion}); err != nil {
+			return
+		}
+		enc, err := codec.NewEncoder(codec.Config{Width: w, Height: h, GOPSize: 3, QStep: 6})
+		if err != nil {
+			return
+		}
+		src := &codedSource{enc: enc, img: frame.NewImage(w, h)}
+		for i := range 2 {
+			data, key, roi, err := src.NextFrame(i)
+			if err != nil || stream.WriteFrame(conn, stream.FramePacket{Index: uint32(i), Keyenc: key, RoI: roi, Payload: data}) != nil {
+				return
+			}
+		}
+		// Half-close and drain the client's inputs, so that it reads the end
+		// of the stream rather than a reset.
+		_ = conn.(*net.TCPConn).CloseWrite()
+		_, _ = io.Copy(io.Discard, conn)
+	}()
+	err = run(context.Background(), clientConfig{addr: l.Addr().String(), devName: "s8", flightFrames: 8})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("run = %v, want an error wrapping io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -169,7 +213,7 @@ func TestBenchContract(t *testing.T) {
 		logged = old[0].Seq
 	}
 	if err := run(context.Background(), clientConfig{
-		addr: l.Addr().String(), devName: "s8", scale: 2,
+		addr: l.Addr().String(), devName: "s8",
 		flightPath: flight, flightFrames: 16, statsEvery: 60, ping: stream.DefaultPingInterval,
 	}); err != nil {
 		t.Fatal(err)

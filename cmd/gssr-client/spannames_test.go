@@ -66,7 +66,7 @@ func TestSpanNamesGolden(t *testing.T) {
 	defer srv.Shutdown(context.Background())
 	flight := filepath.Join(t.TempDir(), "flight.json")
 	if err := run(context.Background(), clientConfig{
-		addr: l.Addr().String(), devName: "s8", scale: 2,
+		addr: l.Addr().String(), devName: "s8",
 		flightPath: flight, flightFrames: 16, statsEvery: 60, ping: stream.DefaultPingInterval,
 	}); err != nil {
 		t.Fatal(err)

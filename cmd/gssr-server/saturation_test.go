@@ -18,17 +18,8 @@ import (
 	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/stream"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
-
-// gaugeOf returns the named gauge's value in s (0 when absent).
-func gaugeOf(s telemetry.Snapshot, name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
-}
 
 // The saturation harness (BENCH_scale.json): a MultiServer over real TCP,
 // fed by synthetic sessions whose per-frame cost is a calibrated CPU spin
@@ -191,7 +182,7 @@ func runSaturation(t testing.TB, cfg satConfig, iterPerMs int) satResult {
 			case <-stopSample:
 				return
 			case <-tick.C:
-				if v := gaugeOf(reg.Snapshot(), "stream_shed_level_max"); v > maxShedSeen {
+				if v := testkit.GaugeOf(reg.Snapshot(), "stream_shed_level_max"); v > maxShedSeen {
 					maxShedSeen = v
 				}
 			}

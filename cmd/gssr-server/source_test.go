@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -241,6 +242,11 @@ func TestRunShutsDownOnCancel(t *testing.T) {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {
 			t.Fatalf("the client's connection is still open after the shutdown")
+		}
+		// A shutdown cuts the session without a Bye, and the client must
+		// not read that as the end of the stream.
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("RecvFrame after the shutdown = %v, want io.ErrUnexpectedEOF", err)
 		}
 		break
 	}

@@ -50,10 +50,17 @@ var unlinkedAllowed = map[string]string{
 	"internal/sr/conv.go (*convPlan).macs":          roadmap,
 }
 
+// testSupport is the package that holds the helpers several packages'
+// tests share (internal/testkit). No binary links it, so its declarations
+// are not checked; in exchange no non-test file may import it.
+const testSupport = "internal/testkit"
+
 // TestEveryDeclarationLinked builds the three commands and bench/ without
 // inlining and fails on each non-test function or method of this module
 // that none of the four binaries links and that unlinkedAllowed does not
-// name. Without -l a function inlined at every call site has no symbol.
+// name, and on each non-test file, bench/ included, that imports
+// testSupport. Without -l a function inlined at every call site has no
+// symbol.
 func TestEveryDeclarationLinked(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the allow-list is for amd64, where the non-amd64 twins are the unlinked side")
@@ -107,8 +114,8 @@ func TestEveryDeclarationLinked(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() { // bench/ is a module of its own
-			if path != "." && (d.Name() == "testdata" || d.Name() == "bench" ||
+		if d.IsDir() { // bench/out is the harness's go cache and scratch
+			if path != "." && (d.Name() == "testdata" || path == filepath.Join("bench", "out") ||
 				strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
 				return filepath.SkipDir
 			}
@@ -125,7 +132,16 @@ func TestEveryDeclarationLinked(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"gamestreamsr/`+testSupport+`"` {
+				t.Errorf("%s: a non-test file imports the test-support package %s", path, testSupport)
+			}
+		}
 		file := filepath.ToSlash(path)
+		// bench/ is a module of its own, checked above for its imports only.
+		if strings.HasPrefix(file, "bench/") || filepath.ToSlash(filepath.Clean(dir)) == testSupport {
+			return nil
+		}
 		pkg := strings.TrimSuffix("gamestreamsr/"+filepath.ToSlash(filepath.Clean(dir)), "/.")
 		syms := linked
 		if f.Name.Name == "main" {

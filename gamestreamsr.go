@@ -226,7 +226,7 @@ func NewFastSR() SREngine { return sr.NewFast(sr.FastConfig{}) }
 // NewEDSR returns a real EDSR network with analytically constructed weights
 // (see internal/sr): polyphase interpolation plus detail restoration through
 // the full conv/ReLU/pixel-shuffle topology.
-func NewEDSR(spec EDSRSpec) SREngine { return sr.NewInterpEDSR(spec, sr.InterpConfig{}) }
+func NewEDSR(spec EDSRSpec) SREngine { return sr.NewInterpEDSR(spec) }
 
 // BilinearSR returns plain bilinear interpolation wrapped as an engine
 // (useful for ablations).

@@ -5,31 +5,8 @@ import (
 
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
-
-// at returns the RGB triple at (x, y).
-func at(im *frame.Image, x, y int) (r, g, b uint8) {
-	i := y*im.Stride + x
-	return im.R[i], im.G[i], im.B[i]
-}
-
-// fill sets every pixel of im to one colour.
-func fill(im *frame.Image, r, g, b uint8) {
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			im.Set(x, y, r, g, b)
-		}
-	}
-}
-
-// mustSub is SubImage for a rectangle inside im.
-func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
-	s, err := im.SubImage(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 func TestClassFor(t *testing.T) {
 	cases := []struct{ n, want int }{
@@ -143,14 +120,14 @@ func TestImageRoundTrip(t *testing.T) {
 	if &im.G[0] != &im.R[:cap(im.R)][128] || &im.B[0] != &im.R[:cap(im.R)][256] {
 		t.Fatal("planes are not packed into one backing array")
 	}
-	fill(im, 1, 2, 3)
+	testkit.Fill(im, 1, 2, 3)
 	p.PutImage(im)
 	if im.R != nil || im.W != 0 {
 		t.Fatal("PutImage did not clear the returned header")
 	}
 	im2 := p.Image(16, 8)
-	fill(im2, 0, 0, 0) // pooled images come back dirty; overwrite before use
-	if r, g, b := at(im2, 3, 3); r != 0 || g != 0 || b != 0 {
+	testkit.Fill(im2, 0, 0, 0) // pooled images come back dirty; overwrite before use
+	if r, g, b := testkit.At(im2, 3, 3); r != 0 || g != 0 || b != 0 {
 		t.Fatalf("overwritten recycled image reads %d,%d,%d", r, g, b)
 	}
 }
@@ -158,7 +135,7 @@ func TestImageRoundTrip(t *testing.T) {
 func TestPutImageRejectsViews(t *testing.T) {
 	p := New()
 	parent := p.Image(16, 16)
-	view := mustSub(parent, 2, 2, 8, 8)
+	view := testkit.MustSub(parent, 2, 2, 8, 8)
 	p.PutImage(view) // strided view: must be rejected, not pooled
 	if view.R == nil {
 		t.Fatal("rejected view was cleared")

@@ -13,6 +13,7 @@ import (
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
 
 // goldenFrame is frame k of the golden stream: flat planes on multiples of
@@ -239,7 +240,7 @@ func hostileStream(t testing.TB) (frames [][]byte) {
 // mangled then decodes as if nothing had happened.
 func TestDecodeHostileFraming(t *testing.T) {
 	stream := hostileStream(t)
-	atProcs(t, func(t *testing.T) {
+	testkit.AtProcs(t, func(t *testing.T) {
 		for _, target := range []int{0, 1} { // an intra frame, an inter frame
 			for _, bad := range hostileFramings(t, stream[target]) {
 				reg := telemetry.NewRegistry()
@@ -250,13 +251,13 @@ func TestDecodeHostileFraming(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				held, prev := gaugeOf(reg.Snapshot(), "t_bufpool_bytes_in_flight"), fast.prev
+				held, prev := testkit.GaugeOf(reg.Snapshot(), "t_bufpool_bytes_in_flight"), fast.prev
 				err := sameDecode(t, fast, ref, bad.data)
 				if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), bad.want) {
 					t.Errorf("%v frame, %s: err = %v, want ErrCorrupt with %q", FrameType(stream[target][2]), bad.name, err, bad.want)
 					continue
 				}
-				if now := gaugeOf(reg.Snapshot(), "t_bufpool_bytes_in_flight"); now != held || fast.prev != prev {
+				if now := testkit.GaugeOf(reg.Snapshot(), "t_bufpool_bytes_in_flight"); now != held || fast.prev != prev {
 					t.Errorf("%s: %d pool bytes in flight after the refusal, %d before; reference kept: %v", bad.name, now, held, fast.prev == prev)
 				}
 				for _, data := range stream[target:] {

@@ -1,7 +1,6 @@
 package codec
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,23 +9,8 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 )
-
-// luma returns im's Rec.601 luma plane.
-func luma(im *frame.Image) []float64 {
-	out := make([]float64, im.W*im.H)
-	im.LumaRowsInto(out, 0, im.H)
-	return out
-}
-
-// mustSub is SubImage for a rectangle inside im.
-func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
-	s, err := im.SubImage(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 func gameFrames(t testing.TB, id string, start, count, w, h int) []*frame.Image {
 	t.Helper()
@@ -40,24 +24,6 @@ func gameFrames(t testing.TB, id string, start, count, w, h int) []*frame.Image 
 		out[i] = wl.Render(rd, start+i, w, h).Color
 	}
 	return out
-}
-
-func psnrOf(t testing.TB, a, b *frame.Image) float64 {
-	t.Helper()
-	if a.W != b.W || a.H != b.H {
-		t.Fatal("size mismatch")
-	}
-	la, lb := luma(a), luma(b)
-	var sum float64
-	for i := range la {
-		d := la[i] - lb[i]
-		sum += d * d
-	}
-	mse := sum / float64(len(la))
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(255*255/mse)
 }
 
 func TestIntraRoundTripQuality(t *testing.T) {
@@ -81,7 +47,7 @@ func TestIntraRoundTripQuality(t *testing.T) {
 	if df.Type != Intra || df.Side != nil {
 		t.Fatal("intra decode metadata wrong")
 	}
-	if p := psnrOf(t, frames[0], df.Image); p < 35 {
+	if p := testkit.PSNR(frames[0], df.Image); p < 35 {
 		t.Errorf("intra PSNR = %.1f dB, want ≥ 35", p)
 	}
 }
@@ -89,13 +55,7 @@ func TestIntraRoundTripQuality(t *testing.T) {
 func TestIntraQuantizationBound(t *testing.T) {
 	// Property: every reconstructed pixel is within QStep/2 (+rounding) of
 	// the source.
-	im := frame.NewImage(32, 32)
-	rng := rand.New(rand.NewSource(5))
-	for i := range im.R {
-		im.R[i] = uint8(rng.Intn(256))
-		im.G[i] = uint8(rng.Intn(256))
-		im.B[i] = uint8(rng.Intn(256))
-	}
+	im := testkit.Noise(32, 32, 5)
 	for _, q := range []int{1, 2, 5, 8, 16} {
 		enc, _ := NewEncoder(Config{Width: 32, Height: 32, QStep: q})
 		data, _, err := enc.Encode(im)
@@ -108,18 +68,11 @@ func TestIntraQuantizationBound(t *testing.T) {
 		}
 		bound := q/2 + 1
 		for i := range im.R {
-			if absInt(int(im.R[i])-int(df.Image.R[i])) > bound && int(im.R[i]) < 250 {
-				t.Fatalf("q=%d: pixel %d error %d > %d", q, i, absInt(int(im.R[i])-int(df.Image.R[i])), bound)
+			if testkit.AbsInt(int(im.R[i])-int(df.Image.R[i])) > bound && int(im.R[i]) < 250 {
+				t.Fatalf("q=%d: pixel %d error %d > %d", q, i, testkit.AbsInt(int(im.R[i])-int(df.Image.R[i])), bound)
 			}
 		}
 	}
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func TestGOPStructure(t *testing.T) {
@@ -154,7 +107,7 @@ func TestInterRoundTripQualityAndSide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p := psnrOf(t, f, df.Image); p < 34 {
+		if p := testkit.PSNR(f, df.Image); p < 34 {
 			t.Errorf("frame %d PSNR = %.1f dB, want ≥ 34", i, p)
 		}
 		if i == 0 {
@@ -196,7 +149,7 @@ func TestMotionSearchTracksTranslation(t *testing.T) {
 		base.R[i], base.G[i], base.B[i] = v, v, v
 	}
 	crop := func(dx, dy int) *frame.Image {
-		return mustSub(base, dx, dy, w, h).Clone()
+		return testkit.MustSub(base, dx, dy, w, h).Clone()
 	}
 	enc, _ := NewEncoder(Config{Width: w, Height: h, QStep: 4, SearchRange: 8})
 	if _, _, err := enc.Encode(crop(4, 4)); err != nil {
@@ -452,7 +405,7 @@ func TestLongGOPDriftBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := psnrOf(t, f, df.Image)
+		p := testkit.PSNR(f, df.Image)
 		if i == 0 {
 			first = p
 		}

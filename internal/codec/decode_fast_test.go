@@ -3,10 +3,8 @@ package codec
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -14,27 +12,8 @@ import (
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
-
-// counterOf returns the named counter's value in s (0 when absent).
-func counterOf(s telemetry.Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// gaugeOf returns the named gauge's value in s (0 when absent).
-func gaugeOf(s telemetry.Snapshot, name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
-}
 
 // referenceDecoder returns a decoder pinned to the clamped per-pixel loops.
 func referenceDecoder() *Decoder {
@@ -132,23 +111,12 @@ func referenceResidual(t testing.TB, data []byte, p int) []float64 {
 	return out
 }
 
-// atProcs runs f at GOMAXPROCS 1 and 2, so the block rows are reconstructed
-// both inline and with a worker stealing them.
-func atProcs(t *testing.T, f func(t *testing.T)) {
-	for _, procs := range []int{1, 2} {
-		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			f(t)
-		})
-	}
-}
-
 // TestDecodeFastPathMatchesReference is the decoder differential over real
 // content: G3 GOPs at geometries that are and are not multiples of the block
 // size — a last band of one pixel row, a frame narrower than a block, a
 // frame of a single row.
 func TestDecodeFastPathMatchesReference(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
+	testkit.AtProcs(t, func(t *testing.T) {
 		for _, g := range [][2]int{{96, 54}, {100, 60}, {64, 48}, {33, 17}, {9, 40}, {40, 1}} {
 			enc := mustEncoder(t, Config{Width: g[0], Height: g[1], GOPSize: 6})
 			fast, ref := NewDecoder(), referenceDecoder()
@@ -234,9 +202,9 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	// by the previous Recycle, goes back: one buffer each way, the same bytes.
 	counts := func() (drawn, returned, inFlight int64) {
 		s := reg.Snapshot()
-		return counterOf(s, "t_bufpool_hits_total") + counterOf(s, "t_bufpool_misses_total"),
-			counterOf(s, "t_bufpool_returns_total") + counterOf(s, "t_bufpool_discards_total"),
-			gaugeOf(s, "t_bufpool_bytes_in_flight")
+		return testkit.CounterOf(s, "t_bufpool_hits_total") + testkit.CounterOf(s, "t_bufpool_misses_total"),
+			testkit.CounterOf(s, "t_bufpool_returns_total") + testkit.CounterOf(s, "t_bufpool_discards_total"),
+			testkit.GaugeOf(s, "t_bufpool_bytes_in_flight")
 	}
 	d0, r0, b0 := counts()
 	df, err := dec.Decode(inter)
@@ -330,7 +298,7 @@ func flatIntraSlices(cfg Config) [][]byte {
 // geometries with partial edge blocks: the footprint test must route each
 // block to the loop that is valid for it, and both decoders must agree.
 func TestDecodeHostileMotionVectors(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
+	testkit.AtProcs(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
 		for _, g := range [][2]int{{48, 32}, {50, 35}, {20, 70}, {16, 16}, {5, 3}} {
 			w, h := g[0], g[1]
@@ -389,7 +357,7 @@ func overflowingRoIStreams(rng *rand.Rand) [][]byte {
 // at the quantizer, so the flag and the rectangle are read as slice lengths
 // and the frame is refused at its slice table.
 func TestDecodeOverflowingRoIRejected(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
+	testkit.AtProcs(t, func(t *testing.T) {
 		intra, _, err := mustEncoder(t, Config{Width: 32, Height: 24}).Encode(newTestImage(32, 24, []byte{9, 200, 31}))
 		if err != nil {
 			t.Fatal(err)

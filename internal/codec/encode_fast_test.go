@@ -9,6 +9,7 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/testkit"
 )
 
 // encoderPair is the shipped encoder (pooled, as the server and the engine
@@ -79,7 +80,7 @@ func TestEncodeFastPathMatchesReference(t *testing.T) {
 		{1280, 720, []int{12}},
 	} {
 		frames := gameFrames(t, "G3", 0, 5, g.w, g.h)
-		atProcs(t, func(t *testing.T) {
+		testkit.AtProcs(t, func(t *testing.T) {
 			for _, search := range g.searches {
 				p := newEncoderPair(t, Config{Width: g.w, Height: g.h, GOPSize: 3, SearchRange: search})
 				for i, f := range frames {
@@ -131,7 +132,7 @@ func outwardPair(w, h int) (a, b *frame.Image) {
 // search did find a vector leaving the frame in each of the eight
 // directions.
 func TestEncodeVectorsOffEveryEdge(t *testing.T) {
-	atProcs(t, func(t *testing.T) {
+	testkit.AtProcs(t, func(t *testing.T) {
 		for _, g := range [][2]int{{96, 64}, {100, 70}} {
 			w, h := g[0], g[1]
 			a, b := outwardPair(w, h)

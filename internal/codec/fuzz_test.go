@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/testkit"
 )
 
 // The decoder must never panic, whatever bytes arrive — it returns
@@ -110,7 +111,7 @@ func TestEncodeDecodeQuickRoundTrip(t *testing.T) {
 		}
 		bound := q/2 + 1
 		for i := range im.R {
-			if absInt(int(im.R[i])-int(df.Image.R[i])) > bound {
+			if testkit.AbsInt(int(im.R[i])-int(df.Image.R[i])) > bound {
 				return false
 			}
 		}

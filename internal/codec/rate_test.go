@@ -3,6 +3,8 @@ package codec
 import (
 	"testing"
 	"time"
+
+	"gamestreamsr/internal/testkit"
 )
 
 func TestNewRateControllerValidation(t *testing.T) {
@@ -109,7 +111,7 @@ func TestRatedEncoderConvergesToTarget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d failed to decode after rate adaptation: %v", i, err)
 		}
-		if p := psnrOf(t, f, df.Image); p < 28 {
+		if p := testkit.PSNR(f, df.Image); p < 28 {
 			t.Errorf("frame %d PSNR %.1f collapsed under rate control", i, p)
 		}
 	}

@@ -15,27 +15,8 @@ import (
 
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
-
-// counterOf returns the named counter's value in s (0 when absent).
-func counterOf(s telemetry.Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// gaugeOf returns the named gauge's value in s (0 when absent).
-func gaugeOf(s telemetry.Snapshot, name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
-}
 
 // TestMain logs as the binaries do: through slog's default, onto
 // logx.Default()'s ring, where the endpoint tests look for their lines.
@@ -168,10 +149,10 @@ func TestTriggerHysteresis(t *testing.T) {
 		}
 	}
 	s := reg.Snapshot()
-	if got := counterOf(s, "diag_bundles_total"); got != 1 {
+	if got := testkit.CounterOf(s, "diag_bundles_total"); got != 1 {
 		t.Errorf("diag_bundles_total = %d, want 1", got)
 	}
-	if got := counterOf(s, "diag_triggers_suppressed_total"); got != 5 {
+	if got := testkit.CounterOf(s, "diag_triggers_suppressed_total"); got != 5 {
 		t.Errorf("diag_triggers_suppressed_total = %d, want 5", got)
 	}
 }
@@ -250,10 +231,10 @@ func TestRegisterBuildInfo(t *testing.T) {
 	RegisterBuildInfo(reg) // idempotent
 	RegisterBuildInfo(nil) // nil-safe
 	s := reg.Snapshot()
-	if got := gaugeOf(s, "gssr_build_info"); got != 1 {
+	if got := testkit.GaugeOf(s, "gssr_build_info"); got != 1 {
 		t.Errorf("gssr_build_info = %d, want 1", got)
 	}
-	if got := gaugeOf(s, "gssr_build_gomaxprocs"); got <= 0 {
+	if got := testkit.GaugeOf(s, "gssr_build_gomaxprocs"); got <= 0 {
 		t.Errorf("gssr_build_gomaxprocs = %d, want > 0", got)
 	}
 	goInfo := false

@@ -4,16 +4,9 @@ import (
 	"sort"
 	"testing"
 
-	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 )
-
-// luma returns im's Rec.601 luma plane.
-func luma(im *frame.Image) []float64 {
-	out := make([]float64, im.W*im.H)
-	im.LumaRowsInto(out, 0, im.H)
-	return out
-}
 
 func TestAllReturnsTableI(t *testing.T) {
 	ws := All()
@@ -119,8 +112,8 @@ func TestTemporalCoherence(t *testing.T) {
 	rd := &render.Renderer{}
 	for _, id := range []string{"G3", "G10"} {
 		w, _ := ByID(id)
-		a := luma(w.Render(rd, 10, 160, 90).Color)
-		b := luma(w.Render(rd, 11, 160, 90).Color)
+		a := testkit.Luma(w.Render(rd, 10, 160, 90).Color)
+		b := testkit.Luma(w.Render(rd, 11, 160, 90).Color)
 		diff := 0.0
 		for i := range a {
 			d := a[i] - b[i]
@@ -152,8 +145,8 @@ func TestMotionMagnitudeOrdering(t *testing.T) {
 	rd := &render.Renderer{}
 	meanAbsDiff := func(id string) float64 {
 		w, _ := ByID(id)
-		a := luma(w.Render(rd, 40, 160, 90).Color)
-		b := luma(w.Render(rd, 48, 160, 90).Color)
+		a := testkit.Luma(w.Render(rd, 40, 160, 90).Color)
+		b := testkit.Luma(w.Render(rd, 48, 160, 90).Color)
 		sum := 0.0
 		for i := range a {
 			d := a[i] - b[i]

@@ -14,6 +14,7 @@ import (
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -219,7 +220,7 @@ func renderedG3(tb testing.TB, w, h int) (gt, up *frame.Image) {
 
 func flat(w, h int, v uint8) *frame.Image {
 	im := frame.NewImage(w, h)
-	fill(im, v, v/2+40, 255-v)
+	testkit.Fill(im, v, v/2+40, 255-v)
 	return im
 }
 
@@ -247,10 +248,10 @@ func exactnessCases(tb testing.TB) []pairCase {
 	for _, sz := range [][2]int{{8, 8}, {9, 8}, {17, 9}, {63, 35}, {640, 360}} {
 		w, h := sz[0], sz[1]
 		gt, up = renderedG3(tb, w, h)
-		noise := noisy(w, h, 21)
+		noise := testkit.Noise(w, h, 21)
 		flatA := flat(w, h, 90)
 		for _, c := range []pairCase{
-			{"noise", noise, noisy(w, h, 22)},
+			{"noise", noise, testkit.Noise(w, h, 22)},
 			{"flat", flatA, flat(w, h, 97)},
 			{"binary", binary(w, h, 23), binary(w, h, 24)},
 			{"G3", gt, up},
@@ -262,7 +263,7 @@ func exactnessCases(tb testing.TB) []pairCase {
 			cases = append(cases, c)
 		}
 	}
-	cases = append(cases, pairCase{"G3-strided/63x35", mustSub(gt, 101, 57, 63, 35), mustSub(up, 101, 57, 63, 35)})
+	cases = append(cases, pairCase{"G3-strided/63x35", testkit.MustSub(gt, 101, 57, 63, 35), testkit.MustSub(up, 101, 57, 63, 35)})
 	return cases
 }
 
@@ -306,10 +307,10 @@ func TestMeasureValidation(t *testing.T) {
 		a, b *frame.Image
 		want string
 	}{
-		{noisy(8, 8, 1), noisy(8, 9, 1), ErrSizeMismatch.Error()},
+		{testkit.Noise(8, 8, 1), testkit.Noise(8, 9, 1), ErrSizeMismatch.Error()},
 		{frame.NewImage(0, 0), frame.NewImage(0, 0), "metrics: empty image"},
-		{noisy(7, 9, 1), noisy(7, 9, 2), "metrics: image 7x9 smaller than SSIM window 8"},
-		{noisy(4, 4, 1), noisy(4, 4, 2), "metrics: image 4x4 smaller than SSIM window 8"},
+		{testkit.Noise(7, 9, 1), testkit.Noise(7, 9, 2), "metrics: image 7x9 smaller than SSIM window 8"},
+		{testkit.Noise(4, 4, 1), testkit.Noise(4, 4, 2), "metrics: image 4x4 smaller than SSIM window 8"},
 	} {
 		_, err := Measure(tc.a, tc.b)
 		var wantErr error
@@ -320,7 +321,7 @@ func TestMeasureValidation(t *testing.T) {
 			t.Errorf("Measure(%dx%d, %dx%d) error %v, reference %v, want %q", tc.a.W, tc.a.H, tc.b.W, tc.b.H, err, wantErr, tc.want)
 		}
 	}
-	if _, err := Measure(noisy(8, 8, 1), noisy(9, 8, 1)); !errors.Is(err, ErrSizeMismatch) {
+	if _, err := Measure(testkit.Noise(8, 8, 1), testkit.Noise(9, 8, 1)); !errors.Is(err, ErrSizeMismatch) {
 		t.Errorf("size mismatch error %v does not wrap ErrSizeMismatch", err)
 	}
 }

@@ -6,42 +6,8 @@ import (
 	"testing"
 
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/testkit"
 )
-
-// at returns the RGB triple at (x, y).
-func at(im *frame.Image, x, y int) (r, g, b uint8) {
-	i := y*im.Stride + x
-	return im.R[i], im.G[i], im.B[i]
-}
-
-// fill sets every pixel of im to one colour.
-func fill(im *frame.Image, r, g, b uint8) {
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			im.Set(x, y, r, g, b)
-		}
-	}
-}
-
-// mustSub is SubImage for a rectangle inside im.
-func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
-	s, err := im.SubImage(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-func noisy(w, h int, seed int64) *frame.Image {
-	im := frame.NewImage(w, h)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range im.R {
-		im.R[i] = uint8(rng.Intn(256))
-		im.G[i] = uint8(rng.Intn(256))
-		im.B[i] = uint8(rng.Intn(256))
-	}
-	return im
-}
 
 // addNoise returns a copy of im with uniform noise of amplitude amp added to
 // all channels.
@@ -66,7 +32,7 @@ func addNoise(im *frame.Image, amp int, seed int64) *frame.Image {
 }
 
 func TestPSNRIdentical(t *testing.T) {
-	im := noisy(32, 32, 1)
+	im := testkit.Noise(32, 32, 1)
 	p, err := PSNR(im, im.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -79,9 +45,9 @@ func TestPSNRIdentical(t *testing.T) {
 func TestPSNRKnownValue(t *testing.T) {
 	// Uniform luma difference of d gives PSNR = 20·log10(255/d).
 	a := frame.NewImage(16, 16)
-	fill(a, 100, 100, 100)
+	testkit.Fill(a, 100, 100, 100)
 	b := frame.NewImage(16, 16)
-	fill(b, 110, 110, 110)
+	testkit.Fill(b, 110, 110, 110)
 	p, err := PSNR(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +59,7 @@ func TestPSNRKnownValue(t *testing.T) {
 }
 
 func TestPSNRMonotoneInNoise(t *testing.T) {
-	base := noisy(64, 64, 2)
+	base := testkit.Noise(64, 64, 2)
 	p1, _ := PSNR(base, addNoise(base, 3, 5))
 	p2, _ := PSNR(base, addNoise(base, 15, 5))
 	p3, _ := PSNR(base, addNoise(base, 60, 5))
@@ -103,7 +69,7 @@ func TestPSNRMonotoneInNoise(t *testing.T) {
 }
 
 func TestPSNRSizeMismatch(t *testing.T) {
-	if _, err := PSNR(noisy(8, 8, 1), noisy(8, 9, 1)); err == nil {
+	if _, err := PSNR(testkit.Noise(8, 8, 1), testkit.Noise(8, 9, 1)); err == nil {
 		t.Error("size mismatch should fail")
 	}
 	if _, err := PSNR(frame.NewImage(0, 0), frame.NewImage(0, 0)); err == nil {
@@ -112,7 +78,7 @@ func TestPSNRSizeMismatch(t *testing.T) {
 }
 
 func TestSSIMBounds(t *testing.T) {
-	im := noisy(64, 64, 4)
+	im := testkit.Noise(64, 64, 4)
 	s, err := SSIM(im, im.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +99,7 @@ func TestSSIMBounds(t *testing.T) {
 }
 
 func TestSSIMMonotone(t *testing.T) {
-	base := noisy(64, 64, 6)
+	base := testkit.Noise(64, 64, 6)
 	s1, _ := SSIM(base, addNoise(base, 5, 9))
 	s2, _ := SSIM(base, addNoise(base, 40, 9))
 	if s1 <= s2 {
@@ -142,16 +108,16 @@ func TestSSIMMonotone(t *testing.T) {
 }
 
 func TestSSIMValidation(t *testing.T) {
-	if _, err := SSIM(noisy(8, 8, 1), noisy(16, 16, 1)); err == nil {
+	if _, err := SSIM(testkit.Noise(8, 8, 1), testkit.Noise(16, 16, 1)); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	if _, err := SSIM(noisy(4, 4, 1), noisy(4, 4, 1)); err == nil {
+	if _, err := SSIM(testkit.Noise(4, 4, 1), testkit.Noise(4, 4, 1)); err == nil {
 		t.Error("too-small image should fail")
 	}
 }
 
 func TestLPIPSProxyBounds(t *testing.T) {
-	im := noisy(64, 64, 7)
+	im := testkit.Noise(64, 64, 7)
 	d, err := LPIPSProxy(im, im.Clone())
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +125,7 @@ func TestLPIPSProxyBounds(t *testing.T) {
 	if d != 0 {
 		t.Errorf("self distance = %f, want 0", d)
 	}
-	other := noisy(64, 64, 99)
+	other := testkit.Noise(64, 64, 99)
 	d2, _ := LPIPSProxy(im, other)
 	if d2 <= 0 || d2 > 1 {
 		t.Errorf("distance = %f, want in (0, 1]", d2)
@@ -169,7 +135,7 @@ func TestLPIPSProxyBounds(t *testing.T) {
 func TestLPIPSProxyMonotoneInBlur(t *testing.T) {
 	// Progressive blur (repeated box filtering) must increase perceptual
 	// distance — this mimics the bilinear error accumulation in the SOTA.
-	base := noisy(64, 64, 8)
+	base := testkit.Noise(64, 64, 8)
 	blur := func(im *frame.Image, passes int) *frame.Image {
 		out := im.Clone()
 		for p := 0; p < passes; p++ {
@@ -179,7 +145,7 @@ func TestLPIPSProxyMonotoneInBlur(t *testing.T) {
 					var r, g, b int
 					for dy := -1; dy <= 1; dy++ {
 						for dx := -1; dx <= 1; dx++ {
-							pr, pg, pb := at(out, x+dx, y+dy)
+							pr, pg, pb := testkit.At(out, x+dx, y+dy)
 							r += int(pr)
 							g += int(pg)
 							b += int(pb)
@@ -201,18 +167,18 @@ func TestLPIPSProxyMonotoneInBlur(t *testing.T) {
 }
 
 func TestLPIPSProxyValidation(t *testing.T) {
-	if _, err := LPIPSProxy(noisy(8, 8, 1), noisy(9, 8, 1)); err == nil {
+	if _, err := LPIPSProxy(testkit.Noise(8, 8, 1), testkit.Noise(9, 8, 1)); err == nil {
 		t.Error("size mismatch should fail")
 	}
-	if _, err := LPIPSProxy(noisy(2, 2, 1), noisy(2, 2, 1)); err == nil {
+	if _, err := LPIPSProxy(testkit.Noise(2, 2, 1), testkit.Noise(2, 2, 1)); err == nil {
 		t.Error("tiny image should fail")
 	}
 }
 
 func TestLPIPSSmallButValidImage(t *testing.T) {
 	// 4x4 hits the minimum-size path with a single pyramid level.
-	a := noisy(4, 4, 11)
-	b := noisy(4, 4, 12)
+	a := testkit.Noise(4, 4, 11)
+	b := testkit.Noise(4, 4, 12)
 	d, err := LPIPSProxy(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -232,8 +198,8 @@ func TestDownsample2(t *testing.T) {
 }
 
 func BenchmarkPSNR720p(b *testing.B) {
-	x := noisy(1280, 720, 1)
-	y := noisy(1280, 720, 2)
+	x := testkit.Noise(1280, 720, 1)
+	y := testkit.Noise(1280, 720, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -244,8 +210,8 @@ func BenchmarkPSNR720p(b *testing.B) {
 }
 
 func BenchmarkLPIPSProxy360p(b *testing.B) {
-	x := noisy(640, 360, 1)
-	y := noisy(640, 360, 2)
+	x := testkit.Noise(640, 360, 1)
+	y := testkit.Noise(640, 360, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,6 +20,7 @@ import (
 	"gamestreamsr/internal/device"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/pipeline"
+	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -47,8 +48,8 @@ func (variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipeli
 		// Full-frame DNN SR of the reference frame on the NPU. The output
 		// stays variant-owned (it is the next frames' reference), but all
 		// tensor/interpolation scratch comes from the job's pool.
-		up = frame.NewImagePacked(df.Image.W*cfg.Scale, df.Image.H*cfg.Scale)
-		if err = cfg.Engine.UpscaleInto(up, df.Image, cfg.Scale, job.Pool); err != nil {
+		up = frame.NewImagePacked(df.Image.W*sr.Scale, df.Image.H*sr.Scale)
+		if err = cfg.Engine.UpscaleInto(up, df.Image, sr.Scale, job.Pool); err != nil {
 			return nil, fmt.Errorf("nemo: frame %d SR: %w", job.Index, err)
 		}
 	case codec.Inter:
@@ -56,7 +57,7 @@ func (variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipeli
 			return nil, fmt.Errorf("nemo: frame %d: inter frame without reference", job.Index)
 		}
 		up = frame.NewImagePacked(prev.W, prev.H)
-		if err = ReconstructHRInto(up, prev, df.Side, cfg.Scale, job.Pool); err != nil {
+		if err = ReconstructHRInto(up, prev, df.Side, job.Pool); err != nil {
 			return nil, fmt.Errorf("nemo: frame %d reconstruct: %w", job.Index, err)
 		}
 	default:
@@ -70,7 +71,7 @@ func (variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipeli
 // reconstruction for non-reference frames.
 func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail]float64, error) {
 	lrPx := cfg.LRWidth * cfg.LRHeight
-	hrPx := lrPx * cfg.Scale * cfg.Scale
+	hrPx := lrPx * sr.Scale * sr.Scale
 	dev := cfg.Device
 	em := device.NewEnergyMeter(dev)
 	st := pipeline.Stages{
@@ -98,13 +99,13 @@ func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stag
 
 // ReconstructHRInto rebuilds a high-resolution non-reference frame from the
 // upscaled previous frame plus the LR side information: per-block motion
-// vectors scaled by the upscale factor and residual planes bilinearly
-// upscaled — NEMO's core reuse step. dst must match hrPrev's geometry and
+// vectors scaled by sr.Scale and residual planes bilinearly upscaled —
+// NEMO's core reuse step. dst must match hrPrev's geometry and
 // may hold dirty pooled pixels: the block grid spans the whole frame, so
 // every output pixel is overwritten. Transient residual planes are drawn
 // from pool (nil allocates).
-func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, pool *bufpool.Pool) error {
-	if err := ReconstructInto(dst, hrPrev, side, scale, frame.Rect{}, upscale.Bilinear, pool); err != nil {
+func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, pool *bufpool.Pool) error {
+	if err := ReconstructInto(dst, hrPrev, side, frame.Rect{}, upscale.Bilinear, pool); err != nil {
 		return fmt.Errorf("nemo: %w", err)
 	}
 	return nil
@@ -115,12 +116,9 @@ func ReconstructHRInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int
 // residual planes are upscaled with kernel instead, resampled from the full
 // plane so RoI-boundary taps see real neighbours. An empty roiLR or a
 // bilinear kernel is ReconstructHRInto. Its errors carry no package prefix.
-func ReconstructInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, roiLR frame.Rect, kernel upscale.Kind, pool *bufpool.Pool) error {
+func ReconstructInto(dst, hrPrev *frame.Image, side *codec.SideInfo, roiLR frame.Rect, kernel upscale.Kind, pool *bufpool.Pool) error {
 	if side == nil {
 		return fmt.Errorf("missing side information")
-	}
-	if scale < 1 {
-		return fmt.Errorf("invalid scale %d", scale)
 	}
 	hrPrev = hrPrev.Compact()
 	W, H := hrPrev.W, hrPrev.H
@@ -128,12 +126,12 @@ func ReconstructInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, 
 		return fmt.Errorf("destination %dx%d stride %d, want compact %dx%d", dst.W, dst.H, dst.Stride, W, H)
 	}
 	lrW, lrH := side.W, side.H
-	if lrW*scale != W || lrH*scale != H {
-		return fmt.Errorf("HR %dx%d is not ×%d of the LR frame %dx%d", W, H, scale, lrW, lrH)
+	if lrW*sr.Scale != W || lrH*sr.Scale != H {
+		return fmt.Errorf("HR %dx%d is not ×%d of the LR frame %dx%d", W, H, sr.Scale, lrW, lrH)
 	}
-	roiHR := roiLR.Scale(scale).Clamp(W, H)
+	roiHR := roiLR.Scale(sr.Scale).Clamp(W, H)
 	refine := kernel != upscale.Bilinear && !roiHR.Empty()
-	bs := side.BlockSize * scale
+	bs := side.BlockSize * sr.Scale
 
 	// Upscale the residual planes once per frame (bilinear, like NEMO).
 	lrPlane := pool.Float64s(lrW * lrH)
@@ -180,8 +178,8 @@ func ReconstructInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, 
 			if w <= 0 || h <= 0 {
 				continue
 			}
-			dx := int(mv.DX) * scale
-			dy := int(mv.DY) * scale
+			dx := int(mv.DX) * sr.Scale
+			dy := int(mv.DY) * sr.Scale
 			for p := 0; p < 3; p++ {
 				src := planesPrev[p]
 				out := planesOut[p]

@@ -10,13 +10,8 @@ import (
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/metrics"
 	"gamestreamsr/internal/pipeline"
+	"gamestreamsr/internal/testkit"
 )
-
-// at returns the RGB triple at (x, y).
-func at(im *frame.Image, x, y int) (r, g, b uint8) {
-	i := y*im.Stride + x
-	return im.R[i], im.G[i], im.B[i]
-}
 
 func testConfig(t testing.TB) pipeline.Config {
 	t.Helper()
@@ -117,23 +112,20 @@ func TestNEMORecoversAtNextReference(t *testing.T) {
 func TestReconstructHRValidation(t *testing.T) {
 	hr := frame.NewImage(32, 32)
 	out := frame.NewImagePacked(32, 32)
-	if err := ReconstructHRInto(out, hr, nil, 2, nil); err == nil {
+	if err := ReconstructHRInto(out, hr, nil, nil); err == nil {
 		t.Error("nil side info should fail")
 	}
 	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, W: 16, H: 16, MVs: make([]codec.MV, 1)}
-	if err := ReconstructHRInto(out, hr, side, 0, nil); err == nil {
-		t.Error("zero scale should fail")
-	}
-	if err := ReconstructHRInto(frame.NewImagePacked(33, 32), frame.NewImage(33, 32), side, 2, nil); err == nil {
+	if err := ReconstructHRInto(frame.NewImagePacked(33, 32), frame.NewImage(33, 32), side, nil); err == nil {
 		t.Error("non-multiple HR size should fail")
 	}
-	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
+	if err := ReconstructHRInto(out, hr, side, nil); err != nil {
 		t.Errorf("valid reconstruction failed: %v", err)
 	}
 	// Side info for a smaller LR frame than the HR frame is ×2 of: its
 	// residual planes would be read past their end.
 	short := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, W: 5, H: 2, MVs: make([]codec.MV, 1)}
-	if err := ReconstructHRInto(out, hr, short, 2, nil); err == nil {
+	if err := ReconstructHRInto(out, hr, short, nil); err == nil {
 		t.Error("mismatched side geometry should fail")
 	}
 }
@@ -148,7 +140,7 @@ func TestReconstructHRZeroMotionZeroResidual(t *testing.T) {
 	}
 	side := &codec.SideInfo{BlocksX: 2, BlocksY: 2, BlockSize: 8, W: 16, H: 16, MVs: make([]codec.MV, 4)}
 	out := frame.NewImagePacked(hr.W, hr.H)
-	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
+	if err := ReconstructHRInto(out, hr, side, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(hr) {
@@ -167,11 +159,11 @@ func TestReconstructHRAppliesScaledMotion(t *testing.T) {
 	}
 	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 8, W: 8, H: 8, MVs: []codec.MV{{DX: 1, DY: 0}}}
 	out := frame.NewImagePacked(hr.W, hr.H)
-	if err := ReconstructHRInto(out, hr, side, 2, nil); err != nil {
+	if err := ReconstructHRInto(out, hr, side, nil); err != nil {
 		t.Fatal(err)
 	}
-	r, _, _ := at(out, 5, 5)
-	wr, _, _ := at(hr, 7, 5)
+	r, _, _ := testkit.At(out, 5, 5)
+	wr, _, _ := testkit.At(hr, 7, 5)
 	if r != wr {
 		t.Errorf("motion not applied: got %d, want %d", r, wr)
 	}

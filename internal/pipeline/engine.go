@@ -17,6 +17,7 @@ import (
 	"gamestreamsr/internal/network"
 	"gamestreamsr/internal/render"
 	"gamestreamsr/internal/roi"
+	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/telemetry"
 )
 
@@ -473,8 +474,7 @@ func (e *engineRun) deliver(k int, job *FrameJob, data []byte) error {
 // (stateless) renderer — scores every variant's view of the frame against
 // it and appends each variant's FrameResult.
 func (e *engineRun) measureFrame(set *frameSet) error {
-	scale := e.cfg.Scale
-	e.src.rd.RenderInto(&e.gtOut, set.scene, set.cam, e.simW*scale, e.simH*scale)
+	e.src.rd.RenderInto(&e.gtOut, set.scene, set.cam, e.simW*sr.Scale, e.simH*sr.Scale)
 	for k := range e.vs {
 		fr, err := e.frameResult(k, &set.jobs[k], e.gtOut.Color)
 		if err != nil {

@@ -38,9 +38,8 @@ type Config struct {
 	Game *games.Workload
 
 	// LRWidth × LRHeight is the nominal streamed resolution (default
-	// 1280×720) and Scale the upscale factor (default 2).
+	// 1280×720); the client upscales it ×sr.Scale.
 	LRWidth, LRHeight int
-	Scale             int
 
 	// RoIWindow is the square RoI side in nominal LR pixels; 0 probes the
 	// device for the largest real-time window (§IV-B1 step ❶).
@@ -138,9 +137,6 @@ func (c Config) WithDefaults() Config {
 	if c.LRHeight <= 0 {
 		c.LRHeight = 720
 	}
-	if c.Scale <= 0 {
-		c.Scale = 2
-	}
 	if c.RoIWindow <= 0 {
 		// Reserve the RoI merge cost out of the frame budget so the whole
 		// upscale stage — not just the NPU pass — meets the deadline.
@@ -231,9 +227,9 @@ func (gameStreamVariant) KeepsReference() bool { return false }
 // frame from the run's pool; the measure stage recycles it once no later
 // frame can reference it.
 func (gameStreamVariant) Upscale(cfg *Config, df *codec.DecodedFrame, job *FrameJob, _ *frame.Image) (*frame.Image, error) {
-	lr, scale := df.Image, cfg.Scale
-	up := job.Pool.Image(lr.W*scale, lr.H*scale)
-	if _, err := UpscaleRoI(up, lr, job.RoI, scale, cfg.Engine, job.Pool); err != nil {
+	lr := df.Image
+	up := job.Pool.Image(lr.W*sr.Scale, lr.H*sr.Scale)
+	if _, err := UpscaleRoI(up, lr, job.RoI, cfg.Engine, job.Pool); err != nil {
 		job.Pool.PutImage(up)
 		return nil, fmt.Errorf("gamestreamsr: frame %d upscale: %w", job.Index, err)
 	}
@@ -258,10 +254,10 @@ type UpscaleTimes struct {
 // super-resolves the RoI — read as a view of lr, not copied — on the
 // caller's (the NPU path), then the RoI patch merged over dst. A zero rect is
 // the shed ladder's bilinear-only rung: the bilinear runs alone, on the
-// caller. dst must be (lr.W·scale)×(lr.H·scale), and all of it is
+// caller. dst must be (lr.W·sr.Scale)×(lr.H·sr.Scale), and all of it is
 // overwritten; rect must lie inside lr. The RoI patch and every kernel's
 // scratch come from pool, which both paths share, and go back to it.
-func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engine, pool *bufpool.Pool) (UpscaleTimes, error) {
+func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, engine sr.Engine, pool *bufpool.Pool) (UpscaleTimes, error) {
 	var ut UpscaleTimes
 	if rect.Empty() {
 		ut.TUp = time.Now()
@@ -283,8 +279,8 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 		done <- err
 	}()
 	ut.TSR = time.Now()
-	hr := pool.Image(rect.W*scale, rect.H*scale)
-	err = engine.UpscaleInto(hr, view, scale, pool)
+	hr := pool.Image(rect.W*sr.Scale, rect.H*sr.Scale)
+	err = engine.UpscaleInto(hr, view, sr.Scale, pool)
 	ut.DSR = time.Since(ut.TSR)
 	if berr := <-done; err == nil {
 		err = berr
@@ -292,7 +288,7 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 	ut.DPair = time.Since(t0)
 	if err == nil {
 		ut.TMerge = time.Now()
-		err = upscale.Merge(dst, hr, rect, scale)
+		err = upscale.Merge(dst, hr, rect, sr.Scale)
 		ut.DMerge = time.Since(ut.TMerge)
 	}
 	pool.PutImage(hr)
@@ -302,9 +298,9 @@ func UpscaleRoI(dst, lr *frame.Image, rect frame.Rect, scale int, engine sr.Engi
 // Cost models one frame's client latency and per-rail energy.
 func (gameStreamVariant) Cost(cfg *Config, job *FrameJob) (Stages, map[device.Rail]float64, error) {
 	lrPx := cfg.LRWidth * cfg.LRHeight
-	hrPx := lrPx * cfg.Scale * cfg.Scale
+	hrPx := lrPx * sr.Scale * sr.Scale
 	roiPx := cfg.RoIWindow * cfg.RoIWindow
-	roiHRPx := roiPx * cfg.Scale * cfg.Scale
+	roiHRPx := roiPx * sr.Scale * sr.Scale
 	dev := cfg.Device
 	srLat := dev.SRLatency(roiPx)
 	gpuLat := dev.GPUBilinearLatency(hrPx - roiHRPx)

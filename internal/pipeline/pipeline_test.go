@@ -11,6 +11,8 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/roi"
+	"gamestreamsr/internal/sr"
+	"gamestreamsr/internal/testkit"
 )
 
 // testConfig returns a small fast configuration: G3, sim at 160×90,
@@ -33,7 +35,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Device == nil || cfg.Game == nil || cfg.Engine == nil {
 		t.Fatal("defaults not filled")
 	}
-	if cfg.LRWidth != 1280 || cfg.LRHeight != 720 || cfg.Scale != 2 || cfg.GOPSize != 60 {
+	if cfg.LRWidth != 1280 || cfg.LRHeight != 720 || cfg.GOPSize != 60 {
 		t.Errorf("stream defaults = %+v", cfg)
 	}
 	// RoI window probed from the device: ≈300 for the S8.
@@ -250,7 +252,7 @@ func TestKeepFrames(t *testing.T) {
 		if f.Upscaled == nil {
 			t.Fatal("KeepFrames did not retain frames")
 		}
-		wantW := eff.LRWidth / eff.SimDiv * eff.Scale
+		wantW := eff.LRWidth / eff.SimDiv * sr.Scale
 		if f.Upscaled.W != wantW {
 			t.Errorf("upscaled width %d, want %d", f.Upscaled.W, wantW)
 		}
@@ -415,7 +417,7 @@ func TestRoITrackingReducesTravel(t *testing.T) {
 		total := 0
 		for i := 1; i < len(res.Frames); i++ {
 			a, b := res.Frames[i-1].RoI, res.Frames[i].RoI
-			total += abs(a.X-b.X) + abs(a.Y-b.Y)
+			total += testkit.AbsInt(a.X-b.X) + testkit.AbsInt(a.Y-b.Y)
 		}
 		return total
 	}
@@ -427,13 +429,6 @@ func TestRoITrackingReducesTravel(t *testing.T) {
 		t.Errorf("tracked travel %d exceeds raw %d", smooth, raw)
 	}
 	t.Logf("RoI travel: raw %d px, tracked %d px", raw, smooth)
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func TestPipelineAtABRLadderGeometries(t *testing.T) {

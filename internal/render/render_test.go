@@ -8,6 +8,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/geom"
 	"gamestreamsr/internal/parallel"
+	"gamestreamsr/internal/testkit"
 )
 
 func testScene() *Scene {
@@ -97,8 +98,8 @@ func TestSkyGradient(t *testing.T) {
 	sc.Objects = nil
 	sc.Ground = nil
 	out := (&Renderer{}).Render(sc, testCam(1), 64, 64)
-	_, _, bTop := at(out.Color, 32, 1)
-	_, _, bBot := at(out.Color, 32, 62)
+	_, _, bTop := testkit.At(out.Color, 32, 1)
+	_, _, bBot := testkit.At(out.Color, 32, 62)
 	if bTop == bBot {
 		t.Error("sky gradient is flat")
 	}
@@ -123,12 +124,6 @@ func TestLODAttenuatesDetail(t *testing.T) {
 	}
 }
 
-// at returns the RGB triple at (x, y).
-func at(im *frame.Image, x, y int) (r, g, b uint8) {
-	i := y*im.Stride + x
-	return im.R[i], im.G[i], im.B[i]
-}
-
 // depthAt returns the depth at (x, y).
 func depthAt(d *frame.DepthMap, x, y int) float32 { return d.Z[y*d.Stride+x] }
 
@@ -137,8 +132,8 @@ func rowDetail(out Output, y int) float64 {
 	im := out.Color
 	sum := 0.0
 	for x := 1; x < im.W; x++ {
-		r0, g0, b0 := at(im, x-1, y)
-		r1, g1, b1 := at(im, x, y)
+		r0, g0, b0 := testkit.At(im, x-1, y)
+		r1, g1, b1 := testkit.At(im, x, y)
 		l0 := 0.299*float64(r0) + 0.587*float64(g0) + 0.114*float64(b0)
 		l1 := 0.299*float64(r1) + 0.587*float64(g1) + 0.114*float64(b1)
 		sum += math.Abs(l1 - l0)
@@ -160,7 +155,7 @@ func TestEmissiveIgnoresLighting(t *testing.T) {
 	}
 	cam := geom.NewCamera(geom.Vec3{}, geom.Vec3{Z: 5}, 60, 1)
 	out := (&Renderer{}).Render(sc, cam, 32, 32)
-	r, _, _ := at(out.Color, 16, 16)
+	r, _, _ := testkit.At(out.Color, 16, 16)
 	if r != 255 {
 		t.Errorf("emissive sphere should be full-bright, got %d", r)
 	}

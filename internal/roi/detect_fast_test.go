@@ -13,6 +13,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 )
 
 // sameRect requires Detect (the fused passes over kept planes) and the
@@ -26,17 +27,6 @@ func sameRect(t testing.TB, det *Detector, depth *frame.DepthMap, what string) {
 	}
 	if got != want {
 		t.Fatalf("%s: Detect = %v, reference pipeline = %v", what, got, want)
-	}
-}
-
-// atProcs runs f at GOMAXPROCS 1 and 2: the rectangle does not depend on
-// the core count.
-func atProcs(t *testing.T, f func(t *testing.T)) {
-	for _, procs := range []int{1, 2} {
-		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			f(t)
-		})
 	}
 }
 
@@ -122,7 +112,7 @@ func craftedMaps() map[string]*frame.DepthMap {
 // crafted maps, at GOMAXPROCS 1 and 2.
 func TestDetectMatchesReferenceCrafted(t *testing.T) {
 	maps := craftedMaps()
-	atProcs(t, func(t *testing.T) {
+	testkit.AtProcs(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		cfgs := []Config{{WindowW: 16, WindowH: 16}, {WindowW: 33, WindowH: 20, FineStride: 1, Boundary: 64}}
 		for i := 0; i < 12; i++ {

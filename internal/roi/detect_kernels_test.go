@@ -10,6 +10,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 )
 
 // depthSamples returns n depth samples for the kernels' tests: runs of one
@@ -241,7 +242,7 @@ func TestDetectMatchesReferenceEveryGame(t *testing.T) {
 			frames = append(frames, frameAt{fmt.Sprintf("%s at %dx%d", wl.ID, g[0], g[1]), &d})
 		}
 	}
-	atProcs(t, func(t *testing.T) {
+	testkit.AtProcs(t, func(t *testing.T) {
 		for _, win := range []int{64, 300} {
 			det, _ := New(Config{WindowW: win, WindowH: win})
 			for _, f := range frames {

@@ -9,6 +9,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 )
 
 // fillDepth sets every sample of d to z.
@@ -79,7 +80,7 @@ func TestDetectPrefersCenterOnTie(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Perfectly centered window: x = (100-20)/2 = 40 (allow stride slack).
-	if absInt(r.X-40) > 3 || absInt(r.Y-40) > 3 {
+	if testkit.AbsInt(r.X-40) > 3 || testkit.AbsInt(r.Y-40) > 3 {
 		t.Errorf("tie-broken RoI %v not centered", r)
 	}
 }
@@ -330,13 +331,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Boundary != cfg.CoarseStride {
 		t.Errorf("boundary default = %d", cfg.Boundary)
 	}
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // BenchmarkDetect720p is the server's per-frame detection in steady state

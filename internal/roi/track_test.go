@@ -8,6 +8,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 )
 
 // twoBlobMap places two near blobs whose relative strength alternates
@@ -49,7 +50,7 @@ func TestTrackerSuppressesFlicker(t *testing.T) {
 	}
 	flips := 0
 	for i := 1; i < len(rawPositions); i++ {
-		if absInt(rawPositions[i]-rawPositions[i-1]) > 10 {
+		if testkit.AbsInt(rawPositions[i]-rawPositions[i-1]) > 10 {
 			flips++
 		}
 	}
@@ -71,7 +72,7 @@ func TestTrackerSuppressesFlicker(t *testing.T) {
 		tracked = append(tracked, r.X)
 	}
 	for i := 1; i < len(tracked); i++ {
-		if absInt(tracked[i]-tracked[i-1]) > 10 {
+		if testkit.AbsInt(tracked[i]-tracked[i-1]) > 10 {
 			t.Fatalf("tracked RoI still flips: %v", tracked)
 		}
 	}
@@ -89,7 +90,7 @@ func TestTrackerFollowsRealMotion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i > 0 && absInt(r.X-lastX) > 6 {
+		if i > 0 && testkit.AbsInt(r.X-lastX) > 6 {
 			t.Fatalf("step %d exceeded MaxStep: %d -> %d", i, lastX, r.X)
 		}
 		lastX = r.X
@@ -156,7 +157,7 @@ func TestTrackerOnGameStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			if prev != nil {
-				total += absInt(r.X-prev.X) + absInt(r.Y-prev.Y)
+				total += testkit.AbsInt(r.X-prev.X) + testkit.AbsInt(r.Y-prev.Y)
 			}
 			c := r
 			prev = &c

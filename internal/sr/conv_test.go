@@ -61,7 +61,7 @@ func referenceNetwork(n *Network, in *Tensor) *Tensor {
 	}
 	x = referenceConv(n.bodyEnd, x)
 	AddInto(x, x, h)
-	u, s := referenceConv(n.up, x), n.spec.Scale
+	u, s := referenceConv(n.up, x), Scale
 	x = NewTensor(u.C/(s*s), u.H*s, u.W*s)
 	PixelShuffleInto(x, u, s)
 	return referenceConv(n.tail, x)
@@ -105,7 +105,7 @@ func forward(c *Conv2D, in *Tensor) *Tensor {
 
 // netForward runs n over in into a new tensor.
 func netForward(n *Network, in *Tensor) *Tensor {
-	out := NewTensor(3, in.H*n.spec.Scale, in.W*n.spec.Scale)
+	out := NewTensor(3, in.H*Scale, in.W*Scale)
 	n.ForwardInto(out, in, nil)
 	return out
 }
@@ -303,11 +303,10 @@ func TestNetworkMatchesReference(t *testing.T) {
 		net    *Network
 		shapes [][2]int
 	}{
-		{"interp default", NewInterpEDSR(Spec{}, InterpConfig{}), shapes},
-		{"interp lanczos", NewInterpEDSR(Spec{Blocks: 2, Channels: 5, UpK: 7}, InterpConfig{Kernel: upscale.Lanczos3}), shapes[1:]},
+		{"interp default", NewInterpEDSR(Spec{}), shapes},
+		{"interp lanczos", newInterpEDSR(Spec{Blocks: 2, Channels: 5, UpK: 7}, upscale.Lanczos3, interpBlockAlpha, interpSharpen), shapes[1:]},
 		{"random 2x8", newRandomEDSR(Spec{Blocks: 2, Channels: 8}, 3), shapes},
 		{"random default", newRandomEDSR(Spec{}, 4), shapes[1:3]},
-		{"random x3", newRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 3}, 6), shapes[1:]},
 		{"sparse", sparse, shapes},
 	} {
 		for _, s := range tc.shapes {
@@ -333,7 +332,7 @@ func TestNetworkMatchesReference(t *testing.T) {
 // feature channels of the constructed network, everything of a dense one,
 // and one placeholder channel of an all-zero one.
 func TestLivenessAndExecutedMACs(t *testing.T) {
-	n := NewInterpEDSR(Spec{}, InterpConfig{})
+	n := NewInterpEDSR(Spec{})
 	got := n.ExecutedMACs(10, 10)
 	// head 3, 16 blocks × 3·(9+1), bodyEnd 3, up 12·16 (a bicubic phase has
 	// 4 non-zero taps of the 5) at LR; tail 3·9 at HR.

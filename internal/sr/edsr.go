@@ -9,14 +9,12 @@ import (
 )
 
 // Spec describes an EDSR-family network. The paper's model is the default:
-// 16 residual blocks, 64 channels, ×2 upscale (§V-A).
+// 16 residual blocks, 64 channels (§V-A). Every network is ×Scale.
 type Spec struct {
 	// Blocks is the residual-block count (default 16).
 	Blocks int
 	// Channels is the feature width (default 64).
 	Channels int
-	// Scale is the upscale factor (default 2).
-	Scale int
 	// K is the kernel size of head/body convolutions (default 3).
 	K int
 	// UpK is the kernel size of the upsampling convolution (default 5,
@@ -30,9 +28,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Channels <= 0 {
 		s.Channels = 64
-	}
-	if s.Scale <= 0 {
-		s.Scale = 2
 	}
 	if s.K <= 0 {
 		s.K = 3
@@ -48,7 +43,7 @@ type resBlock struct {
 	conv1, conv2 *Conv2D
 }
 
-// Network is an EDSR ×N super-resolution network: head convolution,
+// Network is an EDSR ×2 super-resolution network: head convolution,
 // residual body with global skip, sub-pixel upsampler and reconstruction
 // convolution.
 //
@@ -59,7 +54,7 @@ type Network struct {
 	head    *Conv2D // 3 -> C
 	body    []resBlock
 	bodyEnd *Conv2D // C -> C, followed by global skip
-	up      *Conv2D // C -> C·scale²  (pixel-shuffled to C at HR)
+	up      *Conv2D // C -> C·Scale²  (pixel-shuffled to C at HR)
 	tail    *Conv2D // C -> 3 at HR
 
 	once sync.Once
@@ -74,7 +69,7 @@ func NewNetwork(spec Spec) *Network {
 		spec:    spec,
 		head:    NewConv2D(3, spec.Channels, spec.K),
 		bodyEnd: NewConv2D(spec.Channels, spec.Channels, spec.K),
-		up:      NewConv2D(spec.Channels, spec.Channels*spec.Scale*spec.Scale, spec.UpK),
+		up:      NewConv2D(spec.Channels, spec.Channels*Scale*Scale, spec.UpK),
 		tail:    NewConv2D(spec.Channels, 3, spec.K),
 	}
 	for i := 0; i < spec.Blocks; i++ {
@@ -88,7 +83,7 @@ func NewNetwork(spec Spec) *Network {
 
 // Name implements Engine.
 func (n *Network) Name() string {
-	return fmt.Sprintf("edsr(b%d,c%d,x%d)", n.spec.Blocks, n.spec.Channels, n.spec.Scale)
+	return fmt.Sprintf("edsr(b%d,c%d,x%d)", n.spec.Blocks, n.spec.Channels, Scale)
 }
 
 // program is a network compiled for execution: one plan per layer over
@@ -109,7 +104,7 @@ type program struct {
 // exactly the dense network's. With dense weights everything is live and
 // the program is the plain topology.
 func (n *Network) compile() {
-	r2 := n.spec.Scale * n.spec.Scale
+	const r2 = Scale * Scale
 	liveOut := []bool{true, true, true}
 	liveHR := n.tail.liveInputs(liveOut)
 	liveUp := make([]bool, len(liveHR)*r2)
@@ -165,15 +160,15 @@ func or(a, b []bool) []bool {
 }
 
 // ForwardInto runs the network on a 3×H×W input tensor in [0, 1], writing
-// the 3×(H·scale)×(W·scale) result into out, with every intermediate tensor
+// the 3×(H·Scale)×(W·Scale) result into out, with every intermediate tensor
 // drawn from pool (nil allocates). The body updates its feature tensor in
 // place through the fused epilogues, so the whole 16-block body runs in
 // three scratch tensors.
 func (n *Network) ForwardInto(out, in *Tensor, pool *bufpool.Pool) {
 	n.once.Do(n.compile)
-	p, s := n.prog, n.spec.Scale
+	p := n.prog
 	H, W := in.H, in.W
-	checkShape("network output", out, 3, H*s, W*s)
+	checkShape("network output", out, 3, H*Scale, W*Scale)
 
 	r := startRun()
 	h := GetTensor(pool, p.head.dstC, H, W)
@@ -192,8 +187,8 @@ func (n *Network) ForwardInto(out, in *Tensor, pool *bufpool.Pool) {
 	u1 := GetTensor(pool, p.up.dstC, H, W)
 	r.run(p.up, u1, h)
 	PutTensor(pool, h)
-	u2 := GetTensor(pool, p.tail.srcC, H*s, W*s)
-	PixelShuffleInto(u2, u1, s)
+	u2 := GetTensor(pool, p.tail.srcC, H*Scale, W*Scale)
+	PixelShuffleInto(u2, u1, Scale)
 	PutTensor(pool, u1)
 	r.run(p.tail, out, u2)
 	PutTensor(pool, u2)
@@ -201,20 +196,20 @@ func (n *Network) ForwardInto(out, in *Tensor, pool *bufpool.Pool) {
 }
 
 // UpscaleInto implements Engine: the full EDSR inference with every tensor
-// pooled.
+// pooled. It refuses any scale but Scale.
 func (n *Network) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
-	if scale != n.spec.Scale {
-		return fmt.Errorf("sr: network is ×%d, requested ×%d", n.spec.Scale, scale)
+	if scale != Scale {
+		return fmt.Errorf("sr: network is ×%d, requested ×%d", Scale, scale)
 	}
 	if im.W == 0 || im.H == 0 {
 		return fmt.Errorf("sr: empty input image")
 	}
-	if dst.W != im.W*scale || dst.H != im.H*scale {
-		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, scale)
+	if dst.W != im.W*Scale || dst.H != im.H*Scale {
+		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, Scale)
 	}
 	in := GetTensor(pool, 3, im.H, im.W)
 	FromImageInto(in, im)
-	out := GetTensor(pool, 3, im.H*scale, im.W*scale)
+	out := GetTensor(pool, 3, im.H*Scale, im.W*Scale)
 	n.ForwardInto(out, in, pool)
 	PutTensor(pool, in)
 	ToImageInto(dst, out)
@@ -224,7 +219,7 @@ func (n *Network) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Poo
 
 // Upscale implements Engine: UpscaleInto into a new image.
 func (n *Network) Upscale(im *frame.Image, scale int) (*frame.Image, error) {
-	dst := frame.NewImage(im.W*scale, im.H*scale)
+	dst := frame.NewImage(im.W*Scale, im.H*Scale)
 	if err := n.UpscaleInto(dst, im, scale, nil); err != nil {
 		return nil, err
 	}
@@ -243,8 +238,7 @@ func (n *Network) FLOPs(h, w int) int64 {
 	}
 	total += n.bodyEnd.FLOPs(h, w)
 	total += n.up.FLOPs(h, w)
-	s := n.spec.Scale
-	total += n.tail.FLOPs(h*s, w*s)
+	total += n.tail.FLOPs(h*Scale, w*Scale)
 	return total
 }
 
@@ -259,6 +253,5 @@ func (n *Network) ExecutedMACs(h, w int) int64 {
 	for _, b := range p.body {
 		lr += b[0].macs() + b[1].macs()
 	}
-	s := int64(n.spec.Scale)
-	return lr*int64(h)*int64(w) + p.tail.macs()*int64(h)*s*int64(w)*s
+	return lr*int64(h)*int64(w) + p.tail.macs()*int64(h)*Scale*int64(w)*Scale
 }

@@ -8,6 +8,12 @@ import (
 	"gamestreamsr/internal/upscale"
 )
 
+// Scale is the client's upscale factor, the paper's ×2 (720p → 1440p,
+// §V-A). Fast and Network compute only this factor and refuse any other;
+// Engine keeps its scale argument for the engines and callers that resample
+// generally (BilinearEngine, the benchmark harness).
+const Scale = 2
+
 // Engine is anything that can super-resolve an image by an integer factor.
 // The EDSR network, the fast kernel and bilinear implement it; the client
 // pipeline is written against this interface (paper Fig. 6 step ❼).
@@ -52,46 +58,26 @@ func (f *Fast) Name() string {
 
 // Upscale implements Engine.
 func (f *Fast) Upscale(im *frame.Image, scale int) (*frame.Image, error) {
-	if scale < 1 {
-		return nil, fmt.Errorf("sr: invalid scale %d", scale)
-	}
-	dst := frame.NewImagePacked(im.W*scale, im.H*scale)
+	dst := frame.NewImagePacked(im.W*Scale, im.H*Scale)
 	if err := f.UpscaleInto(dst, im, scale, nil); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// UpscaleInto implements Engine.
-func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, pool *bufpool.Pool) error {
-	if scale < 1 {
-		return fmt.Errorf("sr: invalid scale %d", scale)
+// UpscaleInto implements Engine: one banded pass computes the ×2 Lanczos-3
+// rows of im and sharpens them into dst. It refuses any other scale.
+func (f *Fast) UpscaleInto(dst, im *frame.Image, scale int, _ *bufpool.Pool) error {
+	if scale != Scale {
+		return fmt.Errorf("sr: fast-sr is ×%d, requested ×%d", Scale, scale)
 	}
-	if dst.W != im.W*scale || dst.H != im.H*scale {
-		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, scale)
-	}
-	if scale == 1 {
-		return upscale.ResizeInto(dst, im, upscale.Lanczos3, pool)
+	if dst.W != im.W*Scale || dst.H != im.H*Scale {
+		return fmt.Errorf("sr: destination %dx%d != %dx scale-%d source", dst.W, dst.H, im.W, Scale)
 	}
 	s := getRun()
-	defer putRun(s)
-	if scale == 2 {
-		// The client's call: one banded pass computes the ×2 Lanczos rows
-		// and sharpens them.
-		s.lr = im
-		s.sharpen(dst)
-		return nil
-	}
-	// Any other scale lands in an intermediate image — its pixels the
-	// pool's, its header the run's — and the sharpen pass writes dst from it.
-	n := dst.W * dst.H
-	buf := pool.Bytes(3 * n)
-	defer pool.PutBytes(buf)
-	s.up = frame.Image{W: dst.W, H: dst.H, Stride: dst.W, R: buf[:n], G: buf[n : 2*n], B: buf[2*n:]}
-	if err := upscale.ResizeInto(&s.up, im, upscale.Lanczos3, pool); err != nil {
-		return err
-	}
+	s.lr = im
 	s.sharpen(dst)
+	putRun(s)
 	return nil
 }
 

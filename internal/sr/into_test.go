@@ -7,25 +7,15 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/testkit"
 )
-
-func randImage(w, h int, seed int64) *frame.Image {
-	rng := rand.New(rand.NewSource(seed))
-	im := frame.NewImage(w, h)
-	for i := range im.R {
-		im.R[i] = uint8(rng.Intn(256))
-		im.G[i] = uint8(rng.Intn(256))
-		im.B[i] = uint8(rng.Intn(256))
-	}
-	return im
-}
 
 // TestUpscaleIntoMatchesUpscale asserts the pooled destination-passing
 // inference is bit-identical to the allocating path — with a DIRTY pool
 // (pre-scribbled buffers) to prove no op depends on zeroed scratch.
 func TestUpscaleIntoMatchesUpscale(t *testing.T) {
-	net := NewInterpEDSR(Spec{Blocks: 2, Channels: 8, Scale: 2}, InterpConfig{})
-	im := randImage(24, 16, 1)
+	net := NewInterpEDSR(Spec{Blocks: 2, Channels: 8})
+	im := testkit.Noise(24, 16, 1)
 
 	want, err := net.Upscale(im, 2)
 	if err != nil {
@@ -89,8 +79,8 @@ func TestPixelShuffleIntoMatches(t *testing.T) {
 // source against the same pixels packed, and ToImageInto over a dirty
 // destination against the source.
 func TestImageTensorRoundTripInto(t *testing.T) {
-	parent := randImage(20, 12, 5)
-	view := mustSub(parent, 3, 2, 10, 8)
+	parent := testkit.Noise(20, 12, 5)
+	view := testkit.MustSub(parent, 3, 2, 10, 8)
 	wantT := NewTensor(3, 8, 10)
 	FromImageInto(wantT, view.Compact())
 	gotT := NewTensor(3, 8, 10)
@@ -100,7 +90,7 @@ func TestImageTensorRoundTripInto(t *testing.T) {
 			t.Fatalf("FromImageInto element %d = %v, want %v", i, gotT.Data[i], wantT.Data[i])
 		}
 	}
-	gotI := randImage(10, 8, 6)
+	gotI := testkit.Noise(10, 8, 6)
 	ToImageInto(gotI, gotT)
 	if !gotI.Equal(view) {
 		t.Fatal("ToImageInto does not give back the source pixels")
@@ -116,9 +106,9 @@ func TestSRTilePathSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		spec Spec
 		side int
-	}{{Spec{Blocks: 2, Channels: 8, Scale: 2}, 16}, {Spec{}, 81}} {
-		net := NewInterpEDSR(tc.spec, InterpConfig{})
-		im := randImage(tc.side, tc.side, 2)
+	}{{Spec{Blocks: 2, Channels: 8}, 16}, {Spec{}, 81}} {
+		net := NewInterpEDSR(tc.spec)
+		im := testkit.Noise(tc.side, tc.side, 2)
 		pool := bufpool.New()
 		dst := frame.NewImagePacked(2*tc.side, 2*tc.side)
 		// Warm the pool and the parallel layer.
@@ -141,7 +131,7 @@ func TestSRTilePathSteadyStateAllocs(t *testing.T) {
 // against a dirtied pool.
 func TestFastUpscaleIntoMatches(t *testing.T) {
 	f := NewFast(FastConfig{})
-	im := randImage(30, 20, 9)
+	im := testkit.Noise(30, 20, 9)
 	want, err := f.Upscale(im, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -174,8 +164,8 @@ func TestFastUpscaleIntoMatches(t *testing.T) {
 }
 
 func benchEDSRInto(b *testing.B, w, h int) {
-	net := NewInterpEDSR(Spec{}, InterpConfig{})
-	im := randImage(w, h, 4)
+	net := NewInterpEDSR(Spec{})
+	im := testkit.Noise(w, h, 4)
 	pool := bufpool.New()
 	dst := frame.NewImagePacked(2*w, 2*h)
 	if err := net.UpscaleInto(dst, im, 2, pool); err != nil {

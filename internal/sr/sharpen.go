@@ -37,8 +37,8 @@ import (
 // extrema, the clamp and the output sixteen in byte lanes. reduceGo and
 // sharpenGo are their Go twins, which every other GOARCH runs.
 //
-// At ×2 with Lanczos-3 — the client's call — the pass computes the rows it
-// sharpens itself (upscale.Lanczos2x), so no resampled image exists.
+// Fast computes the rows it sharpens itself, as the ×2 Lanczos-3 upscale of
+// its source (upscale.Lanczos2x), so no resampled image exists.
 
 // sharpenGain is the detail-restoration gain α in out = up + α·(up − blur),
 // the point the calibration sweep in TestSharpenSweepDefaultNearOptimal
@@ -47,10 +47,10 @@ import (
 const sharpenGain = 2
 
 // sharpenBand is the number of rows in one unit of parallel work. A band
-// re-derives the row on either side of it — from the resampled image, or
-// from the source through the ×2 Lanczos rows — and never reads another
-// band's output, so a seam costs two rows in sharpenBand+2 (and, fused, the
-// few horizontal rows their vertical taps read).
+// re-derives the row on either side of it from the source, through the ×2
+// Lanczos rows, and never reads another band's output, so a seam costs two
+// rows in sharpenBand+2 and the few horizontal rows their vertical taps
+// read.
 const sharpenBand = 32
 
 // sharpenRows is a worker's scratch, grown to the widest image seen: three
@@ -87,10 +87,11 @@ func (r *sharpenRows) rows(w int) (above, cur, below rollRow) {
 }
 
 // sharpenRun carries one call to the band workers. It is recycled whole: fn
-// is bands bound once, so a call creates no closure (as convRun's is). The
-// pass reads its rows from up — an image some resampler wrote, its pixels
-// the pool's and its header this run's — or, when lr is set, computes them
-// as the ×2 Lanczos-3 upscale of lr, so that no resampled image exists.
+// is bands bound once, so a call creates no closure (as convRun's is). Fast
+// sets lr, and the pass computes its rows as the ×2 Lanczos-3 upscale of lr.
+// Without lr it reads them from up instead: that is only the seam through
+// which TestSharpenIntoMatchesReference (sharpenInto) feeds the sharpen
+// arbitrary images, which the fused Lanczos rows cannot produce.
 type sharpenRun struct {
 	up  frame.Image
 	lr  *frame.Image
@@ -126,16 +127,16 @@ func getRun() *sharpenRun {
 
 // putRun returns a finished run for reuse.
 func putRun(s *sharpenRun) {
-	s.up, s.lr = frame.Image{}, nil
+	s.lr = nil
 	sharpenRuns.mu.Lock()
 	sharpenRuns.free = append(sharpenRuns.free, s)
 	sharpenRuns.mu.Unlock()
 }
 
 // sharpen writes dst = up + 2·(up − blur(up)), clamped to the local extrema
-// of up, where up is the run's resampled image, read or computed. dst has
-// up's geometry and shares no memory with its source; either may be a
-// strided view.
+// of up, where up is the ×2 Lanczos-3 upscale of lr (or, from the test
+// seam, the run's up). dst has up's geometry and shares no memory with its
+// source; either may be a strided view.
 func (s *sharpenRun) sharpen(dst *frame.Image) {
 	s.dst = dst
 	parallel.ForWith((dst.H+sharpenBand-1)/sharpenBand, sharpenScratch, s.fn)

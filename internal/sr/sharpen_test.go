@@ -13,10 +13,13 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 	"gamestreamsr/internal/upscale"
 )
 
-// sharpenInto runs the shipped kernel from up into dst.
+// sharpenInto runs the shipped kernel from up into dst. It is the only
+// caller that sets a run's up: it feeds the sharpen arbitrary images, which
+// Fast's fused ×2 Lanczos rows cannot produce.
 func sharpenInto(dst, up *frame.Image) {
 	s := &sharpenRun{up: *up}
 	s.fn = s.bands
@@ -70,7 +73,7 @@ func sharpenPlane(p []uint8, w, h, stride int, alpha float64, pool *bufpool.Pool
 			for dy := -1; dy <= 1; dy++ {
 				for dx := -1; dx <= 1; dx++ {
 					v := at(x+dx, y+dy)
-					wgt := (2 - absInt(dx)) * (2 - absInt(dy))
+					wgt := (2 - testkit.AbsInt(dx)) * (2 - testkit.AbsInt(dy))
 					blur += wgt * v
 					if v < lo {
 						lo = v
@@ -89,13 +92,6 @@ func sharpenPlane(p []uint8, w, h, stride int, alpha float64, pool *bufpool.Pool
 			p[y*stride+x] = uint8(clampF(out, 0, 255) + 0.5)
 		}
 	}
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func clampF(v, lo, hi float64) float64 {
@@ -277,23 +273,23 @@ func TestSharpenIntoMatchesReference(t *testing.T) {
 				want := up.Clone()
 				sharpenInPlace(want, sharpenGain, nil)
 
-				got := randImage(w, h, 99) // dirty
+				got := testkit.Noise(w, h, 99) // dirty
 				sharpenInto(got, up)
 				if !got.Equal(want) {
 					t.Fatalf("%s: packed result differs from the reference loop", what)
 				}
 
 				// The same source and destination as views into wider images.
-				upParent := randImage(w+5, h+4, 7)
-				upView := mustSub(upParent, 2, 1, w, h)
+				upParent := testkit.Noise(w+5, h+4, 7)
+				upView := testkit.MustSub(upParent, 2, 1, w, h)
 				upView.CopyFrom(up)
-				dstParent := randImage(w+3, h+2, 8)
+				dstParent := testkit.Noise(w+3, h+2, 8)
 				frameOf := dstParent.Clone()
-				sharpenInto(mustSub(dstParent, 3, 2, w, h), upView)
-				if !mustSub(dstParent, 3, 2, w, h).Equal(want) {
+				sharpenInto(testkit.MustSub(dstParent, 3, 2, w, h), upView)
+				if !testkit.MustSub(dstParent, 3, 2, w, h).Equal(want) {
 					t.Fatalf("%s: strided result differs from the reference loop", what)
 				}
-				mustSub(frameOf, 3, 2, w, h).CopyFrom(want)
+				testkit.MustSub(frameOf, 3, 2, w, h).CopyFrom(want)
 				if !dstParent.Equal(frameOf) {
 					t.Fatalf("%s: bytes outside the destination view were written", what)
 				}
@@ -311,7 +307,7 @@ func TestFastMatchesResampleThenReference(t *testing.T) {
 	wl := gamePatch(t, "G3", 20, 96, 54)
 	f := NewFast(FastConfig{})
 	eachBody(func(body string) {
-		for _, view := range []*frame.Image{wl, mustSub(wl, 17, 9, 64, 40), mustSub(wl, 0, 0, 33, 1), mustSub(wl, 95, 3, 1, 50)} {
+		for _, view := range []*frame.Image{wl, testkit.MustSub(wl, 17, 9, 64, 40), testkit.MustSub(wl, 0, 0, 33, 1), testkit.MustSub(wl, 95, 3, 1, 50)} {
 			want := mustResize(view, 2*view.W, 2*view.H, upscale.Lanczos3)
 			sharpenInPlace(want, sharpenGain, nil)
 			got, err := f.Upscale(view, 2)
@@ -373,7 +369,7 @@ func TestFastUpscaleIntoSteadyStateAllocs(t *testing.T) {
 // rendered frame, pooled, into a kept destination. Run with -cpu 1,2.
 func BenchmarkFastSRRoI64(b *testing.B) {
 	lr := gamePatch(b, "G3", 20, 160, 90)
-	benchFastRoI(b, mustSub(lr, 48, 13, 64, 64)) // a strided view, as the client's is
+	benchFastRoI(b, testkit.MustSub(lr, 48, 13, 64, 64)) // a strided view, as the client's is
 }
 
 // BenchmarkFastSRRoI300 is the same call on the paper's RoI: a 300×300
@@ -385,7 +381,7 @@ func BenchmarkFastSRRoI300(b *testing.B) {
 		b.Fatal(err)
 	}
 	lr := wl.Render(&render.Renderer{}, 20, 1280, 720).Color
-	benchFastRoI(b, mustSub(lr, 490, 210, 300, 300))
+	benchFastRoI(b, testkit.MustSub(lr, 490, 210, 300, 300))
 }
 
 // benchFastRoI times Fast's pooled ×2 call on im into a kept destination.
@@ -449,19 +445,19 @@ func checkFused(t *testing.T, im *frame.Image) {
 	sharpenInPlace(want, sharpenGain, nil)
 	f := NewFast(FastConfig{})
 	eachBody(func(body string) {
-		got := randImage(2*im.W, 2*im.H, 98)
+		got := testkit.Noise(2*im.W, 2*im.H, 98)
 		if err := f.UpscaleInto(got, im, 2, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
 			t.Fatalf("%s: %dx%d (stride %d): fused pass differs from resample + reference sharpen", body, im.W, im.H, im.Stride)
 		}
-		canvas := randImage(2*im.W+3, 2*im.H+2, 97)
+		canvas := testkit.Noise(2*im.W+3, 2*im.H+2, 97)
 		outside := canvas.Clone()
-		if err := f.UpscaleInto(mustSub(canvas, 3, 1, 2*im.W, 2*im.H), im, 2, nil); err != nil {
+		if err := f.UpscaleInto(testkit.MustSub(canvas, 3, 1, 2*im.W, 2*im.H), im, 2, nil); err != nil {
 			t.Fatal(err)
 		}
-		mustSub(outside, 3, 1, 2*im.W, 2*im.H).CopyFrom(want)
+		testkit.MustSub(outside, 3, 1, 2*im.W, 2*im.H).CopyFrom(want)
 		if !canvas.Equal(outside) {
 			t.Fatalf("%s: %dx%d: strided destination differs, or bytes outside it were written", body, im.W, im.H)
 		}
@@ -481,8 +477,8 @@ func TestFastFusedMatchesResampleThenReference(t *testing.T) {
 			w, h := g[0], g[1]
 			checkFused(t, filledImage(w, h, int64(gi+1), fill))
 			parent := filledImage(w+4, h+3, int64(gi+50), fill)
-			checkFused(t, mustSub(parent, 2, 1, w, h))
-			checkFused(t, mustSub(parent, 4, 3, w, h))
+			checkFused(t, testkit.MustSub(parent, 2, 1, w, h))
+			checkFused(t, testkit.MustSub(parent, 4, 3, w, h))
 		}
 	}
 }
@@ -509,6 +505,6 @@ func FuzzFastSR2x(f *testing.F) {
 				parent.B[i] = data[(3*i+2)%len(data)]
 			}
 		}
-		checkFused(t, mustSub(parent, x0, y0, sw, sh))
+		checkFused(t, testkit.MustSub(parent, x0, y0, sw, sh))
 	})
 }

@@ -1,39 +1,14 @@
 package sr
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/games"
 	"gamestreamsr/internal/render"
+	"gamestreamsr/internal/testkit"
 	"gamestreamsr/internal/upscale"
 )
-
-// at returns the RGB triple at (x, y).
-func at(im *frame.Image, x, y int) (r, g, b uint8) {
-	i := y*im.Stride + x
-	return im.R[i], im.G[i], im.B[i]
-}
-
-// mustSub is SubImage for a rectangle inside im.
-func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
-	s, err := im.SubImage(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// fill sets every pixel of im to one colour.
-func fill(im *frame.Image, r, g, b uint8) {
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			im.Set(x, y, r, g, b)
-		}
-	}
-}
 
 // mustResize is upscale.Resize for arguments the test has validated.
 func mustResize(src *frame.Image, w, h int, k upscale.Kind) *frame.Image {
@@ -41,13 +16,6 @@ func mustResize(src *frame.Image, w, h int, k upscale.Kind) *frame.Image {
 	if err != nil {
 		panic(err)
 	}
-	return out
-}
-
-// luma returns im's Rec.601 luma plane.
-func luma(im *frame.Image) []float64 {
-	out := make([]float64, im.W*im.H)
-	im.LumaRowsInto(out, 0, im.H)
 	return out
 }
 
@@ -164,13 +132,7 @@ func TestPixelShuffle(t *testing.T) {
 }
 
 func TestImageTensorRoundTrip(t *testing.T) {
-	im := frame.NewImage(5, 4)
-	rng := rand.New(rand.NewSource(2))
-	for i := range im.R {
-		im.R[i] = uint8(rng.Intn(256))
-		im.G[i] = uint8(rng.Intn(256))
-		im.B[i] = uint8(rng.Intn(256))
-	}
+	im := testkit.Noise(5, 4, 2)
 	tensor := NewTensor(3, 4, 5)
 	FromImageInto(tensor, im)
 	back := frame.NewImagePacked(5, 4)
@@ -185,7 +147,7 @@ func TestFLOPsCounting(t *testing.T) {
 	if c.FLOPs(10, 10) != 3*64*9*100 {
 		t.Errorf("conv FLOPs = %d", c.FLOPs(10, 10))
 	}
-	n := NewNetwork(Spec{Blocks: 2, Channels: 8, Scale: 2, K: 3, UpK: 5})
+	n := NewNetwork(Spec{Blocks: 2, Channels: 8, K: 3, UpK: 5})
 	// head + 2 blocks ×2 convs + bodyEnd at LR, up at LR, tail at HR.
 	want := int64(3*8*9+4*(8*8*9)+8*8*9+8*32*25)*100 + int64(8*3*9)*400
 	if got := n.FLOPs(10, 10); got != want {
@@ -195,12 +157,12 @@ func TestFLOPsCounting(t *testing.T) {
 
 // The central claim of the weight construction: a real conv/ReLU EDSR
 // topology with analytic weights computes polyphase interpolation. With
-// BlockAlpha and Sharpen disabled it must match upscale.Resize bit-for-bit
-// away from the borders (border handling differs: replicate-pad vs
-// renormalised truncation).
+// the block strength and the unsharp gain off it must match upscale.Resize
+// bit-for-bit away from the borders (border handling differs: replicate-pad
+// vs renormalised truncation).
 func TestNetworkMatchesResize(t *testing.T) {
-	spec := Spec{Blocks: 3, Channels: 8, Scale: 2, K: 3, UpK: 5}
-	n := NewInterpEDSR(spec, InterpConfig{Kernel: upscale.Bicubic, BlockAlpha: -1, Sharpen: -1})
+	spec := Spec{Blocks: 3, Channels: 8, K: 3, UpK: 5}
+	n := newInterpEDSR(spec, upscale.Bicubic, 0, 0)
 	im := gamePatch(t, "G3", 0, 24, 24)
 	got, err := n.Upscale(im, 2)
 	if err != nil {
@@ -214,8 +176,8 @@ func TestNetworkMatchesResize(t *testing.T) {
 	var maxDiff int
 	for y := margin; y < 48-margin; y++ {
 		for x := margin; x < 48-margin; x++ {
-			gr, gg, gb := at(got, x, y)
-			wr, wg, wb := at(want, x, y)
+			gr, gg, gb := testkit.At(got, x, y)
+			wr, wg, wb := testkit.At(want, x, y)
 			for _, d := range []int{int(gr) - int(wr), int(gg) - int(wg), int(gb) - int(wb)} {
 				if d < 0 {
 					d = -d
@@ -240,21 +202,7 @@ func gamePatch(t testing.TB, id string, fi, w, h int) *frame.Image {
 	}
 	out := wl.Render(&render.Renderer{}, fi, 4*w, 4*h)
 	// Central crop keeps foreground detail in frame.
-	return mustSub(out.Color, (4*w-w)/2, (4*h-h)/2, w, h).Clone()
-}
-
-func psnr(a, b *frame.Image) float64 {
-	la, lb := luma(a), luma(b)
-	var sum float64
-	for i := range la {
-		d := la[i] - lb[i]
-		sum += d * d
-	}
-	mse := sum / float64(len(la))
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	return 10 * math.Log10(255*255/mse)
+	return testkit.MustSub(out.Color, (4*w-w)/2, (4*h-h)/2, w, h).Clone()
 }
 
 // Quality ordering on real rendered content: the SR engines must beat plain
@@ -265,24 +213,24 @@ func TestSRBeatsBilinear(t *testing.T) {
 	lo := mustResize(hi, 128, 72, upscale.Bilinear)
 
 	bilUp := mustResize(lo, 256, 144, upscale.Bilinear)
-	basePSNR := psnr(hi, bilUp)
+	basePSNR := testkit.PSNR(hi, bilUp)
 
 	fast := NewFast(FastConfig{})
 	fastUp, err := fast.Upscale(lo, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastPSNR := psnr(hi, fastUp)
+	fastPSNR := testkit.PSNR(hi, fastUp)
 	if fastPSNR <= basePSNR {
 		t.Errorf("fast SR PSNR %.2f should beat bilinear %.2f", fastPSNR, basePSNR)
 	}
 
-	net := NewInterpEDSR(Spec{Blocks: 3, Channels: 8}, InterpConfig{})
+	net := NewInterpEDSR(Spec{Blocks: 3, Channels: 8})
 	netUp, err := net.Upscale(lo, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	netPSNR := psnr(hi, netUp)
+	netPSNR := testkit.PSNR(hi, netUp)
 	if netPSNR <= basePSNR {
 		t.Errorf("EDSR PSNR %.2f should beat bilinear %.2f", netPSNR, basePSNR)
 	}
@@ -291,7 +239,7 @@ func TestSRBeatsBilinear(t *testing.T) {
 
 func TestFastConstantImage(t *testing.T) {
 	im := frame.NewImage(16, 16)
-	fill(im, 90, 120, 33)
+	testkit.Fill(im, 90, 120, 33)
 	out, err := NewFast(FastConfig{}).Upscale(im, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -303,27 +251,24 @@ func TestFastConstantImage(t *testing.T) {
 	}
 }
 
-func TestFastScaleOneIsClone(t *testing.T) {
-	im := gamePatch(t, "G1", 0, 16, 16)
-	out, err := NewFast(FastConfig{}).Upscale(im, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !im.Equal(out) {
-		t.Fatal("scale 1 should be identity")
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
-	if _, err := NewFast(FastConfig{}).Upscale(frame.NewImage(4, 4), 0); err == nil {
-		t.Error("scale 0 should fail")
-	}
 	if _, err := (BilinearEngine{}).Upscale(frame.NewImage(4, 4), -1); err == nil {
 		t.Error("negative scale should fail")
 	}
-	n := NewInterpEDSR(Spec{Blocks: 1, Channels: 4}, InterpConfig{})
-	if _, err := n.Upscale(frame.NewImage(4, 4), 3); err == nil {
-		t.Error("scale mismatch should fail")
+	// Fast and the network compute ×2 only and refuse every other scale,
+	// in both forms.
+	n := NewInterpEDSR(Spec{Blocks: 1, Channels: 4})
+	for _, e := range []Engine{NewFast(FastConfig{}), n} {
+		for _, scale := range []int{-1, 0, 1, 3, 4} {
+			im := frame.NewImage(4, 4)
+			if _, err := e.Upscale(im, scale); err == nil {
+				t.Errorf("%s: Upscale at ×%d should fail", e.Name(), scale)
+			}
+			dst := frame.NewImage(4*max(scale, 1), 4*max(scale, 1))
+			if err := e.UpscaleInto(dst, im, scale, nil); err == nil {
+				t.Errorf("%s: UpscaleInto at ×%d should fail", e.Name(), scale)
+			}
+		}
 	}
 	if _, err := n.Upscale(frame.NewImage(0, 0), 2); err == nil {
 		t.Error("empty image should fail")
@@ -337,7 +282,7 @@ func TestEngineNames(t *testing.T) {
 	if NewFast(FastConfig{}).Name() == "" {
 		t.Error("fast name")
 	}
-	n := NewInterpEDSR(Spec{}, InterpConfig{})
+	n := NewInterpEDSR(Spec{})
 	if n.Name() != "edsr(b16,c64,x2)" {
 		t.Errorf("edsr name = %q", n.Name())
 	}
@@ -376,7 +321,7 @@ func TestBinomialKernel(t *testing.T) {
 }
 
 func TestRandomEDSRDense(t *testing.T) {
-	n := newRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 2}, 1)
+	n := newRandomEDSR(Spec{Blocks: 1, Channels: 4}, 1)
 	zeros := 0
 	for _, w := range n.head.Weight {
 		if w == 0 {
@@ -387,7 +332,7 @@ func TestRandomEDSRDense(t *testing.T) {
 		t.Errorf("random network has %d zero weights in head", zeros)
 	}
 	// Deterministic per seed.
-	m := newRandomEDSR(Spec{Blocks: 1, Channels: 4, Scale: 2}, 1)
+	m := newRandomEDSR(Spec{Blocks: 1, Channels: 4}, 1)
 	for i := range n.head.Weight {
 		if n.head.Weight[i] != m.head.Weight[i] {
 			t.Fatal("same seed should give same weights")
@@ -406,7 +351,7 @@ func TestRandomEDSRDense(t *testing.T) {
 func TestSpecDefaults(t *testing.T) {
 	n := NewNetwork(Spec{})
 	s := n.spec
-	if s.Blocks != 16 || s.Channels != 64 || s.Scale != 2 || s.K != 3 || s.UpK != 5 {
+	if s.Blocks != 16 || s.Channels != 64 || s.K != 3 || s.UpK != 5 {
 		t.Errorf("defaults = %+v", s)
 	}
 	// Paper model FLOPs at 300×300 input should be in the tens of GMACs.
@@ -417,7 +362,7 @@ func TestSpecDefaults(t *testing.T) {
 }
 
 func BenchmarkEDSRTinyInference(b *testing.B) {
-	n := NewInterpEDSR(Spec{Blocks: 16, Channels: 16}, InterpConfig{})
+	n := NewInterpEDSR(Spec{Blocks: 16, Channels: 16})
 	im := frame.NewImage(32, 32)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -454,9 +399,9 @@ func TestSharpenSweepDefaultNearOptimal(t *testing.T) {
 	psnrAt := func(alpha float64) float64 {
 		up := plain.Clone()
 		sharpenInPlace(up, alpha, nil)
-		return psnr(hi, up)
+		return testkit.PSNR(hi, up)
 	}
-	none := psnr(hi, plain)
+	none := testkit.PSNR(hi, plain)
 	best, bestA := none, 0.0
 	for _, a := range []float64{0.55, 1.3, 2.0, 3.0, 4.5} {
 		if p := psnrAt(a); p > best {

@@ -13,51 +13,35 @@ import (
 // conv/ReLU stack compute an exact linear filter bank.
 const reluBias = 4.0
 
-// InterpConfig tunes the analytically constructed EDSR weights.
-type InterpConfig struct {
-	// Kernel is the polyphase interpolation backbone realised by the
-	// upsampling convolution (default Bicubic; Lanczos3 needs UpK ≥ 7 to
-	// avoid truncating the kernel tails).
-	Kernel upscale.Kind
-	// BlockAlpha is the per-residual-block pre-sharpening strength
-	// (default 0.02): each block computes x − α·blur(x), so the 16-block
-	// body applies a mild high-frequency emphasis before upsampling.
-	BlockAlpha float64
-	// Sharpen is the reconstruction convolution's unsharp gain
-	// (default 0.5).
-	Sharpen float64
-}
-
-func (c InterpConfig) withDefaults() InterpConfig {
-	if c.Kernel == upscale.Nearest {
-		c.Kernel = upscale.Bicubic
-	}
-	if c.BlockAlpha == 0 {
-		c.BlockAlpha = 0.02
-	}
-	if c.BlockAlpha < 0 {
-		c.BlockAlpha = 0
-	}
-	if c.Sharpen == 0 {
-		c.Sharpen = 0.5
-	}
-	if c.Sharpen < 0 {
-		c.Sharpen = 0
-	}
-	return c
-}
+// The constructed weights' defaults: the polyphase backbone the upsampling
+// convolution realises, the per-block pre-sharpening strength (each block
+// computes x − α·blur(x), so the 16-block body applies a mild
+// high-frequency emphasis before upsampling) and the reconstruction
+// convolution's unsharp gain.
+const (
+	interpKernel     = upscale.Bicubic
+	interpBlockAlpha = 0.02
+	interpSharpen    = 0.5
+)
 
 // NewInterpEDSR builds an EDSR network whose weights are constructed to
 // compute polyphase interpolation with detail emphasis — the stand-in for a
 // trained EDSR described in the package comment. The first three feature
 // channels carry the RGB signal (offset by reluBias); the remaining
 // channels stay at zero.
-func NewInterpEDSR(spec Spec, cfg InterpConfig) *Network {
+func NewInterpEDSR(spec Spec) *Network {
+	return newInterpEDSR(spec, interpKernel, interpBlockAlpha, interpSharpen)
+}
+
+// newInterpEDSR is NewInterpEDSR with the backbone kernel (Lanczos3 needs
+// UpK ≥ 7 to avoid truncating the kernel tails), the block strength alpha
+// and the unsharp gain sharpen as arguments; zero gains turn the emphasis
+// off.
+func newInterpEDSR(spec Spec, kernel upscale.Kind, alpha, sharpen float64) *Network {
 	spec = spec.withDefaults()
 	if spec.Channels < 3 {
 		spec.Channels = 3
 	}
-	cfg = cfg.withDefaults()
 	n := NewNetwork(spec)
 	k := spec.K
 	center := k / 2
@@ -72,7 +56,6 @@ func NewInterpEDSR(spec Spec, cfg InterpConfig) *Network {
 	blur := binomialKernel(k)
 
 	// Residual blocks: x ← x − α·blur(x), offset preserved.
-	alpha := float32(cfg.BlockAlpha)
 	for bi := range n.body {
 		b := &n.body[bi]
 		for c := 0; c < 3; c++ {
@@ -83,8 +66,8 @@ func NewInterpEDSR(spec Spec, cfg InterpConfig) *Network {
 			}
 			// conv1 has DC gain 1, so its output carries offset reluBias;
 			// conv2 = −α·δ cancels α·reluBias via its bias.
-			b.conv2.Weight[b.conv2.WIndex(c, c, center, center)] = -alpha
-			b.conv2.Bias[c] = alpha * reluBias
+			b.conv2.Weight[b.conv2.WIndex(c, c, center, center)] = -float32(alpha)
+			b.conv2.Bias[c] = float32(alpha) * reluBias
 		}
 	}
 
@@ -96,13 +79,13 @@ func NewInterpEDSR(spec Spec, cfg InterpConfig) *Network {
 
 	// Upsampling convolution: one polyphase interpolation filter per
 	// (color, phase) output channel; bias cancels the doubled offset.
-	r := spec.Scale
+	const r = Scale
 	upK := spec.UpK
 	for c := 0; c < 3; c++ {
 		for dy := 0; dy < r; dy++ {
-			wy := phaseWeights(cfg.Kernel, r, dy, upK)
+			wy := phaseWeights(kernel, r, dy, upK)
 			for dx := 0; dx < r; dx++ {
-				wx := phaseWeights(cfg.Kernel, r, dx, upK)
+				wx := phaseWeights(kernel, r, dx, upK)
 				oc := c*r*r + dy*r + dx
 				for ky := 0; ky < upK; ky++ {
 					for kx := 0; kx < upK; kx++ {
@@ -116,14 +99,13 @@ func NewInterpEDSR(spec Spec, cfg InterpConfig) *Network {
 
 	// Reconstruction convolution: unsharp masking normalised by the DC
 	// gain of (identity + body), which is 1 + (1−α)^Blocks.
-	dcGain := 1 + math.Pow(1-cfg.BlockAlpha, float64(spec.Blocks))
-	s := cfg.Sharpen
+	dcGain := 1 + math.Pow(1-alpha, float64(spec.Blocks))
 	for c := 0; c < 3; c++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				w := -s * float64(blur[ky*k+kx])
+				w := -sharpen * float64(blur[ky*k+kx])
 				if ky == center && kx == center {
-					w += 1 + s
+					w += 1 + sharpen
 				}
 				n.tail.Weight[n.tail.WIndex(c, c, ky, kx)] = float32(w / dcGain)
 			}
@@ -144,7 +126,7 @@ func phaseWeights(k upscale.Kind, r, d, upK int) []float32 {
 	sum := 0.0
 	for i := 0; i < upK; i++ {
 		x := float64(i-half) - f
-		w := kernelWeight(k, x)
+		w := k.Weight(x)
 		out[i] = float32(w)
 		sum += w
 	}
@@ -155,44 +137,6 @@ func phaseWeights(k upscale.Kind, r, d, upK int) []float32 {
 		}
 	}
 	return out
-}
-
-// kernelWeight evaluates the interpolation kernel at distance x. It mirrors
-// upscale.Kind.weight, re-derived here because that method is unexported;
-// the cross-package agreement is pinned by TestNetworkMatchesResize.
-func kernelWeight(k upscale.Kind, x float64) float64 {
-	x = math.Abs(x)
-	switch k {
-	case upscale.Bilinear:
-		if x < 1 {
-			return 1 - x
-		}
-		return 0
-	case upscale.Bicubic:
-		const a = -0.5
-		switch {
-		case x < 1:
-			return (a+2)*x*x*x - (a+3)*x*x + 1
-		case x < 2:
-			return a*x*x*x - 5*a*x*x + 8*a*x - 4*a
-		default:
-			return 0
-		}
-	case upscale.Lanczos3:
-		if x < 1e-9 {
-			return 1
-		}
-		if x >= 3 {
-			return 0
-		}
-		px := math.Pi * x
-		return 3 * math.Sin(px) * math.Sin(px/3) / (px * px)
-	default:
-		if x <= 0.5 {
-			return 1
-		}
-		return 0
-	}
 }
 
 // binomialKernel returns the normalised k×k binomial (Gaussian-ish) blur.

@@ -24,6 +24,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/nemo"
 	"gamestreamsr/internal/pipeline"
+	"gamestreamsr/internal/sr"
 	"gamestreamsr/internal/upscale"
 )
 
@@ -57,8 +58,8 @@ func (v variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipe
 	var err error
 	switch job.Type {
 	case codec.Intra:
-		up = frame.NewImagePacked(df.Image.W*cfg.Scale, df.Image.H*cfg.Scale)
-		if _, err = pipeline.UpscaleRoI(up, df.Image, job.RoI, cfg.Scale, cfg.Engine, job.Pool); err != nil {
+		up = frame.NewImagePacked(df.Image.W*sr.Scale, df.Image.H*sr.Scale)
+		if _, err = pipeline.UpscaleRoI(up, df.Image, job.RoI, cfg.Engine, job.Pool); err != nil {
 			return nil, fmt.Errorf("srdecoder: frame %d SR: %w", job.Index, err)
 		}
 	case codec.Inter:
@@ -66,7 +67,7 @@ func (v variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipe
 			return nil, fmt.Errorf("srdecoder: frame %d: inter frame without reference", job.Index)
 		}
 		up = frame.NewImagePacked(prev.W, prev.H)
-		if err = ReconstructRoIGuidedInto(up, prev, df.Side, cfg.Scale, job.RoI, v.kernel, job.Pool); err != nil {
+		if err = ReconstructRoIGuidedInto(up, prev, df.Side, job.RoI, v.kernel, job.Pool); err != nil {
 			return nil, fmt.Errorf("srdecoder: frame %d reconstruct: %w", job.Index, err)
 		}
 	default:
@@ -75,38 +76,28 @@ func (v variant) Upscale(cfg *pipeline.Config, df *codec.DecodedFrame, job *pipe
 	return up, nil
 }
 
-// Cost bills one frame. Reference frames pay normal HW decode plus the
-// NPU∥GPU RoI upscale; non-reference frames pay only a widened HW decode
-// pass at HR — no NPU, GPU or CPU involvement, which is where the §VI
-// energy saving comes from.
+// Cost bills one frame. Reference frames cost what ours does (pipeline.Ours:
+// normal HW decode plus the NPU∥GPU RoI upscale); non-reference frames pay
+// only a widened HW decode pass at HR — no NPU, GPU or CPU involvement,
+// which is where the §VI energy saving comes from.
 func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stages, map[device.Rail]float64, error) {
-	lrPx := cfg.LRWidth * cfg.LRHeight
-	hrPx := lrPx * cfg.Scale * cfg.Scale
-	roiPx := cfg.RoIWindow * cfg.RoIWindow
-	roiHRPx := roiPx * cfg.Scale * cfg.Scale
-	dev := cfg.Device
-	em := device.NewEnergyMeter(dev)
-	st := pipeline.Stages{Display: dev.DisplayLatency()}
-	em.AddActive(device.RailDisplay, dev.DisplayActive())
-	em.AddNetworkBytes(job.NominalBytes)
-
 	switch job.Type {
 	case codec.Intra:
-		st.Decode = dev.HWDecodeLatency(lrPx)
-		srLat := dev.SRLatency(roiPx)
-		gpuLat := dev.GPUBilinearLatency(hrPx - roiHRPx)
-		st.Upscale = max(srLat, gpuLat) + dev.MergeLatency()
-		em.AddActive(device.RailHWDecoder, st.Decode)
-		em.AddActive(device.RailNPU, srLat)
-		em.AddActive(device.RailGPU, gpuLat+dev.MergeLatency())
+		return pipeline.Ours().Cost(cfg, job)
 	case codec.Inter:
-		st.Decode = time.Duration(float64(dev.HWDecodeLatency(hrPx)) * SRIntegrationFactor)
-		st.Upscale = 0 // bypassed
+		hrPx := cfg.LRWidth * cfg.LRHeight * sr.Scale * sr.Scale
+		dev := cfg.Device
+		st := pipeline.Stages{
+			Decode:  time.Duration(float64(dev.HWDecodeLatency(hrPx)) * SRIntegrationFactor),
+			Display: dev.DisplayLatency(),
+		}
+		em := device.NewEnergyMeter(dev)
 		em.AddActive(device.RailHWDecoder, st.Decode)
-	default:
-		return pipeline.Stages{}, nil, fmt.Errorf("srdecoder: frame %d: unexpected type %v", job.Index, job.Type)
+		em.AddActive(device.RailDisplay, dev.DisplayActive())
+		em.AddNetworkBytes(job.NominalBytes)
+		return st, em.NonZero(), nil
 	}
-	return st, em.NonZero(), nil
+	return pipeline.Stages{}, nil, fmt.Errorf("srdecoder: frame %d: unexpected type %v", job.Index, job.Type)
 }
 
 // ReconstructRoIGuidedInto is the §VI step-❸ reconstruction: like NEMO's HR
@@ -116,8 +107,8 @@ func (variant) Cost(cfg *pipeline.Config, job *pipeline.FrameJob) (pipeline.Stag
 // match hrPrev's geometry and may hold dirty pooled pixels — the block grid
 // spans the frame, so every output pixel is overwritten. Transient residual
 // planes come from pool (nil allocates).
-func ReconstructRoIGuidedInto(dst, hrPrev *frame.Image, side *codec.SideInfo, scale int, roiLR frame.Rect, kernel upscale.Kind, pool *bufpool.Pool) error {
-	if err := nemo.ReconstructInto(dst, hrPrev, side, scale, roiLR, kernel, pool); err != nil {
+func ReconstructRoIGuidedInto(dst, hrPrev *frame.Image, side *codec.SideInfo, roiLR frame.Rect, kernel upscale.Kind, pool *bufpool.Pool) error {
+	if err := nemo.ReconstructInto(dst, hrPrev, side, roiLR, kernel, pool); err != nil {
 		return fmt.Errorf("srdecoder: %w", err)
 	}
 	return nil

@@ -126,21 +126,18 @@ func TestReconstructRoIGuidedValidation(t *testing.T) {
 	hr := frame.NewImage(32, 32)
 	roi := frame.Rect{X: 0, Y: 0, W: 8, H: 8}
 	out := frame.NewImagePacked(32, 32)
-	if err := ReconstructRoIGuidedInto(out, hr, nil, 2, roi, upscale.Bicubic, nil); err == nil {
+	if err := ReconstructRoIGuidedInto(out, hr, nil, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("nil side should fail")
 	}
 	side := &codec.SideInfo{BlocksX: 1, BlocksY: 1, BlockSize: 16, W: 16, H: 16, MVs: make([]codec.MV, 1)}
-	if err := ReconstructRoIGuidedInto(out, hr, side, 0, roi, upscale.Bicubic, nil); err == nil {
-		t.Error("zero scale should fail")
-	}
-	if err := ReconstructRoIGuidedInto(frame.NewImagePacked(31, 32), frame.NewImage(31, 32), side, 2, roi, upscale.Bicubic, nil); err == nil {
+	if err := ReconstructRoIGuidedInto(frame.NewImagePacked(31, 32), frame.NewImage(31, 32), side, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("non-multiple frame should fail")
 	}
-	if err := ReconstructRoIGuidedInto(out, hr, side, 2, roi, upscale.Bicubic, nil); err != nil {
+	if err := ReconstructRoIGuidedInto(out, hr, side, roi, upscale.Bicubic, nil); err != nil {
 		t.Errorf("valid reconstruction failed: %v", err)
 	}
 	side.W, side.H = 5, 2
-	if err := ReconstructRoIGuidedInto(out, hr, side, 2, roi, upscale.Bicubic, nil); err == nil {
+	if err := ReconstructRoIGuidedInto(out, hr, side, roi, upscale.Bicubic, nil); err == nil {
 		t.Error("mismatched side geometry should fail")
 	}
 }
@@ -152,7 +149,7 @@ func TestReconstructRoIGuidedIdentity(t *testing.T) {
 	}
 	side := &codec.SideInfo{BlocksX: 2, BlocksY: 2, BlockSize: 8, W: 16, H: 16, MVs: make([]codec.MV, 4)}
 	out := frame.NewImagePacked(hr.W, hr.H)
-	if err := ReconstructRoIGuidedInto(out, hr, side, 2, frame.Rect{X: 2, Y: 2, W: 8, H: 8}, upscale.Bicubic, nil); err != nil {
+	if err := ReconstructRoIGuidedInto(out, hr, side, frame.Rect{X: 2, Y: 2, W: 8, H: 8}, upscale.Bicubic, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !out.Equal(hr) {

@@ -21,6 +21,7 @@ import (
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
 
 func TestMissStreakTriggersOneBundle(t *testing.T) {
@@ -61,10 +62,10 @@ func TestMissStreakTriggersOneBundle(t *testing.T) {
 	// The storm was contained, not absent: the later misses of the same
 	// streak asked for captures and were suppressed.
 	s := reg.Snapshot()
-	if got := counterOf(s, "diag_triggers_suppressed_total"); got == 0 {
+	if got := testkit.CounterOf(s, "diag_triggers_suppressed_total"); got == 0 {
 		t.Error("no suppressed triggers — the miss streak should have re-triggered past the first capture")
 	}
-	if got := counterOf(s, "diag_bundles_total"); got != 1 {
+	if got := testkit.CounterOf(s, "diag_bundles_total"); got != 1 {
 		t.Errorf("diag_bundles_total = %d, want 1", got)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
 
 // TestE2EDistributedTrace is the end-to-end check of the observability
@@ -113,13 +114,13 @@ func TestE2EDistributedTrace(t *testing.T) {
 				// per-session gauges are unregistered at teardown, so the
 				// live window is the only time they are observable.
 				deadline := time.Now().Add(5 * time.Second)
-				for counterOf(reg.Snapshot(), "stream_client_stats_total") == 0 {
+				for testkit.CounterOf(reg.Snapshot(), "stream_client_stats_total") == 0 {
 					if time.Now().After(deadline) {
 						t.Fatal("no stats report reached the server registry")
 					}
 					time.Sleep(time.Millisecond)
 				}
-				if got := gaugeOf(reg.Snapshot(), "stream_client_age_p99_us_"+remoteLabel); got != 4000 {
+				if got := testkit.GaugeOf(reg.Snapshot(), "stream_client_age_p99_us_"+remoteLabel); got != 4000 {
 					t.Errorf("per-session client age p99 gauge = %d, want 4000", got)
 				}
 			}
@@ -177,7 +178,7 @@ func TestE2EDistributedTrace(t *testing.T) {
 	// Session teardown must unregister the per-session gauges — under
 	// session churn every reconnect has a fresh ephemeral port, and leaked
 	// gauges grew /metrics without bound.
-	if got := gaugeOf(reg.Snapshot(), "stream_client_age_p99_us_"+remoteLabel); got != 0 {
+	if got := testkit.GaugeOf(reg.Snapshot(), "stream_client_age_p99_us_"+remoteLabel); got != 0 {
 		t.Errorf("per-session gauge survived teardown: %d", got)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/sr"
 )
 
 // FuzzReadMsg drives the wire-format parser with arbitrary bytes; the
@@ -50,7 +51,7 @@ func FuzzReadMsg(f *testing.F) {
 		}
 		switch msg.Type {
 		case MsgHello:
-			if msg.Hello == nil || msg.Hello.RoIWindow <= 0 {
+			if msg.Hello == nil || msg.Hello.RoIWindow <= 0 || msg.Hello.Scale != sr.Scale {
 				t.Fatal("malformed hello accepted")
 			}
 		case MsgAccept:
@@ -142,8 +143,20 @@ func helloRoundTrip(t *testing.T, h Hello) {
 	if len(h.ResumeToken) > 255 {
 		h.ResumeToken = h.ResumeToken[:255]
 	}
-	h.RoIWindow, h.Scale = sanitizePos(h.RoIWindow), sanitizePos(h.Scale)
+	h.RoIWindow = sanitizePos(h.RoIWindow)
 	h.Version = sanitizeNonNeg(h.Version)
+	// Every Scale but the client's is refused as a protocol error; the
+	// round trip then runs at ×2.
+	if h.Scale != sr.Scale {
+		var buf bytes.Buffer
+		if err := WriteHello(&buf, h); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if _, err := ReadMsg(&buf); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("hello with scale %d read with err %v, want a protocol error", h.Scale, err)
+		}
+		h.Scale = sr.Scale
+	}
 	want := h
 	want.SendUnixMicro = max(want.SendUnixMicro, 0)
 	msg := roundTrip(t, Msg{Type: MsgHello, Hello: &h})

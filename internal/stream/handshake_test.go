@@ -12,6 +12,7 @@ import (
 
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
 
 // threeFrames is the test sessions' default source.
@@ -140,7 +141,7 @@ func TestStatsBackchannel(t *testing.T) {
 	if err := c.SendStats(want); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the stats report", func() bool { return counterOf(reg.Snapshot(), "stream_client_stats_total") == 1 })
+	waitFor(t, "the stats report", func() bool { return testkit.CounterOf(reg.Snapshot(), "stream_client_stats_total") == 1 })
 	// The session is live (its frames are unread), so its gauges are up.
 	snap := reg.Snapshot()
 	suffix := metricLabel(server.RemoteAddr().String())
@@ -150,11 +151,11 @@ func TestStatsBackchannel(t *testing.T) {
 		"stream_client_decode_p99_us_": want.DecodeP99,
 		"stream_client_sr_p99_us_":     want.SRP99,
 	} {
-		if got := gaugeOf(snap, name+suffix); got != v.Microseconds() {
+		if got := testkit.GaugeOf(snap, name+suffix); got != v.Microseconds() {
 			t.Errorf("%s%s = %d, want %d", name, suffix, got, v.Microseconds())
 		}
 	}
-	if d, m := counterOf(snap, "stream_client_dropped_total"), counterOf(snap, "stream_client_deadline_misses_total"); d != 2 || m != 5 {
+	if d, m := testkit.CounterOf(snap, "stream_client_dropped_total"), testkit.CounterOf(snap, "stream_client_deadline_misses_total"); d != 2 || m != 5 {
 		t.Errorf("dropped %d, misses %d; want 2 and 5", d, m)
 	}
 	for {
@@ -169,7 +170,7 @@ func TestStatsBackchannel(t *testing.T) {
 	}
 	<-done
 	deadline := time.Now().Add(5 * time.Second)
-	for counterOf(reg.Snapshot(), "stream_client_bye_total") == 0 {
+	for testkit.CounterOf(reg.Snapshot(), "stream_client_bye_total") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("client bye never counted")
 		}
@@ -213,7 +214,7 @@ func TestBadHelloRejected(t *testing.T) {
 		t.Errorf("MultiServer: conn not closed behind the reject: %v", err)
 	}
 	snap := reg.Snapshot()
-	if r, a := counterOf(snap, "stream_sessions_rejected_total"), counterOf(snap, "stream_sessions_accepted_total"); r != 1 || a != 0 {
+	if r, a := testkit.CounterOf(snap, "stream_sessions_rejected_total"), testkit.CounterOf(snap, "stream_sessions_accepted_total"); r != 1 || a != 0 {
 		t.Errorf("rejected %d, accepted %d; want 1 and 0", r, a)
 	}
 	srv.mu.Lock()
@@ -235,6 +236,32 @@ func TestBadHelloRejected(t *testing.T) {
 	}
 	if err := <-served; !errors.Is(err, ErrProtocol) {
 		t.Errorf("Serve returned %v, want the protocol error", err)
+	}
+}
+
+// TestHelloScaleMustBeTwo: the client is ×2 (sr.Scale), so a Hello with
+// any other Scale is answered with a BadHello reject, as Scale 0 is.
+func TestHelloScaleMustBeTwo(t *testing.T) {
+	srv := &MultiServer{
+		Accept:    Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		NewSource: func(Hello) (FrameSource, error) { return &countingSource{n: 4}, nil },
+	}
+	addr, done := startMulti(t, srv)
+	defer func() {
+		srv.Shutdown(contextWithTimeout(t))
+		<-done
+	}()
+	for _, scale := range []int{1, 3, 4} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewClient(conn).Handshake(Hello{Device: "x", RoIWindow: 8, Scale: scale})
+		conn.Close()
+		var rej *RejectedError
+		if !errors.As(err, &rej) || rej.Code != RejectBadHello || !strings.Contains(rej.Reason, "scale") {
+			t.Errorf("scale %d: got %v, want a bad-hello reject naming the scale", scale, err)
+		}
 	}
 }
 
@@ -306,7 +333,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if tokens != 0 {
 		t.Errorf("%d resume tokens issued, want none", tokens)
 	}
-	if n := counterOf(reg.Snapshot(), "stream_sessions_accepted_total"); n != 0 {
+	if n := testkit.CounterOf(reg.Snapshot(), "stream_sessions_accepted_total"); n != 0 {
 		t.Errorf("stream_sessions_accepted_total = %d, want 0", n)
 	}
 }

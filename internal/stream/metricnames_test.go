@@ -16,6 +16,7 @@ import (
 	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/frame"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
 
 // remoteSuffix matches the sanitised loopback address statsSink appends to
@@ -78,7 +79,7 @@ func TestMetricNamesGolden(t *testing.T) {
 		clients = append(clients, c)
 	}
 	waitFor(t, "both stats reports", func() bool {
-		return counterOf(reg.Snapshot(), "stream_client_stats_total") == 2
+		return testkit.CounterOf(reg.Snapshot(), "stream_client_stats_total") == 2
 	})
 
 	s := reg.Snapshot()

@@ -18,27 +18,8 @@ import (
 	"gamestreamsr/internal/frametrace"
 	"gamestreamsr/internal/parallel"
 	"gamestreamsr/internal/telemetry"
+	"gamestreamsr/internal/testkit"
 )
-
-// counterOf returns the named counter's value in s (0 when absent).
-func counterOf(s telemetry.Snapshot, name string) int64 {
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// gaugeOf returns the named gauge's value in s (0 when absent).
-func gaugeOf(s telemetry.Snapshot, name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
-}
 
 // countingSource serves n tiny frames.
 type countingSource struct{ n int }
@@ -311,16 +292,16 @@ func TestMultiServerSessionCap(t *testing.T) {
 
 	// The rejection is counted, not silent.
 	s := reg.Snapshot()
-	if got := counterOf(s, "stream_sessions_rejected_total"); got != 1 {
+	if got := testkit.CounterOf(s, "stream_sessions_rejected_total"); got != 1 {
 		t.Errorf("rejected_total = %d, want 1", got)
 	}
-	if got := counterOf(s, "stream_sessions_rejected_capacity_total"); got != 1 {
+	if got := testkit.CounterOf(s, "stream_sessions_rejected_capacity_total"); got != 1 {
 		t.Errorf("rejected_capacity_total = %d, want 1", got)
 	}
-	if got := counterOf(s, "stream_sessions_accepted_total"); got != 1 {
+	if got := testkit.CounterOf(s, "stream_sessions_accepted_total"); got != 1 {
 		t.Errorf("accepted_total = %d, want 1", got)
 	}
-	if got := gaugeOf(s, "stream_sessions_active"); got != 1 {
+	if got := testkit.GaugeOf(s, "stream_sessions_active"); got != 1 {
 		t.Errorf("sessions_active = %d, want 1 while the slot is held", got)
 	}
 }
@@ -343,18 +324,18 @@ func TestMultiServerSessionTelemetry(t *testing.T) {
 	<-done
 
 	s := reg.Snapshot()
-	if got := counterOf(s, "stream_frames_sent_total"); got != nFrames {
+	if got := testkit.CounterOf(s, "stream_frames_sent_total"); got != nFrames {
 		t.Errorf("frames_sent_total = %d, want %d", got, nFrames)
 	}
 	// countingSource payloads are 1 byte each.
-	if got := counterOf(s, "stream_bytes_sent_total"); got != nFrames {
+	if got := testkit.CounterOf(s, "stream_bytes_sent_total"); got != nFrames {
 		t.Errorf("bytes_sent_total = %d, want %d", got, nFrames)
 	}
 	h, ok := s.Histogram("stream_frame_send_seconds")
 	if !ok || h.Count != nFrames {
 		t.Errorf("frame_send_seconds count = %d (present %v), want %d", h.Count, ok, nFrames)
 	}
-	if got := gaugeOf(s, "stream_sessions_active"); got != 0 {
+	if got := testkit.GaugeOf(s, "stream_sessions_active"); got != 0 {
 		t.Errorf("sessions_active = %d after shutdown, want 0", got)
 	}
 }
@@ -415,7 +396,7 @@ func TestMultiServerFlightRecorders(t *testing.T) {
 		}
 	}
 	// The sessions' SLO instruments share the server registry.
-	if got := counterOf(reg.Snapshot(), "frametrace_frames_total"); got != 2*nFrames {
+	if got := testkit.CounterOf(reg.Snapshot(), "frametrace_frames_total"); got != 2*nFrames {
 		t.Errorf("frametrace_frames_total = %d, want %d", got, 2*nFrames)
 	}
 }
@@ -635,7 +616,7 @@ func TestMultiServerAdmissionControl(t *testing.T) {
 	if rej.Code != RejectBusy || !strings.Contains(rej.Reason, "no SLO headroom") {
 		t.Errorf("reject = %+v, want busy with the headroom reason", rej)
 	}
-	if got := counterOf(reg.Snapshot(), "stream_sessions_rejected_busy_total"); got != 1 {
+	if got := testkit.CounterOf(reg.Snapshot(), "stream_sessions_rejected_busy_total"); got != 1 {
 		t.Errorf("rejected_busy_total = %d, want 1", got)
 	}
 }
@@ -733,10 +714,10 @@ func TestMultiServerShedLadder(t *testing.T) {
 		}
 	}
 	s := reg.Snapshot()
-	if got := counterOf(s, "stream_shed_escalations_total"); got != 3 {
+	if got := testkit.CounterOf(s, "stream_shed_escalations_total"); got != 3 {
 		t.Errorf("shed_escalations_total = %d, want 3", got)
 	}
-	if got := counterOf(s, "stream_shed_recoveries_total"); got < 1 {
+	if got := testkit.CounterOf(s, "stream_shed_recoveries_total"); got < 1 {
 		t.Errorf("shed_recoveries_total = %d, want >= 1", got)
 	}
 }
@@ -990,7 +971,7 @@ func TestResumeOverlapKeepsSuccessorGauges(t *testing.T) {
 	if err := b.SendStats(StatsPacket{Seq: 1, WindowFrames: 1, AgeP99: 4 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the successor's report", func() bool { return gaugeOf(reg.Snapshot(), gauge) == 4000 })
+	waitFor(t, "the successor's report", func() bool { return testkit.GaugeOf(reg.Snapshot(), gauge) == 4000 })
 
 	release(0)
 	if _, err := a.RecvFrame(); err != io.EOF {
@@ -998,7 +979,7 @@ func TestResumeOverlapKeepsSuccessorGauges(t *testing.T) {
 	}
 	_ = a.Bye()
 	waitFor(t, "first session end", func() bool { return srv.sessionCount() == 1 })
-	if got := gaugeOf(reg.Snapshot(), gauge); got != 4000 {
+	if got := testkit.GaugeOf(reg.Snapshot(), gauge); got != 4000 {
 		t.Errorf("%s = %d after the predecessor ended, want the successor's 4000", gauge, got)
 	}
 

@@ -575,11 +575,16 @@ func (c *Client) awaitAccept(sendUS int64) (Accept, error) {
 func (c *Client) Clock() ClockSync { return c.sync }
 
 // RecvFrame returns the next frame packet, or io.EOF after the server's
-// Bye. Heartbeat pongs arriving between frames are consumed here — the RTT
+// Bye. A connection that closes between messages without a Bye is an error
+// wrapping io.ErrUnexpectedEOF: the session was cut, not finished.
+// Heartbeat pongs arriving between frames are consumed here — the RTT
 // sample they carry updates PingRTT and the read continues.
 func (c *Client) RecvFrame() (FramePacket, error) {
 	for {
 		msg, err := ReadMsg(c.r)
+		if err == io.EOF {
+			return FramePacket{}, fmt.Errorf("stream: connection closed without bye: %w", io.ErrUnexpectedEOF)
+		}
 		if err != nil {
 			return FramePacket{}, err
 		}

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/sr"
 )
 
 // ProtocolVersion is the one protocol version this build speaks: the number
@@ -110,7 +111,10 @@ var ErrProtocol = errors.New("stream: protocol error")
 type Hello struct {
 	Device    string
 	RoIWindow int
-	Scale     int
+	// Scale is the client's upscale factor. The wire carries it, but the
+	// only value a server accepts is sr.Scale (2); any other is refused
+	// as a protocol error.
+	Scale int
 	// Version is the protocol version the client speaks. Client.Handshake
 	// fills in ProtocolVersion when it is zero; WriteHello writes what it
 	// is given.
@@ -362,6 +366,9 @@ func parseHello(body []byte) (Hello, error) {
 	}
 	if h.RoIWindow <= 0 || h.Scale <= 0 {
 		return h, fmt.Errorf("%w: non-positive hello fields", ErrProtocol)
+	}
+	if h.Scale != sr.Scale {
+		return h, fmt.Errorf("%w: scale %d, the client is ×%d", ErrProtocol, h.Scale, sr.Scale)
 	}
 	return h, nil
 }

@@ -57,6 +57,50 @@ func TestHelloValidation(t *testing.T) {
 	if _, err := ReadMsg(&buf); err == nil {
 		t.Error("zero RoI window should be rejected")
 	}
+	// The client is ×2: every other scale is a protocol error on parse.
+	for _, scale := range []int{0, 1, 3, 4} {
+		buf.Reset()
+		if err := WriteHello(&buf, Hello{Device: "x", RoIWindow: 8, Scale: scale}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadMsg(&buf); !errors.Is(err, ErrProtocol) {
+			t.Errorf("scale %d: ReadMsg = %v, want a protocol error", scale, err)
+		}
+	}
+}
+
+// TestRecvFrameNeedsBye: RecvFrame's io.EOF means the server said Bye. A
+// connection that closes after two frames without one — a session reaped,
+// shut down or killed — is an error wrapping io.ErrUnexpectedEOF.
+func TestRecvFrameNeedsBye(t *testing.T) {
+	for _, bye := range []bool{false, true} {
+		server, client := net.Pipe()
+		go func() {
+			defer server.Close()
+			for i := range 2 {
+				if err := WriteFrame(server, FramePacket{Index: uint32(i), Payload: []byte("frame")}); err != nil {
+					return
+				}
+			}
+			if bye {
+				_ = WriteBye(server)
+			}
+		}()
+		c := NewClient(client)
+		for i := range 2 {
+			if f, err := c.RecvFrame(); err != nil || f.Index != uint32(i) {
+				t.Fatalf("bye=%v: frame %d: got %d, err %v", bye, i, f.Index, err)
+			}
+		}
+		_, err := c.RecvFrame()
+		client.Close()
+		switch {
+		case bye && err != io.EOF:
+			t.Errorf("after the bye: RecvFrame = %v, want io.EOF", err)
+		case !bye && (err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF)):
+			t.Errorf("closed without a bye: RecvFrame = %v, want an error wrapping io.ErrUnexpectedEOF", err)
+		}
+	}
 }
 
 func TestAcceptRoundTrip(t *testing.T) {

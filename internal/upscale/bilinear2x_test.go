@@ -9,13 +9,14 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/testkit"
 )
 
 // dirtyImage returns a w×h image full of a sentinel, as a pooled
 // destination would arrive.
 func dirtyImage(w, h int) *frame.Image {
 	im := frame.NewImagePacked(w, h)
-	fill(im, 0xA5, 0x5A, 0xC3)
+	testkit.Fill(im, 0xA5, 0x5A, 0xC3)
 	return im
 }
 
@@ -32,8 +33,8 @@ func check2xMatchesGeneric(t *testing.T, k Kind, src *frame.Image, pool *bufpool
 	if !got.Equal(want) {
 		for y := 0; y < got.H; y++ {
 			for x := 0; x < got.W; x++ {
-				gr, gg, gb := at(got, x, y)
-				wr, wg, wb := at(want, x, y)
+				gr, gg, gb := testkit.At(got, x, y)
+				wr, wg, wb := testkit.At(want, x, y)
 				if gr != wr || gg != wg || gb != wb {
 					t.Fatalf("%v %dx%d (stride %d): pixel (%d,%d) fast %v generic %v",
 						k, src.W, src.H, src.Stride, x, y, [3]uint8{gr, gg, gb}, [3]uint8{wr, wg, wb})
@@ -53,11 +54,11 @@ func TestBilinear2xMatchesGenericResampler(t *testing.T) {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			pool := bufpool.New()
-			parent := noiseImage(40, 40, 11)
+			parent := testkit.Noise(40, 40, 11)
 			for h := 1; h <= 33; h++ {
 				for w := 1; w <= 33; w++ {
-					check2xMatchesGeneric(t, Bilinear, noiseImage(w, h, int64(w*64+h)), pool)
-					check2xMatchesGeneric(t, Bilinear, mustSub(parent, 3, 5, w, h), nil)
+					check2xMatchesGeneric(t, Bilinear, testkit.Noise(w, h, int64(w*64+h)), pool)
+					check2xMatchesGeneric(t, Bilinear, testkit.MustSub(parent, 3, 5, w, h), nil)
 				}
 			}
 			sizes := [][2]int{{320, 180}}
@@ -65,7 +66,7 @@ func TestBilinear2xMatchesGenericResampler(t *testing.T) {
 				sizes = append(sizes, [2]int{1280, 720})
 			}
 			for _, sz := range sizes {
-				check2xMatchesGeneric(t, Bilinear, noiseImage(sz[0], sz[1], 3), pool)
+				check2xMatchesGeneric(t, Bilinear, testkit.Noise(sz[0], sz[1], 3), pool)
 			}
 		})
 	}
@@ -74,9 +75,9 @@ func TestBilinear2xMatchesGenericResampler(t *testing.T) {
 // TestBilinear2xStridedDestination: the destination may be a view too (the
 // kernel indexes both images by stride), and pixels outside it stay put.
 func TestBilinear2xStridedDestination(t *testing.T) {
-	src := noiseImage(13, 9, 5)
+	src := testkit.Noise(13, 9, 5)
 	canvas := dirtyImage(40, 30)
-	view := mustSub(canvas, 7, 4, 26, 18)
+	view := testkit.MustSub(canvas, 7, 4, 26, 18)
 	if err := ResizeInto(view, src, Bilinear, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestBilinear2xStridedDestination(t *testing.T) {
 			if x >= 7 && x < 33 && y >= 4 && y < 22 {
 				continue
 			}
-			if r, g, b := at(canvas, x, y); r != 0xA5 || g != 0x5A || b != 0xC3 {
+			if r, g, b := testkit.At(canvas, x, y); r != 0xA5 || g != 0x5A || b != 0xC3 {
 				t.Fatalf("pixel (%d,%d) outside the view was written", x, y)
 			}
 		}
@@ -216,7 +217,7 @@ func FuzzBilinear2x(f *testing.F) {
 				parent.B[i] = data[(3*i+2)%len(data)]
 			}
 		}
-		check2xMatchesGeneric(t, Bilinear, mustSub(parent, x0, y0, sw, sh), nil)
+		check2xMatchesGeneric(t, Bilinear, testkit.MustSub(parent, x0, y0, sw, sh), nil)
 	})
 }
 
@@ -224,7 +225,7 @@ func FuzzBilinear2x(f *testing.F) {
 // on both axes are diverted; mixed ratios and other kernels at ×2 go
 // through the polyphase pair and still satisfy their own properties.
 func TestOtherRatiosKeepGenericPath(t *testing.T) {
-	src := noiseImage(12, 10, 9)
+	src := testkit.Noise(12, 10, 9)
 	for _, tc := range []struct {
 		w, h int
 		k    Kind
@@ -244,7 +245,7 @@ func TestOtherRatiosKeepGenericPath(t *testing.T) {
 // engine call every frame (BenchmarkBilinear720pTo1440p is the allocating
 // one).
 func BenchmarkBilinearInto720pTo1440p(b *testing.B) {
-	src := noiseImage(1280, 720, 3)
+	src := testkit.Noise(1280, 720, 3)
 	dst := frame.NewImagePacked(2560, 1440)
 	pool := bufpool.New()
 	b.ReportAllocs()

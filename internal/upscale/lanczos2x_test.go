@@ -9,6 +9,7 @@ import (
 
 	"gamestreamsr/internal/bufpool"
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/testkit"
 )
 
 // TestLanczos2xPhasesAreTheBank: every unclipped (six-tap) set of the ×2
@@ -56,19 +57,19 @@ func TestLanczos2xMatchesGenericResampler(t *testing.T) {
 		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			pool := bufpool.New()
-			parent := noiseImage(30, 30, 12)
+			parent := testkit.Noise(30, 30, 12)
 			for h := 1; h <= 24; h++ {
 				for w := 1; w <= 24; w++ {
-					check2xMatchesGeneric(t, Lanczos3, noiseImage(w, h, int64(w*64+h)), pool)
-					check2xMatchesGeneric(t, Lanczos3, mustSub(parent, 3, 5, w, h), nil)
-					check2xMatchesGeneric(t, Lanczos3, mustSub(parent, 30-w, 30-h, w, h), pool)
+					check2xMatchesGeneric(t, Lanczos3, testkit.Noise(w, h, int64(w*64+h)), pool)
+					check2xMatchesGeneric(t, Lanczos3, testkit.MustSub(parent, 3, 5, w, h), nil)
+					check2xMatchesGeneric(t, Lanczos3, testkit.MustSub(parent, 30-w, 30-h, w, h), pool)
 				}
 			}
 			for _, sz := range [][2]int{{9, lanczosBand/2 + 1}, {40, lanczosBand + 1}, {13, lanczosBand}, {64, 64}, {320, 180}} {
-				check2xMatchesGeneric(t, Lanczos3, noiseImage(sz[0], sz[1], 4), pool)
+				check2xMatchesGeneric(t, Lanczos3, testkit.Noise(sz[0], sz[1], 4), pool)
 			}
 			if !testing.Short() {
-				check2xMatchesGeneric(t, Lanczos3, noiseImage(300, 300, 5), pool)
+				check2xMatchesGeneric(t, Lanczos3, testkit.Noise(300, 300, 5), pool)
 			}
 		})
 	}
@@ -77,9 +78,9 @@ func TestLanczos2xMatchesGenericResampler(t *testing.T) {
 // TestLanczos2xStridedDestination: the destination may be a view too, and
 // pixels outside it stay put.
 func TestLanczos2xStridedDestination(t *testing.T) {
-	src := noiseImage(13, 9, 6)
+	src := testkit.Noise(13, 9, 6)
 	canvas := dirtyImage(40, 30)
-	view := mustSub(canvas, 7, 4, 26, 18)
+	view := testkit.MustSub(canvas, 7, 4, 26, 18)
 	if err := ResizeInto(view, src, Lanczos3, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestLanczos2xStridedDestination(t *testing.T) {
 		t.Fatal("strided destination differs from the generic resampler")
 	}
 	outside := canvas.Clone()
-	mustSub(outside, 7, 4, 26, 18).CopyFrom(dirtyImage(26, 18))
+	testkit.MustSub(outside, 7, 4, 26, 18).CopyFrom(dirtyImage(26, 18))
 	if !outside.Equal(dirtyImage(40, 30)) {
 		t.Fatal("pixels outside the view were written")
 	}
@@ -125,13 +126,13 @@ func fuzzView(data []byte, w, h, ox, oy uint8) *frame.Image {
 			parent.B[i] = data[(3*i+2)%len(data)]
 		}
 	}
-	return mustSub(parent, x0, y0, sw, sh)
+	return testkit.MustSub(parent, x0, y0, sw, sh)
 }
 
 // BenchmarkLanczos2x64 is the ×2 Lanczos-3 resample of the client's 64×64
 // RoI alone, pooled, into a kept destination.
 func BenchmarkLanczos2x64(b *testing.B) {
-	src := noiseImage(64, 64, 3)
+	src := testkit.Noise(64, 64, 3)
 	dst := frame.NewImagePacked(128, 128)
 	b.ReportAllocs()
 	b.ResetTimer()

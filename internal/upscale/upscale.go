@@ -73,8 +73,9 @@ func (k Kind) support() float64 {
 	}
 }
 
-// weight evaluates the kernel at distance x.
-func (k Kind) weight(x float64) float64 {
+// Weight evaluates the kernel at distance x, in source pixels. It is the
+// one kernel table: internal/sr builds the EDSR's polyphase filters from it.
+func (k Kind) Weight(x float64) float64 {
 	x = math.Abs(x)
 	switch k {
 	case Nearest:
@@ -245,7 +246,7 @@ func buildWeights(srcN, dstN int, k Kind) []tapSet {
 		ws := make([]float64, last-first+1)
 		sum := 0.0
 		for i := first; i <= last; i++ {
-			w := k.weight((float64(i) - center) / filterScale)
+			w := k.Weight((float64(i) - center) / filterScale)
 			ws[i-first] = w
 			sum += w
 		}

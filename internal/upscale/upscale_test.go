@@ -2,11 +2,11 @@ package upscale
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"gamestreamsr/internal/frame"
+	"gamestreamsr/internal/testkit"
 )
 
 // mustResize is Resize for arguments the test has validated.
@@ -18,33 +18,9 @@ func mustResize(src *frame.Image, w, h int, k Kind) *frame.Image {
 	return out
 }
 
-// mustSub is SubImage for a rectangle inside im.
-func mustSub(im *frame.Image, x, y, w, h int) *frame.Image {
-	s, err := im.SubImage(x, y, w, h)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
-// at returns the RGB triple at (x, y).
-func at(im *frame.Image, x, y int) (r, g, b uint8) {
-	i := y*im.Stride + x
-	return im.R[i], im.G[i], im.B[i]
-}
-
-// fill sets every pixel of im to one colour.
-func fill(im *frame.Image, r, g, b uint8) {
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			im.Set(x, y, r, g, b)
-		}
-	}
-}
-
 func constImage(w, h int, r, g, b uint8) *frame.Image {
 	im := frame.NewImage(w, h)
-	fill(im, r, g, b)
+	testkit.Fill(im, r, g, b)
 	return im
 }
 
@@ -54,17 +30,6 @@ func rampImage(w, h int) *frame.Image {
 		for x := 0; x < w; x++ {
 			im.Set(x, y, uint8(x*255/(w-1)), uint8(y*255/(h-1)), 128)
 		}
-	}
-	return im
-}
-
-func noiseImage(w, h int, seed int64) *frame.Image {
-	im := frame.NewImage(w, h)
-	rng := rand.New(rand.NewSource(seed))
-	for i := range im.R {
-		im.R[i] = uint8(rng.Intn(256))
-		im.G[i] = uint8(rng.Intn(256))
-		im.B[i] = uint8(rng.Intn(256))
 	}
 	return im
 }
@@ -128,7 +93,7 @@ func TestRampPreservation(t *testing.T) {
 }
 
 func TestIdentityResize(t *testing.T) {
-	src := noiseImage(21, 17, 4)
+	src := testkit.Noise(21, 17, 4)
 	out := mustResize(src, 21, 17, Lanczos3)
 	if !src.Equal(out) {
 		t.Fatal("identity resize must be exact")
@@ -197,7 +162,7 @@ func TestHigherOrderKernelsSharper(t *testing.T) {
 
 // noiseSmooth builds band-limited noise (so reconstruction is meaningful).
 func noiseSmooth(w, h int, seed int64) *frame.Image {
-	rough := noiseImage(w/4, h/4, seed)
+	rough := testkit.Noise(w/4, h/4, seed)
 	return mustResize(rough, w, h, Bicubic)
 }
 
@@ -209,17 +174,17 @@ func TestMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Inside the scaled RoI.
-	if r, _, _ := at(base, 10, 12); r != 200 {
+	if r, _, _ := testkit.At(base, 10, 12); r != 200 {
 		t.Error("RoI top-left not merged")
 	}
-	if r, _, _ := at(base, 29, 31); r != 200 {
+	if r, _, _ := testkit.At(base, 29, 31); r != 200 {
 		t.Error("RoI bottom-right not merged")
 	}
 	// Outside.
-	if r, _, _ := at(base, 9, 12); r != 10 {
+	if r, _, _ := testkit.At(base, 9, 12); r != 10 {
 		t.Error("pixel left of RoI was overwritten")
 	}
-	if r, _, _ := at(base, 30, 31); r != 10 {
+	if r, _, _ := testkit.At(base, 30, 31); r != 10 {
 		t.Error("pixel right of RoI was overwritten")
 	}
 }
@@ -257,7 +222,7 @@ func TestMergeProperty(t *testing.T) {
 		hr := r.Scale(scale)
 		for yy := 0; yy < baseH; yy++ {
 			for xx := 0; xx < baseW; xx++ {
-				v, _, _ := at(base, xx, yy)
+				v, _, _ := testkit.At(base, xx, yy)
 				if xx >= hr.X && xx < hr.X+hr.W && yy >= hr.Y && yy < hr.Y+hr.H {
 					if v != 250 {
 						return false
@@ -313,7 +278,7 @@ func TestResizePlaneNegativeValues(t *testing.T) {
 }
 
 func TestExtremeScaleFactors(t *testing.T) {
-	src := noiseImage(8, 8, 2)
+	src := testkit.Noise(8, 8, 2)
 	// 1 -> many and many -> 1.
 	big := mustResize(src, 97, 3, Lanczos3)
 	if big.W != 97 || big.H != 3 {
@@ -326,7 +291,7 @@ func TestExtremeScaleFactors(t *testing.T) {
 }
 
 func BenchmarkBilinear720pTo1440p(b *testing.B) {
-	src := noiseImage(1280, 720, 3)
+	src := testkit.Noise(1280, 720, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -335,7 +300,7 @@ func BenchmarkBilinear720pTo1440p(b *testing.B) {
 }
 
 func BenchmarkLanczosRoI300(b *testing.B) {
-	src := noiseImage(300, 300, 3)
+	src := testkit.Noise(300, 300, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	gssr "gamestreamsr"
+	"gamestreamsr/internal/testkit"
 )
 
 // gameFrameSource adapts a workload + detector + encoder to the streaming
@@ -111,7 +112,7 @@ func TestEndToEndStreamingViaPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 		roiRect := pkt.RoI.Clamp(w, h)
-		patch := mustSub(df.Image, roiRect.X, roiRect.Y, roiRect.W, roiRect.H).Compact()
+		patch := testkit.MustSub(df.Image, roiRect.X, roiRect.Y, roiRect.W, roiRect.H).Compact()
 		hr, err := engine.Upscale(patch, scale)
 		if err != nil {
 			t.Fatal(err)
