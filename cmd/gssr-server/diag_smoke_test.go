@@ -58,7 +58,6 @@ func TestDiagSmoke(t *testing.T) {
 		},
 	}
 	d := diag.New(diag.Config{Metrics: reg, Flight: srv, Log: lg, Dir: dir, Cooldown: time.Hour})
-	d.Start() // continuous profile ring, as -diag arms it
 	defer d.Close()
 	srv.Diag = d
 
@@ -95,6 +94,7 @@ func TestDiagSmoke(t *testing.T) {
 		t.Errorf("shutdown: %v", err)
 	}
 	<-serveDone
+	d.Close() // as run's deferred Close: the capture in flight is written
 
 	// The watchdog must have produced exactly one bundle file on disk.
 	matches, err := filepath.Glob(filepath.Join(dir, "bundle-*.json"))
@@ -120,6 +120,10 @@ func TestDiagSmoke(t *testing.T) {
 	}
 	if b.Build.GoVersion == "" {
 		t.Error("bundle carries no build info")
+	}
+	if len(b.CPUProfile) == 0 || b.CPUStart.Before(b.Time) {
+		t.Errorf("bundle profile of %d bytes from %v, want one from the trigger at %v on",
+			len(b.CPUProfile), b.CPUStart, b.Time)
 	}
 	var out bytes.Buffer
 	if err := diag.RenderBundle(&out, b, 5, "cpu.pb.gz"); err != nil {

@@ -39,11 +39,13 @@
 // bilinear-only (no RoI/SR), then background scheduler priority — and
 // descends one rung after -shed-recover on-budget frames. With -diag DIR,
 // a sustained miss streak, a shed escalation, an admission reject or a
-// reaped session freezes a capture bundle into DIR (DESIGN.md §16).
+// reaped session captures a bundle into DIR, with a CPU profile of the
+// second after the trigger (DESIGN.md §16).
 //
-// SIGINT or SIGTERM shuts the server down: it stops accepting, closes
-// every session's connection, waits up to two seconds for the sessions to
-// drain, closes the diagnostics and exits 0.
+// SIGINT or SIGTERM shuts the server down: it stops accepting, ends every
+// session with a Bye behind its frame in flight, waits up to two seconds
+// for the clients to hang up and closes what is left, writes a diag
+// capture still in flight and exits 0.
 package main
 
 import (
@@ -113,7 +115,7 @@ func parseFlags(args []string) (serverConfig, error) {
 	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 0, "reap connections silent (no heartbeat) this long (0 = default, negative disables)")
 	fs.StringVar(&cfg.fault, "fault", "", "chaos script applied to every accepted connection, e.g. \"latency=5ms,jitter=2ms,reset@96KB\" (see internal/faultnet)")
 	fs.DurationVar(&cfg.deadline, "deadline", 0, "per-frame budget the flight recorders account against (0 = 60 FPS frame time)")
-	fs.StringVar(&cfg.diagDir, "diag", "", "directory for SLO-triggered diagnostic capture bundles; also arms the continuous profile ring and /debug/diag")
+	fs.StringVar(&cfg.diagDir, "diag", "", "directory for SLO-triggered diagnostic capture bundles, each with the CPU profile of the second after its trigger; also arms /debug/diag")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -219,13 +221,12 @@ func run(ctx context.Context, cfg serverConfig) error {
 	}
 	var d *diag.Diag
 	if cfg.diagDir != "" {
-		// Always-on diagnostics: the continuous profile ring samples in the
-		// background, and the MultiServer's SLO watchdog (miss streaks, shed
-		// escalations, admission rejects, reaps) freezes capture bundles
-		// into the directory. The process-wide log ring rides along in
-		// every bundle.
+		// The MultiServer's SLO watchdog (miss streaks, shed escalations,
+		// admission rejects, reaps) captures bundles into the directory,
+		// each with the CPU profile of the second after its trigger. The
+		// process-wide log ring rides along in every bundle. The deferred
+		// Close writes a capture still in flight at shutdown.
 		d = diag.New(diag.Config{Metrics: reg, Flight: srv, Log: logx.Default(), Dir: cfg.diagDir})
-		d.Start()
 		defer d.Close()
 		srv.Diag = d
 		slog.Info("diagnostics armed", "dir", cfg.diagDir)

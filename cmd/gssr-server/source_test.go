@@ -209,7 +209,7 @@ func TestBenchContract(t *testing.T) {
 
 // TestRunShutsDownOnCancel: the end of run's context (SIGINT or SIGTERM in
 // main) during a live session shuts the server down — run returns nil
-// within shutdownBound and the client's connection ends.
+// within shutdownBound and the client's stream ends with the server's Bye.
 func TestRunShutsDownOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -243,10 +243,10 @@ func TestRunShutsDownOnCancel(t *testing.T) {
 		if errors.As(err, &ne) && ne.Timeout() {
 			t.Fatalf("the client's connection is still open after the shutdown")
 		}
-		// A shutdown cuts the session without a Bye, and the client must
-		// not read that as the end of the stream.
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("RecvFrame after the shutdown = %v, want io.ErrUnexpectedEOF", err)
+		// A shutdown ends the stream the way its last frame would: with a
+		// Bye, which the client reads as the end of the stream.
+		if err != io.EOF {
+			t.Fatalf("RecvFrame after the shutdown = %v, want io.EOF", err)
 		}
 		break
 	}

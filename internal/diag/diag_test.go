@@ -8,7 +8,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,24 +42,23 @@ func burn(d time.Duration) {
 	}
 }
 
-func TestSamplerRings(t *testing.T) {
-	s := NewSampler(SamplerConfig{Period: 80 * time.Millisecond, Duration: 20 * time.Millisecond, Ring: 2, RuntimeRing: 3})
-	s.Start()
-	defer s.Stop()
-	go burn(200 * time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, ok := s.LatestProfile(); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no profile captured in 5s")
-		}
-		time.Sleep(10 * time.Millisecond)
+// TestTriggerProfileParses: a trigger's bundle carries the profile of the
+// window after it, which the toolchain's pprof reads, and two runtime
+// snapshots, one at the trigger and one at the end of the window.
+func TestTriggerProfileParses(t *testing.T) {
+	d := New(Config{Cooldown: time.Hour, Log: logx.NewRing(io.Discard)})
+	defer d.Close()
+	go burn(1200 * time.Millisecond)
+	if !d.Trigger("manual") {
+		t.Fatal("trigger suppressed")
 	}
-	p, _ := s.LatestProfile()
-	file := filepath.Join(t.TempDir(), "ring.pb.gz")
-	if err := os.WriteFile(file, p.Data, 0o644); err != nil {
+	waitForBundle(t, d, 1)
+	b := d.Latest()
+	if len(b.CPUProfile) == 0 {
+		t.Fatalf("bundle %+v carries no profile", b)
+	}
+	file := filepath.Join(t.TempDir(), "cpu.pb.gz")
+	if err := os.WriteFile(file, b.CPUProfile, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	goBin, err := exec.LookPath("go")
@@ -67,23 +68,63 @@ func TestSamplerRings(t *testing.T) {
 	cmd := exec.Command(goBin, "tool", "pprof", "-raw", file)
 	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local")
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Errorf("go tool pprof -raw rejects the ring profile: %v\n%s", err, out)
+		t.Errorf("go tool pprof -raw rejects the bundle's profile: %v\n%s", err, out)
 	}
-	if snaps := s.Snapshots(); len(snaps) == 0 {
-		t.Error("no runtime snapshots")
-	} else {
-		last := snaps[len(snaps)-1]
-		if last.Goroutines <= 0 {
-			t.Errorf("goroutines = %d, want > 0", last.Goroutines)
-		}
-		if last.HeapLiveBytes == 0 {
-			t.Error("heap live bytes = 0")
-		}
-		if len(snaps) > 3 {
-			t.Errorf("runtime ring grew to %d, bound is 3", len(snaps))
+	if got := b.CPUEnd.Sub(b.CPUStart); got < profileWindow {
+		t.Errorf("profile window %v, want %v", got, profileWindow)
+	}
+	if len(b.Runtime) != 2 {
+		t.Fatalf("%d runtime snapshots, want 2 (trigger, window end)", len(b.Runtime))
+	}
+	last := b.Runtime[1]
+	if last.Goroutines <= 0 {
+		t.Errorf("goroutines = %d, want > 0", last.Goroutines)
+	}
+	if last.HeapLiveBytes == 0 {
+		t.Error("heap live bytes = 0")
+	}
+	if last.Time.Before(b.CPUEnd) {
+		t.Errorf("last runtime snapshot at %v, before the window's end %v", last.Time, b.CPUEnd)
+	}
+	d.Close() // idempotent
+}
+
+// TestTriggerWithProfilerBusy: when something else holds the process's CPU
+// profiler, the bundle goes out without a profile and says why, and so
+// does its rendering.
+func TestTriggerWithProfilerBusy(t *testing.T) {
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Skipf("cpu profiler busy: %v", err)
+	}
+	defer pprof.StopCPUProfile()
+	d := New(Config{Cooldown: time.Hour, Log: logx.NewRing(io.Discard)})
+	defer d.Close()
+	start := time.Now()
+	if !d.Trigger("miss_streak", "session", "s1") {
+		t.Fatal("trigger suppressed")
+	}
+	d.Close()
+	pprof.StopCPUProfile()
+	if waited := time.Since(start); waited >= profileWindow {
+		t.Errorf("a capture without a profile took %v", waited)
+	}
+	b := d.Latest()
+	if b == nil || len(b.CPUProfile) != 0 || !b.CPUStart.IsZero() {
+		t.Fatalf("bundle %+v, want one without a profile", b)
+	}
+	why := b.Detail[profileDetail]
+	if why == "" {
+		t.Fatalf("bundle detail %v does not say why it has no profile", b.Detail)
+	}
+	var out bytes.Buffer
+	if err := RenderBundle(&out, b, 5, "cpu.pb.gz"); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"reason: miss_streak session=s1\n", "cpu profile: none: " + why + "\n"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("render missing %q:\n%s", want, out.String())
 		}
 	}
-	s.Stop() // idempotent
 }
 
 func TestTriggerHysteresis(t *testing.T) {
@@ -105,6 +146,7 @@ func TestTriggerHysteresis(t *testing.T) {
 	if got := d.seq.Load(); got != 1 {
 		t.Fatalf("bundle count = %d, want 1", got)
 	}
+	d.Close() // publishes the capture in flight
 	b := d.Latest()
 	if b == nil || b.Reason != "miss_streak" || b.Detail["session"] != "s1" {
 		t.Fatalf("bundle = %+v", b)
@@ -157,18 +199,73 @@ func TestTriggerHysteresis(t *testing.T) {
 	}
 }
 
+// TestConcurrentTriggersCaptureOnce: triggers racing each other start one
+// capture; triggers racing Close start none, and Close returns with the
+// capture's bundle published.
+func TestConcurrentTriggersCaptureOnce(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	d := New(Config{Metrics: reg, Cooldown: time.Hour, Log: logx.NewRing(io.Discard)})
+	defer d.Close()
+	const goroutines, each = 8, 20
+	var started atomic.Int64
+	triggers := func() {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					if d.Trigger("race", "goroutine", g) {
+						started.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	triggers()
+	if n := started.Load(); n != 1 {
+		t.Fatalf("%d captures started by racing triggers, want 1", n)
+	}
+	done := make(chan struct{})
+	go func() { defer close(done); triggers() }()
+	d.Close()
+	<-done
+	if n := started.Load(); n != 1 {
+		t.Fatalf("%d captures started in all, want 1", n)
+	}
+	if b := d.Latest(); b == nil || b.Seq != 1 {
+		t.Fatalf("latest bundle %+v after Close, want seq 1", b)
+	}
+	s := reg.Snapshot()
+	if got := testkit.CounterOf(s, "diag_bundles_total"); got != 1 {
+		t.Errorf("diag_bundles_total = %d, want 1", got)
+	}
+	if got, want := testkit.CounterOf(s, "diag_triggers_suppressed_total"), int64(2*goroutines*each-1); got != want {
+		t.Errorf("diag_triggers_suppressed_total = %d, want %d", got, want)
+	}
+}
+
 func TestTriggerCooldownExpires(t *testing.T) {
 	d := New(Config{Cooldown: 30 * time.Millisecond, Log: logx.NewRing(io.Discard)})
 	defer d.Close()
 	if !d.Trigger("one") {
 		t.Fatal("first trigger suppressed")
 	}
+	if d.Trigger("in flight") {
+		t.Fatal("second trigger while the first capture is in flight")
+	}
+	waitForBundle(t, d, 1)
 	if d.Trigger("two") {
 		t.Fatal("second trigger inside cooldown")
 	}
 	time.Sleep(60 * time.Millisecond)
 	if !d.Trigger("three") {
 		t.Fatal("trigger after cooldown suppressed")
+	}
+	d.Close()
+	if d.Trigger("four") {
+		t.Fatal("trigger after Close captured")
 	}
 	if got := d.seq.Load(); got != 2 {
 		t.Errorf("bundle count = %d, want 2", got)
@@ -177,7 +274,6 @@ func TestTriggerCooldownExpires(t *testing.T) {
 
 func TestNilDiagIsInert(t *testing.T) {
 	var d *Diag
-	d.Start()
 	d.Close()
 	if d.Trigger("x") {
 		t.Error("nil diag captured")

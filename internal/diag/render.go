@@ -32,7 +32,9 @@ func RenderBundle(w io.Writer, b *Bundle, top int, cpuFile string) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(w, " %s=%s", k, b.Detail[k])
+			if k != profileDetail { // the cpu profile line says it
+				fmt.Fprintf(w, " %s=%s", k, b.Detail[k])
+			}
 		}
 	}
 	fmt.Fprintln(w)
@@ -54,8 +56,10 @@ func RenderBundle(w io.Writer, b *Bundle, top int, cpuFile string) error {
 			b.CPUStart.Format("15:04:05.000"), b.CPUEnd.Format("15:04:05.000"), len(b.CPUProfile))
 		fmt.Fprintf(w, " by label:    go tool pprof -tags %s\n", cpuFile)
 		fmt.Fprintf(w, " by function: go tool pprof -top %s\n", cpuFile)
+	} else if why := b.Detail[profileDetail]; why != "" {
+		fmt.Fprintf(w, "\ncpu profile: none: %s\n", why)
 	} else {
-		fmt.Fprintf(w, "\ncpu profile: none in ring at capture time\n")
+		fmt.Fprintf(w, "\ncpu profile: none\n")
 	}
 
 	if len(b.FlightTrace) > 0 {

@@ -104,8 +104,14 @@ func (r *Recorder) Snapshot() *Dump {
 // the /debug/flight payload (telemetry.FlightDumper). Safe on a nil
 // recorder (writes an empty trace).
 func (r *Recorder) WriteFlight(w io.Writer) error {
+	return WriteChromeTraces(w, r.Flights())
+}
+
+// Flights returns the current window as a one-dump list, named by its
+// process.
+func (r *Recorder) Flights() []NamedDump {
 	d := r.Snapshot()
-	return WriteChromeTraces(w, []NamedDump{{Name: d.Process, Dump: d}})
+	return []NamedDump{{Name: d.Process, Dump: d}}
 }
 
 // Render writes an ASCII Gantt chart of the dump's spans: one row per lane

@@ -10,19 +10,17 @@ package pipeline_test
 
 import (
 	"bytes"
-	"os"
-	"os/exec"
-	"path/filepath"
-	"regexp"
+	"io"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"gamestreamsr/internal/diag"
+	"gamestreamsr/internal/diag/logx"
 	"gamestreamsr/internal/pipeline"
+	"gamestreamsr/internal/testkit"
 )
 
 func TestCPUProfileAttributesSessions(t *testing.T) {
@@ -60,7 +58,7 @@ func TestCPUProfileAttributesSessions(t *testing.T) {
 	wg.Wait()
 	pprof.StopCPUProfile()
 
-	total, samples := pprofTraces(t, buf.Bytes())
+	total, samples := testkit.PprofTraces(t, buf.Bytes())
 	known := map[string]bool{}
 	for _, s := range sessions {
 		known[s] = true
@@ -72,7 +70,7 @@ func TestCPUProfileAttributesSessions(t *testing.T) {
 	var nSamples int
 	for _, s := range samples {
 		inPipeline := false
-		for _, fn := range s.stack {
+		for _, fn := range s.Stack {
 			if strings.HasPrefix(fn, "gamestreamsr/") {
 				inPipeline = true
 				break
@@ -81,15 +79,15 @@ func TestCPUProfileAttributesSessions(t *testing.T) {
 		if !inPipeline {
 			continue
 		}
-		pipelineNanos += s.nanos
+		pipelineNanos += s.Nanos
 		nSamples++
 		switch {
-		case known[s.labels["session"]]:
-			attributed += s.nanos
-		case s.labels["sched_client"] != "":
+		case known[s.Labels["session"]]:
+			attributed += s.Nanos
+		case s.Labels["sched_client"] != "":
 			// Pool workers executing stolen chunks carry the scheduler
 			// client's identity instead of a session.
-			attributed += s.nanos
+			attributed += s.Nanos
 		}
 	}
 	if nSamples < 30 {
@@ -103,100 +101,25 @@ func TestCPUProfileAttributesSessions(t *testing.T) {
 	}
 }
 
-// traceSample is one sample block of `go tool pprof -traces`: its labels,
-// its CPU time and its stack, leaf first.
-type traceSample struct {
-	labels map[string]string
-	nanos  int64
-	stack  []string
-}
-
-const tracesSeparator = "-----------+-------------------------------------------------------\n"
-
-var (
-	tracesTotal = regexp.MustCompile(`Total samples = (\d+)(?:ns)? `)
-	tracesLabel = regexp.MustCompile(`^ *(\S+):  (.*)$`)
-	tracesValue = regexp.MustCompile(`^ *(\d+)(?:ns)?   (\S.*)$`)
-	tracesFrame = regexp.MustCompile(`^ +(\S.*)$`)
-)
-
-// pprofTraces reads profile's samples through the local toolchain's
-// `go tool pprof -traces`, in nanoseconds, and returns the header's total
-// with every sample block. Output it cannot parse fails the test, and so
-// does a set of blocks whose values do not add up to the total: a change
-// in the toolchain's format must show, not pass as an empty profile.
-func pprofTraces(t *testing.T, profile []byte) (total int64, samples []traceSample) {
-	t.Helper()
-	file := filepath.Join(t.TempDir(), "cpu.pb.gz")
-	if err := os.WriteFile(file, profile, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Fatalf("go toolchain not on PATH: %v", err)
-	}
-	cmd := exec.Command(goBin, "tool", "pprof", "-traces", "-symbolize=none", "-unit=ns", file)
-	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local") // never download a toolchain
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("go tool pprof -traces: %v\n%s", err, stderr.Bytes())
-	}
-	head, body, ok := strings.Cut(string(out), tracesSeparator)
-	m := tracesTotal.FindStringSubmatch(head)
-	if !ok || m == nil {
-		t.Fatalf("go tool pprof -traces: no separator or no Total samples header in:\n%s", out)
-	}
-	total, _ = strconv.ParseInt(m[1], 10, 64)
-	blocks := strings.Split(body, tracesSeparator)
-	if blocks[len(blocks)-1] != "" {
-		t.Fatalf("go tool pprof -traces: output does not end on a separator:\n%s", blocks[len(blocks)-1])
-	}
-	var sum int64
-	for _, blk := range blocks[:len(blocks)-1] {
-		s := traceSample{labels: map[string]string{}}
-		for _, line := range strings.Split(strings.TrimSuffix(blk, "\n"), "\n") {
-			switch {
-			case s.stack == nil && tracesValue.MatchString(line):
-				m := tracesValue.FindStringSubmatch(line)
-				s.nanos, _ = strconv.ParseInt(m[1], 10, 64)
-				s.stack = []string{m[2]}
-			case s.stack == nil && tracesLabel.MatchString(line):
-				m := tracesLabel.FindStringSubmatch(line)
-				s.labels[m[1]] = m[2]
-			case s.stack != nil && tracesFrame.MatchString(line):
-				s.stack = append(s.stack, tracesFrame.FindStringSubmatch(line)[1])
-			default:
-				t.Fatalf("go tool pprof -traces: unparseable line %q in sample block:\n%s", line, blk)
-			}
-		}
-		if s.stack == nil {
-			t.Fatalf("go tool pprof -traces: sample block without a value line:\n%s", blk)
-		}
-		sum += s.nanos
-		samples = append(samples, s)
-	}
-	if sum != total {
-		t.Fatalf("go tool pprof -traces: sample blocks add up to %dns, header says %dns", sum, total)
-	}
-	return total, samples
-}
-
 // TestRunDeterministicWithDiag pins the diag acceptance contract that
-// instrumentation never alters outputs: a run with session labels, the
-// continuous profile sampler armed and logging active is byte-identical
-// to a bare run of the same config.
+// instrumentation never alters outputs: a run with session labels, a
+// triggered capture profiling the CPU throughout and logging active is
+// byte-identical to a bare run of the same config.
 func TestRunDeterministicWithDiag(t *testing.T) {
 	base := runJSON(t, runners(t)["gamestream"])
 
-	sampler := diag.NewSampler(diag.SamplerConfig{Period: 40 * time.Millisecond, Duration: 15 * time.Millisecond})
-	sampler.Start()
-	defer sampler.Stop()
-
+	d := diag.New(diag.Config{Cooldown: time.Hour, Log: logx.NewRing(io.Discard)})
+	defer d.Close()
+	if !d.Trigger("determinism") {
+		t.Fatal("trigger suppressed")
+	}
 	cfg := detConfig(t)
 	cfg.Session = "diag-on"
 	withDiag := runJSON(t, runnersWith(t, cfg)["gamestream"])
+	d.Close()
+	if d.Latest() == nil {
+		t.Fatal("the capture published no bundle")
+	}
 	if !bytes.Equal(base, withDiag) {
 		t.Error("pipeline output with diag on differs from diag off")
 	}

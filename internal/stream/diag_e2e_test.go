@@ -49,6 +49,7 @@ func TestMissStreakTriggersOneBundle(t *testing.T) {
 		t.Fatalf("client got %d frames, want 64", n)
 	}
 
+	d.Close() // cuts the capture's profile window short and publishes it
 	b := d.Latest()
 	if b == nil || b.Seq != 1 {
 		t.Fatalf("newest bundle %+v, want the one and only (seq 1: cooldown hysteresis)", b)
@@ -222,6 +223,7 @@ func TestMissStreakBundleWithoutFlightFrames(t *testing.T) {
 	if n := runClient(t, addr, "misser"); n != 8 {
 		t.Fatalf("client got %d frames, want 8", n)
 	}
+	d.Close() // publishes the capture in flight
 	if b := d.Latest(); b == nil || b.Reason != "miss_streak" {
 		t.Fatalf("latest bundle %+v, want a miss_streak one", b)
 	}

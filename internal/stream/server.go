@@ -175,9 +175,9 @@ type MultiServer struct {
 	Log *slog.Logger
 	// Diag, when non-nil, is the SLO watchdog: sustained deadline-miss
 	// streaks, shed-ladder escalations, admission rejects and session reaps
-	// each ask it to freeze a capture bundle (profile ring + goroutine dump
-	// + flight trace + log ring); its cooldown turns those asks into at most
-	// one bundle per incident.
+	// each ask it to capture a bundle (goroutine dump + flight trace + log
+	// ring + the CPU profile of the second after); its cooldown turns those
+	// asks into at most one bundle per incident.
 	Diag *diag.Diag
 
 	mu       sync.Mutex
@@ -187,7 +187,7 @@ type MultiServer struct {
 	resumes  map[string]string // resume token -> original session identity
 	resumeQ  []string          // token issue order, for cap eviction
 	listener net.Listener
-	closed   bool
+	closed   atomic.Bool // set under mu by Shutdown; frame loops read it without
 	serveWG  sync.WaitGroup
 	ctrs     serverCounters
 }
@@ -286,6 +286,9 @@ type session struct {
 	rec      *frametrace.Recorder
 	shed     atomic.Int32 // shed-ladder level (ShedNone without a ShedPolicy)
 	live     bool         // guarded by srv.mu
+	// finished marks the stream as sent in full, Bye included
+	// (control.finish): the session only waits for its client to hang up.
+	finished atomic.Bool
 
 	// The shed ladder's state (evaluate), frame loop only.
 	target Shedder // the source, when it can degrade
@@ -314,7 +317,7 @@ func (s *MultiServer) Serve(l net.Listener) error {
 		return errors.New("stream: MultiServer needs a source factory")
 	}
 	s.mu.Lock()
-	if s.closed {
+	if s.closed.Load() {
 		s.mu.Unlock()
 		return ErrServerClosed
 	}
@@ -325,7 +328,7 @@ func (s *MultiServer) Serve(l net.Listener) error {
 		conn, err := l.Accept()
 		if err != nil {
 			s.mu.Lock()
-			closed := s.closed
+			closed := s.closed.Load()
 			s.mu.Unlock()
 			if closed {
 				return ErrServerClosed
@@ -333,7 +336,7 @@ func (s *MultiServer) Serve(l net.Listener) error {
 			return err
 		}
 		s.mu.Lock()
-		if s.closed {
+		if s.closed.Load() {
 			s.mu.Unlock()
 			conn.Close()
 			return ErrServerClosed
@@ -389,7 +392,7 @@ func (s *MultiServer) serveConn(conn net.Conn) error {
 	tHello := time.Now() // T1 of the client's Cristian offset estimate
 	s.mu.Lock()
 	delete(s.pending, conn)
-	closed := s.closed
+	closed := s.closed.Load()
 	s.mu.Unlock()
 	remote := conn.RemoteAddr().String()
 	switch {
@@ -453,7 +456,7 @@ func (s *MultiServer) servePlayer(conn net.Conn, remote string, hello Hello, tHe
 	}
 	sess := s.newSession(conn, remote, identity)
 	s.mu.Lock()
-	closed, overCap := s.closed, len(s.liveSessions()) >= max
+	closed, overCap := s.closed.Load(), len(s.liveSessions()) >= max
 	if !closed && !overCap {
 		s.sessions = append(s.sessions, sess)
 	}
@@ -687,11 +690,11 @@ func metricLabel(remote string) string {
 	return string(b)
 }
 
-// WriteFlight merges every retained session's flight window into one
-// Chrome trace-event JSON payload, one Perfetto process per session —
-// the /debug/flight implementation (telemetry.FlightDumper).
-func (s *MultiServer) WriteFlight(w io.Writer) error {
+// Flights copies every retained session's flight window, one dump per
+// session, in start order.
+func (s *MultiServer) Flights() []frametrace.NamedDump {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	dumps := make([]frametrace.NamedDump, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		name := sess.identity
@@ -700,21 +703,27 @@ func (s *MultiServer) WriteFlight(w io.Writer) error {
 		}
 		dumps = append(dumps, frametrace.NamedDump{Name: name, Dump: sess.rec.Snapshot()})
 	}
-	s.mu.Unlock()
-	return frametrace.WriteChromeTraces(w, dumps)
+	return dumps
 }
 
-// Shutdown stops accepting and closes every live session, then waits for
-// the session goroutines to drain (they finish promptly — their
-// connections are closed) or for ctx to expire, whichever comes first.
+// WriteFlight merges every retained session's flight window into one
+// Chrome trace-event JSON payload, one Perfetto process per session —
+// the /debug/flight implementation (telemetry.FlightDumper).
+func (s *MultiServer) WriteFlight(w io.Writer) error {
+	return frametrace.WriteChromeTraces(w, s.Flights())
+}
+
+// Shutdown stops accepting and ends every live session as a stream sent in
+// full ends: its frame loop stops after the frame in flight, sends a Bye
+// behind it and waits for the client to hang up (control.finish). Shutdown
+// returns once every session has ended, or at ctx's end, when it closes
+// the connections still open. It returns ctx's error only if one of those
+// sessions had not sent its Bye: a source or a send that had not returned.
 func (s *MultiServer) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.closed = true
+	s.closed.Store(true)
 	if s.listener != nil {
 		s.listener.Close()
-	}
-	for _, sess := range s.liveSessions() {
-		sess.conn.Close()
 	}
 	for conn := range s.pending {
 		conn.Close()
@@ -729,6 +738,15 @@ func (s *MultiServer) Shutdown(ctx context.Context) error {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		return ctx.Err()
 	}
+	var err error
+	s.mu.Lock()
+	for _, sess := range s.liveSessions() {
+		if !sess.finished.Load() {
+			err = ctx.Err()
+		}
+		sess.conn.Close()
+	}
+	s.mu.Unlock()
+	return err
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -554,6 +555,68 @@ func TestMultiServerShutdownWaitsForSessions(t *testing.T) {
 	if srv.sessionCount() != 0 {
 		t.Errorf("%d sessions left after shutdown", srv.sessionCount())
 	}
+}
+
+// TestShutdownEndsSessionsWithBye: Shutdown ends a live session the way
+// its last frame would. The frame in flight when Shutdown is called goes
+// out whole, then the Bye, which the client reads as io.EOF; once the
+// client hangs up, Shutdown returns nil, well inside its bound.
+func TestShutdownEndsSessionsWithBye(t *testing.T) {
+	inFrame, release := make(chan struct{}), make(chan struct{})
+	srv := &MultiServer{
+		Accept: Accept{Width: 32, Height: 32, GOPSize: 4, QStep: 6},
+		NewSource: func(Hello) (FrameSource, error) {
+			return frameFunc(func(i int) ([]byte, bool, frame.Rect, error) {
+				if i == 3 {
+					close(inFrame)
+					<-release
+				}
+				return []byte{byte(i)}, i == 0, frame.Rect{W: 4, H: 4}, nil
+			}), nil
+		},
+	}
+	addr, done := startMulti(t, srv)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	c := NewClient(conn)
+	if _, err := c.Handshake(Hello{Device: "bye", RoIWindow: 8, Scale: 2}); err != nil {
+		t.Fatal(err)
+	}
+	<-inFrame
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	shut := make(chan error, 1)
+	go func() { shut <- srv.Shutdown(ctx) }()
+	waitFor(t, "Shutdown to close the server", srv.closed.Load)
+	close(release)
+
+	var got []uint32
+	for {
+		pkt, err := c.RecvFrame()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after frames %v: %v, want the server's Bye", got, err)
+		}
+		got = append(got, pkt.Index)
+	}
+	if want := []uint32{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Errorf("frames %v before the Bye, want %v", got, want)
+	}
+	_ = c.Bye()
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Errorf("Shutdown = %v, want nil", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Shutdown still waiting 2s after the client hung up")
+	}
+	<-done
 }
 
 // TestMultiServerAdmissionControl: once the live sessions' windowed p99

@@ -132,11 +132,11 @@ type control struct {
 	// two Writes (header, body) that must not interleave.
 	sendMu sync.Mutex
 	// clientBye distinguishes a clean protocol close from a network failure.
-	// finished marks the stream as sent in full, Bye included: from then on
-	// run only waits for the client to hang up (finish). stopped ends
-	// run after the message in hand.
-	clientBye, finished, stopped atomic.Bool
-	done                         chan struct{} // closed when run returns
+	// stopped ends run after the message in hand. (The session's finished
+	// marks its Bye as sent: from then on run only waits for the client to
+	// hang up.)
+	clientBye, stopped atomic.Bool
+	done               chan struct{} // closed when run returns
 }
 
 // startControl starts the control loop of sess.
@@ -157,14 +157,14 @@ func (c *control) run() {
 	// ladder's business.
 	idle := s.idleTimeout()
 	for !c.stopped.Load() {
-		if idle > 0 && !c.finished.Load() {
+		if idle > 0 && !c.sess.finished.Load() {
 			conn.SetReadDeadline(time.Now().Add(idle))
 		}
 		m, err := ReadMsg(conn)
 		if err != nil {
 			// Once the stream is over (finish) a deadline is the end
 			// of the wait for the client's hang-up, not a dead peer.
-			if idle > 0 && !c.finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
+			if idle > 0 && !c.sess.finished.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
 				s.Metrics.Counter("stream_sessions_reaped_total").Inc()
 				s.log().Warn("stream: reaping session: no traffic (not even a heartbeat)",
 					"session", sess.remote, "idle", idle)
@@ -184,7 +184,7 @@ func (c *control) run() {
 			s.Metrics.Counter("stream_pings_total").Inc()
 			ping := *m.Ping
 			c.sendMu.Lock()
-			if c.finished.Load() {
+			if c.sess.finished.Load() {
 				// Nothing follows our Bye; the client is only catching up.
 				c.sendMu.Unlock()
 				break
@@ -219,7 +219,7 @@ func (c *control) finish() error {
 	conn := c.sess.conn
 	c.sendMu.Lock()
 	err := WriteBye(conn)
-	c.finished.Store(err == nil)
+	c.sess.finished.Store(err == nil)
 	c.sendMu.Unlock()
 	if err != nil {
 		return err
@@ -300,6 +300,9 @@ func (sess *session) serve(source FrameSource, tHello time.Time, token string) e
 				due = now
 			}
 			due = due.Add(s.FrameInterval)
+		}
+		if s.closed.Load() {
+			break // Shutdown: the stream ends here, with the Bye below
 		}
 		tSrc := time.Now()
 		if s.Shed != nil {
